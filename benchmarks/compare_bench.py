@@ -94,14 +94,21 @@ METRIC_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("transport.msgs_per_s", "higher", "warn"),
         MetricSpec("transport.stream_MBps", "higher", "warn"),
     ),
-    # E15 is warn-only per the persistence acceptance criteria: the
-    # wall-time metrics are machine-dependent, and amplification shifts
-    # legitimately whenever the journal record shapes evolve.
+    # E15's near-empty-job arm is warn-only per the persistence
+    # acceptance criteria: the wall-time metrics are machine-dependent,
+    # and amplification against AJO bytes shifts legitimately whenever
+    # the journal record shapes evolve.  The large-file arm's counters
+    # gate: its amplification is against payload bytes, and a file body
+    # written more than once is the regression the blob table removed.
     "e15": (
         MetricSpec("sqlite.write_amplification", "lower", "warn"),
         MetricSpec("sqlite.fsyncs_per_job", "lower", "warn"),
         MetricSpec("sqlite.snapshot_s", "lower", "warn"),
         MetricSpec("sqlite.restore_s", "lower", "warn"),
+        MetricSpec("largefile.write_amplification", "lower", "fail"),
+        MetricSpec("largefile.fsyncs_per_job", "lower", "fail"),
+        MetricSpec("largefile.snapshot_s", "lower", "warn"),
+        MetricSpec("largefile.restore_s", "lower", "warn"),
     ),
 }
 

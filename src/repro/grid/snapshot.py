@@ -7,7 +7,9 @@ A :class:`GridSnapshot` is everything needed to rebuild a grid that
   deterministic part, re-executed on restore so hosts, certificates, and
   links come back identical;
 * the **storage dump** — every durable table and log (NJS journals,
-  outcome stores, UUDB mappings, resource pages, job-id cursors);
+  outcome stores, UUDB mappings, resource pages, job-id cursors) plus
+  the ``"blobs"`` section, the digest-sorted file bodies their manifests
+  name;
 * the **simkernel cursors** — virtual clock, per-link loss-RNG states,
   and the network message-id counter, so the resumed run draws the exact
   sequences the uninterrupted run would have;
@@ -32,8 +34,10 @@ from repro.storage.errors import SnapshotError
 
 __all__ = ["GridSnapshot", "SNAPSHOT_VERSION"]
 
-#: Bump when the on-disk layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+#: Bump when the on-disk layout changes incompatibly.  Version 1 kept
+#: file bodies inside the journal and outcome records; 2 moved them to
+#: the storage dump's ``"blobs"`` section.  Other versions are refused.
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(slots=True)
@@ -69,7 +73,7 @@ class GridSnapshot:
             plain = typing.cast(dict, decode_value(raw))
         except Exception as exc:
             raise SnapshotError(f"unreadable grid snapshot: {exc}") from exc
-        version = plain.get("version")
+        version = plain.get("version") if isinstance(plain, dict) else None
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"snapshot version {version!r} not supported "

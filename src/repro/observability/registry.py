@@ -91,7 +91,9 @@ COUNTERS: frozenset[str] = frozenset({
     "protocol.requests_sent",
     "protocol.retries",
     # persistence layer
+    "storage.blob.dedup_hits",
     "storage.bytes",
+    "storage.bytes_read",
     "storage.fsyncs",
     "storage.reads",
     "storage.writes",

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome, Outcome, new_outcome
+from repro.ajo.serialize import encode_outcome
 from repro.ajo.status import ActionStatus
 from repro.simkernel import Event, Simulator
 from repro.vfs.spaces import Uspace
@@ -106,6 +107,10 @@ class JobRun:
     @property
     def root_outcome(self) -> AJOOutcome:
         return typing.cast(AJOOutcome, self.outcomes[self.root.id])
+
+    def encoded_outcome(self) -> bytes:
+        """The outcome tree as RETRIEVE_OUTCOME serves and storage keeps it."""
+        return encode_outcome(self.root_outcome)
 
     def status(self) -> ActionStatus:
         """Uniform job status for the JMC."""

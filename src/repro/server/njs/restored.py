@@ -9,9 +9,10 @@ for a terminal job — listings, status queries, outcome retrieval,
 Uspace file fetches, disposal — backed by the journal entry (AJO bytes)
 and the persisted :class:`~repro.storage.outcomes.OutcomeRecord`.
 
-Decoding is lazy: restoring a thousand finished jobs costs a thousand
-table reads, not a thousand AJO decodes — the tree is only rebuilt when
-a client actually asks for it.
+Everything is lazy: restoring a thousand finished jobs costs a thousand
+metadata reads, not a thousand AJO decodes or Uspaces — the tree is only
+rebuilt when a client asks for it, and a file body is only fetched from
+the blob store when a client asks for that file.
 """
 
 from __future__ import annotations
@@ -24,34 +25,37 @@ from repro.storage.outcomes import OutcomeRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.ajo import AbstractJobObject
+    from repro.storage.backend import BlobStore
 
 __all__ = ["RestoredRun"]
 
 
 class _StoredFiles:
-    """The Uspace-read surface over a persisted file manifest."""
+    """The Uspace-read surface over a persisted ``{path: digest}`` manifest."""
 
-    def __init__(self, job_id: str, files: dict[str, bytes]) -> None:
+    def __init__(
+        self, job_id: str, manifest: dict[str, str], blobs: "BlobStore"
+    ) -> None:
         self.job_id = job_id
-        self._files = dict(files)
+        self._manifest = manifest
+        self._blobs = blobs
 
     def exists(self, path: str) -> bool:
-        return path in self._files
+        return path in self._manifest
 
     def read(self, path: str) -> bytes:
-        return self._files[path]
+        return self._blobs.get(self._manifest[path])
 
     def files(self) -> list[str]:
-        return sorted(self._files)
-
-    def used_bytes(self) -> int:
-        return sum(len(content) for content in self._files.values())
+        return sorted(self._manifest)
 
 
 class RestoredRun:
     """A terminal job served from storage instead of live supervision."""
 
-    def __init__(self, record: OutcomeRecord, ajo_bytes: bytes) -> None:
+    def __init__(
+        self, record: OutcomeRecord, ajo_bytes: bytes, blobs: "BlobStore"
+    ) -> None:
         self.job_id = record.job_id
         self.user_dn = record.user_dn
         self.submitted_at = record.submitted_at
@@ -72,7 +76,9 @@ class RestoredRun:
         self.workstation_files: dict[str, bytes] = {}
         #: One pseudo-Uspace holding every persisted file, so
         #: ``fetch_uspace_file`` iterates it exactly like live Uspaces.
-        self.uspaces = {"__restored__": _StoredFiles(record.job_id, record.files)}
+        self.uspaces = {
+            "__restored__": _StoredFiles(record.job_id, record.files, blobs)
+        }
         self._status = ActionStatus(record.status)
         self._ajo_bytes = ajo_bytes
         self._outcome_bytes = record.outcome_bytes
@@ -114,6 +120,10 @@ class RestoredRun:
     @property
     def name(self) -> str:
         return self._name
+
+    def encoded_outcome(self) -> bytes:
+        """The persisted encoding, verbatim: no decode, no re-encode."""
+        return self._outcome_bytes
 
     def status(self) -> ActionStatus:
         return self._status

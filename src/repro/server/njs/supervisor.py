@@ -579,9 +579,8 @@ class NetworkJobSupervisor:
             submitted_at=run.submitted_at,
             recovered=run.recovered,
             trace_id=run.trace_id,
-            outcome_bytes=encode_outcome(run.root_outcome),
-            files=files,
-        ))
+            outcome_bytes=run.encoded_outcome(),
+        ), files)
 
     def _run_group(self, run: JobRun, group: AbstractJobObject):
         if group.tasks() or group.id == run.root.id:
@@ -1573,7 +1572,10 @@ class NetworkJobSupervisor:
             record = self._outcomes.get(entry.job_id)
             if record is None:
                 continue  # journaled done but record disposed mid-write
-            run = typing.cast(JobRun, RestoredRun(record, entry.ajo_bytes))
+            run = typing.cast(
+                JobRun,
+                RestoredRun(record, entry.ajo_bytes, self.storage.blobs),
+            )
             self._runs[entry.job_id] = run
             status = run.status()
             self._index.add(
@@ -1607,10 +1609,13 @@ class NetworkJobSupervisor:
                 if name.startswith(prefix):
                     vsite.uspaces.destroy(name)
         try:
+            # The one place recovery reads file bodies: a replayed job
+            # re-imports what it was consigned with.
+            staged_files = self.journal.staged_files(entry)
             run = self.consign(
                 decode_ajo(entry.ajo_bytes),
                 user_dn=entry.user_dn,
-                workstation_files=entry.workstation_files,
+                workstation_files=staged_files,
                 parent_job_id=entry.parent_job_id,
                 trace_id=entry.trace_id,
                 job_id=entry.job_id,
@@ -1641,9 +1646,7 @@ class NetworkJobSupervisor:
         if entry.forward_meta is not None:
             # A forwarded group must still report to its parent site.
             corr_id, reply_usite, return_files = entry.forward_meta
-            self._early_files.setdefault(run.job_id, {}).update(
-                entry.workstation_files
-            )
+            self._early_files.setdefault(run.job_id, {}).update(staged_files)
             run.group_expected[run.root.id] = tuple(return_files)
             run.processes.append(
                 self.sim.process(
@@ -1783,7 +1786,7 @@ class NetworkJobSupervisor:
 
     def retrieve_outcome(self, job_id: str) -> bytes:
         """The full outcome tree (stdout/stderr included), encoded."""
-        return encode_outcome(self.get_run(job_id).root_outcome)
+        return self.get_run(job_id).encoded_outcome()
 
     def fetch_uspace_file(self, job_id: str, path: str) -> bytes:
         """One Uspace file, for sending back to the user's workstation.

@@ -13,11 +13,18 @@ behind, mirroring the transport split of :mod:`repro.net.transport`:
     the stdlib ``sqlite3``, either ``:memory:`` or an on-disk file.
 
 The surface is deliberately tiny: named key/value **tables**
-(:class:`Table`), named append-only **logs** (:class:`Log`), and a
-transactional :meth:`StorageBackend.batch` grouping writes into one
-durable unit.  Every stateful component — the NJS journal and outcome
-store, UUDB mappings, resource pages — persists through these three
-calls only, so flipping the backend never touches component logic.
+(:class:`Table`), named append-only **logs** (:class:`Log`), one
+content-addressed **blob store** (:class:`BlobStore`) holding every
+file body, and a transactional :meth:`StorageBackend.batch` grouping
+writes into one durable unit.  Every stateful component — the NJS
+journal and outcome store, UUDB mappings, resource pages — persists
+through these calls only, so flipping the backend never touches
+component logic.
+
+Tables and logs carry *metadata* through the tagged-JSON codec; a file
+body never does.  A record that names files stores a ``{path: digest}``
+manifest and the bodies go to the blob store as raw bytes, once per
+distinct content however many records name it.
 
 Backend choice is one argument end to end: ``build_grid(storage=...)``
 accepts a name, a ``"sqlite:/path/site.db"`` spec string, or a
@@ -28,11 +35,12 @@ per-test opt-ins) and finally to ``"memory"``.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import typing
 from dataclasses import dataclass, field
 
-from repro.storage.codec import decode_value, encode_value
+from repro.storage.codec import decode_value, encode_value, from_plain, to_plain
 from repro.storage.errors import StorageError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +51,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Table",
     "Log",
+    "BlobStore",
     "StorageBackend",
     "StorageSpec",
     "available_backends",
@@ -120,17 +129,80 @@ class Log:
         return self._backend._log_len(self.name)
 
 
+class BlobStore:
+    """Content-addressed file bodies: sha256 hex digest -> raw bytes.
+
+    Bodies are refcounted: every :meth:`put` takes one reference, every
+    :meth:`release` drops one, and a body whose count reaches zero is
+    deleted in the same batch.  Holders (journal entries, outcome
+    records) keep ``{path: digest}`` manifests and call :meth:`put`,
+    :meth:`get` and :meth:`release` inside the batch that writes or
+    deletes the record naming them.
+    """
+
+    def __init__(self, backend: "StorageBackend") -> None:
+        self._backend = backend
+
+    def put(self, body: bytes) -> str:
+        """Store ``body`` (or take one more reference to it); its digest."""
+        backend = self._backend
+        digest = hashlib.sha256(body).hexdigest()
+        if backend._blob_put(digest, body):
+            backend._count_write(len(body))
+        else:
+            backend._count_write(0)
+            backend._count_dedup_hit()
+        return digest
+
+    def get(self, digest: str) -> bytes:
+        body = self._backend._blob_get(digest)
+        if body is None:
+            raise StorageError(f"no blob {digest!r} in the blob store")
+        self._backend._count_read(len(body))
+        return body
+
+    def release(self, digest: str) -> None:
+        """Drop one reference; the last one deletes the body."""
+        if not self._backend._blob_release(digest):
+            raise StorageError(f"release of unknown blob {digest!r}")
+        self._backend._count_write(0)
+
+    def put_files(self, files: typing.Mapping[str, bytes]) -> dict[str, str]:
+        """Store every body of a ``{path: content}`` map; its manifest."""
+        return {path: self.put(body) for path, body in files.items()}
+
+    def get_files(self, manifest: typing.Mapping[str, str]) -> dict[str, bytes]:
+        return {path: self.get(digest) for path, digest in manifest.items()}
+
+    def release_files(self, manifest: typing.Mapping[str, str]) -> None:
+        for digest in manifest.values():
+            self.release(digest)
+
+    def digests(self) -> list[str]:
+        """Every live digest, sorted."""
+        return self._backend._blob_digests()
+
+    def __contains__(self, digest: str) -> bool:
+        return self._backend._blob_get(digest) is not None
+
+    def __len__(self) -> int:
+        return len(self._backend._blob_digests())
+
+
 class StorageBackend:
-    """Abstract persistence backend: tables + logs + transactional batches.
+    """Abstract persistence backend: tables + logs + blobs + batches.
 
     Subclasses implement the underscore primitives; the public surface
     (:meth:`table`, :meth:`log`, :meth:`batch`, :meth:`dump`,
     :meth:`load`) plus all instrumentation is shared here.
 
     Counters (``writes``, ``reads``, ``fsyncs``, ``bytes_written``,
-    ``bytes_read``) are plain attributes always maintained, and mirror
-    into a :class:`~repro.observability.MetricsRegistry` once
+    ``bytes_read``, ``blob_dedup_hits``) are plain attributes always
+    maintained, and mirror into a
+    :class:`~repro.observability.MetricsRegistry` once
     :meth:`bind_metrics` attaches one (``storage.writes`` et al.).
+    ``bytes_written`` / ``bytes_read`` count bytes that reached the
+    backend: a blob put that only takes a reference writes 0 bytes.
     """
 
     #: Registry name of the backend (``"memory"``, ``"sqlite"``).
@@ -142,6 +214,9 @@ class StorageBackend:
         self.fsyncs = 0
         self.bytes_written = 0
         self.bytes_read = 0
+        self.blob_dedup_hits = 0
+        #: The backend's one content-addressed file-body store.
+        self.blobs = BlobStore(self)
         self._metrics: MetricsRegistry | None = None
         self._batch_depth = 0
 
@@ -166,8 +241,6 @@ class StorageBackend:
     # -- snapshot support ----------------------------------------------------
     def dump(self) -> dict[str, typing.Any]:
         """The entire backend contents in codec-plain form."""
-        from repro.storage.codec import to_plain
-
         tables = {
             name: {
                 key: to_plain(decode_value(data))
@@ -179,12 +252,20 @@ class StorageBackend:
             name: [to_plain(decode_value(row)) for row in self._log_records(name)]
             for name in self._log_names()
         }
-        return {"tables": tables, "logs": logs}
+        blobs = {
+            digest: {"refs": refs, "body": to_plain(body)}
+            for digest, refs, body in self._blob_dump()
+        }
+        return {"tables": tables, "logs": logs, "blobs": blobs}
 
     def load(self, dump: dict[str, typing.Any]) -> None:
         """Replace the backend contents with a :meth:`dump`."""
-        from repro.storage.codec import from_plain
-
+        blobs = []
+        for digest, blob in dump.get("blobs", {}).items():
+            body = typing.cast(bytes, from_plain(blob["body"]))
+            if hashlib.sha256(body).hexdigest() != digest:
+                raise StorageError(f"blob {digest!r} does not match its digest")
+            blobs.append((digest, int(blob["refs"]), body))
         self._clear()
         with self.batch():
             for name, rows in dump.get("tables", {}).items():
@@ -193,6 +274,8 @@ class StorageBackend:
             for name, records in dump.get("logs", {}).items():
                 for value in records:
                     self._log_append(name, encode_value(from_plain(value)))
+            for digest, refs, body in blobs:
+                self._blob_load(digest, refs, body)
 
     # -- instrumentation -----------------------------------------------------
     def _count_write(self, nbytes: int) -> None:
@@ -209,6 +292,12 @@ class StorageBackend:
         self.bytes_read += nbytes
         if self._metrics is not None:
             self._metrics.counter("storage.reads").inc()
+            self._metrics.counter("storage.bytes_read").inc(nbytes)
+
+    def _count_dedup_hit(self) -> None:
+        self.blob_dedup_hits += 1
+        if self._metrics is not None:
+            self._metrics.counter("storage.blob.dedup_hits").inc()
 
     def _count_fsync(self) -> None:
         self.fsyncs += 1
@@ -249,19 +338,42 @@ class StorageBackend:
     def _log_names(self) -> list[str]:
         raise NotImplementedError
 
+    def _blob_put(self, digest: str, body: bytes) -> bool:
+        """Take one reference to ``digest``; True when the body was new."""
+        raise NotImplementedError
+
+    def _blob_get(self, digest: str) -> bytes | None:
+        raise NotImplementedError
+
+    def _blob_release(self, digest: str) -> bool:
+        """Drop one reference (deleting at zero); False when unknown."""
+        raise NotImplementedError
+
+    def _blob_digests(self) -> list[str]:
+        raise NotImplementedError
+
+    def _blob_dump(self) -> list[tuple[str, int, bytes]]:
+        """``(digest, refs, body)`` of every live blob, digest-sorted."""
+        raise NotImplementedError
+
+    def _blob_load(self, digest: str, refs: int, body: bytes) -> None:
+        raise NotImplementedError
+
     def _clear(self) -> None:
         raise NotImplementedError
 
     # -- transaction hooks ---------------------------------------------------
     def _begin(self) -> None:
         """Start a durable unit (outermost batch only)."""
+        raise NotImplementedError
 
     def _commit(self) -> None:
         """Commit the durable unit (outermost batch only)."""
+        raise NotImplementedError
 
     def _rollback(self) -> None:
-        """Abandon the durable unit after an error (best effort)."""
-        self._commit()
+        """Undo every write of the durable unit after an error."""
+        raise NotImplementedError
 
 
 class _Batch:

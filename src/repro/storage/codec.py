@@ -8,6 +8,11 @@ base64 dict, tuples become lists, dict keys become strings) and then
 serialized as canonical JSON bytes.  The in-memory backend pays the
 same round trip as SQLite on purpose — parity over speed.
 
+That bargain covers *metadata*: records, mappings, resource pages, and
+the small AJO / outcome byte strings inside them.  File bodies never
+come through here; records name them by digest and the bodies live raw
+in the backend's blob store (:class:`repro.storage.backend.BlobStore`).
+
 The existing :mod:`repro.resources.asn1` codec is *not* reused here: it
 deliberately has no ``bytes`` type (resource pages are numbers and
 names), while journal records are mostly AJO byte strings.

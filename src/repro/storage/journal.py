@@ -17,6 +17,12 @@ record by record from the backend, which is what lets a *cold-started*
 NJS (new process, same SQLite file) recover jobs consigned by its
 previous life — not just one that kept its Python heap across
 :meth:`crash`.
+
+Records are metadata only.  The files a consignment carries (workstation
+imports, a forwarded group's staging) go to the backend's blob store and
+the record keeps their ``{path: digest}`` manifest, so a reload reads no
+file body; :meth:`JobJournal.staged_files` fetches them when a replay
+needs them, and :meth:`JobJournal.forget` releases them.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ class JournalEntry:
     job_id: str
     ajo_bytes: bytes
     user_dn: str
-    workstation_files: dict[str, bytes] = field(default_factory=dict)
+    #: ``path -> blob digest`` of the files consigned with the job.
+    workstation_files: dict[str, str] = field(default_factory=dict)
     trace_id: str = ""
     #: Set for forwarded groups (this NJS is the *child* site).
     parent_job_id: str | None = None
@@ -68,25 +75,14 @@ class JobJournal:
         self.storage = storage if storage is not None else MemoryBackend()
         self.name = name
         self._log = self.storage.log(name)
+        self._blobs = self.storage.blobs
         self._metrics = metrics
         self._entries: dict[str, JournalEntry] = {}
-        self._records_written = 0
         if len(self._log):
             self.reload()
 
-    # -- instrumentation -----------------------------------------------------
-    @property
-    def records_written(self) -> int:
-        """Records appended by this journal instance (compat surface).
-
-        The authoritative count lives in the metrics registry
-        (``njs.journal.records``) and the backend's ``storage.writes``.
-        """
-        return self._records_written
-
     def _append(self, record: dict[str, typing.Any]) -> None:
         self._log.append(record)
-        self._records_written += 1
         if self._metrics is not None:
             self._metrics.counter("njs.journal.records").inc()
 
@@ -101,28 +97,30 @@ class JobJournal:
         parent_job_id: str | None = None,
         forward_meta: ForwardMeta | None = None,
     ) -> JournalEntry:
-        entry = JournalEntry(
-            job_id=job_id,
-            ajo_bytes=ajo_bytes,
-            user_dn=user_dn,
-            workstation_files=dict(workstation_files or {}),
-            trace_id=trace_id,
-            parent_job_id=parent_job_id,
-            forward_meta=forward_meta,
-        )
+        # Bodies and the record naming them are one durable unit.
+        with self.storage.batch():
+            entry = JournalEntry(
+                job_id=job_id,
+                ajo_bytes=ajo_bytes,
+                user_dn=user_dn,
+                workstation_files=self._blobs.put_files(workstation_files or {}),
+                trace_id=trace_id,
+                parent_job_id=parent_job_id,
+                forward_meta=forward_meta,
+            )
+            self._append({
+                "kind": "consign",
+                "job_id": job_id,
+                "ajo_bytes": ajo_bytes,
+                "user_dn": user_dn,
+                "workstation_files": entry.workstation_files,
+                "trace_id": trace_id,
+                "parent_job_id": parent_job_id,
+                "forward_meta": (
+                    None if forward_meta is None else list(forward_meta)
+                ),
+            })
         self._entries[job_id] = entry
-        self._append({
-            "kind": "consign",
-            "job_id": job_id,
-            "ajo_bytes": ajo_bytes,
-            "user_dn": user_dn,
-            "workstation_files": entry.workstation_files,
-            "trace_id": trace_id,
-            "parent_job_id": parent_job_id,
-            "forward_meta": (
-                None if forward_meta is None else list(forward_meta)
-            ),
-        })
         return entry
 
     def record_delivery(
@@ -146,9 +144,18 @@ class JobJournal:
             self._append({"kind": "done", "job_id": job_id})
 
     def forget(self, job_id: str) -> None:
-        """Drop a disposed job's entry entirely (a tombstone record)."""
-        if self._entries.pop(job_id, None) is not None:
-            self._append({"kind": "forget", "job_id": job_id})
+        """Drop a disposed job's entry entirely (a tombstone record) and
+        release the file bodies it named."""
+        entry = self._entries.get(job_id)
+        if entry is not None:
+            with self.storage.batch():
+                self._append({"kind": "forget", "job_id": job_id})
+                self._blobs.release_files(entry.workstation_files)
+            del self._entries[job_id]
+
+    def staged_files(self, entry: JournalEntry) -> dict[str, bytes]:
+        """The bodies of the files ``entry`` was consigned with."""
+        return self._blobs.get_files(entry.workstation_files)
 
     # -- recovery ------------------------------------------------------------
     def reload(self) -> None:

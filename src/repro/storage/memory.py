@@ -1,16 +1,32 @@
 """The default in-process backend: deterministic, zero-dependency.
 
-Values still pass through the canonical byte codec on every write and
-read, so the in-memory backend has *exactly* the round-trip semantics
-of SQLite (tuples come back as lists, dict keys as strings, bytes as
-bytes) — a test that passes here passes there.
+Table and log values still pass through the canonical byte codec on
+every write and read, so the in-memory backend has *exactly* the
+round-trip semantics of SQLite (tuples come back as lists, dict keys as
+strings, bytes as bytes) — a test that passes here passes there.  File
+bodies in the blob store are the exception by design: a body is raw
+bytes in both backends, so this one keeps a reference to the caller's
+immutable ``bytes`` object instead of a copy.
+
+Batches are all-or-nothing like SQLite's: every mutating primitive
+called inside a batch pushes its inverse onto a per-batch undo list,
+and a batch that ends in an exception runs the list backwards.
 """
 
 from __future__ import annotations
 
+import typing
+
 from repro.storage.backend import StorageBackend
 
 __all__ = ["MemoryBackend"]
+
+
+def _restore_row(rows: dict[str, bytes], key: str, old: bytes | None) -> None:
+    if old is None:
+        rows.pop(key, None)
+    else:
+        rows[key] = old
 
 
 class MemoryBackend(StorageBackend):
@@ -22,16 +38,27 @@ class MemoryBackend(StorageBackend):
         super().__init__()
         self._tables: dict[str, dict[str, bytes]] = {}
         self._logs: dict[str, list[bytes]] = {}
+        self._blob_refs: dict[str, int] = {}
+        self._blob_bodies: dict[str, bytes] = {}
+        #: Inverses of the open batch's writes; None outside a batch.
+        self._undo: list[typing.Callable[[], object]] | None = None
 
     # -- table primitives ----------------------------------------------------
     def _table_get(self, table: str, key: str) -> bytes | None:
         return self._tables.get(table, {}).get(key)
 
     def _table_put(self, table: str, key: str, data: bytes) -> None:
-        self._tables.setdefault(table, {})[key] = data
+        rows = self._tables.setdefault(table, {})
+        if self._undo is not None:
+            old = rows.get(key)
+            self._undo.append(lambda: _restore_row(rows, key, old))
+        rows[key] = data
 
     def _table_delete(self, table: str, key: str) -> None:
-        self._tables.get(table, {}).pop(key, None)
+        rows = self._tables.get(table, {})
+        old = rows.pop(key, None)
+        if self._undo is not None:
+            self._undo.append(lambda: _restore_row(rows, key, old))
 
     def _table_keys(self, table: str) -> list[str]:
         return sorted(self._tables.get(table, {}))
@@ -47,13 +74,17 @@ class MemoryBackend(StorageBackend):
     def _log_append(self, log: str, data: bytes) -> int:
         records = self._logs.setdefault(log, [])
         records.append(data)
+        if self._undo is not None:
+            self._undo.append(records.pop)
         return len(records)
 
     def _log_records(self, log: str) -> list[bytes]:
         return list(self._logs.get(log, ()))
 
     def _log_truncate(self, log: str) -> None:
-        self._logs.pop(log, None)
+        records = self._logs.pop(log, None)
+        if records is not None and self._undo is not None:
+            self._undo.append(lambda: self._logs.__setitem__(log, records))
 
     def _log_len(self, log: str) -> int:
         return len(self._logs.get(log, ()))
@@ -61,6 +92,61 @@ class MemoryBackend(StorageBackend):
     def _log_names(self) -> list[str]:
         return sorted(name for name, records in self._logs.items() if records)
 
+    # -- blob primitives -----------------------------------------------------
+    def _blob_put(self, digest: str, body: bytes) -> bool:
+        refs = self._blob_refs.get(digest, 0)
+        self._blob_refs[digest] = refs + 1
+        if refs == 0:
+            # bytes(b) of a bytes object is that object: a reference, no copy.
+            self._blob_bodies[digest] = bytes(body)
+        if self._undo is not None:
+            self._undo.append(lambda: self._blob_release(digest))
+        return refs == 0
+
+    def _blob_get(self, digest: str) -> bytes | None:
+        return self._blob_bodies.get(digest)
+
+    def _blob_release(self, digest: str) -> bool:
+        refs = self._blob_refs.get(digest)
+        if refs is None:
+            return False
+        if self._undo is not None:
+            body = self._blob_bodies[digest]
+            self._undo.append(lambda: self._blob_put(digest, body))
+        if refs == 1:
+            del self._blob_refs[digest]
+            del self._blob_bodies[digest]
+        else:
+            self._blob_refs[digest] = refs - 1
+        return True
+
+    def _blob_digests(self) -> list[str]:
+        return sorted(self._blob_refs)
+
+    def _blob_dump(self) -> list[tuple[str, int, bytes]]:
+        return [
+            (digest, self._blob_refs[digest], self._blob_bodies[digest])
+            for digest in sorted(self._blob_refs)
+        ]
+
+    def _blob_load(self, digest: str, refs: int, body: bytes) -> None:
+        self._blob_refs[digest] = refs
+        self._blob_bodies[digest] = body
+
     def _clear(self) -> None:
         self._tables.clear()
         self._logs.clear()
+        self._blob_refs.clear()
+        self._blob_bodies.clear()
+
+    # -- transactions --------------------------------------------------------
+    def _begin(self) -> None:
+        self._undo = []
+
+    def _commit(self) -> None:
+        self._undo = None
+
+    def _rollback(self) -> None:
+        undo, self._undo = self._undo or [], None
+        for inverse in reversed(undo):
+            inverse()

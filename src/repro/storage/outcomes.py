@@ -8,12 +8,18 @@ record.  A cold-started NJS rebuilds *finished* jobs from this table as
 survives a full-site restart exactly as section 4.2's "single stateful
 tier" demands, and disposal deletes the record just like it destroys
 the Uspaces.
+
+The record holds the Uspace as a ``{path: digest}`` manifest; the bodies
+live in the backend's blob store, shared with every other record that
+names the same content, and a reader fetches them from there one at a
+time (:class:`~repro.server.njs.restored.RestoredRun` does).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.storage.backend import StorageBackend
 
@@ -32,27 +38,38 @@ class OutcomeRecord:
     recovered: bool
     trace_id: str
     outcome_bytes: bytes
-    #: Uspace files still fetchable after restart: path -> content.
-    files: dict[str, bytes]
+    #: Uspace files still fetchable after restart: path -> blob digest.
+    #: Filled in by :meth:`OutcomeStore.put` from the bodies it stores.
+    files: dict[str, str] = field(default_factory=dict)
 
 
 class OutcomeStore:
     """Typed view over the backend table holding finished-job records."""
 
     def __init__(self, storage: StorageBackend, name: str) -> None:
+        self._storage = storage
         self._table = storage.table(name)
+        self._blobs = storage.blobs
 
-    def put(self, record: OutcomeRecord) -> None:
-        self._table.put(record.job_id, {
-            "name": record.name,
-            "user_dn": record.user_dn,
-            "status": record.status,
-            "submitted_at": record.submitted_at,
-            "recovered": record.recovered,
-            "trace_id": record.trace_id,
-            "outcome_bytes": record.outcome_bytes,
-            "files": record.files,
-        })
+    def put(
+        self, record: OutcomeRecord, files: typing.Mapping[str, bytes]
+    ) -> OutcomeRecord:
+        """Persist ``record`` with the Uspace content ``files``; returns
+        the record as stored, naming each file by its digest."""
+        # Bodies and the record naming them are one durable unit.
+        with self._storage.batch():
+            manifest = self._blobs.put_files(files)
+            self._table.put(record.job_id, {
+                "name": record.name,
+                "user_dn": record.user_dn,
+                "status": record.status,
+                "submitted_at": record.submitted_at,
+                "recovered": record.recovered,
+                "trace_id": record.trace_id,
+                "outcome_bytes": record.outcome_bytes,
+                "files": manifest,
+            })
+        return dataclasses.replace(record, files=manifest)
 
     def get(self, job_id: str) -> OutcomeRecord | None:
         raw = typing.cast("dict[str, typing.Any] | None", self._table.get(job_id))
@@ -71,7 +88,12 @@ class OutcomeStore:
         )
 
     def forget(self, job_id: str) -> None:
-        self._table.delete(job_id)
+        """Delete the record and release the file bodies it named."""
+        record = self.get(job_id)
+        if record is not None:
+            with self._storage.batch():
+                self._table.delete(job_id)
+                self._blobs.release_files(record.files)
 
     def job_ids(self) -> list[str]:
         return self._table.keys()

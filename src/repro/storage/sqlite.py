@@ -1,16 +1,20 @@
 """Real durability via the stdlib ``sqlite3``.
 
-One database file (or ``:memory:``) holds every table and log of a
-deployment in two relations::
+One database file (or ``:memory:``) holds every table, log and file
+body of a deployment in three relations::
 
-    kv  (tbl TEXT, key TEXT, value BLOB)        -- the named tables
-    logs(log TEXT, seq INTEGER, value BLOB)     -- the append-only logs
+    kv   (tbl TEXT, key TEXT, value BLOB)          -- the named tables
+    logs (log TEXT, seq INTEGER, value BLOB)       -- the append-only logs
+    blobs(digest TEXT, refs INTEGER, body BLOB)    -- the blob store
 
-Values are the canonical codec bytes, so a database written by one
-process is readable by a cold-started successor — the warm-restart
-story of the persistence layer.  :meth:`StorageBackend.batch` maps to a
-real transaction: either every record of a consignment lands or none
-does.
+``kv`` and ``logs`` values are the canonical codec bytes and ``body`` is
+the raw file content, so a database written by one process is readable
+by a cold-started successor — the warm-restart story of the persistence
+layer.  :meth:`StorageBackend.batch` maps to a real transaction: either
+every record of a consignment lands, bodies included, or none does.
+
+The file is stamped with its layout (``PRAGMA user_version``); a file
+written under another layout is refused, never reinterpreted.
 """
 
 from __future__ import annotations
@@ -18,21 +22,31 @@ from __future__ import annotations
 import sqlite3
 
 from repro.storage.backend import StorageBackend
+from repro.storage.errors import StorageError
 
-__all__ = ["SQLiteBackend"]
+__all__ = ["SQLiteBackend", "FORMAT_VERSION"]
+
+#: Stamped into ``PRAGMA user_version``.  1 (never stamped, so 0 on
+#: disk) kept file bodies base64-encoded inside ``kv`` / ``logs`` rows.
+FORMAT_VERSION = 2
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS kv (
+CREATE TABLE kv (
     tbl   TEXT NOT NULL,
     key   TEXT NOT NULL,
     value BLOB NOT NULL,
     PRIMARY KEY (tbl, key)
 );
-CREATE TABLE IF NOT EXISTS logs (
+CREATE TABLE logs (
     log   TEXT NOT NULL,
     seq   INTEGER NOT NULL,
     value BLOB NOT NULL,
     PRIMARY KEY (log, seq)
+);
+CREATE TABLE blobs (
+    digest TEXT PRIMARY KEY,
+    refs   INTEGER NOT NULL,
+    body   BLOB NOT NULL
 );
 """
 
@@ -49,13 +63,31 @@ class SQLiteBackend(StorageBackend):
         # The simulation is single-threaded and batches explicitly;
         # autocommit mode keeps the transaction boundaries ours alone.
         self._conn.isolation_level = None
-        self._conn.executescript(_SCHEMA)
+        self._open_schema()
         self._next_seq: dict[str, int] = {
             log: int(top)
             for log, top in self._conn.execute(
                 "SELECT log, MAX(seq) FROM logs GROUP BY log"
             )
         }
+
+    def _open_schema(self) -> None:
+        """Create the relations in an empty file; refuse a foreign layout."""
+        (tables,) = self._conn.execute(
+            "SELECT COUNT(*) FROM sqlite_master WHERE type = 'table'"
+        ).fetchone()
+        if not tables:
+            self._conn.executescript(
+                f"{_SCHEMA}PRAGMA user_version = {FORMAT_VERSION};"
+            )
+            return
+        (version,) = self._conn.execute("PRAGMA user_version").fetchone()
+        if version != FORMAT_VERSION:
+            self._conn.close()
+            raise StorageError(
+                f"{self.path}: storage format {version} not supported "
+                f"(expected {FORMAT_VERSION})"
+            )
 
     def close(self) -> None:
         self._conn.close()
@@ -139,9 +171,59 @@ class SQLiteBackend(StorageBackend):
             )
         ]
 
+    # -- blob primitives -----------------------------------------------------
+    def _blob_put(self, digest: str, body: bytes) -> bool:
+        cursor = self._conn.execute(
+            "UPDATE blobs SET refs = refs + 1 WHERE digest = ?", (digest,)
+        )
+        if cursor.rowcount:
+            return False
+        self._blob_load(digest, 1, body)
+        return True
+
+    def _blob_get(self, digest: str) -> bytes | None:
+        row = self._conn.execute(
+            "SELECT body FROM blobs WHERE digest = ?", (digest,)
+        ).fetchone()
+        return None if row is None else bytes(row[0])
+
+    def _blob_release(self, digest: str) -> bool:
+        cursor = self._conn.execute(
+            "UPDATE blobs SET refs = refs - 1 WHERE digest = ?", (digest,)
+        )
+        if not cursor.rowcount:
+            return False
+        self._conn.execute(
+            "DELETE FROM blobs WHERE digest = ? AND refs = 0", (digest,)
+        )
+        return True
+
+    def _blob_digests(self) -> list[str]:
+        return [
+            row[0]
+            for row in self._conn.execute(
+                "SELECT digest FROM blobs ORDER BY digest"
+            )
+        ]
+
+    def _blob_dump(self) -> list[tuple[str, int, bytes]]:
+        return [
+            (row[0], int(row[1]), bytes(row[2]))
+            for row in self._conn.execute(
+                "SELECT digest, refs, body FROM blobs ORDER BY digest"
+            )
+        ]
+
+    def _blob_load(self, digest: str, refs: int, body: bytes) -> None:
+        self._conn.execute(
+            "INSERT INTO blobs (digest, refs, body) VALUES (?, ?, ?)",
+            (digest, refs, body),
+        )
+
     def _clear(self) -> None:
         self._conn.execute("DELETE FROM kv")
         self._conn.execute("DELETE FROM logs")
+        self._conn.execute("DELETE FROM blobs")
         self._next_seq.clear()
 
     # -- transactions --------------------------------------------------------

@@ -5,6 +5,7 @@ batches with rollback, instrumentation counters, the journal-over-storage
 refactor, and the deprecated-module compatibility shims.
 """
 
+import hashlib
 import warnings
 
 import pytest
@@ -22,6 +23,7 @@ from repro.storage import (
     decode_value,
     encode_value,
     resolve_storage,
+    to_plain,
 )
 
 BACKENDS = [MemoryBackend, SQLiteBackend]
@@ -107,17 +109,97 @@ def test_batch_groups_writes_into_one_fsync(backend_cls):
     assert backend.fsyncs == 2
 
 
-def test_sqlite_batch_rolls_back_on_error():
-    backend = SQLiteBackend()
-    table = backend.table("t")
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_batch_rolls_back_on_error(backend_cls):
+    backend = backend_cls()
+    table, log, blobs = backend.table("t"), backend.log("l"), backend.blobs
     table.put("keep", "before")
+    table.put("doomed", "still here")
+    log.append({"n": 0})
+    shared = blobs.put(b"shared body")
+    kept = blobs.put(b"kept body")
+    before = backend.dump()
     with pytest.raises(RuntimeError):
         with backend.batch():
             table.put("keep", "changed")
             table.put("new", "value")
+            table.delete("doomed")
+            log.append({"n": 1})
+            blobs.put(b"shared body")       # a second reference
+            blobs.put(b"brand new body")
+            blobs.release(kept)             # would delete the body
+            table.put("names-the-blob", {"files": {"f": shared}})
             raise RuntimeError("boom")
     assert table.get("keep") == "before"
-    assert "new" not in table
+    assert "new" not in table and "names-the-blob" not in table
+    assert [r["n"] for r in log.records()] == [0]
+    assert blobs.get(kept) == b"kept body"
+    assert backend.dump() == before
+    # No reference leaked: one release each empties the store.
+    blobs.release(shared)
+    blobs.release(kept)
+    assert blobs.digests() == []
+
+
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_failed_record_put_takes_its_blob_with_it(backend_cls):
+    backend = backend_cls()
+    store = OutcomeStore(backend, "FZJ.outcomes")
+    record = OutcomeRecord(
+        job_id="U1", name="demo", user_dn="CN=a", status="successful",
+        submitted_at=0.0, recovered=False, trace_id="",
+        outcome_bytes=object(),  # not plain data: the record put fails
+    )
+    with pytest.raises(TypeError):
+        store.put(record, {"out.dat": b"body"})
+    assert backend.blobs.digests() == [] and store.get("U1") is None
+
+
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_blob_store_dedups_and_refcounts(backend_cls):
+    backend = backend_cls()
+    registry = MetricsRegistry()
+    backend.bind_metrics(registry)
+    blobs = backend.blobs
+    body = b"\x00\xff" * 500
+    digest = blobs.put(body)
+    assert digest == hashlib.sha256(body).hexdigest()
+    assert backend.bytes_written == len(body) and backend.writes == 1
+    assert blobs.put(bytearray(body)) == digest
+    # The second put only took a reference: a write of 0 bytes.
+    assert backend.bytes_written == len(body) and backend.writes == 2
+    assert backend.blob_dedup_hits == 1
+    assert registry.counter("storage.blob.dedup_hits").value == 1
+    assert blobs.get(digest) == body and digest in blobs and len(blobs) == 1
+    assert backend.bytes_read == len(body)
+    assert registry.counter("storage.bytes_read").value == len(body)
+    blobs.release(digest)
+    assert blobs.get(digest) == body
+    blobs.release(digest)
+    assert digest not in blobs and blobs.digests() == []
+    with pytest.raises(StorageError):
+        blobs.get(digest)
+    with pytest.raises(StorageError):
+        blobs.release(digest)
+
+
+def test_memory_blob_store_keeps_the_callers_bytes_object():
+    backend = MemoryBackend()
+    body = b"x" * 4096
+    assert backend.blobs.get(backend.blobs.put(body)) is body
+
+
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_load_refuses_a_blob_that_does_not_match_its_digest(backend_cls):
+    src = MemoryBackend()
+    digest = src.blobs.put(b"honest")
+    dump = src.dump()
+    dump["blobs"][digest]["body"] = to_plain(b"evil")
+    dst = backend_cls()
+    dst.table("t").put("k", 1)
+    with pytest.raises(StorageError):
+        dst.load(dump)
+    assert dst.table("t").get("k") == 1  # refused before anything was cleared
 
 
 def test_sqlite_file_survives_reopen(tmp_path):
@@ -125,10 +207,12 @@ def test_sqlite_file_survives_reopen(tmp_path):
     first = SQLiteBackend(path)
     first.table("t").put("k", b"persisted")
     first.log("l").append({"seq": 1})
+    digest = first.blobs.put(b"body")
     first.close()
     second = SQLiteBackend(path)
     assert second.table("t").get("k") == b"persisted"
     assert second.log("l").records() == [{"seq": 1}]
+    assert second.blobs.get(digest) == b"body"
     # Sequence numbers continue rather than restart.
     assert second.log("l").append({"seq": 2}) > 1
 
@@ -201,9 +285,35 @@ def test_journal_forget_is_a_tombstone():
     assert len(reborn) == 1
 
 
-def test_journal_records_written_compat_counter():
-    journal = _journal_with_traffic(MemoryBackend())
-    assert journal.records_written == 4
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_journal_keeps_file_bodies_in_the_blob_store(backend_cls):
+    backend = backend_cls()
+    journal = JobJournal(backend, name="njs.journal")
+    files = {"/home/a/in.dat": b"\x01" * 1000, "/home/a/copy.dat": b"\x01" * 1000}
+    entry = journal.record_consign("U1", b"ajo", "CN=a", workstation_files=files)
+    digest = hashlib.sha256(b"\x01" * 1000).hexdigest()
+    assert entry.workstation_files == {path: digest for path in files}
+    assert backend.blobs.digests() == [digest]
+    # The log record is metadata: it names the body, it does not hold it.
+    assert backend.bytes_written < 1000 + 400
+    read_before = backend.bytes_read
+    reborn = JobJournal(backend, name="njs.journal")
+    assert reborn.entry("U1").workstation_files == entry.workstation_files
+    assert backend.bytes_read - read_before < 400
+    assert reborn.staged_files(reborn.entry("U1")) == files
+    reborn.forget("U1")
+    assert backend.blobs.digests() == []
+
+
+def test_record_naming_no_file_encodes_as_before_the_blob_store():
+    backend = MemoryBackend()
+    JobJournal(backend, name="j").record_consign("U1", b"ajo-1", "CN=a")
+    assert backend.log("j").records() == [{
+        "kind": "consign", "job_id": "U1", "ajo_bytes": b"ajo-1",
+        "user_dn": "CN=a", "workstation_files": {}, "trace_id": "",
+        "parent_job_id": None, "forward_meta": None,
+    }]
+    assert backend.blobs.digests() == []
 
 
 # -- outcome store -----------------------------------------------------------
@@ -213,14 +323,35 @@ def test_outcome_store_round_trip():
     record = OutcomeRecord(
         job_id="U1", name="demo", user_dn="CN=a", status="successful",
         submitted_at=12.5, recovered=True, trace_id="t1",
-        outcome_bytes=b"outcome", files={"stdout": b"hello\n"},
+        outcome_bytes=b"outcome",
     )
-    store.put(record)
+    stored = store.put(record, {"stdout": b"hello\n"})
+    assert stored.files == {"stdout": hashlib.sha256(b"hello\n").hexdigest()}
     fetched = OutcomeStore(backend, "FZJ.outcomes").get("U1")
-    assert fetched == record
+    assert fetched == stored
+    assert backend.blobs.get(fetched.files["stdout"]) == b"hello\n"
     assert store.job_ids() == ["U1"]
     store.forget("U1")
     assert store.get("U1") is None
+    assert backend.blobs.digests() == []
+
+
+def test_sqlite_refuses_a_file_of_another_format(tmp_path):
+    import sqlite3
+
+    path = str(tmp_path / "old.db")
+    conn = sqlite3.connect(path)
+    # The pre-blob-store layout: same relations, never stamped.
+    conn.executescript(
+        "CREATE TABLE kv (tbl TEXT, key TEXT, value BLOB, PRIMARY KEY (tbl, key));"
+        "CREATE TABLE logs (log TEXT, seq INTEGER, value BLOB, PRIMARY KEY (log, seq));"
+    )
+    conn.close()
+    with pytest.raises(StorageError) as caught:
+        SQLiteBackend(path)
+    assert caught.value.code == "storage.backend"
+    with pytest.raises(StorageError):
+        resolve_storage(f"sqlite:{path}")
 
 
 # -- compat shims ------------------------------------------------------------
