@@ -305,8 +305,15 @@ class JobPreparationAgent:
                     "job imports workstation files but no workstation given"
                 )
             files = ws.stage_for_ajo(needed)
-        from repro.protocol.consignment import encode_consignment, file_entry_for
-        from repro.protocol.datapath import INLINE_FILE_MAX, stream_over_channel
+        from repro.net.stream import StreamSender
+        from repro.protocol.consignment import encode_consignment
+        from repro.protocol.datapath import (
+            DEFAULT_CHUNK_BYTES,
+            INLINE_FILE_MAX,
+            channel_sender,
+            entry_for_sender,
+            send_stream,
+        )
 
         # Control/data-plane split (section 5.6): small files ride inside
         # the consignment envelope; large ones stream ahead of it in
@@ -334,15 +341,17 @@ class JobPreparationAgent:
         try:
             entries = []
             for path, content in large:
-                stream_id = stream_ids.next()
-                yield from stream_over_channel(
-                    self.session.client.sim, self.session.channel, content,
+                sender = StreamSender(
+                    stream_ids.next(), content, DEFAULT_CHUNK_BYTES,
                     {"kind": "consign-file", "path": path},
-                    stream_id=stream_id, metrics=telemetry.metrics,
-                    tracer=tracer, trace_id=trace_id,
-                    parent_span=submit_span,
                 )
-                entries.append(file_entry_for(path, content, stream_id))
+                yield from send_stream(
+                    self.session.client.sim, sender,
+                    channel_sender(self.session.channel),
+                    metrics=telemetry.metrics, tracer=tracer,
+                    trace_id=trace_id, parent_span=submit_span,
+                )
+                entries.append(entry_for_sender(path, sender))
             payload = encode_consignment(
                 encode_ajo(builder.ajo), inline, metrics=telemetry.metrics,
                 streamed=entries,

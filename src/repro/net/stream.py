@@ -28,10 +28,17 @@ the implicit per-chunk acknowledgement the senders in this repo use.
 Version is negotiated trivially: a decoder raises :class:`FrameError`
 on any version it does not speak, and the control-plane error path
 reports that to the sender (see DESIGN.md, "Wire formats").
+
+Integrity is two checks from one pass.  The frame CRC is the
+retransmission granularity: each side reads a chunk once to compute or
+verify it.  The whole-payload CRC in the OPEN preamble is the end-to-end
+check; both sides *derive* it from the chunk CRCs they already hold
+(:func:`crc32_combine`) instead of reading the payload a second time.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import typing
@@ -49,6 +56,7 @@ __all__ = [
     "StreamReassembler",
     "StreamSender",
     "chunk_payload",
+    "crc32_combine",
     "decode_frame",
     "encode_frame",
 ]
@@ -80,15 +88,91 @@ class FrameType:
     ALL = (OPEN, DATA, ACK)
 
 
+# ------------------------------------------------------------ crc combine
+# zlib's crc32_combine, which the stdlib does not expose: appending n
+# bytes to a message multiplies its CRC register by x^(8n) in GF(2), a
+# linear map written as 32 column vectors.
+
+_CRC32_POLY = 0xEDB88320
+
+
+def _gf2_times(matrix: typing.Sequence[int], vector: int) -> int:
+    product = 0
+    for column in matrix:
+        if not vector:
+            break
+        if vector & 1:
+            product ^= column
+        vector >>= 1
+    return product
+
+
+def _gf2_compose(
+    a: typing.Sequence[int], b: typing.Sequence[int]
+) -> tuple[int, ...]:
+    return tuple(_gf2_times(a, column) for column in b)
+
+
+@functools.lru_cache(maxsize=32)
+def _zero_operator(length: int) -> tuple[int, ...]:
+    """The map that advances a CRC-32 over ``length`` zero bytes.
+
+    Square-and-multiply over the bits of ``length``: a few milliseconds
+    for a 256 KiB chunk, paid once per chunk length in use.
+    """
+    power: tuple[int, ...] = (_CRC32_POLY, *(1 << n for n in range(31)))
+    for _ in range(3):  # one zero bit -> one zero byte
+        power = _gf2_compose(power, power)
+    operator = tuple(1 << n for n in range(32))  # identity
+    while length:
+        if length & 1:
+            operator = _gf2_compose(power, operator)
+        length >>= 1
+        if length:
+            power = _gf2_compose(power, power)
+    return operator
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """CRC-32 of ``a + b`` from ``crc32(a)``, ``crc32(b)`` and ``len(b)``."""
+    return _gf2_times(_zero_operator(len2), crc1) ^ crc2
+
+
+def _fold_crc32(
+    chunks: typing.Iterable[tuple[bytes | memoryview, int]], chunk_bytes: int
+) -> int:
+    """Whole-payload CRC from ``(chunk, its CRC)`` pairs in payload order.
+
+    Full-size chunks share one cached operator.  Any other length (the
+    tail) is read again instead of minting an operator per file size, so
+    the result is right for every split.
+    """
+    total = 0
+    for chunk, crc in chunks:
+        if len(chunk) == chunk_bytes:
+            total = crc32_combine(total, crc, chunk_bytes)
+        else:
+            total = zlib.crc32(chunk, total)
+    return total
+
+
 @dataclass(slots=True, frozen=True)
 class Frame:
-    """One decoded frame: header fields plus raw payload bytes."""
+    """One frame: header fields plus raw payload bytes (or a view of them)."""
 
     stream_id: int
     seq: int
-    payload: bytes = b""
+    payload: bytes | memoryview = b""
     ftype: int = FrameType.DATA
     version: int = FRAME_VERSION
+    #: CRC-32 of ``payload``.  Whoever already holds it passes it in — the
+    #: sender from chunking, the decoder from verification — so the bytes
+    #: are read once; left at -1 it is computed here.
+    crc32: int = field(default=-1, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.crc32 < 0:
+            object.__setattr__(self, "crc32", zlib.crc32(self.payload))
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -108,13 +192,17 @@ def encode_frame(frame: Frame) -> bytes:
         frame.stream_id,
         frame.seq,
         len(frame.payload),
-        zlib.crc32(frame.payload),
+        frame.crc32,
     )
     return header + frame.payload
 
 
-def decode_frame(raw: bytes) -> Frame:
-    """Parse a frame; raises :class:`FrameError` on any malformation."""
+def decode_frame(raw: bytes | memoryview) -> Frame:
+    """Parse a frame; raises :class:`FrameError` on any malformation.
+
+    The payload comes back as a view into ``raw`` (no copy), with the
+    CRC just verified alongside it.
+    """
     if len(raw) < FRAME_HEADER_BYTES:
         raise FrameError(
             f"truncated frame: {len(raw)} bytes < {FRAME_HEADER_BYTES}-byte header"
@@ -129,7 +217,7 @@ def decode_frame(raw: bytes) -> Frame:
         )
     if ftype not in FrameType.ALL:
         raise FrameError(f"unknown frame type {ftype}")
-    payload = raw[FRAME_HEADER_BYTES:]
+    payload = memoryview(raw)[FRAME_HEADER_BYTES:]
     if len(payload) != length:
         raise FrameError(
             f"frame length mismatch: header says {length}, got {len(payload)}"
@@ -138,7 +226,7 @@ def decode_frame(raw: bytes) -> Frame:
         raise FrameError(f"frame checksum mismatch on stream {stream_id} seq {seq}")
     return Frame(
         stream_id=stream_id, seq=seq, payload=payload, ftype=ftype,
-        version=version,
+        version=version, crc32=crc,
     )
 
 
@@ -151,7 +239,7 @@ class OpenInfo:
     chunk_count: int
     total_crc32: int
     #: Application context: stream kind, job/correlation ids, paths.
-    context: dict = field(default_factory=dict)
+    context: dict[str, typing.Any] = field(default_factory=dict)
 
     def encode(self) -> bytes:
         blob = json.dumps(
@@ -163,11 +251,11 @@ class OpenInfo:
         ) + blob
 
     @classmethod
-    def decode(cls, raw: bytes) -> "OpenInfo":
+    def decode(cls, raw: bytes | memoryview) -> "OpenInfo":
         if len(raw) < _OPEN_FIXED.size:
             raise FrameError("truncated OPEN preamble")
         total, chunk, count, crc, ctx_len = _OPEN_FIXED.unpack_from(raw)
-        blob = raw[_OPEN_FIXED.size:]
+        blob = bytes(raw[_OPEN_FIXED.size:])
         if len(blob) != ctx_len:
             raise FrameError("OPEN context length mismatch")
         try:
@@ -182,11 +270,14 @@ class OpenInfo:
         )
 
 
-def chunk_payload(data: bytes, chunk_bytes: int) -> list[bytes]:
-    """Split ``data`` into chunks of at most ``chunk_bytes``."""
+def chunk_payload(
+    data: bytes | memoryview, chunk_bytes: int
+) -> list[memoryview]:
+    """Split ``data`` into views of at most ``chunk_bytes`` (no copy)."""
     if chunk_bytes <= 0:
         raise FrameError(f"chunk size must be positive, got {chunk_bytes}")
-    return [data[i:i + chunk_bytes] for i in range(0, len(data), chunk_bytes)]
+    view = memoryview(data)
+    return [view[i:i + chunk_bytes] for i in range(0, len(view), chunk_bytes)]
 
 
 class StreamSender:
@@ -201,17 +292,21 @@ class StreamSender:
     """
 
     def __init__(
-        self, stream_id: int, data: bytes, chunk_bytes: int,
-        context: dict | None = None,
+        self, stream_id: int, data: bytes | memoryview, chunk_bytes: int,
+        context: dict[str, typing.Any] | None = None,
     ) -> None:
         self.stream_id = stream_id
-        self.data = data
         self.chunks = chunk_payload(data, chunk_bytes)
+        #: The one pass over the payload: each chunk's frame CRC, from
+        #: which the whole-payload CRC is folded.
+        self.chunk_crcs = [zlib.crc32(chunk) for chunk in self.chunks]
         self.open_info = OpenInfo(
             total_size=len(data),
             chunk_bytes=chunk_bytes,
             chunk_count=len(self.chunks),
-            total_crc32=zlib.crc32(data),
+            total_crc32=_fold_crc32(
+                zip(self.chunks, self.chunk_crcs, strict=True), chunk_bytes
+            ),
             context=dict(context or {}),
         )
 
@@ -228,7 +323,7 @@ class StreamSender:
     def data_frame(self, seq: int) -> Frame:
         return Frame(
             stream_id=self.stream_id, seq=seq, payload=self.chunks[seq],
-            ftype=FrameType.DATA,
+            ftype=FrameType.DATA, crc32=self.chunk_crcs[seq],
         )
 
     def frames(self) -> typing.Iterator[Frame]:
@@ -251,10 +346,11 @@ class StreamReassembler:
             raise FrameError("reassembler must be seeded with an OPEN frame")
         self.stream_id = open_frame.stream_id
         self.info = OpenInfo.decode(open_frame.payload)
-        self._chunks: dict[int, bytes] = {}
+        #: seq -> DATA frame; each keeps the CRC it was verified against.
+        self._chunks: dict[int, Frame] = {}
 
     @property
-    def context(self) -> dict:
+    def context(self) -> dict[str, typing.Any]:
         return self.info.context
 
     @property
@@ -286,25 +382,33 @@ class StreamReassembler:
                     f"chunk {frame.seq} out of range for stream "
                     f"{self.stream_id} ({self.info.chunk_count} chunks)"
                 )
-            self._chunks.setdefault(frame.seq, frame.payload)
+            self._chunks.setdefault(frame.seq, frame)
         # OPEN duplicates and ACKs carry no new data.
         return self.complete
 
     def payload(self) -> bytes:
-        """The reassembled bytes; verifies the whole-payload checksum."""
+        """The reassembled bytes (the one copy on this side).
+
+        Verifies the whole-payload checksum by folding the chunk CRCs
+        :func:`decode_frame` already verified.
+        """
         if not self.complete:
             missing = self.next_expected
             raise FrameError(
                 f"stream {self.stream_id} incomplete: chunk {missing} of "
                 f"{self.info.chunk_count} missing"
             )
-        data = b"".join(self._chunks[i] for i in range(self.info.chunk_count))
+        frames = [self._chunks[i] for i in range(self.info.chunk_count)]
+        data = b"".join(frame.payload for frame in frames)
         if len(data) != self.info.total_size:
             raise FrameError(
                 f"stream {self.stream_id} size mismatch: OPEN said "
                 f"{self.info.total_size}, reassembled {len(data)}"
             )
-        if zlib.crc32(data) != self.info.total_crc32:
+        if self.info.total_crc32 != _fold_crc32(
+            ((frame.payload, frame.crc32) for frame in frames),
+            self.info.chunk_bytes,
+        ):
             raise FrameError(
                 f"stream {self.stream_id} payload checksum mismatch"
             )

@@ -44,7 +44,7 @@ from repro.protocol.datapath import (
     encode_inline_reply,
     encode_stream_reply,
     fetch_bulk_payload,
-    stream_over_channel,
+    send_stream,
 )
 
 __all__ = [
@@ -71,6 +71,6 @@ __all__ = [
     "encode_stream_reply",
     "fetch_bulk_payload",
     "file_entry_for",
-    "stream_over_channel",
+    "send_stream",
     "validate_manifest_paths",
 ]

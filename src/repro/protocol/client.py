@@ -22,7 +22,10 @@ from repro.simkernel import Event, Simulator
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.breaker import CircuitBreaker
 
-__all__ = ["ReplyRouter", "AsyncProtocolClient"]
+__all__ = ["RESPONSE_TIMEOUT_S", "ReplyRouter", "AsyncProtocolClient"]
+
+#: How long a client waits for a reply before it resends the request.
+RESPONSE_TIMEOUT_S = 60.0
 
 
 class ReplyRouter:
@@ -81,7 +84,7 @@ class AsyncProtocolClient:
         router: ReplyRouter,
         retry: RetryPolicy | None = None,
         poll_interval_s: float = 30.0,
-        response_timeout_s: float = 60.0,
+        response_timeout_s: float = RESPONSE_TIMEOUT_S,
         breaker: "CircuitBreaker | None" = None,
     ) -> None:
         self.sim = sim

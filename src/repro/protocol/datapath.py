@@ -18,8 +18,9 @@ Pieces:
   bytes off a host inbox, reassemble streams, hand completed payloads
   to an application callback or park them for :meth:`~DataPlaneEndpoint.take`
   / :meth:`~DataPlaneEndpoint.wait`;
-* :func:`stream_over_channel` — the sending side for client↔gateway
-  channels: one ``channel.send`` per frame, per-chunk retransmission;
+* :func:`send_stream` — the sending side: one call of the caller's
+  "send one encoded frame" per frame (:func:`channel_sender` for
+  client↔gateway channels), per-chunk retransmission;
 * the bulk-reply wrapper (:func:`encode_inline_reply` /
   :func:`encode_stream_reply` / :func:`fetch_bulk_payload`) the gateway
   and JMC use for FETCH_FILE / RETRIEVE_OUTCOME replies whose content
@@ -37,29 +38,33 @@ import zlib
 from itertools import count
 
 from repro.net.errors import ConnectionLost, FrameError
+from repro.net.https import DirectChannel, HttpsChannel
 from repro.net.stream import (
-    Frame,
     FrameType,
     StreamReassembler,
     StreamSender,
     decode_frame,
     encode_frame,
 )
+from repro.observability import MetricsRegistry, Span, Tracer
 from repro.protocol.consignment import FileEntry
-from repro.simkernel import Simulator
+from repro.simkernel import Event, Simulator
 
 __all__ = [
     "CHUNK_RETRIES",
     "CHUNK_RETRY_DELAY_S",
     "DEFAULT_CHUNK_BYTES",
     "INLINE_FILE_MAX",
+    "CompletedStream",
     "DataPlaneEndpoint",
     "StreamIdAllocator",
+    "channel_sender",
     "decode_bulk_reply",
     "encode_inline_reply",
     "encode_stream_reply",
+    "entry_for_sender",
     "fetch_bulk_payload",
-    "stream_over_channel",
+    "send_stream",
 ]
 
 #: Default chunk size.  Small enough that a control message sharing the
@@ -99,12 +104,25 @@ class StreamIdAllocator:
         return self._base | (next(self._seq) & 0xFFFFFFFF)
 
 
+class CompletedStream(typing.NamedTuple):
+    """A reassembled stream, with the checksum its reassembly verified."""
+
+    context: dict[str, typing.Any]
+    data: bytes
+    #: Whole-payload CRC-32, already checked against the chunk CRCs.
+    crc32: int
+
+    def matches(self, entry: FileEntry) -> bool:
+        """Is this the payload ``entry`` promised?  Compares integers only."""
+        return len(self.data) == entry.size and self.crc32 == entry.crc32
+
+
 class DataPlaneEndpoint:
     """The receiving half of the data plane on one host.
 
     ``on_complete(context, data) -> bool`` is consulted when a stream
     finishes; returning True means the application consumed the payload
-    (the NJS writing a Uspace file).  Otherwise the payload parks until
+    (the NJS writing a Uspace file).  Otherwise the stream parks until
     :meth:`take` or :meth:`wait` claims it (the gateway pulling consign
     uploads, the JMC awaiting a fetched file).
     """
@@ -112,25 +130,29 @@ class DataPlaneEndpoint:
     def __init__(
         self,
         sim: Simulator,
-        metrics=None,
-        on_complete: typing.Callable[[dict, bytes], bool] | None = None,
+        metrics: MetricsRegistry | None = None,
+        on_complete: (
+            typing.Callable[[dict[str, typing.Any], bytes], bool] | None
+        ) = None,
     ) -> None:
         self.sim = sim
         self.metrics = metrics
         self.on_complete = on_complete
         self._open: dict[int, StreamReassembler] = {}
-        self._done: dict[int, tuple[dict, bytes]] = {}
-        self._waiters: dict[int, object] = {}
+        self._done: dict[int, CompletedStream] = {}
+        self._waiters: dict[int, Event] = {}
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc(amount)
 
     # -- intake --------------------------------------------------------------
-    def feed(self, raw: bytes | Frame) -> bool:
+    def feed(self, raw: bytes | bytearray | memoryview) -> bool:
         """Absorb one inbound frame; returns False for non-frame bytes."""
         try:
-            frame = raw if isinstance(raw, Frame) else decode_frame(bytes(raw))
+            # bytes() is the identity on bytes and snapshots a mutable
+            # buffer, so the payload views kept until reassembly are stable.
+            frame = decode_frame(bytes(raw))
         except FrameError:
             self._count("stream.bad_frames")
             return False
@@ -155,19 +177,21 @@ class DataPlaneEndpoint:
     def _finish(self, stream_id: int) -> None:
         reassembler = self._open.pop(stream_id)
         data = reassembler.payload()  # verifies the whole-payload crc
-        context = reassembler.context
+        done = CompletedStream(
+            reassembler.context, data, reassembler.info.total_crc32
+        )
         self._count("stream.completed")
-        if self.on_complete is not None and self.on_complete(context, data):
+        if self.on_complete is not None and self.on_complete(done.context, data):
             return
         waiter = self._waiters.pop(stream_id, None)
         if waiter is not None:
-            waiter.succeed((context, data))
+            waiter.succeed(done)
         else:
-            self._done[stream_id] = (context, data)
+            self._done[stream_id] = done
 
     # -- retrieval -----------------------------------------------------------
-    def take(self, stream_id: int) -> tuple[dict, bytes] | None:
-        """Claim a completed stream's (context, payload), or None."""
+    def take(self, stream_id: int) -> CompletedStream | None:
+        """Claim a completed stream, or None."""
         return self._done.pop(stream_id, None)
 
     def pending(self, stream_id: int) -> bool:
@@ -176,7 +200,7 @@ class DataPlaneEndpoint:
 
     def wait(
         self, stream_id: int, timeout_s: float = STREAM_WAIT_TIMEOUT_S
-    ) -> typing.Generator:
+    ) -> typing.Generator[Event, typing.Any, CompletedStream]:
         """Await a stream's completion (``yield from`` in a process).
 
         Raises :class:`~repro.net.errors.ConnectionLost` if no complete
@@ -190,7 +214,7 @@ class DataPlaneEndpoint:
         timer = self.sim.timeout(timeout_s)
         fired = yield ev | timer
         if ev in fired:
-            return typing.cast(tuple, fired[ev])
+            return typing.cast(CompletedStream, fired[ev])
         self._waiters.pop(stream_id, None)
         raise ConnectionLost(
             f"stream {stream_id} did not complete within {timeout_s}s"
@@ -203,68 +227,82 @@ class DataPlaneEndpoint:
         self._waiters.clear()
 
 
-def stream_over_channel(
+def send_stream(
     sim: Simulator,
-    channel,
-    data: bytes,
-    context: dict,
+    sender: StreamSender,
+    send_frame: typing.Callable[
+        [bytes], typing.Generator[Event, typing.Any, object]
+    ],
     *,
-    stream_id: int,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    to_server: bool = True,
-    metrics=None,
-    tracer=None,
+    metrics: MetricsRegistry | None = None,
+    tracer: Tracer | None = None,
     trace_id: str = "",
-    parent_span=None,
-    max_chunk_retries: int = CHUNK_RETRIES,
-    retry_delay_s: float = CHUNK_RETRY_DELAY_S,
-) -> typing.Generator:
-    """Stream ``data`` over an https channel, one frame per send.
+    parent_span: Span | str | None = None,
+) -> typing.Generator[Event, typing.Any, None]:
+    """Send a stream's frames in order, one ``send_frame(raw)`` each.
 
-    Each chunk's delivery event is its acknowledgement; a lost chunk is
-    retransmitted alone after the transport timeout — the resume point
-    is the lost chunk, never byte zero (``stream.resumes`` counts the
-    retransmissions).  Raises
+    ``send_frame`` carries one encoded frame (an https channel send, an
+    NJS-NJS route) and returns the generator to ``yield from``; its
+    completion is the chunk's acknowledgement.  A lost chunk is
+    retransmitted alone after :data:`CHUNK_RETRY_DELAY_S` — the resume
+    point is the lost chunk, never byte zero (``stream.resumes`` counts
+    the retransmissions).  Raises
     :class:`~repro.net.errors.ConnectionLost` only once a single chunk
-    exhausts its retry budget.
+    exhausts :data:`CHUNK_RETRIES`.
     """
-    sender = StreamSender(stream_id, data, chunk_bytes, context)
     span = None
     if tracer is not None and trace_id:
+        info = sender.open_info
         span = tracer.start_span(
             "stream.send", trace_id, parent=parent_span, tier="user",
-            bytes=len(data), chunks=len(sender.chunks),
-            kind=context.get("kind", ""),
+            bytes=info.total_size, chunks=info.chunk_count,
+            kind=info.context.get("kind", ""),
         )
     resumes = 0
     try:
         for frame in sender.frames():
             raw = encode_frame(frame)
-            for attempt in range(1 + max_chunk_retries):
+            for attempt in range(1 + CHUNK_RETRIES):
                 if metrics is not None:
                     metrics.counter("stream.wire_bytes").inc(len(raw))
                 try:
-                    yield channel.send(raw, len(raw), to_server=to_server)
+                    yield from send_frame(raw)
                     break
                 except ConnectionLost:
                     resumes += 1
                     if metrics is not None:
                         metrics.counter("stream.resumes").inc()
-                    if attempt >= max_chunk_retries:
+                    if attempt >= CHUNK_RETRIES:
                         raise
-                    yield sim.timeout(retry_delay_s)
+                    yield sim.timeout(CHUNK_RETRY_DELAY_S)
             if metrics is not None:
                 metrics.counter(
                     "stream.chunks" if frame.ftype == FrameType.DATA
                     else "stream.opens"
                 ).inc()
     except BaseException as err:
-        if span is not None:
+        if tracer is not None and span is not None:
             tracer.end_span(span.set(resumes=resumes), error=err)
         raise
-    if span is not None:
+    if tracer is not None and span is not None:
         tracer.end_span(span.set(resumes=resumes))
-    return sender
+
+
+def channel_sender(
+    channel: HttpsChannel | DirectChannel, to_server: bool = True
+) -> typing.Callable[[bytes], typing.Generator[Event, typing.Any, None]]:
+    """The ``send_frame`` of an https channel: one send per frame."""
+
+    def send_frame(raw: bytes) -> typing.Generator[Event, typing.Any, None]:
+        yield channel.send(raw, len(raw), to_server=to_server)
+
+    return send_frame
+
+
+def entry_for_sender(path: str, sender: StreamSender) -> FileEntry:
+    """A framed payload's manifest entry, from the totals its sender holds."""
+    info = sender.open_info
+    return FileEntry(path, info.total_size, info.total_crc32, sender.stream_id)
 
 
 # ---------------------------------------------------------- bulk replies
@@ -306,11 +344,11 @@ def fetch_bulk_payload(
     endpoint: DataPlaneEndpoint | None,
     payload: bytes,
     timeout_s: float = STREAM_WAIT_TIMEOUT_S,
-) -> typing.Generator:
+) -> typing.Generator[Event, typing.Any, bytes]:
     """Resolve a bulk reply to its content bytes (``yield from``).
 
     Inline replies return immediately; streamed ones await the pushed
-    stream on ``endpoint`` and verify size and checksum.
+    stream on ``endpoint`` and check it is the one the reply promised.
     """
     kind, value = decode_bulk_reply(payload)
     if kind == "inline":
@@ -321,9 +359,9 @@ def fetch_bulk_payload(
             "reply references a streamed payload but this client has no "
             "data-plane endpoint"
         )
-    _context, data = yield from endpoint.wait(entry.stream_id, timeout_s)
-    if len(data) != entry.size or zlib.crc32(data) != entry.crc32:
+    done = yield from endpoint.wait(entry.stream_id, timeout_s)
+    if not done.matches(entry):
         raise FrameError(
             f"streamed reply {entry.stream_id} failed integrity check"
         )
-    return data
+    return done.data

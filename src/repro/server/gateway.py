@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import typing
-import zlib
+from dataclasses import dataclass
 
 from repro.ajo.errors import SerializationError
 from repro.ajo.serialize import decode_ajo, decode_service
@@ -34,21 +34,23 @@ from repro.ajo.services import ControlService, ControlVerb, ListService, QuerySe
 from repro.net.errors import ConnectionLost
 from repro.net.https import HttpsChannel
 from repro.net.sim_transport import Host, Network
+from repro.net.stream import StreamSender
 from repro.observability import telemetry_for
-from repro.protocol.consignment import (
-    FileEntry,
-    decode_consignment_envelope,
-    file_entry_for,
-)
+from repro.protocol.client import RESPONSE_TIMEOUT_S
+from repro.protocol.consignment import decode_consignment_envelope
 from repro.protocol.datapath import (
+    DEFAULT_CHUNK_BYTES,
     INLINE_FILE_MAX,
     DataPlaneEndpoint,
     StreamIdAllocator,
+    channel_sender,
     encode_inline_reply,
     encode_stream_reply,
-    stream_over_channel,
+    entry_for_sender,
+    send_stream,
 )
 from repro.protocol.messages import Reply, Request, RequestKind
+from repro.protocol.retry import RetryPolicy
 from repro.security.applet import SignedApplet
 from repro.security.ca import CertificateStore
 from repro.security.errors import MappingError, SecurityError
@@ -68,6 +70,27 @@ AUTH_CPU_S = 0.003
 #: for job completion.  Clients renew expired holds with a fresh QUERY,
 #: so this caps per-request state lifetime without capping the wait.
 MAX_SUBSCRIBE_HOLD_S = 24 * 3600.0
+
+#: How long after its last use a cached reply is kept: the span of one
+#: whole interaction under the client's default policy, every attempt
+#: timing out and backing off the longest.  A resend renews it, so a
+#: client with a larger attempt budget stays covered for as long as it
+#: keeps retrying; past it no retry of that request can still arrive.
+REPLY_RETENTION_S = RetryPolicy().max_attempts * (
+    RESPONSE_TIMEOUT_S + RetryPolicy().max_delay_s
+)
+
+
+@dataclass(slots=True)
+class _CachedReply:
+    """What a retried request is answered from."""
+
+    reply: Reply
+    #: Sender of the bulk content pushed ahead of ``reply`` on the data
+    #: plane, kept so a retry re-pushes the stream (the client-side
+    #: reassembler deduplicates repeated chunks) without re-reading it.
+    push: StreamSender | None
+    expires_at: float = 0.0
 
 
 class Gateway:
@@ -97,8 +120,9 @@ class Gateway:
         #: client host name -> authenticated https channel.
         self._channels: dict[str, HttpsChannel] = {}
         #: request id -> cached reply, making retried requests idempotent
-        #: (the async protocol resends after reply loss).
-        self._reply_cache: dict[int, Reply] = {}
+        #: (the async protocol resends after reply loss).  Insertion
+        #: order is expiry order.
+        self._reply_cache: dict[int, _CachedReply] = {}
         #: Data-plane intake: consignment uploads stream here ahead of
         #: their control-plane request.  Survives crashes alongside the
         #: reply cache (the process restarts on the same host).
@@ -106,11 +130,6 @@ class Gateway:
             sim, metrics=telemetry_for(sim).metrics
         )
         self._stream_ids = StreamIdAllocator(f"gw:{usite_name}")
-        #: request id -> (content, manifest entry) for replies whose
-        #: bulk content is pushed on the data plane ahead of the reply.
-        #: Kept (not popped) so a retried request re-pushes the stream —
-        #: the client-side reassembler deduplicates repeated chunks.
-        self._push_streams: dict[int, tuple[bytes, FileEntry]] = {}
         #: Instrumentation.
         self.requests_served = 0
         self.auth_failures = 0
@@ -193,46 +212,48 @@ class Gateway:
             self.auth_failures += 1
             telemetry_for(self.sim).metrics.counter("gateway.auth_failures").inc()
             return
+        self._forget_expired()
+        # A hit is a retried request (its reply was lost): resend, do
+        # not redo.
         cached = self._reply_cache.get(request.request_id)
-        if cached is not None:
-            # Retried request (its reply was lost): resend, do not redo.
-            # Re-push any bulk stream first — the FIFO channel keeps the
-            # frames ahead of the reply, and the client deduplicates.
-            if not (yield from self._push_stream_for(channel, request.request_id)):
+        if cached is None:
+            reply, push = yield from self._process(channel, request)
+            cached = _CachedReply(reply, push)
+            self.requests_served += 1
+        # Every use re-inserts at the end, renewing the entry.
+        self._reply_cache.pop(request.request_id, None)
+        cached.expires_at = self.sim.now + REPLY_RETENTION_S
+        self._reply_cache[request.request_id] = cached
+        if cached.push is not None:
+            # Push the bulk stream first — the FIFO channel keeps the
+            # frames ahead of the reply, and the client deduplicates a
+            # re-push.
+            try:
+                yield from send_stream(
+                    self.sim, cached.push,
+                    channel_sender(channel, to_server=False),
+                    metrics=telemetry_for(self.sim).metrics,
+                )
+            except ConnectionLost:
+                # Withhold the reply, so the client's request retry
+                # triggers a fresh push from the cache instead of a
+                # 10-minute stream-wait timeout.
+                telemetry_for(self.sim).metrics.counter(
+                    "gateway.push_aborts"
+                ).inc()
                 return
-            channel.send(cached, cached.wire_size, to_server=False)
-            return
-        reply = yield from self._process(channel, request)
-        self._reply_cache[request.request_id] = reply
-        self.requests_served += 1
-        if not (yield from self._push_stream_for(channel, request.request_id)):
-            return
-        channel.send(reply, reply.wire_size, to_server=False)
+        channel.send(cached.reply, cached.reply.wire_size, to_server=False)
 
-    def _push_stream_for(self, channel: HttpsChannel, request_id: int):
-        """Push a reply's bulk content on the data plane.
-
-        Returns False when the stream could not be delivered — the reply
-        is then withheld so the client's request retry triggers a fresh
-        push from the cache instead of a 10-minute stream-wait timeout.
-        """
-        pushed = self._push_streams.get(request_id)
-        if pushed is None:
-            return True
-        content, entry = pushed
-        try:
-            yield from stream_over_channel(
-                self.sim, channel, content,
-                {"kind": "bulk-reply", "request": request_id},
-                stream_id=entry.stream_id, to_server=False,
-                metrics=telemetry_for(self.sim).metrics,
-            )
-        except ConnectionLost:
-            telemetry_for(self.sim).metrics.counter(
-                "gateway.push_aborts"
-            ).inc()
-            return False
-        return True
+    def _forget_expired(self) -> None:
+        """Drop cached replies (and the content their pushes pin) that no
+        retry can ask for any more."""
+        cache = self._reply_cache
+        now = self.sim.now
+        while cache:
+            oldest = next(iter(cache))
+            if cache[oldest].expires_at > now:
+                break
+            del cache[oldest]
 
     def _process(self, channel: HttpsChannel, request: Request):
         telemetry = telemetry_for(self.sim)
@@ -253,13 +274,16 @@ class Gateway:
                 tier="server",
             )
 
-        def refuse(error: str) -> Reply:
+        def refuse(error: str) -> tuple[Reply, None]:
             self.auth_failures += 1
             telemetry.metrics.counter("gateway.auth_failures").inc()
             if auth_span is not None:
                 tracer.end_span(auth_span, error=error)
                 tracer.end_span(request_span, error=error)
-            return Reply(request_id=request.request_id, ok=False, error=error)
+            return (
+                Reply(request_id=request.request_id, ok=False, error=error),
+                None,
+            )
 
         # Authentication: the channel's peer certificate is the user's
         # unique UNICORE identification; re-validate and match the claim.
@@ -315,11 +339,12 @@ class Gateway:
         from repro.broker.errors import BrokerError
         from repro.faults.errors import ServiceUnavailable
 
+        push: StreamSender | None = None
         try:
             if request.kind == RequestKind.QUERY:
                 reply = yield from self._dispatch_query(request)
             else:
-                reply = self._dispatch(request, parent_span=request_span)
+                reply, push = self._dispatch(request, parent_span=request_span)
         except (
             ConsignError, UnknownUnicoreJobError, SerializationError,
             ServerError, ServiceUnavailable, BrokerError,
@@ -330,8 +355,7 @@ class Gateway:
             )
 
         if self.njs.host.name != self.host.name:
-            pushed = self._push_streams.get(request.request_id)
-            reply_extra = len(pushed[0]) if pushed is not None else 0
+            reply_extra = push.open_info.total_size if push is not None else 0
             try:
                 yield self.network.send(
                     self.njs.host.name, self.host.name,
@@ -345,17 +369,29 @@ class Gateway:
             tracer.end_span(
                 request_span, error=None if reply.ok else reply.error
             )
-        return reply
+        return reply, push
 
-    def _bulk_payload(self, request_id: int, content: bytes) -> bytes:
-        """Wrap reply content: inline if small, else push on the data plane."""
+    def _bulk_reply(
+        self, request_id: int, content: bytes
+    ) -> tuple[Reply, StreamSender | None]:
+        """Reply with content: inline if small, else a reference to a
+        stream, whose sender is returned for pushing ahead of the reply.
+        Framing it here is the one pass over the bytes; a re-push reuses it.
+        """
+        push = None
         if len(content) <= INLINE_FILE_MAX:
-            return encode_inline_reply(content)
-        entry = file_entry_for("", content, self._stream_ids.next())
-        self._push_streams[request_id] = (content, entry)
-        return encode_stream_reply(entry)
+            payload = encode_inline_reply(content)
+        else:
+            push = StreamSender(
+                self._stream_ids.next(), content, DEFAULT_CHUNK_BYTES,
+                {"kind": "bulk-reply", "request": request_id},
+            )
+            payload = encode_stream_reply(entry_for_sender("", push))
+        return Reply(request_id=request_id, ok=True, payload=payload), push
 
-    def _dispatch(self, request: Request, parent_span=None) -> Reply:
+    def _dispatch(
+        self, request: Request, parent_span=None
+    ) -> tuple[Reply, StreamSender | None]:
         if request.kind == RequestKind.CONSIGN_JOB:
             consignment = decode_consignment_envelope(request.payload)
             files = dict(consignment.files)
@@ -372,13 +408,12 @@ class Gateway:
                         f"consignment file {entry.path!r} references "
                         f"stream {entry.stream_id}, which never arrived"
                     )
-                _context, data = ready
-                if len(data) != entry.size or zlib.crc32(data) != entry.crc32:
+                if not ready.matches(entry):
                     raise ConsignError(
                         f"consignment file {entry.path!r} failed its "
                         "stream integrity check"
                     )
-                files[entry.path] = data
+                files[entry.path] = ready.data
             ajo = decode_ajo(consignment.ajo_bytes)
             if ajo.user_dn and ajo.user_dn != request.user_dn:
                 raise ConsignError(
@@ -394,7 +429,7 @@ class Gateway:
             return Reply(
                 request_id=request.request_id, ok=True,
                 payload=json.dumps({"job_id": run.job_id}).encode(),
-            )
+            ), None
 
         if request.kind == RequestKind.LIST:
             service = decode_service(request.payload)
@@ -409,12 +444,12 @@ class Gateway:
                 return Reply(
                     request_id=request.request_id, ok=True,
                     payload=json.dumps(delta.to_dict()).encode(),
-                )
+                ), None
             jobs = self.njs.list_jobs(request.user_dn)
             return Reply(
                 request_id=request.request_id, ok=True,
                 payload=json.dumps([j.to_dict() for j in jobs]).encode(),
-            )
+            ), None
 
         if request.kind == RequestKind.CONTROL:
             service = decode_service(request.payload)
@@ -432,25 +467,19 @@ class Gateway:
             return Reply(
                 request_id=request.request_id, ok=True,
                 payload=json.dumps({"acknowledged": service.verb}).encode(),
-            )
+            ), None
 
         if request.kind == RequestKind.RETRIEVE_OUTCOME:
             job_id = request.payload.decode()
             self._authorize_job(job_id, request.user_dn)
             outcome_bytes = self.njs.retrieve_outcome(job_id)
-            return Reply(
-                request_id=request.request_id, ok=True,
-                payload=self._bulk_payload(request.request_id, outcome_bytes),
-            )
+            return self._bulk_reply(request.request_id, outcome_bytes)
 
         if request.kind == RequestKind.FETCH_FILE:
             spec = json.loads(request.payload)
             self._authorize_job(spec["job_id"], request.user_dn)
             content = self.njs.fetch_uspace_file(spec["job_id"], spec["path"])
-            return Reply(
-                request_id=request.request_id, ok=True,
-                payload=self._bulk_payload(request.request_id, content),
-            )
+            return self._bulk_reply(request.request_id, content)
 
         if request.kind == RequestKind.DISPOSE:
             job_id = request.payload.decode()
@@ -459,7 +488,7 @@ class Gateway:
             return Reply(
                 request_id=request.request_id, ok=True,
                 payload=json.dumps({"disposed": job_id}).encode(),
-            )
+            ), None
 
         raise ServerError(f"unhandled request kind {request.kind!r}")
 

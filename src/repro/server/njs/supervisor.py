@@ -54,17 +54,16 @@ from repro.broker.advertise import (
 from repro.broker.errors import BrokerQuotaError
 from repro.faults.errors import ServiceUnavailable
 from repro.net.errors import ConnectionLost
-from repro.net.stream import FrameType, StreamSender, encode_frame
 from repro.net.sim_transport import Host, Network
+from repro.net.stream import StreamSender
 from repro.observability import telemetry_for
 from repro.protocol.consignment import validate_manifest_paths
 from repro.protocol.datapath import (
-    CHUNK_RETRIES,
-    CHUNK_RETRY_DELAY_S,
     DEFAULT_CHUNK_BYTES,
     INLINE_FILE_MAX,
     DataPlaneEndpoint,
     StreamIdAllocator,
+    send_stream,
 )
 from repro.protocol.views import JobListing, JobListingDelta, JobStatusView
 from repro.resources.check import check_request
@@ -90,7 +89,6 @@ __all__ = [
     "ForwardGroup",
     "GroupResult",
     "PeerFrame",
-    "TransferFile",
     "TransferAck",
     "CancelGroup",
 ]
@@ -172,25 +170,6 @@ class PeerFrame:
     @property
     def wire_payload(self) -> int:
         return len(self.raw)
-
-
-@dataclass(slots=True)
-class TransferFile:
-    """A Uspace-to-Uspace transfer as one monolithic message.
-
-    Legacy wire shape, kept for comparison benchmarks: live transfers
-    now stream chunk-wise as :class:`PeerFrame` traffic (section 5.6's
-    https tunnel, split onto the data plane)."""
-
-    corr_id: int
-    reply_usite: str
-    parent_job_id: str
-    destination_path: str
-    content: bytes
-
-    @property
-    def wire_payload(self) -> int:
-        return len(self.content) + 512
 
 
 @dataclass(slots=True)
@@ -1155,32 +1134,21 @@ class NetworkJobSupervisor:
         (``stream.resumes``) instead of restarting, which is what makes
         WAN-drop faults survivable for multi-megabyte transfers.
         """
-        telemetry = telemetry_for(self.sim)
         sender = StreamSender(
             self._stream_ids.next(), data, chunk_bytes, context
         )
-        for frame in sender.frames():
-            raw = encode_frame(frame)
-            payload = PeerFrame(raw)
-            for attempt in range(1 + CHUNK_RETRIES):
-                telemetry.metrics.counter("stream.wire_bytes").inc(len(raw))
-                try:
-                    # retries=0: a loss surfaces here (per-chunk resume)
-                    # instead of being hidden inside the hop machinery.
-                    yield from self._send_via_route(
-                        usite, payload, len(raw), retries=0
-                    )
-                    break
-                except ConnectionLost:
-                    telemetry.metrics.counter("stream.resumes").inc()
-                    if attempt >= CHUNK_RETRIES:
-                        raise
-                    yield self.sim.timeout(CHUNK_RETRY_DELAY_S)
-            telemetry.metrics.counter(
-                "stream.chunks" if frame.ftype == FrameType.DATA
-                else "stream.opens"
-            ).inc()
-        return sender
+
+        def send_frame(raw: bytes):
+            # retries=0: a loss surfaces in send_stream (per-chunk
+            # resume) instead of being hidden inside the hop machinery.
+            return self._send_via_route(
+                usite, PeerFrame(raw), len(raw), retries=0
+            )
+
+        yield from send_stream(
+            self.sim, sender, send_frame,
+            metrics=telemetry_for(self.sim).metrics,
+        )
 
     def _send_via_route(
         self, usite: str, payload, payload_size: int,
@@ -1251,8 +1219,8 @@ class NetworkJobSupervisor:
     def dispatch_peer_message(self, payload: object) -> bool:
         """Handle one NJS-to-NJS message; returns True if it was ours."""
         if self.crashed and isinstance(
-            payload, (ForwardGroup, GroupResult, TransferFile, TransferAck,
-                      CancelGroup, PeerFrame, ReclaimJob)
+            payload, (ForwardGroup, GroupResult, TransferAck, CancelGroup,
+                      PeerFrame, ReclaimJob)
         ):
             # A dead process reads nothing: the message is simply lost
             # (senders retry or fail their action, as with a lost frame).
@@ -1265,8 +1233,6 @@ class NetworkJobSupervisor:
             return True
         if isinstance(payload, ForwardGroup):
             self.sim.process(self._handle_forward(payload))
-        elif isinstance(payload, TransferFile):
-            self.sim.process(self._handle_transfer(payload))
         elif isinstance(payload, CancelGroup):
             self._handle_cancel_group(payload)
         elif isinstance(payload, ReclaimJob):
@@ -1363,34 +1329,6 @@ class NetworkJobSupervisor:
             )
         except ConnectionLost:
             pass  # the parent NJS will surface the missing result
-
-    def _handle_transfer(self, message: TransferFile):
-        run = self._foreign_runs.get(message.parent_job_id) or self._runs.get(
-            message.parent_job_id
-        )
-        stored = False
-        if run is not None:
-            for uspace in run.uspaces.values():
-                uspace.write(message.destination_path, message.content)
-                stored = True
-                break
-        if not stored:
-            # Group not consigned here (yet): stash for arrival, keyed by
-            # the parent job id every ForwardGroup of this job carries.
-            self._early_files.setdefault(message.parent_job_id, {})[
-                message.destination_path
-            ] = message.content
-            stored = True
-        yield self.sim.timeout(
-            len(message.content) / self.local_disk_bandwidth_Bps
-        )
-        ack = TransferAck(corr_id=message.corr_id, ok=stored)
-        try:
-            yield from self._send_via_route(
-                message.reply_usite, ack, ack.wire_payload
-            )
-        except ConnectionLost:
-            pass  # sender retries are exhausted; it reports the failure
 
     # ------------------------------------------------------ data-plane intake
     def _on_stream_complete(self, context: dict, data: bytes) -> bool:

@@ -10,9 +10,11 @@ from repro.errors import FrameError, SerializationError
 from repro.net.stream import (
     Frame,
     FrameType,
+    OpenInfo,
     StreamReassembler,
     StreamSender,
     chunk_payload,
+    crc32_combine,
     decode_frame,
     encode_frame,
 )
@@ -91,6 +93,60 @@ def test_sender_reassembler_roundtrip_any_feed_order(data, chunk, order):
     assert reassembler.complete
     assert reassembler.payload() == data
     assert reassembler.context == {"kind": "prop"}
+
+
+# ----------------------------------------------------------- crc combine
+@settings(max_examples=120, deadline=None)
+@given(head=payloads, tail=payloads)
+def test_crc32_combine_matches_zlib_on_any_split(head, tail):
+    assert crc32_combine(
+        zlib.crc32(head), zlib.crc32(tail), len(tail)
+    ) == zlib.crc32(head + tail)
+
+
+# Chunk sizes on every side of the payload size: single bytes, a short
+# tail, an exact multiple, one chunk larger than the whole payload.
+chunk_sizes = st.one_of(st.just(1), st.integers(1, 64), st.integers(1, 8192))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=payloads, chunk=chunk_sizes)
+def test_sender_folds_whole_payload_crc_from_chunk_crcs(data, chunk):
+    sender = StreamSender(3, data, chunk, {})
+    assert sender.open_info.total_crc32 == zlib.crc32(data)
+    assert sender.chunk_crcs == [zlib.crc32(c) for c in sender.chunks]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=payloads,
+    chunk=chunk_sizes,
+    order=st.randoms(use_true_random=False),
+)
+def test_reassembler_folds_whole_payload_crc_in_any_feed_order(
+    data, chunk, order
+):
+    """The receiver's folded total is checked against an OPEN preamble
+    whose checksum zlib computed over the whole payload — not one the
+    sender under test folded."""
+    chunks = chunk_payload(data, chunk)
+    info = OpenInfo(
+        total_size=len(data), chunk_bytes=chunk, chunk_count=len(chunks),
+        total_crc32=zlib.crc32(data),
+    )
+    raw_frames = [
+        encode_frame(Frame(stream_id=9, seq=seq, payload=bytes(c)))
+        for seq, c in enumerate(chunks)
+    ]
+    raw_frames += raw_frames[:3]  # duplicates
+    order.shuffle(raw_frames)
+    reassembler = StreamReassembler(
+        Frame(stream_id=9, seq=0, payload=info.encode(), ftype=FrameType.OPEN)
+    )
+    for raw in raw_frames:
+        reassembler.feed(decode_frame(raw))
+    assert reassembler.complete
+    assert reassembler.payload() == data
 
 
 # ----------------------------------------------------------- consignment

@@ -48,7 +48,7 @@ def test_reply_cache_returns_identical_reply(wired):
 
     p = grid.sim.process(scenario(grid.sim))
     grid.sim.run(until=p)
-    cached = gateway._reply_cache[request.request_id]
+    cached = gateway._reply_cache[request.request_id].reply
     assert isinstance(cached, Reply)
     assert cached.payload == replies[0].payload
 
@@ -132,3 +132,89 @@ def test_ajo_user_mismatch_rejected(wired):
     reply = grid.sim.run(until=p)
     assert not reply.ok
     assert "names user" in reply.error
+
+
+def test_reply_cache_is_bounded_by_the_retry_window(wired):
+    """Streamed replies used to stay pinned for the gateway's lifetime.
+
+    Entries age out once no retry can still ask for them: the cache
+    holds a window's worth however many fetches went by, a disposed
+    job's content is let go, and a retry inside the window is still
+    answered from the cache with a re-pushed stream.
+    """
+    import json
+
+    from repro.client import JobMonitorController, JobPreparationAgent
+    from repro.observability import telemetry_for
+    from repro.protocol.datapath import INLINE_FILE_MAX, fetch_bulk_payload
+    from repro.server.gateway import REPLY_RETENTION_S
+
+    grid, user, session = wired
+    sim = grid.sim
+    gateway = grid.usites["FZJ"].gateway
+    metrics = telemetry_for(sim).metrics
+    content = bytes(range(256)) * 1200
+    assert len(content) > INLINE_FILE_MAX
+    user.workstation.fs.write("/home/gw/input.dat", content)
+    jpa = JobPreparationAgent(session)
+    jmc = JobMonitorController(session)
+    job = jpa.new_job("pinned", vsite="FZJ-T3E")
+    imp = job.import_from_workstation("/home/gw/input.dat", "input.dat")
+    work = job.script_task("w", script="#!/bin/sh\nx\n", simulated_runtime_s=5.0)
+    job.depends(imp, work, files=["input.dat"])
+
+    def run(gen):
+        return sim.run(until=sim.process(gen))
+
+    def consign_and_wait():
+        job_id = yield from jpa.submit(job, workstation=user.workstation)
+        yield from jmc.wait_for_completion(job_id)
+        return job_id
+
+    job_id = run(consign_and_wait())
+
+    # Many more fetches than one window holds, four to a window.
+    fetches = 40
+
+    def fetch_spaced():
+        for _ in range(fetches):
+            assert (yield from jmc.fetch_file(job_id, "input.dat")) == content
+            yield sim.timeout(REPLY_RETENTION_S / 4)
+
+    run(fetch_spaced())
+    assert len(gateway._reply_cache) <= 5
+    assert gateway.requests_served > fetches
+
+    # A retry inside the window: same request id, answered from the
+    # cache (nothing re-served), stream pushed again.
+    request = Request(
+        kind=RequestKind.FETCH_FILE, user_dn=session.user_dn,
+        payload=json.dumps({"job_id": job_id, "path": "input.dat"}).encode(),
+    )
+
+    def fetch_twice():
+        got = []
+        for _ in range(2):
+            reply = yield from session.client.interact(request)
+            got.append((yield from fetch_bulk_payload(
+                session.datapath, reply.payload
+            )))
+            yield sim.timeout(REPLY_RETENTION_S / 2)
+        return got
+
+    served = gateway.requests_served
+    opens = metrics.counter_value("stream.opens")
+    assert run(fetch_twice()) == [content, content]
+    assert gateway.requests_served == served + 1
+    assert metrics.counter_value("stream.opens") == opens + 2
+
+    # Dispose, let the window pass: the next request sweeps the cache
+    # and nothing in it pins the disposed job's content any more.
+    def dispose_then_list():
+        yield from jmc.dispose(job_id)
+        yield sim.timeout(2 * REPLY_RETENTION_S)
+        yield from jmc.list_jobs()
+
+    run(dispose_then_list())
+    assert len(gateway._reply_cache) == 1
+    assert all(c.push is None for c in gateway._reply_cache.values())

@@ -1,5 +1,7 @@
 """Unit tests for the binary frame codec and the data-plane layer."""
 
+import hashlib
+import random
 import struct
 import zlib
 
@@ -19,6 +21,7 @@ from repro.net.stream import (
     encode_frame,
 )
 from repro.net.transport import Network
+from repro.observability import MetricsRegistry
 from repro.protocol.consignment import (
     decode_consignment,
     decode_consignment_envelope,
@@ -142,6 +145,27 @@ def test_reassembler_rejects_foreign_and_out_of_range_frames():
         reassembler.feed(Frame(stream_id=5, seq=99, payload=b"aa"))
 
 
+def test_wire_bytes_are_what_they_were_before_the_single_pass_sender():
+    """Golden: sha256 of the concatenated encoded frames, recorded from
+    the commit before chunk views and the folded whole-payload CRC."""
+
+    def wire_hash(sender):
+        wire = b"".join(encode_frame(frame) for frame in sender.frames())
+        return hashlib.sha256(wire).hexdigest()
+
+    data = random.Random(14).randbytes(700_001)  # ten full chunks + a tail
+    sender = StreamSender(
+        0x1234ABCD5678, data, 64 * 1024, {"kind": "golden", "path": "a/b.dat"}
+    )
+    assert sender.frame_count == 12
+    assert wire_hash(sender) == (
+        "86cad0c99188b1e65c4622148929e16a7a6d07d406a716c7928710fd90a09696"
+    )
+    assert wire_hash(StreamSender(7, b"", 1024, {})) == (
+        "64355454a976f5ee93a1d7852a700fd7b10daec1a10f7113f8fe846003a3022b"
+    )
+
+
 # ------------------------------------------------------- path validation
 def test_validate_rejects_traversal_duplicates_and_control_chars():
     with pytest.raises(UnsafePathError):
@@ -212,8 +236,9 @@ def test_endpoint_reassembles_and_parks_payload():
     sender = StreamSender(11, data, 1024, {"kind": "t"})
     for frame in sender.frames():
         assert endpoint.feed(encode_frame(frame))
-    context, payload = endpoint.take(11)
+    context, payload, crc32 = endpoint.take(11)
     assert payload == data
+    assert crc32 == zlib.crc32(data)
     assert context == {"kind": "t"}
     assert endpoint.take(11) is None  # claimed exactly once
 
@@ -235,6 +260,41 @@ def test_endpoint_ignores_non_frame_bytes():
     sim = Simulator()
     endpoint = DataPlaneEndpoint(sim)
     assert not endpoint.feed(b"not a frame at all")
+
+
+def test_endpoint_rejects_flipped_byte_and_retransmission_repairs_it():
+    metrics = MetricsRegistry()
+    endpoint = DataPlaneEndpoint(Simulator(), metrics=metrics)
+    data = bytes(range(256)) * 16
+    raws = [encode_frame(f) for f in StreamSender(4, data, 1024, {}).frames()]
+    damaged = bytearray(raws[2])
+    damaged[FRAME_HEADER_BYTES + 100] ^= 0x01
+    with pytest.raises(FrameError):
+        decode_frame(bytes(damaged))
+    for raw in raws[:2] + [bytes(damaged)] + raws[3:]:
+        endpoint.feed(raw)
+    assert metrics.counter_value("stream.bad_frames") == 1
+    assert endpoint.pending(4)  # the damaged chunk is simply missing
+    endpoint.feed(raws[2])
+    assert endpoint.take(4).data == data
+
+
+def test_endpoint_drops_stream_with_valid_chunk_of_another_payload():
+    """Each frame passes its own CRC, so only the whole-payload check —
+    folded from those CRCs — can see a chunk that belongs elsewhere."""
+    metrics = MetricsRegistry()
+    endpoint = DataPlaneEndpoint(Simulator(), metrics=metrics)
+    data = bytes(range(256)) * 16
+    other = bytes(reversed(data))
+    raws = [encode_frame(f) for f in StreamSender(4, data, 1024, {}).frames()]
+    foreign = encode_frame(StreamSender(4, other, 1024, {}).data_frame(1))
+    decode_frame(foreign)  # well-formed on its own
+    for raw in raws[:2] + [foreign] + raws[3:]:
+        endpoint.feed(raw)
+    assert metrics.counter_value("stream.bad_frames") == 1
+    assert metrics.counter_value("stream.completed") == 0
+    assert not endpoint.pending(4)
+    assert endpoint.take(4) is None
 
 
 # ------------------------------------------------------------ bulk replies
