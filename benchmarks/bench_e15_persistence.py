@@ -28,6 +28,13 @@ bytes written per payload byte.  With file bodies in the
 content-addressed blob table it must stay near 1 — the journal entry
 and the outcome record name one stored body — where the base64-JSON
 records wrote each body 2.7 times.
+
+The ``history`` arm (sqlite) prices a *cold start* against how much the
+site has already done: 5 jobs in flight over 50, then 200, finished
+ones.  The journal holds the jobs in flight and the outcome table one
+row per finished job, so the restart decodes 5 journal entries and makes
+the same number of storage reads either way, and the only bytes that
+grow with history are the one scan of the outcome table.
 """
 
 import random
@@ -51,6 +58,9 @@ JOB_RUNTIME_S = 300.0
 SUBMIT_SPACING_S = 60.0
 
 LARGE_FILE_BYTES = 1 << 20
+
+HISTORY_FINISHED = (50, 200)
+HISTORY_IN_FLIGHT = 5
 
 BACKENDS = ("memory", "sqlite")
 
@@ -81,10 +91,9 @@ def _run_arm(backend: str, jobs: int, file_bytes: int = 0) -> dict:
 
     storage = grid.storage
     payload_bytes = jobs * file_bytes
-    ajo_bytes = sum(
-        len(entry.ajo_bytes)
-        for entry in grid.usites["FZJ"].njs.journal.entries()
-    )
+    journal = grid.usites["FZJ"].njs.journal
+    assert len(journal) == 0  # every job finished: nothing left in flight
+    ajo_bytes = sum(len(journal.ajo_bytes(h.job_id)) for h in handles)
 
     t0 = time.perf_counter()
     snap = grid.snapshot()
@@ -95,8 +104,8 @@ def _run_arm(backend: str, jobs: int, file_bytes: int = 0) -> dict:
     restore_s = time.perf_counter() - t0
 
     # Correctness gate: the thawed grid serves the same jobs.
-    restored_journal = restored.usites["FZJ"].njs.journal
-    assert len(restored_journal) == jobs
+    restored_njs = restored.usites["FZJ"].njs
+    assert len(restored_njs.outcomes) == jobs and len(restored_njs.journal) == 0
     assert restored.sim.now == grid.sim.now
 
     return {
@@ -113,10 +122,60 @@ def _run_arm(backend: str, jobs: int, file_bytes: int = 0) -> dict:
     }
 
 
+def _run_history_arm(finished: int) -> dict:
+    """Cold-start a site with ``finished`` jobs behind it and
+    ``HISTORY_IN_FLIGHT`` jobs caught mid-run."""
+    grid = build_grid({"FZJ": ["FZJ-T3E"]}, seed=SEED, storage="sqlite")
+    user = grid.add_user("Persist Bench", logins={"FZJ": "bench"})
+    session = GridSession(grid, user, "FZJ")
+    site = grid.usites["FZJ"]
+
+    def submit(name: str, runtime_s: float):
+        job = session.new_job(name)
+        job.script_task("work", "#!/bin/sh\n./app\n",
+                        simulated_runtime_s=runtime_s)
+        return session.submit(job)
+
+    for handle in [submit(f"past-{i}", 30.0) for i in range(finished)]:
+        assert session.wait(handle).status == "successful"
+    live = [submit(f"live-{i}", 3600.0) for i in range(HISTORY_IN_FLIGHT)]
+    session.advance(600.0)
+
+    storage = grid.storage
+    # What one scan of the outcome table costs: the part of a restart
+    # that is allowed to grow with history.
+    before = storage.bytes_read
+    assert len(grid.storage.table("FZJ.outcomes").items()) == finished
+    outcome_scan_bytes = storage.bytes_read - before
+
+    reads, bytes_read = storage.reads, storage.bytes_read
+    t0 = time.perf_counter()
+    site.crash_site()
+    site.restart_site()
+    restart_s = time.perf_counter() - t0
+    reads, bytes_read = storage.reads - reads, storage.bytes_read - bytes_read
+    rows_decoded = len(site.njs.journal)
+
+    # Correctness gate: nothing lost, the jobs in flight finish.
+    assert len(session.list_jobs()) == finished + HISTORY_IN_FLIGHT
+    for handle in live:
+        assert session.wait(handle).status == "successful"
+    return {
+        "finished": finished,
+        "restart_s": restart_s,
+        "reads": reads,
+        "bytes_read": bytes_read,
+        "journal_rows_decoded": rows_decoded,
+        "bytes_read_per_finished_job": outcome_scan_bytes / finished,
+        "bytes_read_besides_outcomes": bytes_read - outcome_scan_bytes,
+    }
+
+
 @pytest.mark.benchmark(group="E15-persistence")
 def test_e15_persistence_costs(benchmark):
     jobs = SMOKE_JOBS if smoke_mode() else JOBS
     arms: list[dict] = []
+    history: list[dict] = []
 
     def run():
         arms.clear()
@@ -126,6 +185,7 @@ def test_e15_persistence_costs(benchmark):
             **_run_arm("sqlite", jobs, file_bytes=LARGE_FILE_BYTES),
             "backend": "largefile",
         })
+        history[:] = [_run_history_arm(n) for n in HISTORY_FINISHED]
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -143,6 +203,19 @@ def test_e15_persistence_costs(benchmark):
         ],
     )
 
+    print_table(
+        f"E15 history: cold start on sqlite, {HISTORY_IN_FLIGHT} jobs in flight",
+        ["finished", "restart [s]", "reads", "bytes read", "journal rows",
+         "B/finished job", "other bytes"],
+        [
+            (h["finished"], f"{h['restart_s']:.4f}", h["reads"],
+             h["bytes_read"], h["journal_rows_decoded"],
+             f"{h['bytes_read_per_finished_job']:.1f}",
+             h["bytes_read_besides_outcomes"])
+            for h in history
+        ],
+    )
+
     by_backend = {a["backend"]: a for a in arms}
     for arm in arms:
         # The journal writes each AJO once plus bounded bookkeeping:
@@ -154,15 +227,30 @@ def test_e15_persistence_costs(benchmark):
         # Batched groups: a handful of durable units per job, not one
         # per record.
         assert arm["fsyncs_per_job"] < 10.0
-    # Both backends persist through the same Table/Log surface, so the
+    # Both backends persist through the same Table surface, so the
     # operation profile (not the latency) must match exactly.
     assert (by_backend["memory"]["writes_per_job"]
             == by_backend["sqlite"]["writes_per_job"])
+    # A cold start decodes the jobs in flight, whatever lies behind them.
+    short, long = history
+    for arm in history:
+        assert arm["journal_rows_decoded"] == HISTORY_IN_FLIGHT
+    assert short["reads"] == long["reads"]
+    # Finished jobs cost one outcome row each, the same row at any
+    # history (ids and clock readings gain a digit: 1 %), and nothing
+    # else a restart reads grows with them.
+    assert long["bytes_read_per_finished_job"] == pytest.approx(
+        short["bytes_read_per_finished_job"], rel=0.01
+    )
+    assert long["bytes_read_besides_outcomes"] == pytest.approx(
+        short["bytes_read_besides_outcomes"], rel=0.01
+    )
 
     write_bench_artifact("e15", {
         "jobs": jobs,
         **{a["backend"]: {k: v for k, v in a.items() if k != "backend"}
            for a in arms},
+        "history": {"in_flight": HISTORY_IN_FLIGHT, "short": short, "long": long},
     })
 
 

@@ -109,6 +109,12 @@ METRIC_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("largefile.fsyncs_per_job", "lower", "fail"),
         MetricSpec("largefile.snapshot_s", "lower", "warn"),
         MetricSpec("largefile.restore_s", "lower", "warn"),
+        # The history arm's counts gate: a cold start over 200 finished
+        # jobs reads what one over 50 reads, plus one outcome row each.
+        MetricSpec("history.long.reads", "lower", "fail"),
+        MetricSpec("history.long.journal_rows_decoded", "lower", "fail"),
+        MetricSpec("history.long.bytes_read", "lower", "fail"),
+        MetricSpec("history.long.restart_s", "lower", "warn"),
     ),
 }
 

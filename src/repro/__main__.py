@@ -245,12 +245,10 @@ def restore_command(args: argparse.Namespace) -> None:
         f"{len(grid.usites)} site(s), {len(grid.users)} user(s)"
     )
     for name in sorted(grid.usites):
-        journal = grid.usites[name].njs.journal
-        entries = journal.entries()
-        done = sum(1 for e in entries if e.done)
+        njs = grid.usites[name].njs
         print(
-            f"  {name}: {len(entries)} journaled job(s) "
-            f"({done} finished, {len(entries) - done} replayed)"
+            f"  {name}: {len(njs.outcomes)} finished job(s) restored, "
+            f"{len(njs.journal)} in flight replayed"
         )
 
 

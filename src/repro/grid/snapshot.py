@@ -6,8 +6,8 @@ A :class:`GridSnapshot` is everything needed to rebuild a grid that
 * the **build recipe** (sites, seed, WAN shape, gateway counts) — the
   deterministic part, re-executed on restore so hosts, certificates, and
   links come back identical;
-* the **storage dump** — every durable table and log (NJS journals,
-  outcome stores, UUDB mappings, resource pages, job-id cursors) plus
+* the **storage dump** — every durable table (NJS journals, outcome
+  stores, UUDB mappings, resource pages, job-id cursors) plus
   the ``"blobs"`` section, the digest-sorted file bodies their manifests
   name;
 * the **simkernel cursors** — virtual clock, per-link loss-RNG states,
@@ -36,8 +36,10 @@ __all__ = ["GridSnapshot", "SNAPSHOT_VERSION"]
 
 #: Bump when the on-disk layout changes incompatibly.  Version 1 kept
 #: file bodies inside the journal and outcome records; 2 moved them to
-#: the storage dump's ``"blobs"`` section.  Other versions are refused.
-SNAPSHOT_VERSION = 2
+#: the storage dump's ``"blobs"`` section; 3 dropped the dump's
+#: ``"logs"`` section (the journal is a table of live rows).  Other
+#: versions are refused.
+SNAPSHOT_VERSION = 3
 
 
 @dataclass(slots=True)

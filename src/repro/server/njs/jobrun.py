@@ -105,6 +105,10 @@ class JobRun:
                 self._build_outcomes(sim, child)
 
     @property
+    def name(self) -> str:
+        return self.root.name
+
+    @property
     def root_outcome(self) -> AJOOutcome:
         return typing.cast(AJOOutcome, self.outcomes[self.root.id])
 

@@ -2,7 +2,7 @@
 
 The journal became a typed view over the pluggable persistence layer
 and moved to :mod:`repro.storage.journal` (same replay semantics, now
-over durable backend logs).  The historical names still resolve here
+over a durable backend table).  The historical names still resolve here
 through the shared warn-once PEP 562 shim.
 """
 

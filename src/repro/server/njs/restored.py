@@ -6,13 +6,16 @@ starts from a bare Python heap: everything it knows comes from the
 storage backend.  :class:`RestoredRun` duck-types the slice of the
 :class:`~repro.server.njs.jobrun.JobRun` surface the NJS services touch
 for a terminal job — listings, status queries, outcome retrieval,
-Uspace file fetches, disposal — backed by the journal entry (AJO bytes)
-and the persisted :class:`~repro.storage.outcomes.OutcomeRecord`.
+Uspace file fetches, disposal — backed by the persisted
+:class:`~repro.storage.outcomes.OutcomeRecord`.
 
-Everything is lazy: restoring a thousand finished jobs costs a thousand
-metadata reads, not a thousand AJO decodes or Uspaces — the tree is only
-rebuilt when a client asks for it, and a file body is only fetched from
-the blob store when a client asks for that file.
+Everything else is lazy.  A restart builds these views from one scan of
+the outcome table and touches nothing more: a listing needs only the
+record's ``name`` and ``status``; the job's consign row is read from
+the journal table, and its AJO decoded, the first time a client asks for
+``root`` (a status tree, a disposal); the outcome tree is decoded when a
+client asks for it; a file body is fetched from the blob store when a
+client asks for that file.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ class RestoredRun:
     """A terminal job served from storage instead of live supervision."""
 
     def __init__(
-        self, record: OutcomeRecord, ajo_bytes: bytes, blobs: "BlobStore"
+        self,
+        record: OutcomeRecord,
+        fetch_ajo: typing.Callable[[], bytes],
+        blobs: "BlobStore",
     ) -> None:
         self.job_id = record.job_id
         self.user_dn = record.user_dn
@@ -80,7 +86,7 @@ class RestoredRun:
             "__restored__": _StoredFiles(record.job_id, record.files, blobs)
         }
         self._status = ActionStatus(record.status)
-        self._ajo_bytes = ajo_bytes
+        self._fetch_ajo = fetch_ajo
         self._outcome_bytes = record.outcome_bytes
         self._name = record.name
         self._root: "AbstractJobObject | None" = None
@@ -91,7 +97,7 @@ class RestoredRun:
     @property
     def root(self) -> "AbstractJobObject":
         if self._root is None:
-            self._root = decode_ajo(self._ajo_bytes)
+            self._root = decode_ajo(self._fetch_ajo())
         return self._root
 
     @property

@@ -24,6 +24,7 @@ Responsibilities implemented here (section 5.5's task list):
 
 from __future__ import annotations
 
+import functools
 import typing
 from dataclasses import dataclass, field
 from itertools import count
@@ -292,8 +293,8 @@ class NetworkJobSupervisor:
         )
         #: Finished jobs as persisted records (status, outcome bytes,
         #: Uspace manifest) — what a cold start serves terminal queries
-        #: from.
-        self._outcomes = OutcomeStore(self.storage, f"{usite_name}.outcomes")
+        #: from.  A job is finished exactly when its row exists here.
+        self.outcomes = OutcomeStore(self.storage, f"{usite_name}.outcomes")
         #: True between :meth:`crash` and :meth:`restart`: in-memory
         #: state is gone, every service raises ServiceUnavailable.
         self.crashed = False
@@ -334,6 +335,13 @@ class NetworkJobSupervisor:
         seq = int(typing.cast(int, self._meta.get("job_seq", 0))) + 1
         self._meta.put("job_seq", seq)
         return f"U{seq:05d}@{self.usite_name}"
+
+    @staticmethod
+    def _job_seq(job_id: str) -> int:
+        """The cursor value :meth:`_next_job_id` issued ``job_id`` at:
+        the sort key for consignment order (``U100000`` sorts before
+        ``U99999`` as text)."""
+        return int(job_id[1:job_id.index("@")])
 
     def consign(
         self,
@@ -533,11 +541,12 @@ class NetworkJobSupervisor:
                 run.job_span.set(status=status.value),
                 error=None if status is ActionStatus.SUCCESSFUL else status.value,
             )
-        # Completion and the outcome record are one durable unit: after
+        # The outcome row is what marks the job finished, and it lands
+        # in one durable unit with the journal retiring the job: after
         # this batch, even a cold-started successor can serve the job's
         # listing, outcome tree, and Uspace files.
         with self.storage.batch():
-            self.journal.record_done(run.job_id)
+            self.journal.finish(run.job_id)
             self._persist_outcome(run)
         assert run.done_event is not None
         if not run.done_event.triggered:
@@ -550,9 +559,9 @@ class NetworkJobSupervisor:
             for path in uspace.files():
                 files.setdefault(path, uspace.read(path))
         status = run.status()
-        self._outcomes.put(OutcomeRecord(
+        self.outcomes.put(OutcomeRecord(
             job_id=run.job_id,
-            name=run.root.name,
+            name=run.name,
             user_dn=run.user_dn,
             status=status.value,
             submitted_at=run.submitted_at,
@@ -1437,7 +1446,7 @@ class NetworkJobSupervisor:
         finished = {} if cold else {
             job_id: run
             for job_id, run in self._runs.items()
-            if (entry := self.journal.entry(job_id)) is not None and entry.done
+            if self.journal.entry(job_id) is None
         }
         for run in list(self._runs.values()):
             if run.job_id in finished:
@@ -1482,42 +1491,46 @@ class NetworkJobSupervisor:
     def restart(self) -> None:
         """Come back up from durable storage and resume every job.
 
-        The journal is re-read from the backend (warm restarts find the
-        same entries; cold ones rebuild the table from the log), jobs
-        that finished before the outage are resurrected from the outcome
-        store, and every incomplete entry is replayed.
+        Jobs that finished before the outage are resurrected from the
+        outcome store, and every job the journal still holds is replayed.
         """
         if not self.crashed:
             return
         self.crashed = False
         telemetry_for(self.sim).metrics.counter("njs.restarts").inc()
-        self.journal.reload()
         self.recover()
 
     def recover(self) -> None:
         """Rebuild run state from storage (shared by restart and grid
-        restore, where the NJS instance itself is brand new)."""
-        self._restore_finished()
+        restore, where the NJS instance itself is brand new).
+
+        Reads the jobs in flight and one row per finished job: the
+        journal rows of finished jobs are skipped by key.
+        """
+        finished = set(self.outcomes.job_ids())
+        # A warm restart kept every finished run, a cold one none of them.
+        if not finished <= self._runs.keys():
+            self._restore_finished()
+        self.journal.reload(finished, self._job_seq)
         for entry in self.journal.incomplete():
             self._replay(entry)
 
     def _restore_finished(self) -> None:
         """Resurrect finished jobs that exist only in the outcome store."""
         telemetry = telemetry_for(self.sim)
-        for entry in self.journal.entries():
-            if not entry.done or entry.job_id in self._runs:
+        for record in self.outcomes.records(self._job_seq):
+            job_id = record.job_id
+            if job_id in self._runs:
                 continue
-            record = self._outcomes.get(entry.job_id)
-            if record is None:
-                continue  # journaled done but record disposed mid-write
-            run = typing.cast(
-                JobRun,
-                RestoredRun(record, entry.ajo_bytes, self.storage.blobs),
-            )
-            self._runs[entry.job_id] = run
+            run = typing.cast(JobRun, RestoredRun(
+                record,
+                functools.partial(self.journal.ajo_bytes, job_id),
+                self.storage.blobs,
+            ))
+            self._runs[job_id] = run
             status = run.status()
             self._index.add(
-                entry.job_id, run.user_dn, status.value, status.is_terminal
+                job_id, run.user_dn, status.value, status.is_terminal
             )
             self._changes.record(
                 self._listing_for(run, status.value), run.user_dn
@@ -1539,7 +1552,6 @@ class NetworkJobSupervisor:
                     vsite.batch.cancel(local_id)
             except (BatchError, UnknownJobError):
                 pass
-        entry.delivered.clear()
         # Stale job directories would collide with the replay's creates.
         prefix = f"{entry.job_id}."
         for vsite in self.vsites.values():
@@ -1597,7 +1609,7 @@ class NetworkJobSupervisor:
     def _listing_for(self, run: JobRun, status_value: str) -> JobListing:
         return JobListing(
             job_id=run.job_id,
-            name=run.root.name,
+            name=run.name,
             status=status_value,
             submitted_at=run.submitted_at,
             recovered=run.recovered,
@@ -1766,7 +1778,7 @@ class NetworkJobSupervisor:
         self._changes.record_removed(job_id, run.user_dn)
         with self.storage.batch():
             self.journal.forget(job_id)
-            self._outcomes.forget(job_id)
+            self.outcomes.forget(job_id)
         for parent_id, foreign in list(self._foreign_runs.items()):
             if foreign is run:
                 del self._foreign_runs[parent_id]

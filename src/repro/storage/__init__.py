@@ -1,4 +1,4 @@
-"""The pluggable persistence layer (tables, logs, snapshots).
+"""The pluggable persistence layer (tables, blobs, snapshots).
 
 Every stateful component of the reproduction — the NJS write-ahead
 journal and outcome store, UUDB mappings, resource pages — persists
@@ -12,7 +12,6 @@ on top of it.
 """
 
 from repro.storage.backend import (
-    Log,
     StorageBackend,
     StorageSpec,
     Table,
@@ -30,7 +29,6 @@ from repro.storage.sqlite import SQLiteBackend
 __all__ = [
     "JobJournal",
     "JournalEntry",
-    "Log",
     "MemoryBackend",
     "OutcomeRecord",
     "OutcomeStore",

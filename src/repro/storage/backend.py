@@ -1,4 +1,4 @@
-"""The pluggable persistence interface: tables, logs, and batches.
+"""The pluggable persistence interface: tables, blobs, and batches.
 
 Section 4.2 makes the NJS the single stateful tier between users and
 batch systems; this module defines the storage surface that state lives
@@ -13,16 +13,15 @@ behind, mirroring the transport split of :mod:`repro.net.transport`:
     the stdlib ``sqlite3``, either ``:memory:`` or an on-disk file.
 
 The surface is deliberately tiny: named key/value **tables**
-(:class:`Table`), named append-only **logs** (:class:`Log`), one
-content-addressed **blob store** (:class:`BlobStore`) holding every
-file body, and a transactional :meth:`StorageBackend.batch` grouping
-writes into one durable unit.  Every stateful component — the NJS
-journal and outcome store, UUDB mappings, resource pages — persists
-through these calls only, so flipping the backend never touches
-component logic.
+(:class:`Table`), one content-addressed **blob store**
+(:class:`BlobStore`) holding every file body, and a transactional
+:meth:`StorageBackend.batch` grouping writes into one durable unit.
+Every stateful component — the NJS journal and outcome store, UUDB
+mappings, resource pages — persists through these calls only, so
+flipping the backend never touches component logic.
 
-Tables and logs carry *metadata* through the tagged-JSON codec; a file
-body never does.  A record that names files stores a ``{path: digest}``
+Tables carry *metadata* through the tagged-JSON codec; a file body
+never does.  A record that names files stores a ``{path: digest}``
 manifest and the bodies go to the blob store as raw bytes, once per
 distinct content however many records name it.
 
@@ -50,7 +49,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Table",
-    "Log",
     "BlobStore",
     "StorageBackend",
     "StorageSpec",
@@ -91,42 +89,16 @@ class Table:
         return self._backend._table_keys(self.name)
 
     def items(self) -> list[tuple[str, object]]:
-        return [(key, self.get(key)) for key in self.keys()]
+        """Every row in key order: one scan, not a lookup per key."""
+        rows = self._backend._table_dump(self.name)
+        self._backend._count_read(sum(len(data) for _, data in rows))
+        return [(key, decode_value(data)) for key, data in rows]
 
     def __contains__(self, key: str) -> bool:
         return self._backend._table_get(self.name, key) is not None
 
     def __len__(self) -> int:
         return len(self.keys())
-
-
-class Log:
-    """A named append-only record log (the write-ahead-journal shape)."""
-
-    def __init__(self, backend: "StorageBackend", name: str) -> None:
-        self._backend = backend
-        self.name = name
-
-    def append(self, value: object) -> int:
-        """Durably append one record; returns its sequence number."""
-        data = encode_value(value)
-        seq = self._backend._log_append(self.name, data)
-        self._backend._count_write(len(data))
-        return seq
-
-    def records(self) -> list[object]:
-        """Every record, in append order."""
-        rows = self._backend._log_records(self.name)
-        self._backend._count_read(sum(len(row) for row in rows))
-        return [decode_value(row) for row in rows]
-
-    def truncate(self) -> None:
-        """Drop every record (journal compaction)."""
-        self._backend._log_truncate(self.name)
-        self._backend._count_write(0)
-
-    def __len__(self) -> int:
-        return self._backend._log_len(self.name)
 
 
 class BlobStore:
@@ -190,11 +162,11 @@ class BlobStore:
 
 
 class StorageBackend:
-    """Abstract persistence backend: tables + logs + blobs + batches.
+    """Abstract persistence backend: tables + blobs + batches.
 
     Subclasses implement the underscore primitives; the public surface
-    (:meth:`table`, :meth:`log`, :meth:`batch`, :meth:`dump`,
-    :meth:`load`) plus all instrumentation is shared here.
+    (:meth:`table`, :meth:`batch`, :meth:`dump`, :meth:`load`) plus all
+    instrumentation is shared here.
 
     Counters (``writes``, ``reads``, ``fsyncs``, ``bytes_written``,
     ``bytes_read``, ``blob_dedup_hits``) are plain attributes always
@@ -224,9 +196,6 @@ class StorageBackend:
     def table(self, name: str) -> Table:
         return Table(self, name)
 
-    def log(self, name: str) -> Log:
-        return Log(self, name)
-
     def batch(self) -> typing.ContextManager[None]:
         """Group writes into one durable unit (one fsync, all-or-nothing)."""
         return _Batch(self)
@@ -248,15 +217,11 @@ class StorageBackend:
             }
             for name in self._table_names()
         }
-        logs = {
-            name: [to_plain(decode_value(row)) for row in self._log_records(name)]
-            for name in self._log_names()
-        }
         blobs = {
             digest: {"refs": refs, "body": to_plain(body)}
             for digest, refs, body in self._blob_dump()
         }
-        return {"tables": tables, "logs": logs, "blobs": blobs}
+        return {"tables": tables, "blobs": blobs}
 
     def load(self, dump: dict[str, typing.Any]) -> None:
         """Replace the backend contents with a :meth:`dump`."""
@@ -271,9 +236,6 @@ class StorageBackend:
             for name, rows in dump.get("tables", {}).items():
                 for key, value in rows.items():
                     self._table_put(name, key, encode_value(from_plain(value)))
-            for name, records in dump.get("logs", {}).items():
-                for value in records:
-                    self._log_append(name, encode_value(from_plain(value)))
             for digest, refs, body in blobs:
                 self._blob_load(digest, refs, body)
 
@@ -321,21 +283,6 @@ class StorageBackend:
         raise NotImplementedError
 
     def _table_names(self) -> list[str]:
-        raise NotImplementedError
-
-    def _log_append(self, log: str, data: bytes) -> int:
-        raise NotImplementedError
-
-    def _log_records(self, log: str) -> list[bytes]:
-        raise NotImplementedError
-
-    def _log_truncate(self, log: str) -> None:
-        raise NotImplementedError
-
-    def _log_len(self, log: str) -> int:
-        raise NotImplementedError
-
-    def _log_names(self) -> list[str]:
         raise NotImplementedError
 
     def _blob_put(self, digest: str, body: bytes) -> bool:

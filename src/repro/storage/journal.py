@@ -3,24 +3,37 @@
 Section 4.2 makes the NJS the single stateful component between the
 user and the batch systems; losing its in-memory tables used to lose
 every job in flight.  The journal fixes that with the classic recipe:
-every consignment is recorded *before* supervision starts, every batch
-delivery is recorded as it happens, and completed jobs are marked done.
-After a crash, :meth:`NetworkJobSupervisor.restart` replays every
-incomplete entry — same job id, same AJO bytes, same trace — so clients
-polling through the outage simply see their job again (flagged
-``recovered`` in listings).
+every consignment is recorded *before* supervision starts and every
+batch delivery is recorded as it happens.  After a crash,
+:meth:`NetworkJobSupervisor.restart` replays every incomplete entry —
+same job id, same AJO bytes, same trace — so clients polling through the
+outage simply see their job again (flagged ``recovered`` in listings).
 
-The journal is now a thin typed view over a
-:class:`~repro.storage.backend.StorageBackend` append-only log.  The
-in-memory ``JournalEntry`` table is a cache: :meth:`reload` rebuilds it
-record by record from the backend, which is what lets a *cold-started*
-NJS (new process, same SQLite file) recover jobs consigned by its
-previous life — not just one that kept its Python heap across
-:meth:`crash`.
+The journal is a table of *live* rows in a
+:class:`~repro.storage.backend.StorageBackend`, not a history:
 
-Records are metadata only.  The files a consignment carries (workstation
+* one **consign row** per job, keyed by the job id, written once and
+  never rewritten;
+* one small **delivery row** per delivered action, keyed
+  ``job_id/action_id`` (job ids contain no ``/``).
+
+There is no "done" row.  A job is finished exactly when its outcome row
+exists (:class:`~repro.storage.outcomes.OutcomeStore`): the batch that
+writes the outcome calls :meth:`JobJournal.finish`, which deletes the
+job's delivery rows and drops its entry from memory.  The consign row
+stays until :meth:`JobJournal.forget` (disposal) because status queries
+on a finished job still want the AJO — :meth:`JobJournal.ajo_bytes`
+reads it on demand — but a restart never reads it.
+
+So :meth:`JobJournal.reload` costs what is in flight, whatever the
+history: one key scan of the table, minus the finished job ids the
+caller took from the outcome table, then one read per incomplete consign
+row and per delivery row of such a job.  ``len(journal)`` is the number
+of jobs in flight.
+
+Rows are metadata only.  The files a consignment carries (workstation
 imports, a forwarded group's staging) go to the backend's blob store and
-the record keeps their ``{path: digest}`` manifest, so a reload reads no
+the row keeps their ``{path: digest}`` manifest, so a reload reads no
 file body; :meth:`JobJournal.staged_files` fetches them when a replay
 needs them, and :meth:`JobJournal.forget` releases them.
 """
@@ -31,6 +44,7 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.storage.backend import StorageBackend
+from repro.storage.errors import StorageError
 from repro.storage.memory import MemoryBackend
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -57,14 +71,14 @@ class JournalEntry:
     #: ``(corr_id, reply_usite, return_files)`` for forwarded groups, so
     #: a replayed group can still send its GroupResult home.
     forward_meta: ForwardMeta | None = None
-    #: Batch jobs delivered before the crash: ``action_id -> (vsite,
-    #: local_id)``.  Replay cancels the survivors before resubmitting.
+    #: Batch jobs delivered so far, by this life of the NJS or an earlier
+    #: one: ``action_id -> (vsite, local_id)``.  Replay cancels the
+    #: survivors before resubmitting.
     delivered: dict[str, tuple[str, str]] = field(default_factory=dict)
-    done: bool = False
 
 
 class JobJournal:
-    """In-order journal of consigned jobs over durable backend storage."""
+    """The jobs in flight at one NJS, over durable backend storage."""
 
     def __init__(
         self,
@@ -74,17 +88,22 @@ class JobJournal:
     ) -> None:
         self.storage = storage if storage is not None else MemoryBackend()
         self.name = name
-        self._log = self.storage.log(name)
+        self._table = self.storage.table(name)
         self._blobs = self.storage.blobs
         self._metrics = metrics
+        #: In consignment order.  A journal opened over a backend with a
+        #: previous life's rows is empty until :meth:`reload`.
         self._entries: dict[str, JournalEntry] = {}
-        if len(self._log):
-            self.reload()
 
-    def _append(self, record: dict[str, typing.Any]) -> None:
-        self._log.append(record)
+    def _put(self, key: str, row: object) -> None:
+        self._table.put(key, row)
         if self._metrics is not None:
             self._metrics.counter("njs.journal.records").inc()
+
+    def _row(self, job_id: str) -> dict[str, typing.Any] | None:
+        return typing.cast(
+            "dict[str, typing.Any] | None", self._table.get(job_id)
+        )
 
     # -- writes (called on the supervision hot path) ------------------------
     def record_consign(
@@ -97,7 +116,7 @@ class JobJournal:
         parent_job_id: str | None = None,
         forward_meta: ForwardMeta | None = None,
     ) -> JournalEntry:
-        # Bodies and the record naming them are one durable unit.
+        # Bodies and the row naming them are one durable unit.
         with self.storage.batch():
             entry = JournalEntry(
                 job_id=job_id,
@@ -108,9 +127,7 @@ class JobJournal:
                 parent_job_id=parent_job_id,
                 forward_meta=forward_meta,
             )
-            self._append({
-                "kind": "consign",
-                "job_id": job_id,
+            self._put(job_id, {
                 "ajo_bytes": ajo_bytes,
                 "user_dn": user_dn,
                 "workstation_files": entry.workstation_files,
@@ -129,80 +146,98 @@ class JobJournal:
         entry = self._entries.get(job_id)
         if entry is not None:
             entry.delivered[action_id] = (vsite, local_id)
-            self._append({
-                "kind": "delivery",
-                "job_id": job_id,
-                "action_id": action_id,
-                "vsite": vsite,
-                "local_id": local_id,
-            })
+            self._put(f"{job_id}/{action_id}", [vsite, local_id])
 
-    def record_done(self, job_id: str) -> None:
-        entry = self._entries.get(job_id)
-        if entry is not None and not entry.done:
-            entry.done = True
-            self._append({"kind": "done", "job_id": job_id})
-
-    def forget(self, job_id: str) -> None:
-        """Drop a disposed job's entry entirely (a tombstone record) and
-        release the file bodies it named."""
+    def finish(self, job_id: str) -> None:
+        """Retire a job from the journal; the caller writes its outcome
+        row in the same batch, and that row is what marks it finished."""
         entry = self._entries.get(job_id)
         if entry is not None:
-            with self.storage.batch():
-                self._append({"kind": "forget", "job_id": job_id})
-                self._blobs.release_files(entry.workstation_files)
+            for action_id in entry.delivered:
+                self._table.delete(f"{job_id}/{action_id}")
             del self._entries[job_id]
+
+    def forget(self, job_id: str) -> None:
+        """Drop a disposed job's rows and release the file bodies its
+        consignment named."""
+        entry = self._entries.get(job_id)
+        if entry is not None:
+            manifest = entry.workstation_files
+        elif (row := self._row(job_id)) is not None:
+            manifest = row["workstation_files"]
+        else:
+            return
+        with self.storage.batch():
+            self.finish(job_id)
+            self._table.delete(job_id)
+            self._blobs.release_files(manifest)
+
+    # -- reads ---------------------------------------------------------------
+    def ajo_bytes(self, job_id: str) -> bytes:
+        """The AJO a job was consigned as, read from its consign row."""
+        row = self._row(job_id)
+        if row is None:
+            raise StorageError(f"no journal row for job {job_id!r}")
+        return typing.cast(bytes, row["ajo_bytes"])
 
     def staged_files(self, entry: JournalEntry) -> dict[str, bytes]:
         """The bodies of the files ``entry`` was consigned with."""
         return self._blobs.get_files(entry.workstation_files)
 
     # -- recovery ------------------------------------------------------------
-    def reload(self) -> None:
-        """Rebuild the entry table from the durable log (cold start)."""
-        self._entries.clear()
-        for record in self._log.records():
-            self._fold(typing.cast("dict[str, typing.Any]", record))
+    def reload(
+        self,
+        finished: typing.Collection[str],
+        order: typing.Callable[[str], typing.Any],
+    ) -> None:
+        """Rebuild the entry table from storage (cold start).
 
-    def _fold(self, record: dict[str, typing.Any]) -> None:
-        kind = record["kind"]
-        job_id = record["job_id"]
-        if kind == "consign":
-            meta = record["forward_meta"]
+        ``finished`` holds the job ids that have an outcome row; their
+        rows are skipped by key, unread.  ``order`` is the sort key that
+        puts job ids in consignment order — table keys come back sorted
+        as text, and only the issuer of the ids knows how they count.
+        """
+        self._entries.clear()
+        live: list[str] = []
+        deliveries: list[tuple[str, str]] = []
+        for key in self._table.keys():
+            job_id, slash, action_id = key.partition("/")
+            if job_id in finished:
+                continue
+            if slash:
+                deliveries.append((job_id, action_id))
+            else:
+                live.append(job_id)
+        for job_id in sorted(live, key=order):
+            row = self._row(job_id)
+            assert row is not None
+            meta = row["forward_meta"]
             self._entries[job_id] = JournalEntry(
                 job_id=job_id,
-                ajo_bytes=record["ajo_bytes"],
-                user_dn=record["user_dn"],
-                workstation_files=dict(record["workstation_files"]),
-                trace_id=record["trace_id"],
-                parent_job_id=record["parent_job_id"],
+                ajo_bytes=row["ajo_bytes"],
+                user_dn=row["user_dn"],
+                workstation_files=dict(row["workstation_files"]),
+                trace_id=row["trace_id"],
+                parent_job_id=row["parent_job_id"],
                 forward_meta=(
                     None if meta is None
                     else (meta[0], meta[1], tuple(meta[2]))
                 ),
             )
-        elif kind == "delivery":
+        for job_id, action_id in deliveries:
             entry = self._entries.get(job_id)
-            if entry is not None:
-                entry.delivered[record["action_id"]] = (
-                    record["vsite"], record["local_id"],
+            if entry is not None:  # no consign row: nothing to replay
+                vsite, local_id = typing.cast(
+                    "list[str]", self._table.get(f"{job_id}/{action_id}")
                 )
-        elif kind == "done":
-            entry = self._entries.get(job_id)
-            if entry is not None:
-                entry.done = True
-        elif kind == "forget":
-            self._entries.pop(job_id, None)
+                entry.delivered[action_id] = (vsite, local_id)
 
     def incomplete(self) -> list[JournalEntry]:
         """Entries to replay after a crash, in consignment order."""
-        return [e for e in self._entries.values() if not e.done]
-
-    def entries(self) -> list[JournalEntry]:
-        """Every live entry, in consignment order."""
         return list(self._entries.values())
 
     def entry(self, job_id: str) -> JournalEntry | None:
+        """The entry of a job in flight; None once it has finished."""
         return self._entries.get(job_id)
 
     def __len__(self) -> int:

@@ -1,6 +1,6 @@
 """The default in-process backend: deterministic, zero-dependency.
 
-Table and log values still pass through the canonical byte codec on
+Table values still pass through the canonical byte codec on
 every write and read, so the in-memory backend has *exactly* the
 round-trip semantics of SQLite (tuples come back as lists, dict keys as
 strings, bytes as bytes) — a test that passes here passes there.  File
@@ -37,7 +37,6 @@ class MemoryBackend(StorageBackend):
     def __init__(self) -> None:
         super().__init__()
         self._tables: dict[str, dict[str, bytes]] = {}
-        self._logs: dict[str, list[bytes]] = {}
         self._blob_refs: dict[str, int] = {}
         self._blob_bodies: dict[str, bytes] = {}
         #: Inverses of the open batch's writes; None outside a batch.
@@ -69,28 +68,6 @@ class MemoryBackend(StorageBackend):
 
     def _table_names(self) -> list[str]:
         return sorted(name for name, rows in self._tables.items() if rows)
-
-    # -- log primitives ------------------------------------------------------
-    def _log_append(self, log: str, data: bytes) -> int:
-        records = self._logs.setdefault(log, [])
-        records.append(data)
-        if self._undo is not None:
-            self._undo.append(records.pop)
-        return len(records)
-
-    def _log_records(self, log: str) -> list[bytes]:
-        return list(self._logs.get(log, ()))
-
-    def _log_truncate(self, log: str) -> None:
-        records = self._logs.pop(log, None)
-        if records is not None and self._undo is not None:
-            self._undo.append(lambda: self._logs.__setitem__(log, records))
-
-    def _log_len(self, log: str) -> int:
-        return len(self._logs.get(log, ()))
-
-    def _log_names(self) -> list[str]:
-        return sorted(name for name, records in self._logs.items() if records)
 
     # -- blob primitives -----------------------------------------------------
     def _blob_put(self, digest: str, body: bytes) -> bool:
@@ -135,7 +112,6 @@ class MemoryBackend(StorageBackend):
 
     def _clear(self) -> None:
         self._tables.clear()
-        self._logs.clear()
         self._blob_refs.clear()
         self._blob_bodies.clear()
 

@@ -2,8 +2,10 @@
 
 A finished job's observable surface — its status rollup, the encoded
 outcome tree (stdout/stderr included), and the Uspace files the user may
-still fetch — is written here in one batch with the journal's ``done``
-record.  A cold-started NJS rebuilds *finished* jobs from this table as
+still fetch — is written here, and the row's existence is what *makes*
+the job finished: the journal keeps no "done" mark of its own (see
+:mod:`repro.storage.journal`).  A cold-started NJS rebuilds finished
+jobs from one scan of this table (:meth:`OutcomeStore.records`) as
 :class:`~repro.server.njs.restored.RestoredRun` views, so completion
 survives a full-site restart exactly as section 4.2's "single stateful
 tier" demands, and disposal deletes the record just like it destroys
@@ -73,8 +75,21 @@ class OutcomeStore:
 
     def get(self, job_id: str) -> OutcomeRecord | None:
         raw = typing.cast("dict[str, typing.Any] | None", self._table.get(job_id))
-        if raw is None:
-            return None
+        return None if raw is None else self._record(job_id, raw)
+
+    def records(
+        self, order: typing.Callable[[str], typing.Any]
+    ) -> list[OutcomeRecord]:
+        """Every finished job from one table scan, sorted by ``order`` of
+        the job id (the issuer's key for consignment order)."""
+        rows = typing.cast(
+            "list[tuple[str, dict[str, typing.Any]]]", self._table.items()
+        )
+        rows.sort(key=lambda row: order(row[0]))
+        return [self._record(job_id, raw) for job_id, raw in rows]
+
+    @staticmethod
+    def _record(job_id: str, raw: dict[str, typing.Any]) -> OutcomeRecord:
         return OutcomeRecord(
             job_id=job_id,
             name=raw["name"],

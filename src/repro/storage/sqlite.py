@@ -1,14 +1,13 @@
 """Real durability via the stdlib ``sqlite3``.
 
-One database file (or ``:memory:``) holds every table, log and file
-body of a deployment in three relations::
+One database file (or ``:memory:``) holds every table and file body of
+a deployment in two relations::
 
     kv   (tbl TEXT, key TEXT, value BLOB)          -- the named tables
-    logs (log TEXT, seq INTEGER, value BLOB)       -- the append-only logs
     blobs(digest TEXT, refs INTEGER, body BLOB)    -- the blob store
 
-``kv`` and ``logs`` values are the canonical codec bytes and ``body`` is
-the raw file content, so a database written by one process is readable
+``kv`` values are the canonical codec bytes and ``body`` is the raw
+file content, so a database written by one process is readable
 by a cold-started successor — the warm-restart story of the persistence
 layer.  :meth:`StorageBackend.batch` maps to a real transaction: either
 every record of a consignment lands, bodies included, or none does.
@@ -27,8 +26,9 @@ from repro.storage.errors import StorageError
 __all__ = ["SQLiteBackend", "FORMAT_VERSION"]
 
 #: Stamped into ``PRAGMA user_version``.  1 (never stamped, so 0 on
-#: disk) kept file bodies base64-encoded inside ``kv`` / ``logs`` rows.
-FORMAT_VERSION = 2
+#: disk) kept file bodies base64-encoded inside its rows; 2 kept the NJS
+#: journal as an append-only ``logs`` relation.
+FORMAT_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE kv (
@@ -36,12 +36,6 @@ CREATE TABLE kv (
     key   TEXT NOT NULL,
     value BLOB NOT NULL,
     PRIMARY KEY (tbl, key)
-);
-CREATE TABLE logs (
-    log   TEXT NOT NULL,
-    seq   INTEGER NOT NULL,
-    value BLOB NOT NULL,
-    PRIMARY KEY (log, seq)
 );
 CREATE TABLE blobs (
     digest TEXT PRIMARY KEY,
@@ -64,12 +58,6 @@ class SQLiteBackend(StorageBackend):
         # autocommit mode keeps the transaction boundaries ours alone.
         self._conn.isolation_level = None
         self._open_schema()
-        self._next_seq: dict[str, int] = {
-            log: int(top)
-            for log, top in self._conn.execute(
-                "SELECT log, MAX(seq) FROM logs GROUP BY log"
-            )
-        }
 
     def _open_schema(self) -> None:
         """Create the relations in an empty file; refuse a foreign layout."""
@@ -135,42 +123,6 @@ class SQLiteBackend(StorageBackend):
             )
         ]
 
-    # -- log primitives ------------------------------------------------------
-    def _log_append(self, log: str, data: bytes) -> int:
-        seq = self._next_seq.get(log, 0) + 1
-        self._next_seq[log] = seq
-        self._conn.execute(
-            "INSERT INTO logs (log, seq, value) VALUES (?, ?, ?)",
-            (log, seq, data),
-        )
-        return seq
-
-    def _log_records(self, log: str) -> list[bytes]:
-        return [
-            bytes(row[0])
-            for row in self._conn.execute(
-                "SELECT value FROM logs WHERE log = ? ORDER BY seq", (log,)
-            )
-        ]
-
-    def _log_truncate(self, log: str) -> None:
-        self._conn.execute("DELETE FROM logs WHERE log = ?", (log,))
-        self._next_seq.pop(log, None)
-
-    def _log_len(self, log: str) -> int:
-        row = self._conn.execute(
-            "SELECT COUNT(*) FROM logs WHERE log = ?", (log,)
-        ).fetchone()
-        return int(row[0])
-
-    def _log_names(self) -> list[str]:
-        return [
-            row[0]
-            for row in self._conn.execute(
-                "SELECT DISTINCT log FROM logs ORDER BY log"
-            )
-        ]
-
     # -- blob primitives -----------------------------------------------------
     def _blob_put(self, digest: str, body: bytes) -> bool:
         cursor = self._conn.execute(
@@ -222,9 +174,7 @@ class SQLiteBackend(StorageBackend):
 
     def _clear(self) -> None:
         self._conn.execute("DELETE FROM kv")
-        self._conn.execute("DELETE FROM logs")
         self._conn.execute("DELETE FROM blobs")
-        self._next_seq.clear()
 
     # -- transactions --------------------------------------------------------
     def _begin(self) -> None:

@@ -78,12 +78,15 @@ def test_pipeline_handoff_is_stored_once_and_restored_lazily(storage):
 
     # -- one body, three names ------------------------------------------
     handoff = hashlib.sha256(b"\x00" * RESULT_FILE_BYTES).hexdigest()
-    (forwarded,) = grid.usites["ZIB"].njs.journal.entries()
-    assert forwarded.parent_job_id == pipeline.job_id
+    # The forwarded group finished, so the child's journal holds it only
+    # as its consign row.
+    assert len(grid.usites["ZIB"].njs.journal) == 0
+    ((forwarded_id, consigned),) = backend.table("ZIB.journal").items()
+    assert consigned["parent_job_id"] == pipeline.job_id
     parent_outcome = OutcomeStore(backend, "FZJ.outcomes").get(pipeline.job_id)
-    child_outcome = OutcomeStore(backend, "ZIB.outcomes").get(forwarded.job_id)
+    child_outcome = OutcomeStore(backend, "ZIB.outcomes").get(forwarded_id)
     assert parent_outcome.files["hand.off"] == handoff
-    assert forwarded.workstation_files == {"hand.off": handoff}
+    assert consigned["workstation_files"] == {"hand.off": handoff}
     assert child_outcome.files["hand.off"] == handoff
     assert backend.dump()["blobs"][handoff]["refs"] == 3
     assert backend.blobs.digests().count(handoff) == 1
@@ -96,7 +99,7 @@ def test_pipeline_handoff_is_stored_once_and_restored_lazily(storage):
     reads = [
         ("FZJ", pipeline.job_id, "hand.off"),
         ("FZJ", importer.job_id, "kept.dat"),
-        ("ZIB", forwarded.job_id, "hand.off"),
+        ("ZIB", forwarded_id, "hand.off"),
     ]
     before = _served(grid, user, reads)
     assert before[1][0] == IMPORTED
@@ -119,17 +122,22 @@ def test_pipeline_handoff_is_stored_once_and_restored_lazily(storage):
     assert backend.dump()["blobs"] == {}
 
 
-def test_version_1_snapshot_is_refused_with_the_registered_code(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_snapshot_is_refused_with_the_registered_code(tmp_path, version):
     grid, _, session = _grid("memory")
     assert session.wait(session.submit(_importer(session))).status == "successful"
     snap = grid.snapshot()
     assert sorted(snap.storage["blobs"]) == grid.storage.blobs.digests()
+    assert sorted(snap.storage) == ["blobs", "tables"]
 
-    # What the previous layout wrote: version 1, no "blobs" section.
+    # What the previous layouts wrote: version 1 had no "blobs" section,
+    # version 2 kept the journal in a "logs" section.
     plain = decode_value(snap.to_bytes())
-    plain["version"] = 1
-    del plain["storage"]["blobs"]
-    path = tmp_path / "v1.snapshot"
+    plain["version"] = version
+    if version == 1:
+        del plain["storage"]["blobs"]
+    plain["storage"]["logs"] = {"FZJ.journal": [{"kind": "done", "job_id": "U1"}]}
+    path = tmp_path / "old.snapshot"
     path.write_bytes(encode_value(plain))
 
     for thaw in (

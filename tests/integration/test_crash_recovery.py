@@ -41,14 +41,18 @@ def test_njs_crash_mid_dag_recovers_via_journal_replay():
     # Let stage-a finish and stage-b get going, then pull the plug.
     session.advance(600.0)
     assert njs.journal.entry(handle.job_id) is not None
+    assert len(njs.journal) == 1
     njs.crash()
     assert njs.crashed
     session.advance(45.0)
     njs.restart()
     assert njs.replays == 1
+    assert len(njs.journal) == 1
 
     final = session.wait(handle)
     assert final.status == "successful"
+    # Finished: the outcome row says so, and the journal lets the job go.
+    assert len(njs.journal) == 0 and handle.job_id in njs.outcomes
 
     # The replayed run is flagged for the user and traced for operators.
     rows = session.list_jobs()
@@ -83,6 +87,7 @@ def test_client_polls_ride_out_the_crash_window():
     assert final.status == "successful"
     assert njs.crashes == 1
     assert njs.replays == 1
+    assert len(njs.journal) == 0
 
 
 def test_crash_before_any_delivery_still_replays():
@@ -95,6 +100,28 @@ def test_crash_before_any_delivery_still_replays():
     sim.schedule_callback(30.0, njs.restart)
     final = session.wait(handle)
     assert final.status == "successful"
+    assert len(njs.journal) == 0
+
+
+def test_restart_restores_only_the_finished_runs_memory_lost():
+    """A finished run that survived the crash in memory is kept as it is;
+    only the ones missing from memory come back from the outcome store."""
+    grid, session = _session(seed=17)
+    njs = grid.usites["FZJ"].njs
+    handles = [session.submit(_dag_job(session, f"dag-{i}", 10.0))
+               for i in range(2)]
+    for handle in handles:
+        assert session.wait(handle).status == "successful"
+    njs.crash()
+    kept = njs._runs[handles[0].job_id]
+    del njs._runs[handles[1].job_id]
+    njs.restart()
+    assert njs._runs[handles[0].job_id] is kept
+    metrics = telemetry_for(grid.sim).metrics
+    assert metrics.counter("njs.restored_runs").value == 1
+    assert [r.job_id for r in session.list_jobs()] == [
+        h.job_id for h in handles
+    ]
 
 
 def test_vsite_outage_queues_tasks_instead_of_failing():

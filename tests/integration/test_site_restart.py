@@ -44,6 +44,17 @@ def _quick_job(session, name="quick", runtime_s=50.0):
     return job
 
 
+def _journal_holds_the_jobs_in_flight(njs):
+    """The journal's size is the number of non-terminal jobs, not history."""
+    in_flight = {
+        job_id for job_id, run in njs._runs.items()
+        if not run.status().is_terminal
+    }
+    return {e.job_id for e in njs.journal.incomplete()} == in_flight and (
+        len(njs.journal) == len(in_flight)
+    )
+
+
 def test_full_site_restart_loses_no_jobs():
     """Gateway + NJS + UUDB die mid-workload; SQLite brings it all back."""
     grid, session = _grid()
@@ -54,6 +65,8 @@ def test_full_site_restart_loses_no_jobs():
 
     inflight = session.submit(_dag_job(session, "caught-midflight"))
     session.advance(600.0)  # stage-a done, stage-b running
+    assert _journal_holds_the_jobs_in_flight(usite.njs)
+    assert len(usite.njs.journal) == 1
 
     usite.crash_site()
     assert usite.njs.crashed and all(gw.down for gw in usite.gateways)
@@ -61,9 +74,12 @@ def test_full_site_restart_loses_no_jobs():
     assert len(usite.njs._runs) == 0
     session.advance(45.0)
     usite.restart_site()
+    assert _journal_holds_the_jobs_in_flight(usite.njs)
+    assert len(usite.njs.journal) == 1
 
     final = session.wait(inflight)
     assert final.status == "successful"
+    assert len(usite.njs.journal) == 0
 
     rows = {row.job_id: row for row in session.list_jobs()}
     assert set(rows) == {finished.job_id, inflight.job_id}
@@ -91,6 +107,7 @@ def test_restored_listing_serves_files_and_disposal():
     usite.crash_site()
     session.advance(30.0)
     usite.restart_site()
+    assert len(usite.njs.journal) == 0  # finished: not the journal's business
 
     # Uspace files of the restored job come back from the manifest.
     content = session.fetch_file(handle, "only.o1")
@@ -99,6 +116,8 @@ def test_restored_listing_serves_files_and_disposal():
     session.dispose(handle)
     assert session.list_jobs() == []
     assert usite.njs.journal.entry(handle.job_id) is None
+    assert grid.storage.table("FZJ.journal").keys() == []
+    assert handle.job_id not in usite.njs.outcomes
 
 
 def test_uudb_and_resource_pages_survive_cold_restart():
@@ -152,6 +171,42 @@ def test_forwarded_group_replays_after_child_site_cold_restart():
     ).value >= 1
     outcome = session.outcome(handle)
     assert outcome.rollup_status().value == "successful"
+    for usite in grid.usites.values():
+        assert len(usite.njs.journal) == 0
+        assert _journal_holds_the_jobs_in_flight(usite.njs)
+
+
+def test_cold_restart_keeps_consignment_order_past_the_id_padding():
+    """``U100000`` sorts before ``U99999`` as text; recovery must not."""
+    grid, session = _grid(seed=27)
+    usite = grid.usites["FZJ"]
+    njs = usite.njs
+    grid.storage.table("FZJ.meta").put("job_seq", 99_998)
+    handles = [
+        session.submit(_quick_job(session, f"job-{i}", runtime_s=2000.0))
+        for i in range(4)
+    ]
+    ids = [h.job_id for h in handles]
+    assert ids == [f"U{seq}@FZJ" for seq in (99999, 100000, 100001, 100002)]
+    assert sorted(ids) != ids
+    dn = "CN=Site Tester, O=Test, C=DE"
+    listed = [row.job_id for row in njs.list_jobs(dn)]
+
+    # Four jobs in flight: reloaded and replayed in consignment order.
+    usite.crash_site()
+    usite.restart_site()
+    assert [e.job_id for e in njs.journal.incomplete()] == ids
+    assert list(njs._runs) == ids
+    assert [row.job_id for row in njs.list_jobs(dn)] == listed
+
+    # Four jobs finished: restored in consignment order.
+    for handle in handles:
+        assert session.wait(handle).status == "successful"
+    usite.crash_site()
+    usite.restart_site()
+    assert len(njs.journal) == 0 and list(njs._runs) == ids
+    assert [row.job_id for row in njs.list_jobs(dn)] == listed
+    assert all(row.recovered for row in njs.list_jobs(dn))
 
 
 def test_site_restart_fault_kind_is_opt_in():
@@ -172,6 +227,7 @@ def test_site_restart_fault_kind_is_opt_in():
     metrics = telemetry_for(grid.sim).metrics
     assert metrics.counter("faults.site_restart").value == 1
     assert metrics.counter("njs.journal_replays").value == 1
+    assert len(grid.usites["FZJ"].njs.journal) == 0
 
 
 def test_snapshot_mid_workload_restores_and_replays():
@@ -184,6 +240,8 @@ def test_snapshot_mid_workload_restores_and_replays():
 
     restored = build_grid(restore_from=snap)
     assert restored.sim.now == grid.sim.now
+    assert _journal_holds_the_jobs_in_flight(restored.usites["FZJ"].njs)
+    assert len(restored.usites["FZJ"].njs.journal) == 1
     user = restored.users["Site Tester"]
     session2 = GridSession(restored, user, "FZJ")
     final = session2.wait(handle.job_id)
@@ -191,3 +249,22 @@ def test_snapshot_mid_workload_restores_and_replays():
     rows = session2.list_jobs()
     assert [r.job_id for r in rows] == [handle.job_id]
     assert rows[0].recovered
+
+
+def test_cli_restore_reports_finished_and_in_flight_jobs(tmp_path, capsys):
+    """`repro restore` counts finished jobs from the outcome store and
+    in-flight ones from the journal."""
+    from repro.__main__ import main
+
+    grid, session = _grid(seed=28)
+    finished = session.submit(_quick_job(session, "finished-before"))
+    assert session.wait(finished).status == "successful"
+    session.submit(_dag_job(session, "caught-midflight"))
+    session.advance(600.0)
+    path = tmp_path / "grid.snapshot"
+    session.snapshot().save(str(path))
+
+    main(["restore", str(path)])
+    printed = capsys.readouterr().out
+    assert "1 site(s), 1 user(s)" in printed
+    assert "FZJ: 1 finished job(s) restored, 1 in flight replayed" in printed

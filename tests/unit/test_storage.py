@@ -69,28 +69,32 @@ def test_table_crud_and_listing(backend_cls):
 
 
 @pytest.mark.parametrize("backend_cls", BACKENDS)
-def test_log_append_order_and_truncate(backend_cls):
+def test_table_items_is_one_read_in_key_order(backend_cls):
     backend = backend_cls()
-    log = backend.log("journal")
-    seqs = [log.append({"n": i}) for i in range(5)]
-    assert seqs == sorted(seqs)
-    assert [r["n"] for r in log.records()] == [0, 1, 2, 3, 4]
-    assert len(log) == 5
-    log.truncate()
-    assert len(log) == 0 and log.records() == []
+    table = backend.table("t")
+    for key in ("b", "c", "a"):
+        table.put(key, {"n": key})
+    backend.table("other").put("z", 0)
+    reads, nbytes = backend.reads, backend.bytes_read
+    assert table.items() == [(k, {"n": k}) for k in ("a", "b", "c")]
+    assert backend.reads == reads + 1
+    assert backend.bytes_read - nbytes == sum(
+        len(encode_value({"n": k})) for k in "abc"
+    )
 
 
 @pytest.mark.parametrize("backend_cls", BACKENDS)
 def test_dump_load_round_trip_across_backends(backend_cls):
     src = backend_cls()
     src.table("t1").put("k", {"payload": b"\x01\x02"})
-    src.log("l1").append({"kind": "consign", "ajo": b"raw"})
+    src.table("t2").put("U1/task", ["VS", "B001"])
     dump = src.dump()
+    assert sorted(dump) == ["blobs", "tables"]
     for dst_cls in BACKENDS:
         dst = dst_cls()
         dst.load(dump)
         assert dst.table("t1").get("k") == {"payload": b"\x01\x02"}
-        assert dst.log("l1").records() == [{"kind": "consign", "ajo": b"raw"}]
+        assert dst.table("t2").items() == [("U1/task", ["VS", "B001"])]
         assert dst.dump() == dump
 
 
@@ -112,10 +116,10 @@ def test_batch_groups_writes_into_one_fsync(backend_cls):
 @pytest.mark.parametrize("backend_cls", BACKENDS)
 def test_batch_rolls_back_on_error(backend_cls):
     backend = backend_cls()
-    table, log, blobs = backend.table("t"), backend.log("l"), backend.blobs
+    table, other, blobs = backend.table("t"), backend.table("o"), backend.blobs
     table.put("keep", "before")
     table.put("doomed", "still here")
-    log.append({"n": 0})
+    other.put("U1", {"n": 0})
     shared = blobs.put(b"shared body")
     kept = blobs.put(b"kept body")
     before = backend.dump()
@@ -124,7 +128,8 @@ def test_batch_rolls_back_on_error(backend_cls):
             table.put("keep", "changed")
             table.put("new", "value")
             table.delete("doomed")
-            log.append({"n": 1})
+            other.put("U1/task", {"n": 1})
+            other.delete("U1")
             blobs.put(b"shared body")       # a second reference
             blobs.put(b"brand new body")
             blobs.release(kept)             # would delete the body
@@ -132,7 +137,7 @@ def test_batch_rolls_back_on_error(backend_cls):
             raise RuntimeError("boom")
     assert table.get("keep") == "before"
     assert "new" not in table and "names-the-blob" not in table
-    assert [r["n"] for r in log.records()] == [0]
+    assert other.items() == [("U1", {"n": 0})]
     assert blobs.get(kept) == b"kept body"
     assert backend.dump() == before
     # No reference leaked: one release each empties the store.
@@ -206,15 +211,13 @@ def test_sqlite_file_survives_reopen(tmp_path):
     path = str(tmp_path / "site.db")
     first = SQLiteBackend(path)
     first.table("t").put("k", b"persisted")
-    first.log("l").append({"seq": 1})
+    first.table("j").put("U1/task", {"seq": 1})
     digest = first.blobs.put(b"body")
     first.close()
     second = SQLiteBackend(path)
     assert second.table("t").get("k") == b"persisted"
-    assert second.log("l").records() == [{"seq": 1}]
+    assert second.table("j").items() == [("U1/task", {"seq": 1})]
     assert second.blobs.get(digest) == b"body"
-    # Sequence numbers continue rather than restart.
-    assert second.log("l").append({"seq": 2}) > 1
 
 
 def test_counters_and_metrics_mirroring():
@@ -254,35 +257,89 @@ def test_resolve_storage_by_kind():
 
 
 # -- journal over storage ----------------------------------------------------
+def _outcome(job_id):
+    return OutcomeRecord(
+        job_id=job_id, name="demo", user_dn="CN=b", status="successful",
+        submitted_at=0.0, recovered=False, trace_id="", outcome_bytes=b"o",
+    )
+
+
 def _journal_with_traffic(backend):
+    """U1 in flight with one delivery; U2 delivered, then finished."""
     journal = JobJournal(backend, name="njs.journal")
+    outcomes = OutcomeStore(backend, "njs.outcomes")
     journal.record_consign("U1", b"ajo-1", "CN=a", trace_id="t1")
     journal.record_delivery("U1", "task", "VS", "B001")
-    journal.record_consign("U2", b"ajo-2", "CN=b")
-    journal.record_done("U2")
+    journal.record_consign("U2", b"ajo-2", "CN=b", workstation_files={"f": b"x"})
+    journal.record_delivery("U2", "task", "VS", "B002")
+    with backend.batch():
+        journal.finish("U2")
+        outcomes.put(_outcome("U2"), {})
+    return journal, outcomes
+
+
+def _seq(job_id):
+    """Consignment order of the ids these tests issue (``U<n>[@site]``)."""
+    return int(job_id[1:].partition("@")[0])
+
+
+def _reborn(backend, outcomes):
+    journal = JobJournal(backend, name="njs.journal")
+    journal.reload(set(outcomes.job_ids()), _seq)
     return journal
 
 
-def test_journal_cold_reload_from_backend():
-    backend = SQLiteBackend()
-    _journal_with_traffic(backend)
-    # A brand-new journal over the same backend sees everything.
-    reborn = JobJournal(backend, name="njs.journal")
-    assert len(reborn) == 2
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_journal_cold_reload_reads_only_what_is_in_flight(backend_cls):
+    backend = backend_cls()
+    journal, outcomes = _journal_with_traffic(backend)
+    # Finishing retired U2 from memory and deleted its delivery row; its
+    # consign row stays for queries until the job is disposed.
+    assert len(journal) == 1 and journal.entry("U2") is None
+    assert backend.table("njs.journal").keys() == ["U1", "U1/task", "U2"]
+    # A brand-new journal over the same backend reads U1's two rows.
+    reads = backend.reads
+    reborn = _reborn(backend, outcomes)
+    assert backend.reads == reads + 2
+    assert len(reborn) == 1
     entry = reborn.entry("U1")
-    assert entry.ajo_bytes == b"ajo-1"
+    assert entry.ajo_bytes == b"ajo-1" and entry.trace_id == "t1"
     assert entry.delivered == {"task": ("VS", "B001")}
     assert [e.job_id for e in reborn.incomplete()] == ["U1"]
-    assert reborn.entry("U2").done
-
-
-def test_journal_forget_is_a_tombstone():
-    backend = MemoryBackend()
-    journal = _journal_with_traffic(backend)
-    journal.forget("U2")
-    reborn = JobJournal(backend, name="njs.journal")
     assert reborn.entry("U2") is None
-    assert len(reborn) == 1
+    # The finished job's AJO is one read away, on demand.
+    assert reborn.ajo_bytes("U2") == b"ajo-2"
+    assert backend.reads == reads + 3
+    with pytest.raises(StorageError):
+        reborn.ajo_bytes("U3")
+    # A delivery row whose consign row is gone has nothing to replay.
+    backend.table("njs.journal").put("U9/task", ["VS", "B009"])
+    assert len(_reborn(backend, outcomes)) == 1
+
+
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_journal_reload_keeps_consignment_order_past_the_id_padding(backend_cls):
+    backend = backend_cls()
+    journal = JobJournal(backend, name="njs.journal")
+    ids = [f"U{seq:05d}@FZJ" for seq in (99998, 99999, 100000, 100001)]
+    for job_id in ids:
+        journal.record_consign(job_id, b"ajo", "CN=a")
+    assert backend.table("njs.journal").keys() != ids  # text order differs
+    reborn = JobJournal(backend, name="njs.journal")
+    reborn.reload(set(), _seq)
+    assert [e.job_id for e in reborn.incomplete()] == ids
+
+
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_journal_forget_deletes_every_row_of_the_job(backend_cls):
+    backend = backend_cls()
+    journal, outcomes = _journal_with_traffic(backend)
+    journal.forget("U2")   # finished: the manifest comes from the row
+    journal.forget("U1")   # still in flight: delivery rows go too
+    journal.forget("U9")   # unknown: nothing to do
+    assert backend.table("njs.journal").keys() == []
+    assert backend.blobs.digests() == []
+    assert len(journal) == 0 and len(_reborn(backend, outcomes)) == 0
 
 
 @pytest.mark.parametrize("backend_cls", BACKENDS)
@@ -294,10 +351,11 @@ def test_journal_keeps_file_bodies_in_the_blob_store(backend_cls):
     digest = hashlib.sha256(b"\x01" * 1000).hexdigest()
     assert entry.workstation_files == {path: digest for path in files}
     assert backend.blobs.digests() == [digest]
-    # The log record is metadata: it names the body, it does not hold it.
+    # The consign row is metadata: it names the body, it does not hold it.
     assert backend.bytes_written < 1000 + 400
     read_before = backend.bytes_read
     reborn = JobJournal(backend, name="njs.journal")
+    reborn.reload(set(), _seq)
     assert reborn.entry("U1").workstation_files == entry.workstation_files
     assert backend.bytes_read - read_before < 400
     assert reborn.staged_files(reborn.entry("U1")) == files
@@ -308,11 +366,11 @@ def test_journal_keeps_file_bodies_in_the_blob_store(backend_cls):
 def test_record_naming_no_file_encodes_as_before_the_blob_store():
     backend = MemoryBackend()
     JobJournal(backend, name="j").record_consign("U1", b"ajo-1", "CN=a")
-    assert backend.log("j").records() == [{
-        "kind": "consign", "job_id": "U1", "ajo_bytes": b"ajo-1",
+    assert backend.table("j").items() == [("U1", {
+        "ajo_bytes": b"ajo-1",
         "user_dn": "CN=a", "workstation_files": {}, "trace_id": "",
         "parent_job_id": None, "forward_meta": None,
-    }]
+    })]
     assert backend.blobs.digests() == []
 
 
@@ -330,7 +388,7 @@ def test_outcome_store_round_trip():
     fetched = OutcomeStore(backend, "FZJ.outcomes").get("U1")
     assert fetched == stored
     assert backend.blobs.get(fetched.files["stdout"]) == b"hello\n"
-    assert store.job_ids() == ["U1"]
+    assert store.job_ids() == ["U1"] and store.records(str) == [stored]
     store.forget("U1")
     assert store.get("U1") is None
     assert backend.blobs.digests() == []
@@ -341,7 +399,7 @@ def test_sqlite_refuses_a_file_of_another_format(tmp_path):
 
     path = str(tmp_path / "old.db")
     conn = sqlite3.connect(path)
-    # The pre-blob-store layout: same relations, never stamped.
+    # The pre-blob-store layout: never stamped.
     conn.executescript(
         "CREATE TABLE kv (tbl TEXT, key TEXT, value BLOB, PRIMARY KEY (tbl, key));"
         "CREATE TABLE logs (log TEXT, seq INTEGER, value BLOB, PRIMARY KEY (log, seq));"
@@ -350,6 +408,16 @@ def test_sqlite_refuses_a_file_of_another_format(tmp_path):
     with pytest.raises(StorageError) as caught:
         SQLiteBackend(path)
     assert caught.value.code == "storage.backend"
+    # The layout that kept the journal as a log: stamped 2.
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        "CREATE TABLE blobs (digest TEXT PRIMARY KEY, refs INTEGER, body BLOB);"
+        "PRAGMA user_version = 2;"
+    )
+    conn.close()
+    with pytest.raises(StorageError) as caught:
+        SQLiteBackend(path)
+    assert caught.value.code == "storage.backend" and "format 2" in str(caught.value)
     with pytest.raises(StorageError):
         resolve_storage(f"sqlite:{path}")
 
