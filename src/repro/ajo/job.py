@@ -85,6 +85,10 @@ class AbstractJobObject(AbstractAction):
         self.site_security = site_security
         self._children: dict[str, AbstractAction] = {}
         self._dependencies: list[Dependency] = []
+        #: What :attr:`children` / :attr:`dependencies` hand out: one
+        #: tuple each, dropped when a member is added.
+        self._children_view: tuple[AbstractAction, ...] | None = ()
+        self._dependencies_view: tuple[Dependency, ...] | None = ()
 
     # -- construction ---------------------------------------------------------
     def add(self, action: AbstractAction) -> AbstractAction:
@@ -99,6 +103,7 @@ class AbstractJobObject(AbstractAction):
         if action is self:
             raise ValidationError("a job group cannot contain itself")
         self._children[action.id] = action
+        self._children_view = None
         return action
 
     def add_dependency(
@@ -121,17 +126,24 @@ class AbstractJobObject(AbstractAction):
                 )
         dep = Dependency(pred_id, succ_id, tuple(files))
         self._dependencies.append(dep)
+        self._dependencies_view = None
         return dep
 
     # -- structure access -------------------------------------------------------
     @property
-    def children(self) -> list[AbstractAction]:
+    def children(self) -> tuple[AbstractAction, ...]:
         """Direct children in insertion order."""
-        return list(self._children.values())
+        view = self._children_view
+        if view is None:
+            view = self._children_view = tuple(self._children.values())
+        return view
 
     @property
-    def dependencies(self) -> list[Dependency]:
-        return list(self._dependencies)
+    def dependencies(self) -> tuple[Dependency, ...]:
+        view = self._dependencies_view
+        if view is None:
+            view = self._dependencies_view = tuple(self._dependencies)
+        return view
 
     def child(self, action_id: str) -> AbstractAction:
         try:

@@ -266,46 +266,59 @@ class AioTransport(Network):
         size_bytes: int,
         channel: str = "raw",
         deliver: bool = True,
+        delay_s: float = 0.0,
     ) -> Event:
         wan_src = src in self._wan
         wan_dst = dst in self._wan
         if self._server is None or wan_src == wan_dst:
             # LAN edges (gateway <-> NJS) and pre-start traffic keep the
             # in-process delivery path with modeled latency.
-            return super().send(src, dst, payload, size_bytes, channel, deliver)
+            return super().send(
+                src, dst, payload, size_bytes, channel, deliver, delay_s
+            )
         if size_bytes < 0:
             raise NetworkError("message size must be non-negative")
         self.host(dst)  # unknown-host parity with the sim backend
         link = self.get_link(src, dst)  # no-link parity (HostUnreachable)
         msg_id = next(self._msg_seq)
         wan_name = src if wan_src else dst
-        writer = (
-            self._client_writers.get(wan_name)
-            if wan_src
-            else self._server_writers.get(wan_name)
-        )
         ev = self.sim.event(name=f"delivery:{msg_id}")
-        if writer is None or writer.is_closing():
-            return ev.fail(
-                ConnectionRefused(
-                    f"no live connection for WAN host {wan_name!r} "
-                    f"({src} -> {dst})"
-                )
+
+        def write() -> None:
+            writer = (
+                self._client_writers.get(wan_name)
+                if wan_src
+                else self._server_writers.get(wan_name)
             )
-        # The simulated wire size still lands on the link counters so
-        # total_bytes_sent() means the same thing on both backends.
-        link.bytes_sent += size_bytes
-        link.messages_sent += 1
-        frame = encode_message(
-            msg_id, src, dst, payload, size_bytes, channel, deliver
-        )
-        self._pending[msg_id] = (ev, wan_name)
-        try:
-            writer.write(frame)
-        except OSError as exc:
-            self._pending.pop(msg_id, None)
-            return ev.fail(ConnectionReset(f"write to {wan_name!r} failed: {exc}"))
-        self._notify()
+            if writer is None or writer.is_closing():
+                ev.fail(
+                    ConnectionRefused(
+                        f"no live connection for WAN host {wan_name!r} "
+                        f"({src} -> {dst})"
+                    )
+                )
+                return
+            # The simulated wire size still lands on the link counters so
+            # total_bytes_sent() means the same thing on both backends.
+            link.bytes_sent += size_bytes
+            link.messages_sent += 1
+            frame = encode_message(
+                msg_id, src, dst, payload, size_bytes, channel, deliver
+            )
+            self._pending[msg_id] = (ev, wan_name)
+            try:
+                writer.write(frame)
+            except OSError as exc:
+                self._pending.pop(msg_id, None)
+                ev.fail(ConnectionReset(f"write to {wan_name!r} failed: {exc}"))
+                return
+            self._notify()
+
+        # The socket does the transmitting, so the slot has no length:
+        # reserving it only keeps one edge's frames in call order.  A
+        # frame enters _pending when it is written, not before, because
+        # the pump freezes the clock while anything is pending.
+        self.sim.schedule_callback(link.reserve(delay_s) - self.sim.now, write)
         return ev
 
     # -- the pump --------------------------------------------------------------

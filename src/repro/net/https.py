@@ -31,7 +31,7 @@ from repro.security.ssl import (
     ssl_handshake,
 )
 from repro.security.x509 import Certificate
-from repro.simkernel import Event, Process, Simulator
+from repro.simkernel import Event, Simulator
 
 __all__ = ["HttpsChannel", "DirectChannel", "establish_https"]
 
@@ -67,45 +67,33 @@ class HttpsChannel:
     def send(
         self, payload: object, size_bytes: int, to_server: bool = True,
         deliver: bool = True,
-    ) -> Process:
-        """Send ``payload`` through the channel; returns a waitable process.
+    ) -> Event:
+        """Send ``payload`` through the channel; returns its delivery event.
 
-        The process completes when the peer has received *and opened* all
+        The event fires when the peer has received *and opened* all
         records; it fails with :class:`~repro.net.errors.ConnectionLost`
-        if the transport drops the message.  The process comes pre-defused
-        so fire-and-forget sends (server replies) do not crash the
+        if the transport drops the message.  It comes pre-defused so
+        fire-and-forget sends (server replies) do not crash the
         simulation when lost — a waiter that ``yield``\\ s it still sees
         the exception.
         """
-        process = self.sim.process(
-            self._send_proc(payload, size_bytes, to_server, deliver),
-            name=f"https-send:{size_bytes}B",
-        )
-        process.defuse()
-        return process
-
-    def _send_proc(
-        self, payload: object, size_bytes: int, to_server: bool, deliver: bool
-    ) -> typing.Generator[Event, object, object]:
-        records = SSLSession.record_count(size_bytes)
         wire = SSLSession.wire_bytes(size_bytes)
         src, dst = (
             (self.client_host, self.server_host)
             if to_server
             else (self.server_host, self.client_host)
         )
-        # Seal (sender CPU) and open (receiver CPU) all records.  Both
-        # ends' record processing is charged as one timer up front: the
-        # total elapsed time from send to completion is unchanged, and
-        # folding the two waits into a single event halves the https
-        # event-queue cost on the million-job hot path.
-        yield self.sim.timeout(2 * records * self.per_record_cpu_s)
-        yield self.network.send(
-            src, dst, payload, wire, channel="https", deliver=deliver
+        # Sealing (sender CPU) and opening (receiver CPU) are charged
+        # together, ahead of the wire: the transport holds the message
+        # that long before its first byte leaves.  The channel is one
+        # connection, so its messages leave in the order they were sent.
+        delivery = self.network.send(
+            src, dst, payload, wire, channel="https", deliver=deliver,
+            delay_s=2 * SSLSession.record_count(size_bytes) * self.per_record_cpu_s,
         )
         self.payload_bytes += size_bytes
         self.wire_bytes += wire
-        return payload
+        return delivery.defuse()
 
 
 class DirectChannel:

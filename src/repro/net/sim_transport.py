@@ -4,7 +4,10 @@ A :class:`Network` owns named :class:`Host`\\ s and directed
 :class:`Link`\\ s.  Sending a message schedules its delivery after
 ``queueing + size/bandwidth + latency`` simulated seconds, where queueing
 models FIFO serialization on the link (one transmission at a time, the
-behaviour that makes bulk transfers contend).  Each message is lost with
+behaviour that makes bulk transfers contend).  A sender that needs time
+before its first byte can leave (sealing https records) says so with
+``delay_s``: the slot is still claimed at the call, in call order, and
+the message is still one queue entry.  Each message is lost with
 the link's loss probability, drawn from a deterministic per-link stream;
 a lost message fails the sender's delivery event at the time the receiver
 would have noticed (one timeout interval), so protocols can react.
@@ -21,13 +24,16 @@ path still resolves through a deprecation shim there.)
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 
 from repro.net.errors import ConnectionLost, HostUnreachable, NetworkError
 from repro.net.transport import Transport
-from repro.simkernel import Event, SimQueue, Simulator, Timeout
+from repro.simkernel import Event, SimQueue, Simulator, TimeoutAt
 from repro.simkernel.rng import derive_rng
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["Message", "Host", "Link", "Network"]
 
@@ -86,7 +92,7 @@ class Link:
         latency_s: float,
         bandwidth_Bps: float,
         loss_probability: float,
-        rng,
+        rng: "np.random.Generator",
     ) -> None:
         if latency_s < 0:
             raise NetworkError("latency must be non-negative")
@@ -110,43 +116,48 @@ class Link:
     def transmission_delay(self, size_bytes: int) -> float:
         return size_bytes / self.bandwidth_Bps
 
-    def schedule(self, message: Message, deliver: typing.Callable[[Message], None]) -> Event:
+    def reserve(self, delay_s: float, tx_s: float = 0.0) -> float:
+        """Claim the link's next slot; returns the time it starts.
+
+        Slots go out in call order, as records on one connection do: this
+        one starts ``delay_s`` from now at the earliest and not before the
+        previous slot has ended, and holds the link for ``tx_s``.
+        """
+        start = max(self.sim.now + delay_s, self._busy_until)
+        self._busy_until = start + tx_s
+        return start
+
+    def schedule(
+        self,
+        message: Message,
+        deliver: typing.Callable[[Message], None],
+        delay_s: float = 0.0,
+    ) -> Event:
         """Schedule delivery; returns the sender's delivery event.
 
         The event succeeds at delivery time, or fails with
         :class:`ConnectionLost` after a timeout if the message is lost.
+        Either way the message is ONE queue entry, placed now: the time
+        the sender spends preparing it (``delay_s``) only moves its slot.
         """
-        now = self.sim.now
         tx = self.transmission_delay(message.size_bytes)
-        start = max(now, self._busy_until)
-        self._busy_until = start + tx
-        arrival = start + tx + self.latency_s
+        arrival = self.reserve(delay_s, tx) + tx + self.latency_s
 
         self.bytes_sent += message.size_bytes
         self.messages_sent += 1
 
-        lost = self.loss_probability > 0 and self._rng.random() < self.loss_probability
-        if lost:
-            ev = self.sim.event(name=f"delivery:{message.msg_id}")
+        name = f"delivery:{message.msg_id}"
+        if self.loss_probability > 0 and self._rng.random() < self.loss_probability:
             self.messages_lost += 1
-            self.sim.schedule_callback(
-                (arrival - now) + DEFAULT_TIMEOUT,
-                lambda: ev.fail(
-                    ConnectionLost(
-                        f"message {message.msg_id} {self.src}->{self.dst} lost"
-                    )
+            return TimeoutAt(
+                self.sim, arrival + DEFAULT_TIMEOUT, name=name,
+                error=ConnectionLost(
+                    f"message {message.msg_id} {self.src}->{self.dst} lost"
                 ),
             )
-            return ev
-        # Delivered path: ONE queue entry per message.  The delivery event
-        # is scheduled directly at the arrival time with the inbox push as
-        # its first callback, so the receiver sees the message before any
-        # waiting sender resumes — same ordering as a separate callback,
-        # at half the event-queue traffic.
-        ev = Timeout(
-            self.sim, arrival - now, value=message,
-            name=f"delivery:{message.msg_id}",
-        )
+        # The inbox push is the event's first callback, so the receiver
+        # sees the message before any waiting sender resumes.
+        ev = TimeoutAt(self.sim, arrival, value=message, name=name)
         assert ev.callbacks is not None
         ev.callbacks.append(lambda _ev: deliver(message))
         return ev
@@ -230,7 +241,7 @@ class Network(Transport):
 
     def restore_cursors(self, cursors: dict[str, object]) -> None:
         self._msg_seq = count(int(typing.cast(int, cursors["msg_seq"])))
-        states = typing.cast(dict, cursors.get("links", {}))
+        states = typing.cast("dict[str, typing.Any]", cursors.get("links", {}))
         for (a, b), link in self._links.items():
             state = states.get(f"{a}->{b}")
             if state is not None:
@@ -245,6 +256,7 @@ class Network(Transport):
         size_bytes: int,
         channel: str = "raw",
         deliver: bool = True,
+        delay_s: float = 0.0,
     ) -> Event:
         """Send; returns the delivery event (fails on loss after timeout).
 
@@ -262,7 +274,7 @@ class Network(Transport):
             channel=channel,
         )
         sink = destination._deliver if deliver else (lambda _message: None)
-        return link.schedule(message, sink)
+        return link.schedule(message, sink, delay_s)
 
     @property
     def hosts(self) -> list[str]:

@@ -106,8 +106,15 @@ class Transport:
         size_bytes: int,
         channel: str = "raw",
         deliver: bool = True,
+        delay_s: float = 0.0,
     ) -> "Event":
-        """Send; returns the delivery event (fails on loss/reset)."""
+        """Send; returns the delivery event (fails on loss/reset).
+
+        ``delay_s`` is time the sender needs before the first byte can
+        leave (sealing https records).  The message takes its place on
+        the ``src -> dst`` edge now and leaves no earlier than
+        ``now + delay_s``; messages on one edge leave in call order.
+        """
         raise NotImplementedError
 
     # -- snapshot support -----------------------------------------------------

@@ -102,9 +102,6 @@ COUNTERS: frozenset[str] = frozenset({
     "stream.completed",
     "stream.resumes",
     "stream.wire_bytes",
-    # virtual file system
-    "vfs.bytes_copied",
-    "vfs.files_copied",
 })
 
 #: Dynamic counter families, completed at runtime from bounded enums.

@@ -44,6 +44,8 @@ class DistinguishedName:
     o: str = ""
     l: str = ""  # noqa: E741 - X.500 attribute name
     c: str = ""
+    #: ``str(self)``: rendered once, every request compares and looks it up.
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.cn:
@@ -53,11 +55,14 @@ class DistinguishedName:
                 raise CertificateError(
                     f"DN attribute {attr} must not contain ',' or '='"
                 )
-
-    def __str__(self) -> str:
         parts = [("CN", self.cn), ("OU", self.ou), ("O", self.o),
                  ("L", self.l), ("C", self.c)]
-        return ", ".join(f"{k}={v}" for k, v in parts if v)
+        object.__setattr__(
+            self, "_text", ", ".join(f"{k}={v}" for k, v in parts if v)
+        )
+
+    def __str__(self) -> str:
+        return self._text
 
     @classmethod
     def parse(cls, text: str) -> "DistinguishedName":
@@ -125,13 +130,21 @@ class Certificate:
     role: str
     extensions: dict[str, str] = field(default_factory=dict)
     signature: int = 0
+    #: :meth:`tbs_bytes`: encoded once, every validation verifies over it.
+    _tbs: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.role not in CertificateRole.ALL:
             raise CertificateError(f"unknown certificate role {self.role!r}")
+        object.__setattr__(
+            self, "_tbs",
+            json.dumps(
+                self.tbs_dict(), sort_keys=True, separators=(",", ":")
+            ).encode(),
+        )
 
     # -- canonical encoding --------------------------------------------------
-    def tbs_dict(self) -> dict:
+    def tbs_dict(self) -> dict[str, object]:
         """The to-be-signed content as a plain dict."""
         return {
             "serial": self.serial,
@@ -146,7 +159,7 @@ class Certificate:
 
     def tbs_bytes(self) -> bytes:
         """Canonical byte encoding of the to-be-signed content."""
-        return json.dumps(self.tbs_dict(), sort_keys=True, separators=(",", ":")).encode()
+        return self._tbs
 
     def with_signature(self, signature: int) -> "Certificate":
         return Certificate(

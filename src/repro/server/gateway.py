@@ -425,6 +425,7 @@ class Gateway:
                 workstation_files=files,
                 trace_id=request.trace_id,
                 parent_span_id=parent_span.span_id if parent_span else "",
+                ajo_bytes=consignment.ajo_bytes,
             )
             return Reply(
                 request_id=request.request_id, ok=True,

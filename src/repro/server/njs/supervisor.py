@@ -353,11 +353,16 @@ class NetworkJobSupervisor:
         parent_span_id: str = "",
         forward_meta: tuple | None = None,
         job_id: str | None = None,
+        ajo_bytes: bytes | None = None,
     ) -> JobRun:
         """Accept a job (or a forwarded job group); starts supervision.
 
         Raises :class:`ConsignError` on validation, mapping, or resource
         failures — the gateway reports these to the client synchronously.
+
+        ``ajo_bytes`` is the encoded form ``ajo`` was decoded from; a
+        caller that received the job over the wire passes it, and the
+        journal keeps those bytes instead of encoding the tree again.
 
         ``job_id`` is only passed by journal replay: the recovered run
         keeps its original identifier so clients polling through the
@@ -431,7 +436,7 @@ class NetworkJobSupervisor:
             if not is_replay:
                 self.journal.record_consign(
                     job_id,
-                    encode_ajo(ajo),
+                    encode_ajo(ajo) if ajo_bytes is None else ajo_bytes,
                     dn,
                     workstation_files=workstation_files,
                     trace_id=trace_id,
@@ -1276,6 +1281,7 @@ class NetworkJobSupervisor:
                     message.reply_usite,
                     tuple(message.return_files),
                 ),
+                ajo_bytes=message.ajo_bytes,
             )
         except Exception as err:  # noqa: BLE001 - reported back to the peer
             reply = GroupResult(

@@ -33,6 +33,7 @@ from repro.simkernel.events import (
     EventAborted,
     Interrupt,
     Timeout,
+    TimeoutAt,
 )
 from repro.simkernel.process import Process, ProcessDied
 from repro.simkernel.engine import Simulator, StopSimulation
@@ -54,5 +55,6 @@ __all__ = [
     "StopSimulation",
     "Store",
     "Timeout",
+    "TimeoutAt",
     "derive_rng",
 ]

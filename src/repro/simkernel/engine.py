@@ -130,6 +130,13 @@ class Simulator:
         if len(queue) > self._peak_heap:
             self._peak_heap = len(queue)
 
+    def _schedule_at(self, event: Event, when: float) -> None:
+        """Place a triggered event on the queue at the absolute time ``when``."""
+        queue = self._queue
+        heapq.heappush(queue, (when, next(self._seq), event))
+        if len(queue) > self._peak_heap:
+            self._peak_heap = len(queue)
+
     def schedule_callback(
         self,
         delay: float,

@@ -18,6 +18,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "Event",
     "Timeout",
+    "TimeoutAt",
     "AllOf",
     "AnyOf",
     "Interrupt",
@@ -188,6 +189,33 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         sim._schedule(self, delay=self.delay)
+
+
+class TimeoutAt(Event):
+    """An event whose outcome is fixed now and processed at time ``when``.
+
+    ``Timeout(sim, when - sim.now)`` lands on ``now + (when - now)``, which
+    can round an ulp off ``when``; a caller that has computed an absolute
+    time (a link's arrival time) gets exactly that time here, whenever it
+    asks.  With ``error`` the event fails at ``when`` instead of succeeding.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        when: float,
+        value: object = None,
+        name: str | None = None,
+        error: BaseException | None = None,
+    ) -> None:
+        if when < sim.now:
+            raise ValueError(f"time {when!r} is in the past (now {sim.now!r})")
+        super().__init__(sim, name=name)
+        self._ok = error is None
+        self._value = value if error is None else error
+        sim._schedule_at(self, when)
 
 
 class _Condition(Event):

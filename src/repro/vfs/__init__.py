@@ -9,8 +9,7 @@ file space."
 
 - :mod:`repro.vfs.filesystem` — an in-memory filesystem with quotas;
 - :mod:`repro.vfs.spaces` — Xspace (site file systems), Uspace (per-job
-  UNICORE directory), and Workstation (the user's local files);
-- :mod:`repro.vfs.transfer` — local copy primitives with byte accounting.
+  UNICORE directory), and Workstation (the user's local files).
 """
 
 from repro.vfs.errors import (
@@ -21,7 +20,6 @@ from repro.vfs.errors import (
 )
 from repro.vfs.filesystem import InMemoryFileSystem
 from repro.vfs.spaces import Uspace, UspaceManager, Workstation, Xspace
-from repro.vfs.transfer import copy_file, copy_tree
 
 __all__ = [
     "FileExistsVFSError",
@@ -33,6 +31,4 @@ __all__ = [
     "VFSError",
     "Workstation",
     "Xspace",
-    "copy_file",
-    "copy_tree",
 ]

@@ -186,6 +186,50 @@ def test_lossy_fetch_parity_between_facades():
     assert want["fetched_ok"] is True
 
 
+# -- scenario: sends that carry their own preparation time --------------------
+
+async def _scenario_delayed_sends(grid, user, session):
+    """``delay_s`` straight through ``Transport.send`` on the WAN edge:
+    no message leaves before its delay is up, and one edge's messages
+    leave in call order even when a later one is ready first."""
+    sim, net = grid.sim, grid.network
+    ws = user.browser.host.name
+    gw = grid.usites["FZJ"].gateway_host.name
+    settled = []
+
+    def sends():
+        t0 = sim.now
+        events = []
+        for tag, size, delay_s in (
+            ("slow", 40_000, 0.5), ("fast", 100, 0.1), ("at-once", 100, 0.0),
+        ):
+            ev = net.send(
+                ws, gw, tag, size, channel="parity", deliver=False,
+                delay_s=delay_s,
+            )
+            ev.callbacks.append(
+                lambda ev, tag=tag, delay_s=delay_s: settled.append(
+                    (tag, ev.value.payload, sim.now - t0 >= delay_s))
+            )
+            events.append(ev)
+        yield sim.all_of(events)
+
+    proc = sim.process(sends(), name="parity-sends")
+    if net.realtime:
+        await net.drive(proc)
+    else:
+        sim.run(until=proc)
+    return settled
+
+
+def test_delayed_send_parity():
+    want = _assert_parity(_scenario_delayed_sends)
+    assert want == [
+        ("slow", "slow", True), ("fast", "fast", True),
+        ("at-once", "at-once", True),
+    ]
+
+
 # -- scenario: brokered submit ------------------------------------------------
 
 async def _scenario_broker(grid, user, session):

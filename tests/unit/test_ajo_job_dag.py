@@ -37,11 +37,31 @@ def make_diamond():
 def test_add_and_children_order():
     job = AbstractJobObject("j", vsite="V")
     t1, t2 = make_task("one"), make_task("two")
+    assert job.children == ()
     job.add(t1)
+    # An immutable view, the same object until a member is added: a
+    # reader neither copies it nor sees one that went stale.
+    first = job.children
+    assert first == (t1,)
+    assert job.children is first
     job.add(t2)
-    assert job.children == [t1, t2]
+    assert first == (t1,)
+    assert job.children == (t1, t2)
+    assert job.children is job.children
     assert job.tasks() == [t1, t2]
     assert job.sub_jobs() == []
+
+
+def test_dependencies_view_follows_add_dependency():
+    job, (a, b, c, d) = make_diamond()
+    before = job.dependencies
+    assert isinstance(before, tuple) and job.dependencies is before
+    assert [(x.predecessor_id, x.successor_id) for x in before] == [
+        (a.id, b.id), (a.id, c.id), (b.id, d.id), (c.id, d.id)
+    ]
+    extra = job.add_dependency(a, d)
+    assert len(before) == 4
+    assert job.dependencies == before + (extra,)
 
 
 def test_add_duplicate_id_rejected():

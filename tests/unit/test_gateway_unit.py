@@ -74,6 +74,25 @@ def test_revoked_mid_session_certificate_refused_per_request(wired):
         grid.sim.run(until=p2)
 
 
+def test_certificate_expiring_mid_session_refused_on_next_request(wired):
+    """The validity window is checked against the clock of each request:
+    a channel opened in time does not outlive its certificate."""
+    grid, user, session = wired
+    from repro.client import JobMonitorController
+
+    jmc = JobMonitorController(session)
+
+    def list_jobs(sim):
+        return (yield from jmc.list_jobs())
+
+    assert grid.sim.run(until=grid.sim.process(list_jobs(grid.sim))) == []
+
+    grid.sim.run(until=user.browser.user_cert.validity.not_after + 1.0)
+
+    with pytest.raises(RuntimeError, match="authentication failed.*valid"):
+        grid.sim.run(until=grid.sim.process(list_jobs(grid.sim)))
+
+
 def test_serve_unknown_applet_raises(wired):
     grid, user, session = wired
     from repro.server import ServerError

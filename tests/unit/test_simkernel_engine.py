@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import Interrupt, ProcessDied, Simulator
+from repro.simkernel import Interrupt, ProcessDied, Simulator, TimeoutAt
 
 
 def test_clock_starts_at_zero():
@@ -412,6 +412,45 @@ def test_timeout_carries_value():
 
     p = sim.process(proc(sim))
     assert sim.run(until=p) == 99
+
+
+def test_timeout_at_fires_at_exactly_the_time_given():
+    """A relative timeout for the same instant rounds: 0.0167 +
+    (0.111 - 0.0167) is an ulp short of 0.111 in binary floating point."""
+    sim = Simulator(start=0.0167)
+    when = 0.111
+    assert sim.now + (when - sim.now) != when
+    seen = []
+
+    def proc(sim):
+        value = yield TimeoutAt(sim, when, value="arrived")
+        seen.append((sim.now, value))
+
+    sim.process(proc(sim))
+    sim.run()
+    assert seen == [(when, "arrived")]
+
+
+def test_timeout_at_with_error_fails_at_that_time():
+    sim = Simulator()
+
+    def proc(sim):
+        try:
+            yield TimeoutAt(sim, 2.5, error=OSError("lost"))
+        except OSError as err:
+            return (sim.now, str(err))
+
+    assert sim.run(until=sim.process(proc(sim))) == (2.5, "lost")
+    # Nobody waiting and not defused: the failure surfaces, as for any event.
+    TimeoutAt(sim, 3.0, error=OSError("unseen"))
+    with pytest.raises(OSError, match="unseen"):
+        sim.run()
+
+
+def test_timeout_at_in_the_past_rejected():
+    sim = Simulator(start=10.0)
+    with pytest.raises(ValueError):
+        TimeoutAt(sim, 9.0)
 
 
 def test_repr_smoke():

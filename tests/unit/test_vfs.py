@@ -11,8 +11,6 @@ from repro.vfs import (
     VFSError,
     Workstation,
     Xspace,
-    copy_file,
-    copy_tree,
 )
 from repro.vfs.filesystem import normalize
 
@@ -207,33 +205,3 @@ def test_uspace_absolute_path_treated_as_relative():
     assert u.read("abs.txt") == b"x"
     # Must land inside the job directory, not the fs root.
     assert mgr.fs.is_file("/jobs/j/abs.txt")
-
-
-# ----------------------------------------------------------------- copies
-def test_copy_file_between_spaces():
-    x = Xspace("FZJ")
-    x.fs.write("/arch/input.dat", b"payload")
-    mgr = UspaceManager("FZJ-T3E")
-    u = mgr.create("j")
-    moved = copy_file(x.fs, "/arch/input.dat", u, "input.dat")
-    assert moved == 7
-    assert u.read("input.dat") == b"payload"
-
-
-def test_copy_tree():
-    src = InMemoryFileSystem()
-    src.write("/data/a.txt", b"aa")
-    src.write("/data/sub/b.txt", b"bbb")
-    dst = InMemoryFileSystem()
-    moved = copy_tree(src, "/data", dst, "/backup")
-    assert moved == 5
-    assert dst.read("/backup/a.txt") == b"aa"
-    assert dst.read("/backup/sub/b.txt") == b"bbb"
-
-
-def test_copy_respects_destination_quota():
-    src = InMemoryFileSystem()
-    src.write("/big", b"x" * 100)
-    dst = InMemoryFileSystem(quota_bytes=10)
-    with pytest.raises(QuotaExceededError):
-        copy_file(src, "/big", dst, "/big")
