@@ -32,7 +32,7 @@ def _request_latency(firewall_split: bool, n_requests: int = 30) -> float:
         import repro.grid.build as gb
 
         sim = __import__("repro.simkernel", fromlist=["Simulator"]).Simulator()
-        from repro.net.transport import Network
+        from repro.net.sim_transport import Network
         from repro.security.ca import CertificateAuthority
 
         network = Network(sim, seed=13)

@@ -216,7 +216,7 @@ def _run_replay(benchmark, scale: int, legacy_wait: bool, horizon: float):
     assert stats["successful"] >= 0.9 * stats["terminal"]
     # NJS-side accounting agrees: every run at every site terminal.
     for site in grid.usites.values():
-        for run in site.njs._runs.values():
+        for run in site.njs.runs.values():
             assert run.status().is_terminal, run.job_id
     # Every machine saw UNICORE work and did real local work too.
     for _, local_n, _unicore_n, _, stuck in rows:

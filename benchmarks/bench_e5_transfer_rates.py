@@ -31,7 +31,7 @@ from benchmarks._util import print_table, run_as_script, smoke_mode
 from repro.grid import build_grid
 from repro.protocol.datapath import DEFAULT_CHUNK_BYTES
 from repro.security.ssl import SSLSession
-from repro.server.njs.supervisor import TransferAck
+from repro.server.njs.peerlink import TransferAck
 
 WAN_BW = 1_250_000.0  # 10 Mbit/s
 WAN_LAT = 0.015
@@ -61,7 +61,7 @@ def _build():
 
 def _warm(njs_a):
     """Pay the route's SSL handshake before anything is measured."""
-    yield from njs_a._stream_to_peer(
+    yield from njs_a.peers.stream(
         "B", b"warm",
         {"kind": "forward-stage", "job": "warm", "path": "warm.dat"},
     )
@@ -77,11 +77,9 @@ def _measure_transfer(size: int, chunk_bytes: int) -> dict:
     def scenario(sim):
         yield from _warm(njs_a)
         base_bytes = grid.network.total_bytes_sent()
-        corr = next(njs_a._corr_seq)
-        reply_ev = sim.event(name="e5-ack")
-        njs_a._pending[corr] = reply_ev
+        corr, reply_ev = njs_a.peers.expect("e5-ack")
         t0 = sim.now
-        yield from njs_a._stream_to_peer(
+        yield from njs_a.peers.stream(
             "B", content,
             {
                 "kind": "uspace-file", "job": "U1@A", "path": "big.dat",
@@ -112,7 +110,7 @@ def _control_delay(chunk_bytes: int, stream_bytes: int, busy: bool) -> float:
         yield from _warm(njs_a)
         if busy:
             sim.process(
-                njs_a._stream_to_peer(
+                njs_a.peers.stream(
                     "B", b"\x5a" * stream_bytes,
                     {"kind": "forward-stage", "job": "bulk", "path": "bulk.dat"},
                     chunk_bytes=chunk_bytes,
@@ -123,7 +121,7 @@ def _control_delay(chunk_bytes: int, stream_bytes: int, busy: bool) -> float:
             yield sim.timeout(2.0)
         probe = TransferAck(corr_id=999_999, ok=True)
         t0 = sim.now
-        yield from njs_a._send_via_route("B", probe, probe.wire_payload)
+        yield from njs_a.peers.send("B", probe)
         result["t"] = sim.now - t0
 
     p = grid.sim.process(scenario(grid.sim))

@@ -16,7 +16,8 @@ Run:  python examples/resource_broker.py
 """
 
 from repro import GridSession
-from repro.ext import AccountingLog, ResourceBroker
+from repro.broker import ResourceBroker
+from repro.ext import AccountingLog
 from repro.grid import LocalLoadGenerator, WorkloadProfile, build_german_grid
 from repro.resources import ResourceRequest
 from repro.simkernel import derive_rng

@@ -89,7 +89,7 @@ class AnalysisContext:
                 name: tuple(v.batch.queues.values()) for name, v in vsites.items()
             },
             local_usite=njs.usite_name,
-            known_usites=frozenset(njs._peer_routes),
+            known_usites=frozenset(njs.peers.routes),
             require_vsites=True,
             prestaged=frozenset(prestaged or ()),
         )

@@ -2,7 +2,8 @@
 
 Abstract interpretation of each job group's DAG over the files its
 tasks produce and consume in the Uspace.  The producer model mirrors the
-NJS runtime exactly (``supervisor._run_execute``): imports write their
+NJS runtime exactly (``Executor._run_execute`` in
+:mod:`repro.server.njs.executor`): imports write their
 destination, compiles their object files, links their output; a
 dependency edge's ``files`` are materialized by its predecessor; an
 execute task directly preceding an export/transfer implicitly produces
@@ -116,7 +117,7 @@ def _analyze_group(
 
     has_successor = {d.predecessor_id for d in deps}
 
-    # -- the producer model (mirrors supervisor._run_execute) -----------------
+    # -- the producer model (mirrors Executor._run_execute) -------------------
     producers: dict[str, set[str]] = {}
 
     def produce(file_path: str, producer_id: str) -> None:

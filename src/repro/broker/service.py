@@ -5,7 +5,7 @@ One :class:`FederationBroker` per grid.  It owns a network host (the
 concerns on the simulation clock:
 
 * **advertisement intake** — each NJS gets a route to the hub and a
-  periodic :meth:`~repro.server.njs.supervisor.NetworkJobSupervisor.start_advertising`
+  periodic :meth:`~repro.server.njs.adverts.BrokerAdverts.start`
   loop; reports fold into the matcher;
 * **dispatch** — on a timer, :meth:`TaskQueueBroker.match` binds pending
   jobs and each binding's *dispatch factory* (a caller-supplied
@@ -107,12 +107,12 @@ class FederationBroker:
                 (usite.njs_host.name, usite.gateway_host.name),
                 (usite.gateway_host.name, host_name),
             ]
-            usite.njs.register_broker_route([(a, b) for a, b in up if a != b])
+            usite.njs.peers.register_broker([(a, b) for a, b in up if a != b])
             self._routes[name] = [
                 (b, a) for a, b in reversed([(a, b) for a, b in up if a != b])
             ]
             # Stagger sites so their reports do not synchronise.
-            usite.njs.start_advertising(
+            usite.njs.adverts.start(
                 interval_s=advertise_interval_s,
                 offset_s=index * advertise_interval_s / max(1, len(grid.usites)),
             )

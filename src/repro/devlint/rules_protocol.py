@@ -1,4 +1,4 @@
-"""RD4xx — protocol and shim consistency.
+"""RD4xx — protocol and ownership consistency.
 
 UNICORE's "seamless" model depends on every tier speaking the same
 request vocabulary: a verb the client can send but no server tier
@@ -11,12 +11,14 @@ kind`` error.  These rules pin the vocabulary statically:
   only the first branch ever runs);
 * ``RD403`` — the gateway dispatches on a ``RequestKind`` attribute the
   protocol module does not define (a stale handler after a rename);
-* ``RD404`` — a module hand-rolls a PEP 562 deprecation shim
-  (module-level ``__getattr__`` emitting ``DeprecationWarning``)
-  instead of using :func:`repro._compat.deprecated_module_attr`,
-  losing the warn-once and caching semantics;
-* ``RD405`` — a ``deprecated_module_attr`` call does not bind both
-  ``__getattr__`` and ``__dir__`` (a shim invisible to ``dir()``).
+* ``RD404`` — a module-level ``__getattr__`` outside the two modules
+  that need one (:attr:`ModuleGetattrRule.ALLOWED` gives each its
+  reason): a name that resolves at run time is how a moved module kept
+  answering at its old address, and nothing may do that again;
+* ``RD405`` — under ``src/repro/server/`` a ``_private`` attribute is
+  touched through anything but ``self`` / ``cls`` outside the module
+  that defines it, or any file assigns to ``.njs._…``: each piece of
+  server state has one owner and changes through its methods.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import ast
 import typing
 
 from repro.devlint.diagnostics import DevDiagnostic, Severity
-from repro.devlint.engine import Project, ProjectRule
+from repro.devlint.engine import FileRule, Project, ProjectRule, SourceFile
 
 __all__ = ["protocol_rules", "request_verbs", "dispatch_sites"]
 
@@ -138,78 +140,84 @@ class VerbDispatchRule(ProjectRule):
                 )
 
 
-class ShimConventionRule(ProjectRule):
-    """RD404/RD405: deprecation shims use the shared machinery, fully."""
+class ModuleGetattrRule(FileRule):
+    """RD404: attribute lookup on a module finds what the module defines."""
 
     code = "RD404"
 
-    _COMPAT_FILE = "src/repro/_compat.py"
+    #: The modules that keep a PEP 562 hook, and why each needs one.
+    ALLOWED = {
+        "src/repro/__init__.py":
+            "lazy facade: `import repro` must not import half the stack",
+        "src/repro/errors.py":
+            "import-cycle breaker: every layer's errors module imports it",
+    }
 
-    def check_project(
-        self, project: Project
-    ) -> typing.Iterator[DevDiagnostic]:
-        for f in project.files:
-            if f.rel == self._COMPAT_FILE:
+    def check(self, f: SourceFile) -> typing.Iterator[tuple[int, str]]:
+        if f.rel in self.ALLOWED:
+            return
+        for node in f.tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+                yield node.lineno, (
+                    "module-level __getattr__: names that resolve at run "
+                    "time hide what a module exports (and where a moved "
+                    "name went); define or import the name instead"
+                )
+
+
+class PrivateReachRule(FileRule):
+    """RD405: server-tier state has one owner."""
+
+    code = "RD405"
+
+    def check(self, f: SourceFile) -> typing.Iterator[tuple[int, str]]:
+        in_server = f.rel.startswith("src/repro/server/")
+        own = _private_names_defined(f.tree)
+        for node in ast.walk(f.tree):
+            attr = node
+            while isinstance(attr, ast.Subscript):
+                attr = attr.value  # storing into a private collection writes it
+            if not (
+                isinstance(attr, ast.Attribute)
+                and attr.attr.startswith("_")
+                and not attr.attr.endswith("__")
+            ):
                 continue
-            mentions_deprecation = "DeprecationWarning" in f.source
-            for node in f.tree.body:
-                if (
-                    isinstance(node, ast.FunctionDef)
-                    and node.name == "__getattr__"
-                    and mentions_deprecation
-                ):
-                    yield DevDiagnostic(
-                        code="RD404", severity=Severity.ERROR,
-                        message=(
-                            "hand-rolled PEP 562 deprecation shim; use "
-                            "repro._compat.deprecated_module_attr for "
-                            "warn-once and attribute caching"
-                        ),
-                        file=f.rel, line=node.lineno,
-                    )
-            for node in ast.walk(f.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(
-                        node.func, (ast.Name, ast.Attribute)
-                    )
-                ):
-                    continue
-                name = (
-                    node.func.id if isinstance(node.func, ast.Name)
-                    else node.func.attr
+            holder = attr.value
+            if isinstance(holder, ast.Name) and holder.id in ("self", "cls"):
+                continue
+            through = getattr(holder, "attr", getattr(holder, "id", ""))
+            if through == "njs" and not isinstance(node.ctx, ast.Load):
+                yield node.lineno, (
+                    f"write to .njs.{attr.attr}: the NJS's state changes "
+                    "only through its public methods"
                 )
-                if name != "deprecated_module_attr":
-                    continue
-                parent = _assignment_of(f.tree, node)
-                ok = (
-                    parent is not None
-                    and len(parent.targets) == 1
-                    and isinstance(parent.targets[0], ast.Tuple)
-                    and [
-                        e.id for e in parent.targets[0].elts
-                        if isinstance(e, ast.Name)
-                    ] == ["__getattr__", "__dir__"]
+            elif in_server and node is attr and attr.attr not in own:
+                yield node.lineno, (
+                    f"{ast.unparse(attr)}: a private attribute is touched "
+                    "through self/cls or in the module that defines it; "
+                    "ask its owner through a public method"
                 )
-                if not ok:
-                    yield DevDiagnostic(
-                        code="RD405", severity=Severity.ERROR,
-                        message=(
-                            "deprecated_module_attr must bind both module "
-                            "hooks: `__getattr__, __dir__ = "
-                            "deprecated_module_attr(...)`"
-                        ),
-                        file=f.rel, line=node.lineno,
-                    )
 
 
-def _assignment_of(tree: ast.Module, call: ast.Call) -> ast.Assign | None:
-    """The ``Assign`` statement whose value is exactly ``call``, if any."""
+def _private_names_defined(tree: ast.Module) -> set[str]:
+    """Private names a module defines: functions, classes, plain names it
+    binds, and attributes it sets through self/cls."""
+    names: set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and node.value is call:
-            return node
-    return None
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls")
+        ):
+            names.add(node.attr)
+    return names
 
 
-def protocol_rules() -> list[ProjectRule]:
-    return [VerbDispatchRule(), ShimConventionRule()]
+def protocol_rules() -> "list[ProjectRule | FileRule]":
+    return [VerbDispatchRule(), ModuleGetattrRule(), PrivateReachRule()]

@@ -1,15 +1,11 @@
 """Extensions: the paper's section 6 outlook, implemented.
 
 The paper closes with four future directions; three are buildable on the
-reproduced architecture and live here:
+reproduced architecture.  The resource broker grew into the federated
+:mod:`repro.broker` subsystem; the rest live here:
 
-- :mod:`repro.ext.broker` — "a resource broker which supports the users
-  in a way that they can specify the needed resources on a more abstract
-  level and the broker finds the appropriate execution server for it.
-  Together with accounting functions and load information the resource
-  broker can find the best system" (now a deprecation shim: the broker
-  grew into the federated :mod:`repro.broker` subsystem);
-- :mod:`repro.ext.accounting` — those accounting functions;
+- :mod:`repro.ext.accounting` — the "accounting functions" the broker
+  combines with load information to "find the best system";
 - :mod:`repro.ext.appinterfaces` — "application specific interfaces for
   standard packages like Ansys or Pamcrash";
 - :mod:`repro.ext.coallocation` — a best-effort sketch of synchronous
@@ -27,22 +23,8 @@ from repro.ext.coallocation import CoAllocationResult, CoAllocator
 __all__ = [
     "AccountingLog",
     "ApplicationTemplate",
-    "BrokerDecision",
     "CoAllocationResult",
     "CoAllocator",
-    "ResourceBroker",
     "STANDARD_PACKAGES",
     "UsageRecord",
 ]
-
-
-def __getattr__(name: str):
-    # Broker names resolve lazily through the repro.ext.broker shim, so
-    # the deprecation warning fires on use, not on package import.
-    if name in ("BrokerDecision", "ResourceBroker"):
-        from repro.ext import broker as _broker_shim
-
-        value = getattr(_broker_shim, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

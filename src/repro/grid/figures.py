@@ -76,7 +76,7 @@ def figure2(grid) -> str:
     seen = set()
     for name in sorted(grid.usites):
         njs = grid.usites[name].njs
-        for peer, route in sorted(njs._peer_routes.items()):
+        for peer, route in sorted(njs.peers.routes.items()):
             key = frozenset((name, peer))
             if key in seen:
                 continue

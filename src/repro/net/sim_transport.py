@@ -17,8 +17,6 @@ This module is the ``"sim"`` implementation of the
 test, fault scenario, and deterministic benchmark runs on.  The real
 ``asyncio`` TCP backend lives in :mod:`repro.net.aio_transport`; both
 are selected through :class:`~repro.net.transport.TransportSpec`.
-(Historically this module *was* ``repro.net.transport``; the old import
-path still resolves through a deprecation shim there.)
 """
 
 from __future__ import annotations

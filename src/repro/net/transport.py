@@ -23,12 +23,6 @@ Backend choice is one argument end to end:
 ``build_grid(..., transport="aio")`` at construction, and the matching
 session facade (:class:`repro.api.GridSession` for ``sim``,
 :class:`repro.api.aio.AsyncGridSession` for either) at use.
-
-.. note::
-   The simkernel classes (``Message``, ``Host``, ``Link``, ``Network``,
-   ``DEFAULT_TIMEOUT``) historically lived in this module; they moved to
-   :mod:`repro.net.sim_transport` when the interface was factored out.
-   The old names still resolve here through a warn-once PEP 562 shim.
 """
 
 from __future__ import annotations
@@ -233,16 +227,3 @@ def _aio_factory(sim: "Simulator", seed: int = 0, **options: object) -> Transpor
 
 register_transport("sim", _sim_factory)
 register_transport("aio", _aio_factory)
-
-
-# -- PEP 562 deprecation shim ------------------------------------------------
-# The simkernel backend's classes lived here before the interface split.
-_MOVED = ("Message", "Host", "Link", "Network", "DEFAULT_TIMEOUT")
-
-from repro._compat import deprecated_module_attr  # noqa: E402
-
-__getattr__, __dir__ = deprecated_module_attr(
-    __name__, globals(), {name: "repro.net.sim_transport" for name in _MOVED},
-    hint="(or repro.net) — this module now holds the backend-neutral "
-         "Transport interface",
-)

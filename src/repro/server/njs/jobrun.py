@@ -9,10 +9,14 @@ from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome, Outcome, new_outcome
 from repro.ajo.serialize import encode_outcome
 from repro.ajo.status import ActionStatus
+from repro.observability import telemetry_for
+from repro.observability.span import Span
+from repro.observability.tracer import Tracer
+from repro.protocol.views import JobStatusView
 from repro.simkernel import Event, Simulator
 from repro.vfs.spaces import Uspace
 
-__all__ = ["JobRun"]
+__all__ = ["JobRun", "index_outcomes", "status_view"]
 
 
 @dataclass(slots=True)
@@ -40,6 +44,8 @@ class JobRun:
     root: AbstractJobObject
     user_dn: str
     submitted_at: float
+    #: Where this run's spans are recorded.
+    tracer: Tracer
     outcomes: dict[str, Outcome] = field(default_factory=dict)
     events: dict[str, Event] = field(default_factory=dict)
     uspaces: dict[str, Uspace] = field(default_factory=dict)
@@ -57,7 +63,7 @@ class JobRun:
     #: Trace context propagated from the consigning client (may be "").
     trace_id: str = ""
     #: The open ``njs.job`` span covering the whole supervised run.
-    job_span: object = None
+    job_span: Span | None = None
     #: Held jobs stop *delivering* further parts (running batch jobs are
     #: beyond UNICORE's reach — site autonomy); resume releases them.
     held: bool = False
@@ -87,6 +93,7 @@ class JobRun:
             submitted_at=sim.now,
             workstation_files=dict(workstation_files or {}),
             done_event=sim.event(name=f"job-done:{job_id}"),
+            tracer=telemetry_for(sim).tracer,
         )
         run._build_outcomes(sim, root)
         return run
@@ -130,7 +137,68 @@ class JobRun:
         if not event.triggered:
             event.succeed(status)
 
+    def span(self, name: str, **attributes: object) -> Span | None:
+        """Open a child of the job's span; None when the job is untraced."""
+        if not self.trace_id:
+            return None
+        return self.tracer.start_span(
+            name, self.trace_id, parent=self.job_span, tier="server",
+            **attributes,
+        )
+
+    def end_span(
+        self, span: Span | None, error: BaseException | str | None = None
+    ) -> None:
+        """Close what :meth:`span` returned."""
+        if span is not None:
+            self.tracer.end_span(span, error=error)
+
     def notify_change(self) -> None:
         """Tell the supervisor an action's status (possibly) changed."""
         if self.on_change is not None:
             self.on_change(self)
+
+
+def index_outcomes(
+    outcome: Outcome, into: dict[str, Outcome]
+) -> dict[str, Outcome]:
+    """Add the tree under ``outcome`` to a flat ``action id -> outcome``
+    index (the shape of :attr:`JobRun.outcomes`)."""
+    into[outcome.action_id] = outcome
+    if isinstance(outcome, AJOOutcome):
+        for child in outcome.children.values():
+            index_outcomes(child, into)
+    return into
+
+
+def status_view(run: JobRun, detail: str, as_of: float) -> JobStatusView:
+    """A run's status tree at the chosen detail (the QueryService answer);
+    works on anything with a run's ``root`` and ``outcomes``."""
+
+    def render(group: AbstractJobObject) -> JobStatusView:
+        rollup = typing.cast(AJOOutcome, run.outcomes[group.id]).rollup_status()
+        children: list[JobStatusView] = []
+        if detail in ("groups", "tasks"):
+            for child in group.children:
+                if isinstance(child, AbstractJobObject):
+                    children.append(render(child))
+                elif detail == "tasks":
+                    outcome = run.outcomes[child.id]
+                    children.append(
+                        JobStatusView(
+                            id=child.id,
+                            name=child.name,
+                            status=outcome.status.value,
+                            color=outcome.status.display_color,
+                        )
+                    )
+        return JobStatusView(
+            id=group.id,
+            name=group.name,
+            status=rollup.value,
+            color=rollup.display_color,
+            children=tuple(children),
+            as_of=as_of,
+        )
+
+    return render(run.root)

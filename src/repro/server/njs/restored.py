@@ -23,7 +23,8 @@ from __future__ import annotations
 import typing
 
 from repro.ajo import ActionStatus, decode_ajo, decode_outcome
-from repro.ajo.outcome import AJOOutcome, Outcome
+from repro.ajo.outcome import Outcome
+from repro.server.njs.jobrun import index_outcomes
 from repro.storage.outcomes import OutcomeRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -49,9 +50,6 @@ class _StoredFiles:
     def read(self, path: str) -> bytes:
         return self._blobs.get(self._manifest[path])
 
-    def files(self) -> list[str]:
-        return sorted(self._manifest)
-
 
 class RestoredRun:
     """A terminal job served from storage instead of live supervision."""
@@ -70,16 +68,8 @@ class RestoredRun:
         self.cancelled = False
         self.held = False
         self.hold_released = None
-        self.job_span = None
-        self.on_change = None
-        self.done_event = None
-        #: Live-run bookkeeping, all empty: nothing is supervising here.
-        self.processes: list = []
+        #: Nothing of this job is at a batch system any more.
         self.batch_jobs: dict[str, tuple[str, str]] = {}
-        self.remote_files: dict = {}
-        self.group_expected: dict = {}
-        self.events: dict = {}
-        self.workstation_files: dict[str, bytes] = {}
         #: One pseudo-Uspace holding every persisted file, so
         #: ``fetch_uspace_file`` iterates it exactly like live Uspaces.
         self.uspaces = {
@@ -110,16 +100,7 @@ class RestoredRun:
     def outcomes(self) -> dict[str, Outcome]:
         """Action id -> outcome, indexed from the persisted tree."""
         if self._outcome_index is None:
-            index: dict[str, Outcome] = {}
-
-            def walk(outcome: Outcome) -> None:
-                index[outcome.action_id] = outcome
-                if isinstance(outcome, AJOOutcome):
-                    for child in outcome.children.values():
-                        walk(child)
-
-            walk(self.root_outcome)
-            self._outcome_index = index
+            self._outcome_index = index_outcomes(self.root_outcome, {})
         return self._outcome_index
 
     # -- JobRun surface ------------------------------------------------------
@@ -133,15 +114,3 @@ class RestoredRun:
 
     def status(self) -> ActionStatus:
         return self._status
-
-    def finish_action(self, *args, **kw) -> None:  # pragma: no cover
-        raise AssertionError("a restored run is terminal; nothing finishes")
-
-    def notify_change(self) -> None:
-        """No-op: restored runs never change state again."""
-
-    def __repr__(self) -> str:
-        return (
-            f"<RestoredRun {self.job_id} {self._status.value} "
-            f"files={len(self.uspaces['__restored__'].files())}>"
-        )

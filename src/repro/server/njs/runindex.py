@@ -1,11 +1,9 @@
 """Indexed NJS run bookkeeping: O(1) lookups and delta status views.
 
-The supervisor's run table used to be a flat ``dict`` that every
-bookkeeping question scanned linearly — per-user quota checks at
-consign, ``list_jobs``, the broker advertisement's terminal set, and the
-reclaimable-job sweep.  At production scale (ROADMAP: 100x-1000x current
-job counts) those scans dominate.  This module holds the two structures
-that replace them:
+Per-user quota checks at consign, ``list_jobs``, the broker
+advertisement's terminal set and the reclaimable-job sweep must not scan
+the whole run table (at production scale those scans dominate).  This
+module holds the two structures that answer them:
 
 :class:`RunIndex`
     Lookup tables keyed by state and user, maintained incrementally from
@@ -35,9 +33,10 @@ __all__ = ["RunIndex", "JobChangeLog", "ChangeRecord"]
 class RunIndex:
     """State/user-keyed lookup tables over the NJS run table.
 
-    The index is *notification-driven*: the supervisor calls :meth:`add`
-    at consign, :meth:`note_status` whenever a run's rollup status value
-    changes, and :meth:`discard` at dispose.  ``active`` and ``terminal``
+    The index is *notification-driven*: the
+    :class:`~repro.server.njs.runtable.RunTable` (and nothing else) calls
+    :meth:`add` when a run enters, :meth:`note_status` whenever its rollup
+    status value changes, and :meth:`discard` at dispose.  ``active`` and ``terminal``
     partition the indexed job ids; ``active_count`` backs the consign
     quota check without touching run objects.
     """
@@ -75,9 +74,6 @@ class RunIndex:
         """Record a status change; returns True when the value changed."""
         if self._status.get(job_id) == status_value:
             return False
-        if job_id not in self._status:  # pragma: no cover - add() precedes notes
-            self.add(job_id, user_dn, status_value, terminal)
-            return True
         self._status[job_id] = status_value
         if terminal and job_id in self.active:
             self.active.discard(job_id)

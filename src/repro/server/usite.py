@@ -122,10 +122,10 @@ class Usite:
             uudb=self.uudb,
             xspace=self.xspace,
             vsites=self.vsites,
-            own_inbox=firewall_split,
             accounting=self.accounting,
-            max_active_per_user=max_active_per_user,
             storage=self.storage,
+            own_inbox=firewall_split,
+            max_active_per_user=max_active_per_user,
         )
         #: All gateways (one per gateway host), sharing the NJS, UUDB,
         #: and certificate store; ``self.gateway`` is the primary.
@@ -217,7 +217,7 @@ class Usite:
             # Co-located gateway/NJS collapses that hop.
             return [(a, b) for a, b in hops if a != b]
 
-        self.njs.register_peer(
+        self.njs.peers.register(
             other.name,
             route=_route([
                 (self.njs_host.name, self.gateway_host.name),
@@ -225,7 +225,7 @@ class Usite:
                 (other.gateway_host.name, other.njs_host.name),
             ]),
         )
-        other.njs.register_peer(
+        other.njs.peers.register(
             self.name,
             route=_route([
                 (other.njs_host.name, other.gateway_host.name),

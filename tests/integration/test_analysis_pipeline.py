@@ -11,7 +11,14 @@ import json
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.ajo import AbstractJobObject, ExportTask, ImportTask, UserTask, encode_ajo
+from repro.ajo import (
+    AbstractJobObject,
+    CompileTask,
+    ExportTask,
+    ImportTask,
+    UserTask,
+    encode_ajo,
+)
 from repro.analysis import AnalysisError
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
@@ -71,17 +78,54 @@ def test_njs_rejects_unlinted_arrival_before_incarnation(site):
     ) >= 1
 
 
-def test_njs_rejects_infeasible_request_with_resource_code(site):
-    grid, user, session = site
-    njs = grid.usites["FZJ"].njs
-    job = AbstractJobObject("monster", vsite="FZJ-T3E", user_dn="CN=Lint,O=,C=DE")
+def _unknown_vsite_job(user_dn):
+    job = AbstractJobObject("lost", vsite="FZJ-SX4", user_dn=user_dn)
+    job.add(UserTask("work", executable="/bin/true"))
+    return job
+
+
+def _over_limit_job(user_dn):
+    job = AbstractJobObject("monster", vsite="FZJ-T3E", user_dn=user_dn)
     job.add(UserTask(
         "huge", executable="/bin/huge",
         resources=ResourceRequest(cpus=10**6, time_s=60),
     ))
+    return job
+
+
+def _missing_software_job(user_dn):
+    job = AbstractJobObject("exotic", vsite="FZJ-T3E", user_dn=user_dn)
+    source = job.add(ImportTask(
+        "src", source_path="/src/main.ada", destination_path="main.ada"
+    ))
+    build = job.add(CompileTask("build", sources=["main.ada"], compiler="ada95"))
+    job.add_dependency(source, build, files=["main.ada"])
+    return job
+
+
+def _unrouted_usite_job(user_dn):
+    job = AbstractJobObject("far", vsite="FZJ-T3E", user_dn=user_dn)
+    job.add(UserTask("near", executable="/bin/true"))
+    remote = AbstractJobObject("away", vsite="LRZ-VPP", usite="LRZ")
+    remote.add(UserTask("there", executable="/bin/true"))
+    job.add(remote)
+    return job
+
+
+@pytest.mark.parametrize("build, code", [
+    pytest.param(_unknown_vsite_job, "AJO301", id="01"),
+    pytest.param(_over_limit_job, "AJO302", id="02"),
+    pytest.param(_missing_software_job, "AJO303", id="03"),
+    pytest.param(_unrouted_usite_job, "AJO304", id="04"),
+])
+def test_njs_rejects_infeasible_request_with_resource_code(site, build, code):
+    """Every destination refusal comes from the arrival analysis, with its
+    diagnostic code; the NJS keeps no second copy of these checks."""
+    grid, user, session = site
+    njs = grid.usites["FZJ"].njs
     with pytest.raises(ConsignError) as exc_info:
-        njs.consign(job)
-    assert exc_info.value.code == "AJO302"
+        njs.consign(build("CN=Lint,O=,C=DE"))
+    assert exc_info.value.code == code
     assert njs.job_count == 0
 
 

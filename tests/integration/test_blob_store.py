@@ -15,7 +15,7 @@ from repro.ajo import encode_outcome
 from repro.api import GridSession
 from repro.grid import GridSnapshot, build_grid
 from repro.observability import telemetry_for
-from repro.server.njs.supervisor import RESULT_FILE_BYTES
+from repro.server.njs.executor import RESULT_FILE_BYTES
 from repro.storage import OutcomeStore, SnapshotError, decode_value, encode_value
 
 SITES = {"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}

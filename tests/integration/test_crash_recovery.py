@@ -112,11 +112,17 @@ def test_restart_restores_only_the_finished_runs_memory_lost():
                for i in range(2)]
     for handle in handles:
         assert session.wait(handle).status == "successful"
+    # Lose the second run from memory only: dispose forgets it everywhere,
+    # then its outcome row goes back into storage while the NJS is down.
+    lost = handles[1].job_id
+    record = njs.outcomes.get(lost)
+    files = {path: njs.fetch_uspace_file(lost, path) for path in record.files}
+    njs.dispose(lost)
     njs.crash()
-    kept = njs._runs[handles[0].job_id]
-    del njs._runs[handles[1].job_id]
+    kept = njs.runs[handles[0].job_id]
+    njs.outcomes.put(record, files)
     njs.restart()
-    assert njs._runs[handles[0].job_id] is kept
+    assert njs.runs[handles[0].job_id] is kept
     metrics = telemetry_for(grid.sim).metrics
     assert metrics.counter("njs.restored_runs").value == 1
     assert [r.job_id for r in session.list_jobs()] == [

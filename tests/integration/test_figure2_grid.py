@@ -62,7 +62,7 @@ def test_multisite_pipeline_with_file_transfer(two_sites):
     fzj_batch = grid.usites["FZJ"].vsites["FZJ-T3E"].batch
     assert fzj_batch.all_records()[0].spec.owner == "clara"
     # The dependency file was materialized at ZIB before the render ran.
-    assert grid.usites["FZJ"].njs.forwarded_groups == 1
+    assert grid.usites["FZJ"].njs.forwarding.forwarded_groups == 1
 
 
 def test_transfer_task_moves_uspace_data_between_sites(two_sites):
@@ -95,7 +95,7 @@ def test_transfer_task_moves_uspace_data_between_sites(two_sites):
     assert xfer_outcome.status is ActionStatus.SUCCESSFUL
     assert xfer_outcome.bytes_moved > 0
     assert xfer_outcome.effective_bandwidth > 0
-    assert grid.usites["FZJ"].njs.transfers_bytes == xfer_outcome.bytes_moved
+    assert grid.usites["FZJ"].njs.forwarding.transfers_bytes == xfer_outcome.bytes_moved
 
 
 def test_user_without_remote_mapping_fails_remote_group(two_sites):
@@ -215,6 +215,6 @@ def test_workstation_files_ship_with_forwarded_groups(two_sites):
     assert final["status"] == "successful"
     # The file physically landed in the remote (ZIB) uspace.
     zib_njs = grid.usites["ZIB"].njs
-    remote_run = zib_njs._foreign_runs[job_id]
+    (remote_run,) = zib_njs.runs.values()
     uspace = next(iter(remote_run.uspaces.values()))
     assert uspace.read("params.nml") == b"&config n=3 /"

@@ -2,7 +2,7 @@
 
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid.build import Grid, _build_applets
-from repro.net.transport import Network
+from repro.net.sim_transport import Network
 from repro.security.ca import CertificateAuthority
 from repro.simkernel import Simulator
 
@@ -77,8 +77,8 @@ def test_cross_site_forwarding_between_mixed_deployments():
 
 def test_colocated_route_has_fewer_hops():
     grid = build_mixed_grid()
-    fzj_route = grid.usites["FZJ"].njs._peer_routes["ZIB"]
-    zib_route = grid.usites["ZIB"].njs._peer_routes["FZJ"]
+    fzj_route = grid.usites["FZJ"].njs.peers.routes["ZIB"]
+    zib_route = grid.usites["ZIB"].njs.peers.routes["FZJ"]
     # FZJ (co-located) -> ZIB (split): gateway->gateway, gateway->njs.
     assert len(fzj_route) == 2
     # ZIB (split) -> FZJ (co-located): njs->gateway, gateway->gateway.

@@ -24,7 +24,7 @@ def test_figure1_shows_all_three_tiers():
 
 def test_figure1_colocated_variant():
     from repro.grid.build import Grid, _build_applets
-    from repro.net.transport import Network
+    from repro.net.sim_transport import Network
     from repro.security.ca import CertificateAuthority
     from repro.simkernel import Simulator
 

@@ -56,7 +56,7 @@ def test_cross_vsite_pipeline_within_one_usite(fzj_two_vsites):
 
     usite = grid.usites["FZJ"]
     # No forwarding happened: both parts ran under this NJS.
-    assert usite.njs.forwarded_groups == 0
+    assert usite.njs.forwarding.forwarded_groups == 0
     # Both machines executed work, in their own dialects.
     t3e = usite.vsites["FZJ-T3E"].batch.all_records()
     sx4 = usite.vsites["DWD-SX4"].batch.all_records()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import GridSession
 from repro.grid import build_grid
-from repro.server.njs import restored, supervisor
+from repro.server.njs import forwarding, restored, supervisor
 
 IN_FLIGHT = 3
 USER_DN = "CN=Historian, O=Test, C=DE"
@@ -55,7 +55,8 @@ class _ReadMeter:
 
 
 def _count_decodes(monkeypatch):
-    """Counts ``decode_ajo`` at the two places the NJS calls it from."""
+    """Counts ``decode_ajo`` at the places the NJS calls it from: replay,
+    taking in a forwarded group, and a restored job asked for its tree."""
     calls = []
     decode = supervisor.decode_ajo
 
@@ -64,6 +65,7 @@ def _count_decodes(monkeypatch):
         return decode(data)
 
     monkeypatch.setattr(supervisor, "decode_ajo", counting)
+    monkeypatch.setattr(forwarding, "decode_ajo", counting)
     monkeypatch.setattr(restored, "decode_ajo", counting)
     return calls
 

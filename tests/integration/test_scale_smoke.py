@@ -55,7 +55,7 @@ def test_thirty_concurrent_jobs_across_six_sites():
     assert all(status == "successful" for _, status in results)
     # Conservation at every tier.
     for usite in grid.usites.values():
-        for run in usite.njs._runs.values():
+        for run in usite.njs.runs.values():
             assert run.status().is_terminal
         for vsite in usite.vsites.values():
             assert all(r.state.is_terminal for r in vsite.batch.all_records())

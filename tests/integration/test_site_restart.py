@@ -47,7 +47,7 @@ def _quick_job(session, name="quick", runtime_s=50.0):
 def _journal_holds_the_jobs_in_flight(njs):
     """The journal's size is the number of non-terminal jobs, not history."""
     in_flight = {
-        job_id for job_id, run in njs._runs.items()
+        job_id for job_id, run in njs.runs.items()
         if not run.status().is_terminal
     }
     return {e.job_id for e in njs.journal.incomplete()} == in_flight and (
@@ -71,7 +71,7 @@ def test_full_site_restart_loses_no_jobs():
     usite.crash_site()
     assert usite.njs.crashed and all(gw.down for gw in usite.gateways)
     # The cold crash wiped the Python heap, not the storage backend.
-    assert len(usite.njs._runs) == 0
+    assert len(usite.njs.runs) == 0
     session.advance(45.0)
     usite.restart_site()
     assert _journal_holds_the_jobs_in_flight(usite.njs)
@@ -196,7 +196,7 @@ def test_cold_restart_keeps_consignment_order_past_the_id_padding():
     usite.crash_site()
     usite.restart_site()
     assert [e.job_id for e in njs.journal.incomplete()] == ids
-    assert list(njs._runs) == ids
+    assert list(njs.runs) == ids
     assert [row.job_id for row in njs.list_jobs(dn)] == listed
 
     # Four jobs finished: restored in consignment order.
@@ -204,9 +204,40 @@ def test_cold_restart_keeps_consignment_order_past_the_id_padding():
         assert session.wait(handle).status == "successful"
     usite.crash_site()
     usite.restart_site()
-    assert len(njs.journal) == 0 and list(njs._runs) == ids
+    assert len(njs.journal) == 0 and list(njs.runs) == ids
     assert [row.job_id for row in njs.list_jobs(dn)] == listed
     assert all(row.recovered for row in njs.list_jobs(dn))
+
+
+@pytest.mark.parametrize("storage", ["memory", "sqlite"])
+def test_two_cold_restarts_serve_the_same_finished_jobs(storage):
+    """The second crash finds only restored runs in memory — nothing is in
+    flight, so there is nothing to interrupt — and the second restart
+    rebuilds the same jobs from the same rows."""
+    grid, session = _grid(seed=28, storage=storage)
+    usite = grid.usites["FZJ"]
+    handles = [session.submit(_quick_job(session, f"done-{i}")) for i in range(3)]
+    for handle in handles:
+        assert session.wait(handle).status == "successful"
+
+    names = {h.job_id: sorted(usite.njs.outcomes.get(h.job_id).files) for h in handles}
+    assert all(names.values())
+
+    def served():
+        return (
+            session.list_jobs(),
+            [usite.njs.retrieve_outcome(h.job_id) for h in handles],
+            [session.fetch_file(h, path) for h in handles for path in names[h.job_id]],
+        )
+
+    before = served()
+    assert [row.job_id for row in before[0]] == [h.job_id for h in handles]
+    for _ in range(2):
+        usite.crash_site()
+        session.advance(30.0)
+        usite.restart_site()
+        assert len(usite.njs.journal) == 0 and len(usite.njs.outcomes) == 3
+        assert served() == before
 
 
 def test_site_restart_fault_kind_is_opt_in():

@@ -70,7 +70,7 @@ def test_large_consign_upload_streams_and_roundtrips(two_sites):
     # directions for well under 3x one payload.
     assert metrics.counter_value("stream.wire_bytes") < 3 * len(content)
     # The file physically landed in the job's uspace.
-    run = grid.usites["FZJ"].njs._runs[job_id]
+    run = grid.usites["FZJ"].njs.runs[job_id]
     uspace = next(iter(run.uspaces.values()))
     assert uspace.read("input.dat") == content
 
@@ -126,8 +126,8 @@ def test_transfer_resumes_after_wan_drop(two_sites):
     assert metrics.counter_value("stream.wire_bytes") < 2 * (1 << 20)
     # The stream reassembled completely at the destination.  (It arrives
     # before the forwarded group, so it sits in the early-file stash.)
-    assert grid.usites["FZJ"].njs.transfers_bytes == 1 << 20
-    early = grid.usites["ZIB"].njs._early_files.get(job_id, {})
+    assert grid.usites["FZJ"].njs.forwarding.transfers_bytes == 1 << 20
+    early = grid.usites["ZIB"].njs.forwarding.stashes()["early"].get(job_id, {})
     assert len(early.get("big.dat", b"")) == 1 << 20
 
 
@@ -168,6 +168,39 @@ def test_forwarded_group_stages_and_returns_large_files(two_sites):
     assert metrics.counter_value("stream.opens") >= 2
     assert metrics.counter_value("stream.chunks") >= 8
     # The returned file reached the root run for the archive step.
-    root_run = grid.usites["FZJ"].njs._runs[job_id]
+    root_run = grid.usites["FZJ"].njs.runs[job_id]
     remote_files = root_run.remote_files.get(post_group.ajo.id, {})
     assert len(remote_files.get("render.out", b"")) == 1 << 20
+
+
+def test_group_return_stream_nobody_expects_is_dropped(two_sites):
+    """Result files that stream home ahead of a GroupResult are kept only
+    while the forward that asked for them still waits; a forward given up
+    on, or forgotten by a restart, must not pin its files for ever."""
+    grid, user, session = two_sites
+    fzj, zib = grid.usites["FZJ"].njs, grid.usites["ZIB"].njs
+    metrics = telemetry_for(grid.sim).metrics
+    data = bytes(range(256)) * 16
+
+    def stream_home(corr_id):
+        def scenario(sim):
+            yield from zib.peers.stream(
+                "FZJ", data,
+                {"kind": "group-return", "corr": corr_id, "path": "render.out"},
+            )
+            yield sim.timeout(1.0)  # let the FZJ inbox drain
+
+        grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+        return metrics.counter_value("njs.dropped_peer_messages")
+
+    corr_id, _reply = fzj.peers.expect("group-result")
+    assert stream_home(corr_id) == 0
+    assert fzj.forwarding.stashes()["returned"] == {corr_id: {"render.out": data}}
+    # Nobody ever asked for this one.
+    assert stream_home(corr_id + 1000) == 1
+    assert fzj.forwarding.stashes()["returned"] == {corr_id: {"render.out": data}}
+    # The restart forgot who was waiting: the same stream is now unclaimed.
+    fzj.crash()
+    fzj.restart()
+    assert stream_home(corr_id) == 2
+    assert fzj.forwarding.stashes()["returned"] == {}

@@ -140,7 +140,7 @@ class _Scenario:
 
     def _dispose_first(self):
         first = self.job_ids.get(0)
-        run = None if self.njs.crashed else self.njs._runs.get(first)
+        run = None if self.njs.crashed else self.njs.runs.get(first)
         if run is None or not run.status().is_terminal:
             self.sim.schedule_callback(RETRY_S, self._dispose_first)
             return

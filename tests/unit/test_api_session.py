@@ -1,6 +1,5 @@
 """Unit tests for the public GridSession facade."""
 
-import warnings
 
 import pytest
 
@@ -119,20 +118,6 @@ def test_submit_without_failover_surfaces_the_fault():
     grid.usites["FZJ"].njs.crash()
     with pytest.raises(ServiceUnavailable):
         session.submit(_quick_job(session))
-
-
-def test_repro_core_shim_warns_and_resolves():
-    import repro.core as core
-
-    core._warned.discard("JobBuilder")
-    core.__dict__.pop("JobBuilder", None)  # undo the warn-once cache
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        builder_cls = core.JobBuilder
-    assert builder_cls.__name__ == "JobBuilder"
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
 
 
 def test_grid_session_exported_from_top_level():

@@ -2,7 +2,6 @@
 staleness, and work stealing — plus the NJS advertisement builder and the
 deprecation shim left at the broker's old address."""
 
-import warnings
 
 import pytest
 
@@ -347,7 +346,7 @@ def single_site_run():
 def test_njs_build_advertisement_reports_vsites(single_site_run):
     grid, _, handle = single_site_run
     njs = grid.usites["FZJ"].njs
-    message = njs.build_advertisement()
+    message = njs.adverts.build()
     assert message.usite == "FZJ"
     assert message.sent_at == grid.sim.now
     (ad,) = message.vsites
@@ -364,8 +363,8 @@ def test_njs_reclaimable_tracks_batch_state(single_site_run):
     # The 24h task occupies the machine alone, so it is RUNNING — and a
     # running job must never be offered for stealing.
     session.advance(300)
-    assert njs.reclaimable_job_ids() == []
-    message = njs.build_advertisement()
+    assert njs.adverts.reclaimable() == []
+    message = njs.adverts.build()
     assert handle.job_id not in message.reclaimable
 
 
@@ -384,22 +383,3 @@ def test_njs_consign_quota_crosses_protocol_edge():
     with pytest.raises(BrokerQuotaError) as exc:
         session.submit(second)
     assert exc.value.code == "broker.quota_exceeded"
-
-
-# -- deprecation shim --------------------------------------------------------
-
-def test_ext_broker_shim_warns_and_resolves():
-    import repro.broker.placement as placement
-    import repro.ext.broker as legacy
-
-    legacy.__dict__.pop("ResourceBroker", None)
-    legacy._warned.discard("ResourceBroker")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cls = legacy.ResourceBroker
-    assert cls is placement.ResourceBroker
-    assert any(
-        issubclass(w.category, DeprecationWarning)
-        and "repro.broker" in str(w.message)
-        for w in caught
-    )

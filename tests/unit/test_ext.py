@@ -4,10 +4,10 @@ application interfaces, co-allocation."""
 import pytest
 
 from repro.batch import BatchJobSpec, BatchSystem, machine
+from repro.broker import ResourceBroker
 from repro.ext import (
     AccountingLog,
     CoAllocator,
-    ResourceBroker,
     STANDARD_PACKAGES,
 )
 from repro.grid import build_grid

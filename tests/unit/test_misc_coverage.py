@@ -128,7 +128,7 @@ def test_jmc_render_tree_nested_indent():
 
 # ------------------------------------------------------------------ broker
 def test_broker_candidates_ranked_and_complete():
-    from repro.ext import ResourceBroker
+    from repro.broker import ResourceBroker
     from repro.grid import build_grid
     from repro.resources import ResourceRequest
 
@@ -204,10 +204,3 @@ def test_asymmetric_link():
     net.send("a", "b", "x", 1)
     with pytest.raises(HostUnreachable):
         net.send("b", "a", "x", 1)
-
-
-def test_core_namespace_exports_resolve():
-    import repro.core as core
-
-    for name in core.__all__:
-        assert getattr(core, name) is not None

@@ -10,7 +10,7 @@ from repro.net import (
     NetworkError,
     establish_https,
 )
-from repro.net.transport import DEFAULT_TIMEOUT
+from repro.net.sim_transport import DEFAULT_TIMEOUT
 from repro.security import CertificateAuthority, CertificateStore, DistinguishedName
 from repro.security.ssl import HANDSHAKE_ROUND_TRIPS, SSLSession
 from repro.security.x509 import CertificateRole

@@ -249,33 +249,34 @@ def test_supervisor_index_tracks_job_lifecycle_and_crash_replay():
     job = session.new_job("indexed")
     job.script_task("work", "#!/bin/sh\nwork\n", simulated_runtime_s=400.0)
     handle = session.submit(job)
-    njs._index.verify(njs._runs)
-    assert njs._index.active_count(session.session.user_dn) == 1
+    njs.runs.verify_index()
+    assert njs.runs.active_count(session.session.user_dn) == 1
 
     session.advance(30.0)
-    njs._index.verify(njs._runs)
+    njs.runs.verify_index()
 
     # Crash mid-run: the rebuilt index agrees with the wiped table, the
     # rebuild counter ticks, and the change-log starts a new epoch.
     metrics = telemetry_for(grid.sim).metrics
     rebuilds_before = metrics.counter_value("njs.index.rebuilds")
-    epoch_before = njs._changes.epoch
+    dn = session.session.user_dn
+    epoch_before = njs.list_jobs_delta(dn, -1, 0).epoch
     njs.crash()
-    njs._index.verify(njs._runs)
+    njs.runs.verify_index()
     assert metrics.counter_value("njs.index.rebuilds") == rebuilds_before + 1
-    assert njs._changes.epoch == epoch_before + 1
 
     # Journal replay re-supervises the job; the index follows it all the
     # way to terminal.
     njs.restart()
-    njs._index.verify(njs._runs)
+    assert njs.list_jobs_delta(dn, -1, 0).epoch == epoch_before + 1
+    njs.runs.verify_index()
     final = session.wait(handle)
     assert final.is_terminal
-    njs._index.verify(njs._runs)
-    assert njs._index.active_count(session.session.user_dn) == 0
+    njs.runs.verify_index()
+    assert njs.runs.active_count(session.session.user_dn) == 0
 
     # Dispose drops the run from the table and the index together.
     session.outcome(handle)
     njs.dispose(handle.job_id)
-    njs._index.verify(njs._runs)
-    assert njs._index.status_value(handle.job_id) is None
+    njs.runs.verify_index()
+    assert handle.job_id not in njs.runs

@@ -6,7 +6,6 @@ refactor, and the deprecated-module compatibility shims.
 """
 
 import hashlib
-import warnings
 
 import pytest
 
@@ -420,30 +419,3 @@ def test_sqlite_refuses_a_file_of_another_format(tmp_path):
     assert caught.value.code == "storage.backend" and "format 2" in str(caught.value)
     with pytest.raises(StorageError):
         resolve_storage(f"sqlite:{path}")
-
-
-# -- compat shims ------------------------------------------------------------
-@pytest.mark.parametrize(
-    "module,name,home",
-    [
-        ("repro.server.njs.journal", "JobJournal", "repro.storage.journal"),
-        ("repro.core", "JobBuilder", "repro.client"),
-        ("repro.net.transport", "Network", "repro.net.sim_transport"),
-    ],
-)
-def test_deprecated_module_shims_warn_once(module, name, home):
-    import importlib
-
-    mod = importlib.import_module(module)
-    mod._warned.discard(name)
-    mod.__dict__.pop(name, None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        resolved = getattr(mod, name)
-    assert resolved.__module__.startswith(home.rsplit(".", 1)[0])
-    messages = [str(w.message) for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-    assert any(home in m for m in messages)
-    assert name in dir(mod)
-    with pytest.raises(AttributeError):
-        mod.not_a_thing

@@ -20,7 +20,7 @@ from repro.net.stream import (
     decode_frame,
     encode_frame,
 )
-from repro.net.transport import Network
+from repro.net.sim_transport import Network
 from repro.observability import MetricsRegistry
 from repro.protocol.consignment import (
     decode_consignment,

@@ -1,8 +1,5 @@
-"""The pluggable transport surface: spec parsing, the backend registry,
-facade/backend mismatch guards, and the warn-once shim for the moved
-simkernel classes."""
-
-import warnings
+"""The pluggable transport surface: spec parsing, the backend registry
+and the facade/backend mismatch guards."""
 
 import pytest
 
@@ -120,35 +117,14 @@ def test_async_connect_rejects_wrong_transport_name():
             grid, "Alice Debye", "FZJ", transport="aio"))
 
 
-# -- PEP 562 shim -------------------------------------------------------------
-
-def test_moved_names_warn_once_then_resolve():
-    import importlib
-
-    from repro.net import sim_transport
-    from repro.net import transport as mod
-
-    mod._warned.discard("Network")
-    mod.__dict__.pop("Network", None)
-    with pytest.warns(DeprecationWarning, match="sim_transport"):
-        net_cls = mod.__getattr__("Network")
-    assert net_cls is sim_transport.Network
-    # Second access: cached in module globals, no second warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert importlib.import_module("repro.net.transport").Network \
-            is sim_transport.Network
-
+# -- the interface module holds only the interface ---------------------------
 
 def test_unknown_attribute_still_raises():
     from repro.net import transport as mod
 
-    with pytest.raises(AttributeError):
-        mod.__getattr__("Bogus")
-
-
-def test_dir_lists_moved_names():
-    from repro.net import transport as mod
-
-    listed = dir(mod)
-    assert "Transport" in listed and "Message" in listed
+    # The simkernel classes live in repro.net.sim_transport; their old
+    # address here is gone, not redirected.
+    for name in ("Bogus", "Network", "Message", "DEFAULT_TIMEOUT"):
+        assert name not in dir(mod)
+        with pytest.raises(AttributeError):
+            getattr(mod, name)
