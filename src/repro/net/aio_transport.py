@@ -11,10 +11,17 @@ Internet to the gateway, and everything behind the gateway is the
 site's own fast network.
 
 The protocol stack above is untouched because time is *hybrid*: the
-simulated clock only advances when the sockets are quiet.  The pump
-(:meth:`drive`) alternates between draining due simulator events and
-awaiting socket activity; while any frame is unacknowledged the clock
-is frozen, so response deadlines, gateway subscription holds, and retry
+simulated clock moves only when no frame is in flight **and** no settled
+driver is waiting for its turn, and the pump (:meth:`drive`) enters the
+event loop only then, when something outside the simulator can change
+what is due.  Until a frame is written or a driver's process ends it
+just steps the simulator (one courtesy turn per :data:`EVENTS_PER_TURN`
+events, so a long simulated stretch starves no other task).  Then the
+clock freezes: the events due at that very instant are drained and the
+pump suspends — for one turn after a settled driver, so the awaiting
+coroutine can :meth:`drive` its next plan at the same instant; otherwise
+until a frame arrives, a connection is lost or a new :meth:`drive`
+begins.  So response deadlines, gateway subscription holds, and retry
 backoff timers fire exactly when they would in a pure simulation — but
 each WAN round-trip is real bytes through the OS, measurable in
 wall-clock msgs/s and MB/s.
@@ -29,6 +36,7 @@ against the sim backend handles them unchanged.
 from __future__ import annotations
 
 import asyncio
+import math
 import typing
 
 from repro.net.errors import (
@@ -39,20 +47,89 @@ from repro.net.errors import (
 )
 from repro.net.sim_transport import Message, Network
 from repro.net.wire import (
-    FTYPE_HELLO,
     HEADER,
+    FrameSplitter,
     WireMessage,
     decode_frame,
     encode_hello,
     encode_message,
-    read_frames,
 )
 from repro.simkernel import Event, Simulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel import Process
 
-__all__ = ["AioTransport"]
+__all__ = ["AioTransport", "EVENTS_PER_TURN"]
+
+#: Simulator events the pump steps through before it gives the event loop
+#: a turn it does not need itself.
+EVENTS_PER_TURN = 1024
+
+
+class _Endpoint(asyncio.Protocol):
+    """One end of a WAN host's TCP connection (both ends live here).
+
+    The connecting end knows which host it speaks for and says HELLO; the
+    accepting end is nameless until that frame arrives.  Either answers in
+    its side's registry under that name while it is the latest to claim
+    it.  Bytes are split, decoded and delivered in the turn they arrive.
+    """
+
+    _transport: asyncio.WriteTransport  # from connection_made on
+
+    def __init__(self, net: "AioTransport", name: str | None = None) -> None:
+        self._net = net
+        self._name = name
+        self._writers = (
+            net._server_writers if name is None else net._client_writers
+        )
+        self._splitter = FrameSplitter()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = typing.cast(asyncio.WriteTransport, transport)
+        self._net._connections.add(self._transport)
+        if self._name is not None:
+            self._transport.write(encode_hello(self._name))
+            self._writers[self._name] = self._transport
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for ftype, body in self._splitter.feed(data):
+                decoded = decode_frame(ftype, body)
+                if isinstance(decoded, str) != (self._name is None):
+                    raise FrameDecodeError(
+                        "HELLO must be a connection's first frame and no other"
+                    )
+                if isinstance(decoded, str):
+                    self._name = decoded
+                    self._writers[decoded] = self._transport
+                else:
+                    self._net._on_frame(decoded, HEADER.size + len(body))
+        except FrameDecodeError:
+            self._transport.close()  # connection_lost fails what is in flight
+
+    def eof_received(self) -> None:
+        try:
+            self._splitter.eof()
+        except FrameDecodeError:
+            self._transport.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        """Forget this end and fail the frames written to it — and nothing
+        else: a stale connection reaped late (its client reconnected over
+        a half-open link) must not take down the one that replaced it."""
+        net, gone, name = self._net, self._transport, self._name
+        net._connections.discard(gone)
+        if name is not None and self._writers.get(name) is gone:
+            del self._writers[name]
+        for msg_id, (ev, written_to) in list(net._pending.items()):
+            if written_to is gone:
+                del net._pending[msg_id]
+                ev.fail(ConnectionReset(
+                    f"connection for {name!r} dropped with message "
+                    f"{msg_id} in flight"
+                ))
+        net._notify()
 
 
 class AioTransport(Network):
@@ -72,22 +149,24 @@ class AioTransport(Network):
         super().__init__(sim, seed)
         self._tcp_host = host
         self._tcp_port = int(port)
-        #: Wall-clock guard: if no socket progress happens for this long
-        #: while frames are in flight (or drivers are starved), the
-        #: transport declares itself stalled instead of hanging forever.
+        #: Wall-clock guard: after this long with no socket progress, frames
+        #: in flight (or starved drivers) fail as stalled instead of hanging.
         self.io_timeout_s = io_timeout_s
         self._wan: set[str] = set()
-        self._server: asyncio.AbstractServer | None = None
-        self._wake: asyncio.Event | None = None
+        self._server: asyncio.Server | None = None
         #: One TCP connection per WAN host, addressed from both ends.
-        self._client_writers: dict[str, asyncio.StreamWriter] = {}
-        self._server_writers: dict[str, asyncio.StreamWriter] = {}
-        self._io_tasks: set[asyncio.Task] = set()
-        #: msg_id -> (delivery event, WAN host the frame rides through).
-        self._pending: dict[int, tuple[Event, str]] = {}
-        self._pump_task: asyncio.Task | None = None
-        self._driving = 0
-        self._driver_futs: set[asyncio.Future] = set()
+        self._client_writers: dict[str, asyncio.WriteTransport] = {}
+        self._server_writers: dict[str, asyncio.WriteTransport] = {}
+        #: Every open connection end, named or not yet, for :meth:`aclose`.
+        self._connections: set[asyncio.WriteTransport] = set()
+        #: msg_id -> (delivery event, the connection end it was written to).
+        self._pending: dict[int, tuple[Event, asyncio.WriteTransport]] = {}
+        self._pump_task: asyncio.Task[None] | None = None
+        #: What the suspended pump waits on; see :meth:`_notify`.
+        self._waiter: asyncio.Future[bool] | None = None
+        self._driver_futs: set[asyncio.Future[object]] = set()
+        #: A driver's process ended and its awaiter has not had a turn yet.
+        self._settled = False
         #: Real-socket instrumentation (frames/bytes received off TCP).
         self.socket_frames = 0
         self.socket_bytes = 0
@@ -97,23 +176,18 @@ class AioTransport(Network):
         self._wan.add(name)
 
     @property
-    def started(self) -> bool:
-        return self._server is not None
-
-    @property
     def port(self) -> int:
         """The bound TCP port (after :meth:`start`)."""
         if self._server is None:
             raise NetworkError("transport not started")
-        return self._server.sockets[0].getsockname()[1]
+        return typing.cast(int, self._server.sockets[0].getsockname()[1])
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> "AioTransport":
         """Bind the server socket for the gateway tier; idempotent."""
         if self._server is None:
-            self._wake = asyncio.Event()
-            self._server = await asyncio.start_server(
-                self._accept, self._tcp_host, self._tcp_port
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: _Endpoint(self), self._tcp_host, self._tcp_port
             )
         return self
 
@@ -127,40 +201,29 @@ class AioTransport(Network):
         if writer is not None and not writer.is_closing():
             return
         try:
-            reader, writer = await asyncio.open_connection(
-                self._tcp_host, self.port
+            await asyncio.get_running_loop().create_connection(
+                lambda: _Endpoint(self, name), self._tcp_host, self.port
             )
         except OSError as exc:
             raise ConnectionRefused(
                 f"connect to {self._tcp_host}:{self.port} for {name!r} "
                 f"failed: {exc}"
             ) from exc
-        writer.write(encode_hello(name))
-        await writer.drain()
-        self._client_writers[name] = writer
-        task = asyncio.create_task(
-            self._reader_loop(name, reader, writer), name=f"aio-client-{name}"
-        )
-        self._io_tasks.add(task)
-        task.add_done_callback(self._io_tasks.discard)
 
     async def aclose(self) -> None:
         """Tear down sockets and the pump; safe to call repeatedly."""
-        for task in list(self._io_tasks):
-            task.cancel()
         if self._pump_task is not None:
             self._pump_task.cancel()
-        for writers in (self._client_writers, self._server_writers):
-            for writer in list(writers.values()):
-                writer.close()
-            writers.clear()
+            self._pump_task = None
+        for connection in list(self._connections):
+            connection.abort()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await asyncio.gather(*self._io_tasks, return_exceptions=True)
-        self._io_tasks.clear()
-        self._pump_task = None
+        # One turn: each aborted end's connection_lost runs, which is what
+        # empties the registries, and the cancelled pump ends.
+        await asyncio.sleep(0)
 
     async def __aenter__(self) -> "AioTransport":
         return await self.start()
@@ -169,60 +232,6 @@ class AioTransport(Network):
         await self.aclose()
 
     # -- socket plumbing -------------------------------------------------------
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._io_tasks.add(task)
-            task.add_done_callback(self._io_tasks.discard)
-        name: str | None = None
-        try:
-            async for ftype, body in read_frames(reader):
-                decoded = decode_frame(ftype, body)
-                if name is None:
-                    if ftype != FTYPE_HELLO:
-                        raise FrameDecodeError(
-                            "first frame on a new connection must be HELLO"
-                        )
-                    name = typing.cast(str, decoded)
-                    self._server_writers[name] = writer
-                    self._notify()
-                    continue
-                self._on_frame(
-                    typing.cast(WireMessage, decoded), HEADER.size + len(body)
-                )
-        except (OSError, FrameDecodeError):
-            pass  # fall through to _drop_endpoint, which fails in-flight sends
-        except asyncio.CancelledError:
-            # aclose() cancels handlers; return cleanly so the stream
-            # protocol's done-callback does not log the cancellation.
-            pass
-        finally:
-            if name is not None:
-                self._drop_endpoint(name)
-            writer.close()
-
-    async def _reader_loop(
-        self,
-        name: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            async for ftype, body in read_frames(reader):
-                decoded = decode_frame(ftype, body)
-                self._on_frame(
-                    typing.cast(WireMessage, decoded), HEADER.size + len(body)
-                )
-        except (OSError, FrameDecodeError):
-            pass
-        except asyncio.CancelledError:
-            pass  # aclose() cancels reader tasks; exit quietly
-        finally:
-            self._drop_endpoint(name)
-            writer.close()
-
     def _on_frame(self, wm: WireMessage, nbytes: int) -> None:
         """A frame arrived off a socket: deliver and acknowledge."""
         self.socket_frames += 1
@@ -238,24 +247,22 @@ class AioTransport(Network):
             entry[0].succeed(message)
         self._notify()
 
-    def _drop_endpoint(self, name: str) -> None:
-        """A WAN host's connection died: fail its in-flight deliveries."""
-        self._client_writers.pop(name, None)
-        self._server_writers.pop(name, None)
-        stale = [m for m, (_ev, wan) in self._pending.items() if wan == name]
-        for msg_id in stale:
-            ev, _ = self._pending.pop(msg_id)
-            ev.fail(
-                ConnectionReset(
-                    f"connection for {name!r} dropped with message "
-                    f"{msg_id} in flight"
-                )
-            )
-        self._notify()
+    def _notify(self, progress: bool = True) -> None:
+        """Resume the pump if it is waiting; ``False`` means "timed out"."""
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(progress)
 
-    def _notify(self) -> None:
-        if self._wake is not None:
-            self._wake.set()
+    async def _wait(self) -> bool:
+        """Suspend the pump until :meth:`_notify` or, false, the timeout."""
+        loop = asyncio.get_running_loop()
+        waiter = self._waiter = loop.create_future()
+        timer = loop.call_later(self.io_timeout_s, self._notify, False)
+        try:
+            return await waiter
+        finally:
+            timer.cancel()
+            self._waiter = None
 
     # -- traffic ---------------------------------------------------------------
     def send(
@@ -282,14 +289,11 @@ class AioTransport(Network):
         link = self.get_link(src, dst)  # no-link parity (HostUnreachable)
         msg_id = next(self._msg_seq)
         wan_name = src if wan_src else dst
+        writers = self._client_writers if wan_src else self._server_writers
         ev = self.sim.event(name=f"delivery:{msg_id}")
 
         def write() -> None:
-            writer = (
-                self._client_writers.get(wan_name)
-                if wan_src
-                else self._server_writers.get(wan_name)
-            )
+            writer = writers.get(wan_name)
             if writer is None or writer.is_closing():
                 ev.fail(
                     ConnectionRefused(
@@ -305,19 +309,14 @@ class AioTransport(Network):
             frame = encode_message(
                 msg_id, src, dst, payload, size_bytes, channel, deliver
             )
-            self._pending[msg_id] = (ev, wan_name)
-            try:
-                writer.write(frame)
-            except OSError as exc:
-                self._pending.pop(msg_id, None)
-                ev.fail(ConnectionReset(f"write to {wan_name!r} failed: {exc}"))
-                return
-            self._notify()
+            # A failed write is reported to connection_lost: it fails this.
+            self._pending[msg_id] = (ev, writer)
+            writer.write(frame)
 
         # The socket does the transmitting, so the slot has no length:
         # reserving it only keeps one edge's frames in call order.  A
         # frame enters _pending when it is written, not before, because
-        # the pump freezes the clock while anything is pending.
+        # a pending frame freezes the clock.
         self.sim.schedule_callback(link.reserve(delay_s) - self.sim.now, write)
         return ev
 
@@ -334,11 +333,12 @@ class AioTransport(Network):
                 return proc.value
             raise typing.cast(BaseException, proc.value)
         loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
+        fut: asyncio.Future[object] = loop.create_future()
         proc.defuse()  # the future carries the failure to the awaiter
 
         def _settle(ev: Event) -> None:
             if not fut.done():
+                self._settled = True
                 if ev._ok:
                     fut.set_result(ev._value)
                 else:
@@ -346,73 +346,56 @@ class AioTransport(Network):
 
         assert proc.callbacks is not None
         proc.callbacks.append(_settle)
-        self._driving += 1
         self._driver_futs.add(fut)
         if self._pump_task is None or self._pump_task.done():
-            self._pump_task = asyncio.create_task(self._pump(), name="aio-pump")
+            self._pump_task = loop.create_task(self._pump(), name="aio-pump")
         self._notify()
         try:
             return await fut
         finally:
-            self._driving -= 1
             self._driver_futs.discard(fut)
 
     async def _pump(self) -> None:
-        """Advance simulated time only while the sockets are quiet."""
-        assert self._wake is not None
-        wake = self._wake
+        """Step the simulator; enter the event loop only when something
+        outside the simulator can change what is due (module docstring)."""
         sim = self.sim
-        while self._driving > 0:
-            # Drain everything due at the current instant (this is where
-            # sends are issued and delivered inboxes are consumed).
-            sim.run(until=sim.now)
-            # Yield once: socket readers consume newly written frames and
-            # finished drivers resume/decrement before we decide to wait.
-            await asyncio.sleep(0)
-            if self._driving == 0:
-                break
-            if sim.peek() <= sim.now:
-                continue  # the yield produced new due-now work
-            if self._pending:
-                wake.clear()
-                if not self._pending:  # raced: frame landed before clear
-                    continue
-                try:
-                    await asyncio.wait_for(wake.wait(), self.io_timeout_s)
-                except asyncio.TimeoutError:
-                    self._fail_pending(
-                        NetworkError(
-                            f"transport stalled: no socket progress in "
-                            f"{self.io_timeout_s}s with "
-                            f"{len(self._pending)} frames in flight"
-                        )
+        step, peek, inf = sim.step, sim.peek, math.inf
+        pending = self._pending
+        while self._driver_futs:
+            budget = EVENTS_PER_TURN
+            while (
+                budget and not pending and not self._settled and peek() != inf
+            ):
+                step()
+                budget -= 1
+            if pending or self._settled:
+                # The clock is frozen from here: finish this instant (more
+                # sends are issued, delivered inboxes consumed) and no other.
+                sim.run(until=sim.now)
+                if self._settled:
+                    # One turn: the awaiter resumes and may drive() again
+                    # at this instant, or leave the pump with one fewer.
+                    self._settled = False
+                    await asyncio.sleep(0)
+                elif not await self._wait():
+                    stalled = NetworkError(
+                        f"transport stalled: no socket progress in "
+                        f"{self.io_timeout_s}s with "
+                        f"{len(pending)} frames in flight"
                     )
-                continue
-            nxt = sim.peek()
-            if nxt != float("inf"):
-                # Sockets quiet: the next timer (retry deadline, hold
-                # expiry, modeled LAN latency) is allowed to fire.
-                sim.run(until=nxt)
-                continue
+                    for ev, _connection in pending.values():
+                        ev.fail(stalled)
+                    pending.clear()
+            elif not budget:
+                await asyncio.sleep(0)
             # Nothing due, nothing in flight, drivers still waiting:
             # either a new drive()/frame arrives, or we are deadlocked.
-            wake.clear()
-            if self._pending or sim.peek() != float("inf") or not self._driving:
-                continue
-            try:
-                await asyncio.wait_for(wake.wait(), self.io_timeout_s)
-            except asyncio.TimeoutError:
-                stall = NetworkError(
+            elif not await self._wait():
+                deadlock = NetworkError(
                     "transport deadlock: drivers waiting with no simulator "
                     "events and no socket traffic"
                 )
                 for fut in list(self._driver_futs):
                     if not fut.done():
-                        fut.set_exception(stall)
+                        fut.set_exception(deadlock)
                 break
-
-    def _fail_pending(self, exc: NetworkError) -> None:
-        for msg_id in list(self._pending):
-            ev, _ = self._pending.pop(msg_id)
-            ev.fail(exc)
-        self._notify()

@@ -46,18 +46,15 @@ from dataclasses import dataclass
 from repro.net.errors import FrameDecodeError
 from repro.protocol.messages import Reply, Request
 
-if typing.TYPE_CHECKING:  # pragma: no cover
-    import asyncio
-
 __all__ = [
     "FTYPE_HELLO",
     "FTYPE_MSG",
     "HEADER",
+    "FrameSplitter",
     "WireMessage",
     "decode_frame",
     "encode_hello",
     "encode_message",
-    "read_frames",
 ]
 
 #: Frame header: magic, version, frame type, body length.
@@ -293,13 +290,20 @@ def decode_frame(ftype: int, body: bytes) -> "str | WireMessage":
             raise FrameDecodeError(f"invalid HELLO host name: {exc}") from None
     if ftype == FTYPE_MSG:
         r = _Reader(body)
-        msg_id = typing.cast(int, _decode_value(r))
-        sender = r.string()
-        recipient = r.string()
-        channel = r.string()
-        size_bytes = typing.cast(int, _decode_value(r))
-        deliver = bool(_decode_value(r))
-        payload = _decode_value(r)
+        try:
+            msg_id = _decode_value(r)
+            sender = r.string()
+            recipient = r.string()
+            channel = r.string()
+            size_bytes = _decode_value(r)
+            deliver = bool(_decode_value(r))
+            payload = _decode_value(r)
+        except (RecursionError, TypeError, ValueError) as exc:
+            # Nesting without end, an unhashable dict key, a Request the
+            # protocol refuses: the bytes are at fault, not the program.
+            raise FrameDecodeError(f"undecodable MSG body: {exc}") from None
+        if not (isinstance(msg_id, int) and isinstance(size_bytes, int)):
+            raise FrameDecodeError("MSG id and size must be integers")
         if r.pos != len(body):
             raise FrameDecodeError(
                 f"{len(body) - r.pos} trailing bytes after MSG payload"
@@ -312,35 +316,47 @@ def decode_frame(ftype: int, body: bytes) -> "str | WireMessage":
     raise FrameDecodeError(f"unknown frame type {ftype}")
 
 
-async def read_frames(
-    reader: "asyncio.StreamReader",
-) -> typing.AsyncIterator[tuple[int, bytes]]:
-    """Yield ``(ftype, body)`` frames off an asyncio StreamReader.
+class FrameSplitter:
+    """Finds the frames in one byte stream, however the stream is cut.
 
-    Stops cleanly on EOF at a frame boundary; raises
-    :class:`FrameDecodeError` on garbage and lets connection errors
-    (``ConnectionResetError`` et al.) propagate to the caller's handler.
+    :meth:`feed` takes the bytes as a socket hands them over and yields
+    each ``(ftype, body)`` whose last byte has arrived.  A header is
+    judged as soon as its eight bytes are in: bad magic, then unknown
+    version, then a body over :data:`MAX_BODY` raise
+    :class:`FrameDecodeError` before a byte of that body is kept.  There
+    is no resynchronising: a refused stream stays refused.
     """
-    import asyncio
 
-    while True:
-        try:
-            header = await reader.readexactly(HEADER.size)
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                raise FrameDecodeError(
-                    "connection closed mid-header"
-                ) from None
-            return  # clean EOF between frames
-        magic, version, ftype, length = HEADER.unpack(header)
-        if magic != MAGIC:
-            raise FrameDecodeError(f"bad frame magic {magic!r}")
-        if version != VERSION:
-            raise FrameDecodeError(f"unsupported frame version {version}")
-        if length > MAX_BODY:
-            raise FrameDecodeError(f"frame body {length} exceeds {MAX_BODY}")
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise FrameDecodeError("connection closed mid-body") from None
-        yield ftype, body
+    def __init__(self) -> None:
+        #: Bytes received that are not yet part of a yielded frame.
+        self._buf = bytearray()
+
+    def feed(self, data: bytes) -> typing.Iterator[tuple[int, bytes]]:
+        """Yield the frames ``data`` completes.  A generator: iterate it;
+        the frames before a refusal are yielded before it is raised."""
+        buf = self._buf
+        buf += data
+        while len(buf) >= HEADER.size:
+            magic, version, ftype, length = HEADER.unpack_from(buf)
+            if magic != MAGIC:
+                refusal = f"bad frame magic {magic!r}"
+            elif version != VERSION:
+                refusal = f"unsupported frame version {version}"
+            elif length > MAX_BODY:
+                refusal = f"frame body {length} exceeds {MAX_BODY}"
+            else:
+                end = HEADER.size + length
+                if len(buf) < end:
+                    return
+                body = bytes(memoryview(buf)[HEADER.size:end])
+                del buf[:end]
+                yield ftype, body
+                continue
+            del buf[HEADER.size:]  # hold the refused header, nothing behind it
+            raise FrameDecodeError(refusal)
+
+    def eof(self) -> None:
+        """The stream has ended: refuse it unless it ended between frames."""
+        if self._buf:
+            part = "header" if len(self._buf) < HEADER.size else "body"
+            raise FrameDecodeError(f"connection closed mid-{part}")

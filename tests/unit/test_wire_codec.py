@@ -12,6 +12,7 @@ from repro.net.wire import (
     MAGIC,
     MAX_BODY,
     VERSION,
+    FrameSplitter,
     WireMessage,
     decode_frame,
     encode_hello,
@@ -129,31 +130,81 @@ def test_invalid_hello_utf8_raises():
         decode_frame(FTYPE_HELLO, b"\xff\xfe")
 
 
-def test_stream_reader_framing():
-    """read_frames: back-to-back frames parse; garbage headers raise."""
-    import asyncio
+def _split(data, eof=True):
+    splitter = FrameSplitter()
+    frames = list(splitter.feed(data))
+    if eof:
+        splitter.eof()
+    return frames
 
-    from repro.net.wire import read_frames
 
-    async def collect(data):
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return [frame async for frame in read_frames(reader)]
-
+def test_frame_splitter_framing():
+    """FrameSplitter: back-to-back frames parse; garbage headers raise."""
     hello = encode_hello("ws")
     msg = encode_message(5, "ws", "gw", "ping", 10, "ctl", True)
-    frames = asyncio.run(collect(hello + msg))
+    frames = _split(hello + msg)
     assert [f[0] for f in frames] == [FTYPE_HELLO, FTYPE_MSG]
+    assert frames[1][1] == msg[HEADER.size:]
 
     with pytest.raises(FrameDecodeError, match="magic"):
-        asyncio.run(collect(b"XX" + hello[2:]))
+        _split(b"XX" + hello[2:])
     with pytest.raises(FrameDecodeError, match="version"):
-        asyncio.run(collect(HEADER.pack(MAGIC, 9, FTYPE_HELLO, 0)))
+        _split(HEADER.pack(MAGIC, 9, FTYPE_HELLO, 0))
     with pytest.raises(FrameDecodeError, match="mid-header"):
-        asyncio.run(collect(hello[:4]))
+        _split(hello[:4])
     with pytest.raises(FrameDecodeError, match="mid-body"):
-        asyncio.run(collect(msg[:-3]))
+        _split(msg[:-3])
     with pytest.raises(FrameDecodeError, match="exceeds"):
-        asyncio.run(collect(HEADER.pack(MAGIC, VERSION, FTYPE_MSG,
-                                        MAX_BODY + 1)))
+        _split(HEADER.pack(MAGIC, VERSION, FTYPE_MSG, MAX_BODY + 1),
+               eof=False)
+
+
+def test_frames_before_a_refusal_are_yielded_and_the_stream_stays_refused():
+    msg = encode_message(5, "ws", "gw", "ping", 10, "ctl", True)
+    splitter = FrameSplitter()
+    feed = splitter.feed(msg + b"XX" + msg)
+    assert next(feed) == (FTYPE_MSG, msg[HEADER.size:])
+    with pytest.raises(FrameDecodeError, match="magic"):
+        next(feed)
+    with pytest.raises(FrameDecodeError, match="magic"):
+        list(splitter.feed(msg))
+
+
+# -- hostile bodies: a value or FrameDecodeError, nothing else ----------------
+
+def _msg_body(payload_bytes, msg_id=b"\x03\x01\x07", size=b"\x03\x01\x00"):
+    """A MSG body around raw, possibly malformed, field encodings."""
+    text = b"\x00\x00\x00\x01a"
+    return msg_id + text * 3 + size + b"\x01" + payload_bytes
+
+
+def test_unhashable_dict_key_raises_frame_decode_error():
+    # {[]: None}: a list where a dict key must be.
+    body = _msg_body(b"\x09\x00\x00\x00\x01" + b"\x07\x00\x00\x00\x00" + b"\x00")
+    with pytest.raises(FrameDecodeError, match="unhashable"):
+        decode_frame(FTYPE_MSG, body)
+
+
+def test_request_the_protocol_refuses_raises_frame_decode_error():
+    good = encode_message(
+        1, "a", "b", Request(kind="query", user_dn="CN=A", payload=b""),
+        0, "ctl", True,
+    )
+    bad = good.replace(b"query", b"qu3ry")
+    with pytest.raises(FrameDecodeError, match="unknown request kind"):
+        decode_frame(FTYPE_MSG, bad[HEADER.size:])
+
+
+def test_bottomless_nesting_raises_frame_decode_error():
+    body = _msg_body(b"\x07\x00\x00\x00\x01" * 100_000)
+    with pytest.raises(FrameDecodeError, match="recursion"):
+        decode_frame(FTYPE_MSG, body)
+
+
+def test_non_integer_msg_id_or_size_raises_frame_decode_error():
+    empty_list = b"\x07\x00\x00\x00\x00"
+    for body in (_msg_body(b"\x00", msg_id=empty_list),
+                 _msg_body(b"\x00", size=empty_list)):
+        with pytest.raises(FrameDecodeError, match="integers"):
+            decode_frame(FTYPE_MSG, body)
+    assert decode_frame(FTYPE_MSG, _msg_body(b"\x00")).msg_id == 7
