@@ -49,6 +49,7 @@ def _broker_error_for(code: str):
 from repro.observability import telemetry_for
 from repro.resources.check import check_request
 from repro.resources.model import ResourceRequest
+from repro.vfs.body import FileBody
 
 __all__ = ["JobPreparationAgent", "JobBuilder"]
 
@@ -296,7 +297,7 @@ class JobPreparationAgent:
         if not report.ok:
             telemetry.metrics.counter("analysis.jobs_rejected").inc()
             raise AnalysisError(report)
-        files: dict[str, bytes] = {}
+        files: dict[str, FileBody] = {}
         needed = builder.workstation_files_needed()
         if needed:
             ws = workstation
@@ -305,11 +306,10 @@ class JobPreparationAgent:
                     "job imports workstation files but no workstation given"
                 )
             files = ws.stage_for_ajo(needed)
-        from repro.net.stream import StreamSender
         from repro.protocol.consignment import encode_consignment
         from repro.protocol.datapath import (
-            DEFAULT_CHUNK_BYTES,
             INLINE_FILE_MAX,
+            body_sender,
             channel_sender,
             entry_for_sender,
             send_stream,
@@ -320,10 +320,10 @@ class JobPreparationAgent:
         # chunked frames and appear in the envelope only as a manifest.
         stream_ids = getattr(self.session, "stream_ids", None)
         inline: dict[str, bytes] = {}
-        large: list[tuple[str, bytes]] = []
+        large: list[tuple[str, FileBody]] = []
         for path, content in files.items():
             if stream_ids is None or len(content) <= INLINE_FILE_MAX:
-                inline[path] = content
+                inline[path] = content.data
             else:
                 large.append((path, content))
 
@@ -341,8 +341,8 @@ class JobPreparationAgent:
         try:
             entries = []
             for path, content in large:
-                sender = StreamSender(
-                    stream_ids.next(), content, DEFAULT_CHUNK_BYTES,
+                sender = body_sender(
+                    stream_ids.next(), content,
                     {"kind": "consign-file", "path": path},
                 )
                 yield from send_stream(

@@ -15,8 +15,9 @@ Codes are stable and grouped by rule pack:
 * ``RD2xx`` — error-code registry consistency (``repro.errors``);
 * ``RD3xx`` — observability registry consistency (counter/histogram/
   span names vs :mod:`repro.observability.registry`);
-* ``RD4xx`` — protocol and shim consistency (request-verb dispatch,
-  PEP 562 deprecation shims).
+* ``RD4xx`` — protocol and ownership consistency (request-verb
+  dispatch, module ``__getattr__``, private state, passes over file
+  content).
 
 Like the AJO codes, RD codes are a contract (baselines and CI key on
 them) and must never be renumbered.

@@ -18,7 +18,11 @@ kind`` error.  These rules pin the vocabulary statically:
 * ``RD405`` — under ``src/repro/server/`` a ``_private`` attribute is
   touched through anything but ``self`` / ``cls`` outside the module
   that defines it, or any file assigns to ``.njs._…``: each piece of
-  server state has one owner and changes through its methods.
+  server state has one owner and changes through its methods;
+* ``RD406`` — ``zlib.crc32`` / ``hashlib.sha256`` outside the modules
+  that own a pass over file content (:attr:`ContentPassRule.allowlist`):
+  a site reads a file body once per check, and a third reader of the
+  bytes cannot come back unnoticed.
 """
 
 from __future__ import annotations
@@ -200,6 +204,42 @@ class PrivateReachRule(FileRule):
                 )
 
 
+class ContentPassRule(FileRule):
+    """RD406: one owner per pass over file content."""
+
+    code = "RD406"
+    #: The frame codec (a CRC per chunk sent or received), the body that
+    #: keeps both checks beside the bytes, and two users of the functions
+    #: on what is not file content: key material and RNG stream names.
+    #: Anything else states its reason in a pragma on the line.
+    allowlist = (
+        "src/repro/net/stream.py",
+        "src/repro/vfs/body.py",
+        "src/repro/security/",
+        "src/repro/simkernel/rng.py",
+    )
+
+    _READERS = ("zlib.crc32", "hashlib.sha256")
+
+    def check(self, f: SourceFile) -> typing.Iterator[tuple[int, str]]:
+        for node in ast.walk(f.tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(
+                node.value, ast.Name
+            ):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            for name in names:
+                if name in self._READERS:
+                    yield node.lineno, (
+                        f"{name} outside the modules that own a pass over "
+                        "file content; take FileBody.digest / .chunk_crcs "
+                        "(computed once, kept with the bytes) instead"
+                    )
+
+
 def _private_names_defined(tree: ast.Module) -> set[str]:
     """Private names a module defines: functions, classes, plain names it
     binds, and attributes it sets through self/cls."""
@@ -220,4 +260,7 @@ def _private_names_defined(tree: ast.Module) -> set[str]:
 
 
 def protocol_rules() -> "list[ProjectRule | FileRule]":
-    return [VerbDispatchRule(), ModuleGetattrRule(), PrivateReachRule()]
+    return [
+        VerbDispatchRule(), ModuleGetattrRule(), PrivateReachRule(),
+        ContentPassRule(),
+    ]

@@ -34,6 +34,15 @@ retransmission granularity: each side reads a chunk once to compute or
 verify it.  The whole-payload CRC in the OPEN preamble is the end-to-end
 check; both sides *derive* it from the chunk CRCs they already hold
 (:func:`crc32_combine`) instead of reading the payload a second time.
+
+Who computes a CRC when: a receiver always does, per chunk, in
+:func:`decode_frame`; a sender only for a payload nobody at its site has
+cut before.  A site that forwards what it received hands
+:class:`StreamSender` the CRCs its own :class:`StreamReassembler`
+verified (``chunk_crcs=``; :class:`repro.vfs.FileBody` is what carries
+them between the two), so the bytes are not read again and a copy that
+went bad at rest fails the next receiver's check instead of being
+blessed by a fresh CRC.
 """
 
 from __future__ import annotations
@@ -294,12 +303,16 @@ class StreamSender:
     def __init__(
         self, stream_id: int, data: bytes | memoryview, chunk_bytes: int,
         context: dict[str, typing.Any] | None = None,
+        *, chunk_crcs: typing.Sequence[int] | None = None,
     ) -> None:
         self.stream_id = stream_id
         self.chunks = chunk_payload(data, chunk_bytes)
-        #: The one pass over the payload: each chunk's frame CRC, from
-        #: which the whole-payload CRC is folded.
-        self.chunk_crcs = [zlib.crc32(chunk) for chunk in self.chunks]
+        if chunk_crcs is None:
+            # The one pass over a payload nobody has cut before.
+            chunk_crcs = [zlib.crc32(chunk) for chunk in self.chunks]
+        #: Each chunk's frame CRC — the caller's, when it already holds
+        #: them for this split — from which the whole-payload CRC is folded.
+        self.chunk_crcs = chunk_crcs
         self.open_info = OpenInfo(
             total_size=len(data),
             chunk_bytes=chunk_bytes,
@@ -345,7 +358,13 @@ class StreamReassembler:
         if open_frame.ftype != FrameType.OPEN:
             raise FrameError("reassembler must be seeded with an OPEN frame")
         self.stream_id = open_frame.stream_id
-        self.info = OpenInfo.decode(open_frame.payload)
+        self.info = info = OpenInfo.decode(open_frame.payload)
+        size, cut = info.total_size, info.chunk_bytes
+        if info.chunk_count != (-(-size // cut) if cut else 0):
+            raise FrameError(
+                f"stream {self.stream_id}: {info.chunk_count} chunks cannot "
+                f"be {size} bytes cut at {cut}"
+            )
         #: seq -> DATA frame; each keeps the CRC it was verified against.
         self._chunks: dict[int, Frame] = {}
 
@@ -360,6 +379,13 @@ class StreamReassembler:
     @property
     def complete(self) -> bool:
         return len(self._chunks) == self.info.chunk_count
+
+    @property
+    def chunk_crcs(self) -> list[int]:
+        """The CRCs :func:`decode_frame` verified, in payload order, for
+        the payload cut at ``info.chunk_bytes`` (:meth:`feed` holds every
+        chunk to that split)."""
+        return [self._chunks[i].crc32 for i in range(self.info.chunk_count)]
 
     @property
     def next_expected(self) -> int:
@@ -381,6 +407,14 @@ class StreamReassembler:
                 raise FrameError(
                     f"chunk {frame.seq} out of range for stream "
                     f"{self.stream_id} ({self.info.chunk_count} chunks)"
+                )
+            cut = self.info.chunk_bytes
+            if len(frame.payload) != min(
+                cut, self.info.total_size - frame.seq * cut
+            ):
+                raise FrameError(
+                    f"chunk {frame.seq} of stream {self.stream_id} is not "
+                    f"the piece a {cut}-byte split gives it"
                 )
             self._chunks.setdefault(frame.seq, frame)
         # OPEN duplicates and ACKs carry no new data.

@@ -32,7 +32,6 @@ from repro.protocol.consignment import (
     decode_consignment,
     decode_consignment_envelope,
     encode_consignment,
-    file_entry_for,
     validate_manifest_paths,
 )
 from repro.protocol.datapath import (
@@ -70,7 +69,6 @@ __all__ = [
     "encode_inline_reply",
     "encode_stream_reply",
     "fetch_bulk_payload",
-    "file_entry_for",
     "send_stream",
     "validate_manifest_paths",
 ]

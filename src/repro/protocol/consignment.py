@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import struct
 import typing
-import zlib
 from dataclasses import dataclass
 
 from repro.ajo.errors import SerializationError, UnsafePathError
@@ -46,7 +45,6 @@ __all__ = [
     "decode_consignment",
     "decode_consignment_envelope",
     "encode_consignment",
-    "file_entry_for",
     "validate_manifest_paths",
 ]
 
@@ -233,11 +231,3 @@ def decode_consignment(data: bytes) -> tuple[bytes, dict[str, bytes]]:
             "data-plane endpoint"
         )
     return consignment.ajo_bytes, consignment.files
-
-
-def file_entry_for(path: str, content: bytes, stream_id: int) -> FileEntry:
-    """Build the manifest entry for one streamed payload."""
-    return FileEntry(
-        path=path, size=len(content), crc32=zlib.crc32(content),
-        stream_id=stream_id,
-    )

@@ -16,9 +16,11 @@ Pieces:
   across senders (origin hash in the high bits, a counter below);
 * :class:`DataPlaneEndpoint` — the receiving side: feed raw frame
   bytes off a host inbox, reassemble streams, hand completed payloads
-  to an application callback or park them for :meth:`~DataPlaneEndpoint.take`
-  / :meth:`~DataPlaneEndpoint.wait`;
-* :func:`send_stream` — the sending side: one call of the caller's
+  (each a :class:`~repro.vfs.FileBody` holding the chunk CRCs this side
+  verified) to an application callback or park them for
+  :meth:`~DataPlaneEndpoint.take` / :meth:`~DataPlaneEndpoint.wait`;
+* :func:`body_sender` / :func:`send_stream` — the sending side: a file
+  body framed with the CRCs it holds, then one call of the caller's
   "send one encoded frame" per frame (:func:`channel_sender` for
   client↔gateway channels), per-chunk retransmission;
 * the bulk-reply wrapper (:func:`encode_inline_reply` /
@@ -49,6 +51,7 @@ from repro.net.stream import (
 from repro.observability import MetricsRegistry, Span, Tracer
 from repro.protocol.consignment import FileEntry
 from repro.simkernel import Event, Simulator
+from repro.vfs.body import FileBody
 
 __all__ = [
     "CHUNK_RETRIES",
@@ -58,6 +61,7 @@ __all__ = [
     "CompletedStream",
     "DataPlaneEndpoint",
     "StreamIdAllocator",
+    "body_sender",
     "channel_sender",
     "decode_bulk_reply",
     "encode_inline_reply",
@@ -97,7 +101,8 @@ class StreamIdAllocator:
 
     def __init__(self, origin: str) -> None:
         self.origin = origin
-        self._base = zlib.crc32(origin.encode()) << 32
+        # A name hashed into an id seed, not file content.
+        self._base = zlib.crc32(origin.encode()) << 32  # devlint: ignore[RD406]
         self._seq = count(1)
 
     def next(self) -> int:
@@ -108,19 +113,25 @@ class CompletedStream(typing.NamedTuple):
     """A reassembled stream, with the checksum its reassembly verified."""
 
     context: dict[str, typing.Any]
-    data: bytes
+    #: The payload, seeded with the chunk CRCs its frames were verified
+    #: against: sending it on reads nothing again.
+    body: FileBody
     #: Whole-payload CRC-32, already checked against the chunk CRCs.
     crc32: int
 
+    @property
+    def data(self) -> bytes:
+        return self.body.data
+
     def matches(self, entry: FileEntry) -> bool:
         """Is this the payload ``entry`` promised?  Compares integers only."""
-        return len(self.data) == entry.size and self.crc32 == entry.crc32
+        return len(self.body) == entry.size and self.crc32 == entry.crc32
 
 
 class DataPlaneEndpoint:
     """The receiving half of the data plane on one host.
 
-    ``on_complete(context, data) -> bool`` is consulted when a stream
+    ``on_complete(context, body) -> bool`` is consulted when a stream
     finishes; returning True means the application consumed the payload
     (the NJS writing a Uspace file).  Otherwise the stream parks until
     :meth:`take` or :meth:`wait` claims it (the gateway pulling consign
@@ -132,7 +143,7 @@ class DataPlaneEndpoint:
         sim: Simulator,
         metrics: MetricsRegistry | None = None,
         on_complete: (
-            typing.Callable[[dict[str, typing.Any], bytes], bool] | None
+            typing.Callable[[dict[str, typing.Any], FileBody], bool] | None
         ) = None,
     ) -> None:
         self.sim = sim
@@ -176,12 +187,14 @@ class DataPlaneEndpoint:
 
     def _finish(self, stream_id: int) -> None:
         reassembler = self._open.pop(stream_id)
-        data = reassembler.payload()  # verifies the whole-payload crc
-        done = CompletedStream(
-            reassembler.context, data, reassembler.info.total_crc32
+        info = reassembler.info
+        body = FileBody(
+            reassembler.payload(),  # verifies the whole-payload crc
+            chunk_bytes=info.chunk_bytes, chunk_crcs=reassembler.chunk_crcs,
         )
+        done = CompletedStream(reassembler.context, body, info.total_crc32)
         self._count("stream.completed")
-        if self.on_complete is not None and self.on_complete(done.context, data):
+        if self.on_complete is not None and self.on_complete(done.context, body):
             return
         waiter = self._waiters.pop(stream_id, None)
         if waiter is not None:
@@ -225,6 +238,18 @@ class DataPlaneEndpoint:
         self._open.clear()
         self._done.clear()
         self._waiters.clear()
+
+
+def body_sender(
+    stream_id: int, body: FileBody, context: dict[str, typing.Any],
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+) -> StreamSender:
+    """Frame ``body`` with the chunk CRCs it holds: content its site has
+    already cut at ``chunk_bytes`` is not read again."""
+    return StreamSender(
+        stream_id, body.data, chunk_bytes, context,
+        chunk_crcs=body.chunk_crcs(chunk_bytes),
+    )
 
 
 def send_stream(

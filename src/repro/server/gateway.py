@@ -39,10 +39,10 @@ from repro.observability import telemetry_for
 from repro.protocol.client import RESPONSE_TIMEOUT_S
 from repro.protocol.consignment import decode_consignment_envelope
 from repro.protocol.datapath import (
-    DEFAULT_CHUNK_BYTES,
     INLINE_FILE_MAX,
     DataPlaneEndpoint,
     StreamIdAllocator,
+    body_sender,
     channel_sender,
     encode_inline_reply,
     encode_stream_reply,
@@ -57,6 +57,7 @@ from repro.security.errors import MappingError, SecurityError
 from repro.security.uudb import UUDB
 from repro.server.errors import ConsignError, ServerError, UnknownUnicoreJobError
 from repro.simkernel import Simulator
+from repro.vfs.body import FileBody
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.server.njs.supervisor import NetworkJobSupervisor
@@ -372,18 +373,19 @@ class Gateway:
         return reply, push
 
     def _bulk_reply(
-        self, request_id: int, content: bytes
+        self, request_id: int, content: FileBody
     ) -> tuple[Reply, StreamSender | None]:
         """Reply with content: inline if small, else a reference to a
         stream, whose sender is returned for pushing ahead of the reply.
-        Framing it here is the one pass over the bytes; a re-push reuses it.
+        The frames carry the chunk CRCs ``content`` holds, so a file this
+        site received as a stream is served without being read again.
         """
         push = None
         if len(content) <= INLINE_FILE_MAX:
-            payload = encode_inline_reply(content)
+            payload = encode_inline_reply(content.data)
         else:
-            push = StreamSender(
-                self._stream_ids.next(), content, DEFAULT_CHUNK_BYTES,
+            push = body_sender(
+                self._stream_ids.next(), content,
                 {"kind": "bulk-reply", "request": request_id},
             )
             payload = encode_stream_reply(entry_for_sender("", push))
@@ -394,7 +396,7 @@ class Gateway:
     ) -> tuple[Reply, StreamSender | None]:
         if request.kind == RequestKind.CONSIGN_JOB:
             consignment = decode_consignment_envelope(request.payload)
-            files = dict(consignment.files)
+            files: dict[str, FileBody | bytes] = dict(consignment.files)
             for entry in consignment.streamed:
                 ready = self.datapath.take(entry.stream_id)
                 if ready is None:
@@ -413,7 +415,7 @@ class Gateway:
                         f"consignment file {entry.path!r} failed its "
                         "stream integrity check"
                     )
-                files[entry.path] = ready.data
+                files[entry.path] = ready.body
             ajo = decode_ajo(consignment.ajo_bytes)
             if ajo.user_dn and ajo.user_dn != request.user_dn:
                 raise ConsignError(
@@ -474,7 +476,7 @@ class Gateway:
             job_id = request.payload.decode()
             self._authorize_job(job_id, request.user_dn)
             outcome_bytes = self.njs.retrieve_outcome(job_id)
-            return self._bulk_reply(request.request_id, outcome_bytes)
+            return self._bulk_reply(request.request_id, FileBody(outcome_bytes))
 
         if request.kind == RequestKind.FETCH_FILE:
             spec = json.loads(request.payload)

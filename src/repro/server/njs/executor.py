@@ -42,6 +42,7 @@ from repro.server.njs.runtable import RunTable
 from repro.server.vsite import Vsite
 from repro.simkernel import Simulator
 from repro.storage.journal import JournalEntry
+from repro.vfs.body import FileBody
 from repro.vfs.errors import VFSError
 from repro.vfs.spaces import Xspace
 
@@ -237,7 +238,7 @@ class Executor:
             return
 
         # 2. Guarantee dependency-annotated files (section 5.7).
-        staged: dict[str, bytes] = {}
+        staged: dict[str, FileBody] = {}
         for dep in deps:
             for path in dep.files:
                 content = self._locate_dependency_file(run, group, dep.predecessor_id, path)
@@ -287,22 +288,22 @@ class Executor:
     @staticmethod
     def _locate_dependency_file(
         run: JobRun, group: AbstractJobObject, pred_id: str, path: str
-    ) -> bytes | None:
+    ) -> FileBody | None:
         """Find a predecessor-produced file (section 5.7's guarantee)."""
         # Files produced by forwarded groups came back in the GroupResult.
         if pred_id in run.remote_files and path in run.remote_files[pred_id]:
             return run.remote_files[pred_id][path]
         # A local subgroup's uspace.
         if pred_id in run.uspaces and run.uspaces[pred_id].exists(path):
-            return run.uspaces[pred_id].read(path)
+            return run.uspaces[pred_id].body(path)
         # A sibling task: same group uspace.
         uspace = run.uspaces.get(group.id)
         if uspace is not None and uspace.exists(path):
-            return uspace.read(path)
+            return uspace.body(path)
         return None
 
     # ------------------------------------------------------------- task kinds
-    def _run_execute(self, run, group, task, staged: dict[str, bytes]):
+    def _run_execute(self, run, group, task, staged: dict[str, FileBody]):
         vsite = self._vsites[group.vsite]
         uspace = run.uspaces[group.id]
         outcome = typing.cast(TaskOutcome, run.outcomes[task.id])
@@ -407,11 +408,11 @@ class Executor:
 
     def _copy_source(
         self, run: JobRun, uspace, task: ImportTask | ExportTask
-    ) -> tuple[bytes | None, str]:
-        """The bytes a copy task moves, or None and why there are none."""
+    ) -> tuple[FileBody | None, str]:
+        """The body a copy task moves, or None and why there is none."""
         if isinstance(task, ExportTask):
             if uspace.exists(task.source_path):
-                return uspace.read(task.source_path), ""
+                return uspace.body(task.source_path), ""
             return None, f"uspace file {task.source_path!r} does not exist"
         if task.source_space == FileSpace.WORKSTATION:
             return run.workstation_files.get(task.source_path), (
@@ -419,7 +420,7 @@ class Executor:
                 "included in the consignment"
             )
         try:
-            return self._xspace.fs.read(task.source_path), ""
+            return self._xspace.fs.body(task.source_path), ""
         except VFSError as err:
             return None, str(err)
 

@@ -37,6 +37,7 @@ from repro.server.njs.peerlink import (
 )
 from repro.simkernel import Simulator
 from repro.storage.journal import ForwardMeta
+from repro.vfs.body import FileBody
 
 __all__ = ["Forwarding", "LOCAL_DISK_BANDWIDTH_BPS"]
 
@@ -44,12 +45,16 @@ __all__ = ["Forwarding", "LOCAL_DISK_BANDWIDTH_BPS"]
 #: process available at the Vsite").
 LOCAL_DISK_BANDWIDTH_BPS = 50e6
 
-Files = dict[str, bytes]
+#: ``path -> body``.  A body stays inside the site that built it.
+Files = dict[str, FileBody]
 
 
-def _inline(files: Files) -> Files:
-    """The files small enough to ride inside a control message."""
-    return {p: c for p, c in files.items() if len(c) <= INLINE_FILE_MAX}
+def _inline(files: Files) -> dict[str, bytes]:
+    """The files small enough to ride inside a control message, as the
+    bare bytes a message carries: the peer builds its own bodies."""
+    return {
+        p: c.data for p, c in files.items() if len(c) <= INLINE_FILE_MAX
+    }
 
 
 class Forwarding:
@@ -107,7 +112,8 @@ class Forwarding:
 
         ``key`` is the job id of the run whose next group Uspace takes
         them, or — for a transfer that beat its group here — the parent
-        job id every ForwardGroup of that job carries.
+        job id every ForwardGroup of that job carries, under which
+        :meth:`adopt` claims them for the group.
         """
         if files:
             self._early_files.setdefault(key, {}).update(files)
@@ -142,10 +148,10 @@ class Forwarding:
         stream ahead of it on the same FIFO route, labelled ``context``,
         so they are reassembled at the peer before the message arrives.
         """
-        for path, blob in sorted(files.items()):
-            if len(blob) > INLINE_FILE_MAX:
+        for path, body in sorted(files.items()):
+            if len(body) > INLINE_FILE_MAX:
                 yield from self._peers.stream(
-                    usite, blob, {**context, "path": path}
+                    usite, body, {**context, "path": path}
                 )
         yield from self._peers.send(usite, message)
 
@@ -213,7 +219,9 @@ class Forwarding:
         if result.produced_files or returned_files:
             # Small return files ride inside the GroupResult; large ones
             # streamed ahead and were collected under this corr_id.
-            returned_files.update(result.produced_files)
+            returned_files.update(
+                (p, FileBody(c)) for p, c in result.produced_files.items()
+            )
             run.remote_files[sub.id] = returned_files
         status = sub_outcome.rollup_status()
         if not status.is_terminal:
@@ -249,7 +257,7 @@ class Forwarding:
                 reason=f"no route to Usite {task.destination_usite!r}",
             )
             return
-        content = uspace.read(task.source_path)
+        content = uspace.body(task.source_path)
         corr_id, reply_ev = self._peers.expect("transfer-ack")
         # The file travels on the data plane: chunked frames whose
         # context tells the peer where the bytes belong.  The receiver
@@ -297,7 +305,7 @@ class Forwarding:
         """Consign a group a peer forwarded, and report home when done."""
         # Large staging files streamed ahead of the group on the same
         # FIFO route; they are already reassembled under the parent id.
-        staged_files = dict(message.staged_files)
+        staged_files: dict[str, FileBody | bytes] = dict(message.staged_files)
         staged_files.update(
             self._pending_forward_files.pop(message.parent_job_id, {})
         )
@@ -321,21 +329,21 @@ class Forwarding:
                 corr_id=message.corr_id, ok=False, error=str(err)
             ))
             return
-        yield from self.adopt(
-            run, message.parent_job_id, staged_files, forward_meta
-        )
+        yield from self.adopt(run, message.parent_job_id, forward_meta)
 
     def adopt(
-        self, run: JobRun, parent_job_id: str, staged_files: Files,
-        forward_meta: ForwardMeta,
+        self, run: JobRun, parent_job_id: str, forward_meta: ForwardMeta
     ):
         """Bind a just-consigned (or just-replayed) ``run`` to the parent
         job it serves; returns the process body that awaits it and sends
         its GroupResult home."""
         corr_id, reply_usite, return_files = forward_meta
         self._foreign_runs[parent_job_id] = run
-        # The group Uspace takes the staging when it is created.
-        self.stash(run.job_id, staged_files)
+        # When it is created, the group Uspace takes the staging the group
+        # was consigned with, then what transfers of the parent job left
+        # here before the group existed.
+        self.stash(run.job_id, run.workstation_files)
+        self.stash(run.job_id, self.unstash(parent_job_id))
         # The parent expects these files back: the group's sink tasks
         # must produce them.
         run.group_expected[run.root.id] = tuple(return_files)
@@ -350,7 +358,7 @@ class Forwarding:
         for path in return_files:
             for uspace in run.uspaces.values():
                 if uspace.exists(path):
-                    produced[path] = uspace.read(path)
+                    produced[path] = uspace.body(path)
                     break
         reply = GroupResult(
             corr_id=corr_id,
@@ -367,7 +375,7 @@ class Forwarding:
             pass  # the parent NJS will surface the missing result
 
     # ------------------------------------------------------ data-plane intake
-    def _on_stream_complete(self, context: dict, data: bytes) -> bool:
+    def _on_stream_complete(self, context: dict, data: FileBody) -> bool:
         """Route a reassembled peer stream by its context kind."""
         kind = context.get("kind")
         path = str(context.get("path", ""))
@@ -400,7 +408,7 @@ class Forwarding:
             return False
         return True
 
-    def _complete_transfer(self, context: dict, path: str, data: bytes):
+    def _complete_transfer(self, context: dict, path: str, data: FileBody):
         """Store one streamed transfer and acknowledge it."""
         corr_id = int(context.get("corr", 0))
         reply_usite = str(context.get("reply", ""))

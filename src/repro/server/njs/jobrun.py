@@ -14,6 +14,7 @@ from repro.observability.span import Span
 from repro.observability.tracer import Tracer
 from repro.protocol.views import JobStatusView
 from repro.simkernel import Event, Simulator
+from repro.vfs.body import FileBody
 from repro.vfs.spaces import Uspace
 
 __all__ = ["JobRun", "index_outcomes", "status_view"]
@@ -50,10 +51,10 @@ class JobRun:
     events: dict[str, Event] = field(default_factory=dict)
     uspaces: dict[str, Uspace] = field(default_factory=dict)
     batch_jobs: dict[str, tuple[str, str]] = field(default_factory=dict)
-    workstation_files: dict[str, bytes] = field(default_factory=dict)
+    workstation_files: dict[str, FileBody] = field(default_factory=dict)
     #: Dependency files produced by forwarded (remote) groups, keyed by
     #: the producing group's action id.
-    remote_files: dict[str, dict[str, bytes]] = field(default_factory=dict)
+    remote_files: dict[str, dict[str, FileBody]] = field(default_factory=dict)
     #: Files each group must have produced when it completes (named on
     #: parent-level dependency edges, or requested by the forwarding
     #: parent NJS); the group's sink tasks materialize them.
@@ -84,7 +85,7 @@ class JobRun:
         job_id: str,
         root: AbstractJobObject,
         user_dn: str,
-        workstation_files: dict[str, bytes] | None = None,
+        workstation_files: dict[str, FileBody] | None = None,
     ) -> "JobRun":
         run = cls(
             job_id=job_id,

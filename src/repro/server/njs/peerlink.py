@@ -19,15 +19,16 @@ from repro.broker.advertise import BROKER_PEER
 from repro.net.errors import ConnectionLost
 from repro.net.https import DEFAULT_PER_RECORD_CPU_S, HANDSHAKE_MESSAGE_BYTES
 from repro.net.sim_transport import Network
-from repro.net.stream import StreamSender
 from repro.observability import telemetry_for
 from repro.protocol.datapath import (
     DEFAULT_CHUNK_BYTES,
     StreamIdAllocator,
+    body_sender,
     send_stream,
 )
 from repro.security.ssl import HANDSHAKE_ROUND_TRIPS, SSLSession
 from repro.simkernel import Event, Simulator
+from repro.vfs.body import FileBody
 
 __all__ = [
     "PeerLink",
@@ -221,9 +222,13 @@ class PeerLink:
             return False
         return True
 
-    def stream(self, usite: str, data: bytes, context: dict,
+    def stream(self, usite: str, data: FileBody | bytes, context: dict,
                chunk_bytes: int = DEFAULT_CHUNK_BYTES):
         """Stream a bulk payload to a peer NJS, one chunked frame at a time.
+
+        Frames carry the chunk CRCs ``data`` holds (the ones this site
+        verified when the bytes arrived); only a body nobody has cut at
+        ``chunk_bytes`` before is read to compute them.
 
         Each chunk travels as its own :class:`PeerFrame` hop sequence, so
         control messages sharing the route's links wait for at most one
@@ -232,8 +237,8 @@ class PeerLink:
         (``stream.resumes``) instead of restarting, which is what makes
         WAN-drop faults survivable for multi-megabyte transfers.
         """
-        sender = StreamSender(
-            self._stream_ids.next(), data, chunk_bytes, context
+        sender = body_sender(
+            self._stream_ids.next(), FileBody.of(data), context, chunk_bytes
         )
 
         def send_frame(raw: bytes):

@@ -30,6 +30,7 @@ from repro.storage.outcomes import OutcomeRecord
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.ajo import AbstractJobObject
     from repro.storage.backend import BlobStore
+    from repro.vfs.body import FileBody
 
 __all__ = ["RestoredRun"]
 
@@ -47,8 +48,8 @@ class _StoredFiles:
     def exists(self, path: str) -> bool:
         return path in self._manifest
 
-    def read(self, path: str) -> bytes:
-        return self._blobs.get(self._manifest[path])
+    def body(self, path: str) -> "FileBody":
+        return self._blobs.body(self._manifest[path])
 
 
 class RestoredRun:

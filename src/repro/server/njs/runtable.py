@@ -26,6 +26,7 @@ from repro.simkernel import Event, Simulator
 from repro.storage.backend import StorageBackend
 from repro.storage.journal import ForwardMeta, JobJournal, JournalEntry
 from repro.storage.outcomes import OutcomeRecord, OutcomeStore
+from repro.vfs.body import FileBody
 
 __all__ = ["RunTable"]
 
@@ -177,7 +178,7 @@ class RunTable(typing.Mapping[str, JobRun]):
         self,
         ajo: AbstractJobObject,
         user_dn: str,
-        workstation_files: dict[str, bytes] | None,
+        workstation_files: dict[str, FileBody],
         trace_id: str,
         *,
         job_id: str | None = None,
@@ -251,10 +252,10 @@ class RunTable(typing.Mapping[str, JobRun]):
         """
         with self._storage.batch():
             self.journal.finish(run.job_id)
-            files: dict[str, bytes] = {}
+            files: dict[str, FileBody] = {}
             for uspace in run.uspaces.values():
                 for path in uspace.files():
-                    files.setdefault(path, uspace.read(path))
+                    files.setdefault(path, uspace.body(path))
             self.outcomes.put(OutcomeRecord(
                 job_id=run.job_id,
                 name=run.name,

@@ -46,6 +46,7 @@ from repro.server.vsite import Vsite
 from repro.simkernel import Event, Simulator
 from repro.storage.backend import StorageBackend
 from repro.storage.journal import ForwardMeta, JournalEntry
+from repro.vfs.body import FileBody
 from repro.vfs.spaces import Xspace
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -128,7 +129,7 @@ class NetworkJobSupervisor:
         self,
         ajo: AbstractJobObject,
         user_dn: str | None = None,
-        workstation_files: dict[str, bytes] | None = None,
+        workstation_files: typing.Mapping[str, FileBody | bytes] | None = None,
         parent_job_id: str | None = None,
         trace_id: str = "",
         parent_span_id: str = "",
@@ -145,6 +146,11 @@ class NetworkJobSupervisor:
         caller that received the job over the wire passes it, and the
         journal keeps those bytes instead of encoding the tree again.
 
+        ``workstation_files`` given as bodies keep the checks their
+        holder took (a streamed upload's chunk CRCs); bare bytes become
+        this site's own bodies here, and from here on journal, Uspace and
+        outcome store all see the one object.
+
         ``job_id`` is only passed by journal replay: the recovered run
         keeps its original identifier so clients polling through the
         outage keep seeing their job.  ``forward_meta`` rides into the
@@ -154,6 +160,10 @@ class NetworkJobSupervisor:
             raise ServiceUnavailable(
                 f"NJS at {self.usite_name} is down; consign refused"
             )
+        files = {
+            path: FileBody.of(content)
+            for path, content in (workstation_files or {}).items()
+        }
         telemetry = telemetry_for(self.sim)
         consign_span = None
         if trace_id:
@@ -184,7 +194,7 @@ class NetworkJobSupervisor:
             self._analyze_arrival(
                 ajo,
                 is_forward=parent_job_id is not None,
-                workstation_files=workstation_files,
+                workstation_files=files,
                 trace_id=trace_id,
                 parent_span=consign_span,
             )
@@ -195,7 +205,7 @@ class NetworkJobSupervisor:
             raise
 
         run = self.runs.admit(
-            ajo, dn, workstation_files, trace_id,
+            ajo, dn, files, trace_id,
             job_id=job_id, ajo_bytes=ajo_bytes,
             parent_job_id=parent_job_id, forward_meta=forward_meta,
         )
@@ -215,7 +225,7 @@ class NetworkJobSupervisor:
         ajo: AbstractJobObject,
         *,
         is_forward: bool,
-        workstation_files: dict[str, bytes] | None,
+        workstation_files: dict[str, FileBody],
         trace_id: str,
         parent_span,
     ) -> None:
@@ -364,11 +374,10 @@ class NetworkJobSupervisor:
         try:
             # The one place recovery reads file bodies: a replayed job
             # re-imports what it was consigned with.
-            staged_files = self.journal.staged_files(entry)
             run = self.consign(
                 decode_ajo(entry.ajo_bytes),
                 user_dn=entry.user_dn,
-                workstation_files=staged_files,
+                workstation_files=self.journal.staged_files(entry),
                 parent_job_id=entry.parent_job_id,
                 trace_id=entry.trace_id,
                 job_id=entry.job_id,
@@ -393,7 +402,7 @@ class NetworkJobSupervisor:
         if entry.forward_meta is not None and entry.parent_job_id is not None:
             # A forwarded group must still report to its parent site.
             self._executor.spawn(run, self.forwarding.adopt(
-                run, entry.parent_job_id, staged_files, entry.forward_meta
+                run, entry.parent_job_id, entry.forward_meta
             ), f"replay-forward:{run.job_id}")
 
     # ---------------------------------------------------------------- services
@@ -436,7 +445,7 @@ class NetworkJobSupervisor:
         """The full outcome tree (stdout/stderr included), encoded."""
         return self.get_run(job_id).encoded_outcome()
 
-    def fetch_uspace_file(self, job_id: str, path: str) -> bytes:
+    def fetch_uspace_file(self, job_id: str, path: str) -> FileBody:
         """One Uspace file, for sending back to the user's workstation.
 
         Section 5.6: result data returns to the workstation "only on user
@@ -445,7 +454,7 @@ class NetworkJobSupervisor:
         run = self.get_run(job_id)
         for uspace in run.uspaces.values():
             if uspace.exists(path):
-                return uspace.read(path)
+                return uspace.body(path)
         raise UnknownUnicoreJobError(
             f"job {job_id} has no Uspace file {path!r} at {self.usite_name}"
         )

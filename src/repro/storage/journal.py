@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from repro.storage.backend import StorageBackend
 from repro.storage.errors import StorageError
 from repro.storage.memory import MemoryBackend
+from repro.vfs.body import FileBody
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.observability.metrics import MetricsRegistry
@@ -111,7 +112,7 @@ class JobJournal:
         job_id: str,
         ajo_bytes: bytes,
         user_dn: str,
-        workstation_files: dict[str, bytes] | None = None,
+        workstation_files: typing.Mapping[str, FileBody | bytes] | None = None,
         trace_id: str = "",
         parent_job_id: str | None = None,
         forward_meta: ForwardMeta | None = None,
@@ -180,9 +181,12 @@ class JobJournal:
             raise StorageError(f"no journal row for job {job_id!r}")
         return typing.cast(bytes, row["ajo_bytes"])
 
-    def staged_files(self, entry: JournalEntry) -> dict[str, bytes]:
+    def staged_files(self, entry: JournalEntry) -> dict[str, FileBody]:
         """The bodies of the files ``entry`` was consigned with."""
-        return self._blobs.get_files(entry.workstation_files)
+        return {
+            path: self._blobs.body(digest)
+            for path, digest in entry.workstation_files.items()
+        }
 
     # -- recovery ------------------------------------------------------------
     def reload(

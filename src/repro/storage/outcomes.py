@@ -24,6 +24,7 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.storage.backend import StorageBackend
+from repro.vfs.body import FileBody
 
 __all__ = ["OutcomeRecord", "OutcomeStore"]
 
@@ -54,7 +55,8 @@ class OutcomeStore:
         self._blobs = storage.blobs
 
     def put(
-        self, record: OutcomeRecord, files: typing.Mapping[str, bytes]
+        self, record: OutcomeRecord,
+        files: typing.Mapping[str, FileBody | bytes],
     ) -> OutcomeRecord:
         """Persist ``record`` with the Uspace content ``files``; returns
         the record as stored, naming each file by its digest."""

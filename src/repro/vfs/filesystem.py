@@ -4,6 +4,12 @@ Paths are ``/``-separated, always normalized to an absolute form without
 ``.`` or ``..`` components.  Directories are implicit (created by writing
 files under them) but can also be created empty.  The quota covers file
 content bytes only.
+
+Content is held as :class:`~repro.vfs.body.FileBody` values, by
+reference: the body written is the body read back, with whatever digest
+and chunk CRCs its holder has already taken.  Each directory keeps the
+names of its children, so a listing costs what it lists, however much
+else the filesystem holds.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import math
 import typing
 
+from repro.vfs.body import FileBody
 from repro.vfs.errors import (
     FileExistsVFSError,
     FileNotFoundVFSError,
@@ -39,7 +46,7 @@ def normalize(path: str) -> str:
 
 
 class InMemoryFileSystem:
-    """Files as ``path -> bytes`` with explicit empty directories.
+    """Files as ``path -> body`` with explicit empty directories.
 
     Parameters
     ----------
@@ -54,8 +61,9 @@ class InMemoryFileSystem:
             raise VFSError("quota must be positive")
         self.name = name
         self.quota_bytes = quota_bytes
-        self._files: dict[str, bytes] = {}
-        self._dirs: set[str] = {"/"}
+        self._files: dict[str, FileBody] = {}
+        #: Directory -> the names of its immediate children.
+        self._dirs: dict[str, set[str]] = {"/": set()}
         self._used = 0
 
     # -- introspection ------------------------------------------------------
@@ -78,11 +86,7 @@ class InMemoryFileSystem:
         return normalize(path) in self._dirs
 
     def size(self, path: str) -> int:
-        p = normalize(path)
-        try:
-            return len(self._files[p])
-        except KeyError:
-            raise FileNotFoundVFSError(f"{self.name}: no file {p}") from None
+        return len(self.body(path))
 
     def file_count(self) -> int:
         return len(self._files)
@@ -93,87 +97,118 @@ class InMemoryFileSystem:
         p = normalize(path)
         if p in self._files:
             raise FileExistsVFSError(f"{self.name}: {p} is a file")
-        self._add_ancestors(p)
-        self._dirs.add(p)
+        self._add_dirs(p)
 
-    def _add_ancestors(self, p: str) -> None:
-        parts = [c for c in p.split("/") if c]
-        for i in range(len(parts)):
-            parent = "/" + "/".join(parts[: i + 1])
-            if parent in self._files:
+    def _add_dirs(self, p: str) -> None:
+        """Make ``p`` and every ancestor a directory, each in its parent."""
+        parent = "/"
+        for name in p.split("/")[1:]:
+            child = f"{parent.rstrip('/')}/{name}"
+            if child in self._files:
                 raise FileExistsVFSError(
-                    f"{self.name}: {parent} is a file, cannot be a directory"
+                    f"{self.name}: {child} is a file, cannot be a directory"
                 )
-            self._dirs.add(parent)
+            if name and child not in self._dirs:
+                self._dirs[child] = set()
+                self._dirs[parent].add(name)
+            parent = child
 
     def listdir(self, path: str = "/") -> list[str]:
         """Immediate children (names, not paths) of a directory, sorted."""
         p = normalize(path)
-        if p not in self._dirs:
-            raise FileNotFoundVFSError(f"{self.name}: no directory {p}")
-        prefix = p.rstrip("/") + "/"
-        children = set()
-        for candidate in list(self._files) + list(self._dirs):
-            if candidate != p and candidate.startswith(prefix):
-                children.add(candidate[len(prefix):].split("/", 1)[0])
-        return sorted(children)
+        try:
+            return sorted(self._dirs[p])
+        except KeyError:
+            raise FileNotFoundVFSError(f"{self.name}: no directory {p}") from None
+
+    def _subtree(self, p: str) -> tuple[list[str], list[str]]:
+        """Every ``(file, directory)`` path under directory ``p``, itself
+        included; visits nothing outside it."""
+        files: list[str] = []
+        dirs = [p]
+        for d in dirs:  # grows while it is walked
+            base = d.rstrip("/")
+            for name in self._dirs[d]:
+                child = f"{base}/{name}"
+                (dirs if child in self._dirs else files).append(child)
+        return files, dirs
 
     def walk_files(self, path: str = "/") -> typing.Iterator[str]:
         """All file paths under ``path`` (sorted)."""
         p = normalize(path)
-        prefix = "/" if p == "/" else p + "/"
-        for fpath in sorted(self._files):
-            if fpath == p or fpath.startswith(prefix):
-                yield fpath
+        if p in self._dirs:
+            yield from sorted(self._subtree(p)[0])
+        elif p in self._files:
+            yield p
 
     # -- file ops -------------------------------------------------------------------
-    def write(self, path: str, content: bytes, overwrite: bool = True) -> None:
-        """Write ``content``; quota-checked net of any replaced file."""
-        if not isinstance(content, (bytes, bytearray)):
+    def write(
+        self, path: str, content: FileBody | bytes | bytearray,
+        overwrite: bool = True,
+    ) -> None:
+        """Write ``content``; quota-checked net of any replaced file.
+
+        A :class:`FileBody` is kept as it is, memo intact; bare bytes are
+        wrapped in a fresh one.
+        """
+        if not isinstance(content, (FileBody, bytes, bytearray)):
             raise VFSError(f"content must be bytes, got {type(content).__name__}")
         p = normalize(path)
         if p in self._dirs:
             raise FileExistsVFSError(f"{self.name}: {p} is a directory")
-        if p in self._files and not overwrite:
+        replaced = self._files.get(p)
+        if replaced is not None and not overwrite:
             raise FileExistsVFSError(f"{self.name}: {p} exists")
-        delta = len(content) - len(self._files.get(p, b""))
+        delta = len(content) - (0 if replaced is None else len(replaced))
         if self._used + delta > self.quota_bytes:
             raise QuotaExceededError(
                 f"{self.name}: writing {len(content)} bytes to {p} exceeds "
                 f"quota ({self._used + delta} > {self.quota_bytes})"
             )
-        parent = p.rsplit("/", 1)[0] or "/"
-        self._add_ancestors(parent)
-        self._files[p] = bytes(content)
+        parent, _, name = p.rpartition("/")
+        parent = parent or "/"
+        if parent not in self._dirs:
+            self._add_dirs(parent)
+        self._dirs[parent].add(name)
+        self._files[p] = FileBody.of(content)
         self._used += delta
 
-    def read(self, path: str) -> bytes:
+    def body(self, path: str) -> FileBody:
+        """The content of a file, with the checks its holder has taken."""
         p = normalize(path)
         try:
             return self._files[p]
         except KeyError:
             raise FileNotFoundVFSError(f"{self.name}: no file {p}") from None
 
+    def read(self, path: str) -> bytes:
+        return self.body(path).data
+
     def append(self, path: str, content: bytes) -> None:
-        """Append to a file, creating it if absent."""
-        existing = self._files.get(normalize(path), b"")
-        self.write(path, existing + content)
+        """Append to a file, creating it if absent (new content: a new
+        body, nothing of the old one's memo)."""
+        existing = self._files.get(normalize(path))
+        self.write(
+            path, (b"" if existing is None else existing.data) + content
+        )
 
     def delete(self, path: str) -> None:
         """Delete a file, or a directory recursively."""
         p = normalize(path)
         if p in self._files:
-            self._used -= len(self._files.pop(p))
-            return
-        if p in self._dirs:
-            if p == "/":
-                raise VFSError(f"{self.name}: refusing to delete the root")
-            prefix = p + "/"
-            for fpath in [f for f in self._files if f.startswith(prefix)]:
-                self._used -= len(self._files.pop(fpath))
-            self._dirs = {d for d in self._dirs if d != p and not d.startswith(prefix)}
-            return
-        raise FileNotFoundVFSError(f"{self.name}: no such path {p}")
+            files, dirs = [p], []
+        elif p == "/":
+            raise VFSError(f"{self.name}: refusing to delete the root")
+        elif p in self._dirs:
+            files, dirs = self._subtree(p)
+        else:
+            raise FileNotFoundVFSError(f"{self.name}: no such path {p}")
+        for fpath in files:
+            self._used -= len(self._files.pop(fpath))
+        for dpath in dirs:
+            del self._dirs[dpath]
+        parent, _, name = p.rpartition("/")
+        self._dirs[parent or "/"].discard(name)
 
     def __repr__(self) -> str:
         return (

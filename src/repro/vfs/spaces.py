@@ -10,6 +10,8 @@ Vsite ... implemented as a copy process" (section 5.6).
 from __future__ import annotations
 
 import math
+
+from repro.vfs.body import FileBody
 from repro.vfs.errors import VFSError
 from repro.vfs.filesystem import InMemoryFileSystem
 
@@ -23,13 +25,13 @@ class Workstation:
         self.owner_dn = owner_dn
         self.fs = InMemoryFileSystem(name=f"workstation:{owner_dn}", quota_bytes=quota_bytes)
 
-    def stage_for_ajo(self, paths: list[str]) -> dict[str, bytes]:
+    def stage_for_ajo(self, paths: list[str]) -> dict[str, FileBody]:
         """Collect the named local files for embedding into an AJO.
 
         Section 5.6: "Files from the user's workstation needed in a job
         are put into the AJO."
         """
-        return {path: self.fs.read(path) for path in paths}
+        return {path: self.fs.body(path) for path in paths}
 
 
 class Xspace:
@@ -59,11 +61,14 @@ class Uspace:
             path = path[1:]
         return f"{self.root}/{path}"
 
-    def write(self, path: str, content: bytes) -> None:
+    def write(self, path: str, content: FileBody | bytes) -> None:
         self._fs.write(self._abs(path), content)
 
     def read(self, path: str) -> bytes:
         return self._fs.read(self._abs(path))
+
+    def body(self, path: str) -> FileBody:
+        return self._fs.body(self._abs(path))
 
     def exists(self, path: str) -> bool:
         return self._fs.is_file(self._abs(path))

@@ -75,9 +75,9 @@ def test_large_consign_upload_streams_and_roundtrips(two_sites):
     assert uspace.read("input.dat") == content
 
 
-def test_transfer_resumes_after_wan_drop(two_sites):
-    """E13-style channel drop mid-transfer: the stream resends only the
-    chunks that were lost, and the job still succeeds."""
+def _run_transfer_job(two_sites, drop_wan: bool):
+    """A 1 MiB Uspace file transferred FZJ -> ZIB ahead of the sub-job
+    that reads it there; optionally with the WAN link dropped under it."""
     grid, user, session = two_sites
     jpa = JobPreparationAgent(session)
     jmc = JobMonitorController(session)
@@ -94,21 +94,23 @@ def test_transfer_resumes_after_wan_drop(two_sites):
     root.depends(work, xfer, files=["big.dat"])
     root.depends(xfer, remote.ajo)
 
-    # The 1 MiB transfer starts right after the 60 s produce task; drop
-    # the gateway-gateway link across that window.  Chunk resends are
-    # spaced a few seconds apart, so the stream rides out the outage.
-    gw_a = grid.usites["FZJ"].gateway_host.name
-    gw_b = grid.usites["ZIB"].gateway_host.name
-    plan = FaultPlan(
-        seed=13, intensity=1.0, horizon_s=200.0,
-        events=(
-            FaultEvent(
-                at_s=61.0, kind=FaultKind.CHANNEL_DROP,
-                target=f"{gw_a}|{gw_b}", duration_s=10.0, severity=1.0,
+    if drop_wan:
+        # The 1 MiB transfer starts right after the 60 s produce task;
+        # drop the gateway-gateway link across that window.  Chunk resends
+        # are spaced a few seconds apart, so the stream rides out the
+        # outage.
+        gw_a = grid.usites["FZJ"].gateway_host.name
+        gw_b = grid.usites["ZIB"].gateway_host.name
+        plan = FaultPlan(
+            seed=13, intensity=1.0, horizon_s=200.0,
+            events=(
+                FaultEvent(
+                    at_s=61.0, kind=FaultKind.CHANNEL_DROP,
+                    target=f"{gw_a}|{gw_b}", duration_s=10.0, severity=1.0,
+                ),
             ),
-        ),
-    )
-    FaultInjector(grid, plan).arm()
+        )
+        FaultInjector(grid, plan).arm()
 
     def scenario(sim):
         job_id = yield from jpa.submit(root)
@@ -118,17 +120,32 @@ def test_transfer_resumes_after_wan_drop(two_sites):
     p = grid.sim.process(scenario(grid.sim))
     job_id, final = grid.sim.run(until=p)
     assert final["status"] == "successful"
-    metrics = telemetry_for(grid.sim).metrics
+    assert grid.usites["FZJ"].njs.forwarding.transfers_bytes == 1 << 20
+    # The file arrived before the group that reads it, so it waited in
+    # the early-file stash under the parent job id; the group claimed it
+    # on arrival, and nothing is left behind at quiescence.
+    zib = grid.usites["ZIB"].njs
+    group_run = zib.forwarding.foreign_run(job_id)
+    uspace = next(iter(group_run.uspaces.values()))
+    assert uspace.size("big.dat") == 1 << 20
+    assert zib.forwarding.stashes()["early"] == {}
+    return telemetry_for(grid.sim).metrics
+
+
+def test_transfer_resumes_after_wan_drop(two_sites):
+    """E13-style channel drop mid-transfer: the stream resends only the
+    chunks that were lost, and the job still succeeds."""
+    metrics = _run_transfer_job(two_sites, drop_wan=True)
     # Chunks really were lost and resent from the last acked point...
     assert metrics.counter_value("stream.resumes") >= 1
     # ...rather than the whole payload restarting: the wire carried far
     # less than two full copies of the 1 MiB file.
     assert metrics.counter_value("stream.wire_bytes") < 2 * (1 << 20)
-    # The stream reassembled completely at the destination.  (It arrives
-    # before the forwarded group, so it sits in the early-file stash.)
-    assert grid.usites["FZJ"].njs.forwarding.transfers_bytes == 1 << 20
-    early = grid.usites["ZIB"].njs.forwarding.stashes()["early"].get(job_id, {})
-    assert len(early.get("big.dat", b"")) == 1 << 20
+
+
+def test_transfer_ahead_of_its_group_reaches_the_group_uspace(two_sites):
+    metrics = _run_transfer_job(two_sites, drop_wan=False)
+    assert metrics.counter_value("stream.resumes") == 0
 
 
 def test_forwarded_group_stages_and_returns_large_files(two_sites):

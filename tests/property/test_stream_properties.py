@@ -22,8 +22,8 @@ from repro.protocol.consignment import (
     decode_consignment,
     decode_consignment_envelope,
     encode_consignment,
-    file_entry_for,
 )
+from repro.protocol.datapath import entry_for_sender
 
 payloads = st.binary(max_size=4096)
 relative_paths = st.text(
@@ -175,7 +175,7 @@ def test_consignment_streamed_roundtrip(ajo, inline, streamed):
     names = set(inline)
     streamed = [t for t in streamed if t[0] not in names]
     entries = [
-        file_entry_for(path, content, stream_id)
+        entry_for_sender(path, StreamSender(stream_id, content, 1024))
         for path, content, stream_id in streamed
     ]
     payload = encode_consignment(ajo, inline, streamed=entries)

@@ -35,6 +35,7 @@ from repro.devlint.rules_observability import (
     extract_metric_uses,
 )
 from repro.devlint.rules_protocol import (
+    ContentPassRule,
     ModuleGetattrRule,
     PrivateReachRule,
     VerbDispatchRule,
@@ -455,6 +456,31 @@ def test_rd405_quiet_through_self_and_inside_the_defining_module():
         rel="src/repro/server/njs/runindex.py",
     )
     assert codes_from(PrivateReachRule(), f) == []
+
+
+def test_rd406_fires_on_a_new_reader_of_file_content():
+    store = sf(
+        "import hashlib\n"
+        "from zlib import crc32\n"
+        "def put(body):\n"
+        "    return hashlib.sha256(body).hexdigest(), crc32(body)\n",
+        rel="src/repro/storage/outcomes.py",
+    )
+    assert codes_from(ContentPassRule(), store) == ["RD406", "RD406"]
+
+
+def test_rd406_quiet_in_the_owning_modules_and_on_the_held_checks():
+    reader = "import zlib\ndef crc(chunk):\n    return zlib.crc32(chunk)\n"
+    for rel in ("src/repro/net/stream.py", "src/repro/vfs/body.py",
+                "src/repro/security/rsa.py"):
+        assert codes_from(ContentPassRule(), sf(reader, rel=rel)) == []
+    holder = sf(
+        "import hashlib\n"
+        "def put(body):\n"
+        "    return body.digest, body.chunk_crcs(4096), hashlib.md5\n",
+        rel="src/repro/storage/outcomes.py",
+    )
+    assert codes_from(ContentPassRule(), holder) == []
 
 
 # -- engine: pragmas, baseline, ordering, report ------------------------------

@@ -23,10 +23,10 @@ from repro.net.stream import (
 from repro.net.sim_transport import Network
 from repro.observability import MetricsRegistry
 from repro.protocol.consignment import (
+    FileEntry,
     decode_consignment,
     decode_consignment_envelope,
     encode_consignment,
-    file_entry_for,
     validate_manifest_paths,
 )
 from repro.protocol.datapath import (
@@ -35,6 +35,7 @@ from repro.protocol.datapath import (
     decode_bulk_reply,
     encode_inline_reply,
     encode_stream_reply,
+    entry_for_sender,
 )
 from repro.simkernel import Simulator
 
@@ -200,7 +201,7 @@ def test_unsafe_path_error_code_is_stable():
 
 # ----------------------------------------------------------- consignment
 def test_consignment_streamed_entries_roundtrip():
-    entry = file_entry_for("big.dat", b"\x01" * 1000, stream_id=42)
+    entry = FileEntry("big.dat", 1000, zlib.crc32(b"\x01" * 1000), 42)
     payload = encode_consignment(
         b"AJO", {"/home/u/small.txt": b"hi"}, streamed=[entry]
     )
@@ -304,7 +305,7 @@ def test_bulk_reply_inline_roundtrip():
 
 
 def test_bulk_reply_streamed_roundtrip():
-    entry = file_entry_for("", b"payload", stream_id=77)
+    entry = entry_for_sender("", StreamSender(77, b"payload", 1024))
     kind, ref = decode_bulk_reply(encode_stream_reply(entry))
     assert kind == "stream"
     assert (ref.stream_id, ref.size, ref.crc32) == (

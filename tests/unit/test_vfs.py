@@ -1,8 +1,11 @@
 """Unit tests for the virtual filesystem and the UNICORE data spaces."""
 
+import sys
+
 import pytest
 
 from repro.vfs import (
+    FileBody,
     FileExistsVFSError,
     FileNotFoundVFSError,
     InMemoryFileSystem,
@@ -142,11 +145,57 @@ def test_walk_files_sorted_and_scoped():
     assert list(fs.walk_files()) == ["/a/1", "/a/2", "/b/3"]
 
 
+def test_walk_files_keeps_full_path_order_across_directories():
+    """Sorted by whole path, as a scan of every path gave it: ``.`` sorts
+    before ``/``, so ``/x/a.b/c`` precedes ``/x/a/b`` although directory
+    ``a`` precedes ``a.b``."""
+    fs = InMemoryFileSystem()
+    for path in ("/x/a/b", "/x/a.b/c", "/x/a", "/xy", "/x!/z"):
+        if path != "/x/a":
+            fs.write(path, b"")
+    assert list(fs.walk_files("/x")) == ["/x/a.b/c", "/x/a/b"]
+    assert list(fs.walk_files("/xy")) == ["/xy"]
+    assert list(fs.walk_files("/nowhere")) == []
+    assert list(fs.walk_files()) == sorted(
+        ["/x/a/b", "/x/a.b/c", "/xy", "/x!/z"]
+    )
+
+
+def test_deleting_a_directory_forgets_exactly_its_subtree():
+    fs = InMemoryFileSystem()
+    fs.write("/d/x", b"1")
+    fs.write("/d/sub/deep/y", b"22")
+    fs.write("/d2/z", b"333")
+    fs.delete("/d/sub")
+    assert fs.listdir("/d") == ["x"] and not fs.is_dir("/d/sub/deep")
+    fs.delete("/d")
+    assert fs.listdir("/") == ["d2"] and fs.used_bytes == 3
+    fs.write("/d/sub", b"a file where a directory was")
+    assert list(fs.walk_files()) == ["/d/sub", "/d2/z"]
+
+
 def test_append():
     fs = InMemoryFileSystem()
     fs.append("/log", b"one\n")
     fs.append("/log", b"two\n")
     assert fs.read("/log") == b"one\ntwo\n"
+
+
+def test_a_written_body_is_the_body_read_back_until_the_content_changes():
+    fs = InMemoryFileSystem()
+    body = FileBody(b"payload")
+    digest = body.digest
+    fs.write("/f", body)
+    assert fs.body("/f") is body and fs.read("/f") is body.data
+    fs.write("/copy", fs.body("/f"))  # a copy shares the body, memo intact
+    assert fs.body("/copy") is body
+    fs.append("/f", b"+more")
+    appended = fs.body("/f")
+    assert appended is not body and appended.data == b"payload+more"
+    assert appended.digest != digest  # nothing stale rode along
+    fs.write("/copy", b"payload")  # same bytes, written bare: a fresh body
+    assert fs.body("/copy") is not body and fs.body("/copy") == body
+    assert body.digest == digest and fs.used_bytes == len(b"payload+more") + 7
 
 
 def test_write_requires_bytes():
@@ -175,6 +224,40 @@ def test_uspace_lifecycle():
     mgr.destroy("job1")
     assert mgr.active_jobs == []
     assert not mgr.fs.exists("/jobs/job1")
+
+
+def _c_calls(fn) -> int:
+    """How many C functions ``fn()`` calls: work metered, not time."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call"
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_listing_a_uspace_costs_what_it_lists_not_what_the_spool_holds():
+    mgr = UspaceManager("V")
+    mine = mgr.create("mine")
+    for path in ("in.dat", "out/result.dat", "stdout"):
+        mine.write(path, b"1234")
+    listings = (mine.files, mine.used_bytes, mine.listdir)
+    alone = [_c_calls(listing) for listing in listings]
+    for job in range(200):
+        other = mgr.create(f"job{job}")
+        for i in range(10):
+            other.write(f"out{i}.dat", b"y")
+    assert mgr.fs.file_count() == 2003
+    assert [_c_calls(listing) for listing in listings] == alone
+    assert mine.files() == ["in.dat", "out/result.dat", "stdout"]
+    assert mine.used_bytes() == 12
+    assert mine.listdir() == ["in.dat", "out", "stdout"]
 
 
 def test_uspace_isolation_between_jobs():
