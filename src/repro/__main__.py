@@ -171,39 +171,9 @@ def lint_command(args: argparse.Namespace) -> None:
 
 def devlint_command(args: argparse.Namespace) -> None:
     """Lint the codebase's own invariants; exit 1 on errors."""
-    from pathlib import Path
+    from repro.devlint import run_devlint
 
-    from repro.devlint import load_baseline, run_devlint, write_baseline
-
-    baseline: set[str] = set()
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is not None and not args.write_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except FileNotFoundError:
-            print(
-                f"devlint: baseline {baseline_path} does not exist "
-                "(use --write-baseline to create it)",
-                file=sys.stderr,
-            )
-            sys.exit(2)
-        except ValueError as err:
-            print(f"devlint: {err}", file=sys.stderr)
-            sys.exit(2)
-
-    report = run_devlint(baseline=baseline)
-
-    if args.write_baseline:
-        if baseline_path is None:
-            print(
-                "devlint: --write-baseline requires --baseline PATH",
-                file=sys.stderr,
-            )
-            sys.exit(2)
-        count = write_baseline(baseline_path, report)
-        print(f"devlint: wrote {count} suppression(s) to {baseline_path}")
-        return
-
+    report = run_devlint()
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -287,14 +257,6 @@ def main(argv: list[str] | None = None) -> None:
     devlint_parser.add_argument(
         "--json", action="store_true",
         help="emit the report as JSON instead of text",
-    )
-    devlint_parser.add_argument(
-        "--baseline", metavar="PATH", default="",
-        help="JSON suppression file of accepted legacy findings",
-    )
-    devlint_parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write all current findings to --baseline and exit 0",
     )
     snap_parser = sub.add_parser(
         "snapshot", help="run a workload and checkpoint the grid to a file"

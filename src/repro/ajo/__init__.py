@@ -81,7 +81,6 @@ from repro.ajo.serialize import (
     encode_outcome,
     encode_service,
 )
-from repro.ajo.validate import validate_ajo
 
 __all__ = [
     "AJOError",
@@ -123,5 +122,4 @@ __all__ = [
     "outcome_class_for",
     "ready_actions",
     "topological_order",
-    "validate_ajo",
 ]

@@ -62,10 +62,11 @@ class ControlService(AbstractService):
 class ListService(AbstractService):
     """List the requesting user's UNICORE jobs known to this NJS.
 
-    ``since_seq``/``epoch`` carry the client's delta cursor: a server
-    with a change-log answers with only the listings that changed after
-    ``since_seq`` (within the same log ``epoch``).  The defaults (-1)
-    request a full listing, which is also what pre-delta servers send.
+    ``since_seq``/``epoch`` carry the client's delta cursor: the server
+    answers with only the listings that changed after ``since_seq``
+    (within the same change-log ``epoch``).  The defaults (-1) request a
+    full listing; either way the answer is a
+    :class:`~repro.protocol.views.JobListingDelta`.
     """
 
     type_tag = "list"

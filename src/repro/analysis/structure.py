@@ -1,10 +1,9 @@
 """Pass 1 — tree structure (``AJO1xx``).
 
-The checks ``ajo/validate.py`` historically enforced, re-expressed as
-diagnostics so structural, dataflow, and resource findings share one
-report: unique ids, acyclic groups, destinations named, user identity
-present, transfers leaving their own Usite.  ``validate_ajo`` remains a
-thin wrapper that raises on the first error this pass emits.
+Structural findings as diagnostics, so that they share one report with
+the dataflow and resource findings: unique ids, acyclic groups,
+destinations named, user identity present, transfers leaving their own
+Usite.
 """
 
 from __future__ import annotations

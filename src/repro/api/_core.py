@@ -98,7 +98,7 @@ class SessionCore:
     #: How many broker-ranked alternates to try after a consign timeout.
     FAILOVER_CANDIDATES = 3
     #: ``wait`` tolerance for outages longer than the retry policy:
-    #: how many times to re-enter the poll loop, and the pause between
+    #: how many times to re-enter the wait, and the pause between
     #: attempts (comfortably past the breaker cooldown).
     WAIT_OUTAGE_RETRIES = 8
     WAIT_RETRY_DELAY_S = 120.0
@@ -383,18 +383,14 @@ class SessionCore:
         return JobStatusView.from_dict(tree)
 
     def wait_plan(
-        self,
-        handle: "JobHandle | str",
-        max_polls: int = 10_000,
-        subscribe: bool = True,
+        self, handle: "JobHandle | str", max_polls: int = 10_000
     ) -> typing.Generator:
         """Wait until the job is terminal, riding out crash windows.
 
-        The default path holds a completion-event subscription open at
-        the gateway (renewed in long holds) instead of polling;
-        ``subscribe=False`` forces the classic poll loop.  Either way,
-        exhausting ``max_polls`` raises
-        :class:`~repro.errors.WaitTimeout` (code ``api.wait_timeout``).
+        Holds a completion-event subscription open at the gateway
+        (renewed in long holds) instead of polling; exhausting
+        ``max_polls`` renewals raises :class:`~repro.errors.WaitTimeout`
+        (code ``api.wait_timeout``).
 
         A late-bound job may be *stolen* to another Vsite mid-wait (its
         original batch entry killed, a new consignment elsewhere); the
@@ -416,7 +412,7 @@ class SessionCore:
                 yield self.sim.timeout(self.BROKER_REBIND_WAIT_S)
                 continue
             jmc, job_id = yield from self._target_plan(handle)
-            tree = yield from self._wait_gen(jmc, job_id, max_polls, subscribe)
+            tree = yield from self._wait_gen(jmc, job_id, max_polls)
             new_id, _ = self._resolve(handle)
             if new_id != job_id:
                 steal_grace = self.STEAL_GRACE_ROUNDS
@@ -439,17 +435,11 @@ class SessionCore:
             return JobStatusView.from_dict(tree)
 
     def _wait_gen(
-        self,
-        jmc: JobMonitorController,
-        job_id: str,
-        max_polls: int,
-        subscribe: bool = True,
+        self, jmc: JobMonitorController, job_id: str, max_polls: int
     ) -> typing.Generator:
         for attempt in range(self.WAIT_OUTAGE_RETRIES + 1):
             try:
-                result = yield from jmc.wait_for_completion(
-                    job_id, max_polls, subscribe=subscribe
-                )
+                result = yield from jmc.wait_for_completion(job_id, max_polls)
                 return result
             except _TRANSPORT_ERRORS:
                 if attempt >= self.WAIT_OUTAGE_RETRIES:

@@ -96,10 +96,8 @@ class AsyncJobHandle:
     async def status(self, allow_stale: bool = True) -> JobStatusView:
         return await self._session.status(self.handle, allow_stale)
 
-    async def wait(
-        self, max_polls: int = 10_000, subscribe: bool = True
-    ) -> JobStatusView:
-        return await self._session.wait(self.handle, max_polls, subscribe)
+    async def wait(self, max_polls: int = 10_000) -> JobStatusView:
+        return await self._session.wait(self.handle, max_polls)
 
     async def outcome(self):
         return await self._session.outcome(self.handle)
@@ -206,15 +204,11 @@ class AsyncGridSession(SessionCore):
         )
 
     async def wait(
-        self,
-        handle: _AnyHandle,
-        max_polls: int = 10_000,
-        subscribe: bool = True,
+        self, handle: _AnyHandle, max_polls: int = 10_000
     ) -> JobStatusView:
         """Wait until the job is terminal; see :meth:`SessionCore.wait_plan`."""
         return await self._adrive(
-            self.wait_plan(self._unwrap(handle), max_polls, subscribe),
-            name="wait",
+            self.wait_plan(self._unwrap(handle), max_polls), name="wait"
         )
 
     async def outcome(self, handle: _AnyHandle):

@@ -100,13 +100,6 @@ class GridSession(SessionCore):
         proc = self.sim.process(gen, name=f"api:{name}:{self.user.name}")
         return self.sim.run(until=proc)
 
-    def _connect(self, usite: str):
-        """Blocking tier lookup (kept for callers that held this seam)."""
-        tier = self._tiers.get(usite)
-        if tier is None:
-            tier = self._run(self._connect_plan(usite), name=f"tier:{usite}")
-        return tier
-
     # -- authoring -----------------------------------------------------------
     def new_job(
         self,
@@ -138,15 +131,10 @@ class GridSession(SessionCore):
         return self._run(self.status_plan(handle, allow_stale), name="status")
 
     def wait(
-        self,
-        handle: "JobHandle | str",
-        max_polls: int = 10_000,
-        subscribe: bool = True,
+        self, handle: "JobHandle | str", max_polls: int = 10_000
     ) -> JobStatusView:
         """Block until the job is terminal; see :meth:`SessionCore.wait_plan`."""
-        return self._run(
-            self.wait_plan(handle, max_polls, subscribe), name="wait"
-        )
+        return self._run(self.wait_plan(handle, max_polls), name="wait")
 
     def outcome(self, handle: "JobHandle | str"):
         """The full Outcome tree (stdout/stderr included) of a finished job."""

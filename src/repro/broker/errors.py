@@ -2,8 +2,8 @@
 
 Same contract as the rest of the hierarchy (see ``repro.errors``): every
 class carries a machine-readable ``code`` that survives the protocol
-edge — the gateway copies it into ``Reply.error_code`` and the JPA
-re-raises the typed exception client-side.
+edge — the gateway copies it into ``Reply.error_code`` and
+``Reply.unwrap`` raises the same class again client-side.
 """
 
 from __future__ import annotations

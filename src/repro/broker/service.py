@@ -23,14 +23,8 @@ Every dispatch and steal runs under a ``broker.*`` span.
 from __future__ import annotations
 
 import typing
-from itertools import count
 
-from repro.broker.advertise import (
-    BROKER_PEER,
-    AdvertiseCapacity,
-    ReclaimAck,
-    ReclaimJob,
-)
+from repro.broker.advertise import AdvertiseCapacity, ReclaimAck, ReclaimJob
 from repro.broker.errors import BrokerError
 from repro.broker.fairshare import FairSharePolicy
 from repro.broker.matcher import BrokerJob, BrokerJobState, TaskQueueBroker
@@ -38,14 +32,15 @@ from repro.errors import ReproError
 from repro.net.errors import ConnectionLost
 from repro.observability import telemetry_for
 from repro.resources.model import ResourceRequest
-from repro.security.ssl import HANDSHAKE_ROUND_TRIPS, SSLSession
+from repro.server.njs.peerlink import PeerLink
 
 if typing.TYPE_CHECKING:
     from repro.grid.build import Grid
 
 __all__ = ["FederationBroker", "attach_broker"]
 
-_HS_BYTES = 1500
+#: The hub's host on the grid network.
+HUB_HOST = "broker.hub"
 
 #: WAN link from each gateway to the broker hub (same class of link as
 #: gateway-to-gateway traffic).
@@ -59,8 +54,6 @@ class FederationBroker:
     #: A dispatch whose consignment fails this many times is FAILED.
     MAX_ATTEMPTS = 3
     ACK_TIMEOUT_S = 120.0
-    RETRIES = 4
-    RETRY_DELAY_S = 5.0
 
     def __init__(
         self,
@@ -71,7 +64,6 @@ class FederationBroker:
         dispatch_interval_s: float = 30.0,
         max_queued_per_vsite: int = 4,
         min_steal_wait_s: float = 600.0,
-        host_name: str = "broker.hub",
     ) -> None:
         self.grid = grid
         self.sim = grid.sim
@@ -87,30 +79,31 @@ class FederationBroker:
             metrics=self.metrics,
         )
         self.dispatch_interval_s = dispatch_interval_s
-        self.host = self.network.add_host(host_name)
-        #: usite -> hub-to-NJS route (reverse of the advertisement path).
-        self._routes: dict[str, list[tuple[str, str]]] = {}
-        self._sessions: set[str] = set()
-        self._corr = count(1)
-        self._pending_acks: dict[int, object] = {}
+        self.host = self.network.add_host(HUB_HOST)
+        #: The hub's end of the NJS peer link: a route to every Usite's
+        #: NJS (the reverse of its advertisement path), and the reclaim
+        #: acks the hub is waiting for.
+        self.link = PeerLink(self.sim, self.network, HUB_HOST)
         self._stealing: set[int] = set()
 
         for index, name in enumerate(sorted(grid.usites)):
             usite = grid.usites[name]
             self.network.link(
-                host_name,
+                HUB_HOST,
                 usite.gateway_host.name,
                 latency_s=HUB_LATENCY_S,
                 bandwidth_Bps=HUB_BANDWIDTH_BPS,
             )
             up = [
-                (usite.njs_host.name, usite.gateway_host.name),
-                (usite.gateway_host.name, host_name),
+                (a, b)
+                for a, b in (
+                    (usite.njs_host.name, usite.gateway_host.name),
+                    (usite.gateway_host.name, HUB_HOST),
+                )
+                if a != b
             ]
-            usite.njs.peers.register_broker([(a, b) for a, b in up if a != b])
-            self._routes[name] = [
-                (b, a) for a, b in reversed([(a, b) for a, b in up if a != b])
-            ]
+            usite.njs.peers.register_broker(up)
+            self.link.register(name, [(b, a) for a, b in reversed(up)])
             # Stagger sites so their reports do not synchronise.
             usite.njs.adverts.start(
                 interval_s=advertise_interval_s,
@@ -177,9 +170,7 @@ class FederationBroker:
             if isinstance(payload, AdvertiseCapacity):
                 self.matcher.observe(payload, now=self.sim.now)
             elif isinstance(payload, ReclaimAck):
-                waiter = self._pending_acks.pop(payload.corr_id, None)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(payload)
+                self.link.resolve(payload)
 
     def _dispatch_loop(self):
         while True:
@@ -239,14 +230,11 @@ class FederationBroker:
             from_vsite=job.vsite,
             to_vsite=to_vsite,
         )
-        corr_id = next(self._corr)
-        waiter = self.sim.event(name=f"reclaim-ack:{corr_id}")
-        self._pending_acks[corr_id] = waiter
-        message = ReclaimJob(corr_id=corr_id, job_id=job.job_id)
+        corr_id, waiter = self.link.expect("reclaim-ack")
         try:
             try:
-                yield from self._routed_send(
-                    job.usite, message, message.wire_payload
+                yield from self.link.send(
+                    job.usite, ReclaimJob(corr_id=corr_id, job_id=job.job_id)
                 )
             except ConnectionLost as err:
                 self.tracer.end_span(span, error=err)
@@ -266,40 +254,8 @@ class FederationBroker:
                 self.matcher.mark_stolen(job)
             self.tracer.end_span(span.set(outcome="stolen"))
         finally:
-            self._pending_acks.pop(corr_id, None)
+            self.link.abandon(corr_id)
             self._stealing.discard(job.seq)
-
-    # -- hub-side transport -------------------------------------------------
-    def _routed_send(self, usite: str, payload, size: int):
-        """Reliable routed send hub -> gateway -> NJS, mirroring the NJS
-        peer transport (first use pays the SSL handshake)."""
-        route = self._routes[usite]
-        if usite not in self._sessions:
-            for _ in range(HANDSHAKE_ROUND_TRIPS):
-                for src, dst in route:
-                    yield from self._hop(src, dst, ("hs",), _HS_BYTES, False)
-                for src, dst in [(b, a) for a, b in reversed(route)]:
-                    yield from self._hop(src, dst, ("hs-ack",), _HS_BYTES, False)
-            self._sessions.add(usite)
-        wire = SSLSession.wire_bytes(size)
-        last = len(route) - 1
-        for i, (src, dst) in enumerate(route):
-            yield from self._hop(src, dst, payload, wire, i == last)
-
-    def _hop(self, src: str, dst: str, payload, wire: int, deliver: bool):
-        last_error: Exception | None = None
-        for attempt in range(1 + self.RETRIES):
-            try:
-                yield self.network.send(
-                    src, dst, payload, wire, channel="broker", deliver=deliver
-                )
-                return
-            except ConnectionLost as err:
-                last_error = err
-                if attempt < self.RETRIES:
-                    yield self.sim.timeout(self.RETRY_DELAY_S)
-        assert last_error is not None
-        raise last_error
 
     # -- introspection ------------------------------------------------------
     def counters(self) -> dict[str, int]:

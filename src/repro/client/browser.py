@@ -14,7 +14,6 @@ from repro.protocol.retry import RetryPolicy
 from repro.resources.page import ResourcePage
 from repro.security.applet import SignedApplet, verify_applet
 from repro.security.ca import CertificateStore
-from repro.security.errors import TamperedBundleError
 from repro.security.rsa import RSAKeyPair
 from repro.security.x509 import Certificate
 from repro.server.usite import Usite
@@ -22,6 +21,10 @@ from repro.simkernel import Simulator
 from repro.vfs.spaces import Workstation
 
 __all__ = ["Browser", "UnicoreSession"]
+
+#: The applets every session loads: "the job preparation agent (JPA) to
+#: create and submit UNICORE jobs" and the job monitor controller.
+APPLET_NAMES = ("JPA", "JMC")
 
 
 @dataclass(slots=True)
@@ -37,13 +40,13 @@ class UnicoreSession:
     channel: HttpsChannel
     client: AsyncProtocolClient
     resource_pages: dict[str, ResourcePage]
+    #: The client's data-plane endpoint (streamed replies land here) and
+    #: its stream-id allocator for uploads.
+    datapath: DataPlaneEndpoint
+    stream_ids: StreamIdAllocator
     applets: dict[str, SignedApplet] = field(default_factory=dict)
     #: Trace of the connect sequence (handshake, applet load, pages).
     trace_id: str = ""
-    #: The client's data-plane endpoint (streamed replies land here) and
-    #: its stream-id allocator for uploads.
-    datapath: DataPlaneEndpoint | None = None
-    stream_ids: StreamIdAllocator | None = None
 
 
 class Browser:
@@ -87,10 +90,7 @@ class Browser:
     def user_dn(self) -> str:
         return str(self.user_cert.subject)
 
-    def connect(
-        self, usite: Usite, applet_names: typing.Iterable[str] = ("JPA", "JMC"),
-        gateway=None,
-    ) -> typing.Generator:
+    def connect(self, usite: Usite, gateway=None) -> typing.Generator:
         """Connect to a Usite (``yield from`` inside a process).
 
         Performs the section 4.1 sequence: mutual https authentication,
@@ -128,7 +128,7 @@ class Browser:
             "client.applet_load", session_trace, tier="user"
         )
         applets: dict[str, SignedApplet] = {}
-        for name in applet_names:
+        for name in APPLET_NAMES:
             applet = gateway.serve_applet(name)
             # Download cost over the authenticated channel.
             yield channel.send(
@@ -138,10 +138,7 @@ class Browser:
             # "The applet certificate is checked to assure the user that
             # the software has not been tampered with."
             self.trust_store.validate(applet.signer_certificate, now=self.sim.now)
-            try:
-                verify_applet(applet)
-            except TamperedBundleError:
-                raise
+            verify_applet(applet)
             applets[name] = applet
         tracer.end_span(
             applet_span.set(

@@ -19,9 +19,10 @@ from repro.client.browser import UnicoreSession
 from repro.errors import WaitTimeout
 from repro.faults.errors import CircuitOpenError, ServiceUnavailable
 from repro.observability import telemetry_for
+from repro.protocol.client import RESPONSE_TIMEOUT_S
 from repro.protocol.datapath import fetch_bulk_payload
 from repro.protocol.messages import Request, RequestKind
-from repro.protocol.retry import PollBudgetExhausted, RetryExhausted
+from repro.protocol.retry import RetryExhausted
 from repro.protocol.views import JobStatusView
 from repro.vfs.spaces import Workstation
 
@@ -53,48 +54,46 @@ class JobMonitorController:
         self._list_cursor: tuple[int, int] | None = None
         self._list_rows: dict[str, dict] = {}
 
-    # -- monitoring (each method is a generator: yield from in a process) ----
+    # -- the verbs (each method is a generator: yield from in a process) ----
+    def _ask(
+        self, kind: str, payload: bytes,
+        response_timeout_s: float = RESPONSE_TIMEOUT_S,
+        trace_id: str = "", parent_span_id: str = "",
+    ):
+        """One interaction: the reply's payload, or the error the server
+        raised (:meth:`~repro.protocol.messages.Reply.unwrap`)."""
+        reply = yield from self.session.client.interact(
+            Request(
+                kind=kind, user_dn=self.session.user_dn, payload=payload,
+                trace_id=trace_id, parent_span_id=parent_span_id,
+            ),
+            response_timeout_s=response_timeout_s,
+        )
+        return reply.unwrap()
+
     def list_jobs(self):
         """The user's jobs at this Usite, fetched incrementally.
 
-        The first call bootstraps a change-log cursor (``since_seq=0``
-        forces a versioned full answer); later calls send the cursor and
-        receive only the listings that changed, merged into the cached
-        rows client-side.  An epoch change (the NJS crashed and restarted
-        its log) or a plain-list answer (pre-delta server) resyncs.
+        The first call has no change-log cursor and gets the full
+        listing; later calls send the cursor and receive only the
+        listings that changed, merged into the cached rows client-side.
+        An epoch change (the NJS crashed and restarted its log) is
+        answered in full again and resyncs.
         """
-        if self._list_cursor is None:
-            service = ListService("list my jobs", since_seq=0, epoch=-1)
-        else:
-            seq, epoch = self._list_cursor
-            service = ListService("list my jobs", since_seq=seq, epoch=epoch)
-        reply = yield from self.session.client.interact(
-            Request(
-                kind=RequestKind.LIST,
-                user_dn=self.session.user_dn,
-                payload=encode_service(service),
-            )
-        )
-        if not reply.ok:
-            raise RuntimeError(f"list failed: {reply.error}")
-        data = json.loads(reply.payload)
-        if isinstance(data, list):
-            # Pre-delta server: a plain full listing, no cursor to keep.
-            self._list_cursor = None
-            self._list_rows = {row["job_id"]: row for row in data}
-            return data
-        full = bool(data.get("full", False))
-        if full:
-            self._list_rows = {
-                row["job_id"]: row for row in data.get("listings", ())
-            }
+        seq, epoch = self._list_cursor or (0, -1)
+        data = json.loads((yield from self._ask(
+            RequestKind.LIST,
+            encode_service(ListService("list my jobs", since_seq=seq, epoch=epoch)),
+        )))
+        if data["full"]:
+            self._list_rows = {row["job_id"]: row for row in data["listings"]}
         else:
             telemetry_for(self.session.client.sim).metrics.counter(
                 "jmc.delta_views"
             ).inc()
-            for row in data.get("listings", ()):
+            for row in data["listings"]:
                 self._list_rows[row["job_id"]] = row
-            for job_id in data.get("removed", ()):
+            for job_id in data["removed"]:
                 self._list_rows.pop(job_id, None)
         self._list_cursor = (int(data["seq"]), int(data["epoch"]))
         return [self._list_rows[job_id] for job_id in sorted(self._list_rows)]
@@ -108,17 +107,17 @@ class JobMonitorController:
         """The job's status tree; optionally degrade gracefully.
 
         With ``allow_stale``, an unreachable gateway (retry budget
-        exhausted, or the circuit breaker open) does not raise: the last
-        good tree is re-served, flagged ``stale`` with the simulated
-        time it was cached — the JMC keeps showing *something* through
-        the outage instead of a blank display.
+        exhausted, or the circuit breaker open) or a crashed NJS behind
+        it does not raise: the last good tree is re-served, flagged
+        ``stale`` with the simulated time it was cached — the JMC keeps
+        showing *something* through the outage instead of a blank display.
         """
         service = QueryService("status", target_job_id=job_id, detail=detail)
         try:
-            reply = yield from self.session.client.query(
-                encode_service(service), user_dn=self.session.user_dn
+            payload = yield from self._ask(
+                RequestKind.QUERY, encode_service(service)
             )
-        except (RetryExhausted, CircuitOpenError):
+        except (RetryExhausted, CircuitOpenError, ServiceUnavailable):
             cached = self._status_cache.get(job_id)
             if not allow_stale or cached is None:
                 raise
@@ -127,43 +126,25 @@ class JobMonitorController:
             ).inc()
             cached_at, tree = cached
             return JobStatusView.from_dict(tree).marked_stale(cached_at).to_dict()
-        if not reply.ok:
-            raise RuntimeError(f"query failed: {reply.error}")
-        tree = json.loads(reply.payload)
+        tree = json.loads(payload)
         self._status_cache[job_id] = (self.session.client.sim.now, tree)
         return tree
 
-    def wait_for_completion(
-        self, job_id: str, max_polls: int = 10_000, subscribe: bool = True
-    ):
+    def wait_for_completion(self, job_id: str, max_polls: int = 10_000):
         """Block until the job reaches a terminal state.
 
-        The default path *subscribes*: each QUERY asks the gateway to
-        park the request until the job completes (or the hold elapses),
-        so one interaction replaces a whole poll train.  A server that
-        answers a subscribe immediately (no hold support) degrades to
-        the classic poll cadence.  ``subscribe=False`` forces the
-        paper's original bounded poll loop.
+        Each QUERY *subscribes*: it asks the gateway to park the request
+        until the job completes (or the hold elapses), so one interaction
+        replaces a whole poll train.  A server that answers a subscribe
+        immediately (no hold support) degrades to the classic poll
+        cadence.  An NJS that crashed under the parked request raises
+        :class:`~repro.faults.errors.ServiceUnavailable`, which the
+        facade's wait loop rides out.
 
         Exhausting ``max_polls`` raises :class:`~repro.errors.WaitTimeout`
         (code ``api.wait_timeout``): the job is not failed, just not
         terminal within the caller's patience.
         """
-        if not subscribe:
-            service = QueryService("poll", target_job_id=job_id)
-            query_bytes = encode_service(service)
-            try:
-                reply = yield from self.session.client.poll_until(
-                    make_query=lambda: query_bytes,
-                    user_dn=self.session.user_dn,
-                    is_done=lambda r: r.ok
-                    and json.loads(r.payload)["status"] in _TERMINAL,
-                    max_polls=max_polls,
-                )
-            except PollBudgetExhausted:
-                raise WaitTimeout(job_id, max_polls) from None
-            return json.loads(reply.payload)
-
         client = self.session.client
         for round_no in range(max_polls):
             hold = (
@@ -175,19 +156,10 @@ class JobMonitorController:
                 "wait", target_job_id=job_id, subscribe=True, hold_s=hold
             )
             asked_at = client.sim.now
-            reply = yield from client.query(
-                encode_service(service),
-                user_dn=self.session.user_dn,
+            tree = json.loads((yield from self._ask(
+                RequestKind.QUERY, encode_service(service),
                 response_timeout_s=hold + self.SUBSCRIBE_REPLY_GRACE_S,
-            )
-            if not reply.ok:
-                if reply.error_code == ServiceUnavailable.code:
-                    # The NJS crashed under the parked request; surface
-                    # as an outage so the facade's wait loop retries
-                    # once the journal replay brings the site back.
-                    raise ServiceUnavailable(reply.error)
-                raise RuntimeError(f"wait failed: {reply.error}")
-            tree = json.loads(reply.payload)
+            )))
             self._status_cache[job_id] = (client.sim.now, tree)
             if tree["status"] in _TERMINAL:
                 return tree
@@ -210,29 +182,18 @@ class JobMonitorController:
                 "client.outcome", trace_id, tier="user", job_id=job_id
             )
         try:
-            reply = yield from self.session.client.interact(
-                Request(
-                    kind=RequestKind.RETRIEVE_OUTCOME,
-                    user_dn=self.session.user_dn,
-                    payload=job_id.encode(),
-                    trace_id=trace_id,
-                    parent_span_id=outcome_span.span_id if outcome_span else "",
-                )
+            reply = yield from self._ask(
+                RequestKind.RETRIEVE_OUTCOME, job_id.encode(),
+                trace_id=trace_id,
+                parent_span_id=outcome_span.span_id if outcome_span else "",
             )
-            if reply.ok:
-                # Large outcomes travel on the data plane: the gateway
-                # pushed the stream ahead of this slim reply.
-                payload = yield from fetch_bulk_payload(
-                    getattr(self.session, "datapath", None), reply.payload
-                )
+            # Large outcomes travel on the data plane: the gateway
+            # pushed the stream ahead of this slim reply.
+            payload = yield from fetch_bulk_payload(self.session.datapath, reply)
         except BaseException as err:
             if outcome_span is not None:
                 tracer.end_span(outcome_span, error=err)
             raise
-        if not reply.ok:
-            if outcome_span is not None:
-                tracer.end_span(outcome_span, error=reply.error)
-            raise RuntimeError(f"outcome retrieval failed: {reply.error}")
         if outcome_span is not None:
             tracer.end_span(outcome_span.set(outcome_bytes=len(payload)))
         return decode_outcome(payload)
@@ -241,16 +202,9 @@ class JobMonitorController:
     def control(self, job_id: str, verb: str):
         """Send a ControlService (cancel / hold / resume)."""
         service = ControlService(verb, target_job_id=job_id, verb=verb)
-        reply = yield from self.session.client.interact(
-            Request(
-                kind=RequestKind.CONTROL,
-                user_dn=self.session.user_dn,
-                payload=encode_service(service),
-            )
-        )
-        if not reply.ok:
-            raise RuntimeError(f"{verb} failed: {reply.error}")
-        return json.loads(reply.payload)
+        return json.loads((yield from self._ask(
+            RequestKind.CONTROL, encode_service(service)
+        )))
 
     def cancel(self, job_id: str):
         return (yield from self.control(job_id, ControlVerb.CANCEL))
@@ -269,34 +223,20 @@ class JobMonitorController:
 
         Returns the content; with ``workstation`` also saves it there.
         """
-        reply = yield from self.session.client.interact(
-            Request(
-                kind=RequestKind.FETCH_FILE,
-                user_dn=self.session.user_dn,
-                payload=json.dumps({"job_id": job_id, "path": path}).encode(),
-            )
+        reply = yield from self._ask(
+            RequestKind.FETCH_FILE,
+            json.dumps({"job_id": job_id, "path": path}).encode(),
         )
-        if not reply.ok:
-            raise RuntimeError(f"fetch failed: {reply.error}")
-        content = yield from fetch_bulk_payload(
-            getattr(self.session, "datapath", None), reply.payload
-        )
+        content = yield from fetch_bulk_payload(self.session.datapath, reply)
         if workstation is not None:
             workstation.fs.write(save_as or f"/downloads/{path}", content)
         return content
 
     def dispose(self, job_id: str):
         """Release a finished job's Uspaces on the server."""
-        reply = yield from self.session.client.interact(
-            Request(
-                kind=RequestKind.DISPOSE,
-                user_dn=self.session.user_dn,
-                payload=job_id.encode(),
-            )
-        )
-        if not reply.ok:
-            raise RuntimeError(f"dispose failed: {reply.error}")
-        return json.loads(reply.payload)
+        return json.loads((yield from self._ask(
+            RequestKind.DISPOSE, job_id.encode()
+        )))
 
     # -- output handling (pure client-side helpers) --------------------------
     @staticmethod

@@ -35,17 +35,6 @@ from repro.ajo.tasks import (
 from repro.ajo.errors import ValidationError
 from repro.analysis import AnalysisContext, AnalysisError, analyze_ajo
 from repro.client.browser import UnicoreSession
-from repro.faults.errors import ServiceUnavailable
-
-
-def _broker_error_for(code: str):
-    """The typed broker exception class for a wire-carried error code."""
-    from repro.broker.errors import BrokerError, BrokerQuotaError, NoCapacityError
-
-    for cls in (BrokerQuotaError, NoCapacityError):
-        if code == cls.code:
-            return cls
-    return BrokerError
 from repro.observability import telemetry_for
 from repro.resources.check import check_request
 from repro.resources.model import ResourceRequest
@@ -281,8 +270,9 @@ class JobPreparationAgent:
 
         Returns the UNICORE job id assigned by the NJS.  Raises
         :class:`~repro.analysis.AnalysisError` (a ValidationError)
-        client-side when static analysis finds errors, and surfaces
-        server-side rejections from the failed Reply.
+        client-side when static analysis finds errors; a server-side
+        rejection raises the error the server raised
+        (:meth:`~repro.protocol.messages.Reply.unwrap`).
         """
         telemetry = telemetry_for(self.session.client.sim)
         # Lint before consigning: errors block here (orders of magnitude
@@ -318,11 +308,10 @@ class JobPreparationAgent:
         # Control/data-plane split (section 5.6): small files ride inside
         # the consignment envelope; large ones stream ahead of it in
         # chunked frames and appear in the envelope only as a manifest.
-        stream_ids = getattr(self.session, "stream_ids", None)
         inline: dict[str, bytes] = {}
         large: list[tuple[str, FileBody]] = []
         for path, content in files.items():
-            if stream_ids is None or len(content) <= INLINE_FILE_MAX:
+            if len(content) <= INLINE_FILE_MAX:
                 inline[path] = content.data
             else:
                 large.append((path, content))
@@ -342,7 +331,7 @@ class JobPreparationAgent:
             entries = []
             for path, content in large:
                 sender = body_sender(
-                    stream_ids.next(), content,
+                    self.session.stream_ids.next(), content,
                     {"kind": "consign-file", "path": path},
                 )
                 yield from send_stream(
@@ -367,22 +356,13 @@ class JobPreparationAgent:
                 trace_id=trace_id,
                 parent_span_id=submit_span.span_id,
             )
+            # A refusal is the server's own error: ServiceUnavailable (the
+            # NJS is down, not the job bad) lets resilient callers fail
+            # over, a broker.* fair-use refusal stays typed, and so on.
+            job_id = json.loads(reply.unwrap())["job_id"]
         except BaseException as err:
             tracer.end_span(submit_span, error=err)
             raise
-        if not reply.ok:
-            tracer.end_span(submit_span, error=reply.error)
-            if reply.error_code == ServiceUnavailable.code:
-                # The NJS is down, not the job bad: let resilient callers
-                # (GridSession failover) treat this as a transport fault.
-                raise ServiceUnavailable(f"consignment refused: {reply.error}")
-            if reply.error_code.startswith("broker."):
-                # Fair-use refusals keep their typed identity client-side.
-                raise _broker_error_for(reply.error_code)(
-                    f"consignment rejected: {reply.error}"
-                )
-            raise ValidationError(f"consignment rejected: {reply.error}")
-        job_id = json.loads(reply.payload)["job_id"]
         tracer.end_span(submit_span)
         tracer.bind_job(job_id, trace_id)
         return job_id

@@ -4,7 +4,7 @@ PR 4 gave the *user's* artifact (the AJO) consign-time static analysis;
 this package points the same discipline at the codebase itself.  The
 reproduction's crown-jewel guarantees — byte-identical determinism,
 stable error codes across the protocol edge, registry-consistent
-counter/span names, one dispatch handler per request verb — were
+counter/span names, one owner per piece of server state — were
 enforced only by convention; ``repro devlint`` makes each of them a
 machine-checked gate (see :mod:`repro.devlint.diagnostics` for the
 RD1xx–RD4xx code families).
@@ -13,7 +13,6 @@ Usage::
 
     python -m repro devlint                 # human-readable, exit 1 on errors
     python -m repro devlint --json          # machine-readable, for CI
-    python -m repro devlint --baseline .devlint-baseline.json
 
 or programmatically::
 
@@ -30,9 +29,7 @@ from repro.devlint.engine import (
     SourceFile,
     default_rules,
     discover_project,
-    load_baseline,
     run_devlint,
-    write_baseline,
 )
 
 __all__ = [
@@ -45,7 +42,5 @@ __all__ = [
     "SourceFile",
     "default_rules",
     "discover_project",
-    "load_baseline",
     "run_devlint",
-    "write_baseline",
 ]

@@ -15,11 +15,10 @@ Codes are stable and grouped by rule pack:
 * ``RD2xx`` — error-code registry consistency (``repro.errors``);
 * ``RD3xx`` — observability registry consistency (counter/histogram/
   span names vs :mod:`repro.observability.registry`);
-* ``RD4xx`` — protocol and ownership consistency (request-verb
-  dispatch, module ``__getattr__``, private state, passes over file
-  content).
+* ``RD4xx`` — ownership (module ``__getattr__``, private state, passes
+  over file content).
 
-Like the AJO codes, RD codes are a contract (baselines and CI key on
+Like the AJO codes, RD codes are a contract (pragmas and CI key on
 them) and must never be renumbered.
 """
 
@@ -38,9 +37,7 @@ class DevDiagnostic:
     """One developer-lint finding, located by file and line.
 
     ``file`` is the repo-relative POSIX path; ``line`` is 1-based
-    (0 marks a whole-file or whole-project finding).  The
-    :attr:`fingerprint` deliberately excludes the line number so a
-    baseline entry survives unrelated edits above the finding.
+    (0 marks a whole-file or whole-project finding).
     """
 
     code: str
@@ -48,11 +45,6 @@ class DevDiagnostic:
     message: str
     file: str
     line: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline suppression (line-independent)."""
-        return f"{self.code}|{self.file}|{self.message}"
 
     def render(self) -> str:
         where = f"{self.file}:{self.line}" if self.line else self.file
@@ -73,8 +65,7 @@ class DevReport:
     """All findings of one ``run_devlint`` pass, in deterministic order."""
 
     diagnostics: tuple[DevDiagnostic, ...]
-    #: Findings dropped by inline pragmas or the baseline file (still
-    #: counted, for honesty).
+    #: Findings dropped by inline pragmas (still counted, for honesty).
     suppressed: int = 0
     #: Files scanned, so "0 findings" is distinguishable from "0 files".
     files_scanned: int = 0

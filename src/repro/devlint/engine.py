@@ -6,24 +6,17 @@ Two rule shapes exist, matching the two shapes of invariants:
   properties (a wall-clock call, an iteration over a ``set``);
 * :class:`ProjectRule` — runs once over the whole :class:`Project`,
   for cross-file registries (error codes vs raise sites, metric names
-  vs the committed registry, request verbs vs dispatch handlers).
+  vs the committed registry).
 
-Suppression is two-tier, mirroring how ``ruff``/``mypy`` earn trust:
-
-* inline pragmas — ``# devlint: ignore[RD101]`` on the offending line
-  (or alone on the line above) silences named codes with the reason
-  visible in the diff;
-* a baseline file — a committed JSON list of fingerprints for findings
-  accepted as legacy debt, so the gate can turn on hard while the debt
-  burns down.  Fingerprints exclude line numbers, so a baseline entry
-  survives unrelated edits.
+Suppression is an inline pragma — ``# devlint: ignore[RD101]`` on the
+offending line (or alone on the line above) silences named codes with
+the reason visible in the diff.  Nothing else hides a finding.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 import typing
@@ -39,9 +32,7 @@ __all__ = [
     "SourceFile",
     "default_rules",
     "discover_project",
-    "load_baseline",
     "run_devlint",
-    "write_baseline",
 ]
 
 #: Matches ``# devlint: ignore`` and ``# devlint: ignore[RD101, RD203]``.
@@ -212,36 +203,9 @@ def default_rules() -> "list[FileRule | ProjectRule]":
     ]
 
 
-def load_baseline(path: Path) -> set[str]:
-    """Read a baseline suppression file; returns its fingerprints."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if (
-        not isinstance(data, dict)
-        or data.get("version") != 1
-        or not isinstance(data.get("suppressions"), list)
-    ):
-        raise ValueError(
-            f"{path}: not a devlint baseline "
-            '(expected {"version": 1, "suppressions": [...]})'
-        )
-    return {str(item) for item in data["suppressions"]}
-
-
-def write_baseline(path: Path, report: DevReport) -> int:
-    """Write every current finding's fingerprint as the new baseline."""
-    fingerprints = sorted({d.fingerprint for d in report.diagnostics})
-    payload = {"version": 1, "suppressions": fingerprints}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return len(fingerprints)
-
-
 def run_devlint(
     root: Path | None = None,
     rules: "typing.Sequence[FileRule | ProjectRule] | None" = None,
-    baseline: set[str] | None = None,
     project: Project | None = None,
 ) -> DevReport:
     """Lint the codebase; returns the ordered, suppression-filtered report."""
@@ -259,14 +223,10 @@ def run_devlint(
 
     kept: list[DevDiagnostic] = []
     suppressed = 0
-    baseline = baseline or set()
     by_rel = {f.rel: f for f in project.files}
     for diag in findings:
         f = by_rel.get(diag.file)
         if f is not None and diag.line and f.suppressed(diag.line, diag.code):
-            suppressed += 1
-            continue
-        if diag.fingerprint in baseline:
             suppressed += 1
             continue
         kept.append(diag)

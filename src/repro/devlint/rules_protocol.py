@@ -1,16 +1,9 @@
-"""RD4xx — protocol and ownership consistency.
+"""RD4xx — ownership: every name and every piece of state has one home.
 
-UNICORE's "seamless" model depends on every tier speaking the same
-request vocabulary: a verb the client can send but no server tier
-dispatches fails at runtime, in production, as an ``unhandled request
-kind`` error.  These rules pin the vocabulary statically:
+(``RD401``–``RD403`` are retired and not reused: the gateway dispatches
+through one table ``RequestKind -> handler``, which a unit test compares
+with ``RequestKind.ALL``, so there is no if-chain to keep in step.)
 
-* ``RD401`` — a ``RequestKind`` verb has no dispatch handler in the
-  gateway (``request.kind == RequestKind.X`` comparison);
-* ``RD402`` — a verb has more than one dispatch handler (ambiguous —
-  only the first branch ever runs);
-* ``RD403`` — the gateway dispatches on a ``RequestKind`` attribute the
-  protocol module does not define (a stale handler after a rename);
 * ``RD404`` — a module-level ``__getattr__`` outside the two modules
   that need one (:attr:`ModuleGetattrRule.ALLOWED` gives each its
   reason): a name that resolves at run time is how a moved module kept
@@ -30,118 +23,9 @@ from __future__ import annotations
 import ast
 import typing
 
-from repro.devlint.diagnostics import DevDiagnostic, Severity
-from repro.devlint.engine import FileRule, Project, ProjectRule, SourceFile
+from repro.devlint.engine import FileRule, SourceFile
 
-__all__ = ["protocol_rules", "request_verbs", "dispatch_sites"]
-
-_MESSAGES_FILE = "src/repro/protocol/messages.py"
-_GATEWAY_FILE = "src/repro/server/gateway.py"
-
-
-def request_verbs(project: Project) -> dict[str, int]:
-    """``RequestKind`` verb attribute -> definition line, from the AST."""
-    f = project.file(_MESSAGES_FILE)
-    if f is None:
-        return {}
-    verbs: dict[str, int] = {}
-    for node in ast.walk(f.tree):
-        if not (isinstance(node, ast.ClassDef) and node.name == "RequestKind"):
-            continue
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                verbs[stmt.targets[0].id] = stmt.lineno
-    return verbs
-
-
-def dispatch_sites(project: Project) -> list[tuple[str, int]]:
-    """``(verb attribute, line)`` for every gateway dispatch comparison.
-
-    A ``request.kind == RequestKind.X`` comparison that is *not* a
-    dispatch site (e.g. byte accounting on the firewall hop) opts out
-    with an inline ``# devlint: ignore[RD402]`` pragma on its line.
-    """
-    f = project.file(_GATEWAY_FILE)
-    if f is None:
-        return []
-    sites: list[tuple[str, int]] = []
-    for node in ast.walk(f.tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        if not any(isinstance(op, ast.Eq) for op in node.ops):
-            continue
-        exprs = [node.left, *node.comparators]
-        kinds = [
-            e for e in exprs
-            if isinstance(e, ast.Attribute) and e.attr == "kind"
-        ]
-        refs = [
-            e for e in exprs
-            if isinstance(e, ast.Attribute)
-            and isinstance(e.value, ast.Name)
-            and e.value.id == "RequestKind"
-        ]
-        if kinds and refs and not f.suppressed(node.lineno, "RD402"):
-            sites.append((refs[0].attr, node.lineno))
-    return sites
-
-
-class VerbDispatchRule(ProjectRule):
-    """RD401/RD402/RD403: verbs and gateway handlers match one-to-one."""
-
-    code = "RD401"
-
-    def check_project(
-        self, project: Project
-    ) -> typing.Iterator[DevDiagnostic]:
-        verbs = request_verbs(project)
-        if not verbs:
-            return
-        sites = dispatch_sites(project)
-        handled: dict[str, list[int]] = {}
-        for attr, line in sites:
-            handled.setdefault(attr, []).append(line)
-        for attr, line in sorted(verbs.items()):
-            if attr == "ALL":
-                continue
-            lines = handled.get(attr, [])
-            if not lines:
-                yield DevDiagnostic(
-                    code="RD401", severity=Severity.ERROR,
-                    message=(
-                        f"request verb RequestKind.{attr} has no dispatch "
-                        "handler in the gateway — clients can send it, no "
-                        "tier answers it"
-                    ),
-                    file=_MESSAGES_FILE, line=line,
-                )
-            elif len(lines) > 1:
-                yield DevDiagnostic(
-                    code="RD402", severity=Severity.ERROR,
-                    message=(
-                        f"request verb RequestKind.{attr} is dispatched "
-                        f"{len(lines)} times in the gateway (lines "
-                        f"{', '.join(map(str, lines))}); only the first "
-                        "branch ever runs"
-                    ),
-                    file=_GATEWAY_FILE, line=lines[1],
-                )
-        for attr, lines in sorted(handled.items()):
-            if attr not in verbs:
-                yield DevDiagnostic(
-                    code="RD403", severity=Severity.ERROR,
-                    message=(
-                        f"gateway dispatches on RequestKind.{attr}, which "
-                        "protocol/messages.py does not define"
-                    ),
-                    file=_GATEWAY_FILE, line=lines[0],
-                )
+__all__ = ["protocol_rules"]
 
 
 class ModuleGetattrRule(FileRule):
@@ -259,8 +143,5 @@ def _private_names_defined(tree: ast.Module) -> set[str]:
     return names
 
 
-def protocol_rules() -> "list[ProjectRule | FileRule]":
-    return [
-        VerbDispatchRule(), ModuleGetattrRule(), PrivateReachRule(),
-        ContentPassRule(),
-    ]
+def protocol_rules() -> list[FileRule]:
+    return [ModuleGetattrRule(), PrivateReachRule(), ContentPassRule()]

@@ -2,9 +2,9 @@
 
 The stable dotted ``code`` carried by every :class:`repro.errors.ReproError`
 is a wire contract: the gateway serializes it into ``Reply.error_code``,
-the client re-raises by it, fault tooling and baselines key on it.  The
-registry (``repro.errors.error_code_registry``) is the single source of
-truth; these rules keep every other appearance of a code consistent
+the client re-raises by it (``Reply.unwrap``), fault tooling keys on it.
+The registry (``repro.errors.error_code_registry``) is the single source
+of truth; these rules keep every other appearance of a code consistent
 with it:
 
 * ``RD201`` — a ``ReproError`` subclass declares no ``code`` of its

@@ -26,6 +26,9 @@ from repro.simkernel import Simulator
 
 __all__ = ["CoAllocationResult", "CoAllocator"]
 
+#: Parts that start within this many seconds of each other started together.
+SKEW_TOLERANCE_S = 1.0
+
 
 @dataclass(slots=True)
 class CoAllocationResult:
@@ -52,12 +55,10 @@ class CoAllocator:
         sim: Simulator,
         poll_interval_s: float = 30.0,
         max_polls: int = 10_000,
-        skew_tolerance_s: float = 1.0,
     ) -> None:
         self.sim = sim
         self.poll_interval_s = poll_interval_s
         self.max_polls = max_polls
-        self.skew_tolerance_s = skew_tolerance_s
 
     def co_allocate(
         self, parts: list[tuple[BatchSystem, BatchJobSpec]]
@@ -101,5 +102,5 @@ class CoAllocator:
         result = CoAllocationResult(
             achieved=True, start_times=start_times, polls=polls
         )
-        result.achieved = result.start_skew_s <= self.skew_tolerance_s
+        result.achieved = result.start_skew_s <= SKEW_TOLERANCE_S
         return result

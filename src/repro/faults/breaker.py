@@ -32,7 +32,6 @@ class CircuitBreaker:
         sim: Simulator,
         failure_threshold: int = 3,
         cooldown_s: float = 90.0,
-        half_open_successes: int = 1,
         name: str = "client",
     ) -> None:
         if failure_threshold < 1:
@@ -40,11 +39,9 @@ class CircuitBreaker:
         self.sim = sim
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
-        self.half_open_successes = half_open_successes
         self.name = name
         self.state = CLOSED
         self._failures = 0
-        self._probe_successes = 0
         self._opened_at = 0.0
         #: ``(sim_time, new_state)`` history, oldest first.
         self.transitions: list[tuple[float, str]] = []
@@ -69,9 +66,7 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         if self.state == HALF_OPEN:
-            self._probe_successes += 1
-            if self._probe_successes >= self.half_open_successes:
-                self._transition(CLOSED)
+            self._transition(CLOSED)  # the single probe came back
         else:
             self._failures = 0
 
@@ -88,7 +83,6 @@ class CircuitBreaker:
     def _transition(self, new_state: str) -> None:
         self.state = new_state
         self._failures = 0
-        self._probe_successes = 0
         if new_state == OPEN:
             self._opened_at = self.sim.now
         self.transitions.append((self.sim.now, new_state))

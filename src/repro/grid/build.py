@@ -268,7 +268,6 @@ def build_grid(
     seed: int = 0,
     wan_latency_s: float = WAN_LATENCY_S,
     wan_bandwidth_Bps: float = WAN_BANDWIDTH_BPS,
-    wan_loss: float = 0.0,
     key_bits: int = 384,
     gateways: int | dict[str, int] = 1,
     max_active_per_user: int | None = None,
@@ -310,7 +309,6 @@ def build_grid(
         seed = int(typing.cast(int, recipe["seed"]))
         wan_latency_s = float(typing.cast(float, recipe["wan_latency_s"]))
         wan_bandwidth_Bps = float(typing.cast(float, recipe["wan_bandwidth_Bps"]))
-        wan_loss = float(typing.cast(float, recipe["wan_loss"]))
         key_bits = int(typing.cast(int, recipe["key_bits"]))
         raw_gateways = recipe["gateways"]
         gateways = (
@@ -343,7 +341,6 @@ def build_grid(
         "seed": seed,
         "wan_latency_s": wan_latency_s,
         "wan_bandwidth_Bps": wan_bandwidth_Bps,
-        "wan_loss": wan_loss,
         "key_bits": key_bits,
         "gateways": dict(gateways) if isinstance(gateways, dict) else gateways,
         "max_active_per_user": max_active_per_user,
@@ -363,11 +360,7 @@ def build_grid(
             name, machines, gateway_count=count,
             max_active_per_user=max_active_per_user,
         )
-    grid.connect_all(
-        latency_s=wan_latency_s,
-        bandwidth_Bps=wan_bandwidth_Bps,
-        loss_probability=wan_loss,
-    )
+    grid.connect_all(latency_s=wan_latency_s, bandwidth_Bps=wan_bandwidth_Bps)
     if snap is not None:
         for recipe_user in snap.users:
             rec = typing.cast(dict, recipe_user)

@@ -39,8 +39,6 @@ from repro.net.errors import (
 from repro.net.transport import (
     Transport,
     TransportSpec,
-    available_transports,
-    register_transport,
     resolve_transport,
 )
 from repro.net.sim_transport import Host, Link, Message, Network
@@ -77,10 +75,8 @@ __all__ = [
     "Transport",
     "TransportMismatch",
     "TransportSpec",
-    "available_transports",
     "decode_frame",
     "encode_frame",
     "establish_https",
-    "register_transport",
     "resolve_transport",
 ]

@@ -36,8 +36,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Transport",
     "TransportSpec",
-    "available_transports",
-    "register_transport",
     "resolve_transport",
 ]
 
@@ -51,7 +49,7 @@ class Transport:
     fabric never touches their logic.
     """
 
-    #: Registry name of the backend (``"sim"``, ``"aio"``).
+    #: Name of the backend (``"sim"``, ``"aio"``).
     kind: str = "abstract"
     #: True when sends involve real I/O that must be pumped by an event
     #: loop.  The blocking :class:`~repro.api.GridSession` facade refuses
@@ -149,7 +147,7 @@ class Transport:
 
 @dataclass(frozen=True)
 class TransportSpec:
-    """A declarative backend choice: registry name plus options.
+    """A declarative backend choice: backend name plus options.
 
     Accepted anywhere a transport is chosen
     (``build_grid(transport=...)``, ``GridSession.connect(...)``,
@@ -178,52 +176,25 @@ class TransportSpec:
         )
 
 
-#: Backend registry: name -> factory(sim, seed, **options) -> Transport.
-_REGISTRY: dict[str, typing.Callable[..., Transport]] = {}
-
-
-def register_transport(
-    kind: str, factory: typing.Callable[..., Transport]
-) -> None:
-    """Register a transport backend under ``kind`` (last wins)."""
-    _REGISTRY[kind] = factory
-
-
-def available_transports() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 def resolve_transport(
     spec: "TransportSpec | str | None", sim: "Simulator", seed: int = 0
 ) -> Transport:
-    """Instantiate the backend a spec names.
+    """Instantiate the backend a spec names: ``"sim"`` or ``"aio"``.
 
-    Raises :class:`~repro.net.errors.NetworkError` for an unknown kind,
-    listing what is registered.
+    Raises :class:`~repro.net.errors.NetworkError` for any other kind.
     """
+    parsed = TransportSpec.parse(spec)
+    options = typing.cast("dict[str, typing.Any]", dict(parsed.options))
+    if parsed.kind == "sim":
+        from repro.net.sim_transport import Network
+
+        return Network(sim, seed=seed, **options)
+    if parsed.kind == "aio":
+        from repro.net.aio_transport import AioTransport
+
+        return AioTransport(sim, seed=seed, **options)
     from repro.net.errors import NetworkError
 
-    parsed = TransportSpec.parse(spec)
-    factory = _REGISTRY.get(parsed.kind)
-    if factory is None:
-        raise NetworkError(
-            f"unknown transport backend {parsed.kind!r}; "
-            f"registered: {', '.join(available_transports()) or '(none)'}"
-        )
-    return factory(sim, seed, **dict(parsed.options))
-
-
-def _sim_factory(sim: "Simulator", seed: int = 0, **options: object) -> Transport:
-    from repro.net.sim_transport import Network
-
-    return Network(sim, seed=seed, **typing.cast("dict[str, typing.Any]", options))
-
-
-def _aio_factory(sim: "Simulator", seed: int = 0, **options: object) -> Transport:
-    from repro.net.aio_transport import AioTransport
-
-    return AioTransport(sim, seed=seed, **typing.cast("dict[str, typing.Any]", options))
-
-
-register_transport("sim", _sim_factory)
-register_transport("aio", _aio_factory)
+    raise NetworkError(
+        f"unknown transport backend {parsed.kind!r}; choose sim or aio"
+    )

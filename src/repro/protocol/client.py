@@ -84,7 +84,6 @@ class AsyncProtocolClient:
         router: ReplyRouter,
         retry: RetryPolicy | None = None,
         poll_interval_s: float = 30.0,
-        response_timeout_s: float = RESPONSE_TIMEOUT_S,
         breaker: "CircuitBreaker | None" = None,
     ) -> None:
         self.sim = sim
@@ -92,7 +91,6 @@ class AsyncProtocolClient:
         self.router = router
         self.retry = retry or RetryPolicy()
         self.poll_interval_s = poll_interval_s
-        self.response_timeout_s = response_timeout_s
         #: Optional circuit breaker: open means interactions fast-fail
         #: with :class:`~repro.faults.errors.CircuitOpenError` instead of
         #: burning the full retry budget against a dead gateway.
@@ -109,21 +107,17 @@ class AsyncProtocolClient:
     # Each public operation is a generator to ``yield from`` inside a
     # simulation process; it returns the reply payload.
     def interact(
-        self, request: Request, response_timeout_s: float | None = None
+        self, request: Request, response_timeout_s: float = RESPONSE_TIMEOUT_S
     ) -> typing.Generator[Event, object, Reply]:
         """One short request/reply interaction with retries.
 
-        ``response_timeout_s`` overrides the client default for this one
-        interaction — subscription QUERYs that the server deliberately
+        ``response_timeout_s`` is how long to wait for the reply before
+        resending — subscription QUERYs that the server deliberately
         parks need a window covering the requested hold.  Raises
-        :class:`RetryExhausted` when the policy gives up, and re-raises
-        server-side errors as-is inside the failed Reply.
+        :class:`RetryExhausted` when the policy gives up; a server-side
+        refusal comes back as the failed Reply (see
+        :meth:`~repro.protocol.messages.Reply.unwrap`).
         """
-        timeout_s = (
-            self.response_timeout_s
-            if response_timeout_s is None
-            else response_timeout_s
-        )
         if self.breaker is not None:
             self.breaker.check()
         telemetry = telemetry_for(self.sim)
@@ -161,7 +155,7 @@ class AsyncProtocolClient:
                 # and never charged to the event queue.
                 timer = self.sim.event(name="response-deadline")
                 deadline = self.sim.schedule_callback(
-                    timeout_s, self._fire_deadline, timer
+                    response_timeout_s, self._fire_deadline, timer
                 )
                 fired = yield reply_ev | timer
                 deadline.cancel()
@@ -174,7 +168,7 @@ class AsyncProtocolClient:
                     return typing.cast(Reply, fired[reply_ev])
                 last_error = ConnectionLost(
                     f"no reply to request {request.request_id} within "
-                    f"{timeout_s}s"
+                    f"{response_timeout_s}s"
                 )
             except ConnectionLost as err:
                 # The request was lost on the way out.
@@ -214,18 +208,6 @@ class AsyncProtocolClient:
         reply = yield from self.interact(request)
         return reply
 
-    def query(
-        self,
-        query_bytes: bytes,
-        user_dn: str,
-        response_timeout_s: float | None = None,
-    ) -> typing.Generator[Event, object, Reply]:
-        request = Request(kind="query", user_dn=user_dn, payload=query_bytes)
-        reply = yield from self.interact(
-            request, response_timeout_s=response_timeout_s
-        )
-        return reply
-
     def poll_until(
         self,
         make_query: typing.Callable[[], bytes],
@@ -239,7 +221,9 @@ class AsyncProtocolClient:
         interactions instead of one long-held connection.
         """
         for _ in range(max_polls):
-            reply = yield from self.query(make_query(), user_dn)
+            reply = yield from self.interact(
+                Request(kind="query", user_dn=user_dn, payload=make_query())
+            )
             if is_done(reply):
                 return reply
             yield self.sim.timeout(self.poll_interval_s)

@@ -366,7 +366,7 @@ def decode_bulk_reply(payload: bytes) -> tuple[str, bytes | FileEntry]:
 
 
 def fetch_bulk_payload(
-    endpoint: DataPlaneEndpoint | None,
+    endpoint: DataPlaneEndpoint,
     payload: bytes,
     timeout_s: float = STREAM_WAIT_TIMEOUT_S,
 ) -> typing.Generator[Event, typing.Any, bytes]:
@@ -379,11 +379,6 @@ def fetch_bulk_payload(
     if kind == "inline":
         return typing.cast(bytes, value)
     entry = typing.cast(FileEntry, value)
-    if endpoint is None:
-        raise FrameError(
-            "reply references a streamed payload but this client has no "
-            "data-plane endpoint"
-        )
     done = yield from endpoint.wait(entry.stream_id, timeout_s)
     if not done.matches(entry):
         raise FrameError(

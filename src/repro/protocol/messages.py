@@ -77,9 +77,32 @@ class Reply:
     error: str = ""
     #: Stable machine-readable code of the server-side exception (the
     #: :attr:`repro.errors.ReproError.code` contract), e.g.
-    #: ``"faults.unavailable"``.  Empty for successes and legacy errors.
+    #: ``"faults.unavailable"``.  Empty exactly when ``ok``.
     error_code: str = ""
 
     @property
     def wire_size(self) -> int:
         return ENVELOPE_OVERHEAD_BYTES + len(self.payload) + len(self.error)
+
+    def unwrap(self) -> bytes:
+        """The payload of a success; a refusal raises the error the
+        server raised.
+
+        The one place a failed reply becomes an exception: the class
+        ``error_code`` names in :data:`repro.errors.ERROR_CODES`, built
+        from ``error``.  A code the registry does not hold is an
+        analyzer diagnostic (``AJOnnn``), which the NJS raised as a
+        :class:`~repro.server.errors.ConsignError` carrying that code.
+        """
+        if self.ok:
+            return self.payload
+        # Imported here: the registry imports every layer's errors
+        # module, this package's among them.
+        from repro.errors import ERROR_CODES, ConsignError
+
+        cls = ERROR_CODES.get(self.error_code)
+        if cls is not None:
+            raise cls(self.error)
+        refused = ConsignError(self.error)
+        refused.code = self.error_code
+        raise refused

@@ -25,19 +25,29 @@ The :class:`Gateway` therefore:
 from __future__ import annotations
 
 import json
+import types
 import typing
 from dataclasses import dataclass
 
 from repro.ajo.errors import SerializationError
 from repro.ajo.serialize import decode_ajo, decode_service
-from repro.ajo.services import ControlService, ControlVerb, ListService, QueryService
+from repro.ajo.services import (
+    AbstractService,
+    ControlService,
+    ControlVerb,
+    ListService,
+    QueryService,
+)
+from repro.broker.errors import BrokerError
+from repro.errors import ReproError
+from repro.faults.errors import ServiceUnavailable
 from repro.net.errors import ConnectionLost
 from repro.net.https import HttpsChannel
 from repro.net.sim_transport import Host, Network
 from repro.net.stream import StreamSender
 from repro.observability import telemetry_for
 from repro.protocol.client import RESPONSE_TIMEOUT_S
-from repro.protocol.consignment import decode_consignment_envelope
+from repro.protocol.consignment import Consignment, decode_consignment_envelope
 from repro.protocol.datapath import (
     INLINE_FILE_MAX,
     DataPlaneEndpoint,
@@ -53,9 +63,9 @@ from repro.protocol.messages import Reply, Request, RequestKind
 from repro.protocol.retry import RetryPolicy
 from repro.security.applet import SignedApplet
 from repro.security.ca import CertificateStore
-from repro.security.errors import MappingError, SecurityError
+from repro.security.errors import AuthenticationError, SecurityError
 from repro.security.uudb import UUDB
-from repro.server.errors import ConsignError, ServerError, UnknownUnicoreJobError
+from repro.server.errors import ConsignError, ServerError
 from repro.simkernel import Simulator
 from repro.vfs.body import FileBody
 
@@ -80,6 +90,14 @@ MAX_SUBSCRIBE_HOLD_S = 24 * 3600.0
 REPLY_RETENTION_S = RetryPolicy().max_attempts * (
     RESPONSE_TIMEOUT_S + RetryPolicy().max_delay_s
 )
+
+
+#: What a handler may raise to refuse its request.
+_REFUSALS = (ServerError, SerializationError, ServiceUnavailable, BrokerError)
+
+#: What a handler answers: the reply payload, and the sender of a stream
+#: to push ahead of the reply when the content travels on the data plane.
+_Answer = tuple[bytes, StreamSender | None]
 
 
 @dataclass(slots=True)
@@ -107,7 +125,6 @@ class Gateway:
         uudb: UUDB,
         njs: "NetworkJobSupervisor",
         applets: dict[str, SignedApplet] | None = None,
-        auth_cpu_s: float = AUTH_CPU_S,
     ) -> None:
         self.sim = sim
         self.usite_name = usite_name
@@ -117,7 +134,18 @@ class Gateway:
         self.uudb = uudb
         self.njs = njs
         self.applets = dict(applets or {})
-        self.auth_cpu_s = auth_cpu_s
+        #: The protocol's verbs, each with its one handler.  A handler is
+        #: given the request, the span it runs under and (CONSIGN_JOB) the
+        #: opened envelope; it returns an ``_Answer`` or raises a refusal.
+        self.handlers = {
+            RequestKind.CONSIGN_JOB: self._consign,
+            RequestKind.QUERY: self._query,
+            RequestKind.LIST: self._list,
+            RequestKind.CONTROL: self._control,
+            RequestKind.RETRIEVE_OUTCOME: self._retrieve_outcome,
+            RequestKind.FETCH_FILE: self._fetch_file,
+            RequestKind.DISPOSE: self._dispose,
+        }
         #: client host name -> authenticated https channel.
         self._channels: dict[str, HttpsChannel] = {}
         #: request id -> cached reply, making retried requests idempotent
@@ -275,227 +303,133 @@ class Gateway:
                 tier="server",
             )
 
-        def refuse(error: str) -> tuple[Reply, None]:
+        auth_started = self.sim.now
+        yield self.sim.timeout(AUTH_CPU_S)
+        try:
+            self._authenticate(channel, request)
+        except SecurityError as err:
             self.auth_failures += 1
             telemetry.metrics.counter("gateway.auth_failures").inc()
             if auth_span is not None:
-                tracer.end_span(auth_span, error=error)
-                tracer.end_span(request_span, error=error)
-            return (
-                Reply(request_id=request.request_id, ok=False, error=error),
-                None,
-            )
-
-        # Authentication: the channel's peer certificate is the user's
-        # unique UNICORE identification; re-validate and match the claim.
-        auth_started = self.sim.now
-        yield self.sim.timeout(self.auth_cpu_s)
-        certificate = channel.session.server.peer_certificate
-        try:
-            self.cert_store.validate(certificate, now=self.sim.now)
-        except SecurityError as err:
-            return refuse(f"authentication failed: {err}")
-        if str(certificate.subject) != request.user_dn:
-            return refuse(
-                f"identity mismatch: request claims {request.user_dn!r} "
-                f"but the channel authenticated {certificate.subject}"
-            )
-        # Certificate-to-uid mapping (the security servlet's job).
-        try:
-            self.uudb.map_certificate(certificate, vsite=request.vsite)
-        except MappingError as err:
-            return refuse(str(err))
+                tracer.end_span(auth_span, error=err)
+                tracer.end_span(request_span, error=err)
+            return _refusal(request, err), None
         telemetry.metrics.histogram("gateway.auth_seconds").observe(
             self.sim.now - auth_started
         )
         if auth_span is not None:
             tracer.end_span(auth_span)
 
-        # Firewall hop: gateway -> NJS socket (section 5.2).  The socket
-        # is TCP on the site LAN: model it as reliable (a lost frame is
-        # retransmitted below the layer we simulate).  Consignment bytes
-        # that arrived on the data plane cross the firewall here too.
+        # Consignment bytes that arrived on the data plane cross the
+        # firewall with the request, so the envelope is opened here and
+        # handed on to its handler.
+        consignment = None
         fw_extra = 0
-        # Byte accounting for the firewall hop, not a dispatch site:
-        # the verb's handler lives in _dispatch.  # devlint: ignore[RD402]
         if request.kind == RequestKind.CONSIGN_JOB:
             try:
-                fw_extra = sum(
-                    e.size
-                    for e in decode_consignment_envelope(request.payload).streamed
-                )
+                consignment = decode_consignment_envelope(request.payload)
+                fw_extra = sum(e.size for e in consignment.streamed)
             except SerializationError:
-                fw_extra = 0
-        if self.njs.host.name != self.host.name:
-            try:
-                yield self.network.send(
-                    self.host.name, self.njs.host.name,
-                    ("fw", request.request_id),
-                    request.wire_size + fw_extra, channel="firewall",
-                    deliver=False,
-                )
-            except ConnectionLost:
-                pass
+                pass  # its handler refuses it; the hop is charged all the same
+        yield from self._firewall_hop(
+            self.host, self.njs.host, ("fw", request.request_id),
+            request.wire_size + fw_extra,
+        )
 
-        from repro.broker.errors import BrokerError
-        from repro.faults.errors import ServiceUnavailable
-
-        push: StreamSender | None = None
         try:
-            if request.kind == RequestKind.QUERY:
-                reply = yield from self._dispatch_query(request)
-            else:
-                reply, push = self._dispatch(request, parent_span=request_span)
-        except (
-            ConsignError, UnknownUnicoreJobError, SerializationError,
-            ServerError, ServiceUnavailable, BrokerError,
-        ) as err:
-            reply = Reply(
-                request_id=request.request_id, ok=False, error=str(err),
-                error_code=getattr(err, "code", ""),
+            answer = self.handlers[request.kind](
+                request, request_span, consignment
             )
+            if isinstance(answer, types.GeneratorType):
+                # A subscription QUERY parks until the job completes.
+                answer = yield from answer
+            payload, push = answer
+            reply = Reply(request_id=request.request_id, ok=True, payload=payload)
+        except _REFUSALS as err:
+            reply, push = _refusal(request, err), None
 
-        if self.njs.host.name != self.host.name:
-            reply_extra = push.open_info.total_size if push is not None else 0
-            try:
-                yield self.network.send(
-                    self.njs.host.name, self.host.name,
-                    ("fw-reply", request.request_id),
-                    reply.wire_size + reply_extra, channel="firewall",
-                    deliver=False,
-                )
-            except ConnectionLost:
-                pass
+        yield from self._firewall_hop(
+            self.njs.host, self.host, ("fw-reply", request.request_id),
+            reply.wire_size
+            + (push.open_info.total_size if push is not None else 0),
+        )
         if request_span is not None:
             tracer.end_span(
                 request_span, error=None if reply.ok else reply.error
             )
         return reply, push
 
-    def _bulk_reply(
-        self, request_id: int, content: FileBody
-    ) -> tuple[Reply, StreamSender | None]:
-        """Reply with content: inline if small, else a reference to a
-        stream, whose sender is returned for pushing ahead of the reply.
-        The frames carry the chunk CRCs ``content`` holds, so a file this
-        site received as a stream is served without being read again.
-        """
-        push = None
-        if len(content) <= INLINE_FILE_MAX:
-            payload = encode_inline_reply(content.data)
-        else:
-            push = body_sender(
-                self._stream_ids.next(), content,
-                {"kind": "bulk-reply", "request": request_id},
+    def _firewall_hop(self, src: Host, dst: Host, what: tuple, size: int):
+        """One crossing of the gateway-NJS socket (section 5.2), when the
+        two run on different hosts.  The socket is TCP on the site LAN:
+        modelled as reliable (a lost frame is retransmitted below the
+        layer we simulate)."""
+        if src.name == dst.name:
+            return
+        try:
+            yield self.network.send(
+                src.name, dst.name, what, size, channel="firewall",
+                deliver=False,
             )
-            payload = encode_stream_reply(entry_for_sender("", push))
-        return Reply(request_id=request_id, ok=True, payload=payload), push
+        except ConnectionLost:
+            pass
 
-    def _dispatch(
-        self, request: Request, parent_span=None
-    ) -> tuple[Reply, StreamSender | None]:
-        if request.kind == RequestKind.CONSIGN_JOB:
+    def _authenticate(self, channel: HttpsChannel, request: Request) -> None:
+        """The channel's peer certificate is the user's unique UNICORE
+        identification: re-validate it, match the request's claim, and
+        map it to a local uid (the security servlet's job)."""
+        certificate = channel.session.server.peer_certificate
+        try:
+            self.cert_store.validate(certificate, now=self.sim.now)
+        except SecurityError as err:
+            raise type(err)(f"authentication failed: {err}") from err
+        if str(certificate.subject) != request.user_dn:
+            raise AuthenticationError(
+                f"identity mismatch: request claims {request.user_dn!r} "
+                f"but the channel authenticated {certificate.subject}"
+            )
+        self.uudb.map_certificate(certificate, vsite=request.vsite)
+
+    # -- the verbs, one handler each (see ``self.handlers``) ------------------
+    def _consign(
+        self, request: Request, span, consignment: Consignment | None
+    ) -> _Answer:
+        if consignment is None:  # malformed: open it again for the cause
             consignment = decode_consignment_envelope(request.payload)
-            files: dict[str, FileBody | bytes] = dict(consignment.files)
-            for entry in consignment.streamed:
-                ready = self.datapath.take(entry.stream_id)
-                if ready is None:
-                    # The upload never (fully) arrived — e.g. its frames
-                    # were dropped while this gateway was down.  Surface
-                    # as unavailability so the client fails over and
-                    # re-streams, rather than as a validation error.
-                    from repro.faults.errors import ServiceUnavailable
-
-                    raise ServiceUnavailable(
-                        f"consignment file {entry.path!r} references "
-                        f"stream {entry.stream_id}, which never arrived"
-                    )
-                if not ready.matches(entry):
-                    raise ConsignError(
-                        f"consignment file {entry.path!r} failed its "
-                        "stream integrity check"
-                    )
-                files[entry.path] = ready.body
-            ajo = decode_ajo(consignment.ajo_bytes)
-            if ajo.user_dn and ajo.user_dn != request.user_dn:
+        files: dict[str, FileBody | bytes] = dict(consignment.files)
+        for entry in consignment.streamed:
+            ready = self.datapath.take(entry.stream_id)
+            if ready is None:
+                # The upload never (fully) arrived — e.g. its frames
+                # were dropped while this gateway was down.  Surface
+                # as unavailability so the client fails over and
+                # re-streams, rather than as a validation error.
+                raise ServiceUnavailable(
+                    f"consignment file {entry.path!r} references "
+                    f"stream {entry.stream_id}, which never arrived"
+                )
+            if not ready.matches(entry):
                 raise ConsignError(
-                    f"AJO names user {ajo.user_dn!r} but the request was "
-                    f"authenticated as {request.user_dn!r}"
+                    f"consignment file {entry.path!r} failed its "
+                    "stream integrity check"
                 )
-            run = self.njs.consign(
-                ajo,
-                workstation_files=files,
-                trace_id=request.trace_id,
-                parent_span_id=parent_span.span_id if parent_span else "",
-                ajo_bytes=consignment.ajo_bytes,
+            files[entry.path] = ready.body
+        ajo = decode_ajo(consignment.ajo_bytes)
+        if ajo.user_dn and ajo.user_dn != request.user_dn:
+            raise ConsignError(
+                f"AJO names user {ajo.user_dn!r} but the request was "
+                f"authenticated as {request.user_dn!r}"
             )
-            return Reply(
-                request_id=request.request_id, ok=True,
-                payload=json.dumps({"job_id": run.job_id}).encode(),
-            ), None
+        run = self.njs.consign(
+            ajo,
+            workstation_files=files,
+            trace_id=request.trace_id,
+            parent_span_id=span.span_id if span else "",
+            ajo_bytes=consignment.ajo_bytes,
+        )
+        return _json({"job_id": run.job_id}), None
 
-        if request.kind == RequestKind.LIST:
-            service = decode_service(request.payload)
-            if not isinstance(service, ListService):
-                raise SerializationError("LIST request must carry a ListService")
-            if service.since_seq >= 0:
-                # Cursor-carrying client: answer with the change-log
-                # delta (or a cursored full listing on epoch mismatch).
-                delta = self.njs.list_jobs_delta(
-                    request.user_dn, service.since_seq, service.epoch
-                )
-                return Reply(
-                    request_id=request.request_id, ok=True,
-                    payload=json.dumps(delta.to_dict()).encode(),
-                ), None
-            jobs = self.njs.list_jobs(request.user_dn)
-            return Reply(
-                request_id=request.request_id, ok=True,
-                payload=json.dumps([j.to_dict() for j in jobs]).encode(),
-            ), None
-
-        if request.kind == RequestKind.CONTROL:
-            service = decode_service(request.payload)
-            if not isinstance(service, ControlService):
-                raise SerializationError("CONTROL request must carry a ControlService")
-            self._authorize_job(service.target_job_id, request.user_dn)
-            if service.verb == ControlVerb.CANCEL:
-                self.njs.cancel(service.target_job_id)
-            elif service.verb == ControlVerb.HOLD:
-                self.njs.hold(service.target_job_id)
-            elif service.verb == ControlVerb.RESUME:
-                self.njs.resume(service.target_job_id)
-            else:  # pragma: no cover - verbs validated at construction
-                raise ServerError(f"control verb {service.verb!r} unsupported")
-            return Reply(
-                request_id=request.request_id, ok=True,
-                payload=json.dumps({"acknowledged": service.verb}).encode(),
-            ), None
-
-        if request.kind == RequestKind.RETRIEVE_OUTCOME:
-            job_id = request.payload.decode()
-            self._authorize_job(job_id, request.user_dn)
-            outcome_bytes = self.njs.retrieve_outcome(job_id)
-            return self._bulk_reply(request.request_id, FileBody(outcome_bytes))
-
-        if request.kind == RequestKind.FETCH_FILE:
-            spec = json.loads(request.payload)
-            self._authorize_job(spec["job_id"], request.user_dn)
-            content = self.njs.fetch_uspace_file(spec["job_id"], spec["path"])
-            return self._bulk_reply(request.request_id, content)
-
-        if request.kind == RequestKind.DISPOSE:
-            job_id = request.payload.decode()
-            self._authorize_job(job_id, request.user_dn)
-            self.njs.dispose(job_id)
-            return Reply(
-                request_id=request.request_id, ok=True,
-                payload=json.dumps({"disposed": job_id}).encode(),
-            ), None
-
-        raise ServerError(f"unhandled request kind {request.kind!r}")
-
-    def _dispatch_query(self, request: Request):
+    def _query(self, request: Request, *_):
         """Answer a QUERY, parking subscription requests until completion.
 
         A subscribing client asks the server to hold the request until
@@ -503,11 +437,9 @@ class Gateway:
         interaction replaces a poll train.  The park rides the NJS's
         completion watcher; an NJS crash fires the watcher early, and the
         post-wake ``query_status`` then surfaces ``ServiceUnavailable``
-        through the normal error-reply path for the client to retry.
+        through the normal refusal path for the client to retry.
         """
-        service = decode_service(request.payload)
-        if not isinstance(service, QueryService):
-            raise SerializationError("QUERY request must carry a QueryService")
+        service = _service(request, QueryService)
         self._authorize_job(service.target_job_id, request.user_dn)
         if service.subscribe and service.hold_s > 0:
             watch = self.njs.watch_completion(service.target_job_id)
@@ -527,20 +459,92 @@ class Gateway:
                 deadline.cancel()
         view = self.njs.query_status(service.target_job_id, detail=service.detail)
         # Serialization happens here, at the protocol edge, only.
-        return Reply(
-            request_id=request.request_id, ok=True,
-            payload=json.dumps(view.to_dict()).encode(),
-        )
+        return _json(view.to_dict()), None
 
     @staticmethod
     def _fire_hold(hold_ev) -> None:
         if not hold_ev.triggered:
             hold_ev.succeed()
 
+    def _list(self, request: Request, *_) -> _Answer:
+        """The change-log delta since the client's cursor; a full listing
+        when it has none or its epoch is over."""
+        service = _service(request, ListService)
+        delta = self.njs.list_jobs_delta(
+            request.user_dn, service.since_seq, service.epoch
+        )
+        return _json(delta.to_dict()), None
+
+    def _control(self, request: Request, *_) -> _Answer:
+        service = _service(request, ControlService)
+        self._authorize_job(service.target_job_id, request.user_dn)
+        {  # decoding the service validated the verb
+            ControlVerb.CANCEL: self.njs.cancel,
+            ControlVerb.HOLD: self.njs.hold,
+            ControlVerb.RESUME: self.njs.resume,
+        }[service.verb](service.target_job_id)
+        return _json({"acknowledged": service.verb}), None
+
+    def _retrieve_outcome(self, request: Request, *_) -> _Answer:
+        job_id = request.payload.decode()
+        self._authorize_job(job_id, request.user_dn)
+        return self._bulk(request, FileBody(self.njs.retrieve_outcome(job_id)))
+
+    def _fetch_file(self, request: Request, *_) -> _Answer:
+        spec = json.loads(request.payload)
+        self._authorize_job(spec["job_id"], request.user_dn)
+        return self._bulk(
+            request, self.njs.fetch_uspace_file(spec["job_id"], spec["path"])
+        )
+
+    def _dispose(self, request: Request, *_) -> _Answer:
+        job_id = request.payload.decode()
+        self._authorize_job(job_id, request.user_dn)
+        self.njs.dispose(job_id)
+        return _json({"disposed": job_id}), None
+
+    def _bulk(self, request: Request, content: FileBody) -> _Answer:
+        """Answer with content: inline if small, else a reference to a
+        stream, whose sender is returned for pushing ahead of the reply.
+        The frames carry the chunk CRCs ``content`` holds, so a file this
+        site received as a stream is served without being read again.
+        """
+        if len(content) <= INLINE_FILE_MAX:
+            return encode_inline_reply(content.data), None
+        push = body_sender(
+            self._stream_ids.next(), content,
+            {"kind": "bulk-reply", "request": request.request_id},
+        )
+        return encode_stream_reply(entry_for_sender("", push)), push
+
     def _authorize_job(self, job_id: str, user_dn: str) -> None:
         """Users may only touch their own jobs."""
         run = self.njs.get_run(job_id)
         if run.user_dn != user_dn:
-            raise ServerError(
-                f"job {job_id} belongs to another user"
-            )
+            raise ServerError(f"job {job_id} belongs to another user")
+
+
+def _json(data: object) -> bytes:
+    return json.dumps(data).encode()
+
+
+_S = typing.TypeVar("_S", bound=AbstractService)
+
+
+def _service(request: Request, expected: type[_S]) -> _S:
+    """The service object a QUERY / LIST / CONTROL request carries."""
+    service = decode_service(request.payload)
+    if not isinstance(service, expected):
+        raise SerializationError(
+            f"{request.kind.upper()} request must carry a {expected.__name__}"
+        )
+    return service
+
+
+def _refusal(request: Request, err: ReproError) -> Reply:
+    """A refusal travels as the message and stable code of the exception
+    behind it; :meth:`Reply.unwrap` raises it again at the client."""
+    return Reply(
+        request_id=request.request_id, ok=False, error=str(err),
+        error_code=err.code,
+    )

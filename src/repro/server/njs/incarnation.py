@@ -47,13 +47,15 @@ class IncarnationCache:
     outside the cache.
     """
 
-    __slots__ = ("_entries", "hits", "misses", "max_entries")
+    __slots__ = ("_entries", "hits", "misses")
 
-    def __init__(self, max_entries: int = 4096) -> None:
+    #: Shapes held before the cache starts over.
+    MAX_ENTRIES = 4096
+
+    def __init__(self) -> None:
         self._entries: dict[tuple, tuple[str, str, tuple[FileEffect, ...]]] = {}
         self.hits = 0
         self.misses = 0
-        self.max_entries = max_entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -89,7 +91,7 @@ class IncarnationCache:
         self, key: tuple, queue: str, script: str,
         effects: tuple[FileEffect, ...],
     ) -> None:
-        if len(self._entries) >= self.max_entries:
+        if len(self._entries) >= self.MAX_ENTRIES:
             # Shape diversity beyond the cap means the cache is not
             # earning its memory; reset rather than track recency.
             self._entries.clear()

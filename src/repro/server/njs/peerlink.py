@@ -5,7 +5,8 @@ gateway → peer gateway → peer NJS.  :class:`PeerLink` is the one place
 that knows a route, an SSL session, a correlation id or a stream id; the
 rest of the NJS says *what* goes to *which* Usite (:meth:`PeerLink.send`,
 :meth:`PeerLink.stream`) and which reply it waits for
-(:meth:`PeerLink.expect`).
+(:meth:`PeerLink.expect`).  The federation broker's hub reaches the
+NJSs over a link of its own: same hops, same resends, same handshake.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import typing
 from dataclasses import dataclass, field
 from itertools import count
 
-from repro.broker.advertise import BROKER_PEER
+from repro.broker.advertise import BROKER_PEER, ReclaimAck
 from repro.net.errors import ConnectionLost
 from repro.net.https import DEFAULT_PER_RECORD_CPU_S, HANDSHAKE_MESSAGE_BYTES
 from repro.net.sim_transport import Network
@@ -135,7 +136,8 @@ class CancelGroup:
 
 
 class PeerLink:
-    """One NJS's connections to its peer Usites and the broker hub."""
+    """One party's routed https connections: an NJS's to its peer Usites
+    and the broker hub, or the hub's to every NJS."""
 
     def __init__(self, sim: Simulator, network: Network, usite_name: str) -> None:
         self._sim = sim
@@ -186,7 +188,7 @@ class PeerLink:
     def expecting(self, corr_id: int) -> bool:
         return corr_id in self._pending
 
-    def resolve(self, reply: GroupResult | TransferAck) -> None:
+    def resolve(self, reply: "GroupResult | TransferAck | ReclaimAck") -> None:
         """Hand a reply to whoever expects it; nobody does after a crash
         or an :meth:`abandon`, and then it is dropped."""
         waiter = self._pending.pop(reply.corr_id, None)

@@ -25,7 +25,7 @@ from repro.broker.errors import BrokerQuotaError
 from repro.faults.errors import ServiceUnavailable
 from repro.net.sim_transport import Host, Network
 from repro.observability import telemetry_for
-from repro.protocol.views import JobListing, JobListingDelta, JobStatusView
+from repro.protocol.views import JobListingDelta, JobStatusView
 from repro.security.errors import MappingError
 from repro.security.uudb import UUDB
 from repro.server.errors import ConsignError, UnknownUnicoreJobError
@@ -425,15 +425,11 @@ class NetworkJobSupervisor:
         self.get_run(job_id)
         return self.runs.watch(job_id)
 
-    def list_jobs(self, user_dn: str) -> list[JobListing]:
-        """The ListService answer: the user's jobs at this NJS."""
-        self._check_up()
-        return self.runs.listings(user_dn)
-
     def list_jobs_delta(
         self, user_dn: str, since_seq: int, epoch: int
     ) -> JobListingDelta:
-        """The versioned ListService answer: changes since the cursor."""
+        """The ListService answer: the user's jobs that changed since the
+        cursor, or all of them when it has none or is out of date."""
         self._check_up()
         return self.runs.listings_delta(user_dn, since_seq, epoch)
 

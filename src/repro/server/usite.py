@@ -11,6 +11,7 @@ the UUDB, and the site's server certificate.
 from __future__ import annotations
 
 from repro.batch.machines import MachineConfig
+from repro.net.errors import HostUnreachable
 from repro.net.sim_transport import Network
 from repro.resources.page import ResourcePage
 from repro.security.applet import SignedApplet
@@ -205,7 +206,7 @@ class Usite:
         """
         try:
             self.network.get_link(self.gateway_host.name, other.gateway_host.name)
-        except Exception:
+        except HostUnreachable:
             self.network.link(
                 self.gateway_host.name,
                 other.gateway_host.name,

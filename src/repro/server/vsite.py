@@ -9,7 +9,6 @@ the NJS incarnates against.
 
 from __future__ import annotations
 
-import math
 from repro.batch.base import BatchSystem, QueueConfig
 from repro.batch.machines import MachineConfig
 from repro.resources.editor import ResourcePageEditor
@@ -83,7 +82,6 @@ class Vsite:
         scheduler=None,
         translation: TranslationTable | None = None,
         resource_page: ResourcePage | None = None,
-        uspace_quota_bytes: float = math.inf,
     ) -> None:
         self.sim = sim
         self.machine = machine
@@ -93,7 +91,7 @@ class Vsite:
             queues=queues if queues is not None else default_queues_for(machine),
             scheduler=scheduler,
         )
-        self.uspaces = UspaceManager(machine.name, quota_bytes=uspace_quota_bytes)
+        self.uspaces = UspaceManager(machine.name)
         self.translation = translation or default_translation_for(machine)
         self.resource_page = resource_page or self._default_page()
 

@@ -15,8 +15,6 @@ from repro.storage.backend import (
     StorageBackend,
     StorageSpec,
     Table,
-    available_backends,
-    register_backend,
     resolve_storage,
 )
 from repro.storage.codec import decode_value, encode_value, from_plain, to_plain
@@ -38,11 +36,9 @@ __all__ = [
     "StorageError",
     "StorageSpec",
     "Table",
-    "available_backends",
     "decode_value",
     "encode_value",
     "from_plain",
-    "register_backend",
     "resolve_storage",
     "to_plain",
 ]

@@ -53,8 +53,6 @@ __all__ = [
     "BlobStore",
     "StorageBackend",
     "StorageSpec",
-    "available_backends",
-    "register_backend",
     "resolve_storage",
 ]
 
@@ -185,7 +183,7 @@ class StorageBackend:
     backend: a blob put that only takes a reference writes 0 bytes.
     """
 
-    #: Registry name of the backend (``"memory"``, ``"sqlite"``).
+    #: Name of the backend (``"memory"``, ``"sqlite"``).
     kind: str = "abstract"
 
     def __init__(self) -> None:
@@ -362,7 +360,7 @@ class _Batch:
 
 @dataclass(frozen=True)
 class StorageSpec:
-    """A declarative backend choice: registry name plus options.
+    """A declarative backend choice: backend name plus options.
 
     Accepted anywhere storage is chosen (``build_grid(storage=...)``,
     ``Usite(storage=...)``) in any of these spellings::
@@ -398,48 +396,21 @@ class StorageSpec:
         )
 
 
-#: Backend registry: name -> factory(**options) -> StorageBackend.
-_REGISTRY: dict[str, typing.Callable[..., StorageBackend]] = {}
-
-
-def register_backend(
-    kind: str, factory: typing.Callable[..., StorageBackend]
-) -> None:
-    """Register a storage backend under ``kind`` (last wins)."""
-    _REGISTRY[kind] = factory
-
-
-def available_backends() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 def resolve_storage(spec: "StorageSpec | str | None" = None) -> StorageBackend:
-    """Instantiate the backend a spec names.
+    """Instantiate the backend a spec names: ``"memory"`` or ``"sqlite"``.
 
-    Raises :class:`StorageError` for an unknown kind, listing what is
-    registered.
+    Raises :class:`StorageError` for any other kind.
     """
     parsed = StorageSpec.parse(spec)
-    factory = _REGISTRY.get(parsed.kind)
-    if factory is None:
-        raise StorageError(
-            f"unknown storage backend {parsed.kind!r}; "
-            f"registered: {', '.join(available_backends()) or '(none)'}"
-        )
-    return factory(**dict(parsed.options))
+    options = typing.cast("dict[str, typing.Any]", dict(parsed.options))
+    if parsed.kind == "memory":
+        from repro.storage.memory import MemoryBackend
 
+        return MemoryBackend(**options)
+    if parsed.kind == "sqlite":
+        from repro.storage.sqlite import SQLiteBackend
 
-def _memory_factory(**options: object) -> StorageBackend:
-    from repro.storage.memory import MemoryBackend
-
-    return MemoryBackend(**typing.cast("dict[str, typing.Any]", options))
-
-
-def _sqlite_factory(**options: object) -> StorageBackend:
-    from repro.storage.sqlite import SQLiteBackend
-
-    return SQLiteBackend(**typing.cast("dict[str, typing.Any]", options))
-
-
-register_backend("memory", _memory_factory)
-register_backend("sqlite", _sqlite_factory)
+        return SQLiteBackend(**options)
+    raise StorageError(
+        f"unknown storage backend {parsed.kind!r}; choose memory or sqlite"
+    )

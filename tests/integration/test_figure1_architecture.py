@@ -11,6 +11,7 @@ import pytest
 
 from repro.ajo import ActionStatus
 from repro.client import JobMonitorController, JobPreparationAgent
+from repro.errors import ServerError
 from repro.grid import build_grid
 from repro.resources import ResourceRequest
 
@@ -47,9 +48,9 @@ def test_unmapped_user_rejected_at_consign(single_site):
         yield from jpa.submit(job)
 
     p = grid.sim.process(submit(grid.sim))
-    from repro.ajo import ValidationError
+    from repro.errors import MappingError
 
-    with pytest.raises(ValidationError, match="no local account"):
+    with pytest.raises(MappingError, match="no local account"):
         grid.sim.run(until=p)
 
 
@@ -195,7 +196,7 @@ def test_users_cannot_touch_others_jobs(single_site):
         yield from bob_jmc.status(job_id)
 
     p2 = grid.sim.process(snoop(grid.sim))
-    with pytest.raises(RuntimeError, match="another user"):
+    with pytest.raises(ServerError, match="another user"):
         grid.sim.run(until=p2)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.client import JobMonitorController, JobPreparationAgent
+from repro.errors import ConsignError
 from repro.grid import build_grid
 
 
@@ -106,5 +107,5 @@ def test_hold_terminal_job_rejected(site):
         yield from jmc.hold(job_id)
 
     p = grid.sim.process(scenario(grid.sim))
-    with pytest.raises(RuntimeError, match="already terminal"):
+    with pytest.raises(ConsignError, match="already terminal"):
         grid.sim.run(until=p)

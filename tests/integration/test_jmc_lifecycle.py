@@ -4,6 +4,7 @@
 import pytest
 
 from repro.client import JobMonitorController, JobPreparationAgent
+from repro.errors import ConsignError, MappingError, UnknownUnicoreJobError
 from repro.grid import build_grid
 from repro.resources import ResourceRequest
 
@@ -59,7 +60,7 @@ def test_fetch_missing_file_fails_cleanly(site):
         yield from jmc.fetch_file(job_id, "nope.dat")
 
     p = grid.sim.process(fetch(grid.sim))
-    with pytest.raises(RuntimeError, match="no Uspace file"):
+    with pytest.raises(UnknownUnicoreJobError, match="no Uspace file"):
         grid.sim.run(until=p)
 
 
@@ -83,7 +84,7 @@ def test_dispose_destroys_uspace_and_forgets_job(site):
         yield from jmc.status(job_id)
 
     p2 = grid.sim.process(query(grid.sim))
-    with pytest.raises(RuntimeError, match="unknown UNICORE job"):
+    with pytest.raises(UnknownUnicoreJobError, match="unknown UNICORE job"):
         grid.sim.run(until=p2)
 
 
@@ -101,7 +102,7 @@ def test_dispose_refuses_running_job(site):
         yield from jmc.dispose(job_id)
 
     p = grid.sim.process(scenario(grid.sim))
-    with pytest.raises(RuntimeError, match="cancel it before"):
+    with pytest.raises(ConsignError, match="cancel it before"):
         grid.sim.run(until=p)
 
 
@@ -117,9 +118,7 @@ def test_site_specific_auth_hook_blocks_at_gateway(site):
         yield from jpa.submit(job)
 
     p = grid.sim.process(submit(grid.sim))
-    from repro.ajo import ValidationError
-
-    with pytest.raises(ValidationError, match="site-specific"):
+    with pytest.raises(MappingError, match="site-specific"):
         grid.sim.run(until=p)
     assert grid.usites["FZJ"].gateway.auth_failures >= 1
 

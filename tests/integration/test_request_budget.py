@@ -15,6 +15,7 @@ import types
 
 import pytest
 
+import repro.server.gateway as gateway_module
 from repro.ajo import encode_ajo
 from repro.api import GridSession
 from repro.grid import build_grid
@@ -110,15 +111,22 @@ def test_one_status_request_stays_inside_the_request_budget(metered):
 
 
 def test_a_consigned_job_is_encoded_by_the_client_and_decoded_once_per_site(
-    metered,
+    metered, monkeypatch,
 ):
     grid, session, meter = metered.grid, metered.session, metered.meter
+    opened = []
+    open_envelope = gateway_module.decode_consignment_envelope
+    monkeypatch.setattr(
+        gateway_module, "decode_consignment_envelope",
+        lambda payload: opened.append(len(payload)) or open_envelope(payload),
+    )
     job = _small_job(session, "local")
     handle = session.submit(job)
     assert session.wait(handle).status == "successful"
     # The client encodes; the site decodes what it was sent and journals
-    # those bytes as they came.
-    assert (meter.ajo_encodes, meter.ajo_decodes) == (1, 1)
+    # those bytes as they came.  The gateway opens the envelope once, for
+    # the firewall hop's byte count and the consign handler both.
+    assert (meter.ajo_encodes, meter.ajo_decodes, len(opened)) == (1, 1, 1)
     journaled = grid.usites["FZJ"].njs.journal.ajo_bytes(handle.job_id)
     assert journaled == encode_ajo(job.ajo)
 

@@ -157,7 +157,7 @@ def test_restored_job_reads_its_ajo_once_when_asked(storage, monkeypatch):
     handle = done[2]
 
     # (e) Listings and outcomes never touch the journal table ...
-    assert handle.job_id in {row.job_id for row in njs.list_jobs(USER_DN)}
+    assert handle.job_id in {row.job_id for row in njs.runs.listings(USER_DN)}
     assert njs.retrieve_outcome(handle.job_id)
     assert meter.journal_reads() == [] and decodes == []
     # ... the first status tree reads and decodes the consign row, once.

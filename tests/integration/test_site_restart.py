@@ -190,14 +190,14 @@ def test_cold_restart_keeps_consignment_order_past_the_id_padding():
     assert ids == [f"U{seq}@FZJ" for seq in (99999, 100000, 100001, 100002)]
     assert sorted(ids) != ids
     dn = "CN=Site Tester, O=Test, C=DE"
-    listed = [row.job_id for row in njs.list_jobs(dn)]
+    listed = [row.job_id for row in njs.runs.listings(dn)]
 
     # Four jobs in flight: reloaded and replayed in consignment order.
     usite.crash_site()
     usite.restart_site()
     assert [e.job_id for e in njs.journal.incomplete()] == ids
     assert list(njs.runs) == ids
-    assert [row.job_id for row in njs.list_jobs(dn)] == listed
+    assert [row.job_id for row in njs.runs.listings(dn)] == listed
 
     # Four jobs finished: restored in consignment order.
     for handle in handles:
@@ -205,8 +205,8 @@ def test_cold_restart_keeps_consignment_order_past_the_id_padding():
     usite.crash_site()
     usite.restart_site()
     assert len(njs.journal) == 0 and list(njs.runs) == ids
-    assert [row.job_id for row in njs.list_jobs(dn)] == listed
-    assert all(row.recovered for row in njs.list_jobs(dn))
+    assert [row.job_id for row in njs.runs.listings(dn)] == listed
+    assert all(row.recovered for row in njs.runs.listings(dn))
 
 
 @pytest.mark.parametrize("storage", ["memory", "sqlite"])

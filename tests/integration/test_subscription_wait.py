@@ -4,13 +4,17 @@ The hot-path tentpole: ``GridSession.wait`` parks one QUERY at the
 gateway until the job completes instead of running a poll train.  These
 tests pin the observable contract — far fewer protocol interactions for
 the same answer, delta-based LIST views run over the same session, a
-typed ``WaitTimeout`` when a poll budget is exhausted, and survival of
-an NJS crash while a subscription is parked.
+typed ``WaitTimeout`` when the renewal budget is exhausted, and survival
+of an NJS crash while a subscription is parked.
 """
+
+import json
 
 import pytest
 
+from repro.ajo import QueryService, encode_service
 from repro.api import GridSession
+from repro.client import JobMonitorController
 from repro.errors import ReproError, WaitTimeout
 from repro.grid import build_grid
 from repro.observability import telemetry_for
@@ -45,13 +49,21 @@ def test_subscription_wait_replaces_the_poll_train():
     subscribe_cost = _requests_sent(grid) - before
     assert final.status == "successful"
 
-    # Same workload, classic bounded polling (30s default cadence).
+    # Same workload under the paper's consign-and-poll pattern (the
+    # protocol client's poll_until, 30s default cadence).
     grid2, session2 = _session()
     handle2 = session2.submit(_job(session2, runtime_s=3000.0))
     before = _requests_sent(grid2)
-    final2 = session2.wait(handle2, subscribe=False)
+    query = encode_service(QueryService("poll", target_job_id=handle2.job_id))
+    reply = grid2.sim.run(until=grid2.sim.process(
+        session2.session.client.poll_until(
+            make_query=lambda: query,
+            user_dn=session2.session.user_dn,
+            is_done=lambda r: json.loads(r.unwrap())["status"] == "successful",
+        )
+    ))
     poll_cost = _requests_sent(grid2) - before
-    assert final2.status == "successful"
+    assert reply.ok
 
     # One parked interaction (plus at most a renewal) versus ~100 polls.
     assert subscribe_cost <= 3
@@ -75,15 +87,17 @@ def test_subscription_wait_survives_njs_crash_window():
     assert njs.crashes == 1
 
 
-def test_poll_budget_exhaustion_raises_typed_wait_timeout():
+def test_subscribe_renewal_budget_also_raises_wait_timeout():
+    """``max_polls`` bounds the subscription renewals (two 7 200 s holds
+    end before a 20 000 s job does)."""
     grid, session = _session()
     handle = session.submit(_job(session, runtime_s=20_000.0))
     with pytest.raises(WaitTimeout) as exc_info:
-        session.wait(handle, max_polls=3, subscribe=False)
+        session.wait(handle, max_polls=2)
     err = exc_info.value
     assert err.code == "api.wait_timeout"
     assert err.job_id == handle.job_id
-    assert err.polls == 3
+    assert err.polls == 2
     # It is a ReproError (typed API surface), not a transport error the
     # session would have swallowed and retried.
     assert isinstance(err, ReproError)
@@ -92,17 +106,9 @@ def test_poll_budget_exhaustion_raises_typed_wait_timeout():
     assert not view.is_terminal
 
 
-def test_subscribe_renewal_budget_also_raises_wait_timeout():
-    grid, session = _session()
-    handle = session.submit(_job(session, runtime_s=20_000.0))
-    with pytest.raises(WaitTimeout) as exc_info:
-        session.wait(handle, max_polls=2, subscribe=True)
-    assert exc_info.value.code == "api.wait_timeout"
-
-
 def test_list_jobs_uses_delta_views_across_refreshes():
     grid, session = _session()
-    jmc = session._connect("FZJ")[2]
+    jmc = JobMonitorController(session.session)
     metrics = telemetry_for(grid.sim).metrics
 
     h1 = session.submit(_job(session, "first", runtime_s=200.0))

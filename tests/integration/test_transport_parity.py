@@ -10,14 +10,19 @@ logic cannot tell the fabrics apart.
 """
 
 import asyncio
+import functools
 
 import pytest
 
+import repro.server.gateway as gateway_module
+from repro.ajo import AbstractJobObject, ExecuteScriptTask, ExportTask, encode_ajo
 from repro.api import GridSession
 from repro.api.aio import AsyncGridSession
 from repro.broker import attach_broker
+from repro.errors import ReproError
 from repro.grid.build import build_grid
 from repro.observability import telemetry_for
+from repro.protocol import encode_consignment
 
 SITES = {"FZJ": ["FZJ-T3E"], "RUS": ["RUS-T3E"]}
 SEED = 11
@@ -248,3 +253,162 @@ def test_broker_submit_parity():
     want = _assert_parity(_scenario_broker, broker=True)
     assert want["status"] == "successful"
     assert want["usite"] in SITES
+
+
+# -- scenario: refusals, verb by verb -----------------------------------------
+#
+# A refusal reaches the client as the error the server raised: same
+# class, same stable code, same message, whatever the fabric in between.
+
+_THEIR_DN = "CN=Somebody Else,O=Elsewhere,C=DE"
+_UNKNOWN = "U99999"
+
+
+def _njs(grid):
+    return grid.usites["FZJ"].njs
+
+
+async def _raw_consign(grid, session, ajo):
+    """Consign past the JPA, whose own analysis would stop a bad job
+    before the server ever saw it."""
+    home = getattr(session, "_session", session).session
+
+    def plan():
+        reply = yield from home.client.consign(
+            encode_consignment(encode_ajo(ajo)), user_dn=home.user_dn,
+            vsite=ajo.vsite,
+        )
+        return reply.unwrap()
+
+    proc = grid.sim.process(plan(), name="raw-consign")
+    if grid.network.realtime:
+        return await grid.network.drive(proc)
+    return grid.sim.run(until=proc)
+
+
+def _sound_job(user_dn, name="sound"):
+    ajo = AbstractJobObject(name, vsite="FZJ-T3E", user_dn=user_dn)
+    ajo.add(ExecuteScriptTask(
+        "long", script="#!/bin/sh\nwork\n", simulated_runtime_s=1e6))
+    return ajo
+
+
+def _their_job(grid):
+    """A live job of another user, consigned at the server."""
+    grid.usites["FZJ"].uudb.add_user(_THEIR_DN, "else")
+    return _njs(grid).consign(_sound_job(_THEIR_DN, "theirs")).job_id
+
+
+async def _consign_unmapped(grid, user, session):
+    grid.usites["FZJ"].uudb.remove(user.browser.user_dn)
+    job = await session.new_job("unmapped", vsite="FZJ-T3E")
+    job.script_task("t", "#!/bin/sh\nwhoami\n", simulated_runtime_s=1.0)
+    await session.submit(job)
+
+
+async def _consign_unsound(grid, user, session):
+    ajo = _sound_job(user.browser.user_dn, "unsound")
+    ajo.add(ExportTask("out", source_path="ghost.dat", destination_path="/x/g"))
+    await _raw_consign(grid, session, ajo)
+
+
+async def _consign_crashed(grid, user, session):
+    _njs(grid).crash()
+    await _raw_consign(grid, session, _sound_job(user.browser.user_dn))
+
+
+async def _list_crashed(grid, user, session):
+    _njs(grid).crash()
+    await session.list_jobs()
+
+
+async def _expired(grid, user, session):
+    await session.advance(user.browser.user_cert.validity.not_after + 1.0)
+    await session.list_jobs()
+
+
+#: The five verbs that name a job, as the session spells them.
+_JOB_VERBS = {
+    "query": lambda session, job: session.status(job, allow_stale=False),
+    "control": lambda session, job: session.cancel(job),
+    "outcome": lambda session, job: session.outcome(job),
+    "fetch": lambda session, job: session.fetch_file(job, "out.dat"),
+    "dispose": lambda session, job: session.dispose(job),
+}
+
+
+def _on_job(verb, which):
+    async def case(grid, user, session):
+        if which == "unknown":
+            job = _UNKNOWN
+        else:
+            job = _their_job(grid)
+            if which == "crashed":
+                _njs(grid).crash()
+        await _JOB_VERBS[verb](session, job)
+
+    return case
+
+
+#: case -> (what the client does, the class and code it must see).
+_REFUSALS = {
+    "consign-unmapped": (_consign_unmapped, "MappingError", "security.mapping"),
+    "consign-unsound": (_consign_unsound, "ConsignError", "AJO201"),
+    "consign-crashed": (
+        _consign_crashed, "ServiceUnavailable", "faults.unavailable"),
+    "list-crashed": (_list_crashed, "ServiceUnavailable", "faults.unavailable"),
+    "expired-certificate": (
+        _expired, "CertificateExpired", "security.certificate_expired"),
+    **{
+        f"{verb}-{which}": (_on_job(verb, which), cls, code)
+        for verb in _JOB_VERBS
+        for which, cls, code in (
+            ("unknown", "UnknownUnicoreJobError", "server.unknown_job"),
+            ("foreign", "ServerError", "server.error"),
+            ("crashed", "ServiceUnavailable", "faults.unavailable"),
+        )
+    },
+}
+
+
+async def _scenario_refusal(grid, user, session, case):
+    """What the client saw, and whether it is what the gateway sent."""
+    sent = []
+    refusal = gateway_module._refusal
+
+    def spy(request, err):
+        sent.append(err)
+        return refusal(request, err)
+
+    gateway_module._refusal = spy
+    try:
+        await _REFUSALS[case][0](grid, user, session)
+    except ReproError as seen:
+        [raised] = sent
+        return {
+            "class": type(seen).__name__,
+            "code": seen.code,
+            "as_raised": (type(seen), seen.code, str(seen))
+            == (type(raised), raised.code, str(raised)),
+        }
+    finally:
+        gateway_module._refusal = refusal
+    return "not refused"
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_a_refusal_reaches_the_client_as_the_server_raised_it(case):
+    _, cls, code = _REFUSALS[case]
+    seen = _run_sync_sim(functools.partial(_scenario_refusal, case=case))
+    assert seen == {"class": cls, "code": code, "as_raised": True}
+
+
+@pytest.mark.parametrize("case", [
+    "consign-unmapped", "consign-unsound", "dispose-foreign",
+    "fetch-unknown", "query-crashed", "expired-certificate",
+])
+def test_refusal_parity(case):
+    """One case of each kind over every pairing, the real sockets too
+    (the wire codec carries ``error_code``)."""
+    want = _assert_parity(functools.partial(_scenario_refusal, case=case))
+    assert want["as_raised"] is True

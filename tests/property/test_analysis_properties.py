@@ -7,8 +7,7 @@ Two invariants:
   consumed) produces no error-severity diagnostics, so the analyzer
   never blocks a job the runtime could run;
 * **determinism** — analyzing the same tree twice yields the identical
-  diagnostic sequence, and the ``validate_ajo`` wrapper raises exactly
-  when the structure pass reports an error.
+  diagnostic sequence.
 """
 
 import string
@@ -22,9 +21,7 @@ from repro.ajo import (
     ImportTask,
     UserTask,
 )
-from repro.ajo.errors import ValidationError
-from repro.ajo.validate import validate_ajo
-from repro.analysis import Severity, analyze_ajo, structure_pass
+from repro.analysis import Severity, analyze_ajo
 
 names = st.text(string.ascii_letters + string.digits + "_-", min_size=1,
                 max_size=10)
@@ -92,7 +89,6 @@ def test_well_formed_jobs_produce_no_errors(job):
     assert report.ok, report.render()
     assert report.errors == ()
     assert not any(d.severity is Severity.ERROR for d in report.diagnostics)
-    validate_ajo(job)  # the wrapper agrees: nothing raises
 
 
 @given(arbitrary_trees())
@@ -102,17 +98,3 @@ def test_analysis_is_deterministic(job):
     second = analyze_ajo(job)
     assert first.diagnostics == second.diagnostics
     assert first.to_dict() == second.to_dict()
-
-
-@given(arbitrary_trees())
-@settings(max_examples=50, deadline=None)
-def test_wrapper_raises_exactly_on_structure_errors(job):
-    has_error = any(
-        d.severity is Severity.ERROR for d in structure_pass(job)
-    )
-    try:
-        validate_ajo(job)
-        raised = False
-    except ValidationError:
-        raised = True
-    assert raised == has_error

@@ -12,10 +12,10 @@ from repro.ajo import (
     critical_path_length,
     ready_actions,
     topological_order,
-    validate_ajo,
 )
 from repro.ajo.dag import predecessors_map, to_networkx
 from repro.ajo.tasks import ImportTask, TransferTask
+from repro.analysis import Severity, structure_pass
 
 
 def make_task(name="t"):
@@ -214,24 +214,36 @@ def test_empty_job_trivial_dag():
 
 
 # ---------------------------------------------------------------- validation
+def structure_errors(job, require_user=True):
+    """``(code, message)`` of the structure pass's error diagnostics."""
+    return [
+        (d.code, d.message)
+        for d in structure_pass(job, require_user=require_user)
+        if d.severity is Severity.ERROR
+    ]
+
+
+def assert_refused(job, code, match):
+    [(found, message)] = structure_errors(job)
+    assert found == code and match in message
+
+
 def test_validate_good_job():
     job, _ = make_diamond()
-    validate_ajo(job)
+    assert structure_errors(job) == []
 
 
 def test_validate_requires_user_dn():
     job = AbstractJobObject("j", vsite="V")
     job.add(make_task())
-    with pytest.raises(ValidationError, match="user DN"):
-        validate_ajo(job)
-    validate_ajo(job, require_user=False)
+    assert_refused(job, "AJO101", "user DN")
+    assert structure_errors(job, require_user=False) == []
 
 
 def test_validate_requires_vsite_when_tasks_present():
     job = AbstractJobObject("j", user_dn="CN=u")
     job.add(make_task())
-    with pytest.raises(ValidationError, match="Vsite"):
-        validate_ajo(job)
+    assert_refused(job, "AJO103", "Vsite")
 
 
 def test_validate_pure_container_needs_no_vsite():
@@ -239,7 +251,7 @@ def test_validate_pure_container_needs_no_vsite():
     sub = AbstractJobObject("sub", vsite="V")
     sub.add(make_task())
     root.add(sub)
-    validate_ajo(root)
+    assert structure_errors(root) == []
 
 
 def test_validate_detects_nested_cycle():
@@ -249,8 +261,7 @@ def test_validate_detects_nested_cycle():
     sub.add_dependency(a, b)
     sub.add_dependency(b, a)
     root.add(sub)
-    with pytest.raises(DependencyCycleError):
-        validate_ajo(root)
+    assert_refused(root, "AJO104", "cycle")
 
 
 def test_validate_transfer_to_own_usite_rejected():
@@ -260,8 +271,7 @@ def test_validate_transfer_to_own_usite_rejected():
             "loop", source_path="a", destination_path="b", destination_usite="FZJ"
         )
     )
-    with pytest.raises(ValidationError, match="own Usite"):
-        validate_ajo(job)
+    assert_refused(job, "AJO105", "own Usite")
 
 
 def test_validate_duplicate_ids_across_tree():
@@ -272,8 +282,7 @@ def test_validate_duplicate_ids_across_tree():
     sub2.add(UserTask("t", executable="x", action_id="dup"))
     root.add(sub1)
     root.add(sub2)
-    with pytest.raises(ValidationError, match="duplicate"):
-        validate_ajo(root)
+    assert_refused(root, "AJO102", "duplicate")
 
 
 # -------------------------------------------------------------- task details

@@ -2,10 +2,8 @@
 
 One test (at least) per stable diagnostic code — the codes are a wire
 contract, so each test pins both the code and the severity — plus the
-report/diagnostic model and the ``validate_ajo`` compatibility wrapper.
+report/diagnostic model.
 """
-
-import pytest
 
 from repro.ajo import (
     AbstractJobObject,
@@ -16,8 +14,7 @@ from repro.ajo import (
     TransferTask,
     UserTask,
 )
-from repro.ajo.errors import DependencyCycleError, ValidationError
-from repro.ajo.validate import validate_ajo
+from repro.ajo.errors import ValidationError
 from repro.analysis import (
     AnalysisContext,
     AnalysisError,
@@ -410,30 +407,6 @@ def test_analysis_error_carries_primary_code():
     assert isinstance(err, ValidationError)
     assert err.code == "AJO201"
     assert err.report is report
-
-
-def test_validate_ajo_wrapper_keeps_historical_behaviour():
-    job = make_job(user_dn="")
-    with pytest.raises(ValidationError, match="user DN"):
-        validate_ajo(job)
-    validate_ajo(job, require_user=False)  # must not raise
-
-    cyclic = make_job()
-    a = UserTask(name="a", executable="/bin/a")
-    b = UserTask(name="b", executable="/bin/b")
-    cyclic.add(a)
-    cyclic.add(b)
-    cyclic.add_dependency(a, b)
-    cyclic.add_dependency(b, a)
-    with pytest.raises(DependencyCycleError):
-        validate_ajo(cyclic)
-
-    # Warnings (dead import would be AJO204) never raise.
-    warned = make_job()
-    warned.add(
-        ImportTask(name="i", source_path="/in/a", destination_path="unused.dat")
-    )
-    validate_ajo(warned)
 
 
 def test_analyze_ajo_is_deterministic():

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.api import GridSession, JobHandle
-from repro.faults import CircuitOpenError
+from repro.faults import CircuitOpenError, ServiceUnavailable
 from repro.grid import build_grid
 from repro.observability import telemetry_for
 
@@ -92,6 +92,27 @@ def test_stale_status_served_during_gateway_outage():
     grid.usites["FZJ"].gateway.restart()
     recovered = session.status(handle)
     assert not recovered.stale
+
+
+def test_stale_status_served_during_njs_outage_behind_a_live_gateway():
+    """The gateway answers, the NJS behind it is down: the refusal is
+    ``ServiceUnavailable`` itself, and the display degrades exactly as it
+    does when the gateway is the one that is gone."""
+    grid, session = _session()
+    handle = session.submit(_quick_job(session, runtime_s=5000.0))
+    live = session.status(handle)
+    metrics = telemetry_for(grid.sim).metrics
+    served = metrics.counter("client.stale_status_serves").value
+
+    grid.usites["FZJ"].njs.crash()
+    degraded = session.status(handle)
+    assert degraded.stale and degraded.status == live.status
+    assert metrics.counter("client.stale_status_serves").value == served + 1
+    with pytest.raises(ServiceUnavailable, match="NJS at FZJ is down"):
+        session.status(handle, allow_stale=False)
+
+    grid.usites["FZJ"].njs.restart()
+    assert not session.status(handle).stale
 
 
 def test_submit_fails_over_to_alternate_vsite():

@@ -1,7 +1,7 @@
 """Unit tests for the perf-trajectory gate (benchmarks/compare_bench.py).
 
 The gate is only useful if it provably fails on a regression, so the
-core case here is a synthetic 2x events-per-job regression that must
+core case here is a synthetic 2x restart-reads regression that must
 exit nonzero, alongside the pass/improve/warn classifications and the
 ``--update`` re-baselining flow.
 """
@@ -19,18 +19,22 @@ from benchmarks.compare_bench import (
     metric_value,
 )
 
-LOWER_FAIL = MetricSpec("throughput.events_per_job", "lower", "fail")
-LOWER_WARN = MetricSpec("throughput.wall_s_per_job", "lower", "warn")
+LOWER_FAIL = MetricSpec("history.long.reads", "lower", "fail")
+LOWER_WARN = MetricSpec("history.long.restart_s", "lower", "warn")
 HIGHER_FAIL = MetricSpec("jain_fairness", "higher", "fail")
 
 
-def _e10(events=100.0, wire=1000.0, wall=0.01):
+def _e15(reads=100.0, bytes_read=1000.0, wall=0.01):
+    """The gated slice of an E15 artifact: two counts and a wall time."""
     return {
-        "experiment": "e10",
-        "throughput": {
-            "events_per_job": events,
-            "wire_bytes_per_job": wire,
-            "wall_s_per_job": wall,
+        "experiment": "e15",
+        "history": {
+            "long": {
+                "reads": reads,
+                "journal_rows_decoded": 0.0,
+                "bytes_read": bytes_read,
+                "restart_s": wall,
+            },
         },
     }
 
@@ -61,38 +65,38 @@ def test_compare_metric_verdicts():
 
 
 def test_metric_value_dotted_paths():
-    artifact = _e10(events=42.0)
-    assert metric_value(artifact, "throughput.events_per_job") == 42.0
-    assert metric_value(artifact, "throughput.missing") is None
+    artifact = _e15(reads=42.0)
+    assert metric_value(artifact, "history.long.reads") == 42.0
+    assert metric_value(artifact, "history.missing") is None
     assert metric_value(artifact, "nope.deeper") is None
 
 
 # -- experiment-level comparison --------------------------------------------
 
 def test_synthetic_2x_regression_fails():
-    baseline = _e10(events=100.0)
-    regressed = _e10(events=200.0)  # 2x the events per job
-    rows = compare_experiment("e10", baseline, regressed)
+    baseline = _e15(reads=100.0)
+    regressed = _e15(reads=200.0)  # 2x the reads per restart
+    rows = compare_experiment("e15", baseline, regressed)
     by_metric = {row["metric"]: row for row in rows}
-    assert by_metric["throughput.events_per_job"]["verdict"] == "fail"
-    assert by_metric["throughput.events_per_job"]["change"] == 1.0
+    assert by_metric["history.long.reads"]["verdict"] == "fail"
+    assert by_metric["history.long.reads"]["change"] == 1.0
 
 
 def test_wall_clock_regression_only_warns():
-    baseline = _e10(wall=0.01)
-    slower = _e10(wall=0.05)  # 5x wall time, counters unchanged
-    rows = compare_experiment("e10", baseline, slower)
+    baseline = _e15(wall=0.01)
+    slower = _e15(wall=0.05)  # 5x wall time, counters unchanged
+    rows = compare_experiment("e15", baseline, slower)
     by_metric = {row["metric"]: row for row in rows}
-    assert by_metric["throughput.wall_s_per_job"]["verdict"] == "warn"
+    assert by_metric["history.long.restart_s"]["verdict"] == "warn"
     assert all(
         row["verdict"] != "fail" for row in rows
     ), "wall clock must never hard-fail"
 
 
 def test_missing_artifacts_warn_not_fail():
-    rows = compare_experiment("e10", None, _e10())
+    rows = compare_experiment("e15", None, _e15())
     assert rows[0]["verdict"] == "warn" and "baseline" in rows[0]["note"]
-    rows = compare_experiment("e10", _e10(), None)
+    rows = compare_experiment("e15", _e15(), None)
     assert rows[0]["verdict"] == "warn" and "fresh" in rows[0]["note"]
 
 
@@ -101,23 +105,23 @@ def test_missing_artifacts_warn_not_fail():
 def test_main_passes_on_baseline_and_fails_on_regression(tmp_path, capsys):
     baselines = str(tmp_path / "baselines")
     fresh = str(tmp_path / "fresh")
-    _write(baselines, "e10", _e10(events=100.0))
-    _write(fresh, "e10", _e10(events=100.0))
+    _write(baselines, "e15", _e15(reads=100.0))
+    _write(fresh, "e15", _e15(reads=100.0))
 
     # Baseline vs itself: clean pass.
-    assert main(["--fresh", fresh, "--baselines", baselines, "e10"]) == 0
+    assert main(["--fresh", fresh, "--baselines", baselines, "e15"]) == 0
     assert "pass" in capsys.readouterr().out
 
     # Synthetic 2x regression: the gate exits nonzero.
-    _write(fresh, "e10", _e10(events=200.0))
-    assert main(["--fresh", fresh, "--baselines", baselines, "e10"]) == 1
+    _write(fresh, "e15", _e15(reads=200.0))
+    assert main(["--fresh", fresh, "--baselines", baselines, "e15"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "events_per_job" in out
+    assert "FAIL" in out and "history.long.reads" in out
 
     # A custom (huge) threshold lets the same numbers through.
     assert main([
         "--fresh", fresh, "--baselines", baselines,
-        "--threshold", "2.0", "e10",
+        "--threshold", "2.0", "e15",
     ]) == 0
     capsys.readouterr()
 
@@ -125,16 +129,16 @@ def test_main_passes_on_baseline_and_fails_on_regression(tmp_path, capsys):
 def test_main_update_blesses_fresh_artifacts(tmp_path, capsys):
     baselines = str(tmp_path / "baselines")
     fresh = str(tmp_path / "fresh")
-    _write(baselines, "e10", _e10(events=100.0))
-    _write(fresh, "e10", _e10(events=200.0))
+    _write(baselines, "e15", _e15(reads=100.0))
+    _write(fresh, "e15", _e15(reads=200.0))
 
     assert main([
-        "--fresh", fresh, "--baselines", baselines, "--update", "e10",
+        "--fresh", fresh, "--baselines", baselines, "--update", "e15",
     ]) == 0
     capsys.readouterr()
-    assert load_artifact(baselines, "e10")["throughput"]["events_per_job"] == 200.0
+    assert load_artifact(baselines, "e15")["history"]["long"]["reads"] == 200.0
     # After blessing, the former regression is the new normal.
-    assert main(["--fresh", fresh, "--baselines", baselines, "e10"]) == 0
+    assert main(["--fresh", fresh, "--baselines", baselines, "e15"]) == 0
     capsys.readouterr()
 
 
@@ -150,10 +154,7 @@ def test_committed_baselines_carry_gated_metrics():
             assert metric_value(artifact, spec.path) is not None, (
                 experiment, spec.path,
             )
-    # The E10 baseline records the pre-subscription (legacy poll)
-    # monitoring cost — that is the trajectory the hot path is measured
-    # against, and threshold math needs it nonzero.
-    e10 = load_artifact(BASELINE_DIR, "e10")
-    assert e10["legacy_wait"] is True
-    assert metric_value(e10, "throughput.events_per_job") > 0
+    # The six-site replay and the real-socket arm are measured by
+    # benchmarks/perf; no legacy-poll baseline is left to compare with.
+    assert set(METRIC_SPECS) == {"e11", "e15"}
     assert FAIL_THRESHOLD == 0.25

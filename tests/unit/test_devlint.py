@@ -4,13 +4,11 @@ Each rule gets the same treatment the consign-time analyzer's tests
 give the AJO rules: a seeded violation must produce exactly the
 expected code, and the clean spelling of the same construct must
 produce nothing.  On top of the rule packs, the engine machinery is
-pinned — inline pragmas, baseline fingerprints, deterministic ordering
-— and one acceptance test runs the real rule set over the real repo,
+pinned — inline pragmas, deterministic ordering — and one acceptance test runs the real rule set over the real repo,
 which must stay clean (devlint is a hard CI gate).
 """
 
 import ast
-import json
 from pathlib import Path
 
 import pytest
@@ -22,9 +20,7 @@ from repro.devlint import (
     Severity,
     default_rules,
     discover_project,
-    load_baseline,
     run_devlint,
-    write_baseline,
 )
 from repro.devlint.diagnostics import DevReport
 from repro.devlint.engine import Project, SourceFile, _parse_pragmas
@@ -38,7 +34,6 @@ from repro.devlint.rules_protocol import (
     ContentPassRule,
     ModuleGetattrRule,
     PrivateReachRule,
-    VerbDispatchRule,
 )
 from repro.devlint.rules_registry import (
     CodeLiteralRule,
@@ -317,83 +312,7 @@ def test_metric_rules_skip_the_observability_layer(small_registry):
     assert list(MetricNameRule().check_project(project(f))) == []
 
 
-# -- RD4xx protocol & shim consistency ----------------------------------------
-
-def _protocol_files(gateway_body: str):
-    messages = sf(
-        "class RequestKind:\n"
-        '    SUBMIT = "submit"\n'
-        '    QUERY = "query"\n'
-        "    ALL = (SUBMIT, QUERY)\n",
-        rel="src/repro/protocol/messages.py",
-    )
-    gateway = sf(gateway_body, rel="src/repro/server/gateway.py")
-    return project(messages, gateway)
-
-
-def test_verb_dispatch_quiet_on_one_to_one():
-    p = _protocol_files(
-        "def dispatch(request):\n"
-        "    if request.kind == RequestKind.SUBMIT:\n"
-        "        return submit(request)\n"
-        "    if request.kind == RequestKind.QUERY:\n"
-        "        return query(request)\n"
-    )
-    assert list(VerbDispatchRule().check_project(p)) == []
-
-
-def test_rd401_fires_on_unhandled_verb():
-    p = _protocol_files(
-        "def dispatch(request):\n"
-        "    if request.kind == RequestKind.SUBMIT:\n"
-        "        return submit(request)\n"
-    )
-    found = list(VerbDispatchRule().check_project(p))
-    assert [d.code for d in found] == ["RD401"]
-    assert "QUERY" in found[0].message
-
-
-def test_rd402_fires_on_double_dispatch():
-    p = _protocol_files(
-        "def dispatch(request):\n"
-        "    if request.kind == RequestKind.SUBMIT:\n"
-        "        return submit(request)\n"
-        "    if request.kind == RequestKind.QUERY:\n"
-        "        return query(request)\n"
-        "    if request.kind == RequestKind.SUBMIT:\n"
-        "        return never_reached(request)\n"
-    )
-    found = list(VerbDispatchRule().check_project(p))
-    assert [d.code for d in found] == ["RD402"]
-
-
-def test_rd402_pragma_marks_non_dispatch_comparisons():
-    p = _protocol_files(
-        "def dispatch(request):\n"
-        "    if request.kind == RequestKind.SUBMIT:\n"
-        "        return submit(request)\n"
-        "    if request.kind == RequestKind.QUERY:\n"
-        "        return query(request)\n"
-        "    # accounting only  # devlint: ignore[RD402]\n"
-        "    if request.kind == RequestKind.SUBMIT:\n"
-        "        count()\n"
-    )
-    assert list(VerbDispatchRule().check_project(p)) == []
-
-
-def test_rd403_fires_on_stale_handler():
-    p = _protocol_files(
-        "def dispatch(request):\n"
-        "    if request.kind == RequestKind.SUBMIT:\n"
-        "        return submit(request)\n"
-        "    if request.kind == RequestKind.QUERY:\n"
-        "        return query(request)\n"
-        "    if request.kind == RequestKind.RENAMED_AWAY:\n"
-        "        return stale(request)\n"
-    )
-    found = list(VerbDispatchRule().check_project(p))
-    assert [d.code for d in found] == ["RD403"]
-
+# -- RD4xx ownership ----------------------------------------------------------
 
 def test_rd404_fires_on_module_getattr():
     f = sf(
@@ -483,7 +402,7 @@ def test_rd406_quiet_in_the_owning_modules_and_on_the_held_checks():
     assert codes_from(ContentPassRule(), holder) == []
 
 
-# -- engine: pragmas, baseline, ordering, report ------------------------------
+# -- engine: pragmas, ordering, report ----------------------------------------
 
 def test_inline_pragma_suppresses_on_line_and_from_line_above():
     same_line = sf(
@@ -512,32 +431,6 @@ def test_pragma_inside_string_literal_does_not_count():
     f = sf('msg = "# devlint: ignore[RD101]"\nimport time\nt = time.time()\n')
     report = run_devlint(rules=[rule_by_code("RD101")], project=project(f))
     assert [d.code for d in report.diagnostics] == ["RD101"]
-
-
-def test_baseline_roundtrip_suppresses_by_fingerprint(tmp_path):
-    f = sf("import time\nt = time.time()\n")
-    rules = [rule_by_code("RD101")]
-    first = run_devlint(rules=rules, project=project(f))
-    assert not first.ok
-    path = tmp_path / "baseline.json"
-    assert write_baseline(path, first) == 1
-    suppressions = load_baseline(path)
-    second = run_devlint(rules=rules, project=project(f), baseline=suppressions)
-    assert second.ok and second.suppressed == 1
-    # Fingerprints are line-independent: edits above the site keep the
-    # baseline entry matching.
-    shifted = sf("import time\nimport os\n\nt = time.time()\n")
-    third = run_devlint(
-        rules=rules, project=project(shifted), baseline=suppressions
-    )
-    assert third.ok and third.suppressed == 1
-
-
-def test_load_baseline_rejects_malformed_files(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 7}))
-    with pytest.raises(ValueError, match="not a devlint baseline"):
-        load_baseline(path)
 
 
 def test_report_orders_diagnostics_and_serializes():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import CertificateExpired, CertificateRevoked
 from repro.grid import build_grid
 from repro.protocol.messages import Reply, Request, RequestKind
 
@@ -53,6 +54,15 @@ def test_reply_cache_returns_identical_reply(wired):
     assert cached.payload == replies[0].payload
 
 
+def test_every_verb_of_the_protocol_has_its_one_handler(wired):
+    """The vocabulary and the dispatch table are the same set (a dict
+    holds each verb once), and no two verbs share a handler."""
+    grid, user, session = wired
+    handlers = grid.usites["FZJ"].gateway.handlers
+    assert set(handlers) == set(RequestKind.ALL)
+    assert len({handler.__name__ for handler in handlers.values()}) == 7
+
+
 def test_revoked_mid_session_certificate_refused_per_request(wired):
     """Revocation takes effect on the *next request*, not just the next
     connection — the gateway re-validates every time."""
@@ -70,7 +80,7 @@ def test_revoked_mid_session_certificate_refused_per_request(wired):
     grid.ca.revoke(user.browser.user_cert, reason="compromised")
 
     p2 = grid.sim.process(list_jobs(grid.sim))
-    with pytest.raises(RuntimeError, match="authentication failed"):
+    with pytest.raises(CertificateRevoked, match="authentication failed"):
         grid.sim.run(until=p2)
 
 
@@ -89,7 +99,7 @@ def test_certificate_expiring_mid_session_refused_on_next_request(wired):
 
     grid.sim.run(until=user.browser.user_cert.validity.not_after + 1.0)
 
-    with pytest.raises(RuntimeError, match="authentication failed.*valid"):
+    with pytest.raises(CertificateExpired, match="authentication failed.*valid"):
         grid.sim.run(until=grid.sim.process(list_jobs(grid.sim)))
 
 

@@ -42,9 +42,9 @@ def test_synth_job_builds_valid_pipeline():
     jpa = JobPreparationAgent(session)
     rng = derive_rng(31, "wl")
     builder = synth_job(jpa, rng, "job7", vsite="FZJ-T3E")
-    from repro.ajo import validate_ajo
+    from repro.analysis import analyze_ajo
 
-    validate_ajo(builder.ajo)
+    assert analyze_ajo(builder.ajo).ok
     kinds = {type(t).__name__ for t in builder.ajo.tasks()}
     assert "ImportTask" in kinds and "ExportTask" in kinds
     assert len(builder.ajo.dependencies) >= 2

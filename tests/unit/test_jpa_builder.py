@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ajo import ValidationError
+from repro.errors import ConsignError
 from repro.grid import build_grid
 
 
@@ -112,5 +113,6 @@ def test_stale_client_page_rechecked_by_njs(session_pair):
         yield from jpa.submit(job)
 
     p = grid.sim.process(scenario(grid.sim))
-    with pytest.raises(ValidationError, match="above maximum"):
+    with pytest.raises(ConsignError, match="above maximum") as refused:
         grid.sim.run(until=p)
+    assert refused.value.code.startswith("AJO3")

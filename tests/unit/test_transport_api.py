@@ -1,4 +1,4 @@
-"""The pluggable transport surface: spec parsing, the backend registry
+"""The pluggable transport surface: spec parsing, the two backends
 and the facade/backend mismatch guards."""
 
 import pytest
@@ -7,13 +7,7 @@ from repro.api import GridSession
 from repro.api.aio import AsyncGridSession
 from repro.grid.build import build_grid
 from repro.net.errors import NetworkError, TransportMismatch
-from repro.net.transport import (
-    Transport,
-    TransportSpec,
-    available_transports,
-    register_transport,
-    resolve_transport,
-)
+from repro.net.transport import TransportSpec, resolve_transport
 
 
 def _grid(transport=None):
@@ -36,10 +30,13 @@ def test_spec_parse_rejects_other_types():
         TransportSpec.parse(42)
 
 
-# -- registry -----------------------------------------------------------------
+# -- the two backends ---------------------------------------------------------
 
 def test_builtin_backends_registered():
-    assert {"sim", "aio"} <= set(available_transports())
+    from repro.simkernel import Simulator
+
+    for kind in ("sim", "aio"):
+        assert resolve_transport(kind, Simulator(), seed=9).kind == kind
 
 
 def test_resolve_unknown_kind_raises_network_error():
@@ -47,31 +44,6 @@ def test_resolve_unknown_kind_raises_network_error():
 
     with pytest.raises(NetworkError, match="unknown transport"):
         resolve_transport("carrier-pigeon", Simulator())
-
-
-def test_register_transport_round_trips_options():
-    from repro.simkernel import Simulator
-
-    seen = {}
-
-    class Probe(Transport):
-        kind = "probe"
-
-    def factory(sim, seed=0, **options):
-        seen.update(options, seed=seed)
-        return Probe()
-
-    register_transport("probe-test", factory)
-    try:
-        got = resolve_transport(
-            TransportSpec("probe-test", {"port": 7}), Simulator(),
-            seed=9,
-        )
-        assert isinstance(got, Probe)
-        assert seen == {"port": 7, "seed": 9}
-    finally:
-        from repro.net import transport as mod
-        del mod._REGISTRY["probe-test"]
 
 
 def test_build_grid_default_is_sim_backend():
