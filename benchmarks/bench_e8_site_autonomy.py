@@ -23,8 +23,8 @@ from scipy import stats
 from benchmarks._util import print_table
 from repro.batch import BatchJobSpec, BatchSystem, machine
 from repro.batch.scheduling import FCFSScheduler
-from repro.grid.metrics import summarize_turnarounds
 from repro.grid.workloads import LocalLoadGenerator, WorkloadProfile
+from repro.observability import Histogram
 from repro.resources import ResourceSet
 from repro.simkernel import Simulator, derive_rng
 
@@ -108,9 +108,12 @@ def test_e8_unicore_jobs_wait_like_local_jobs(benchmark):
         u = stats.mannwhitneyu(local_w, unicore_w, alternative="two-sided")
         pvalues[label] = u.pvalue
         for origin, waits in (("local", local_w), ("unicore", unicore_w)):
-            s = summarize_turnarounds(waits)
+            hist = Histogram(f"{label}.{origin}.wait_seconds")
+            for wait in waits:
+                hist.observe(wait)
+            s = hist.summary()
             rows.append((
-                label, origin, s["count"], f"{s['mean']:9.1f}",
+                label, origin, hist.count, f"{s['mean']:9.1f}",
                 f"{s['p50']:9.1f}", f"{s['p90']:9.1f}",
                 f"{u.pvalue:8.4f}" if origin == "unicore" else "",
             ))

@@ -19,7 +19,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro import GridSession
-from repro.grid import build_grid
+from repro.grid import build_grid, job_timeline, render_gantt
+from repro.observability import telemetry_for
 from repro.resources import ResourceRequest
 
 
@@ -65,11 +66,9 @@ def main() -> None:
     print("\nJMC job tree:")
     print(session.render(final))
 
-    from repro.grid import job_timeline, render_gantt
-
-    print("\njob timeline (where the time went):")
-    njs = grid.usites["FZJ"].njs
-    print(render_gantt(job_timeline(njs, handle.job_id)))
+    print("\njob timeline (where the time went), read from the job's trace:")
+    tracer = telemetry_for(grid.sim).tracer
+    print(render_gantt(job_timeline(tracer.trace(handle.trace_id))))
     print("\nrun task stdout:", outcome.child(run_t.id).stdout.strip())
     xfs = grid.usites["FZJ"].xspace.fs
     print(f"exported result: {xfs.size('/archive/quickstart/result.dat')} bytes "

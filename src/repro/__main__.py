@@ -20,20 +20,23 @@ a file into a fresh grid and reports what came back — the whole-grid
 warm-restart path, demonstrable from the shell.
 
 ``repro devlint`` points the same static-analysis discipline at the
-codebase itself: determinism, error-code registry, observability
-registry, and protocol consistency (the RD1xx–RD4xx rule packs of
-``repro.devlint``).  It is the hard lint gate in CI.
+codebase itself: determinism, the README error table against the
+error-code registry, observability registry, and state ownership (the
+RD1xx–RD4xx rule packs of ``repro.devlint``).  It is the hard lint gate in CI.
 """
 
 import argparse
 import json
 import sys
 
+from repro.ajo.errors import SerializationError
 from repro.ajo.serialize import decode_ajo
 from repro.analysis import AnalysisContext, analyze_ajo
 from repro.api import GridSession
 from repro.client import JobMonitorController, JobPreparationAgent
-from repro.grid import build_german_grid, figure1, figure2
+from repro.grid import (
+    build_german_grid, figure1, figure2, job_timeline, render_gantt,
+)
 from repro.grid.metrics import TierTimes
 from repro.observability import telemetry_for
 from repro.resources import ResourceRequest
@@ -75,6 +78,9 @@ def demo() -> None:
     print(f"\nfinal status: {final.status} "
           f"(t = {grid.sim.now:.0f} simulated seconds)\n")
     print(session.render(final))
+    print("\nWhere the time went, at both sites (from the job's trace):")
+    tracer = telemetry_for(grid.sim).tracer
+    print(render_gantt(job_timeline(tracer.trace(handle.trace_id))))
     print("\nRun `pytest benchmarks/ --benchmark-only -s` for the full "
           "experiment suite (see EXPERIMENTS.md).")
 
@@ -149,7 +155,7 @@ def lint_command(args: argparse.Namespace) -> None:
         try:
             with open(path, "rb") as fh:
                 job = decode_ajo(fh.read())
-        except (OSError, ValueError) as err:
+        except (OSError, SerializationError) as err:
             print(f"{path}: cannot read AJO: {err}", file=sys.stderr)
             sys.exit(2)
         # Off-line lint: the user DN travels with the consignment, not

@@ -20,7 +20,6 @@ __all__ = [
     "ready_actions",
     "critical_path_length",
     "predecessors_map",
-    "to_networkx",
 ]
 
 
@@ -105,19 +104,3 @@ def critical_path_length(
         finish[cid] = start + w(cid)
     return max(finish.values(), default=0.0)
 
-
-def to_networkx(job: AbstractJobObject) -> typing.Any:
-    """The direct-children dependency graph as a ``networkx.DiGraph``.
-
-    Node attributes carry the action objects; edge attributes the files.
-    Provided for analysis/visualization — core scheduling does not depend
-    on networkx.
-    """
-    import networkx as nx
-
-    g = nx.DiGraph(job_id=job.id, name=job.name)
-    for child in job.children:
-        g.add_node(child.id, action=child)
-    for dep in job.dependencies:
-        g.add_edge(dep.predecessor_id, dep.successor_id, files=list(dep.files))
-    return g

@@ -21,7 +21,7 @@ import json
 import typing
 
 from repro.ajo.actions import AbstractAction
-from repro.ajo.errors import SerializationError
+from repro.ajo.errors import AJOError, SerializationError
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import Outcome, _OUTCOME_KINDS
 from repro.ajo.services import ControlService, ListService, QueryService
@@ -34,6 +34,7 @@ from repro.ajo.tasks import (
     TransferTask,
     UserTask,
 )
+from repro.resources.errors import ResourceError
 from repro.resources.model import ResourceRequest
 
 __all__ = [
@@ -84,39 +85,65 @@ def _encode_action(action: AbstractAction) -> dict[str, typing.Any]:
     return {"type": tag, "data": data}
 
 
+#: What structurally wrong but valid JSON raises on its way to an object:
+#: a missing key, a node of the wrong type, a constructor handed the wrong
+#: kind of value, nesting deeper than the interpreter's stack — and what the
+#: model itself refuses (a dependency on an unknown child, a negative
+#: resource).  All of it is a malformed encoding, so a server has one
+#: error to refuse by.
+_MALFORMED = (
+    KeyError, TypeError, ValueError, AttributeError, RecursionError,
+    AJOError, ResourceError,
+)
+
+
+_T = typing.TypeVar("_T")
+
+
+def _decode(
+    data: bytes,
+    marker: str,
+    what: str,
+    build: typing.Callable[[dict[str, typing.Any]], _T],
+) -> _T:
+    """What ``build`` makes of the JSON envelope in ``data``, once that is
+    checked for kind and version; anything else is a SerializationError."""
+    try:
+        envelope = json.loads(data)
+    except (ValueError, RecursionError) as err:  # bad UTF-8 is a ValueError
+        raise SerializationError(f"not a valid {what} encoding: {err}") from err
+    if not isinstance(envelope, dict) or envelope.get(marker) != ENVELOPE_VERSION:
+        raise SerializationError(
+            f"unsupported {what} envelope (need version {ENVELOPE_VERSION})"
+        )
+    try:
+        return build(envelope)
+    except _MALFORMED as err:
+        raise SerializationError(
+            f"malformed {what}: {type(err).__name__}: {err}"
+        ) from err
+
+
 # Constructor adapters: payload dict -> instance.  Resources re-hydrate via
 # ResourceRequest.from_dict; extra payload keys are the constructor kwargs.
+# Raises what _MALFORMED names; _decode turns that into SerializationError.
 def _decode_action(node: dict[str, typing.Any]) -> AbstractAction:
-    try:
-        tag = node["type"]
-        data = dict(node["data"])
-    except (TypeError, KeyError) as err:
-        raise SerializationError(f"malformed action node: {err}") from err
+    tag = node["type"]
     cls = _REGISTRY.get(tag)
     if cls is None:
         raise SerializationError(f"unknown action type tag {tag!r}")
-
-    try:
-        action_id = data.pop("id")
-        name = data.pop("name")
-    except KeyError as err:
-        raise SerializationError(f"action node missing field {err}") from err
+    data = dict(node["data"])
     children = data.pop("children", None)
     dependencies = data.pop("dependencies", None)
     resources = data.pop("resources", None)
-    environment = data.pop("environment", None)
 
-    kwargs: dict[str, typing.Any] = {"name": name, "action_id": action_id}
+    kwargs: dict[str, typing.Any] = {
+        "name": data.pop("name"), "action_id": data.pop("id"),
+    }
     if resources is not None:
         kwargs["resources"] = ResourceRequest.from_dict(resources)
-    if environment is not None:
-        kwargs["environment"] = environment
     kwargs.update(data)
-
-    try:
-        action = cls(**kwargs)
-    except TypeError as err:
-        raise SerializationError(f"cannot reconstruct {tag}: {err}") from err
+    action = cls(**kwargs)
 
     if isinstance(action, AbstractJobObject):
         for child_node in children or []:
@@ -124,6 +151,10 @@ def _decode_action(node: dict[str, typing.Any]) -> AbstractAction:
         for dep in dependencies or []:
             action.add_dependency(dep["pred"], dep["succ"], files=dep["files"])
     return action
+
+
+def _decode_outcome(envelope: dict[str, typing.Any]) -> Outcome:
+    return _OUTCOME_KINDS[envelope["kind"]].from_payload(envelope["data"])
 
 
 # ------------------------------------------------------------------- public
@@ -140,15 +171,7 @@ def encode_ajo(job: AbstractJobObject) -> bytes:
 
 def decode_ajo(data: bytes) -> AbstractJobObject:
     """Reconstruct the AJO tree encoded by :func:`encode_ajo`."""
-    try:
-        envelope = json.loads(data)
-    except (ValueError, UnicodeDecodeError) as err:
-        raise SerializationError(f"not a valid AJO encoding: {err}") from err
-    if not isinstance(envelope, dict) or envelope.get("unicore_ajo") != ENVELOPE_VERSION:
-        raise SerializationError(
-            f"unsupported AJO envelope (need version {ENVELOPE_VERSION})"
-        )
-    action = _decode_action(envelope)
+    action = _decode(data, "unicore_ajo", "AJO", _decode_action)
     if not isinstance(action, AbstractJobObject):
         raise SerializationError("decoded wire unit is not a job object")
     return action
@@ -162,18 +185,7 @@ def encode_service(service: AbstractAction) -> bytes:
 
 def decode_service(data: bytes) -> AbstractAction:
     """Reconstruct a service encoded by :func:`encode_service`."""
-    try:
-        envelope = json.loads(data)
-    except (ValueError, UnicodeDecodeError) as err:
-        raise SerializationError(f"not a valid service encoding: {err}") from err
-    if (
-        not isinstance(envelope, dict)
-        or envelope.get("unicore_service") != ENVELOPE_VERSION
-    ):
-        raise SerializationError(
-            f"unsupported service envelope (need version {ENVELOPE_VERSION})"
-        )
-    return _decode_action(envelope)
+    return _decode(data, "unicore_service", "service", _decode_action)
 
 
 def encode_outcome(outcome: Outcome) -> bytes:
@@ -188,21 +200,4 @@ def encode_outcome(outcome: Outcome) -> bytes:
 
 def decode_outcome(data: bytes) -> Outcome:
     """Reconstruct an outcome encoded by :func:`encode_outcome`."""
-    try:
-        envelope = json.loads(data)
-    except (ValueError, UnicodeDecodeError) as err:
-        raise SerializationError(f"not a valid outcome encoding: {err}") from err
-    if (
-        not isinstance(envelope, dict)
-        or envelope.get("unicore_outcome") != ENVELOPE_VERSION
-    ):
-        raise SerializationError(
-            f"unsupported outcome envelope (need version {ENVELOPE_VERSION})"
-        )
-    cls = _OUTCOME_KINDS.get(envelope.get("kind"))
-    if cls is None:
-        raise SerializationError(f"unknown outcome kind {envelope.get('kind')!r}")
-    try:
-        return cls.from_payload(envelope["data"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise SerializationError(f"cannot reconstruct outcome: {err}") from err
+    return _decode(data, "unicore_outcome", "outcome", _decode_outcome)

@@ -125,6 +125,8 @@ class AnalysisError(ValidationError):
     edge carries in ``Reply.error_code``.
     """
 
+    code = "ajo.analysis"
+
     def __init__(self, report: AnalysisReport) -> None:
         super().__init__(f"static analysis rejected AJO: {report.summary()}")
         self.report = report

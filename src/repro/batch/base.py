@@ -387,6 +387,7 @@ class BatchSystem:
                 parent=record.spec.parent_span_id or None,
                 tier="batch",
                 job=record.spec.name,
+                machine=self.machine.name,
                 cpus=record.spec.resources.cpus,
             )
         self._running[record.job_id] = record

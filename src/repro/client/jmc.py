@@ -34,12 +34,9 @@ _TERMINAL = {"successful", "failed", "killed", "not_attempted"}
 class JobMonitorController:
     """The JMC applet: monitor, control, and harvest job results."""
 
-    #: Subscription hold ladder for :meth:`wait_for_completion`: the
-    #: first QUERY parks briefly (many jobs finish quickly, and a short
-    #: first hold keeps the JMC responsive for them), renewals park much
-    #: longer — a held-open request costs no wire traffic.
-    SUBSCRIBE_FIRST_HOLD_S = 7200.0
-    SUBSCRIBE_RENEW_HOLD_S = 7200.0
+    #: How long each QUERY of :meth:`wait_for_completion` asks the gateway
+    #: to park it — a held-open request costs no wire traffic.
+    SUBSCRIBE_HOLD_S = 7200.0
     #: Extra response-timeout slack over the requested hold, covering
     #: transit and gateway processing before the reply is declared lost.
     SUBSCRIBE_REPLY_GRACE_S = 120.0
@@ -146,12 +143,8 @@ class JobMonitorController:
         terminal within the caller's patience.
         """
         client = self.session.client
-        for round_no in range(max_polls):
-            hold = (
-                self.SUBSCRIBE_FIRST_HOLD_S
-                if round_no == 0
-                else self.SUBSCRIBE_RENEW_HOLD_S
-            )
+        hold = self.SUBSCRIBE_HOLD_S
+        for _ in range(max_polls):
             service = QueryService(
                 "wait", target_job_id=job_id, subscribe=True, hold_s=hold
             )

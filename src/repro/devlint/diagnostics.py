@@ -12,7 +12,8 @@ Codes are stable and grouped by rule pack:
 
 * ``RD1xx`` — determinism (wall clock, unseeded randomness, unordered
   iteration escaping into observable order);
-* ``RD2xx`` — error-code registry consistency (``repro.errors``);
+* ``RD2xx`` — the README error table against the ``repro.errors``
+  registry;
 * ``RD3xx`` — observability registry consistency (counter/histogram/
   span names vs :mod:`repro.observability.registry`);
 * ``RD4xx`` — ownership (module ``__getattr__``, private state, passes

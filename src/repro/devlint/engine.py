@@ -35,7 +35,7 @@ __all__ = [
     "run_devlint",
 ]
 
-#: Matches ``# devlint: ignore`` and ``# devlint: ignore[RD101, RD203]``.
+#: Matches ``# devlint: ignore`` and ``# devlint: ignore[RD101, RD304]``.
 _PRAGMA = re.compile(
     r"#\s*devlint:\s*ignore(?:\[(?P<codes>[A-Z0-9,\s]+)\])?"
 )

@@ -25,44 +25,9 @@ here — eager imports would cycle.
 
 from __future__ import annotations
 
+import re
+import types
 import typing
-
-__all__ = [
-    "ReproError",
-    "ERROR_CODES",
-    "DuplicateErrorCode",
-    "error_code_registry",
-    "iter_error_classes",
-    # net
-    "NetworkError", "HostUnreachable", "ConnectionLost", "ConnectionRefused",
-    "ConnectionReset", "FrameError", "FrameDecodeError", "TransportMismatch",
-    # server
-    "ServerError", "ConsignError", "IncarnationError", "UnknownUnicoreJobError",
-    # batch
-    "BatchError", "UnknownQueueError", "JobRejectedError", "UnknownJobError",
-    "SystemOfflineError",
-    # vfs
-    "VFSError", "FileNotFoundVFSError", "FileExistsVFSError", "QuotaExceededError",
-    # resources
-    "ResourceError", "ResourcePageError", "ResourceRequestError",
-    # security
-    "SecurityError", "CertificateError", "CertificateExpired",
-    "CertificateRevoked", "UntrustedIssuer", "SignatureInvalid",
-    "TamperedBundleError", "AuthenticationError", "MappingError",
-    # ajo
-    "AJOError", "ValidationError", "DependencyCycleError", "SerializationError",
-    "UnsafePathError",
-    # protocol
-    "RetryExhausted", "PollBudgetExhausted",
-    # facade
-    "WaitTimeout",
-    # faults / resilience
-    "FaultError", "CircuitOpenError", "ServiceUnavailable",
-    # federation broker
-    "BrokerError", "BrokerQuotaError", "NoCapacityError",
-    # storage
-    "StorageError", "SnapshotError",
-]
 
 
 class ReproError(Exception):
@@ -148,13 +113,23 @@ _HOMES = {
 }
 
 
-class DuplicateErrorCode(RuntimeError):
-    """Two exception classes declared the same stable ``code``.
+#: A wire code: lowercase dotted ``layer.condition``.
+CODE_SHAPE = re.compile(r"^[a-z_]+(\.[a-z_]+)+$")
 
-    Codes are a wire contract (``Reply.error_code``): a collision would
-    make the client-side re-raise ambiguous, so the registry refuses to
-    build instead of silently picking a winner.
+
+class InvalidErrorCode(RuntimeError):
+    """An exception class breaks the code contract, so no registry builds.
+
+    Codes are a wire contract (``Reply.error_code``): a class with no
+    code of its own would travel as its parent and be re-raised as it, a
+    malformed code matches no table, and a collision
+    (:class:`DuplicateErrorCode`) makes the client-side re-raise
+    ambiguous.
     """
+
+
+class DuplicateErrorCode(InvalidErrorCode):
+    """Two exception classes declared the same stable ``code``."""
 
 
 #: Error classes that live outside the ``_HOMES`` layer modules but
@@ -191,27 +166,42 @@ def iter_error_classes() -> "typing.Iterator[type[ReproError]]":
 def error_code_registry() -> "typing.Mapping[str, type[ReproError]]":
     """The canonical ``code -> exception class`` map, built on demand.
 
-    Only classes that *declare* their own ``code`` (rather than inherit
-    a parent's) register — a subclass without a declaration shares its
-    parent's wire identity, which :mod:`repro.devlint` flags separately.
-    Raises :class:`DuplicateErrorCode` if two classes claim one code.
+    Every class must declare a well-formed ``code`` of its own (an
+    instance may still carry a narrower one, as ``AnalysisError`` does):
+    raises :class:`InvalidErrorCode` for a class that only inherits one
+    or declares a malformed one, :class:`DuplicateErrorCode` if two
+    classes claim one code.
     """
     registry: dict[str, type[ReproError]] = {}
     for cls in iter_error_classes():
+        where = f"{cls.__module__}.{cls.__qualname__}"
         own = cls.__dict__.get("code")
         if not isinstance(own, str):
-            continue
+            raise InvalidErrorCode(
+                f"{where} declares no code of its own and would share its "
+                f"parent's wire identity ({cls.code!r})"
+            )
+        if not CODE_SHAPE.match(own):
+            raise InvalidErrorCode(
+                f"{where} declares malformed code {own!r} (expected "
+                "lowercase dotted layer.condition)"
+            )
         holder = registry.get(own)
-        if holder is not None and holder is not cls:
+        if holder is not None:
             raise DuplicateErrorCode(
                 f"error code {own!r} declared by both "
-                f"{holder.__module__}.{holder.__qualname__} and "
-                f"{cls.__module__}.{cls.__qualname__}"
+                f"{holder.__module__}.{holder.__qualname__} and {where}"
             )
         registry[own] = cls
-    import types
-
     return types.MappingProxyType(dict(sorted(registry.items())))
+
+
+__all__ = [
+    "ReproError", "WaitTimeout", "ERROR_CODES", "CODE_SHAPE",
+    "InvalidErrorCode", "DuplicateErrorCode",
+    "error_code_registry", "iter_error_classes",
+    *_HOMES,
+]
 
 
 def __getattr__(name: str):

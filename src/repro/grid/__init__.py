@@ -3,15 +3,15 @@
 - :mod:`repro.grid.build` — construct grids (including the six-site
   German deployment of paper section 5.7), users, browsers;
 - :mod:`repro.grid.workloads` — synthetic job and local-load generators;
-- :mod:`repro.grid.metrics` — turnaround/latency/utilization collection.
+- :mod:`repro.grid.metrics`, :mod:`repro.grid.timeline` — one job's tier
+  times and Gantt rows, both read from its trace.
 """
 
 from repro.grid.build import Grid, GridUser, build_german_grid, build_grid
 from repro.grid.snapshot import GridSnapshot
 from repro.grid.workloads import LocalLoadGenerator, WorkloadProfile, synth_job
-from repro.grid.metrics import TierTimes, summarize_turnarounds
+from repro.grid.metrics import TierTimes
 from repro.grid.figures import figure1, figure2
-from repro.grid.monitor import GridMonitor
 from repro.grid.timeline import job_timeline, render_gantt
 
 __all__ = [
@@ -23,11 +23,9 @@ __all__ = [
     "WorkloadProfile",
     "build_german_grid",
     "build_grid",
-    "GridMonitor",
     "figure1",
     "figure2",
     "job_timeline",
     "render_gantt",
-    "summarize_turnarounds",
     "synth_job",
 ]

@@ -5,12 +5,10 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass
 
-import numpy as np
-
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.observability import Trace
 
-__all__ = ["TierTimes", "summarize_turnarounds", "percentiles"]
+__all__ = ["TierTimes"]
 
 
 @dataclass(slots=True)
@@ -98,24 +96,3 @@ class TierTimes:
             ("outcome return", self.outcome_return_s),
         ]
 
-
-def percentiles(values: typing.Sequence[float], ps=(50, 90, 99)) -> dict[int, float]:
-    if not values:
-        return {p: float("nan") for p in ps}
-    arr = np.asarray(values, dtype=float)
-    return {p: float(np.percentile(arr, p)) for p in ps}
-
-
-def summarize_turnarounds(values: typing.Sequence[float]) -> dict[str, float]:
-    """Mean/percentile summary used by several benchmark tables."""
-    if not values:
-        return {"count": 0, "mean": float("nan"), "p50": float("nan"),
-                "p90": float("nan"), "max": float("nan")}
-    arr = np.asarray(values, dtype=float)
-    return {
-        "count": int(arr.size),
-        "mean": float(arr.mean()),
-        "p50": float(np.percentile(arr, 50)),
-        "p90": float(np.percentile(arr, 90)),
-        "max": float(arr.max()),
-    }

@@ -41,6 +41,13 @@ __all__ = ["GridSnapshot", "SNAPSHOT_VERSION"]
 #: versions are refused.
 SNAPSHOT_VERSION = 3
 
+#: What each field of an encoded snapshot must hold.
+_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
+    "clock": (int, float), "build": dict, "users": list,
+    "workstation_files": dict, "storage": dict, "network": dict,
+    "gateway_rr": dict,
+}
+
 
 @dataclass(slots=True)
 class GridSnapshot:
@@ -72,8 +79,10 @@ class GridSnapshot:
     @classmethod
     def from_bytes(cls, raw: bytes) -> "GridSnapshot":
         try:
-            plain = typing.cast(dict, decode_value(raw))
-        except Exception as exc:
+            plain = decode_value(raw)
+        except (ValueError, TypeError, RecursionError) as exc:
+            # bad UTF-8, JSON or base64; a non-string where base64 goes;
+            # nesting past the stack
             raise SnapshotError(f"unreadable grid snapshot: {exc}") from exc
         version = plain.get("version") if isinstance(plain, dict) else None
         if version != SNAPSHOT_VERSION:
@@ -81,16 +90,15 @@ class GridSnapshot:
                 f"snapshot version {version!r} not supported "
                 f"(expected {SNAPSHOT_VERSION})"
             )
-        return cls(
-            clock=float(plain["clock"]),
-            build=dict(plain["build"]),
-            users=list(plain["users"]),
-            workstation_files=dict(plain["workstation_files"]),
-            storage=dict(plain["storage"]),
-            network=dict(plain["network"]),
-            gateway_rr=dict(plain.get("gateway_rr", {})),
-            version=int(typing.cast(int, version)),
-        )
+        fields = {"gateway_rr": {}, **typing.cast(dict, plain)}
+        for name, kind in _FIELD_TYPES.items():
+            value = fields.get(name)
+            if not isinstance(value, kind):
+                raise SnapshotError(
+                    f"snapshot field {name!r} is missing or mistyped "
+                    f"({type(value).__name__})"
+                )
+        return cls(**{name: fields[name] for name in _FIELD_TYPES})
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

@@ -1,33 +1,31 @@
-"""Per-job timelines: what happened when, across all tiers.
+"""Per-job timelines: what happened when, across all tiers and sites.
 
-Builds a chronological account of one UNICORE job from the data the
-architecture already keeps — outcome timestamps, batch records, and the
-NJS's Codine ledger — and renders it as a text Gantt chart.  This is the
-operational "where did my job spend its time" view the E1 experiment
-aggregates.
+A view of the job's trace (``tracer.trace(handle.trace_id)``): every
+queue wait, execution and file movement is a span some tier recorded, a
+forwarded group's included, so the rows need no NJS, outcome tree or
+batch ledger to be rebuilt from.  Rendered as a text Gantt chart, this is
+the operational "where did my job spend its time" view the E1 experiment
+aggregates (:class:`repro.grid.metrics.TierTimes` reads the same spans).
 """
 
 from __future__ import annotations
 
-import math
-import typing
 from dataclasses import dataclass
 
-from repro.ajo.outcome import AJOOutcome, FileOutcome, Outcome, TaskOutcome
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.server.njs.supervisor import NetworkJobSupervisor
+from repro.observability import Trace
 
 __all__ = ["TimelineEntry", "job_timeline", "render_gantt"]
+
+#: Spans that move a file; their ``task`` attribute is the row's label.
+_FILE_SPANS = frozenset({"njs.import", "njs.export", "njs.transfer"})
 
 
 @dataclass(frozen=True, slots=True)
 class TimelineEntry:
     """One span in a job's life."""
 
-    action_id: str
     label: str
-    kind: str  # "task" | "file" | "group"
+    kind: str  # "task" | "file"
     start: float
     end: float
     status: str
@@ -37,55 +35,27 @@ class TimelineEntry:
         return self.end - self.start
 
 
-def _entry_for(outcome: Outcome, label: str, njs=None) -> TimelineEntry | None:
-    start, end = outcome.submitted_at, outcome.completed_at
-    if math.isnan(start) or math.isnan(end):
-        return None
-    kind = "file" if isinstance(outcome, FileOutcome) else "task"
-    return TimelineEntry(
-        action_id=outcome.action_id,
-        label=label,
-        kind=kind,
-        start=start,
-        end=end,
-        status=outcome.status.value,
-    )
+def job_timeline(trace: Trace) -> list[TimelineEntry]:
+    """Chronological rows of every finished batch and file span of a job.
 
-
-def job_timeline(njs: "NetworkJobSupervisor", job_id: str) -> list[TimelineEntry]:
-    """Chronological spans of every timed action of one job.
-
-    For tasks that went through the batch tier, the batch record refines
-    the span into queue-wait and execution using the Codine ledger's
-    vendor binding.
+    A task that went through a batch tier has two rows, queue wait and
+    execution, at whichever site ran it.
     """
-    run = njs.get_run(job_id)
     entries: list[TimelineEntry] = []
-    labels = {a.id: a.name for a in run.root.walk()}
-
-    for action_id, outcome in run.outcomes.items():
-        if isinstance(outcome, AJOOutcome):
+    for span in trace.spans:
+        if span.end is None:
             continue
-        label = labels.get(action_id, action_id)
-        if isinstance(outcome, TaskOutcome) and action_id in run.batch_jobs:
-            vsite_name, local_id = run.batch_jobs[action_id]
-            record = njs.vsites[vsite_name].batch.query(local_id)
-            if record.start_time is not None:
-                entries.append(TimelineEntry(
-                    action_id=action_id, label=f"{label} [queued]",
-                    kind="task", start=record.submit_time,
-                    end=record.start_time, status="queued",
-                ))
-            if record.start_time is not None and record.end_time is not None:
-                entries.append(TimelineEntry(
-                    action_id=action_id, label=f"{label} [run@{vsite_name}]",
-                    kind="task", start=record.start_time,
-                    end=record.end_time, status=outcome.status.value,
-                ))
+        attrs = span.attributes
+        status = "successful" if span.status == "ok" else "failed"
+        if span.name == "batch.wait":
+            label, kind, status = f"{attrs['job']} [queued]", "task", "queued"
+        elif span.name == "batch.execute":
+            label, kind = f"{attrs['job']} [run@{attrs['machine']}]", "task"
+        elif span.name in _FILE_SPANS:
+            label, kind = str(attrs["task"]), "file"
+        else:
             continue
-        entry = _entry_for(outcome, label)
-        if entry is not None:
-            entries.append(entry)
+        entries.append(TimelineEntry(label, kind, span.start, span.end, status))
     entries.sort(key=lambda e: (e.start, e.end, e.label))
     return entries
 

@@ -434,7 +434,10 @@ class Executor:
         if content is None:
             run.finish_action(task.id, ActionStatus.FAILED, reason=problem)
             return
-        attrs = {"path": task.destination_path, "bytes": len(content)}
+        attrs = {
+            "task": task.name, "path": task.destination_path,
+            "bytes": len(content),
+        }
         if isinstance(task, ImportTask):
             copy_span = run.span("njs.import", **attrs)
             destination = uspace

@@ -271,7 +271,8 @@ class Forwarding:
         }
         started = self._sim.now
         transfer_span = run.span(
-            "njs.transfer", usite=task.destination_usite, bytes=len(content)
+            "njs.transfer", task=task.name, usite=task.destination_usite,
+            bytes=len(content),
         )
         try:
             yield from self._peers.stream(

@@ -37,13 +37,12 @@ from repro.simkernel.events import (
 )
 from repro.simkernel.process import Process, ProcessDied
 from repro.simkernel.engine import Simulator, StopSimulation
-from repro.simkernel.resources import Container, SimQueue, Store
+from repro.simkernel.resources import SimQueue, Store
 from repro.simkernel.rng import SeedSequenceFactory, derive_rng
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Event",
     "EventAborted",
     "Interrupt",

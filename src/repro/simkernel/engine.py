@@ -190,42 +190,6 @@ class Simulator:
             exc = typing.cast(BaseException, event._value)
             raise exc
 
-    def run_until_idle(self, max_events: int | None = None) -> int:
-        """Drain the queue in a tight batched loop; returns events processed.
-
-        Equivalent to ``run(until=None)`` but without per-event method
-        dispatch — the run loop keeps local bindings and inlines the slot
-        fast path.  Stops early after ``max_events`` items when given.
-        Failure events that nobody defused still raise, exactly as in
-        :meth:`step`.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        processed = 0
-        budget = -1 if max_events is None else max_events
-        while queue and processed != budget:
-            when, _, item = pop(queue)
-            self._now = when
-            if type(item) is _CallbackSlot:
-                if item.cancelled:
-                    continue
-                self._processed_count += 1
-                self._callbacks_run += 1
-                item.fn(*item.args)
-                processed += 1
-                continue
-            event = typing.cast(Event, item)
-            callbacks = event.callbacks
-            event.callbacks = None
-            self._processed_count += 1
-            assert callbacks is not None
-            for cb in callbacks:
-                cb(event)
-            if not event._ok and not event._defused:
-                raise typing.cast(BaseException, event._value)
-            processed += 1
-        return processed
-
     def run(self, until: "float | Event | None" = None) -> object:
         """Run the simulation.
 

@@ -1,8 +1,8 @@
-"""Shared simulation resources: stores, counters, and FIFO queues.
+"""Shared simulation resources: stores and FIFO queues.
 
-These are the synchronization primitives the higher tiers use: batch
-queues hold incarnated jobs in a :class:`Store`, node pools are modeled
-with :class:`Container`, and NJS worker loops block on :class:`SimQueue`.
+These are the synchronization primitives the higher tiers use: a
+:class:`Store` holds items for blocking consumers, and mailbox-style
+loops block on :class:`SimQueue`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.simkernel.events import Event
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.engine import Simulator
 
-__all__ = ["Store", "Container", "SimQueue"]
+__all__ = ["Store", "SimQueue"]
 
 
 class Store:
@@ -78,63 +78,6 @@ class Store:
                 put_ev, item = self._putters.popleft()
                 self.items.append(item)
                 put_ev.succeed()
-
-
-class Container:
-    """A continuous-quantity resource (e.g. a pool of compute nodes).
-
-    ``get(n)`` blocks (as an event) until ``n`` units are available;
-    ``put(n)`` returns units.  Requests are served FIFO — a large request
-    at the head blocks smaller ones behind it, which is exactly the
-    head-of-line behaviour a space-shared batch node pool exhibits (and
-    what backfill schedulers then work around at a higher level).
-    """
-
-    def __init__(self, sim: "Simulator", capacity: float, init: float | None = None) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.sim = sim
-        self.capacity = float(capacity)
-        self.level = float(capacity if init is None else init)
-        if not 0 <= self.level <= self.capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self._waiters: collections.deque[tuple[Event, float]] = collections.deque()
-
-    @property
-    def available(self) -> float:
-        return self.level
-
-    @property
-    def in_use(self) -> float:
-        return self.capacity - self.level
-
-    def get(self, amount: float) -> Event:
-        """Acquire ``amount`` units; event fires when granted."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        if amount > self.capacity:
-            raise ValueError(
-                f"request for {amount} exceeds total capacity {self.capacity}"
-            )
-        ev = Event(self.sim, name="container.get")
-        self._waiters.append((ev, float(amount)))
-        self._dispatch()
-        return ev
-
-    def put(self, amount: float) -> None:
-        """Return ``amount`` units to the pool."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        if self.level + amount > self.capacity + 1e-9:
-            raise ValueError("container overfull: returned more than acquired")
-        self.level += amount
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        while self._waiters and self._waiters[0][1] <= self.level:
-            ev, amount = self._waiters.popleft()
-            self.level -= amount
-            ev.succeed(amount)
 
 
 class SimQueue:

@@ -178,3 +178,12 @@ def test_lint_exit_zero_on_clean_job(tmp_path, capsys):
     repro_main(["lint", str(path)])  # must not SystemExit
     out = capsys.readouterr().out
     assert "0 error(s)" in out
+
+
+def test_lint_exits_two_on_a_file_that_is_not_an_ajo(tmp_path, capsys):
+    path = tmp_path / "bad.ajo"
+    path.write_bytes(b'{"unicore_ajo": 1, "type": "ajo", "data": {"dependencies": [7]}}')
+    with pytest.raises(SystemExit) as exit_info:
+        repro_main(["lint", str(path)])
+    assert exit_info.value.code == 2
+    assert "cannot read AJO" in capsys.readouterr().err

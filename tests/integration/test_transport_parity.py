@@ -11,6 +11,7 @@ logic cannot tell the fabrics apart.
 
 import asyncio
 import functools
+import json
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.ajo import AbstractJobObject, ExecuteScriptTask, ExportTask, encode_a
 from repro.api import GridSession
 from repro.api.aio import AsyncGridSession
 from repro.broker import attach_broker
-from repro.errors import ReproError
+from repro.errors import ReproError, SerializationError
 from repro.grid.build import build_grid
 from repro.observability import telemetry_for
 from repro.protocol import encode_consignment
@@ -268,15 +269,15 @@ def _njs(grid):
     return grid.usites["FZJ"].njs
 
 
-async def _raw_consign(grid, session, ajo):
+async def _raw_consign(grid, session, ajo, ajo_bytes=None):
     """Consign past the JPA, whose own analysis would stop a bad job
     before the server ever saw it."""
     home = getattr(session, "_session", session).session
 
     def plan():
         reply = yield from home.client.consign(
-            encode_consignment(encode_ajo(ajo)), user_dn=home.user_dn,
-            vsite=ajo.vsite,
+            encode_consignment(ajo_bytes or encode_ajo(ajo)),
+            user_dn=home.user_dn, vsite=ajo.vsite,
         )
         return reply.unwrap()
 
@@ -310,6 +311,16 @@ async def _consign_unsound(grid, user, session):
     ajo = _sound_job(user.browser.user_dn, "unsound")
     ajo.add(ExportTask("out", source_path="ghost.dat", destination_path="/x/g"))
     await _raw_consign(grid, session, ajo)
+
+
+async def _consign_malformed(grid, user, session):
+    """Valid JSON, wrong structure: a dependency that is not an object
+    (at the parent commit ``TypeError`` left the gateway and ended the
+    simulation)."""
+    ajo = _sound_job(user.browser.user_dn, "malformed")
+    tree = json.loads(encode_ajo(ajo))
+    tree["data"]["dependencies"] = [7]
+    await _raw_consign(grid, session, ajo, json.dumps(tree).encode())
 
 
 async def _consign_crashed(grid, user, session):
@@ -354,6 +365,8 @@ def _on_job(verb, which):
 _REFUSALS = {
     "consign-unmapped": (_consign_unmapped, "MappingError", "security.mapping"),
     "consign-unsound": (_consign_unsound, "ConsignError", "AJO201"),
+    "consign-malformed": (
+        _consign_malformed, "SerializationError", "ajo.serialization"),
     "consign-crashed": (
         _consign_crashed, "ServiceUnavailable", "faults.unavailable"),
     "list-crashed": (_list_crashed, "ServiceUnavailable", "faults.unavailable"),
@@ -401,6 +414,18 @@ def test_a_refusal_reaches_the_client_as_the_server_raised_it(case):
     _, cls, code = _REFUSALS[case]
     seen = _run_sync_sim(functools.partial(_scenario_refusal, case=case))
     assert seen == {"class": cls, "code": code, "as_raised": True}
+
+
+def test_the_gateway_keeps_serving_after_a_malformed_consign():
+    async def scenario(grid, user, session):
+        with pytest.raises(SerializationError, match="malformed AJO"):
+            await _consign_malformed(grid, user, session)
+        good = _sound_job(user.browser.user_dn, "after")
+        return await _raw_consign(grid, session, good), await session.list_jobs()
+
+    payload, listing = _run_sync_sim(scenario)
+    assert [row.name for row in listing] == ["after"]
+    assert listing[0].job_id.encode() in payload
 
 
 @pytest.mark.parametrize("case", [

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import Container, Simulator, Store
+from repro.simkernel import Simulator, Store
 
 delays = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
                   max_size=40)
@@ -52,31 +52,3 @@ def test_store_is_fifo_for_any_schedule(producer_gaps, consumer_gaps):
     sim.process(consumer(sim))
     sim.run()
     assert got == list(range(n))
-
-
-@given(
-    st.integers(min_value=1, max_value=64),
-    st.lists(
-        st.tuples(st.integers(1, 16), st.floats(0.1, 100.0)),
-        min_size=1, max_size=25,
-    ),
-)
-@settings(max_examples=150, deadline=None)
-def test_container_never_overcommits(capacity, jobs):
-    sim = Simulator()
-    pool = Container(sim, capacity=capacity)
-    peak = {"in_use": 0.0}
-
-    def job(sim, need, hold):
-        need = min(need, capacity)
-        yield pool.get(need)
-        peak["in_use"] = max(peak["in_use"], pool.in_use)
-        assert pool.in_use <= capacity + 1e-9
-        yield sim.timeout(hold)
-        pool.put(need)
-
-    for need, hold in jobs:
-        sim.process(job(sim, need, hold))
-    sim.run()
-    assert pool.available == capacity  # everything returned
-    assert peak["in_use"] <= capacity + 1e-9

@@ -13,7 +13,7 @@ from repro.ajo import (
     ready_actions,
     topological_order,
 )
-from repro.ajo.dag import predecessors_map, to_networkx
+from repro.ajo.dag import predecessors_map
 from repro.ajo.tasks import ImportTask, TransferTask
 from repro.analysis import Severity, structure_pass
 
@@ -197,14 +197,6 @@ def test_predecessors_map():
     preds = predecessors_map(job)
     assert preds[a.id] == set()
     assert preds[d.id] == {b.id, c.id}
-
-
-def test_to_networkx_mirror():
-    job, (a, b, c, d) = make_diamond()
-    g = to_networkx(job)
-    assert set(g.nodes) == {a.id, b.id, c.id, d.id}
-    assert g.number_of_edges() == 4
-    assert g.nodes[a.id]["action"] is a
 
 
 def test_empty_job_trivial_dag():

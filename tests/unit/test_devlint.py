@@ -36,8 +36,6 @@ from repro.devlint.rules_protocol import (
     PrivateReachRule,
 )
 from repro.devlint.rules_registry import (
-    CodeLiteralRule,
-    ErrorClassDeclarationRule,
     ReadmeCodeTableRule,
     readme_table_codes,
 )
@@ -148,71 +146,6 @@ def test_rd106_fires_on_id_ordering():
 
 class _FakeBase:
     code = "fake.base"
-
-
-def _fake_class(name, **ns):
-    return type(name, (_FakeBase,), dict({"__qualname__": name}, **ns))
-
-
-def test_rd201_fires_on_missing_own_code(monkeypatch):
-    silent = _fake_class("SilentError")  # inherits fake.base
-    monkeypatch.setattr(
-        repro.errors, "iter_error_classes", lambda: iter([_FakeBase, silent])
-    )
-    found = list(ErrorClassDeclarationRule().check_project(project()))
-    assert [d.code for d in found] == ["RD201"]
-    assert "SilentError" in found[0].message
-
-
-def test_rd201_fires_on_malformed_code(monkeypatch):
-    bad = _fake_class("ShoutyError", code="NOT_DOTTED")
-    monkeypatch.setattr(
-        repro.errors, "iter_error_classes", lambda: iter([bad])
-    )
-    found = list(ErrorClassDeclarationRule().check_project(project()))
-    assert [d.code for d in found] == ["RD201"]
-    assert "NOT_DOTTED" in found[0].message
-
-
-def test_rd201_exempts_instance_coded_classes(monkeypatch):
-    per_instance = _fake_class("PerInstanceError")
-    monkeypatch.setattr(
-        repro.errors, "iter_error_classes", lambda: iter([per_instance])
-    )
-    decl = (
-        "class PerInstanceError(Base):\n"
-        "    def __init__(self, report):\n"
-        "        self.code = report.code\n"
-    )
-    p = project(sf(decl))
-    assert list(ErrorClassDeclarationRule().check_project(p)) == []
-
-
-def test_rd202_fires_on_duplicate_codes(monkeypatch):
-    first = _fake_class("FirstError", code="dup.code")
-    second = _fake_class("SecondError", code="dup.code")
-    monkeypatch.setattr(
-        repro.errors, "iter_error_classes", lambda: iter([first, second])
-    )
-    found = list(ErrorClassDeclarationRule().check_project(project()))
-    assert [d.code for d in found] == ["RD202"]
-
-
-def test_rd203_fires_on_unregistered_code_literal():
-    dirty = sf('reply = Reply(ok=False, error_code="no.such_code")\n')
-    found = list(CodeLiteralRule().check_project(project(dirty)))
-    assert [d.code for d in found] == ["RD203"]
-
-
-def test_rd203_quiet_on_registered_and_non_code_literals():
-    clean = sf(
-        'a = Reply(ok=False, error_code="net.error")\n'
-        'b = err.code == "faults.circuit_open"\n'
-        'c = Diagnostic(code="AJO101")\n'
-        'd = make(code="not a code shape")\n'
-        'e = Reply(ok=True, error_code="")\n'
-    )
-    assert list(CodeLiteralRule().check_project(project(clean))) == []
 
 
 def test_readme_table_codes_only_reads_code_tables():

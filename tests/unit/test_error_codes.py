@@ -1,9 +1,9 @@
 """The canonical error-code registry (repro.errors.ERROR_CODES).
 
-The registry is the single source of truth the RD2xx devlint rules and
-the README error table are checked against, so this suite pins its
-contract: completeness over every layer, the declare-your-own-code
-registration rule, the duplicate guard, and the lazy re-export shim.
+The registry is the single source of truth the README error table is
+checked against (devlint RD204/205), so this suite pins its contract:
+completeness over every layer, the refusal of a class with no code of
+its own, a malformed code or a duplicate, and the lazy re-export shim.
 """
 
 import gc
@@ -13,6 +13,7 @@ import pytest
 import repro.errors as errors_module
 from repro.errors import (
     DuplicateErrorCode,
+    InvalidErrorCode,
     ReproError,
     error_code_registry,
     iter_error_classes,
@@ -56,22 +57,54 @@ def test_iter_error_classes_is_deterministic_and_repro_only():
     assert all(issubclass(cls, ReproError) for cls in first)
 
 
-def test_duplicate_code_refuses_to_build_registry():
-    # Two classes claiming one wire code must abort the build loudly —
-    # silently picking a winner would make client-side re-raise
-    # ambiguous.  The fakes masquerade as repro-internal classes so the
-    # module filter admits them, and are garbage-collected afterwards so
-    # later registry builds in this process see the clean hierarchy.
-    ns = {"code": "zz.collision", "__module__": "repro._test_dup"}
-    first = type("FirstCollider", (ReproError,), dict(ns))
-    second = type("SecondCollider", (ReproError,), dict(ns))
+def _refused(error, match, *namespaces):
+    """Build the registry with fake ``repro.*`` classes in the hierarchy.
+
+    The fakes masquerade as repro-internal classes so the module filter
+    admits them, and are garbage-collected afterwards so later registry
+    builds in this process see the clean hierarchy.
+    """
+    fakes = [
+        type(f"Fake{i}", (ReproError,), dict(ns, __module__="repro._test_fake"))
+        for i, ns in enumerate(namespaces)
+    ]
     try:
-        with pytest.raises(DuplicateErrorCode, match="zz.collision"):
+        with pytest.raises(error, match=match):
             error_code_registry()
     finally:
-        del first, second
+        del fakes
         gc.collect()
+    error_code_registry()  # builds again once the fakes are gone
+
+
+def test_duplicate_code_refuses_to_build_registry():
+    # Two classes claiming one wire code must abort the build loudly —
+    # silently picking a winner would make client-side re-raise ambiguous.
+    ns = {"code": "zz.collision"}
+    _refused(DuplicateErrorCode, "zz.collision", ns, ns)
     assert "zz.collision" not in error_code_registry()
+    assert issubclass(DuplicateErrorCode, InvalidErrorCode)
+
+
+def test_class_without_its_own_code_refuses_to_build_registry():
+    # It would travel as its parent and be re-raised as its parent.
+    _refused(InvalidErrorCode, "Fake0 declares no code of its own", {})
+
+
+@pytest.mark.parametrize("code", ["NOT_DOTTED", "undotted", "Net.error", "a b.c"])
+def test_malformed_code_refuses_to_build_registry(code):
+    _refused(InvalidErrorCode, "malformed code", {"code": code})
+
+
+def test_analysis_error_declares_a_class_code_and_keeps_its_instance_one():
+    from repro.analysis import AnalysisError, Diagnostic, Severity
+    from repro.analysis.diagnostics import AnalysisReport
+
+    assert error_code_registry()["ajo.analysis"] is AnalysisError
+    report = AnalysisReport(job_id="j", job_name="n", diagnostics=(Diagnostic(
+        code="AJO201", severity=Severity.ERROR, message="m", path=("j", "a"),
+    ),))
+    assert AnalysisError(report).code == "AJO201"
 
 
 def test_error_codes_attribute_is_lazy_and_cached():

@@ -10,7 +10,7 @@ from repro.grid import (
     build_grid,
     synth_job,
 )
-from repro.grid.metrics import TierTimes, percentiles, summarize_turnarounds
+from repro.grid.metrics import TierTimes
 from repro.simkernel import Simulator, derive_rng
 
 
@@ -105,24 +105,3 @@ def test_tier_times_accounting():
     assert t.total() == pytest.approx(112.0)
     labels = [label for label, _ in t.rows()]
     assert "execution" in labels and "batch queue wait" in labels
-
-
-def test_summarize_turnarounds():
-    s = summarize_turnarounds([1.0, 2.0, 3.0, 4.0, 100.0])
-    assert s["count"] == 5
-    assert s["mean"] == pytest.approx(22.0)
-    assert s["p50"] == 3.0
-    assert s["max"] == 100.0
-
-
-def test_summarize_empty():
-    s = summarize_turnarounds([])
-    assert s["count"] == 0
-    assert np.isnan(s["mean"])
-
-
-def test_percentiles():
-    p = percentiles(list(range(101)))
-    assert p[50] == 50.0
-    assert p[99] == 99.0
-    assert np.isnan(percentiles([])[50])

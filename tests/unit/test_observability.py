@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.grid.metrics import TierTimes
@@ -174,6 +175,10 @@ class TestMetrics:
         assert math.isnan(percentile([], 50))
         with pytest.raises(ValueError):
             percentile(values, 101)
+        # numpy's default method is the reference the docstring names.
+        data = [float(v * v % 37) for v in range(101)]
+        for p in (0, 10, 50, 90, 99, 100):
+            assert percentile(data, p) == pytest.approx(np.percentile(data, p))
 
     def test_name_collision_across_types(self):
         registry = MetricsRegistry()

@@ -300,57 +300,6 @@ def test_callbacks_interleave_with_events_in_time_order():
     assert order == ["ev@1", "cb@2", "cb@3"]
 
 
-def test_run_until_idle_drains_queue():
-    sim = Simulator()
-    hits = []
-
-    def reschedule(depth):
-        hits.append(depth)
-        if depth < 3:
-            sim.schedule_callback(1.0, reschedule, depth + 1)
-
-    sim.schedule_callback(1.0, reschedule, 0)
-    processed = sim.run_until_idle()
-    assert hits == [0, 1, 2, 3]
-    assert processed == 4
-    assert sim.now == 4.0
-    assert sim.peek() == float("inf")
-
-
-def test_run_until_idle_max_events():
-    sim = Simulator()
-    for _ in range(10):
-        sim.schedule_callback(1.0, lambda: None)
-    assert sim.run_until_idle(max_events=4) == 4
-    assert sim.run_until_idle() == 6
-
-
-def test_run_until_idle_runs_processes():
-    sim = Simulator()
-    log = []
-
-    def worker(sim):
-        yield sim.timeout(2.0)
-        log.append(sim.now)
-        return "ok"
-
-    sim.process(worker(sim))
-    sim.run_until_idle()
-    assert log == [2.0]
-
-
-def test_run_until_idle_propagates_failures():
-    sim = Simulator()
-
-    def bad(sim):
-        yield sim.timeout(1.0)
-        raise ValueError("boom")
-
-    sim.process(bad(sim))
-    with pytest.raises(ValueError, match="boom"):
-        sim.run_until_idle()
-
-
 def test_profile_hook():
     sim = Simulator()
     for i in range(4):

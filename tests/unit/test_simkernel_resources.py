@@ -1,8 +1,8 @@
-"""Unit tests for Store, Container and SimQueue."""
+"""Unit tests for Store and SimQueue."""
 
 import pytest
 
-from repro.simkernel import Container, SimQueue, Simulator, Store
+from repro.simkernel import SimQueue, Simulator, Store
 
 
 # ---------------------------------------------------------------- Store
@@ -97,82 +97,6 @@ def test_store_multiple_consumers_fifo_service():
     store.put("y")
     sim.run()
     assert winners == [("first", "x"), ("second", "y")]
-
-
-# ------------------------------------------------------------- Container
-def test_container_acquire_release():
-    sim = Simulator()
-    nodes = Container(sim, capacity=4)
-    log = []
-
-    def job(sim, name, n, hold):
-        yield nodes.get(n)
-        log.append((sim.now, name, "start"))
-        yield sim.timeout(hold)
-        nodes.put(n)
-        log.append((sim.now, name, "end"))
-
-    sim.process(job(sim, "j1", 3, 10.0))
-    sim.process(job(sim, "j2", 2, 5.0))  # must wait for j1 (3+2 > 4)
-    sim.run()
-    assert (0.0, "j1", "start") in log
-    assert (10.0, "j2", "start") in log
-    assert nodes.available == 4
-
-
-def test_container_fifo_head_of_line():
-    """A big request at the head blocks a small one behind it (space-sharing)."""
-    sim = Simulator()
-    nodes = Container(sim, capacity=4)
-    starts = {}
-
-    def job(sim, name, n, hold):
-        yield nodes.get(n)
-        starts[name] = sim.now
-        yield sim.timeout(hold)
-        nodes.put(n)
-
-    sim.process(job(sim, "running", 3, 10.0))
-    sim.process(job(sim, "big", 4, 1.0))
-    sim.process(job(sim, "small", 1, 1.0))  # could fit now, but FIFO blocks it
-    sim.run()
-    assert starts["running"] == 0.0
-    assert starts["big"] == 10.0
-    assert starts["small"] == 11.0
-
-
-def test_container_request_exceeding_capacity():
-    sim = Simulator()
-    nodes = Container(sim, capacity=4)
-    with pytest.raises(ValueError):
-        nodes.get(5)
-
-
-def test_container_overfull_put():
-    sim = Simulator()
-    c = Container(sim, capacity=4)
-    with pytest.raises(ValueError):
-        c.put(1)
-
-
-def test_container_init_level():
-    sim = Simulator()
-    c = Container(sim, capacity=10, init=3)
-    assert c.available == 3
-    assert c.in_use == 7
-
-
-def test_container_invalid_args():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=4, init=5)
-    c = Container(sim, capacity=4)
-    with pytest.raises(ValueError):
-        c.get(0)
-    with pytest.raises(ValueError):
-        c.put(0)
 
 
 # ---------------------------------------------------------------- SimQueue

@@ -1,11 +1,12 @@
-"""Tests for the job-timeline builder and the grid monitor."""
+"""Tests for the job timeline: a view of the job's trace."""
 
 import pytest
 
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
-from repro.grid.monitor import GridMonitor
 from repro.grid.timeline import job_timeline, render_gantt
+from repro.observability import telemetry_for
+from repro.resources import ResourceRequest
 
 
 @pytest.fixture()
@@ -32,14 +33,13 @@ def finished_pipeline():
 
     p = grid.sim.process(scenario(grid.sim))
     job_id = grid.sim.run(until=p)
-    return grid, job_id
+    tracer = telemetry_for(grid.sim).tracer
+    return tracer.trace(tracer.trace_id_for_job(job_id))
 
 
 # ----------------------------------------------------------------- timeline
 def test_timeline_covers_all_timed_actions(finished_pipeline):
-    grid, job_id = finished_pipeline
-    njs = grid.usites["FZJ"].njs
-    entries = job_timeline(njs, job_id)
+    entries = job_timeline(finished_pipeline)
     labels = [e.label for e in entries]
     assert any("import" in label for label in labels)
     assert any("crunch [run@FZJ-T3E]" in label for label in labels)
@@ -54,9 +54,7 @@ def test_timeline_covers_all_timed_actions(finished_pipeline):
 
 
 def test_timeline_ordering_respects_dependencies(finished_pipeline):
-    grid, job_id = finished_pipeline
-    njs = grid.usites["FZJ"].njs
-    entries = job_timeline(njs, job_id)
+    entries = job_timeline(finished_pipeline)
     imp = next(e for e in entries if "import" in e.label)
     run = next(e for e in entries if "[run@" in e.label)
     exp = next(e for e in entries if "export" in e.label)
@@ -65,9 +63,7 @@ def test_timeline_ordering_respects_dependencies(finished_pipeline):
 
 
 def test_render_gantt_output(finished_pipeline):
-    grid, job_id = finished_pipeline
-    njs = grid.usites["FZJ"].njs
-    text = render_gantt(job_timeline(njs, job_id))
+    text = render_gantt(job_timeline(finished_pipeline))
     assert "#" in text
     assert "crunch" in text
     assert "successful" in text
@@ -77,38 +73,38 @@ def test_render_gantt_empty():
     assert render_gantt([]) == "(no timed entries)"
 
 
-# ------------------------------------------------------------------ monitor
-def test_grid_monitor_samples_all_vsites():
-    grid = build_grid({"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}, seed=83)
-    monitor = GridMonitor(grid, period_s=100.0, horizon_s=1000.0)
-    grid.sim.run()
-    vsites = {s.vsite for s in monitor.samples}
-    assert vsites == {"FZJ-T3E", "ZIB-SP2"}
-    series = monitor.series("FZJ-T3E")
-    assert len(series) == 10  # t=0..900
-    times = [s.time for s in series]
-    assert times == sorted(times)
+def test_timeline_shows_the_site_a_forwarded_group_ran_at():
+    """The trace follows the job across sites, so the Gantt does too; the
+    parent's ``job_timeline(njs, job_id)`` saw one NJS's batch ledger."""
+    from repro import GridSession
 
-
-def test_grid_monitor_sees_load():
-    from repro.grid import LocalLoadGenerator, WorkloadProfile
-    from repro.simkernel import derive_rng
-
-    grid = build_grid({"DWD": ["DWD-SX4"]}, seed=83)
-    batch = grid.usites["DWD"].vsites["DWD-SX4"].batch
-    LocalLoadGenerator(
-        grid.sim, batch, derive_rng(83, "l"),
-        arrival_rate_per_s=1 / 200.0,
-        profile=WorkloadProfile(mean_runtime_s=3600.0, max_cpus=32),
-        horizon_s=20_000.0,
+    grid = build_grid({"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}, seed=79)
+    user = grid.add_user("Tim", logins={"FZJ": "tim", "ZIB": "tim"})
+    session = GridSession(grid, user, "FZJ")
+    root = session.new_job("two-site", vsite="FZJ-T3E")
+    pre = root.script_task(
+        "pre", script="#!/bin/sh\nx\n", simulated_runtime_s=100.0,
+        resources=ResourceRequest(cpus=1, time_s=3600),
     )
-    monitor = GridMonitor(grid, period_s=500.0, horizon_s=20_000.0)
-    grid.sim.run()
-    assert monitor.peak_queue_depth()["DWD-SX4"] > 0
-    assert 0.0 < monitor.mean_utilization()["DWD-SX4"] <= 1.0
+    remote = root.sub_job("render@ZIB", vsite="ZIB-SP2", usite="ZIB")
+    remote.script_task(
+        "render", script="#!/bin/sh\nx\n", simulated_runtime_s=50.0,
+        resources=ResourceRequest(cpus=1, time_s=3600),
+    )
+    xfer = root.transfer_to_usite("field.dat", "ZIB")
+    root.depends(pre, xfer, files=["field.dat"])
+    root.depends(xfer, remote.ajo)
+    handle = session.submit(root)
+    assert session.wait(handle).status == "successful"
 
-
-def test_grid_monitor_validates_period():
-    grid = build_grid({"FZJ": ["FZJ-T3E"]}, seed=83)
-    with pytest.raises(ValueError):
-        GridMonitor(grid, period_s=0)
+    trace = telemetry_for(grid.sim).tracer.trace(handle.trace_id)
+    entries = job_timeline(trace)
+    by_label = {e.label: e for e in entries}
+    assert {"pre [queued]", "pre [run@FZJ-T3E]",
+            "render [queued]", "render [run@ZIB-SP2]"} <= set(by_label)
+    moved = by_label["transfer field.dat"]
+    assert moved.kind == "file" and moved.duration > 0
+    assert by_label["pre [run@FZJ-T3E]"].end <= moved.start
+    assert moved.end <= by_label["render [queued]"].start
+    assert by_label["render [run@ZIB-SP2]"].status == "successful"
+    assert [e.start for e in entries] == sorted(e.start for e in entries)
