@@ -2,7 +2,7 @@
 
 A :class:`BatchSystem` simulates one execution host: named queues with
 limits, a CPU pool, a pluggable space-sharing scheduler, and job
-execution as simulation processes.  Jobs carry *effects* — files they
+execution as one timer per running job.  Jobs carry *effects* — files they
 create in their working space — so the data-flow of a UNICORE job (object
 files, executables, results) is actually materialized, and stdout/stderr
 are produced for the NJS to collect (section 5.5).
@@ -31,7 +31,7 @@ from repro.batch.machines import MachineConfig
 from repro.batch.scheduling import FCFSScheduler
 from repro.observability import telemetry_for
 from repro.resources.model import ResourceSet
-from repro.simkernel import Event, Interrupt, Simulator
+from repro.simkernel import CallbackSlot, Event, Simulator
 
 __all__ = [
     "BatchState",
@@ -147,7 +147,8 @@ class BatchJobRecord:
     exit_code: int | None = None
     reason: str = ""
     completion_event: Event | None = None
-    _process: object = None
+    #: While running: the timer whose firing is the end of the run.
+    _run: CallbackSlot | None = None
     _wait_span: object = None
     _run_span: object = None
 
@@ -268,7 +269,7 @@ class BatchSystem:
             self._pending.remove(record)
             self._finish(record, BatchState.CANCELLED, reason="cancelled while queued")
         elif record.state is BatchState.RUNNING:
-            record._process.interrupt(cause="cancelled")  # type: ignore[attr-defined]
+            self._kill(record, BatchState.CANCELLED, None, "cancelled by operator")
         elif record.state.is_terminal:
             raise BatchError(f"job {job_id} already terminal ({record.state.value})")
 
@@ -295,9 +296,9 @@ class BatchSystem:
                 "can suffer a node failure"
             )
         telemetry_for(self.sim).metrics.counter("batch.node_failures").inc()
-        record._process.interrupt(  # type: ignore[attr-defined]
-            cause=("node-failure", reason)
-        )
+        # The node died under the job: a genuine failure, not an operator
+        # decision — exit as a killed process would.
+        self._kill(record, BatchState.FAILED, 139, reason)
 
     def set_offline(self, offline: bool) -> None:
         """Take the whole system down (or bring it back).
@@ -391,52 +392,48 @@ class BatchSystem:
                 cpus=record.spec.resources.cpus,
             )
         self._running[record.job_id] = record
-        record._process = self.sim.process(
-            self._run(record), name=f"run:{record.job_id}"
+        record._run = self.sim.schedule_callback(
+            min(record.spec.actual_runtime, record.spec.resources.time_s),
+            self._run_ended, record,
         )
 
-    def _run(self, record: BatchJobRecord):
+    def _kill(
+        self, record: BatchJobRecord, state: BatchState,
+        exit_code: int | None, reason: str,
+    ) -> None:
+        """End a running job before its time.  The kill is its own queue
+        entry at this instant: whoever ordered it returns first."""
+        assert record._run is not None
+        record._run.cancel()
+        self.sim.schedule_callback(
+            0.0, self._end_run, record, state, exit_code, reason
+        )
+
+    def _run_ended(self, record: BatchJobRecord) -> None:
         spec = record.spec
         limit = spec.resources.time_s
-        runtime = min(spec.actual_runtime, limit)
-        over_limit = spec.actual_runtime > limit
-        try:
-            yield self.sim.timeout(runtime)
-        except Interrupt as intr:
-            self._release(record)
-            cause = intr.cause
-            if isinstance(cause, tuple) and cause and cause[0] == "node-failure":
-                # The node died under the job: a genuine failure, not an
-                # operator decision — exit as a killed process would.
-                self._finish(
-                    record, BatchState.FAILED, exit_code=139, reason=cause[1]
-                )
-            else:
-                self._finish(
-                    record, BatchState.CANCELLED, reason="cancelled by operator"
-                )
-            self._schedule_pass()
-            return
-        self._release(record)
-        if over_limit:
-            self._finish(
-                record,
-                BatchState.FAILED,
-                exit_code=137,
-                reason=f"wallclock limit {limit}s exceeded",
+        if spec.actual_runtime > limit:
+            self._end_run(
+                record, BatchState.FAILED, 137,
+                f"wallclock limit {limit}s exceeded",
             )
         elif spec.exit_code != 0:
             self._collect_output(record)
-            self._finish(
-                record,
-                BatchState.FAILED,
-                exit_code=spec.exit_code,
-                reason=f"exit code {spec.exit_code}",
+            self._end_run(
+                record, BatchState.FAILED, spec.exit_code,
+                f"exit code {spec.exit_code}",
             )
         else:
             self._apply_effects(record)
             self._collect_output(record)
-            self._finish(record, BatchState.DONE, exit_code=0)
+            self._end_run(record, BatchState.DONE, 0, "")
+
+    def _end_run(
+        self, record: BatchJobRecord, state: BatchState,
+        exit_code: int | None, reason: str,
+    ) -> None:
+        self._release(record)
+        self._finish(record, state, exit_code=exit_code, reason=reason)
         self._schedule_pass()
 
     def _release(self, record: BatchJobRecord) -> None:
@@ -472,7 +469,7 @@ class BatchSystem:
         record.end_time = self.sim.now
         record.exit_code = exit_code
         record.reason = reason
-        record._process = None
+        record._run = None
         telemetry = telemetry_for(self.sim)
         if record.start_time is not None:
             telemetry.metrics.histogram("batch.execute_seconds").observe(

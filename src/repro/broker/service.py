@@ -30,9 +30,11 @@ from repro.broker.fairshare import FairSharePolicy
 from repro.broker.matcher import BrokerJob, BrokerJobState, TaskQueueBroker
 from repro.errors import ReproError
 from repro.net.errors import ConnectionLost
+from repro.net.sim_transport import Message
 from repro.observability import telemetry_for
 from repro.resources.model import ResourceRequest
 from repro.server.njs.peerlink import PeerLink
+from repro.simkernel import EXPIRED
 
 if typing.TYPE_CHECKING:
     from repro.grid.build import Grid
@@ -109,7 +111,7 @@ class FederationBroker:
                 interval_s=advertise_interval_s,
                 offset_s=index * advertise_interval_s / max(1, len(grid.usites)),
             )
-        self.sim.process(self._inbox_loop(), name="broker:inbox")
+        self.host.serve(self._receive)
         self.sim.process(self._dispatch_loop(), name="broker:dispatch")
 
     # -- submission ---------------------------------------------------------
@@ -142,13 +144,12 @@ class FederationBroker:
         job.dispatch = dispatch
         job.bound = self.sim.event(name=f"broker-bound:{job.seq}")
         if bind_timeout_s is not None:
-            self.sim.process(self._bind_timeout(job, bind_timeout_s))
+            self.sim.schedule_callback(
+                bind_timeout_s, self._bind_timed_out, job, bind_timeout_s
+            )
         return job
 
-    def _bind_timeout(self, job: BrokerJob, timeout_s: float):
-        yield self.sim.any_of(
-            [job.bound, self.sim.timeout(timeout_s)]
-        )
+    def _bind_timed_out(self, job: BrokerJob, timeout_s: float) -> None:
         if not job.bound.triggered:
             if job.state is BrokerJobState.PENDING:
                 self.matcher.withdraw(
@@ -163,14 +164,12 @@ class FederationBroker:
             yield self.sim.timeout(poll_s)
 
     # -- simulation loops ---------------------------------------------------
-    def _inbox_loop(self):
-        while True:
-            message = yield self.host.receive()
-            payload = message.payload
-            if isinstance(payload, AdvertiseCapacity):
-                self.matcher.observe(payload, now=self.sim.now)
-            elif isinstance(payload, ReclaimAck):
-                self.link.resolve(payload)
+    def _receive(self, message: Message) -> None:
+        payload = message.payload
+        if isinstance(payload, AdvertiseCapacity):
+            self.matcher.observe(payload, now=self.sim.now)
+        elif isinstance(payload, ReclaimAck):
+            self.link.resolve(payload)
 
     def _dispatch_loop(self):
         while True:
@@ -239,14 +238,13 @@ class FederationBroker:
             except ConnectionLost as err:
                 self.tracer.end_span(span, error=err)
                 return
-            yield self.sim.any_of(
-                [waiter, self.sim.timeout(self.ACK_TIMEOUT_S)]
-            )
-            if not waiter.triggered:
+            deadline = self.sim.deadline(waiter, self.ACK_TIMEOUT_S)
+            ack = yield waiter
+            deadline.cancel()
+            if ack is EXPIRED:
                 self.tracer.end_span(span.set(outcome="ack-timeout"))
                 return
-            ack = typing.cast(ReclaimAck, waiter.value)
-            if not ack.ok:
+            if not typing.cast(ReclaimAck, ack).ok:
                 # The job started in the meantime: leave it where it runs.
                 self.tracer.end_span(span.set(outcome="refused"))
                 return

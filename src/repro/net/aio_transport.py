@@ -370,7 +370,7 @@ class AioTransport(Network):
                 budget -= 1
             if pending or self._settled:
                 # The clock is frozen from here: finish this instant (more
-                # sends are issued, delivered inboxes consumed) and no other.
+                # sends are issued, what deliveries woke runs) and no other.
                 sim.run(until=sim.now)
                 if self._settled:
                     # One turn: the awaiter resumes and may drive() again

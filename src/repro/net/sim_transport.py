@@ -56,24 +56,37 @@ class Message:
 
 
 class Host:
-    """A named machine with an inbox that server processes consume."""
+    """A named machine: a message that arrives is handed to the server
+    the host runs (:meth:`serve`), or kept in the inbox if it runs none."""
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
         self.inbox = SimQueue(sim)
+        self._sink: typing.Callable[[Message], None] = self.inbox.push
         #: Instrumentation: (bytes, messages) received.
         self.received_bytes = 0
         self.received_messages = 0
 
     def receive(self) -> Event:
-        """Event firing with the next inbound :class:`Message`."""
+        """Event firing with the next inbound :class:`Message` of a host
+        nothing serves."""
         return self.inbox.pop()
+
+    def serve(self, handler: typing.Callable[[Message], None]) -> None:
+        """Delivery is dispatch: from now on the delivery of a message
+        calls ``handler(message)``, in arrival order and at the arrival
+        instant, with no mailbox and no wake-up in between.  What arrived
+        earlier is handed over first, in order.
+        """
+        self._sink = handler
+        while len(self.inbox):  # pop() of a waiting message has its value
+            handler(typing.cast(Message, self.inbox.pop().value))
 
     def _deliver(self, message: Message) -> None:
         self.received_bytes += message.size_bytes
         self.received_messages += 1
-        self.inbox.push(message)
+        self._sink(message)
 
     def __repr__(self) -> str:
         return f"<Host {self.name}>"
@@ -153,8 +166,8 @@ class Link:
                     f"message {message.msg_id} {self.src}->{self.dst} lost"
                 ),
             )
-        # The inbox push is the event's first callback, so the receiver
-        # sees the message before any waiting sender resumes.
+        # Delivery is the event's first callback, so the receiver has
+        # the message before any waiting sender resumes.
         ev = TimeoutAt(self.sim, arrival, value=message, name=name)
         assert ev.callbacks is not None
         ev.callbacks.append(lambda _ev: deliver(message))
@@ -259,7 +272,7 @@ class Network(Transport):
         """Send; returns the delivery event (fails on loss after timeout).
 
         With ``deliver=False`` the message still occupies the link and
-        counts in statistics but is not pushed into the destination inbox
+        counts in statistics but is not delivered to the destination host
         (used for handshake flights the peer's logic handles inline).
         """
         if size_bytes < 0:

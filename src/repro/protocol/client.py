@@ -13,11 +13,11 @@ import typing
 
 from repro.net.errors import ConnectionLost
 from repro.net.https import HttpsChannel
-from repro.net.sim_transport import Host
+from repro.net.sim_transport import Host, Message
 from repro.observability import telemetry_for
 from repro.protocol.messages import Reply, Request
 from repro.protocol.retry import PollBudgetExhausted, RetryExhausted, RetryPolicy
-from repro.simkernel import Event, Simulator
+from repro.simkernel import EXPIRED, Event, Simulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.breaker import CircuitBreaker
@@ -31,7 +31,7 @@ RESPONSE_TIMEOUT_S = 60.0
 class ReplyRouter:
     """Demultiplexes inbound :class:`Reply` messages by request id.
 
-    One router consumes a host's inbox; interaction coroutines register a
+    One router serves a host; interaction coroutines register a
     request id and receive an event that fires with the matching reply.
     Non-reply messages are passed to ``fallback`` (for hosts that also
     serve other traffic).
@@ -47,7 +47,7 @@ class ReplyRouter:
         self.host = host
         self._waiting: dict[int, Event] = {}
         self._fallback = fallback
-        self._process = sim.process(self._run(), name=f"reply-router:{host.name}")
+        host.serve(self._route)
 
     def expect(self, request_id: int) -> Event:
         """Event that fires with the :class:`Reply` for ``request_id``."""
@@ -61,17 +61,16 @@ class ReplyRouter:
         """Stop waiting (used when a retry supersedes an older attempt)."""
         self._waiting.pop(request_id, None)
 
-    def _run(self):
-        while True:
-            message = yield self.host.receive()
-            payload = message.payload
-            if isinstance(payload, Reply):
-                waiter = self._waiting.pop(payload.request_id, None)
-                if waiter is not None:
-                    waiter.succeed(payload)
-                # Unmatched replies (late duplicates) are dropped.
-            elif self._fallback is not None:
-                self._fallback(payload)
+    def _route(self, message: Message) -> None:
+        payload = message.payload
+        if isinstance(payload, Reply):
+            waiter = self._waiting.pop(payload.request_id, None)
+            # Unmatched replies (late duplicates) are dropped, and so is
+            # one whose waiter's deadline passed at this very instant.
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(payload)
+        elif self._fallback is not None:
+            self._fallback(payload)
 
 
 class AsyncProtocolClient:
@@ -98,11 +97,6 @@ class AsyncProtocolClient:
         #: Instrumentation for experiment E4.
         self.requests_sent = 0
         self.retries = 0
-
-    @staticmethod
-    def _fire_deadline(timer: Event) -> None:
-        if not timer.triggered:
-            timer.succeed()
 
     # Each public operation is a generator to ``yield from`` inside a
     # simulation process; it returns the reply payload.
@@ -148,24 +142,18 @@ class AsyncProtocolClient:
                 )
             try:
                 yield self.channel.send(request, request.wire_size)
-                # The reply itself may be lost in transit, so race the
-                # expectation against a response timeout.  The deadline is
-                # a cancellable callback slot rather than a Timeout: when
-                # the reply wins (the common case) the loser is cancelled
-                # and never charged to the event queue.
-                timer = self.sim.event(name="response-deadline")
-                deadline = self.sim.schedule_callback(
-                    response_timeout_s, self._fire_deadline, timer
-                )
-                fired = yield reply_ev | timer
+                # The reply itself may be lost in transit, so the
+                # expectation has a deadline.
+                deadline = self.sim.deadline(reply_ev, response_timeout_s)
+                reply = yield reply_ev
                 deadline.cancel()
-                if reply_ev in fired:
+                if reply is not EXPIRED:
                     if attempt_span is not None:
                         tracer.end_span(attempt_span)
                         tracer.end_span(interact_span)
                     if self.breaker is not None:
                         self.breaker.record_success()
-                    return typing.cast(Reply, fired[reply_ev])
+                    return typing.cast(Reply, reply)
                 last_error = ConnectionLost(
                     f"no reply to request {request.request_id} within "
                     f"{response_timeout_s}s"

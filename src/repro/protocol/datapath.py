@@ -50,7 +50,7 @@ from repro.net.stream import (
 )
 from repro.observability import MetricsRegistry, Span, Tracer
 from repro.protocol.consignment import FileEntry
-from repro.simkernel import Event, Simulator
+from repro.simkernel import EXPIRED, Event, Simulator
 from repro.vfs.body import FileBody
 
 __all__ = [
@@ -197,7 +197,7 @@ class DataPlaneEndpoint:
         if self.on_complete is not None and self.on_complete(done.context, body):
             return
         waiter = self._waiters.pop(stream_id, None)
-        if waiter is not None:
+        if waiter is not None and not waiter.triggered:  # else: just expired
             waiter.succeed(done)
         else:
             self._done[stream_id] = done
@@ -224,10 +224,11 @@ class DataPlaneEndpoint:
             return ready
         ev = self.sim.event(name=f"stream-complete:{stream_id}")
         self._waiters[stream_id] = ev
-        timer = self.sim.timeout(timeout_s)
-        fired = yield ev | timer
-        if ev in fired:
-            return typing.cast(CompletedStream, fired[ev])
+        deadline = self.sim.deadline(ev, timeout_s)
+        done = yield ev
+        deadline.cancel()
+        if done is not EXPIRED:
+            return typing.cast(CompletedStream, done)
         self._waiters.pop(stream_id, None)
         raise ConnectionLost(
             f"stream {stream_id} did not complete within {timeout_s}s"

@@ -43,7 +43,7 @@ from repro.errors import ReproError
 from repro.faults.errors import ServiceUnavailable
 from repro.net.errors import ConnectionLost
 from repro.net.https import HttpsChannel
-from repro.net.sim_transport import Host, Network
+from repro.net.sim_transport import Host, Message, Network
 from repro.net.stream import StreamSender
 from repro.observability import telemetry_for
 from repro.protocol.client import RESPONSE_TIMEOUT_S
@@ -166,7 +166,7 @@ class Gateway:
         #: client's retry/breaker machinery deals with the dead air).
         self.down = False
 
-        sim.process(self._server_loop(), name=f"gateway:{usite_name}")
+        host.serve(self._receive)
 
     # -- simulated crashes (driven by repro.faults) -------------------------
     def crash(self) -> None:
@@ -205,34 +205,32 @@ class Gateway:
             ) from None
 
     # -- request handling --------------------------------------------------------
-    def _server_loop(self):
-        while True:
-            message = yield self.host.receive()
-            if isinstance(message.payload, (bytes, bytearray, memoryview)):
-                # Data-plane frame from a client channel.
-                if self.down:
-                    telemetry_for(self.sim).metrics.counter(
-                        "gateway.dropped_frames"
-                    ).inc()
-                else:
-                    self.datapath.feed(message.payload)
-                continue
-            if self.down and isinstance(message.payload, Request):
+    def _receive(self, message: Message) -> None:
+        payload = message.payload
+        if isinstance(payload, (bytes, bytearray, memoryview)):
+            # Data-plane frame from a client channel.
+            if self.down:
+                telemetry_for(self.sim).metrics.counter(
+                    "gateway.dropped_frames"
+                ).inc()
+            else:
+                self.datapath.feed(payload)
+        elif isinstance(payload, Request):
+            if self.down:
                 telemetry_for(self.sim).metrics.counter(
                     "gateway.dropped_requests"
                 ).inc()
-                continue
-            if isinstance(message.payload, Request):
+            else:
                 self.sim.process(
-                    self._handle_request(message.sender, message.payload),
-                    name=f"gw-req:{message.payload.request_id}",
+                    self._handle_request(message.sender, payload),
+                    name=f"gw-req:{payload.request_id}",
                 )
-            elif self.njs.host.name == self.host.name:
-                # Co-located deployment (no firewall split): this host's
-                # inbox is shared, and peer NJS traffic lands here too.
-                self.njs.dispatch_peer_message(message.payload)
-            # Otherwise: NJS peer traffic merely transits this host with
-            # deliver=False; anything else is ignored.
+        elif self.njs.host.name == self.host.name:
+            # Co-located deployment (no firewall split): this host is
+            # shared, and peer NJS traffic lands here too.
+            self.njs.dispatch_peer_message(payload)
+        # Otherwise: NJS peer traffic merely transits this host with
+        # deliver=False; anything else is ignored.
 
     def _handle_request(self, client_host: str, request: Request):
         channel = self._channels.get(client_host)
@@ -448,23 +446,12 @@ class Gateway:
                 telemetry_for(self.sim).metrics.counter(
                     "gateway.subscribe_holds"
                 ).inc()
-                # Hold deadline as a cancellable slot: when the watcher
-                # fires first (the common case) the hours-away timer is
-                # cancelled instead of lingering in the event queue.
-                hold_ev = self.sim.event(name="subscribe-hold")
-                deadline = self.sim.schedule_callback(
-                    hold, self._fire_hold, hold_ev
-                )
-                yield watch | hold_ev
+                deadline = self.sim.deadline(watch, hold)
+                yield watch
                 deadline.cancel()
         view = self.njs.query_status(service.target_job_id, detail=service.detail)
         # Serialization happens here, at the protocol edge, only.
         return _json(view.to_dict()), None
-
-    @staticmethod
-    def _fire_hold(hold_ev) -> None:
-        if not hold_ev.triggered:
-            hold_ev.succeed()
 
     def _list(self, request: Request, *_) -> _Answer:
         """The change-log delta since the client's cursor; a full listing

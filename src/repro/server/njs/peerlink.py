@@ -192,7 +192,7 @@ class PeerLink:
         """Hand a reply to whoever expects it; nobody does after a crash
         or an :meth:`abandon`, and then it is dropped."""
         waiter = self._pending.pop(reply.corr_id, None)
-        if waiter is not None:
+        if waiter is not None and not waiter.triggered:  # else: just expired
             waiter.succeed(reply)
 
     def abandon(self, corr_id: int) -> None:

@@ -115,10 +115,10 @@ class NetworkJobSupervisor:
         self.replays = 0
 
         # When the NJS shares the gateway's host (no firewall split), the
-        # gateway owns the inbox and forwards peer traffic to
+        # gateway serves the host and forwards peer traffic to
         # :meth:`dispatch_peer_message` instead.
         if own_inbox:
-            sim.process(self._server_loop(), name=f"njs:{usite_name}")
+            host.serve(lambda message: self.dispatch_peer_message(message.payload))
 
     @property
     def job_count(self) -> int:
@@ -281,11 +281,6 @@ class NetworkJobSupervisor:
             self._check_mappings(sub, dn)
 
     # ------------------------------------------------------------ peer traffic
-    def _server_loop(self):
-        while True:
-            message = yield self.host.receive()
-            self.dispatch_peer_message(message.payload)
-
     def dispatch_peer_message(self, payload: object) -> bool:
         """Handle one NJS-to-NJS message; returns True if it was ours."""
         if self.crashed and isinstance(

@@ -27,6 +27,7 @@ Example
 """
 
 from repro.simkernel.events import (
+    EXPIRED,
     AllOf,
     AnyOf,
     Event,
@@ -36,13 +37,15 @@ from repro.simkernel.events import (
     TimeoutAt,
 )
 from repro.simkernel.process import Process, ProcessDied
-from repro.simkernel.engine import Simulator, StopSimulation
+from repro.simkernel.engine import CallbackSlot, Simulator, StopSimulation
 from repro.simkernel.resources import SimQueue, Store
 from repro.simkernel.rng import SeedSequenceFactory, derive_rng
 
 __all__ = [
     "AllOf",
     "AnyOf",
+    "CallbackSlot",
+    "EXPIRED",
     "Event",
     "EventAborted",
     "Interrupt",

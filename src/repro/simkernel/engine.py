@@ -6,17 +6,17 @@ import heapq
 import typing
 from itertools import count
 
-from repro.simkernel.events import AllOf, AnyOf, Event, Timeout
+from repro.simkernel.events import EXPIRED, AllOf, AnyOf, Event, Timeout
 from repro.simkernel.process import Process
 
-__all__ = ["Simulator", "StopSimulation"]
+__all__ = ["CallbackSlot", "Simulator", "StopSimulation"]
 
 
 class StopSimulation(Exception):
     """Raised internally to halt :meth:`Simulator.run` from a callback."""
 
 
-class _CallbackSlot:
+class CallbackSlot:
     """A pre-bound callback sitting directly on the event heap.
 
     The hot path of the network layer schedules one callback per message;
@@ -34,12 +34,19 @@ class _CallbackSlot:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Drop the callback; the heap entry is skipped when popped."""
+        """Drop the callback and what it held on to; the heap entry is
+        skipped, uncounted, when its time comes."""
         self.cancelled = True
+        self.args = ()
 
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
-        return f"<_CallbackSlot {getattr(self.fn, '__name__', self.fn)!r}{state}>"
+        return f"<CallbackSlot {getattr(self.fn, '__name__', self.fn)!r}{state}>"
+
+
+def _expire(event: Event) -> None:
+    if not event.triggered:
+        event.succeed(EXPIRED)
 
 
 class Simulator:
@@ -57,7 +64,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._queue: list[tuple[float, int, Event | _CallbackSlot]] = []
+        self._queue: list[tuple[float, int, Event | CallbackSlot]] = []
         self._seq = count()
         self._active_process: Process | None = None
         self._processed_count = 0
@@ -86,12 +93,15 @@ class Simulator:
         return self._processed_count
 
     def profile(self) -> dict[str, float]:
-        """A snapshot of run-loop counters for throughput analysis."""
+        """A snapshot of run-loop counters for throughput analysis;
+        ``heap_size`` is what is still due (cancelled slots are not)."""
         return {
             "now": self._now,
             "events_processed": self._processed_count,
             "callbacks_run": self._callbacks_run,
-            "heap_size": len(self._queue),
+            "heap_size": sum(
+                not getattr(item, "cancelled", False) for _, _, item in self._queue
+            ),
             "peak_heap_size": self._peak_heap,
         }
 
@@ -138,27 +148,32 @@ class Simulator:
             self._peak_heap = len(queue)
 
     def schedule_callback(
-        self,
-        delay: float,
-        fn: typing.Callable[..., object],
-        *args: object,
-        name: str | None = None,
-    ) -> _CallbackSlot:
+        self, delay: float, fn: typing.Callable[..., object], *args: object
+    ) -> CallbackSlot:
         """Run ``fn(*args)`` ``delay`` time units from now.
 
         Returns a cancellable slot.  Unlike :meth:`timeout`, no event
         object is allocated: the slot goes straight on the heap and the
         run loop invokes ``fn`` directly, which makes this the cheap path
         for fire-and-forget work (message delivery, timers that are never
-        waited on).  ``name`` is accepted for API compatibility.
+        waited on).
         """
-        del name  # slots carry no name; kept for call-site compatibility
-        slot = _CallbackSlot(fn, args)
+        slot = CallbackSlot(fn, args)
         queue = self._queue
         heapq.heappush(queue, (self._now + delay, next(self._seq), slot))
         if len(queue) > self._peak_heap:
             self._peak_heap = len(queue)
         return slot
+
+    def deadline(self, event: Event, delay: float) -> CallbackSlot:
+        """Give a pending ``event`` ``delay`` time units to happen.
+
+        If it is still pending then, it succeeds with :data:`EXPIRED`: a
+        waiter races nothing, it yields the event and looks at the value.
+        Cancel the returned slot once the wait is over, so that a limit
+        nobody needs any more is never charged to the run loop.
+        """
+        return self.schedule_callback(delay, _expire, event)
 
     # -- run loop ------------------------------------------------------------
     def peek(self) -> float:
@@ -173,7 +188,7 @@ class Simulator:
         if when < self._now:  # pragma: no cover - guarded by _schedule
             raise RuntimeError("event scheduled in the past")
         self._now = when
-        if type(item) is _CallbackSlot:
+        if type(item) is CallbackSlot:
             if not item.cancelled:
                 self._processed_count += 1
                 self._callbacks_run += 1

@@ -2,10 +2,18 @@
 
 An :class:`Event` is a one-shot occurrence in simulated time.  Events move
 through three states: *pending* (created, not yet triggered), *triggered*
-(scheduled onto the simulator's queue with a value or an error), and
-*processed* (callbacks have run).  Processes wait on events by yielding
-them; composite events (:class:`AllOf`, :class:`AnyOf`) let a process wait
-on conjunctions and disjunctions.
+(on the simulator's queue with a value or an error, because somebody
+waits for it), and *processed* (callbacks have run).  The queue is for
+waking waiters, so an event that succeeds with nobody waiting goes from
+pending to processed directly and costs the run loop nothing; whoever
+asks later (a ``yield``, ``run(until=)``, a condition) finds the value
+there.  A failure always takes the queue, so that one nobody handles
+surfaces at its instant; a :class:`Timeout` does, since the time is what
+it is for.  Processes wait on events by yielding them; composite events
+(:class:`AllOf`, :class:`AnyOf`) let a process wait on conjunctions and
+disjunctions.  A wait with a time limit is :meth:`Simulator.deadline`:
+the awaited event itself resolves with :data:`EXPIRED`, no second event
+and no condition.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ __all__ = [
     "Interrupt",
     "EventAborted",
     "PENDING",
+    "EXPIRED",
 ]
 
 
@@ -42,6 +51,16 @@ class _PendingType:
 
 
 PENDING = _PendingType()
+
+
+class _ExpiredType:
+    """Sentinel value of an event whose :meth:`Simulator.deadline` passed."""
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "<EXPIRED>"
+
+
+EXPIRED = _ExpiredType()
 
 
 class Interrupt(Exception):
@@ -114,12 +133,19 @@ class Event:
 
     # -- triggering -------------------------------------------------------
     def succeed(self, value: object = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
+        """Trigger the event successfully with ``value``.
+
+        With nobody waiting there is nobody to wake: the event is
+        processed here and never enters the queue.
+        """
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self)
+        if self.callbacks:
+            self.sim._schedule(self)
+        else:
+            self.callbacks = None
         return self
 
     def fail(self, exception: BaseException) -> "Event":

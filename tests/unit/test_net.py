@@ -81,6 +81,24 @@ def test_message_lands_in_inbox():
     assert host.received_bytes == 100
 
 
+def test_serve_hands_over_earlier_arrivals_in_order_then_dispatches():
+    sim, net = make_net()
+    host = net.host("server")
+    for n in (1, 2):
+        net.send("client", "server", n, 10)
+    sim.run()
+    assert len(host.inbox) == 2  # nothing serves the host: a mailbox
+    seen = []
+    host.serve(lambda message: seen.append((message.payload, sim.now)))
+    assert [payload for payload, _ in seen] == [1, 2] and not len(host.inbox)
+    events = sim.processed_events
+    sent = net.send("client", "server", 3, 10)
+    sim.run()
+    # Delivery is the dispatch: one entry, at the arrival instant.
+    assert seen[2] == (3, sim.now) and sent.processed
+    assert sim.processed_events - events == 1 and not len(host.inbox)
+
+
 def test_deliver_false_skips_inbox():
     sim, net = make_net()
     host = net.host("server")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import Interrupt, ProcessDied, Simulator, TimeoutAt
+from repro.simkernel import EXPIRED, Interrupt, ProcessDied, Simulator, TimeoutAt
 
 
 def test_clock_starts_at_zero():
@@ -289,6 +289,98 @@ def test_schedule_callback_cancel():
     assert sim.processed_events == 1
 
 
+def test_succeed_with_no_waiter_is_processed_without_a_queue_entry():
+    sim = Simulator()
+    sim.timeout(3.0)
+    ev = sim.event()
+    ev.succeed("v")
+    assert ev.processed and ev.ok and ev.value == "v"
+    assert sim.profile()["heap_size"] == 1 and sim.processed_events == 0
+    with pytest.raises(RuntimeError, match="already"):
+        ev.succeed("again")
+
+
+def test_a_later_waiter_sees_the_value_of_an_unobserved_success():
+    sim = Simulator(start=2.0)
+    ev = sim.event()
+    ev.succeed("v")
+    seen = []
+
+    def late():
+        seen.append(((yield ev), sim.now))
+        both = yield sim.all_of([ev, sim.event().succeed("w")])
+        seen.append((sorted(both.values()), sim.now))
+        first = yield sim.any_of([sim.event(), ev])
+        seen.append((list(first.values()), sim.now))
+
+    sim.process(late())
+    assert sim.run(until=ev) == "v"  # already processed: no step taken
+    assert seen == []
+    sim.run()
+    assert seen == [("v", 2.0), (["v", "w"], 2.0), (["v"], 2.0)]
+
+
+def test_a_process_that_ends_unjoined_costs_no_entry_of_its_own():
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(1.0)
+        return "done"
+
+    proc = sim.process(worker())
+    sim.run()
+    assert sim.processed_events == 2  # its start and its timer
+    assert proc.processed and proc.value == "done"
+    assert sim.run(until=proc) == "done"
+
+
+def test_fail_with_no_waiter_still_raises_from_step():
+    sim = Simulator()
+    sim.event().fail(OSError("unseen"))
+    assert sim.profile()["heap_size"] == 1
+    with pytest.raises(OSError, match="unseen"):
+        sim.step()
+    sim.event().fail(OSError("handled")).defuse()
+    sim.step()
+
+
+def test_deadline_resolves_a_pending_event_once():
+    sim = Simulator()
+    ev = sim.event()
+    got = []
+
+    def waiter():
+        got.append(((yield ev), sim.now))
+
+    sim.process(waiter())
+    sim.deadline(ev, 5.0)
+    sim.run()
+    assert got == [(EXPIRED, 5.0)]
+    with pytest.raises(RuntimeError, match="already"):
+        ev.succeed("late")
+
+
+def test_deadline_is_a_no_op_on_a_triggered_event():
+    sim = Simulator()
+    ev = sim.event()
+    sim.deadline(ev, 5.0)
+    ev.succeed("in time")
+    sim.run()
+    assert ev.value == "in time" and sim.now == 5.0
+
+
+def test_a_cancelled_deadline_leaves_nothing_live_and_holds_nothing():
+    sim = Simulator()
+    ev = sim.event()
+    slot = sim.deadline(ev, 5.0)
+    assert sim.profile()["heap_size"] == 1
+    slot.cancel()
+    assert sim.profile()["heap_size"] == 0
+    assert slot.args == ()  # the event, and whatever it will carry
+    sim.run()
+    assert sim.processed_events == 0 and not ev.triggered
+
+
 def test_callbacks_interleave_with_events_in_time_order():
     sim = Simulator()
     order = []
@@ -408,4 +500,7 @@ def test_repr_smoke():
     assert "myevent" in repr(ev)
     assert "Simulator" in repr(sim)
     ev.succeed()
-    assert "triggered" in repr(ev)
+    assert "processed" in repr(ev)  # nobody waited: never queued
+    waited = sim.event(name="waited")
+    waited.callbacks.append(lambda _ev: None)
+    assert "triggered" in repr(waited.succeed())

@@ -20,6 +20,7 @@ from repro.net.stream import (
     decode_frame,
     encode_frame,
 )
+from repro.net.errors import ConnectionLost
 from repro.net.sim_transport import Network
 from repro.observability import MetricsRegistry
 from repro.protocol.consignment import (
@@ -255,6 +256,38 @@ def test_endpoint_on_complete_consumes():
         endpoint.feed(encode_frame(frame))
     assert seen == [({"kind": "k"}, b"abc")]
     assert endpoint.take(3) is None
+
+
+def test_a_waited_stream_leaves_no_timer_behind_it():
+    sim = Simulator()
+    endpoint = DataPlaneEndpoint(sim)
+    frames = [encode_frame(f) for f in StreamSender(5, b"q" * 3000, 1024, {}).frames()]
+    waiter = sim.process(endpoint.wait(5, timeout_s=600.0))
+    for at, raw in enumerate(frames, start=1):
+        sim.schedule_callback(float(at), endpoint.feed, raw)
+    assert sim.run(until=waiter).data == b"q" * 3000
+    # The limit went with the wait: nothing is due, so nothing holds on to
+    # the file bytes until it is (a 600 s Timeout used to, and then ran).
+    assert sim.profile()["heap_size"] == 0
+    events = sim.processed_events
+    sim.run(until=1000.0)
+    assert sim.processed_events == events
+
+
+def test_a_stream_that_never_completes_is_given_up_at_the_timeout():
+    sim = Simulator()
+    endpoint = DataPlaneEndpoint(sim)
+    frames = [encode_frame(f) for f in StreamSender(5, b"q" * 3000, 1024, {}).frames()]
+    waiter = sim.process(endpoint.wait(5, timeout_s=600.0))
+    endpoint.feed(frames[0])
+    with pytest.raises(ConnectionLost, match="did not complete within 600"):
+        sim.run(until=waiter)
+    assert sim.now == 600.0
+    # Completing late parks the stream for a retry to take; the waiter
+    # that gave up is not resolved a second time.
+    for raw in frames[1:]:
+        endpoint.feed(raw)
+    assert endpoint.take(5).data == b"q" * 3000
 
 
 def test_endpoint_ignores_non_frame_bytes():
