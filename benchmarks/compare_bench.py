@@ -14,12 +14,16 @@ push and this module compares them metric by metric:
 * **warn** metrics (wall-clock derived, machine-dependent) only print a
   warning — CI runners are too noisy for wall time to gate merges.
 
-Re-baselining: after an *intentional* change to the cost profile (a new
-protocol feature, a deliberate trade-off), regenerate the full-horizon
-artifacts and bless them::
+A fresh artifact is only comparable with a baseline of the same run: a
+pair whose ``smoke`` flag or ``params`` differ is refused (exit 2), so
+the baselines are the ``--smoke`` artifacts CI regenerates.
 
-    REPRO_BENCH_DIR=/tmp/fresh python -m benchmarks.bench_e11_broker_ablation
-    REPRO_BENCH_DIR=/tmp/fresh python -m benchmarks.bench_e15_persistence
+Re-baselining: after an *intentional* change to the cost profile (a new
+protocol feature, a deliberate trade-off), regenerate the artifacts as
+CI does and bless them::
+
+    REPRO_BENCH_DIR=/tmp/fresh python -m benchmarks.bench_e11_broker_ablation --smoke
+    REPRO_BENCH_DIR=/tmp/fresh python -m benchmarks.bench_e15_persistence --smoke
     python -m benchmarks.compare_bench --fresh /tmp/fresh --update
 
 then commit the updated ``benchmarks/baselines/*.json`` with a sentence
@@ -54,7 +58,8 @@ __all__ = [
 
 
 class CompareBenchError(Exception):
-    """A gate input is unusable (corrupt artifact, unknown experiment).
+    """A gate input is unusable (a corrupt artifact, one asked for by
+    name and missing, a fresh / baseline pair from unlike runs).
 
     ``main`` turns this into a one-line message and exit code 2 — the
     gate must never die with a traceback on a bad input, because a
@@ -179,6 +184,7 @@ def compare_experiment(
     change}``.  Missing artifacts yield a single ``missing-baseline`` /
     ``missing-fresh`` row with verdict ``warn`` (a gate that silently
     skips is not a gate, but absence should not brick unrelated PRs).
+    Raises :class:`CompareBenchError` on a pair from unlike runs.
     """
     if fresh is None:
         return [{"metric": "<artifact>", "verdict": "warn",
@@ -187,6 +193,13 @@ def compare_experiment(
         return [{"metric": "<artifact>", "verdict": "warn",
                  "note": f"no committed baseline for {experiment} — "
                          "run compare_bench --update to create one"}]
+    for key in ("smoke", "params"):
+        if baseline.get(key) != fresh.get(key):
+            raise CompareBenchError(
+                f"{experiment}: fresh and baseline artifacts are not the "
+                f"same run: {key} is {fresh.get(key)!r} against "
+                f"{baseline.get(key)!r}"
+            )
     rows = []
     for spec in METRIC_SPECS[experiment]:
         base_v = metric_value(baseline, spec.path)
@@ -272,22 +285,19 @@ def main(argv: list[str] | None = None) -> int:
         try:
             baseline = load_artifact(opts.baselines, experiment)
             fresh = load_artifact(opts.fresh, experiment)
+            if explicit and (baseline is None or fresh is None):
+                which = "baseline" if baseline is None else "fresh"
+                where = opts.baselines if baseline is None else opts.fresh
+                raise CompareBenchError(
+                    f"{experiment} was requested explicitly but its {which} "
+                    f"artifact BENCH_{experiment}.json is missing from {where}"
+                )
+            rows = compare_experiment(
+                experiment, baseline, fresh, threshold=opts.threshold,
+            )
         except CompareBenchError as err:
             print(f"compare_bench: {err}", file=sys.stderr)
             return 2
-        if explicit and (baseline is None or fresh is None):
-            which = "baseline" if baseline is None else "fresh"
-            where = opts.baselines if baseline is None else opts.fresh
-            print(
-                f"compare_bench: {experiment} was requested explicitly but "
-                f"its {which} artifact BENCH_{experiment}.json is missing "
-                f"from {where}",
-                file=sys.stderr,
-            )
-            return 2
-        rows = compare_experiment(
-            experiment, baseline, fresh, threshold=opts.threshold,
-        )
         _print_rows(experiment, rows)
         failed = failed or any(row["verdict"] == "fail" for row in rows)
     if failed:

@@ -4,8 +4,9 @@ A :class:`BatchSystem` simulates one execution host: named queues with
 limits, a CPU pool, a pluggable space-sharing scheduler, and job
 execution as one timer per running job.  Jobs carry *effects* — files they
 create in their working space — so the data-flow of a UNICORE job (object
-files, executables, results) is actually materialized, and stdout/stderr
-are produced for the NJS to collect (section 5.5).
+files, executables, results) really happens (every product of one size on
+one host is the same zero-filled body), and stdout/stderr are produced for
+the NJS to collect (section 5.5).
 
 Site autonomy is enforced by this API: there is no priority parameter, no
 reservation call, nothing a middleware could use to influence scheduling
@@ -32,6 +33,7 @@ from repro.batch.scheduling import FCFSScheduler
 from repro.observability import telemetry_for
 from repro.resources.model import ResourceSet
 from repro.simkernel import CallbackSlot, Event, Simulator
+from repro.vfs.body import FileBody
 
 __all__ = [
     "BatchState",
@@ -63,12 +65,6 @@ class FileEffect:
 
     path: str
     size_bytes: int = 0
-    content: bytes | None = None
-
-    def materialize(self) -> bytes:
-        if self.content is not None:
-            return self.content
-        return b"\x00" * self.size_bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,6 +197,9 @@ class BatchSystem:
         #: True while the whole system is down (a simulated outage):
         #: submissions are refused, queued jobs wait, nothing starts.
         self.offline = False
+        #: The one body this host's jobs leave per product size: content
+        #: it made itself, so its digest and chunk CRCs are taken once.
+        self._products: dict[int, FileBody] = {}
 
         # Utilization accounting: integral of busy CPUs over time.
         self._busy_integral = 0.0
@@ -446,7 +445,10 @@ class BatchSystem:
         if workdir is None:
             return
         for effect in record.spec.effects:
-            workdir.write(effect.path, effect.materialize())
+            size = effect.size_bytes
+            if size not in self._products:
+                self._products[size] = FileBody(bytes(size))
+            workdir.write(effect.path, self._products[size])
 
     def _collect_output(self, record: BatchJobRecord) -> None:
         workdir = record.spec.workdir

@@ -30,7 +30,7 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.storage.codec import decode_value, encode_value
-from repro.storage.errors import SnapshotError
+from repro.storage.errors import SnapshotError, StorageError
 
 __all__ = ["GridSnapshot", "SNAPSHOT_VERSION"]
 
@@ -80,9 +80,7 @@ class GridSnapshot:
     def from_bytes(cls, raw: bytes) -> "GridSnapshot":
         try:
             plain = decode_value(raw)
-        except (ValueError, TypeError, RecursionError) as exc:
-            # bad UTF-8, JSON or base64; a non-string where base64 goes;
-            # nesting past the stack
+        except StorageError as exc:
             raise SnapshotError(f"unreadable grid snapshot: {exc}") from exc
         version = plain.get("version") if isinstance(plain, dict) else None
         if version != SNAPSHOT_VERSION:

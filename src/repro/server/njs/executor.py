@@ -35,7 +35,11 @@ from repro.security.uudb import UUDB
 from repro.server.errors import ConsignError
 from repro.server.njs.codine_layer import CodineJobControl
 from repro.server.njs.forwarding import LOCAL_DISK_BANDWIDTH_BPS, Forwarding
-from repro.server.njs.incarnation import IncarnationCache, incarnate_task
+from repro.server.njs.incarnation import (
+    RESULT_FILE_BYTES,
+    IncarnationCache,
+    incarnate_task,
+)
 from repro.server.njs.jobrun import JobRun
 from repro.server.njs.peerlink import CancelGroup, PeerLink
 from repro.server.njs.runtable import RunTable
@@ -49,14 +53,10 @@ from repro.vfs.spaces import Xspace
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.ext.accounting import AccountingLog
 
-__all__ = ["Executor", "RESULT_FILE_BYTES"]
+__all__ = ["Executor"]
 
 #: CPU cost of incarnating one task (table lookups + templating).
 INCARNATION_CPU_S = 0.005
-
-#: Default size of a dependency-annotated result file when the producing
-#: task does not specify otherwise.
-RESULT_FILE_BYTES = 1 << 20
 
 #: Bounded resubmission of tasks whose *node* failed (as opposed to the
 #: task itself): delays grow linearly so a whole-Vsite outage of up to

@@ -29,7 +29,10 @@ from repro.server.errors import IncarnationError
 from repro.server.vsite import Vsite
 from repro.vfs.spaces import Uspace
 
-__all__ = ["incarnate_task", "select_queue", "IncarnationCache", "DEFAULT_QUEUE"]
+__all__ = [
+    "incarnate_task", "select_queue", "IncarnationCache", "DEFAULT_QUEUE",
+    "OBJECT_FILE_BYTES", "EXECUTABLE_BYTES", "RESULT_FILE_BYTES",
+]
 
 DEFAULT_QUEUE = "batch"
 
@@ -118,9 +121,11 @@ def select_queue(vsite: Vsite, resources) -> str:
     best = min(admitting, key=lambda q: (q.max_cpus, q.max_time_s, q.name))
     return best.name
 
-#: Simulated artifact sizes (bytes) for compile/link products.
+#: Simulated sizes (bytes) of what a task leaves behind: compile / link
+#: products, and a result file a dependency, export or return names.
 OBJECT_FILE_BYTES = 64 * 1024
 EXECUTABLE_BYTES = 512 * 1024
+RESULT_FILE_BYTES = 1 << 20
 
 
 def _body_for(task: ExecuteTask, vsite: Vsite) -> tuple[list[str], list[FileEffect]]:

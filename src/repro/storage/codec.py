@@ -24,6 +24,8 @@ import base64
 import json
 import typing
 
+from repro.storage.errors import StorageError
+
 __all__ = ["to_plain", "from_plain", "encode_value", "decode_value"]
 
 #: Tag key marking a base64-encoded byte string in plain form.  The
@@ -66,4 +68,10 @@ def encode_value(value: object) -> bytes:
 
 
 def decode_value(data: bytes) -> object:
-    return from_plain(json.loads(data.decode("utf-8")))
+    """Invert :func:`encode_value`; anything else is a StorageError."""
+    try:
+        return from_plain(json.loads(data.decode("utf-8")))
+    except (ValueError, TypeError, RecursionError) as err:
+        # bad UTF-8, JSON or base64; a non-string where base64 goes;
+        # nesting past the stack
+        raise StorageError(f"not a stored value: {err}") from err

@@ -8,13 +8,15 @@ bytes, so sending the file on or persisting it again reads nothing twice.
 
 Only the process holding a body may seed it, from what it verified
 itself (the chunk CRCs of a stream it reassembled) or from its own blob
-key.  Nothing here rides a message: envelopes, peer messages and frames
-carry ``bytes`` and the receiving site builds its own body, so every
-site still reads each byte it accepts.  Serving the CRCs taken at
-receipt is also the stronger check (HDFS stores block checksums beside
-the data and serves those, for the same reason): one recomputed at send
-time blesses whatever the copy has become, the held one lets the next
-receiver catch it.
+key.  Content the holder made itself needs no seed: a batch system keeps
+the one body it writes per product size, so every product of that size
+at that site shares one memo.  Nothing here rides a message: envelopes,
+peer messages and frames carry ``bytes`` and the receiving site builds
+its own body, so every site still reads each byte it accepts.  Serving
+the CRCs taken at receipt is also the stronger check (HDFS stores block
+checksums beside the data and serves those, for the same reason): one
+recomputed at send time blesses whatever the copy has become, the held
+one lets the next receiver catch it.
 """
 
 from __future__ import annotations

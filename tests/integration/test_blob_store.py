@@ -15,7 +15,7 @@ from repro.ajo import encode_outcome
 from repro.api import GridSession
 from repro.grid import GridSnapshot, build_grid
 from repro.observability import telemetry_for
-from repro.server.njs.executor import RESULT_FILE_BYTES
+from repro.server.njs.incarnation import RESULT_FILE_BYTES
 from repro.storage import OutcomeStore, SnapshotError, decode_value, encode_value
 
 SITES = {"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}
@@ -77,7 +77,7 @@ def test_pipeline_handoff_is_stored_once_and_restored_lazily(storage):
         assert session.wait(handle).status == "successful"
 
     # -- one body, three names ------------------------------------------
-    handoff = hashlib.sha256(b"\x00" * RESULT_FILE_BYTES).hexdigest()
+    handoff = hashlib.sha256(bytes(RESULT_FILE_BYTES)).hexdigest()
     # The forwarded group finished, so the child's journal holds it only
     # as its consign row.
     assert len(grid.usites["ZIB"].njs.journal) == 0

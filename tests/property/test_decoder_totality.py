@@ -2,11 +2,12 @@
 
 ``decode_ajo`` and ``decode_service`` parse what a client sent,
 ``decode_outcome`` what a peer or an old journal row holds,
-``GridSnapshot.from_bytes`` a file from disk.  Arbitrary bytes, a valid
-encoding with bytes changed, and a valid encoding whose JSON *structure*
-was changed (a node replaced, dropped or retyped — still valid JSON) must
-each end in a value or in a ``ReproError`` the registry holds: never a
-bare ``TypeError``, ``ValueError``, ``KeyError`` or ``AttributeError``.
+``GridSnapshot.from_bytes`` a file from disk, ``decode_value`` a row a
+storage backend read back.  Arbitrary bytes, a valid encoding with bytes
+changed, and a valid encoding whose JSON *structure* was changed (a node
+replaced, dropped or retyped — still valid JSON) must each end in a value
+or in a ``ReproError`` the registry holds: never a bare ``TypeError``,
+``ValueError``, ``KeyError`` or ``AttributeError``.
 The binary decoders have their own suites (``test_wire_properties.py``,
 ``test_stream_properties.py``, ``test_asn1_properties.py``).
 """
@@ -31,6 +32,7 @@ from repro.ajo.tasks import ImportTask, TransferTask
 from repro.errors import ERROR_CODES, ReproError
 from repro.grid import GridSnapshot, build_grid
 from repro.resources import ResourceRequest
+from repro.storage import decode_value, encode_value
 
 
 def _valid_ajo() -> bytes:
@@ -70,11 +72,20 @@ def _valid_snapshot() -> bytes:
     return grid.snapshot().to_bytes()
 
 
+def _valid_row() -> bytes:
+    return encode_value({
+        "job_id": "fzj.7", "seq": 3, "ajo": b"\x00\x01{binary}\xff",
+        "files": {"result.dat": "ab" * 32},
+        "history": [[0.5, "consigned"], [2.0, None, {"raw": b"x"}]],
+    })
+
+
 DECODERS = {
     "ajo": (decode_ajo, _valid_ajo()),
     "service": (decode_service, encode_service(ListService("list", since_seq=3))),
     "outcome": (decode_outcome, _valid_outcome()),
     "snapshot": (GridSnapshot.from_bytes, _valid_snapshot()),
+    "row": (decode_value, _valid_row()),
 }
 which = st.sampled_from(sorted(DECODERS))
 

@@ -209,6 +209,43 @@ def test_failed_job_produces_no_effects_but_output():
     assert uspace.read(f"bad.e{seq}") == b"segfault\n"
 
 
+@pytest.mark.parametrize("kill", ["cancel", "fail_job"])
+def test_killed_job_writes_no_product(kill):
+    sim, system = make_system()
+    uspace = UspaceManager("V").create("job1")
+    job_id = system.submit(spec_for(
+        system, time_s=100.0, workdir=uspace,
+        effects=(FileEffect("result.dat", size_bytes=10),),
+    ))
+    sim.run(until=5.0)
+    getattr(system, kill)(job_id)
+    sim.run()
+    assert system.query(job_id).state.is_terminal
+    assert not uspace.exists("result.dat")
+
+
+def test_effects_of_one_size_are_one_body_per_system():
+    sim, system = make_system()
+    other = BatchSystem(sim, machine("ZIB-SP2"))
+    mgr = UspaceManager("V")
+    spaces = [mgr.create(f"job{i}") for i in range(3)]
+    effects = (
+        FileEffect("a.o", size_bytes=2048),
+        FileEffect("b.o", size_bytes=2048),
+        FileEffect("app", size_bytes=4096),
+    )
+    for uspace, host in zip(spaces, (system, system, other), strict=True):
+        host.submit(spec_for(
+            host, wallclock_s=10.0, workdir=uspace, effects=effects
+        ))
+    sim.run()
+    obj = spaces[0].body("a.o")
+    assert obj is spaces[0].body("b.o") is spaces[1].body("a.o")
+    assert obj == bytes(2048) and spaces[0].body("app") == bytes(4096)
+    # Another host makes its own.
+    assert spaces[2].body("a.o") is not obj and spaces[2].body("a.o") == obj
+
+
 def test_cancel_queued_job():
     sim, system = make_system("DWD-SX4")
     a = system.submit(spec_for(system, "a", cpus=32, time_s=100))

@@ -126,6 +126,23 @@ def test_main_passes_on_baseline_and_fails_on_regression(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_refuses_artifacts_of_unlike_runs(tmp_path, capsys):
+    baselines = str(tmp_path / "baselines")
+    fresh = str(tmp_path / "fresh")
+    full = {**_e15(), "smoke": False, "params": {"jobs": 20}}
+    _write(baselines, "e15", full)
+    for unlike in ({"smoke": True}, {"params": {"jobs": 5}}):
+        _write(fresh, "e15", {**full, **unlike})
+        assert main(["--fresh", fresh, "--baselines", baselines]) == 2
+        captured = capsys.readouterr()
+        (key,) = unlike
+        assert captured.err.startswith("compare_bench: e15:") and key in captured.err
+        assert captured.err.count("\n") == 1 and "gate" not in captured.out
+    _write(fresh, "e15", full)
+    assert main(["--fresh", fresh, "--baselines", baselines]) == 0
+    capsys.readouterr()
+
+
 def test_main_update_blesses_fresh_artifacts(tmp_path, capsys):
     baselines = str(tmp_path / "baselines")
     fresh = str(tmp_path / "fresh")
