@@ -1,19 +1,20 @@
-"""The public facade package: one session API, two execution modes.
+"""The public facade package: one verb table, two drivers.
 
-``repro.api`` re-exports the blocking surface unchanged —
-:class:`GridSession` and :class:`JobHandle` live where they always did::
+Every verb of the user tier (paper sections 4.1, 5.7: ``new_job``,
+``submit``, ``status``, ``wait``, ``outcome``, ``cancel``, ``hold``,
+``resume``, ``list_jobs``, ``fetch_file``, ``dispose``) is defined once,
+in :class:`~repro.api._core.SessionCore`, as "drive this plan generator
+under this process name".  The two facades differ only in the driver:
 
-    from repro.api import GridSession, JobHandle
-
-The package splits into:
-
-- :mod:`repro.api.sync` — the blocking :class:`GridSession` (simkernel
-  transport only; every verb drives the simulator to completion);
+- :mod:`repro.api.sync` — the blocking :class:`GridSession`
+  (``sim.run(until=process)``; simkernel transport only), a verb returns
+  its result;
 - :mod:`repro.api.aio` — :class:`AsyncGridSession` /
-  :class:`AsyncJobHandle`, awaitable verbs over either transport
-  backend (re-exported here for convenience);
-- :mod:`repro.api._core` — the shared :class:`~repro.api._core.SessionCore`
-  plan generators both facades drive, so behavior cannot drift.
+  :class:`AsyncJobHandle` (the process goes to the transport pump;
+  either transport), a verb returns an awaitable of the same result.
+
+So the facades cannot drift — the property
+``tests/integration/test_transport_parity.py`` pins.
 """
 
 from repro.api._core import JobHandle

@@ -1,14 +1,10 @@
-"""The shared session core both facades drive.
+"""The session core: the verb table of :mod:`repro.api`.
 
 Every facade verb — submit with broker failover, subscription wait with
 steal-following, bulk fetch, the lot — is implemented here exactly once,
-as a *plan*: a simkernel generator that yields the events it waits on.
-The blocking :class:`~repro.api.sync.GridSession` drives a plan with
-``sim.run(until=process)``; the asyncio
-:class:`~repro.api.aio.AsyncGridSession` hands the same process to the
-transport pump.  Because the two facades share the generator bodies,
-their observable behavior cannot drift — the property the backend-parity
-test suite pins down.
+as a *plan* (a simkernel generator that yields the events it waits on),
+and spelled here exactly once, as that plan handed to the facade's
+:meth:`SessionCore._drive`.
 
 The resilience mechanisms of :mod:`repro.faults` live in these plans:
 
@@ -38,7 +34,8 @@ from repro.client.jmc import JobMonitorController
 from repro.client.jpa import JobBuilder, JobPreparationAgent
 from repro.faults.breaker import CircuitBreaker
 from repro.faults.errors import CircuitOpenError, ServiceUnavailable
-from repro.net.errors import ConnectionLost
+from repro.net.errors import ConnectionLost, TransportMismatch
+from repro.net.transport import TransportSpec
 from repro.observability import telemetry_for
 from repro.protocol.retry import RetryExhausted
 from repro.protocol.views import JobListing, JobStatusView
@@ -86,13 +83,16 @@ class JobHandle:
 
 
 class SessionCore:
-    """State plus plan generators for one user's grid session.
+    """State, plan generators and verbs for one user's grid session.
 
     Not a public entry point: instantiate
     :class:`~repro.api.sync.GridSession` or
     :class:`~repro.api.aio.AsyncGridSession` instead.  The ``*_plan``
-    methods return simkernel generators; a facade runs
-    :meth:`setup_plan` once after construction, then one plan per verb.
+    methods return simkernel generators; a facade drives
+    :meth:`setup_plan` once after construction, then each verb drives
+    its plan.  A verb's return annotation is what the blocking facade
+    returns.  A job is named by its :class:`JobHandle`, the
+    :class:`~repro.api.aio.AsyncJobHandle` around one, or its bare id.
     """
 
     #: How many broker-ranked alternates to try after a consign timeout.
@@ -142,6 +142,41 @@ class SessionCore:
         return self._tiers[self.usite][0]
 
     # -- plumbing ------------------------------------------------------------
+    @staticmethod
+    def _expect_transport(
+        grid: "Grid", transport: "TransportSpec | str | None"
+    ) -> None:
+        """``connect(transport=...)`` names the backend the caller wrote
+        their workload against; one that differs from what the grid was
+        built with raises :class:`~repro.net.errors.TransportMismatch`
+        rather than silently running on the wrong fabric."""
+        if transport is None:
+            return
+        spec = TransportSpec.parse(transport)
+        if spec.kind != grid.network.kind:
+            raise TransportMismatch(
+                f"session requested the {spec.kind!r} transport but the "
+                f"grid was built with {grid.network.kind!r}; pass "
+                f"transport={spec.kind!r} to build_grid"
+            )
+
+    def _drive(self, gen: typing.Generator, name: str) -> typing.Any:
+        """Run one plan as the process ``api:<name>:<user>``: to its
+        result (blocking facade) or to an awaitable of it (asyncio)."""
+        raise NotImplementedError
+
+    def _process(self, gen: typing.Generator, name: str):
+        return self.sim.process(gen, name=f"api:{name}:{self.user.name}")
+
+    def _jmc(self, handle: "JobHandle | str", call, name: str, *args, **kw):
+        """Drive one JMC ``call`` (an unbound method) at the job's current site."""
+        def plan():
+            jmc, job_id = yield from self._target_plan(handle)
+            result = yield from call(jmc, job_id, *args, **kw)
+            return result
+
+        return self._drive(plan(), name)
+
     def setup_plan(self) -> typing.Generator:
         """Connect the home tier and arm the circuit breaker (run once)."""
         session, _, _ = yield from self._connect_plan(self.usite)
@@ -177,15 +212,17 @@ class SessionCore:
             done.succeed()  # waiters re-check _tiers (and retry on failure)
         return tier
 
+    # A handle is read by its fields (an AsyncJobHandle forwards its
+    # JobHandle's), a bare id has none: nothing is unwrapped.
     @staticmethod
     def _job_id(handle: "JobHandle | str") -> str:
-        return handle.job_id if isinstance(handle, JobHandle) else handle
+        return getattr(handle, "job_id", handle)
 
     def _resolve(self, handle: "JobHandle | str") -> tuple[str, str]:
         """The job's *current* (job_id, usite) — work stealing moves a
         late-bound job, and every verb must follow it."""
         job_id = self._job_id(handle)
-        usite = handle.usite if isinstance(handle, JobHandle) else self.usite
+        usite = getattr(handle, "usite", self.usite)
         entry = self._brokered.get(job_id)
         if entry is not None and entry.job_id and entry.job_id != job_id:
             return entry.job_id, entry.usite
@@ -195,6 +232,70 @@ class SessionCore:
         job_id, usite = self._resolve(handle)
         tier = yield from self._connect_plan(usite)
         return tier[2], job_id
+
+    # -- the verbs, each once: drive its plan under its process name ----------
+    def new_job(
+        self,
+        name: str,
+        vsite: str | None = None,
+        usite: str | None = None,
+        account_group: str = "",
+    ) -> JobBuilder:
+        """A builder bound for ``vsite``; see :meth:`new_job_plan`."""
+        return self._drive(
+            self.new_job_plan(name, vsite, usite, account_group),
+            f"new_job:{name}",
+        )
+
+    def submit(
+        self, job: JobBuilder, workstation=None, broker: bool = False
+    ) -> JobHandle:
+        """Consign ``job``; see :meth:`submit_plan`."""
+        return self._drive(
+            self.submit_plan(job, workstation, broker), f"submit:{job.ajo.name}"
+        )
+
+    def status(
+        self, handle: "JobHandle | str", allow_stale: bool = True
+    ) -> JobStatusView:
+        """The job's status tree; a cached view marked stale during outages."""
+        return self._drive(self.status_plan(handle, allow_stale), "status")
+
+    def wait(
+        self, handle: "JobHandle | str", max_polls: int = 10_000
+    ) -> JobStatusView:
+        """Wait until the job is terminal; see :meth:`wait_plan`."""
+        return self._drive(self.wait_plan(handle, max_polls), "wait")
+
+    def outcome(self, handle: "JobHandle | str"):
+        """The full Outcome tree (stdout/stderr included) of a finished job."""
+        return self._jmc(handle, JobMonitorController.outcome, "outcome")
+
+    def cancel(self, handle: "JobHandle | str") -> dict:
+        """Abort the job wherever its parts currently are."""
+        return self._jmc(handle, JobMonitorController.cancel, "cancel")
+
+    def hold(self, handle: "JobHandle | str") -> dict:
+        return self._jmc(handle, JobMonitorController.hold, "hold")
+
+    def resume(self, handle: "JobHandle | str") -> dict:
+        return self._jmc(handle, JobMonitorController.resume, "resume")
+
+    def list_jobs(self, usite: str | None = None) -> list[JobListing]:
+        """The user's jobs at one Usite (default: the home site)."""
+        return self._drive(self.list_jobs_plan(usite), "list")
+
+    def fetch_file(
+        self, handle: "JobHandle | str", path: str, save_as: str | None = None
+    ) -> bytes:
+        """Bring one Uspace file back to the user's workstation."""
+        return self._jmc(
+            handle, JobMonitorController.fetch_file, "fetch", path,
+            workstation=self.user.workstation, save_as=save_as,
+        )
+
+    def dispose(self, handle: "JobHandle | str") -> dict:
+        return self._jmc(handle, JobMonitorController.dispose, "dispose")
 
     # -- authoring -----------------------------------------------------------
     def new_job_plan(
@@ -215,7 +316,7 @@ class SessionCore:
         tier = yield from self._connect_plan(usite)
         return tier[1].new_job(name, vsite=vsite, account_group=account_group)
 
-    # -- the four verbs ------------------------------------------------------
+    # -- the plans -----------------------------------------------------------
     def submit_plan(
         self, job: JobBuilder, workstation=None, broker: bool = False
     ) -> typing.Generator:
@@ -401,13 +502,13 @@ class SessionCore:
         entry to unbind and move before it is believed.
         """
         steal_grace = self.STEAL_GRACE_ROUNDS
+        entry = self._brokered.get(self._job_id(handle))
+
+        def live() -> bool:  # late-bound, and the broker may still move it
+            return entry is not None and not entry.state.is_terminal
+
         while True:
-            entry = self._brokered.get(self._job_id(handle))
-            if (
-                entry is not None
-                and not entry.state.is_terminal
-                and not entry.job_id
-            ):
+            if live() and not entry.job_id:
                 # Stolen, not yet rebound: let the dispatch tick run.
                 yield self.sim.timeout(self.BROKER_REBIND_WAIT_S)
                 continue
@@ -417,18 +518,9 @@ class SessionCore:
             if new_id != job_id:
                 steal_grace = self.STEAL_GRACE_ROUNDS
                 continue  # moved while we were polling the old site
-            if (
-                entry is not None
-                and not entry.state.is_terminal
-                and not entry.job_id
-            ):
+            if live() and not entry.job_id:
                 continue
-            if (
-                tree.get("status") == "killed"
-                and entry is not None
-                and not entry.state.is_terminal
-                and steal_grace > 0
-            ):
+            if tree.get("status") == "killed" and live() and steal_grace > 0:
                 steal_grace -= 1
                 yield self.sim.timeout(self.BROKER_REBIND_WAIT_S)
                 continue
@@ -447,50 +539,11 @@ class SessionCore:
                 self._telemetry.metrics.counter("api.wait_retries").inc()
                 yield self.sim.timeout(self.WAIT_RETRY_DELAY_S)
 
-    def outcome_plan(self, handle: "JobHandle | str") -> typing.Generator:
-        """The full Outcome tree (stdout/stderr included) of a finished job."""
-        jmc, job_id = yield from self._target_plan(handle)
-        result = yield from jmc.outcome(job_id)
-        return result
-
-    def cancel_plan(self, handle: "JobHandle | str") -> typing.Generator:
-        """Abort the job wherever its parts currently are."""
-        jmc, job_id = yield from self._target_plan(handle)
-        result = yield from jmc.cancel(job_id)
-        return result
-
-    # -- the rest of the JMC, planned for completeness -----------------------
-    def hold_plan(self, handle: "JobHandle | str") -> typing.Generator:
-        jmc, job_id = yield from self._target_plan(handle)
-        result = yield from jmc.hold(job_id)
-        return result
-
-    def resume_plan(self, handle: "JobHandle | str") -> typing.Generator:
-        jmc, job_id = yield from self._target_plan(handle)
-        result = yield from jmc.resume(job_id)
-        return result
-
     def list_jobs_plan(self, usite: str | None = None) -> typing.Generator:
         """The user's jobs at one Usite (default: the home site)."""
         tier = yield from self._connect_plan(usite or self.usite)
         rows = yield from tier[2].list_jobs()
         return [JobListing.from_dict(row) for row in rows]
-
-    def fetch_file_plan(
-        self, handle: "JobHandle | str", path: str, save_as: str | None = None
-    ) -> typing.Generator:
-        """Bring one Uspace file back to the user's workstation."""
-        jmc, job_id = yield from self._target_plan(handle)
-        content = yield from jmc.fetch_file(
-            job_id, path,
-            workstation=self.user.workstation, save_as=save_as,
-        )
-        return content
-
-    def dispose_plan(self, handle: "JobHandle | str") -> typing.Generator:
-        jmc, job_id = yield from self._target_plan(handle)
-        result = yield from jmc.dispose(job_id)
-        return result
 
     def sleep_plan(self, seconds: float) -> typing.Generator:
         """Let simulated time pass (jobs run; nothing blocks on it)."""

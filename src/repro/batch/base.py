@@ -30,7 +30,7 @@ from repro.batch.errors import (
 )
 from repro.batch.machines import MachineConfig
 from repro.batch.scheduling import FCFSScheduler
-from repro.observability import telemetry_for
+from repro.observability import INERT_SPAN, Span, telemetry_for
 from repro.resources.model import ResourceSet
 from repro.simkernel import CallbackSlot, Event, Simulator
 from repro.vfs.body import FileBody
@@ -145,8 +145,8 @@ class BatchJobRecord:
     completion_event: Event | None = None
     #: While running: the timer whose firing is the end of the run.
     _run: CallbackSlot | None = None
-    _wait_span: object = None
-    _run_span: object = None
+    _wait_span: Span = INERT_SPAN
+    _run_span: Span = INERT_SPAN
 
     @property
     def wait_time(self) -> float | None:
@@ -246,16 +246,15 @@ class BatchSystem:
         )
         telemetry = telemetry_for(self.sim)
         telemetry.metrics.counter("batch.submitted").inc()
-        if spec.trace_id:
-            record._wait_span = telemetry.tracer.start_span(
-                "batch.wait",
-                spec.trace_id,
-                parent=spec.parent_span_id or None,
-                tier="batch",
-                job=spec.name,
-                queue=spec.queue,
-                machine=self.machine.name,
-            )
+        record._wait_span = telemetry.tracer.start_span(
+            "batch.wait",
+            spec.trace_id,
+            parent=spec.parent_span_id,
+            tier="batch",
+            job=spec.name,
+            queue=spec.queue,
+            machine=self.machine.name,
+        )
         self._records[record.job_id] = record
         self._pending.append(record)
         self._schedule_pass()
@@ -344,6 +343,22 @@ class BatchSystem:
     def all_records(self) -> list[BatchJobRecord]:
         return list(self._records.values())
 
+    def backlog_cpu_s(self) -> float:
+        """Work still ahead of a new arrival, as an outsider can see it:
+        cpus x remaining limit over queued and running records (the
+        classic backlog heuristic; divide by the machine's CPUs for a
+        wait estimate)."""
+        backlog = 0.0
+        now = self.sim.now
+        for record in self._records.values():
+            resources = record.spec.resources
+            if record.state is BatchState.QUEUED:
+                backlog += resources.cpus * resources.time_s
+            elif record.state is BatchState.RUNNING:
+                elapsed = now - (record.start_time or now)
+                backlog += resources.cpus * max(0.0, resources.time_s - elapsed)
+        return backlog
+
     def utilization(self) -> float:
         """Mean fraction of CPUs busy since t=0."""
         self._account()
@@ -379,17 +394,16 @@ class BatchSystem:
         telemetry.metrics.histogram("batch.wait_seconds").observe(
             record.wait_time or 0.0
         )
-        if record._wait_span is not None:
-            telemetry.tracer.end_span(record._wait_span)
-            record._run_span = telemetry.tracer.start_span(
-                "batch.execute",
-                record.spec.trace_id,
-                parent=record.spec.parent_span_id or None,
-                tier="batch",
-                job=record.spec.name,
-                machine=self.machine.name,
-                cpus=record.spec.resources.cpus,
-            )
+        telemetry.tracer.end_span(record._wait_span)
+        record._run_span = telemetry.tracer.start_span(
+            "batch.execute",
+            record.spec.trace_id,
+            parent=record.spec.parent_span_id,
+            tier="batch",
+            job=record.spec.name,
+            machine=self.machine.name,
+            cpus=record.spec.resources.cpus,
+        )
         self._running[record.job_id] = record
         record._run = self.sim.schedule_callback(
             min(record.spec.actual_runtime, record.spec.resources.time_s),
@@ -478,12 +492,11 @@ class BatchSystem:
                 record.end_time - record.start_time
             )
         failure = None if state is BatchState.DONE else (reason or state.value)
-        if record._wait_span is not None and not record._wait_span.finished:
+        if not record._wait_span.finished:
             # Cancelled while queued: the wait span is all there was.
             telemetry.tracer.end_span(record._wait_span, error=failure)
-        if record._run_span is not None:
-            telemetry.tracer.end_span(
-                record._run_span.set(state=state.value), error=failure
-            )
+        telemetry.tracer.end_span(
+            record._run_span.set(state=state.value), error=failure
+        )
         assert record.completion_event is not None
         record.completion_event.succeed(record)

@@ -58,8 +58,10 @@ class CapacityAdvertisement:
     #: feasibility check the analysis tier applies at consign time.
     page: ResourcePage
 
-    def wait_estimate_s(self) -> float:
-        return self.backlog_cpu_s / max(1, self.total_cpus)
+    def wait_estimate_s(self, bound_since_cpu_s: float = 0.0) -> float:
+        """Backlog over capacity; ``bound_since_cpu_s`` is work the broker
+        itself sent here after this advertisement left (its overlay)."""
+        return (self.backlog_cpu_s + bound_since_cpu_s) / max(1, self.total_cpus)
 
 
 @dataclass(frozen=True, slots=True)

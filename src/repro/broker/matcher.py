@@ -237,8 +237,7 @@ class TaskQueueBroker:
         ad = self._ads.get(vsite)
         if ad is None:
             return float("inf")
-        overlay = self._overlay.get(vsite, [0, 0.0])
-        return (ad.backlog_cpu_s + overlay[1]) / max(1, ad.total_cpus)
+        return ad.wait_estimate_s(self._overlay.get(vsite, [0, 0.0])[1])
 
     def _best_vsite(
         self, job: BrokerJob, ads: dict[str, CapacityAdvertisement]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.batch.base import BatchState
 from repro.resources.check import check_request
 from repro.resources.model import ResourceRequest
 from repro.server.vsite import Vsite
@@ -72,27 +71,15 @@ class ResourceBroker:
 
     # -- load estimation ----------------------------------------------------
     @staticmethod
-    def _estimated_wait(vsite: Vsite, request: ResourceRequest) -> float:
+    def _estimated_wait(vsite: Vsite) -> float:
         """Backlog-based wait estimate from observable queue state.
 
-        Sum of (cpus x remaining-limit) over queued and running jobs,
-        divided by machine capacity: the classic backlog heuristic.  The
+        The batch system's backlog divided by machine capacity.  The
         paper notes UNICORE "can neither estimate the turnaround time for
         a job nor influence the scheduling" — the broker can only
         *estimate from outside*, which is exactly what this does.
         """
-        backlog_cpu_s = 0.0
-        now = vsite.sim.now
-        for record in vsite.batch.all_records():
-            if record.state is BatchState.QUEUED:
-                backlog_cpu_s += (
-                    record.spec.resources.cpus * record.spec.resources.time_s
-                )
-            elif record.state is BatchState.RUNNING:
-                elapsed = now - (record.start_time or now)
-                remaining = max(0.0, record.spec.resources.time_s - elapsed)
-                backlog_cpu_s += record.spec.resources.cpus * remaining
-        return backlog_cpu_s / vsite.machine.cpus
+        return vsite.batch.backlog_cpu_s() / vsite.machine.cpus
 
     def candidates(
         self,
@@ -117,7 +104,7 @@ class ResourceBroker:
                 BrokerDecision(
                     usite=uname,
                     vsite=vname,
-                    estimated_wait_s=self._estimated_wait(vsite, request),
+                    estimated_wait_s=self._estimated_wait(vsite),
                     estimated_runtime_s=runtime / vsite.machine.speed_factor,
                     cost_rate=self._cost.get(vname, 1.0),
                 )

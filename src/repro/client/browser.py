@@ -6,7 +6,7 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.net.https import HttpsChannel, establish_https
-from repro.net.transport import Transport
+from repro.net.sim_transport import Network
 from repro.observability import telemetry_for
 from repro.protocol.client import AsyncProtocolClient, ReplyRouter
 from repro.protocol.datapath import DataPlaneEndpoint, StreamIdAllocator
@@ -60,7 +60,7 @@ class Browser:
     def __init__(
         self,
         sim: Simulator,
-        network: Transport,
+        network: Network,
         host_name: str,
         user_cert: Certificate,
         user_key: RSAKeyPair,

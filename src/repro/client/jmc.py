@@ -169,26 +169,22 @@ class JobMonitorController:
         # client -> gateway -> NJS -> batch -> outcome return.
         tracer = telemetry_for(self.session.client.sim).tracer
         trace_id = tracer.trace_id_for_job(job_id) or ""
-        outcome_span = None
-        if trace_id:
-            outcome_span = tracer.start_span(
-                "client.outcome", trace_id, tier="user", job_id=job_id
-            )
+        outcome_span = tracer.start_span(
+            "client.outcome", trace_id, tier="user", job_id=job_id
+        )
         try:
             reply = yield from self._ask(
                 RequestKind.RETRIEVE_OUTCOME, job_id.encode(),
                 trace_id=trace_id,
-                parent_span_id=outcome_span.span_id if outcome_span else "",
+                parent_span_id=outcome_span.span_id,
             )
             # Large outcomes travel on the data plane: the gateway
             # pushed the stream ahead of this slim reply.
             payload = yield from fetch_bulk_payload(self.session.datapath, reply)
         except BaseException as err:
-            if outcome_span is not None:
-                tracer.end_span(outcome_span, error=err)
+            tracer.end_span(outcome_span, error=err)
             raise
-        if outcome_span is not None:
-            tracer.end_span(outcome_span.set(outcome_bytes=len(payload)))
+        tracer.end_span(outcome_span.set(outcome_bytes=len(payload)))
         return decode_outcome(payload)
 
     # -- control -----------------------------------------------------------------

@@ -337,8 +337,7 @@ class JobPreparationAgent:
                 yield from send_stream(
                     self.session.client.sim, sender,
                     channel_sender(self.session.channel),
-                    metrics=telemetry.metrics, tracer=tracer,
-                    trace_id=trace_id, parent_span=submit_span,
+                    parent_span=submit_span,
                 )
                 entries.append(entry_for_sender(path, sender))
             payload = encode_consignment(

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from repro.batch.machines import machine
 from repro.client.browser import Browser, UnicoreSession
 from repro.grid.snapshot import GridSnapshot
-from repro.net.transport import Transport, TransportSpec, resolve_transport
+from repro.net.sim_transport import Network
+from repro.net.transport import TransportSpec, resolve_transport
 from repro.security.applet import AppletBundle, SignedApplet, sign_applet
 from repro.security.ca import CertificateAuthority, CertificateStore
 from repro.security.x509 import CertificateRole, DistinguishedName
@@ -61,7 +62,7 @@ class Grid:
     def __init__(
         self,
         sim: Simulator,
-        network: Transport,
+        network: Network,
         ca: CertificateAuthority,
         storage: StorageBackend | None = None,
     ) -> None:

@@ -2,17 +2,18 @@
 
 The paper's components talk over the Internet (https between browser,
 gateway, and peer NJSs; IP sockets across the firewall).  This package
-carries that traffic behind a pluggable transport interface:
+carries that traffic behind one interface, :class:`Network`:
 
-- :mod:`repro.net.transport` — the backend-neutral :class:`Transport`
-  surface plus :class:`TransportSpec`/registry for choosing a fabric;
-- :mod:`repro.net.sim_transport` — the deterministic simkernel backend:
-  hosts with mailboxes, point-to-point links with latency, bandwidth,
-  FIFO serialization, and Bernoulli loss (every test and deterministic
-  benchmark runs here);
-- :mod:`repro.net.aio_transport` — the real ``asyncio`` TCP backend:
-  WAN edges carry the same messages as length-prefixed frames over
-  actual sockets (:mod:`repro.net.wire`), measured in wall clock;
+- :mod:`repro.net.sim_transport` — :class:`Network`, the interface and
+  the deterministic simkernel backend in one: hosts with mailboxes,
+  point-to-point links with latency, bandwidth, FIFO serialization, and
+  Bernoulli loss (every test and deterministic benchmark runs here);
+- :mod:`repro.net.aio_transport` — ``AioTransport(Network)``, the real
+  ``asyncio`` TCP backend: WAN edges carry the same messages as
+  length-prefixed frames over actual sockets (:mod:`repro.net.wire`),
+  measured in wall clock;
+- :mod:`repro.net.transport` — :class:`TransportSpec` /
+  :func:`resolve_transport`, which choose between the two;
 - :mod:`repro.net.https` — https-style channels over either fabric:
   certificate handshake round-trips plus per-record framing overhead
   (what makes bulk NJS-to-NJS transfer slow, experiment E5), and a
@@ -36,11 +37,7 @@ from repro.net.errors import (
     NetworkError,
     TransportMismatch,
 )
-from repro.net.transport import (
-    Transport,
-    TransportSpec,
-    resolve_transport,
-)
+from repro.net.transport import TransportSpec, resolve_transport
 from repro.net.sim_transport import Host, Link, Message, Network
 from repro.net.https import DirectChannel, HttpsChannel, establish_https
 from repro.net.stream import (
@@ -72,7 +69,6 @@ __all__ = [
     "OpenInfo",
     "StreamReassembler",
     "StreamSender",
-    "Transport",
     "TransportMismatch",
     "TransportSpec",
     "decode_frame",

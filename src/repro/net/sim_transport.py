@@ -12,11 +12,11 @@ the link's loss probability, drawn from a deterministic per-link stream;
 a lost message fails the sender's delivery event at the time the receiver
 would have noticed (one timeout interval), so protocols can react.
 
-This module is the ``"sim"`` implementation of the
-:class:`~repro.net.transport.Transport` interface — the backend every
-test, fault scenario, and deterministic benchmark runs on.  The real
-``asyncio`` TCP backend lives in :mod:`repro.net.aio_transport`; both
-are selected through :class:`~repro.net.transport.TransportSpec`.
+:class:`Network` is also the transport interface: servers and protocol
+clients are written against its ``send`` / ``host`` / ``link`` surface,
+and the real-socket backend (:class:`repro.net.aio_transport.AioTransport`)
+subclasses it.  :class:`~repro.net.transport.TransportSpec` selects
+between the two.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from itertools import count
 
 from repro.net.errors import ConnectionLost, HostUnreachable, NetworkError
-from repro.net.transport import Transport
 from repro.simkernel import Event, SimQueue, Simulator, TimeoutAt
 from repro.simkernel.rng import derive_rng
 
@@ -174,10 +173,15 @@ class Link:
         return ev
 
 
-class Network(Transport):
+class Network:
     """The fabric: hosts plus links, with deterministic loss streams."""
 
+    #: Name of the backend (``"sim"``, ``"aio"``).
     kind = "sim"
+    #: True when sends involve real I/O that must be pumped by an event
+    #: loop.  The blocking :class:`~repro.api.GridSession` facade refuses
+    #: realtime transports; :class:`~repro.api.aio.AsyncGridSession`
+    #: drives either.
     realtime = False
 
     def __init__(self, sim: Simulator, seed: int = 0) -> None:
@@ -231,6 +235,14 @@ class Network(Transport):
         except KeyError:
             raise HostUnreachable(f"no link {src} -> {dst}") from None
 
+    def mark_wan(self, name: str) -> None:
+        """Declare ``name`` a WAN-side (client) host.
+
+        A realtime backend routes traffic between a WAN host and the
+        server tier over real sockets; here every edge is modelled
+        alike, so this is a no-op.
+        """
+
     # -- snapshot support ------------------------------------------------------
     def state_cursors(self) -> dict[str, object]:
         """Message-id counter plus every link's loss-RNG state.
@@ -270,6 +282,11 @@ class Network(Transport):
         delay_s: float = 0.0,
     ) -> Event:
         """Send; returns the delivery event (fails on loss after timeout).
+
+        ``delay_s`` is time the sender needs before the first byte can
+        leave (sealing https records).  The message takes its place on
+        the ``src -> dst`` edge now and leaves no earlier than
+        ``now + delay_s``; messages on one edge leave in call order.
 
         With ``deliver=False`` the message still occupies the link and
         counts in statistics but is not delivered to the destination host

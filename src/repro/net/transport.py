@@ -1,23 +1,23 @@
-"""The pluggable transport interface: one protocol, two fabrics.
+"""Choosing the fabric: one protocol, two backends.
 
 Every message in the reproduction — control-plane
 :class:`~repro.protocol.messages.Request`/``Reply`` envelopes, data-plane
 stream frames, handshake flights — crosses tiers through one call,
-``transport.send(src, dst, payload, size_bytes, ...)``.  This module
-defines that surface as an abstract :class:`Transport` so the fabric
-underneath is interchangeable:
+``network.send(src, dst, payload, size_bytes, ...)``.  The interface is
+:class:`repro.net.sim_transport.Network` (see its docstring); this
+module names the two fabrics behind it and builds the one asked for:
 
 ``"sim"``
-    :class:`repro.net.sim_transport.Network` — the deterministic
+    :class:`repro.net.sim_transport.Network` itself — the deterministic
     simkernel backend: virtual clock, modeled latency/bandwidth/loss.
     Every test, fault scenario, and deterministic benchmark runs here.
 
 ``"aio"``
-    :class:`repro.net.aio_transport.AioTransport` — a real ``asyncio``
-    TCP backend: WAN edges (user workstation ↔ gateway) carry the same
-    wire messages as length-prefixed frames over real sockets, so the
-    stack can serve actual concurrent clients and be measured in
-    wall-clock msgs/s and MB/s.
+    :class:`repro.net.aio_transport.AioTransport`, a ``Network`` whose
+    WAN edges (user workstation ↔ gateway) carry the same wire messages
+    as length-prefixed frames over real TCP sockets, so the stack can
+    serve actual concurrent clients and be measured in wall-clock
+    msgs/s and MB/s.
 
 Backend choice is one argument end to end:
 ``build_grid(..., transport="aio")`` at construction, and the matching
@@ -31,118 +31,10 @@ import typing
 from dataclasses import dataclass, field
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.simkernel import Event, Simulator
+    from repro.net.sim_transport import Network
+    from repro.simkernel import Simulator
 
-__all__ = [
-    "Transport",
-    "TransportSpec",
-    "resolve_transport",
-]
-
-
-class Transport:
-    """The message fabric between UNICORE components.
-
-    Concrete backends provide named hosts with inboxes, point-to-point
-    reachability, and :meth:`send`.  Server processes and protocol
-    clients are written against this surface only, so swapping the
-    fabric never touches their logic.
-    """
-
-    #: Name of the backend (``"sim"``, ``"aio"``).
-    kind: str = "abstract"
-    #: True when sends involve real I/O that must be pumped by an event
-    #: loop.  The blocking :class:`~repro.api.GridSession` facade refuses
-    #: realtime transports; :class:`~repro.api.aio.AsyncGridSession`
-    #: drives either.
-    realtime: bool = False
-
-    # -- topology -------------------------------------------------------------
-    # Host and link objects are backend-specific (the simkernel Host
-    # carries an inbox Store; the aio backend hands out socket-backed
-    # peers), so the interface types them as Any.
-    def add_host(self, name: str) -> typing.Any:
-        raise NotImplementedError
-
-    def host(self, name: str) -> typing.Any:
-        raise NotImplementedError
-
-    def link(
-        self,
-        src: str,
-        dst: str,
-        latency_s: float = 0.010,
-        bandwidth_Bps: float = 1_250_000.0,
-        loss_probability: float = 0.0,
-        symmetric: bool = True,
-    ) -> None:
-        raise NotImplementedError
-
-    def get_link(self, src: str, dst: str) -> typing.Any:
-        raise NotImplementedError
-
-    def mark_wan(self, name: str) -> None:
-        """Declare ``name`` a WAN-side (client) host.
-
-        Realtime backends route traffic between a WAN host and the
-        server tier over real sockets; the simkernel backend models
-        every edge identically, so this is a no-op there.
-        """
-
-    # -- traffic ---------------------------------------------------------------
-    def send(
-        self,
-        src: str,
-        dst: str,
-        payload: object,
-        size_bytes: int,
-        channel: str = "raw",
-        deliver: bool = True,
-        delay_s: float = 0.0,
-    ) -> "Event":
-        """Send; returns the delivery event (fails on loss/reset).
-
-        ``delay_s`` is time the sender needs before the first byte can
-        leave (sealing https records).  The message takes its place on
-        the ``src -> dst`` edge now and leaves no earlier than
-        ``now + delay_s``; messages on one edge leave in call order.
-        """
-        raise NotImplementedError
-
-    # -- snapshot support -----------------------------------------------------
-    def state_cursors(self) -> dict[str, object]:
-        """Internal counters and RNG cursors, for grid snapshots.
-
-        A restored grid must continue the exact message-id and loss-draw
-        sequences of the original, so the simkernel backend exposes its
-        cursors here.  Realtime backends have no replayable cursor state;
-        the base implementation refuses with
-        :class:`~repro.storage.errors.SnapshotError`.
-        """
-        from repro.storage.errors import SnapshotError
-
-        raise SnapshotError(
-            f"transport backend {self.kind!r} does not support snapshots"
-        )
-
-    def restore_cursors(self, cursors: dict[str, object]) -> None:
-        """Restore the cursors captured by :meth:`state_cursors`."""
-        from repro.storage.errors import SnapshotError
-
-        raise SnapshotError(
-            f"transport backend {self.kind!r} does not support snapshots"
-        )
-
-    # -- instrumentation ------------------------------------------------------
-    @property
-    def hosts(self) -> list[str]:
-        raise NotImplementedError
-
-    def total_bytes_sent(self) -> int:
-        raise NotImplementedError
-
-    def total_messages_lost(self) -> int:
-        raise NotImplementedError
+__all__ = ["TransportSpec", "resolve_transport"]
 
 
 @dataclass(frozen=True)
@@ -178,7 +70,7 @@ class TransportSpec:
 
 def resolve_transport(
     spec: "TransportSpec | str | None", sim: "Simulator", seed: int = 0
-) -> Transport:
+) -> "Network":
     """Instantiate the backend a spec names: ``"sim"`` or ``"aio"``.
 
     Raises :class:`~repro.net.errors.NetworkError` for any other kind.

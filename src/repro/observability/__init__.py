@@ -24,7 +24,7 @@ default.
 """
 
 from repro.observability.metrics import Counter, Histogram, MetricsRegistry
-from repro.observability.span import Span
+from repro.observability.span import INERT_SPAN, Span
 from repro.observability.telemetry import Telemetry, telemetry_for
 from repro.observability.trace import Trace
 from repro.observability.tracer import Tracer
@@ -32,6 +32,7 @@ from repro.observability.tracer import Tracer
 __all__ = [
     "Counter",
     "Histogram",
+    "INERT_SPAN",
     "MetricsRegistry",
     "Span",
     "Telemetry",

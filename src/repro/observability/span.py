@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Span"]
+__all__ = ["INERT_SPAN", "Span"]
 
 
 @dataclass(slots=True)
@@ -60,3 +60,24 @@ class Span:
             "error": self.error,
             "attributes": dict(self.attributes),
         }
+
+
+class _InertSpan(Span):
+    """What an untraced request holds where a traced one holds a span."""
+
+    __slots__ = ()
+    #: There is one, so identity will do — and a dataclass field may
+    #: default to it.
+    __hash__ = object.__hash__
+
+    def set(self, **attributes: object) -> "Span":
+        return self
+
+
+#: The one inert span: :meth:`Tracer.start_span` returns it for an empty
+#: trace id, so callers run one path for traced and untraced requests.
+#: It is recorded nowhere, ``set()`` and ``Tracer.end_span()`` leave it
+#: untouched, and its ``span_id`` is ``""`` (a child of it is a root).
+INERT_SPAN: Span = _InertSpan(
+    name="", trace_id="", span_id="", parent_id=None, start=0.0, end=0.0
+)

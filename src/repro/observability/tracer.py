@@ -6,7 +6,7 @@ import contextlib
 import typing
 from itertools import count
 
-from repro.observability.span import Span
+from repro.observability.span import INERT_SPAN, Span
 from repro.observability.trace import Trace
 
 __all__ = ["Tracer"]
@@ -72,7 +72,13 @@ class Tracer:
         tier: str = "",
         **attributes: object,
     ) -> Span:
-        """Open a span at the current clock time."""
+        """Open a span at the current clock time.
+
+        An empty ``trace_id`` (an untraced request) opens nothing: the
+        answer is :data:`~repro.observability.span.INERT_SPAN`.
+        """
+        if not trace_id:
+            return INERT_SPAN
         parent_id = parent.span_id if isinstance(parent, Span) else parent
         span = Span(
             name=name,
@@ -90,6 +96,8 @@ class Tracer:
         self, span: Span, error: "BaseException | str | None" = None
     ) -> Span:
         """Close a span; ``error`` marks it failed."""
+        if span is INERT_SPAN:
+            return span
         if span.end is None:
             span.end = self.clock()
         if error is not None:

@@ -116,30 +116,26 @@ class AsyncProtocolClient:
             self.breaker.check()
         telemetry = telemetry_for(self.sim)
         tracer = telemetry.tracer
-        interact_span = None
-        if request.trace_id:
-            interact_span = tracer.start_span(
-                "protocol.interact",
-                request.trace_id,
-                parent=request.parent_span_id or None,
-                tier="user",
-                kind=request.kind,
-                wire_bytes=request.wire_size,
-            )
+        interact_span = tracer.start_span(
+            "protocol.interact",
+            request.trace_id,
+            parent=request.parent_span_id,
+            tier="user",
+            kind=request.kind,
+            wire_bytes=request.wire_size,
+        )
         last_error: BaseException | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
             reply_ev = self.router.expect(request.request_id)
             self.requests_sent += 1
             telemetry.metrics.counter("protocol.requests_sent").inc()
-            attempt_span = None
-            if interact_span is not None:
-                attempt_span = tracer.start_span(
-                    "protocol.attempt",
-                    request.trace_id,
-                    parent=interact_span,
-                    tier="user",
-                    attempt=attempt,
-                )
+            attempt_span = tracer.start_span(
+                "protocol.attempt",
+                request.trace_id,
+                parent=interact_span,
+                tier="user",
+                attempt=attempt,
+            )
             try:
                 yield self.channel.send(request, request.wire_size)
                 # The reply itself may be lost in transit, so the
@@ -148,9 +144,8 @@ class AsyncProtocolClient:
                 reply = yield reply_ev
                 deadline.cancel()
                 if reply is not EXPIRED:
-                    if attempt_span is not None:
-                        tracer.end_span(attempt_span)
-                        tracer.end_span(interact_span)
+                    tracer.end_span(attempt_span)
+                    tracer.end_span(interact_span)
                     if self.breaker is not None:
                         self.breaker.record_success()
                     return typing.cast(Reply, reply)
@@ -161,8 +156,7 @@ class AsyncProtocolClient:
             except ConnectionLost as err:
                 # The request was lost on the way out.
                 last_error = err
-            if attempt_span is not None:
-                tracer.end_span(attempt_span, error=last_error)
+            tracer.end_span(attempt_span, error=last_error)
             # Back off and resend the same idempotent request.
             self.router.forget(request.request_id)
             self.retries += 1
@@ -170,8 +164,7 @@ class AsyncProtocolClient:
             if attempt < self.retry.max_attempts:
                 yield self.sim.timeout(self.retry.delay_for(attempt))
         assert last_error is not None
-        if interact_span is not None:
-            tracer.end_span(interact_span, error=last_error)
+        tracer.end_span(interact_span, error=last_error)
         if self.breaker is not None:
             self.breaker.record_failure()
         raise RetryExhausted(self.retry.max_attempts, last_error)

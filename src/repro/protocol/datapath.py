@@ -48,7 +48,7 @@ from repro.net.stream import (
     decode_frame,
     encode_frame,
 )
-from repro.observability import MetricsRegistry, Span, Tracer
+from repro.observability import INERT_SPAN, MetricsRegistry, Span, telemetry_for
 from repro.protocol.consignment import FileEntry
 from repro.simkernel import EXPIRED, Event, Simulator
 from repro.vfs.body import FileBody
@@ -260,10 +260,7 @@ def send_stream(
         [bytes], typing.Generator[Event, typing.Any, object]
     ],
     *,
-    metrics: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-    trace_id: str = "",
-    parent_span: Span | str | None = None,
+    parent_span: Span = INERT_SPAN,
 ) -> typing.Generator[Event, typing.Any, None]:
     """Send a stream's frames in order, one ``send_frame(raw)`` each.
 
@@ -274,44 +271,40 @@ def send_stream(
     point is the lost chunk, never byte zero (``stream.resumes`` counts
     the retransmissions).  Raises
     :class:`~repro.net.errors.ConnectionLost` only once a single chunk
-    exhausts :data:`CHUNK_RETRIES`.
+    exhausts :data:`CHUNK_RETRIES`.  The ``stream.send`` span joins
+    ``parent_span``'s trace.
     """
-    span = None
-    if tracer is not None and trace_id:
-        info = sender.open_info
-        span = tracer.start_span(
-            "stream.send", trace_id, parent=parent_span, tier="user",
-            bytes=info.total_size, chunks=info.chunk_count,
-            kind=info.context.get("kind", ""),
-        )
+    telemetry = telemetry_for(sim)
+    metrics, tracer = telemetry.metrics, telemetry.tracer
+    info = sender.open_info
+    span = tracer.start_span(
+        "stream.send", parent_span.trace_id, parent=parent_span, tier="user",
+        bytes=info.total_size, chunks=info.chunk_count,
+        kind=info.context.get("kind", ""),
+    )
     resumes = 0
     try:
         for frame in sender.frames():
             raw = encode_frame(frame)
             for attempt in range(1 + CHUNK_RETRIES):
-                if metrics is not None:
-                    metrics.counter("stream.wire_bytes").inc(len(raw))
+                metrics.counter("stream.wire_bytes").inc(len(raw))
                 try:
                     yield from send_frame(raw)
                     break
                 except ConnectionLost:
                     resumes += 1
-                    if metrics is not None:
-                        metrics.counter("stream.resumes").inc()
+                    metrics.counter("stream.resumes").inc()
                     if attempt >= CHUNK_RETRIES:
                         raise
                     yield sim.timeout(CHUNK_RETRY_DELAY_S)
-            if metrics is not None:
-                metrics.counter(
-                    "stream.chunks" if frame.ftype == FrameType.DATA
-                    else "stream.opens"
-                ).inc()
+            metrics.counter(
+                "stream.chunks" if frame.ftype == FrameType.DATA
+                else "stream.opens"
+            ).inc()
     except BaseException as err:
-        if tracer is not None and span is not None:
-            tracer.end_span(span.set(resumes=resumes), error=err)
+        tracer.end_span(span.set(resumes=resumes), error=err)
         raise
-    if tracer is not None and span is not None:
-        tracer.end_span(span.set(resumes=resumes))
+    tracer.end_span(span.set(resumes=resumes))
 
 
 def channel_sender(

@@ -259,7 +259,6 @@ class Gateway:
                 yield from send_stream(
                     self.sim, cached.push,
                     channel_sender(channel, to_server=False),
-                    metrics=telemetry_for(self.sim).metrics,
                 )
             except ConnectionLost:
                 # Withhold the reply, so the client's request retry
@@ -286,20 +285,17 @@ class Gateway:
         telemetry = telemetry_for(self.sim)
         tracer = telemetry.tracer
         telemetry.metrics.counter("gateway.requests").inc()
-        request_span = None
-        auth_span = None
-        if request.trace_id:
-            request_span = tracer.start_span(
-                "gateway.request",
-                request.trace_id,
-                parent=request.parent_span_id or None,
-                tier="server",
-                kind=request.kind,
-            )
-            auth_span = tracer.start_span(
-                "gateway.auth", request.trace_id, parent=request_span,
-                tier="server",
-            )
+        request_span = tracer.start_span(
+            "gateway.request",
+            request.trace_id,
+            parent=request.parent_span_id,
+            tier="server",
+            kind=request.kind,
+        )
+        auth_span = tracer.start_span(
+            "gateway.auth", request.trace_id, parent=request_span,
+            tier="server",
+        )
 
         auth_started = self.sim.now
         yield self.sim.timeout(AUTH_CPU_S)
@@ -308,15 +304,13 @@ class Gateway:
         except SecurityError as err:
             self.auth_failures += 1
             telemetry.metrics.counter("gateway.auth_failures").inc()
-            if auth_span is not None:
-                tracer.end_span(auth_span, error=err)
-                tracer.end_span(request_span, error=err)
+            tracer.end_span(auth_span, error=err)
+            tracer.end_span(request_span, error=err)
             return _refusal(request, err), None
         telemetry.metrics.histogram("gateway.auth_seconds").observe(
             self.sim.now - auth_started
         )
-        if auth_span is not None:
-            tracer.end_span(auth_span)
+        tracer.end_span(auth_span)
 
         # Consignment bytes that arrived on the data plane cross the
         # firewall with the request, so the envelope is opened here and
@@ -351,10 +345,7 @@ class Gateway:
             reply.wire_size
             + (push.open_info.total_size if push is not None else 0),
         )
-        if request_span is not None:
-            tracer.end_span(
-                request_span, error=None if reply.ok else reply.error
-            )
+        tracer.end_span(request_span, error=None if reply.ok else reply.error)
         return reply, push
 
     def _firewall_hop(self, src: Host, dst: Host, what: tuple, size: int):
@@ -422,7 +413,7 @@ class Gateway:
             ajo,
             workstation_files=files,
             trace_id=request.trace_id,
-            parent_span_id=span.span_id if span else "",
+            parent_span_id=span.span_id,
             ajo_bytes=consignment.ajo_bytes,
         )
         return _json({"job_id": run.job_id}), None
@@ -473,19 +464,26 @@ class Gateway:
         return _json({"acknowledged": service.verb}), None
 
     def _retrieve_outcome(self, request: Request, *_) -> _Answer:
-        job_id = request.payload.decode()
+        job_id = _job_id(request)
         self._authorize_job(job_id, request.user_dn)
         return self._bulk(request, FileBody(self.njs.retrieve_outcome(job_id)))
 
     def _fetch_file(self, request: Request, *_) -> _Answer:
-        spec = json.loads(request.payload)
-        self._authorize_job(spec["job_id"], request.user_dn)
-        return self._bulk(
-            request, self.njs.fetch_uspace_file(spec["job_id"], spec["path"])
-        )
+        try:
+            spec = json.loads(request.payload)
+            job_id, path = spec["job_id"], spec["path"]
+        except (ValueError, TypeError, KeyError, RecursionError):
+            job_id = path = None
+        if not (isinstance(job_id, str) and isinstance(path, str)):
+            raise SerializationError(
+                "FETCH_FILE request must carry a JSON object with the "
+                "strings 'job_id' and 'path'"
+            )
+        self._authorize_job(job_id, request.user_dn)
+        return self._bulk(request, self.njs.fetch_uspace_file(job_id, path))
 
     def _dispose(self, request: Request, *_) -> _Answer:
-        job_id = request.payload.decode()
+        job_id = _job_id(request)
         self._authorize_job(job_id, request.user_dn)
         self.njs.dispose(job_id)
         return _json({"disposed": job_id}), None
@@ -526,6 +524,16 @@ def _service(request: Request, expected: type[_S]) -> _S:
             f"{request.kind.upper()} request must carry a {expected.__name__}"
         )
     return service
+
+
+def _job_id(request: Request) -> str:
+    """The job id a RETRIEVE_OUTCOME / DISPOSE request carries as text."""
+    try:
+        return request.payload.decode()
+    except UnicodeDecodeError as err:
+        raise SerializationError(
+            f"{request.kind.upper()} request must carry a job id: {err}"
+        ) from None
 
 
 def _refusal(request: Request, err: ReproError) -> Reply:

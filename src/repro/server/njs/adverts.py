@@ -53,21 +53,13 @@ class BrokerAdverts:
         ads = []
         for name in sorted(self._vsites):
             vsite = self._vsites[name]
-            backlog = 0.0
             queued = running = busy_cpus = 0
             for record in vsite.batch.all_records():
                 if record.state is BatchState.QUEUED:
                     queued += 1
-                    backlog += (
-                        record.spec.resources.cpus * record.spec.resources.time_s
-                    )
                 elif record.state is BatchState.RUNNING:
                     running += 1
                     busy_cpus += record.spec.resources.cpus
-                    elapsed = now - (record.start_time or now)
-                    backlog += record.spec.resources.cpus * max(
-                        0.0, record.spec.resources.time_s - elapsed
-                    )
             ads.append(CapacityAdvertisement(
                 usite=self._usite_name,
                 vsite=name,
@@ -76,7 +68,7 @@ class BrokerAdverts:
                 free_cpus=max(0, vsite.machine.cpus - busy_cpus),
                 queued_jobs=queued,
                 running_jobs=running,
-                backlog_cpu_s=backlog,
+                backlog_cpu_s=vsite.batch.backlog_cpu_s(),
                 speed_factor=vsite.machine.speed_factor,
                 page=vsite.resource_page,
             ))

@@ -106,6 +106,17 @@ class CodineJobControl:
                 f"no Codine record for action {action_id!r}"
             ) from None
 
+    def forget(self, unicore_job_id: str) -> None:
+        """Drop a disposed job's records; the ledger holds what the NJS
+        still answers for, not everything it ever incarnated."""
+        for record in [
+            r for r in self._records.values()
+            if r.unicore_job_id == unicore_job_id
+        ]:
+            del self._records[record.codine_id]
+            # A replayed job registered its actions again under new ids.
+            self._by_action.pop(record.action_id, None)
+
     def qstat(self) -> list[tuple[int, str, str, str]]:
         """The classic queue listing: (id, name-ish, state, vsite)."""
         return [

@@ -176,12 +176,11 @@ class Executor:
         if not self._runs.owns(run):
             return  # orphaned by a crash that raced the spawn
         yield from self._run_group(run, run.root)
-        if run.job_span is not None:
-            status = run.status()
-            run.end_span(
-                run.job_span.set(status=status.value),
-                error=None if status is ActionStatus.SUCCESSFUL else status.value,
-            )
+        status = run.status()
+        run.tracer.end_span(
+            run.job_span.set(status=status.value),
+            error=None if status is ActionStatus.SUCCESSFUL else status.value,
+        )
         self._runs.finish(run)
         assert run.done_event is not None
         if not run.done_event.triggered:
@@ -255,7 +254,7 @@ class Executor:
             total = sum(len(v) for v in staged.values())
             stage_span = run.span("njs.stage", files=len(staged), bytes=total)
             yield self._sim.timeout(total / LOCAL_DISK_BANDWIDTH_BPS)
-            run.end_span(stage_span)
+            run.tracer.end_span(stage_span)
 
         # 3. Dispatch by action type.
         if isinstance(child, AbstractJobObject):
@@ -343,10 +342,10 @@ class Executor:
             cache=self._incarnation_cache,
         )
         spec.trace_id = run.trace_id
-        spec.parent_span_id = run.job_span.span_id if run.job_span else ""
-        if incarnate_span is not None:
+        spec.parent_span_id = run.job_span.span_id
+        run.tracer.end_span(
             incarnate_span.set(queue=spec.queue, script_bytes=len(spec.script))
-        run.end_span(incarnate_span)
+        )
         # "Transform the abstract job into a Codine internal format"
         # (section 5.5) before delivery to the destination system.
         self.codine.register(run.job_id, task.id, vsite.name, spec, self._sim.now)
@@ -384,7 +383,7 @@ class Executor:
                 # The *node* died, not the job: resubmit (bounded),
                 # leaving a recovery mark in the per-job trace.
                 telemetry.metrics.counter("njs.task_resubmissions").inc()
-                run.end_span(run.span(
+                run.tracer.end_span(run.span(
                     "njs.resubmit", task=task.name, attempt=attempt,
                     reason=record.reason,
                 ))
@@ -448,10 +447,10 @@ class Executor:
         try:
             destination.write(task.destination_path, content)
         except VFSError as err:
-            run.end_span(copy_span, error=err)
+            run.tracer.end_span(copy_span, error=err)
             run.finish_action(task.id, ActionStatus.FAILED, reason=str(err))
             return
-        run.end_span(copy_span)
+        run.tracer.end_span(copy_span)
         outcome.bytes_moved = len(content)
         outcome.completed_at = self._sim.now
         run.finish_action(task.id, ActionStatus.SUCCESSFUL)

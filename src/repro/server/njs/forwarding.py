@@ -183,7 +183,7 @@ class Forwarding:
             # What parent-level edges expect this group to produce.
             return_files=run.group_expected[sub.id],
             trace_id=run.trace_id,
-            parent_span_id=forward_span.span_id if forward_span else "",
+            parent_span_id=forward_span.span_id,
         )
         try:
             yield from self._ship(
@@ -192,7 +192,7 @@ class Forwarding:
             )
         except ConnectionLost as err:
             self._peers.abandon(corr_id)
-            run.end_span(forward_span, error=err)
+            run.tracer.end_span(forward_span, error=err)
             run.finish_action(
                 sub.id, ActionStatus.FAILED,
                 reason=f"job group lost in transit after retries: {err}",
@@ -200,7 +200,7 @@ class Forwarding:
             return
         result = yield reply_ev
         returned_files = self._returned_files.pop(corr_id, {})
-        run.end_span(forward_span, error=None if result.ok else result.error)
+        run.tracer.end_span(forward_span, error=None if result.ok else result.error)
         if not result.ok:
             # The whole group was rejected remotely: none of its children
             # were attempted.
@@ -280,7 +280,7 @@ class Forwarding:
             )
         except ConnectionLost as err:
             self._peers.abandon(corr_id)
-            run.end_span(transfer_span, error=err)
+            run.tracer.end_span(transfer_span, error=err)
             run.finish_action(
                 task.id, ActionStatus.FAILED,
                 reason=f"transfer lost after retries: {err}",
@@ -288,7 +288,7 @@ class Forwarding:
             return
         ack = yield reply_ev
         elapsed = self._sim.now - started
-        run.end_span(transfer_span, error=None if ack.ok else ack.error)
+        run.tracer.end_span(transfer_span, error=None if ack.ok else ack.error)
         if ack.ok:
             outcome.bytes_moved = len(content)
             outcome.effective_bandwidth = (

@@ -10,7 +10,7 @@ from repro.ajo.outcome import AJOOutcome, Outcome, new_outcome
 from repro.ajo.serialize import encode_outcome
 from repro.ajo.status import ActionStatus
 from repro.observability import telemetry_for
-from repro.observability.span import Span
+from repro.observability.span import INERT_SPAN, Span
 from repro.observability.tracer import Tracer
 from repro.protocol.views import JobStatusView
 from repro.simkernel import Event, Simulator
@@ -64,7 +64,7 @@ class JobRun:
     #: Trace context propagated from the consigning client (may be "").
     trace_id: str = ""
     #: The open ``njs.job`` span covering the whole supervised run.
-    job_span: Span | None = None
+    job_span: Span = INERT_SPAN
     #: Held jobs stop *delivering* further parts (running batch jobs are
     #: beyond UNICORE's reach — site autonomy); resume releases them.
     held: bool = False
@@ -138,21 +138,12 @@ class JobRun:
         if not event.triggered:
             event.succeed(status)
 
-    def span(self, name: str, **attributes: object) -> Span | None:
-        """Open a child of the job's span; None when the job is untraced."""
-        if not self.trace_id:
-            return None
+    def span(self, name: str, **attributes: object) -> Span:
+        """Open a child of the job's span; close it with ``tracer.end_span``."""
         return self.tracer.start_span(
             name, self.trace_id, parent=self.job_span, tier="server",
             **attributes,
         )
-
-    def end_span(
-        self, span: Span | None, error: BaseException | str | None = None
-    ) -> None:
-        """Close what :meth:`span` returned."""
-        if span is not None:
-            self.tracer.end_span(span, error=error)
 
     def notify_change(self) -> None:
         """Tell the supervisor an action's status (possibly) changed."""

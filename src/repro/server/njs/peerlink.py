@@ -20,7 +20,6 @@ from repro.broker.advertise import BROKER_PEER, ReclaimAck
 from repro.net.errors import ConnectionLost
 from repro.net.https import DEFAULT_PER_RECORD_CPU_S, HANDSHAKE_MESSAGE_BYTES
 from repro.net.sim_transport import Network
-from repro.observability import telemetry_for
 from repro.protocol.datapath import (
     DEFAULT_CHUNK_BYTES,
     StreamIdAllocator,
@@ -248,10 +247,7 @@ class PeerLink:
             # resume) instead of being hidden inside the hop machinery.
             return self._send(usite, PeerFrame(raw), 0)
 
-        yield from send_stream(
-            self._sim, sender, send_frame,
-            metrics=telemetry_for(self._sim).metrics,
-        )
+        yield from send_stream(self._sim, sender, send_frame)
 
     def _send(self, usite: str, payload: typing.Any, retries: int):
         """NJS -> gateway -> peer gateway -> NJS, ``retries`` per hop.

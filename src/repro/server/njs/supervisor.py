@@ -24,7 +24,7 @@ from repro.broker.advertise import BROKER_PEER, ReclaimAck, ReclaimJob
 from repro.broker.errors import BrokerQuotaError
 from repro.faults.errors import ServiceUnavailable
 from repro.net.sim_transport import Host, Network
-from repro.observability import telemetry_for
+from repro.observability import Span, telemetry_for
 from repro.protocol.views import JobListingDelta, JobStatusView
 from repro.security.errors import MappingError
 from repro.security.uudb import UUDB
@@ -165,16 +165,14 @@ class NetworkJobSupervisor:
             for path, content in (workstation_files or {}).items()
         }
         telemetry = telemetry_for(self.sim)
-        consign_span = None
-        if trace_id:
-            consign_span = telemetry.tracer.start_span(
-                "njs.consign",
-                trace_id,
-                parent=parent_span_id or None,
-                tier="server",
-                usite=self.usite_name,
-                job=ajo.name,
-            )
+        consign_span = telemetry.tracer.start_span(
+            "njs.consign",
+            trace_id,
+            parent=parent_span_id,
+            tier="server",
+            usite=self.usite_name,
+            job=ajo.name,
+        )
         try:
             dn = user_dn or ajo.user_dn
             if not dn:
@@ -195,13 +193,11 @@ class NetworkJobSupervisor:
                 ajo,
                 is_forward=parent_job_id is not None,
                 workstation_files=files,
-                trace_id=trace_id,
                 parent_span=consign_span,
             )
             self._check_mappings(ajo, dn)
         except (ConsignError, BrokerQuotaError) as err:
-            if consign_span is not None:
-                telemetry.tracer.end_span(consign_span, error=err)
+            telemetry.tracer.end_span(consign_span, error=err)
             raise
 
         run = self.runs.admit(
@@ -209,14 +205,13 @@ class NetworkJobSupervisor:
             job_id=job_id, ajo_bytes=ajo_bytes,
             parent_job_id=parent_job_id, forward_meta=forward_meta,
         )
-        if consign_span is not None:
-            # The job span outlives the consign acknowledgement: it closes
-            # once supervision finishes.
-            run.job_span = telemetry.tracer.start_span(
-                "njs.job", trace_id, parent=consign_span, tier="server",
-                job_id=run.job_id,
-            )
-            telemetry.tracer.end_span(consign_span.set(job_id=run.job_id))
+        # The job span outlives the consign acknowledgement: it closes
+        # once supervision finishes.
+        run.job_span = telemetry.tracer.start_span(
+            "njs.job", trace_id, parent=consign_span, tier="server",
+            job_id=run.job_id,
+        )
+        telemetry.tracer.end_span(consign_span.set(job_id=run.job_id))
         self._executor.supervise(run)
         return run
 
@@ -226,8 +221,7 @@ class NetworkJobSupervisor:
         *,
         is_forward: bool,
         workstation_files: dict[str, FileBody],
-        trace_id: str,
-        parent_span,
+        parent_span: Span,
     ) -> None:
         """Re-run the static analyzer on an arriving AJO (never trust the
         client): errors reject the consignment with the primary diagnostic
@@ -242,30 +236,23 @@ class NetworkJobSupervisor:
             self,
             prestaged=workstation_files if is_forward else None,
         )
-        analyze_span = None
-        if trace_id:
-            analyze_span = telemetry.tracer.start_span(
-                "njs.analyze", trace_id, parent=parent_span,
-                tier="server", usite=self.usite_name, job=ajo.name,
-            )
+        analyze_span = telemetry.tracer.start_span(
+            "njs.analyze", parent_span.trace_id, parent=parent_span,
+            tier="server", usite=self.usite_name, job=ajo.name,
+        )
         report = analyze_ajo(ajo, context, require_user=not is_forward)
         telemetry.metrics.counter("analysis.errors").inc(len(report.errors))
         telemetry.metrics.counter("analysis.warnings").inc(len(report.warnings))
-        if analyze_span is not None:
-            analyze_span.set(
-                errors=len(report.errors), warnings=len(report.warnings)
-            )
+        analyze_span.set(errors=len(report.errors), warnings=len(report.warnings))
         if not report.ok:
             telemetry.metrics.counter("analysis.jobs_rejected").inc()
             err = ConsignError(f"invalid AJO: {report.summary()}")
             # Instance attribute: the gateway reports this stable
             # diagnostic code in Reply.error_code.
             err.code = report.errors[0].code
-            if analyze_span is not None:
-                telemetry.tracer.end_span(analyze_span, error=err)
+            telemetry.tracer.end_span(analyze_span, error=err)
             raise err
-        if analyze_span is not None:
-            telemetry.tracer.end_span(analyze_span)
+        telemetry.tracer.end_span(analyze_span)
 
     def _check_mappings(self, group: AbstractJobObject, dn: str) -> None:
         """The one arrival check the analyzer cannot make: the UUDB maps
@@ -381,15 +368,14 @@ class NetworkJobSupervisor:
             telemetry.metrics.counter("njs.replay_failures").inc()
             error = err
         telemetry.metrics.counter("njs.journal_replays").inc()
-        if entry.trace_id:
-            # A visible recovery marker in the per-job trace.
-            telemetry.tracer.end_span(
-                telemetry.tracer.start_span(
-                    "njs.replay", entry.trace_id, tier="server",
-                    job_id=entry.job_id, usite=self.usite_name,
-                ),
-                error=error,
-            )
+        # A visible recovery marker in the per-job trace.
+        telemetry.tracer.end_span(
+            telemetry.tracer.start_span(
+                "njs.replay", entry.trace_id, tier="server",
+                job_id=entry.job_id, usite=self.usite_name,
+            ),
+            error=error,
+        )
         if error is not None:
             return
         run.recovered = True
@@ -464,6 +450,7 @@ class NetworkJobSupervisor:
                 "disposing"
             )
         self._executor.destroy_uspaces(run)
+        self.codine.forget(job_id)
         self.forwarding.release(self.runs.dispose(job_id))
 
     def hold(self, job_id: str) -> None:

@@ -84,6 +84,48 @@ def test_causal_order_client_gateway_njs_batch(single_site):
     assert all(s.finished for s in trace.spans)
 
 
+def test_span_tree_of_a_traced_job_is_pinned(single_site):
+    """Ids, names, parents and order of one job's spans, recorded before
+    untraced requests took the traced path with the inert span: the
+    status polls and the session's own spans in between consume no id
+    of this sequence and record nothing."""
+    grid, session = single_site
+    tracer = telemetry_for(grid.sim).tracer
+    untraced = []
+    start_span = tracer.start_span
+
+    def spy(name, trace_id, **kw):
+        if not trace_id:
+            untraced.append(name)
+        return start_span(name, trace_id, **kw)
+
+    tracer.start_span = spy
+    job_id = _run_job(grid, session)
+    # The wait's QUERY carries no trace id and ran the same code.
+    assert {"protocol.interact", "gateway.request", "gateway.auth"} <= set(untraced)
+    assert [
+        (s.span_id, s.name, s.parent_id) for s in tracer.trace(job_id).spans
+    ] == [
+        ("s00004", "client.submit", None),
+        ("s00005", "protocol.interact", "s00004"),
+        ("s00006", "protocol.attempt", "s00005"),
+        ("s00007", "gateway.request", "s00004"),
+        ("s00008", "gateway.auth", "s00007"),
+        ("s00009", "njs.consign", "s00007"),
+        ("s00010", "njs.analyze", "s00009"),
+        ("s00011", "njs.job", "s00009"),
+        ("s00012", "njs.incarnate", "s00011"),
+        ("s00013", "batch.wait", "s00011"),
+        ("s00014", "batch.execute", "s00011"),
+        ("s00015", "client.outcome", None),
+        ("s00016", "protocol.interact", "s00015"),
+        ("s00017", "protocol.attempt", "s00016"),
+        ("s00018", "gateway.request", "s00015"),
+        ("s00019", "gateway.auth", "s00018"),
+    ]
+    assert tracer.traces() == ["job-0002", "session-0001"]
+
+
 def test_trace_renders_and_exports(single_site, tmp_path):
     grid, session = single_site
     job_id = _run_job(grid, session)

@@ -24,6 +24,7 @@ from repro.errors import ReproError, SerializationError
 from repro.grid.build import build_grid
 from repro.observability import telemetry_for
 from repro.protocol import encode_consignment
+from repro.protocol.messages import Request, RequestKind
 
 SITES = {"FZJ": ["FZJ-T3E"], "RUS": ["RUS-T3E"]}
 SEED = 11
@@ -269,22 +270,38 @@ def _njs(grid):
     return grid.usites["FZJ"].njs
 
 
-async def _raw_consign(grid, session, ajo, ajo_bytes=None):
-    """Consign past the JPA, whose own analysis would stop a bad job
-    before the server ever saw it."""
+async def _raw(grid, session, interaction):
+    """One interaction on the session's protocol client, past the applets."""
     home = getattr(session, "_session", session).session
 
     def plan():
-        reply = yield from home.client.consign(
-            encode_consignment(ajo_bytes or encode_ajo(ajo)),
-            user_dn=home.user_dn, vsite=ajo.vsite,
-        )
+        reply = yield from interaction(home)
         return reply.unwrap()
 
-    proc = grid.sim.process(plan(), name="raw-consign")
+    proc = grid.sim.process(plan(), name="raw-request")
     if grid.network.realtime:
         return await grid.network.drive(proc)
     return grid.sim.run(until=proc)
+
+
+async def _raw_consign(grid, session, ajo, ajo_bytes=None):
+    """Consign past the JPA, whose own analysis would stop a bad job
+    before the server ever saw it."""
+    return await _raw(grid, session, lambda home: home.client.consign(
+        encode_consignment(ajo_bytes or encode_ajo(ajo)),
+        user_dn=home.user_dn, vsite=ajo.vsite,
+    ))
+
+
+def _malformed(kind, payload):
+    """A payload the JMC would never build (at the parent commit each
+    left the gateway as ``JSONDecodeError`` / ``TypeError`` /
+    ``UnicodeDecodeError`` and ended the simulation)."""
+    async def case(grid, user, session):
+        await _raw(grid, session, lambda home: home.client.interact(
+            Request(kind=kind, user_dn=home.user_dn, payload=payload)))
+
+    return case
 
 
 def _sound_job(user_dn, name="sound"):
@@ -367,6 +384,15 @@ _REFUSALS = {
     "consign-unsound": (_consign_unsound, "ConsignError", "AJO201"),
     "consign-malformed": (
         _consign_malformed, "SerializationError", "ajo.serialization"),
+    "fetch-malformed": (
+        _malformed(RequestKind.FETCH_FILE, b"not json"),
+        "SerializationError", "ajo.serialization"),
+    "outcome-malformed": (
+        _malformed(RequestKind.RETRIEVE_OUTCOME, b"\xff"),
+        "SerializationError", "ajo.serialization"),
+    "dispose-malformed": (
+        _malformed(RequestKind.DISPOSE, b"\xff"),
+        "SerializationError", "ajo.serialization"),
     "consign-crashed": (
         _consign_crashed, "ServiceUnavailable", "faults.unavailable"),
     "list-crashed": (_list_crashed, "ServiceUnavailable", "faults.unavailable"),
@@ -420,6 +446,15 @@ def test_the_gateway_keeps_serving_after_a_malformed_consign():
     async def scenario(grid, user, session):
         with pytest.raises(SerializationError, match="malformed AJO"):
             await _consign_malformed(grid, user, session)
+        for kind, payload in (
+            (RequestKind.FETCH_FILE, b"not json"),
+            (RequestKind.FETCH_FILE, b"[1]"),
+            (RequestKind.FETCH_FILE, b'{"job_id": [1], "path": "x"}'),
+            (RequestKind.RETRIEVE_OUTCOME, b"\xff"),
+            (RequestKind.DISPOSE, b"\xff"),
+        ):
+            with pytest.raises(SerializationError, match=kind.upper()):
+                await _malformed(kind, payload)(grid, user, session)
         good = _sound_job(user.browser.user_dn, "after")
         return await _raw_consign(grid, session, good), await session.list_jobs()
 

@@ -44,6 +44,29 @@ def test_submit_wait_outcome_happy_path():
     assert outcome.child is not None  # an AJOOutcome tree, not a dict
 
 
+_VERBS = (
+    "new_job", "submit", "status", "wait", "outcome", "cancel", "hold",
+    "resume", "list_jobs", "fetch_file", "dispose",
+)
+
+
+def test_each_verb_is_spelled_once_under_two_drivers():
+    """One verb table (``SessionCore``), two drivers (``_drive``): a
+    facade defines no verb of its own, except the one ``submit`` that
+    wraps its result in an ``AsyncJobHandle``."""
+    from repro.api._core import SessionCore
+    from repro.api.aio import AsyncGridSession
+
+    assert not set(_VERBS) & set(vars(GridSession))
+    assert set(_VERBS) & set(vars(AsyncGridSession)) == {"submit"}
+    for verb in _VERBS:
+        assert getattr(GridSession, verb) is vars(SessionCore)[verb]
+        if verb != "submit":
+            assert getattr(AsyncGridSession, verb) is vars(SessionCore)[verb]
+    for facade in (GridSession, AsyncGridSession):
+        assert "_drive" in vars(facade)
+
+
 def test_status_accepts_raw_job_id():
     grid, session = _session()
     handle = session.submit(_quick_job(session))

@@ -93,3 +93,23 @@ def test_njs_routes_every_job_through_codine():
     assert states == {"d"}
     # Vendor ids bound for both.
     assert njs.codine.for_action(a.id).vendor_job_id.startswith("fzj-t3e.")
+
+
+def test_a_disposed_job_leaves_the_ledger():
+    """Bounded state: the ledger holds what the NJS still answers for
+    (at the parent commit both records outlived the job)."""
+    from repro.api import GridSession
+    from repro.grid import build_grid
+
+    grid = build_grid({"FZJ": ["FZJ-T3E"]}, seed=53)
+    grid.add_user("Codine", logins={"FZJ": "cod"})
+    session = GridSession(grid, "Codine", "FZJ")
+    job = session.new_job("ledgered", vsite="FZJ-T3E")
+    for name in "ab":
+        job.script_task(name, script="#!/bin/sh\nx\n", simulated_runtime_s=10.0)
+    handle = session.submit(job)
+    session.wait(handle)
+    njs = grid.usites["FZJ"].njs
+    assert len(njs.codine) == 2
+    session.dispose(handle)
+    assert len(njs.codine) == 0

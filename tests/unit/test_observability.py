@@ -103,6 +103,31 @@ class TestTracer:
         assert "lonely" in trace.render()
 
 
+    def test_an_empty_trace_id_opens_the_one_inert_span(self):
+        """An untraced request holds the inert span: recorded nowhere,
+        no span id consumed, untouched by ``set`` and ``end_span``."""
+        clock = ManualClock()
+        tracer = Tracer(clock)
+        tid = tracer.new_trace("job")
+        first = tracer.start_span("traced", tid)
+
+        inert = tracer.start_span("gateway.request", "", tier="server", kind="q")
+        before = inert.to_dict()
+        assert inert.span_id == "" and inert.finished
+        assert tracer.start_span("gateway.auth", "", parent=inert) is inert
+        clock.now = 3.0
+        assert inert.set(job_id="U1") is inert
+        assert tracer.end_span(inert, error=ValueError("boom")) is inert
+        with tracer.span("njs.consign", "") as held:
+            assert held is inert
+        assert inert.to_dict() == before
+
+        assert tracer.traces() == [tid]
+        second = tracer.start_span("next", tid, parent=inert)
+        assert (first.span_id, second.span_id) == ("s00001", "s00002")
+        assert second.parent_id is None  # a child of the inert span is a root
+
+
 # ----------------------------------------------------------------- trace
 class TestTrace:
     def _sample(self):
