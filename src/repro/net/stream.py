@@ -16,18 +16,14 @@ Frame layout (network byte order, 24-byte header)::
     +------+------+------+------------+-------+-------+-------+----
       2 B    u8     u8       u64         u32     u32     u32
 
-``type`` is OPEN (1), DATA (2), or ACK (3).  An OPEN frame's payload is
-the :class:`OpenInfo` preamble — total size, chunking, whole-payload
+``type`` is OPEN (1) or DATA (2).  An OPEN frame's payload is the
+:class:`OpenInfo` preamble — total size, chunking, whole-payload
 checksum, and a JSON context blob naming what the stream *is* (its kind,
 job ids, destination path).  DATA frames carry raw chunk bytes; ``seq``
-is the chunk index.  ACK frames are available to protocols that need
-explicit cumulative acknowledgement (``seq`` = next expected chunk);
-the simulated transport's per-message delivery events already provide
-the implicit per-chunk acknowledgement the senders in this repo use.
-
-Version is negotiated trivially: a decoder raises :class:`FrameError`
-on any version it does not speak, and the control-plane error path
-reports that to the sender (see DESIGN.md, "Wire formats").
+is the chunk index.  The transport's delivery of a frame is its
+acknowledgement.  The decoders read through a
+:class:`~repro.bytereader.ByteReader` and raise :class:`FrameError` on
+anything the encoder would not have written, another version included.
 
 Integrity is two checks from one pass.  The frame CRC is the
 retransmission granularity: each side reads a chunk once to compute or
@@ -54,6 +50,7 @@ import typing
 import zlib
 from dataclasses import dataclass, field
 
+from repro.bytereader import ByteReader
 from repro.net.errors import FrameError
 
 __all__ = [
@@ -92,9 +89,8 @@ class FrameType:
 
     OPEN = 1
     DATA = 2
-    ACK = 3
 
-    ALL = (OPEN, DATA, ACK)
+    ALL = (OPEN, DATA)
 
 
 # ------------------------------------------------------------ crc combine
@@ -173,7 +169,6 @@ class Frame:
     seq: int
     payload: bytes | memoryview = b""
     ftype: int = FrameType.DATA
-    version: int = FRAME_VERSION
     #: CRC-32 of ``payload``.  Whoever already holds it passes it in — the
     #: sender from chunking, the decoder from verification — so the bytes
     #: are read once; left at -1 it is computed here.
@@ -196,7 +191,7 @@ def encode_frame(frame: Frame) -> bytes:
         raise FrameError("frame payload exceeds u32 length")
     header = _HEADER.pack(
         FRAME_MAGIC,
-        frame.version,
+        FRAME_VERSION,
         frame.ftype,
         frame.stream_id,
         frame.seq,
@@ -212,11 +207,8 @@ def decode_frame(raw: bytes | memoryview) -> Frame:
     The payload comes back as a view into ``raw`` (no copy), with the
     CRC just verified alongside it.
     """
-    if len(raw) < FRAME_HEADER_BYTES:
-        raise FrameError(
-            f"truncated frame: {len(raw)} bytes < {FRAME_HEADER_BYTES}-byte header"
-        )
-    magic, version, ftype, stream_id, seq, length, crc = _HEADER.unpack_from(raw)
+    r = ByteReader(memoryview(raw), FrameError)
+    magic, version, ftype, stream_id, seq, length, crc = r.unpack(_HEADER)
     if magic != FRAME_MAGIC:
         raise FrameError(f"bad frame magic {magic!r}")
     if version != FRAME_VERSION:
@@ -226,16 +218,12 @@ def decode_frame(raw: bytes | memoryview) -> Frame:
         )
     if ftype not in FrameType.ALL:
         raise FrameError(f"unknown frame type {ftype}")
-    payload = memoryview(raw)[FRAME_HEADER_BYTES:]
-    if len(payload) != length:
-        raise FrameError(
-            f"frame length mismatch: header says {length}, got {len(payload)}"
-        )
+    payload = r.take(length)
+    r.end()
     if zlib.crc32(payload) != crc:
         raise FrameError(f"frame checksum mismatch on stream {stream_id} seq {seq}")
     return Frame(
-        stream_id=stream_id, seq=seq, payload=payload, ftype=ftype,
-        version=version, crc32=crc,
+        stream_id=stream_id, seq=seq, payload=payload, ftype=ftype, crc32=crc
     )
 
 
@@ -261,15 +249,13 @@ class OpenInfo:
 
     @classmethod
     def decode(cls, raw: bytes | memoryview) -> "OpenInfo":
-        if len(raw) < _OPEN_FIXED.size:
-            raise FrameError("truncated OPEN preamble")
-        total, chunk, count, crc, ctx_len = _OPEN_FIXED.unpack_from(raw)
-        blob = bytes(raw[_OPEN_FIXED.size:])
-        if len(blob) != ctx_len:
-            raise FrameError("OPEN context length mismatch")
+        r = ByteReader(memoryview(raw), FrameError)
+        total, chunk, count, crc, ctx_len = r.unpack(_OPEN_FIXED)
+        blob = r.text(ctx_len)
+        r.end()
         try:
             context = json.loads(blob) if blob else {}
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:
             raise FrameError(f"OPEN context is not valid JSON: {err}") from err
         if not isinstance(context, dict):
             raise FrameError("OPEN context must be a JSON object")
@@ -360,7 +346,7 @@ class StreamReassembler:
         self.stream_id = open_frame.stream_id
         self.info = info = OpenInfo.decode(open_frame.payload)
         size, cut = info.total_size, info.chunk_bytes
-        if info.chunk_count != (-(-size // cut) if cut else 0):
+        if not cut or info.chunk_count != -(-size // cut):  # senders cut > 0
             raise FrameError(
                 f"stream {self.stream_id}: {info.chunk_count} chunks cannot "
                 f"be {size} bytes cut at {cut}"
@@ -371,10 +357,6 @@ class StreamReassembler:
     @property
     def context(self) -> dict[str, typing.Any]:
         return self.info.context
-
-    @property
-    def received_count(self) -> int:
-        return len(self._chunks)
 
     @property
     def complete(self) -> bool:
@@ -417,7 +399,7 @@ class StreamReassembler:
                     f"the piece a {cut}-byte split gives it"
                 )
             self._chunks.setdefault(frame.seq, frame)
-        # OPEN duplicates and ACKs carry no new data.
+        # A duplicate OPEN carries no new data.
         return self.complete
 
     def payload(self) -> bytes:
@@ -433,12 +415,7 @@ class StreamReassembler:
                 f"{self.info.chunk_count} missing"
             )
         frames = [self._chunks[i] for i in range(self.info.chunk_count)]
-        data = b"".join(frame.payload for frame in frames)
-        if len(data) != self.info.total_size:
-            raise FrameError(
-                f"stream {self.stream_id} size mismatch: OPEN said "
-                f"{self.info.total_size}, reassembled {len(data)}"
-            )
+        data = b"".join(frame.payload for frame in frames)  # sized by feed
         if self.info.total_crc32 != _fold_crc32(
             ((frame.payload, frame.crc32) for frame in frames),
             self.info.chunk_bytes,

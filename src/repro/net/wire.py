@@ -33,8 +33,9 @@ Frame types:
     protocol contract, independent of the encoding's framing overhead.
 
 Malformed input raises :class:`~repro.net.errors.FrameDecodeError`
-(code ``net.frame_decode``) — never a bare ``struct.error`` — so both
-backends surface decode failures through the same ``net.*`` hierarchy.
+(code ``net.frame_decode``) — the MSG body is read through a
+:class:`~repro.bytereader.ByteReader` — so both backends surface decode
+failures through the same ``net.*`` hierarchy.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import struct
 import typing
 from dataclasses import dataclass
 
+from repro.bytereader import ByteReader
 from repro.net.errors import FrameDecodeError
 from repro.protocol.messages import Reply, Request
 
@@ -154,38 +156,11 @@ def _encode_value(out: list[bytes], value: object) -> None:
         )
 
 
-class _Reader:
-    """Cursor over a frame body; every read bounds-checks."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if n < 0 or end > len(self.buf):
-            raise FrameDecodeError("truncated frame body")
-        chunk = self.buf[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def string(self) -> str:
-        raw = self.take(self.u32())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FrameDecodeError(f"invalid UTF-8 in frame: {exc}") from None
+def _string(r: ByteReader[bytes]) -> str:
+    return r.text(r.unpack(_U32)[0])
 
 
-def _decode_value(r: _Reader) -> object:
+def _decode_value(r: ByteReader[bytes]) -> object:
     tag = r.u8()
     if tag == _T_NONE:
         return None
@@ -196,43 +171,38 @@ def _decode_value(r: _Reader) -> object:
     if tag == _T_INT:
         return int.from_bytes(r.take(r.u8()), "big", signed=True)
     if tag == _T_FLOAT:
-        return _F64.unpack(r.take(8))[0]
+        return r.unpack(_F64)[0]
     if tag == _T_STR:
-        return r.string()
+        return _string(r)
     if tag == _T_BYTES:
-        return r.take(r.u32())
-    if tag in (_T_LIST, _T_TUPLE):
-        n = r.u32()
-        items = [_decode_value(r) for _ in range(n)]
-        return items if tag == _T_LIST else tuple(items)
-    if tag == _T_DICT:
-        n = r.u32()
-        return {_decode_value(r): _decode_value(r) for _ in range(n)}
-    if tag == _T_REQUEST:
-        request_id = _decode_value(r)
-        kind = r.string()
-        user_dn = r.string()
-        payload = _decode_value(r)
-        vsite = r.string()
-        trace_id = r.string()
-        parent_span_id = r.string()
-        req = Request(
-            kind=kind, user_dn=user_dn,
-            payload=typing.cast(bytes, payload), vsite=vsite,
-            trace_id=trace_id, parent_span_id=parent_span_id,
-        )
-        # The dataclass default allocated a fresh local id; restore the
-        # sender's so replies correlate end to end.
-        req.request_id = typing.cast(int, request_id)
-        return req
-    if tag == _T_REPLY:
-        return Reply(
-            request_id=typing.cast(int, _decode_value(r)),
-            ok=bool(_decode_value(r)),
-            payload=typing.cast(bytes, _decode_value(r)),
-            error=r.string(),
-            error_code=r.string(),
-        )
+        return r.take(r.unpack(_U32)[0])
+    with r.nest():
+        if tag in (_T_LIST, _T_TUPLE):
+            n = r.unpack(_U32)[0]
+            items = [_decode_value(r) for _ in range(n)]
+            return items if tag == _T_LIST else tuple(items)
+        if tag == _T_DICT:
+            n = r.unpack(_U32)[0]
+            return {_decode_value(r): _decode_value(r) for _ in range(n)}
+        if tag == _T_REQUEST:
+            request_id = _decode_value(r)
+            req = Request(  # keyword arguments are read in wire order
+                kind=_string(r), user_dn=_string(r),
+                payload=typing.cast(bytes, _decode_value(r)), vsite=_string(r),
+                trace_id=_string(r), parent_span_id=_string(r),
+            )
+            # The dataclass default allocated a fresh local id; restore
+            # the sender's so replies correlate end to end.
+            req.request_id = typing.cast(int, request_id)
+            return req
+        if tag == _T_REPLY:
+            return Reply(
+                request_id=typing.cast(int, _decode_value(r)),
+                ok=bool(_decode_value(r)),
+                payload=typing.cast(bytes, _decode_value(r)),
+                error=_string(r),
+                error_code=_string(r),
+            )
     raise FrameDecodeError(f"unknown payload tag 0x{tag:02x}")
 
 
@@ -289,25 +259,22 @@ def decode_frame(ftype: int, body: bytes) -> "str | WireMessage":
         except UnicodeDecodeError as exc:
             raise FrameDecodeError(f"invalid HELLO host name: {exc}") from None
     if ftype == FTYPE_MSG:
-        r = _Reader(body)
+        r = ByteReader(body, FrameDecodeError)
         try:
             msg_id = _decode_value(r)
-            sender = r.string()
-            recipient = r.string()
-            channel = r.string()
+            sender = _string(r)
+            recipient = _string(r)
+            channel = _string(r)
             size_bytes = _decode_value(r)
             deliver = bool(_decode_value(r))
             payload = _decode_value(r)
-        except (RecursionError, TypeError, ValueError) as exc:
-            # Nesting without end, an unhashable dict key, a Request the
-            # protocol refuses: the bytes are at fault, not the program.
+        except (TypeError, ValueError) as exc:
+            # An unhashable dict key, a Request the protocol refuses: the
+            # bytes are at fault, not the program.
             raise FrameDecodeError(f"undecodable MSG body: {exc}") from None
         if not (isinstance(msg_id, int) and isinstance(size_bytes, int)):
             raise FrameDecodeError("MSG id and size must be integers")
-        if r.pos != len(body):
-            raise FrameDecodeError(
-                f"{len(body) - r.pos} trailing bytes after MSG payload"
-            )
+        r.end()
         return WireMessage(
             msg_id=msg_id, sender=sender, recipient=recipient,
             channel=channel, size_bytes=size_bytes, deliver=deliver,

@@ -29,7 +29,6 @@ from repro.protocol.sync import SyncProtocolClient, SyncInteractionBroken
 from repro.protocol.consignment import (
     Consignment,
     FileEntry,
-    decode_consignment,
     decode_consignment_envelope,
     encode_consignment,
     validate_manifest_paths,
@@ -63,7 +62,6 @@ __all__ = [
     "SyncInteractionBroken",
     "SyncProtocolClient",
     "decode_bulk_reply",
-    "decode_consignment",
     "decode_consignment_envelope",
     "encode_consignment",
     "encode_inline_reply",

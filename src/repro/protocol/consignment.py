@@ -20,9 +20,11 @@ Envelope layout (network byte order)::
            mode 0 (inline):   content_len u32 | content bytes
            mode 1 (streamed): size u64 | crc32 u32 | stream_id u64
 
-Every decoder validates the file manifest before anything can reach a
-Uspace: duplicate paths, ``..`` traversal segments, empty paths, and
-control characters are refused with :class:`UnsafePathError` (a
+The decoder reads through a :class:`~repro.bytereader.ByteReader`, so
+any malformation is a :class:`SerializationError`, and it validates the
+file manifest before anything can reach a Uspace: duplicate paths,
+``..`` traversal segments, empty paths, and control characters are
+refused with :class:`UnsafePathError` (a
 :class:`SerializationError` with the stable code ``ajo.unsafe_path``).
 Consignment file keys are *workstation-namespace* paths — they name
 where the file came from on the user's machine, and legitimately start
@@ -38,11 +40,14 @@ import typing
 from dataclasses import dataclass
 
 from repro.ajo.errors import SerializationError, UnsafePathError
+from repro.bytereader import ByteReader
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.observability.metrics import MetricsRegistry
 
 __all__ = [
     "Consignment",
     "FileEntry",
-    "decode_consignment",
     "decode_consignment_envelope",
     "encode_consignment",
     "validate_manifest_paths",
@@ -52,9 +57,8 @@ _MAGIC = b"UCON"
 _VERSION = 2
 
 _HEAD = struct.Struct("!4sBBI")        # magic, version, flags, ajo_len
-_COUNT = struct.Struct("!I")
+_U32 = struct.Struct("!I")             # entry count, inline content_len
 _ENTRY_HEAD = struct.Struct("!BH")     # mode, path_len
-_INLINE_LEN = struct.Struct("!I")
 _STREAM_REF = struct.Struct("!QIQ")    # size, crc32, stream_id
 
 _MODE_INLINE = 0
@@ -119,7 +123,7 @@ def validate_manifest_paths(
 def encode_consignment(
     ajo_bytes: bytes,
     files: dict[str, bytes] | None = None,
-    metrics=None,
+    metrics: MetricsRegistry | None = None,
     streamed: typing.Sequence[FileEntry] = (),
 ) -> bytes:
     """Bundle an encoded AJO with workstation file contents.
@@ -135,12 +139,12 @@ def encode_consignment(
         list(inline) + [e.path for e in entries], what="consignment"
     )
     parts = [_HEAD.pack(_MAGIC, _VERSION, 0, len(ajo_bytes)), ajo_bytes,
-             _COUNT.pack(len(inline) + len(entries))]
+             _U32.pack(len(inline) + len(entries))]
     for path, content in inline.items():
         encoded_path = path.encode("utf-8")
         parts.append(_ENTRY_HEAD.pack(_MODE_INLINE, len(encoded_path)))
         parts.append(encoded_path)
-        parts.append(_INLINE_LEN.pack(len(content)))
+        parts.append(_U32.pack(len(content)))
         parts.append(content)
     for entry in entries:
         encoded_path = entry.path.encode("utf-8")
@@ -154,80 +158,34 @@ def encode_consignment(
     return payload
 
 
+def _malformed(message: str) -> SerializationError:
+    return SerializationError(f"malformed consignment: {message}")
+
+
 def decode_consignment_envelope(data: bytes) -> Consignment:
     """Parse the binary envelope; validates the file manifest."""
-    try:
-        view = memoryview(bytes(data))
-        if len(view) < _HEAD.size:
-            raise ValueError("truncated header")
-        magic, version, _flags, ajo_len = _HEAD.unpack_from(view, 0)
-        if magic != _MAGIC:
-            raise ValueError(f"bad consignment magic {bytes(magic)!r}")
-        if version != _VERSION:
-            raise ValueError(f"unsupported consignment version {version}")
-        offset = _HEAD.size
-        if offset + ajo_len + _COUNT.size > len(view):
-            raise ValueError("truncated AJO section")
-        ajo_bytes = bytes(view[offset:offset + ajo_len])
-        offset += ajo_len
-        (count,) = _COUNT.unpack_from(view, offset)
-        offset += _COUNT.size
-        files: dict[str, bytes] = {}
-        streamed: list[FileEntry] = []
-        for _ in range(count):
-            if offset + _ENTRY_HEAD.size > len(view):
-                raise ValueError("truncated file entry")
-            mode, path_len = _ENTRY_HEAD.unpack_from(view, offset)
-            offset += _ENTRY_HEAD.size
-            if offset + path_len > len(view):
-                raise ValueError("truncated file path")
-            path = bytes(view[offset:offset + path_len]).decode("utf-8")
-            offset += path_len
-            if mode == _MODE_INLINE:
-                if offset + _INLINE_LEN.size > len(view):
-                    raise ValueError(f"truncated length for {path!r}")
-                (content_len,) = _INLINE_LEN.unpack_from(view, offset)
-                offset += _INLINE_LEN.size
-                if offset + content_len > len(view):
-                    raise ValueError(f"truncated content for {path!r}")
-                files[path] = bytes(view[offset:offset + content_len])
-                offset += content_len
-            elif mode == _MODE_STREAMED:
-                if offset + _STREAM_REF.size > len(view):
-                    raise ValueError(f"truncated stream reference for {path!r}")
-                size, crc, stream_id = _STREAM_REF.unpack_from(view, offset)
-                offset += _STREAM_REF.size
-                streamed.append(
-                    FileEntry(path=path, size=size, crc32=crc,
-                              stream_id=stream_id)
-                )
-            else:
-                raise ValueError(f"unknown file entry mode {mode}")
-        if offset != len(view):
-            raise ValueError(f"{len(view) - offset} trailing bytes")
-    except UnicodeDecodeError as err:
-        raise SerializationError(f"malformed consignment: {err}") from err
-    except (ValueError, struct.error) as err:
-        raise SerializationError(f"malformed consignment: {err}") from err
+    r = ByteReader(bytes(data), _malformed)
+    magic, version, _flags, ajo_len = r.unpack(_HEAD)
+    if magic != _MAGIC:
+        raise r.error(f"bad consignment magic {magic!r}")
+    if version != _VERSION:
+        raise r.error(f"unsupported consignment version {version}")
+    ajo_bytes = r.take(ajo_len)
+    files: dict[str, bytes] = {}
+    streamed: list[FileEntry] = []
+    for _ in range(r.unpack(_U32)[0]):
+        mode, path_len = r.unpack(_ENTRY_HEAD)
+        path = r.text(path_len)
+        if mode == _MODE_INLINE:
+            files[path] = r.take(r.unpack(_U32)[0])
+        elif mode == _MODE_STREAMED:
+            streamed.append(FileEntry(path, *r.unpack(_STREAM_REF)))
+        else:
+            raise r.error(f"unknown file entry mode {mode} for {path!r}")
+    r.end()
     validate_manifest_paths(
         list(files) + [e.path for e in streamed], what="consignment"
     )
     return Consignment(
         ajo_bytes=ajo_bytes, files=files, streamed=tuple(streamed)
     )
-
-
-def decode_consignment(data: bytes) -> tuple[bytes, dict[str, bytes]]:
-    """Unbundle a fully-inline envelope; returns ``(ajo_bytes, files)``.
-
-    Envelopes with streamed entries need the data-plane endpoint that
-    holds their payloads — callers with one use
-    :func:`decode_consignment_envelope` instead.
-    """
-    consignment = decode_consignment_envelope(data)
-    if consignment.streamed:
-        raise SerializationError(
-            "consignment references streamed files; decoding requires a "
-            "data-plane endpoint"
-        )
-    return consignment.ajo_bytes, consignment.files

@@ -39,6 +39,7 @@ import typing
 import zlib
 from itertools import count
 
+from repro.bytereader import ByteReader
 from repro.net.errors import ConnectionLost, FrameError
 from repro.net.https import DirectChannel, HttpsChannel
 from repro.net.stream import (
@@ -174,12 +175,10 @@ class DataPlaneEndpoint:
                     self._open[frame.stream_id] = reassembler
                     if reassembler.complete:  # zero-chunk stream
                         self._finish(frame.stream_id)
-            elif frame.ftype == FrameType.DATA:
+            else:  # DATA; for an unknown or finished stream, a late duplicate
                 reassembler = self._open.get(frame.stream_id)
                 if reassembler is not None and reassembler.feed(frame):
                     self._finish(frame.stream_id)
-                # DATA for an unknown or finished stream: late duplicate.
-            # ACK frames carry no payload state on this side.
         except FrameError:
             self._open.pop(frame.stream_id, None)
             self._count("stream.bad_frames")
@@ -331,7 +330,7 @@ def entry_for_sender(path: str, sender: StreamSender) -> FileEntry:
 
 _BULK_INLINE = 0
 _BULK_STREAMED = 1
-_BULK_REF = struct.Struct("!BQQI")  # tag, stream_id, size, crc32
+_BULK_REF = struct.Struct("!QQI")  # after the tag: stream_id, size, crc32
 
 
 def encode_inline_reply(content: bytes) -> bytes:
@@ -339,23 +338,21 @@ def encode_inline_reply(content: bytes) -> bytes:
 
 
 def encode_stream_reply(entry: FileEntry) -> bytes:
-    return _BULK_REF.pack(_BULK_STREAMED, entry.stream_id, entry.size,
-                          entry.crc32)
+    return bytes([_BULK_STREAMED]) + _BULK_REF.pack(
+        entry.stream_id, entry.size, entry.crc32
+    )
 
 
 def decode_bulk_reply(payload: bytes) -> tuple[str, bytes | FileEntry]:
     """Returns ``("inline", content)`` or ``("stream", FileEntry)``."""
-    if not payload:
-        raise FrameError("empty bulk reply")
-    tag = payload[0]
+    r = ByteReader(payload, FrameError)
+    tag = r.u8()
     if tag == _BULK_INLINE:
-        return "inline", payload[1:]
+        return "inline", r.take(r.remaining)
     if tag == _BULK_STREAMED:
-        if len(payload) != _BULK_REF.size:
-            raise FrameError("malformed streamed-reply reference")
-        _, stream_id, size, crc = _BULK_REF.unpack(payload)
-        return "stream", FileEntry(path="", size=size, crc32=crc,
-                                   stream_id=stream_id)
+        stream_id, size, crc = r.unpack(_BULK_REF)
+        r.end()
+        return "stream", FileEntry("", size, crc, stream_id)
     raise FrameError(f"unknown bulk-reply tag {tag}")
 
 

@@ -9,13 +9,16 @@ ASN.1 REAL base-10 works), UTF-8 strings, nulls, sequences, and maps
 
 The encoding round-trips arbitrarily nested Python structures built from
 ``bool``, ``int``, ``float``, ``str``, ``None``, ``list`` and ``dict``
-(string keys).
+(string keys) up to :data:`~repro.bytereader.MAX_DEPTH` containers
+deep.  The decoder reads through a :class:`~repro.bytereader.ByteReader`,
+so any other input is a :class:`ResourcePageError`.
 """
 
 from __future__ import annotations
 
 import typing
 
+from repro.bytereader import ByteReader
 from repro.resources.errors import ResourcePageError
 
 __all__ = ["encode", "decode"]
@@ -30,7 +33,9 @@ _TAG_SEQ = 0x30
 # Private tag for maps (context-specific, constructed).
 _TAG_MAP = 0xA0
 
-Value = typing.Union[bool, int, float, str, None, list, dict]
+Value = typing.Union[
+    bool, int, float, str, None, list[typing.Any], dict[str, typing.Any]
+]
 
 
 def _encode_length(n: int) -> bytes:
@@ -73,77 +78,51 @@ def encode(value: Value) -> bytes:
     raise ResourcePageError(f"cannot ASN.1-encode {type(value).__name__}")
 
 
-def _read_length(data: bytes, offset: int) -> tuple[int, int]:
-    """Return (length, offset-after-length-octets)."""
-    if offset >= len(data):
-        raise ResourcePageError("truncated ASN.1: missing length")
-    first = data[offset]
-    offset += 1
-    if first < 0x80:
-        return first, offset
-    n_octets = first & 0x7F
-    if n_octets == 0 or offset + n_octets > len(data):
-        raise ResourcePageError("truncated or indefinite ASN.1 length")
-    return int.from_bytes(data[offset : offset + n_octets], "big"), offset + n_octets
-
-
-def _decode_at(data: bytes, offset: int) -> tuple[Value, int]:
-    if offset >= len(data):
-        raise ResourcePageError("truncated ASN.1: missing tag")
-    tag = data[offset]
-    length, body_start = _read_length(data, offset + 1)
-    body_end = body_start + length
-    if body_end > len(data):
-        raise ResourcePageError("truncated ASN.1: content shorter than length")
-    body = data[body_start:body_end]
-
-    if tag == _TAG_NULL:
-        if body:
-            raise ResourcePageError("NULL with non-empty content")
-        return None, body_end
-    if tag == _TAG_BOOL:
-        if len(body) != 1:
-            raise ResourcePageError("BOOLEAN must be one octet")
-        return body != b"\x00", body_end
-    if tag == _TAG_INT:
-        if not body:
-            raise ResourcePageError("INTEGER with empty content")
-        return int.from_bytes(body, "big", signed=True), body_end
-    if tag == _TAG_REAL:
-        try:
-            return float(body.decode("ascii")), body_end
-        except (UnicodeDecodeError, ValueError) as err:
-            raise ResourcePageError(f"malformed REAL: {err}") from err
-    if tag == _TAG_UTF8:
-        try:
-            return body.decode("utf-8"), body_end
-        except UnicodeDecodeError as err:
-            raise ResourcePageError(f"malformed UTF8String: {err}") from err
+def _decode_value(r: ByteReader[bytes]) -> Value:
+    tag = r.u8()
+    length = r.u8()
+    if length & 0x80:  # long form: the low bits count the length octets
+        if length == 0x80:
+            raise r.error("indefinite ASN.1 length")
+        length = int.from_bytes(r.take(length & 0x7F), "big")
     if tag == _TAG_SEQ:
-        items = []
-        pos = 0
-        while pos < len(body):
-            item, pos = _decode_at(body, pos)
-            items.append(item)
-        return items, body_end
+        items: list[Value] = []
+        with r.nest(length):
+            while r.remaining:
+                items.append(_decode_value(r))
+        return items
     if tag == _TAG_MAP:
         result: dict[str, Value] = {}
-        pos = 0
-        while pos < len(body):
-            key, pos = _decode_at(body, pos)
-            if pos >= len(body):
-                raise ResourcePageError("map with dangling key")
-            if not isinstance(key, str):
-                raise ResourcePageError(f"map key must decode to str, got {key!r}")
-            val, pos = _decode_at(body, pos)
-            result[key] = val
-        return result, body_end
-    raise ResourcePageError(f"unknown ASN.1 tag {tag:#04x}")
+        with r.nest(length):
+            while r.remaining:
+                key = _decode_value(r)
+                if not r.remaining:
+                    raise r.error("map with dangling key")
+                if not isinstance(key, str):
+                    raise r.error(f"map key must decode to str, got {key!r}")
+                result[key] = _decode_value(r)
+        return result
+    if tag == _TAG_UTF8:
+        return r.text(length)
+    if tag == _TAG_REAL:
+        text = r.text(length, "ascii")
+        try:
+            return float(text)
+        except ValueError as err:
+            raise r.error(f"malformed REAL: {err}") from None
+    body = r.take(length)
+    if tag == _TAG_NULL and not body:
+        return None
+    if tag == _TAG_BOOL and body in (b"\x00", b"\xff"):
+        return body == b"\xff"
+    if tag == _TAG_INT and body:
+        return int.from_bytes(body, "big", signed=True)
+    raise r.error(f"no ASN.1 value is tag {tag:#04x} with {length} content bytes")
 
 
 def decode(data: bytes) -> Value:
     """Decode DER-style bytes produced by :func:`encode`."""
-    value, end = _decode_at(data, 0)
-    if end != len(data):
-        raise ResourcePageError(f"{len(data) - end} trailing bytes after ASN.1 value")
+    r = ByteReader(data, ResourcePageError)
+    value = _decode_value(r)
+    r.end()
     return value

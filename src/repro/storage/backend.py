@@ -34,6 +34,7 @@ per-test opt-ins) and finally to ``"memory"``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import typing
@@ -92,6 +93,18 @@ class Table:
         rows = self._backend._table_dump(self.name)
         self._backend._count_read(sum(len(data) for _, data in rows))
         return [(key, decode_value(data)) for key, data in rows]
+
+    @contextlib.contextmanager
+    def shaped(self, key: str) -> typing.Iterator[None]:
+        """Wrap the one step that turns row ``key`` into a typed value: a
+        row of the wrong shape is a :class:`StorageError` naming it."""
+        try:
+            yield
+        except (LookupError, TypeError, ValueError) as err:
+            raise StorageError(
+                f"table {self.name!r} row {key!r} has the wrong shape "
+                f"({type(err).__name__}: {err})"
+            ) from None
 
     def __contains__(self, key: str) -> bool:
         return self._backend._table_get(self.name, key) is not None

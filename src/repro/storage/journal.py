@@ -101,10 +101,23 @@ class JobJournal:
         if self._metrics is not None:
             self._metrics.counter("njs.journal.records").inc()
 
-    def _row(self, job_id: str) -> dict[str, typing.Any] | None:
-        return typing.cast(
-            "dict[str, typing.Any] | None", self._table.get(job_id)
-        )
+    def _entry(self, job_id: str, row: typing.Any) -> JournalEntry:
+        """The entry consign row ``row`` holds, or a StorageError."""
+        with self._table.shaped(job_id):
+            meta = row["forward_meta"]
+            entry = JournalEntry(
+                job_id=job_id,
+                ajo_bytes=row["ajo_bytes"],
+                user_dn=row["user_dn"],
+                workstation_files=dict(row["workstation_files"]),
+                trace_id=row["trace_id"],
+                parent_job_id=row["parent_job_id"],
+                forward_meta=(
+                    None if meta is None
+                    else (meta[0], meta[1], tuple(meta[2]))
+                ),
+            )
+        return entry
 
     # -- writes (called on the supervision hot path) ------------------------
     def record_consign(
@@ -162,12 +175,11 @@ class JobJournal:
         """Drop a disposed job's rows and release the file bodies its
         consignment named."""
         entry = self._entries.get(job_id)
-        if entry is not None:
-            manifest = entry.workstation_files
-        elif (row := self._row(job_id)) is not None:
-            manifest = row["workstation_files"]
-        else:
+        if entry is None and (row := self._table.get(job_id)) is not None:
+            entry = self._entry(job_id, row)
+        if entry is None:
             return
+        manifest = entry.workstation_files
         with self.storage.batch():
             self.finish(job_id)
             self._table.delete(job_id)
@@ -176,10 +188,10 @@ class JobJournal:
     # -- reads ---------------------------------------------------------------
     def ajo_bytes(self, job_id: str) -> bytes:
         """The AJO a job was consigned as, read from its consign row."""
-        row = self._row(job_id)
+        row = self._table.get(job_id)
         if row is None:
             raise StorageError(f"no journal row for job {job_id!r}")
-        return typing.cast(bytes, row["ajo_bytes"])
+        return self._entry(job_id, row).ajo_bytes
 
     def staged_files(self, entry: JournalEntry) -> dict[str, FileBody]:
         """The bodies of the files ``entry`` was consigned with."""
@@ -213,27 +225,15 @@ class JobJournal:
             else:
                 live.append(job_id)
         for job_id in sorted(live, key=order):
-            row = self._row(job_id)
-            assert row is not None
-            meta = row["forward_meta"]
-            self._entries[job_id] = JournalEntry(
-                job_id=job_id,
-                ajo_bytes=row["ajo_bytes"],
-                user_dn=row["user_dn"],
-                workstation_files=dict(row["workstation_files"]),
-                trace_id=row["trace_id"],
-                parent_job_id=row["parent_job_id"],
-                forward_meta=(
-                    None if meta is None
-                    else (meta[0], meta[1], tuple(meta[2]))
-                ),
-            )
+            self._entries[job_id] = self._entry(job_id, self._table.get(job_id))
         for job_id, action_id in deliveries:
             entry = self._entries.get(job_id)
             if entry is not None:  # no consign row: nothing to replay
-                vsite, local_id = typing.cast(
-                    "list[str]", self._table.get(f"{job_id}/{action_id}")
-                )
+                key = f"{job_id}/{action_id}"
+                with self._table.shaped(key):
+                    vsite, local_id = typing.cast(
+                        "list[str]", self._table.get(key)
+                    )
                 entry.delivered[action_id] = (vsite, local_id)
 
     def incomplete(self) -> list[JournalEntry]:

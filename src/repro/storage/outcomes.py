@@ -76,7 +76,7 @@ class OutcomeStore:
         return dataclasses.replace(record, files=manifest)
 
     def get(self, job_id: str) -> OutcomeRecord | None:
-        raw = typing.cast("dict[str, typing.Any] | None", self._table.get(job_id))
+        raw = self._table.get(job_id)
         return None if raw is None else self._record(job_id, raw)
 
     def records(
@@ -84,25 +84,24 @@ class OutcomeStore:
     ) -> list[OutcomeRecord]:
         """Every finished job from one table scan, sorted by ``order`` of
         the job id (the issuer's key for consignment order)."""
-        rows = typing.cast(
-            "list[tuple[str, dict[str, typing.Any]]]", self._table.items()
-        )
+        rows = self._table.items()
         rows.sort(key=lambda row: order(row[0]))
         return [self._record(job_id, raw) for job_id, raw in rows]
 
-    @staticmethod
-    def _record(job_id: str, raw: dict[str, typing.Any]) -> OutcomeRecord:
-        return OutcomeRecord(
-            job_id=job_id,
-            name=raw["name"],
-            user_dn=raw["user_dn"],
-            status=raw["status"],
-            submitted_at=raw["submitted_at"],
-            recovered=raw["recovered"],
-            trace_id=raw["trace_id"],
-            outcome_bytes=raw["outcome_bytes"],
-            files=dict(raw["files"]),
-        )
+    def _record(self, job_id: str, raw: typing.Any) -> OutcomeRecord:
+        with self._table.shaped(job_id):
+            record = OutcomeRecord(
+                job_id=job_id,
+                name=raw["name"],
+                user_dn=raw["user_dn"],
+                status=raw["status"],
+                submitted_at=raw["submitted_at"],
+                recovered=raw["recovered"],
+                trace_id=raw["trace_id"],
+                outcome_bytes=raw["outcome_bytes"],
+                files=dict(raw["files"]),
+            )
+        return record
 
     def forget(self, job_id: str) -> None:
         """Delete the record and release the file bodies it named."""

@@ -1,19 +1,30 @@
-"""Property-based tests: the JSON decoders are total over bytes.
+"""Property-based tests: every decoder of outside bytes is total.
 
-``decode_ajo`` and ``decode_service`` parse what a client sent,
-``decode_outcome`` what a peer or an old journal row holds,
-``GridSnapshot.from_bytes`` a file from disk, ``decode_value`` a row a
-storage backend read back.  Arbitrary bytes, a valid encoding with bytes
-changed, and a valid encoding whose JSON *structure* was changed (a node
-replaced, dropped or retyped — still valid JSON) must each end in a value
-or in a ``ReproError`` the registry holds: never a bare ``TypeError``,
-``ValueError``, ``KeyError`` or ``AttributeError``.
-The binary decoders have their own suites (``test_wire_properties.py``,
-``test_stream_properties.py``, ``test_asn1_properties.py``).
+One table, ``DECODERS``, names each with a valid encoding:
+
+* the binary six, which read through ``repro.bytereader.ByteReader``: the
+  socket MSG body, the data-plane frame and its OPEN preamble, the
+  ``UCON`` consignment envelope, the bulk-reply reference and the ASN.1
+  resource page;
+* the JSON ones: ``decode_ajo`` and ``decode_service`` (what a client
+  sent), ``decode_outcome`` (what a peer or a journal row holds),
+  ``GridSnapshot.from_bytes`` (a file from disk), ``decode_value`` (a row
+  a storage backend read back), and the journal and outcome-store row
+  readers over such a row.
+
+Arbitrary bytes and a valid encoding with bytes changed must each end in
+a value or in a ``ReproError`` the registry maps back to its class: never
+a bare ``TypeError``, ``ValueError``, ``KeyError``, ``IndexError``,
+``struct.error`` or ``RecursionError``.  The JSON encodings are also
+mutated in their *structure* (a node replaced, dropped or retyped — still
+valid JSON), which is how a row of the wrong shape reaches a row reader.
+Nesting past the reader's bound has its own tests beside each codec
+(``test_wire_codec.py``, ``test_asn1_properties.py``).
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,10 +40,26 @@ from repro.ajo.serialize import (
 )
 from repro.ajo.services import ListService
 from repro.ajo.tasks import ImportTask, TransferTask
-from repro.errors import ERROR_CODES, ReproError
+from repro.api import GridSession
+from repro.errors import ERROR_CODES, ReproError, StorageError
 from repro.grid import GridSnapshot, build_grid
-from repro.resources import ResourceRequest
-from repro.storage import decode_value, encode_value
+from repro.net import stream, wire
+from repro.protocol.consignment import (
+    FileEntry,
+    decode_consignment_envelope,
+    encode_consignment,
+)
+from repro.protocol.datapath import decode_bulk_reply, encode_stream_reply
+from repro.protocol.messages import Request
+from repro.resources import ResourceRequest, asn1
+from repro.storage import (
+    JobJournal,
+    MemoryBackend,
+    OutcomeRecord,
+    OutcomeStore,
+    decode_value,
+    encode_value,
+)
 
 
 def _valid_ajo() -> bytes:
@@ -80,13 +107,82 @@ def _valid_row() -> bytes:
     })
 
 
-DECODERS = {
+def _consign_row() -> bytes:
+    return encode_value({
+        "ajo_bytes": b"\x00ajo", "user_dn": "CN=u", "trace_id": "t1",
+        "workstation_files": {"/home/u/in": "ab" * 32},
+        "parent_job_id": "U7@ZIB", "forward_meta": ["c1", "ZIB", ["out"]],
+    })
+
+
+def _outcome_row() -> bytes:
+    backend = MemoryBackend()
+    OutcomeStore(backend, "o").put(OutcomeRecord(
+        job_id="U1", name="demo", user_dn="CN=u", status="successful",
+        submitted_at=1.5, recovered=False, trace_id="t1", outcome_bytes=b"o",
+    ), {"out": b"body"})
+    return encode_value(backend.table("o").get("U1"))
+
+
+def _reload_journal(data: bytes) -> list:
+    """The entries a cold start rebuilds from ``data`` as a consign row."""
+    backend = MemoryBackend()
+    table = backend.table("j")
+    table.put("U1", decode_value(data))
+    table.put("U1/task", ["VS", "B1"])
+    journal = JobJournal(backend, name="j")
+    journal.reload(set(), str)
+    return journal.incomplete()
+
+
+def _read_outcome(data: bytes) -> OutcomeRecord | None:
+    backend = MemoryBackend()
+    backend.table("o").put("U1", decode_value(data))
+    return OutcomeStore(backend, "o").get("U1")
+
+
+_MSG = wire.encode_message(
+    7, "ws", "gw",
+    (Request(kind="query", user_dn="CN=u", payload=b"\x00q", vsite="V",
+             trace_id="t", parent_span_id="s"),
+     {"k": [1.5, None, True, -3, b"raw"]}),
+    300, "ctl", True,
+)
+_ENTRY = FileEntry("big.dat", 10, 5, 42)
+BINARY_DECODERS = {
+    "wire.msg": (
+        lambda data: wire.decode_frame(wire.FTYPE_MSG, data),
+        _MSG[wire.HEADER.size:],
+    ),
+    "stream.frame": (
+        stream.decode_frame,
+        stream.encode_frame(stream.Frame(stream_id=9, seq=2, payload=b"chunk")),
+    ),
+    "stream.open": (
+        stream.OpenInfo.decode,
+        stream.OpenInfo(10, 4, 3, 5, {"kind": "upload", "path": "a/b"}).encode(),
+    ),
+    "consignment": (
+        decode_consignment_envelope,
+        encode_consignment(b"AJO", {"/home/u/in": b"x"}, streamed=[_ENTRY]),
+    ),
+    "bulk_reply": (decode_bulk_reply, encode_stream_reply(_ENTRY)),
+    "asn1": (
+        asn1.decode,
+        asn1.encode({"cpus": 4, "queues": [{"name": "q", "limit": 1.5}],
+                     "ok": True, "note": None}),
+    ),
+}
+JSON_DECODERS = {
     "ajo": (decode_ajo, _valid_ajo()),
     "service": (decode_service, encode_service(ListService("list", since_seq=3))),
     "outcome": (decode_outcome, _valid_outcome()),
     "snapshot": (GridSnapshot.from_bytes, _valid_snapshot()),
     "row": (decode_value, _valid_row()),
+    "journal_row": (_reload_journal, _consign_row()),
+    "outcome_row": (_read_outcome, _outcome_row()),
 }
+DECODERS = {**BINARY_DECODERS, **JSON_DECODERS}
 which = st.sampled_from(sorted(DECODERS))
 
 
@@ -157,7 +253,7 @@ def _nodes(tree):
 
 @settings(max_examples=400, deadline=None)
 @given(
-    name=which,
+    name=st.sampled_from(sorted(JSON_DECODERS)),
     edits=st.lists(
         st.tuples(st.integers(0, 1 << 20), st.booleans(), json_values),
         min_size=1, max_size=3,
@@ -180,3 +276,24 @@ def test_structure_mutated_encodings_decode_or_are_refused(name, edits):
 def test_the_valid_encodings_decode():
     for decode, data in DECODERS.values():
         assert decode(data) is not None
+
+
+def _in_flight_snapshot() -> dict:
+    grid = build_grid({"FZJ": ["FZJ-T3E"]}, seed=3)
+    user = grid.add_user("Fuzz", logins={"FZJ": "fuzz"})
+    session = GridSession(grid, user, "FZJ")
+    job = session.new_job("in-flight")
+    job.script_task("t", "#!/bin/sh\nx\n", simulated_runtime_s=500.0)
+    session.submit(job)
+    session.advance(10.0)
+    return json.loads(grid.snapshot().to_bytes())
+
+
+def test_a_snapshot_with_a_journal_row_of_the_wrong_shape_is_refused_on_restore():
+    plain = _in_flight_snapshot()
+    rows = plain["storage"]["tables"]["FZJ.journal"]
+    (job_id,) = (key for key in rows if "/" not in key)
+    del rows[job_id]["forward_meta"]
+    snapshot = GridSnapshot.from_bytes(json.dumps(plain).encode())
+    with pytest.raises(StorageError, match=f"row '{job_id}' has the wrong shape"):
+        build_grid(restore_from=snapshot)

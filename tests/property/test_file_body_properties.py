@@ -118,7 +118,8 @@ def _open_frame(total: int, chunk: int, count: int, crc: int) -> Frame:
 
 
 @pytest.mark.parametrize("total, chunk, count", [
-    (10, 4, 2), (10, 4, 4), (10, 0, 3), (0, 4, 1), (0, 0, 1),
+    (10, 4, 2), (10, 4, 4), (10, 0, 3), (0, 4, 1), (0, 0, 1), (10, 0, 0),
+    (0, 0, 0),
 ])
 def test_a_preamble_whose_split_does_not_add_up_is_refused(total, chunk, count):
     with pytest.raises(FrameError):

@@ -19,7 +19,6 @@ from repro.net.stream import (
     encode_frame,
 )
 from repro.protocol.consignment import (
-    decode_consignment,
     decode_consignment_envelope,
     encode_consignment,
 )
@@ -156,9 +155,10 @@ def test_reassembler_folds_whole_payload_crc_in_any_feed_order(
     files=st.dictionaries(relative_paths, payloads, max_size=5),
 )
 def test_consignment_inline_roundtrip(ajo, files):
-    ajo_back, files_back = decode_consignment(encode_consignment(ajo, files))
-    assert ajo_back == ajo
-    assert files_back == files
+    back = decode_consignment_envelope(encode_consignment(ajo, files))
+    assert back.ajo_bytes == ajo
+    assert back.files == files
+    assert back.streamed == ()
 
 
 @settings(max_examples=120, deadline=None)
@@ -187,13 +187,6 @@ def test_consignment_streamed_roundtrip(ajo, inline, streamed):
     for (_, content, _), entry in zip(streamed, entries, strict=True):
         assert entry.size == len(content)
         assert entry.crc32 == zlib.crc32(content)
-    if entries:
-        try:
-            decode_consignment(payload)
-        except SerializationError:
-            pass
-        else:
-            raise AssertionError("plain decoder accepted a streamed envelope")
 
 
 @settings(max_examples=120, deadline=None)

@@ -12,7 +12,7 @@ from repro.ajo import (
 )
 from repro.batch import machine
 from repro.batch.base import FileEffect
-from repro.protocol.consignment import decode_consignment, encode_consignment
+from repro.protocol.consignment import decode_consignment_envelope, encode_consignment
 from repro.resources import ResourceRequest
 from repro.security.uudb import UserMapping
 from repro.server.errors import IncarnationError
@@ -35,23 +35,25 @@ def t3e():
 def test_consignment_roundtrip():
     files = {"/home/u/a.f90": b"program a\nend\n", "/home/u/b.dat": b"\x00\x01"}
     blob = encode_consignment(b"AJO-BYTES", files)
-    ajo_bytes, restored = decode_consignment(blob)
-    assert ajo_bytes == b"AJO-BYTES"
-    assert restored == files
+    consignment = decode_consignment_envelope(blob)
+    assert consignment.ajo_bytes == b"AJO-BYTES"
+    assert consignment.files == files
 
 
 def test_consignment_empty_files():
-    ajo_bytes, files = decode_consignment(encode_consignment(b"X"))
-    assert ajo_bytes == b"X" and files == {}
+    consignment = decode_consignment_envelope(encode_consignment(b"X"))
+    assert consignment.ajo_bytes == b"X" and consignment.files == {}
 
 
 def test_consignment_rejects_garbage():
     with pytest.raises(SerializationError):
-        decode_consignment(b"not json")
+        decode_consignment_envelope(b"not json")
     with pytest.raises(SerializationError):
-        decode_consignment(b'{"unicore_consignment": 9}')
+        decode_consignment_envelope(b'{"unicore_consignment": 9}')
     with pytest.raises(SerializationError):
-        decode_consignment(b'{"unicore_consignment": 1, "ajo": "!!!", "files": {}}')
+        decode_consignment_envelope(
+            b'{"unicore_consignment": 1, "ajo": "!!!", "files": {}}'
+        )
 
 
 # ------------------------------------------------------------- incarnation

@@ -417,3 +417,57 @@ def test_sqlite_refuses_a_file_of_another_format(tmp_path):
     assert caught.value.code == "storage.backend" and "format 2" in str(caught.value)
     with pytest.raises(StorageError):
         resolve_storage(f"sqlite:{path}")
+
+
+# -- rows of the wrong shape -------------------------------------------------
+def _consign_row(**changes):
+    row = {
+        "ajo_bytes": b"ajo", "user_dn": "CN=a", "workstation_files": {},
+        "trace_id": "", "parent_job_id": None, "forward_meta": None,
+    }
+    row.update(changes)
+    return row
+
+
+_NO_FORWARD_META = _consign_row()
+del _NO_FORWARD_META["forward_meta"]
+
+
+@pytest.mark.parametrize("key, row", [
+    ("U1", _NO_FORWARD_META),
+    ("U1", ["a", "list"]),
+    ("U1", _consign_row(workstation_files=5)),
+    ("U1", _consign_row(forward_meta=[1])),
+    ("U1/task", "notalist"),
+], ids=["no-forward-meta", "list", "files-int", "short-meta", "delivery"])
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_journal_reload_refuses_a_row_of_the_wrong_shape(backend_cls, key, row):
+    backend = backend_cls()
+    table = backend.table("njs.journal")
+    table.put("U1", _consign_row())
+    table.put(key, row)
+    with pytest.raises(StorageError, match=f"'njs.journal' row '{key}'"):
+        JobJournal(backend, name="njs.journal").reload(set(), _seq)
+    if "/" not in key:
+        journal = JobJournal(backend, name="njs.journal")
+        with pytest.raises(StorageError, match="wrong shape"):
+            journal.ajo_bytes(key)
+        with pytest.raises(StorageError, match="wrong shape"):
+            journal.forget(key)
+
+
+@pytest.mark.parametrize("shape", [
+    lambda row: ["a", "list"],
+    lambda row: {"name": row["name"]},
+    lambda row: {**row, "files": 5},
+], ids=["list", "missing-fields", "files-int"])
+def test_outcome_store_refuses_a_row_of_the_wrong_shape(shape):
+    backend = MemoryBackend()
+    store = OutcomeStore(backend, "FZJ.outcomes")
+    store.put(_outcome("U1"), {})
+    table = backend.table("FZJ.outcomes")
+    table.put("U1", shape(table.get("U1")))
+    with pytest.raises(StorageError, match="'FZJ.outcomes' row 'U1'"):
+        store.get("U1")
+    with pytest.raises(StorageError, match="wrong shape"):
+        store.records(str)

@@ -25,7 +25,6 @@ from repro.net.sim_transport import Network
 from repro.observability import MetricsRegistry
 from repro.protocol.consignment import (
     FileEntry,
-    decode_consignment,
     decode_consignment_envelope,
     encode_consignment,
     validate_manifest_paths,
@@ -46,9 +45,8 @@ def test_frame_roundtrip_data():
     frame = Frame(stream_id=7, seq=3, payload=b"\x00\x01binary\xff")
     raw = encode_frame(frame)
     assert len(raw) == FRAME_HEADER_BYTES + len(frame.payload)
-    back = decode_frame(raw)
-    assert back == frame
-    assert back.version == FRAME_VERSION
+    assert raw[2] == FRAME_VERSION
+    assert decode_frame(raw) == frame
 
 
 def test_frame_payload_is_raw_not_base64():
@@ -75,9 +73,11 @@ def test_frame_rejects_unknown_version_and_type():
     bad_version = bytes(raw[:2]) + bytes([99]) + bytes(raw[3:])
     with pytest.raises(FrameError):
         decode_frame(bad_version)
-    bad_type = bytes(raw[:3]) + bytes([77]) + bytes(raw[4:])
-    with pytest.raises(FrameError):
-        decode_frame(bad_type)
+    assert FrameType.ALL == (FrameType.OPEN, FrameType.DATA)
+    for ftype in (3, 77):  # 3 was an ACK, which no sender writes
+        bad_type = bytes(raw[:3]) + bytes([ftype]) + bytes(raw[4:])
+        with pytest.raises(FrameError, match="unknown frame type"):
+            decode_frame(bad_type)
 
 
 def test_frame_range_validation_on_encode():
@@ -98,6 +98,13 @@ def test_open_info_roundtrip():
     assert back.total_size == 1000
     assert back.chunk_count == 4
     assert back.context == {"kind": "test", "path": "a"}
+
+
+def test_open_info_refuses_a_context_nested_past_the_json_parser():
+    blob = b"[" * 100_000
+    fixed = OpenInfo(0, 1, 0, 0).encode()[:20]  # total, chunk, count, crc
+    with pytest.raises(FrameError, match="not valid JSON"):
+        OpenInfo.decode(fixed + struct.pack("!I", len(blob)) + blob)
 
 
 def test_chunk_payload_covers_everything():
@@ -210,9 +217,6 @@ def test_consignment_streamed_entries_roundtrip():
     assert consignment.ajo_bytes == b"AJO"
     assert consignment.files == {"/home/u/small.txt": b"hi"}
     assert consignment.streamed == (entry,)
-    # The plain decoder refuses envelopes that need a data plane.
-    with pytest.raises(SerializationError):
-        decode_consignment(payload)
 
 
 def test_consignment_rejects_trailing_garbage():

@@ -197,7 +197,7 @@ def test_request_the_protocol_refuses_raises_frame_decode_error():
 
 def test_bottomless_nesting_raises_frame_decode_error():
     body = _msg_body(b"\x07\x00\x00\x00\x01" * 100_000)
-    with pytest.raises(FrameDecodeError, match="recursion"):
+    with pytest.raises(FrameDecodeError, match="nested deeper than"):
         decode_frame(FTYPE_MSG, body)
 
 
