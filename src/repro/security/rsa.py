@@ -10,8 +10,10 @@ what the architecture reproduction needs from the crypto layer is
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
+import typing
 from dataclasses import dataclass
 
 from repro.security.errors import SignatureInvalid
@@ -43,11 +45,11 @@ class RSAPublicKey:
         material = f"{self.n:x}:{self.e:x}".encode()
         return hashlib.sha256(material).hexdigest()[:16]
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, typing.Any]:
         return {"n": f"{self.n:x}", "e": self.e}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RSAPublicKey":
+    def from_dict(cls, d: dict[str, typing.Any]) -> "RSAPublicKey":
         return cls(n=int(d["n"], 16), e=int(d["e"]))
 
 
@@ -62,27 +64,41 @@ class RSAKeyPair:
     def generate(cls, bits: int = 512, seed: int | None = None) -> "RSAKeyPair":
         """Generate a keypair with a modulus of ``bits`` bits.
 
-        ``seed`` makes generation deterministic (tests/benchmarks); with
-        ``None`` a fresh system-seeded stream is used.
+        A seeded keypair is a pure function of ``(bits, seed)``: it is
+        derived once per process and the same object is returned to every
+        later caller, so a second grid built from the same seeds runs no
+        prime search.  With ``seed=None`` the keypair is fresh on every
+        call, drawn from a system-seeded stream, and never shared.
         """
         if bits < 288:
             raise ValueError("modulus below 288 bits cannot pad a SHA-256 digest")
-        rng = random.Random(seed)
-        half = bits // 2
-        while True:
-            p = generate_prime(half, rng)
-            q = generate_prime(bits - half, rng)
-            if p == q:
-                continue
-            n = p * q
-            phi = (p - 1) * (q - 1)
-            if phi % _E == 0:
-                continue
-            d = modinv(_E, phi)
-            return cls(public=RSAPublicKey(n=n, e=_E), d=d)
+        if seed is None:
+            return _derive(bits, random.Random())
+        return _derive_seeded(bits, seed)
 
     def sign(self, data: bytes) -> int:
         return sign(self, data)
+
+
+def _derive(bits: int, rng: random.Random) -> RSAKeyPair:
+    """The prime search: two primes from ``rng``, then the private exponent."""
+    half = bits // 2
+    while True:
+        p = generate_prime(half, rng)
+        q = generate_prime(bits - half, rng)
+        if p == q:
+            continue
+        phi = (p - 1) * (q - 1)
+        if phi % _E == 0:
+            continue
+        return RSAKeyPair(public=RSAPublicKey(n=p * q, e=_E), d=modinv(_E, phi))
+
+
+@functools.cache
+def _derive_seeded(bits: int, seed: int) -> RSAKeyPair:
+    # Safe to share: the keypair is frozen, and no grid counts or stores
+    # how its keys were made.
+    return _derive(bits, random.Random(seed))
 
 
 def _encode_digest(data: bytes, n: int) -> int:
