@@ -1,24 +1,19 @@
 """Shared helpers for the benchmark harness.
 
-Each ``bench_*.py`` regenerates one experiment from DESIGN.md section 5.
-Simulation-clock experiments print their table from a single simulated
-run (wrapped in ``benchmark.pedantic(rounds=1)`` so they appear in the
-pytest-benchmark report); implementation-cost experiments use
-pytest-benchmark in the ordinary way.
+Each ``bench_*.py`` regenerates one experiment from DESIGN.md section 5,
+at the one size EXPERIMENTS.md reports, and asserts its expected shape:
+those assertions are the experiment's only gate.  Simulation-clock
+experiments print their table from a single simulated run (wrapped in
+``benchmark.pedantic(rounds=1)`` so they appear in the pytest-benchmark
+report); implementation-cost experiments use pytest-benchmark in the
+ordinary way.
 
-Run with output:  pytest benchmarks/ --benchmark-only -s
-
-Smoke mode: running a benchmark module directly with ``--smoke`` (or
-with ``REPRO_SMOKE=1`` in the environment) executes a fast-path variant
-— fewer/shorter configurations, crash-detection only — which is what CI
-runs on every push.
+Run every experiment (what CI runs):  pytest -q benchmarks/ --benchmark-disable
+With the tables and timings:          pytest benchmarks/ --benchmark-only -s
 """
 
 from __future__ import annotations
 
-import json
-import os
-import sys
 import typing
 
 from repro.client import JobMonitorController, JobPreparationAgent
@@ -29,60 +24,7 @@ __all__ = [
     "print_table",
     "single_site_session",
     "run_simple_job",
-    "smoke_mode",
-    "write_bench_artifact",
-    "NullBenchmark",
-    "run_as_script",
 ]
-
-
-def smoke_mode() -> bool:
-    """True when running the fast CI smoke path."""
-    return "--smoke" in sys.argv or os.environ.get("REPRO_SMOKE", "") not in ("", "0")
-
-
-def write_bench_artifact(name: str, payload: dict) -> str:
-    """Persist one experiment's headline numbers as ``BENCH_<name>.json``.
-
-    The file lands in ``$REPRO_BENCH_DIR`` (default: the working
-    directory) so CI can collect machine-readable results next to the
-    printed tables.  The record is tagged with the smoke flag — smoke
-    numbers are crash-gate artifacts, not publishable measurements.
-    """
-    out_dir = os.environ.get("REPRO_BENCH_DIR", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"BENCH_{name}.json")
-    record = {"experiment": name, "smoke": smoke_mode(), **payload}
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"  wrote {path}")
-    return path
-
-
-class NullBenchmark:
-    """Stand-in for the pytest-benchmark fixture outside pytest.
-
-    Lets a benchmark module run as a plain script (the CI smoke gate)
-    without pytest-benchmark installed or active.
-    """
-
-    def pedantic(self, target, args=(), kwargs=None, rounds=1, iterations=1):
-        return target(*args, **(kwargs or {}))
-
-    def __call__(self, target, *args, **kwargs):
-        return target(*args, **kwargs)
-
-
-def run_as_script(*test_functions) -> None:
-    """Execute benchmark test functions directly (``python -m benchmarks.X``).
-
-    Each function receives a :class:`NullBenchmark`; any exception
-    propagates, so a non-zero exit code marks the smoke run failed.
-    """
-    for fn in test_functions:
-        print(f"-- {fn.__name__}{' [smoke]' if smoke_mode() else ''}")
-        fn(NullBenchmark())
 
 
 def print_table(

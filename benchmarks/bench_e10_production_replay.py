@@ -5,9 +5,9 @@ Paper evidence: "UNICORE is running at different German sites including
 Fujitsu VPP/700, IBM SP-2, and NEC SX-4."
 
 Setup: the full six-site grid; three users with different home sites
-each run ``--jobs N`` concurrent submission streams of mixed UNICORE
-workloads (single-site jobs plus cross-site pipelines) while every
-machine also carries its own local load, for two simulated days.
+each run one submission stream of mixed UNICORE workloads (single-site
+jobs plus cross-site pipelines) while every machine also carries its
+own local load, for two simulated days.
 
 Expected shape: the system sustains the offered load with zero lost
 jobs — every consigned job reaches a terminal state, job-state
@@ -15,27 +15,16 @@ accounting is consistent across tiers, and every site shows nonzero
 utilization from both populations.
 
 The run also prints simulator events, wire bytes and wall seconds per
-job and writes them to ``BENCH_e10.json``; they are a description of the
-run, not a gate — ``benchmarks/perf``'s ``replay`` workload is what a
-performance claim is measured with.
-
-Run directly for the CI smoke gate or at scale:
-
-    python -m benchmarks.bench_e10_production_replay --smoke
-    python -m benchmarks.bench_e10_production_replay --jobs 10
+job; they are a description of the run, not a gate —
+``benchmarks/perf``'s ``replay`` workload is what a performance claim is
+measured with.
 """
 
-import sys
 import time
 
 import pytest
 
-from benchmarks._util import (
-    print_table,
-    run_as_script,
-    smoke_mode,
-    write_bench_artifact,
-)
+from benchmarks._util import print_table
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import (
     LocalLoadGenerator,
@@ -43,41 +32,17 @@ from repro.grid import (
     build_german_grid,
     synth_job,
 )
-from repro.observability import telemetry_for
 from repro.resources import ResourceRequest
 from repro.simkernel import derive_rng
 
 HORIZON = 2 * 24 * 3600.0
-SMOKE_HORIZON = 6 * 3600.0
 VSITES = {
     "FZJ": "FZJ-T3E", "RUS": "RUS-T3E", "RUKA": "RUKA-SP2",
     "ZIB": "ZIB-SP2", "LRZ": "LRZ-VPP", "DWD": "DWD-SX4",
 }
-#: Counters worth tracking run over run (all land in the artifact).
-TRACKED_COUNTERS = (
-    "njs.index.hits",
-    "njs.index.rebuilds",
-    "njs.incarnation_cache.hits",
-    "njs.incarnation_cache.misses",
-    "jmc.delta_views",
-    "gateway.subscribe_holds",
-    "protocol.requests_sent",
-    "protocol.retries",
-)
 
 
-def _streams_arg(default: int = 1) -> int:
-    """The ``--jobs N`` scale factor (streams per user)."""
-    argv = sys.argv
-    for i, arg in enumerate(argv):
-        if arg == "--jobs" and i + 1 < len(argv):
-            return max(1, int(argv[i + 1]))
-        if arg.startswith("--jobs="):
-            return max(1, int(arg.split("=", 1)[1]))
-    return default
-
-
-def _replay(scale: int = 1, horizon: float = HORIZON):
+def _replay():
     grid = build_german_grid(seed=10)
     logins = {s: "prod" for s in grid.usites}
     users = [
@@ -97,7 +62,7 @@ def _replay(scale: int = 1, horizon: float = HORIZON):
             derive_rng(10, f"local:{site}"),
             arrival_rate_per_s=1 / 1800.0,
             profile=WorkloadProfile(mean_runtime_s=5400.0, max_cpus=32),
-            horizon_s=horizon,
+            horizon_s=HORIZON,
         )
 
     stats = {"submitted": 0, "terminal": 0, "successful": 0, "rejected": 0}
@@ -113,9 +78,9 @@ def _replay(scale: int = 1, horizon: float = HORIZON):
         jpa = JobPreparationAgent(session)
         jmc = JobMonitorController(session)
         i = 0
-        while grid.sim.now < horizon:
+        while grid.sim.now < HORIZON:
             yield grid.sim.timeout(float(rng.exponential(3000.0)))
-            if grid.sim.now >= horizon:
+            if grid.sim.now >= HORIZON:
                 break
             i += 1
             roll = rng.random()
@@ -158,21 +123,21 @@ def _replay(scale: int = 1, horizon: float = HORIZON):
     for i, (user, home) in enumerate(
         zip(users, ("FZJ", "ZIB", "DWD"), strict=True)
     ):
-        for stream in range(scale):
-            grid.sim.process(user_stream(user, home, f"user{i}.{stream}"))
+        grid.sim.process(user_stream(user, home, f"user{i}.0"))
 
-    grid.sim.run(until=horizon + 12 * 3600.0)  # drain period
+    grid.sim.run(until=HORIZON + 12 * 3600.0)  # drain period
     # Let remaining waits finish.
     grid.sim.run()
     return grid, stats
 
 
-def _run_replay(benchmark, scale: int, horizon: float):
+@pytest.mark.benchmark(group="E10-production-replay")
+def test_e10_two_day_replay(benchmark):
     holder = {}
 
     def run():
         started = time.perf_counter()
-        holder["grid"], holder["stats"] = _replay(scale=scale, horizon=horizon)
+        holder["grid"], holder["stats"] = _replay()
         holder["wall_s"] = time.perf_counter() - started
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -190,7 +155,7 @@ def _run_replay(benchmark, scale: int, horizon: float):
             f"{batch.utilization():6.1%}", len(nonterminal),
         ))
     print_table(
-        f"E10: production replay, six sites (scale={scale})",
+        "E10: production replay, six sites",
         ["vsite", "local jobs", "unicore jobs", "utilization", "stuck"],
         rows,
     )
@@ -200,8 +165,7 @@ def _run_replay(benchmark, scale: int, horizon: float):
           f"{stats['rejected']} rejected at submission")
 
     # No lost jobs: everything submitted reached a terminal state.
-    min_submitted = (2 if smoke_mode() else 25) * scale
-    assert stats["submitted"] > min_submitted
+    assert stats["submitted"] > 25
     assert stats["terminal"] == stats["submitted"]
     assert stats["successful"] >= 0.9 * stats["terminal"]
     # NJS-side accounting agrees: every run at every site terminal.
@@ -212,52 +176,11 @@ def _run_replay(benchmark, scale: int, horizon: float):
     for _, local_n, _unicore_n, _, stuck in rows:
         assert stuck == 0
         assert local_n > 0
-    assert sum(r[2] for r in rows) > min_submitted
+    assert sum(r[2] for r in rows) > 25
 
-    profile = grid.sim.profile()
     jobs = max(1, stats["submitted"])
-    metrics = telemetry_for(grid.sim).metrics
-    throughput = {
-        "jobs": stats["submitted"],
-        "events_per_job": profile["events_processed"] / jobs,
-        "wire_bytes_per_job": grid.network.total_bytes_sent() / jobs,
-        "wall_s_per_job": holder["wall_s"] / jobs,
-    }
     print(
-        f"  throughput: {throughput['events_per_job']:.0f} events/job, "
-        f"{throughput['wire_bytes_per_job']:.0f} wire bytes/job, "
-        f"{throughput['wall_s_per_job'] * 1000:.1f} wall ms/job"
+        f"  throughput: {grid.sim.profile()['events_processed'] / jobs:.0f} "
+        f"events/job, {grid.network.total_bytes_sent() / jobs:.0f} wire "
+        f"bytes/job, {holder['wall_s'] / jobs * 1000:.1f} wall ms/job"
     )
-
-    write_bench_artifact("e10", {
-        "horizon_s": horizon,
-        "scale": scale,
-        "stats": stats,
-        "throughput": throughput,
-        "sim_profile": profile,
-        "counters": {
-            name: metrics.counter_value(name) for name in TRACKED_COUNTERS
-        },
-        "sites": {
-            vsite: {
-                "local_jobs": local_n,
-                "unicore_jobs": unicore_n,
-                "utilization": util.strip(),
-                "stuck": stuck,
-            }
-            for vsite, local_n, unicore_n, util, stuck in rows
-        },
-    })
-
-
-@pytest.mark.benchmark(group="E10-production-replay")
-def test_e10_two_day_replay(benchmark):
-    _run_replay(
-        benchmark,
-        scale=_streams_arg(1),
-        horizon=SMOKE_HORIZON if smoke_mode() else HORIZON,
-    )
-
-
-if __name__ == "__main__":
-    run_as_script(test_e10_two_day_replay)

@@ -24,7 +24,7 @@ jobs being lost.
 
 import pytest
 
-from benchmarks._util import print_table, run_as_script, smoke_mode
+from benchmarks._util import print_table
 from repro.api import GridSession
 from repro.faults import FaultInjector, FaultPlan, FaultTargets
 from repro.grid import build_german_grid
@@ -37,8 +37,6 @@ SEED = 113
 
 INTENSITIES = (0.0, 0.5, 1.0, 2.0)
 JOBS = 10
-SMOKE_INTENSITIES = (0.0, 1.0)
-SMOKE_JOBS = 5
 
 #: Recovery activity counted per arm (all zero on a healthy grid).
 RECOVERY_COUNTERS = (
@@ -125,19 +123,17 @@ def _run_arm(intensity: float, jobs: int) -> dict:
 
 @pytest.mark.benchmark(group="E13-chaos")
 def test_e13_chaos_sweep(benchmark):
-    intensities = SMOKE_INTENSITIES if smoke_mode() else INTENSITIES
-    jobs = SMOKE_JOBS if smoke_mode() else JOBS
     arms: list[dict] = []
 
     def run():
         arms.clear()
-        for intensity in intensities:
-            arms.append(_run_arm(intensity, jobs))
+        for intensity in INTENSITIES:
+            arms.append(_run_arm(intensity, JOBS))
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     print_table(
-        f"E13: fault-intensity sweep — {jobs} jobs of {JOB_RUNTIME_S:.0f}s, "
+        f"E13: fault-intensity sweep — {JOBS} jobs of {JOB_RUNTIME_S:.0f}s, "
         f"{HORIZON_S/3600:.0f}h fault window, seed {SEED}",
         ["intensity", "faults", "applied", "done", "rate",
          "p50 [s]", "p99 [s]", "recoveries", "replayed"],
@@ -168,7 +164,3 @@ def test_e13_chaos_sweep(benchmark):
     assert moderate["recoveries"] > 0
     # Degradation is graceful: faults cost time, not jobs.
     assert moderate["p99_s"] >= clean["p99_s"]
-
-
-if __name__ == "__main__":
-    run_as_script(test_e13_chaos_sweep)

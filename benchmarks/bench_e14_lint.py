@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from benchmarks._util import print_table, run_as_script, smoke_mode
+from benchmarks._util import print_table
 from repro.ajo import (
     AbstractJobObject,
     ExportTask,
@@ -89,8 +89,8 @@ def test_e14_lint_throughput(benchmark):
     """jobs/s and us/action for the full three-pass analysis vs AJO size."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     context = bench_context()
-    sizes = (4, 16) if smoke_mode() else (4, 16, 64, 256)
-    repeats = 3 if smoke_mode() else 10
+    sizes = (4, 16, 64, 256)
+    repeats = 10
 
     rows = []
     per_action = {}
@@ -131,14 +131,10 @@ def test_e14_defects_found_at_every_size(benchmark):
     """The seeded defects are reported with their stable codes."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     context = bench_context()
-    sizes = (4,) if smoke_mode() else (4, 64, 256)
+    sizes = (4, 64, 256)
     for n_stages in sizes:
         report = analyze_ajo(seeded_defects(n_stages), context)
         found = {d.code for d in report.errors}
         assert {"AJO201", "AJO203", "AJO302"} <= found, (n_stages, found)
         assert not report.ok
     print(f"  defect codes stable across sizes {sizes}")
-
-
-if __name__ == "__main__":
-    run_as_script(test_e14_lint_throughput, test_e14_defects_found_at_every_size)

@@ -27,7 +27,7 @@ bound grows linearly with the data set.
 
 import pytest
 
-from benchmarks._util import print_table, run_as_script, smoke_mode
+from benchmarks._util import print_table
 from repro.grid import build_grid
 from repro.protocol.datapath import DEFAULT_CHUNK_BYTES
 from repro.security.ssl import SSLSession
@@ -40,10 +40,6 @@ HOPS = 3  # NJS -> gateway -> peer gateway -> NJS
 SIZES = [1 << 16, 1 << 20, 1 << 24, 1 << 27]
 CHUNK_SIZES = [1 << 16, DEFAULT_CHUNK_BYTES, 1 << 20]
 PROBE_STREAM_BYTES = 1 << 24
-
-SMOKE_SIZES = [1 << 18, 1 << 20]
-SMOKE_CHUNK_SIZES = [DEFAULT_CHUNK_BYTES]
-SMOKE_PROBE_STREAM_BYTES = 1 << 22
 
 
 def _legacy_wire_bytes(size: int) -> int:
@@ -131,21 +127,19 @@ def _control_delay(chunk_bytes: int, stream_bytes: int, busy: bool) -> float:
 
 @pytest.mark.benchmark(group="E5-transfer-rates")
 def test_e5_streaming_overhead_and_rates(benchmark):
-    sizes = SMOKE_SIZES if smoke_mode() else SIZES
-    chunks = SMOKE_CHUNK_SIZES if smoke_mode() else CHUNK_SIZES
     results: dict = {}
 
     def run():
         results.clear()
-        for size in sizes:
-            for chunk in chunks:
+        for size in SIZES:
+            for chunk in CHUNK_SIZES:
                 results[(size, chunk)] = _measure_transfer(size, chunk)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = []
-    for size in sizes:
-        for chunk in chunks:
+    for size in SIZES:
+        for chunk in CHUNK_SIZES:
             r = results[(size, chunk)]
             ratio = r["wire_per_hop"] / size
             legacy = _legacy_wire_bytes(size) / size
@@ -165,11 +159,7 @@ def test_e5_streaming_overhead_and_rates(benchmark):
         rows,
     )
 
-    default = {
-        size: results[(size, DEFAULT_CHUNK_BYTES)]
-        for size in sizes
-        if (size, DEFAULT_CHUNK_BYTES) in results
-    }
+    default = {size: results[(size, DEFAULT_CHUNK_BYTES)] for size in SIZES}
     # The headline gate: at the default chunk size, framing overhead is
     # within 5% from 1 MiB up — against the legacy floor of ~33%.
     for size, r in default.items():
@@ -188,23 +178,20 @@ def test_e5_streaming_overhead_and_rates(benchmark):
 @pytest.mark.benchmark(group="E5-transfer-rates")
 def test_e5_control_plane_latency_under_bulk_transfer(benchmark):
     chunk = DEFAULT_CHUNK_BYTES
-    stream_bytes = (
-        SMOKE_PROBE_STREAM_BYTES if smoke_mode() else PROBE_STREAM_BYTES
-    )
     delays: dict = {}
 
     def run():
-        delays["idle"] = _control_delay(chunk, stream_bytes, busy=False)
-        delays["busy"] = _control_delay(chunk, stream_bytes, busy=True)
+        delays["idle"] = _control_delay(chunk, PROBE_STREAM_BYTES, busy=False)
+        delays["busy"] = _control_delay(chunk, PROBE_STREAM_BYTES, busy=True)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     chunk_tx = chunk / WAN_BW
-    monolithic_tx = stream_bytes / WAN_BW
+    monolithic_tx = PROBE_STREAM_BYTES / WAN_BW
     extra = delays["busy"] - delays["idle"]
     print_table(
         "E5: control-message route time during a "
-        f"{stream_bytes >> 20} MiB bulk transfer",
+        f"{PROBE_STREAM_BYTES >> 20} MiB bulk transfer",
         ["probe", "delay (s)"],
         [
             ("idle link", f"{delays['idle']:7.3f}"),
@@ -219,10 +206,3 @@ def test_e5_control_plane_latency_under_bulk_transfer(benchmark):
     # at most ~one chunk serialization per hop, never the whole file.
     assert extra <= 3 * chunk_tx + 0.05
     assert extra < 0.05 * monolithic_tx
-
-
-if __name__ == "__main__":
-    run_as_script(
-        test_e5_streaming_overhead_and_rates,
-        test_e5_control_plane_latency_under_bulk_transfer,
-    )

@@ -16,15 +16,15 @@ spans the ``repro trace`` CLI renders.
 
 import pytest
 
-from benchmarks._util import print_table, run_as_script, smoke_mode
+from benchmarks._util import print_table
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
 from repro.grid.metrics import TierTimes
 from repro.observability import telemetry_for
 from repro.resources import ResourceRequest
 
-#: Simulated execution times measured; smoke keeps one short job.
-RUNTIMES = (60.0,) if smoke_mode() else (60.0, 600.0, 6000.0)
+#: Simulated execution times measured.
+RUNTIMES = (60.0, 600.0, 6000.0)
 
 
 def _measure(runtime_s: float) -> TierTimes:
@@ -90,14 +90,9 @@ def test_e1_tier_breakdown(benchmark):
     for times in results.values():
         assert times.execution_s > 0.0
         assert times.middleware_total() > 0.0
-    if 6000.0 in results:
-        long_job = results[6000.0]
-        assert long_job.middleware_total() < 0.05 * (
-            long_job.batch_wait_s + long_job.execution_s
-        )
-        # Auth is real but bounded; incarnation is trivial next to handshake.
-        assert long_job.incarnation_s < long_job.handshake_s
-
-
-if __name__ == "__main__":
-    run_as_script(test_e1_tier_breakdown)
+    long_job = results[6000.0]
+    assert long_job.middleware_total() < 0.05 * (
+        long_job.batch_wait_s + long_job.execution_s
+    )
+    # Auth is real but bounded; incarnation is trivial next to handshake.
+    assert long_job.incarnation_s < long_job.handshake_s

@@ -43,7 +43,6 @@ __all__ = ["determinism_rules"]
 #: Paths where wall clocks and OS randomness are the design, not a leak.
 _REALTIME_PATHS = (
     "src/repro/net/aio_transport.py",
-    "benchmarks/",
 )
 _SEEDED_RNG_PATHS = (
     "src/repro/security/",
