@@ -29,7 +29,7 @@ import typing
 from dataclasses import dataclass
 
 from repro.broker.errors import BrokerError, NoCapacityError
-from repro.broker.placement import ResourceBroker
+from repro.broker.placement import ResourceBroker, job_demands
 from repro.client.jmc import JobMonitorController
 from repro.client.jpa import JobBuilder, JobPreparationAgent
 from repro.faults.breaker import CircuitBreaker
@@ -39,7 +39,6 @@ from repro.net.transport import TransportSpec
 from repro.observability import telemetry_for
 from repro.protocol.retry import RetryExhausted
 from repro.protocol.views import JobListing, JobStatusView
-from repro.resources.model import ResourceRequest
 from repro.errors import ReproError
 
 if typing.TYPE_CHECKING:
@@ -382,11 +381,12 @@ class SessionCore:
             ajo.vsite, ajo.usite = vsite, usite
             return self._tiers[usite][1].submit(job, workstation=workstation)
 
+        request, software = job_demands(ajo)
         entry = federation.submit(
             self.session.user_dn,
             ajo.name,
-            self._aggregate_request(ajo),
-            software=tuple(self._required_software(ajo)),
+            request,
+            software=tuple(software),
             dispatch=dispatch,
             bind_timeout_s=self.BROKER_BIND_TIMEOUT_S,
         )
@@ -420,9 +420,7 @@ class SessionCore:
         broker = ResourceBroker.for_grid(self.grid)
         ranked = [
             cand
-            for cand in broker.candidates(
-                self._aggregate_request(ajo), self._required_software(ajo)
-            )
+            for cand in broker.candidates(*job_demands(ajo))
             if cand.vsite != failed_vsite
         ][: self.FAILOVER_CANDIDATES]
         metrics = self._telemetry.metrics
@@ -450,30 +448,6 @@ class SessionCore:
             metrics.counter("api.failovers").inc()
             return self._handle_for(job_id, ajo, failed_over=True)
         return None
-
-    @staticmethod
-    def _aggregate_request(ajo) -> ResourceRequest:
-        """The job's peak demands, for broker feasibility ranking."""
-        cpus, time_s, memory = 1, 0.0, 0.0
-        for node in ajo.walk():
-            res = getattr(node, "resources", None)
-            if isinstance(res, ResourceRequest):
-                cpus = max(cpus, res.cpus)
-                time_s = max(time_s, res.time_s)
-                memory = max(memory, res.memory_mb)
-        return ResourceRequest(cpus=cpus, time_s=time_s or 3600.0,
-                               memory_mb=memory or 64.0)
-
-    @staticmethod
-    def _required_software(ajo) -> list[tuple[str, str]]:
-        seen: list[tuple[str, str]] = []
-        for node in ajo.walk():
-            req = getattr(node, "required_software", None)
-            if callable(req):
-                for item in req():
-                    if item not in seen:
-                        seen.append(item)
-        return seen
 
     def status_plan(
         self, handle: "JobHandle | str", allow_stale: bool = True

@@ -23,13 +23,41 @@ never any influence over site scheduling (site autonomy preserved).
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 
 from repro.resources.check import check_request
 from repro.resources.model import ResourceRequest
 from repro.server.vsite import Vsite
 
-__all__ = ["BrokerDecision", "ResourceBroker"]
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.ajo import AbstractJobObject
+
+__all__ = ["BrokerDecision", "ResourceBroker", "job_demands"]
+
+
+def job_demands(
+    ajo: "AbstractJobObject",
+) -> tuple[ResourceRequest, list[tuple[str, str]]]:
+    """What a Vsite must offer to run all of ``ajo``: the peak resource
+    demands of its tasks, and the software they name (first-seen order)."""
+    cpus, time_s, memory = 1, 0.0, 0.0
+    software: list[tuple[str, str]] = []
+    for node in ajo.walk():
+        res = getattr(node, "resources", None)
+        if isinstance(res, ResourceRequest):
+            cpus = max(cpus, res.cpus)
+            time_s = max(time_s, res.time_s)
+            memory = max(memory, res.memory_mb)
+        req = getattr(node, "required_software", None)
+        if callable(req):
+            for item in req():
+                if item not in software:
+                    software.append(item)
+    request = ResourceRequest(
+        cpus=cpus, time_s=time_s or 3600.0, memory_mb=memory or 64.0
+    )
+    return request, software
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,9 +37,10 @@ __all__ = ["GridSnapshot", "SNAPSHOT_VERSION"]
 #: Bump when the on-disk layout changes incompatibly.  Version 1 kept
 #: file bodies inside the journal and outcome records; 2 moved them to
 #: the storage dump's ``"blobs"`` section; 3 dropped the dump's
-#: ``"logs"`` section (the journal is a table of live rows).  Other
-#: versions are refused.
-SNAPSHOT_VERSION = 3
+#: ``"logs"`` section (the journal is a table of live rows); 4 moved the
+#: AJO and outcome encodings from the journal and outcome rows to the
+#: blobs.  Other versions are refused.
+SNAPSHOT_VERSION = 4
 
 #: What each field of an encoded snapshot must hold.
 _FIELD_TYPES: dict[str, type | tuple[type, ...]] = {

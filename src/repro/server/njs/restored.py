@@ -11,11 +11,11 @@ Uspace file fetches, disposal — backed by the persisted
 
 Everything else is lazy.  A restart builds these views from one scan of
 the outcome table and touches nothing more: a listing needs only the
-record's ``name`` and ``status``; the job's consign row is read from
-the journal table, and its AJO decoded, the first time a client asks for
-``root`` (a status tree, a disposal); the outcome tree is decoded when a
-client asks for it; a file body is fetched from the blob store when a
-client asks for that file.
+record's ``name`` and ``status``; the job's consign row and AJO blob are
+read, and the AJO decoded, the first time a client asks for ``root`` (a
+status tree); the outcome blob is read the first time a client asks for
+the outcome, and decoded only when a client needs the tree; a file body
+is fetched from the blob store when a client asks for that file.
 """
 
 from __future__ import annotations
@@ -78,7 +78,9 @@ class RestoredRun:
         }
         self._status = ActionStatus(record.status)
         self._fetch_ajo = fetch_ajo
-        self._outcome_bytes = record.outcome_bytes
+        self._blobs = blobs
+        self._outcome_digest = record.outcome_digest
+        self._outcome_bytes: bytes | None = None
         self._name = record.name
         self._root: "AbstractJobObject | None" = None
         self._root_outcome: Outcome | None = None
@@ -94,7 +96,7 @@ class RestoredRun:
     @property
     def root_outcome(self) -> Outcome:
         if self._root_outcome is None:
-            self._root_outcome = decode_outcome(self._outcome_bytes)
+            self._root_outcome = decode_outcome(self.encoded_outcome())
         return self._root_outcome
 
     @property
@@ -110,7 +112,10 @@ class RestoredRun:
         return self._name
 
     def encoded_outcome(self) -> bytes:
-        """The persisted encoding, verbatim: no decode, no re-encode."""
+        """The persisted encoding, read from the blob store on the first
+        request and served verbatim: no decode, no re-encode."""
+        if self._outcome_bytes is None:
+            self._outcome_bytes = self._blobs.get(self._outcome_digest)
         return self._outcome_bytes
 
     def status(self) -> ActionStatus:

@@ -56,7 +56,7 @@ class RunTable(typing.Mapping[str, JobRun]):
         self.journal = JobJournal(
             storage, name=f"{usite_name}.journal", metrics=metrics
         )
-        #: Finished jobs as persisted records (status, outcome bytes,
+        #: Finished jobs as persisted records (status, outcome digest,
         #: Uspace manifest) — what a cold start serves terminal queries
         #: from.  A job is finished exactly when its row exists here.
         self.outcomes = OutcomeStore(storage, f"{usite_name}.outcomes")
@@ -264,8 +264,7 @@ class RunTable(typing.Mapping[str, JobRun]):
                 submitted_at=run.submitted_at,
                 recovered=run.recovered,
                 trace_id=run.trace_id,
-                outcome_bytes=run.encoded_outcome(),
-            ), files)
+            ), run.encoded_outcome(), files)
 
     def dispose(self, job_id: str) -> JobRun:
         """Forget a job everywhere: table, index, change-log, storage."""

@@ -354,10 +354,10 @@ class NetworkJobSupervisor:
         self._executor.clear_leftovers(entry)
         error: Exception | None = None
         try:
-            # The one place recovery reads file bodies: a replayed job
-            # re-imports what it was consigned with.
+            # The one place recovery reads blobs: a replayed job is
+            # decoded from its AJO and re-imports what it was consigned with.
             run = self.consign(
-                decode_ajo(entry.ajo_bytes),
+                decode_ajo(self.journal.ajo_bytes(entry.job_id)),
                 user_dn=entry.user_dn,
                 workstation_files=self.journal.staged_files(entry),
                 parent_job_id=entry.parent_job_id,

@@ -14,16 +14,17 @@ behind, mirroring the transport split of :mod:`repro.net.transport`:
 
 The surface is deliberately tiny: named key/value **tables**
 (:class:`Table`), one content-addressed **blob store**
-(:class:`BlobStore`) holding every file body, and a transactional
+(:class:`BlobStore`) holding every byte string a job persists (file
+bodies, the consigned AJO, the encoded outcome), and a transactional
 :meth:`StorageBackend.batch` grouping writes into one durable unit.
 Every stateful component — the NJS journal and outcome store, UUDB
 mappings, resource pages — persists through these calls only, so
 flipping the backend never touches component logic.
 
-Tables carry *metadata* through the tagged-JSON codec; a file body
-never does.  A record that names files stores a ``{path: digest}``
-manifest and the bodies go to the blob store as raw bytes, once per
-distinct content however many records name it.
+Tables carry *metadata* through the tagged-JSON codec; those byte
+strings never do.  A record names each by digest (files through a
+``{path: digest}`` manifest) and the bytes go to the blob store raw,
+once per distinct content however many records name it.
 
 Backend choice is one argument end to end: ``build_grid(storage=...)``
 accepts a name, a ``"sqlite:/path/site.db"`` spec string, or a

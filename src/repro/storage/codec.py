@@ -8,14 +8,18 @@ base64 dict, tuples become lists, dict keys become strings) and then
 serialized as canonical JSON bytes.  The in-memory backend pays the
 same round trip as SQLite on purpose — parity over speed.
 
-That bargain covers *metadata*: records, mappings, resource pages, and
-the small AJO / outcome byte strings inside them.  File bodies never
-come through here; records name them by digest and the bodies live raw
-in the backend's blob store (:class:`repro.storage.backend.BlobStore`).
+That bargain covers *metadata*: records, mappings and resource pages.
+The byte strings a job persists never come through here — not file
+bodies, not the consigned AJO, not the encoded outcome tree.  Records
+name them by digest and they live raw in the backend's blob store
+(:class:`repro.storage.backend.BlobStore`).  What still rides the
+``bytes`` tag in a table is a Vsite's ASN.1 resource page; a snapshot
+(:mod:`repro.grid.snapshot`) also encodes its blob bodies and
+workstation files with it.
 
 The existing :mod:`repro.resources.asn1` codec is *not* reused here: it
 deliberately has no ``bytes`` type (resource pages are numbers and
-names), while journal records are mostly AJO byte strings.
+names), while the rows above still carry one.
 """
 
 from __future__ import annotations

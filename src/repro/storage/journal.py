@@ -31,11 +31,13 @@ caller took from the outcome table, then one read per incomplete consign
 row and per delivery row of such a job.  ``len(journal)`` is the number
 of jobs in flight.
 
-Rows are metadata only.  The files a consignment carries (workstation
-imports, a forwarded group's staging) go to the backend's blob store and
-the row keeps their ``{path: digest}`` manifest, so a reload reads no
-file body; :meth:`JobJournal.staged_files` fetches them when a replay
-needs them, and :meth:`JobJournal.forget` releases them.
+Rows are metadata only.  The consigned AJO and the files a consignment
+carries (workstation imports, a forwarded group's staging) go to the
+backend's blob store as raw bytes; the row keeps the AJO's digest and
+the files' ``{path: digest}`` manifest.  A reload reads no byte string:
+:meth:`JobJournal.ajo_bytes` and :meth:`JobJournal.staged_files` fetch
+them when a replay or a status query needs them, and
+:meth:`JobJournal.forget` releases them unread.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class JournalEntry:
     """Everything needed to re-supervise one consigned job."""
 
     job_id: str
-    ajo_bytes: bytes
+    #: Blob digest of the AJO the job was consigned as.
+    ajo_digest: str
     user_dn: str
     #: ``path -> blob digest`` of the files consigned with the job.
     workstation_files: dict[str, str] = field(default_factory=dict)
@@ -107,7 +110,7 @@ class JobJournal:
             meta = row["forward_meta"]
             entry = JournalEntry(
                 job_id=job_id,
-                ajo_bytes=row["ajo_bytes"],
+                ajo_digest=row["ajo"],
                 user_dn=row["user_dn"],
                 workstation_files=dict(row["workstation_files"]),
                 trace_id=row["trace_id"],
@@ -134,7 +137,7 @@ class JobJournal:
         with self.storage.batch():
             entry = JournalEntry(
                 job_id=job_id,
-                ajo_bytes=ajo_bytes,
+                ajo_digest=self._blobs.put(ajo_bytes),
                 user_dn=user_dn,
                 workstation_files=self._blobs.put_files(workstation_files or {}),
                 trace_id=trace_id,
@@ -142,7 +145,7 @@ class JobJournal:
                 forward_meta=forward_meta,
             )
             self._put(job_id, {
-                "ajo_bytes": ajo_bytes,
+                "ajo": entry.ajo_digest,
                 "user_dn": user_dn,
                 "workstation_files": entry.workstation_files,
                 "trace_id": trace_id,
@@ -172,26 +175,32 @@ class JobJournal:
             del self._entries[job_id]
 
     def forget(self, job_id: str) -> None:
-        """Drop a disposed job's rows and release the file bodies its
-        consignment named."""
-        entry = self._entries.get(job_id)
-        if entry is None and (row := self._table.get(job_id)) is not None:
-            entry = self._entry(job_id, row)
+        """Drop a disposed job's rows and release the AJO and file bodies
+        its consignment named, unread."""
+        entry = self._lookup(job_id)
         if entry is None:
             return
-        manifest = entry.workstation_files
         with self.storage.batch():
             self.finish(job_id)
             self._table.delete(job_id)
-            self._blobs.release_files(manifest)
+            self._blobs.release(entry.ajo_digest)
+            self._blobs.release_files(entry.workstation_files)
 
     # -- reads ---------------------------------------------------------------
+    def _lookup(self, job_id: str) -> JournalEntry | None:
+        """The entry in memory, else the one its consign row holds."""
+        entry = self._entries.get(job_id)
+        if entry is None and (row := self._table.get(job_id)) is not None:
+            entry = self._entry(job_id, row)
+        return entry
+
     def ajo_bytes(self, job_id: str) -> bytes:
-        """The AJO a job was consigned as, read from its consign row."""
-        row = self._table.get(job_id)
-        if row is None:
+        """The AJO a job was consigned as, read from the blob store (and
+        first its consign row, once the job is no longer in flight)."""
+        entry = self._lookup(job_id)
+        if entry is None:
             raise StorageError(f"no journal row for job {job_id!r}")
-        return self._entry(job_id, row).ajo_bytes
+        return self._blobs.get(entry.ajo_digest)
 
     def staged_files(self, entry: JournalEntry) -> dict[str, FileBody]:
         """The bodies of the files ``entry`` was consigned with."""

@@ -3,10 +3,10 @@
 Table values still pass through the canonical byte codec on
 every write and read, so the in-memory backend has *exactly* the
 round-trip semantics of SQLite (tuples come back as lists, dict keys as
-strings, bytes as bytes) — a test that passes here passes there.  File
-bodies in the blob store are the exception by design: a body is raw
-bytes in both backends, so this one keeps a reference to the caller's
-immutable ``bytes`` object instead of a copy.
+strings, bytes as bytes) — a test that passes here passes there.  The
+blob store is the exception by design: a blob is raw bytes in both
+backends, so this one keeps a reference to the caller's immutable
+``bytes`` object instead of a copy.
 
 Batches are all-or-nothing like SQLite's: every mutating primitive
 called inside a batch pushes its inverse onto a per-batch undo list,

@@ -11,10 +11,13 @@ survives a full-site restart exactly as section 4.2's "single stateful
 tier" demands, and disposal deletes the record just like it destroys
 the Uspaces.
 
-The record holds the Uspace as a ``{path: digest}`` manifest; the bodies
-live in the backend's blob store, shared with every other record that
-names the same content, and a reader fetches them from there one at a
-time (:class:`~repro.server.njs.restored.RestoredRun` does).
+The record is metadata.  The encoded outcome tree goes to the backend's
+blob store as raw bytes and the record keeps its digest; the Uspace is a
+``{path: digest}`` manifest whose bodies live there too, shared with
+every other record that names the same content.  Listing a finished job
+reads its row and nothing else; a reader fetches the outcome and each
+file from the blob store when a client asks for it
+(:class:`~repro.server.njs.restored.RestoredRun` does).
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ class OutcomeRecord:
     submitted_at: float
     recovered: bool
     trace_id: str
-    outcome_bytes: bytes
+    #: Blob digest of the encoded outcome tree; both it and ``files`` are
+    #: filled in by :meth:`OutcomeStore.put` from the bytes it stores.
+    outcome_digest: str = ""
     #: Uspace files still fetchable after restart: path -> blob digest.
-    #: Filled in by :meth:`OutcomeStore.put` from the bodies it stores.
     files: dict[str, str] = field(default_factory=dict)
 
 
@@ -55,13 +59,15 @@ class OutcomeStore:
         self._blobs = storage.blobs
 
     def put(
-        self, record: OutcomeRecord,
+        self, record: OutcomeRecord, outcome_bytes: bytes,
         files: typing.Mapping[str, FileBody | bytes],
     ) -> OutcomeRecord:
-        """Persist ``record`` with the Uspace content ``files``; returns
-        the record as stored, naming each file by its digest."""
+        """Persist ``record`` with its encoded outcome and the Uspace
+        content ``files``; returns the record as stored, naming the
+        outcome and each file by its digest."""
         # Bodies and the record naming them are one durable unit.
         with self._storage.batch():
+            digest = self._blobs.put(outcome_bytes)
             manifest = self._blobs.put_files(files)
             self._table.put(record.job_id, {
                 "name": record.name,
@@ -70,10 +76,10 @@ class OutcomeStore:
                 "submitted_at": record.submitted_at,
                 "recovered": record.recovered,
                 "trace_id": record.trace_id,
-                "outcome_bytes": record.outcome_bytes,
+                "outcome": digest,
                 "files": manifest,
             })
-        return dataclasses.replace(record, files=manifest)
+        return dataclasses.replace(record, outcome_digest=digest, files=manifest)
 
     def get(self, job_id: str) -> OutcomeRecord | None:
         raw = self._table.get(job_id)
@@ -98,17 +104,19 @@ class OutcomeStore:
                 submitted_at=raw["submitted_at"],
                 recovered=raw["recovered"],
                 trace_id=raw["trace_id"],
-                outcome_bytes=raw["outcome_bytes"],
+                outcome_digest=raw["outcome"],
                 files=dict(raw["files"]),
             )
         return record
 
     def forget(self, job_id: str) -> None:
-        """Delete the record and release the file bodies it named."""
+        """Delete the record and release the outcome and file bodies it
+        named, unread."""
         record = self.get(job_id)
         if record is not None:
             with self._storage.batch():
                 self._table.delete(job_id)
+                self._blobs.release(record.outcome_digest)
                 self._blobs.release_files(record.files)
 
     def job_ids(self) -> list[str]:

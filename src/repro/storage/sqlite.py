@@ -1,16 +1,17 @@
 """Real durability via the stdlib ``sqlite3``.
 
-One database file (or ``:memory:``) holds every table and file body of
-a deployment in two relations::
+One database file (or ``:memory:``) holds every table and blob of a
+deployment in two relations::
 
     kv   (tbl TEXT, key TEXT, value BLOB)          -- the named tables
     blobs(digest TEXT, refs INTEGER, body BLOB)    -- the blob store
 
-``kv`` values are the canonical codec bytes and ``body`` is the raw
-file content, so a database written by one process is readable
-by a cold-started successor — the warm-restart story of the persistence
-layer.  :meth:`StorageBackend.batch` maps to a real transaction: either
-every record of a consignment lands, bodies included, or none does.
+``kv`` values are the canonical codec bytes and ``body`` is raw content
+(a file body, an AJO or an outcome encoding), so a database written by
+one process is readable by a cold-started successor — the warm-restart
+story of the persistence layer.  :meth:`StorageBackend.batch` maps to a
+real transaction: either every record of a consignment lands, bodies
+included, or none does.
 
 The file is stamped with its layout (``PRAGMA user_version``); a file
 written under another layout is refused, never reinterpreted.
@@ -27,8 +28,9 @@ __all__ = ["SQLiteBackend", "FORMAT_VERSION"]
 
 #: Stamped into ``PRAGMA user_version``.  1 (never stamped, so 0 on
 #: disk) kept file bodies base64-encoded inside its rows; 2 kept the NJS
-#: journal as an append-only ``logs`` relation.
-FORMAT_VERSION = 3
+#: journal as an append-only ``logs`` relation; 3 kept the AJO and
+#: outcome encodings base64-encoded inside the journal and outcome rows.
+FORMAT_VERSION = 4
 
 _SCHEMA = """
 CREATE TABLE kv (

@@ -116,11 +116,12 @@ def test_restart_restores_only_the_finished_runs_memory_lost():
     # then its outcome row goes back into storage while the NJS is down.
     lost = handles[1].job_id
     record = njs.outcomes.get(lost)
+    outcome = njs.retrieve_outcome(lost)
     files = {path: njs.fetch_uspace_file(lost, path) for path in record.files}
     njs.dispose(lost)
     njs.crash()
     kept = njs.runs[handles[0].job_id]
-    njs.outcomes.put(record, files)
+    njs.outcomes.put(record, outcome, files)
     njs.restart()
     assert njs.runs[handles[0].job_id] is kept
     metrics = telemetry_for(grid.sim).metrics

@@ -19,7 +19,7 @@ from repro.grid import build_grid
 from repro.server.njs.incarnation import RESULT_FILE_BYTES
 
 from .test_checksum_budget import _CrcMeter
-from .test_digest_budget import _Sha256Meter
+from .test_digest_budget import CONTENT_FLOOR, _Sha256Meter
 
 SITES = {"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}
 INPUT_BYTES = 4096
@@ -55,6 +55,17 @@ def _run_exporting_job(grid, session, name):
     )
 
 
+def _job_blobs(njs):
+    """What the meter counts of each job's persisted AJO and outcome
+    encodings: both are blobs, each hashed once when its row is written."""
+    return sum(
+        len(data)
+        for job_id in njs.runs
+        for data in (njs.journal.ajo_bytes(job_id), njs.retrieve_outcome(job_id))
+        if len(data) >= CONTENT_FLOOR
+    )
+
+
 def test_a_product_is_made_and_hashed_once_per_site(monkeypatch):
     grid, sessions = _grid()
     meter = _Sha256Meter()
@@ -74,7 +85,8 @@ def test_a_product_is_made_and_hashed_once_per_site(monkeypatch):
 
     # Six outcomes name six inputs and one product (six before the batch
     # system kept the body it made).
-    assert meter.bytes == RESULT_FILE_BYTES + JOBS * INPUT_BYTES
+    fzj, zib = grid.usites["FZJ"].njs, grid.usites["ZIB"].njs
+    assert meter.bytes == RESULT_FILE_BYTES + JOBS * INPUT_BYTES + _job_blobs(fzj)
     assert all(body is bodies[0] for body in bodies)
     assert bodies[0] == bytes(RESULT_FILE_BYTES)
     assert traced < 2 * RESULT_FILE_BYTES
@@ -83,7 +95,7 @@ def test_a_product_is_made_and_hashed_once_per_site(monkeypatch):
     hashed = meter.bytes
     theirs, _ = _run_exporting_job(grid, sessions["ZIB"], "zib0")
     assert theirs is not bodies[0] and theirs == bodies[0]
-    assert meter.bytes - hashed == RESULT_FILE_BYTES + INPUT_BYTES
+    assert meter.bytes - hashed == RESULT_FILE_BYTES + INPUT_BYTES + _job_blobs(zib)
 
 
 def test_a_product_that_crosses_a_site_is_still_read_by_the_receiver(monkeypatch):

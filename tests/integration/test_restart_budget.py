@@ -4,10 +4,11 @@ Wall time moves from run to run; the rows a restart reads do not.  The
 journal holds the jobs in flight and the outcome table one row per
 finished job, so a cold start must cost: two key scans (journal table,
 outcome table), one scan of the outcome rows, and one read per consign
-row and per delivery row of a job *in flight* — and the journal-table
-part of that must not change when the finished history doubles.  These
-tests meter the backend's read primitives and ``decode_ajo`` around
-``crash_site`` / ``restart_site`` and hold recovery to that budget.
+row, per delivery row and per AJO blob of a job *in flight* — and the
+journal-table part of that must not change when the finished history
+doubles.  These tests meter the backend's read primitives and
+``decode_ajo`` around ``crash_site`` / ``restart_site`` and hold
+recovery to that budget.
 """
 
 import types
@@ -122,8 +123,8 @@ def test_cold_start_reads_the_jobs_in_flight_not_the_history(storage, monkeypatc
 
     # (a) Only the replayed jobs' AJOs were decoded.
     assert len(run.decodes) == len(longer.decodes) == IN_FLIGHT
-    # (b) Two key scans, one scan of the outcome rows, and the rows of
-    # the jobs in flight; nothing per finished job.
+    # (b) Two key scans, one scan of the outcome rows, and the rows and
+    # AJO blobs of the jobs in flight; nothing per finished job.
     njs_tables = ("FZJ.journal", "FZJ.outcomes")
     assert sorted(t for t in meter.key_scans if t in njs_tables) == list(njs_tables)
     assert [t for t in meter.row_scans if t in njs_tables] == ["FZJ.outcomes"]
@@ -131,7 +132,7 @@ def test_cold_start_reads_the_jobs_in_flight_not_the_history(storage, monkeypatc
     assert not [t for t, _ in meter.gets if t == "FZJ.outcomes"]
     # ... and the whole site's read count is the same constant at 80.
     # (The other two: the UUDB's table scan and the Vsite's resource page.)
-    assert run.reads == longer.reads == 1 + IN_FLIGHT + delivery_rows + 2
+    assert run.reads == longer.reads == 1 + 2 * IN_FLIGHT + delivery_rows + 2
     # (c) The journal table gave up the same bytes for either history.
     assert meter.journal_reads() == longer.meter.journal_reads()
     assert delivery_rows == longer.delivery_rows

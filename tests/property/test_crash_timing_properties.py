@@ -11,7 +11,8 @@ a minute later.  Whatever ``k`` was, at the restart and again at the end:
   ``journal.incomplete()`` and the outcome table, and the journal table
   holds exactly those consign rows;
 * no delivery row names a finished job;
-* every blob's reference count equals the number of manifests naming it;
+* every blob's reference count equals the number of rows naming it (an
+  AJO, an outcome, or a manifest entry);
 
 and by the end every job was finished exactly once.
 
@@ -105,9 +106,9 @@ class _Scenario:
             self.consigned[site].append(job_id)
             return record_consign(job_id, *args, **kw)
 
-        def finishing(record, files):
+        def finishing(record, *args):
             self.finishes[record.job_id] += 1
-            return put(record, files)
+            return put(record, *args)
 
         njs.journal.record_consign = consigning
         njs.outcomes.put = finishing
@@ -171,8 +172,10 @@ class _Scenario:
             for key in rows.keys() - consign_rows:
                 assert key.partition("/")[0] in incomplete
             for key in consign_rows:
+                manifests[rows[key]["ajo"]] += 1
                 manifests.update(rows[key]["workstation_files"].values())
             for record in njs.outcomes.records(str):
+                manifests[record.outcome_digest] += 1
                 manifests.update(record.files.values())
         refs = {d: b["refs"] for d, b in self.backend.dump()["blobs"].items()}
         assert refs == dict(manifests)

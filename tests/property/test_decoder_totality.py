@@ -109,7 +109,7 @@ def _valid_row() -> bytes:
 
 def _consign_row() -> bytes:
     return encode_value({
-        "ajo_bytes": b"\x00ajo", "user_dn": "CN=u", "trace_id": "t1",
+        "ajo": "cd" * 32, "user_dn": "CN=u", "trace_id": "t1",
         "workstation_files": {"/home/u/in": "ab" * 32},
         "parent_job_id": "U7@ZIB", "forward_meta": ["c1", "ZIB", ["out"]],
     })
@@ -119,8 +119,8 @@ def _outcome_row() -> bytes:
     backend = MemoryBackend()
     OutcomeStore(backend, "o").put(OutcomeRecord(
         job_id="U1", name="demo", user_dn="CN=u", status="successful",
-        submitted_at=1.5, recovered=False, trace_id="t1", outcome_bytes=b"o",
-    ), {"out": b"body"})
+        submitted_at=1.5, recovered=False, trace_id="t1",
+    ), b"o", {"out": b"body"})
     return encode_value(backend.table("o").get("U1"))
 
 

@@ -9,12 +9,14 @@ import hashlib
 
 import pytest
 
+from repro.grid import GridSnapshot
 from repro.observability import MetricsRegistry
 from repro.storage import (
     JobJournal,
     MemoryBackend,
     OutcomeRecord,
     OutcomeStore,
+    SnapshotError,
     SQLiteBackend,
     StorageError,
     StorageSpec,
@@ -149,12 +151,12 @@ def test_failed_record_put_takes_its_blob_with_it(backend_cls):
     backend = backend_cls()
     store = OutcomeStore(backend, "FZJ.outcomes")
     record = OutcomeRecord(
-        job_id="U1", name="demo", user_dn="CN=a", status="successful",
+        job_id="U1", name=object(),  # not plain data: the record put fails
+        user_dn="CN=a", status="successful",
         submitted_at=0.0, recovered=False, trace_id="",
-        outcome_bytes=object(),  # not plain data: the record put fails
     )
     with pytest.raises(TypeError):
-        store.put(record, {"out.dat": b"body"})
+        store.put(record, b"outcome", {"out.dat": b"body"})
     assert backend.blobs.digests() == [] and store.get("U1") is None
 
 
@@ -257,7 +259,7 @@ def test_resolve_storage_by_kind():
 def _outcome(job_id):
     return OutcomeRecord(
         job_id=job_id, name="demo", user_dn="CN=b", status="successful",
-        submitted_at=0.0, recovered=False, trace_id="", outcome_bytes=b"o",
+        submitted_at=0.0, recovered=False, trace_id="",
     )
 
 
@@ -271,7 +273,7 @@ def _journal_with_traffic(backend):
     journal.record_delivery("U2", "task", "VS", "B002")
     with backend.batch():
         journal.finish("U2")
-        outcomes.put(_outcome("U2"), {})
+        outcomes.put(_outcome("U2"), b"o", {})
     return journal, outcomes
 
 
@@ -300,13 +302,17 @@ def test_journal_cold_reload_reads_only_what_is_in_flight(backend_cls):
     assert backend.reads == reads + 2
     assert len(reborn) == 1
     entry = reborn.entry("U1")
-    assert entry.ajo_bytes == b"ajo-1" and entry.trace_id == "t1"
+    assert entry.ajo_digest == hashlib.sha256(b"ajo-1").hexdigest()
+    assert entry.trace_id == "t1"
     assert entry.delivered == {"task": ("VS", "B001")}
     assert [e.job_id for e in reborn.incomplete()] == ["U1"]
     assert reborn.entry("U2") is None
-    # The finished job's AJO is one read away, on demand.
-    assert reborn.ajo_bytes("U2") == b"ajo-2"
+    # The AJOs are blobs, read on demand: one read for a job in flight,
+    # two (consign row, then blob) for a finished one.
+    assert reborn.ajo_bytes("U1") == b"ajo-1"
     assert backend.reads == reads + 3
+    assert reborn.ajo_bytes("U2") == b"ajo-2"
+    assert backend.reads == reads + 5
     with pytest.raises(StorageError):
         reborn.ajo_bytes("U3")
     # A delivery row whose consign row is gone has nothing to replay.
@@ -335,7 +341,8 @@ def test_journal_forget_deletes_every_row_of_the_job(backend_cls):
     journal.forget("U1")   # still in flight: delivery rows go too
     journal.forget("U9")   # unknown: nothing to do
     assert backend.table("njs.journal").keys() == []
-    assert backend.blobs.digests() == []
+    # Both AJOs and U2's file went; U2's outcome is the outcome row's.
+    assert backend.blobs.digests() == [outcomes.get("U2").outcome_digest]
     assert len(journal) == 0 and len(_reborn(backend, outcomes)) == 0
 
 
@@ -347,7 +354,7 @@ def test_journal_keeps_file_bodies_in_the_blob_store(backend_cls):
     entry = journal.record_consign("U1", b"ajo", "CN=a", workstation_files=files)
     digest = hashlib.sha256(b"\x01" * 1000).hexdigest()
     assert entry.workstation_files == {path: digest for path in files}
-    assert backend.blobs.digests() == [digest]
+    assert backend.blobs.digests() == sorted([digest, entry.ajo_digest])
     # The consign row is metadata: it names the body, it does not hold it.
     assert backend.bytes_written < 1000 + 400
     read_before = backend.bytes_read
@@ -360,15 +367,16 @@ def test_journal_keeps_file_bodies_in_the_blob_store(backend_cls):
     assert backend.blobs.digests() == []
 
 
-def test_record_naming_no_file_encodes_as_before_the_blob_store():
+def test_consign_row_names_its_ajo_by_digest():
     backend = MemoryBackend()
     JobJournal(backend, name="j").record_consign("U1", b"ajo-1", "CN=a")
+    digest = hashlib.sha256(b"ajo-1").hexdigest()
     assert backend.table("j").items() == [("U1", {
-        "ajo_bytes": b"ajo-1",
+        "ajo": digest,
         "user_dn": "CN=a", "workstation_files": {}, "trace_id": "",
         "parent_job_id": None, "forward_meta": None,
     })]
-    assert backend.blobs.digests() == []
+    assert backend.blobs.digests() == [digest]
 
 
 # -- outcome store -----------------------------------------------------------
@@ -378,12 +386,13 @@ def test_outcome_store_round_trip():
     record = OutcomeRecord(
         job_id="U1", name="demo", user_dn="CN=a", status="successful",
         submitted_at=12.5, recovered=True, trace_id="t1",
-        outcome_bytes=b"outcome",
     )
-    stored = store.put(record, {"stdout": b"hello\n"})
+    stored = store.put(record, b"outcome", {"stdout": b"hello\n"})
+    assert stored.outcome_digest == hashlib.sha256(b"outcome").hexdigest()
     assert stored.files == {"stdout": hashlib.sha256(b"hello\n").hexdigest()}
     fetched = OutcomeStore(backend, "FZJ.outcomes").get("U1")
     assert fetched == stored
+    assert backend.blobs.get(fetched.outcome_digest) == b"outcome"
     assert backend.blobs.get(fetched.files["stdout"]) == b"hello\n"
     assert store.job_ids() == ["U1"] and store.records(str) == [stored]
     store.forget("U1")
@@ -417,12 +426,36 @@ def test_sqlite_refuses_a_file_of_another_format(tmp_path):
     assert caught.value.code == "storage.backend" and "format 2" in str(caught.value)
     with pytest.raises(StorageError):
         resolve_storage(f"sqlite:{path}")
+    # The layout that kept AJO and outcome encodings inside the rows:
+    # today's relations, stamped 3.
+    path = str(tmp_path / "v3.db")
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        "CREATE TABLE kv (tbl TEXT, key TEXT, value BLOB, PRIMARY KEY (tbl, key));"
+        "CREATE TABLE blobs (digest TEXT PRIMARY KEY, refs INTEGER, body BLOB);"
+        "PRAGMA user_version = 3;"
+    )
+    conn.close()
+    with pytest.raises(StorageError) as caught:
+        SQLiteBackend(path)
+    assert caught.value.code == "storage.backend" and "format 3" in str(caught.value)
+
+
+def test_snapshot_of_the_previous_format_is_refused():
+    # Version 3 kept the consigned AJO inside the journal row.
+    old = GridSnapshot(clock=0.0, build={}, version=3, storage={
+        "tables": {"FZJ.journal": {"U1": to_plain({"ajo_bytes": b"ajo"})}},
+        "blobs": {},
+    })
+    with pytest.raises(SnapshotError) as caught:
+        GridSnapshot.from_bytes(old.to_bytes())
+    assert caught.value.code == "storage.snapshot" and "version 3" in str(caught.value)
 
 
 # -- rows of the wrong shape -------------------------------------------------
 def _consign_row(**changes):
     row = {
-        "ajo_bytes": b"ajo", "user_dn": "CN=a", "workstation_files": {},
+        "ajo": "ab" * 32, "user_dn": "CN=a", "workstation_files": {},
         "trace_id": "", "parent_job_id": None, "forward_meta": None,
     }
     row.update(changes)
@@ -464,7 +497,7 @@ def test_journal_reload_refuses_a_row_of_the_wrong_shape(backend_cls, key, row):
 def test_outcome_store_refuses_a_row_of_the_wrong_shape(shape):
     backend = MemoryBackend()
     store = OutcomeStore(backend, "FZJ.outcomes")
-    store.put(_outcome("U1"), {})
+    store.put(_outcome("U1"), b"o", {})
     table = backend.table("FZJ.outcomes")
     table.put("U1", shape(table.get("U1")))
     with pytest.raises(StorageError, match="'FZJ.outcomes' row 'U1'"):
