@@ -27,8 +27,9 @@ Subpackages (bottom-up):
 - :mod:`repro.client` — browser, JPA, JMC;
 - :mod:`repro.grid` — multi-site assembly and workloads;
 - :mod:`repro.faults` — deterministic fault injection and resilience;
-- :mod:`repro.ext` — the section-6 outlook: broker, accounting,
-  application interfaces, co-allocation;
+- :mod:`repro.broker` — the federated resource broker (late binding);
+- :mod:`repro.ext` — the rest of the section-6 outlook: accounting and
+  co-allocation;
 - :mod:`repro.api` — the :class:`~repro.api.GridSession` facade over
   the whole user tier (submit / status / outcome / cancel).
 """

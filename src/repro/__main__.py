@@ -20,9 +20,8 @@ a file into a fresh grid and reports what came back — the whole-grid
 warm-restart path, demonstrable from the shell.
 
 ``repro devlint`` points the same static-analysis discipline at the
-codebase itself: determinism, the README error table against the
-error-code registry, observability registry, and state ownership (the
-RD1xx–RD4xx rule packs of ``repro.devlint``).  It is the hard lint gate in CI.
+codebase itself: determinism and state ownership (the RD1xx and RD4xx
+rule packs of ``repro.devlint``).  It is the hard lint gate in CI.
 """
 
 import argparse
@@ -258,7 +257,7 @@ def main(argv: list[str] | None = None) -> None:
     )
     devlint_parser = sub.add_parser(
         "devlint",
-        help="lint the codebase's own invariants (RD1xx-RD4xx rule packs)",
+        help="lint the codebase's own invariants (RD1xx and RD4xx rule packs)",
     )
     devlint_parser.add_argument(
         "--json", action="store_true",

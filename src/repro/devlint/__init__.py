@@ -1,13 +1,16 @@
 """Developer lint: static analysis of the codebase's own invariants.
 
 PR 4 gave the *user's* artifact (the AJO) consign-time static analysis;
-this package points the same discipline at the codebase itself.  The
-reproduction's crown-jewel guarantees — byte-identical determinism,
-stable error codes across the protocol edge, registry-consistent
-counter/span names, one owner per piece of server state — were
-enforced only by convention; ``repro devlint`` makes each of them a
-machine-checked gate (see :mod:`repro.devlint.diagnostics` for the
-RD1xx–RD4xx code families).
+this package points the same discipline at the codebase itself.  Two
+of the reproduction's guarantees can be read off one file's AST —
+byte-identical determinism and one owner per piece of server state —
+and ``repro devlint`` makes each a machine-checked gate (see
+:mod:`repro.devlint.diagnostics` for the RD1xx and RD4xx code
+families).  The guarantees that need the whole tree are not linted:
+metric and span names are refused at first mint
+(:mod:`repro.observability.registry`), error codes when the registry
+builds (``repro.errors.error_code_registry``), and tier-1 tests hold
+the README error table and dead registry entries.
 
 Usage::
 
@@ -21,11 +24,10 @@ or programmatically::
     assert report.ok, report.render()
 """
 
-from repro.devlint.diagnostics import DevDiagnostic, DevReport, Severity
+from repro.devlint.diagnostics import DevDiagnostic, DevReport
 from repro.devlint.engine import (
     FileRule,
     Project,
-    ProjectRule,
     SourceFile,
     default_rules,
     discover_project,
@@ -37,8 +39,6 @@ __all__ = [
     "DevReport",
     "FileRule",
     "Project",
-    "ProjectRule",
-    "Severity",
     "SourceFile",
     "default_rules",
     "discover_project",

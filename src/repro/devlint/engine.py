@@ -1,12 +1,11 @@
 """The devlint engine: file discovery, rule driving, suppression.
 
-Two rule shapes exist, matching the two shapes of invariants:
-
-* :class:`FileRule` — runs per source file against its AST, for local
-  properties (a wall-clock call, an iteration over a ``set``);
-* :class:`ProjectRule` — runs once over the whole :class:`Project`,
-  for cross-file registries (error codes vs raise sites, metric names
-  vs the committed registry).
+Every rule is a :class:`FileRule`: it looks at one source file's AST,
+for local properties (a wall-clock call, an iteration over a ``set``).
+What only the whole tree can show is checked elsewhere: metric and span
+names by the instruments themselves (:mod:`repro.observability.registry`),
+error codes by ``repro.errors.error_code_registry()``, and the README
+error table and dead registry entries by tier-1 tests.
 
 Suppression is an inline pragma — ``# devlint: ignore[RD101]`` on the
 offending line (or alone on the line above) silences named codes with
@@ -23,19 +22,18 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.devlint.diagnostics import DevDiagnostic, DevReport, Severity
+from repro.devlint.diagnostics import DevDiagnostic, DevReport
 
 __all__ = [
     "FileRule",
     "Project",
-    "ProjectRule",
     "SourceFile",
     "default_rules",
     "discover_project",
     "run_devlint",
 ]
 
-#: Matches ``# devlint: ignore`` and ``# devlint: ignore[RD101, RD304]``.
+#: Matches ``# devlint: ignore`` and ``# devlint: ignore[RD101, RD406]``.
 _PRAGMA = re.compile(
     r"#\s*devlint:\s*ignore(?:\[(?P<codes>[A-Z0-9,\s]+)\])?"
 )
@@ -94,17 +92,9 @@ def _parse_pragmas(source: str) -> dict[int, set[str] | None]:
 
 @dataclass
 class Project:
-    """Everything a rule may look at: the file set plus repo documents."""
+    """The file set the rules run over."""
 
-    root: Path
     files: list[SourceFile]
-    readme: str = ""
-
-    def file(self, rel: str) -> SourceFile | None:
-        for f in self.files:
-            if f.rel == rel:
-                return f
-        return None
 
 
 class FileRule:
@@ -112,7 +102,6 @@ class FileRule:
     :meth:`check`, yielding ``(line, message)`` pairs."""
 
     code: str = "RD000"
-    severity: Severity = Severity.ERROR
     #: Repo-relative path prefixes where this rule never fires (paths
     #: whose non-determinism or divergence is the design, e.g. the
     #: wall-clock asyncio transport).
@@ -126,19 +115,8 @@ class FileRule:
             return
         for line, message in self.check(f):
             yield DevDiagnostic(
-                code=self.code, severity=self.severity,
-                message=message, file=f.rel, line=line,
+                code=self.code, message=message, file=f.rel, line=line,
             )
-
-
-class ProjectRule:
-    """A whole-project rule.  Subclasses implement :meth:`check_project`,
-    yielding finished diagnostics (they know their own spans)."""
-
-    code: str = "RD000"
-
-    def check_project(self, project: Project) -> typing.Iterator[DevDiagnostic]:
-        raise NotImplementedError
 
 
 def find_repo_root(start: Path | None = None) -> Path:
@@ -180,56 +158,36 @@ def discover_project(root: Path | None = None) -> Project:
             tree=ast.parse(source, filename=str(path)),
             ignores=_parse_pragmas(source),
         ))
-    readme = base / "README.md"
-    return Project(
-        root=base,
-        files=files,
-        readme=readme.read_text(encoding="utf-8") if readme.exists() else "",
-    )
+    return Project(files=files)
 
 
-def default_rules() -> "list[FileRule | ProjectRule]":
-    """All four rule packs, in code order."""
+def default_rules() -> list[FileRule]:
+    """Both rule packs, in code order."""
     from repro.devlint.rules_determinism import determinism_rules
-    from repro.devlint.rules_observability import observability_rules
     from repro.devlint.rules_protocol import protocol_rules
-    from repro.devlint.rules_registry import registry_rules
 
-    return [
-        *determinism_rules(),
-        *registry_rules(),
-        *observability_rules(),
-        *protocol_rules(),
-    ]
+    return [*determinism_rules(), *protocol_rules()]
 
 
 def run_devlint(
     root: Path | None = None,
-    rules: "typing.Sequence[FileRule | ProjectRule] | None" = None,
+    rules: typing.Sequence[FileRule] | None = None,
     project: Project | None = None,
 ) -> DevReport:
     """Lint the codebase; returns the ordered, suppression-filtered report."""
     if project is None:
         project = discover_project(root)
-    active = list(default_rules() if rules is None else rules)
-
-    findings: list[DevDiagnostic] = []
-    for rule in active:
-        if isinstance(rule, FileRule):
-            for f in project.files:
-                findings.extend(rule.run(f))
-        else:
-            findings.extend(rule.check_project(project))
+    active = default_rules() if rules is None else rules
 
     kept: list[DevDiagnostic] = []
     suppressed = 0
-    by_rel = {f.rel: f for f in project.files}
-    for diag in findings:
-        f = by_rel.get(diag.file)
-        if f is not None and diag.line and f.suppressed(diag.line, diag.code):
-            suppressed += 1
-            continue
-        kept.append(diag)
+    for f in project.files:
+        for rule in active:
+            for diag in rule.run(f):
+                if f.suppressed(diag.line, diag.code):
+                    suppressed += 1
+                else:
+                    kept.append(diag)
 
     kept.sort(key=lambda d: (d.file, d.line, d.code, d.message))
     return DevReport(

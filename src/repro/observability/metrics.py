@@ -10,6 +10,12 @@ from __future__ import annotations
 
 import typing
 
+from repro.observability.registry import (
+    UnregisteredName,
+    known_counter,
+    known_histogram,
+)
+
 __all__ = ["Counter", "Histogram", "MetricsRegistry", "percentile"]
 
 
@@ -89,7 +95,13 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named counters and histograms."""
+    """Get-or-create registry of named counters and histograms.
+
+    Only names in :mod:`repro.observability.registry` are minted: an
+    unknown one raises :class:`UnregisteredName` the first time it is
+    asked for, so a typo fails where it is made instead of reading zero.
+    The two vocabularies are disjoint, so one name is never both kinds.
+    """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
@@ -98,23 +110,27 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         metric = self._counters.get(name)
         if metric is None:
-            if name in self._histograms:
-                raise ValueError(f"{name!r} is already a histogram")
+            if not known_counter(name):
+                raise UnregisteredName("counter", name)
             metric = self._counters[name] = Counter(name)
         return metric
 
     def histogram(self, name: str) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
-            if name in self._counters:
-                raise ValueError(f"{name!r} is already a counter")
+            if not known_histogram(name):
+                raise UnregisteredName("histogram", name)
             metric = self._histograms[name] = Histogram(name)
         return metric
 
     def counter_value(self, name: str) -> float:
         """Current value of a counter (0.0 if never incremented)."""
         metric = self._counters.get(name)
-        return metric.value if metric is not None else 0.0
+        if metric is None:
+            if not known_counter(name):
+                raise UnregisteredName("counter", name)
+            return 0.0
+        return metric.value
 
     def snapshot(self) -> dict:
         """All metrics as plain data, for export and assertions."""

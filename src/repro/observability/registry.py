@@ -1,13 +1,16 @@
 """The committed vocabulary of metric and span names.
 
-A typo'd metric name never crashes — ``counter("njs.incarntions")``
-just mints a fresh counter that sits at zero while every dashboard,
-benchmark gate, and test assertion reads the real one.  This registry
-makes the name set a reviewed artifact: ``repro devlint`` (RD3xx)
-extracts every ``counter("…")``/``histogram("…")``/span-name literal in
-``src/repro`` and diffs it against these sets, in both directions —
-an unregistered emitter is a lint error, and so is a registered name
-with no emitter left.
+A typo'd metric name would otherwise never crash —
+``counter("njs.incarntions")`` would mint a fresh counter that sits at
+zero while every dashboard, benchmark gate, and test assertion reads
+the real one.  So the instruments enforce this vocabulary themselves:
+:class:`~repro.observability.metrics.MetricsRegistry` refuses an
+unregistered counter or histogram name when it would first mint one
+(or read a counter nobody minted), and
+:meth:`~repro.observability.tracer.Tracer.start_span` refuses an
+unregistered span name on every call, untraced requests included.  The
+refusal is :class:`UnregisteredName`.  A tier-1 test checks the other
+direction: every name here is minted somewhere in ``src/repro``.
 
 Adding an instrument is therefore a two-line change on purpose: the
 emitting call site and the registry entry land in the same diff, where
@@ -26,6 +29,7 @@ __all__ = [
     "HISTOGRAMS",
     "SPANS",
     "SPAN_PREFIXES",
+    "UnregisteredName",
     "known_counter",
     "known_histogram",
     "known_span",
@@ -99,14 +103,15 @@ COUNTERS: frozenset[str] = frozenset({
     "storage.writes",
     # data plane
     "stream.bad_frames",
+    "stream.chunks",
     "stream.completed",
+    "stream.opens",
     "stream.resumes",
     "stream.wire_bytes",
 })
 
 #: Dynamic counter families, completed at runtime from bounded enums.
 COUNTER_PREFIXES: frozenset[str] = frozenset({
-    "broker.",              # broker.{matches,steals,rejections} readback
     "faults.",              # faults.{FaultKind}
     "resilience.breaker_",  # resilience.breaker_{state}
 })
@@ -154,6 +159,23 @@ SPANS: frozenset[str] = frozenset({
 SPAN_PREFIXES: frozenset[str] = frozenset({
     "fault.",  # fault.{FaultKind}
 })
+
+
+class UnregisteredName(RuntimeError):
+    """An instrument was asked for a name this vocabulary does not hold.
+
+    Like :class:`repro.errors.InvalidErrorCode` it reports a broken
+    contract in the code, not a refusal a client could see: it carries
+    no wire code and is not a :class:`~repro.errors.ReproError`.
+    """
+
+    def __init__(self, kind: str, name: str) -> None:
+        super().__init__(
+            f"{kind} name {name!r} is not in repro.observability.registry; "
+            "register it beside the call that mints it"
+        )
+        self.kind = kind
+        self.name = name
 
 
 def known_counter(name: str) -> bool:

@@ -6,6 +6,7 @@ import contextlib
 import typing
 from itertools import count
 
+from repro.observability.registry import UnregisteredName, known_span
 from repro.observability.span import INERT_SPAN, Span
 from repro.observability.trace import Trace
 
@@ -75,8 +76,11 @@ class Tracer:
         """Open a span at the current clock time.
 
         An empty ``trace_id`` (an untraced request) opens nothing: the
-        answer is :data:`~repro.observability.span.INERT_SPAN`.
+        answer is :data:`~repro.observability.span.INERT_SPAN`.  The name
+        is checked either way, so an untraced path cannot hide a typo.
         """
+        if not known_span(name):
+            raise UnregisteredName("span", name)
         if not trace_id:
             return INERT_SPAN
         parent_id = parent.span_id if isinstance(parent, Span) else parent

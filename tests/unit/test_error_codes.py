@@ -1,12 +1,14 @@
 """The canonical error-code registry (repro.errors.ERROR_CODES).
 
-The registry is the single source of truth the README error table is
-checked against (devlint RD204/205), so this suite pins its contract:
-completeness over every layer, the refusal of a class with no code of
-its own, a malformed code or a duplicate, and the lazy re-export shim.
+The registry is the single source of truth, so this suite pins its
+contract: completeness over every layer, the refusal of a class with no
+code of its own, a malformed code or a duplicate, the lazy re-export
+shim, and the README error tables matching it in both directions.
 """
 
 import gc
+import re
+from pathlib import Path
 
 import pytest
 
@@ -123,3 +125,54 @@ def test_lazy_reexport_resolves_layer_names():
     with pytest.raises(AttributeError, match="NoSuchError"):
         errors_module.NoSuchError
     assert "ConsignError" in dir(errors_module)
+
+
+README = Path(__file__).resolve().parents[2] / "README.md"
+
+
+def readme_table_codes(readme: str) -> list[tuple[int, str]]:
+    """Backticked dotted codes claimed by README tables with a Code column.
+
+    Returns ``(1-based line, code)`` pairs.  Only tables whose header
+    row names a ``code`` column participate, so metric-name tables and
+    module references never count.
+    """
+    claimed: list[tuple[int, str]] = []
+    in_code_table = False
+    for lineno, line in enumerate(readme.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped.startswith("|"):
+            in_code_table = False
+            continue
+        cells = [c.strip() for c in stripped.strip("|").split("|")]
+        if all(set(c) <= {"-", ":", " "} for c in cells):
+            continue  # separator row keeps the current table state
+        if not in_code_table and any(c.lower() == "code" for c in cells):
+            in_code_table = True
+            continue
+        if not in_code_table:
+            continue
+        for token in re.findall(r"`([^`]+)`", stripped):
+            if errors_module.CODE_SHAPE.match(token):
+                claimed.append((lineno, token))
+    return claimed
+
+
+def test_readme_table_codes_only_reads_code_tables():
+    readme = (
+        "| code | class |\n|---|---|\n| `net.error` | `NetworkError` |\n"
+        "\nprose mentioning `другое.имя` and `span.name`\n"
+        "| metric | value |\n|---|---|\n| `gateway.requests` | 1 |\n"
+    )
+    assert [c for _, c in readme_table_codes(readme)] == ["net.error"]
+
+
+def test_readme_error_tables_match_the_registry():
+    """The README tables are the user-facing contract: each claims only
+    codes some class declares, and together they list every code."""
+    claimed = readme_table_codes(README.read_text(encoding="utf-8"))
+    registered = error_code_registry()
+    undeclared = [(line, code) for line, code in claimed if code not in registered]
+    assert undeclared == [], "README claims codes no class declares"
+    missing = sorted(set(registered) - {code for _, code in claimed})
+    assert missing == [], "registered codes missing from the README tables"

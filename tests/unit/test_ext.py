@@ -1,15 +1,11 @@
 """Unit tests for the section-6 extensions: broker, accounting,
-application interfaces, co-allocation."""
+co-allocation."""
 
 import pytest
 
 from repro.batch import BatchJobSpec, BatchSystem, machine
 from repro.broker import ResourceBroker
-from repro.ext import (
-    AccountingLog,
-    CoAllocator,
-    STANDARD_PACKAGES,
-)
+from repro.ext import AccountingLog, CoAllocator
 from repro.grid import build_grid
 from repro.resources import ResourceRequest, ResourceSet
 from repro.simkernel import Simulator
@@ -124,49 +120,6 @@ def test_accounting_skips_unstarted_jobs():
     log = AccountingLog()
     assert log.charge("DWD-SX4", system.query(jid)) is None
     assert len(log) == 0
-
-
-# ------------------------------------------------------- app interfaces
-def test_app_template_builds_complete_job(grid):
-    # Install the package on the T3E's page.
-    user = grid.users["Ana"]
-    session = grid.connect_user(user, "FZJ")
-    page = session.resource_pages["FZJ-T3E"]
-    page.software.add(
-        __import__("repro.resources.software", fromlist=["SoftwareItem"]).SoftwareItem(
-            kind="package", name="pamcrash", version="97"
-        )
-    )
-    from repro.client import JobPreparationAgent
-
-    jpa = JobPreparationAgent(session)
-    user.workstation.fs.write("/home/ana/car.pc", b"MODEL DECK" * 100)
-    template = STANDARD_PACKAGES["pamcrash"]
-    job = template.build_job(
-        jpa, vsite="FZJ-T3E", input_path="/home/ana/car.pc",
-        input_size_mb=10.0, cpus=8,
-    )
-    # One import, one run, two exports, with dependencies wired.
-    kinds = [type(t).__name__ for t in job.ajo.tasks()]
-    assert kinds.count("ImportTask") == 1
-    assert kinds.count("ExecuteScriptTask") == 1
-    assert kinds.count("ExportTask") == 2
-    assert len(job.ajo.dependencies) == 3
-    assert "pamcrash -nproc 8" in job.ajo.tasks()[1].script
-
-
-def test_app_template_validates_input_and_package(grid):
-    user = grid.users["Ana"]
-    session = grid.connect_user(user, "FZJ")
-    from repro.ajo import ValidationError
-    from repro.client import JobPreparationAgent
-
-    jpa = JobPreparationAgent(session)
-    template = STANDARD_PACKAGES["ansys"]
-    with pytest.raises(ValidationError, match="expects a .db"):
-        template.build_job(jpa, "FZJ-T3E", "/home/ana/car.pc", 1.0)
-    with pytest.raises(ValidationError, match="does not offer"):
-        template.build_job(jpa, "FZJ-T3E", "/home/ana/model.db", 1.0)
 
 
 # -------------------------------------------------------- co-allocation

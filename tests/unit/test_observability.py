@@ -1,10 +1,13 @@
-"""Unit tests for the observability layer: spans, traces, metrics."""
+"""Unit tests for the observability layer: spans, traces, metrics, and
+the name registry every instrument enforces."""
 
+import ast
 import math
 
 import numpy as np
 import pytest
 
+from repro.devlint import discover_project
 from repro.grid.metrics import TierTimes
 from repro.observability import (
     MetricsRegistry,
@@ -12,7 +15,9 @@ from repro.observability import (
     Tracer,
     telemetry_for,
 )
+from repro.observability import registry as names
 from repro.observability.metrics import percentile
+from repro.observability.registry import UnregisteredName
 from repro.simkernel import Simulator
 
 
@@ -32,7 +37,7 @@ class TestTracer:
         clock = ManualClock()
         tracer = Tracer(clock)
         tid = tracer.new_trace("job")
-        span = tracer.start_span("work", tid)
+        span = tracer.start_span("njs.job", tid)
         clock.now = 2.5
         tracer.end_span(span)
         assert span.start == 0.0
@@ -43,7 +48,7 @@ class TestTracer:
     def test_open_span_has_zero_duration(self):
         tracer = Tracer(ManualClock())
         tid = tracer.new_trace()
-        span = tracer.start_span("open", tid)
+        span = tracer.start_span("njs.stage", tid)
         assert not span.finished
         assert span.duration == 0.0
 
@@ -51,23 +56,23 @@ class TestTracer:
         clock = ManualClock()
         tracer = Tracer(clock)
         tid = tracer.new_trace("job")
-        root = tracer.start_span("root", tid)
-        child = tracer.start_span("child", tid, parent=root)
-        grandchild = tracer.start_span("leaf", tid, parent=child.span_id)
+        root = tracer.start_span("client.submit", tid)
+        child = tracer.start_span("gateway.request", tid, parent=root)
+        grandchild = tracer.start_span("njs.consign", tid, parent=child.span_id)
         for s in (grandchild, child, root):
             tracer.end_span(s)
 
         tree = tracer.trace(tid).tree()
         assert len(tree) == 1
         top, kids = tree[0]
-        assert top.name == "root"
-        assert kids[0][0].name == "child"
-        assert kids[0][1][0][0].name == "leaf"
+        assert top.name == "client.submit"
+        assert kids[0][0].name == "gateway.request"
+        assert kids[0][1][0][0].name == "njs.consign"
 
     def test_end_with_error_marks_status(self):
         tracer = Tracer(ManualClock())
         tid = tracer.new_trace()
-        span = tracer.start_span("fails", tid)
+        span = tracer.start_span("batch.execute", tid)
         tracer.end_span(span, error=ValueError("boom"))
         assert span.status == "error"
         assert "boom" in span.error
@@ -76,11 +81,11 @@ class TestTracer:
         clock = ManualClock()
         tracer = Tracer(clock)
         tid = tracer.new_trace()
-        with tracer.span("ok", tid) as span:
+        with tracer.span("njs.import", tid) as span:
             clock.now = 1.0
         assert span.duration == 1.0
         with pytest.raises(RuntimeError):
-            with tracer.span("bad", tid) as span:
+            with tracer.span("njs.export", tid) as span:
                 raise RuntimeError("nope")
         assert span.status == "error"
 
@@ -96,11 +101,11 @@ class TestTracer:
     def test_orphan_parent_renders_as_root(self):
         tracer = Tracer(ManualClock())
         tid = tracer.new_trace()
-        span = tracer.start_span("lonely", tid, parent="s-not-recorded")
+        span = tracer.start_span("njs.forward", tid, parent="s-not-recorded")
         tracer.end_span(span)
         trace = tracer.trace(tid)
         assert len(trace.tree()) == 1
-        assert "lonely" in trace.render()
+        assert "njs.forward" in trace.render()
 
 
     def test_an_empty_trace_id_opens_the_one_inert_span(self):
@@ -109,7 +114,7 @@ class TestTracer:
         clock = ManualClock()
         tracer = Tracer(clock)
         tid = tracer.new_trace("job")
-        first = tracer.start_span("traced", tid)
+        first = tracer.start_span("client.submit", tid)
 
         inert = tracer.start_span("gateway.request", "", tier="server", kind="q")
         before = inert.to_dict()
@@ -123,7 +128,7 @@ class TestTracer:
         assert inert.to_dict() == before
 
         assert tracer.traces() == [tid]
-        second = tracer.start_span("next", tid, parent=inert)
+        second = tracer.start_span("client.outcome", tid, parent=inert)
         assert (first.span_id, second.span_id) == ("s00001", "s00002")
         assert second.parent_id is None  # a child of the inert span is a root
 
@@ -174,16 +179,16 @@ class TestTrace:
 class TestMetrics:
     def test_counter(self):
         registry = MetricsRegistry()
-        registry.counter("jobs").inc()
-        registry.counter("jobs").inc(2)
-        assert registry.counter_value("jobs") == 3
-        assert registry.counter_value("never") == 0.0
+        registry.counter("batch.submitted").inc()
+        registry.counter("batch.submitted").inc(2)
+        assert registry.counter_value("batch.submitted") == 3
+        assert registry.counter_value("njs.crashes") == 0.0
         with pytest.raises(ValueError):
-            registry.counter("jobs").inc(-1)
+            registry.counter("batch.submitted").inc(-1)
 
     def test_histogram_summary(self):
         registry = MetricsRegistry()
-        h = registry.histogram("waits")
+        h = registry.histogram("batch.wait_seconds")
         for v in (1.0, 2.0, 3.0, 4.0):
             h.observe(v)
         summary = h.summary()
@@ -206,18 +211,93 @@ class TestMetrics:
             assert percentile(data, p) == pytest.approx(np.percentile(data, p))
 
     def test_name_collision_across_types(self):
+        """The vocabularies are disjoint, so a name minted as one kind is
+        refused as the other."""
         registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ValueError):
-            registry.histogram("x")
+        registry.counter("batch.submitted")
+        with pytest.raises(UnregisteredName):
+            registry.histogram("batch.submitted")
+        with pytest.raises(UnregisteredName):
+            registry.counter("batch.wait_seconds")
+        assert not any(names.known_counter(h) for h in names.HISTOGRAMS)
 
     def test_snapshot(self):
         registry = MetricsRegistry()
-        registry.counter("a").inc(5)
-        registry.histogram("b").observe(1.0)
+        registry.counter("gateway.requests").inc(5)
+        registry.histogram("gateway.auth_seconds").observe(1.0)
         snap = registry.snapshot()
-        assert snap["counters"] == {"a": 5.0}
-        assert snap["histograms"]["b"]["count"] == 1
+        assert snap["counters"] == {"gateway.requests": 5.0}
+        assert snap["histograms"]["gateway.auth_seconds"]["count"] == 1
+
+
+# --------------------------------------------------------------- registry
+def _string_constants_in_src() -> set[str]:
+    """Every string constant in ``src/repro`` outside the registry itself,
+    f-string fragments included (``f"faults.{kind}"`` holds ``faults.``)."""
+    return {
+        node.value
+        for f in discover_project().files
+        if f.rel != "src/repro/observability/registry.py"
+        for node in ast.walk(f.tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+class TestNameRegistry:
+    """An instrument refuses a name the vocabulary does not hold, at the
+    call that would mint it; the vocabulary holds nothing nobody mints."""
+
+    def test_counter_refuses_an_unregistered_name(self):
+        registry = MetricsRegistry()
+        with pytest.raises(UnregisteredName, match="njs.incarntions"):
+            registry.counter("njs.incarntions")
+        assert registry.snapshot()["counters"] == {}
+
+    def test_histogram_refuses_an_unregistered_name(self):
+        with pytest.raises(UnregisteredName, match="gateway.auth_secnds"):
+            MetricsRegistry().histogram("gateway.auth_secnds")
+
+    def test_counter_value_refuses_an_unregistered_name(self):
+        registry = MetricsRegistry()
+        with pytest.raises(UnregisteredName):
+            registry.counter_value("stream.chunk")
+        with pytest.raises(UnregisteredName):
+            registry.counter_value("broker.stealz")
+
+    def test_start_span_refuses_an_unregistered_name_even_untraced(self):
+        tracer = Tracer(ManualClock())
+        with pytest.raises(UnregisteredName, match="gateway.reqest"):
+            tracer.start_span("gateway.reqest", "")
+        tid = tracer.new_trace()
+        with pytest.raises(UnregisteredName):
+            with tracer.span("njs.stag", tid):
+                pass
+        assert tracer.trace(tid).spans == []
+
+    def test_a_family_member_is_accepted(self):
+        registry = MetricsRegistry()
+        registry.counter("faults.crash").inc()
+        assert registry.counter_value("faults.crash") == 1.0
+        assert registry.counter_value("resilience.breaker_open") == 0.0
+        tracer = Tracer(ManualClock())
+        assert tracer.start_span("fault.crash", tracer.new_trace()).span_id
+
+    def test_the_refusal_is_a_code_contract_not_a_wire_code(self):
+        from repro.errors import ReproError, error_code_registry
+
+        err = UnregisteredName("counter", "x.y")
+        assert (err.kind, err.name) == ("counter", "x.y")
+        assert not isinstance(err, ReproError)
+        assert UnregisteredName not in error_code_registry().values()
+
+    def test_every_registered_name_is_minted_somewhere(self):
+        """A registered name no source file spells is dead: its emitter
+        was renamed or removed, and the entry would hide the next typo."""
+        vocabulary = (
+            names.COUNTERS | names.COUNTER_PREFIXES | names.HISTOGRAMS
+            | names.SPANS | names.SPAN_PREFIXES
+        )
+        assert sorted(vocabulary - _string_constants_in_src()) == []
 
 
 # -------------------------------------------------------------- telemetry
@@ -227,14 +307,14 @@ class TestTelemetryScoping:
         ta, tb = telemetry_for(sim_a), telemetry_for(sim_b)
         assert ta is not tb
         assert telemetry_for(sim_a) is ta
-        ta.metrics.counter("only.a").inc()
-        assert tb.metrics.counter_value("only.a") == 0.0
+        ta.metrics.counter("gateway.requests").inc()
+        assert tb.metrics.counter_value("gateway.requests") == 0.0
 
     def test_sim_clock_drives_spans(self):
         sim = Simulator()
         telemetry = telemetry_for(sim)
         tid = telemetry.tracer.new_trace()
-        span = telemetry.tracer.start_span("step", tid)
+        span = telemetry.tracer.start_span("batch.wait", tid)
 
         def advance(s):
             yield s.timeout(7.0)
@@ -247,7 +327,7 @@ class TestTelemetryScoping:
         bundle = telemetry_for()
         assert isinstance(bundle, Telemetry)
         tid = bundle.tracer.new_trace()
-        with bundle.tracer.span("wall", tid) as span:
+        with bundle.tracer.span("protocol.interact", tid) as span:
             pass
         assert span.duration >= 0.0
 
@@ -255,11 +335,11 @@ class TestTelemetryScoping:
         sim = Simulator()
         telemetry = telemetry_for(sim)
         tid = telemetry.tracer.new_trace()
-        telemetry.tracer.end_span(telemetry.tracer.start_span("x", tid))
-        telemetry.metrics.counter("n").inc()
+        telemetry.tracer.end_span(telemetry.tracer.start_span("njs.job", tid))
+        telemetry.metrics.counter("njs.restarts").inc()
         telemetry.reset()
         assert telemetry.tracer.traces() == []
-        assert telemetry.metrics.counter_value("n") == 0.0
+        assert telemetry.metrics.counter_value("njs.restarts") == 0.0
 
 
 # --------------------------------------------------------------- tiertimes
