@@ -18,10 +18,6 @@ available for CI pipelines.
 checkpoints the whole deployment to a file; ``repro restore`` thaws such
 a file into a fresh grid and reports what came back — the whole-grid
 warm-restart path, demonstrable from the shell.
-
-``repro devlint`` points the same static-analysis discipline at the
-codebase itself: determinism and state ownership (the RD1xx and RD4xx
-rule packs of ``repro.devlint``).  It is the hard lint gate in CI.
 """
 
 import argparse
@@ -174,19 +170,6 @@ def lint_command(args: argparse.Namespace) -> None:
         sys.exit(1)
 
 
-def devlint_command(args: argparse.Namespace) -> None:
-    """Lint the codebase's own invariants; exit 1 on errors."""
-    from repro.devlint import run_devlint
-
-    report = run_devlint()
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    if not report.ok:
-        sys.exit(1)
-
-
 def snapshot_command(args: argparse.Namespace) -> None:
     """Run a small workload, then checkpoint the whole grid to a file."""
     print(f"Building the German grid (storage={args.storage!r})...")
@@ -255,14 +238,6 @@ def main(argv: list[str] | None = None) -> None:
         "--json", action="store_true",
         help="emit the diagnostics as JSON instead of text",
     )
-    devlint_parser = sub.add_parser(
-        "devlint",
-        help="lint the codebase's own invariants (RD1xx and RD4xx rule packs)",
-    )
-    devlint_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the report as JSON instead of text",
-    )
     snap_parser = sub.add_parser(
         "snapshot", help="run a workload and checkpoint the grid to a file"
     )
@@ -292,8 +267,6 @@ def main(argv: list[str] | None = None) -> None:
         trace_command(args)
     elif args.command == "lint":
         lint_command(args)
-    elif args.command == "devlint":
-        devlint_command(args)
     elif args.command == "snapshot":
         snapshot_command(args)
     elif args.command == "restore":

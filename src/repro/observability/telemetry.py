@@ -3,14 +3,12 @@
 Every :class:`~repro.simkernel.Simulator` gets its own tracer + metrics
 bundle whose span clock reads that simulator's ``now``.  The map is a
 ``WeakKeyDictionary`` and the clock holds the simulator through a
-weakref, so telemetry never keeps a finished simulation alive.  Code
-with no simulator in reach (the VFS copy helpers, the consignment
-codec when used standalone) shares one global wall-clock bundle.
+weakref, so telemetry never keeps a finished simulation alive, and
+every span is timed on a simulator's clock.
 """
 
 from __future__ import annotations
 
-import time
 import typing
 import weakref
 from dataclasses import dataclass, field
@@ -47,16 +45,10 @@ def _sim_clock(sim: object) -> typing.Callable[[], float]:
 _per_sim: "weakref.WeakKeyDictionary[object, Telemetry]" = (
     weakref.WeakKeyDictionary()
 )
-# The fallback bundle serves code running outside any simulation, where
-# a wall clock is the only clock there is; sim-bound bundles get the
-# deterministic _sim_clock above.  # devlint: ignore[RD101]
-_global = Telemetry(tracer=Tracer(clock=time.monotonic))
 
 
-def telemetry_for(sim: object = None) -> Telemetry:
-    """The telemetry bundle for this simulator (wall-clock global if None)."""
-    if sim is None:
-        return _global
+def telemetry_for(sim: object) -> Telemetry:
+    """The telemetry bundle for this simulator, made at first ask."""
     bundle = _per_sim.get(sim)
     if bundle is None:
         bundle = Telemetry(tracer=Tracer(clock=_sim_clock(sim)))

@@ -103,7 +103,7 @@ class StreamIdAllocator:
     def __init__(self, origin: str) -> None:
         self.origin = origin
         # A name hashed into an id seed, not file content.
-        self._base = zlib.crc32(origin.encode()) << 32  # devlint: ignore[RD406]
+        self._base = zlib.crc32(origin.encode()) << 32
         self._seq = count(1)
 
     def next(self) -> int:

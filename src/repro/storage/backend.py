@@ -250,7 +250,6 @@ class StorageBackend:
             body = typing.cast(bytes, from_plain(blob["body"]))
             # Never trusted, always read: the check that catches a body
             # stored under a key it does not hash to.
-            # devlint: ignore[RD406]
             if hashlib.sha256(body).hexdigest() != digest:
                 raise StorageError(f"blob {digest!r} does not match its digest")
             blobs.append((digest, int(blob["refs"]), body))

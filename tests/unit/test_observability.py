@@ -7,14 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.devlint import discover_project
 from repro.grid.metrics import TierTimes
-from repro.observability import (
-    MetricsRegistry,
-    Telemetry,
-    Tracer,
-    telemetry_for,
-)
+from repro.observability import MetricsRegistry, Tracer, telemetry_for
 from repro.observability import registry as names
 from repro.observability.metrics import percentile
 from repro.observability.registry import UnregisteredName
@@ -231,18 +225,6 @@ class TestMetrics:
 
 
 # --------------------------------------------------------------- registry
-def _string_constants_in_src() -> set[str]:
-    """Every string constant in ``src/repro`` outside the registry itself,
-    f-string fragments included (``f"faults.{kind}"`` holds ``faults.``)."""
-    return {
-        node.value
-        for f in discover_project().files
-        if f.rel != "src/repro/observability/registry.py"
-        for node in ast.walk(f.tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-    }
-
-
 class TestNameRegistry:
     """An instrument refuses a name the vocabulary does not hold, at the
     call that would mint it; the vocabulary holds nothing nobody mints."""
@@ -290,14 +272,22 @@ class TestNameRegistry:
         assert not isinstance(err, ReproError)
         assert UnregisteredName not in error_code_registry().values()
 
-    def test_every_registered_name_is_minted_somewhere(self):
+    def test_every_registered_name_is_minted_somewhere(self, src_files):
         """A registered name no source file spells is dead: its emitter
-        was renamed or removed, and the entry would hide the next typo."""
+        was renamed or removed, and the entry would hide the next typo.
+        Every string constant outside the registry counts, f-string
+        fragments included (``f"faults.{kind}"`` holds ``faults.``)."""
         vocabulary = (
             names.COUNTERS | names.COUNTER_PREFIXES | names.HISTOGRAMS
             | names.SPANS | names.SPAN_PREFIXES
         )
-        assert sorted(vocabulary - _string_constants_in_src()) == []
+        spelled = {
+            node.value for rel, _source, tree in src_files
+            if rel != "src/repro/observability/registry.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert sorted(vocabulary - spelled) == []
 
 
 # -------------------------------------------------------------- telemetry
@@ -322,14 +312,6 @@ class TestTelemetryScoping:
         sim.run(until=sim.process(advance(sim)))
         telemetry.tracer.end_span(span)
         assert span.duration == 7.0
-
-    def test_global_default_uses_wall_clock(self):
-        bundle = telemetry_for()
-        assert isinstance(bundle, Telemetry)
-        tid = bundle.tracer.new_trace()
-        with bundle.tracer.span("protocol.interact", tid) as span:
-            pass
-        assert span.duration >= 0.0
 
     def test_reset_drops_state(self):
         sim = Simulator()
