@@ -17,7 +17,7 @@ available for CI pipelines.
 ``repro snapshot`` runs a quickstart workload on the German grid and
 checkpoints the whole deployment to a file; ``repro restore`` thaws such
 a file into a fresh grid and reports what came back — the whole-grid
-warm-restart path, demonstrable from the shell.
+checkpoint/restart path, demonstrable from the shell.
 """
 
 import argparse

@@ -222,10 +222,13 @@ class JobMonitorController:
         return content
 
     def dispose(self, job_id: str):
-        """Release a finished job's Uspaces on the server."""
-        return json.loads((yield from self._ask(
+        """Release a finished job's Uspaces on the server; its cached
+        status tree goes with it, so no outage re-serves a disposed job."""
+        reply = json.loads((yield from self._ask(
             RequestKind.DISPOSE, job_id.encode()
         )))
+        self._status_cache.pop(job_id, None)
+        return reply
 
     # -- output handling (pure client-side helpers) --------------------------
     @staticmethod

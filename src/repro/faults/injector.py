@@ -156,7 +156,8 @@ class FaultInjector:
         return True
 
     def _site_restart(self, event: FaultEvent) -> bool:
-        """Power-cycle a whole Usite: cold NJS, storage-backed restart."""
+        """Power-cycle a whole Usite: gateways and NJS down, then a
+        storage-backed restart."""
         usite = self.grid.usites[event.target]
         if usite.njs.crashed or usite.gateway.down:
             return False  # already failing from an overlapping fault

@@ -33,16 +33,17 @@ class FaultKind:
     #: channels and the reply cache survive (the process restarts on the
     #: same host; clients retry through the outage).
     GATEWAY_CRASH = "gateway_crash"
-    #: An NJS loses its in-memory state, then restarts and replays its
-    #: journal (the tentpole recovery path).
+    #: An NJS loses its whole heap, then restarts from storage: finished
+    #: jobs come back from the outcome store, jobs in flight are
+    #: replayed from the journal.
     NJS_CRASH = "njs_crash"
     #: A whole Vsite goes offline: running jobs die, submissions are
     #: refused until it comes back.
     VSITE_OUTAGE = "vsite_outage"
     #: One batch node dies, killing a single running job (no downtime).
     NODE_FAILURE = "node_failure"
-    #: The whole site power-fails — every gateway down plus a *cold*
-    #: NJS (bare heap) — then cold-starts from its storage backend.
+    #: The whole site power-fails — every gateway down plus an NJS
+    #: crash — then restarts from its storage backend.
     #: Deliberately not in :attr:`ALL`: it models machine-room loss, a
     #: class above the per-process failures default chaos sweeps arm.
     #: Opt in with ``kinds=[..., FaultKind.SITE_RESTART]``.

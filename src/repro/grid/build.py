@@ -179,7 +179,7 @@ class Grid:
 
     # -- checkpointing -------------------------------------------------------
     def snapshot(self) -> GridSnapshot:
-        """Capture the whole deployment for a later warm restart.
+        """Capture the whole deployment for a later restart.
 
         Serializes the build recipe, every durable table and log, the
         users (with their workstation files), and the simkernel cursors

@@ -11,7 +11,7 @@ own their state alone:
 
 - ``RunTable`` (:mod:`~repro.server.njs.runtable`): the runs
   (:mod:`~repro.server.njs.jobrun`, or :mod:`~repro.server.njs.restored`
-  for a finished job after a cold start), their index and change-log,
+  for a finished job after a restart), their index and change-log,
   completion watchers, the journal, the outcome store, the job-id cursor;
 - ``PeerLink`` (:mod:`~repro.server.njs.peerlink`): the NJS-NJS message
   types, peer and broker routes, SSL sessions, correlation ids and

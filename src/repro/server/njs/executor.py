@@ -98,7 +98,7 @@ class Executor:
         self._incarnation_cache = IncarnationCache()
 
     def forget_caches(self) -> None:
-        """Process memory is gone entirely (a cold crash)."""
+        """The NJS process died, and its caches with it."""
         self._incarnation_cache = IncarnationCache()
 
     def supervise(self, run: JobRun) -> None:
@@ -158,18 +158,18 @@ class Executor:
                 except BatchError:
                     pass  # the batch system forgot the job: nothing survives
         # Stale job directories would collide with the replay's creates.
-        prefix = f"{entry.job_id}."
+        self.destroy_uspaces(entry.job_id)
+
+    def destroy_uspaces(self, job_id: str) -> None:
+        """The cleanup matching "create a UNICORE job directory": remove
+        every directory of the job (``<job id>.<group id>``) from the
+        Vsites, whether a live run, an earlier life or nobody in memory
+        created it."""
+        prefix = f"{job_id}."
         for vsite in self._vsites.values():
-            for name in list(vsite.uspaces.active_jobs):
+            for name in vsite.uspaces.active_jobs:
                 if name.startswith(prefix):
                     vsite.uspaces.destroy(name)
-
-    def destroy_uspaces(self, run: JobRun) -> None:
-        """The cleanup matching "create a UNICORE job directory"."""
-        for uspace in run.uspaces.values():
-            for vsite in self._vsites.values():
-                if uspace.job_id in vsite.uspaces.active_jobs:
-                    vsite.uspaces.destroy(uspace.job_id)
 
     # ------------------------------------------------------- job processes
     def _run_job(self, run: JobRun):

@@ -1,9 +1,9 @@
-"""Finished jobs resurrected from durable storage after a cold start.
+"""Finished jobs resurrected from durable storage after a restart.
 
-A warm NJS :meth:`crash` keeps finished :class:`JobRun` objects alive in
-memory, but a *full-site* restart (or a grid restored from a snapshot)
-starts from a bare Python heap: everything it knows comes from the
-storage backend.  :class:`RestoredRun` duck-types the slice of the
+An NJS crash loses the whole Python heap, finished runs included, and a
+grid restored from a snapshot starts from a bare one: everything the
+restarted NJS knows comes from the storage backend.  Every finished job
+comes back as a :class:`RestoredRun`, which duck-types the slice of the
 :class:`~repro.server.njs.jobrun.JobRun` surface the NJS services touch
 for a terminal job — listings, status queries, outcome retrieval,
 Uspace file fetches, disposal — backed by the persisted

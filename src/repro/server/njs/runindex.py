@@ -7,8 +7,9 @@ module holds the two structures that answer them:
 
 :class:`RunIndex`
     Lookup tables keyed by state and user, maintained incrementally from
-    job status-change notifications.  A crash wipes in-memory state; the
-    index is rebuilt from the surviving run table (counted by the
+    job status-change notifications.  A crash loses the index with the
+    rest of the heap; the restart fills a fresh one as restored and
+    replayed runs re-enter the table (each fresh index is counted by the
     ``njs.index.rebuilds`` metric).
 
 :class:`JobChangeLog`
@@ -115,21 +116,13 @@ class RunIndex:
     def status_value(self, job_id: str) -> str | None:
         return self._status.get(job_id)
 
-    def rebuild(self, runs: typing.Mapping[str, typing.Any]) -> None:
-        """Recompute every table from scratch (post-crash recovery)."""
-        self.by_user.clear()
-        self.active.clear()
-        self.terminal.clear()
-        self.active_by_user.clear()
-        self._status.clear()
+    def verify(self, runs: typing.Mapping[str, typing.Any]) -> None:
+        """Assert the tables agree with an index built from scratch over
+        ``runs`` (test helper)."""
+        expect = RunIndex()
         for job_id, run in runs.items():
             status = run.status()
-            self.add(job_id, run.user_dn, status.value, status.is_terminal)
-
-    def verify(self, runs: typing.Mapping[str, typing.Any]) -> None:
-        """Assert the tables agree with a ground-truth scan (test helper)."""
-        expect = RunIndex()
-        expect.rebuild(runs)
+            expect.add(job_id, run.user_dn, status.value, status.is_terminal)
         assert self._status == expect._status, (self._status, expect._status)
         assert self.active == expect.active, (self.active, expect.active)
         assert self.terminal == expect.terminal
@@ -144,7 +137,7 @@ class ChangeRecord:
     seq: int
     user_dn: str
     job_id: str
-    #: ``None`` marks a removal (the job was disposed, or wiped by a crash).
+    #: ``None`` marks a removal (the job was disposed).
     listing: JobListing | None
 
 

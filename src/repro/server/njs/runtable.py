@@ -277,69 +277,51 @@ class RunTable(typing.Mapping[str, JobRun]):
         return run
 
     # ------------------------------------------------------- crash / recovery
-    def lose_memory(self, cold: bool) -> None:
-        """The NJS process died; durable storage is all that survives.
+    def lose_memory(self) -> None:
+        """The NJS process died: every run goes with its heap, and
+        durable storage is all that survives.
 
         Supervision of the jobs in flight — the ones the journal still
         holds — is interrupted (process events defused so the simulator
-        does not treat orphan failures as crashes) and their runs
-        forgotten.  A *warm* crash keeps finished runs' Python objects
-        (their outcomes live in Uspaces on the site disk, so a crash
-        after completion must not make the job unknowable to later
-        queries); after a ``cold`` one :meth:`restore` rebuilds them.
+        does not treat orphan failures as crashes).  Every parked
+        completion subscriber wakes to observe the outage, and index and
+        change-log start afresh: a new epoch refuses delta cursors from
+        the old life with a full resync.  :meth:`restore` brings the
+        finished jobs back from the outcome store.
         """
-        finished: dict[str, JobRun] = {}
         for job_id, run in self._runs.items():
             if self.journal.entry(job_id) is None:
-                finished[job_id] = run
-                continue
+                continue  # finished: its supervision is over
             for proc in run.processes:
                 if proc.is_alive and proc.target is not None:
                     proc.defuse()
                     proc.interrupt(cause="njs-crash")
-        self._runs = {} if cold else finished
-        # Wake every parked completion subscriber: the run it watched is
-        # either finished (answer immediately) or gone (the client must
-        # observe the outage and re-subscribe after the replay).
+        self._runs = {}
         for watchers in self._watchers.values():
             for watcher in watchers:
                 if not watcher.triggered:
                     watcher.succeed(None)
         self._watchers.clear()
-        # The in-memory index dies with the process; rebuild from the
-        # surviving (finished) runs and start a fresh change-log epoch so
-        # delta cursors from the old life are refused with a full resync.
-        self._index.rebuild(self._runs)
+        self._index = RunIndex()
         telemetry_for(self._sim).metrics.counter("njs.index.rebuilds").inc()
         self._changes = self._changes.next_epoch()
-        for run in self._runs.values():
-            self._changes.record(
-                self._listing(run, run.status().value), run.user_dn
-            )
 
     def restore(self) -> list[JournalEntry]:
         """Rebuild from storage; returns the jobs in flight, in
         consignment order, for the caller to replay.
 
-        Reads the jobs in flight and one row per finished job: the
-        journal rows of finished jobs are skipped by key.
+        Every finished job comes back from its one outcome row as a
+        :class:`RestoredRun`; the journal reloads the jobs in flight and
+        skips the rows of finished ones by key.
         """
         finished = set(self.outcomes.job_ids())
-        # A warm restart kept every finished run, a cold one none of them.
-        if not finished <= self._runs.keys():
-            self._restore_finished()
-        self.journal.reload(finished, self._job_seq)
-        return self.journal.incomplete()
-
-    def _restore_finished(self) -> None:
-        """Resurrect finished jobs that exist only in the outcome store."""
         metrics = telemetry_for(self._sim).metrics
         for record in self.outcomes.records(self._job_seq):
-            if record.job_id in self._runs:
-                continue
             self._enter(typing.cast(JobRun, RestoredRun(
                 record,
                 functools.partial(self.journal.ajo_bytes, record.job_id),
                 self._storage.blobs,
             )))
             metrics.counter("njs.restored_runs").inc()
+        self.journal.reload(finished, self._job_seq)
+        return self.journal.incomplete()

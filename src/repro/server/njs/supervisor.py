@@ -312,23 +312,21 @@ class NetworkJobSupervisor:
         )
 
     # ------------------------------------------------------- crash / recovery
-    def crash(self, cold: bool = False) -> None:
-        """Kill the NJS process: each part forgets what it held in
-        memory, and every service raises :class:`ServiceUnavailable`
-        until :meth:`restart`.  The journal and outcome store — durable
-        backend storage — survive.  ``cold=True`` models a full site
-        power loss: finished runs' Python objects and every cache are
-        gone too (see :meth:`RunTable.lose_memory`)."""
+    def crash(self) -> None:
+        """Kill the NJS process: each part forgets everything it held in
+        memory — every run, finished or not, and every cache — and every
+        service raises :class:`ServiceUnavailable` until :meth:`restart`.
+        Durable backend storage (journal, outcome store), the Vsites'
+        disks and their batch systems survive."""
         if self.crashed:
             return
         self.crashed = True
         self.crashes += 1
         telemetry_for(self.sim).metrics.counter("njs.crashes").inc()
-        self.runs.lose_memory(cold)
+        self.runs.lose_memory()
         self.forwarding.reset()
         self.peers.reset()
-        if cold:
-            self._executor.forget_caches()
+        self._executor.forget_caches()
 
     def restart(self) -> None:
         """Come back up from durable storage and resume every job.
@@ -449,7 +447,7 @@ class NetworkJobSupervisor:
                 f"job {job_id} is {run.status().value}; cancel it before "
                 "disposing"
             )
-        self._executor.destroy_uspaces(run)
+        self._executor.destroy_uspaces(job_id)
         self.codine.forget(job_id)
         self.forwarding.release(self.runs.dispose(job_id))
 

@@ -164,15 +164,17 @@ class Usite:
 
     # -- full-site failure (driven by repro.faults) -------------------------
     def crash_site(self) -> None:
-        """Power-fail the whole site: every gateway plus a *cold* NJS.
+        """Power-fail the whole site: every gateway plus the NJS.
 
-        Unlike a bare ``njs.crash()`` (process restart, warm Python
-        heap), this models losing the machine room: the only state that
-        survives is whatever the storage backend holds.
+        The NJS loses its heap exactly as in a bare ``njs.crash()``; the
+        site failure adds the gateways (and, at :meth:`restart_site`,
+        the UUDB and resource pages re-read from storage).  What
+        survives is the storage backend, the Vsites' disks and their
+        batch systems.
         """
         for gateway in self.gateways:
             gateway.crash()
-        self.njs.crash(cold=True)
+        self.njs.crash()
 
     def restart_site(self) -> None:
         """Cold-start the site from durable storage.

@@ -7,7 +7,7 @@ through one :class:`StorageBackend` interface, selected end to end via
 variable).  ``"memory"`` is the deterministic zero-dependency default;
 ``"sqlite"`` provides real durability in ``:memory:`` or a file.  See
 :mod:`repro.storage.backend` for the interface and
-:mod:`repro.grid.snapshot` for whole-grid checkpoint/warm-restart built
+:mod:`repro.grid.snapshot` for whole-grid checkpoint/restart built
 on top of it.
 """
 

@@ -8,7 +8,7 @@ deployment in two relations::
 
 ``kv`` values are the canonical codec bytes and ``body`` is raw content
 (a file body, an AJO or an outcome encoding), so a database written by
-one process is readable by a cold-started successor — the warm-restart
+one process is readable by a cold-started successor — the restart
 story of the persistence layer.  :meth:`StorageBackend.batch` maps to a
 real transaction: either every record of a consignment lands, bodies
 included, or none does.

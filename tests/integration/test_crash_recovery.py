@@ -9,6 +9,7 @@ polls keep answering, and the job still completes.
 from repro.api import GridSession
 from repro.grid import build_grid
 from repro.observability import telemetry_for
+from repro.server.njs.restored import RestoredRun
 
 
 def _session(seed=13):
@@ -103,32 +104,38 @@ def test_crash_before_any_delivery_still_replays():
     assert len(njs.journal) == 0
 
 
-def test_restart_restores_only_the_finished_runs_memory_lost():
-    """A finished run that survived the crash in memory is kept as it is;
-    only the ones missing from memory come back from the outcome store."""
+def test_restart_restores_every_finished_run_from_storage():
+    """A crash loses finished runs with the rest of the heap: after the
+    restart every one is a ``RestoredRun`` serving exactly what the live
+    run served."""
     grid, session = _session(seed=17)
     njs = grid.usites["FZJ"].njs
     handles = [session.submit(_dag_job(session, f"dag-{i}", 10.0))
                for i in range(2)]
     for handle in handles:
         assert session.wait(handle).status == "successful"
-    # Lose the second run from memory only: dispose forgets it everywhere,
-    # then its outcome row goes back into storage while the NJS is down.
-    lost = handles[1].job_id
-    record = njs.outcomes.get(lost)
-    outcome = njs.retrieve_outcome(lost)
-    files = {path: njs.fetch_uspace_file(lost, path) for path in record.files}
-    njs.dispose(lost)
+    paths = {h.job_id: sorted(njs.outcomes.get(h.job_id).files) for h in handles}
+    assert all(paths.values())
+
+    def served():  # straight from the NJS: no sim time passes
+        return njs.runs.listings(session.session.user_dn), [
+            (
+                njs.query_status(h.job_id),
+                njs.retrieve_outcome(h.job_id),
+                [njs.fetch_uspace_file(h.job_id, p) for p in paths[h.job_id]],
+            )
+            for h in handles
+        ]
+
+    before = served()
+    assert not any(isinstance(njs.runs[h.job_id], RestoredRun) for h in handles)
     njs.crash()
-    kept = njs.runs[handles[0].job_id]
-    njs.outcomes.put(record, outcome, files)
+    assert len(njs.runs) == 0
     njs.restart()
-    assert njs.runs[handles[0].job_id] is kept
+    assert all(isinstance(njs.runs[h.job_id], RestoredRun) for h in handles)
+    assert served() == before
     metrics = telemetry_for(grid.sim).metrics
-    assert metrics.counter("njs.restored_runs").value == 1
-    assert [r.job_id for r in session.list_jobs()] == [
-        h.job_id for h in handles
-    ]
+    assert metrics.counter("njs.restored_runs").value == len(handles)
 
 
 def test_vsite_outage_queues_tasks_instead_of_failing():

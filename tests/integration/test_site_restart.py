@@ -14,6 +14,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.grid import build_grid
 from repro.observability import telemetry_for
 from repro.resources import ResourceRequest
+from repro.server.njs.restored import RestoredRun
 
 
 def _grid(sites=None, seed=21, storage="sqlite"):
@@ -118,6 +119,32 @@ def test_restored_listing_serves_files_and_disposal():
     assert usite.njs.journal.entry(handle.job_id) is None
     assert grid.storage.table("FZJ.journal").keys() == []
     assert handle.job_id not in usite.njs.outcomes
+
+
+@pytest.mark.parametrize("storage", ["memory", "sqlite"])
+@pytest.mark.parametrize("failure", ["njs_crash", "crash_site"])
+def test_disposing_a_restored_job_removes_its_job_directories(storage, failure):
+    """A restored run holds no Uspace objects, only the persisted
+    manifest; dispose still finds the job's directories on the Vsite."""
+    grid, session = _grid(seed=29, storage=storage)
+    usite = grid.usites["FZJ"]
+    spool = usite.vsites["FZJ-T3E"].uspaces
+    handle = session.submit(_quick_job(session))
+    assert session.wait(handle).status == "successful"
+    prefix = f"{handle.job_id}."
+    assert any(name.startswith(prefix) for name in spool.active_jobs)
+    assert spool.fs.used_bytes > 0
+
+    if failure == "njs_crash":
+        usite.njs.crash()
+        usite.njs.restart()
+    else:
+        usite.crash_site()
+        usite.restart_site()
+    assert isinstance(usite.njs.runs[handle.job_id], RestoredRun)
+    session.dispose(handle)
+    assert not any(name.startswith(prefix) for name in spool.active_jobs)
+    assert spool.fs.used_bytes == 0
 
 
 def test_uudb_and_resource_pages_survive_cold_restart():

@@ -3,9 +3,10 @@
 A six-job run — four single-task jobs (one importing a workstation
 file, one disposed once it has finished), a three-stage DAG and a job
 that forwards a group to a second site — is consigned straight into
-the NJS.  Hypothesis picks a write count ``k`` and a site; right after
-the backend's ``k``-th write that whole site loses power, and comes back
-a minute later.  Whatever ``k`` was, at the restart and again at the end:
+the NJS.  Hypothesis picks a write count ``k``, a site and a failure;
+right after the backend's ``k``-th write either the site's NJS crashes
+or the whole site loses power, and a minute later the site restarts.
+Whatever ``k`` was, at the restart and again at the end:
 
 * every consigned, undisposed job id is in exactly one of
   ``journal.incomplete()`` and the outcome table, and the journal table
@@ -71,9 +72,10 @@ def _builders(session):
 
 
 class _Scenario:
-    """One run of the six jobs, optionally losing ``victim`` at write ``k``."""
+    """One run of the six jobs, optionally losing ``victim`` at write ``k``
+    to ``failure``: ``"njs_crash"`` or ``"crash_site"``."""
 
-    def __init__(self, storage, k=None, victim="FZJ"):
+    def __init__(self, storage, k=None, victim="FZJ", failure="crash_site"):
         reset_action_ids()
         self.grid = build_grid(SITES, seed=33, storage=storage)
         self.sim = self.grid.sim
@@ -87,6 +89,7 @@ class _Scenario:
         self.builders = _builders(GridSession(self.grid, user, "FZJ"))
         self.njs = self.grid.usites["FZJ"].njs
         self.victim = self.grid.usites[victim]
+        self.failure = failure
         self.k = k
         self.writes = 0
         self.restarts = 0
@@ -121,7 +124,10 @@ class _Scenario:
             self.sim.schedule_callback(0.0, self._crash)
 
     def _crash(self):
-        self.victim.crash_site()
+        if self.failure == "njs_crash":
+            self.victim.njs.crash()
+        else:
+            self.victim.crash_site()
         self.sim.schedule_callback(OUTAGE_S, self._restart)
 
     def _restart(self):
@@ -214,7 +220,8 @@ def _writes_of_a_quiet_run(storage):
 def test_cold_crash_after_any_write_leaves_a_sound_journal(data):
     storage = data.draw(st.sampled_from(["memory", "sqlite"]))
     victim = data.draw(st.sampled_from(sorted(SITES)))
+    failure = data.draw(st.sampled_from(["njs_crash", "crash_site"]))
     k = data.draw(st.integers(1, _writes_of_a_quiet_run(storage)))
-    scenario = _Scenario(storage, k=k, victim=victim).run()
+    scenario = _Scenario(storage, k=k, victim=victim, failure=failure).run()
     assert scenario.restarts == 1
     scenario.check_end()

@@ -7,6 +7,7 @@ from repro.api import GridSession, JobHandle
 from repro.faults import CircuitOpenError, ServiceUnavailable
 from repro.grid import build_grid
 from repro.observability import telemetry_for
+from repro.protocol.retry import RetryExhausted
 
 
 def _session(sites=None, seed=3):
@@ -136,6 +137,22 @@ def test_stale_status_served_during_njs_outage_behind_a_live_gateway():
 
     grid.usites["FZJ"].njs.restart()
     assert not session.status(handle).stale
+
+
+def test_disposed_job_is_not_served_stale_during_an_outage():
+    """Dispose drops the JMC's cached tree: an outage afterwards refuses
+    the status of a job that no longer exists instead of re-serving it."""
+    grid, session = _session()
+    handle = session.submit(_quick_job(session))
+    assert session.wait(handle).status == "successful"
+    assert session.status(handle).status == "successful"
+    session.dispose(handle)
+
+    grid.usites["FZJ"].gateway.crash()
+    with pytest.raises(RetryExhausted):
+        session.status(handle)
+    metrics = telemetry_for(grid.sim).metrics
+    assert metrics.counter("client.stale_status_serves").value == 0
 
 
 def test_submit_fails_over_to_alternate_vsite():

@@ -84,7 +84,9 @@ def test_index_rebuild_matches_ground_truth():
         "c@X": _FakeRun("CN=u2", "executing", False),
     }
     index = RunIndex()
-    index.rebuild(runs)
+    for job_id, run in runs.items():
+        status = run.status()
+        index.add(job_id, run.user_dn, status.value, status.is_terminal)
     index.verify(runs)
     assert index.active_count("CN=u1") == 1
     assert index.terminal == {"b@X"}
@@ -255,7 +257,7 @@ def test_supervisor_index_tracks_job_lifecycle_and_crash_replay():
     session.advance(30.0)
     njs.runs.verify_index()
 
-    # Crash mid-run: the rebuilt index agrees with the wiped table, the
+    # Crash mid-run: the fresh index agrees with the wiped table, the
     # rebuild counter ticks, and the change-log starts a new epoch.
     metrics = telemetry_for(grid.sim).metrics
     rebuilds_before = metrics.counter_value("njs.index.rebuilds")
