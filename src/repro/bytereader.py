@@ -1,12 +1,13 @@
 """One bounded cursor under every binary decoder.
 
-The six decoders of bytes off the network — the socket MSG body, the
+The decoders of bytes from outside — the socket MSG body, the
 data-plane frame header and OPEN preamble, the ``UCON`` consignment
-envelope, the bulk-reply reference and the ASN.1 resource page — read
-only through a :class:`ByteReader`, so their contract holds by
-construction: a decoder returns a value or raises its codec's error (the
-``error`` it hands the reader: ``FrameDecodeError``, ``FrameError``,
-``SerializationError``, ``ResourcePageError``); a length is checked
+envelope, the bulk-reply reference and the :mod:`repro.asn1` values
+(resource pages, storage rows, snapshots) — read only through a
+:class:`ByteReader`, so their contract holds by construction: a decoder
+returns a value or raises its codec's error (the ``error`` it hands the
+reader: ``FrameDecodeError``, ``FrameError``, ``SerializationError``,
+``ResourcePageError``, ``StorageError``, ``SnapshotError``); a length is checked
 against what is left before anything is sliced, so no input allocates
 more than its own size; and nesting is refused past :data:`MAX_DEPTH`,
 long before a decoder's recursion could reach the interpreter's limit.

@@ -29,8 +29,8 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
-from repro.storage.codec import decode_value, encode_value
-from repro.storage.errors import SnapshotError, StorageError
+from repro import asn1
+from repro.storage.errors import SnapshotError
 
 __all__ = ["GridSnapshot", "SNAPSHOT_VERSION"]
 
@@ -39,8 +39,10 @@ __all__ = ["GridSnapshot", "SNAPSHOT_VERSION"]
 #: the storage dump's ``"blobs"`` section; 3 dropped the dump's
 #: ``"logs"`` section (the journal is a table of live rows); 4 moved the
 #: AJO and outcome encodings from the journal and outcome rows to the
-#: blobs.  Other versions are refused.
-SNAPSHOT_VERSION = 4
+#: blobs; 5 is one :mod:`repro.asn1` value instead of JSON text, so blob
+#: bodies and workstation files are stored raw.
+#: Other versions are refused.
+SNAPSHOT_VERSION = 5
 
 #: What each field of an encoded snapshot must hold.
 _FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
@@ -65,8 +67,8 @@ class GridSnapshot:
 
     # -- serialization -------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Canonical encoding (the storage codec, so bytes survive JSON)."""
-        return encode_value({
+        """Canonical encoding: one :mod:`repro.asn1` value."""
+        return asn1.encode({
             "version": self.version,
             "clock": self.clock,
             "build": self.build,
@@ -79,10 +81,7 @@ class GridSnapshot:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "GridSnapshot":
-        try:
-            plain = decode_value(raw)
-        except StorageError as exc:
-            raise SnapshotError(f"unreadable grid snapshot: {exc}") from exc
+        plain = asn1.decode(raw, SnapshotError)
         version = plain.get("version") if isinstance(plain, dict) else None
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(

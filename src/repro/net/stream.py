@@ -3,7 +3,7 @@
 The paper tunnels every byte — control messages *and* file contents —
 through the same https request/reply path (section 5.6), which it flags
 as "slow for huge data sets".  This module is the wire half of the fix:
-a small binary frame codec that carries file bytes raw (no base64), in
+a small binary frame codec that carries file bytes raw (not as text), in
 chunks, so bulk data interleaves with control messages on the FIFO
 links instead of head-of-line-blocking them, and a lost chunk costs one
 retransmission instead of the whole payload.
@@ -18,8 +18,9 @@ Frame layout (network byte order, 24-byte header)::
 
 ``type`` is OPEN (1) or DATA (2).  An OPEN frame's payload is the
 :class:`OpenInfo` preamble — total size, chunking, whole-payload
-checksum, and a JSON context blob naming what the stream *is* (its kind,
-job ids, destination path).  DATA frames carry raw chunk bytes; ``seq``
+checksum, and a context map naming what the stream *is* (its kind,
+job ids, destination path) as one :mod:`repro.asn1` value.  DATA frames
+carry raw chunk bytes; ``seq``
 is the chunk index.  The transport's delivery of a frame is its
 acknowledgement.  The decoders read through a
 :class:`~repro.bytereader.ByteReader` and raise :class:`FrameError` on
@@ -44,12 +45,12 @@ blessed by a fresh CRC.
 from __future__ import annotations
 
 import functools
-import json
 import struct
 import typing
 import zlib
 from dataclasses import dataclass, field
 
+from repro import asn1
 from repro.bytereader import ByteReader
 from repro.net.errors import FrameError
 
@@ -78,7 +79,7 @@ _HEADER = struct.Struct("!2sBBQIII")
 #: Bytes of framing added to every chunk on the wire.
 FRAME_HEADER_BYTES = _HEADER.size  # 24
 
-_OPEN_FIXED = struct.Struct("!QIIII")  # total, chunk, count, crc, ctx_len
+_OPEN_FIXED = struct.Struct("!QIII")  # total, chunk, count, crc
 
 _U32_MAX = 0xFFFFFFFF
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
@@ -239,26 +240,19 @@ class OpenInfo:
     context: dict[str, typing.Any] = field(default_factory=dict)
 
     def encode(self) -> bytes:
-        blob = json.dumps(
-            self.context, sort_keys=True, separators=(",", ":")
-        ).encode()
         return _OPEN_FIXED.pack(
             self.total_size, self.chunk_bytes, self.chunk_count,
-            self.total_crc32, len(blob),
-        ) + blob
+            self.total_crc32,
+        ) + asn1.encode(self.context)
 
     @classmethod
     def decode(cls, raw: bytes | memoryview) -> "OpenInfo":
         r = ByteReader(memoryview(raw), FrameError)
-        total, chunk, count, crc, ctx_len = r.unpack(_OPEN_FIXED)
-        blob = r.text(ctx_len)
+        total, chunk, count, crc = r.unpack(_OPEN_FIXED)
+        context = asn1.read(r)
         r.end()
-        try:
-            context = json.loads(blob) if blob else {}
-        except (ValueError, RecursionError) as err:
-            raise FrameError(f"OPEN context is not valid JSON: {err}") from err
         if not isinstance(context, dict):
-            raise FrameError("OPEN context must be a JSON object")
+            raise FrameError("OPEN context must be a map")
         return cls(
             total_size=total, chunk_bytes=chunk, chunk_count=count,
             total_crc32=crc, context=context,

@@ -4,11 +4,13 @@ The simkernel backend moves Python objects between in-process inboxes;
 the real-socket backend must put the *same* messages on a TCP stream.
 This module is the codec between the two worlds: a
 :class:`~repro.net.sim_transport.Message` (envelope metadata plus
-payload) becomes one length-prefixed frame, and the payload itself — a
-control-plane :class:`~repro.protocol.messages.Request`/``Reply``, a
-data-plane ``bytes`` stream frame (already binary, PR 3), or one of the
-small handshake tuples — is encoded with a tagged binary scheme that
-round-trips every payload type the protocol actually sends.
+payload) becomes one length-prefixed frame whose body is a run of
+:mod:`repro.asn1` values.  The payload — a control-plane
+:class:`~repro.protocol.messages.Request`/``Reply``, a data-plane
+``bytes`` stream frame, or one of the small handshake tuples — rides as
+one form marker and that form's fields, so every payload type the
+protocol sends comes back as itself (a tuple as a list: only
+``deliver=False`` handshake tuples cross a socket).
 
 Frame layout (network byte order)::
 
@@ -26,9 +28,10 @@ Frame types:
     workstation host.
 
 ``MSG``
-    One transport message: body is the encoded envelope fields
-    (msg_id, sender, recipient, channel, size_bytes, deliver) followed
-    by the tagged payload.  ``size_bytes`` rides explicitly because the
+    One transport message: body is the envelope fields (msg_id,
+    sender, recipient, channel, size_bytes, deliver), the payload's form
+    marker (plain value, ``Request``, ``Reply``) and that form's fields,
+    each one value.  ``size_bytes`` rides explicitly because the
     simulated wire size (what benchmarks charge for) is part of the
     protocol contract, independent of the encoding's framing overhead.
 
@@ -44,6 +47,7 @@ import struct
 import typing
 from dataclasses import dataclass
 
+from repro import asn1
 from repro.bytereader import ByteReader
 from repro.net.errors import FrameDecodeError
 from repro.protocol.messages import Reply, Request
@@ -62,7 +66,8 @@ __all__ = [
 #: Frame header: magic, version, frame type, body length.
 HEADER = struct.Struct("!2sBBI")
 MAGIC = b"UW"
-VERSION = 1
+#: 1 encoded the MSG body in a tagged scheme of its own.
+VERSION = 2
 
 FTYPE_HELLO = 1
 FTYPE_MSG = 2
@@ -71,139 +76,81 @@ FTYPE_MSG = 2
 #: the reproduction sends by orders of magnitude).
 MAX_BODY = 64 * 1024 * 1024
 
-# -- tagged payload encoding --------------------------------------------------
-# One leading tag byte per value; containers encode a length then their
-# items.  Only the types the protocol actually puts on the wire are
-# supported — an unknown type at encode time is a programming error
-# (TypeError), unknown tag at decode time is FrameDecodeError.
+# -- the MSG body ---------------------------------------------------------------
+# The envelope fields, one form marker, then that form's fields: each one
+# repro.asn1 value, back to back.
 
-_T_NONE = 0x00
-_T_TRUE = 0x01
-_T_FALSE = 0x02
-_T_INT = 0x03
-_T_FLOAT = 0x04
-_T_STR = 0x05
-_T_BYTES = 0x06
-_T_LIST = 0x07
-_T_TUPLE = 0x08
-_T_DICT = 0x09
-_T_REQUEST = 0x0A
-_T_REPLY = 0x0B
+_PLAIN = 0
+_REQUEST = 1
+_REPLY = 2
 
-_U32 = struct.Struct("!I")
-_F64 = struct.Struct("!d")
-
-
-def _enc_str(out: list[bytes], s: str) -> None:
-    raw = s.encode("utf-8")
-    out.append(_U32.pack(len(raw)))
-    out.append(raw)
+#: The type of each envelope field, in wire order: msg_id, sender,
+#: recipient, channel, size_bytes, deliver.
+_ENVELOPE = (int, str, str, str, int, bool)
+#: The type of each field a form carries after its marker.  A Request's
+#: are request_id, kind, user_dn, payload, vsite, trace_id and
+#: parent_span_id (request_id rides the wire: correlation must survive
+#: the socket); a Reply's are request_id, ok, payload, error and
+#: error_code.
+_FORMS: dict[int, tuple[type, ...]] = {
+    _PLAIN: (object,),
+    _REQUEST: (int, str, str, bytes, str, str, str),
+    _REPLY: (int, bool, object, str, str),
+}
 
 
-def _encode_value(out: list[bytes], value: object) -> None:
-    if value is None:
-        out.append(bytes([_T_NONE]))
-    elif value is True:
-        out.append(bytes([_T_TRUE]))
-    elif value is False:
-        out.append(bytes([_T_FALSE]))
-    elif isinstance(value, int):
-        raw = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
-        out.append(bytes([_T_INT, len(raw)]))
-        out.append(raw)
-    elif isinstance(value, float):
-        out.append(bytes([_T_FLOAT]))
-        out.append(_F64.pack(value))
-    elif isinstance(value, str):
-        out.append(bytes([_T_STR]))
-        _enc_str(out, value)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        raw = bytes(value)
-        out.append(bytes([_T_BYTES]))
-        out.append(_U32.pack(len(raw)))
-        out.append(raw)
-    elif isinstance(value, (list, tuple)):
-        out.append(bytes([_T_LIST if isinstance(value, list) else _T_TUPLE]))
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            _encode_value(out, item)
-    elif isinstance(value, dict):
-        out.append(bytes([_T_DICT]))
-        out.append(_U32.pack(len(value)))
-        for k, v in value.items():
-            _encode_value(out, k)
-            _encode_value(out, v)
-    elif isinstance(value, Request):
-        out.append(bytes([_T_REQUEST]))
-        # request_id rides the wire: correlation must survive the socket.
-        _encode_value(out, value.request_id)
-        _enc_str(out, value.kind)
-        _enc_str(out, value.user_dn)
-        _encode_value(out, value.payload)
-        _enc_str(out, value.vsite)
-        _enc_str(out, value.trace_id)
-        _enc_str(out, value.parent_span_id)
-    elif isinstance(value, Reply):
-        out.append(bytes([_T_REPLY]))
-        _encode_value(out, value.request_id)
-        _encode_value(out, value.ok)
-        _encode_value(out, value.payload)
-        _enc_str(out, value.error)
-        _enc_str(out, value.error_code)
-    else:
-        raise TypeError(
-            f"payload type {type(value).__name__} is not wire-encodable"
+def _form(payload: object) -> tuple[object, ...]:
+    """The form marker and fields that carry ``payload``."""
+    if isinstance(payload, Request):
+        return (
+            _REQUEST, payload.request_id, payload.kind, payload.user_dn,
+            payload.payload, payload.vsite, payload.trace_id,
+            payload.parent_span_id,
         )
+    if isinstance(payload, Reply):
+        return (
+            _REPLY, payload.request_id, payload.ok, payload.payload,
+            payload.error, payload.error_code,
+        )
+    return (_PLAIN, payload)
 
 
-def _string(r: ByteReader[bytes]) -> str:
-    return r.text(r.unpack(_U32)[0])
-
-
-def _decode_value(r: ByteReader[bytes]) -> object:
-    tag = r.u8()
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_INT:
-        return int.from_bytes(r.take(r.u8()), "big", signed=True)
-    if tag == _T_FLOAT:
-        return r.unpack(_F64)[0]
-    if tag == _T_STR:
-        return _string(r)
-    if tag == _T_BYTES:
-        return r.take(r.unpack(_U32)[0])
-    with r.nest():
-        if tag in (_T_LIST, _T_TUPLE):
-            n = r.unpack(_U32)[0]
-            items = [_decode_value(r) for _ in range(n)]
-            return items if tag == _T_LIST else tuple(items)
-        if tag == _T_DICT:
-            n = r.unpack(_U32)[0]
-            return {_decode_value(r): _decode_value(r) for _ in range(n)}
-        if tag == _T_REQUEST:
-            request_id = _decode_value(r)
-            req = Request(  # keyword arguments are read in wire order
-                kind=_string(r), user_dn=_string(r),
-                payload=typing.cast(bytes, _decode_value(r)), vsite=_string(r),
-                trace_id=_string(r), parent_span_id=_string(r),
+def _fields(r: ByteReader[bytes], types: tuple[type, ...]) -> list[typing.Any]:
+    """The next ``len(types)`` values, each refused unless of its type."""
+    values = [asn1.read(r) for _ in types]
+    for value, kind in zip(values, types, strict=True):
+        if not isinstance(value, kind):
+            raise FrameDecodeError(
+                f"MSG field is {type(value).__name__}, not {kind.__name__}"
             )
-            # The dataclass default allocated a fresh local id; restore
-            # the sender's so replies correlate end to end.
-            req.request_id = typing.cast(int, request_id)
-            return req
-        if tag == _T_REPLY:
-            return Reply(
-                request_id=typing.cast(int, _decode_value(r)),
-                ok=bool(_decode_value(r)),
-                payload=typing.cast(bytes, _decode_value(r)),
-                error=_string(r),
-                error_code=_string(r),
+    return values
+
+
+def _payload(r: ByteReader[bytes]) -> object:
+    marker = asn1.read(r)
+    if type(marker) is not int or marker not in _FORMS:
+        raise FrameDecodeError(f"unknown MSG form {marker!r}")
+    fields = _fields(r, _FORMS[marker])
+    if marker == _REQUEST:
+        request_id, kind, user_dn, payload, vsite, trace_id, span_id = fields
+        try:
+            req = Request(
+                kind=kind, user_dn=user_dn, payload=payload, vsite=vsite,
+                trace_id=trace_id, parent_span_id=span_id,
             )
-    raise FrameDecodeError(f"unknown payload tag 0x{tag:02x}")
+        except ValueError as exc:  # a kind the protocol does not know
+            raise FrameDecodeError(f"undecodable MSG body: {exc}") from None
+        # The dataclass default allocated a fresh local id; restore the
+        # sender's so replies correlate end to end.
+        req.request_id = request_id
+        return req
+    if marker == _REPLY:
+        request_id, ok, payload, error, error_code = fields
+        return Reply(
+            request_id=request_id, ok=ok, payload=payload, error=error,
+            error_code=error_code,
+        )
+    return fields[0]
 
 
 # -- frames -------------------------------------------------------------------
@@ -241,13 +188,11 @@ def encode_message(
 ) -> bytes:
     """MSG frame carrying one transport message."""
     out: list[bytes] = []
-    _encode_value(out, msg_id)
-    _enc_str(out, sender)
-    _enc_str(out, recipient)
-    _enc_str(out, channel)
-    _encode_value(out, size_bytes)
-    _encode_value(out, deliver)
-    _encode_value(out, payload)
+    for value in (
+        msg_id, sender, recipient, channel, size_bytes, deliver,
+        *_form(payload),
+    ):
+        asn1.write(out, value)
     return _frame(FTYPE_MSG, b"".join(out))
 
 
@@ -260,20 +205,10 @@ def decode_frame(ftype: int, body: bytes) -> "str | WireMessage":
             raise FrameDecodeError(f"invalid HELLO host name: {exc}") from None
     if ftype == FTYPE_MSG:
         r = ByteReader(body, FrameDecodeError)
-        try:
-            msg_id = _decode_value(r)
-            sender = _string(r)
-            recipient = _string(r)
-            channel = _string(r)
-            size_bytes = _decode_value(r)
-            deliver = bool(_decode_value(r))
-            payload = _decode_value(r)
-        except (TypeError, ValueError) as exc:
-            # An unhashable dict key, a Request the protocol refuses: the
-            # bytes are at fault, not the program.
-            raise FrameDecodeError(f"undecodable MSG body: {exc}") from None
-        if not (isinstance(msg_id, int) and isinstance(size_bytes, int)):
-            raise FrameDecodeError("MSG id and size must be integers")
+        msg_id, sender, recipient, channel, size_bytes, deliver = _fields(
+            r, _ENVELOPE
+        )
+        payload = _payload(r)
         r.end()
         return WireMessage(
             msg_id=msg_id, sender=sender, recipient=recipient,

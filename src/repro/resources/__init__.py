@@ -5,14 +5,13 @@ the number of CPUs, execution time, memory, and permanent plus temporary
 disk space.  Each Vsite publishes a *resource page* — min/max values for
 those resources plus system architecture, performance, operating system,
 and available software — prepared by the site administrator with a
-resource-page editor and stored in ASN.1 for the JPA to embed in the GUI.
+resource-page editor and stored in ASN.1 (:mod:`repro.asn1`) for the JPA
+to embed in the GUI.
 
 - :mod:`repro.resources.model` — :class:`ResourceSet`,
   :class:`ResourceRequest`, :class:`ResourceRange`;
 - :mod:`repro.resources.software` — compilers/libraries/packages;
 - :mod:`repro.resources.page` — the per-Vsite resource page;
-- :mod:`repro.resources.asn1` — a minimal DER-style encoder the pages
-  are stored in;
 - :mod:`repro.resources.editor` — the administrator's page editor;
 - :mod:`repro.resources.check` — request-versus-page validation.
 """

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.resources import asn1
+from repro import asn1
 from repro.resources.errors import ResourcePageError
 from repro.resources.model import RESOURCE_AXES, ResourceRange
 from repro.resources.software import SoftwareCatalogue, SoftwareItem
@@ -81,7 +81,7 @@ class ResourcePage:
     @classmethod
     def from_asn1(cls, data: bytes) -> "ResourcePage":
         """Decode a page written by :meth:`to_asn1`."""
-        raw = asn1.decode(data)
+        raw = asn1.decode(data, ResourcePageError)
         if not isinstance(raw, dict):
             raise ResourcePageError("resource page must decode to a map")
         try:

@@ -5,10 +5,11 @@ journal and outcome store, UUDB mappings, resource pages — persists
 through one :class:`StorageBackend` interface, selected end to end via
 ``build_grid(storage=...)`` (or the ``REPRO_STORAGE`` environment
 variable).  ``"memory"`` is the deterministic zero-dependency default;
-``"sqlite"`` provides real durability in ``:memory:`` or a file.  See
-:mod:`repro.storage.backend` for the interface and
-:mod:`repro.grid.snapshot` for whole-grid checkpoint/restart built
-on top of it.
+``"sqlite"`` provides real durability in ``:memory:`` or a file.  A
+table row is one value of :mod:`repro.asn1`, the codec resource pages,
+snapshots and socket frames use too.  See :mod:`repro.storage.backend`
+for the interface and :mod:`repro.grid.snapshot` for whole-grid
+checkpoint/restart built on top of it.
 """
 
 from repro.storage.backend import (
@@ -17,7 +18,6 @@ from repro.storage.backend import (
     Table,
     resolve_storage,
 )
-from repro.storage.codec import decode_value, encode_value, from_plain, to_plain
 from repro.storage.errors import SnapshotError, StorageError
 from repro.storage.journal import JobJournal, JournalEntry
 from repro.storage.memory import MemoryBackend
@@ -36,9 +36,5 @@ __all__ = [
     "StorageError",
     "StorageSpec",
     "Table",
-    "decode_value",
-    "encode_value",
-    "from_plain",
     "resolve_storage",
-    "to_plain",
 ]

@@ -21,10 +21,14 @@ Every stateful component — the NJS journal and outcome store, UUDB
 mappings, resource pages — persists through these calls only, so
 flipping the backend never touches component logic.
 
-Tables carry *metadata* through the tagged-JSON codec; those byte
-strings never do.  A record names each by digest (files through a
-``{path: digest}`` manifest) and the bytes go to the blob store raw,
-once per distinct content however many records name it.
+Tables carry *metadata*, each row one value of the :mod:`repro.asn1`
+codec, encoded on every put and decoded on every get by both backends
+alike: a tuple comes back as a list, and a value the codec refuses (a
+non-``str`` map key, an object) is a ``TypeError`` at the put.  The
+byte strings a job persists never ride a row.  A record names each by
+digest (files through a ``{path: digest}`` manifest) and the bytes go
+to the blob store raw, once per distinct content however many records
+name it.
 
 Backend choice is one argument end to end: ``build_grid(storage=...)``
 accepts a name, a ``"sqlite:/path/site.db"`` spec string, or a
@@ -41,7 +45,7 @@ import os
 import typing
 from dataclasses import dataclass, field
 
-from repro.storage.codec import decode_value, encode_value, from_plain, to_plain
+from repro import asn1
 from repro.storage.errors import StorageError
 from repro.vfs.body import FileBody
 
@@ -63,7 +67,7 @@ STORAGE_ENV = "REPRO_STORAGE"
 
 
 class Table:
-    """A named key/value table (string keys, codec-plain values)."""
+    """A named key/value table (string keys, :mod:`repro.asn1` values)."""
 
     def __init__(self, backend: "StorageBackend", name: str) -> None:
         self._backend = backend
@@ -74,10 +78,10 @@ class Table:
         if data is None:
             return default
         self._backend._count_read(len(data))
-        return decode_value(data)
+        return asn1.decode(data, StorageError)
 
     def put(self, key: str, value: object) -> None:
-        data = encode_value(value)
+        data = asn1.encode(value)
         self._backend._table_put(self.name, key, data)
         self._backend._count_write(len(data))
 
@@ -93,7 +97,7 @@ class Table:
         """Every row in key order: one scan, not a lookup per key."""
         rows = self._backend._table_dump(self.name)
         self._backend._count_read(sum(len(data) for _, data in rows))
-        return [(key, decode_value(data)) for key, data in rows]
+        return [(key, asn1.decode(data, StorageError)) for key, data in rows]
 
     @contextlib.contextmanager
     def shaped(self, key: str) -> typing.Iterator[None]:
@@ -229,16 +233,17 @@ class StorageBackend:
 
     # -- snapshot support ----------------------------------------------------
     def dump(self) -> dict[str, typing.Any]:
-        """The entire backend contents in codec-plain form."""
+        """The entire backend contents as one value: every table's rows
+        decoded, every blob's body raw."""
         tables = {
             name: {
-                key: to_plain(decode_value(data))
+                key: asn1.decode(data, StorageError)
                 for key, data in self._table_dump(name)
             }
             for name in self._table_names()
         }
         blobs = {
-            digest: {"refs": refs, "body": to_plain(body)}
+            digest: {"refs": refs, "body": body}
             for digest, refs, body in self._blob_dump()
         }
         return {"tables": tables, "blobs": blobs}
@@ -247,17 +252,18 @@ class StorageBackend:
         """Replace the backend contents with a :meth:`dump`."""
         blobs = []
         for digest, blob in dump.get("blobs", {}).items():
-            body = typing.cast(bytes, from_plain(blob["body"]))
+            body = blob["body"]
             # Never trusted, always read: the check that catches a body
             # stored under a key it does not hash to.
-            if hashlib.sha256(body).hexdigest() != digest:
+            if (not isinstance(body, bytes)
+                    or hashlib.sha256(body).hexdigest() != digest):
                 raise StorageError(f"blob {digest!r} does not match its digest")
             blobs.append((digest, int(blob["refs"]), body))
         self._clear()
         with self.batch():
             for name, rows in dump.get("tables", {}).items():
                 for key, value in rows.items():
-                    self._table_put(name, key, encode_value(from_plain(value)))
+                    self._table_put(name, key, asn1.encode(value))
             for digest, refs, body in blobs:
                 self._blob_load(digest, refs, body)
 

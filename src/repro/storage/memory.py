@@ -1,9 +1,9 @@
 """The default in-process backend: deterministic, zero-dependency.
 
-Table values still pass through the canonical byte codec on
-every write and read, so the in-memory backend has *exactly* the
-round-trip semantics of SQLite (tuples come back as lists, dict keys as
-strings, bytes as bytes) — a test that passes here passes there.  The
+Table values still pass through the :mod:`repro.asn1` codec on every
+write and read, so the in-memory backend has *exactly* the round-trip
+semantics of SQLite (tuples come back as lists, a non-``str`` dict key
+is refused at the put) — a test that passes here passes there.  The
 blob store is the exception by design: a blob is raw bytes in both
 backends, so this one keeps a reference to the caller's immutable
 ``bytes`` object instead of a copy.

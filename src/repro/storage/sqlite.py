@@ -6,7 +6,7 @@ deployment in two relations::
     kv   (tbl TEXT, key TEXT, value BLOB)          -- the named tables
     blobs(digest TEXT, refs INTEGER, body BLOB)    -- the blob store
 
-``kv`` values are the canonical codec bytes and ``body`` is raw content
+``kv`` values are :mod:`repro.asn1` encodings and ``body`` is raw content
 (a file body, an AJO or an outcome encoding), so a database written by
 one process is readable by a cold-started successor — the restart
 story of the persistence layer.  :meth:`StorageBackend.batch` maps to a
@@ -27,10 +27,11 @@ from repro.storage.errors import StorageError
 __all__ = ["SQLiteBackend", "FORMAT_VERSION"]
 
 #: Stamped into ``PRAGMA user_version``.  1 (never stamped, so 0 on
-#: disk) kept file bodies base64-encoded inside its rows; 2 kept the NJS
-#: journal as an append-only ``logs`` relation; 3 kept the AJO and
-#: outcome encodings base64-encoded inside the journal and outcome rows.
-FORMAT_VERSION = 4
+#: disk) kept file bodies inside its rows as text; 2 kept the NJS journal
+#: as an append-only ``logs`` relation; 3 kept the AJO and outcome
+#: encodings inside the journal and outcome rows; 4 encoded the ``kv``
+#: values as JSON text, byte strings included.
+FORMAT_VERSION = 5
 
 _SCHEMA = """
 CREATE TABLE kv (

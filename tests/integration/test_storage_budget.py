@@ -4,22 +4,30 @@ Every byte string an NJS persists is a blob.  A finished one-site
 script job is two table rows — its consign row and its outcome row —
 that name by digest the consigned AJO, the encoded outcome tree and the
 task's stdout file, and three blobs holding those bytes raw.  So no row
-carries the codec's base64 tag, a cold start reads the rows and no
+holds a byte string, a cold start reads the rows and no
 outcome, the first request for a restored job's outcome reads its one
 blob and a second reads nothing, and disposal hands every blob back
 without reading one.  These tests meter the blob store under the public
 session API on both backends.
 """
 
-import json
-
 import pytest
 
+from repro import asn1
 from repro.api import GridSession
+from repro.errors import StorageError
 from repro.grid import build_grid
-from repro.storage.codec import _BYTES_TAG
 
 SITE = "FZJ"
+
+
+def _byte_strings(value):
+    """Every ``bytes`` inside a decoded row."""
+    if isinstance(value, bytes):
+        return [value]
+    items = value.values() if isinstance(value, dict) else (
+        value if isinstance(value, list) else ())
+    return [found for item in items for found in _byte_strings(item)]
 
 
 class _BlobReads:
@@ -52,12 +60,11 @@ def _finished_job(storage):
 def test_no_journal_or_outcome_row_carries_base64(storage):
     grid, _, handle, blobs_before = _finished_job(storage)
     backend = grid.storage
-    tag = json.dumps(_BYTES_TAG).encode()  # the key as the stored JSON spells it
     for table in (f"{SITE}.journal", f"{SITE}.outcomes"):
         rows = backend._table_dump(table)
         assert [key for key, _ in rows] == [handle.job_id]
         for _, data in rows:
-            assert tag not in data
+            assert _byte_strings(asn1.decode(data, StorageError)) == []
     # The job's blobs: its AJO, its outcome and its task's stdout file.
     record = grid.usites[SITE].njs.outcomes.get(handle.job_id)
     consign = backend.table(f"{SITE}.journal").get(handle.job_id)

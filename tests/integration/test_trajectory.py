@@ -23,11 +23,13 @@ import json
 import os
 import sys
 import tempfile
+import types
 from unittest import mock
 
 import pytest
 
-from repro.storage import backend, codec
+from repro import asn1
+from repro.storage import backend
 
 REPO =os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path.insert(0, os.path.join(REPO, "benchmarks", "perf"))
@@ -99,15 +101,20 @@ def test_counts_stay_on_the_trajectory(name):
 
 
 def test_the_gate_fails_a_larger_stored_row(monkeypatch):
-    """Every row 30 % larger (trailing JSON whitespace, so every reader
-    still decodes it): the run stays correct and the gate names the one
-    count that moved."""
+    """Every row 30 % larger (the value stored beside its padding, so every
+    reader still gets the value back): the run stays correct and the gate
+    names the one count that moved."""
 
     def padded(value):
-        data = codec.encode_value(value)
-        return data + b" " * -(-3 * len(data) // 10)
+        data = asn1.encode(value)
+        return asn1.encode([value, bytes(3 * len(data) // 10)])
 
-    monkeypatch.setattr(backend, "encode_value", padded)
+    def unpadded(data, error):
+        return asn1.decode(data, error)[0]
+
+    monkeypatch.setattr(
+        backend, "asn1", types.SimpleNamespace(encode=padded, decode=unpadded)
+    )
     counts, rep = measure("smalljobs")
     assert rep.probe.failed == 0, rep.probe.failures
     (found,) = problems("smalljobs", counts)

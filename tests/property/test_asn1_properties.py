@@ -1,4 +1,4 @@
-"""Property-based tests for the ASN.1 codec."""
+"""Property-based tests for the one value codec, ``repro.asn1``."""
 
 import math
 
@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import asn1
 from repro.bytereader import MAX_DEPTH
-from repro.resources import asn1
-from repro.resources.errors import ResourcePageError
+from repro.errors import StorageError
 
 # Finite floats whose repr round-trips exactly (excludes NaN; inf is fine
 # via repr but float('inf') -> 'inf' parses back, so allow it).
@@ -20,6 +20,7 @@ scalars = st.one_of(
     st.integers(min_value=-(2**128), max_value=2**128),
     finite_floats,
     st.text(max_size=50),
+    st.binary(max_size=50),
 )
 
 values = st.recursive(
@@ -44,10 +45,14 @@ def _equal(a, b) -> bool:
     return a == b and type(a) is type(b)
 
 
+def _decode(data: bytes):
+    return asn1.decode(data, StorageError)
+
+
 @given(values)
 @settings(max_examples=300)
 def test_roundtrip(value):
-    assert _equal(asn1.decode(asn1.encode(value)), value)
+    assert _equal(_decode(asn1.encode(value)), value)
 
 
 @given(values)
@@ -57,20 +62,20 @@ def test_encoding_is_deterministic(value):
 
 @given(st.integers(min_value=-(2**256), max_value=2**256))
 def test_integer_roundtrip_wide(n):
-    assert asn1.decode(asn1.encode(n)) == n
+    assert _decode(asn1.encode(n)) == n
 
 
 @given(st.text())
 def test_string_roundtrip_unicode(s):
-    assert asn1.decode(asn1.encode(s)) == s
+    assert _decode(asn1.encode(s)) == s
 
 
 @given(st.binary(max_size=64))
 def test_decoder_never_crashes_unhandled(data):
-    """Arbitrary bytes either decode or raise ResourcePageError — nothing else."""
+    """Arbitrary bytes either decode or raise the caller's error — nothing else."""
     try:
-        asn1.decode(data)
-    except ResourcePageError:
+        _decode(data)
+    except StorageError:
         pass
 
 
@@ -81,7 +86,7 @@ def _nested(tag: int, depth: int) -> bytes:
     for _ in range(depth):
         if tag == 0xA0:
             data = asn1.encode("k") + data
-        data = bytes([tag]) + asn1._encode_length(len(data)) + data
+        data = asn1._head(tag, len(data)) + data
     return data
 
 
@@ -91,12 +96,40 @@ def test_nesting_past_the_reader_bound_is_refused_not_a_recursion_error(tag):
     shallow = [[[None]]] if tag == 0x30 else {"k": {"k": {"k": None}}}
     assert _nested(tag, 3) == asn1.encode(shallow)
     for depth in (MAX_DEPTH + 1, 2_000):
-        with pytest.raises(ResourcePageError, match="nested deeper than"):
-            asn1.decode(_nested(tag, depth))
+        with pytest.raises(StorageError, match="nested deeper than"):
+            _decode(_nested(tag, depth))
 
 
 def test_a_value_nested_to_the_bound_round_trips():
     value = None
     for level in range(MAX_DEPTH):
         value = [value] if level % 2 else {"k": value}
-    assert asn1.decode(asn1.encode(value)) == value
+    assert _decode(asn1.encode(value)) == value
+
+
+def test_a_tuple_encodes_as_a_sequence_and_decodes_as_a_list():
+    assert asn1.encode((1, b"x")) == asn1.encode([1, b"x"])
+    assert _decode(asn1.encode({"t": (None, (2.5,))})) == {"t": [None, [2.5]]}
+
+
+@pytest.mark.parametrize("value", [{1: "x"}, {"a": {None: 1}}, [{("k",): 0}]])
+def test_a_map_key_that_is_not_str_is_a_type_error(value):
+    with pytest.raises(TypeError, match="map keys must be str"):
+        asn1.encode(value)
+
+
+def test_a_type_outside_the_domain_is_a_type_error():
+    with pytest.raises(TypeError, match="cannot encode a set"):
+        asn1.encode({"s": {1}})
+
+
+def test_a_long_form_length_round_trips():
+    body = bytes(range(256)) * 300
+    data = asn1.encode(body)
+    assert data[:5] == b"\x04\x83\x01\x2c\x00"  # OCTET STRING, 3 length bytes
+    assert _decode(data) == body
+
+
+def test_an_indefinite_length_is_refused():
+    with pytest.raises(StorageError, match="indefinite"):
+        _decode(b"\x30\x80\x05\x00\x00\x00")

@@ -2,24 +2,24 @@
 
 One table, ``DECODERS``, names each with a valid encoding:
 
-* the binary six, which read through ``repro.bytereader.ByteReader``: the
-  socket MSG body, the data-plane frame and its OPEN preamble, the
-  ``UCON`` consignment envelope, the bulk-reply reference and the ASN.1
-  resource page;
+* the binary ones, which read through ``repro.bytereader.ByteReader``:
+  the socket MSG body, the data-plane frame and its OPEN preamble, the
+  ``UCON`` consignment envelope, the bulk-reply reference, and the values
+  of ``repro.asn1`` — a resource page, ``GridSnapshot.from_bytes`` (a
+  file from disk), a storage row as a backend reads it back, and the
+  journal and outcome-store row readers over such a row;
 * the JSON ones: ``decode_ajo`` and ``decode_service`` (what a client
-  sent), ``decode_outcome`` (what a peer or a journal row holds),
-  ``GridSnapshot.from_bytes`` (a file from disk), ``decode_value`` (a row
-  a storage backend read back), and the journal and outcome-store row
-  readers over such a row.
+  sent) and ``decode_outcome`` (what a peer or a blob holds).
 
 Arbitrary bytes and a valid encoding with bytes changed must each end in
 a value or in a ``ReproError`` the registry maps back to its class: never
 a bare ``TypeError``, ``ValueError``, ``KeyError``, ``IndexError``,
-``struct.error`` or ``RecursionError``.  The JSON encodings are also
-mutated in their *structure* (a node replaced, dropped or retyped — still
-valid JSON), which is how a row of the wrong shape reaches a row reader.
-Nesting past the reader's bound has its own tests beside each codec
-(``test_wire_codec.py``, ``test_asn1_properties.py``).
+``struct.error`` or ``RecursionError``.  The JSON encodings and the
+``repro.asn1`` values are also mutated in their *structure* (a node
+replaced, dropped or retyped — still a valid encoding), which is how a
+row of the wrong shape reaches a row reader.  Nesting past the reader's
+bound has its own tests beside each codec (``test_wire_codec.py``,
+``test_asn1_properties.py``).
 """
 
 import json
@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import asn1
 from repro.ajo import AbstractJobObject, ExecuteScriptTask, UserTask
 from repro.ajo.outcome import AJOOutcome, FileOutcome, TaskOutcome
 from repro.ajo.serialize import (
@@ -51,15 +52,8 @@ from repro.protocol.consignment import (
 )
 from repro.protocol.datapath import decode_bulk_reply, encode_stream_reply
 from repro.protocol.messages import Request
-from repro.resources import ResourceRequest, asn1
-from repro.storage import (
-    JobJournal,
-    MemoryBackend,
-    OutcomeRecord,
-    OutcomeStore,
-    decode_value,
-    encode_value,
-)
+from repro.resources import ResourcePageError, ResourceRequest
+from repro.storage import JobJournal, MemoryBackend, OutcomeRecord, OutcomeStore
 
 
 def _valid_ajo() -> bytes:
@@ -100,7 +94,7 @@ def _valid_snapshot() -> bytes:
 
 
 def _valid_row() -> bytes:
-    return encode_value({
+    return asn1.encode({
         "job_id": "fzj.7", "seq": 3, "ajo": b"\x00\x01{binary}\xff",
         "files": {"result.dat": "ab" * 32},
         "history": [[0.5, "consigned"], [2.0, None, {"raw": b"x"}]],
@@ -108,7 +102,7 @@ def _valid_row() -> bytes:
 
 
 def _consign_row() -> bytes:
-    return encode_value({
+    return asn1.encode({
         "ajo": "cd" * 32, "user_dn": "CN=u", "trace_id": "t1",
         "workstation_files": {"/home/u/in": "ab" * 32},
         "parent_job_id": "U7@ZIB", "forward_meta": ["c1", "ZIB", ["out"]],
@@ -121,14 +115,19 @@ def _outcome_row() -> bytes:
         job_id="U1", name="demo", user_dn="CN=u", status="successful",
         submitted_at=1.5, recovered=False, trace_id="t1",
     ), b"o", {"out": b"body"})
-    return encode_value(backend.table("o").get("U1"))
+    return asn1.encode(backend.table("o").get("U1"))
+
+
+def _value(data: bytes) -> object:
+    """The one value ``data`` encodes, read as a backend reads a row."""
+    return asn1.decode(data, StorageError)
 
 
 def _reload_journal(data: bytes) -> list:
     """The entries a cold start rebuilds from ``data`` as a consign row."""
     backend = MemoryBackend()
     table = backend.table("j")
-    table.put("U1", decode_value(data))
+    table.put("U1", _value(data))
     table.put("U1/task", ["VS", "B1"])
     journal = JobJournal(backend, name="j")
     journal.reload(set(), str)
@@ -137,15 +136,14 @@ def _reload_journal(data: bytes) -> list:
 
 def _read_outcome(data: bytes) -> OutcomeRecord | None:
     backend = MemoryBackend()
-    backend.table("o").put("U1", decode_value(data))
+    backend.table("o").put("U1", _value(data))
     return OutcomeStore(backend, "o").get("U1")
 
 
 _MSG = wire.encode_message(
     7, "ws", "gw",
-    (Request(kind="query", user_dn="CN=u", payload=b"\x00q", vsite="V",
-             trace_id="t", parent_span_id="s"),
-     {"k": [1.5, None, True, -3, b"raw"]}),
+    Request(kind="query", user_dn="CN=u", payload=b"\x00q", vsite="V",
+            trace_id="t", parent_span_id="s"),
     300, "ctl", True,
 )
 _ENTRY = FileEntry("big.dat", 10, 5, 42)
@@ -168,19 +166,21 @@ BINARY_DECODERS = {
     ),
     "bulk_reply": (decode_bulk_reply, encode_stream_reply(_ENTRY)),
     "asn1": (
-        asn1.decode,
+        lambda data: asn1.decode(data, ResourcePageError),
         asn1.encode({"cpus": 4, "queues": [{"name": "q", "limit": 1.5}],
-                     "ok": True, "note": None}),
+                     "ok": True, "note": None, "raw": b"\x00\xff"}),
     ),
+    "snapshot": (GridSnapshot.from_bytes, _valid_snapshot()),
+    "row": (_value, _valid_row()),
+    "journal_row": (_reload_journal, _consign_row()),
+    "outcome_row": (_read_outcome, _outcome_row()),
 }
+#: The binary decoders whose input is one ``repro.asn1`` value.
+VALUE_DECODERS = ("snapshot", "row", "journal_row", "outcome_row")
 JSON_DECODERS = {
     "ajo": (decode_ajo, _valid_ajo()),
     "service": (decode_service, encode_service(ListService("list", since_seq=3))),
     "outcome": (decode_outcome, _valid_outcome()),
-    "snapshot": (GridSnapshot.from_bytes, _valid_snapshot()),
-    "row": (decode_value, _valid_row()),
-    "journal_row": (_reload_journal, _consign_row()),
-    "outcome_row": (_read_outcome, _outcome_row()),
 }
 DECODERS = {**BINARY_DECODERS, **JSON_DECODERS}
 which = st.sampled_from(sorted(DECODERS))
@@ -239,7 +239,7 @@ json_values = st.recursive(
 
 
 def _nodes(tree):
-    """Every ``(container, key)`` slot of a JSON tree, depth first."""
+    """Every ``(container, key)`` slot of a decoded tree, depth first."""
     if isinstance(tree, dict):
         items = list(tree.items())
     elif isinstance(tree, list):
@@ -251,16 +251,26 @@ def _nodes(tree):
         yield from _nodes(child)
 
 
+#: How each structurally mutated decoder's input is taken apart and put
+#: back together.
+TREE_CODECS = {
+    **{name: (json.loads, lambda tree: json.dumps(tree).encode())
+       for name in JSON_DECODERS},
+    **{name: (_value, asn1.encode) for name in VALUE_DECODERS},
+}
+
+
 @settings(max_examples=400, deadline=None)
 @given(
-    name=st.sampled_from(sorted(JSON_DECODERS)),
+    name=st.sampled_from(sorted(TREE_CODECS)),
     edits=st.lists(
         st.tuples(st.integers(0, 1 << 20), st.booleans(), json_values),
         min_size=1, max_size=3,
     ),
 )
 def test_structure_mutated_encodings_decode_or_are_refused(name, edits):
-    tree = json.loads(DECODERS[name][1])
+    load, dump = TREE_CODECS[name]
+    tree = load(DECODERS[name][1])
     for at, drop, value in edits:
         slots = list(_nodes(tree))
         if not slots:
@@ -270,7 +280,7 @@ def test_structure_mutated_encodings_decode_or_are_refused(name, edits):
             del container[key]
         else:
             container[key] = value
-    _value_or_registered_error(name, json.dumps(tree).encode())
+    _value_or_registered_error(name, dump(tree))
 
 
 def test_the_valid_encodings_decode():
@@ -286,7 +296,7 @@ def _in_flight_snapshot() -> dict:
     job.script_task("t", "#!/bin/sh\nx\n", simulated_runtime_s=500.0)
     session.submit(job)
     session.advance(10.0)
-    return json.loads(grid.snapshot().to_bytes())
+    return _value(grid.snapshot().to_bytes())
 
 
 def test_a_snapshot_with_a_journal_row_of_the_wrong_shape_is_refused_on_restore():
@@ -294,6 +304,6 @@ def test_a_snapshot_with_a_journal_row_of_the_wrong_shape_is_refused_on_restore(
     rows = plain["storage"]["tables"]["FZJ.journal"]
     (job_id,) = (key for key in rows if "/" not in key)
     del rows[job_id]["forward_meta"]
-    snapshot = GridSnapshot.from_bytes(json.dumps(plain).encode())
+    snapshot = GridSnapshot.from_bytes(asn1.encode(plain))
     with pytest.raises(StorageError, match=f"row '{job_id}' has the wrong shape"):
         build_grid(restore_from=snapshot)

@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from repro import asn1
 from repro.grid import GridSnapshot
 from repro.observability import MetricsRegistry
 from repro.storage import (
@@ -20,10 +21,7 @@ from repro.storage import (
     SQLiteBackend,
     StorageError,
     StorageSpec,
-    decode_value,
-    encode_value,
     resolve_storage,
-    to_plain,
 )
 
 BACKENDS = [MemoryBackend, SQLiteBackend]
@@ -36,17 +34,31 @@ def test_codec_round_trips_bytes_tuples_and_nesting():
         "nested": {"list": [1, 2.5, None, True, b"x"]},
         "tuple": (1, "two", b"three"),
     }
-    decoded = decode_value(encode_value(value))
-    assert decoded["raw"] == b"\x00\xff\xca\xfe"
-    assert decoded["nested"]["list"] == [1, 2.5, None, True, b"x"]
-    # Tuples canonicalize to lists (JSON has no tuple type).
-    assert decoded["tuple"] == [1, "two", b"three"]
+    for backend_cls in BACKENDS:
+        table = backend_cls().table("t")
+        table.put("k", value)
+        decoded = table.get("k")
+        assert decoded["raw"] == b"\x00\xff\xca\xfe"
+        assert decoded["nested"]["list"] == [1, 2.5, None, True, b"x"]
+        # Tuples canonicalize to lists (a sequence is a sequence).
+        assert decoded["tuple"] == [1, "two", b"three"]
 
 
 def test_codec_is_canonical():
-    a = encode_value({"b": 1, "a": 2})
-    b = encode_value({"a": 2, "b": 1})
+    a = asn1.encode({"b": 1, "a": 2})
+    b = asn1.encode({"a": 2, "b": 1})
     assert a == b
+
+
+@pytest.mark.parametrize("backend_cls", BACKENDS)
+def test_a_row_with_a_key_that_is_not_a_string_is_refused_not_rewritten(backend_cls):
+    backend = backend_cls()
+    table = backend.table("t")
+    with pytest.raises(TypeError, match="map keys must be str"):
+        table.put("k", {1: "x"})
+    with pytest.raises(TypeError, match="map keys must be str"):
+        table.put("k", {"files": {("a", "b"): "digest"}})
+    assert "k" not in table and backend.writes == 0
 
 
 # -- backends ----------------------------------------------------------------
@@ -79,7 +91,7 @@ def test_table_items_is_one_read_in_key_order(backend_cls):
     assert table.items() == [(k, {"n": k}) for k in ("a", "b", "c")]
     assert backend.reads == reads + 1
     assert backend.bytes_read - nbytes == sum(
-        len(encode_value({"n": k})) for k in "abc"
+        len(asn1.encode({"n": k})) for k in "abc"
     )
 
 
@@ -199,7 +211,7 @@ def test_load_refuses_a_blob_that_does_not_match_its_digest(backend_cls):
     src = MemoryBackend()
     digest = src.blobs.put(b"honest")
     dump = src.dump()
-    dump["blobs"][digest]["body"] = to_plain(b"evil")
+    dump["blobs"][digest]["body"] = b"evil"
     dst = backend_cls()
     dst.table("t").put("k", 1)
     with pytest.raises(StorageError):
@@ -439,17 +451,34 @@ def test_sqlite_refuses_a_file_of_another_format(tmp_path):
     with pytest.raises(StorageError) as caught:
         SQLiteBackend(path)
     assert caught.value.code == "storage.backend" and "format 3" in str(caught.value)
+    # The layout whose rows were JSON: today's relations, stamped 4.
+    path = str(tmp_path / "v4.db")
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        "CREATE TABLE kv (tbl TEXT, key TEXT, value BLOB, PRIMARY KEY (tbl, key));"
+        "CREATE TABLE blobs (digest TEXT PRIMARY KEY, refs INTEGER, body BLOB);"
+        "PRAGMA user_version = 4;"
+    )
+    conn.close()
+    with pytest.raises(StorageError) as caught:
+        SQLiteBackend(path)
+    assert caught.value.code == "storage.backend" and "format 4" in str(caught.value)
 
 
 def test_snapshot_of_the_previous_format_is_refused():
     # Version 3 kept the consigned AJO inside the journal row.
     old = GridSnapshot(clock=0.0, build={}, version=3, storage={
-        "tables": {"FZJ.journal": {"U1": to_plain({"ajo_bytes": b"ajo"})}},
+        "tables": {"FZJ.journal": {"U1": {"ajo_bytes": b"ajo"}}},
         "blobs": {},
     })
     with pytest.raises(SnapshotError) as caught:
         GridSnapshot.from_bytes(old.to_bytes())
     assert caught.value.code == "storage.snapshot" and "version 3" in str(caught.value)
+    # Version 4 was JSON, bytes tagged and base64-encoded: not one value.
+    v4 = b'{"blobs":{},"clock":0.0,"version":4}'
+    with pytest.raises(SnapshotError) as caught:
+        GridSnapshot.from_bytes(v4)
+    assert caught.value.code == "storage.snapshot"
 
 
 # -- rows of the wrong shape -------------------------------------------------

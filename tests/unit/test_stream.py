@@ -7,6 +7,8 @@ import zlib
 
 import pytest
 
+from repro import asn1
+from repro.bytereader import MAX_DEPTH
 from repro.errors import FrameError, SerializationError, UnsafePathError
 from repro.net.stream import (
     FRAME_HEADER_BYTES,
@@ -101,10 +103,16 @@ def test_open_info_roundtrip():
 
 
 def test_open_info_refuses_a_context_nested_past_the_json_parser():
-    blob = b"[" * 100_000
+    """The context is one repro.asn1 value: nested past the reader's
+    bound it is a FrameError, and anything but a map is one too."""
     fixed = OpenInfo(0, 1, 0, 0).encode()[:20]  # total, chunk, count, crc
-    with pytest.raises(FrameError, match="not valid JSON"):
-        OpenInfo.decode(fixed + struct.pack("!I", len(blob)) + blob)
+    context: object = {}
+    for _ in range(MAX_DEPTH):
+        context = {"k": context}
+    with pytest.raises(FrameError, match="nested deeper than"):
+        OpenInfo.decode(fixed + asn1.encode(context))
+    with pytest.raises(FrameError, match="must be a map"):
+        OpenInfo.decode(fixed + b"\x05\x00")
 
 
 def test_chunk_payload_covers_everything():
@@ -156,7 +164,9 @@ def test_reassembler_rejects_foreign_and_out_of_range_frames():
 
 def test_wire_bytes_are_what_they_were_before_the_single_pass_sender():
     """Golden: sha256 of the concatenated encoded frames, recorded from
-    the commit before chunk views and the folded whole-payload CRC."""
+    the commit before chunk views and the folded whole-payload CRC, and
+    again when the OPEN context moved from JSON to repro.asn1 (the DATA
+    frames' bytes did not move)."""
 
     def wire_hash(sender):
         wire = b"".join(encode_frame(frame) for frame in sender.frames())
@@ -168,10 +178,10 @@ def test_wire_bytes_are_what_they_were_before_the_single_pass_sender():
     )
     assert sender.frame_count == 12
     assert wire_hash(sender) == (
-        "86cad0c99188b1e65c4622148929e16a7a6d07d406a716c7928710fd90a09696"
+        "d91d543ac9af55c5b10ae82f411bbe77f26f53181c7a3e7bdf9ea2b3f29972cb"
     )
     assert wire_hash(StreamSender(7, b"", 1024, {})) == (
-        "64355454a976f5ee93a1d7852a700fd7b10daec1a10f7113f8fe846003a3022b"
+        "37c2598bd571754a005c43effd9390f537f8276fffbd03adc04da387477c8ee5"
     )
 
 

@@ -4,6 +4,7 @@ round-trip a frame byte-exact, and garbage must fail as FrameDecodeError
 
 import pytest
 
+from repro import asn1
 from repro.net.errors import FrameDecodeError
 from repro.net.wire import (
     FTYPE_HELLO,
@@ -50,17 +51,11 @@ def _roundtrip(payload):
     b"",
     b"\x00\xffbinary",
     [1, "two", None],
-    (b"stream", 4, False),
-    {"k": [1.5, (True,)], "nested": {"a": None}},
+    [b"stream", 4, False],
+    {"k": [1.5, [True]], "nested": {"a": None}},
 ])
 def test_scalar_and_container_payloads_roundtrip(payload):
     assert _roundtrip(payload) == payload
-
-
-def test_tuple_and_list_stay_distinct():
-    assert _roundtrip((1, 2)) == (1, 2)
-    assert isinstance(_roundtrip((1, 2)), tuple)
-    assert isinstance(_roundtrip([1, 2]), list)
 
 
 def test_request_roundtrips_with_request_id():
@@ -102,7 +97,7 @@ def test_unencodable_type_is_a_programming_error():
 def test_unknown_tag_raises_frame_decode_error():
     frame = encode_message(1, "a", "b", None, 0, "ctl", True)
     body = bytearray(frame[HEADER.size:])
-    body[-1] = 0xEE  # the payload tag byte
+    body[-2] = 0xEE  # the payload's tag byte
     with pytest.raises(FrameDecodeError) as ei:
         decode_frame(FTYPE_MSG, bytes(body))
     assert ei.value.code == "net.frame_decode"
@@ -172,16 +167,17 @@ def test_frames_before_a_refusal_are_yielded_and_the_stream_stays_refused():
 
 # -- hostile bodies: a value or FrameDecodeError, nothing else ----------------
 
-def _msg_body(payload_bytes, msg_id=b"\x03\x01\x07", size=b"\x03\x01\x00"):
-    """A MSG body around raw, possibly malformed, field encodings."""
-    text = b"\x00\x00\x00\x01a"
-    return msg_id + text * 3 + size + b"\x01" + payload_bytes
+def _msg_body(payload=b"\x05\x00", msg_id=b"\x02\x01\x07", size=b"\x02\x01\x00"):
+    """A plain-form MSG body around raw, possibly malformed, encodings
+    (the defaults: None, id 7, size 0)."""
+    text = asn1.encode("a")
+    return msg_id + text * 3 + size + asn1.encode(True) + asn1.encode(0) + payload
 
 
 def test_unhashable_dict_key_raises_frame_decode_error():
-    # {[]: None}: a list where a dict key must be.
-    body = _msg_body(b"\x09\x00\x00\x00\x01" + b"\x07\x00\x00\x00\x00" + b"\x00")
-    with pytest.raises(FrameDecodeError, match="unhashable"):
+    # {[]: None}: a list where a map key must be.
+    body = _msg_body(b"\xa0\x04" + asn1.encode([]) + asn1.encode(None))
+    with pytest.raises(FrameDecodeError, match="map key must decode to str"):
         decode_frame(FTYPE_MSG, body)
 
 
@@ -196,15 +192,28 @@ def test_request_the_protocol_refuses_raises_frame_decode_error():
 
 
 def test_bottomless_nesting_raises_frame_decode_error():
-    body = _msg_body(b"\x07\x00\x00\x00\x01" * 100_000)
+    # A sequence holding a sequence ... holding None, built inside out.
+    heads, inner = [], 2
+    for _ in range(100_000):
+        length = inner.to_bytes(4, "big")
+        heads.append(b"\x30\x84" + length)
+        inner += len(heads[-1])
+    body = _msg_body(b"".join(reversed(heads)) + b"\x05\x00")
     with pytest.raises(FrameDecodeError, match="nested deeper than"):
         decode_frame(FTYPE_MSG, body)
 
 
 def test_non_integer_msg_id_or_size_raises_frame_decode_error():
-    empty_list = b"\x07\x00\x00\x00\x00"
-    for body in (_msg_body(b"\x00", msg_id=empty_list),
-                 _msg_body(b"\x00", size=empty_list)):
-        with pytest.raises(FrameDecodeError, match="integers"):
+    empty_list = asn1.encode([])
+    for body in (_msg_body(msg_id=empty_list), _msg_body(size=empty_list)):
+        with pytest.raises(FrameDecodeError, match="not int"):
             decode_frame(FTYPE_MSG, body)
-    assert decode_frame(FTYPE_MSG, _msg_body(b"\x00")).msg_id == 7
+    assert decode_frame(FTYPE_MSG, _msg_body()).msg_id == 7
+
+
+def test_a_frame_of_the_previous_version_is_refused():
+    """Version 1 spelled the MSG body in a tagged scheme of its own."""
+    msg = encode_message(5, "ws", "gw", "ping", 10, "ctl", True)
+    old = HEADER.pack(MAGIC, 1, FTYPE_MSG, len(msg) - HEADER.size)
+    with pytest.raises(FrameDecodeError, match="unsupported frame version 1"):
+        _split(old + msg[HEADER.size:])
