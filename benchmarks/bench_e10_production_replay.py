@@ -117,7 +117,7 @@ def _replay():
                 continue
             final = yield from jmc.wait_for_completion(job_id)
             stats["terminal"] += 1
-            if final["status"] == "successful":
+            if final.status == "successful":
                 stats["successful"] += 1
 
     for i, (user, home) in enumerate(

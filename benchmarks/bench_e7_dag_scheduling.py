@@ -73,7 +73,7 @@ def _run_shape(name: str, shape: str, n: int) -> tuple[float, int, float]:
         t0 = sim.now
         job_id = yield from jpa.submit(job)
         final = yield from jmc.wait_for_completion(job_id)
-        assert final["status"] == "successful"
+        assert final.status == "successful"
         return sim.now - t0
 
     process = grid.sim.process(scenario(grid.sim))

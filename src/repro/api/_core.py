@@ -270,14 +270,14 @@ class SessionCore:
         """The full Outcome tree (stdout/stderr included) of a finished job."""
         return self._jmc(handle, JobMonitorController.outcome, "outcome")
 
-    def cancel(self, handle: "JobHandle | str") -> dict:
+    def cancel(self, handle: "JobHandle | str") -> str:
         """Abort the job wherever its parts currently are."""
         return self._jmc(handle, JobMonitorController.cancel, "cancel")
 
-    def hold(self, handle: "JobHandle | str") -> dict:
+    def hold(self, handle: "JobHandle | str") -> str:
         return self._jmc(handle, JobMonitorController.hold, "hold")
 
-    def resume(self, handle: "JobHandle | str") -> dict:
+    def resume(self, handle: "JobHandle | str") -> str:
         return self._jmc(handle, JobMonitorController.resume, "resume")
 
     def list_jobs(self, usite: str | None = None) -> list[JobListing]:
@@ -293,7 +293,7 @@ class SessionCore:
             workstation=self.user.workstation, save_as=save_as,
         )
 
-    def dispose(self, handle: "JobHandle | str") -> dict:
+    def dispose(self, handle: "JobHandle | str") -> str:
         return self._jmc(handle, JobMonitorController.dispose, "dispose")
 
     # -- authoring -----------------------------------------------------------
@@ -454,8 +454,7 @@ class SessionCore:
     ) -> typing.Generator:
         """The job's status tree; a cached view marked stale during outages."""
         jmc, job_id = yield from self._target_plan(handle)
-        tree = yield from jmc.status(job_id, allow_stale=allow_stale)
-        return JobStatusView.from_dict(tree)
+        return (yield from jmc.status(job_id, allow_stale=allow_stale))
 
     def wait_plan(
         self, handle: "JobHandle | str", max_polls: int = 10_000
@@ -487,18 +486,18 @@ class SessionCore:
                 yield self.sim.timeout(self.BROKER_REBIND_WAIT_S)
                 continue
             jmc, job_id = yield from self._target_plan(handle)
-            tree = yield from self._wait_gen(jmc, job_id, max_polls)
+            view = yield from self._wait_gen(jmc, job_id, max_polls)
             new_id, _ = self._resolve(handle)
             if new_id != job_id:
                 steal_grace = self.STEAL_GRACE_ROUNDS
                 continue  # moved while we were polling the old site
             if live() and not entry.job_id:
                 continue
-            if tree.get("status") == "killed" and live() and steal_grace > 0:
+            if view.status == "killed" and live() and steal_grace > 0:
                 steal_grace -= 1
                 yield self.sim.timeout(self.BROKER_REBIND_WAIT_S)
                 continue
-            return JobStatusView.from_dict(tree)
+            return view
 
     def _wait_gen(
         self, jmc: JobMonitorController, job_id: str, max_polls: int
@@ -516,8 +515,7 @@ class SessionCore:
     def list_jobs_plan(self, usite: str | None = None) -> typing.Generator:
         """The user's jobs at one Usite (default: the home site)."""
         tier = yield from self._connect_plan(usite or self.usite)
-        rows = yield from tier[2].list_jobs()
-        return [JobListing.from_dict(row) for row in rows]
+        return (yield from tier[2].list_jobs())
 
     def sleep_plan(self, seconds: float) -> typing.Generator:
         """Let simulated time pass (jobs run; nothing blocks on it)."""
@@ -526,4 +524,4 @@ class SessionCore:
     @staticmethod
     def render(view: JobStatusView) -> str:
         """The JMC's colored status tree, from a typed view."""
-        return JobMonitorController.render_tree(view.to_dict())
+        return JobMonitorController.render_tree(view)

@@ -78,19 +78,19 @@ class AsyncJobHandle:
     async def outcome(self):
         return await self._session.outcome(self.handle)
 
-    async def cancel(self) -> dict:
+    async def cancel(self) -> str:
         return await self._session.cancel(self.handle)
 
-    async def hold(self) -> dict:
+    async def hold(self) -> str:
         return await self._session.hold(self.handle)
 
-    async def resume(self) -> dict:
+    async def resume(self) -> str:
         return await self._session.resume(self.handle)
 
     async def fetch_file(self, path: str, save_as: str | None = None) -> bytes:
         return await self._session.fetch_file(self.handle, path, save_as)
 
-    async def dispose(self) -> dict:
+    async def dispose(self) -> str:
         return await self._session.dispose(self.handle)
 
 

@@ -6,8 +6,9 @@ subset of DER that format needs, and every plain value this repo puts
 into bytes outside the AJO rides it: resource pages, storage rows
 (:class:`repro.storage.Table`), grid snapshots
 (:class:`repro.grid.GridSnapshot`), the socket MSG body
-(:mod:`repro.net.wire`) and the stream OPEN preamble
-(:mod:`repro.net.stream`).
+(:mod:`repro.net.wire`), the stream OPEN preamble
+(:mod:`repro.net.stream`) and the protocol replies
+(:mod:`repro.protocol.views`).
 
 ======  ============  =================  ==================================
 tag     ASN.1 type    Python             content
@@ -85,6 +86,14 @@ def write(out: list[bytes], value: object) -> int:
     """
     if isinstance(value, str):
         tag, content = _UTF8, value.encode("utf-8")
+    elif isinstance(value, (list, tuple)):
+        at = len(out)
+        out.append(b"")
+        length = 0
+        for item in value:
+            length += write(out, item)
+        out[at] = head = _head(_SEQ, length)
+        return len(head) + length
     elif isinstance(value, dict):
         at = len(out)
         out.append(b"")
@@ -114,14 +123,6 @@ def write(out: list[bytes], value: object) -> int:
         out.append(head)
         out.append(content)
         return len(head) + len(content)
-    elif isinstance(value, (list, tuple)):
-        at = len(out)
-        out.append(b"")
-        length = 0
-        for item in value:
-            length += write(out, item)
-        out[at] = head = _head(_SEQ, length)
-        return len(head) + length
     else:
         raise TypeError(f"cannot encode a {type(value).__name__} as a value")
     head = _head(tag, len(content))
@@ -145,6 +146,12 @@ def read(r: ByteReader[typing.Any]) -> Value:
         length = int.from_bytes(r.take(length & 0x7F), "big")
     if tag == _UTF8:
         return r.text(length)
+    if tag == _SEQ:
+        items: list[Value] = []
+        with r.nest(length):
+            while r.pos < r.stop:
+                items.append(read(r))
+        return items
     if tag == _MAP:
         result: dict[str, Value] = {}
         with r.nest(length):
@@ -158,12 +165,6 @@ def read(r: ByteReader[typing.Any]) -> Value:
         return result
     if tag == _NULL and not length:
         return None
-    if tag == _SEQ:
-        items: list[Value] = []
-        with r.nest(length):
-            while r.pos < r.stop:
-                items.append(read(r))
-        return items
     if tag == _OCTETS:
         return bytes(r.take(length))
     if tag == _REAL:

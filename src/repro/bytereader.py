@@ -55,8 +55,13 @@ class ByteReader(typing.Generic[B]):
         return end
 
     def take(self, n: int) -> B:
-        start, self.pos = self.pos, self._check(n)
-        return self.buf[start:self.pos]
+        # ``_check`` inlined: this is the hot path of every decoder.
+        start = self.pos
+        end = start + n
+        if n < 0 or end > self.stop:
+            raise self.error(f"truncated: {n} bytes wanted, {self.remaining} left")
+        self.pos = end
+        return self.buf[start:end]
 
     def u8(self) -> int:
         return self.take(1)[0]

@@ -10,8 +10,8 @@ tasks."
 
 from __future__ import annotations
 
-import json
-
+from repro import asn1
+from repro.ajo.errors import SerializationError
 from repro.ajo.outcome import AJOOutcome, Outcome, TaskOutcome
 from repro.ajo.serialize import decode_outcome, encode_service
 from repro.ajo.services import ControlService, ControlVerb, ListService, QueryService
@@ -23,12 +23,20 @@ from repro.protocol.client import RESPONSE_TIMEOUT_S
 from repro.protocol.datapath import fetch_bulk_payload
 from repro.protocol.messages import Request, RequestKind
 from repro.protocol.retry import RetryExhausted
-from repro.protocol.views import JobStatusView
+from repro.protocol.views import (
+    JobListing,
+    JobListingDelta,
+    JobStatusView,
+    decode_ack,
+)
 from repro.vfs.spaces import Workstation
 
 __all__ = ["JobMonitorController"]
 
-_TERMINAL = {"successful", "failed", "killed", "not_attempted"}
+
+def _view(payload: bytes) -> JobStatusView:
+    """The status tree a QUERY reply carries."""
+    return JobStatusView.from_value(asn1.decode(payload, SerializationError))
 
 
 class JobMonitorController:
@@ -43,13 +51,13 @@ class JobMonitorController:
 
     def __init__(self, session: UnicoreSession) -> None:
         self.session = session
-        #: Last good status tree per job as ``(sim_time, tree)``, for
+        #: Last good status tree per job as ``(sim_time, view)``, for
         #: stale-but-served display during gateway outages.
-        self._status_cache: dict[str, tuple[float, dict]] = {}
+        self._status_cache: dict[str, tuple[float, JobStatusView]] = {}
         #: Delta-listing state: the server change-log cursor and the
-        #: merged rows (``job_id -> listing dict``) it is valid against.
+        #: merged rows (``job_id -> listing``) it is valid against.
         self._list_cursor: tuple[int, int] | None = None
-        self._list_rows: dict[str, dict] = {}
+        self._list_rows: dict[str, JobListing] = {}
 
     # -- the verbs (each method is a generator: yield from in a process) ----
     def _ask(
@@ -78,21 +86,22 @@ class JobMonitorController:
         answered in full again and resyncs.
         """
         seq, epoch = self._list_cursor or (0, -1)
-        data = json.loads((yield from self._ask(
+        payload = yield from self._ask(
             RequestKind.LIST,
             encode_service(ListService("list my jobs", since_seq=seq, epoch=epoch)),
-        )))
-        if data["full"]:
-            self._list_rows = {row["job_id"]: row for row in data["listings"]}
+        )
+        delta = JobListingDelta.from_value(asn1.decode(payload, SerializationError))
+        if delta.full:
+            self._list_rows = {row.job_id: row for row in delta.listings}
         else:
             telemetry_for(self.session.client.sim).metrics.counter(
                 "jmc.delta_views"
             ).inc()
-            for row in data["listings"]:
-                self._list_rows[row["job_id"]] = row
-            for job_id in data["removed"]:
+            for row in delta.listings:
+                self._list_rows[row.job_id] = row
+            for job_id in delta.removed:
                 self._list_rows.pop(job_id, None)
-        self._list_cursor = (int(data["seq"]), int(data["epoch"]))
+        self._list_cursor = (delta.seq, delta.epoch)
         return [self._list_rows[job_id] for job_id in sorted(self._list_rows)]
 
     def status(
@@ -121,11 +130,11 @@ class JobMonitorController:
             telemetry_for(self.session.client.sim).metrics.counter(
                 "client.stale_status_serves"
             ).inc()
-            cached_at, tree = cached
-            return JobStatusView.from_dict(tree).marked_stale(cached_at).to_dict()
-        tree = json.loads(payload)
-        self._status_cache[job_id] = (self.session.client.sim.now, tree)
-        return tree
+            cached_at, view = cached
+            return view.marked_stale(cached_at)
+        view = _view(payload)
+        self._status_cache[job_id] = (self.session.client.sim.now, view)
+        return view
 
     def wait_for_completion(self, job_id: str, max_polls: int = 10_000):
         """Block until the job reaches a terminal state.
@@ -149,13 +158,13 @@ class JobMonitorController:
                 "wait", target_job_id=job_id, subscribe=True, hold_s=hold
             )
             asked_at = client.sim.now
-            tree = json.loads((yield from self._ask(
+            view = _view((yield from self._ask(
                 RequestKind.QUERY, encode_service(service),
                 response_timeout_s=hold + self.SUBSCRIBE_REPLY_GRACE_S,
             )))
-            self._status_cache[job_id] = (client.sim.now, tree)
-            if tree["status"] in _TERMINAL:
-                return tree
+            self._status_cache[job_id] = (client.sim.now, view)
+            if view.is_terminal:
+                return view
             if client.sim.now - asked_at < hold * 0.5:
                 # The server answered well before the hold expired
                 # without a terminal status: it does not park requests.
@@ -189,9 +198,10 @@ class JobMonitorController:
 
     # -- control -----------------------------------------------------------------
     def control(self, job_id: str, verb: str):
-        """Send a ControlService (cancel / hold / resume)."""
+        """Send a ControlService (cancel / hold / resume); the verb the
+        gateway acknowledged."""
         service = ControlService(verb, target_job_id=job_id, verb=verb)
-        return json.loads((yield from self._ask(
+        return decode_ack((yield from self._ask(
             RequestKind.CONTROL, encode_service(service)
         )))
 
@@ -213,8 +223,7 @@ class JobMonitorController:
         Returns the content; with ``workstation`` also saves it there.
         """
         reply = yield from self._ask(
-            RequestKind.FETCH_FILE,
-            json.dumps({"job_id": job_id, "path": path}).encode(),
+            RequestKind.FETCH_FILE, asn1.encode([job_id, path]),
         )
         content = yield from fetch_bulk_payload(self.session.datapath, reply)
         if workstation is not None:
@@ -223,12 +232,13 @@ class JobMonitorController:
 
     def dispose(self, job_id: str):
         """Release a finished job's Uspaces on the server; its cached
-        status tree goes with it, so no outage re-serves a disposed job."""
-        reply = json.loads((yield from self._ask(
+        status tree goes with it, so no outage re-serves a disposed job.
+        Returns the job id the gateway acknowledged."""
+        disposed = decode_ack((yield from self._ask(
             RequestKind.DISPOSE, job_id.encode()
         )))
         self._status_cache.pop(job_id, None)
-        return reply
+        return disposed
 
     # -- output handling (pure client-side helpers) --------------------------
     @staticmethod
@@ -259,13 +269,10 @@ class JobMonitorController:
         workstation.fs.write(path, outcome.stdout.encode())
 
     @staticmethod
-    def render_tree(tree: dict, indent: int = 0) -> str:
+    def render_tree(view: JobStatusView, indent: int = 0) -> str:
         """The JMC display: the job tree with status colors."""
-        line = (
-            " " * indent
-            + f"[{tree['color']:>6}] {tree['name']} ({tree['status']})"
-        )
+        line = " " * indent + f"[{view.color:>6}] {view.name} ({view.status})"
         lines = [line]
-        for child in tree.get("children", []):
+        for child in view.children:
             lines.append(JobMonitorController.render_tree(child, indent + 2))
         return "\n".join(lines)

@@ -16,7 +16,6 @@ workstation files for consignment.
 
 from __future__ import annotations
 
-import json
 import typing
 
 from repro.ajo.job import AbstractJobObject, Dependency
@@ -36,6 +35,7 @@ from repro.ajo.errors import ValidationError
 from repro.analysis import AnalysisContext, AnalysisError, analyze_ajo
 from repro.client.browser import UnicoreSession
 from repro.observability import telemetry_for
+from repro.protocol.views import decode_ack
 from repro.resources.check import check_request
 from repro.resources.model import ResourceRequest
 from repro.vfs.body import FileBody
@@ -358,7 +358,7 @@ class JobPreparationAgent:
             # A refusal is the server's own error: ServiceUnavailable (the
             # NJS is down, not the job bad) lets resilient callers fail
             # over, a broker.* fair-use refusal stays typed, and so on.
-            job_id = json.loads(reply.unwrap())["job_id"]
+            job_id = decode_ack(reply.unwrap())
         except BaseException as err:
             tracer.end_span(submit_span, error=err)
             raise

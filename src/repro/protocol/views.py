@@ -2,14 +2,25 @@
 
 :meth:`NetworkJobSupervisor.query_status` and
 :meth:`~repro.server.njs.supervisor.NetworkJobSupervisor.list_jobs`
-used to hand ad-hoc ``dict`` trees straight to the gateway, which
-``json.dumps``-ed whatever happened to be inside.  These frozen
-dataclasses pin the schema down: the NJS builds views, the *gateway*
-serializes them at the protocol edge (and only there), and facade
-clients reconstruct them from the wire form with :meth:`from_dict`.
+build these frozen dataclasses; the gateway encodes them at the protocol
+edge (and only there) and the JMC decodes the reply straight back into
+the same type.
 
-``stale`` / ``as_of`` support graceful degradation: a client that cannot
-reach the gateway may re-serve its last good view, marked stale so the
+On the wire a view is one :mod:`repro.asn1` SEQUENCE of its fields in
+declaration order, with no keys:
+
+* status node: ``[id, name, status, color, [children…]]``;
+* listing: ``[job_id, name, status, submitted_at, recovered]``;
+* delta: ``[seq, epoch, full, [listings…], [removed…]]``.
+
+The CONSIGN, CONTROL and DISPOSE acknowledgements are one UTF8String
+each (the job id, the verb, the job id), read by :func:`decode_ack`.
+:meth:`from_value` checks the arity and the type of every field and
+refuses anything else with
+:class:`~repro.ajo.errors.SerializationError`.
+
+``stale`` / ``as_of`` never cross the wire: a client that cannot reach
+the gateway may re-serve its last good view, marked stale so the
 user-facing layer can color it accordingly.
 """
 
@@ -18,7 +29,44 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, replace
 
-__all__ = ["JobStatusView", "JobListing", "JobListingDelta"]
+from repro import asn1
+from repro.ajo.errors import SerializationError
+
+__all__ = ["JobStatusView", "JobListing", "JobListingDelta", "decode_ack"]
+
+
+def decode_ack(payload: bytes) -> str:
+    """The one string an acknowledgement reply carries."""
+    text = asn1.decode(payload, SerializationError)
+    if not isinstance(text, str):
+        raise SerializationError(
+            f"an acknowledgement is a string, got {text!r:.80}"
+        )
+    return text
+
+
+def _fields(value: object, kinds: list[type], what: str) -> list[typing.Any]:
+    """``value`` as a sequence of exactly ``kinds``, item by item."""
+    if type(value) is list and list(map(type, value)) == kinds:
+        return value
+    raise SerializationError(
+        f"a {what} is a sequence of "
+        f"({', '.join(kind.__name__ for kind in kinds)}), got {value!r:.80}"
+    )
+
+
+#: The field types of each view's wire form, in declaration order.
+_NODE = [str, str, str, str, list]
+_LISTING = [str, str, str, float, bool]
+_DELTA = [int, int, bool, list, list]
+
+
+def _items(value: list[typing.Any], kind: type, what: str) -> list[typing.Any]:
+    """``value`` when each of its items is a ``kind``."""
+    for item in value:
+        if type(item) is not kind:
+            raise SerializationError(f"{what} must be {kind.__name__}s")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,33 +92,21 @@ class JobStatusView:
     def is_terminal(self) -> bool:
         return self.status in ("successful", "failed", "killed", "not_attempted")
 
-    def to_dict(self) -> dict:
-        """The wire form (what the gateway serializes into the Reply)."""
-        out: dict = {
-            "id": self.id,
-            "name": self.name,
-            "status": self.status,
-            "color": self.color,
-        }
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        if self.stale:
-            out["stale"] = True
-            out["as_of"] = self.as_of
-        return out
+    def to_value(self) -> list[typing.Any]:
+        """The wire form: ``[id, name, status, color, [children…]]``."""
+        return [
+            self.id, self.name, self.status, self.color,
+            [child.to_value() for child in self.children],
+        ]
 
     @classmethod
-    def from_dict(cls, data: typing.Mapping) -> "JobStatusView":
+    def from_value(cls, value: object) -> "JobStatusView":
+        id_, name, status, color, children = _fields(
+            value, _NODE, "status node"
+        )
         return cls(
-            id=data.get("id", ""),
-            name=data.get("name", ""),
-            status=data["status"],
-            color=data.get("color", ""),
-            children=tuple(
-                cls.from_dict(c) for c in data.get("children", ())
-            ),
-            stale=bool(data.get("stale", False)),
-            as_of=float(data.get("as_of", 0.0)),
+            id_, name, status, color,
+            tuple(cls.from_value(child) for child in children),
         )
 
     def marked_stale(self, as_of: float) -> "JobStatusView":
@@ -89,26 +125,16 @@ class JobListing:
     #: Set on jobs re-supervised from the journal after an NJS crash.
     recovered: bool = False
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "job_id": self.job_id,
-            "name": self.name,
-            "status": self.status,
-            "submitted_at": self.submitted_at,
-        }
-        if self.recovered:
-            out["recovered"] = True
-        return out
+    def to_value(self) -> list[typing.Any]:
+        """The wire form: ``[job_id, name, status, submitted_at, recovered]``."""
+        return [
+            self.job_id, self.name, self.status,
+            float(self.submitted_at), self.recovered,
+        ]
 
     @classmethod
-    def from_dict(cls, data: typing.Mapping) -> "JobListing":
-        return cls(
-            job_id=data["job_id"],
-            name=data.get("name", ""),
-            status=data["status"],
-            submitted_at=float(data.get("submitted_at", 0.0)),
-            recovered=bool(data.get("recovered", False)),
-        )
+    def from_value(cls, value: object) -> "JobListing":
+        return cls(*_fields(value, _LISTING, "listing"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,24 +157,20 @@ class JobListingDelta:
     #: Job ids removed (disposed) since the cursor; empty on full answers.
     removed: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "epoch": self.epoch,
-            "full": self.full,
-            "listings": [item.to_dict() for item in self.listings],
-            "removed": list(self.removed),
-        }
+    def to_value(self) -> list[typing.Any]:
+        """The wire form: ``[seq, epoch, full, [listings…], [removed…]]``."""
+        return [
+            self.seq, self.epoch, self.full,
+            [item.to_value() for item in self.listings], list(self.removed),
+        ]
 
     @classmethod
-    def from_dict(cls, data: typing.Mapping) -> "JobListingDelta":
-        return cls(
-            seq=int(data["seq"]),
-            epoch=int(data["epoch"]),
-            full=bool(data.get("full", False)),
-            listings=tuple(
-                JobListing.from_dict(item) for item in data.get("listings", ())
-            ),
-            removed=tuple(data.get("removed", ())),
+    def from_value(cls, value: object) -> "JobListingDelta":
+        seq, epoch, full, listings, removed = _fields(
+            value, _DELTA, "listing delta"
         )
-
+        return cls(
+            seq, epoch, full,
+            tuple(JobListing.from_value(item) for item in listings),
+            tuple(_items(removed, str, "removed job ids")),
+        )

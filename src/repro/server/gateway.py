@@ -24,11 +24,11 @@ The :class:`Gateway` therefore:
 
 from __future__ import annotations
 
-import json
 import types
 import typing
 from dataclasses import dataclass
 
+from repro import asn1
 from repro.ajo.errors import SerializationError
 from repro.ajo.serialize import decode_ajo, decode_service
 from repro.ajo.services import (
@@ -416,7 +416,7 @@ class Gateway:
             parent_span_id=span.span_id,
             ajo_bytes=consignment.ajo_bytes,
         )
-        return _json({"job_id": run.job_id}), None
+        return asn1.encode(run.job_id), None
 
     def _query(self, request: Request, *_):
         """Answer a QUERY, parking subscription requests until completion.
@@ -442,7 +442,7 @@ class Gateway:
                 deadline.cancel()
         view = self.njs.query_status(service.target_job_id, detail=service.detail)
         # Serialization happens here, at the protocol edge, only.
-        return _json(view.to_dict()), None
+        return asn1.encode(view.to_value()), None
 
     def _list(self, request: Request, *_) -> _Answer:
         """The change-log delta since the client's cursor; a full listing
@@ -451,7 +451,7 @@ class Gateway:
         delta = self.njs.list_jobs_delta(
             request.user_dn, service.since_seq, service.epoch
         )
-        return _json(delta.to_dict()), None
+        return asn1.encode(delta.to_value()), None
 
     def _control(self, request: Request, *_) -> _Answer:
         service = _service(request, ControlService)
@@ -461,7 +461,7 @@ class Gateway:
             ControlVerb.HOLD: self.njs.hold,
             ControlVerb.RESUME: self.njs.resume,
         }[service.verb](service.target_job_id)
-        return _json({"acknowledged": service.verb}), None
+        return asn1.encode(service.verb), None
 
     def _retrieve_outcome(self, request: Request, *_) -> _Answer:
         job_id = _job_id(request)
@@ -469,16 +469,7 @@ class Gateway:
         return self._bulk(request, FileBody(self.njs.retrieve_outcome(job_id)))
 
     def _fetch_file(self, request: Request, *_) -> _Answer:
-        try:
-            spec = json.loads(request.payload)
-            job_id, path = spec["job_id"], spec["path"]
-        except (ValueError, TypeError, KeyError, RecursionError):
-            job_id = path = None
-        if not (isinstance(job_id, str) and isinstance(path, str)):
-            raise SerializationError(
-                "FETCH_FILE request must carry a JSON object with the "
-                "strings 'job_id' and 'path'"
-            )
+        job_id, path = _fetch_spec(request.payload)
         self._authorize_job(job_id, request.user_dn)
         return self._bulk(request, self.njs.fetch_uspace_file(job_id, path))
 
@@ -486,7 +477,7 @@ class Gateway:
         job_id = _job_id(request)
         self._authorize_job(job_id, request.user_dn)
         self.njs.dispose(job_id)
-        return _json({"disposed": job_id}), None
+        return asn1.encode(job_id), None
 
     def _bulk(self, request: Request, content: FileBody) -> _Answer:
         """Answer with content: inline if small, else a reference to a
@@ -509,10 +500,6 @@ class Gateway:
             raise ServerError(f"job {job_id} belongs to another user")
 
 
-def _json(data: object) -> bytes:
-    return json.dumps(data).encode()
-
-
 _S = typing.TypeVar("_S", bound=AbstractService)
 
 
@@ -524,6 +511,22 @@ def _service(request: Request, expected: type[_S]) -> _S:
             f"{request.kind.upper()} request must carry a {expected.__name__}"
         )
     return service
+
+
+def _fetch_spec(payload: bytes) -> tuple[str, str]:
+    """The ``[job_id, path]`` value a FETCH_FILE request carries."""
+
+    def refused(why: str) -> SerializationError:
+        return SerializationError(
+            f"FETCH_FILE request must carry the value [job_id, path]: {why}"
+        )
+
+    spec = asn1.decode(payload, refused)
+    if type(spec) is list and len(spec) == 2:
+        job_id, path = spec
+        if type(job_id) is str and type(path) is str:
+            return job_id, path
+    raise refused(f"got {spec!r:.80}")
 
 
 def _job_id(request: Request) -> str:

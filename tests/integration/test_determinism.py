@@ -51,7 +51,7 @@ def _run_scenario(seed: int) -> dict:
             root.depends(work, sub.ajo, files=["d.dat"])
             job_id = yield from jpa.submit(root)
             final = yield from jmc.wait_for_completion(job_id)
-            statuses.append((job_id, final["status"]))
+            statuses.append((job_id, final.status))
 
     grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
     grid.sim.run()

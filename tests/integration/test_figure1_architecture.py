@@ -83,7 +83,7 @@ def test_compile_link_execute_end_to_end(single_site):
     p = grid.sim.process(scenario(grid.sim))
     job_id, final, outcome = grid.sim.run(until=p)
 
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     assert outcome.rollup_status() is ActionStatus.SUCCESSFUL
     # The export landed the result on the site's Xspace.
     usite = grid.usites["FZJ"]
@@ -141,7 +141,7 @@ def test_failed_predecessor_skips_successor(single_site):
 
     p = grid.sim.process(scenario(grid.sim))
     final, outcome = grid.sim.run(until=p)
-    assert final["status"] == "failed"
+    assert final.status == "failed"
     assert outcome.child(imp.id).status is ActionStatus.FAILED
     assert outcome.child(work.id).status is ActionStatus.NOT_ATTEMPTED
 
@@ -165,9 +165,9 @@ def test_jmc_list_status_and_cancel(single_site):
 
     p = grid.sim.process(scenario(grid.sim))
     job_id, listing, tree, final = grid.sim.run(until=p)
-    assert any(j["job_id"] == job_id for j in listing)
-    assert tree["name"] == "longrun"
-    assert final["status"] == "killed"
+    assert any(j.job_id == job_id for j in listing)
+    assert tree.name == "longrun"
+    assert final.status == "killed"
     # The batch job was really cancelled on the T3E.
     batch = grid.usites["FZJ"].vsites["FZJ-T3E"].batch
     from repro.batch import BatchState
@@ -242,4 +242,4 @@ def test_save_and_resubmit_job(single_site):
     p = grid.sim.process(scenario(grid.sim))
     first, second, final = grid.sim.run(until=p)
     assert first != second
-    assert final["status"] == "successful"
+    assert final.status == "successful"

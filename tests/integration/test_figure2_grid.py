@@ -47,7 +47,7 @@ def test_multisite_pipeline_with_file_transfer(two_sites):
     p = grid.sim.process(scenario(grid.sim))
     job_id, final, outcome = grid.sim.run(until=p)
 
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     # The remote group's outcome was merged back into the job tree.
     sub_outcome = outcome.child(post_group.ajo.id)
     assert sub_outcome.rollup_status() is ActionStatus.SUCCESSFUL
@@ -90,7 +90,7 @@ def test_transfer_task_moves_uspace_data_between_sites(two_sites):
 
     p = grid.sim.process(scenario(grid.sim))
     final, outcome, xfer_id = grid.sim.run(until=p)
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     xfer_outcome = outcome.child(xfer_id)
     assert xfer_outcome.status is ActionStatus.SUCCESSFUL
     assert xfer_outcome.bytes_moved > 0
@@ -118,7 +118,7 @@ def test_user_without_remote_mapping_fails_remote_group(two_sites):
 
     p = grid.sim.process(scenario(grid.sim))
     final, outcome, remote_id = grid.sim.run(until=p)
-    assert final["status"] == "failed"
+    assert final.status == "failed"
     assert outcome.child(remote_id).status is ActionStatus.FAILED
     assert "no local account" in outcome.child(remote_id).reason
 
@@ -151,7 +151,7 @@ def test_user_can_contact_any_unicore_server(two_sites):
     p = grid.sim.process(scenario(grid.sim))
     job_id, final = grid.sim.run(until=p)
     assert job_id.endswith("@ZIB")
-    assert final["status"] == "successful"
+    assert final.status == "successful"
 
 
 def test_three_site_scatter(two_sites):
@@ -180,7 +180,7 @@ def test_three_site_scatter(two_sites):
 
     p = grid.sim.process(scenario(grid.sim))
     final = grid.sim.run(until=p)
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     assert grid.usites["ZIB"].vsites["ZIB-SP2"].batch.all_records()
     assert grid.usites["LRZ"].vsites["LRZ-VPP"].batch.all_records()
     # Both remote parts ran concurrently: the VPP is 4x faster but both
@@ -212,7 +212,7 @@ def test_workstation_files_ship_with_forwarded_groups(two_sites):
 
     p = grid.sim.process(scenario(grid.sim))
     job_id, final = grid.sim.run(until=p)
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     # The file physically landed in the remote (ZIB) uspace.
     zib_njs = grid.usites["ZIB"].njs
     (remote_run,) = zib_njs.runs.values()

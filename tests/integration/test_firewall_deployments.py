@@ -37,7 +37,7 @@ def test_colocated_site_serves_jobs():
         return final
 
     p = grid.sim.process(scenario(grid.sim))
-    assert grid.sim.run(until=p)["status"] == "successful"
+    assert grid.sim.run(until=p).status == "successful"
 
 
 def test_cross_site_forwarding_between_mixed_deployments():
@@ -68,7 +68,7 @@ def test_cross_site_forwarding_between_mixed_deployments():
 
         p = grid.sim.process(scenario(grid.sim))
         final = grid.sim.run(until=p)
-        assert final["status"] == "successful", f"{home} -> {remote}"
+        assert final.status == "successful", f"{home} -> {remote}"
 
     # Both machines really executed work.
     assert grid.usites["FZJ"].vsites["FZJ-T3E"].batch.all_records()

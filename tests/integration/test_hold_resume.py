@@ -51,7 +51,7 @@ def test_hold_pauses_delivery_resume_continues(site):
     p = grid.sim.process(scenario(grid.sim))
     delivered_while_held, final, end = grid.sim.run(until=p)
     assert delivered_while_held == 1  # only stage 0 reached the T3E
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     # The held interval (~450s idle) shows up in the makespan.
     assert end > 3 * 100.0 + 400.0
 
@@ -72,7 +72,7 @@ def test_hold_does_not_touch_running_batch_job(site):
     p = grid.sim.process(scenario(grid.sim))
     # The single already-delivered task runs to completion despite the
     # hold (UNICORE cannot influence the destination system).
-    assert grid.sim.run(until=p)["status"] == "successful"
+    assert grid.sim.run(until=p).status == "successful"
 
 
 def test_cancel_wakes_held_job(site):
@@ -92,7 +92,7 @@ def test_cancel_wakes_held_job(site):
         return final
 
     p = grid.sim.process(scenario(grid.sim))
-    assert grid.sim.run(until=p)["status"] == "killed"
+    assert grid.sim.run(until=p).status == "killed"
 
 
 def test_hold_terminal_job_rejected(site):

@@ -76,7 +76,7 @@ def test_dispose_destroys_uspace_and_forgets_job(site):
 
     p = grid.sim.process(dispose(grid.sim))
     ack = grid.sim.run(until=p)
-    assert ack["disposed"] == job_id
+    assert ack == job_id
     assert vsite.uspaces.active_jobs == []
 
     # The job is gone: further queries fail.

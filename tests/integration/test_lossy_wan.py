@@ -46,7 +46,7 @@ def test_single_site_job_completes_on_lossy_access_link(loss):
 
     p = grid.sim.process(scenario(grid.sim))
     final = grid.sim.run(until=p)
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     assert session.client.retries >= 0  # retries may or may not trigger
 
 
@@ -72,7 +72,7 @@ def test_multisite_pipeline_survives_lossy_wan():
 
     p = grid.sim.process(scenario(grid.sim))
     final, outcome = grid.sim.run(until=p)
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     assert outcome.rollup_status() is ActionStatus.SUCCESSFUL
     # The WAN really lost messages along the way.
     assert grid.network.total_messages_lost() > 0
@@ -96,6 +96,6 @@ def test_duplicate_consign_suppressed_under_reply_loss():
 
     p = grid.sim.process(scenario(grid.sim))
     job_id, final, listing = grid.sim.run(until=p)
-    assert final["status"] == "successful"
-    assert [j["job_id"] for j in listing] == [job_id]  # exactly one job
+    assert final.status == "successful"
+    assert [j.job_id for j in listing] == [job_id]  # exactly one job
     assert grid.usites["FZJ"].njs.job_count == 1

@@ -50,7 +50,7 @@ def test_cross_vsite_pipeline_within_one_usite(fzj_two_vsites):
 
     p = grid.sim.process(scenario(grid.sim))
     job_id, final, outcome = grid.sim.run(until=p)
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     sub_outcome = outcome.child(post.ajo.id)
     assert sub_outcome.child(render.id).status is ActionStatus.SUCCESSFUL
 
@@ -89,7 +89,7 @@ def test_vsite_specific_uudb_mapping_applies(fzj_two_vsites):
         return final
 
     p = grid.sim.process(scenario(grid.sim))
-    assert grid.sim.run(until=p)["status"] == "successful"
+    assert grid.sim.run(until=p).status == "successful"
     usite = grid.usites["FZJ"]
     assert usite.vsites["FZJ-T3E"].batch.all_records()[0].spec.owner == "multi"
     assert usite.vsites["DWD-SX4"].batch.all_records()[0].spec.owner == "multi_sx"

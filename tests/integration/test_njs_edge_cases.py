@@ -38,7 +38,7 @@ def test_cancel_propagates_to_forwarded_group(duo):
 
     p = grid.sim.process(scenario(grid.sim))
     final = grid.sim.run(until=p)
-    assert final["status"] == "killed"
+    assert final.status == "killed"
     # The remote batch job was really cancelled at ZIB.
     from repro.batch import BatchState
 
@@ -66,7 +66,7 @@ def test_transfer_to_unknown_usite_fails_task_only(duo):
 
     p = grid.sim.process(scenario(grid.sim))
     final, outcome = grid.sim.run(until=p)
-    assert final["status"] == "failed"
+    assert final.status == "failed"
     assert outcome.child(work.id).status is ActionStatus.SUCCESSFUL
     assert outcome.child(xfer.id).status is ActionStatus.FAILED
     assert "no route" in outcome.child(xfer.id).reason
@@ -172,7 +172,7 @@ def test_batch_queue_rejection_reported_in_outcome(duo):
     final, outcome = grid.sim.run(until=p)
     # Either the NJS consign check or the batch system rejected it; in
     # both cases the user sees a clean failure, never a hang.
-    assert final["status"] in ("failed", "successful")
+    assert final.status in ("failed", "successful")
 
 
 def test_two_jobs_share_nothing(duo):

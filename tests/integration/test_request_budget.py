@@ -5,8 +5,10 @@ Wall time moves from run to run; these counts do not.  An https message
 is one simulator queue entry (it was a process with four) and its
 delivery calls the server it is for, a
 certificate's to-be-signed bytes are encoded when the certificate is
-built and never while a request is served, and a consigned AJO is
-encoded by the client and decoded once by the site that takes it.
+built and never while a request is served, a consigned AJO is
+encoded by the client and decoded once by the site that takes it, and
+a status or list request touches JSON only for its service envelope:
+the reply is one ``repro.asn1`` value.
 These tests meter the simulator and ``json`` under the public session
 API and hold a request to that budget.
 """
@@ -25,22 +27,30 @@ from repro.simkernel import Simulator
 
 
 class _JsonMeter:
-    """Stands in for ``json.dumps`` / ``json.loads`` and counts the
-    certificate and AJO encodings that pass through."""
+    """Stands in for ``json.dumps`` / ``json.loads`` and counts every
+    call, and the certificate and AJO encodings among them."""
 
     def __init__(self) -> None:
+        self.dumps_calls = 0
+        self.loads_calls = 0
         self.tbs_encodes = 0
         self.ajo_encodes = 0
         self.ajo_decodes = 0
         self._dumps, self._loads = json.dumps, json.loads
 
+    @property
+    def calls(self) -> tuple[int, int]:
+        return self.dumps_calls, self.loads_calls
+
     def dumps(self, obj, **kwargs):
+        self.dumps_calls += 1
         if isinstance(obj, dict):
             self.tbs_encodes += "public_key" in obj and "serial" in obj
             self.ajo_encodes += "unicore_ajo" in obj
         return self._dumps(obj, **kwargs)
 
     def loads(self, data, **kwargs):
+        self.loads_calls += 1
         obj = self._loads(data, **kwargs)
         self.ajo_decodes += isinstance(obj, dict) and "unicore_ajo" in obj
         return obj
@@ -91,9 +101,13 @@ def test_one_status_request_stays_inside_the_request_budget(metered):
 
     events = grid.sim.processed_events
     encoded = meter.tbs_encodes
+    json_calls = meter.calls
     del metered.started[:]
     view = session.status(handle, allow_stale=False)
     assert view.status == "successful"
+    # JSON only for the QueryService envelope: encoded by the client,
+    # decoded by the gateway.  The status tree is one repro.asn1 value.
+    assert _since(meter.calls, json_calls) == (1, 1)
 
     # The plan starts, request delivered, handler starts, auth timer,
     # firewall hop in and out, reply delivered, reply wakes the plan, the
@@ -111,6 +125,24 @@ def test_one_status_request_stays_inside_the_request_budget(metered):
     # certificate.
     assert meter.tbs_encodes == encoded
     assert meter.tbs_encodes == len(metered.certificates)
+
+
+def test_one_list_request_touches_json_only_for_its_service_envelope(metered):
+    session, meter = metered.session, metered.meter
+    handle = session.submit(_small_job(session, "listed"))
+    session.wait(handle)
+    assert [row.job_id for row in session.list_jobs()] == [handle.job_id]
+
+    json_calls = meter.calls
+    (row,) = session.list_jobs()
+    assert (row.job_id, row.status) == (handle.job_id, "successful")
+    # One ListService encode at the client, one decode at the gateway;
+    # the delta comes back as a repro.asn1 value.
+    assert _since(meter.calls, json_calls) == (1, 1)
+
+
+def _since(now: tuple[int, int], before: tuple[int, int]) -> tuple[int, int]:
+    return now[0] - before[0], now[1] - before[1]
 
 
 def test_a_consigned_job_is_encoded_by_the_client_and_decoded_once_per_site(

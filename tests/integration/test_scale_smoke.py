@@ -43,7 +43,7 @@ def test_thirty_concurrent_jobs_across_six_sites():
             pending.append(job_id)
         for job_id in pending:
             final = yield from jmc.wait_for_completion(job_id)
-            results.append((job_id, final["status"]))
+            results.append((job_id, final.status))
 
     procs = [grid.sim.process(stream(h)) for h in ("FZJ", "ZIB", "DWD")]
     for p in procs:

@@ -57,7 +57,7 @@ def test_large_consign_upload_streams_and_roundtrips(two_sites):
 
     p = grid.sim.process(scenario(grid.sim))
     job_id, final, fetched = grid.sim.run(until=p)
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     # Byte-exact roundtrip: upload stream in, push stream back out.
     assert fetched == content
     metrics = telemetry_for(grid.sim).metrics
@@ -119,7 +119,7 @@ def _run_transfer_job(two_sites, drop_wan: bool):
 
     p = grid.sim.process(scenario(grid.sim))
     job_id, final = grid.sim.run(until=p)
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     assert grid.usites["FZJ"].njs.forwarding.transfers_bytes == 1 << 20
     # The file arrived before the group that reads it, so it waited in
     # the early-file stash under the parent job id; the group claimed it
@@ -178,7 +178,7 @@ def test_forwarded_group_stages_and_returns_large_files(two_sites):
 
     p = grid.sim.process(scenario(grid.sim))
     job_id, final = grid.sim.run(until=p)
-    assert final["status"] == "successful"
+    assert final.status == "successful"
     metrics = telemetry_for(grid.sim).metrics
     # field.dat streamed out with the forwarded group, render.out
     # streamed back with the group result: two streams, 1 MiB each.

@@ -8,16 +8,16 @@ typed ``WaitTimeout`` when the renewal budget is exhausted, and survival
 of an NJS crash while a subscription is parked.
 """
 
-import json
-
 import pytest
 
-from repro.ajo import QueryService, encode_service
+from repro import asn1
+from repro.ajo import QueryService, SerializationError, encode_service
 from repro.api import GridSession
 from repro.client import JobMonitorController
 from repro.errors import ReproError, WaitTimeout
 from repro.grid import build_grid
 from repro.observability import telemetry_for
+from repro.protocol.views import JobStatusView
 from repro.resources import ResourceRequest
 
 
@@ -59,7 +59,9 @@ def test_subscription_wait_replaces_the_poll_train():
         session2.session.client.poll_until(
             make_query=lambda: query,
             user_dn=session2.session.user_dn,
-            is_done=lambda r: json.loads(r.unwrap())["status"] == "successful",
+            is_done=lambda r: JobStatusView.from_value(
+                asn1.decode(r.unwrap(), SerializationError)
+            ).status == "successful",
         )
     ))
     poll_cost = _requests_sent(grid2) - before
@@ -118,7 +120,7 @@ def test_list_jobs_uses_delta_views_across_refreshes():
         return grid.sim.run(until=proc)
 
     rows = _listing()
-    assert {row["job_id"] for row in rows} == {h1.job_id}
+    assert {row.job_id for row in rows} == {h1.job_id}
 
     # Second refresh after a new submission rides the cursor: the wire
     # answer is a delta (counted), yet the merged view is complete.
@@ -126,15 +128,15 @@ def test_list_jobs_uses_delta_views_across_refreshes():
     before = metrics.counter_value("jmc.delta_views")
     rows = _listing()
     assert metrics.counter_value("jmc.delta_views") == before + 1
-    assert {row["job_id"] for row in rows} == {h1.job_id, h2.job_id}
+    assert {row.job_id for row in rows} == {h1.job_id, h2.job_id}
 
     # Jobs finishing show up through the same delta stream.
     session.wait(h1)
     session.wait(h2)
     rows = _listing()
-    by_id = {row["job_id"]: row for row in rows}
-    assert by_id[h1.job_id]["status"] == "successful"
-    assert by_id[h2.job_id]["status"] == "successful"
+    by_id = {row.job_id: row for row in rows}
+    assert by_id[h1.job_id].status == "successful"
+    assert by_id[h2.job_id].status == "successful"
 
     # An idle refresh is an empty delta, not a resync.
     assert _listing() == rows

@@ -16,6 +16,7 @@ import json
 import pytest
 
 import repro.server.gateway as gateway_module
+from repro import asn1
 from repro.ajo import AbstractJobObject, ExecuteScriptTask, ExportTask, encode_ajo
 from repro.api import GridSession
 from repro.api.aio import AsyncGridSession
@@ -385,7 +386,7 @@ _REFUSALS = {
     "consign-malformed": (
         _consign_malformed, "SerializationError", "ajo.serialization"),
     "fetch-malformed": (
-        _malformed(RequestKind.FETCH_FILE, b"not json"),
+        _malformed(RequestKind.FETCH_FILE, b"not a value"),
         "SerializationError", "ajo.serialization"),
     "outcome-malformed": (
         _malformed(RequestKind.RETRIEVE_OUTCOME, b"\xff"),
@@ -447,9 +448,9 @@ def test_the_gateway_keeps_serving_after_a_malformed_consign():
         with pytest.raises(SerializationError, match="malformed AJO"):
             await _consign_malformed(grid, user, session)
         for kind, payload in (
-            (RequestKind.FETCH_FILE, b"not json"),
-            (RequestKind.FETCH_FILE, b"[1]"),
-            (RequestKind.FETCH_FILE, b'{"job_id": [1], "path": "x"}'),
+            (RequestKind.FETCH_FILE, b"not a value"),
+            (RequestKind.FETCH_FILE, asn1.encode([1])),
+            (RequestKind.FETCH_FILE, asn1.encode({"job_id": [1], "path": "x"})),
             (RequestKind.RETRIEVE_OUTCOME, b"\xff"),
             (RequestKind.DISPOSE, b"\xff"),
         ):

@@ -6,8 +6,10 @@ One table, ``DECODERS``, names each with a valid encoding:
   the socket MSG body, the data-plane frame and its OPEN preamble, the
   ``UCON`` consignment envelope, the bulk-reply reference, and the values
   of ``repro.asn1`` — a resource page, ``GridSnapshot.from_bytes`` (a
-  file from disk), a storage row as a backend reads it back, and the
-  journal and outcome-store row readers over such a row;
+  file from disk), a storage row as a backend reads it back, the
+  journal and outcome-store row readers over such a row, and the replies
+  and request a JMC exchanges with a gateway (a status tree, a listing
+  delta, a FETCH_FILE spec, an acknowledgement);
 * the JSON ones: ``decode_ajo`` and ``decode_service`` (what a client
   sent) and ``decode_outcome`` (what a peer or a blob holds).
 
@@ -42,7 +44,7 @@ from repro.ajo.serialize import (
 from repro.ajo.services import ListService
 from repro.ajo.tasks import ImportTask, TransferTask
 from repro.api import GridSession
-from repro.errors import ERROR_CODES, ReproError, StorageError
+from repro.errors import ERROR_CODES, ReproError, SerializationError, StorageError
 from repro.grid import GridSnapshot, build_grid
 from repro.net import stream, wire
 from repro.protocol.consignment import (
@@ -52,7 +54,14 @@ from repro.protocol.consignment import (
 )
 from repro.protocol.datapath import decode_bulk_reply, encode_stream_reply
 from repro.protocol.messages import Request
+from repro.protocol.views import (
+    JobListing,
+    JobListingDelta,
+    JobStatusView,
+    decode_ack,
+)
 from repro.resources import ResourcePageError, ResourceRequest
+from repro.server.gateway import _fetch_spec
 from repro.storage import JobJournal, MemoryBackend, OutcomeRecord, OutcomeStore
 
 
@@ -140,6 +149,25 @@ def _read_outcome(data: bytes) -> OutcomeRecord | None:
     return OutcomeStore(backend, "o").get("U1")
 
 
+def _status_view(data: bytes) -> JobStatusView:
+    return JobStatusView.from_value(asn1.decode(data, SerializationError))
+
+
+def _listing_delta(data: bytes) -> JobListingDelta:
+    return JobListingDelta.from_value(asn1.decode(data, SerializationError))
+
+
+_TREE = JobStatusView("a1", "root", "running", "blue", children=(
+    JobStatusView("a2", "work", "successful", "green"),
+    JobStatusView("a3", "sub", "queued", "yellow", children=(
+        JobStatusView("a4", "u", "pending", "grey"),
+    )),
+))
+_DELTA = JobListingDelta(seq=9, epoch=2, full=False, listings=(
+    JobListing("U00001@FZJ", "first", "successful", 1.5, recovered=True),
+    JobListing("U00002@FZJ", "second", "running", 30.0),
+), removed=("U00000@FZJ",))
+
 _MSG = wire.encode_message(
     7, "ws", "gw",
     Request(kind="query", user_dn="CN=u", payload=b"\x00q", vsite="V",
@@ -174,9 +202,16 @@ BINARY_DECODERS = {
     "row": (_value, _valid_row()),
     "journal_row": (_reload_journal, _consign_row()),
     "outcome_row": (_read_outcome, _outcome_row()),
+    "status_view": (_status_view, asn1.encode(_TREE.to_value())),
+    "listing_delta": (_listing_delta, asn1.encode(_DELTA.to_value())),
+    "fetch_spec": (_fetch_spec, asn1.encode(["U00001@FZJ", "out/result.dat"])),
+    "ack": (decode_ack, asn1.encode("U00001@FZJ")),
 }
 #: The binary decoders whose input is one ``repro.asn1`` value.
-VALUE_DECODERS = ("snapshot", "row", "journal_row", "outcome_row")
+VALUE_DECODERS = (
+    "snapshot", "row", "journal_row", "outcome_row",
+    "status_view", "listing_delta", "fetch_spec",
+)
 JSON_DECODERS = {
     "ajo": (decode_ajo, _valid_ajo()),
     "service": (decode_service, encode_service(ListService("list", since_seq=3))),
@@ -286,6 +321,36 @@ def test_structure_mutated_encodings_decode_or_are_refused(name, edits):
 def test_the_valid_encodings_decode():
     for decode, data in DECODERS.values():
         assert decode(data) is not None
+
+
+def test_a_reply_round_trips_into_its_view():
+    assert _status_view(DECODERS["status_view"][1]) == _TREE
+    assert _listing_delta(DECODERS["listing_delta"][1]) == _DELTA
+
+
+@pytest.mark.parametrize("decode, value", [
+    # A status node of four items, not five.
+    (_status_view, ["a1", "root", "running", "blue"]),
+    # An int where the node's name belongs, deep in the tree.
+    (_status_view, ["a1", "root", "running", "blue",
+                    [["a2", 7, "queued", "yellow", []]]]),
+    # A keyed map where the node's sequence belongs.
+    (_status_view, {"id": "a1", "name": "root", "status": "running",
+                    "color": "blue", "children": []}),
+    # A listing whose ``recovered`` is not a bool.
+    (_listing_delta, [1, 0, True,
+                      [["U00001@FZJ", "first", "successful", 1.5, 1]], []]),
+    # A map where the delta's listings belong.
+    (_listing_delta, [1, 0, True, {"U00001@FZJ": "first"}, []]),
+    (_listing_delta, [1, 0, True, [], [7]]),
+    (_fetch_spec, ["U00001@FZJ"]),
+    (_fetch_spec, ["U00001@FZJ", 7]),
+    (_fetch_spec, {"job_id": "U00001@FZJ", "path": "out"}),
+    (decode_ack, ["U00001@FZJ"]),
+])
+def test_a_reply_of_the_wrong_shape_is_refused(decode, value):
+    with pytest.raises(SerializationError):
+        decode(asn1.encode(value))
 
 
 def _in_flight_snapshot() -> dict:

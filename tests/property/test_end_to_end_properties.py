@@ -106,7 +106,7 @@ def test_any_valid_job_terminates_consistently(plan):
     job_id, final, outcome = grid.sim.run(until=p)
 
     # 1. Terminal.
-    assert final["status"] in ("successful", "failed", "killed")
+    assert final.status in ("successful", "failed", "killed")
     assert outcome.rollup_status().is_terminal
 
     # 2. Consistency: failed predecessors imply NOT_ATTEMPTED successors.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import asn1
 from repro.errors import CertificateExpired, CertificateRevoked
 from repro.grid import build_grid
 from repro.protocol.messages import Reply, Request, RequestKind
@@ -138,6 +139,30 @@ def test_malformed_consignment_rejected_cleanly(wired):
     assert "malformed consignment" in reply.error
 
 
+@pytest.mark.parametrize("spec", [
+    ["U00001@FZJ"],
+    ["U00001@FZJ", "out.dat", "extra"],
+    ["U00001@FZJ", 7],
+    [b"U00001@FZJ", "out.dat"],
+    {"job_id": "U00001@FZJ", "path": "out.dat"},
+    "U00001@FZJ/out.dat",
+])
+def test_fetch_spec_that_is_not_two_strings_is_refused(wired, spec):
+    grid, user, session = wired
+    request = Request(
+        kind=RequestKind.FETCH_FILE, user_dn=session.user_dn,
+        payload=asn1.encode(spec),
+    )
+
+    def scenario(sim):
+        return (yield from session.client.interact(request))
+
+    reply = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+    assert not reply.ok
+    assert reply.error_code == "ajo.serialization"
+    assert "[job_id, path]" in reply.error
+
+
 def test_ajo_user_mismatch_rejected(wired):
     """An AJO naming a different user than the authenticated one."""
     grid, user, session = wired
@@ -171,8 +196,6 @@ def test_reply_cache_is_bounded_by_the_retry_window(wired):
     job's content is let go, and a retry inside the window is still
     answered from the cache with a re-pushed stream.
     """
-    import json
-
     from repro.client import JobMonitorController, JobPreparationAgent
     from repro.observability import telemetry_for
     from repro.protocol.datapath import INLINE_FILE_MAX, fetch_bulk_payload
@@ -218,7 +241,7 @@ def test_reply_cache_is_bounded_by_the_retry_window(wired):
     # cache (nothing re-served), stream pushed again.
     request = Request(
         kind=RequestKind.FETCH_FILE, user_dn=session.user_dn,
-        payload=json.dumps({"job_id": job_id, "path": "input.dat"}).encode(),
+        payload=asn1.encode([job_id, "input.dat"]),
     )
 
     def fetch_twice():

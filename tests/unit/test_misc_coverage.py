@@ -113,13 +113,12 @@ def test_jmc_output_helpers():
 
 def test_jmc_render_tree_nested_indent():
     from repro.client import JobMonitorController
+    from repro.protocol.views import JobStatusView
 
-    tree = {
-        "name": "root", "status": "running", "color": "blue",
-        "children": [
-            {"name": "leaf", "status": "queued", "color": "yellow"},
-        ],
-    }
+    tree = JobStatusView(
+        "a1", "root", "running", "blue",
+        children=(JobStatusView("a2", "leaf", "queued", "yellow"),),
+    )
     text = JobMonitorController.render_tree(tree)
     lines = text.splitlines()
     assert lines[0].startswith("[")
