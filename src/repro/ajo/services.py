@@ -64,7 +64,7 @@ class ListService(AbstractService):
 
     ``since_seq``/``epoch`` carry the client's delta cursor: the server
     answers with only the listings that changed after ``since_seq``
-    (within the same change-log ``epoch``).  The defaults (-1) request a
+    (within the same index ``epoch``).  The defaults (-1) request a
     full listing; either way the answer is a
     :class:`~repro.protocol.views.JobListingDelta`.
     """

@@ -54,7 +54,7 @@ class JobMonitorController:
         #: Last good status tree per job as ``(sim_time, view)``, for
         #: stale-but-served display during gateway outages.
         self._status_cache: dict[str, tuple[float, JobStatusView]] = {}
-        #: Delta-listing state: the server change-log cursor and the
+        #: Delta-listing state: the server's index cursor and the
         #: merged rows (``job_id -> listing``) it is valid against.
         self._list_cursor: tuple[int, int] | None = None
         self._list_rows: dict[str, JobListing] = {}
@@ -79,10 +79,10 @@ class JobMonitorController:
     def list_jobs(self):
         """The user's jobs at this Usite, fetched incrementally.
 
-        The first call has no change-log cursor and gets the full
+        The first call has no cursor and gets the full
         listing; later calls send the cursor and receive only the
         listings that changed, merged into the cached rows client-side.
-        An epoch change (the NJS crashed and restarted its log) is
+        An epoch change (the NJS crashed and restarted its index) is
         answered in full again and resyncs.
         """
         seq, epoch = self._list_cursor or (0, -1)

@@ -141,10 +141,10 @@ class JobListing:
 class JobListingDelta:
     """The LIST service's versioned answer: changes since a cursor.
 
-    ``seq`` is the server's change-log position after this answer;
+    ``seq`` is the version of the server's job index after this answer;
     passing it back as ``since_seq`` on the next LIST yields only what
-    changed in between.  ``epoch`` identifies one life of the change-log
-    — after an NJS crash the log restarts in a new epoch, the server
+    changed in between.  ``epoch`` identifies one life of the index
+    — after an NJS crash it restarts in a new epoch, the server
     answers with ``full=True``, and any old cursor must be discarded.
     """
 

@@ -445,7 +445,7 @@ class Gateway:
         return asn1.encode(view.to_value()), None
 
     def _list(self, request: Request, *_) -> _Answer:
-        """The change-log delta since the client's cursor; a full listing
+        """The listing delta since the client's cursor; a full listing
         when it has none or its epoch is over."""
         service = _service(request, ListService)
         delta = self.njs.list_jobs_delta(

@@ -11,8 +11,8 @@ own their state alone:
 
 - ``RunTable`` (:mod:`~repro.server.njs.runtable`): the runs
   (:mod:`~repro.server.njs.jobrun`, or :mod:`~repro.server.njs.restored`
-  for a finished job after a restart), their index and change-log,
-  completion watchers, the journal, the outcome store, the job-id cursor;
+  for a finished job after a restart), their index (each job's latest
+  listing, versioned), completion watchers, the journal, the outcome store, the job-id cursor;
 - ``PeerLink`` (:mod:`~repro.server.njs.peerlink`): the NJS-NJS message
   types, peer and broker routes, SSL sessions, correlation ids and
   pending replies, stream ids, hop retry;

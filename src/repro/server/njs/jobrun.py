@@ -74,8 +74,8 @@ class JobRun:
     #: Supervision processes spawned for this run; interrupted on crash
     #: so a journal replay never races orphaned supervisors.
     processes: list = field(default_factory=list)
-    #: Supervisor hook fired after any action status change, so run
-    #: indexes and the job change-log track the rollup without scans.
+    #: Supervisor hook fired after any action status change, so the run
+    #: index tracks the rollup without scans.
     on_change: typing.Callable[["JobRun"], None] | None = None
 
     @classmethod

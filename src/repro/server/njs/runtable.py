@@ -1,12 +1,12 @@
 """The NJS run table: every job this site knows, live or finished.
 
-One owner for the runs, the :class:`RunIndex` and :class:`JobChangeLog`
-over them, the completion watchers, the write-ahead journal, the
-outcome store and the job-id cursor: a run enters through
+One owner for the runs, the :class:`RunIndex` over them (each job's
+latest listing, versioned), the completion watchers, the write-ahead
+journal, the outcome store and the job-id cursor: a run enters through
 :meth:`RunTable.admit` (or :meth:`RunTable.restore`), changes through
 the status hook it carries, and leaves through :meth:`RunTable.dispose`,
-so index, change-log and table move together because nothing else can
-move one of them.  To everyone else the table is a read-only mapping
+so index and table move together because nothing else can move one of
+them.  To everyone else the table is a read-only mapping
 ``job id -> run`` plus a few indexed queries.
 """
 
@@ -17,11 +17,12 @@ import typing
 
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.serialize import encode_ajo
+from repro.ajo.status import ActionStatus
 from repro.observability import telemetry_for
 from repro.protocol.views import JobListing, JobListingDelta
 from repro.server.njs.jobrun import JobRun
 from repro.server.njs.restored import RestoredRun
-from repro.server.njs.runindex import JobChangeLog, RunIndex
+from repro.server.njs.runindex import RunIndex
 from repro.simkernel import Event, Simulator
 from repro.storage.backend import StorageBackend
 from repro.storage.journal import ForwardMeta, JobJournal, JournalEntry
@@ -43,8 +44,6 @@ class RunTable(typing.Mapping[str, JobRun]):
         metrics = telemetry_for(sim).metrics
         self._runs: dict[str, JobRun] = {}
         self._index = RunIndex()
-        #: Versioned change-log backing delta LIST answers.
-        self._changes = JobChangeLog()
         #: Completion watchers for subscription-style waits: job id ->
         #: events the gateway parks on.  Fired on terminal transition and
         #: (with the job still unfinished) on :meth:`lose_memory`, so
@@ -89,41 +88,26 @@ class RunTable(typing.Mapping[str, JobRun]):
         """Non-terminal job ids, sorted, from the index: terminal runs
         (the bulk of a long-lived table) are never touched."""
         self._index_hit()
-        return sorted(self._index.active)
+        return self._index.active_ids()
 
     def terminal_ids(self) -> tuple[str, ...]:
         self._index_hit()
-        return tuple(sorted(self._index.terminal))
+        return self._index.terminal_ids()
 
     def listings(self, user_dn: str) -> list[JobListing]:
-        """The user's jobs; touches only the user's own runs."""
+        """The user's jobs, as the index holds them: no run is touched."""
         self._index_hit()
-        return [
-            self._listing(run, run.status().value)
-            for job_id in sorted(self._index.jobs_for(user_dn))
-            if (run := self._runs.get(job_id)) is not None
-        ]
+        return self._index.listings(user_dn)
 
     def listings_delta(
         self, user_dn: str, since_seq: int, epoch: int
     ) -> JobListingDelta:
         """Changes since the cursor.  A cursor from another epoch (the
-        change-log restarted after a crash), or no cursor at all, gets a
+        index restarted after a crash), or no cursor at all, gets a
         full listing tagged with the current epoch so the client can
         resync and resume deltas."""
-        if epoch != self._changes.epoch or since_seq < 0:
-            return JobListingDelta(
-                seq=self._changes.seq,
-                epoch=self._changes.epoch,
-                full=True,
-                listings=tuple(self.listings(user_dn)),
-            )
         self._index_hit()
-        return self._changes.delta_for(user_dn, since_seq)
-
-    def verify_index(self) -> None:
-        """Assert the index agrees with a scan of the table (test helper)."""
-        self._index.verify(self._runs)
+        return self._index.delta(user_dn, since_seq, epoch)
 
     def watch(self, job_id: str) -> Event | None:
         """An event that fires when the job turns terminal; ``None`` when
@@ -156,23 +140,23 @@ class RunTable(typing.Mapping[str, JobRun]):
         ``U99999`` as text)."""
         return int(job_id[1:job_id.index("@")])
 
-    @staticmethod
-    def _listing(run: JobRun, status_value: str) -> JobListing:
-        return JobListing(
+    def _note(self, run: JobRun) -> ActionStatus | None:
+        """Book the run's listing; its status when the value changed."""
+        status = run.status()
+        listing = JobListing(
             job_id=run.job_id,
             name=run.name,
-            status=status_value,
+            status=status.value,
             submitted_at=run.submitted_at,
             recovered=run.recovered,
         )
+        if self._index.note(listing, run.user_dn, status.is_terminal):
+            return status
+        return None
 
     def _enter(self, run: JobRun) -> None:
         self._runs[run.job_id] = run
-        status = run.status()
-        self._index.add(
-            run.job_id, run.user_dn, status.value, status.is_terminal
-        )
-        self._changes.record(self._listing(run, status.value), run.user_dn)
+        self._note(run)
 
     def admit(
         self,
@@ -199,6 +183,7 @@ class RunTable(typing.Mapping[str, JobRun]):
                 workstation_files=workstation_files,
             )
             run.trace_id = trace_id
+            run.recovered = replay
             run.on_change = self._note_change
             self._enter(run)
             if not replay:
@@ -214,22 +199,16 @@ class RunTable(typing.Mapping[str, JobRun]):
         return run
 
     def _note_change(self, run: JobRun) -> None:
-        """Status-change hook: keep index, change-log, watchers current.
+        """Status-change hook: keep index and watchers current.
 
         Fired by :meth:`JobRun.notify_change` after any action status
-        change.  Only rollup-value changes append to the change-log, so
-        the log stays proportional to *visible* transitions.
+        change.  Only rollup-value changes take a new seq, so versions
+        stay proportional to *visible* transitions.
         """
         if not self.owns(run):
             return  # orphaned by a crash that raced supervision
-        status = run.status()
-        changed = self._index.note_status(
-            run.job_id, run.user_dn, status.value, status.is_terminal
-        )
-        if not changed:
-            return
-        self._changes.record(self._listing(run, status.value), run.user_dn)
-        if status.is_terminal:
+        status = self._note(run)
+        if status is not None and status.is_terminal:
             for watcher in self._watchers.pop(run.job_id, ()):
                 if not watcher.triggered:
                     watcher.succeed(status)
@@ -267,10 +246,9 @@ class RunTable(typing.Mapping[str, JobRun]):
             ), run.encoded_outcome(), files)
 
     def dispose(self, job_id: str) -> JobRun:
-        """Forget a job everywhere: table, index, change-log, storage."""
+        """Forget a job everywhere: table, index, storage."""
         run = self._runs.pop(job_id)
-        self._index.discard(job_id, run.user_dn)
-        self._changes.record_removed(job_id, run.user_dn)
+        self._index.remove(job_id, run.user_dn)
         with self._storage.batch():
             self.journal.forget(job_id)
             self.outcomes.forget(job_id)
@@ -284,9 +262,9 @@ class RunTable(typing.Mapping[str, JobRun]):
         Supervision of the jobs in flight — the ones the journal still
         holds — is interrupted (process events defused so the simulator
         does not treat orphan failures as crashes).  Every parked
-        completion subscriber wakes to observe the outage, and index and
-        change-log start afresh: a new epoch refuses delta cursors from
-        the old life with a full resync.  :meth:`restore` brings the
+        completion subscriber wakes to observe the outage, and the index
+        starts afresh: a new epoch answers delta cursors from the old life
+        with a full resync.  :meth:`restore` brings the
         finished jobs back from the outcome store.
         """
         for job_id, run in self._runs.items():
@@ -302,9 +280,8 @@ class RunTable(typing.Mapping[str, JobRun]):
                 if not watcher.triggered:
                     watcher.succeed(None)
         self._watchers.clear()
-        self._index = RunIndex()
+        self._index = self._index.next_epoch()
         telemetry_for(self._sim).metrics.counter("njs.index.rebuilds").inc()
-        self._changes = self._changes.next_epoch()
 
     def restore(self) -> list[JournalEntry]:
         """Rebuild from storage; returns the jobs in flight, in

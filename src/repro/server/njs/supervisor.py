@@ -376,7 +376,6 @@ class NetworkJobSupervisor:
         )
         if error is not None:
             return
-        run.recovered = True
         self.replays += 1
         if entry.forward_meta is not None and entry.parent_job_id is not None:
             # A forwarded group must still report to its parent site.

@@ -6,9 +6,13 @@ restarted NJS re-supervises the job under the same id, the client's
 polls keep answering, and the job still completes.
 """
 
+from repro import asn1
+from repro.ajo import ListService, SerializationError, encode_service
 from repro.api import GridSession
 from repro.grid import build_grid
 from repro.observability import telemetry_for
+from repro.protocol.messages import Request, RequestKind
+from repro.protocol.views import JobListingDelta
 from repro.server.njs.restored import RestoredRun
 
 
@@ -136,6 +140,42 @@ def test_restart_restores_every_finished_run_from_storage():
     assert served() == before
     metrics = telemetry_for(grid.sim).metrics
     assert metrics.counter("njs.restored_runs").value == len(handles)
+
+
+def test_a_replayed_job_lists_alike_in_a_delta_and_in_full():
+    """A job replayed from the journal is flagged ``recovered`` from the
+    moment it re-enters the run table, so a LIST from seq 0 of the
+    current epoch returns the very rows a full LIST does."""
+    grid, session = _session(seed=19)
+    njs = grid.usites["FZJ"].njs
+    handle = session.submit(_dag_job(session, stage_runtime_s=4000.0))
+    session.advance(600.0)
+    njs.crash()
+    njs.restart()
+    # Held before it delivers again: the job keeps the status it
+    # re-entered with, so no later change rewrites its row.
+    njs.hold(handle.job_id)
+
+    def list_jobs(since_seq, epoch):
+        answer = {}
+
+        def ask(sim):
+            answer["reply"] = yield from session.session.client.interact(Request(
+                kind=RequestKind.LIST,
+                user_dn=session.session.user_dn,
+                payload=encode_service(ListService("l", since_seq=since_seq, epoch=epoch)),
+            ))
+
+        grid.sim.run(until=grid.sim.process(ask(grid.sim)))
+        return JobListingDelta.from_value(
+            asn1.decode(answer["reply"].unwrap(), SerializationError)
+        )
+
+    full = list_jobs(-1, -1)
+    delta = list_jobs(0, full.epoch)
+    assert full.full and not delta.full
+    assert [row.recovered for row in full.listings] == [True]
+    assert delta.listings == full.listings
 
 
 def test_vsite_outage_queues_tasks_instead_of_failing():
