@@ -293,10 +293,10 @@ class BatchSystem:
                 f"job {job_id} is {record.state.value}; only running jobs "
                 "can suffer a node failure"
             )
-        telemetry_for(self.sim).metrics.counter("batch.node_failures").inc()
         # The node died under the job: a genuine failure, not an operator
         # decision — exit as a killed process would.
-        self._kill(record, BatchState.FAILED, 139, reason)
+        if self._kill(record, BatchState.FAILED, 139, reason):
+            telemetry_for(self.sim).metrics.counter("batch.node_failures").inc()
 
     def set_offline(self, offline: bool) -> None:
         """Take the whole system down (or bring it back).
@@ -413,14 +413,19 @@ class BatchSystem:
     def _kill(
         self, record: BatchJobRecord, state: BatchState,
         exit_code: int | None, reason: str,
-    ) -> None:
+    ) -> bool:
         """End a running job before its time.  The kill is its own queue
-        entry at this instant: whoever ordered it returns first."""
-        assert record._run is not None
+        entry at this instant: whoever ordered it returns first.  The
+        first kill wins: a second one at the same instant finds the run
+        already ended and does nothing (returns False)."""
+        if record._run is None:
+            return False
         record._run.cancel()
+        record._run = None
         self.sim.schedule_callback(
             0.0, self._end_run, record, state, exit_code, reason
         )
+        return True
 
     def _run_ended(self, record: BatchJobRecord) -> None:
         spec = record.spec

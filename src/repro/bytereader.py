@@ -1,9 +1,9 @@
 """One bounded cursor under every binary decoder.
 
 The decoders of bytes from outside — the socket MSG body, the
-data-plane frame header and OPEN preamble, the ``UCON`` consignment
-envelope, the bulk-reply reference and the :mod:`repro.asn1` values
-(resource pages, storage rows, snapshots) — read only through a
+data-plane frame header and OPEN preamble, and the :mod:`repro.asn1`
+values (resource pages, storage rows, snapshots, replies, the
+consignment and the bulk reply) — read only through a
 :class:`ByteReader`, so their contract holds by construction: a decoder
 returns a value or raises its codec's error (the ``error`` it hands the
 reader: ``FrameDecodeError``, ``FrameError``, ``SerializationError``,

@@ -298,23 +298,11 @@ class JobPreparationAgent:
             files = ws.stage_for_ajo(needed)
         from repro.protocol.consignment import encode_consignment
         from repro.protocol.datapath import (
-            INLINE_FILE_MAX,
-            body_sender,
+            FileEntry,
             channel_sender,
-            entry_for_sender,
-            send_stream,
+            send_body,
+            ship,
         )
-
-        # Control/data-plane split (section 5.6): small files ride inside
-        # the consignment envelope; large ones stream ahead of it in
-        # chunked frames and appear in the envelope only as a manifest.
-        inline: dict[str, bytes] = {}
-        large: list[tuple[str, FileBody]] = []
-        for path, content in files.items():
-            if len(content) <= INLINE_FILE_MAX:
-                inline[path] = content.data
-            else:
-                large.append((path, content))
 
         # Root of the per-job trace: everything downstream (gateway auth,
         # NJS incarnation, batch execution) hangs off this span.
@@ -328,25 +316,27 @@ class JobPreparationAgent:
             vsite=builder.ajo.vsite,
         )
         try:
-            entries = []
-            for path, content in large:
-                sender = body_sender(
-                    self.session.stream_ids.next(), content,
-                    {"kind": "consign-file", "path": path},
-                )
-                yield from send_stream(
-                    self.session.client.sim, sender,
+            # Control/data-plane split (section 5.6): small files ride
+            # inside the consignment; large ones stream ahead of it in
+            # chunked frames and appear in it only as their entries.
+            def stream(path: str, body: FileBody):
+                return send_body(
+                    self.session.client.sim, self.session.stream_ids.next(),
+                    body, {"kind": "consign-file", "path": path},
                     channel_sender(self.session.channel),
                     parent_span=submit_span,
                 )
-                entries.append(entry_for_sender(path, sender))
+
+            manifest = yield from ship(files, stream)
             payload = encode_consignment(
-                encode_ajo(builder.ajo), inline, metrics=telemetry.metrics,
-                streamed=entries,
+                encode_ajo(builder.ajo), manifest, metrics=telemetry.metrics
             )
             submit_span.set(
                 payload_bytes=len(payload),
-                streamed_bytes=sum(len(c) for _, c in large),
+                streamed_bytes=sum(
+                    item.size for item in manifest.values()
+                    if isinstance(item, FileEntry)
+                ),
             )
             reply = yield from self.session.client.consign(
                 payload,

@@ -16,10 +16,11 @@ mechanism."
 - :mod:`repro.protocol.sync` — a synchronous hold-the-connection client,
   implemented solely as the comparison baseline for experiment E4;
 - :mod:`repro.protocol.retry` — bounded-retry policies;
-- :mod:`repro.protocol.consignment` — the binary consignment envelope
-  (AJO + inline files + streamed-file manifest);
+- :mod:`repro.protocol.consignment` — the consignment (AJO + the
+  manifest of its workstation files);
 - :mod:`repro.protocol.datapath` — the streaming data plane: chunked,
-  checksummed, resumable bulk transfers kept out of the control plane.
+  checksummed, resumable bulk transfers kept out of the control plane,
+  and the one file manifest every file-carrying message uses.
 """
 
 from repro.protocol.messages import Reply, Request, RequestKind
@@ -28,7 +29,6 @@ from repro.protocol.client import AsyncProtocolClient, ReplyRouter
 from repro.protocol.sync import SyncProtocolClient, SyncInteractionBroken
 from repro.protocol.consignment import (
     Consignment,
-    FileEntry,
     decode_consignment_envelope,
     encode_consignment,
     validate_manifest_paths,
@@ -37,12 +37,13 @@ from repro.protocol.datapath import (
     DEFAULT_CHUNK_BYTES,
     INLINE_FILE_MAX,
     DataPlaneEndpoint,
+    FileEntry,
+    Manifest,
     StreamIdAllocator,
-    decode_bulk_reply,
-    encode_inline_reply,
-    encode_stream_reply,
+    claim,
     fetch_bulk_payload,
     send_stream,
+    ship,
 )
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "DataPlaneEndpoint",
     "FileEntry",
     "INLINE_FILE_MAX",
+    "Manifest",
     "Reply",
     "ReplyRouter",
     "Request",
@@ -61,12 +63,11 @@ __all__ = [
     "StreamIdAllocator",
     "SyncInteractionBroken",
     "SyncProtocolClient",
-    "decode_bulk_reply",
+    "claim",
     "decode_consignment_envelope",
     "encode_consignment",
-    "encode_inline_reply",
-    "encode_stream_reply",
     "fetch_bulk_payload",
     "send_stream",
+    "ship",
     "validate_manifest_paths",
 ]

@@ -2,86 +2,54 @@
 
 Section 5.6: "Files from the user's workstation needed in a job are put
 into the AJO.  They are transferred together with the job to a UNICORE
-server on the https connection."  The consignment envelope carries the
-encoded AJO and those files in one payload.
+server on the https connection."  The consignment carries the encoded
+AJO and the manifest of those files (:mod:`repro.protocol.datapath`)
+as one :mod:`repro.asn1` value::
 
-Since the control/data-plane split the envelope is binary (version 2):
-the AJO bytes and small files ride inline *raw* — no base64, killing
-the ~33% inflation of the old JSON envelope — while large files travel
-ahead of the request on the streaming data plane
-(:mod:`repro.protocol.datapath`) and appear here only as slim
-:class:`FileEntry` manifests (path, size, checksum, stream id).
+    [ajo bytes, {path: bytes | [size, crc32, stream_id]}]
 
-Envelope layout (network byte order)::
+Small files ride inline, raw; large ones travel ahead of the request on
+the streaming data plane and appear only as their stream's entry.
 
-    "UCON" | ver u8 | flags u8 | ajo_len u32 | ajo bytes | count u32 |
-    entry*
-    entry: mode u8 | path_len u16 | path utf-8 |
-           mode 0 (inline):   content_len u32 | content bytes
-           mode 1 (streamed): size u64 | crc32 u32 | stream_id u64
-
-The decoder reads through a :class:`~repro.bytereader.ByteReader`, so
-any malformation is a :class:`SerializationError`, and it validates the
-file manifest before anything can reach a Uspace: duplicate paths,
-``..`` traversal segments, empty paths, and control characters are
-refused with :class:`UnsafePathError` (a
-:class:`SerializationError` with the stable code ``ajo.unsafe_path``).
-Consignment file keys are *workstation-namespace* paths — they name
-where the file came from on the user's machine, and legitimately start
-with ``/`` — so absolute paths are additionally refused only for
-manifests whose paths will be *written into* a Uspace (transfers,
-forwarded staging); see :func:`validate_manifest_paths`.
+The decoder reads through :func:`repro.asn1.decode`, so any malformation
+is a :class:`SerializationError` ("malformed consignment: …"), and it
+validates the manifest before anything can reach a Uspace: ``..``
+traversal segments, empty paths, and control characters are refused
+with :class:`UnsafePathError` (a :class:`SerializationError` with the
+stable code ``ajo.unsafe_path``).  Consignment file keys are
+*workstation-namespace* paths — they name where the file came from on
+the user's machine, and legitimately start with ``/`` — so absolute
+paths are additionally refused only for manifests whose paths will be
+*written into* a Uspace (transfers, forwarded staging); see
+:func:`validate_manifest_paths`.
 """
 
 from __future__ import annotations
 
-import struct
 import typing
 from dataclasses import dataclass
 
+from repro import asn1
 from repro.ajo.errors import SerializationError, UnsafePathError
-from repro.bytereader import ByteReader
+from repro.protocol.datapath import Manifest, item_of, item_value
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.observability.metrics import MetricsRegistry
 
 __all__ = [
     "Consignment",
-    "FileEntry",
     "decode_consignment_envelope",
     "encode_consignment",
     "validate_manifest_paths",
 ]
 
-_MAGIC = b"UCON"
-_VERSION = 2
-
-_HEAD = struct.Struct("!4sBBI")        # magic, version, flags, ajo_len
-_U32 = struct.Struct("!I")             # entry count, inline content_len
-_ENTRY_HEAD = struct.Struct("!BH")     # mode, path_len
-_STREAM_REF = struct.Struct("!QIQ")    # size, crc32, stream_id
-
-_MODE_INLINE = 0
-_MODE_STREAMED = 1
-
-
-@dataclass(slots=True, frozen=True)
-class FileEntry:
-    """Manifest entry for one file travelling on the data plane."""
-
-    path: str
-    size: int
-    crc32: int
-    stream_id: int
-
 
 @dataclass(slots=True, frozen=True)
 class Consignment:
-    """A decoded envelope: the AJO plus inline and streamed files."""
+    """A decoded consignment: the AJO plus the manifest of its files."""
 
     ajo_bytes: bytes
-    files: dict[str, bytes]
-    streamed: tuple[FileEntry, ...] = ()
+    files: Manifest
 
 
 def validate_manifest_paths(
@@ -122,38 +90,21 @@ def validate_manifest_paths(
 
 def encode_consignment(
     ajo_bytes: bytes,
-    files: dict[str, bytes] | None = None,
+    files: Manifest | None = None,
     metrics: MetricsRegistry | None = None,
-    streamed: typing.Sequence[FileEntry] = (),
 ) -> bytes:
-    """Bundle an encoded AJO with workstation file contents.
+    """Bundle an encoded AJO with the manifest of its workstation files.
 
-    ``files`` ride inline, raw; ``streamed`` entries reference payloads
-    already sent over the data plane.  With a
-    :class:`~repro.observability.MetricsRegistry` as ``metrics``,
+    With a :class:`~repro.observability.MetricsRegistry` as ``metrics``,
     records the bundled file count and total payload size.
     """
-    inline = dict(sorted((files or {}).items()))
-    entries = sorted(streamed, key=lambda e: e.path)
-    validate_manifest_paths(
-        list(inline) + [e.path for e in entries], what="consignment"
+    files = files or {}
+    validate_manifest_paths(files, what="consignment")
+    payload = asn1.encode(
+        [ajo_bytes, {path: item_value(item) for path, item in files.items()}]
     )
-    parts = [_HEAD.pack(_MAGIC, _VERSION, 0, len(ajo_bytes)), ajo_bytes,
-             _U32.pack(len(inline) + len(entries))]
-    for path, content in inline.items():
-        encoded_path = path.encode("utf-8")
-        parts.append(_ENTRY_HEAD.pack(_MODE_INLINE, len(encoded_path)))
-        parts.append(encoded_path)
-        parts.append(_U32.pack(len(content)))
-        parts.append(content)
-    for entry in entries:
-        encoded_path = entry.path.encode("utf-8")
-        parts.append(_ENTRY_HEAD.pack(_MODE_STREAMED, len(encoded_path)))
-        parts.append(encoded_path)
-        parts.append(_STREAM_REF.pack(entry.size, entry.crc32, entry.stream_id))
-    payload = b"".join(parts)
     if metrics is not None:
-        metrics.counter("consignment.files").inc(len(inline) + len(entries))
+        metrics.counter("consignment.files").inc(len(files))
         metrics.counter("consignment.bytes").inc(len(payload))
     return payload
 
@@ -163,29 +114,13 @@ def _malformed(message: str) -> SerializationError:
 
 
 def decode_consignment_envelope(data: bytes) -> Consignment:
-    """Parse the binary envelope; validates the file manifest."""
-    r = ByteReader(bytes(data), _malformed)
-    magic, version, _flags, ajo_len = r.unpack(_HEAD)
-    if magic != _MAGIC:
-        raise r.error(f"bad consignment magic {magic!r}")
-    if version != _VERSION:
-        raise r.error(f"unsupported consignment version {version}")
-    ajo_bytes = r.take(ajo_len)
-    files: dict[str, bytes] = {}
-    streamed: list[FileEntry] = []
-    for _ in range(r.unpack(_U32)[0]):
-        mode, path_len = r.unpack(_ENTRY_HEAD)
-        path = r.text(path_len)
-        if mode == _MODE_INLINE:
-            files[path] = r.take(r.unpack(_U32)[0])
-        elif mode == _MODE_STREAMED:
-            streamed.append(FileEntry(path, *r.unpack(_STREAM_REF)))
-        else:
-            raise r.error(f"unknown file entry mode {mode} for {path!r}")
-    r.end()
-    validate_manifest_paths(
-        list(files) + [e.path for e in streamed], what="consignment"
-    )
-    return Consignment(
-        ajo_bytes=ajo_bytes, files=files, streamed=tuple(streamed)
-    )
+    """Open a consignment; validates the file manifest."""
+    value = asn1.decode(bytes(data), _malformed)
+    if not (
+        type(value) is list and len(value) == 2
+        and type(value[0]) is bytes and type(value[1]) is dict
+    ):
+        raise _malformed(f"not [ajo, files]: {value!r:.80}")
+    files = {path: item_of(item, _malformed) for path, item in value[1].items()}
+    validate_manifest_paths(files, what="consignment")
+    return Consignment(ajo_bytes=value[0], files=files)

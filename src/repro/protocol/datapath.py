@@ -1,4 +1,4 @@
-"""The data plane of the high-level protocol.
+"""The data plane of the high-level protocol, and the one file manifest.
 
 The control plane (small :class:`~repro.protocol.messages.Request` /
 ``Reply`` envelopes) keeps the paper's semantics untouched; bulk bytes
@@ -19,14 +19,19 @@ Pieces:
   (each a :class:`~repro.vfs.FileBody` holding the chunk CRCs this side
   verified) to an application callback or park them for
   :meth:`~DataPlaneEndpoint.take` / :meth:`~DataPlaneEndpoint.wait`;
-* :func:`body_sender` / :func:`send_stream` — the sending side: a file
-  body framed with the CRCs it holds, then one call of the caller's
-  "send one encoded frame" per frame (:func:`channel_sender` for
-  client↔gateway channels), per-chunk retransmission;
-* the bulk-reply wrapper (:func:`encode_inline_reply` /
-  :func:`encode_stream_reply` / :func:`fetch_bulk_payload`) the gateway
-  and JMC use for FETCH_FILE / RETRIEVE_OUTCOME replies whose content
-  travels on the data plane.
+* :func:`body_sender` / :func:`send_stream` / :func:`send_body` — the
+  sending side: a file body framed with the CRCs it holds, then one call
+  of the caller's "send one encoded frame" per frame
+  (:func:`channel_sender` for client↔gateway channels), per-chunk
+  retransmission;
+* the manifest (section 5.6: a file travels with the message that needs
+  it).  Every message that carries files — a consignment, a forwarded
+  group, a group's result, a FETCH_FILE / RETRIEVE_OUTCOME reply — maps
+  each path to an item: the file's bytes, or the :class:`FileEntry` of a
+  stream sent ahead of the message on the same FIFO route.  On the wire
+  an item is one :mod:`repro.asn1` value, an OCTET STRING or
+  ``[size, crc32, stream_id]``.  :func:`ship` decides inline or streamed
+  (:data:`INLINE_FILE_MAX`), :func:`claim` takes a message's streams.
 
 Everything is deterministic: stream ids derive from the sender's name,
 retries from the simulated network's named RNG streams.
@@ -34,12 +39,13 @@ retries from the simulated network's named RNG streams.
 
 from __future__ import annotations
 
-import struct
 import typing
 import zlib
+from dataclasses import dataclass
 from itertools import count
 
-from repro.bytereader import ByteReader
+from repro import asn1
+from repro.faults.errors import ServiceUnavailable
 from repro.net.errors import ConnectionLost, FrameError
 from repro.net.https import DirectChannel, HttpsChannel
 from repro.net.stream import (
@@ -50,7 +56,6 @@ from repro.net.stream import (
     encode_frame,
 )
 from repro.observability import INERT_SPAN, MetricsRegistry, Span, telemetry_for
-from repro.protocol.consignment import FileEntry
 from repro.simkernel import EXPIRED, Event, Simulator
 from repro.vfs.body import FileBody
 
@@ -61,15 +66,20 @@ __all__ = [
     "INLINE_FILE_MAX",
     "CompletedStream",
     "DataPlaneEndpoint",
+    "FileEntry",
+    "Item",
+    "Manifest",
     "StreamIdAllocator",
     "body_sender",
     "channel_sender",
-    "decode_bulk_reply",
-    "encode_inline_reply",
-    "encode_stream_reply",
-    "entry_for_sender",
+    "claim",
+    "decode_item",
     "fetch_bulk_payload",
+    "item_of",
+    "item_value",
+    "send_body",
     "send_stream",
+    "ship",
 ]
 
 #: Default chunk size.  Small enough that a control message sharing the
@@ -78,8 +88,8 @@ __all__ = [
 #: per-record SSL overhead stay well under the 5% overhead budget.
 DEFAULT_CHUNK_BYTES = 256 * 1024
 
-#: Files at or below this size stay inline in control-plane envelopes;
-#: only larger payloads are worth a stream's OPEN/manifest round trip.
+#: Files at or below this size stay inline in the message that carries
+#: them; only larger payloads are worth a stream's OPEN frame.
 INLINE_FILE_MAX = 64 * 1024
 
 #: Bounded per-chunk retransmission (the same asynchronous-protocol
@@ -90,6 +100,27 @@ CHUNK_RETRY_DELAY_S = 5.0
 #: How long a receiver waits for a streamed reply's frames before
 #: concluding the stream died with its sender.
 STREAM_WAIT_TIMEOUT_S = 600.0
+
+
+@dataclass(slots=True, frozen=True)
+class FileEntry:
+    """A file streamed ahead of the message whose manifest names it."""
+
+    size: int
+    crc32: int
+    stream_id: int
+
+    @classmethod
+    def of(cls, sender: StreamSender) -> FileEntry:
+        """The entry of a framed payload, from the totals its sender holds."""
+        info = sender.open_info
+        return cls(info.total_size, info.total_crc32, sender.stream_id)
+
+
+#: One file of a message: its bytes inline, or the entry of its stream.
+Item = typing.Union[bytes, FileEntry]
+#: ``path -> item``: the files one message carries.
+Manifest = dict[str, Item]
 
 
 class StreamIdAllocator:
@@ -135,8 +166,8 @@ class DataPlaneEndpoint:
     ``on_complete(context, body) -> bool`` is consulted when a stream
     finishes; returning True means the application consumed the payload
     (the NJS writing a Uspace file).  Otherwise the stream parks until
-    :meth:`take` or :meth:`wait` claims it (the gateway pulling consign
-    uploads, the JMC awaiting a fetched file).
+    :meth:`take` or :meth:`wait` claims it (:func:`claim` for the message
+    that names it, the JMC awaiting a fetched file).
     """
 
     def __init__(
@@ -317,43 +348,96 @@ def channel_sender(
     return send_frame
 
 
-def entry_for_sender(path: str, sender: StreamSender) -> FileEntry:
-    """A framed payload's manifest entry, from the totals its sender holds."""
-    info = sender.open_info
-    return FileEntry(path, info.total_size, info.total_crc32, sender.stream_id)
+def send_body(
+    sim: Simulator,
+    stream_id: int,
+    body: FileBody,
+    context: dict[str, typing.Any],
+    send_frame: typing.Callable[
+        [bytes], typing.Generator[Event, typing.Any, object]
+    ],
+    *,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+    parent_span: Span = INERT_SPAN,
+) -> typing.Generator[Event, typing.Any, FileEntry]:
+    """Stream ``body`` (:func:`body_sender`, :func:`send_stream`) and
+    return the entry a manifest names it by."""
+    sender = body_sender(stream_id, body, context, chunk_bytes)
+    yield from send_stream(sim, sender, send_frame, parent_span=parent_span)
+    return FileEntry.of(sender)
 
 
-# ---------------------------------------------------------- bulk replies
-# FETCH_FILE / RETRIEVE_OUTCOME replies either carry their content
-# inline (tag 0) or reference a stream the gateway pushed ahead of the
-# reply on the same FIFO channel (tag 1).
-
-_BULK_INLINE = 0
-_BULK_STREAMED = 1
-_BULK_REF = struct.Struct("!QQI")  # after the tag: stream_id, size, crc32
+# ---------------------------------------------------------- the manifest
+def item_value(item: Item) -> asn1.Value:
+    """``item`` as one :mod:`repro.asn1` value."""
+    if isinstance(item, FileEntry):
+        return [item.size, item.crc32, item.stream_id]
+    return item
 
 
-def encode_inline_reply(content: bytes) -> bytes:
-    return bytes([_BULK_INLINE]) + content
+def item_of(
+    value: asn1.Value, error: typing.Callable[[str], Exception]
+) -> Item:
+    """The item a decoded value names; any other value raises ``error``."""
+    if type(value) is bytes:
+        return value
+    if type(value) is list and len(value) == 3 and all(
+        type(v) is int and v >= 0 for v in value
+    ):
+        return FileEntry(*value)
+    raise error(f"a file is bytes or [size, crc32, stream_id], not {value!r:.80}")
 
 
-def encode_stream_reply(entry: FileEntry) -> bytes:
-    return bytes([_BULK_STREAMED]) + _BULK_REF.pack(
-        entry.stream_id, entry.size, entry.crc32
-    )
+def decode_item(data: bytes) -> Item:
+    """A bulk reply's one item; any other input is a :class:`FrameError`."""
+    return item_of(asn1.decode(data, FrameError), FrameError)
 
 
-def decode_bulk_reply(payload: bytes) -> tuple[str, bytes | FileEntry]:
-    """Returns ``("inline", content)`` or ``("stream", FileEntry)``."""
-    r = ByteReader(payload, FrameError)
-    tag = r.u8()
-    if tag == _BULK_INLINE:
-        return "inline", r.take(r.remaining)
-    if tag == _BULK_STREAMED:
-        stream_id, size, crc = r.unpack(_BULK_REF)
-        r.end()
-        return "stream", FileEntry("", size, crc, stream_id)
-    raise FrameError(f"unknown bulk-reply tag {tag}")
+def ship(
+    files: typing.Mapping[str, FileBody],
+    stream: typing.Callable[
+        [str, FileBody], typing.Generator[Event, typing.Any, FileEntry]
+    ],
+) -> typing.Generator[Event, typing.Any, Manifest]:
+    """The manifest of ``files`` (``yield from``): each file of at most
+    :data:`INLINE_FILE_MAX` bytes inline, each larger one sent ahead by
+    ``stream(path, body)`` and named by the entry it returns."""
+    manifest: Manifest = {}
+    for path, body in sorted(files.items()):
+        if len(body) <= INLINE_FILE_MAX:
+            manifest[path] = body.data
+        else:
+            manifest[path] = yield from stream(path, body)
+    return manifest
+
+
+def claim(
+    endpoint: DataPlaneEndpoint, manifest: Manifest
+) -> dict[str, FileBody]:
+    """The files ``manifest`` names, taking each stream from ``endpoint``.
+
+    A stream that never (fully) arrived — its frames dropped while this
+    side was down — is :class:`ServiceUnavailable`, so a client fails
+    over and re-streams; one that is not the payload its entry promised
+    is a :class:`FrameError`.
+    """
+    files: dict[str, FileBody] = {}
+    for path, item in manifest.items():
+        if not isinstance(item, FileEntry):
+            files[path] = FileBody(item)
+            continue
+        done = endpoint.take(item.stream_id)
+        if done is None:
+            raise ServiceUnavailable(
+                f"file {path!r} names stream {item.stream_id}, "
+                "which never arrived"
+            )
+        if not done.matches(item):
+            raise FrameError(
+                f"file {path!r} failed its stream integrity check"
+            )
+        files[path] = done.body
+    return files
 
 
 def fetch_bulk_payload(
@@ -361,18 +445,19 @@ def fetch_bulk_payload(
     payload: bytes,
     timeout_s: float = STREAM_WAIT_TIMEOUT_S,
 ) -> typing.Generator[Event, typing.Any, bytes]:
-    """Resolve a bulk reply to its content bytes (``yield from``).
+    """Resolve a FETCH_FILE / RETRIEVE_OUTCOME reply, one item, to its
+    content bytes (``yield from``).
 
-    Inline replies return immediately; streamed ones await the pushed
-    stream on ``endpoint`` and check it is the one the reply promised.
+    Inline replies return immediately; streamed ones await the stream
+    the gateway pushed ahead of the reply on ``endpoint`` and check it
+    is the one the reply promised.
     """
-    kind, value = decode_bulk_reply(payload)
-    if kind == "inline":
-        return typing.cast(bytes, value)
-    entry = typing.cast(FileEntry, value)
-    done = yield from endpoint.wait(entry.stream_id, timeout_s)
-    if not done.matches(entry):
+    item = decode_item(payload)
+    if not isinstance(item, FileEntry):
+        return item
+    done = yield from endpoint.wait(item.stream_id, timeout_s)
+    if not done.matches(item):
         raise FrameError(
-            f"streamed reply {entry.stream_id} failed integrity check"
+            f"streamed reply {item.stream_id} failed integrity check"
         )
     return done.data

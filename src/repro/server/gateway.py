@@ -41,7 +41,7 @@ from repro.ajo.services import (
 from repro.broker.errors import BrokerError
 from repro.errors import ReproError
 from repro.faults.errors import ServiceUnavailable
-from repro.net.errors import ConnectionLost
+from repro.net.errors import ConnectionLost, FrameError
 from repro.net.https import HttpsChannel
 from repro.net.sim_transport import Host, Message, Network
 from repro.net.stream import StreamSender
@@ -51,12 +51,12 @@ from repro.protocol.consignment import Consignment, decode_consignment_envelope
 from repro.protocol.datapath import (
     INLINE_FILE_MAX,
     DataPlaneEndpoint,
+    FileEntry,
     StreamIdAllocator,
     body_sender,
     channel_sender,
-    encode_inline_reply,
-    encode_stream_reply,
-    entry_for_sender,
+    claim,
+    item_value,
     send_stream,
 )
 from repro.protocol.messages import Reply, Request, RequestKind
@@ -93,7 +93,9 @@ REPLY_RETENTION_S = RetryPolicy().max_attempts * (
 
 
 #: What a handler may raise to refuse its request.
-_REFUSALS = (ServerError, SerializationError, ServiceUnavailable, BrokerError)
+_REFUSALS = (
+    ServerError, SerializationError, ServiceUnavailable, BrokerError, FrameError
+)
 
 #: What a handler answers: the reply payload, and the sender of a stream
 #: to push ahead of the reply when the content travels on the data plane.
@@ -320,7 +322,10 @@ class Gateway:
         if request.kind == RequestKind.CONSIGN_JOB:
             try:
                 consignment = decode_consignment_envelope(request.payload)
-                fw_extra = sum(e.size for e in consignment.streamed)
+                fw_extra = sum(
+                    item.size for item in consignment.files.values()
+                    if isinstance(item, FileEntry)
+                )
             except SerializationError:
                 pass  # its handler refuses it; the hop is charged all the same
         yield from self._firewall_hop(
@@ -385,24 +390,7 @@ class Gateway:
     ) -> _Answer:
         if consignment is None:  # malformed: open it again for the cause
             consignment = decode_consignment_envelope(request.payload)
-        files: dict[str, FileBody | bytes] = dict(consignment.files)
-        for entry in consignment.streamed:
-            ready = self.datapath.take(entry.stream_id)
-            if ready is None:
-                # The upload never (fully) arrived — e.g. its frames
-                # were dropped while this gateway was down.  Surface
-                # as unavailability so the client fails over and
-                # re-streams, rather than as a validation error.
-                raise ServiceUnavailable(
-                    f"consignment file {entry.path!r} references "
-                    f"stream {entry.stream_id}, which never arrived"
-                )
-            if not ready.matches(entry):
-                raise ConsignError(
-                    f"consignment file {entry.path!r} failed its "
-                    "stream integrity check"
-                )
-            files[entry.path] = ready.body
+        files = claim(self.datapath, consignment.files)
         ajo = decode_ajo(consignment.ajo_bytes)
         if ajo.user_dn and ajo.user_dn != request.user_dn:
             raise ConsignError(
@@ -486,12 +474,12 @@ class Gateway:
         site received as a stream is served without being read again.
         """
         if len(content) <= INLINE_FILE_MAX:
-            return encode_inline_reply(content.data), None
+            return asn1.encode(item_value(content.data)), None
         push = body_sender(
             self._stream_ids.next(), content,
             {"kind": "bulk-reply", "request": request.request_id},
         )
-        return encode_stream_reply(entry_for_sender("", push)), push
+        return asn1.encode(item_value(FileEntry.of(push))), push
 
     def _authorize_job(self, job_id: str, user_dn: str) -> None:
         """Users may only touch their own jobs."""

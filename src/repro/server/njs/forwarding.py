@@ -3,14 +3,19 @@
 Outbound, :meth:`Forwarding.forward` hands a job group destined for
 another Usite to that site's NJS and splices what comes back into the
 parent job, and :meth:`Forwarding.transfer` sends one Uspace file to a
-peer ("NJS - NJS communication via the gateway").  Inbound, :meth:`Forwarding.take_in` consigns such a group
-here and reports home when it is done, and the data-plane endpoint
-receives the streams peers send: Uspace-to-Uspace transfers, staging
-that precedes a group, result files that precede a group's report.
+peer ("NJS - NJS communication via the gateway").  Inbound,
+:meth:`Forwarding.take_in` consigns such a group here and reports home
+when it is done, and :meth:`Forwarding.returned` takes a group's result.
+
+A group and its result carry their files as one manifest
+(:mod:`repro.protocol.datapath`): small files inline, large ones as the
+entries of streams sent ahead on the same FIFO route.  The data-plane
+endpoint stores a Uspace-to-Uspace transfer on arrival and parks every
+other stream until the message that names it claims it.
 
 The part owns what only exists because jobs cross sites: which local run
-serves which parent job, and the three stashes for things that arrive
-before their owner does.
+serves which parent job, and the one stash for files that arrive before
+their Uspace does.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from repro.ajo.outcome import AJOOutcome
 from repro.ajo.serialize import decode_ajo, decode_outcome, encode_ajo, encode_outcome
 from repro.ajo.status import ActionStatus
 from repro.ajo.tasks import FileSpace, ImportTask, TransferTask
-from repro.net.errors import ConnectionLost
+from repro.faults.errors import ServiceUnavailable
+from repro.net.errors import ConnectionLost, FrameError
 from repro.observability import telemetry_for
 from repro.protocol.consignment import validate_manifest_paths
-from repro.protocol.datapath import INLINE_FILE_MAX, DataPlaneEndpoint
+from repro.protocol.datapath import DataPlaneEndpoint, FileEntry, claim, ship
 from repro.server.njs.jobrun import JobRun, index_outcomes
 from repro.server.njs.peerlink import (
     ForwardGroup,
@@ -47,14 +53,6 @@ LOCAL_DISK_BANDWIDTH_BPS = 50e6
 
 #: ``path -> body``.  A body stays inside the site that built it.
 Files = dict[str, FileBody]
-
-
-def _inline(files: Files) -> dict[str, bytes]:
-    """The files small enough to ride inside a control message, as the
-    bare bytes a message carries: the peer builds its own bodies."""
-    return {
-        p: c.data for p, c in files.items() if len(c) <= INLINE_FILE_MAX
-    }
 
 
 class Forwarding:
@@ -78,13 +76,9 @@ class Forwarding:
         self._foreign_runs: dict[str, JobRun] = {}
         #: Files for a job group that arrived before its Uspace existed.
         self._early_files: dict[str, Files] = {}
-        #: Streamed return files of forwarded groups, corr_id -> files.
-        self._returned_files: dict[int, Files] = {}
-        #: Streamed staging files that precede their ForwardGroup,
-        #: keyed by the parent job id the group will carry.
-        self._pending_forward_files: dict[str, Files] = {}
-        #: Data-plane receiving endpoint: peer streams reassemble here
-        #: and dispatch by context kind (:meth:`_on_stream_complete`).
+        #: Data-plane receiving endpoint: peer streams reassemble here;
+        #: transfers are stored, the rest parked for their message
+        #: (:meth:`_on_stream_complete`).
         self.datapath = DataPlaneEndpoint(
             sim, metrics=telemetry_for(sim).metrics,
             on_complete=self._on_stream_complete,
@@ -123,37 +117,24 @@ class Forwarding:
 
     def stashes(self) -> dict[str, dict]:
         """A copy of everything held for an owner that has not arrived:
-        ``early`` files by job id (:meth:`stash`), ``staged`` files by
-        parent job id, ``returned`` files by correlation id."""
-        return copy.deepcopy({
-            "early": self._early_files,
-            "staged": self._pending_forward_files,
-            "returned": self._returned_files,
-        })
+        ``early`` files by job id (:meth:`stash`)."""
+        return copy.deepcopy({"early": self._early_files})
 
     def reset(self) -> None:
         """The process died: every stash and in-flight stream with it."""
         self._foreign_runs.clear()
         self._early_files.clear()
         self.datapath.clear()
-        self._returned_files.clear()
-        self._pending_forward_files.clear()
 
     # ------------------------------------------------------------- shipping
-    def _ship(self, usite: str, message, files: Files, context: dict):
-        """Send ``message`` and ``files`` to a peer.
-
-        Control/data-plane split: small files ride inside the message
-        (it was built with :func:`_inline` of ``files``); large ones
-        stream ahead of it on the same FIFO route, labelled ``context``,
-        so they are reassembled at the peer before the message arrives.
-        """
-        for path, body in sorted(files.items()):
-            if len(body) > INLINE_FILE_MAX:
-                yield from self._peers.stream(
-                    usite, body, {**context, "path": path}
-                )
-        yield from self._peers.send(usite, message)
+    def _ship(self, usite: str, files: Files, kind: str):
+        """The manifest of ``files`` for a message to ``usite``
+        (``yield from``): large files stream ahead on the same FIFO
+        route, labelled ``kind``, so the peer has them before the
+        message that names them."""
+        return ship(files, lambda path, body: self._peers.stream(
+            usite, body, {"kind": kind, "path": path}
+        ))
 
     # ------------------------------------------------------------- outbound
     def forward(self, run: JobRun, group, sub: AbstractJobObject, staged: Files):
@@ -173,23 +154,20 @@ class Forwarding:
         }
         ws_files.update(staged)
         corr_id, reply_ev = self._peers.expect("group-result")
-        message = ForwardGroup(
-            corr_id=corr_id,
-            reply_usite=self._usite_name,
-            parent_job_id=run.job_id,
-            user_dn=run.user_dn,
-            ajo_bytes=encode_ajo(sub),
-            staged_files=_inline(ws_files),
-            # What parent-level edges expect this group to produce.
-            return_files=run.group_expected[sub.id],
-            trace_id=run.trace_id,
-            parent_span_id=forward_span.span_id,
-        )
         try:
-            yield from self._ship(
-                sub.usite, message, ws_files,
-                {"kind": "forward-stage", "job": run.job_id},
-            )
+            files = yield from self._ship(sub.usite, ws_files, "forward-stage")
+            yield from self._peers.send(sub.usite, ForwardGroup(
+                corr_id=corr_id,
+                reply_usite=self._usite_name,
+                parent_job_id=run.job_id,
+                user_dn=run.user_dn,
+                ajo_bytes=encode_ajo(sub),
+                files=files,
+                # What parent-level edges expect this group to produce.
+                return_files=run.group_expected[sub.id],
+                trace_id=run.trace_id,
+                parent_span_id=forward_span.span_id,
+            ))
         except ConnectionLost as err:
             self._peers.abandon(corr_id)
             run.tracer.end_span(forward_span, error=err)
@@ -199,7 +177,6 @@ class Forwarding:
             )
             return
         result = yield reply_ev
-        returned_files = self._returned_files.pop(corr_id, {})
         run.tracer.end_span(forward_span, error=None if result.ok else result.error)
         if not result.ok:
             # The whole group was rejected remotely: none of its children
@@ -214,15 +191,15 @@ class Forwarding:
                         )
             run.finish_action(sub.id, ActionStatus.FAILED, reason=result.error)
             return
+        try:  # the files the group produced streamed ahead of its result
+            returned = claim(self.datapath, result.files)
+        except (ServiceUnavailable, FrameError) as err:
+            run.finish_action(sub.id, ActionStatus.FAILED, reason=str(err))
+            return
         sub_outcome = typing.cast(AJOOutcome, decode_outcome(result.outcome_bytes))
         self._merge_outcome(run, group, sub, sub_outcome)
-        if result.produced_files or returned_files:
-            # Small return files ride inside the GroupResult; large ones
-            # streamed ahead and were collected under this corr_id.
-            returned_files.update(
-                (p, FileBody(c)) for p, c in result.produced_files.items()
-            )
-            run.remote_files[sub.id] = returned_files
+        if returned:
+            run.remote_files[sub.id] = returned
         status = sub_outcome.rollup_status()
         if not status.is_terminal:
             status = ActionStatus.FAILED
@@ -304,21 +281,18 @@ class Forwarding:
     # -------------------------------------------------------------- inbound
     def take_in(self, message: ForwardGroup):
         """Consign a group a peer forwarded, and report home when done."""
-        # Large staging files streamed ahead of the group on the same
-        # FIFO route; they are already reassembled under the parent id.
-        staged_files: dict[str, FileBody | bytes] = dict(message.staged_files)
-        staged_files.update(
-            self._pending_forward_files.pop(message.parent_job_id, {})
-        )
         forward_meta = (
             message.corr_id, message.reply_usite, tuple(message.return_files)
         )
         try:
-            validate_manifest_paths(staged_files, what="forwarded staging")
+            # Large staging files streamed ahead of the group on the same
+            # FIFO route: they are reassembled here already.
+            staged = claim(self.datapath, message.files)
+            validate_manifest_paths(staged, what="forwarded staging")
             run = self._consign(
                 decode_ajo(message.ajo_bytes),
                 user_dn=message.user_dn,
-                workstation_files=staged_files,
+                workstation_files=staged,
                 parent_job_id=message.parent_job_id,
                 trace_id=message.trace_id,
                 parent_span_id=message.parent_span_id,
@@ -361,52 +335,39 @@ class Forwarding:
                 if uspace.exists(path):
                     produced[path] = uspace.body(path)
                     break
-        reply = GroupResult(
-            corr_id=corr_id,
-            ok=True,
-            outcome_bytes=encode_outcome(run.root_outcome),
-            produced_files=_inline(produced),
-        )
+        outcome_bytes = encode_outcome(run.root_outcome)
         try:
-            yield from self._ship(
-                reply_usite, reply, produced,
-                {"kind": "group-return", "corr": corr_id},
-            )
+            files = yield from self._ship(reply_usite, produced, "group-return")
+            yield from self._peers.send(reply_usite, GroupResult(
+                corr_id=corr_id, ok=True, outcome_bytes=outcome_bytes,
+                files=files,
+            ))
         except ConnectionLost:
             pass  # the parent NJS will surface the missing result
 
+    def returned(self, result: GroupResult) -> None:
+        """A forwarded group's result came home: hand it to the forward
+        that awaits it.  Nobody does once that forward was given up or a
+        restart forgot it; then the result is dropped with the streams
+        it names, which would otherwise stay parked for ever."""
+        if self._peers.resolve(result):
+            return
+        for item in result.files.values():
+            if isinstance(item, FileEntry):
+                self.datapath.take(item.stream_id)
+        self._count("njs.dropped_peer_messages")
+
     # ------------------------------------------------------ data-plane intake
     def _on_stream_complete(self, context: dict, data: FileBody) -> bool:
-        """Route a reassembled peer stream by its context kind."""
-        kind = context.get("kind")
-        path = str(context.get("path", ""))
-        if kind == "uspace-file":
-            # A Uspace-to-Uspace transfer: store + ack (its own process,
-            # because storing charges disk time and the ack travels back).
-            self._sim.process(
-                self._complete_transfer(context, path, data),
-                name=f"transfer-in:{context.get('corr', 0)}",
-            )
-        elif kind == "forward-stage":
-            # Staging for a ForwardGroup still in flight behind us.
-            try:
-                validate_manifest_paths([path], what="forwarded staging")
-            except UnsafePathError:
-                self._count("njs.rejected_paths")
-                return True
-            self._pending_forward_files.setdefault(
-                str(context.get("job", "")), {}
-            )[path] = data
-        elif kind == "group-return":
-            corr_id = int(context.get("corr", 0))
-            if self._peers.expecting(corr_id):
-                self._returned_files.setdefault(corr_id, {})[path] = data
-            else:
-                # Its forward was given up, or a restart re-forwarded the
-                # group under a new id: nobody will ever collect this.
-                self._count("njs.dropped_peer_messages")
-        else:
+        """Store a Uspace-to-Uspace transfer and ack it (its own process,
+        because storing charges disk time and the ack travels back).
+        Every other stream stays parked for the message that names it."""
+        if context.get("kind") != "uspace-file":
             return False
+        self._sim.process(
+            self._complete_transfer(context, str(context.get("path", "")), data),
+            name=f"transfer-in:{context.get('corr', 0)}",
+        )
         return True
 
     def _complete_transfer(self, context: dict, path: str, data: FileBody):

@@ -22,9 +22,10 @@ from repro.net.https import DEFAULT_PER_RECORD_CPU_S, HANDSHAKE_MESSAGE_BYTES
 from repro.net.sim_transport import Network
 from repro.protocol.datapath import (
     DEFAULT_CHUNK_BYTES,
+    FileEntry,
+    Manifest,
     StreamIdAllocator,
-    body_sender,
-    send_stream,
+    send_body,
 )
 from repro.security.ssl import HANDSHAKE_ROUND_TRIPS, SSLSession
 from repro.simkernel import Event, Simulator
@@ -47,6 +48,12 @@ PEER_RETRY_DELAY_S = 5.0
 Route = typing.Sequence[tuple[str, str]]
 
 
+def _inline_bytes(files: Manifest) -> int:
+    """What a manifest adds to its message: the inline files' bytes (a
+    streamed one crossed ahead, in its own frames)."""
+    return sum(len(v) for v in files.values() if not isinstance(v, FileEntry))
+
+
 # --------------------------------------------------------- NJS-NJS messages
 @dataclass(slots=True)
 class ForwardGroup:
@@ -58,8 +65,8 @@ class ForwardGroup:
     parent_job_id: str
     user_dn: str
     ajo_bytes: bytes
-    #: Workstation + staged dependency files the group needs, path->bytes.
-    staged_files: dict[str, bytes] = field(default_factory=dict)
+    #: Workstation + staged dependency files the group needs.
+    files: Manifest = field(default_factory=dict)
     #: Files the parent needs back when the group completes.
     return_files: tuple[str, ...] = ()
     #: Trace context so the peer NJS extends the same per-job trace.
@@ -68,11 +75,7 @@ class ForwardGroup:
 
     @property
     def wire_payload(self) -> int:
-        return (
-            len(self.ajo_bytes)
-            + sum(len(v) for v in self.staged_files.values())
-            + 512
-        )
+        return len(self.ajo_bytes) + _inline_bytes(self.files) + 512
 
 
 @dataclass(slots=True)
@@ -82,16 +85,13 @@ class GroupResult:
     corr_id: int
     ok: bool
     outcome_bytes: bytes = b""
-    produced_files: dict[str, bytes] = field(default_factory=dict)
+    #: The files the parent asked back.
+    files: Manifest = field(default_factory=dict)
     error: str = ""
 
     @property
     def wire_payload(self) -> int:
-        return (
-            len(self.outcome_bytes)
-            + sum(len(v) for v in self.produced_files.values())
-            + 512
-        )
+        return len(self.outcome_bytes) + _inline_bytes(self.files) + 512
 
 
 @dataclass(slots=True)
@@ -184,15 +184,14 @@ class PeerLink:
         self._pending[corr_id] = event
         return corr_id, event
 
-    def expecting(self, corr_id: int) -> bool:
-        return corr_id in self._pending
-
-    def resolve(self, reply: "GroupResult | TransferAck | ReclaimAck") -> None:
-        """Hand a reply to whoever expects it; nobody does after a crash
-        or an :meth:`abandon`, and then it is dropped."""
+    def resolve(self, reply: "GroupResult | TransferAck | ReclaimAck") -> bool:
+        """Hand a reply to whoever expects it and say whether anybody
+        did; nobody does after a crash or an :meth:`abandon`."""
         waiter = self._pending.pop(reply.corr_id, None)
-        if waiter is not None and not waiter.triggered:  # else: just expired
-            waiter.succeed(reply)
+        if waiter is None or waiter.triggered:  # triggered: just expired
+            return False
+        waiter.succeed(reply)
+        return True
 
     def abandon(self, corr_id: int) -> None:
         """Stop expecting a reply (its request was lost for good)."""
@@ -225,7 +224,8 @@ class PeerLink:
 
     def stream(self, usite: str, data: FileBody | bytes, context: dict,
                chunk_bytes: int = DEFAULT_CHUNK_BYTES):
-        """Stream a bulk payload to a peer NJS, one chunked frame at a time.
+        """Stream a bulk payload to a peer NJS, one chunked frame at a
+        time; returns the :class:`FileEntry` a manifest names it by.
 
         Frames carry the chunk CRCs ``data`` holds (the ones this site
         verified when the bytes arrived); only a body nobody has cut at
@@ -238,16 +238,15 @@ class PeerLink:
         (``stream.resumes``) instead of restarting, which is what makes
         WAN-drop faults survivable for multi-megabyte transfers.
         """
-        sender = body_sender(
-            self._stream_ids.next(), FileBody.of(data), context, chunk_bytes
-        )
-
         def send_frame(raw: bytes):
             # retries=0: a loss surfaces in send_stream (per-chunk
             # resume) instead of being hidden inside the hop machinery.
             return self._send(usite, PeerFrame(raw), 0)
 
-        yield from send_stream(self._sim, sender, send_frame)
+        return (yield from send_body(
+            self._sim, self._stream_ids.next(), FileBody.of(data), context,
+            send_frame, chunk_bytes=chunk_bytes,
+        ))
 
     def _send(self, usite: str, payload: typing.Any, retries: int):
         """NJS -> gateway -> peer gateway -> NJS, ``retries`` per hop.

@@ -289,7 +289,9 @@ class NetworkJobSupervisor:
                 self.cancel(run.job_id)
         elif isinstance(payload, ReclaimJob):
             self.sim.process(self._handle_reclaim(payload))
-        elif isinstance(payload, (GroupResult, TransferAck)):
+        elif isinstance(payload, GroupResult):
+            self.forwarding.returned(payload)
+        elif isinstance(payload, TransferAck):
             self.peers.resolve(payload)
         else:
             return False
@@ -357,7 +359,7 @@ class NetworkJobSupervisor:
             run = self.consign(
                 decode_ajo(self.journal.ajo_bytes(entry.job_id)),
                 user_dn=entry.user_dn,
-                workstation_files=self.journal.staged_files(entry),
+                workstation_files=self.journal.workstation_files(entry),
                 parent_job_id=entry.parent_job_id,
                 trace_id=entry.trace_id,
                 job_id=entry.job_id,

@@ -35,7 +35,7 @@ Rows are metadata only.  The consigned AJO and the files a consignment
 carries (workstation imports, a forwarded group's staging) go to the
 backend's blob store as raw bytes; the row keeps the AJO's digest and
 the files' ``{path: digest}`` manifest.  A reload reads no byte string:
-:meth:`JobJournal.ajo_bytes` and :meth:`JobJournal.staged_files` fetch
+:meth:`JobJournal.ajo_bytes` and :meth:`JobJournal.workstation_files` fetch
 them when a replay or a status query needs them, and
 :meth:`JobJournal.forget` releases them unread.
 """
@@ -202,7 +202,7 @@ class JobJournal:
             raise StorageError(f"no journal row for job {job_id!r}")
         return self._blobs.get(entry.ajo_digest)
 
-    def staged_files(self, entry: JournalEntry) -> dict[str, FileBody]:
+    def workstation_files(self, entry: JournalEntry) -> dict[str, FileBody]:
         """The bodies of the files ``entry`` was consigned with."""
         return {
             path: self._blobs.body(digest)

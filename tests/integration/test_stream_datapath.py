@@ -12,12 +12,16 @@ chunk instead of restarting, and fetched bytes come back exact.
 
 import pytest
 
+from repro.ajo import AbstractJobObject, ExecuteScriptTask, encode_ajo
 from repro.client import JobMonitorController, JobPreparationAgent
+from repro.errors import UnsafePathError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.grid import build_grid
 from repro.observability import telemetry_for
-from repro.protocol.datapath import INLINE_FILE_MAX
+from repro.protocol.consignment import validate_manifest_paths
+from repro.protocol.datapath import INLINE_FILE_MAX, claim
+from repro.server.njs.peerlink import ForwardGroup, GroupResult
 
 
 @pytest.fixture()
@@ -191,33 +195,79 @@ def test_forwarded_group_stages_and_returns_large_files(two_sites):
 
 
 def test_group_return_stream_nobody_expects_is_dropped(two_sites):
-    """Result files that stream home ahead of a GroupResult are kept only
-    while the forward that asked for them still waits; a forward given up
-    on, or forgotten by a restart, must not pin its files for ever."""
+    """Result files stream home ahead of their GroupResult and stay parked
+    until it claims them.  A result nobody awaits — its forward was given
+    up on, or a restart forgot it — is dropped with the streams it names,
+    so they are not pinned for ever."""
     grid, user, session = two_sites
     fzj, zib = grid.usites["FZJ"].njs, grid.usites["ZIB"].njs
     metrics = telemetry_for(grid.sim).metrics
     data = bytes(range(256)) * 16
 
-    def stream_home(corr_id):
+    def result_home(corr_id):
         def scenario(sim):
-            yield from zib.peers.stream(
-                "FZJ", data,
-                {"kind": "group-return", "corr": corr_id, "path": "render.out"},
+            entry = yield from zib.peers.stream(
+                "FZJ", data, {"kind": "group-return", "path": "render.out"}
             )
+            yield from zib.peers.send("FZJ", GroupResult(
+                corr_id=corr_id, ok=True, files={"render.out": entry}
+            ))
             yield sim.timeout(1.0)  # let the FZJ inbox drain
+            return entry
 
-        grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
-        return metrics.counter_value("njs.dropped_peer_messages")
+        entry = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+        return entry, metrics.counter_value("njs.dropped_peer_messages")
 
-    corr_id, _reply = fzj.peers.expect("group-result")
-    assert stream_home(corr_id) == 0
-    assert fzj.forwarding.stashes()["returned"] == {corr_id: {"render.out": data}}
+    corr_id, reply = fzj.peers.expect("group-result")
+    entry, dropped = result_home(corr_id)
+    assert dropped == 0 and reply.value.files == {"render.out": entry}
+    # The awaited result's claim takes the parked stream.
+    assert claim(fzj.forwarding.datapath, reply.value.files) == {
+        "render.out": data
+    }
     # Nobody ever asked for this one.
-    assert stream_home(corr_id + 1000) == 1
-    assert fzj.forwarding.stashes()["returned"] == {corr_id: {"render.out": data}}
-    # The restart forgot who was waiting: the same stream is now unclaimed.
+    entry, dropped = result_home(corr_id + 1000)
+    assert dropped == 1
+    assert fzj.forwarding.datapath.take(entry.stream_id) is None
+    # The restart forgot who was waiting.
+    corr_id, _reply = fzj.peers.expect("group-result")
     fzj.crash()
     fzj.restart()
-    assert stream_home(corr_id) == 2
-    assert fzj.forwarding.stashes()["returned"] == {}
+    entry, dropped = result_home(corr_id)
+    assert dropped == 2
+    assert fzj.forwarding.datapath.take(entry.stream_id) is None
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["inline", "streamed"])
+def test_forwarded_staging_with_a_traversal_path_is_refused(two_sites, streamed):
+    """A staging file named ``../…`` refuses its whole group with the
+    path error, whether it rode inside the ForwardGroup or streamed ahead
+    of it; the refused group leaves no stream behind."""
+    grid, user, session = two_sites
+    fzj, zib = grid.usites["FZJ"].njs, grid.usites["ZIB"].njs
+    group = AbstractJobObject("evil", vsite="FZJ-T3E", usite="FZJ")
+    group.add(ExecuteScriptTask("t", script="#!/bin/sh\nx\n"))
+    data = b"\x5a" * (INLINE_FILE_MAX + 1)
+    corr_id, reply = zib.peers.expect("group-result")
+    runs = len(fzj.runs)
+
+    def scenario(sim):
+        item = data
+        if streamed:
+            item = yield from zib.peers.stream(
+                "FZJ", data, {"kind": "forward-stage", "path": "../evil"}
+            )
+        yield from zib.peers.send("FZJ", ForwardGroup(
+            corr_id=corr_id, reply_usite="ZIB", parent_job_id="U1@ZIB",
+            user_dn=session.user_dn, ajo_bytes=encode_ajo(group),
+            files={"../evil": item},
+        ))
+        return (yield reply), item
+
+    result, item = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+    with pytest.raises(UnsafePathError) as refused:
+        validate_manifest_paths(["../evil"], what="forwarded staging")
+    assert not result.ok and result.error == str(refused.value)
+    assert len(fzj.runs) == runs
+    if streamed:
+        assert fzj.forwarding.datapath.take(item.stream_id) is None

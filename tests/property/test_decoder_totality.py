@@ -3,9 +3,9 @@
 One table, ``DECODERS``, names each with a valid encoding:
 
 * the binary ones, which read through ``repro.bytereader.ByteReader``:
-  the socket MSG body, the data-plane frame and its OPEN preamble, the
-  ``UCON`` consignment envelope, the bulk-reply reference, and the values
-  of ``repro.asn1`` — a resource page, ``GridSnapshot.from_bytes`` (a
+  the socket MSG body, the data-plane frame and its OPEN preamble, and
+  the values of ``repro.asn1`` — a consignment and a bulk reply (one
+  file manifest each), a resource page, ``GridSnapshot.from_bytes`` (a
   file from disk), a storage row as a backend reads it back, the
   journal and outcome-store row readers over such a row, and the replies
   and request a JMC exchanges with a gateway (a status tree, a listing
@@ -44,15 +44,20 @@ from repro.ajo.serialize import (
 from repro.ajo.services import ListService
 from repro.ajo.tasks import ImportTask, TransferTask
 from repro.api import GridSession
-from repro.errors import ERROR_CODES, ReproError, SerializationError, StorageError
+from repro.errors import (
+    ERROR_CODES,
+    FrameError,
+    ReproError,
+    SerializationError,
+    StorageError,
+)
 from repro.grid import GridSnapshot, build_grid
 from repro.net import stream, wire
 from repro.protocol.consignment import (
-    FileEntry,
     decode_consignment_envelope,
     encode_consignment,
 )
-from repro.protocol.datapath import decode_bulk_reply, encode_stream_reply
+from repro.protocol.datapath import FileEntry, decode_item, item_value
 from repro.protocol.messages import Request
 from repro.protocol.views import (
     JobListing,
@@ -174,7 +179,7 @@ _MSG = wire.encode_message(
             trace_id="t", parent_span_id="s"),
     300, "ctl", True,
 )
-_ENTRY = FileEntry("big.dat", 10, 5, 42)
+_ENTRY = FileEntry(10, 5, 42)
 BINARY_DECODERS = {
     "wire.msg": (
         lambda data: wire.decode_frame(wire.FTYPE_MSG, data),
@@ -190,9 +195,9 @@ BINARY_DECODERS = {
     ),
     "consignment": (
         decode_consignment_envelope,
-        encode_consignment(b"AJO", {"/home/u/in": b"x"}, streamed=[_ENTRY]),
+        encode_consignment(b"AJO", {"/home/u/in": b"x", "big.dat": _ENTRY}),
     ),
-    "bulk_reply": (decode_bulk_reply, encode_stream_reply(_ENTRY)),
+    "bulk_reply": (decode_item, asn1.encode(item_value(_ENTRY))),
     "asn1": (
         lambda data: asn1.decode(data, ResourcePageError),
         asn1.encode({"cpus": 4, "queues": [{"name": "q", "limit": 1.5}],
@@ -210,7 +215,7 @@ BINARY_DECODERS = {
 #: The binary decoders whose input is one ``repro.asn1`` value.
 VALUE_DECODERS = (
     "snapshot", "row", "journal_row", "outcome_row",
-    "status_view", "listing_delta", "fetch_spec",
+    "status_view", "listing_delta", "fetch_spec", "consignment", "bulk_reply",
 )
 JSON_DECODERS = {
     "ajo": (decode_ajo, _valid_ajo()),
@@ -258,6 +263,27 @@ def test_byte_mutated_encodings_decode_or_are_refused(name, edits):
         else:
             data.insert(at, byte)
     _value_or_registered_error(name, bytes(data))
+
+
+#: What each manifest decoder raises on bytes it would not have written:
+#: its codec's error and nothing else.
+MANIFEST_ERRORS = {"consignment": SerializationError, "bulk_reply": FrameError}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(MANIFEST_ERRORS)),
+    at=st.integers(0, 1 << 20),
+    cut=st.integers(0, 8),
+    junk=st.binary(max_size=16),
+)
+def test_hostile_manifests_raise_only_their_codec_error(name, at, cut, junk):
+    valid = DECODERS[name][1]
+    at %= len(valid)
+    try:
+        DECODERS[name][0](valid[:at] + junk + valid[at + cut:])
+    except MANIFEST_ERRORS[name]:
+        pass
 
 
 json_values = st.recursive(

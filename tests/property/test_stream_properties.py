@@ -1,4 +1,4 @@
-"""Property-based tests: frame codec totality, consignment v2 roundtrips."""
+"""Property-based tests: frame codec totality, manifest roundtrips."""
 
 import string
 import zlib
@@ -22,7 +22,8 @@ from repro.protocol.consignment import (
     decode_consignment_envelope,
     encode_consignment,
 )
-from repro.protocol.datapath import entry_for_sender
+from repro import asn1
+from repro.protocol.datapath import FileEntry, decode_item, item_value
 
 payloads = st.binary(max_size=4096)
 relative_paths = st.text(
@@ -158,7 +159,6 @@ def test_consignment_inline_roundtrip(ajo, files):
     back = decode_consignment_envelope(encode_consignment(ajo, files))
     assert back.ajo_bytes == ajo
     assert back.files == files
-    assert back.streamed == ()
 
 
 @settings(max_examples=120, deadline=None)
@@ -172,21 +172,25 @@ def test_consignment_inline_roundtrip(ajo, files):
     ),
 )
 def test_consignment_streamed_roundtrip(ajo, inline, streamed):
-    names = set(inline)
-    streamed = [t for t in streamed if t[0] not in names]
-    entries = [
-        entry_for_sender(path, StreamSender(stream_id, content, 1024))
+    manifest = {
+        path: FileEntry.of(StreamSender(stream_id, content, 1024))
         for path, content, stream_id in streamed
-    ]
-    payload = encode_consignment(ajo, inline, streamed=entries)
+    }
+    manifest.update(inline)
+    payload = encode_consignment(ajo, manifest)
     back = decode_consignment_envelope(payload)
     assert back.ajo_bytes == ajo
-    assert back.files == inline
-    # The codec canonicalizes entry order by path.
-    assert list(back.streamed) == sorted(entries, key=lambda e: e.path)
-    for (_, content, _), entry in zip(streamed, entries, strict=True):
-        assert entry.size == len(content)
-        assert entry.crc32 == zlib.crc32(content)
+    assert back.files == manifest
+    # Equal manifests encode to equal bytes, whatever their order.
+    assert encode_consignment(ajo, dict(reversed(manifest.items()))) == payload
+    for path, content, stream_id in streamed:
+        if path not in inline:
+            assert back.files[path] == FileEntry(
+                len(content), zlib.crc32(content), stream_id
+            )
+    # Each item alone is a bulk reply's value.
+    for item in manifest.values():
+        assert decode_item(asn1.encode(item_value(item))) == item
 
 
 @settings(max_examples=120, deadline=None)

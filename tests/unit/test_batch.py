@@ -274,6 +274,35 @@ def test_cancel_running_job_frees_cpus():
     assert rb.state is BatchState.DONE
 
 
+@pytest.mark.parametrize("second", ["cancel", "offline"])
+def test_two_kills_in_one_instant_end_the_run_once(second):
+    """The first kill of a running job wins: a second cancel, or an
+    outage, in the same instant finds the run already ended."""
+    from repro.observability import telemetry_for
+
+    sim, system = make_system()
+    a = system.submit(spec_for(system, "a", cpus=4, time_s=100))
+    metrics = telemetry_for(sim).metrics
+
+    def killer(sim):
+        yield sim.timeout(5.0)
+        system.cancel(a)
+        if second == "cancel":
+            system.cancel(a)
+        else:
+            system.set_offline(True)
+
+    sim.process(killer(sim))
+    sim.run()
+    record = system.query(a)
+    assert record.state is BatchState.CANCELLED
+    assert record.reason == "cancelled by operator"
+    assert metrics.histogram("batch.execute_seconds").count == 1
+    assert metrics.counter_value("batch.node_failures") == 0
+    assert system.free_cpus == system.machine.cpus
+    assert system.running_count == 0
+
+
 def test_cancel_terminal_job_rejected():
     sim, system = make_system()
     a = system.submit(spec_for(system, time_s=1.0))

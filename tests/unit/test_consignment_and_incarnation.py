@@ -12,7 +12,9 @@ from repro.ajo import (
 )
 from repro.batch import machine
 from repro.batch.base import FileEffect
+from repro import asn1
 from repro.protocol.consignment import decode_consignment_envelope, encode_consignment
+from repro.protocol.datapath import FileEntry, decode_item, item_value
 from repro.resources import ResourceRequest
 from repro.security.uudb import UserMapping
 from repro.server.errors import IncarnationError
@@ -33,11 +35,18 @@ def t3e():
 
 # ------------------------------------------------------------ consignment
 def test_consignment_roundtrip():
-    files = {"/home/u/a.f90": b"program a\nend\n", "/home/u/b.dat": b"\x00\x01"}
+    files = {
+        "/home/u/a.f90": b"program a\nend\n",
+        "/home/u/b.dat": b"\x00\x01",
+        "/home/u/big.dat": FileEntry(1 << 20, 0xDEADBEEF, (7 << 32) | 1),
+    }
     blob = encode_consignment(b"AJO-BYTES", files)
     consignment = decode_consignment_envelope(blob)
     assert consignment.ajo_bytes == b"AJO-BYTES"
     assert consignment.files == files
+    # Each item is the value a bulk reply carries, too.
+    for item in files.values():
+        assert decode_item(asn1.encode(item_value(item))) == item
 
 
 def test_consignment_empty_files():
@@ -54,6 +63,10 @@ def test_consignment_rejects_garbage():
         decode_consignment_envelope(
             b'{"unicore_consignment": 1, "ajo": "!!!", "files": {}}'
         )
+    for shape in ([b"AJO"], [b"AJO", {}, {}], ["AJO", {}], [b"AJO", []],
+                  [b"AJO", {"a": "text"}], [b"AJO", {"a": [1, 2]}]):
+        with pytest.raises(SerializationError, match="malformed consignment"):
+            decode_consignment_envelope(asn1.encode(shape))
 
 
 # ------------------------------------------------------------- incarnation

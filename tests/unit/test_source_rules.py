@@ -17,6 +17,7 @@ id_ordering       RD106  ``key=id``, or ``id()`` in an ordering comparison
 module_getattr    RD404  a module-level ``__getattr__``
 private_reach     RD405  another module's ``_private`` state in ``server/``; a write to ``.njs._…``
 content_pass      RD406  ``zlib.crc32`` / ``hashlib.sha256`` outside a content pass's owner
+private_layout    -      a ``struct`` layout: a value crosses as one ``repro.asn1`` value
 """
 
 import ast
@@ -189,6 +190,14 @@ def content_pass(tree: ast.Module, rel: str) -> list[tuple[int, str]]:
     return found
 
 
+def private_layout(tree: ast.Module, rel: str) -> list[tuple[int, str]]:
+    layouts = {"struct.Struct", "struct.pack", "struct.unpack", "struct.calcsize"}
+    return [
+        (node.lineno, f"{_dotted(node.func)}() is a private byte layout; use a repro.asn1 value")
+        for node in _calls(tree) if _dotted(node.func) in layouts
+    ]
+
+
 # -- what each check may find in src/repro, and why -------------------------------
 EXEMPT: dict[tuple[object, str], tuple[int | None, str]] = {
     **{(check, "src/repro/net/aio_transport.py"): (None, "real sockets, real clocks")
@@ -202,6 +211,8 @@ EXEMPT: dict[tuple[object, str], tuple[int | None, str]] = {
     (content_pass, "src/repro/simkernel/rng.py"): (None, "RNG stream names, not file content"),
     (content_pass, "src/repro/storage/backend.py"): (1, "load() checks each blob's digest"),
     (content_pass, "src/repro/protocol/datapath.py"): (1, "a sender name seeds stream ids"),
+    (private_layout, "src/repro/net/stream.py"): (2, "the frame header and OPEN fixed part"),
+    (private_layout, "src/repro/net/wire.py"): (1, "the socket frame header"),
 }
 
 
@@ -216,10 +227,12 @@ def _unexempt(check, files) -> list[str]:
                   for f in fs)
 
 
-def _tree_test(check, code: str):
+def _tree_test(check, code: str = ""):
     def test(src_files):
         assert _unexempt(check, src_files) == []
-    test.__doc__ = f"``{check.__name__}`` finds nothing in src/repro; replaces {code}."
+    test.__doc__ = f"``{check.__name__}`` finds nothing in src/repro" + (
+        f"; replaces {code}." if code else "."
+    )
     return test
 
 
@@ -232,6 +245,7 @@ test_no_id_ordering = _tree_test(id_ordering, "RD106")
 test_no_module_getattr = _tree_test(module_getattr, "RD404")
 test_no_reach_into_private_state = _tree_test(private_reach, "RD405")
 test_one_owner_per_content_pass = _tree_test(content_pass, "RD406")
+test_no_private_byte_layouts = _tree_test(private_layout)
 
 
 def test_a_counted_exemption_allows_no_second_finding():
@@ -260,6 +274,7 @@ CLEAN = {
     private_reach: "class RunIndex:\n    def verify(self, runs):\n        self._status = {}\n"
                    "        return self._status == RunIndex()._status, runs.njs.runs\n",
     content_pass: "import hashlib\nkept = body.digest, body.chunk_crcs(4096), hashlib.md5\n",
+    private_layout: "from repro import asn1\nblob = asn1.encode([size, crc32, stream_id])\n",
 }
 
 
@@ -292,6 +307,9 @@ CASES = [
                                  f"del u.{NJS}._runs[job_id]\n", n=2, rel="src/repro/faults/x.py"),
     case(content_pass, "reader", "import hashlib\nfrom zlib import crc32\n"
                                  "d, c = hashlib.sha256(b).hexdigest(), crc32(b)\n", n=2),
+    case(private_layout, "Struct", "import struct\nREF = struct.Struct('!QIQ')\n"),
+    case(private_layout, "pack", "import struct\n"
+                                 "blob = struct.pack('!B', 1) + struct.unpack('!I', b)\n", n=2),
 ]
 DIRTY = {param.values[0]: param.values[1] for param in reversed(CASES)}  # first case per check
 

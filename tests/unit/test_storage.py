@@ -374,7 +374,7 @@ def test_journal_keeps_file_bodies_in_the_blob_store(backend_cls):
     reborn.reload(set(), _seq)
     assert reborn.entry("U1").workstation_files == entry.workstation_files
     assert backend.bytes_read - read_before < 400
-    assert reborn.staged_files(reborn.entry("U1")) == files
+    assert reborn.workstation_files(reborn.entry("U1")) == files
     reborn.forget("U1")
     assert backend.blobs.digests() == []
 

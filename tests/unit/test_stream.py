@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import struct
 import zlib
 
 import pytest
@@ -26,18 +25,16 @@ from repro.net.errors import ConnectionLost
 from repro.net.sim_transport import Network
 from repro.observability import MetricsRegistry
 from repro.protocol.consignment import (
-    FileEntry,
     decode_consignment_envelope,
     encode_consignment,
     validate_manifest_paths,
 )
 from repro.protocol.datapath import (
     DataPlaneEndpoint,
+    FileEntry,
     StreamIdAllocator,
-    decode_bulk_reply,
-    encode_inline_reply,
-    encode_stream_reply,
-    entry_for_sender,
+    decode_item,
+    item_value,
 )
 from repro.simkernel import Simulator
 
@@ -219,14 +216,15 @@ def test_unsafe_path_error_code_is_stable():
 
 # ----------------------------------------------------------- consignment
 def test_consignment_streamed_entries_roundtrip():
-    entry = FileEntry("big.dat", 1000, zlib.crc32(b"\x01" * 1000), 42)
-    payload = encode_consignment(
-        b"AJO", {"/home/u/small.txt": b"hi"}, streamed=[entry]
+    entry = FileEntry(1000, zlib.crc32(b"\x01" * 1000), 42)
+    files = {"/home/u/small.txt": b"hi", "big.dat": entry}
+    payload = encode_consignment(b"AJO", files)
+    assert payload == asn1.encode(
+        [b"AJO", {"/home/u/small.txt": b"hi", "big.dat": [1000, entry.crc32, 42]}]
     )
     consignment = decode_consignment_envelope(payload)
     assert consignment.ajo_bytes == b"AJO"
-    assert consignment.files == {"/home/u/small.txt": b"hi"}
-    assert consignment.streamed == (entry,)
+    assert consignment.files == files
 
 
 def test_consignment_rejects_trailing_garbage():
@@ -347,26 +345,27 @@ def test_endpoint_drops_stream_with_valid_chunk_of_another_payload():
 
 # ------------------------------------------------------------ bulk replies
 def test_bulk_reply_inline_roundtrip():
-    kind, content = decode_bulk_reply(encode_inline_reply(b"data"))
-    assert (kind, content) == ("inline", b"data")
+    assert decode_item(asn1.encode(item_value(b"data"))) == b"data"
 
 
 def test_bulk_reply_streamed_roundtrip():
-    entry = entry_for_sender("", StreamSender(77, b"payload", 1024))
-    kind, ref = decode_bulk_reply(encode_stream_reply(entry))
-    assert kind == "stream"
-    assert (ref.stream_id, ref.size, ref.crc32) == (
-        77, 7, zlib.crc32(b"payload")
-    )
+    entry = FileEntry.of(StreamSender(77, b"payload", 1024))
+    assert entry == FileEntry(7, zlib.crc32(b"payload"), 77)
+    assert decode_item(asn1.encode(item_value(entry))) == entry
 
 
 def test_bulk_reply_rejects_garbage():
-    with pytest.raises(FrameError):
-        decode_bulk_reply(b"")
-    with pytest.raises(FrameError):
-        decode_bulk_reply(struct.pack("!B", 9) + b"x")
-    with pytest.raises(FrameError):
-        decode_bulk_reply(b"\x01short")
+    for garbage in (
+        b"",
+        asn1.encode(b"data") + b"x",  # trailing bytes
+        asn1.encode(b"data")[:-1],  # truncated
+        asn1.encode("text"),
+        asn1.encode([7, 1]),
+        asn1.encode([7, -1, 77]),
+        asn1.encode([7, True, 77]),
+    ):
+        with pytest.raises(FrameError):
+            decode_item(garbage)
 
 
 # ------------------------------------------------- per-network message ids
