@@ -15,8 +15,8 @@ travelled as one monolithic base64-in-JSON message:
    converges to ~1.0 (frame headers plus SSL record framing); base64
    JSON floors at ~4/3.
 2. **Control-plane latency under load** — a small control message sent
-   mid-transfer queues behind at most one chunk per hop, not behind the
-   whole file.  The monolithic shape would block it for the full
+   mid-transfer queues behind at most the two chunks a stream keeps in
+   flight per hop, not behind the whole file.  The monolithic shape would block it for the full
    serialization of the data set.
 
 Expected shape: overhead ratio falls with payload size and is below
@@ -203,6 +203,7 @@ def test_e5_control_plane_latency_under_bulk_transfer(benchmark):
     )
 
     # Chunks interleave with control traffic: the control message waits
-    # at most ~one chunk serialization per hop, never the whole file.
+    # at most ~two chunk serializations (the stream's two frames in
+    # flight), never the whole file.
     assert extra <= 3 * chunk_tx + 0.05
     assert extra < 0.05 * monolithic_tx

@@ -4,11 +4,12 @@ The control plane (small :class:`~repro.protocol.messages.Request` /
 ``Reply`` envelopes) keeps the paper's semantics untouched; bulk bytes
 — consignment uploads, NJS staging, Uspace-to-Uspace transfers, outcome
 and export fetches — travel here instead, as the chunked binary frames
-of :mod:`repro.net.stream`.  Chunks share the FIFO links one frame at a
-time, so a control message queued behind a bulk transfer waits for at
-most one chunk's serialization instead of the whole payload; a dropped
-chunk is retransmitted alone (``stream.resumes``) instead of restarting
-the transfer from byte zero.
+of :mod:`repro.net.stream`.  A stream keeps at most two chunks in
+flight (:data:`STREAM_WINDOW`), so its link stays busy while the next
+chunk is sealed, and a control message queued behind a bulk transfer
+waits for at most two chunks' serialization instead of the whole
+payload; a dropped chunk is retransmitted alone (``stream.resumes``)
+instead of restarting the transfer from byte zero.
 
 Pieces:
 
@@ -39,6 +40,7 @@ retries from the simulated network's named RNG streams.
 
 from __future__ import annotations
 
+import collections
 import typing
 import zlib
 from dataclasses import dataclass
@@ -64,6 +66,7 @@ __all__ = [
     "CHUNK_RETRY_DELAY_S",
     "DEFAULT_CHUNK_BYTES",
     "INLINE_FILE_MAX",
+    "STREAM_WINDOW",
     "CompletedStream",
     "DataPlaneEndpoint",
     "FileEntry",
@@ -83,10 +86,17 @@ __all__ = [
 ]
 
 #: Default chunk size.  Small enough that a control message sharing the
-#: link is delayed by at most ~one chunk's serialization (256 KiB at
-#: 10 Mbit/s is ~0.2 s), large enough that the 24-byte frame header and
-#: per-record SSL overhead stay well under the 5% overhead budget.
+#: link is delayed by at most ~two chunks' serialization (the
+#: :data:`STREAM_WINDOW`; 256 KiB at 10 Mbit/s is ~0.2 s each), large
+#: enough that the 24-byte frame header and per-record SSL overhead stay
+#: well under the 5% overhead budget.
 DEFAULT_CHUNK_BYTES = 256 * 1024
+
+#: DATA frames a stream keeps in flight.  Two keep the bottleneck link
+#: busy: while one frame crosses it, the next is sealed, opened and
+#: carried over the fast LAN hops, so it is queued before the link falls
+#: idle.  A third would only wait behind the second.
+STREAM_WINDOW = 2
 
 #: Files at or below this size stay inline in the message that carries
 #: them; only larger payloads are worth a stream's OPEN frame.
@@ -286,23 +296,25 @@ def body_sender(
 def send_stream(
     sim: Simulator,
     sender: StreamSender,
-    send_frame: typing.Callable[
-        [bytes], typing.Generator[Event, typing.Any, object]
-    ],
+    send_frame: typing.Callable[[bytes], Event],
     *,
     parent_span: Span = INERT_SPAN,
 ) -> typing.Generator[Event, typing.Any, None]:
     """Send a stream's frames in order, one ``send_frame(raw)`` each.
 
-    ``send_frame`` carries one encoded frame (an https channel send, an
-    NJS-NJS route) and returns the generator to ``yield from``; its
-    completion is the chunk's acknowledgement.  A lost chunk is
-    retransmitted alone after :data:`CHUNK_RETRY_DELAY_S` — the resume
-    point is the lost chunk, never byte zero (``stream.resumes`` counts
-    the retransmissions).  Raises
-    :class:`~repro.net.errors.ConnectionLost` only once a single chunk
-    exhausts :data:`CHUNK_RETRIES`.  The ``stream.send`` span joins
-    ``parent_span``'s trace.
+    ``send_frame`` hands one encoded frame to its route (an https channel
+    send, an NJS-NJS route) and returns the frame's delivery event, which
+    is its acknowledgement.  The OPEN frame goes alone and is acknowledged
+    before any DATA frame leaves, since a receiver drops DATA for a stream
+    it has not opened; then :data:`STREAM_WINDOW` DATA frames are in
+    flight, so sealing one overlaps the transmission of the one before.
+    A lost frame is retransmitted alone after :data:`CHUNK_RETRY_DELAY_S`
+    — the resume point is the lost chunk, never byte zero
+    (``stream.resumes`` counts the retransmissions).  Raises
+    :class:`~repro.net.errors.ConnectionLost` only once a single frame
+    exhausts :data:`CHUNK_RETRIES`; every delivery is defused, so one
+    left in flight then fails unobserved.  The ``stream.send`` span
+    joins ``parent_span``'s trace.
     """
     telemetry = telemetry_for(sim)
     metrics, tracer = telemetry.metrics, telemetry.tracer
@@ -313,24 +325,40 @@ def send_stream(
         kind=info.context.get("kind", ""),
     )
     resumes = 0
+
+    def transmit(raw: bytes) -> Event:
+        metrics.counter("stream.wire_bytes").inc(len(raw))
+        return send_frame(raw).defuse()
+
+    def acknowledged(
+        ftype: int, raw: bytes, delivery: Event
+    ) -> typing.Generator[Event, typing.Any, None]:
+        """Wait for one frame's delivery, resending it alone on loss."""
+        nonlocal resumes
+        for attempt in range(1 + CHUNK_RETRIES):
+            try:
+                yield delivery
+                break
+            except ConnectionLost:
+                resumes += 1
+                metrics.counter("stream.resumes").inc()
+                if attempt >= CHUNK_RETRIES:
+                    raise
+                yield sim.timeout(CHUNK_RETRY_DELAY_S)
+                delivery = transmit(raw)
+        metrics.counter(
+            "stream.chunks" if ftype == FrameType.DATA else "stream.opens"
+        ).inc()
+
+    in_flight: collections.deque[tuple[int, bytes, Event]] = collections.deque()
     try:
         for frame in sender.frames():
             raw = encode_frame(frame)
-            for attempt in range(1 + CHUNK_RETRIES):
-                metrics.counter("stream.wire_bytes").inc(len(raw))
-                try:
-                    yield from send_frame(raw)
-                    break
-                except ConnectionLost:
-                    resumes += 1
-                    metrics.counter("stream.resumes").inc()
-                    if attempt >= CHUNK_RETRIES:
-                        raise
-                    yield sim.timeout(CHUNK_RETRY_DELAY_S)
-            metrics.counter(
-                "stream.chunks" if frame.ftype == FrameType.DATA
-                else "stream.opens"
-            ).inc()
+            in_flight.append((frame.ftype, raw, transmit(raw)))
+            if frame.ftype == FrameType.OPEN or len(in_flight) == STREAM_WINDOW:
+                yield from acknowledged(*in_flight.popleft())
+        while in_flight:
+            yield from acknowledged(*in_flight.popleft())
     except BaseException as err:
         tracer.end_span(span.set(resumes=resumes), error=err)
         raise
@@ -339,11 +367,11 @@ def send_stream(
 
 def channel_sender(
     channel: HttpsChannel | DirectChannel, to_server: bool = True
-) -> typing.Callable[[bytes], typing.Generator[Event, typing.Any, None]]:
+) -> typing.Callable[[bytes], Event]:
     """The ``send_frame`` of an https channel: one send per frame."""
 
-    def send_frame(raw: bytes) -> typing.Generator[Event, typing.Any, None]:
-        yield channel.send(raw, len(raw), to_server=to_server)
+    def send_frame(raw: bytes) -> Event:
+        return channel.send(raw, len(raw), to_server=to_server)
 
     return send_frame
 
@@ -353,9 +381,7 @@ def send_body(
     stream_id: int,
     body: FileBody,
     context: dict[str, typing.Any],
-    send_frame: typing.Callable[
-        [bytes], typing.Generator[Event, typing.Any, object]
-    ],
+    send_frame: typing.Callable[[bytes], Event],
     *,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     parent_span: Span = INERT_SPAN,

@@ -224,24 +224,28 @@ class PeerLink:
 
     def stream(self, usite: str, data: FileBody | bytes, context: dict,
                chunk_bytes: int = DEFAULT_CHUNK_BYTES):
-        """Stream a bulk payload to a peer NJS, one chunked frame at a
-        time; returns the :class:`FileEntry` a manifest names it by.
+        """Stream a bulk payload to a peer NJS, two chunked frames in
+        flight at a time; returns the :class:`FileEntry` a manifest names
+        it by.
 
         Frames carry the chunk CRCs ``data`` holds (the ones this site
         verified when the bytes arrived); only a body nobody has cut at
         ``chunk_bytes`` before is read to compute them.
 
-        Each chunk travels as its own :class:`PeerFrame` hop sequence, so
-        control messages sharing the route's links wait for at most one
-        chunk's serialization.  A chunk lost mid-route is retransmitted
-        *alone* — the stream resumes from the last acknowledged chunk
-        (``stream.resumes``) instead of restarting, which is what makes
-        WAN-drop faults survivable for multi-megabyte transfers.
+        Each frame travels as its own :class:`PeerFrame` hop sequence, a
+        process of its own, so control messages sharing the route's links
+        wait for at most two chunks' serialization.  A chunk lost
+        mid-route is retransmitted *alone* — the stream resumes from the
+        lost chunk (``stream.resumes``) instead of restarting, which is
+        what makes WAN-drop faults survivable for multi-megabyte
+        transfers.
         """
-        def send_frame(raw: bytes):
+        def send_frame(raw: bytes) -> Event:
             # retries=0: a loss surfaces in send_stream (per-chunk
             # resume) instead of being hidden inside the hop machinery.
-            return self._send(usite, PeerFrame(raw), 0)
+            return self._sim.process(
+                self._send(usite, PeerFrame(raw), 0), name="peer-frame"
+            )
 
         return (yield from send_body(
             self._sim, self._stream_ids.next(), FileBody.of(data), context,
@@ -253,7 +257,8 @@ class PeerLink:
 
         First use of a route pays the SSL handshake round trips end to
         end.  Every hop carries the record-framed byte count; endpoint
-        seal/open CPU is charged once.
+        seal/open CPU is charged once, ahead of the first hop, as
+        :meth:`~repro.net.https.HttpsChannel.send` charges it.
         """
         if usite == BROKER_PEER:
             assert self._broker_route is not None, "no broker route registered"
@@ -274,30 +279,33 @@ class PeerLink:
                     )
             self._sessions.add(usite)
         size = payload.wire_payload
-        records = SSLSession.record_count(size)
         wire = SSLSession.wire_bytes(size)
-        yield self._sim.timeout(records * DEFAULT_PER_RECORD_CPU_S)  # seal
+        seal_open_s = 2 * SSLSession.record_count(size) * DEFAULT_PER_RECORD_CPU_S
         last = len(route) - 1
         for i, (src, dst) in enumerate(route):
             yield from self._reliable_hop(
-                src, dst, payload, wire, "njs-njs", i == last, retries
+                src, dst, payload, wire, "njs-njs", i == last, retries,
+                seal_open_s if i == 0 else 0.0,
             )
-        yield self._sim.timeout(records * DEFAULT_PER_RECORD_CPU_S)  # open
 
     def _reliable_hop(
         self, src: str, dst: str, payload: typing.Any, wire: int,
-        channel: str, deliver: bool, retries: int,
+        channel: str, deliver: bool, retries: int, delay_s: float = 0.0,
     ):
-        """One hop with bounded retransmission."""
+        """One hop with bounded retransmission; the first attempt leaves
+        ``delay_s`` late (record CPU), a resend carries records already
+        sealed."""
         last_error: Exception | None = None
         for attempt in range(1 + retries):
             try:
                 yield self._network.send(
-                    src, dst, payload, wire, channel=channel, deliver=deliver
+                    src, dst, payload, wire, channel=channel, deliver=deliver,
+                    delay_s=delay_s,
                 )
                 return
             except ConnectionLost as err:
                 last_error = err
+                delay_s = 0.0
                 if attempt < retries:
                     yield self._sim.timeout(PEER_RETRY_DELAY_S)
         assert last_error is not None

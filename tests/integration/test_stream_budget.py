@@ -1,0 +1,154 @@
+"""What a stream costs: simulated time on an idle line, queue entries on
+a peer route.
+
+A stream keeps two DATA frames in flight, so the next frame is sealed
+and opened while the one before it crosses the line.  On an idle access
+line a four-chunk fetch therefore pays the seal+open and the latency of
+a chunk once, not once per chunk; stop-and-wait pays them four times.
+On an NJS-NJS route every frame is a process of its own whose seal and
+open ride ahead of the first hop: a start, one delivery per hop and the
+wake-up of the stream that waits for it, nothing else.
+"""
+
+import collections
+
+import pytest
+
+from repro.client import JobMonitorController, JobPreparationAgent
+from repro.grid import build_grid
+from repro.net.https import DEFAULT_PER_RECORD_CPU_S
+from repro.net.stream import FrameType, decode_frame
+from repro.protocol.datapath import DEFAULT_CHUNK_BYTES
+from repro.protocol.messages import Reply
+from repro.security.ssl import SSLSession
+from repro.server.njs.peerlink import PeerFrame
+from repro.simkernel import CallbackSlot, Simulator
+
+#: One MiB, cut into four chunks.
+CONTENT = bytes(range(256)) * (4 * DEFAULT_CHUNK_BYTES // 256)
+CHUNKS = 4
+
+#: Float slack on a sum of simulated seconds.
+EPS = 1e-9
+
+
+@pytest.fixture()
+def two_sites():
+    grid = build_grid({"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}, seed=13)
+    user = grid.add_user(
+        "Clara Schmidt", logins={"FZJ": "clara", "ZIB": "cschmidt"}
+    )
+    return grid, user
+
+
+def _seal_open(size: int) -> float:
+    return 2 * SSLSession.record_count(size) * DEFAULT_PER_RECORD_CPU_S
+
+
+def _transmission(link, size: int) -> float:
+    return link.transmission_delay(SSLSession.wire_bytes(size))
+
+
+def _trip(link, size: int) -> float:
+    """One https message of ``size`` payload bytes across an idle line."""
+    return _seal_open(size) + _transmission(link, size) + link.latency_s
+
+
+def test_a_four_chunk_fetch_pays_seal_open_and_latency_once(
+    two_sites, monkeypatch
+):
+    grid, user = two_sites
+    session = grid.connect_user(user, "FZJ")
+    user.workstation.fs.write("/home/clara/input.dat", CONTENT)
+    jpa = JobPreparationAgent(session)
+    jmc = JobMonitorController(session)
+    job = jpa.new_job("fetch-back", vsite="FZJ-T3E")
+    imp = job.import_from_workstation("/home/clara/input.dat", "input.dat")
+    work = job.script_task(
+        "crunch", script="#!/bin/sh\nwc input.dat\n", simulated_runtime_s=30.0
+    )
+    job.depends(imp, work, files=["input.dat"])
+    channel = session.channel
+    down = grid.network.get_link(channel.server_host, channel.client_host)
+
+    pushed = []  # (sim time, message, payload bytes), gateway -> client
+    send = type(channel).send
+
+    def logged(self, payload, size_bytes, to_server=True, deliver=True):
+        if not to_server and self.client_host == channel.client_host:
+            pushed.append((grid.sim.now, payload, size_bytes))
+        return send(self, payload, size_bytes, to_server, deliver)
+
+    def scenario(sim):
+        job_id = yield from jpa.submit(job, workstation=user.workstation)
+        yield from jmc.wait_for_completion(job_id)
+        yield sim.timeout(60.0)  # the line falls idle
+        del pushed[:]
+        fetched = yield from jmc.fetch_file(job_id, "input.dat")
+        return fetched, sim.now
+
+    monkeypatch.setattr(type(channel), "send", logged)
+    fetched, done = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+    assert fetched == CONTENT
+
+    (opened, open_frame, open_size), *data, (_, reply, reply_size) = pushed
+    assert decode_frame(open_frame).ftype == FrameType.OPEN
+    assert isinstance(reply, Reply)
+    assert [decode_frame(raw).ftype for _, raw, _ in data] == [FrameType.DATA] * CHUNKS
+    chunk_size = data[0][2]
+    assert {size for _, _, size in data} == {chunk_size}
+    # The OPEN frame goes alone; then the line carries four chunks back to
+    # back, and only the first waits for its seal+open and only the last
+    # for its latency before the reply leaves.  Stop-and-wait misses this
+    # by 3 * (seal+open + latency) of a chunk.
+    budget = (
+        _trip(down, open_size)
+        + _seal_open(chunk_size) + CHUNKS * _transmission(down, chunk_size)
+        + down.latency_s
+        + _trip(down, reply_size)
+    )
+    assert done - opened <= budget + EPS
+
+
+def _cause(item) -> str:
+    if type(item) is CallbackSlot:
+        return f"slot {item.fn.__qualname__}"
+    name = item.name or type(item).__name__
+    if name.startswith("delivery:") and isinstance(item.value.payload, PeerFrame):
+        return "peer hop delivered"
+    return {
+        "init:peer-frame": "peer-frame starts",
+        "peer-frame": "peer-frame wakes the stream",
+    }.get(name, name)
+
+
+def test_a_peer_stream_costs_five_entries_per_frame(two_sites, monkeypatch):
+    grid, _ = two_sites
+    zib = grid.usites["ZIB"].njs
+    hops = len(zib.peers.routes["FZJ"])
+
+    def stream(sim):
+        yield from zib.peers.stream(
+            "FZJ", CONTENT, {"kind": "group-return", "path": "render.out"}
+        )
+
+    grid.sim.run(until=grid.sim.process(stream(grid.sim)))  # shake hands once
+    entries = []
+    step = Simulator.step
+
+    def named_step(self):
+        item = self._queue[0][2]
+        if not getattr(item, "cancelled", False):
+            entries.append(_cause(item))
+        step(self)
+
+    monkeypatch.setattr(Simulator, "step", named_step)
+    grid.sim.run(until=grid.sim.process(stream(grid.sim), name="stream"))
+    costs = collections.Counter(entries)
+    assert costs.pop("init:stream") == costs.pop("stream") == 1
+    frames = 1 + CHUNKS  # the OPEN frame, then one per chunk
+    assert costs == {
+        "peer-frame starts": frames,
+        "peer hop delivered": hops * frames,
+        "peer-frame wakes the stream": frames,
+    }

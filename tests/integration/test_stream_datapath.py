@@ -10,18 +10,28 @@ stream in chunks, a WAN drop mid-transfer resumes from the last acked
 chunk instead of restarting, and fetched bytes come back exact.
 """
 
+import types
+
 import pytest
 
 from repro.ajo import AbstractJobObject, ExecuteScriptTask, encode_ajo
 from repro.client import JobMonitorController, JobPreparationAgent
-from repro.errors import UnsafePathError
+from repro.errors import ReproError, UnsafePathError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.grid import build_grid
+from repro.net.errors import ConnectionLost
+from repro.net.stream import FrameType, decode_frame
 from repro.observability import telemetry_for
 from repro.protocol.consignment import validate_manifest_paths
-from repro.protocol.datapath import INLINE_FILE_MAX, claim
-from repro.server.njs.peerlink import ForwardGroup, GroupResult
+from repro.protocol.datapath import (
+    CHUNK_RETRIES,
+    INLINE_FILE_MAX,
+    DataPlaneEndpoint,
+    claim,
+)
+from repro.protocol.retry import RetryPolicy
+from repro.server.njs.peerlink import ForwardGroup, GroupResult, PeerFrame
 
 
 @pytest.fixture()
@@ -271,3 +281,181 @@ def test_forwarded_staging_with_a_traversal_path_is_refused(two_sites, streamed)
     assert len(fzj.runs) == runs
     if streamed:
         assert fzj.forwarding.datapath.take(item.stream_id) is None
+
+
+# --------------------------------------------------- loss inside the window
+#: Half the width of a drop window: far below the ~1 s between two
+#: frames on the access line, so one window catches one sending.
+DROP_HALF_S = 1e-3
+MiB = 1 << 20
+
+
+def _log_frames(grid, src, dst):
+    """``(sim time, frame)`` of every frame handed to the ``src -> dst``
+    link, peer-tunnelled or not, in call order."""
+    sent = []
+    send = grid.network.send
+
+    def logged(s, d, payload, size_bytes, **kwargs):
+        raw = payload.raw if isinstance(payload, PeerFrame) else payload
+        if (s, d) == (src, dst) and isinstance(raw, bytes):
+            sent.append((grid.sim.now, decode_frame(raw)))
+        return send(s, d, payload, size_bytes, **kwargs)
+
+    grid.network.send = logged
+    return sent
+
+
+def _drop(grid, src, dst, start_s, duration_s):
+    """Drop what enters the ``src``/``dst`` link pair in that window of
+    simulated time (absolute); the injector caps the loss at 0.99."""
+    FaultInjector(grid, FaultPlan(
+        seed=13, intensity=1.0, horizon_s=start_s + duration_s,
+        events=(FaultEvent(
+            at_s=start_s - grid.sim.now, kind=FaultKind.CHANNEL_DROP,
+            target=f"{src}|{dst}", duration_s=duration_s, severity=1.0,
+        ),),
+    )).arm()
+
+
+def _fetch_back(monkeypatch, drop=None):
+    """Upload 1 MiB (four chunks), then fetch it back on an idle access
+    line; ``drop = (start_s, duration_s)`` drops the gateway -> client
+    link pair in that window.  The run is deterministic, so a fault-free
+    run says when each pushed frame leaves."""
+    grid = build_grid({"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}, seed=13)
+    user = grid.add_user("Clara Schmidt", logins={"FZJ": "clara", "ZIB": "cs"})
+    fed = []  # frames handed to the client's endpoint
+    feed = DataPlaneEndpoint.feed
+
+    def logged_feed(endpoint, raw):
+        if endpoint is session.datapath:
+            fed.append(decode_frame(raw))
+        return feed(endpoint, raw)
+
+    monkeypatch.setattr(DataPlaneEndpoint, "feed", logged_feed)
+    session = grid.connect_user(user, "FZJ")
+    # Patient enough to outlast a push that exhausts its retries.
+    session.client.retry = RetryPolicy(max_attempts=10)
+    gw, ws = session.channel.server_host, session.channel.client_host
+    if drop is not None:
+        _drop(grid, gw, ws, *drop)
+    sent = _log_frames(grid, gw, ws)
+    content = bytes(range(256)) * (MiB // 256)
+    user.workstation.fs.write("/home/clara/input.dat", content)
+    jpa = JobPreparationAgent(session)
+    jmc = JobMonitorController(session)
+    job = jpa.new_job("fetch-back", vsite="FZJ-T3E")
+    imp = job.import_from_workstation("/home/clara/input.dat", "input.dat")
+    work = job.script_task("t", script="#!/bin/sh\nwc input.dat\n")
+    job.depends(imp, work, files=["input.dat"])
+
+    def scenario(sim):
+        job_id = yield from jpa.submit(job, workstation=user.workstation)
+        yield from jmc.wait_for_completion(job_id)
+        try:
+            return (yield from jmc.fetch_file(job_id, "input.dat"))
+        except ReproError as err:
+            return err
+
+    fetched = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+    grid.sim.run(until=grid.sim.now + 600.0)  # every frame settled
+    return types.SimpleNamespace(
+        fetched=fetched, content=content, sent=sent, fed=fed,
+        metrics=telemetry_for(grid.sim).metrics,
+    )
+
+
+def _pushed_order(run):
+    """The push's frames as the client was fed them: "open" or a chunk's
+    sequence number."""
+    return [
+        "open" if frame.ftype == FrameType.OPEN else frame.seq
+        for frame in run.fed
+    ]
+
+
+@pytest.mark.parametrize(
+    "index, order",
+    [
+        (0, ["open", 0, 1, 2, 3]),  # the OPEN frame, alone on the line
+        # Chunk 2 leaves when chunk 0 arrives; chunk 3 is in flight
+        # behind it, and arrives before chunk 2's resend.
+        (3, ["open", 0, 1, 3, 2]),
+    ],
+    ids=["open", "data-with-successor-in-flight"],
+)
+def test_a_frame_lost_inside_the_window_is_resent_alone(
+    monkeypatch, index, order
+):
+    probe = _fetch_back(monkeypatch)
+    assert [frame.ftype for _, frame in probe.sent] == (
+        [FrameType.OPEN] + [FrameType.DATA] * 4
+    )
+    leaves = probe.sent[index][0]
+    run = _fetch_back(monkeypatch, drop=(leaves - DROP_HALF_S, 2 * DROP_HALF_S))
+    assert run.fetched == run.content
+    assert run.metrics.counter_value("stream.resumes") == 1
+    assert len(run.sent) == len(probe.sent) + 1
+    # No DATA frame reaches the client before its stream's OPEN frame.
+    assert _pushed_order(run) == order
+
+
+def test_a_frame_that_exhausts_its_retries_aborts_the_push_quietly(monkeypatch):
+    """Chunk 2 is lost on every try while chunk 3, sent behind it, is lost
+    unobserved: the push raises ConnectionLost and counts an abort, the
+    simulator sees no unhandled failure, and the client's retried request
+    pushes the file again once the line is back."""
+    leaves = _fetch_back(monkeypatch).sent[3][0]
+    # The line stays down until chunk 2's last resend has left.
+    lost = _fetch_back(monkeypatch, drop=(leaves - DROP_HALF_S, 400.0)).sent
+    resends = [t for t, frame in lost if frame.seq == 2]
+    assert len(resends) >= 1 + CHUNK_RETRIES
+    last = resends[CHUNK_RETRIES]
+    run = _fetch_back(
+        monkeypatch, drop=(leaves - DROP_HALF_S, last - leaves + 2 * DROP_HALF_S)
+    )
+    assert run.metrics.counter_value("gateway.push_aborts") == 1
+    assert run.metrics.counter_value("stream.resumes") == 1 + CHUNK_RETRIES
+    data = [frame.seq for _, frame in run.sent if frame.ftype == FrameType.DATA]
+    assert data[:4 + CHUNK_RETRIES] == [0, 1, 2, 3] + [2] * CHUNK_RETRIES
+    assert run.fetched == run.content  # pushed again from the reply cache
+
+
+def test_a_peer_frame_that_exhausts_its_retries_raises_and_leaves_no_failure():
+    """The same on an NJS-NJS route, where each frame is a process: the
+    stream raises ConnectionLost, and the frame process left in flight
+    behind the lost one fails unobserved."""
+
+    def run(drop=None):
+        grid = build_grid({"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}, seed=13)
+        zib = grid.usites["ZIB"].njs
+        wan = (grid.usites["ZIB"].gateway_host.name,
+               grid.usites["FZJ"].gateway_host.name)
+
+        def stream(sim):
+            try:
+                yield from zib.peers.stream(
+                    "FZJ", bytes(MiB), {"kind": "group-return", "path": "x"}
+                )
+            except ConnectionLost:
+                return "lost"
+            return "sent"
+
+        grid.sim.run(until=grid.sim.process(stream(grid.sim)))  # handshake
+        if drop is not None:
+            _drop(grid, *wan, *drop)
+        sent = _log_frames(grid, *wan)
+        outcome = grid.sim.run(until=grid.sim.process(stream(grid.sim)))
+        grid.sim.run(until=grid.sim.now + 600.0)  # every frame settled
+        return outcome, sent, telemetry_for(grid.sim).metrics
+
+    outcome, sent, _ = run()
+    assert outcome == "sent" and len(sent) == 5
+    outcome, sent, metrics = run(drop=(sent[3][0] - DROP_HALF_S, 400.0))
+    assert outcome == "lost"
+    assert metrics.counter_value("stream.resumes") == 1 + CHUNK_RETRIES
+    # Chunk 3 left behind chunk 2, once, and was lost unobserved.
+    assert [frame.seq for _, frame in sent if frame.ftype == FrameType.DATA] == (
+        [0, 1, 2, 3] + [2] * CHUNK_RETRIES
+    )
