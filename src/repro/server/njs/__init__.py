@@ -9,10 +9,10 @@ what the gateway sees: consign, the control and query verbs, peer-message
 dispatch, crash / restart / replay.  It wires together parts that each
 own their state alone:
 
-- ``RunTable`` (:mod:`~repro.server.njs.runtable`): the runs
-  (:mod:`~repro.server.njs.jobrun`, or :mod:`~repro.server.njs.restored`
-  for a finished job after a restart), their index (each job's latest
-  listing, versioned), completion watchers, the journal, the outcome store, the job-id cursor;
+- ``RunTable`` (:mod:`~repro.server.njs.runtable`): the runs (a
+  :mod:`~repro.server.njs.jobrun` under supervision, then the job's
+  outcome row as a :mod:`~repro.server.njs.finished` run), their index,
+  completion watchers, the journal, the outcome store, the job-id cursor;
 - ``PeerLink`` (:mod:`~repro.server.njs.peerlink`): the NJS-NJS message
   types, peer and broker routes, SSL sessions, correlation ids and
   pending replies, stream ids, hop retry;

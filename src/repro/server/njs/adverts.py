@@ -18,6 +18,7 @@ from repro.broker.advertise import (
     CapacityAdvertisement,
 )
 from repro.observability import telemetry_for
+from repro.server.njs.jobrun import JobRun
 from repro.server.njs.peerlink import PeerLink
 from repro.server.njs.runtable import RunTable
 from repro.server.vsite import Vsite
@@ -86,7 +87,7 @@ class BrokerAdverts:
         out = []
         for job_id in self._runs.active_ids():
             run = self._runs.get(job_id)
-            if run is None or run.cancelled or run.held or run.status().is_terminal:
+            if not isinstance(run, JobRun) or run.cancelled or run.held:
                 continue
             if run.batch_jobs and all(
                 self._still_queued(vsite_name, local_id)

@@ -32,7 +32,6 @@ from repro.batch.errors import BatchError, SystemOfflineError
 from repro.observability import telemetry_for
 from repro.security.errors import MappingError
 from repro.security.uudb import UUDB
-from repro.server.errors import ConsignError
 from repro.server.njs.codine_layer import CodineJobControl
 from repro.server.njs.forwarding import LOCAL_DISK_BANDWIDTH_BPS, Forwarding
 from repro.server.njs.incarnation import (
@@ -111,13 +110,6 @@ class Executor:
         run.processes.append(self._sim.process(body, name=name))
 
     # ------------------------------------------------------------- control
-    def hold(self, run: JobRun) -> None:
-        """Stop delivering further parts of the job (already-submitted
-        batch jobs keep running — UNICORE cannot influence them)."""
-        if run.status().is_terminal:
-            raise ConsignError(f"job {run.job_id} already terminal; cannot hold")
-        run.held = True
-
     def resume(self, run: JobRun) -> None:
         """Release a held job's delivery."""
         run.held = False
@@ -181,10 +173,7 @@ class Executor:
             run.job_span.set(status=status.value),
             error=None if status is ActionStatus.SUCCESSFUL else status.value,
         )
-        self._runs.finish(run)
-        assert run.done_event is not None
-        if not run.done_event.triggered:
-            run.done_event.succeed(run.status())
+        run.done_event.succeed(self._runs.finish(run))
 
     def _run_group(self, run: JobRun, group: AbstractJobObject):
         if group.tasks() or group.id == run.root.id:

@@ -26,7 +26,7 @@ import typing
 from repro.ajo.errors import UnsafePathError
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome
-from repro.ajo.serialize import decode_ajo, decode_outcome, encode_ajo, encode_outcome
+from repro.ajo.serialize import decode_ajo, decode_outcome, encode_ajo
 from repro.ajo.status import ActionStatus
 from repro.ajo.tasks import FileSpace, ImportTask, TransferTask
 from repro.faults.errors import ServiceUnavailable
@@ -34,6 +34,7 @@ from repro.net.errors import ConnectionLost, FrameError
 from repro.observability import telemetry_for
 from repro.protocol.consignment import validate_manifest_paths
 from repro.protocol.datapath import DataPlaneEndpoint, FileEntry, claim, ship
+from repro.server.njs.finished import FinishedRun
 from repro.server.njs.jobrun import JobRun, index_outcomes
 from repro.server.njs.peerlink import (
     ForwardGroup,
@@ -41,7 +42,8 @@ from repro.server.njs.peerlink import (
     PeerLink,
     TransferAck,
 )
-from repro.simkernel import Simulator
+from repro.server.njs.runtable import Run
+from repro.simkernel import Event, Simulator
 from repro.storage.journal import ForwardMeta
 from repro.vfs.body import FileBody
 
@@ -63,17 +65,19 @@ class Forwarding:
         sim: Simulator,
         usite_name: str,
         peers: PeerLink,
+        runs: typing.Mapping[str, Run],
         consign: typing.Callable[..., JobRun],
     ) -> None:
         self._sim = sim
         self._usite_name = usite_name
         self._peers = peers
+        self._runs = runs
         #: The NJS's own front door: a forwarded group is consigned like
         #: any other job.
         self._consign = consign
-        #: Forwarded groups indexed by the *parent's* job id, for transfers
-        #: and cancellation arriving from the parent site.
-        self._foreign_runs: dict[str, JobRun] = {}
+        #: Forwarded groups' local job ids by the *parent's* job id, for
+        #: transfers and cancellation arriving from the parent site.
+        self._foreign_jobs: dict[str, str] = {}
         #: Files for a job group that arrived before its Uspace existed.
         self._early_files: dict[str, Files] = {}
         #: Data-plane receiving endpoint: peer streams reassemble here;
@@ -91,15 +95,17 @@ class Forwarding:
         telemetry_for(self._sim).metrics.counter(name).inc(amount)
 
     # ------------------------------------------------------ who holds what
-    def foreign_run(self, parent_job_id: str) -> JobRun | None:
+    def foreign_run(self, parent_job_id: str) -> Run | None:
         """The local run serving a group of the parent site's job."""
-        return self._foreign_runs.get(parent_job_id)
+        job_id = self._foreign_jobs.get(parent_job_id)
+        return None if job_id is None else self._runs.get(job_id)
 
-    def release(self, run: JobRun) -> None:
-        """``run`` was disposed: it serves no parent job any more."""
-        for parent_id, foreign in list(self._foreign_runs.items()):
-            if foreign is run:
-                del self._foreign_runs[parent_id]
+    def release(self, job_id: str) -> None:
+        """Job ``job_id`` was disposed: it serves no parent job any more."""
+        self._foreign_jobs = {
+            parent: job for parent, job in self._foreign_jobs.items()
+            if job != job_id
+        }
 
     def stash(self, key: str, files: Files) -> None:
         """Keep files for a Uspace that does not exist yet.
@@ -122,7 +128,7 @@ class Forwarding:
 
     def reset(self) -> None:
         """The process died: every stash and in-flight stream with it."""
-        self._foreign_runs.clear()
+        self._foreign_jobs.clear()
         self._early_files.clear()
         self.datapath.clear()
 
@@ -313,7 +319,7 @@ class Forwarding:
         job it serves; returns the process body that awaits it and sends
         its GroupResult home."""
         corr_id, reply_usite, return_files = forward_meta
-        self._foreign_runs[parent_job_id] = run
+        self._foreign_jobs[parent_job_id] = run.job_id
         # When it is created, the group Uspace takes the staging the group
         # was consigned with, then what transfers of the parent job left
         # here before the group existed.
@@ -322,25 +328,25 @@ class Forwarding:
         # The parent expects these files back: the group's sink tasks
         # must produce them.
         run.group_expected[run.root.id] = tuple(return_files)
-        return self._report_home(run, corr_id, reply_usite, return_files)
+        return self._report_home(run.done_event, corr_id, reply_usite, return_files)
 
     def _report_home(
-        self, run: JobRun, corr_id: int, reply_usite: str,
+        self, done: Event, corr_id: int, reply_usite: str,
         return_files: typing.Iterable[str],
     ):
-        yield run.done_event
+        """Send the finished group's outcome, as it was persisted, and the
+        files the parent asked for."""
+        finished: FinishedRun = yield done
         produced: Files = {}
         for path in return_files:
-            for uspace in run.uspaces.values():
-                if uspace.exists(path):
-                    produced[path] = uspace.body(path)
-                    break
-        outcome_bytes = encode_outcome(run.root_outcome)
+            body = finished.file(path)
+            if body is not None:
+                produced[path] = body
         try:
             files = yield from self._ship(reply_usite, produced, "group-return")
             yield from self._peers.send(reply_usite, GroupResult(
-                corr_id=corr_id, ok=True, outcome_bytes=outcome_bytes,
-                files=files,
+                corr_id=corr_id, ok=True,
+                outcome_bytes=finished.encoded_outcome(), files=files,
             ))
         except ConnectionLost:
             pass  # the parent NJS will surface the missing result
@@ -388,7 +394,7 @@ class Forwarding:
             )
             return
         run = self.foreign_run(parent_job_id)
-        uspaces = [] if run is None else list(run.uspaces.values())
+        uspaces = list(run.uspaces.values()) if isinstance(run, JobRun) else []
         if uspaces:
             uspaces[0].write(path, data)
         else:

@@ -1,4 +1,4 @@
-"""Per-job runtime state inside an NJS."""
+"""Per-job runtime state inside an NJS, for a job under supervision."""
 
 from __future__ import annotations
 
@@ -22,7 +22,8 @@ __all__ = ["JobRun", "index_outcomes", "status_view"]
 
 @dataclass(slots=True)
 class JobRun:
-    """Everything an NJS tracks about one consigned UNICORE job.
+    """Everything an NJS tracks about one UNICORE job under supervision
+    (a finished one is a :class:`~repro.server.njs.finished.FinishedRun`).
 
     Attributes
     ----------
@@ -47,6 +48,8 @@ class JobRun:
     submitted_at: float
     #: Where this run's spans are recorded.
     tracer: Tracer
+    #: Fired with the job's FinishedRun once supervision ends.
+    done_event: Event
     outcomes: dict[str, Outcome] = field(default_factory=dict)
     events: dict[str, Event] = field(default_factory=dict)
     uspaces: dict[str, Uspace] = field(default_factory=dict)
@@ -59,7 +62,6 @@ class JobRun:
     #: parent-level dependency edges, or requested by the forwarding
     #: parent NJS); the group's sink tasks materialize them.
     group_expected: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    done_event: Event | None = None
     cancelled: bool = False
     #: Trace context propagated from the consigning client (may be "").
     trace_id: str = ""
@@ -128,6 +130,13 @@ class JobRun:
         """Uniform job status for the JMC."""
         return self.root_outcome.rollup_status()
 
+    def file(self, path: str) -> FileBody | None:
+        """The first of the job's Uspaces holding ``path`` has its body."""
+        for uspace in self.uspaces.values():
+            if uspace.exists(path):
+                return uspace.body(path)
+        return None
+
     def finish_action(self, action_id: str, status: ActionStatus, reason: str = "") -> None:
         """Mark an action terminal and fire its completion event."""
         outcome = self.outcomes[action_id]
@@ -163,19 +172,21 @@ def index_outcomes(
     return into
 
 
-def status_view(run: JobRun, detail: str, as_of: float) -> JobStatusView:
-    """A run's status tree at the chosen detail (the QueryService answer);
-    works on anything with a run's ``root`` and ``outcomes``."""
+def status_view(
+    root: AbstractJobObject, outcomes: typing.Mapping[str, Outcome],
+    detail: str, as_of: float,
+) -> JobStatusView:
+    """A job's status tree at the chosen detail (the QueryService answer)."""
 
     def render(group: AbstractJobObject) -> JobStatusView:
-        rollup = typing.cast(AJOOutcome, run.outcomes[group.id]).rollup_status()
+        rollup = typing.cast(AJOOutcome, outcomes[group.id]).rollup_status()
         children: list[JobStatusView] = []
         if detail in ("groups", "tasks"):
             for child in group.children:
                 if isinstance(child, AbstractJobObject):
                     children.append(render(child))
                 elif detail == "tasks":
-                    outcome = run.outcomes[child.id]
+                    outcome = outcomes[child.id]
                     children.append(
                         JobStatusView(
                             id=child.id,
@@ -193,4 +204,4 @@ def status_view(run: JobRun, detail: str, as_of: float) -> JobStatusView:
             as_of=as_of,
         )
 
-    return render(run.root)
+    return render(root)

@@ -2,17 +2,17 @@
 
 One owner for the runs, the :class:`RunIndex` over them (each job's
 latest listing, versioned), the completion watchers, the write-ahead
-journal, the outcome store and the job-id cursor: a run enters through
-:meth:`RunTable.admit` (or :meth:`RunTable.restore`), changes through
-the status hook it carries, and leaves through :meth:`RunTable.dispose`,
-so index and table move together because nothing else can move one of
-them.  To everyone else the table is a read-only mapping
-``job id -> run`` plus a few indexed queries.
+journal, the outcome store and the job-id cursor: a :class:`JobRun`
+enters through :meth:`RunTable.admit`, changes through the status hook
+it carries, becomes its outcome row, a :class:`FinishedRun`, in
+:meth:`RunTable.finish` (or :meth:`RunTable.restore`), and leaves
+through :meth:`RunTable.dispose`, so index and table move together.
+To everyone else the table is a read-only mapping ``job id -> run``
+plus a few indexed queries.
 """
 
 from __future__ import annotations
 
-import functools
 import typing
 
 from repro.ajo.job import AbstractJobObject
@@ -20,8 +20,8 @@ from repro.ajo.serialize import encode_ajo
 from repro.ajo.status import ActionStatus
 from repro.observability import telemetry_for
 from repro.protocol.views import JobListing, JobListingDelta
+from repro.server.njs.finished import FinishedRun
 from repro.server.njs.jobrun import JobRun
-from repro.server.njs.restored import RestoredRun
 from repro.server.njs.runindex import RunIndex
 from repro.simkernel import Event, Simulator
 from repro.storage.backend import StorageBackend
@@ -29,10 +29,13 @@ from repro.storage.journal import ForwardMeta, JobJournal, JournalEntry
 from repro.storage.outcomes import OutcomeRecord, OutcomeStore
 from repro.vfs.body import FileBody
 
-__all__ = ["RunTable"]
+__all__ = ["Run", "RunTable"]
+
+#: A job as the table holds it: under supervision, or finished.
+Run = JobRun | FinishedRun
 
 
-class RunTable(typing.Mapping[str, JobRun]):
+class RunTable(typing.Mapping[str, Run]):
     """The jobs of one NJS, over its durable backend storage."""
 
     def __init__(
@@ -42,7 +45,7 @@ class RunTable(typing.Mapping[str, JobRun]):
         self._usite_name = usite_name
         self._storage = storage
         metrics = telemetry_for(sim).metrics
-        self._runs: dict[str, JobRun] = {}
+        self._runs: dict[str, Run] = {}
         self._index = RunIndex()
         #: Completion watchers for subscription-style waits: job id ->
         #: events the gateway parks on.  Fired on terminal transition and
@@ -61,7 +64,7 @@ class RunTable(typing.Mapping[str, JobRun]):
         self.outcomes = OutcomeStore(storage, f"{usite_name}.outcomes")
 
     # ------------------------------------------------------ read-only mapping
-    def __getitem__(self, job_id: str) -> JobRun:
+    def __getitem__(self, job_id: str) -> Run:
         return self._runs[job_id]
 
     def __iter__(self) -> typing.Iterator[str]:
@@ -140,7 +143,7 @@ class RunTable(typing.Mapping[str, JobRun]):
         ``U99999`` as text)."""
         return int(job_id[1:job_id.index("@")])
 
-    def _note(self, run: JobRun) -> ActionStatus | None:
+    def _note(self, run: Run) -> ActionStatus | None:
         """Book the run's listing; its status when the value changed."""
         status = run.status()
         listing = JobListing(
@@ -154,7 +157,7 @@ class RunTable(typing.Mapping[str, JobRun]):
             return status
         return None
 
-    def _enter(self, run: JobRun) -> None:
+    def _enter(self, run: Run) -> None:
         self._runs[run.job_id] = run
         self._note(run)
 
@@ -221,21 +224,23 @@ class RunTable(typing.Mapping[str, JobRun]):
         run.batch_jobs[action_id] = (vsite, local_id)
         self.journal.record_delivery(run.job_id, action_id, vsite, local_id)
 
-    def finish(self, run: JobRun) -> None:
+    def finish(self, run: JobRun) -> FinishedRun:
         """Retire a job whose supervision ended.
 
         The outcome row is what marks the job finished, and it lands in
         one durable unit with the journal retiring the job: after this
         batch, even a cold-started successor can serve the job's
-        listing, outcome tree, and Uspace files.
+        listing, outcome tree, and Uspace files.  The row, seeded with
+        what the run held, takes the run's place in the table.
         """
+        files: dict[str, FileBody] = {}
+        for uspace in run.uspaces.values():
+            for path in uspace.files():
+                files.setdefault(path, uspace.body(path))
+        outcome_bytes = run.encoded_outcome()
         with self._storage.batch():
             self.journal.finish(run.job_id)
-            files: dict[str, FileBody] = {}
-            for uspace in run.uspaces.values():
-                for path in uspace.files():
-                    files.setdefault(path, uspace.body(path))
-            self.outcomes.put(OutcomeRecord(
+            record = self.outcomes.put(OutcomeRecord(
                 job_id=run.job_id,
                 name=run.name,
                 user_dn=run.user_dn,
@@ -243,16 +248,21 @@ class RunTable(typing.Mapping[str, JobRun]):
                 submitted_at=run.submitted_at,
                 recovered=run.recovered,
                 trace_id=run.trace_id,
-            ), run.encoded_outcome(), files)
+            ), outcome_bytes, files)
+        finished = FinishedRun(
+            record, self.journal, self._storage.blobs, root=run.root,
+            outcomes=run.outcomes, outcome_bytes=outcome_bytes, files=files,
+        )
+        self._runs[run.job_id] = finished
+        return finished
 
-    def dispose(self, job_id: str) -> JobRun:
-        """Forget a job everywhere: table, index, storage."""
-        run = self._runs.pop(job_id)
-        self._index.remove(job_id, run.user_dn)
+    def dispose(self, run: FinishedRun) -> None:
+        """Forget a finished job everywhere: table, index, storage."""
+        del self._runs[run.job_id]
+        self._index.remove(run.job_id, run.user_dn)
         with self._storage.batch():
-            self.journal.forget(job_id)
-            self.outcomes.forget(job_id)
-        return run
+            self.journal.forget(run.job_id)
+            self.outcomes.forget(run.record)
 
     # ------------------------------------------------------- crash / recovery
     def lose_memory(self) -> None:
@@ -267,9 +277,9 @@ class RunTable(typing.Mapping[str, JobRun]):
         with a full resync.  :meth:`restore` brings the
         finished jobs back from the outcome store.
         """
-        for job_id, run in self._runs.items():
-            if self.journal.entry(job_id) is None:
-                continue  # finished: its supervision is over
+        for run in self._runs.values():
+            if isinstance(run, FinishedRun):
+                continue  # its supervision is over
             for proc in run.processes:
                 if proc.is_alive and proc.target is not None:
                     proc.defuse()
@@ -288,17 +298,13 @@ class RunTable(typing.Mapping[str, JobRun]):
         consignment order, for the caller to replay.
 
         Every finished job comes back from its one outcome row as a
-        :class:`RestoredRun`; the journal reloads the jobs in flight and
+        :class:`FinishedRun`; the journal reloads the jobs in flight and
         skips the rows of finished ones by key.
         """
         finished = set(self.outcomes.job_ids())
         metrics = telemetry_for(self._sim).metrics
         for record in self.outcomes.records(self._job_seq):
-            self._enter(typing.cast(JobRun, RestoredRun(
-                record,
-                functools.partial(self.journal.ajo_bytes, record.job_id),
-                self._storage.blobs,
-            )))
+            self._enter(FinishedRun(record, self.journal, self._storage.blobs))
             metrics.counter("njs.restored_runs").inc()
         self.journal.reload(finished, self._job_seq)
         return self.journal.incomplete()

@@ -31,6 +31,7 @@ from repro.security.uudb import UUDB
 from repro.server.errors import ConsignError, UnknownUnicoreJobError
 from repro.server.njs.adverts import BrokerAdverts
 from repro.server.njs.executor import Executor
+from repro.server.njs.finished import FinishedRun
 from repro.server.njs.forwarding import Forwarding
 from repro.server.njs.jobrun import JobRun, status_view
 from repro.server.njs.peerlink import (
@@ -41,7 +42,7 @@ from repro.server.njs.peerlink import (
     PeerLink,
     TransferAck,
 )
-from repro.server.njs.runtable import RunTable
+from repro.server.njs.runtable import Run, RunTable
 from repro.server.vsite import Vsite
 from repro.simkernel import Event, Simulator
 from repro.storage.backend import StorageBackend
@@ -95,7 +96,9 @@ class NetworkJobSupervisor:
         #: The routes to peer Usites and what travels on them.
         self.peers = PeerLink(sim, network, usite_name)
         #: Job groups and files crossing to and from other Usites.
-        self.forwarding = Forwarding(sim, usite_name, self.peers, self.consign)
+        self.forwarding = Forwarding(
+            sim, usite_name, self.peers, self.runs, self.consign
+        )
         self._executor = Executor(
             sim, usite_name, self.vsites, uudb, xspace, accounting,
             self.runs, self.peers, self.forwarding,
@@ -390,7 +393,7 @@ class NetworkJobSupervisor:
         if self.crashed:
             raise ServiceUnavailable(f"NJS at {self.usite_name} is down")
 
-    def get_run(self, job_id: str) -> JobRun:
+    def get_run(self, job_id: str) -> Run:
         self._check_up()
         try:
             return self.runs[job_id]
@@ -415,7 +418,8 @@ class NetworkJobSupervisor:
 
     def query_status(self, job_id: str, detail: str = "tasks") -> JobStatusView:
         """The QueryService answer: the status tree at the chosen detail."""
-        return status_view(self.get_run(job_id), detail, self.sim.now)
+        run = self.get_run(job_id)
+        return status_view(run.root, run.outcomes, detail, self.sim.now)
 
     def retrieve_outcome(self, job_id: str) -> bytes:
         """The full outcome tree (stdout/stderr included), encoded."""
@@ -427,10 +431,9 @@ class NetworkJobSupervisor:
         Section 5.6: result data returns to the workstation "only on user
         request while the user is working with the JMC".
         """
-        run = self.get_run(job_id)
-        for uspace in run.uspaces.values():
-            if uspace.exists(path):
-                return uspace.body(path)
+        body = self.get_run(job_id).file(path)
+        if body is not None:
+            return body
         raise UnknownUnicoreJobError(
             f"job {job_id} has no Uspace file {path!r} at {self.usite_name}"
         )
@@ -443,23 +446,34 @@ class NetworkJobSupervisor:
         outcome.
         """
         run = self.get_run(job_id)
-        if not run.status().is_terminal:
+        if not isinstance(run, FinishedRun):
             raise ConsignError(
                 f"job {job_id} is {run.status().value}; cancel it before "
                 "disposing"
             )
         self._executor.destroy_uspaces(job_id)
         self.codine.forget(job_id)
-        self.forwarding.release(self.runs.dispose(job_id))
+        self.runs.dispose(run)
+        self.forwarding.release(job_id)
 
+    # A finished job is past control: hold refuses, resume and cancel
+    # have nothing left to do.
     def hold(self, job_id: str) -> None:
-        """Stop delivering further parts of the job."""
-        self._executor.hold(self.get_run(job_id))
+        """Stop delivering further parts of the job (already-submitted
+        batch jobs keep running — UNICORE cannot influence them)."""
+        run = self.get_run(job_id)
+        if isinstance(run, FinishedRun):
+            raise ConsignError(f"job {job_id} already terminal; cannot hold")
+        run.held = True
 
     def resume(self, job_id: str) -> None:
         """Release a held job's delivery."""
-        self._executor.resume(self.get_run(job_id))
+        run = self.get_run(job_id)
+        if not isinstance(run, FinishedRun):
+            self._executor.resume(run)
 
     def cancel(self, job_id: str) -> None:
         """Cancel a job: kill batch jobs, propagate to forwarded groups."""
-        self._executor.cancel(self.get_run(job_id))
+        run = self.get_run(job_id)
+        if not isinstance(run, FinishedRun):
+            self._executor.cancel(run)

@@ -4,20 +4,22 @@ A finished job's observable surface — its status rollup, the encoded
 outcome tree (stdout/stderr included), and the Uspace files the user may
 still fetch — is written here, and the row's existence is what *makes*
 the job finished: the journal keeps no "done" mark of its own (see
-:mod:`repro.storage.journal`).  A cold-started NJS rebuilds finished
-jobs from one scan of this table (:meth:`OutcomeStore.records`) as
-:class:`~repro.server.njs.restored.RestoredRun` views, so completion
-survives a full-site restart exactly as section 4.2's "single stateful
-tier" demands, and disposal deletes the record just like it destroys
-the Uspaces.
+:mod:`repro.storage.journal`).  A finished job *is* its outcome row:
+the NJS serves it from the record :meth:`OutcomeStore.put` returns, as a
+:class:`~repro.server.njs.finished.FinishedRun`, from the moment it
+finishes, and a cold-started NJS rebuilds the same views from one scan
+of this table (:meth:`OutcomeStore.records`).  So completion survives a
+full-site restart exactly as section 4.2's "single stateful tier"
+demands, and disposal deletes the record just like it destroys the
+Uspaces.
 
 The record is metadata.  The encoded outcome tree goes to the backend's
 blob store as raw bytes and the record keeps its digest; the Uspace is a
 ``{path: digest}`` manifest whose bodies live there too, shared with
 every other record that names the same content.  Listing a finished job
-reads its row and nothing else; a reader fetches the outcome and each
-file from the blob store when a client asks for it
-(:class:`~repro.server.njs.restored.RestoredRun` does).
+reads its row and nothing else; a restored job fetches the outcome and
+each file from the blob store when a client asks for it, and disposal
+releases them unread.
 """
 
 from __future__ import annotations
@@ -81,10 +83,6 @@ class OutcomeStore:
             })
         return dataclasses.replace(record, outcome_digest=digest, files=manifest)
 
-    def get(self, job_id: str) -> OutcomeRecord | None:
-        raw = self._table.get(job_id)
-        return None if raw is None else self._record(job_id, raw)
-
     def records(
         self, order: typing.Callable[[str], typing.Any]
     ) -> list[OutcomeRecord]:
@@ -109,15 +107,13 @@ class OutcomeStore:
             )
         return record
 
-    def forget(self, job_id: str) -> None:
-        """Delete the record and release the outcome and file bodies it
-        named, unread."""
-        record = self.get(job_id)
-        if record is not None:
-            with self._storage.batch():
-                self._table.delete(job_id)
-                self._blobs.release(record.outcome_digest)
-                self._blobs.release_files(record.files)
+    def forget(self, record: OutcomeRecord) -> None:
+        """Delete ``record``'s row and release the outcome and file bodies
+        it names, unread."""
+        with self._storage.batch():
+            self._table.delete(record.job_id)
+            self._blobs.release(record.outcome_digest)
+            self._blobs.release_files(record.files)
 
     def job_ids(self) -> list[str]:
         return self._table.keys()

@@ -85,8 +85,12 @@ def test_pipeline_handoff_is_stored_once_and_restored_lazily(storage):
     assert len(grid.usites["ZIB"].njs.journal) == 0
     ((forwarded_id, consigned),) = backend.table("ZIB.journal").items()
     assert consigned["parent_job_id"] == pipeline.job_id
-    parent_outcome = OutcomeStore(backend, "FZJ.outcomes").get(pipeline.job_id)
-    child_outcome = OutcomeStore(backend, "ZIB.outcomes").get(forwarded_id)
+    rows = {
+        record.job_id: record
+        for usite in ("FZJ", "ZIB")
+        for record in OutcomeStore(backend, f"{usite}.outcomes").records(str)
+    }
+    parent_outcome, child_outcome = rows[pipeline.job_id], rows[forwarded_id]
     assert parent_outcome.files["hand.off"] == handoff
     assert consigned["workstation_files"] == {"hand.off": handoff}
     assert child_outcome.files["hand.off"] == handoff

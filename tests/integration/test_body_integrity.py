@@ -28,13 +28,16 @@ def test_a_uspace_copy_that_went_bad_at_rest_is_never_served():
     session = GridSession(grid, user, "FZJ")
     job = session.new_job("at-rest", "FZJ-T3E")
     job.import_from_workstation("/home/mover/payload.dat", "payload.dat")
+    # Keeps the job running, so its files are served from its Uspace.
+    job.script_task("busy", "#!/bin/sh\nbusy\n", simulated_runtime_s=3600.0)
     handle = session.submit(job)
-    assert session.wait(handle).status == "successful"
+    session.advance(600.0)
+    run = grid.usites["FZJ"].njs.runs[handle.job_id]
+    assert not run.status().is_terminal
     assert session.fetch_file(handle, "payload.dat") == content
 
     # One bit of the site's copy flips; the CRCs taken when the upload
     # was received stay what they were.
-    run = grid.usites["FZJ"].njs.runs[handle.job_id]
     uspace = next(iter(run.uspaces.values()))
     held = uspace.body("payload.dat").chunk_crcs(DEFAULT_CHUNK_BYTES)
     rotten = bytearray(content)

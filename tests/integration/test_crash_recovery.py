@@ -13,7 +13,7 @@ from repro.grid import build_grid
 from repro.observability import telemetry_for
 from repro.protocol.messages import Request, RequestKind
 from repro.protocol.views import JobListingDelta
-from repro.server.njs.restored import RestoredRun
+from repro.server.njs.finished import FinishedRun
 
 
 def _session(seed=13):
@@ -110,15 +110,15 @@ def test_crash_before_any_delivery_still_replays():
 
 def test_restart_restores_every_finished_run_from_storage():
     """A crash loses finished runs with the rest of the heap: after the
-    restart every one is a ``RestoredRun`` serving exactly what the live
-    run served."""
+    restart every one is a ``FinishedRun`` rebuilt from storage, serving
+    exactly what the one the job finished into served."""
     grid, session = _session(seed=17)
     njs = grid.usites["FZJ"].njs
     handles = [session.submit(_dag_job(session, f"dag-{i}", 10.0))
                for i in range(2)]
     for handle in handles:
         assert session.wait(handle).status == "successful"
-    paths = {h.job_id: sorted(njs.outcomes.get(h.job_id).files) for h in handles}
+    paths = {h.job_id: sorted(njs.runs[h.job_id].record.files) for h in handles}
     assert all(paths.values())
 
     def served():  # straight from the NJS: no sim time passes
@@ -132,11 +132,11 @@ def test_restart_restores_every_finished_run_from_storage():
         ]
 
     before = served()
-    assert not any(isinstance(njs.runs[h.job_id], RestoredRun) for h in handles)
+    assert all(isinstance(njs.runs[h.job_id], FinishedRun) for h in handles)
     njs.crash()
     assert len(njs.runs) == 0
     njs.restart()
-    assert all(isinstance(njs.runs[h.job_id], RestoredRun) for h in handles)
+    assert all(isinstance(njs.runs[h.job_id], FinishedRun) for h in handles)
     assert served() == before
     metrics = telemetry_for(grid.sim).metrics
     assert metrics.counter("njs.restored_runs").value == len(handles)

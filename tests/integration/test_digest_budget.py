@@ -70,5 +70,5 @@ def test_a_file_is_hashed_once_per_site_that_accepts_it(monkeypatch, size):
     group_id = zib.forwarding.foreign_run(handle.job_id).job_id
     for njs, job_id in ((fzj, handle.job_id), (zib, group_id)):
         assert njs.journal.entry(job_id) is None  # finished
-        assert njs.outcomes.get(job_id).files["payload.dat"] == digest
+        assert njs.runs[job_id].record.files["payload.dat"] == digest
     assert hashed == 2 * size

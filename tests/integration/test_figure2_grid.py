@@ -216,5 +216,4 @@ def test_workstation_files_ship_with_forwarded_groups(two_sites):
     # The file physically landed in the remote (ZIB) uspace.
     zib_njs = grid.usites["ZIB"].njs
     (remote_run,) = zib_njs.runs.values()
-    uspace = next(iter(remote_run.uspaces.values()))
-    assert uspace.read("params.nml") == b"&config n=3 /"
+    assert remote_run.file("params.nml") == b"&config n=3 /"

@@ -63,8 +63,7 @@ def test_cross_vsite_pipeline_within_one_usite(fzj_two_vsites):
     assert len(t3e) == 1 and "#QSUB" in t3e[0].spec.script
     assert len(sx4) == 1 and "#QSUB" in sx4[0].spec.script
     # The dependency file crossed from the T3E uspace to the SX-4 uspace.
-    run = usite.njs.get_run(job_id)
-    sx4_uspace = run.uspaces[post.ajo.id]
+    sx4_uspace = usite.vsites["DWD-SX4"].uspaces.get(f"{job_id}.{post.ajo.id}")
     assert sx4_uspace.exists("field.dat")
     # Sequencing respected: the SX-4 job started after the T3E job ended.
     assert sx4[0].submit_time >= t3e[0].end_time

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ajo import ActionStatus, ValidationError
+from repro.api import GridSession
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
 from repro.resources import ResourceRequest
@@ -47,6 +48,52 @@ def test_cancel_propagates_to_forwarded_group(duo):
     # And the local one at FZJ.
     fzj_records = grid.usites["FZJ"].vsites["FZJ-T3E"].batch.all_records()
     assert fzj_records[0].state is BatchState.CANCELLED
+
+
+def _finished_two_site_job(grid, user):
+    session = GridSession(grid, user, "FZJ")
+    job = session.new_job("spanning", "FZJ-T3E")
+    job.script_task("here", "#!/bin/sh\nx\n", simulated_runtime_s=30.0)
+    sub = job.sub_job("remote", vsite="ZIB-SP2", usite="ZIB")
+    sub.script_task("there", "#!/bin/sh\nx\n", simulated_runtime_s=30.0)
+    handle = session.submit(job)
+    assert session.wait(handle).status == "successful"
+    return session, handle
+
+
+@pytest.mark.parametrize("restart", [False, True])
+def test_cancelling_a_finished_job_does_nothing(duo, restart, monkeypatch):
+    """The NJS decides cancel on a finished job once: nothing to do.  No
+    CancelGroup goes to the site its group ran at.  No journal row is read
+    back and no AJO decoded to find that site, whether the job finished
+    in this life of the NJS or an earlier one."""
+    grid, user, _ = duo
+    session, handle = _finished_two_site_job(grid, user)
+    fzj = grid.usites["FZJ"]
+    if restart:
+        fzj.crash_site()
+        fzj.restart_site()
+    decodes = []
+    monkeypatch.setattr(
+        "repro.server.njs.finished.decode_ajo", decodes.append
+    )
+    sent, reads = grid.network.total_bytes_sent(), grid.storage.reads
+    fzj.njs.cancel(handle.job_id)
+    session.advance(120.0)
+    assert grid.network.total_bytes_sent() == sent
+    assert grid.storage.reads == reads
+    assert decodes == []
+    assert fzj.njs.runs[handle.job_id].status() is ActionStatus.SUCCESSFUL
+
+
+def test_disposing_a_forwarded_group_releases_its_parent_binding(duo):
+    grid, user, _ = duo
+    _, handle = _finished_two_site_job(grid, user)
+    zib = grid.usites["ZIB"].njs
+    group = zib.forwarding.foreign_run(handle.job_id)
+    assert group is not None
+    zib.dispose(group.job_id)
+    assert zib.forwarding.foreign_run(handle.job_id) is None
 
 
 def test_transfer_to_unknown_usite_fails_task_only(duo):

@@ -8,11 +8,15 @@ certificate's to-be-signed bytes are encoded when the certificate is
 built and never while a request is served, a consigned AJO is
 encoded by the client and decoded once by the site that takes it, and
 a status or list request touches JSON only for its service envelope:
-the reply is one ``repro.asn1`` value.
+the reply is one ``repro.asn1`` value.  A job's outcome is encoded once
+per site, when the job finishes, and a finished job is served from what
+was persisted then: a request about it decodes and reads nothing, and
+no live run of it is left behind.
 These tests meter the simulator and ``json`` under the public session
 API and hold a request to that budget.
 """
 
+import gc
 import json
 import types
 
@@ -23,6 +27,7 @@ from repro.ajo import encode_ajo
 from repro.api import GridSession
 from repro.grid import build_grid
 from repro.security.x509 import Certificate
+from repro.server.njs import JobRun
 from repro.simkernel import Simulator
 
 
@@ -36,6 +41,8 @@ class _JsonMeter:
         self.tbs_encodes = 0
         self.ajo_encodes = 0
         self.ajo_decodes = 0
+        self.outcome_encodes = 0
+        self.outcome_decodes = 0
         self._dumps, self._loads = json.dumps, json.loads
 
     @property
@@ -47,12 +54,15 @@ class _JsonMeter:
         if isinstance(obj, dict):
             self.tbs_encodes += "public_key" in obj and "serial" in obj
             self.ajo_encodes += "unicore_ajo" in obj
+            self.outcome_encodes += "unicore_outcome" in obj
         return self._dumps(obj, **kwargs)
 
     def loads(self, data, **kwargs):
         self.loads_calls += 1
         obj = self._loads(data, **kwargs)
-        self.ajo_decodes += isinstance(obj, dict) and "unicore_ajo" in obj
+        if isinstance(obj, dict):
+            self.ajo_decodes += "unicore_ajo" in obj
+            self.outcome_decodes += "unicore_outcome" in obj
         return obj
 
 
@@ -173,3 +183,53 @@ def test_a_consigned_job_is_encoded_by_the_client_and_decoded_once_per_site(
     sub.script_task("work", "#!/bin/sh\nwork\n", simulated_runtime_s=30.0)
     assert session.wait(session.submit(job)).status == "successful"
     assert (meter.ajo_encodes - before[0], meter.ajo_decodes - before[1]) == (2, 2)
+
+
+def _two_site_job(session, name):
+    job = _small_job(session, name)
+    sub = job.sub_job("remote", vsite="ZIB-SP2", usite="ZIB")
+    sub.script_task("work", "#!/bin/sh\nwork\n", simulated_runtime_s=30.0)
+    return job
+
+
+def test_a_finished_job_encodes_its_outcome_once_per_site(metered):
+    grid, session, meter = metered.grid, metered.session, metered.meter
+    handle = session.submit(_two_site_job(session, "retrieved"))
+    assert session.wait(handle).status == "successful"
+    for _ in range(3):
+        session.outcome(handle)
+    # ZIB encodes its group's outcome when the group finishes and sends
+    # those bytes home; FZJ encodes the job's when it finishes and serves
+    # those bytes to every RETRIEVE_OUTCOME.
+    assert meter.outcome_encodes == 2
+
+
+def test_a_just_finished_job_is_served_without_reading_or_decoding(metered):
+    grid, session, meter = metered.grid, metered.session, metered.meter
+    handle = session.submit(_small_job(session, "served"))
+    assert session.wait(handle).status == "successful"
+    njs = grid.usites["FZJ"].njs
+    (path,) = njs.runs[handle.job_id].record.files
+    reads = grid.storage.reads
+    decodes = meter.ajo_decodes, meter.outcome_decodes
+    assert njs.query_status(handle.job_id).status == "successful"
+    assert njs.retrieve_outcome(handle.job_id)
+    assert njs.fetch_uspace_file(handle.job_id, path)
+    assert grid.storage.reads == reads
+    assert (meter.ajo_decodes, meter.outcome_decodes) == decodes
+
+
+def test_no_live_run_outlives_its_job(metered):
+    """Once a job finishes, the table holds its outcome row and nothing
+    else holds the run that supervised it, at either site."""
+    grid, session = metered.grid, metered.session
+    handle = session.submit(_two_site_job(session, "collected"))
+    assert session.wait(handle).status == "successful"
+    group = grid.usites["ZIB"].njs.forwarding.foreign_run(handle.job_id)
+    finished = {handle.job_id, group.job_id}
+    gc.collect()
+    live = [
+        obj.job_id for obj in gc.get_objects()
+        if isinstance(obj, JobRun) and obj.job_id in finished
+    ]
+    assert live == []

@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import GridSession
 from repro.grid import build_grid
-from repro.server.njs import forwarding, restored, supervisor
+from repro.server.njs import forwarding, supervisor
 
 IN_FLIGHT = 3
 USER_DN = "CN=Historian, O=Test, C=DE"
@@ -67,7 +67,7 @@ def _count_decodes(monkeypatch):
 
     monkeypatch.setattr(supervisor, "decode_ajo", counting)
     monkeypatch.setattr(forwarding, "decode_ajo", counting)
-    monkeypatch.setattr(restored, "decode_ajo", counting)
+    monkeypatch.setattr("repro.server.njs.finished.decode_ajo", counting)
     return calls
 
 

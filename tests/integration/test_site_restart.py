@@ -14,7 +14,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.grid import build_grid
 from repro.observability import telemetry_for
 from repro.resources import ResourceRequest
-from repro.server.njs.restored import RestoredRun
+from repro.server.njs.finished import FinishedRun
 
 
 def _grid(sites=None, seed=21, storage="sqlite"):
@@ -124,7 +124,7 @@ def test_restored_listing_serves_files_and_disposal():
 @pytest.mark.parametrize("storage", ["memory", "sqlite"])
 @pytest.mark.parametrize("failure", ["njs_crash", "crash_site"])
 def test_disposing_a_restored_job_removes_its_job_directories(storage, failure):
-    """A restored run holds no Uspace objects, only the persisted
+    """A finished run holds no Uspace objects, only the persisted
     manifest; dispose still finds the job's directories on the Vsite."""
     grid, session = _grid(seed=29, storage=storage)
     usite = grid.usites["FZJ"]
@@ -134,6 +134,7 @@ def test_disposing_a_restored_job_removes_its_job_directories(storage, failure):
     prefix = f"{handle.job_id}."
     assert any(name.startswith(prefix) for name in spool.active_jobs)
     assert spool.fs.used_bytes > 0
+    assert isinstance(usite.njs.runs[handle.job_id], FinishedRun)
 
     if failure == "njs_crash":
         usite.njs.crash()
@@ -141,7 +142,7 @@ def test_disposing_a_restored_job_removes_its_job_directories(storage, failure):
     else:
         usite.crash_site()
         usite.restart_site()
-    assert isinstance(usite.njs.runs[handle.job_id], RestoredRun)
+    assert isinstance(usite.njs.runs[handle.job_id], FinishedRun)
     session.dispose(handle)
     assert not any(name.startswith(prefix) for name in spool.active_jobs)
     assert spool.fs.used_bytes == 0
@@ -247,7 +248,7 @@ def test_two_cold_restarts_serve_the_same_finished_jobs(storage):
     for handle in handles:
         assert session.wait(handle).status == "successful"
 
-    names = {h.job_id: sorted(usite.njs.outcomes.get(h.job_id).files) for h in handles}
+    names = {h.job_id: sorted(usite.njs.runs[h.job_id].record.files) for h in handles}
     assert all(names.values())
 
     def served():

@@ -7,8 +7,9 @@ task's stdout file, and three blobs holding those bytes raw.  So no row
 holds a byte string, a cold start reads the rows and no
 outcome, the first request for a restored job's outcome reads its one
 blob and a second reads nothing, and disposal hands every blob back
-without reading one.  These tests meter the blob store under the public
-session API on both backends.
+without reading one; of the rows, it reads only the consign row, since
+the finished job's outcome row is already in memory.  These tests meter
+the blob store under the public session API on both backends.
 """
 
 import pytest
@@ -66,7 +67,7 @@ def test_no_journal_or_outcome_row_carries_base64(storage):
         for _, data in rows:
             assert _byte_strings(asn1.decode(data, StorageError)) == []
     # The job's blobs: its AJO, its outcome and its task's stdout file.
-    record = grid.usites[SITE].njs.outcomes.get(handle.job_id)
+    record = grid.usites[SITE].njs.runs[handle.job_id].record
     consign = backend.table(f"{SITE}.journal").get(handle.job_id)
     assert consign["workstation_files"] == {} and len(record.files) == 1
     assert len(backend.blobs) == blobs_before + 3
@@ -89,7 +90,7 @@ def test_a_restored_outcome_is_read_once_on_first_request(storage, monkeypatch):
 
     assert njs.retrieve_outcome(handle.job_id) == outcome
     (read,) = reads.digests
-    assert read == njs.outcomes.get(handle.job_id).outcome_digest
+    assert read == njs.runs[handle.job_id].record.outcome_digest
     assert njs.retrieve_outcome(handle.job_id) == outcome
     assert len(reads.digests) == 1
 
@@ -106,3 +107,11 @@ def test_dispose_hands_every_blob_back_unread(storage, monkeypatch):
     GridSession(grid, user, SITE).dispose(handle)
     assert reads.digests == []
     assert len(grid.storage.blobs) == blobs_before
+
+
+@pytest.mark.parametrize("storage", ["memory", "sqlite"])
+def test_disposing_a_finished_job_reads_only_its_consign_row(storage):
+    grid, user, handle, _ = _finished_job(storage)
+    reads = grid.storage.reads
+    GridSession(grid, user, SITE).dispose(handle)
+    assert grid.storage.reads - reads == 1

@@ -84,9 +84,7 @@ def test_large_consign_upload_streams_and_roundtrips(two_sites):
     # directions for well under 3x one payload.
     assert metrics.counter_value("stream.wire_bytes") < 3 * len(content)
     # The file physically landed in the job's uspace.
-    run = grid.usites["FZJ"].njs.runs[job_id]
-    uspace = next(iter(run.uspaces.values()))
-    assert uspace.read("input.dat") == content
+    assert grid.usites["FZJ"].njs.runs[job_id].file("input.dat") == content
 
 
 def _run_transfer_job(two_sites, drop_wan: bool):
@@ -139,9 +137,7 @@ def _run_transfer_job(two_sites, drop_wan: bool):
     # the early-file stash under the parent job id; the group claimed it
     # on arrival, and nothing is left behind at quiescence.
     zib = grid.usites["ZIB"].njs
-    group_run = zib.forwarding.foreign_run(job_id)
-    uspace = next(iter(group_run.uspaces.values()))
-    assert uspace.size("big.dat") == 1 << 20
+    assert len(zib.forwarding.foreign_run(job_id).file("big.dat")) == 1 << 20
     assert zib.forwarding.stashes()["early"] == {}
     return telemetry_for(grid.sim).metrics
 
@@ -198,10 +194,10 @@ def test_forwarded_group_stages_and_returns_large_files(two_sites):
     # streamed back with the group result: two streams, 1 MiB each.
     assert metrics.counter_value("stream.opens") >= 2
     assert metrics.counter_value("stream.chunks") >= 8
-    # The returned file reached the root run for the archive step.
+    # The returned file was staged into the root group's Uspace for the
+    # archive step.
     root_run = grid.usites["FZJ"].njs.runs[job_id]
-    remote_files = root_run.remote_files.get(post_group.ajo.id, {})
-    assert len(remote_files.get("render.out", b"")) == 1 << 20
+    assert len(root_run.file("render.out")) == 1 << 20
 
 
 def test_group_return_stream_nobody_expects_is_dropped(two_sites):

@@ -148,10 +148,12 @@ def _reload_journal(data: bytes) -> list:
     return journal.incomplete()
 
 
-def _read_outcome(data: bytes) -> OutcomeRecord | None:
+def _read_outcome(data: bytes) -> OutcomeRecord:
+    """The record a cold start rebuilds from ``data`` as an outcome row."""
     backend = MemoryBackend()
     backend.table("o").put("U1", _value(data))
-    return OutcomeStore(backend, "o").get("U1")
+    (record,) = OutcomeStore(backend, "o").records(str)
+    return record
 
 
 def _status_view(data: bytes) -> JobStatusView:

@@ -169,7 +169,7 @@ def test_failed_record_put_takes_its_blob_with_it(backend_cls):
     )
     with pytest.raises(TypeError):
         store.put(record, b"outcome", {"out.dat": b"body"})
-    assert backend.blobs.digests() == [] and store.get("U1") is None
+    assert backend.blobs.digests() == [] and "U1" not in store
 
 
 @pytest.mark.parametrize("backend_cls", BACKENDS)
@@ -354,7 +354,8 @@ def test_journal_forget_deletes_every_row_of_the_job(backend_cls):
     journal.forget("U9")   # unknown: nothing to do
     assert backend.table("njs.journal").keys() == []
     # Both AJOs and U2's file went; U2's outcome is the outcome row's.
-    assert backend.blobs.digests() == [outcomes.get("U2").outcome_digest]
+    (kept,) = outcomes.records(str)
+    assert backend.blobs.digests() == [kept.outcome_digest]
     assert len(journal) == 0 and len(_reborn(backend, outcomes)) == 0
 
 
@@ -402,13 +403,13 @@ def test_outcome_store_round_trip():
     stored = store.put(record, b"outcome", {"stdout": b"hello\n"})
     assert stored.outcome_digest == hashlib.sha256(b"outcome").hexdigest()
     assert stored.files == {"stdout": hashlib.sha256(b"hello\n").hexdigest()}
-    fetched = OutcomeStore(backend, "FZJ.outcomes").get("U1")
+    (fetched,) = OutcomeStore(backend, "FZJ.outcomes").records(str)
     assert fetched == stored
     assert backend.blobs.get(fetched.outcome_digest) == b"outcome"
     assert backend.blobs.get(fetched.files["stdout"]) == b"hello\n"
-    assert store.job_ids() == ["U1"] and store.records(str) == [stored]
-    store.forget("U1")
-    assert store.get("U1") is None
+    assert store.job_ids() == ["U1"]
+    store.forget(stored)
+    assert store.records(str) == [] and "U1" not in store
     assert backend.blobs.digests() == []
 
 
@@ -529,7 +530,6 @@ def test_outcome_store_refuses_a_row_of_the_wrong_shape(shape):
     store.put(_outcome("U1"), b"o", {})
     table = backend.table("FZJ.outcomes")
     table.put("U1", shape(table.get("U1")))
-    with pytest.raises(StorageError, match="'FZJ.outcomes' row 'U1'"):
-        store.get("U1")
-    with pytest.raises(StorageError, match="wrong shape"):
+    with pytest.raises(StorageError, match="'FZJ.outcomes' row 'U1'") as refused:
         store.records(str)
+    assert "wrong shape" in str(refused.value)

@@ -1,5 +1,6 @@
 """Unit tests for the virtual filesystem and the UNICORE data spaces."""
 
+import gc
 import sys
 
 import pytest
@@ -227,18 +228,27 @@ def test_uspace_lifecycle():
 
 
 def _c_calls(fn) -> int:
-    """How many C functions ``fn()`` calls: work metered, not time."""
+    """How many C functions ``fn()`` calls: work metered, not time.
+
+    The cyclic collector is emptied first and kept off during the call:
+    a collection that fires inside it runs finalizers, whose calls would
+    be counted too."""
     calls = 0
 
     def profiler(frame, event, arg):
         nonlocal calls
         calls += event == "c_call"
 
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return calls
 
 
