@@ -7,8 +7,10 @@ connection to a site selectable port."
 
 The split is a deployment *option*; this ablation measures what it
 costs: every client request crosses the internal socket twice (request
-in, reply out), and NJS-NJS traffic gains an extra store-and-forward hop
-per direction.
+in, reply out), and a streamed file crosses it frame by frame, so a
+transfer pays one frame's crossing per direction rather than a
+store-and-forward of the whole payload; an NJS-NJS message crosses its
+sender's socket just ahead of the WAN hop.
 
 Expected shape: per-request overhead on the order of the internal link's
 round trip (~1 ms) — negligible against WAN latencies, i.e. the security

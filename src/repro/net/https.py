@@ -66,9 +66,13 @@ class HttpsChannel:
 
     def send(
         self, payload: object, size_bytes: int, to_server: bool = True,
-        deliver: bool = True,
+        deliver: bool = True, ready_s: float = 0.0,
     ) -> Event:
         """Send ``payload`` through the channel; returns its delivery event.
+
+        ``ready_s`` is how long until the sender has the bytes at all (a
+        gateway waiting for them to cross from its NJS): sealing starts
+        then.
 
         The event fires when the peer has received *and opened* all
         records; it fails with :class:`~repro.net.errors.ConnectionLost`
@@ -89,7 +93,8 @@ class HttpsChannel:
         # connection, so its messages leave in the order they were sent.
         delivery = self.network.send(
             src, dst, payload, wire, channel="https", deliver=deliver,
-            delay_s=2 * SSLSession.record_count(size_bytes) * self.per_record_cpu_s,
+            delay_s=ready_s
+            + 2 * SSLSession.record_count(size_bytes) * self.per_record_cpu_s,
         )
         self.payload_bytes += size_bytes
         self.wire_bytes += wire
@@ -127,8 +132,9 @@ class DirectChannel:
 
     def send(
         self, payload: object, size_bytes: int, to_server: bool = True,
-        deliver: bool = True,
+        deliver: bool = True, ready_s: float = 0.0,
     ) -> Event:
+        """Send ``payload`` raw, ``ready_s`` from now at the earliest."""
         src, dst = (
             (self.client_host, self.server_host)
             if to_server
@@ -136,7 +142,8 @@ class DirectChannel:
         )
         self.payload_bytes += size_bytes
         return self.network.send(
-            src, dst, payload, size_bytes, channel="direct", deliver=deliver
+            src, dst, payload, size_bytes, channel="direct", deliver=deliver,
+            delay_s=ready_s,
         )
 
 

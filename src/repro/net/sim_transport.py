@@ -7,16 +7,19 @@ models FIFO serialization on the link (one transmission at a time, the
 behaviour that makes bulk transfers contend).  A sender that needs time
 before its first byte can leave (sealing https records) says so with
 ``delay_s``: the slot is still claimed at the call, in call order, and
-the message is still one queue entry.  Each message is lost with
-the link's loss probability, drawn from a deterministic per-link stream;
-a lost message fails the sender's delivery event at the time the receiver
-would have noticed (one timeout interval), so protocols can react.
+the message is still one queue entry.  A crossing that delivers nothing
+(:meth:`Network.relay`) holds the link the same way and is no entry at
+all: its sender learns how long the bytes take and folds that into its
+next step.  Each message is lost with the link's loss probability,
+drawn from a deterministic per-link stream; a lost message fails the
+sender's delivery event at the time the receiver would have noticed
+(one timeout interval), so protocols can react.
 
 :class:`Network` is also the transport interface: servers and protocol
-clients are written against its ``send`` / ``host`` / ``link`` surface,
-and the real-socket backend (:class:`repro.net.aio_transport.AioTransport`)
-subclasses it.  :class:`~repro.net.transport.TransportSpec` selects
-between the two.
+clients are written against its ``send`` / ``relay`` / ``host`` /
+``link`` surface, and the real-socket backend
+(:class:`repro.net.aio_transport.AioTransport`) subclasses it.
+:class:`~repro.net.transport.TransportSpec` selects between the two.
 """
 
 from __future__ import annotations
@@ -137,6 +140,15 @@ class Link:
         self._busy_until = start + tx_s
         return start
 
+    def occupy(self, size_bytes: int, delay_s: float = 0.0) -> float:
+        """Take the next slot for ``size_bytes`` (:meth:`reserve`) and
+        count them; returns the time the last byte arrives."""
+        tx = self.transmission_delay(size_bytes)
+        arrival = self.reserve(delay_s, tx) + tx + self.latency_s
+        self.bytes_sent += size_bytes
+        self.messages_sent += 1
+        return arrival
+
     def schedule(
         self,
         message: Message,
@@ -150,12 +162,7 @@ class Link:
         Either way the message is ONE queue entry, placed now: the time
         the sender spends preparing it (``delay_s``) only moves its slot.
         """
-        tx = self.transmission_delay(message.size_bytes)
-        arrival = self.reserve(delay_s, tx) + tx + self.latency_s
-
-        self.bytes_sent += message.size_bytes
-        self.messages_sent += 1
-
+        arrival = self.occupy(message.size_bytes, delay_s)
         name = f"delivery:{message.msg_id}"
         if self.loss_probability > 0 and self._rng.random() < self.loss_probability:
             self.messages_lost += 1
@@ -303,6 +310,28 @@ class Network:
         )
         sink = destination._deliver if deliver else (lambda _message: None)
         return link.schedule(message, sink, delay_s)
+
+    def relay(
+        self, src: str, dst: str, size_bytes: int, delay_s: float = 0.0
+    ) -> float:
+        """Cross the lossless ``src -> dst`` edge without delivering
+        anything; returns the seconds until the bytes are across.
+
+        The bytes hold the edge as a :meth:`send` of them would (the next
+        slot in call order, the link's counters, a message id), but no
+        event is placed: the caller folds the crossing into whatever it
+        does next, e.g. as the ``delay_s`` of the send that carries the
+        bytes on.  An edge that can lose the bytes needs a delivery event
+        to notice the loss, so relaying over one raises
+        :class:`NetworkError`.
+        """
+        if size_bytes < 0:
+            raise NetworkError("message size must be non-negative")
+        link = self.get_link(src, dst)
+        if link.loss_probability > 0:
+            raise NetworkError(f"cannot relay over lossy link {src} -> {dst}")
+        next(self._msg_seq)
+        return link.occupy(size_bytes, delay_s) - self.sim.now
 
     @property
     def hosts(self) -> list[str]:

@@ -20,6 +20,13 @@ The :class:`Gateway` therefore:
 * serves the signed applets and the Vsites' ASN.1 resource pages;
 * forwards requests over the firewall socket to the NJS and returns the
   NJS's answers as protocol replies.
+
+The socket is a relay, not a store-and-forward hop: a streamed file
+crosses it one frame at a time, an upload's frames as they reach the
+gateway and a download's just ahead of the channel send that carries
+each on, so a split site pays one frame's crossing per direction, not
+the whole payload's.  A retry answered from the reply cache crosses
+nothing.
 """
 
 from __future__ import annotations
@@ -47,14 +54,13 @@ from repro.net.sim_transport import Host, Message, Network
 from repro.net.stream import StreamSender
 from repro.observability import telemetry_for
 from repro.protocol.client import RESPONSE_TIMEOUT_S
-from repro.protocol.consignment import Consignment, decode_consignment_envelope
+from repro.protocol.consignment import decode_consignment_envelope
 from repro.protocol.datapath import (
     INLINE_FILE_MAX,
     DataPlaneEndpoint,
     FileEntry,
     StreamIdAllocator,
     body_sender,
-    channel_sender,
     claim,
     item_value,
     send_stream,
@@ -66,7 +72,7 @@ from repro.security.ca import CertificateStore
 from repro.security.errors import AuthenticationError, SecurityError
 from repro.security.uudb import UUDB
 from repro.server.errors import ConsignError, ServerError
-from repro.simkernel import Simulator
+from repro.simkernel import Event, Simulator
 from repro.vfs.body import FileBody
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -137,8 +143,8 @@ class Gateway:
         self.njs = njs
         self.applets = dict(applets or {})
         #: The protocol's verbs, each with its one handler.  A handler is
-        #: given the request, the span it runs under and (CONSIGN_JOB) the
-        #: opened envelope; it returns an ``_Answer`` or raises a refusal.
+        #: given the request and the span it runs under; it returns an
+        #: ``_Answer`` or raises a refusal.
         self.handlers = {
             RequestKind.CONSIGN_JOB: self._consign,
             RequestKind.QUERY: self._query,
@@ -215,8 +221,10 @@ class Gateway:
                 telemetry_for(self.sim).metrics.counter(
                     "gateway.dropped_frames"
                 ).inc()
-            else:
-                self.datapath.feed(payload)
+            elif self.datapath.feed(payload):
+                # The frame goes on to the NJS as it arrives, so the
+                # request it rides ahead of waits behind one frame at most.
+                self._cross(self.host, self.njs.host, len(payload))
         elif isinstance(payload, Request):
             if self.down:
                 telemetry_for(self.sim).metrics.counter(
@@ -245,6 +253,7 @@ class Gateway:
         # A hit is a retried request (its reply was lost): resend, do
         # not redo.
         cached = self._reply_cache.get(request.request_id)
+        fresh = cached is None
         if cached is None:
             reply, push = yield from self._process(channel, request)
             cached = _CachedReply(reply, push)
@@ -253,15 +262,24 @@ class Gateway:
         self._reply_cache.pop(request.request_id, None)
         cached.expires_at = self.sim.now + REPLY_RETENTION_S
         self._reply_cache[request.request_id] = cached
+
+        def ready_s(size: int) -> float:
+            """A fresh answer crosses from the NJS piece by piece, each
+            crossing folded into the send that carries the piece on; a
+            cached one is here already."""
+            return self._cross(self.njs.host, self.host, size) if fresh else 0.0
+
         if cached.push is not None:
             # Push the bulk stream first — the FIFO channel keeps the
             # frames ahead of the reply, and the client deduplicates a
             # re-push.
-            try:
-                yield from send_stream(
-                    self.sim, cached.push,
-                    channel_sender(channel, to_server=False),
+            def send_frame(raw: bytes) -> Event:
+                return channel.send(
+                    raw, len(raw), to_server=False, ready_s=ready_s(len(raw))
                 )
+
+            try:
+                yield from send_stream(self.sim, cached.push, send_frame)
             except ConnectionLost:
                 # Withhold the reply, so the client's request retry
                 # triggers a fresh push from the cache instead of a
@@ -270,7 +288,8 @@ class Gateway:
                     "gateway.push_aborts"
                 ).inc()
                 return
-        channel.send(cached.reply, cached.reply.wire_size, to_server=False)
+        size = cached.reply.wire_size
+        channel.send(cached.reply, size, to_server=False, ready_s=ready_s(size))
 
     def _forget_expired(self) -> None:
         """Drop cached replies (and the content their pushes pin) that no
@@ -314,29 +333,14 @@ class Gateway:
         )
         tracer.end_span(auth_span)
 
-        # Consignment bytes that arrived on the data plane cross the
-        # firewall with the request, so the envelope is opened here and
-        # handed on to its handler.
-        consignment = None
-        fw_extra = 0
-        if request.kind == RequestKind.CONSIGN_JOB:
-            try:
-                consignment = decode_consignment_envelope(request.payload)
-                fw_extra = sum(
-                    item.size for item in consignment.files.values()
-                    if isinstance(item, FileEntry)
-                )
-            except SerializationError:
-                pass  # its handler refuses it; the hop is charged all the same
-        yield from self._firewall_hop(
-            self.host, self.njs.host, ("fw", request.request_id),
-            request.wire_size + fw_extra,
-        )
+        if self.njs.host is not self.host:  # across the firewall socket
+            yield self.sim.timeout(
+                self._cross(self.host, self.njs.host, request.wire_size),
+                name="firewall",
+            )
 
         try:
-            answer = self.handlers[request.kind](
-                request, request_span, consignment
-            )
+            answer = self.handlers[request.kind](request, request_span)
             if isinstance(answer, types.GeneratorType):
                 # A subscription QUERY parks until the job completes.
                 answer = yield from answer
@@ -344,29 +348,18 @@ class Gateway:
             reply = Reply(request_id=request.request_id, ok=True, payload=payload)
         except _REFUSALS as err:
             reply, push = _refusal(request, err), None
-
-        yield from self._firewall_hop(
-            self.njs.host, self.host, ("fw-reply", request.request_id),
-            reply.wire_size
-            + (push.open_info.total_size if push is not None else 0),
-        )
         tracer.end_span(request_span, error=None if reply.ok else reply.error)
         return reply, push
 
-    def _firewall_hop(self, src: Host, dst: Host, what: tuple, size: int):
-        """One crossing of the gateway-NJS socket (section 5.2), when the
-        two run on different hosts.  The socket is TCP on the site LAN:
-        modelled as reliable (a lost frame is retransmitted below the
-        layer we simulate)."""
-        if src.name == dst.name:
-            return
-        try:
-            yield self.network.send(
-                src.name, dst.name, what, size, channel="firewall",
-                deliver=False,
-            )
-        except ConnectionLost:
-            pass
+    def _cross(self, src: Host, dst: Host, size: int) -> float:
+        """One crossing of the gateway-NJS socket (section 5.2); returns
+        the seconds until the bytes are across, 0 when the two run on one
+        host.  The socket is TCP on the site LAN: modelled as reliable (a
+        lost frame is retransmitted below the layer we simulate), so a
+        crossing is a relay, not a message."""
+        if src is dst:
+            return 0.0
+        return self.network.relay(src.name, dst.name, size)
 
     def _authenticate(self, channel: HttpsChannel, request: Request) -> None:
         """The channel's peer certificate is the user's unique UNICORE
@@ -385,11 +378,8 @@ class Gateway:
         self.uudb.map_certificate(certificate, vsite=request.vsite)
 
     # -- the verbs, one handler each (see ``self.handlers``) ------------------
-    def _consign(
-        self, request: Request, span, consignment: Consignment | None
-    ) -> _Answer:
-        if consignment is None:  # malformed: open it again for the cause
-            consignment = decode_consignment_envelope(request.payload)
+    def _consign(self, request: Request, span) -> _Answer:
+        consignment = decode_consignment_envelope(request.payload)
         files = claim(self.datapath, consignment.files)
         ajo = decode_ajo(consignment.ajo_bytes)
         if ajo.user_dn and ajo.user_dn != request.user_dn:

@@ -138,9 +138,15 @@ class PeerLink:
     """One party's routed https connections: an NJS's to its peer Usites
     and the broker hub, or the hub's to every NJS."""
 
-    def __init__(self, sim: Simulator, network: Network, usite_name: str) -> None:
+    def __init__(
+        self, sim: Simulator, network: Network, usite_name: str,
+        socket_host: str | None = None,
+    ) -> None:
+        """``socket_host`` is the NJS host of a firewall-split site: every
+        route leaves it over the site's own NJS -> gateway socket."""
         self._sim = sim
         self._network = network
+        self._socket_host = socket_host
         self._routes: dict[str, Route] = {}
         #: Peer Usite -> route hops, read-only.
         self.routes: typing.Mapping[str, Route] = types.MappingProxyType(
@@ -258,7 +264,9 @@ class PeerLink:
         First use of a route pays the SSL handshake round trips end to
         end.  Every hop carries the record-framed byte count; endpoint
         seal/open CPU is charged once, ahead of the first hop, as
-        :meth:`~repro.net.https.HttpsChannel.send` charges it.
+        :meth:`~repro.net.https.HttpsChannel.send` charges it.  A first
+        hop over the site's own firewall socket is a relay: the next hop
+        leaves when the bytes are across, with no event in between.
         """
         if usite == BROKER_PEER:
             assert self._broker_route is not None, "no broker route registered"
@@ -280,12 +288,16 @@ class PeerLink:
             self._sessions.add(usite)
         size = payload.wire_payload
         wire = SSLSession.wire_bytes(size)
-        seal_open_s = 2 * SSLSession.record_count(size) * DEFAULT_PER_RECORD_CPU_S
+        delay_s = 2 * SSLSession.record_count(size) * DEFAULT_PER_RECORD_CPU_S
+        if len(route) > 1 and route[0][0] == self._socket_host:
+            src, dst = route[0]
+            delay_s = self._network.relay(src, dst, wire, delay_s)
+            route = route[1:]
         last = len(route) - 1
         for i, (src, dst) in enumerate(route):
             yield from self._reliable_hop(
                 src, dst, payload, wire, "njs-njs", i == last, retries,
-                seal_open_s if i == 0 else 0.0,
+                delay_s if i == 0 else 0.0,
             )
 
     def _reliable_hop(

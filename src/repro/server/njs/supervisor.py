@@ -94,7 +94,9 @@ class NetworkJobSupervisor:
         self.journal = self.runs.journal
         self.outcomes = self.runs.outcomes
         #: The routes to peer Usites and what travels on them.
-        self.peers = PeerLink(sim, network, usite_name)
+        self.peers = PeerLink(
+            sim, network, usite_name, socket_host=host.name if own_inbox else None
+        )
         #: Job groups and files crossing to and from other Usites.
         self.forwarding = Forwarding(
             sim, usite_name, self.peers, self.runs, self.consign

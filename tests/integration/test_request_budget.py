@@ -120,11 +120,12 @@ def test_one_status_request_stays_inside_the_request_budget(metered):
     assert _since(meter.calls, json_calls) == (1, 1)
 
     # The plan starts, request delivered, handler starts, auth timer,
-    # firewall hop in and out, reply delivered, reply wakes the plan, the
-    # plan's end stops the run: 9 (13 while a mailbox wake-up, a relay of
+    # firewall crossing in, reply delivered, reply wakes the plan, the
+    # plan's end stops the run: 8 (9 while the reply's firewall crossing
+    # was a message of its own, 13 while a mailbox wake-up, a relay of
     # the reply-or-deadline race and the handler's unobserved end were
     # entries too; test_event_budget.py has the table for a whole job).
-    assert grid.sim.processed_events - events <= 9
+    assert grid.sim.processed_events - events <= 8
     # One plan on the user's side, one handler at the gateway; no
     # process per message.
     assert metered.started and all(
@@ -169,8 +170,8 @@ def test_a_consigned_job_is_encoded_by_the_client_and_decoded_once_per_site(
     handle = session.submit(job)
     assert session.wait(handle).status == "successful"
     # The client encodes; the site decodes what it was sent and journals
-    # those bytes as they came.  The gateway opens the envelope once, for
-    # the firewall hop's byte count and the consign handler both.
+    # those bytes as they came.  The gateway opens the envelope once, in
+    # the consign handler.
     assert (meter.ajo_encodes, meter.ajo_decodes, len(opened)) == (1, 1, 1)
     journaled = grid.usites["FZJ"].njs.journal.ajo_bytes(handle.job_id)
     assert journaled == encode_ajo(job.ajo)

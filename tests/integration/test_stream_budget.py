@@ -5,9 +5,12 @@ A stream keeps two DATA frames in flight, so the next frame is sealed
 and opened while the one before it crosses the line.  On an idle access
 line a four-chunk fetch therefore pays the seal+open and the latency of
 a chunk once, not once per chunk; stop-and-wait pays them four times.
-On an NJS-NJS route every frame is a process of its own whose seal and
-open ride ahead of the first hop: a start, one delivery per hop and the
-wake-up of the stream that waits for it, nothing else.
+Behind a firewall split each frame crosses the site's socket just ahead
+of its channel send, so the fetch pays one chunk's crossing, not the
+whole payload's.  On an NJS-NJS route every frame is a process of its
+own whose seal and open, and whose crossing of the sender's firewall
+socket, ride ahead of the WAN hop: a start, one delivery per remaining
+hop and the wake-up of the stream that waits for it, nothing else.
 """
 
 import collections
@@ -21,6 +24,7 @@ from repro.net.stream import FrameType, decode_frame
 from repro.protocol.datapath import DEFAULT_CHUNK_BYTES
 from repro.protocol.messages import Reply
 from repro.security.ssl import SSLSession
+from repro.server.gateway import AUTH_CPU_S
 from repro.server.njs.peerlink import PeerFrame
 from repro.simkernel import CallbackSlot, Simulator
 
@@ -49,6 +53,11 @@ def _transmission(link, size: int) -> float:
     return link.transmission_delay(SSLSession.wire_bytes(size))
 
 
+def _crossing(link, size: int) -> float:
+    """Bytes across the firewall socket, unframed, on an idle link."""
+    return link.transmission_delay(size) + link.latency_s
+
+
 def _trip(link, size: int) -> float:
     """One https message of ``size`` payload bytes across an idle line."""
     return _seal_open(size) + _transmission(link, size) + link.latency_s
@@ -69,21 +78,32 @@ def test_a_four_chunk_fetch_pays_seal_open_and_latency_once(
     )
     job.depends(imp, work, files=["input.dat"])
     channel = session.channel
+    up = grid.network.get_link(channel.client_host, channel.server_host)
     down = grid.network.get_link(channel.server_host, channel.client_host)
+    site = grid.usites["FZJ"]
+    assert site.firewall_split
+    inward = grid.network.get_link(site.gateway_host.name, site.njs_host.name)
+    outward = grid.network.get_link(site.njs_host.name, site.gateway_host.name)
 
+    asked = []  # (sim time, request payload bytes), client -> gateway
     pushed = []  # (sim time, message, payload bytes), gateway -> client
     send = type(channel).send
 
-    def logged(self, payload, size_bytes, to_server=True, deliver=True):
-        if not to_server and self.client_host == channel.client_host:
-            pushed.append((grid.sim.now, payload, size_bytes))
-        return send(self, payload, size_bytes, to_server, deliver)
+    def logged(
+        self, payload, size_bytes, to_server=True, deliver=True, ready_s=0.0
+    ):
+        if self.client_host == channel.client_host:
+            if to_server:
+                asked.append((grid.sim.now, size_bytes))
+            else:
+                pushed.append((grid.sim.now, payload, size_bytes))
+        return send(self, payload, size_bytes, to_server, deliver, ready_s)
 
     def scenario(sim):
         job_id = yield from jpa.submit(job, workstation=user.workstation)
         yield from jmc.wait_for_completion(job_id)
         yield sim.timeout(60.0)  # the line falls idle
-        del pushed[:]
+        del asked[:], pushed[:]
         fetched = yield from jmc.fetch_file(job_id, "input.dat")
         return fetched, sim.now
 
@@ -91,23 +111,28 @@ def test_a_four_chunk_fetch_pays_seal_open_and_latency_once(
     fetched, done = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
     assert fetched == CONTENT
 
-    (opened, open_frame, open_size), *data, (_, reply, reply_size) = pushed
+    [(started, request_size)] = asked
+    (_, open_frame, open_size), *data, (_, reply, reply_size) = pushed
     assert decode_frame(open_frame).ftype == FrameType.OPEN
     assert isinstance(reply, Reply)
     assert [decode_frame(raw).ftype for _, raw, _ in data] == [FrameType.DATA] * CHUNKS
     chunk_size = data[0][2]
     assert {size for _, _, size in data} == {chunk_size}
-    # The OPEN frame goes alone; then the line carries four chunks back to
-    # back, and only the first waits for its seal+open and only the last
-    # for its latency before the reply leaves.  Stop-and-wait misses this
-    # by 3 * (seal+open + latency) of a chunk.
+    # The request crosses in; the OPEN frame crosses out and goes alone;
+    # then the line carries four chunks back to back, and only the first
+    # waits for its crossing and seal+open and only the last for its
+    # latency before the reply crosses and leaves.  Stop-and-wait misses
+    # this by 3 * (seal+open + latency) of a chunk, crossing the whole
+    # payload ahead of the OPEN frame by 3 chunks' crossing.
     budget = (
-        _trip(down, open_size)
+        _trip(up, request_size) + AUTH_CPU_S + _crossing(inward, request_size)
+        + _crossing(outward, open_size) + _trip(down, open_size)
+        + _crossing(outward, chunk_size)
         + _seal_open(chunk_size) + CHUNKS * _transmission(down, chunk_size)
         + down.latency_s
-        + _trip(down, reply_size)
+        + _crossing(outward, reply_size) + _trip(down, reply_size)
     )
-    assert done - opened <= budget + EPS
+    assert done - started <= budget + EPS
 
 
 def _cause(item) -> str:
@@ -122,10 +147,12 @@ def _cause(item) -> str:
     }.get(name, name)
 
 
-def test_a_peer_stream_costs_five_entries_per_frame(two_sites, monkeypatch):
+def test_a_peer_stream_costs_four_entries_per_frame(two_sites, monkeypatch):
     grid, _ = two_sites
     zib = grid.usites["ZIB"].njs
-    hops = len(zib.peers.routes["FZJ"])
+    route = zib.peers.routes["FZJ"]
+    assert len(route) == 3  # both sites are split: NJS, gw, gw, NJS
+    delivered = len(route) - 1  # the first hop is ZIB's socket, relayed
 
     def stream(sim):
         yield from zib.peers.stream(
@@ -149,6 +176,6 @@ def test_a_peer_stream_costs_five_entries_per_frame(two_sites, monkeypatch):
     frames = 1 + CHUNKS  # the OPEN frame, then one per chunk
     assert costs == {
         "peer-frame starts": frames,
-        "peer hop delivered": hops * frames,
+        "peer hop delivered": delivered * frames,
         "peer-frame wakes the stream": frames,
     }
