@@ -2,7 +2,8 @@
 
 Abstract interpretation of each job group's DAG over the files its
 tasks produce and consume in the Uspace.  The producer model mirrors the
-NJS runtime exactly (``Executor._run_execute`` in
+NJS runtime exactly (``Executor._run_child``'s staging step and the
+products ``Executor._run_execute`` declares, in
 :mod:`repro.server.njs.executor`): imports write their
 destination, compiles their object files, links their output; a
 dependency edge's ``files`` are materialized by its predecessor; an

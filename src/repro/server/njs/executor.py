@@ -225,11 +225,19 @@ class Executor:
             run.finish_action(child.id, ActionStatus.KILLED, reason="job cancelled")
             return
 
-        # 2. Guarantee dependency-annotated files (section 5.7).
+        # 2. Guarantee dependency-annotated files (section 5.7).  A task
+        # runs in its group's Uspace: a file a sibling task left there is
+        # already in place, so it is checked, not copied.  A file from a
+        # sub-group's Uspace or a forwarded group's result, and every file
+        # headed for a sub-group, is copied once at disk bandwidth: into
+        # the task's Uspace here, or handed to the sub-group below.
+        is_task = not isinstance(child, AbstractJobObject)
         staged: dict[str, FileBody] = {}
         for dep in deps:
             for path in dep.files:
-                content = self._locate_dependency_file(run, group, dep.predecessor_id, path)
+                content, in_place = self._locate_dependency_file(
+                    run, group, dep.predecessor_id, path
+                )
                 if content is None:
                     run.finish_action(
                         child.id, ActionStatus.FAILED,
@@ -237,13 +245,17 @@ class Executor:
                                f"{dep.predecessor_id} not found",
                     )
                     return
-                staged[path] = content
+                if not (in_place and is_task):
+                    staged[path] = content
         if staged:
-            # Local staging copy at disk bandwidth.
             total = sum(len(v) for v in staged.values())
             stage_span = run.span("njs.stage", files=len(staged), bytes=total)
             yield self._sim.timeout(total / LOCAL_DISK_BANDWIDTH_BPS)
             run.tracer.end_span(stage_span)
+            if is_task:
+                uspace = run.uspaces[group.id]
+                for path, content in staged.items():
+                    uspace.write(path, content)
 
         # 3. Dispatch by action type.
         if isinstance(child, AbstractJobObject):
@@ -262,7 +274,7 @@ class Executor:
                 self._forwarding.stash(run.job_id, staged)
                 yield from self._run_group(run, child)
         elif isinstance(child, ExecuteTask):
-            yield from self._run_execute(run, group, child, staged)
+            yield from self._run_execute(run, group, child)
         elif isinstance(child, (ImportTask, ExportTask)):
             yield from self._run_copy(run, group, child)
         elif isinstance(child, TransferTask):
@@ -276,27 +288,26 @@ class Executor:
     @staticmethod
     def _locate_dependency_file(
         run: JobRun, group: AbstractJobObject, pred_id: str, path: str
-    ) -> FileBody | None:
-        """Find a predecessor-produced file (section 5.7's guarantee)."""
+    ) -> tuple[FileBody | None, bool]:
+        """Find a predecessor-produced file (section 5.7's guarantee), and
+        whether it was found in ``group``'s own Uspace."""
         # Files produced by forwarded groups came back in the GroupResult.
         if pred_id in run.remote_files and path in run.remote_files[pred_id]:
-            return run.remote_files[pred_id][path]
+            return run.remote_files[pred_id][path], False
         # A local subgroup's uspace.
         if pred_id in run.uspaces and run.uspaces[pred_id].exists(path):
-            return run.uspaces[pred_id].body(path)
+            return run.uspaces[pred_id].body(path), False
         # A sibling task: same group uspace.
         uspace = run.uspaces.get(group.id)
         if uspace is not None and uspace.exists(path):
-            return uspace.body(path)
-        return None
+            return uspace.body(path), True
+        return None, False
 
     # ------------------------------------------------------------- task kinds
-    def _run_execute(self, run, group, task, staged: dict[str, FileBody]):
+    def _run_execute(self, run, group, task):
         vsite = self._vsites[group.vsite]
         uspace = run.uspaces[group.id]
         outcome = typing.cast(TaskOutcome, run.outcomes[task.id])
-        for path, content in staged.items():
-            uspace.write(path, content)
         try:
             mapping = self._uudb.map_dn(run.user_dn, vsite=vsite.name)
         except MappingError as err:
@@ -414,7 +425,9 @@ class Executor:
 
     def _run_copy(self, run, group, task: ImportTask | ExportTask):
         """An import (workstation or Xspace -> Uspace) or an export
-        (Uspace -> Xspace): one local copy at disk bandwidth."""
+        (Uspace -> Xspace): one local copy at disk bandwidth.  An export
+        reads the Uspace, where :meth:`_run_child` put the files its
+        dependency edges promised."""
         uspace = run.uspaces[group.id]
         outcome = run.outcomes[task.id]
         outcome.submitted_at = self._sim.now

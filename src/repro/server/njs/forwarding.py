@@ -50,7 +50,8 @@ from repro.vfs.body import FileBody
 __all__ = ["Forwarding", "LOCAL_DISK_BANDWIDTH_BPS"]
 
 #: Local disk bandwidth for Xspace<->Uspace copies (section 5.6: "a copy
-#: process available at the Vsite").
+#: process available at the Vsite"), and for staging a dependency file
+#: into a Uspace it is not already in.
 LOCAL_DISK_BANDWIDTH_BPS = 50e6
 
 #: ``path -> body``.  A body stays inside the site that built it.

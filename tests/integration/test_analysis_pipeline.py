@@ -19,7 +19,7 @@ from repro.ajo import (
     UserTask,
     encode_ajo,
 )
-from repro.analysis import AnalysisError
+from repro.analysis import AnalysisError, analyze_ajo
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
 from repro.observability import telemetry_for
@@ -187,3 +187,65 @@ def test_lint_exits_two_on_a_file_that_is_not_an_ajo(tmp_path, capsys):
         repro_main(["lint", str(path)])
     assert exit_info.value.code == 2
     assert "cannot read AJO" in capsys.readouterr().err
+
+
+# -- the dataflow pass's producer model is the runtime's ---------------------
+#: What each producer writes to ``out.dat``: distinct bytes, so a consumer
+#: that reads them proves which producer it got them from.
+PRODUCED = {
+    "sibling": b"written by a sibling task",
+    "local-group": b"written by a local sub-group",
+    "forwarded-group": b"written by a group forwarded to ZIB",
+}
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCED))
+@pytest.mark.parametrize("consumer", ["execute", "export", "transfer"])
+def test_analyzer_and_runtime_agree_on_a_dependency_file(producer, consumer):
+    """Every producer of a file-annotated edge, to every consumer kind:
+    the dataflow pass accepts the job, and the consumer gets the bytes."""
+    grid = build_grid({"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}, seed=14)
+    user = grid.add_user("Lint", logins={"FZJ": "lint", "ZIB": "lint_b"})
+    jpa = JobPreparationAgent(grid.connect_user(user, "FZJ"))
+    jmc = JobMonitorController(jpa.session)
+    for site in ("FZJ", "ZIB"):
+        grid.usites[site].xspace.fs.write("/in/out.dat", PRODUCED[producer])
+    job = jpa.new_job("matrix", vsite="FZJ-T3E")
+    if producer == "sibling":
+        source = job.import_from_xspace("/in/out.dat", "out.dat")
+    else:
+        vsite, usite = (
+            ("ZIB-SP2", "ZIB") if producer == "forwarded-group"
+            else ("FZJ-T3E", "FZJ")
+        )
+        source = job.sub_job("make", vsite=vsite, usite=usite)
+        source.import_from_xspace("/in/out.dat", "out.dat")
+    if consumer == "execute":
+        use = job.script_task("use", "#!/bin/sh\ncat out.dat\n", simulated_runtime_s=10.0)
+    elif consumer == "export":
+        use = job.export_to_xspace("out.dat", "/out/out.dat")
+    else:
+        use = job.transfer_to_usite("out.dat", "ZIB")
+        reader = job.sub_job("read", vsite="ZIB-SP2", usite="ZIB")
+        reader.script_task("read", "#!/bin/sh\ncat out.dat\n", simulated_runtime_s=10.0)
+        job.depends(use, reader)
+    job.depends(source, use, files=["out.dat"])
+    assert not [
+        d for d in analyze_ajo(job.ajo).diagnostics if d.code.startswith("AJO2")
+    ]
+
+    def scenario(sim):
+        job_id = yield from jpa.submit(job)
+        final = yield from jmc.wait_for_completion(job_id)
+        return job_id, final
+
+    job_id, final = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+    assert final.status == "successful"
+    if consumer == "execute":
+        uspaces = grid.usites["FZJ"].vsites["FZJ-T3E"].uspaces
+        read = uspaces.get(f"{job_id}.{job.ajo.id}").body("out.dat")
+    elif consumer == "export":
+        read = grid.usites["FZJ"].xspace.fs.body("/out/out.dat")
+    else:
+        read = grid.usites["ZIB"].njs.forwarding.foreign_run(job_id).file("out.dat")
+    assert read == PRODUCED[producer]

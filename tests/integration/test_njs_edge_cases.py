@@ -8,6 +8,9 @@ from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
 from repro.resources import ResourceRequest
 
+#: The one Vsite of each Usite in ``duo``.
+VSITE = {"FZJ": "FZJ-T3E", "ZIB": "ZIB-SP2"}
+
 
 @pytest.fixture()
 def duo():
@@ -117,6 +120,48 @@ def test_transfer_to_unknown_usite_fails_task_only(duo):
     assert outcome.child(work.id).status is ActionStatus.SUCCESSFUL
     assert outcome.child(xfer.id).status is ActionStatus.FAILED
     assert "no route" in outcome.child(xfer.id).reason
+
+
+@pytest.mark.parametrize("consumer, sub_usite", [
+    ("export", "FZJ"), ("export", "ZIB"), ("transfer", "FZJ"),
+])
+def test_a_file_task_gets_the_file_a_sub_group_hands_it(duo, consumer, sub_usite):
+    """An export or transfer fed by a sub-group's file through a
+    dependency edge moves the sub-group's bytes, not a missing file."""
+    grid, user, session = duo
+    jpa = JobPreparationAgent(session)
+    jmc = JobMonitorController(session)
+    job = jpa.new_job("handed", vsite="FZJ-T3E")
+    sub = job.sub_job("make", vsite=VSITE[sub_usite], usite=sub_usite)
+    sub.script_task("produce", script="#!/bin/sh\nx\n", simulated_runtime_s=10.0)
+    if consumer == "export":
+        task = job.export_to_xspace("out.dat", "/out/out.dat")
+    else:
+        task = job.transfer_to_usite("out.dat", "ZIB")
+        reader = job.sub_job("read", vsite="ZIB-SP2", usite="ZIB")
+        reader.script_task("read", script="#!/bin/sh\nx\n", simulated_runtime_s=10.0)
+        job.depends(task, reader)
+    job.depends(sub, task, files=["out.dat"])
+
+    def scenario(sim):
+        job_id = yield from jpa.submit(job)
+        final = yield from jmc.wait_for_completion(job_id)
+        return job_id, final
+
+    job_id, final = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+    assert final.status == "successful"
+    zib = grid.usites["ZIB"].njs.forwarding
+    if sub_usite == "FZJ":
+        uspaces = grid.usites["FZJ"].vsites["FZJ-T3E"].uspaces
+        produced = uspaces.get(f"{job_id}.{sub.ajo.id}").body("out.dat")
+    else:
+        produced = zib.foreign_run(job_id).file("out.dat")
+    if consumer == "export":
+        delivered = grid.usites["FZJ"].xspace.fs.body("/out/out.dat")
+    else:
+        delivered = zib.foreign_run(job_id).file("out.dat")
+    assert len(produced) > 0
+    assert delivered == produced
 
 
 def test_missing_workstation_file_fails_import(duo):

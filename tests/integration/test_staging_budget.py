@@ -1,0 +1,113 @@
+"""What guaranteeing a dependency file (section 5.7) may cost a job.
+
+A task runs in its job group's Uspace.  A file a sibling task wrote
+there is already where its successor runs: the edge checks that it
+exists and copies nothing.  A file that comes from anywhere else — a
+local sub-group's Uspace, a forwarded group's result — is copied in once
+at local disk bandwidth, in one ``njs.stage`` span.
+"""
+
+import pytest
+
+from repro.ajo import ActionStatus
+from repro.api import GridSession
+from repro.grid import build_grid
+from repro.observability import telemetry_for
+from repro.resources import ResourceRequest
+from repro.server.njs.forwarding import LOCAL_DISK_BANDWIDTH_BPS
+from repro.server.njs.incarnation import RESULT_FILE_BYTES
+
+#: One result file copied at local disk bandwidth.
+COPY_S = RESULT_FILE_BYTES / LOCAL_DISK_BANDWIDTH_BPS
+
+#: Float slack on a sum of simulated seconds.
+EPS = 1e-9
+
+SCRIPT = "#!/bin/sh\nx\n"
+
+
+@pytest.fixture()
+def duo():
+    grid = build_grid({"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}, seed=29)
+    user = grid.add_user("Stager", logins={"FZJ": "stage", "ZIB": "stage_b"})
+    xspace = grid.usites["FZJ"].xspace.fs
+    xspace.write("/in/input.dat", b"i" * 4096)
+    xspace.write("/in/app.f90", b"program app\nend\n")
+    return grid, GridSession(grid, user, "FZJ")
+
+
+def _run(grid, session, job):
+    """Consign ``job`` and wait for it; returns its handle, final view,
+    trace and the sim time the wait's reply arrived."""
+    handle = session.submit(job)
+    view = session.wait(handle)
+    trace = telemetry_for(grid.sim).tracer.trace(handle.job_id)
+    return handle, view, trace, grid.sim.now
+
+
+def test_a_sibling_result_is_exported_without_a_staging_copy(duo):
+    grid, session = duo
+    job = session.new_job("ise", "FZJ-T3E")
+    imp = job.import_from_xspace("/in/input.dat", "input.dat")
+    work = job.script_task("crunch", SCRIPT, simulated_runtime_s=30.0)
+    exp = job.export_to_xspace("result.dat", "/out/result.dat")
+    job.depends(imp, work, files=["input.dat"])
+    job.depends(work, exp, files=["result.dat"])
+    _, view, trace, reply_at = _run(grid, session, job)
+    assert view.status == "successful"
+    assert trace.find("njs.stage") == []
+    assert len(grid.usites["FZJ"].xspace.fs.body("/out/result.dat")) == RESULT_FILE_BYTES
+    # From the batch run's end to the wait's reply: the export's one
+    # copy of the 1 MiB result, then the reply's trip from the NJS.
+    # Staging the result onto itself first was a second copy.
+    batch_end = trace.first("batch.execute").end
+    trip = reply_at - trace.first("njs.job").end
+    assert reply_at - batch_end == pytest.approx(COPY_S + trip, abs=EPS)
+
+
+def test_compile_link_execute_stages_nothing(duo):
+    grid, session = duo
+    job = session.new_job("cle", "FZJ-T3E")
+    src = job.import_from_xspace("/in/app.f90", "app.f90")
+    compile_task, _, run = job.compile_link_execute(
+        "app", sources=["app.f90"], executable="app.exe",
+        run_resources=ResourceRequest(cpus=8, time_s=3600.0),
+        simulated_runtime_s=30.0,
+    )
+    exp = job.export_to_xspace("result.dat", "/out/app.dat")
+    job.depends(src, compile_task, files=["app.f90"])
+    job.depends(run, exp, files=["result.dat"])
+    _, view, trace, _ = _run(grid, session, job)
+    assert view.status == "successful"
+    # The source, the object file, the executable and the result each
+    # pass between two tasks of one Uspace.
+    assert trace.find("njs.stage") == []
+
+
+def test_a_file_from_a_local_sub_group_is_copied_once(duo):
+    grid, session = duo
+    job = session.new_job("up", "FZJ-T3E")
+    sub = job.sub_job("make", vsite="FZJ-T3E", usite="FZJ")
+    sub.script_task("produce", SCRIPT, simulated_runtime_s=30.0)
+    use = job.script_task("consume", SCRIPT, simulated_runtime_s=30.0)
+    job.depends(sub, use, files=["result.dat"])
+    _, view, trace, _ = _run(grid, session, job)
+    assert view.status == "successful"
+    [stage] = trace.find("njs.stage")
+    assert stage.attributes["files"] == 1
+    assert stage.attributes["bytes"] == RESULT_FILE_BYTES
+    assert stage.end - stage.start == pytest.approx(COPY_S, abs=EPS)
+
+
+def test_a_sibling_that_never_wrote_the_file_fails_its_successor(duo):
+    grid, session = duo
+    job = session.new_job("ghost", "FZJ-T3E")
+    imp = job.import_from_xspace("/in/input.dat", "input.dat")
+    work = job.script_task("crunch", SCRIPT, simulated_runtime_s=30.0)
+    job.depends(imp, work, files=["ghost.dat"])
+    handle, view, trace, _ = _run(grid, session, job)
+    assert view.status == "failed"
+    failed = session.outcome(handle).child(work.id)
+    assert failed.status is ActionStatus.FAILED
+    assert failed.reason == f"dependency file 'ghost.dat' from {imp.id} not found"
+    assert trace.find("njs.stage") == []
