@@ -145,8 +145,8 @@ class BatchJobRecord:
     completion_event: Event | None = None
     #: While running: the timer whose firing is the end of the run.
     _run: CallbackSlot | None = None
-    _wait_span: Span = INERT_SPAN
-    _run_span: Span = INERT_SPAN
+    #: The open span: ``batch.wait``, then ``batch.execute``; inert once done.
+    _span: Span = INERT_SPAN
 
     @property
     def wait_time(self) -> float | None:
@@ -246,7 +246,7 @@ class BatchSystem:
         )
         telemetry = telemetry_for(self.sim)
         telemetry.metrics.counter("batch.submitted").inc()
-        record._wait_span = telemetry.tracer.start_span(
+        record._span = telemetry.tracer.start_span(
             "batch.wait",
             spec.trace_id,
             parent=spec.parent_span_id,
@@ -394,8 +394,8 @@ class BatchSystem:
         telemetry.metrics.histogram("batch.wait_seconds").observe(
             record.wait_time or 0.0
         )
-        telemetry.tracer.end_span(record._wait_span)
-        record._run_span = telemetry.tracer.start_span(
+        telemetry.tracer.end_span(record._span)
+        record._span = telemetry.tracer.start_span(
             "batch.execute",
             record.spec.trace_id,
             parent=record.spec.parent_span_id,
@@ -496,12 +496,10 @@ class BatchSystem:
             telemetry.metrics.histogram("batch.execute_seconds").observe(
                 record.end_time - record.start_time
             )
+            # Cancelled while queued, the wait span gets no state.
+            record._span.set(state=state.value)
         failure = None if state is BatchState.DONE else (reason or state.value)
-        if not record._wait_span.finished:
-            # Cancelled while queued: the wait span is all there was.
-            telemetry.tracer.end_span(record._wait_span, error=failure)
-        telemetry.tracer.end_span(
-            record._run_span.set(state=state.value), error=failure
-        )
+        telemetry.tracer.end_span(record._span, error=failure)
+        record._span = INERT_SPAN
         assert record.completion_event is not None
         record.completion_event.succeed(record)

@@ -27,7 +27,7 @@ from repro.observability.metrics import Counter, Histogram, MetricsRegistry
 from repro.observability.span import INERT_SPAN, Span
 from repro.observability.telemetry import Telemetry, telemetry_for
 from repro.observability.trace import Trace
-from repro.observability.tracer import Tracer
+from repro.observability.tracer import Tracer, UnknownTrace
 
 __all__ = [
     "Counter",
@@ -38,5 +38,6 @@ __all__ = [
     "Telemetry",
     "Trace",
     "Tracer",
+    "UnknownTrace",
     "telemetry_for",
 ]

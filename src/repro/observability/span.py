@@ -25,13 +25,16 @@ class Span:
     #: Which tier did the work: ``user``, ``server``, or ``batch``.
     tier: str = ""
     end: float | None = None
-    status: str = "ok"
     error: str = ""
     attributes: dict[str, object] = field(default_factory=dict)
 
     @property
     def finished(self) -> bool:
         return self.end is not None
+
+    @property
+    def status(self) -> str:
+        return "error" if self.error else "ok"
 
     @property
     def duration(self) -> float:

@@ -26,11 +26,6 @@ class Telemetry:
     tracer: Tracer
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
-    def reset(self) -> None:
-        """Drop recorded spans and metrics (keeps the clock)."""
-        self.tracer.clear()
-        self.metrics = MetricsRegistry()
-
 
 def _sim_clock(sim: object) -> typing.Callable[[], float]:
     ref = weakref.ref(sim)

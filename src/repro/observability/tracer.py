@@ -10,7 +10,12 @@ from repro.observability.registry import UnregisteredName, known_span
 from repro.observability.span import INERT_SPAN, Span
 from repro.observability.trace import Trace
 
-__all__ = ["Tracer"]
+__all__ = ["Tracer", "UnknownTrace"]
+
+
+class UnknownTrace(KeyError):
+    """No trace by that id: never minted, or its job was disposed.  A
+    contract error like ``UnregisteredName``: no wire code."""
 
 
 class Tracer:
@@ -22,6 +27,8 @@ class Tracer:
     Trace ids are plain strings; a UNICORE job id can be bound to its
     trace with :meth:`bind_job` so callers that only know the job id
     (the JMC, the ``repro trace`` CLI) can still find the trace.
+    A span is held by the code that will close it, then by its trace
+    alone; a job's trace goes at dispose (:meth:`forget`).
     """
 
     def __init__(self, clock: typing.Callable[[], float]) -> None:
@@ -50,19 +57,17 @@ class Tracer:
         trace_id = self._jobs.get(trace_or_job_id, trace_or_job_id)
         spans = self._spans.get(trace_id)
         if spans is None:
-            raise KeyError(
-                f"no trace {trace_or_job_id!r} (known jobs: "
-                f"{sorted(self._jobs)})"
-            )
+            raise UnknownTrace(trace_or_job_id)
         return Trace(trace_id, list(spans))
 
     def traces(self) -> list[str]:
         return sorted(self._spans)
 
-    def clear(self) -> None:
-        """Drop all recorded spans and job bindings (long-running sims)."""
-        self._spans.clear()
-        self._jobs.clear()
+    def forget(self, job_id: str) -> None:
+        """Drop a disposed job's trace and binding (no-op when unbound)."""
+        trace_id = self._jobs.pop(job_id, None)
+        if trace_id is not None:
+            self._spans.pop(trace_id, None)
 
     # -- spans ---------------------------------------------------------------
     def start_span(
@@ -105,7 +110,6 @@ class Tracer:
         if span.end is None:
             span.end = self.clock()
         if error is not None:
-            span.status = "error"
             span.error = str(error) or type(error).__name__
         return span
 

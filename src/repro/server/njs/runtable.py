@@ -247,7 +247,6 @@ class RunTable(typing.Mapping[str, Run]):
                 status=run.status().value,
                 submitted_at=run.submitted_at,
                 recovered=run.recovered,
-                trace_id=run.trace_id,
             ), outcome_bytes, files)
         finished = FinishedRun(
             record, self.journal, self._storage.blobs, root=run.root,

@@ -441,7 +441,7 @@ class NetworkJobSupervisor:
         )
 
     def dispose(self, job_id: str) -> None:
-        """Release a terminal job: destroy its Uspaces, forget its state.
+        """Release a terminal job: destroy its Uspaces, forget its state and trace.
 
         The NJS "create[s] a UNICORE job directory" per job (section 5.5);
         disposal is the matching cleanup once the user is done with the
@@ -457,6 +457,7 @@ class NetworkJobSupervisor:
         self.codine.forget(job_id)
         self.runs.dispose(run)
         self.forwarding.release(job_id)
+        telemetry_for(self.sim).tracer.forget(job_id)
 
     # A finished job is past control: hold refuses, resume and cancel
     # have nothing left to do.

@@ -44,7 +44,6 @@ class OutcomeRecord:
     status: str
     submitted_at: float
     recovered: bool
-    trace_id: str
     #: Blob digest of the encoded outcome tree; both it and ``files`` are
     #: filled in by :meth:`OutcomeStore.put` from the bytes it stores.
     outcome_digest: str = ""
@@ -77,7 +76,6 @@ class OutcomeStore:
                 "status": record.status,
                 "submitted_at": record.submitted_at,
                 "recovered": record.recovered,
-                "trace_id": record.trace_id,
                 "outcome": digest,
                 "files": manifest,
             })
@@ -101,7 +99,6 @@ class OutcomeStore:
                 status=raw["status"],
                 submitted_at=raw["submitted_at"],
                 recovered=raw["recovered"],
-                trace_id=raw["trace_id"],
                 outcome_digest=raw["outcome"],
                 files=dict(raw["files"]),
             )

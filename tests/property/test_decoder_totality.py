@@ -127,7 +127,7 @@ def _outcome_row() -> bytes:
     backend = MemoryBackend()
     OutcomeStore(backend, "o").put(OutcomeRecord(
         job_id="U1", name="demo", user_dn="CN=u", status="successful",
-        submitted_at=1.5, recovered=False, trace_id="t1",
+        submitted_at=1.5, recovered=False,
     ), b"o", {"out": b"body"})
     return asn1.encode(backend.table("o").get("U1"))
 

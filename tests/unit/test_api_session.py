@@ -6,7 +6,7 @@ import pytest
 from repro.api import GridSession, JobHandle
 from repro.faults import CircuitOpenError, ServiceUnavailable
 from repro.grid import build_grid
-from repro.observability import telemetry_for
+from repro.observability import UnknownTrace, telemetry_for
 from repro.protocol.retry import RetryExhausted
 
 
@@ -140,13 +140,19 @@ def test_stale_status_served_during_njs_outage_behind_a_live_gateway():
 
 
 def test_disposed_job_is_not_served_stale_during_an_outage():
-    """Dispose drops the JMC's cached tree: an outage afterwards refuses
-    the status of a job that no longer exists instead of re-serving it."""
+    """Dispose drops the JMC's cached tree and the job's trace: an outage
+    afterwards refuses the status of a job that no longer exists instead
+    of re-serving it."""
     grid, session = _session()
     handle = session.submit(_quick_job(session))
     assert session.wait(handle).status == "successful"
     assert session.status(handle).status == "successful"
     session.dispose(handle)
+    # The job's trace went with it, by trace id and by job id alike.
+    for key in (handle.trace_id, handle.job_id):
+        with pytest.raises(UnknownTrace) as caught:
+            telemetry_for(grid.sim).tracer.trace(key)
+        assert isinstance(caught.value, KeyError)
 
     grid.usites["FZJ"].gateway.crash()
     with pytest.raises(RetryExhausted):

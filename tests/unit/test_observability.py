@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.grid.metrics import TierTimes
-from repro.observability import MetricsRegistry, Tracer, telemetry_for
+from repro.observability import MetricsRegistry, Tracer, UnknownTrace, telemetry_for
 from repro.observability import registry as names
 from repro.observability.metrics import percentile
 from repro.observability.registry import UnregisteredName
@@ -67,6 +67,7 @@ class TestTracer:
         tracer = Tracer(ManualClock())
         tid = tracer.new_trace()
         span = tracer.start_span("batch.execute", tid)
+        assert span.status == "ok"
         tracer.end_span(span, error=ValueError("boom"))
         assert span.status == "error"
         assert "boom" in span.error
@@ -89,8 +90,10 @@ class TestTracer:
         tracer.bind_job("U00001@FZJ", tid)
         assert tracer.trace_id_for_job("U00001@FZJ") == tid
         assert tracer.trace("U00001@FZJ").trace_id == tid
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownTrace) as caught:
             tracer.trace("U99999@NONE")
+        # The message names the id it was asked for, not every bound job.
+        assert str(caught.value) == repr("U99999@NONE")
 
     def test_orphan_parent_renders_as_root(self):
         tracer = Tracer(ManualClock())
@@ -313,15 +316,25 @@ class TestTelemetryScoping:
         telemetry.tracer.end_span(span)
         assert span.duration == 7.0
 
-    def test_reset_drops_state(self):
-        sim = Simulator()
-        telemetry = telemetry_for(sim)
-        tid = telemetry.tracer.new_trace()
-        telemetry.tracer.end_span(telemetry.tracer.start_span("njs.job", tid))
-        telemetry.metrics.counter("njs.restarts").inc()
-        telemetry.reset()
-        assert telemetry.tracer.traces() == []
-        assert telemetry.metrics.counter_value("njs.restarts") == 0.0
+    def test_forget_drops_a_job_trace_and_its_binding(self):
+        tracer = telemetry_for(Simulator()).tracer
+        session, kept, gone = (tracer.new_trace(k) for k in ("session", "job", "job"))
+        for tid in (kept, gone):
+            tracer.end_span(tracer.start_span("njs.job", tid))
+        tracer.bind_job("U1@FZJ", kept)
+        tracer.bind_job("U2@FZJ", gone)
+        tracer.forget("U2@FZJ")
+        # An unbound id (an untraced consign, a job restored after a thaw)
+        # and a second dispose are no-ops.
+        tracer.forget("U2@FZJ")
+        tracer.forget("U9@FZJ")
+        assert tracer.traces() == sorted([session, kept])
+        assert tracer.trace_id_for_job("U2@FZJ") is None
+        assert len(tracer.trace("U1@FZJ")) == 1
+        for key in (gone, "U2@FZJ"):
+            with pytest.raises(UnknownTrace, match=key) as caught:
+                tracer.trace(key)
+            assert isinstance(caught.value, KeyError)
 
 
 # --------------------------------------------------------------- tiertimes

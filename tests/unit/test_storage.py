@@ -165,7 +165,7 @@ def test_failed_record_put_takes_its_blob_with_it(backend_cls):
     record = OutcomeRecord(
         job_id="U1", name=object(),  # not plain data: the record put fails
         user_dn="CN=a", status="successful",
-        submitted_at=0.0, recovered=False, trace_id="",
+        submitted_at=0.0, recovered=False,
     )
     with pytest.raises(TypeError):
         store.put(record, b"outcome", {"out.dat": b"body"})
@@ -271,7 +271,7 @@ def test_resolve_storage_by_kind():
 def _outcome(job_id):
     return OutcomeRecord(
         job_id=job_id, name="demo", user_dn="CN=b", status="successful",
-        submitted_at=0.0, recovered=False, trace_id="",
+        submitted_at=0.0, recovered=False,
     )
 
 
@@ -398,13 +398,18 @@ def test_outcome_store_round_trip():
     store = OutcomeStore(backend, "FZJ.outcomes")
     record = OutcomeRecord(
         job_id="U1", name="demo", user_dn="CN=a", status="successful",
-        submitted_at=12.5, recovered=True, trace_id="t1",
+        submitted_at=12.5, recovered=True,
     )
     stored = store.put(record, b"outcome", {"stdout": b"hello\n"})
     assert stored.outcome_digest == hashlib.sha256(b"outcome").hexdigest()
     assert stored.files == {"stdout": hashlib.sha256(b"hello\n").hexdigest()}
+    assert "trace_id" not in backend.table("FZJ.outcomes").get("U1")
     (fetched,) = OutcomeStore(backend, "FZJ.outcomes").records(str)
     assert fetched == stored
+    # A row written while it still carried the job's trace id reads the same.
+    older = dict(backend.table("FZJ.outcomes").get("U1"), trace_id="t1")
+    backend.table("FZJ.outcomes").put("U1", older)
+    assert OutcomeStore(backend, "FZJ.outcomes").records(str) == [stored]
     assert backend.blobs.get(fetched.outcome_digest) == b"outcome"
     assert backend.blobs.get(fetched.files["stdout"]) == b"hello\n"
     assert store.job_ids() == ["U1"]
