@@ -32,6 +32,7 @@ from repro.batch.errors import BatchError, SystemOfflineError
 from repro.observability import telemetry_for
 from repro.security.errors import MappingError
 from repro.security.uudb import UUDB
+from repro.server.errors import IncarnationError
 from repro.server.njs.codine_layer import CodineJobControl
 from repro.server.njs.forwarding import LOCAL_DISK_BANDWIDTH_BPS, Forwarding
 from repro.server.njs.incarnation import (
@@ -43,7 +44,7 @@ from repro.server.njs.jobrun import JobRun
 from repro.server.njs.peerlink import CancelGroup, PeerLink
 from repro.server.njs.runtable import RunTable
 from repro.server.vsite import Vsite
-from repro.simkernel import Simulator
+from repro.simkernel import Event, Simulator
 from repro.storage.journal import JournalEntry
 from repro.vfs.body import FileBody
 from repro.vfs.errors import VFSError
@@ -62,6 +63,16 @@ INCARNATION_CPU_S = 0.005
 #: ~3 simulated minutes is ridden out.
 TASK_RETRIES = 4
 TASK_RETRY_DELAY_S = 45.0
+
+
+def _finished(done: Event):
+    """The status an action finished with; a wait only if it has not yet.
+
+    A yield on an event already processed costs a queue entry that wakes
+    nobody else, so a finished action is read, not waited on."""
+    if done.processed:
+        return done.value
+    return (yield done)
 
 
 class Executor:
@@ -192,7 +203,7 @@ class Executor:
                 run, self._run_child(run, group, child), f"child:{child.id}"
             )
         for child in group.children:
-            yield run.events[child.id]
+            yield from _finished(run.events[child.id])
         # Every child is terminal now, so the roll-up is the verdict.
         verdict = typing.cast(AJOOutcome, run.outcomes[group.id]).rollup_status()
         run.finish_action(
@@ -202,11 +213,16 @@ class Executor:
     def _run_child(self, run: JobRun, group: AbstractJobObject, child):
         if not self._runs.owns(run):
             return  # orphaned by a crash that raced the spawn
+        # 0. Incarnate an execute task now, beside its predecessors: the
+        # sequence the NJS keeps is one of delivery, not of translation.
+        spec = None
+        if isinstance(child, ExecuteTask):
+            spec = yield from self._incarnate(run, group, child)
         # 1. Wait for predecessors (the "predefined sequence").
         deps = [d for d in group.dependencies if d.successor_id == child.id]
         failed_pred = None
         for dep in deps:
-            status = yield run.events[dep.predecessor_id]
+            status = yield from _finished(run.events[dep.predecessor_id])
             if status is not ActionStatus.SUCCESSFUL and failed_pred is None:
                 failed_pred = (dep.predecessor_id, status)
         if failed_pred is not None:
@@ -274,7 +290,7 @@ class Executor:
                 self._forwarding.stash(run.job_id, staged)
                 yield from self._run_group(run, child)
         elif isinstance(child, ExecuteTask):
-            yield from self._run_execute(run, group, child)
+            yield from self._run_execute(run, group, child, spec)
         elif isinstance(child, (ImportTask, ExportTask)):
             yield from self._run_copy(run, group, child)
         elif isinstance(child, TransferTask):
@@ -304,17 +320,12 @@ class Executor:
         return None, False
 
     # ------------------------------------------------------------- task kinds
-    def _run_execute(self, run, group, task):
+    def _incarnate(self, run, group, task):
+        """Translate ``task`` into its vendor batch job (the JTS role),
+        bound to no account: delivery binds it.  Returns the spec, or the
+        :class:`IncarnationError` that refused the task, which fails it
+        only if it is delivered."""
         vsite = self._vsites[group.vsite]
-        uspace = run.uspaces[group.id]
-        outcome = typing.cast(TaskOutcome, run.outcomes[task.id])
-        try:
-            mapping = self._uudb.map_dn(run.user_dn, vsite=vsite.name)
-        except MappingError as err:
-            run.finish_action(task.id, ActionStatus.FAILED, reason=str(err))
-            return
-
-        # Incarnation (the JTS role).
         telemetry = telemetry_for(self._sim)
         incarnate_span = run.span("njs.incarnate", task=task.name)
         yield self._sim.timeout(INCARNATION_CPU_S)
@@ -333,19 +344,41 @@ class Executor:
             # successors (parent-level dependency edges, or a forwarding
             # parent's return_files request).
             produces += run.group_expected.get(group.id, ())
-        spec = incarnate_task(
-            task, vsite, mapping, uspace,
-            extra_outputs=tuple(
-                FileEffect(path=f, size_bytes=RESULT_FILE_BYTES) for f in produces
-            ),
-            metrics=telemetry.metrics,
-            cache=self._incarnation_cache,
-        )
+        try:
+            spec = incarnate_task(
+                task, vsite, None, run.uspaces[group.id],
+                extra_outputs=tuple(
+                    FileEffect(path=f, size_bytes=RESULT_FILE_BYTES)
+                    for f in produces
+                ),
+                metrics=telemetry.metrics,
+                cache=self._incarnation_cache,
+            )
+        except IncarnationError as err:
+            run.tracer.end_span(incarnate_span, error=str(err))
+            return err
         spec.trace_id = run.trace_id
         spec.parent_span_id = run.job_span.span_id
         run.tracer.end_span(
             incarnate_span.set(queue=spec.queue, script_bytes=len(spec.script))
         )
+        return spec
+
+    def _run_execute(self, run, group, task, spec):
+        vsite = self._vsites[group.vsite]
+        outcome = typing.cast(TaskOutcome, run.outcomes[task.id])
+        # The account is bound at delivery: one disabled since the task
+        # was incarnated delivers nothing under its old login.
+        try:
+            mapping = self._uudb.map_dn(run.user_dn, vsite=vsite.name)
+        except MappingError as err:
+            run.finish_action(task.id, ActionStatus.FAILED, reason=str(err))
+            return
+        if isinstance(spec, IncarnationError):
+            run.finish_action(task.id, ActionStatus.FAILED, reason=str(spec))
+            return
+        spec.owner, spec.group = mapping.login, mapping.gid
+        telemetry = telemetry_for(self._sim)
         # "Transform the abstract job into a Codine internal format"
         # (section 5.5) before delivery to the destination system.
         self.codine.register(run.job_id, task.id, vsite.name, spec, self._sim.now)

@@ -171,7 +171,7 @@ def _body_for(task: ExecuteTask, vsite: Vsite) -> tuple[list[str], list[FileEffe
 def incarnate_task(
     task: ExecuteTask,
     vsite: Vsite,
-    mapping: UserMapping,
+    mapping: UserMapping | None,
     uspace: Uspace,
     extra_outputs: tuple[FileEffect, ...] = (),
     queue: str | None = None,
@@ -188,7 +188,9 @@ def incarnate_task(
     :class:`~repro.observability.MetricsRegistry` as ``metrics``, the
     size of every produced script is recorded.  With a ``cache``, queue
     selection, translation, and script rendering are memoized by (task
-    shape, dialect); per-job fields are always computed fresh.
+    shape, dialect); per-job fields are always computed fresh.  With
+    ``mapping=None`` the job is bound to no account yet (empty
+    ``owner``): the caller sets ``owner`` and ``group`` before submission.
     """
     if not isinstance(task, ExecuteTask):
         raise IncarnationError(
@@ -236,8 +238,8 @@ def incarnate_task(
 
     return BatchJobSpec(
         name=task.name,
-        owner=mapping.login,
-        group=mapping.gid,
+        owner=mapping.login if mapping is not None else "",
+        group=mapping.gid if mapping is not None else "users",
         queue=queue,
         script=script,
         resources=task.resources,

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.ajo import ActionStatus, ValidationError
+from repro.ajo.serialize import decode_outcome
 from repro.api import GridSession
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
+from repro.observability import telemetry_for
 from repro.resources import ResourceRequest
 
 #: The one Vsite of each Usite in ``duo``.
@@ -310,3 +312,161 @@ def test_list_jobs_scoped_to_user(duo):
     mine, theirs = grid.sim.run(until=p)
     assert len(mine) == 1
     assert theirs == []
+
+
+# -- a two-task chain: what a successor gets when its predecessor's run is
+# interrupted.  A task is incarnated as its group starts, beside its
+# predecessor; nothing about it is delivered before the predecessor ends.
+
+SCRIPT = "#!/bin/sh\nx\n"
+
+
+def _pair(grid, user, first_resources=None, second_resources=None):
+    """Consign ``first -> second`` at FZJ and run into ``first``'s batch
+    run; returns the session, the handle and both tasks."""
+    session = GridSession(grid, user, "FZJ")
+    job = session.new_job("pair", "FZJ-T3E")
+    first, second = (
+        job.script_task(
+            name, SCRIPT, simulated_runtime_s=100.0,
+            **({} if resources is None else {"resources": resources}),
+        )
+        for name, resources in (
+            ("first", first_resources), ("second", second_resources)
+        )
+    )
+    job.depends(first, second)
+    handle = session.submit(job)
+    grid.sim.run(until=grid.sim.now + 50.0)
+    return session, handle, first, second
+
+
+def _delivered(grid):
+    """The names of the tasks FZJ's batch system was handed."""
+    batch = grid.usites["FZJ"].vsites["FZJ-T3E"].batch
+    return {r.spec.name: r for r in batch.all_records()}
+
+
+def test_an_account_disabled_mid_job_delivers_nothing_more(duo):
+    """The account is bound at delivery, not at incarnation: the second
+    task is refused under the login the first one ran with."""
+    grid, user, _ = duo
+    _, handle, first, second = _pair(grid, user)
+    njs = grid.usites["FZJ"].njs
+    run = njs.runs[handle.job_id]
+    assert set(_delivered(grid)) == {"first"}
+    grid.usites["FZJ"].uudb.disable(run.user_dn)
+    grid.sim.run(until=run.done_event)
+    # The gateway refuses the disabled user too: read the NJS's outcome.
+    outcome = decode_outcome(njs.retrieve_outcome(handle.job_id))
+    assert outcome.child(first.id).status is ActionStatus.SUCCESSFUL
+    refused = outcome.child(second.id)
+    assert refused.status is ActionStatus.FAILED
+    assert refused.reason == f"site FZJ: account for {run.user_dn!r} disabled"
+    assert set(_delivered(grid)) == {"first"}
+
+
+def test_a_failed_task_leaves_its_successor_undelivered(duo):
+    grid, user, _ = duo
+    session, handle, first, second = _pair(
+        grid, user, first_resources=ResourceRequest(cpus=1, time_s=60.0)
+    )
+    assert session.wait(handle).status == "failed"
+    outcome = session.outcome(handle)
+    assert outcome.child(first.id).status is ActionStatus.FAILED
+    skipped = outcome.child(second.id)
+    assert skipped.status is ActionStatus.NOT_ATTEMPTED
+    assert skipped.reason == f"predecessor {first.id} failed"
+    assert set(_delivered(grid)) == {"first"}
+
+
+def test_a_job_cancelled_mid_run_leaves_its_successor_undelivered(duo):
+    """The running task is killed, and its successor is not attempted."""
+    grid, user, _ = duo
+    session, handle, first, second = _pair(grid, user)
+    session.cancel(handle)
+    assert session.wait(handle).status == "killed"
+    outcome = session.outcome(handle)
+    assert outcome.child(first.id).status is ActionStatus.KILLED
+    skipped = outcome.child(second.id)
+    assert skipped.status is ActionStatus.NOT_ATTEMPTED
+    assert skipped.reason == f"predecessor {first.id} killed"
+    assert set(_delivered(grid)) == {"first"}
+
+
+def test_a_held_job_cancelled_kills_its_successor_undelivered(duo):
+    """The first task finished under the hold; the cancel kills the
+    successor that was incarnated but never delivered."""
+    grid, user, _ = duo
+    session, handle, first, second = _pair(grid, user)
+    session.hold(handle)
+    grid.sim.run(until=grid.sim.now + 500.0)
+    session.cancel(handle)
+    assert session.wait(handle).status == "killed"
+    outcome = session.outcome(handle)
+    assert outcome.child(first.id).status is ActionStatus.SUCCESSFUL
+    killed = outcome.child(second.id)
+    assert killed.status is ActionStatus.KILLED
+    assert killed.reason == "job cancelled"
+    assert set(_delivered(grid)) == {"first"}
+
+
+def test_a_held_job_delivers_its_successor_only_after_resume(duo):
+    grid, user, _ = duo
+    session, handle, first, second = _pair(grid, user)
+    session.hold(handle)
+    grid.sim.run(until=grid.sim.now + 500.0)
+    assert set(_delivered(grid)) == {"first"}
+    resumed_at = grid.sim.now
+    session.resume(handle)
+    assert session.wait(handle).status == "successful"
+    delivered = _delivered(grid)
+    assert delivered["first"].end_time < resumed_at
+    assert delivered["second"].submit_time >= resumed_at
+
+
+def _small_queue_only(grid):
+    """Leave FZJ-T3E's batch system one queue, of at most 3600 s, while
+    its resource page still advertises a day: arrival analysis warns
+    (AJO306) that no queue admits a longer task, and accepts it."""
+    queues = grid.usites["FZJ"].vsites["FZJ-T3E"].batch.queues
+    for name in [q for q in queues if q != "small"]:
+        del queues[name]
+
+
+def test_a_task_no_queue_admits_is_not_attempted_after_a_failed_predecessor(duo):
+    """Its incarnation fails beside the predecessor's run, and the task
+    still ends the way an undelivered successor ends."""
+    grid, user, _ = duo
+    _small_queue_only(grid)
+    session, handle, first, second = _pair(
+        grid, user,
+        first_resources=ResourceRequest(cpus=1, time_s=60.0),
+        second_resources=ResourceRequest(cpus=1, time_s=7200.0),
+    )
+    assert session.wait(handle).status == "failed"
+    outcome = session.outcome(handle)
+    assert outcome.child(first.id).status is ActionStatus.FAILED
+    skipped = outcome.child(second.id)
+    assert skipped.status is ActionStatus.NOT_ATTEMPTED
+    assert skipped.reason == f"predecessor {first.id} failed"
+    assert set(_delivered(grid)) == {"first"}
+
+
+def test_a_task_no_queue_admits_fails_when_it_is_due_for_delivery(duo):
+    grid, user, _ = duo
+    _small_queue_only(grid)
+    session, handle, first, second = _pair(
+        grid, user, second_resources=ResourceRequest(cpus=1, time_s=7200.0)
+    )
+    assert session.wait(handle).status == "failed"
+    outcome = session.outcome(handle)
+    assert outcome.child(first.id).status is ActionStatus.SUCCESSFUL
+    refused = outcome.child(second.id)
+    assert refused.status is ActionStatus.FAILED
+    assert refused.reason.startswith("Vsite FZJ-T3E: no queue admits cpus=1")
+    assert set(_delivered(grid)) == {"first"}
+    trace = telemetry_for(grid.sim).tracer.trace(handle.trace_id)
+    spans = trace.find("njs.incarnate")
+    assert [s.finished for s in spans] == [True, True]
+    assert [s.status for s in spans] == ["ok", "error"]

@@ -105,6 +105,17 @@ def test_incarnate_script_task_heredoc():
     assert "echo hi" in spec.script
 
 
+def test_incarnate_without_mapping_binds_no_account():
+    """The NJS incarnates before it maps the user; delivery binds owner
+    and group."""
+    vsite, uspace = t3e()
+    task = ExecuteScriptTask("s", script="#!/bin/sh\necho hi\n")
+    bound = incarnate_task(task, vsite, MAPPING, uspace)
+    unbound = incarnate_task(task, vsite, None, uspace)
+    assert unbound.owner == ""
+    assert unbound.script == bound.script and unbound.queue == bound.queue
+
+
 def test_incarnate_unknown_compiler_fails():
     vsite, uspace = t3e()
     task = CompileTask("c", sources=["m.c"], compiler="hpf")
