@@ -5,6 +5,10 @@ scheduled in the predefined sequence" (section 4.2).  These helpers give
 it (and the JPA's validation) the standard DAG operations: cycle-checked
 topological order, the ready set given completed predecessors, and the
 critical-path length used by experiment E7.
+
+They also state a group's file contract once, for the JPA, the arrival
+analysis and the NJS alike: :func:`workstation_imports` and
+:func:`promised_files`.
 """
 
 from __future__ import annotations
@@ -14,12 +18,15 @@ from collections import deque
 
 from repro.ajo.errors import DependencyCycleError
 from repro.ajo.job import AbstractJobObject
+from repro.ajo.tasks import ExecuteTask, ExportTask, FileSpace, ImportTask, TransferTask
 
 __all__ = [
     "topological_order",
     "ready_actions",
     "critical_path_length",
     "predecessors_map",
+    "workstation_imports",
+    "promised_files",
 ]
 
 
@@ -33,6 +40,50 @@ def predecessors_map(job: AbstractJobObject) -> dict[str, set[str]]:
     for pred, succ in _edges(job):
         preds[succ].add(pred)
     return preds
+
+
+def workstation_imports(group: AbstractJobObject) -> list[str]:
+    """Every WORKSTATION import source in ``group``'s subtree, in tree
+    order: the files that travel with the job (section 5.6)."""
+    return [
+        action.source_path
+        for action in group.walk()
+        if isinstance(action, ImportTask)
+        and action.source_space == FileSpace.WORKSTATION
+    ]
+
+
+def promised_files(
+    group: AbstractJobObject, owed: typing.Collection[str] = ()
+) -> dict[str, tuple[str, ...]]:
+    """child id → the Uspace files that child must leave behind, so that
+    "data sets created by the predecessor are available to the
+    successor" (section 5.7).
+
+    Every child owes the files on its outgoing edges.  An execute task
+    also owes the source of each export or transfer it directly
+    precedes, and a sink execute task owes ``owed``, what the group
+    itself owes its parent.  A sub-group's entry is what it owes
+    ``group``: run it with that entry as its own ``owed``.
+    """
+    files: dict[str, list[str]] = {c.id: [] for c in group.children}
+    for dep in group.dependencies:
+        files[dep.predecessor_id].extend(dep.files)
+    for child in group.children:
+        if not isinstance(child, ExecuteTask):
+            continue
+        successors = {
+            d.successor_id for d in group.dependencies
+            if d.predecessor_id == child.id
+        }
+        files[child.id] += [
+            t.source_path
+            for t in group.tasks()
+            if isinstance(t, (ExportTask, TransferTask)) and t.id in successors
+        ]
+        if not successors:
+            files[child.id] += owed
+    return {cid: tuple(paths) for cid, paths in files.items()}
 
 
 def topological_order(job: AbstractJobObject) -> list[str]:

@@ -1,17 +1,16 @@
 """Pass 2 — Uspace dataflow (``AJO2xx``).
 
 Abstract interpretation of each job group's DAG over the files its
-tasks produce and consume in the Uspace.  The producer model mirrors the
-NJS runtime exactly (``Executor._run_child``'s staging step and the
-products ``Executor._run_execute`` declares, in
-:mod:`repro.server.njs.executor`): imports write their
-destination, compiles their object files, links their output; a
-dependency edge's ``files`` are materialized by its predecessor; an
-execute task directly preceding an export/transfer implicitly produces
-that file task's source; and sink execute tasks materialize what the
-group owes its parent.  Anything the runtime would fail to find — or
-find only by racing — is reported here instead of as a batch-tier
-failure hours later.
+tasks produce and consume in the Uspace.  A file's producers are the
+intrinsic products (imports write their destination, compiles their
+object files, links their output) plus every file a child promises in
+:func:`~repro.ajo.dag.promised_files` — the one contract the NJS
+executor also incarnates and stages from, so the two agree by
+construction (``test_analyzer_and_runtime_agree_on_a_dependency_file``
+pins it).  A sub-group is analyzed with its promised entry as what it
+owes.  Anything the runtime would fail to find — or find only by
+racing — is reported here instead of as a batch-tier failure hours
+later.
 
 Ordering uses the transitive closure of the dependency DAG (built on
 :func:`~repro.ajo.dag.topological_order`): a producer counts only if it
@@ -21,12 +20,11 @@ ordering between them are a write-write race.
 
 from __future__ import annotations
 
-from repro.ajo.dag import predecessors_map, topological_order
+from repro.ajo.dag import predecessors_map, promised_files, topological_order
 from repro.ajo.errors import DependencyCycleError
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.tasks import (
     CompileTask,
-    ExecuteTask,
     ExportTask,
     ImportTask,
     LinkTask,
@@ -109,16 +107,14 @@ def _analyze_group(
     diags: list[Diagnostic],
 ) -> None:
     deps = group.dependencies
-    children = {c.id: c for c in group.children}
     try:
         order = topological_order(group)
     except DependencyCycleError:
         order = []  # AJO104 already reported; ordering checks are moot.
     closure = _ancestor_closure(group, order) if order else None
+    promised = promised_files(group, owed)
 
-    has_successor = {d.predecessor_id for d in deps}
-
-    # -- the producer model (mirrors Executor._run_execute) -------------------
+    # -- the producers: intrinsic products, then the promised files -----------
     producers: dict[str, set[str]] = {}
 
     def produce(file_path: str, producer_id: str) -> None:
@@ -132,22 +128,9 @@ def _analyze_group(
                 produce(obj, child.id)
         elif isinstance(child, LinkTask):
             produce(child.output, child.id)
-    for dep in deps:
-        for f in dep.files:
-            produce(f, dep.predecessor_id)
-    for task in group.tasks():
-        if isinstance(task, (ExportTask, TransferTask)):
-            for dep in deps:
-                if dep.successor_id != task.id:
-                    continue
-                pred = children.get(dep.predecessor_id)
-                if isinstance(pred, ExecuteTask):
-                    produce(task.source_path, pred.id)
-    if owed:
-        for task in group.tasks():
-            if isinstance(task, ExecuteTask) and task.id not in has_successor:
-                for f in owed:
-                    produce(f, task.id)
+    for child_id, files in promised.items():
+        for f in files:
+            produce(f, child_id)
 
     # -- everything the group consumes (for dead-import detection) ------------
     consumed: set[str] = set(owed)
@@ -271,7 +254,5 @@ def _analyze_group(
         sub_prestaged = frozenset(
             f for d in deps if d.successor_id == sub.id for f in d.files
         )
-        sub_owed = frozenset(
-            f for d in deps if d.predecessor_id == sub.id for f in d.files
-        )
+        sub_owed = frozenset(promised[sub.id])
         _analyze_group(sub, path + (sub.id,), sub_prestaged, sub_owed, diags)

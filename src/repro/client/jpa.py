@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.ajo.dag import workstation_imports
 from repro.ajo.job import AbstractJobObject, Dependency
 from repro.ajo.serialize import decode_ajo, encode_ajo
 from repro.ajo.tasks import (
@@ -62,7 +63,6 @@ class JobBuilder:
             user_dn=agent.session.user_dn,
             account_group=account_group,
         )
-        self._workstation_imports: list[str] = []
 
     # -- tasks ---------------------------------------------------------------
     def _check(self, task: AbstractTaskObject) -> None:
@@ -77,8 +77,6 @@ class JobBuilder:
     def add(self, task: AbstractTaskObject) -> AbstractTaskObject:
         self._check(task)
         self.ajo.add(task)
-        if isinstance(task, ImportTask) and task.source_space == FileSpace.WORKSTATION:
-            self._workstation_imports.append(task.source_path)
         return task
 
     def import_from_workstation(
@@ -201,9 +199,6 @@ class JobBuilder:
         sub = JobBuilder(self._agent, name, vsite, usite, account_group)
         sub.ajo.user_dn = ""  # the root carries the identity
         self.ajo.add(sub.ajo)
-        # Workstation files imported by the subgroup still come from this
-        # user's workstation: track on the root builder via the agent.
-        self._agent._register_sub_builder(self, sub)
         return sub
 
     def depends(
@@ -219,12 +214,6 @@ class JobBuilder:
         return encode_ajo(self.ajo)
 
     # -- consignment -------------------------------------------------------------
-    def workstation_files_needed(self) -> list[str]:
-        paths = list(self._workstation_imports)
-        for sub in self._agent._sub_builders.get(id(self), []):
-            paths.extend(sub.workstation_files_needed())
-        return paths
-
     def submit(self):
         """Consign (``yield from`` inside a process); returns the job id."""
         return self._agent.submit(self)
@@ -235,10 +224,6 @@ class JobPreparationAgent:
 
     def __init__(self, session: UnicoreSession) -> None:
         self.session = session
-        self._sub_builders: dict[int, list[JobBuilder]] = {}
-
-    def _register_sub_builder(self, parent: JobBuilder, sub: JobBuilder) -> None:
-        self._sub_builders.setdefault(id(parent), []).append(sub)
 
     def new_job(
         self, name: str, vsite: str, account_group: str = ""
@@ -258,11 +243,6 @@ class JobPreparationAgent:
         )
         builder.ajo = ajo
         builder.ajo.user_dn = self.session.user_dn
-        builder._workstation_imports = [
-            t.source_path
-            for t in ajo.walk()
-            if isinstance(t, ImportTask) and t.source_space == FileSpace.WORKSTATION
-        ]
         return builder
 
     def submit(self, builder: JobBuilder, workstation=None):
@@ -288,7 +268,7 @@ class JobPreparationAgent:
             telemetry.metrics.counter("analysis.jobs_rejected").inc()
             raise AnalysisError(report)
         files: dict[str, FileBody] = {}
-        needed = builder.workstation_files_needed()
+        needed = workstation_imports(builder.ajo)
         if needed:
             ws = workstation
             if ws is None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.ajo.dag import promised_files
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome, TaskOutcome
 from repro.ajo.status import ActionStatus
@@ -178,7 +179,10 @@ class Executor:
     def _run_job(self, run: JobRun):
         if not self._runs.owns(run):
             return  # orphaned by a crash that raced the spawn
-        yield from self._run_group(run, run.root)
+        # A forwarded root owes its parent files, and has files from there.
+        yield from self._run_group(
+            run, run.root, run.owed, self._forwarding.unstash(run.job_id)
+        )
         status = run.status()
         run.tracer.end_span(
             run.job_span.set(status=status.value),
@@ -186,7 +190,13 @@ class Executor:
         )
         run.done_event.succeed(self._runs.finish(run))
 
-    def _run_group(self, run: JobRun, group: AbstractJobObject):
+    def _run_group(
+        self, run: JobRun, group: AbstractJobObject,
+        owed: tuple[str, ...], staged: dict[str, FileBody],
+    ):
+        """Run ``group``, whose Uspace starts with ``staged`` and whose
+        sink tasks leave ``owed`` behind for its parent.  A group with no
+        tasks has no Uspace, and what is handed to it stays nowhere."""
         if group.tasks() or group.id == run.root.id:
             # Arrival analysis refused a group whose tasks name no Vsite
             # of this site; a taskless root may name none.
@@ -194,13 +204,14 @@ class Executor:
             if vsite is not None:
                 uspace = vsite.uspaces.create(f"{run.job_id}.{group.id}")
                 run.uspaces[group.id] = uspace
-                # Early-arrived transfer files and forwarded staging.
-                for path, content in self._forwarding.unstash(run.job_id).items():
+                for path, content in staged.items():
                     uspace.write(path, content)
 
+        promised = promised_files(group, owed)
         for child in group.children:
             self.spawn(
-                run, self._run_child(run, group, child), f"child:{child.id}"
+                run, self._run_child(run, group, child, promised[child.id]),
+                f"child:{child.id}",
             )
         for child in group.children:
             yield from _finished(run.events[child.id])
@@ -210,14 +221,17 @@ class Executor:
             group.id, verdict if group.children else ActionStatus.SUCCESSFUL
         )
 
-    def _run_child(self, run: JobRun, group: AbstractJobObject, child):
+    def _run_child(
+        self, run: JobRun, group: AbstractJobObject, child, promised: tuple[str, ...]
+    ):
+        """Sequence, stage and dispatch ``child``, which owes ``promised``."""
         if not self._runs.owns(run):
             return  # orphaned by a crash that raced the spawn
         # 0. Incarnate an execute task now, beside its predecessors: the
         # sequence the NJS keeps is one of delivery, not of translation.
         spec = None
         if isinstance(child, ExecuteTask):
-            spec = yield from self._incarnate(run, group, child)
+            spec = yield from self._incarnate(run, group, child, promised)
         # 1. Wait for predecessors (the "predefined sequence").
         deps = [d for d in group.dependencies if d.successor_id == child.id]
         failed_pred = None
@@ -275,20 +289,10 @@ class Executor:
 
         # 3. Dispatch by action type.
         if isinstance(child, AbstractJobObject):
-            # Files that parent-level edges expect this group to produce.
-            run.group_expected[child.id] = tuple(
-                f
-                for dep in group.dependencies
-                if dep.predecessor_id == child.id
-                for f in dep.files
-            )
             if child.usite and child.usite != self._usite_name:
                 yield from self._forwarding.forward(run, group, child, staged)
             else:
-                # The subgroup's Uspace does not exist yet: _run_group
-                # takes the files out of the stash when it creates it.
-                self._forwarding.stash(run.job_id, staged)
-                yield from self._run_group(run, child)
+                yield from self._run_group(run, child, promised, staged)
         elif isinstance(child, ExecuteTask):
             yield from self._run_execute(run, group, child, spec)
         elif isinstance(child, (ImportTask, ExportTask)):
@@ -320,9 +324,10 @@ class Executor:
         return None, False
 
     # ------------------------------------------------------------- task kinds
-    def _incarnate(self, run, group, task):
+    def _incarnate(self, run, group, task, promised: tuple[str, ...]):
         """Translate ``task`` into its vendor batch job (the JTS role),
-        bound to no account: delivery binds it.  Returns the spec, or the
+        bound to no account: delivery binds it; its products include the
+        ``promised`` files.  Returns the spec, or the
         :class:`IncarnationError` that refused the task, which fails it
         only if it is delivered."""
         vsite = self._vsites[group.vsite]
@@ -330,26 +335,12 @@ class Executor:
         incarnate_span = run.span("njs.incarnate", task=task.name)
         yield self._sim.timeout(INCARNATION_CPU_S)
         telemetry.metrics.counter("njs.incarnations").inc()
-        successors = [d for d in group.dependencies if d.predecessor_id == task.id]
-        produces = [f for dep in successors for f in dep.files]
-        # Files a later export names with this task as implicit producer.
-        produces += [
-            t.source_path
-            for t in group.tasks()
-            if isinstance(t, (ExportTask, TransferTask))
-            and any(d.successor_id == t.id for d in successors)
-        ]
-        if not successors:
-            # Sink tasks materialize what the *group* owes its own
-            # successors (parent-level dependency edges, or a forwarding
-            # parent's return_files request).
-            produces += run.group_expected.get(group.id, ())
         try:
             spec = incarnate_task(
                 task, vsite, None, run.uspaces[group.id],
                 extra_outputs=tuple(
                     FileEffect(path=f, size_bytes=RESULT_FILE_BYTES)
-                    for f in produces
+                    for f in promised
                 ),
                 metrics=telemetry.metrics,
                 cache=self._incarnation_cache,

@@ -23,12 +23,13 @@ from __future__ import annotations
 import copy
 import typing
 
+from repro.ajo.dag import promised_files, workstation_imports
 from repro.ajo.errors import UnsafePathError
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome
 from repro.ajo.serialize import decode_ajo, decode_outcome, encode_ajo
 from repro.ajo.status import ActionStatus
-from repro.ajo.tasks import FileSpace, ImportTask, TransferTask
+from repro.ajo.tasks import TransferTask
 from repro.faults.errors import ServiceUnavailable
 from repro.net.errors import ConnectionLost, FrameError
 from repro.observability import telemetry_for
@@ -109,12 +110,12 @@ class Forwarding:
         }
 
     def stash(self, key: str, files: Files) -> None:
-        """Keep files for a Uspace that does not exist yet.
+        """Keep files from another site for a Uspace not created yet.
 
-        ``key`` is the job id of the run whose next group Uspace takes
-        them, or — for a transfer that beat its group here — the parent
-        job id every ForwardGroup of that job carries, under which
-        :meth:`adopt` claims them for the group.
+        ``key`` is the job id of a forwarded run, whose root Uspace takes
+        them when it is created, or — for a transfer that beat its group
+        here — the parent job id every ForwardGroup of that job carries,
+        under which :meth:`adopt` claims them for the group.
         """
         if files:
             self._early_files.setdefault(key, {}).update(files)
@@ -150,15 +151,8 @@ class Forwarding:
         self._count("njs.forwarded_groups")
         forward_span = run.span("njs.forward", usite=sub.usite, group=sub.name)
         # Ship the workstation files the subtree imports.
-        needed_ws = {
-            a.source_path
-            for a in sub.walk()
-            if isinstance(a, ImportTask)
-            and a.source_space == FileSpace.WORKSTATION
-        }
-        ws_files = {
-            p: c for p, c in run.workstation_files.items() if p in needed_ws
-        }
+        needed_ws = set(workstation_imports(sub))
+        ws_files = {p: c for p, c in run.workstation_files.items() if p in needed_ws}
         ws_files.update(staged)
         corr_id, reply_ev = self._peers.expect("group-result")
         try:
@@ -170,8 +164,8 @@ class Forwarding:
                 user_dn=run.user_dn,
                 ajo_bytes=encode_ajo(sub),
                 files=files,
-                # What parent-level edges expect this group to produce.
-                return_files=run.group_expected[sub.id],
+                # What the group owes ``group``: its promised files.
+                return_files=promised_files(group)[sub.id],
                 trace_id=run.trace_id,
                 parent_span_id=forward_span.span_id,
             ))
@@ -328,7 +322,7 @@ class Forwarding:
         self.stash(run.job_id, self.unstash(parent_job_id))
         # The parent expects these files back: the group's sink tasks
         # must produce them.
-        run.group_expected[run.root.id] = tuple(return_files)
+        run.owed = tuple(return_files)
         return self._report_home(run.done_event, corr_id, reply_usite, return_files)
 
     def _report_home(

@@ -58,10 +58,9 @@ class JobRun:
     #: Dependency files produced by forwarded (remote) groups, keyed by
     #: the producing group's action id.
     remote_files: dict[str, dict[str, FileBody]] = field(default_factory=dict)
-    #: Files each group must have produced when it completes (named on
-    #: parent-level dependency edges, or requested by the forwarding
-    #: parent NJS); the group's sink tasks materialize them.
-    group_expected: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: Files the root group owes the parent NJS that forwarded it (its
+    #: ``return_files``); the root's sink tasks materialize them.
+    owed: tuple[str, ...] = ()
     cancelled: bool = False
     #: Trace context propagated from the consigning client (may be "").
     trace_id: str = ""

@@ -25,6 +25,7 @@ from repro.grid import build_grid
 from repro.observability import telemetry_for
 from repro.resources import ResourceRequest
 from repro.server.errors import ConsignError
+from repro.server.njs.incarnation import RESULT_FILE_BYTES
 
 
 @pytest.fixture()
@@ -196,6 +197,10 @@ PRODUCED = {
     "sibling": b"written by a sibling task",
     "local-group": b"written by a local sub-group",
     "forwarded-group": b"written by a group forwarded to ZIB",
+    # A sub-group whose only task is a script task: the file exists only
+    # because its sink owes it, as the task's declared zero-filled product.
+    "local-sink": bytes(RESULT_FILE_BYTES),
+    "forwarded-sink": bytes(RESULT_FILE_BYTES),
 }
 
 
@@ -215,11 +220,14 @@ def test_analyzer_and_runtime_agree_on_a_dependency_file(producer, consumer):
         source = job.import_from_xspace("/in/out.dat", "out.dat")
     else:
         vsite, usite = (
-            ("ZIB-SP2", "ZIB") if producer == "forwarded-group"
+            ("ZIB-SP2", "ZIB") if producer.startswith("forwarded")
             else ("FZJ-T3E", "FZJ")
         )
         source = job.sub_job("make", vsite=vsite, usite=usite)
-        source.import_from_xspace("/in/out.dat", "out.dat")
+        if producer.endswith("sink"):
+            source.script_task("make", "#!/bin/sh\nmake\n", simulated_runtime_s=10.0)
+        else:
+            source.import_from_xspace("/in/out.dat", "out.dat")
     if consumer == "execute":
         use = job.script_task("use", "#!/bin/sh\ncat out.dat\n", simulated_runtime_s=10.0)
     elif consumer == "export":

@@ -111,3 +111,26 @@ def test_a_sibling_that_never_wrote_the_file_fails_its_successor(duo):
     assert failed.status is ActionStatus.FAILED
     assert failed.reason == f"dependency file 'ghost.dat' from {imp.id} not found"
     assert trace.find("njs.stage") == []
+
+
+def test_a_file_handed_to_a_local_sub_group_lands_in_its_uspace_only(duo):
+    """A file staged for a sub-group is written into that group's Uspace
+    or, when the group has no tasks and so no Uspace, nowhere: it never
+    waits under the job id for whichever Uspace is created next."""
+    grid, session = duo
+    job = session.new_job("handoff", "FZJ-T3E")
+    make = job.script_task("make", SCRIPT, simulated_runtime_s=30.0)
+    outer = job.sub_job("A", vsite="FZJ-T3E", usite="FZJ")
+    inner = outer.sub_job("A1", vsite="FZJ-T3E", usite="FZJ")
+    inner.script_task("deep", SCRIPT, simulated_runtime_s=30.0)
+    sibling = job.sub_job("B", vsite="FZJ-T3E", usite="FZJ")
+    sibling.script_task("side", SCRIPT, simulated_runtime_s=30.0)
+    job.depends(make, outer, files=["a.dat"])
+    job.depends(make, sibling, files=["b.dat"])
+    handle, view, _, _ = _run(grid, session, job)
+    assert view.status == "successful"
+    uspaces = grid.usites["FZJ"].vsites["FZJ-T3E"].uspaces
+    b_uspace = uspaces.get(f"{handle.job_id}.{sibling.ajo.id}")
+    assert b_uspace.exists("b.dat")
+    assert not b_uspace.exists("a.dat")
+    assert grid.usites["FZJ"].njs.forwarding.stashes()["early"] == {}

@@ -1,8 +1,12 @@
 """Unit tests for JPA builder details not covered by integration flows."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ajo import ValidationError
+from repro.ajo.dag import workstation_imports
 from repro.errors import ConsignError
 from repro.grid import build_grid
 
@@ -44,9 +48,29 @@ def test_workstation_files_needed_recurses_into_subjobs(session_pair):
     job.import_from_workstation("/home/b/top.dat", "top.dat")
     sub = job.sub_job("remote", vsite="ZIB-SP2", usite="ZIB")
     sub.import_from_workstation("/home/b/deep.dat", "deep.dat")
-    assert sorted(job.workstation_files_needed()) == [
+    assert sorted(workstation_imports(job.ajo)) == [
         "/home/b/deep.dat", "/home/b/top.dat"
     ]
+
+
+def test_the_agent_keeps_no_builder_alive(session_pair):
+    """The JPA reads a job's workstation imports off its AJO: a dropped
+    builder is freed, and a new builder that reuses its memory inherits
+    none of its files."""
+    grid, user, session, jpa = session_pair
+    dropped = []
+    for i in range(200):
+        job = jpa.new_job(f"old{i}", vsite="FZJ-T3E")
+        sub = job.sub_job("remote", vsite="ZIB-SP2", usite="ZIB")
+        sub.import_from_workstation(f"/home/b/old{i}.dat", "old.dat")
+        dropped.append(weakref.ref(sub))
+    del job, sub
+    gc.collect()
+    assert dropped[0]() is None
+    assert all(
+        workstation_imports(jpa.new_job(f"new{i}", vsite="FZJ-T3E").ajo) == []
+        for i in range(200)
+    )
 
 
 def test_load_job_with_subjobs_reassigns_user(session_pair):

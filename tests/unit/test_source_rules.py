@@ -13,7 +13,7 @@ unseeded_random   RD102  module-level ``random.*``; an RNG built without a seed
 os_entropy        RD103  ``os.urandom``, ``uuid.uuid1/4``, ``secrets.*``
 unsorted_listing  RD104  ``listdir`` / ``scandir`` / ``glob`` / ``iterdir`` not in ``sorted()``
 set_iteration     RD105  a loop or comprehension over a set expression
-id_ordering       RD106  ``key=id``, or ``id()`` in an ordering comparison
+id_ordering       RD106  ``key=id``, ``id()`` in an ordering comparison or as a mapping key
 module_getattr    RD404  a module-level ``__getattr__``
 private_reach     RD405  another module's ``_private`` state in ``server/``; a write to ``.njs._…``
 content_pass      RD406  ``zlib.crc32`` / ``hashlib.sha256`` outside a content pass's owner
@@ -125,9 +125,24 @@ def id_ordering(tree: ast.Module, rel: str) -> list[tuple[int, str]]:
             found.extend(
                 (node.lineno, "comparing id() values orders by address")
                 for side in [node.left, *node.comparators]
-                if isinstance(side, ast.Call) and _dotted(side.func) == "id"
+                if _is_id_call(side)
             )
+        # An address outlives its object: a later one can take the dead
+        # object's key, and what was stored under it.
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("get", "setdefault", "pop") and node.args):
+            key = node.args[0]
+        else:
+            continue
+        if _is_id_call(key):
+            found.append((node.lineno, "an id() key is reused once its object is freed"))
     return found
+
+
+def _is_id_call(node: ast.expr) -> bool:
+    return isinstance(node, ast.Call) and _dotted(node.func) == "id"
 
 
 # -- ownership: every name and every piece of state has one home ----------------
@@ -269,7 +284,8 @@ CLEAN = {
     os_entropy: "key = rng.randbytes(16)\n",
     unsorted_listing: "import os\nfor name in sorted(os.listdir(path)):\n    use(name)\n",
     set_iteration: "for item in sorted({1, 2, 3}):\n    use(item)\n",
-    id_ordering: "order = sorted(objs, key=lambda o: o.name)\n",
+    id_ordering: "order = sorted(objs, key=lambda o: o.name)\n"
+                 "subs.setdefault(parent.id, []).append(sub)\n",
     module_getattr: "class Lazy:\n    def __getattr__(self, name):\n        raise KeyError\n",
     private_reach: "class RunIndex:\n    def verify(self, runs):\n        self._status = {}\n"
                    "        return self._status == RunIndex()._status, runs.njs.runs\n",
@@ -300,6 +316,8 @@ CASES = [
     case(set_iteration, "algebra", "xs = [x for x in set(a) | set(b)]\n"),
     case(id_ordering, "key", "order = sorted(objs, key=id)\n"),
     case(id_ordering, "compare", "if id(a) < id(b):\n    swap()\n", n=2),
+    case(id_ordering, "mapping-key", "subs.setdefault(id(parent), []).append(sub)\n"
+                                     "seen[id(job)] = job\nkids = subs.get(id(job), [])\n", n=3),
     case(module_getattr, "hook", "def __getattr__(name):\n    return getattr(new_home, name)\n"),
     case(private_reach, "server", f"def jobs(self):\n    return len(self.{NJS}._runs)\n"),
     # Outside the server tier only a *write* into the NJS is a finding.
