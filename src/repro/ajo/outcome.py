@@ -199,10 +199,15 @@ class AJOOutcome(Outcome):
         SUCCESSFUL.  A group whose own status is already FAILED/KILLED
         (e.g. rejected wholesale by a remote NJS) reports that regardless
         of its never-started children.
+
+        A sub-group in flight contributes its own roll-up, so a job whose
+        work sits in a local sub-group reads as that work does.  A
+        forwarded group in flight still reads PENDING: the parent site
+        sees no remote progress until the group's result comes home.
         """
         if self.status in (ActionStatus.FAILED, ActionStatus.KILLED):
             return self.status
-        statuses = {c.status for c in self.children.values()}
+        statuses = {_progress(c) for c in self.children.values()}
         if not statuses:
             return self.status
         if any(not s.is_terminal for s in statuses):
@@ -235,6 +240,17 @@ class AJOOutcome(Outcome):
             child_cls = _OUTCOME_KINDS[wrapped["kind"]]
             out.children[cid] = child_cls.from_payload(wrapped["data"])
         return out
+
+
+def _progress(child: Outcome) -> ActionStatus:
+    """What ``child`` adds to its group's roll-up.  A sub-group in flight
+    adds its own, unless all its children ended: it is not over until
+    it is marked so."""
+    if isinstance(child, AJOOutcome) and not child.status.is_terminal:
+        rolled = child.rollup_status()
+        if not rolled.is_terminal:
+            return rolled
+    return child.status
 
 
 _OUTCOME_KINDS: dict[str, type[Outcome]] = {

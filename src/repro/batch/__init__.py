@@ -14,7 +14,7 @@ This package simulates those systems as discrete-event queueing machines:
   output collection);
 - :mod:`repro.batch.scheduling` — FCFS and EASY-backfill policies;
 - :mod:`repro.batch.dialects` — the vendor script dialects (NQS,
-  LoadLeveler, VPP, and Codine for the NJS-internal layer);
+  LoadLeveler, VPP, and Codine);
 - :mod:`repro.batch.machines` — the machine catalogue of the six German
   UNICORE sites.
 """

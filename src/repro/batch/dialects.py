@@ -11,8 +11,9 @@ real system).
 
 Dialects implemented: NQS (Cray T3E / NEC SX-4), LoadLeveler (IBM SP-2),
 the VPP queueing system (Fujitsu VPP/700), and Codine — "the resource
-management system Codine provided by Genias Software GmbH" used *inside*
-the NJS (section 5.1).
+management system Codine provided by Genias Software GmbH" the paper's
+NJS used inside (section 5.1), here a destination dialect any machine
+may name.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ class VPPDialect(Dialect):
 
 
 class CodineDialect(Dialect):
-    """Codine (Genias Software), used inside the NJS (section 5.1)."""
+    """Codine (Genias Software), the paper's NJS-internal system (section
+    5.1), as a destination dialect."""
 
     key = "codine"
     display_name = "Codine"

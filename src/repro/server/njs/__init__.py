@@ -18,8 +18,8 @@ own their state alone:
   pending replies, stream ids, hop retry;
 - ``Executor`` (:mod:`~repro.server.njs.executor`): DAG sequencing,
   Uspaces, incarnation (:mod:`~repro.server.njs.incarnation`, the JTS
-  role) and batch delivery through the Codine ledger
-  (:mod:`~repro.server.njs.codine_layer`), imports and exports, hold /
+  role) and batch delivery — the job control, each delivered task
+  recorded once on its run and journaled — imports and exports, hold /
   resume / cancel;
 - ``Forwarding`` (:mod:`~repro.server.njs.forwarding`): groups handed to
   and taken in from other Usites, Uspace-to-Uspace transfers, the

@@ -34,7 +34,6 @@ from repro.observability import telemetry_for
 from repro.security.errors import MappingError
 from repro.security.uudb import UUDB
 from repro.server.errors import IncarnationError
-from repro.server.njs.codine_layer import CodineJobControl
 from repro.server.njs.forwarding import LOCAL_DISK_BANDWIDTH_BPS, Forwarding
 from repro.server.njs.incarnation import (
     RESULT_FILE_BYTES,
@@ -102,9 +101,6 @@ class Executor:
         self._runs = runs
         self._peers = peers
         self._forwarding = forwarding
-        #: The Codine-based internal job control of section 5.1/5.5:
-        #: every incarnated job passes through the Codine internal format.
-        self.codine = CodineJobControl()
         #: Incarnation translation cache keyed by (task shape, dialect).
         self._incarnation_cache = IncarnationCache()
 
@@ -138,12 +134,21 @@ class Executor:
             self.resume(run)
         for vsite_name, local_id in run.batch_jobs.values():
             self._cancel_delivery(vsite_name, local_id)
-        for sub in run.root.sub_jobs():
-            if sub.usite != self._usite_name and sub.usite in self._peers.routes:
+        # One CancelGroup per peer cancels every group it took in.
+        for usite in dict.fromkeys(sub.usite for sub in self._forwarded(run.root)):
+            if usite in self._peers.routes:
                 # Fire-and-forget: cancellation is best-effort.
-                self._sim.process(self._peers.try_send(sub.usite, CancelGroup(
+                self._sim.process(self._peers.try_send(usite, CancelGroup(
                     corr_id=self._peers.next_corr_id(), parent_job_id=run.job_id
                 )))
+
+    def _forwarded(self, group: AbstractJobObject):
+        """The groups forwarded from ``group`` or a local group below it."""
+        for sub in group.sub_jobs():
+            if sub.usite in ("", self._usite_name):
+                yield from self._forwarded(sub)
+            else:
+                yield sub
 
     def _cancel_delivery(self, vsite_name: str, local_id: str) -> None:
         batch = self._vsites[vsite_name].batch
@@ -356,6 +361,9 @@ class Executor:
         return spec
 
     def _run_execute(self, run, group, task, spec):
+        """Deliver ``task`` and supervise it to its end: section 5.5's
+        job control.  The one record of the delivery is the run's
+        ``batch_jobs`` entry, journaled; its state is the batch system's."""
         vsite = self._vsites[group.vsite]
         outcome = typing.cast(TaskOutcome, run.outcomes[task.id])
         # The account is bound at delivery: one disabled since the task
@@ -370,9 +378,6 @@ class Executor:
             return
         spec.owner, spec.group = mapping.login, mapping.gid
         telemetry = telemetry_for(self._sim)
-        # "Transform the abstract job into a Codine internal format"
-        # (section 5.5) before delivery to the destination system.
-        self.codine.register(run.job_id, task.id, vsite.name, spec, self._sim.now)
         record = None
         for attempt in range(1, TASK_RETRIES + 2):
             try:
@@ -387,10 +392,8 @@ class Executor:
                     telemetry.metrics.counter("njs.task_retry_waits").inc()
                     yield self._sim.timeout(TASK_RETRY_DELAY_S * attempt)
                     continue
-                self.codine.transition(task.id, BatchState.FAILED, self._sim.now)
                 run.finish_action(task.id, ActionStatus.FAILED, reason=str(err))
                 return
-            self.codine.bind_vendor_job(task.id, local_id)
             self._runs.note_delivery(run, task.id, vsite.name, local_id)
             outcome.submitted_at = self._sim.now
             if not outcome.status.is_terminal:
@@ -415,7 +418,6 @@ class Executor:
                 continue
             break
         assert record is not None
-        self.codine.transition(task.id, record.state, self._sim.now)
         outcome.completed_at = self._sim.now
         outcome.exit_code = record.exit_code
         self._accounting.charge(vsite.name, record)

@@ -77,9 +77,10 @@ class Forwarding:
         #: The NJS's own front door: a forwarded group is consigned like
         #: any other job.
         self._consign = consign
-        #: Forwarded groups' local job ids by the *parent's* job id, for
-        #: transfers and cancellation arriving from the parent site.
-        self._foreign_jobs: dict[str, str] = {}
+        #: Forwarded groups' local job ids by the *parent's* job id, in
+        #: adoption order, for transfers and cancellation arriving from
+        #: the parent site: one parent job may send several groups here.
+        self._foreign_jobs: dict[str, list[str]] = {}
         #: Files for a job group that arrived before its Uspace existed.
         self._early_files: dict[str, Files] = {}
         #: Data-plane receiving endpoint: peer streams reassemble here;
@@ -97,17 +98,27 @@ class Forwarding:
         telemetry_for(self._sim).metrics.counter(name).inc(amount)
 
     # ------------------------------------------------------ who holds what
+    def foreign_runs(self, parent_job_id: str) -> list[Run]:
+        """The local runs serving groups of the parent site's job, in
+        the order they were adopted."""
+        return [
+            run for job_id in self._foreign_jobs.get(parent_job_id, ())
+            if (run := self._runs.get(job_id)) is not None
+        ]
+
     def foreign_run(self, parent_job_id: str) -> Run | None:
-        """The local run serving a group of the parent site's job."""
-        job_id = self._foreign_jobs.get(parent_job_id)
-        return None if job_id is None else self._runs.get(job_id)
+        """The latest-adopted local run serving a group of the parent
+        site's job: where a transfer of that job lands."""
+        runs = self.foreign_runs(parent_job_id)
+        return runs[-1] if runs else None
 
     def release(self, job_id: str) -> None:
         """Job ``job_id`` was disposed: it serves no parent job any more."""
-        self._foreign_jobs = {
-            parent: job for parent, job in self._foreign_jobs.items()
-            if job != job_id
-        }
+        for parent, jobs in list(self._foreign_jobs.items()):
+            if job_id in jobs:
+                jobs.remove(job_id)
+                if not jobs:
+                    del self._foreign_jobs[parent]
 
     def stash(self, key: str, files: Files) -> None:
         """Keep files from another site for a Uspace not created yet.
@@ -314,7 +325,7 @@ class Forwarding:
         job it serves; returns the process body that awaits it and sends
         its GroupResult home."""
         corr_id, reply_usite, return_files = forward_meta
-        self._foreign_jobs[parent_job_id] = run.job_id
+        self._foreign_jobs.setdefault(parent_job_id, []).append(run.job_id)
         # When it is created, the group Uspace takes the staging the group
         # was consigned with, then what transfers of the parent job left
         # here before the group existed.

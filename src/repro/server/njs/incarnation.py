@@ -30,11 +30,9 @@ from repro.server.vsite import Vsite
 from repro.vfs.spaces import Uspace
 
 __all__ = [
-    "incarnate_task", "select_queue", "IncarnationCache", "DEFAULT_QUEUE",
+    "incarnate_task", "select_queue", "IncarnationCache",
     "OBJECT_FILE_BYTES", "EXECUTABLE_BYTES", "RESULT_FILE_BYTES",
 ]
-
-DEFAULT_QUEUE = "batch"
 
 
 class IncarnationCache:
@@ -45,7 +43,7 @@ class IncarnationCache:
     runtimes).  Queue selection, dialect translation, and script
     rendering depend only on the task's shape and the destination's
     dialect — never on the submitting user or the wallclock — so their
-    results are cached under a ``(vsite, dialect, queue, shape)`` key.
+    results are cached under a ``(vsite, dialect, shape)`` key.
     Per-job fields (owner, wallclock, extra outputs, workdir) are applied
     outside the cache.
     """
@@ -64,7 +62,7 @@ class IncarnationCache:
         return len(self._entries)
 
     @staticmethod
-    def shape_key(task: ExecuteTask, vsite: Vsite, queue: str | None) -> tuple:
+    def shape_key(task: ExecuteTask, vsite: Vsite) -> tuple:
         """A hashable key identifying the translation inputs.
 
         ``simulated_runtime_s`` (ground truth, not part of the script)
@@ -77,7 +75,6 @@ class IncarnationCache:
         return (
             vsite.name,
             type(vsite.batch.dialect).__name__,
-            queue,
             type(task).__name__,
             json.dumps(payload, sort_keys=True),
         )
@@ -174,8 +171,6 @@ def incarnate_task(
     mapping: UserMapping | None,
     uspace: Uspace,
     extra_outputs: tuple[FileEffect, ...] = (),
-    queue: str | None = None,
-    origin: str = "unicore",
     metrics=None,
     cache: IncarnationCache | None = None,
 ) -> BatchJobSpec:
@@ -183,8 +178,8 @@ def incarnate_task(
 
     ``extra_outputs`` are result files the NJS knows the task must
     produce (from dependency-file annotations and export sources) beyond
-    the task's intrinsic products.  With ``queue=None`` the tightest
-    admitting local queue is selected via :func:`select_queue`.  With a
+    the task's intrinsic products.  The tightest admitting local queue
+    is selected via :func:`select_queue`.  With a
     :class:`~repro.observability.MetricsRegistry` as ``metrics``, the
     size of every produced script is recorded.  With a ``cache``, queue
     selection, translation, and script rendering are memoized by (task
@@ -199,7 +194,7 @@ def incarnate_task(
         )
     key = cached = None
     if cache is not None:
-        key = IncarnationCache.shape_key(task, vsite, queue)
+        key = IncarnationCache.shape_key(task, vsite)
         cached = cache.get(key)
     if cached is not None:
         queue, script, base_effects = cached
@@ -207,8 +202,7 @@ def incarnate_task(
         if metrics is not None:
             metrics.counter("njs.incarnation_cache.hits").inc()
     else:
-        if queue is None:
-            queue = select_queue(vsite, task.resources)
+        queue = select_queue(vsite, task.resources)
         body, effects = _body_for(task, vsite)
         env = vsite.translation.map_environment(task.environment)
         env_lines = [f"export {k}={v}" for k, v in sorted(env.items())]
@@ -247,5 +241,5 @@ def incarnate_task(
         effects=tuple(effects),
         stdout_text=f"{task.name}: completed on {vsite.machine.architecture}\n",
         workdir=uspace,
-        origin=origin,
+        origin="unicore",
     )

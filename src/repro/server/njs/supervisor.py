@@ -105,8 +105,6 @@ class NetworkJobSupervisor:
             sim, usite_name, self.vsites, uudb, xspace, accounting,
             self.runs, self.peers, self.forwarding,
         )
-        #: The Codine-based internal job control of section 5.1/5.5.
-        self.codine = self._executor.codine
         #: What this site tells the federation broker.
         self.adverts = BrokerAdverts(
             sim, usite_name, self.vsites, self.runs, self.peers,
@@ -289,8 +287,7 @@ class NetworkJobSupervisor:
         elif isinstance(payload, ForwardGroup):
             self.sim.process(self.forwarding.take_in(payload))
         elif isinstance(payload, CancelGroup):
-            run = self.forwarding.foreign_run(payload.parent_job_id)
-            if run is not None:
+            for run in self.forwarding.foreign_runs(payload.parent_job_id):
                 self.cancel(run.job_id)
         elif isinstance(payload, ReclaimJob):
             self.sim.process(self._handle_reclaim(payload))
@@ -454,7 +451,6 @@ class NetworkJobSupervisor:
                 "disposing"
             )
         self._executor.destroy_uspaces(job_id)
-        self.codine.forget(job_id)
         self.runs.dispose(run)
         self.forwarding.release(job_id)
         telemetry_for(self.sim).tracer.forget(job_id)

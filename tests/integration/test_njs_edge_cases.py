@@ -55,6 +55,113 @@ def test_cancel_propagates_to_forwarded_group(duo):
     assert fzj_records[0].state is BatchState.CANCELLED
 
 
+def _long_task(builder, name):
+    builder.script_task(name, script="#!/bin/sh\nx\n",
+                        resources=ResourceRequest(cpus=1, time_s=80000),
+                        simulated_runtime_s=70000.0)
+
+
+def _cancel_mid_run(grid, session, root):
+    """Submit ``root``, cancel it once every part was delivered, and
+    return its final status."""
+    jpa = JobPreparationAgent(session)
+    jmc = JobMonitorController(session)
+
+    def scenario(sim):
+        job_id = yield from jpa.submit(root)
+        yield sim.timeout(300.0)
+        yield from jmc.cancel(job_id)
+        yield sim.timeout(600.0)
+        return (yield from jmc.wait_for_completion(job_id))
+
+    return grid.sim.run(until=grid.sim.process(scenario(grid.sim))).status
+
+
+def _live_records(grid, usite):
+    return [
+        r for vsite in grid.usites[usite].vsites.values()
+        for r in vsite.batch.all_records() if not r.state.is_terminal
+    ]
+
+
+def test_cancel_reaches_both_groups_forwarded_to_one_site(duo):
+    grid, _, session = duo
+    root = JobPreparationAgent(session).new_job("twice", vsite="FZJ-T3E")
+    for name in ("left", "right"):
+        _long_task(root.sub_job(name, vsite="ZIB-SP2", usite="ZIB"), name)
+    assert _cancel_mid_run(grid, session, root) == "killed"
+    records = grid.usites["ZIB"].vsites["ZIB-SP2"].batch.all_records()
+    assert len(records) == 2
+    assert _live_records(grid, "ZIB") == []
+
+
+def test_cancel_reaches_a_group_forwarded_from_a_local_group(duo):
+    grid, _, session = duo
+    root = JobPreparationAgent(session).new_job("deep", vsite="FZJ-T3E")
+    inner = root.sub_job("inner", vsite="FZJ-T3E", usite="FZJ")
+    _long_task(inner, "here")
+    _long_task(inner.sub_job("remote", vsite="ZIB-SP2", usite="ZIB"), "there")
+    assert _cancel_mid_run(grid, session, root) == "killed"
+    assert grid.usites["ZIB"].vsites["ZIB-SP2"].batch.all_records()
+    assert _live_records(grid, "ZIB") == []
+    assert _live_records(grid, "FZJ") == []
+
+
+def test_a_job_reads_as_the_work_in_its_local_sub_group(duo):
+    """Status and listing roll up through a sub-group in flight (they
+    read ``pending`` while its task was queued)."""
+    grid, _, session = duo
+    jpa = JobPreparationAgent(session)
+    jmc = JobMonitorController(session)
+    root = jpa.new_job("nested", vsite="FZJ-T3E")
+    sub = root.sub_job("inner", vsite="FZJ-T3E", usite="FZJ")
+    sub.script_task("work", script="#!/bin/sh\nx\n", simulated_runtime_s=600.0)
+
+    def scenario(sim):
+        job_id = yield from jpa.submit(root)
+        yield sim.timeout(30.0)
+        view = yield from jmc.status(job_id)
+        rows = yield from jmc.list_jobs()
+        final = yield from jmc.wait_for_completion(job_id)
+        return view, rows, final
+
+    view, rows, final = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+    [group] = view.children
+    [task] = group.children
+    assert task.status == group.status == view.status == "queued"
+    assert [row.status for row in rows] == ["queued"]
+    assert final.status == "successful"
+
+
+def test_a_resubmitted_job_survives_disposal_of_its_twin(duo):
+    """A saved job loaded twice keeps its action ids in both runs; the
+    first run's disposal leaves the second untouched."""
+    grid, _, session = duo
+    jpa = JobPreparationAgent(session)
+    jmc = JobMonitorController(session)
+    job = jpa.new_job("again", vsite="FZJ-T3E")
+    job.script_task("work", script="#!/bin/sh\nx\n", simulated_runtime_s=60.0)
+    saved = job.save()
+    first, second = jpa.load_job(saved), jpa.load_job(saved)
+    second.ajo.children[0].simulated_runtime_s = 600.0
+
+    def scenario(sim):
+        first_id = yield from jpa.submit(first)
+        second_id = yield from jpa.submit(second)
+        yield from jmc.wait_for_completion(first_id)
+        yield from jmc.dispose(first_id)
+        mid = yield from jmc.status(second_id)
+        final = yield from jmc.wait_for_completion(second_id)
+        outcome = yield from jmc.outcome(second_id)
+        return mid, final, outcome
+
+    mid, final, outcome = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+    assert not ActionStatus(mid.status).is_terminal
+    assert final.status == "successful"
+    [task] = second.ajo.children
+    assert outcome.child(task.id).status is ActionStatus.SUCCESSFUL
+
+
 def _finished_two_site_job(grid, user):
     session = GridSession(grid, user, "FZJ")
     job = session.new_job("spanning", "FZJ-T3E")

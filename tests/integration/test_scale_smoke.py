@@ -59,9 +59,6 @@ def test_thirty_concurrent_jobs_across_six_sites():
             assert run.status().is_terminal
         for vsite in usite.vsites.values():
             assert all(r.state.is_terminal for r in vsite.batch.all_records())
-    # Codine ledgers drained.
-    for usite in grid.usites.values():
-        assert usite.njs.codine.in_flight() == 0
     # Accounting saw all 30 jobs.
     billed = sum(len(u.accounting) for u in grid.usites.values())
     assert billed == 30

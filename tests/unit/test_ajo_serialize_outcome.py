@@ -227,6 +227,23 @@ def test_rollup_killed_dominates_success():
     assert agg.rollup_status() is ActionStatus.KILLED
 
 
+def test_rollup_reads_through_a_sub_group_in_flight():
+    root = AJOOutcome(action_id="root")
+    sub = AJOOutcome(action_id="sub")
+    task = TaskOutcome(action_id="t")
+    sub.add_child(task)
+    root.add_child(sub)
+    task.mark(ActionStatus.QUEUED)
+    assert root.rollup_status() is ActionStatus.QUEUED
+    # Every child of the sub-group ended, but the group is not over
+    # until it is marked so: the job does not read as finished.
+    task.mark(ActionStatus.SUCCESSFUL)
+    assert sub.rollup_status() is ActionStatus.SUCCESSFUL
+    assert root.rollup_status() is ActionStatus.PENDING
+    sub.mark(ActionStatus.SUCCESSFUL)
+    assert root.rollup_status() is ActionStatus.SUCCESSFUL
+
+
 def test_rollup_empty_uses_own_status():
     agg = AJOOutcome(action_id="root")
     assert agg.rollup_status() is ActionStatus.PENDING

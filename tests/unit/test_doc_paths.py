@@ -6,8 +6,14 @@ suffix.  It must name a file or directory of the repo.  A short one
 (``njs/runindex.py``, ``quickstart.py``) resolves when it is the tail of
 a path under ``src/repro``, ``tests``, ``benchmarks`` or ``examples``.
 A line reference after it (``gateway.py:156``) is dropped.
+
+A dotted name in backticks (``repro.net.wire``, ``repro.vfs.FileBody``)
+with at least two dots must import: as a module, or as a module followed
+by its attributes.  ``repro.error`` (one dot) is a README error code,
+not a name.
 """
 
+import importlib
 import pathlib
 import re
 
@@ -39,10 +45,37 @@ def _missing(text: str, tails: set[str]) -> list[str]:
     ]
 
 
+def _resolves(name: str) -> bool:
+    """``name`` is a module, or a module followed by its attributes."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def _unresolved(text: str) -> list[str]:
+    """The dotted ``repro`` names ``text`` gives in backticks that do not
+    import."""
+    return [
+        name for name in _TOKEN.findall(text)
+        if name.startswith("repro.") and name.count(".") >= 2
+        and not _resolves(name)
+    ]
+
+
 @pytest.mark.parametrize("doc", DOCS)
 def test_every_path_a_doc_names_exists(doc):
     text = (REPO / doc).read_text(encoding="utf-8")
     assert _missing(text, _tails()) == []
+    assert _unresolved(text) == []
 
 
 def test_a_path_that_is_gone_is_named():
@@ -51,3 +84,12 @@ def test_a_path_that_is_gone_is_named():
         "`tests/unit/`, `job_id/action_id`"
     )
     assert _missing(text, _tails()) == ["njs/restored.py"]
+
+
+def test_a_dotted_name_that_does_not_import_is_named():
+    text = (
+        "`repro.net.wire`, `repro.vfs.FileBody`, `repro.error`, "
+        "`repro.batch.qstat`, `repro.vfs.NoSuchBody`, "
+        "`repro.errors.ERROR_CODES`"
+    )
+    assert _unresolved(text) == ["repro.batch.qstat", "repro.vfs.NoSuchBody"]
