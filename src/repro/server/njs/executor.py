@@ -44,7 +44,7 @@ from repro.server.njs.jobrun import JobRun
 from repro.server.njs.peerlink import CancelGroup, PeerLink
 from repro.server.njs.runtable import RunTable
 from repro.server.vsite import Vsite
-from repro.simkernel import Event, Simulator
+from repro.simkernel import Simulator
 from repro.storage.journal import JournalEntry
 from repro.vfs.body import FileBody
 from repro.vfs.errors import VFSError
@@ -63,16 +63,6 @@ INCARNATION_CPU_S = 0.005
 #: ~3 simulated minutes is ridden out.
 TASK_RETRIES = 4
 TASK_RETRY_DELAY_S = 45.0
-
-
-def _finished(done: Event):
-    """The status an action finished with; a wait only if it has not yet.
-
-    A yield on an event already processed costs a queue entry that wakes
-    nobody else, so a finished action is read, not waited on."""
-    if done.processed:
-        return done.value
-    return (yield done)
 
 
 class Executor:
@@ -182,8 +172,6 @@ class Executor:
 
     # ------------------------------------------------------- job processes
     def _run_job(self, run: JobRun):
-        if not self._runs.owns(run):
-            return  # orphaned by a crash that raced the spawn
         # A forwarded root owes its parent files, and has files from there.
         yield from self._run_group(
             run, run.root, run.owed, self._forwarding.unstash(run.job_id)
@@ -219,7 +207,7 @@ class Executor:
                 f"child:{child.id}",
             )
         for child in group.children:
-            yield from _finished(run.events[child.id])
+            yield run.events[child.id]
         # Every child is terminal now, so the roll-up is the verdict.
         verdict = typing.cast(AJOOutcome, run.outcomes[group.id]).rollup_status()
         run.finish_action(
@@ -230,8 +218,6 @@ class Executor:
         self, run: JobRun, group: AbstractJobObject, child, promised: tuple[str, ...]
     ):
         """Sequence, stage and dispatch ``child``, which owes ``promised``."""
-        if not self._runs.owns(run):
-            return  # orphaned by a crash that raced the spawn
         # 0. Incarnate an execute task now, beside its predecessors: the
         # sequence the NJS keeps is one of delivery, not of translation.
         spec = None
@@ -241,7 +227,7 @@ class Executor:
         deps = [d for d in group.dependencies if d.successor_id == child.id]
         failed_pred = None
         for dep in deps:
-            status = yield from _finished(run.events[dep.predecessor_id])
+            status = yield run.events[dep.predecessor_id]
             if status is not ActionStatus.SUCCESSFUL and failed_pred is None:
                 failed_pred = (dep.predecessor_id, status)
         if failed_pred is not None:
@@ -264,9 +250,12 @@ class Executor:
         # runs in its group's Uspace: a file a sibling task left there is
         # already in place, so it is checked, not copied.  A file from a
         # sub-group's Uspace or a forwarded group's result, and every file
-        # headed for a sub-group, is copied once at disk bandwidth: into
-        # the task's Uspace here, or handed to the sub-group below.
+        # headed for a local sub-group, is copied once at disk bandwidth:
+        # into the task's Uspace here, or handed to the sub-group below.
+        # A file headed for a forwarded group is not copied: its stream
+        # reads the body, and the peer writes it as it arrives.
         is_task = not isinstance(child, AbstractJobObject)
+        forwarded = not is_task and child.usite not in ("", self._usite_name)
         staged: dict[str, FileBody] = {}
         for dep in deps:
             for path in dep.files:
@@ -282,7 +271,7 @@ class Executor:
                     return
                 if not (in_place and is_task):
                     staged[path] = content
-        if staged:
+        if staged and not forwarded:
             total = sum(len(v) for v in staged.values())
             stage_span = run.span("njs.stage", files=len(staged), bytes=total)
             yield self._sim.timeout(total / LOCAL_DISK_BANDWIDTH_BPS)
@@ -293,11 +282,10 @@ class Executor:
                     uspace.write(path, content)
 
         # 3. Dispatch by action type.
-        if isinstance(child, AbstractJobObject):
-            if child.usite and child.usite != self._usite_name:
-                yield from self._forwarding.forward(run, group, child, staged)
-            else:
-                yield from self._run_group(run, child, promised, staged)
+        if forwarded:
+            yield from self._forwarding.forward(run, group, child, staged)
+        elif not is_task:
+            yield from self._run_group(run, child, promised, staged)
         elif isinstance(child, ExecuteTask):
             yield from self._run_execute(run, group, child, spec)
         elif isinstance(child, (ImportTask, ExportTask)):

@@ -44,7 +44,7 @@ from repro.server.njs.peerlink import (
     TransferAck,
 )
 from repro.server.njs.runtable import Run
-from repro.simkernel import Event, Simulator
+from repro.simkernel import Simulator
 from repro.storage.journal import ForwardMeta
 from repro.vfs.body import FileBody
 
@@ -78,7 +78,7 @@ class Forwarding:
         #: any other job.
         self._consign = consign
         #: Forwarded groups' local job ids by the *parent's* job id, in
-        #: adoption order, for transfers and cancellation arriving from
+        #: binding order, for transfers and cancellation arriving from
         #: the parent site: one parent job may send several groups here.
         self._foreign_jobs: dict[str, list[str]] = {}
         #: Files for a job group that arrived before its Uspace existed.
@@ -100,14 +100,14 @@ class Forwarding:
     # ------------------------------------------------------ who holds what
     def foreign_runs(self, parent_job_id: str) -> list[Run]:
         """The local runs serving groups of the parent site's job, in
-        the order they were adopted."""
+        the order they were bound."""
         return [
             run for job_id in self._foreign_jobs.get(parent_job_id, ())
             if (run := self._runs.get(job_id)) is not None
         ]
 
     def foreign_run(self, parent_job_id: str) -> Run | None:
-        """The latest-adopted local run serving a group of the parent
+        """The latest-bound local run serving a group of the parent
         site's job: where a transfer of that job lands."""
         runs = self.foreign_runs(parent_job_id)
         return runs[-1] if runs else None
@@ -126,7 +126,7 @@ class Forwarding:
         ``key`` is the job id of a forwarded run, whose root Uspace takes
         them when it is created, or — for a transfer that beat its group
         here — the parent job id every ForwardGroup of that job carries,
-        under which :meth:`adopt` claims them for the group.
+        under which :meth:`bind` claims them for the group.
         """
         if files:
             self._early_files.setdefault(key, {}).update(files)
@@ -316,15 +316,15 @@ class Forwarding:
                 corr_id=message.corr_id, ok=False, error=str(err)
             ))
             return
-        yield from self.adopt(run, message.parent_job_id, forward_meta)
+        yield from self.report_home(run, forward_meta)
 
-    def adopt(
+    def bind(
         self, run: JobRun, parent_job_id: str, forward_meta: ForwardMeta
-    ):
-        """Bind a just-consigned (or just-replayed) ``run`` to the parent
-        job it serves; returns the process body that awaits it and sends
-        its GroupResult home."""
-        corr_id, reply_usite, return_files = forward_meta
+    ) -> None:
+        """Bind a just-admitted (or just-replayed) forwarded ``run`` to the
+        parent job it serves.  The NJS does this before it supervises the
+        run, whose root Uspace is created at its first step."""
+        _, _, return_files = forward_meta
         self._foreign_jobs.setdefault(parent_job_id, []).append(run.job_id)
         # When it is created, the group Uspace takes the staging the group
         # was consigned with, then what transfers of the parent job left
@@ -334,15 +334,13 @@ class Forwarding:
         # The parent expects these files back: the group's sink tasks
         # must produce them.
         run.owed = tuple(return_files)
-        return self._report_home(run.done_event, corr_id, reply_usite, return_files)
 
-    def _report_home(
-        self, done: Event, corr_id: int, reply_usite: str,
-        return_files: typing.Iterable[str],
-    ):
-        """Send the finished group's outcome, as it was persisted, and the
-        files the parent asked for."""
-        finished: FinishedRun = yield done
+    def report_home(self, run: JobRun, forward_meta: ForwardMeta):
+        """Await the bound ``run``, then send the finished group's
+        outcome, as it was persisted, and the files the parent asked for
+        (a process body)."""
+        corr_id, reply_usite, return_files = forward_meta
+        finished: FinishedRun = yield run.done_event
         produced: Files = {}
         for path in return_files:
             body = finished.file(path)

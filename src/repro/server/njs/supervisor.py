@@ -215,6 +215,10 @@ class NetworkJobSupervisor:
             job_id=run.job_id,
         )
         telemetry.tracer.end_span(consign_span.set(job_id=run.job_id))
+        if parent_job_id is not None and forward_meta is not None:
+            # Supervision starts at once, creating the root Uspace: a
+            # forwarded group is bound to its parent job first.
+            self.forwarding.bind(run, parent_job_id, forward_meta)
         self._executor.supervise(run)
         return run
 
@@ -364,6 +368,7 @@ class NetworkJobSupervisor:
                 workstation_files=self.journal.workstation_files(entry),
                 parent_job_id=entry.parent_job_id,
                 trace_id=entry.trace_id,
+                forward_meta=entry.forward_meta,
                 job_id=entry.job_id,
             )
         except Exception as err:  # noqa: BLE001 - a replay must not kill restart
@@ -383,8 +388,8 @@ class NetworkJobSupervisor:
         self.replays += 1
         if entry.forward_meta is not None and entry.parent_job_id is not None:
             # A forwarded group must still report to its parent site.
-            self._executor.spawn(run, self.forwarding.adopt(
-                run, entry.parent_job_id, entry.forward_meta
+            self._executor.spawn(run, self.forwarding.report_home(
+                run, entry.forward_meta
             ), f"replay-forward:{run.job_id}")
 
     # ---------------------------------------------------------------- services

@@ -9,7 +9,9 @@ pending to processed directly and costs the run loop nothing; whoever
 asks later (a ``yield``, ``run(until=)``, a condition) finds the value
 there.  A failure always takes the queue, so that one nobody handles
 surfaces at its instant; a :class:`Timeout` does, since the time is what
-it is for.  Processes wait on events by yielding them; composite events
+it is for.  Processes wait on events by yielding them, and a yield on an
+event already processed continues at once, so a late asker costs the
+run loop nothing either (:mod:`repro.simkernel.process`); composite events
 (:class:`AllOf`, :class:`AnyOf`) let a process wait on conjunctions and
 disjunctions.  A wait with a time limit is :meth:`Simulator.deadline`:
 the awaited event itself resolves with :data:`EXPIRED`, no second event

@@ -6,6 +6,12 @@ processed; the event's value is sent back into the generator (or its
 exception thrown in).  A :class:`Process` is itself an event that fires
 when the generator returns, carrying the generator's return value, so
 processes can wait on each other.
+
+Neither starting nor continuing costs a queue entry of its own.  A
+process runs to its first yield inside the call that creates it, at
+``sim.now``, before its creator goes on; a yield on an event that has
+already been processed continues at once with that event's outcome.  The
+queue only holds what wakes somebody later.
 """
 
 from __future__ import annotations
@@ -29,7 +35,10 @@ class Process(Event):
 
     Notes
     -----
-    * ``yield event`` suspends until ``event`` is processed.
+    * The generator runs to its first yield inside ``__init__``; a body
+      that raises or returns before it fails or succeeds right there.
+    * ``yield event`` suspends until ``event`` is processed; an event
+      already processed is no reason to suspend.
     * The process *fails* (propagating to waiters) if the generator raises.
     * :meth:`interrupt` throws :class:`Interrupt` into the generator at the
       current simulated time.
@@ -52,10 +61,7 @@ class Process(Event):
         self.generator = generator
         #: The event this process is currently waiting on, if suspended.
         self._target: Event | None = None
-        # Bootstrap: resume the generator at the current simulated time.
-        init = Event(sim, name=f"init:{self.name}")
-        init.callbacks.append(self._resume)  # type: ignore[union-attr]
-        init.succeed(None)
+        self._advance(True, None)
 
     @property
     def is_alive(self) -> bool:
@@ -89,55 +95,52 @@ class Process(Event):
     # -- engine plumbing ----------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        self.sim._active_process = self
         self._target = None
+        if not event._ok:
+            event._defused = True
+        self._advance(typing.cast(bool, event._ok), event._value)
+
+    def _advance(self, ok: bool, value: object) -> None:
+        """Send ``value`` into the generator (throw it, unless ``ok``) and
+        go on until it waits on an event still to come, or ends."""
+        sim = self.sim
+        creator = sim._active_process
+        sim._active_process = self
         try:
-            if event._ok:
-                next_ev = self.generator.send(event._value)
-            else:
-                exc = typing.cast(BaseException, event._value)
-                event._defused = True
-                next_ev = self.generator.throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as err:
-            if isinstance(err, (KeyboardInterrupt, SystemExit)):  # pragma: no cover
-                raise
-            self.fail(err)
-            return
+            while True:
+                try:
+                    if ok:
+                        next_ev = self.generator.send(value)
+                    else:
+                        next_ev = self.generator.throw(
+                            typing.cast(BaseException, value)
+                        )
+                except StopIteration as stop:
+                    self.succeed(stop.value)
+                    return
+                except BaseException as err:
+                    if isinstance(err, (KeyboardInterrupt, SystemExit)):  # pragma: no cover
+                        raise
+                    self.fail(err)
+                    return
+                if not isinstance(next_ev, Event):
+                    # Kill the generator with a helpful error rather than
+                    # hanging.
+                    ok, value = False, TypeError(
+                        f"process {self.name!r} yielded {next_ev!r}, which is "
+                        "not an Event; yield sim.timeout(...) or another event"
+                    )
+                    continue
+                if next_ev.sim is not sim:
+                    raise ValueError(
+                        "process yielded an event from a different simulator"
+                    )
+                if next_ev.callbacks is None:
+                    # Already processed: nothing to wait for.
+                    ok, value = typing.cast(bool, next_ev._ok), next_ev._value
+                    continue
+                next_ev.callbacks.append(self._resume)
+                self._target = next_ev
+                return
         finally:
-            self.sim._active_process = None
-
-        if not isinstance(next_ev, Event):
-            # Kill the generator with a helpful error rather than hanging.
-            msg = (
-                f"process {self.name!r} yielded {next_ev!r}, which is not an "
-                "Event; yield sim.timeout(...) or another event"
-            )
-            try:
-                self.generator.throw(TypeError(msg))
-            except StopIteration as stop:
-                self.succeed(stop.value)
-            except BaseException as err:
-                self.fail(err)
-            return
-
-        if next_ev.sim is not self.sim:
-            raise ValueError("process yielded an event from a different simulator")
-
-        if next_ev.processed:
-            # Already done: resume immediately (but through the queue so the
-            # event order stays deterministic).
-            carrier = Event(self.sim, name=f"replay:{self.name}")
-            carrier.callbacks.append(self._resume)  # type: ignore[union-attr]
-            if next_ev._ok:
-                carrier.succeed(next_ev._value)
-            else:
-                carrier.fail(typing.cast(BaseException, next_ev._value))
-                carrier.defuse()
-            self._target = carrier
-        else:
-            assert next_ev.callbacks is not None
-            next_ev.callbacks.append(self._resume)
-            self._target = next_ev
+            sim._active_process = creator

@@ -2,14 +2,16 @@
 
 The run loop is paid per entry, and an entry is worth its price only if
 it wakes somebody: a message arriving, a timer running out, a process
-starting or being resumed.  What nobody observes (a process ending
-unjoined, a ``done`` nobody awaits), a mailbox wake-up between a delivery
-and the function it is for, an ``AnyOf`` relaying the winner of a race and
-the start and end of a process that is one timer are not occurrences, and
-do not enter the queue.  These tests name the cause of every entry a job
-costs between the user's ``submit`` and the end of ``wait``, and hold the
-job to that table.  The caller's own ``api:*`` plans (a start, and the end
-``run(until=)`` observes, for each) are its business and counted apart.
+being resumed.  What nobody observes (a process ending unjoined, a
+``done`` nobody awaits), a process starting (it runs to its first yield
+inside the call that makes it), a yield on what has already happened, a
+mailbox wake-up between a delivery and the function it is for, an
+``AnyOf`` relaying the winner of a race and the start and end of a
+process that is one timer are not occurrences, and do not enter the
+queue.  These tests name the cause of every entry a job costs between
+the user's ``submit`` and the end of ``wait``, and hold the job to that
+table.  The caller's own ``api:*`` plans (the end ``run(until=)``
+observes, for each) are its business and counted apart.
 """
 
 import collections
@@ -29,7 +31,6 @@ from repro.simkernel import CallbackSlot, Simulator
 #: ahead of the channel send that carries it on, so it is no entry.
 REQUEST = {
     "request delivered to the gateway host": 1,
-    "gw-req:N starts": 1,
     "auth CPU": 1,
     "firewall crossing in": 1,
     "reply delivered to the client host": 1,
@@ -38,7 +39,6 @@ REQUEST = {
 
 #: A script task at the site that runs it.
 SCRIPT_TASK = {
-    "child:* starts": 1,
     "incarnation CPU": 1,
     "batch run ends": 1,
     "completion:* wakes the child": 1,
@@ -48,7 +48,7 @@ SCRIPT_TASK = {
 #: Consign, then one subscribed QUERY that is parked until the job is done.
 ONE_SITE = collections.Counter(REQUEST) + collections.Counter(REQUEST) + (
     collections.Counter(SCRIPT_TASK)
-    + collections.Counter({"job:* starts": 1, "watch:* wakes the parked query": 1})
+    + collections.Counter({"watch:* wakes the parked query": 1})
 )
 
 #: The same with a sub-group for a second site: the group goes out as one
@@ -58,10 +58,9 @@ ONE_SITE = collections.Counter(REQUEST) + collections.Counter(REQUEST) + (
 #: sender's own firewall socket, relayed ahead of the WAN hop: neither is
 #: an entry, so each message costs two deliveries.
 TWO_SITE = ONE_SITE + collections.Counter(SCRIPT_TASK) + collections.Counter({
-    "job:* starts": 1,  # the forwarded group is a job where it lands
-    "child:* starts": 1,  # the sub-group's action at the forwarding site...
-    "done:* wakes the job": 1,  # ...which ends like any other child
-    "take_in starts": 1,
+    # The sub-group's action at the forwarding site ends like any other
+    # child.
+    "done:* wakes the job": 1,
     "peer hop delivered": 4,  # ForwardGroup out, GroupResult back
     "job-done:* wakes take_in": 1,
     "group-result:N wakes the forwarding child": 1,
@@ -92,12 +91,7 @@ def _cause(item) -> str:
     if name in timers:
         return timers[name]
     for prefix, cause in (
-        ("init:api:", "api:* starts"),
         ("api:", "api:* ends, observed by run(until=)"),
-        ("init:gw-req:", "gw-req:N starts"),
-        ("init:job:", "job:* starts"),
-        ("init:child:", "child:* starts"),
-        ("init:take_in", "take_in starts"),
         ("reply:", "reply:N wakes the caller"),
         ("watch:", "watch:* wakes the parked query"),
         ("completion:", "completion:* wakes the child"),
@@ -165,8 +159,10 @@ def test_a_one_site_job_costs_the_entries_its_table_names(metered):
     metered.run(two_site=False)  # the first job pays for first contacts
     costs, own = metered.run(two_site=False)
     assert costs == ONE_SITE, costs - ONE_SITE
-    assert sum(costs.values()) <= 19  # 21 with firewall hops out, 36 with mailboxes
-    assert own == 4  # api:submit, api:wait
+    # 19 with process starts, 21 with firewall hops out too, 36 with
+    # mailboxes
+    assert sum(costs.values()) == 15
+    assert own == 2  # api:submit, api:wait
     _assert_nothing_left_due(metered.grid.sim)
 
 
@@ -174,10 +170,10 @@ def test_a_two_site_job_costs_the_entries_its_table_names(metered):
     metered.run(two_site=True)  # the NJSs shake hands once
     costs, own = metered.run(two_site=True)
     assert costs == TWO_SITE, (costs - TWO_SITE, TWO_SITE - costs)
-    # 38 with firewall hops out and peer first hops, 42 with peer record
-    # CPU, 66 with mailboxes
-    assert sum(costs.values()) <= 34
-    assert own == 4
+    # 34 with process starts, 38 with firewall hops out and peer first
+    # hops too, 42 with peer record CPU, 66 with mailboxes
+    assert sum(costs.values()) == 26
+    assert own == 2
     _assert_nothing_left_due(metered.grid.sim)
 
 

@@ -273,6 +273,49 @@ def test_a_file_task_gets_the_file_a_sub_group_hands_it(duo, consumer, sub_usite
     assert delivered == produced
 
 
+def test_a_forwarded_group_starts_with_its_staging_and_earlier_transfers(
+    duo, monkeypatch
+):
+    """A forwarded group's first task starts the instant the group is
+    consigned; by then its root Uspace holds the files the group was
+    staged with and what a transfer of the parent job left at the site
+    before the group arrived."""
+    grid, user, session = duo
+    jpa = JobPreparationAgent(session)
+    jmc = JobMonitorController(session)
+    job = jpa.new_job("bound", vsite="FZJ-T3E")
+    make = job.script_task("make", script="#!/bin/sh\nx\n", simulated_runtime_s=10.0)
+    xfer = job.transfer_to_usite("moved.dat", "ZIB")
+    far = job.sub_job("far", vsite="ZIB-SP2", usite="ZIB")
+    far.script_task("use", script="#!/bin/sh\nx\n", simulated_runtime_s=10.0)
+    job.depends(make, xfer, files=["moved.dat"])
+    job.depends(xfer, far)
+    job.depends(make, far, files=["staged.dat"])
+
+    zib = grid.usites["ZIB"].njs
+    executor = zib._executor
+    incarnate = executor._incarnate
+    found = []
+
+    def first_step(run, group, task, promised):
+        # The task's first step, taken as its group starts.
+        uspace = run.uspaces[group.id]
+        found.append({p: uspace.exists(p) for p in ("staged.dat", "moved.dat")})
+        return incarnate(run, group, task, promised)
+
+    monkeypatch.setattr(executor, "_incarnate", first_step)
+
+    def scenario(sim):
+        job_id = yield from jpa.submit(job)
+        final = yield from jmc.wait_for_completion(job_id)
+        return final
+
+    final = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+    assert final.status == "successful"
+    assert found == [{"staged.dat": True, "moved.dat": True}]
+    assert zib.forwarding.stashes()["early"] == {}
+
+
 def test_missing_workstation_file_fails_import(duo):
     grid, user, session = duo
     jpa = JobPreparationAgent(session)

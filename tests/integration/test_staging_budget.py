@@ -4,7 +4,8 @@ A task runs in its job group's Uspace.  A file a sibling task wrote
 there is already where its successor runs: the edge checks that it
 exists and copies nothing.  A file that comes from anywhere else — a
 local sub-group's Uspace, a forwarded group's result — is copied in once
-at local disk bandwidth, in one ``njs.stage`` span.
+at local disk bandwidth, in one ``njs.stage`` span.  A file handed to a
+forwarded group is not copied at all: the stream that carries it reads it.
 """
 
 import pytest
@@ -134,3 +135,24 @@ def test_a_file_handed_to_a_local_sub_group_lands_in_its_uspace_only(duo):
     assert b_uspace.exists("b.dat")
     assert not b_uspace.exists("a.dat")
     assert grid.usites["FZJ"].njs.forwarding.stashes()["early"] == {}
+
+
+def test_a_pipeline_hand_off_streams_when_its_predecessor_ends(duo):
+    """A file bound for a forwarded group is read by the stream that
+    carries it and written by the peer as it arrives: the NJS copies it
+    nowhere first, so the hand-off leaves when the producing task ends."""
+    grid, session = duo
+    job = session.new_job("pipe", "FZJ-T3E")
+    make = job.script_task("make", SCRIPT, simulated_runtime_s=30.0)
+    remote = job.sub_job("far", vsite="ZIB-SP2", usite="ZIB")
+    remote.script_task("use", SCRIPT, simulated_runtime_s=30.0)
+    job.depends(make, remote, files=["result.dat"])
+    handle, view, trace, _ = _run(grid, session, job)
+    assert view.status == "successful"
+    assert trace.find("njs.stage") == []
+    made = trace.first("batch.execute")
+    assert made.attributes["machine"] == "FZJ-T3E"
+    assert trace.first("njs.forward").start == pytest.approx(made.end, abs=EPS)
+    zib = grid.usites["ZIB"].njs
+    [group_run] = zib.forwarding.foreign_runs(handle.job_id)
+    assert len(group_run.file("result.dat")) == RESULT_FILE_BYTES

@@ -8,9 +8,10 @@ a chunk once, not once per chunk; stop-and-wait pays them four times.
 Behind a firewall split each frame crosses the site's socket just ahead
 of its channel send, so the fetch pays one chunk's crossing, not the
 whole payload's.  On an NJS-NJS route every frame is a process of its
-own whose seal and open, and whose crossing of the sender's firewall
-socket, ride ahead of the WAN hop: a start, one delivery per remaining
-hop and the wake-up of the stream that waits for it, nothing else.
+own, started inside the call that makes it, whose seal and open, and
+whose crossing of the sender's firewall socket, ride ahead of the WAN
+hop: one delivery per remaining hop and the wake-up of the stream that
+waits for it, nothing else.
 """
 
 import collections
@@ -142,12 +143,11 @@ def _cause(item) -> str:
     if name.startswith("delivery:") and isinstance(item.value.payload, PeerFrame):
         return "peer hop delivered"
     return {
-        "init:peer-frame": "peer-frame starts",
         "peer-frame": "peer-frame wakes the stream",
     }.get(name, name)
 
 
-def test_a_peer_stream_costs_four_entries_per_frame(two_sites, monkeypatch):
+def test_a_peer_stream_costs_three_entries_per_frame(two_sites, monkeypatch):
     grid, _ = two_sites
     zib = grid.usites["ZIB"].njs
     route = zib.peers.routes["FZJ"]
@@ -172,10 +172,9 @@ def test_a_peer_stream_costs_four_entries_per_frame(two_sites, monkeypatch):
     monkeypatch.setattr(Simulator, "step", named_step)
     grid.sim.run(until=grid.sim.process(stream(grid.sim), name="stream"))
     costs = collections.Counter(entries)
-    assert costs.pop("init:stream") == costs.pop("stream") == 1
+    assert costs.pop("stream") == 1
     frames = 1 + CHUNKS  # the OPEN frame, then one per chunk
     assert costs == {
-        "peer-frame starts": frames,
         "peer hop delivered": delivered * frames,
         "peer-frame wakes the stream": frames,
     }

@@ -49,13 +49,18 @@ def test_anyof_failure_propagates():
 def test_interrupt_non_waiting_process_rejected():
     sim = Simulator()
 
+    refused = []
+
     def proc(sim):
+        # A running process waits on nothing, so nothing can be cut short.
+        with pytest.raises(RuntimeError, match="not waiting"):
+            sim.active_process.interrupt()
+        refused.append(sim.now)
         yield sim.timeout(1.0)
 
     p = sim.process(proc(sim))
-    # Before the simulation starts, the process has not yielded yet.
-    with pytest.raises(RuntimeError, match="not waiting"):
-        p.interrupt()
+    assert refused == [0.0]
+    assert p.target is not None  # waiting on its timer now
 
 
 def test_interrupt_cause_roundtrip():

@@ -313,11 +313,14 @@ def test_a_later_waiter_sees_the_value_of_an_unobserved_success():
         first = yield sim.any_of([sim.event(), ev])
         seen.append((list(first.values()), sim.now))
 
-    sim.process(late())
-    assert sim.run(until=ev) == "v"  # already processed: no step taken
-    assert seen == []
-    sim.run()
+    proc = sim.process(late())
+    # Every event it yields is processed already: it runs to its end
+    # inside the call that made it, and nothing ever enters the queue.
     assert seen == [("v", 2.0), (["v", "w"], 2.0), (["v"], 2.0)]
+    assert proc.processed
+    assert sim.run(until=ev) == "v"
+    assert sim.profile()["heap_size"] == 0
+    assert sim.processed_events == 0
 
 
 def test_a_process_that_ends_unjoined_costs_no_entry_of_its_own():
@@ -329,9 +332,46 @@ def test_a_process_that_ends_unjoined_costs_no_entry_of_its_own():
 
     proc = sim.process(worker())
     sim.run()
-    assert sim.processed_events == 2  # its start and its timer
+    assert sim.processed_events == 1  # its timer; starting costs nothing
     assert proc.processed and proc.value == "done"
     assert sim.run(until=proc) == "done"
+
+
+def test_a_process_runs_to_its_first_yield_inside_the_call_that_makes_it():
+    sim = Simulator(start=3.0)
+    log = []
+
+    def waits():
+        log.append(("waits", sim.now, sim.active_process))
+        yield sim.timeout(1.0)
+
+    def raises():
+        raise OSError("before any yield")
+        yield  # pragma: no cover - makes this a generator
+
+    def returns():
+        return "at once"
+        yield  # pragma: no cover - makes this a generator
+
+    def parent():
+        child = sim.process(waits())
+        log.append(("parent", sim.now, sim.active_process))
+        yield child
+
+    proc = sim.process(parent())
+    # The child ran inside its creator, which goes on as itself after.
+    assert log == [("waits", 3.0, proc.target), ("parent", 3.0, proc)]
+    assert proc.target.target is not None and sim.active_process is None
+    # A body that raises first fails as before: through the queue, so
+    # nobody handling it surfaces at its instant.
+    failed = sim.process(raises())
+    assert failed.triggered and not failed.ok and not failed.processed
+    # One that returns first is processed on the spot, nobody waiting.
+    returned = sim.process(returns())
+    assert returned.processed and returned.value == "at once"
+    assert sim.profile()["heap_size"] == 2  # the child's timer, the failure
+    with pytest.raises(OSError, match="before any yield"):
+        sim.run()
 
 
 def test_fail_with_no_waiter_still_raises_from_step():
