@@ -13,7 +13,8 @@ The **brokered federation** arm goes further than the one-shot
 placement broker: every Usite runs two load-balanced gateways, jobs
 enter the :class:`~repro.broker.service.FederationBroker` task queue
 *without* a destination, and binding happens at dispatch time against
-live capacity advertisements under fair-share quotas.  It measures
+capacity reports the broker polls from every site, under fair-share
+quotas; a steal is a RECLAIM sent through the job owner's session.  It measures
 makespan against habit placement and Jain's fairness index across
 users, with one deliberately over-quota user exercising the
 ``broker.quota_exceeded`` rejection path.
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from benchmarks._util import print_table
+from repro.ajo.services import ControlVerb
 from repro.broker import BrokerQuotaError, FairSharePolicy, attach_broker
 from repro.broker.placement import ResourceBroker
 from repro.client import JobMonitorController, JobPreparationAgent
@@ -233,6 +235,13 @@ def _federated_run(params):
 
         return dispatch
 
+    def make_reclaim(user_idx):
+        def reclaim(usite, job_id):
+            jmc = JobMonitorController(sessions[(user_idx, usite)])
+            return jmc.control(job_id, ControlVerb.RECLAIM)
+
+        return reclaim
+
     entries = []
     rejected = 0
     for i, (user_idx, request, runtime) in enumerate(_job_specs(params)):
@@ -240,6 +249,7 @@ def _federated_run(params):
         entry = broker.submit(
             user_dn, f"fed{i}", request,
             dispatch=make_dispatch(i, user_idx, request, runtime),
+            reclaim=make_reclaim(user_idx),
             bind_timeout_s=48 * 3600.0,
         )
         entry.meta["user"] = user_idx
@@ -253,6 +263,7 @@ def _federated_run(params):
                 ResourceRequest(cpus=32, time_s=params["runtime"] * 3),
                 dispatch=make_dispatch(-1, 0, ResourceRequest(cpus=32),
                                        params["runtime"]),
+                reclaim=make_reclaim(0),
             )
         except BrokerQuotaError:
             rejected += 1

@@ -28,12 +28,15 @@ class ControlVerb:
     CANCEL = "cancel"
     HOLD = "hold"
     RESUME = "resume"
+    #: Cancel only if nothing has started yet (else the NJS refuses), so
+    #: the job can be placed elsewhere: a broker's work stealing.
+    RECLAIM = "reclaim"
 
-    ALL = (CANCEL, HOLD, RESUME)
+    ALL = (CANCEL, HOLD, RESUME, RECLAIM)
 
 
 class ControlService(AbstractService):
-    """Control a consigned job (cancel / hold / resume)."""
+    """Control a consigned job (cancel / hold / resume / reclaim)."""
 
     type_tag = "control"
 

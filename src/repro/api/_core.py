@@ -28,6 +28,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass
 
+from repro.ajo.services import ControlVerb
 from repro.broker.errors import BrokerError, NoCapacityError
 from repro.broker.placement import ResourceBroker, job_demands
 from repro.client.jmc import JobMonitorController
@@ -107,7 +108,8 @@ class SessionCore:
     BROKER_REBIND_WAIT_S = 30.0
     #: How many rebind-waits to grant a "killed" answer on a live broker
     #: entry before believing it (a steal's kill is visible to a
-    #: subscription wait before the reclaim ack unbinds the entry).
+    #: subscription wait before the RECLAIM's reply reaches the broker
+    #: and unbinds the entry).
     STEAL_GRACE_ROUNDS = 10
 
     def __init__(
@@ -362,9 +364,11 @@ class SessionCore:
 
         The dispatch factory re-targets the root group to whatever
         destination the broker picks and consigns through this session's
-        per-site tiers; those are connected eagerly here because the
-        factory runs *inside* the simulation, past the point where a
-        handshake could still be interleaved.
+        per-site tiers, and the reclaim factory sends a steal's RECLAIM
+        through them, so it carries the owner's authority; the tiers are
+        connected eagerly here because the factories run *inside* the
+        simulation, past the point where a handshake could still be
+        interleaved.
         """
         federation = getattr(self.grid, "broker", None)
         if federation is None:
@@ -381,6 +385,9 @@ class SessionCore:
             ajo.vsite, ajo.usite = vsite, usite
             return self._tiers[usite][1].submit(job, workstation=workstation)
 
+        def reclaim(usite: str, job_id: str):
+            return self._tiers[usite][2].control(job_id, ControlVerb.RECLAIM)
+
         request, software = job_demands(ajo)
         entry = federation.submit(
             self.session.user_dn,
@@ -388,6 +395,7 @@ class SessionCore:
             request,
             software=tuple(software),
             dispatch=dispatch,
+            reclaim=reclaim,
             bind_timeout_s=self.BROKER_BIND_TIMEOUT_S,
         )
         yield entry.bound
@@ -470,7 +478,7 @@ class SessionCore:
         original batch entry killed, a new consignment elsewhere); the
         loop follows the broker entry to wherever the job currently is.
         A subscription wait observes the steal's kill *instantly* —
-        before the reclaim ack reaches the broker hub — so a "killed"
+        before the RECLAIM's reply reaches the broker — so a "killed"
         answer for a live broker entry gets a short grace window for the
         entry to unbind and move before it is believed.
         """

@@ -6,11 +6,13 @@ This package supplies both halves of that broker:
 
 * :mod:`repro.broker.placement` — the original one-shot ranking broker
   (formerly ``repro.ext.broker``): rank every Vsite now, pick one.
-* the federated tier — :mod:`~repro.broker.advertise` capacity
-  advertisements from each NJS, the :class:`TaskQueueBroker` matcher
-  holding submitted-but-unbound jobs, a :class:`FairSharePolicy` with
-  per-user quotas, and the :class:`FederationBroker` service that runs
-  dispatch and cross-Vsite work stealing on the simulation clock.
+* the federated tier — the :class:`TaskQueueBroker` matcher holding
+  submitted-but-unbound jobs, a :class:`FairSharePolicy` with per-user
+  quotas, and the :class:`FederationBroker` service: a client of the
+  sites that polls each one's capacity report
+  (:class:`~repro.protocol.views.CapacityView`) through its gateway, and
+  runs dispatch and cross-Vsite work stealing (the owner's RECLAIM) on
+  the simulation clock.
 
 Typical use::
 
@@ -21,13 +23,6 @@ Typical use::
     handle = session.submit(job, broker=True)   # late-bound
 """
 
-from repro.broker.advertise import (
-    BROKER_PEER,
-    AdvertiseCapacity,
-    CapacityAdvertisement,
-    ReclaimAck,
-    ReclaimJob,
-)
 from repro.broker.errors import BrokerError, BrokerQuotaError, NoCapacityError
 from repro.broker.fairshare import FairSharePolicy
 from repro.broker.matcher import BrokerJob, BrokerJobState, TaskQueueBroker
@@ -35,19 +30,14 @@ from repro.broker.placement import BrokerDecision, ResourceBroker
 from repro.broker.service import FederationBroker, attach_broker
 
 __all__ = [
-    "BROKER_PEER",
-    "AdvertiseCapacity",
     "BrokerDecision",
     "BrokerError",
     "BrokerJob",
     "BrokerJobState",
     "BrokerQuotaError",
-    "CapacityAdvertisement",
     "FairSharePolicy",
     "FederationBroker",
     "NoCapacityError",
-    "ReclaimAck",
-    "ReclaimJob",
     "ResourceBroker",
     "TaskQueueBroker",
     "attach_broker",

@@ -6,7 +6,7 @@ freshest capacity advertisements.  The matcher is deliberately pure —
 no clock, no network, no randomness — so matching is deterministic
 (stable sorts over stable sequence numbers) and directly property-
 testable.  The :class:`~repro.broker.service.FederationBroker` owns the
-simulation side: timers, advertisement transport, and consignment.
+simulation side: timers, capacity polls, consignment and reclaims.
 
 Feasibility reuses the exact check the analysis tier applies at consign
 time (:func:`repro.resources.check.check_request` against the advertised
@@ -19,10 +19,10 @@ import enum
 from dataclasses import dataclass, field
 from itertools import count
 
-from repro.broker.advertise import AdvertiseCapacity, CapacityAdvertisement
 from repro.broker.errors import BrokerQuotaError, NoCapacityError
 from repro.broker.fairshare import FairSharePolicy
 from repro.observability import MetricsRegistry
+from repro.protocol.views import CapacityView, VsiteCapacity
 from repro.resources.check import check_request
 from repro.resources.model import ResourceRequest
 
@@ -64,10 +64,11 @@ class BrokerJob:
     bound_at: float = 0.0
     done_at: float = 0.0
     error: str = ""
-    #: Service-layer attachments (bind event, dispatch factory); the
-    #: matcher never touches these.
+    #: Service-layer attachments (bind event, dispatch and reclaim
+    #: factories); the matcher never touches these.
     bound: object = None
     dispatch: object = None
+    reclaim: object = None
     #: Extra per-entry metadata for callers (e.g. benchmark user index).
     meta: dict = field(default_factory=dict)
 
@@ -109,7 +110,7 @@ class TaskQueueBroker:
         self._pending: list[BrokerJob] = []
         self._dispatched: dict[int, BrokerJob] = {}
         self._done: list[BrokerJob] = []
-        self._ads: dict[str, CapacityAdvertisement] = {}
+        self._ads: dict[str, VsiteCapacity] = {}
         #: Per-Usite job ids the NJS reported as still-queued (stealable).
         self._reclaimable: dict[str, frozenset[str]] = {}
         #: Per-Vsite [jobs, cpu_s] bound since its last advertisement.
@@ -139,8 +140,8 @@ class TaskQueueBroker:
         return tuple(self._done)
 
     # -- advertisement intake ----------------------------------------------
-    def observe(self, message: AdvertiseCapacity, now: float) -> None:
-        """Fold one NJS advertisement into the broker's world view."""
+    def observe(self, message: CapacityView, now: float) -> None:
+        """Fold one site's capacity report into the broker's world view."""
         for ad in message.vsites:
             self._ads[ad.vsite] = ad
             # Fresh truth from the site supersedes the dispatch overlay.
@@ -154,7 +155,7 @@ class TaskQueueBroker:
                 del self._dispatched[job.seq]
                 self._done.append(job)
 
-    def fresh_ads(self, now: float) -> dict[str, CapacityAdvertisement]:
+    def fresh_ads(self, now: float) -> dict[str, VsiteCapacity]:
         return {
             vsite: ad
             for vsite, ad in self._ads.items()
@@ -227,7 +228,7 @@ class TaskQueueBroker:
     # -- matching -----------------------------------------------------------
     @staticmethod
     def _feasible(
-        ad: CapacityAdvertisement,
+        ad: VsiteCapacity,
         request: ResourceRequest,
         software: tuple[tuple[str, str], ...],
     ) -> bool:
@@ -240,7 +241,7 @@ class TaskQueueBroker:
         return ad.wait_estimate_s(self._overlay.get(vsite, [0, 0.0])[1])
 
     def _best_vsite(
-        self, job: BrokerJob, ads: dict[str, CapacityAdvertisement]
+        self, job: BrokerJob, ads: dict[str, VsiteCapacity]
     ) -> str | None:
         best: tuple[float, str] | None = None
         for vsite in sorted(ads):

@@ -1,19 +1,25 @@
 """The federation broker service: the simulation half of late binding.
 
-One :class:`FederationBroker` per grid.  It owns a network host (the
-"broker hub"), linked to every Usite's primary gateway, and runs three
-concerns on the simulation clock:
+One :class:`FederationBroker` per grid.  It is a client of the sites, as
+a user is: it holds a service identity of its own (one grid user with a
+login at every Usite) and reaches each site only through its gateway's
+protocol verbs.  It runs three concerns on the simulation clock:
 
-* **advertisement intake** — each NJS gets a route to the hub and a
-  periodic :meth:`~repro.server.njs.adverts.BrokerAdverts.start`
-  loop; reports fold into the matcher;
+* **capacity polls** — every ``advertise_interval_s``, staggered across
+  sites, it asks each site for its
+  :class:`~repro.protocol.views.CapacityView` (the CAPACITY verb) and
+  folds the answer into the matcher; a poll that is refused (a crashed
+  NJS) or lost leaves the last report in place until it ages out at
+  ``staleness_s``;
 * **dispatch** — on a timer, :meth:`TaskQueueBroker.match` binds pending
   jobs and each binding's *dispatch factory* (a caller-supplied
   ``(usite, vsite) -> generator -> job_id``, typically closing over a
   JPA) consigns the job through the normal client protocol;
-* **work stealing** — confirmed reclaimable jobs sitting in a
-  backlogged queue are cancelled at their site (authoritative re-check
-  there) and requeued when another feasible Vsite drains.
+* **work stealing** — a job reported reclaimable and sitting in a
+  backlogged queue is reclaimed through its *reclaim factory*
+  (``(usite, job_id) -> generator``: a RECLAIM control sent through the
+  owner's session, which the NJS refuses once anything has started) and
+  requeued for a drained Vsite.
 
 Counters: ``broker.matches``, ``broker.steals``, ``broker.rejections``;
 ``broker.queue_depth`` is observed as a histogram each dispatch tick.
@@ -24,30 +30,27 @@ from __future__ import annotations
 
 import typing
 
-from repro.broker.advertise import AdvertiseCapacity, ReclaimAck, ReclaimJob
+from repro import asn1
+from repro.ajo.errors import SerializationError
 from repro.broker.errors import BrokerError
 from repro.broker.fairshare import FairSharePolicy
 from repro.broker.matcher import BrokerJob, BrokerJobState, TaskQueueBroker
 from repro.errors import ReproError
-from repro.net.errors import ConnectionLost
-from repro.net.sim_transport import Message
 from repro.observability import telemetry_for
+from repro.protocol.messages import Request, RequestKind
+from repro.protocol.views import CapacityView
 from repro.resources.model import ResourceRequest
-from repro.server.njs.peerlink import PeerLink
-from repro.simkernel import EXPIRED
 
 if typing.TYPE_CHECKING:
+    from repro.client.browser import UnicoreSession
     from repro.grid.build import Grid
 
 __all__ = ["FederationBroker", "attach_broker"]
 
-#: The hub's host on the grid network.
-HUB_HOST = "broker.hub"
-
-#: WAN link from each gateway to the broker hub (same class of link as
-#: gateway-to-gateway traffic).
-HUB_LATENCY_S = 0.015
-HUB_BANDWIDTH_BPS = 1_250_000.0
+#: The broker's service identity: its certificate's name, and the login
+#: every Usite maps it to.
+BROKER_CN = "Federation Broker"
+BROKER_LOGIN = "broker"
 
 
 class FederationBroker:
@@ -55,7 +58,6 @@ class FederationBroker:
 
     #: A dispatch whose consignment fails this many times is FAILED.
     MAX_ATTEMPTS = 3
-    ACK_TIMEOUT_S = 120.0
 
     def __init__(
         self,
@@ -67,9 +69,9 @@ class FederationBroker:
         max_queued_per_vsite: int = 4,
         min_steal_wait_s: float = 600.0,
     ) -> None:
+        """``advertise_interval_s`` is how often each site is polled."""
         self.grid = grid
         self.sim = grid.sim
-        self.network = grid.network
         telemetry = telemetry_for(self.sim)
         self.metrics = telemetry.metrics
         self.tracer = telemetry.tracer
@@ -81,37 +83,19 @@ class FederationBroker:
             metrics=self.metrics,
         )
         self.dispatch_interval_s = dispatch_interval_s
-        self.host = self.network.add_host(HUB_HOST)
-        #: The hub's end of the NJS peer link: a route to every Usite's
-        #: NJS (the reverse of its advertisement path), and the reclaim
-        #: acks the hub is waiting for.
-        self.link = PeerLink(self.sim, self.network, HUB_HOST)
+        self.poll_interval_s = advertise_interval_s
+        # A grid thawed from a snapshot has the identity and its mappings.
+        self.identity = grid.users.get(BROKER_CN) or grid.add_user(
+            BROKER_CN, logins={name: BROKER_LOGIN for name in grid.usites}
+        )
         self._stealing: set[int] = set()
 
         for index, name in enumerate(sorted(grid.usites)):
-            usite = grid.usites[name]
-            self.network.link(
-                HUB_HOST,
-                usite.gateway_host.name,
-                latency_s=HUB_LATENCY_S,
-                bandwidth_Bps=HUB_BANDWIDTH_BPS,
+            # Stagger sites so their polls do not synchronise.
+            offset_s = index * advertise_interval_s / max(1, len(grid.usites))
+            self.sim.process(
+                self._poll_loop(name, offset_s), name=f"broker-poll:{name}"
             )
-            up = [
-                (a, b)
-                for a, b in (
-                    (usite.njs_host.name, usite.gateway_host.name),
-                    (usite.gateway_host.name, HUB_HOST),
-                )
-                if a != b
-            ]
-            usite.njs.peers.register_broker(up)
-            self.link.register(name, [(b, a) for a, b in reversed(up)])
-            # Stagger sites so their reports do not synchronise.
-            usite.njs.adverts.start(
-                interval_s=advertise_interval_s,
-                offset_s=index * advertise_interval_s / max(1, len(grid.usites)),
-            )
-        self.host.serve(self._receive)
         self.sim.process(self._dispatch_loop(), name="broker:dispatch")
 
     # -- submission ---------------------------------------------------------
@@ -122,6 +106,7 @@ class FederationBroker:
         request: ResourceRequest,
         software: tuple[tuple[str, str], ...] = (),
         dispatch=None,
+        reclaim=None,
         bind_timeout_s: float | None = None,
     ) -> BrokerJob:
         """Enqueue one late-bound job.
@@ -129,19 +114,22 @@ class FederationBroker:
         ``dispatch(usite, vsite)`` must return a generator that consigns
         the job at the chosen destination and returns the NJS job id; it
         is invoked (possibly more than once, under stealing) inside the
-        simulation.  Raises quota/capacity errors synchronously — a
-        rejected job never enters the queue.
+        simulation.  ``reclaim(usite, job_id)`` must return a generator
+        that sends a RECLAIM for the job through its owner's session
+        there, raising the NJS's refusal.  Raises quota/capacity errors
+        synchronously — a rejected job never enters the queue.
 
         The returned entry's ``bound`` event triggers at the first
         successful consignment (value: the job id), or with ``None`` if
         the job failed or timed out unbound.
         """
-        if dispatch is None:
-            raise TypeError("submit() requires a dispatch factory")
+        if dispatch is None or reclaim is None:
+            raise TypeError("submit() requires dispatch and reclaim factories")
         job = self.matcher.enqueue(
             user_dn, name, request, software=tuple(software), now=self.sim.now
         )
         job.dispatch = dispatch
+        job.reclaim = reclaim
         job.bound = self.sim.event(name=f"broker-bound:{job.seq}")
         if bind_timeout_s is not None:
             self.sim.schedule_callback(
@@ -164,12 +152,23 @@ class FederationBroker:
             yield self.sim.timeout(poll_s)
 
     # -- simulation loops ---------------------------------------------------
-    def _receive(self, message: Message) -> None:
-        payload = message.payload
-        if isinstance(payload, AdvertiseCapacity):
-            self.matcher.observe(payload, now=self.sim.now)
-        elif isinstance(payload, ReclaimAck):
-            self.link.resolve(payload)
+    def _poll_loop(self, usite: str, offset_s: float):
+        """Ask ``usite`` for its capacity report every poll interval."""
+        if offset_s:
+            yield self.sim.timeout(offset_s)
+        session: UnicoreSession | None = None
+        while True:
+            try:
+                if session is None:
+                    session = yield from self.grid.connect_plan(
+                        self.identity, usite
+                    )
+                report = yield from _ask_capacity(session)
+            except ReproError:
+                pass  # refused or lost: the last report stands until it ages out
+            else:
+                self.matcher.observe(report, now=self.sim.now)
+            yield self.sim.timeout(self.poll_interval_s)
 
     def _dispatch_loop(self):
         while True:
@@ -229,30 +228,17 @@ class FederationBroker:
             from_vsite=job.vsite,
             to_vsite=to_vsite,
         )
-        corr_id, waiter = self.link.expect("reclaim-ack")
         try:
-            try:
-                yield from self.link.send(
-                    job.usite, ReclaimJob(corr_id=corr_id, job_id=job.job_id)
-                )
-            except ConnectionLost as err:
-                self.tracer.end_span(span, error=err)
-                return
-            deadline = self.sim.deadline(waiter, self.ACK_TIMEOUT_S)
-            ack = yield waiter
-            deadline.cancel()
-            if ack is EXPIRED:
-                self.tracer.end_span(span.set(outcome="ack-timeout"))
-                return
-            if not typing.cast(ReclaimAck, ack).ok:
-                # The job started in the meantime: leave it where it runs.
-                self.tracer.end_span(span.set(outcome="refused"))
-                return
+            yield from job.reclaim(job.usite, job.job_id)
+        except ReproError as err:
+            # It started in the meantime (the NJS's check is the
+            # authoritative one), or the request was lost: it stays.
+            self.tracer.end_span(span, error=err)
+        else:
             if job.state is BrokerJobState.DISPATCHED:
                 self.matcher.mark_stolen(job)
             self.tracer.end_span(span.set(outcome="stolen"))
         finally:
-            self.link.abandon(corr_id)
             self._stealing.discard(job.seq)
 
     # -- introspection ------------------------------------------------------
@@ -272,3 +258,11 @@ def attach_broker(grid: "Grid", **kw) -> FederationBroker:
     broker = FederationBroker(grid, **kw)
     grid.broker = broker
     return broker
+
+
+def _ask_capacity(session: "UnicoreSession"):
+    """One CAPACITY interaction: the site's report, or its refusal raised."""
+    reply = yield from session.client.interact(Request(
+        kind=RequestKind.CAPACITY, user_dn=session.user_dn, payload=b""
+    ))
+    return CapacityView.from_value(asn1.decode(reply.unwrap(), SerializationError))

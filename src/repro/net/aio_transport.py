@@ -4,11 +4,11 @@
 with one change of fabric: edges that cross the WAN boundary — a host
 registered with :meth:`mark_wan` (user workstations) talking to the
 server tier — carry their messages as length-prefixed frames over real
-TCP connections (:mod:`repro.net.wire`), while intra-site edges
-(gateway ↔ NJS) keep the in-process delivery path.  That split mirrors
-the paper's deployment: the user's applet speaks SSL over the open
-Internet to the gateway, and everything behind the gateway is the
-site's own fast network.
+TCP connections (:mod:`repro.net.wire`) once a connection was opened for
+that host, while intra-site edges (gateway ↔ NJS) keep the in-process
+delivery path.  That split mirrors the paper's deployment: the user's
+applet speaks SSL over the open Internet to the gateway, and everything
+behind the gateway is the site's own fast network.
 
 The protocol stack above is untouched because time is *hybrid*: the
 simulated clock moves only when no frame is in flight **and** no settled
@@ -91,6 +91,7 @@ class _Endpoint(asyncio.Protocol):
         if self._name is not None:
             self._transport.write(encode_hello(self._name))
             self._writers[self._name] = self._transport
+            self._net._opened.add(self._name)
 
     def data_received(self, data: bytes) -> None:
         try:
@@ -103,6 +104,7 @@ class _Endpoint(asyncio.Protocol):
                 if isinstance(decoded, str):
                     self._name = decoded
                     self._writers[decoded] = self._transport
+                    self._net._opened.add(decoded)
                 else:
                     self._net._on_frame(decoded, HEADER.size + len(body))
         except FrameDecodeError:
@@ -159,6 +161,8 @@ class AioTransport(Network):
         self._server_writers: dict[str, asyncio.WriteTransport] = {}
         #: Every open connection end, named or not yet, for :meth:`aclose`.
         self._connections: set[asyncio.WriteTransport] = set()
+        #: WAN hosts a connection was ever announced for, at either end.
+        self._opened: set[str] = set()
         #: msg_id -> (delivery event, the connection end it was written to).
         self._pending: dict[int, tuple[Event, asyncio.WriteTransport]] = {}
         self._pump_task: asyncio.Task[None] | None = None
@@ -277,8 +281,11 @@ class AioTransport(Network):
     ) -> Event:
         wan_src = src in self._wan
         wan_dst = dst in self._wan
-        if self._server is None or wan_src == wan_dst:
-            # LAN edges (gateway <-> NJS) and pre-start traffic keep the
+        wan_name = src if wan_src else dst
+        if self._server is None or wan_src == wan_dst or wan_name not in self._opened:
+            # LAN edges (gateway <-> NJS), pre-start traffic and a WAN
+            # host no connection was opened for (a service that is no
+            # async session, such as the federation broker) keep the
             # in-process delivery path with modeled latency.
             return super().send(
                 src, dst, payload, size_bytes, channel, deliver, delay_s
@@ -288,7 +295,6 @@ class AioTransport(Network):
         self.host(dst)  # unknown-host parity with the sim backend
         link = self.get_link(src, dst)  # no-link parity (HostUnreachable)
         msg_id = next(self._msg_seq)
-        wan_name = src if wan_src else dst
         writers = self._client_writers if wan_src else self._server_writers
         ev = self.sim.event(name=f"delivery:{msg_id}")
 

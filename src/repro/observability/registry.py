@@ -72,7 +72,6 @@ COUNTERS: frozenset[str] = frozenset({
     "gateway.restarts",
     "gateway.subscribe_holds",
     # NJS
-    "njs.advertisements",
     "njs.crashes",
     "njs.dropped_peer_messages",
     "njs.forwarded_groups",
@@ -121,7 +120,6 @@ HISTOGRAMS: frozenset[str] = frozenset({
     "batch.execute_seconds",
     "batch.wait_seconds",
     "broker.queue_depth",
-    "gateway.auth_seconds",
     "incarnation.script_bytes",
 })
 

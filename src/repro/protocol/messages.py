@@ -37,9 +37,12 @@ class RequestKind:
     FETCH_FILE = "fetch_file"
     #: Release a finished job: destroy its Uspaces and forget it.
     DISPOSE = "dispose"
+    #: The site's load report for a broker (empty payload; the reply is
+    #: a :class:`~repro.protocol.views.CapacityView`).
+    CAPACITY = "capacity"
 
     ALL = (CONSIGN_JOB, QUERY, LIST, CONTROL, RETRIEVE_OUTCOME, FETCH_FILE,
-           DISPOSE)
+           DISPOSE, CAPACITY)
 
 
 @dataclass(slots=True)

@@ -1,23 +1,30 @@
-"""Typed read-model views crossing the query/list protocol edge.
+"""Typed read-model views crossing the query/list/capacity protocol edge.
 
-:meth:`NetworkJobSupervisor.query_status` and
-:meth:`~repro.server.njs.supervisor.NetworkJobSupervisor.list_jobs`
+:meth:`NetworkJobSupervisor.query_status`,
+:meth:`~repro.server.njs.supervisor.NetworkJobSupervisor.list_jobs_delta`
+and :meth:`~repro.server.njs.supervisor.NetworkJobSupervisor.capacity`
 build these frozen dataclasses; the gateway encodes them at the protocol
-edge (and only there) and the JMC decodes the reply straight back into
-the same type.
+edge (and only there) and the JMC (or the federation broker, for a
+capacity report) decodes the reply straight back into the same type.
 
 On the wire a view is one :mod:`repro.asn1` SEQUENCE of its fields in
 declaration order, with no keys:
 
 * status node: ``[id, name, status, color, [children…]]``;
 * listing: ``[job_id, name, status, submitted_at, recovered]``;
-* delta: ``[seq, epoch, full, [listings…], [removed…]]``.
+* delta: ``[seq, epoch, full, [listings…], [removed…]]``;
+* Vsite capacity: ``[usite, vsite, sent_at, total_cpus, free_cpus,
+  queued_jobs, running_jobs, backlog_cpu_s, speed_factor, page]``, the
+  page as its :meth:`~repro.resources.page.ResourcePage.to_asn1` bytes;
+* capacity report: ``[usite, sent_at, [vsites…], [reclaimable…],
+  [terminal…]]``.
 
 The CONSIGN, CONTROL and DISPOSE acknowledgements are one UTF8String
 each (the job id, the verb, the job id), read by :func:`decode_ack`.
 :meth:`from_value` checks the arity and the type of every field and
 refuses anything else with
-:class:`~repro.ajo.errors.SerializationError`.
+:class:`~repro.ajo.errors.SerializationError` (a page that does not
+decode, with :class:`~repro.resources.errors.ResourcePageError`).
 
 ``stale`` / ``as_of`` never cross the wire: a client that cannot reach
 the gateway may re-serve its last good view, marked stale so the
@@ -31,8 +38,16 @@ from dataclasses import dataclass, replace
 
 from repro import asn1
 from repro.ajo.errors import SerializationError
+from repro.resources.page import ResourcePage
 
-__all__ = ["JobStatusView", "JobListing", "JobListingDelta", "decode_ack"]
+__all__ = [
+    "CapacityView",
+    "JobListing",
+    "JobListingDelta",
+    "JobStatusView",
+    "VsiteCapacity",
+    "decode_ack",
+]
 
 
 def decode_ack(payload: bytes) -> str:
@@ -59,6 +74,8 @@ def _fields(value: object, kinds: list[type], what: str) -> list[typing.Any]:
 _NODE = [str, str, str, str, list]
 _LISTING = [str, str, str, float, bool]
 _DELTA = [int, int, bool, list, list]
+_VSITE = [str, str, float, int, int, int, int, float, float, bytes]
+_CAPACITY = [str, float, list, list, list]
 
 
 def _items(value: list[typing.Any], kind: type, what: str) -> list[typing.Any]:
@@ -173,4 +190,82 @@ class JobListingDelta:
             seq, epoch, full,
             tuple(JobListing.from_value(item) for item in listings),
             tuple(_items(removed, str, "removed job ids")),
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class VsiteCapacity:
+    """One Vsite's state as its NJS reported it at ``sent_at``."""
+
+    usite: str
+    vsite: str
+    sent_at: float
+    total_cpus: int
+    free_cpus: int
+    queued_jobs: int
+    running_jobs: int
+    #: Sum of cpus x remaining time over queued and running jobs: the
+    #: same backlog heuristic the one-shot placement broker uses.
+    backlog_cpu_s: float
+    speed_factor: float
+    #: The published page, so a broker runs the identical feasibility
+    #: check the analysis tier applies at consign time.
+    page: ResourcePage
+
+    def wait_estimate_s(self, bound_since_cpu_s: float = 0.0) -> float:
+        """Backlog over capacity; ``bound_since_cpu_s`` is work a broker
+        itself sent here after this report was made (its overlay)."""
+        return (self.backlog_cpu_s + bound_since_cpu_s) / max(1, self.total_cpus)
+
+    def to_value(self) -> list[typing.Any]:
+        """The wire form: the fields in order, the page as its bytes."""
+        return [
+            self.usite, self.vsite, float(self.sent_at),
+            int(self.total_cpus), int(self.free_cpus),
+            int(self.queued_jobs), int(self.running_jobs),
+            float(self.backlog_cpu_s), float(self.speed_factor),
+            self.page.to_asn1(),
+        ]
+
+    @classmethod
+    def from_value(cls, value: object) -> "VsiteCapacity":
+        *counts, page = _fields(value, _VSITE, "Vsite capacity")
+        return cls(*counts, page=ResourcePage.from_asn1(page))
+
+
+@dataclass(frozen=True, slots=True)
+class CapacityView:
+    """The CAPACITY verb's answer: what one Usite says about its load.
+
+    ``reclaimable`` lists the jobs a RECLAIM would still cancel (every
+    batch job they submitted is queued, nothing started); ``terminal``
+    the jobs that reached an end, so a broker retires its entries and
+    frees their fair-share slots without asking about each job.
+    """
+
+    usite: str
+    sent_at: float
+    vsites: tuple[VsiteCapacity, ...]
+    reclaimable: tuple[str, ...] = ()
+    terminal: tuple[str, ...] = ()
+
+    def to_value(self) -> list[typing.Any]:
+        """The wire form: ``[usite, sent_at, [vsites…], [reclaimable…],
+        [terminal…]]``."""
+        return [
+            self.usite, float(self.sent_at),
+            [vsite.to_value() for vsite in self.vsites],
+            list(self.reclaimable), list(self.terminal),
+        ]
+
+    @classmethod
+    def from_value(cls, value: object) -> "CapacityView":
+        usite, sent_at, vsites, reclaimable, terminal = _fields(
+            value, _CAPACITY, "capacity report"
+        )
+        return cls(
+            usite, sent_at,
+            tuple(VsiteCapacity.from_value(item) for item in vsites),
+            tuple(_items(reclaimable, str, "reclaimable job ids")),
+            tuple(_items(terminal, str, "terminal job ids")),
         )

@@ -108,7 +108,7 @@ class ResourcePage:
                 ranges=ranges,
                 software=software,
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise ResourcePageError(f"malformed resource page: {err}") from err
 
     def __eq__(self, other: object) -> bool:

@@ -6,6 +6,7 @@ __all__ = [
     "ServerError",
     "ConsignError",
     "IncarnationError",
+    "JobStartedError",
     "UnknownUnicoreJobError",
 ]
 
@@ -26,6 +27,12 @@ class IncarnationError(ServerError):
     """An abstract task cannot be translated for the destination system."""
 
     code = "server.incarnation"
+
+
+class JobStartedError(ServerError):
+    """A RECLAIM found part of the job already started: it stays."""
+
+    code = "server.job_started"
 
 
 class UnknownUnicoreJobError(ServerError):

@@ -18,6 +18,7 @@ The :class:`Gateway` therefore:
   requests whose claimed DN differs from the authenticated certificate;
 * maps the DN to the local login via the site's UUDB;
 * serves the signed applets and the Vsites' ASN.1 resource pages;
+* answers a broker's CAPACITY request with the site's load report;
 * forwards requests over the firewall socket to the NJS and returns the
   NJS's answers as protocol replies.
 
@@ -153,6 +154,7 @@ class Gateway:
             RequestKind.RETRIEVE_OUTCOME: self._retrieve_outcome,
             RequestKind.FETCH_FILE: self._fetch_file,
             RequestKind.DISPOSE: self._dispose,
+            RequestKind.CAPACITY: self._capacity,
         }
         #: client host name -> authenticated https channel.
         self._channels: dict[str, HttpsChannel] = {}
@@ -318,7 +320,6 @@ class Gateway:
             tier="server",
         )
 
-        auth_started = self.sim.now
         yield self.sim.timeout(AUTH_CPU_S)
         try:
             self._authenticate(channel, request)
@@ -328,9 +329,6 @@ class Gateway:
             tracer.end_span(auth_span, error=err)
             tracer.end_span(request_span, error=err)
             return _refusal(request, err), None
-        telemetry.metrics.histogram("gateway.auth_seconds").observe(
-            self.sim.now - auth_started
-        )
         tracer.end_span(auth_span)
 
         if self.njs.host is not self.host:  # across the firewall socket
@@ -438,6 +436,7 @@ class Gateway:
             ControlVerb.CANCEL: self.njs.cancel,
             ControlVerb.HOLD: self.njs.hold,
             ControlVerb.RESUME: self.njs.resume,
+            ControlVerb.RECLAIM: self.njs.reclaim,
         }[service.verb](service.target_job_id)
         return asn1.encode(service.verb), None
 
@@ -456,6 +455,11 @@ class Gateway:
         self._authorize_job(job_id, request.user_dn)
         self.njs.dispose(job_id)
         return asn1.encode(job_id), None
+
+    def _capacity(self, *_) -> _Answer:
+        """The site's load report, for any user the site maps: a broker
+        pulls it, the site pushes nothing."""
+        return asn1.encode(self.njs.capacity().to_value()), None
 
     def _bulk(self, request: Request, content: FileBody) -> _Answer:
         """Answer with content: inline if small, else a reference to a

@@ -5,16 +5,20 @@ translation server (JTS) and a system for job control and scheduling
 which in the current implementation is based on Codine."
 
 :class:`NetworkJobSupervisor` (:mod:`~repro.server.njs.supervisor`) is
-what the gateway sees: consign, the control and query verbs, peer-message
-dispatch, crash / restart / replay.  It wires together parts that each
-own their state alone:
+what the gateway sees: consign, the control, query and capacity verbs,
+peer-message dispatch, crash / restart / replay.  It schedules nothing
+beyond sequenced delivery and pushes nothing to a broker: a federation
+broker pulls :meth:`~NetworkJobSupervisor.capacity` through the gateway
+like any client, and its steal is the job owner's RECLAIM control, which
+:meth:`~NetworkJobSupervisor.reclaim` refuses once anything of the job
+has started.  It wires together parts that each own their state alone:
 
 - ``RunTable`` (:mod:`~repro.server.njs.runtable`): the runs (a
   :mod:`~repro.server.njs.jobrun` under supervision, then the job's
   outcome row as a :mod:`~repro.server.njs.finished` run), their index,
   completion watchers, the journal, the outcome store, the job-id cursor;
 - ``PeerLink`` (:mod:`~repro.server.njs.peerlink`): the NJS-NJS message
-  types, peer and broker routes, SSL sessions, correlation ids and
+  types, peer routes, SSL sessions, correlation ids and
   pending replies, stream ids, hop retry;
 - ``Executor`` (:mod:`~repro.server.njs.executor`): DAG sequencing,
   Uspaces, incarnation (:mod:`~repro.server.njs.incarnation`, the JTS
@@ -23,9 +27,7 @@ own their state alone:
   resume / cancel;
 - ``Forwarding`` (:mod:`~repro.server.njs.forwarding`): groups handed to
   and taken in from other Usites, Uspace-to-Uspace transfers, the
-  data-plane endpoint, the stashes for what arrives before its owner;
-- ``BrokerAdverts`` (:mod:`~repro.server.njs.adverts`): capacity
-  advertisements and steal candidates for the federation broker.
+  data-plane endpoint, the stash for what arrives before its group.
 """
 
 from repro.server.njs.incarnation import incarnate_task

@@ -98,9 +98,10 @@ class Executor:
         """The NJS process died, and its caches with it."""
         self._incarnation_cache = IncarnationCache()
 
-    def supervise(self, run: JobRun) -> None:
-        """Start supervising a run the table just admitted."""
-        self.spawn(run, self._run_job(run), f"job:{run.job_id}")
+    def supervise(self, run: JobRun, staged: dict[str, FileBody]) -> None:
+        """Start supervising a run the table just admitted, its root
+        Uspace starting with ``staged``."""
+        self.spawn(run, self._run_job(run, staged), f"job:{run.job_id}")
 
     def spawn(self, run: JobRun, body, name: str) -> None:
         """Start a process on behalf of ``run``.  A crash interrupts what
@@ -171,11 +172,9 @@ class Executor:
                     vsite.uspaces.destroy(name)
 
     # ------------------------------------------------------- job processes
-    def _run_job(self, run: JobRun):
+    def _run_job(self, run: JobRun, staged: dict[str, FileBody]):
         # A forwarded root owes its parent files, and has files from there.
-        yield from self._run_group(
-            run, run.root, run.owed, self._forwarding.unstash(run.job_id)
-        )
+        yield from self._run_group(run, run.root, run.owed, staged)
         status = run.status()
         run.tracer.end_span(
             run.job_span.set(status=status.value),

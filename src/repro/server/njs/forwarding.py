@@ -120,23 +120,17 @@ class Forwarding:
                 if not jobs:
                     del self._foreign_jobs[parent]
 
-    def stash(self, key: str, files: Files) -> None:
-        """Keep files from another site for a Uspace not created yet.
-
-        ``key`` is the job id of a forwarded run, whose root Uspace takes
-        them when it is created, or — for a transfer that beat its group
-        here — the parent job id every ForwardGroup of that job carries,
-        under which :meth:`bind` claims them for the group.
-        """
+    def stash(self, parent_job_id: str, files: Files) -> None:
+        """Keep files a transfer of the parent site's job brought here
+        before the group they are for: under the parent job id every
+        ForwardGroup of that job carries, where :meth:`bind` claims them
+        for the group."""
         if files:
-            self._early_files.setdefault(key, {}).update(files)
-
-    def unstash(self, key: str) -> Files:
-        return self._early_files.pop(key, {})
+            self._early_files.setdefault(parent_job_id, {}).update(files)
 
     def stashes(self) -> dict[str, dict]:
         """A copy of everything held for an owner that has not arrived:
-        ``early`` files by job id (:meth:`stash`)."""
+        ``early`` files by parent job id (:meth:`stash`)."""
         return copy.deepcopy({"early": self._early_files})
 
     def reset(self) -> None:
@@ -320,20 +314,18 @@ class Forwarding:
 
     def bind(
         self, run: JobRun, parent_job_id: str, forward_meta: ForwardMeta
-    ) -> None:
+    ) -> Files:
         """Bind a just-admitted (or just-replayed) forwarded ``run`` to the
-        parent job it serves.  The NJS does this before it supervises the
-        run, whose root Uspace is created at its first step."""
+        parent job it serves, and return what its root Uspace starts
+        with: the staging the group was consigned with, then what
+        transfers of the parent job left here before the group existed.
+        The NJS does this before it supervises the run."""
         _, _, return_files = forward_meta
         self._foreign_jobs.setdefault(parent_job_id, []).append(run.job_id)
-        # When it is created, the group Uspace takes the staging the group
-        # was consigned with, then what transfers of the parent job left
-        # here before the group existed.
-        self.stash(run.job_id, run.workstation_files)
-        self.stash(run.job_id, self.unstash(parent_job_id))
         # The parent expects these files back: the group's sink tasks
         # must produce them.
         run.owed = tuple(return_files)
+        return {**run.workstation_files, **self._early_files.pop(parent_job_id, {})}
 
     def report_home(self, run: JobRun, forward_meta: ForwardMeta):
         """Await the bound ``run``, then send the finished group's

@@ -5,8 +5,8 @@ gateway → peer gateway → peer NJS.  :class:`PeerLink` is the one place
 that knows a route, an SSL session, a correlation id or a stream id; the
 rest of the NJS says *what* goes to *which* Usite (:meth:`PeerLink.send`,
 :meth:`PeerLink.stream`) and which reply it waits for
-(:meth:`PeerLink.expect`).  The federation broker's hub reaches the
-NJSs over a link of its own: same hops, same resends, same handshake.
+(:meth:`PeerLink.expect`).  Only NJSs ride it: the federation broker is
+a client of the sites and reaches them through their gateways' verbs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import typing
 from dataclasses import dataclass, field
 from itertools import count
 
-from repro.broker.advertise import BROKER_PEER, ReclaimAck
 from repro.net.errors import ConnectionLost
 from repro.net.https import DEFAULT_PER_RECORD_CPU_S, HANDSHAKE_MESSAGE_BYTES
 from repro.net.sim_transport import Network
@@ -135,8 +134,7 @@ class CancelGroup:
 
 
 class PeerLink:
-    """One party's routed https connections: an NJS's to its peer Usites
-    and the broker hub, or the hub's to every NJS."""
+    """One NJS's routed https connections to its peer Usites."""
 
     def __init__(
         self, sim: Simulator, network: Network, usite_name: str,
@@ -152,8 +150,6 @@ class PeerLink:
         self.routes: typing.Mapping[str, Route] = types.MappingProxyType(
             self._routes
         )
-        #: Route to the federation broker hub, when one is attached.
-        self._broker_route: Route | None = None
         #: Peers the SSL handshake has been paid for in this life.
         self._sessions: set[str] = set()
         self._corr_seq = count(1)
@@ -165,18 +161,6 @@ class PeerLink:
     def register(self, usite: str, route: Route) -> None:
         """Register the https route (host hops) to a peer Usite's NJS."""
         self._routes[usite] = tuple(route)
-
-    def register_broker(self, route: Route) -> None:
-        """Register the https route to the federation broker hub.
-
-        Kept out of :attr:`routes` so the pseudo-peer never passes AJO
-        destination validation as a consignable Usite.
-        """
-        self._broker_route = tuple(route)
-
-    @property
-    def has_broker(self) -> bool:
-        return self._broker_route is not None
 
     # ------------------------------------------------------- correlation
     def next_corr_id(self) -> int:
@@ -190,7 +174,7 @@ class PeerLink:
         self._pending[corr_id] = event
         return corr_id, event
 
-    def resolve(self, reply: "GroupResult | TransferAck | ReclaimAck") -> bool:
+    def resolve(self, reply: "GroupResult | TransferAck") -> bool:
         """Hand a reply to whoever expects it and say whether anybody
         did; nobody does after a crash or an :meth:`abandon`."""
         waiter = self._pending.pop(reply.corr_id, None)
@@ -268,11 +252,7 @@ class PeerLink:
         hop over the site's own firewall socket is a relay: the next hop
         leaves when the bytes are across, with no event in between.
         """
-        if usite == BROKER_PEER:
-            assert self._broker_route is not None, "no broker route registered"
-            route = self._broker_route
-        else:
-            route = self._routes[usite]
+        route = self._routes[usite]
         if usite not in self._sessions:
             for _ in range(HANDSHAKE_ROUND_TRIPS):
                 for src, dst in route:

@@ -1,8 +1,8 @@
 """The NJS job book: each job's latest listing, versioned, per user.
 
 Per-user quota checks at consign, ``list_jobs`` (full or "changes since
-seq N"), the broker advertisement's terminal set and the reclaimable-job
-sweep must not scan the run table or walk job trees (at production scale
+seq N"), and the terminal set and reclaimable-job sweep of the capacity
+report a broker pulls must not scan the run table or walk job trees (at production scale
 those scans dominate).  :class:`RunIndex` answers all of them from two
 containers fed by job status-change notifications:
 

@@ -8,9 +8,10 @@ system for the job and makes sure that the dependent parts of the
 UNICORE job are scheduled in the predefined sequence."
 
 :class:`NetworkJobSupervisor` is the one object the gateway sees: it
-accepts consignments, answers the control and query verbs, dispatches
-NJS-to-NJS messages, and dies and comes back as a whole.  The work is
-done by the parts it wires together (:mod:`repro.server.njs` lists them).
+accepts consignments, answers the control, query and capacity verbs,
+dispatches NJS-to-NJS messages, and dies and comes back as a whole.  The
+work is done by the parts it wires together (:mod:`repro.server.njs`
+lists them).
 """
 
 from __future__ import annotations
@@ -20,16 +21,18 @@ import typing
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.serialize import decode_ajo
 from repro.analysis import AnalysisContext, analyze_ajo
-from repro.broker.advertise import BROKER_PEER, ReclaimAck, ReclaimJob
 from repro.broker.errors import BrokerQuotaError
 from repro.faults.errors import ServiceUnavailable
 from repro.net.sim_transport import Host, Network
 from repro.observability import Span, telemetry_for
-from repro.protocol.views import JobListingDelta, JobStatusView
+from repro.protocol.views import CapacityView, JobListingDelta, JobStatusView
 from repro.security.errors import MappingError
 from repro.security.uudb import UUDB
-from repro.server.errors import ConsignError, UnknownUnicoreJobError
-from repro.server.njs.adverts import BrokerAdverts
+from repro.server.errors import (
+    ConsignError,
+    JobStartedError,
+    UnknownUnicoreJobError,
+)
 from repro.server.njs.executor import Executor
 from repro.server.njs.finished import FinishedRun
 from repro.server.njs.forwarding import Forwarding
@@ -104,11 +107,6 @@ class NetworkJobSupervisor:
         self._executor = Executor(
             sim, usite_name, self.vsites, uudb, xspace, accounting,
             self.runs, self.peers, self.forwarding,
-        )
-        #: What this site tells the federation broker.
-        self.adverts = BrokerAdverts(
-            sim, usite_name, self.vsites, self.runs, self.peers,
-            is_down=lambda: self.crashed,
         )
         #: True between :meth:`crash` and :meth:`restart`: in-memory
         #: state is gone, every service raises ServiceUnavailable.
@@ -215,11 +213,12 @@ class NetworkJobSupervisor:
             job_id=run.job_id,
         )
         telemetry.tracer.end_span(consign_span.set(job_id=run.job_id))
+        staged: dict[str, FileBody] = {}
         if parent_job_id is not None and forward_meta is not None:
             # Supervision starts at once, creating the root Uspace: a
             # forwarded group is bound to its parent job first.
-            self.forwarding.bind(run, parent_job_id, forward_meta)
-        self._executor.supervise(run)
+            staged = self.forwarding.bind(run, parent_job_id, forward_meta)
+        self._executor.supervise(run, staged)
         return run
 
     def _analyze_arrival(
@@ -279,7 +278,7 @@ class NetworkJobSupervisor:
         """Handle one NJS-to-NJS message; returns True if it was ours."""
         if self.crashed and isinstance(
             payload, (ForwardGroup, GroupResult, TransferAck, CancelGroup,
-                      PeerFrame, ReclaimJob)
+                      PeerFrame)
         ):
             # A dead process reads nothing: the message is simply lost
             # (senders retry or fail their action, as with a lost frame).
@@ -293,8 +292,6 @@ class NetworkJobSupervisor:
         elif isinstance(payload, CancelGroup):
             for run in self.forwarding.foreign_runs(payload.parent_job_id):
                 self.cancel(run.job_id)
-        elif isinstance(payload, ReclaimJob):
-            self.sim.process(self._handle_reclaim(payload))
         elif isinstance(payload, GroupResult):
             self.forwarding.returned(payload)
         elif isinstance(payload, TransferAck):
@@ -302,22 +299,6 @@ class NetworkJobSupervisor:
         else:
             return False
         return True
-
-    def _handle_reclaim(self, message: ReclaimJob):
-        """Steal endpoint: cancel the job iff it still has not started.
-
-        The broker acts on advertised (stale) state; this re-check
-        against live batch records is the authoritative one.
-        """
-        ok = message.job_id in self.adverts.reclaimable()
-        if ok:
-            self.cancel(message.job_id)
-            telemetry_for(self.sim).metrics.counter("njs.reclaimed_jobs").inc()
-        # If the ack is lost, the broker's ack timeout leaves the job
-        # where it is.
-        yield from self.peers.try_send(
-            BROKER_PEER, ReclaimAck(corr_id=message.corr_id, ok=ok)
-        )
 
     # ------------------------------------------------------- crash / recovery
     def crash(self) -> None:
@@ -481,3 +462,51 @@ class NetworkJobSupervisor:
         run = self.get_run(job_id)
         if not isinstance(run, FinishedRun):
             self._executor.cancel(run)
+
+    def reclaim(self, job_id: str) -> None:
+        """Cancel the job only if nothing of it has started, so that its
+        owner (or a broker acting for them) can place it elsewhere;
+        otherwise refuse with :class:`JobStartedError` and let it run.
+
+        A broker decides to steal from a report that may be a minute
+        old; this check against the live batch records is the
+        authoritative one.
+        """
+        if not self._reclaimable(self.get_run(job_id)):
+            raise JobStartedError(
+                f"{self.usite_name}: job {job_id} has started; not reclaimed"
+            )
+        self.cancel(job_id)
+        telemetry_for(self.sim).metrics.counter("njs.reclaimed_jobs").inc()
+
+    def _reclaimable(self, run: Run | None) -> bool:
+        """Supervised, not cancelled or held, and every batch job it
+        submitted still queued."""
+        return (
+            isinstance(run, JobRun) and not run.cancelled and not run.held
+            and bool(run.batch_jobs)
+            and all(
+                self.vsites[vsite_name].still_queued(local_id)
+                for vsite_name, local_id in run.batch_jobs.values()
+            )
+        )
+
+    def capacity(self) -> CapacityView:
+        """The CAPACITY answer: per Vsite, what its batch records show an
+        outsider and its published page; the jobs :meth:`reclaim` would
+        still cancel; and the jobs that reached an end.  The site says
+        what its load is; it takes no scheduling advice back."""
+        self._check_up()
+        return CapacityView(
+            usite=self.usite_name,
+            sent_at=self.sim.now,
+            vsites=tuple(
+                self.vsites[name].capacity(self.usite_name)
+                for name in sorted(self.vsites)
+            ),
+            reclaimable=tuple(
+                job_id for job_id in self.runs.active_ids()
+                if self._reclaimable(self.runs.get(job_id))
+            ),
+            terminal=self.runs.terminal_ids(),
+        )

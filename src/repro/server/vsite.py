@@ -9,8 +9,10 @@ the NJS incarnates against.
 
 from __future__ import annotations
 
-from repro.batch.base import BatchSystem, QueueConfig
+from repro.batch.base import BatchState, BatchSystem, QueueConfig
+from repro.batch.errors import BatchError
 from repro.batch.machines import MachineConfig
+from repro.protocol.views import VsiteCapacity
 from repro.resources.editor import ResourcePageEditor
 from repro.resources.page import ResourcePage
 from repro.server.translation import TranslationTable
@@ -112,6 +114,36 @@ class Vsite:
         for abstract, local in self.translation.software.items():
             editor.add_compiler(abstract, invocation=local)
         return editor.publish()
+
+    def capacity(self, usite: str) -> VsiteCapacity:
+        """What the NJS may say about this Vsite's load: what its batch
+        records show an outsider, and the published page."""
+        queued = running = busy_cpus = 0
+        for record in self.batch.all_records():
+            if record.state is BatchState.QUEUED:
+                queued += 1
+            elif record.state is BatchState.RUNNING:
+                running += 1
+                busy_cpus += record.spec.resources.cpus
+        return VsiteCapacity(
+            usite=usite,
+            vsite=self.name,
+            sent_at=self.sim.now,
+            total_cpus=self.machine.cpus,
+            free_cpus=max(0, self.machine.cpus - busy_cpus),
+            queued_jobs=queued,
+            running_jobs=running,
+            backlog_cpu_s=self.batch.backlog_cpu_s(),
+            speed_factor=self.machine.speed_factor,
+            page=self.resource_page,
+        )
+
+    def still_queued(self, local_id: str) -> bool:
+        """Whether batch job ``local_id`` has not started (nor ended)."""
+        try:
+            return self.batch.query(local_id).state is BatchState.QUEUED
+        except BatchError:
+            return False
 
     def __repr__(self) -> str:
         return f"<Vsite {self.name} ({self.machine.architecture})>"

@@ -19,11 +19,8 @@ accident.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broker import (
-    AdvertiseCapacity,
-    CapacityAdvertisement,
-    TaskQueueBroker,
-)
+from repro.broker import TaskQueueBroker
+from repro.protocol.views import CapacityView, VsiteCapacity
 from repro.resources.editor import ResourcePageEditor
 from repro.resources.model import ResourceRequest
 
@@ -42,7 +39,7 @@ def _page(vsite, cpus):
 
 
 def _ad(vsite, cpus, speed):
-    return CapacityAdvertisement(
+    return VsiteCapacity(
         usite=f"U-{vsite}",
         vsite=vsite,
         sent_at=0.0,
@@ -92,7 +89,7 @@ def _run_rounds(specs, subs, rounds=40):
     for _ in range(rounds):
         for ad in ads:
             broker.observe(
-                AdvertiseCapacity(
+                CapacityView(
                     usite=ad.usite, sent_at=0.0, vsites=(ad,),
                     terminal=tuple(finished.pop(ad.usite, ())),
                 ),

@@ -7,9 +7,10 @@ One table, ``DECODERS``, names each with a valid encoding:
   the values of ``repro.asn1`` — a consignment and a bulk reply (one
   file manifest each), a resource page, ``GridSnapshot.from_bytes`` (a
   file from disk), a storage row as a backend reads it back, the
-  journal and outcome-store row readers over such a row, and the replies
+  journal and outcome-store row readers over such a row, the replies
   and request a JMC exchanges with a gateway (a status tree, a listing
-  delta, a FETCH_FILE spec, an acknowledgement);
+  delta, a FETCH_FILE spec, an acknowledgement), and the capacity report
+  a broker polls (resource pages inside);
 * the JSON ones: ``decode_ajo`` and ``decode_service`` (what a client
   sent) and ``decode_outcome`` (what a peer or a blob holds).
 
@@ -60,12 +61,14 @@ from repro.protocol.consignment import (
 from repro.protocol.datapath import FileEntry, decode_item, item_value
 from repro.protocol.messages import Request
 from repro.protocol.views import (
+    CapacityView,
     JobListing,
     JobListingDelta,
     JobStatusView,
+    VsiteCapacity,
     decode_ack,
 )
-from repro.resources import ResourcePageError, ResourceRequest
+from repro.resources import ResourcePageEditor, ResourcePageError, ResourceRequest
 from repro.server.gateway import _fetch_spec
 from repro.storage import JobJournal, MemoryBackend, OutcomeRecord, OutcomeStore
 
@@ -164,6 +167,10 @@ def _listing_delta(data: bytes) -> JobListingDelta:
     return JobListingDelta.from_value(asn1.decode(data, SerializationError))
 
 
+def _capacity(data: bytes) -> CapacityView:
+    return CapacityView.from_value(asn1.decode(data, SerializationError))
+
+
 _TREE = JobStatusView("a1", "root", "running", "blue", children=(
     JobStatusView("a2", "work", "successful", "green"),
     JobStatusView("a3", "sub", "queued", "yellow", children=(
@@ -174,6 +181,17 @@ _DELTA = JobListingDelta(seq=9, epoch=2, full=False, listings=(
     JobListing("U00001@FZJ", "first", "successful", 1.5, recovered=True),
     JobListing("U00002@FZJ", "second", "running", 30.0),
 ), removed=("U00000@FZJ",))
+
+_PAGE = (
+    ResourcePageEditor("FZJ-T3E").set_system("Cray T3E", "UNICOS/mk", 307.2)
+    .set_range("cpus", 1, 512).set_range("time_s", 1, 86_400)
+    .set_range("memory_mb", 1, 65_536).set_range("disk_permanent_mb", 0, 1_000)
+    .set_range("disk_temporary_mb", 0, 1_000).add_compiler("f90", invocation="f90 -O3")
+    .publish()
+)
+_CAPACITY = CapacityView("FZJ", 120.0, vsites=(
+    VsiteCapacity("FZJ", "FZJ-T3E", 120.0, 512, 508, 2, 1, 7200.0, 1.0, _PAGE),
+), reclaimable=("U00002@FZJ",), terminal=("U00001@FZJ",))
 
 _MSG = wire.encode_message(
     7, "ws", "gw",
@@ -211,13 +229,15 @@ BINARY_DECODERS = {
     "outcome_row": (_read_outcome, _outcome_row()),
     "status_view": (_status_view, asn1.encode(_TREE.to_value())),
     "listing_delta": (_listing_delta, asn1.encode(_DELTA.to_value())),
+    "capacity": (_capacity, asn1.encode(_CAPACITY.to_value())),
     "fetch_spec": (_fetch_spec, asn1.encode(["U00001@FZJ", "out/result.dat"])),
     "ack": (decode_ack, asn1.encode("U00001@FZJ")),
 }
 #: The binary decoders whose input is one ``repro.asn1`` value.
 VALUE_DECODERS = (
     "snapshot", "row", "journal_row", "outcome_row",
-    "status_view", "listing_delta", "fetch_spec", "consignment", "bulk_reply",
+    "status_view", "listing_delta", "capacity", "fetch_spec", "consignment",
+    "bulk_reply",
 )
 JSON_DECODERS = {
     "ajo": (decode_ajo, _valid_ajo()),

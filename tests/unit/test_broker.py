@@ -1,20 +1,20 @@
-"""Unit tests for the federation broker: matcher, quotas, advertisement
-staleness, and work stealing — plus the NJS advertisement builder and the
-deprecation shim left at the broker's old address."""
+"""Unit tests for the federation broker: matcher, quotas, report
+staleness, and work stealing — plus the NJS's capacity report, the
+RECLAIM verb at the protocol edge, and a poll of a crashed NJS."""
 
 
 import pytest
 
 from repro.broker import (
-    AdvertiseCapacity,
     BrokerJobState,
     BrokerQuotaError,
-    CapacityAdvertisement,
     FairSharePolicy,
     NoCapacityError,
     TaskQueueBroker,
 )
+from repro.observability import telemetry_for
 from repro.observability.metrics import MetricsRegistry
+from repro.protocol.views import CapacityView, VsiteCapacity
 from repro.resources.editor import ResourcePageEditor
 from repro.resources.model import ResourceRequest
 
@@ -39,7 +39,7 @@ def make_ad(vsite, usite="SITE", sent_at=0.0, total_cpus=512, free_cpus=512,
             queued_jobs=0, running_jobs=0, backlog_cpu_s=0.0,
             speed_factor=1.0, **page_kw):
     page_kw.setdefault("cpus", total_cpus)
-    return CapacityAdvertisement(
+    return VsiteCapacity(
         usite=usite,
         vsite=vsite,
         sent_at=sent_at,
@@ -55,7 +55,7 @@ def make_ad(vsite, usite="SITE", sent_at=0.0, total_cpus=512, free_cpus=512,
 
 def observe(broker, *ads, usite="SITE", now=0.0, reclaimable=(), terminal=()):
     broker.observe(
-        AdvertiseCapacity(
+        CapacityView(
             usite=usite,
             sent_at=now,
             vsites=tuple(ads),
@@ -324,11 +324,11 @@ def test_no_steal_without_reclaimable_confirmation():
     assert broker.steal_candidates(now=0.0) == []
 
 
-# -- NJS advertisement builder ----------------------------------------------
+# -- the NJS's capacity report ----------------------------------------------
 
 @pytest.fixture(scope="module")
 def single_site_run():
-    """One consigned job at a one-site grid, for advertisement checks."""
+    """One consigned job at a one-site grid, for capacity-report checks."""
     from repro.api import GridSession
     from repro.grid.build import build_grid
 
@@ -346,7 +346,7 @@ def single_site_run():
 def test_njs_build_advertisement_reports_vsites(single_site_run):
     grid, _, handle = single_site_run
     njs = grid.usites["FZJ"].njs
-    message = njs.adverts.build()
+    message = njs.capacity()
     assert message.usite == "FZJ"
     assert message.sent_at == grid.sim.now
     (ad,) = message.vsites
@@ -363,8 +363,8 @@ def test_njs_reclaimable_tracks_batch_state(single_site_run):
     # The 24h task occupies the machine alone, so it is RUNNING — and a
     # running job must never be offered for stealing.
     session.advance(300)
-    assert njs.adverts.reclaimable() == []
-    message = njs.adverts.build()
+    message = njs.capacity()
+    assert message.reclaimable == ()
     assert handle.job_id not in message.reclaimable
 
 
@@ -383,3 +383,92 @@ def test_njs_consign_quota_crosses_protocol_edge():
     with pytest.raises(BrokerQuotaError) as exc:
         session.submit(second)
     assert exc.value.code == "broker.quota_exceeded"
+
+
+# -- the RECLAIM verb and the capacity poll, across the protocol edge ---------
+
+def _send(grid, plan):
+    """Run one client plan to its value (or its raised refusal)."""
+    return grid.sim.run(until=grid.sim.process(plan))
+
+
+def test_reclaim_cancels_only_a_job_nothing_of_which_started():
+    from repro.ajo.services import ControlVerb
+    from repro.api import GridSession
+    from repro.client import JobMonitorController
+    from repro.grid.build import build_grid
+    from repro.server.errors import JobStartedError, ServerError
+
+    grid = build_grid({"FZJ": ["FZJ-T3E"]})
+    for name, login in (("Alice Debye", "alice"), ("Bob Other", "bob")):
+        grid.add_user(name, organization="FZJ", logins={"FZJ": login})
+    alice = GridSession(grid, "Alice Debye", "FZJ")
+    bob = GridSession(grid, "Bob Other", "FZJ")
+    # The hog takes every processor, so the small job stays QUEUED.
+    hog = alice.new_job("hog")
+    hog.script_task("occupy", "x", resources=ResourceRequest(cpus=512, time_s=7200),
+                    simulated_runtime_s=7200)
+    running = alice.submit(hog)
+    small = alice.new_job("small")
+    small.script_task("t", "x", resources=ResourceRequest(cpus=4, time_s=600),
+                      simulated_runtime_s=60)
+    queued = alice.submit(small)
+    alice.advance(60)
+    njs = grid.usites["FZJ"].njs
+    assert njs.capacity().reclaimable == (queued.job_id,)
+
+    def reclaim(session, handle):
+        jmc = JobMonitorController(session.session)
+        return _send(grid, jmc.control(handle.job_id, ControlVerb.RECLAIM))
+
+    # Only the owner may reclaim: another user is refused at the gateway.
+    with pytest.raises(ServerError, match="belongs to another user"):
+        reclaim(bob, queued)
+    assert njs.capacity().reclaimable == (queued.job_id,)
+    # A job with a RUNNING batch record is refused and keeps running.
+    with pytest.raises(JobStartedError) as refused:
+        reclaim(alice, running)
+    assert refused.value.code == "server.job_started"
+    # All records QUEUED: the owner's RECLAIM cancels it.
+    assert reclaim(alice, queued) == ControlVerb.RECLAIM
+    assert alice.wait(queued).status == "killed"
+    batch = njs.vsites["FZJ-T3E"].batch
+    assert [r.state.value for r in batch.all_records()] == ["running", "cancelled"]
+    assert alice.status(running).status != "killed"
+    assert telemetry_for(grid.sim).metrics.counter_value("njs.reclaimed_jobs") == 1
+
+
+def test_a_crashed_njs_refuses_the_poll_and_its_report_ages_out():
+    from repro.api import GridSession
+    from repro.broker import attach_broker
+    from repro.faults.errors import ServiceUnavailable
+    from repro.grid.build import build_grid
+    from repro.protocol.messages import Request, RequestKind
+
+    grid = build_grid({"FZJ": ["FZJ-T3E"], "LRZ": ["LRZ-VPP"]})
+    broker = attach_broker(grid, staleness_s=300, advertise_interval_s=60)
+    user = grid.add_user("Alice Debye", organization="FZJ",
+                         logins={"FZJ": "alice", "LRZ": "alice"})
+    session = GridSession(grid, user, "FZJ")
+    session.advance(45)  # both sites polled once (offsets 0 and 30)
+    last = broker.matcher.fresh_ads(grid.sim.now)["LRZ-VPP"].sent_at
+
+    grid.usites["LRZ"].njs.crash()
+    at_lrz = grid.connect_user(user, "LRZ")
+    reply = _send(grid, at_lrz.client.interact(Request(
+        kind=RequestKind.CAPACITY, user_dn=at_lrz.user_dn, payload=b""
+    )))
+    assert reply.error_code == "faults.unavailable"
+    with pytest.raises(ServiceUnavailable):
+        reply.unwrap()
+
+    # The broker's own polls are refused too: the older report stands...
+    session.advance(200)
+    assert broker.matcher.fresh_ads(grid.sim.now)["LRZ-VPP"].sent_at == last
+    # ...until it ages out, and then nothing binds there.
+    session.advance(last + 301 - grid.sim.now)
+    assert set(broker.matcher.fresh_ads(grid.sim.now)) == {"FZJ-T3E"}
+    job = session.new_job("late")
+    job.script_task("t", "x", resources=ResourceRequest(cpus=2, time_s=120),
+                    simulated_runtime_s=30)
+    assert session.submit(job, broker=True).vsite == "FZJ-T3E"

@@ -61,7 +61,7 @@ def test_every_verb_of_the_protocol_has_its_one_handler(wired):
     grid, user, session = wired
     handlers = grid.usites["FZJ"].gateway.handlers
     assert set(handlers) == set(RequestKind.ALL)
-    assert len({handler.__name__ for handler in handlers.values()}) == 7
+    assert len({handler.__name__ for handler in handlers.values()}) == 8
 
 
 def test_revoked_mid_session_certificate_refused_per_request(wired):

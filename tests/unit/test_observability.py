@@ -221,10 +221,10 @@ class TestMetrics:
     def test_snapshot(self):
         registry = MetricsRegistry()
         registry.counter("gateway.requests").inc(5)
-        registry.histogram("gateway.auth_seconds").observe(1.0)
+        registry.histogram("batch.wait_seconds").observe(1.0)
         snap = registry.snapshot()
         assert snap["counters"] == {"gateway.requests": 5.0}
-        assert snap["histograms"]["gateway.auth_seconds"]["count"] == 1
+        assert snap["histograms"]["batch.wait_seconds"]["count"] == 1
 
 
 # --------------------------------------------------------------- registry

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import asn1
 from repro.resources import (
     ResourcePage,
     ResourcePageEditor,
@@ -165,6 +166,15 @@ def test_page_unknown_axis_rejected():
 def test_page_from_asn1_garbage():
     with pytest.raises(ResourcePageError):
         ResourcePage.from_asn1(b"\x30\x03\x02\x01\x05")  # a bare sequence
+
+
+def test_page_from_asn1_of_the_wrong_shape():
+    """A capacity report carries pages from outside the program: ranges
+    that are no map are refused with the page's own error."""
+    raw = asn1.decode(t3e_page().to_asn1(), ResourcePageError)
+    raw["ranges"] = ["cpus", 1, 512]
+    with pytest.raises(ResourcePageError, match="malformed"):
+        ResourcePage.from_asn1(asn1.encode(raw))
 
 
 # ------------------------------------------------------------------- editor

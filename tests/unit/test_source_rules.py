@@ -18,6 +18,7 @@ module_getattr    RD404  a module-level ``__getattr__``
 private_reach     RD405  another module's ``_private`` state in ``server/``; a write to ``.njs._…``
 content_pass      RD406  ``zlib.crc32`` / ``hashlib.sha256`` outside a content pass's owner
 private_layout    -      a ``struct`` layout: a value crosses as one ``repro.asn1`` value
+broker_import     -      ``server/`` importing ``repro.broker`` beyond its wire error codes
 """
 
 import ast
@@ -213,6 +214,28 @@ def private_layout(tree: ast.Module, rel: str) -> list[tuple[int, str]]:
     ]
 
 
+def broker_import(tree: ast.Module, rel: str) -> list[tuple[int, str]]:
+    """The broker is a client of the sites: the server tier may raise its
+    wire error codes (``repro.broker.errors``) and knows nothing else of it."""
+    if not rel.startswith("src/repro/server/"):
+        return []
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.extend(
+            (node.lineno, f"{name}: the server tier does not know the broker")
+            for name in names
+            if name.split(".")[:2] == ["repro", "broker"]
+            and name.split(".")[:3] != ["repro", "broker", "errors"]
+        )
+    return found
+
+
 # -- what each check may find in src/repro, and why -------------------------------
 EXEMPT: dict[tuple[object, str], tuple[int | None, str]] = {
     **{(check, "src/repro/net/aio_transport.py"): (None, "real sockets, real clocks")
@@ -261,6 +284,7 @@ test_no_module_getattr = _tree_test(module_getattr, "RD404")
 test_no_reach_into_private_state = _tree_test(private_reach, "RD405")
 test_one_owner_per_content_pass = _tree_test(content_pass, "RD406")
 test_no_private_byte_layouts = _tree_test(private_layout)
+test_the_server_tier_does_not_know_the_broker = _tree_test(broker_import)
 
 
 def test_a_counted_exemption_allows_no_second_finding():
@@ -291,6 +315,7 @@ CLEAN = {
                    "        return self._status == RunIndex()._status, runs.njs.runs\n",
     content_pass: "import hashlib\nkept = body.digest, body.chunk_crcs(4096), hashlib.md5\n",
     private_layout: "from repro import asn1\nblob = asn1.encode([size, crc32, stream_id])\n",
+    broker_import: "from repro.broker.errors import BrokerQuotaError\nimport repro.broker.errors\n",
 }
 
 
@@ -328,6 +353,10 @@ CASES = [
     case(private_layout, "Struct", "import struct\nREF = struct.Struct('!QIQ')\n"),
     case(private_layout, "pack", "import struct\n"
                                  "blob = struct.pack('!B', 1) + struct.unpack('!I', b)\n", n=2),
+    case(broker_import, "module", "from repro.broker.advertise import BROKER_PEER\n"
+                                  "import repro.broker.service\n", n=2),
+    case(broker_import, "package", "from repro.broker import BrokerError, errors\n"
+                                   "from repro import broker\n", n=2),
 ]
 DIRTY = {param.values[0]: param.values[1] for param in reversed(CASES)}  # first case per check
 
