@@ -266,6 +266,8 @@ class BatchSystem:
         if record.state is BatchState.QUEUED:
             self._pending.remove(record)
             self._finish(record, BatchState.CANCELLED, reason="cancelled while queued")
+            assert record.completion_event is not None
+            record.completion_event.succeed(record)
         elif record.state is BatchState.RUNNING:
             self._kill(record, BatchState.CANCELLED, None, "cancelled by operator")
         elif record.state.is_terminal:
@@ -453,6 +455,8 @@ class BatchSystem:
         self._release(record)
         self._finish(record, state, exit_code=exit_code, reason=reason)
         self._schedule_pass()
+        assert record.completion_event is not None
+        record.completion_event.wake(record)
 
     def _release(self, record: BatchJobRecord) -> None:
         self._account()
@@ -501,5 +505,3 @@ class BatchSystem:
         failure = None if state is BatchState.DONE else (reason or state.value)
         telemetry.tracer.end_span(record._span, error=failure)
         record._span = INERT_SPAN
-        assert record.completion_event is not None
-        record.completion_event.succeed(record)

@@ -102,13 +102,15 @@ class Tracer:
         return span
 
     def end_span(
-        self, span: Span, error: "BaseException | str | None" = None
+        self, span: Span, error: "BaseException | str | None" = None,
+        at: float | None = None,
     ) -> Span:
-        """Close a span; ``error`` marks it failed."""
+        """Close a span, now or ``at`` a time already decided; ``error``
+        marks it failed."""
         if span is INERT_SPAN:
             return span
         if span.end is None:
-            span.end = self.clock()
+            span.end = self.clock() if at is None else at
         if error is not None:
             span.error = str(error) or type(error).__name__
         return span

@@ -68,7 +68,7 @@ class ReplyRouter:
             # Unmatched replies (late duplicates) are dropped, and so is
             # one whose waiter's deadline passed at this very instant.
             if waiter is not None and not waiter.triggered:
-                waiter.succeed(payload)
+                waiter.wake(payload)
         elif self._fallback is not None:
             self._fallback(payload)
 

@@ -320,22 +320,26 @@ class Gateway:
             tier="server",
         )
 
-        yield self.sim.timeout(AUTH_CPU_S)
+        # The request is checked as it arrives; the check's CPU and then
+        # the crossing to the NJS are one timer.  A refusal, too, leaves
+        # once the CPU is spent.
+        authenticated = self.sim.now + AUTH_CPU_S
         try:
             self._authenticate(channel, request)
         except SecurityError as err:
             self.auth_failures += 1
             telemetry.metrics.counter("gateway.auth_failures").inc()
-            tracer.end_span(auth_span, error=err)
+            tracer.end_span(auth_span, error=err, at=authenticated)
+            yield self.sim.timeout(AUTH_CPU_S, name="auth")
             tracer.end_span(request_span, error=err)
             return _refusal(request, err), None
-        tracer.end_span(auth_span)
-
-        if self.njs.host is not self.host:  # across the firewall socket
-            yield self.sim.timeout(
-                self._cross(self.host, self.njs.host, request.wire_size),
-                name="firewall",
-            )
+        tracer.end_span(auth_span, at=authenticated)
+        yield self.sim.timeout(
+            self._cross(
+                self.host, self.njs.host, request.wire_size, delay_s=AUTH_CPU_S
+            ),
+            name="auth",
+        )
 
         try:
             answer = self.handlers[request.kind](request, request_span)
@@ -349,15 +353,18 @@ class Gateway:
         tracer.end_span(request_span, error=None if reply.ok else reply.error)
         return reply, push
 
-    def _cross(self, src: Host, dst: Host, size: int) -> float:
-        """One crossing of the gateway-NJS socket (section 5.2); returns
-        the seconds until the bytes are across, 0 when the two run on one
-        host.  The socket is TCP on the site LAN: modelled as reliable (a
-        lost frame is retransmitted below the layer we simulate), so a
+    def _cross(
+        self, src: Host, dst: Host, size: int, delay_s: float = 0.0
+    ) -> float:
+        """One crossing of the gateway-NJS socket (section 5.2), leaving
+        ``delay_s`` from now at the earliest; returns the seconds until
+        the bytes are across, ``delay_s`` when the two run on one host.
+        The socket is TCP on the site LAN: modelled as reliable (a lost
+        frame is retransmitted below the layer we simulate), so a
         crossing is a relay, not a message."""
         if src is dst:
-            return 0.0
-        return self.network.relay(src.name, dst.name, size)
+            return delay_s
+        return self.network.relay(src.name, dst.name, size, delay_s)
 
     def _authenticate(self, channel: HttpsChannel, request: Request) -> None:
         """The channel's peer certificate is the user's unique UNICORE

@@ -180,7 +180,7 @@ class Executor:
             run.job_span.set(status=status.value),
             error=None if status is ActionStatus.SUCCESSFUL else status.value,
         )
-        run.done_event.succeed(self._runs.finish(run))
+        run.done_event.wake(self._runs.finish(run))
 
     def _run_group(
         self, run: JobRun, group: AbstractJobObject,

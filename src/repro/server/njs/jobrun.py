@@ -137,14 +137,15 @@ class JobRun:
         return None
 
     def finish_action(self, action_id: str, status: ActionStatus, reason: str = "") -> None:
-        """Mark an action terminal and fire its completion event."""
+        """Mark an action terminal and wake what waits for it (only in
+        tail position: see :meth:`~repro.simkernel.Event.wake`)."""
         outcome = self.outcomes[action_id]
         if not outcome.status.is_terminal:
             outcome.mark(status, reason=reason)
         self.notify_change()
         event = self.events[action_id]
         if not event.triggered:
-            event.succeed(status)
+            event.wake(status)
 
     def span(self, name: str, **attributes: object) -> Span:
         """Open a child of the job's span; close it with ``tracer.end_span``."""

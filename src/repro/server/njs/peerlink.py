@@ -180,7 +180,7 @@ class PeerLink:
         waiter = self._pending.pop(reply.corr_id, None)
         if waiter is None or waiter.triggered:  # triggered: just expired
             return False
-        waiter.succeed(reply)
+        waiter.wake(reply)
         return True
 
     def abandon(self, corr_id: int) -> None:

@@ -17,7 +17,6 @@ import typing
 
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.serialize import encode_ajo
-from repro.ajo.status import ActionStatus
 from repro.observability import telemetry_for
 from repro.protocol.views import JobListing, JobListingDelta
 from repro.server.njs.finished import FinishedRun
@@ -48,9 +47,10 @@ class RunTable(typing.Mapping[str, Run]):
         self._runs: dict[str, Run] = {}
         self._index = RunIndex()
         #: Completion watchers for subscription-style waits: job id ->
-        #: events the gateway parks on.  Fired on terminal transition and
-        #: (with the job still unfinished) on :meth:`lose_memory`, so
-        #: nobody sleeps through a lost run.
+        #: events the gateway parks on.  Woken once the job's outcome row
+        #: is written (:meth:`finish`), and fired with the job still
+        #: unfinished on :meth:`lose_memory`, so nobody sleeps through a
+        #: lost run.
         self._watchers: dict[str, list[Event]] = {}
         self._meta = storage.table(f"{usite_name}.meta")  # the job-id cursor
         #: Write-ahead journal over backend storage: survives a crash,
@@ -113,8 +113,9 @@ class RunTable(typing.Mapping[str, Run]):
         return self._index.delta(user_dn, since_seq, epoch)
 
     def watch(self, job_id: str) -> Event | None:
-        """An event that fires when the job turns terminal; ``None`` when
-        it already is.  Watcher events are owned by the *caller* (the
+        """An event woken once the job is finished (its outcome row
+        written, in :meth:`finish`); ``None`` when it already is
+        terminal.  Watcher events are owned by the *caller* (the
         gateway), never by the run: a crash fires them all (waking
         subscribers to observe the outage) without disturbing the run's
         own completion events."""
@@ -143,8 +144,8 @@ class RunTable(typing.Mapping[str, Run]):
         ``U99999`` as text)."""
         return int(job_id[1:job_id.index("@")])
 
-    def _note(self, run: Run) -> ActionStatus | None:
-        """Book the run's listing; its status when the value changed."""
+    def _note(self, run: Run) -> None:
+        """Book the run's listing."""
         status = run.status()
         listing = JobListing(
             job_id=run.job_id,
@@ -153,9 +154,7 @@ class RunTable(typing.Mapping[str, Run]):
             submitted_at=run.submitted_at,
             recovered=run.recovered,
         )
-        if self._index.note(listing, run.user_dn, status.is_terminal):
-            return status
-        return None
+        self._index.note(listing, run.user_dn, status.is_terminal)
 
     def _enter(self, run: Run) -> None:
         self._runs[run.job_id] = run
@@ -202,19 +201,14 @@ class RunTable(typing.Mapping[str, Run]):
         return run
 
     def _note_change(self, run: JobRun) -> None:
-        """Status-change hook: keep index and watchers current.
+        """Status-change hook: keep the index current.
 
         Fired by :meth:`JobRun.notify_change` after any action status
         change.  Only rollup-value changes take a new seq, so versions
         stay proportional to *visible* transitions.
         """
-        if not self.owns(run):
-            return  # orphaned by a crash that raced supervision
-        status = self._note(run)
-        if status is not None and status.is_terminal:
-            for watcher in self._watchers.pop(run.job_id, ()):
-                if not watcher.triggered:
-                    watcher.succeed(status)
+        if self.owns(run):  # else orphaned by a crash that raced supervision
+            self._note(run)
 
     def note_delivery(
         self, run: JobRun, action_id: str, vsite: str, local_id: str
@@ -238,13 +232,14 @@ class RunTable(typing.Mapping[str, Run]):
             for path in uspace.files():
                 files.setdefault(path, uspace.body(path))
         outcome_bytes = run.encoded_outcome()
+        status = run.status()
         with self._storage.batch():
             self.journal.finish(run.job_id)
             record = self.outcomes.put(OutcomeRecord(
                 job_id=run.job_id,
                 name=run.name,
                 user_dn=run.user_dn,
-                status=run.status().value,
+                status=status.value,
                 submitted_at=run.submitted_at,
                 recovered=run.recovered,
             ), outcome_bytes, files)
@@ -253,6 +248,9 @@ class RunTable(typing.Mapping[str, Run]):
             outcomes=run.outcomes, outcome_bytes=outcome_bytes, files=files,
         )
         self._runs[run.job_id] = finished
+        for watcher in self._watchers.pop(run.job_id, ()):
+            if not watcher.triggered:
+                watcher.wake(status)
         return finished
 
     def dispose(self, run: FinishedRun) -> None:

@@ -388,7 +388,7 @@ class NetworkJobSupervisor:
             ) from None
 
     def watch_completion(self, job_id: str) -> Event | None:
-        """An event that fires when the job turns terminal (subscription);
+        """An event woken once the job is finished (subscription);
         ``None`` when it already is — the caller should answer at once."""
         self.get_run(job_id)
         return self.runs.watch(job_id)

@@ -37,7 +37,7 @@ from repro.simkernel.events import (
     TimeoutAt,
 )
 from repro.simkernel.process import Process, ProcessDied
-from repro.simkernel.engine import CallbackSlot, Simulator, StopSimulation
+from repro.simkernel.engine import CallbackSlot, Simulator
 from repro.simkernel.resources import SimQueue, Store
 from repro.simkernel.rng import SeedSequenceFactory, derive_rng
 
@@ -54,7 +54,6 @@ __all__ = [
     "SeedSequenceFactory",
     "SimQueue",
     "Simulator",
-    "StopSimulation",
     "Store",
     "Timeout",
     "TimeoutAt",

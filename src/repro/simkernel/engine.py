@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import heapq
 import typing
+from collections import deque
 from itertools import count
 
 from repro.simkernel.events import EXPIRED, AllOf, AnyOf, Event, Timeout
 from repro.simkernel.process import Process
 
-__all__ = ["CallbackSlot", "Simulator", "StopSimulation"]
-
-
-class StopSimulation(Exception):
-    """Raised internally to halt :meth:`Simulator.run` from a callback."""
+__all__ = ["CallbackSlot", "Simulator"]
 
 
 class CallbackSlot:
@@ -35,7 +32,8 @@ class CallbackSlot:
 
     def cancel(self) -> None:
         """Drop the callback and what it held on to; the heap entry is
-        skipped, uncounted, when its time comes."""
+        skipped when its time comes, uncounted and without moving the
+        clock."""
         self.cancelled = True
         self.args = ()
 
@@ -47,6 +45,12 @@ class CallbackSlot:
 def _expire(event: Event) -> None:
     if not event.triggered:
         event.succeed(EXPIRED)
+
+
+def _observed(event: Event) -> None:
+    """What :meth:`Simulator.run` hangs on the event it runs until: the
+    run returns its outcome, so a failure is not unhandled."""
+    event._defused = True
 
 
 class Simulator:
@@ -66,6 +70,10 @@ class Simulator:
         self._now = float(start)
         self._queue: list[tuple[float, int, Event | CallbackSlot]] = []
         self._seq = count()
+        #: Woken events whose waiters have yet to run, and whether a
+        #: :meth:`_wake` is draining them (see :meth:`Event.wake`).
+        self._ready: deque[Event] = deque()
+        self._waking = False
         self._active_process: Process | None = None
         self._processed_count = 0
         self._callbacks_run = 0
@@ -175,25 +183,49 @@ class Simulator:
         """
         return self.schedule_callback(delay, _expire, event)
 
+    def _wake(self, event: Event) -> None:
+        """Run the waiters of a woken ``event`` now: at once if no wake
+        is running, else after the running one's waiters return."""
+        ready = self._ready
+        ready.append(event)
+        if self._waking:
+            return
+        self._waking = True
+        try:
+            while ready:
+                woken = ready.popleft()
+                callbacks = woken.callbacks
+                woken.callbacks = None
+                assert callbacks is not None
+                for cb in callbacks:
+                    cb(woken)
+        finally:
+            self._waking = False
+            # A waiter raised: the wakes it left behind go to the queue.
+            while ready:
+                self._schedule(ready.popleft())
+
     # -- run loop ------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
+        """Process exactly one entry (advancing the clock to it); a
+        cancelled slot is dropped and leaves the clock where it is."""
         if not self._queue:
             raise RuntimeError("step() on an empty event queue")
         when, _, item = heapq.heappop(self._queue)
         if when < self._now:  # pragma: no cover - guarded by _schedule
             raise RuntimeError("event scheduled in the past")
-        self._now = when
         if type(item) is CallbackSlot:
             if not item.cancelled:
+                self._now = when
                 self._processed_count += 1
                 self._callbacks_run += 1
                 item.fn(*item.args)
             return
+        self._now = when
         event = typing.cast(Event, item)
         callbacks = event.callbacks
         event.callbacks = None
@@ -231,7 +263,7 @@ class Simulator:
                 if stop_event._ok:
                     return stop_event._value
                 raise typing.cast(BaseException, stop_event._value)
-            stop_event.callbacks.append(self._stop_callback)
+            stop_event.callbacks.append(_observed)
         else:
             stop_at = float(until)
             stop_event = None
@@ -241,19 +273,16 @@ class Simulator:
                     f"cannot run until {stop_at} (clock already at {self._now})"
                 )
 
-        try:
-            while self._queue:
-                if self._queue[0][0] > stop_at:
-                    self._now = stop_at
-                    return None
-                self.step()
-        except StopSimulation:
-            assert stop_event is not None
-            if stop_event._ok:
-                return stop_event._value
-            exc = typing.cast(BaseException, stop_event._value)
-            stop_event._defused = True
-            raise exc from None
+        while self._queue:
+            if self._queue[0][0] > stop_at:
+                self._now = stop_at
+                return None
+            self.step()
+            if stop_event is not None and stop_event.callbacks is None:
+                # Processed in that step, or woken inside it.
+                if stop_event._ok:
+                    return stop_event._value
+                raise typing.cast(BaseException, stop_event._value)
         if stop_event is not None:
             raise RuntimeError(
                 f"simulation queue drained before {stop_event!r} triggered"
@@ -261,11 +290,6 @@ class Simulator:
         if timed:
             self._now = stop_at
         return None
-
-    @staticmethod
-    def _stop_callback(event: Event) -> None:
-        event._defused = True
-        raise StopSimulation()
 
     def __repr__(self) -> str:
         return f"<Simulator t={self._now:.6g} queued={len(self._queue)}>"

@@ -2,8 +2,9 @@
 
 An :class:`Event` is a one-shot occurrence in simulated time.  Events move
 through three states: *pending* (created, not yet triggered), *triggered*
-(on the simulator's queue with a value or an error, because somebody
-waits for it), and *processed* (callbacks have run).  The queue is for
+(on the simulator's queue, or its ready deque for a moment during a
+:meth:`Event.wake`, with a value or an error, because somebody waits for
+it), and *processed* (callbacks have run).  The queue is for
 waking waiters, so an event that succeeds with nobody waiting goes from
 pending to processed directly and costs the run loop nothing; whoever
 asks later (a ``yield``, ``run(until=)``, a condition) finds the value
@@ -16,6 +17,16 @@ run loop nothing either (:mod:`repro.simkernel.process`); composite events
 disjunctions.  A wait with a time limit is :meth:`Simulator.deadline`:
 the awaited event itself resolves with :data:`EXPIRED`, no second event
 and no condition.
+
+:meth:`Event.wake` is :meth:`Event.succeed` without the queue: the
+waiters resume inside the call, at ``sim.now``.  It is for *tail
+position* only, where the trigger is the last thing its caller does
+(a reply handed to its caller, a finished task's ``done``), so that
+nothing the caller would still do can tell the two apart.  A wake
+raised while another one's waiters run waits its turn on the
+simulator's ready deque, which the outermost wake drains in a loop:
+a cascade of wakes (a cancelled chain of tasks) runs flat, not
+nested.
 """
 
 from __future__ import annotations
@@ -146,6 +157,23 @@ class Event:
         self._value = value
         if self.callbacks:
             self.sim._schedule(self)
+        else:
+            self.callbacks = None
+        return self
+
+    def wake(self, value: object = None) -> "Event":
+        """Trigger the event successfully with ``value`` and resume its
+        waiters in this call, with no queue entry.
+
+        Use it only in tail position (see the module docstring): a
+        waiter runs before the caller's next statement would.
+        """
+        if self._value is not PENDING:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        if self.callbacks:
+            self.sim._wake(self)
         else:
             self.callbacks = None
         return self

@@ -1,14 +1,19 @@
 """A deterministic cost proxy for a whole job: simulator queue entries.
 
 The run loop is paid per entry, and an entry is worth its price only if
-it wakes somebody: a message arriving, a timer running out, a process
-being resumed.  What nobody observes (a process ending unjoined, a
-``done`` nobody awaits), a process starting (it runs to its first yield
-inside the call that makes it), a yield on what has already happened, a
-mailbox wake-up between a delivery and the function it is for, an
-``AnyOf`` relaying the winner of a race and the start and end of a
-process that is one timer are not occurrences, and do not enter the
-queue.  These tests name the cause of every entry a job costs between
+it is an occurrence of its own: a message arriving, a timer running
+out.  What nobody observes (a process ending unjoined, a ``done`` nobody
+awaits), a process starting (it runs to its first yield inside the call
+that makes it), a yield on what has already happened, a mailbox wake-up
+between a delivery and the function it is for, an ``AnyOf`` relaying the
+winner of a race and the start and end of a process that is one timer
+are not occurrences, and do not enter the queue.  Nor is a wake-up in
+tail position, where the trigger is the last thing its caller does:
+``Event.wake`` resumes the waiter inside that call, so a reply reaching
+its caller, a batch run's end reaching its task, a task's or job's
+``done`` and a finished job's parked query cost nothing of their own.
+A request's auth CPU and its crossing of the firewall socket are one
+timer.  These tests name the cause of every entry a job costs between
 the user's ``submit`` and the end of ``wait``, and hold the job to that
 table.  The caller's own ``api:*`` plans (the end ``run(until=)``
 observes, for each) are its business and counted apart.
@@ -22,33 +27,30 @@ import pytest
 from repro.api import GridSession
 from repro.grid import build_grid
 from repro.protocol.messages import Reply, Request
-from repro.server.gateway import AUTH_CPU_S
 from repro.server.njs.executor import INCARNATION_CPU_S
 from repro.simkernel import CallbackSlot, Simulator
 
 #: One request through a gateway, whatever its verb.  The request waits
-#: for its crossing of the firewall socket; the reply's crossing rides
-#: ahead of the channel send that carries it on, so it is no entry.
+#: for the auth CPU and then its crossing of the firewall socket, one
+#: timer; the reply's crossing rides ahead of the channel send that
+#: carries it on, and its delivery wakes the caller, so neither is an
+#: entry.
 REQUEST = {
     "request delivered to the gateway host": 1,
-    "auth CPU": 1,
-    "firewall crossing in": 1,
+    "auth CPU, then the firewall crossing in": 1,
     "reply delivered to the client host": 1,
-    "reply:N wakes the caller": 1,
 }
 
 #: A script task at the site that runs it.
 SCRIPT_TASK = {
     "incarnation CPU": 1,
     "batch run ends": 1,
-    "completion:* wakes the child": 1,
-    "done:* wakes the job": 1,
 }
 
-#: Consign, then one subscribed QUERY that is parked until the job is done.
+#: Consign, then one subscribed QUERY that is parked until the job is done
+#: (the job's outcome row wakes it).
 ONE_SITE = collections.Counter(REQUEST) + collections.Counter(REQUEST) + (
     collections.Counter(SCRIPT_TASK)
-    + collections.Counter({"watch:* wakes the parked query": 1})
 )
 
 #: The same with a sub-group for a second site: the group goes out as one
@@ -58,12 +60,7 @@ ONE_SITE = collections.Counter(REQUEST) + collections.Counter(REQUEST) + (
 #: sender's own firewall socket, relayed ahead of the WAN hop: neither is
 #: an entry, so each message costs two deliveries.
 TWO_SITE = ONE_SITE + collections.Counter(SCRIPT_TASK) + collections.Counter({
-    # The sub-group's action at the forwarding site ends like any other
-    # child.
-    "done:* wakes the job": 1,
     "peer hop delivered": 4,  # ForwardGroup out, GroupResult back
-    "job-done:* wakes take_in": 1,
-    "group-result:N wakes the forwarding child": 1,
 })
 
 
@@ -84,23 +81,13 @@ def _cause(item) -> str:
             return "reply delivered to the client host"
         return "peer hop delivered"
     timers = {
-        "firewall": "firewall crossing in",
-        f"Timeout({AUTH_CPU_S})": "auth CPU",
+        "auth": "auth CPU, then the firewall crossing in",
         f"Timeout({INCARNATION_CPU_S})": "incarnation CPU",
     }
     if name in timers:
         return timers[name]
-    for prefix, cause in (
-        ("api:", "api:* ends, observed by run(until=)"),
-        ("reply:", "reply:N wakes the caller"),
-        ("watch:", "watch:* wakes the parked query"),
-        ("completion:", "completion:* wakes the child"),
-        ("done:", "done:* wakes the job"),
-        ("job-done:", "job-done:* wakes take_in"),
-        ("group-result:", "group-result:N wakes the forwarding child"),
-    ):
-        if name.startswith(prefix):
-            return cause
+    if name.startswith("api:"):
+        return "api:* ends, observed by run(until=)"
     return name
 
 
@@ -159,9 +146,9 @@ def test_a_one_site_job_costs_the_entries_its_table_names(metered):
     metered.run(two_site=False)  # the first job pays for first contacts
     costs, own = metered.run(two_site=False)
     assert costs == ONE_SITE, costs - ONE_SITE
-    # 19 with process starts, 21 with firewall hops out too, 36 with
-    # mailboxes
-    assert sum(costs.values()) == 15
+    # 15 with wake-ups through the queue and two gateway timers, 19 with
+    # process starts, 21 with firewall hops out too, 36 with mailboxes
+    assert sum(costs.values()) == 8
     assert own == 2  # api:submit, api:wait
     _assert_nothing_left_due(metered.grid.sim)
 
@@ -170,9 +157,10 @@ def test_a_two_site_job_costs_the_entries_its_table_names(metered):
     metered.run(two_site=True)  # the NJSs shake hands once
     costs, own = metered.run(two_site=True)
     assert costs == TWO_SITE, (costs - TWO_SITE, TWO_SITE - costs)
-    # 34 with process starts, 38 with firewall hops out and peer first
-    # hops too, 42 with peer record CPU, 66 with mailboxes
-    assert sum(costs.values()) == 26
+    # 26 with wake-ups through the queue and two gateway timers, 34 with
+    # process starts, 38 with firewall hops out and peer first hops too,
+    # 42 with peer record CPU, 66 with mailboxes
+    assert sum(costs.values()) == 14
     assert own == 2
     _assert_nothing_left_due(metered.grid.sim)
 

@@ -109,3 +109,27 @@ def test_hold_terminal_job_rejected(site):
     p = grid.sim.process(scenario(grid.sim))
     with pytest.raises(ConsignError, match="already terminal"):
         grid.sim.run(until=p)
+
+
+def test_a_long_chain_cancelled_at_its_head_ends_killed(site):
+    """Killing the head ends each of 400 successors not attempted, one
+    ``done`` waking the next inside a single step; the cascade runs flat,
+    where a wake that recursed overflows the stack."""
+    grid, session = site
+    jpa = JobPreparationAgent(session)
+    jmc = JobMonitorController(session)
+    job, tasks = _chain_job(jpa, n=400)
+
+    def scenario(sim):
+        job_id = yield from jpa.submit(job)
+        yield sim.timeout(50.0)
+        yield from jmc.cancel(job_id)
+        final = yield from jmc.wait_for_completion(job_id)
+        return job_id, final
+
+    p = grid.sim.process(scenario(grid.sim))
+    job_id, final = grid.sim.run(until=p)
+    assert final.status == "killed"
+    outcomes = grid.usites["FZJ"].njs.runs[job_id].outcomes
+    assert outcomes[tasks[0].id].status.value == "killed"
+    assert {outcomes[t.id].status.value for t in tasks[1:]} == {"not_attempted"}

@@ -119,14 +119,15 @@ def test_one_status_request_stays_inside_the_request_budget(metered):
     # decoded by the gateway.  The status tree is one repro.asn1 value.
     assert _since(meter.calls, json_calls) == (1, 1)
 
-    # Request delivered, auth timer, firewall crossing in, reply
-    # delivered, reply wakes the plan, the plan's end stops the run: 6
-    # (8 while the plan's and the handler's starts were entries, 9 while
-    # the reply's firewall crossing was a message of its own, 13 while a
-    # mailbox wake-up, a relay of the reply-or-deadline race and the
-    # handler's unobserved end were entries too; test_event_budget.py has
-    # the table for a whole job).
-    assert grid.sim.processed_events - events == 6
+    # Request delivered, one timer for the auth CPU and the firewall
+    # crossing in, reply delivered, the plan's end stops the run: 4 (6
+    # while those were two timers and the reply woke the plan through the
+    # queue, 8 while the plan's and the handler's starts were entries, 9
+    # while the reply's firewall crossing was a message of its own, 13
+    # while a mailbox wake-up, a relay of the reply-or-deadline race and
+    # the handler's unobserved end were entries too; test_event_budget.py
+    # has the table for a whole job).
+    assert grid.sim.processed_events - events == 4
     # One plan on the user's side, one handler at the gateway; no
     # process per message.
     assert metered.started and all(

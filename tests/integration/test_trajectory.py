@@ -14,10 +14,23 @@ a count on purpose appends one line per workload in the same diff::
 
 The storage write / read / fsync counts per op and the simulator's peak
 queue size are recorded beside them, not gated.
+
+Five per-op averages can stay equal while messages reorder or a row
+changes shape, so a line may also hold a ``digest``: SHA-256 over every
+message delivered to a host, in order (sim time, sender, recipient,
+payload type, request kind and wire size, and a request's or reply's
+payload bytes, ``ok`` and ``error``), then over the final storage dump
+(every table row, every blob's digest and refcount).  Queue entries are
+not hashed, so dropping entries nobody observes keeps it; when the last
+line holds one, the gate compares it exactly.  ``realsocket`` is hashed
+too: its frames cross real sockets, but the simulated clock stands still
+while one is in flight, and separate runs agree.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -29,6 +42,9 @@ from unittest import mock
 import pytest
 
 from repro import asn1
+from repro.net.sim_transport import Host
+from repro.protocol.messages import Reply, Request
+from repro.server import gateway
 from repro.storage import backend
 
 REPO =os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -43,23 +59,75 @@ SEED = 11
 GATED = tuple(m.name for m in metrics.END_TO_END if m.deterministic)
 
 
+class Digest:
+    """SHA-256 over what a run delivered and what it left in storage."""
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+
+    def _field(self, value: object) -> None:
+        data = value if isinstance(value, bytes) else repr(value).encode()
+        self._hash.update(len(data).to_bytes(8, "big") + data)
+
+    def delivered(self, now: float, message) -> None:
+        payload = message.payload
+        for value in (now, message.sender, message.recipient,
+                      type(payload).__name__, getattr(payload, "kind", ""),
+                      message.size_bytes):
+            self._field(value)
+        if isinstance(payload, (Request, Reply)):
+            self._field(payload.payload)
+        if isinstance(payload, Reply):
+            self._field(payload.ok)
+            self._field(payload.error)
+
+    def stored(self, dump: dict) -> None:
+        for table, rows in sorted(dump["tables"].items()):
+            self._field(table)
+            for key, value in sorted(rows.items()):
+                self._field(key)
+                self._field(asn1.encode(value))
+        for digest, blob in sorted(dump["blobs"].items()):
+            self._field(digest)
+            self._field(blob["refs"])
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
 def measure(name: str) -> tuple[dict[str, float], harness.Repetition]:
-    """One untimed repetition of workload ``name``: its counts, and the
-    repetition (whose probe says whether the run was correct)."""
+    """One untimed repetition of workload ``name``: its counts and
+    ``digest``, and the repetition (whose probe says whether the run was
+    correct)."""
     workload = WORKLOADS[name]
+    digest = Digest()
+    deliver = Host._deliver
+
+    def delivered(host, message):
+        digest.delivered(host.sim.now, message)
+        deliver(host, message)
+
+    def check(state, probe):
+        workload.check(state, probe)
+        digest.stored(state.grid.storage.dump())
+
     # Request and action ids come from per-process counters and ride the
     # wire and the store as text or varints: restart both, so no count
     # depends on what ran in this process before.
     with tempfile.TemporaryDirectory() as scratch, \
             mock.patch("repro.protocol.messages._request_ids", itertools.count(1)), \
-            mock.patch("repro.ajo.actions._counter", itertools.count(1)):
-        rep = harness.repetition(workload, SEED, scratch)
+            mock.patch("repro.ajo.actions._counter", itertools.count(1)), \
+            mock.patch.object(Host, "_deliver", delivered):
+        rep = harness.repetition(
+            dataclasses.replace(workload, check=check), SEED, scratch
+        )
     run = harness.Run(rep, [rep], [], [harness.CALIBRATION_REFERENCE_S])
     end_to_end = harness.end_to_end_metrics(workload, run)
-    counts = {metric: end_to_end[metric] for metric in GATED}
+    counts: dict = {metric: end_to_end[metric] for metric in GATED}
     for what in ("writes", "reads", "fsyncs"):
         counts[f"storage.{what}_per_op"] = rep.delta[f"storage.{what}"] / rep.ops
     counts["simkernel.peak_heap"] = rep.total["peak_heap"]
+    counts["digest"] = digest.hexdigest()
     return counts, rep
 
 
@@ -89,6 +157,13 @@ def problems(name: str, counts: dict[str, float]) -> list[str]:
                 f"{now!r}, beyond its {bound:.0%} bound; a move made on purpose "
                 "appends a line to benchmarks/trajectory.jsonl in the same diff"
             )
+    if "digest" in recorded and counts.get("digest") != recorded["digest"]:
+        found.append(
+            f"{name}: the digest of its messages and storage moved from "
+            f"{recorded['digest']} (PR {recorded['pr']}) to "
+            f"{counts.get('digest')}; a change made on purpose appends a line "
+            "to benchmarks/trajectory.jsonl in the same diff"
+        )
     return found
 
 
@@ -120,6 +195,27 @@ def test_the_gate_fails_a_larger_stored_row(monkeypatch):
     (found,) = problems("smalljobs", counts)
     assert found.startswith("smalljobs: storage_bytes_per_op moved from ")
     assert "appends a line to benchmarks/trajectory.jsonl" in found
+
+
+def test_the_digest_fails_a_reply_changed_in_one_byte(monkeypatch):
+    """One status reply's colour field spelled with a capital (same size,
+    nobody reads it): the run stays correct and every count stays put,
+    but the digest moves."""
+    changed = []
+
+    def recoloured(**fields):
+        payload = fields.get("payload", b"")
+        if not changed and b"green" in payload:
+            fields["payload"] = payload.replace(b"green", b"greeN", 1)
+            changed.append(fields["request_id"])
+        return Reply(**fields)
+
+    monkeypatch.setattr(gateway, "Reply", recoloured)
+    counts, rep = measure("smalljobs")
+    assert rep.probe.failed == 0, rep.probe.failures
+    assert changed
+    (found,) = problems("smalljobs", counts)
+    assert found.startswith("smalljobs: the digest of its messages and storage")
 
 
 def _record(pr: int, commit: str) -> None:

@@ -421,6 +421,16 @@ def test_a_cancelled_deadline_leaves_nothing_live_and_holds_nothing():
     assert sim.processed_events == 0 and not ev.triggered
 
 
+def test_a_dead_slot_does_not_move_the_clock():
+    sim = Simulator()
+    ev = sim.event()
+    slot = sim.deadline(ev, 1000.0)
+    ev.succeed("in time")
+    slot.cancel()
+    sim.run()
+    assert sim.now == 0.0 and sim.processed_events == 0
+
+
 def test_callbacks_interleave_with_events_in_time_order():
     sim = Simulator()
     order = []
