@@ -349,16 +349,17 @@ class BatchSystem:
         """Work still ahead of a new arrival, as an outsider can see it:
         cpus x remaining limit over queued and running records (the
         classic backlog heuristic; divide by the machine's CPUs for a
-        wait estimate)."""
+        wait estimate).  Reads live records only: O(queue), not
+        O(history)."""
         backlog = 0.0
-        now = self.sim.now
-        for record in self._records.values():
+        for record in self._pending:
             resources = record.spec.resources
-            if record.state is BatchState.QUEUED:
-                backlog += resources.cpus * resources.time_s
-            elif record.state is BatchState.RUNNING:
-                elapsed = now - (record.start_time or now)
-                backlog += resources.cpus * max(0.0, resources.time_s - elapsed)
+            backlog += resources.cpus * resources.time_s
+        now = self.sim.now
+        for record in self._running.values():
+            resources = record.spec.resources
+            elapsed = now - (record.start_time or now)
+            backlog += resources.cpus * max(0.0, resources.time_s - elapsed)
         return backlog
 
     def utilization(self) -> float:

@@ -396,11 +396,15 @@ class StreamReassembler:
         # A duplicate OPEN carries no new data.
         return self.complete
 
-    def payload(self) -> bytes:
-        """The reassembled bytes (the one copy on this side).
+    def payload(self, held: bytes | None = None) -> bytes:
+        """The reassembled bytes: ``held`` itself when every chunk equals
+        it at the chunk's offset, else the one copy joined on this side.
 
-        Verifies the whole-payload checksum by folding the chunk CRCs
-        :func:`decode_frame` already verified.
+        Verifies the whole-payload checksum first, by folding the chunk
+        CRCs :func:`decode_frame` already verified.  The compare is
+        ``bytes.startswith`` at each offset, a memcmp that copies
+        nothing; a ``held`` that matches only the checksums is not
+        returned.
         """
         if not self.complete:
             missing = self.next_expected
@@ -409,12 +413,18 @@ class StreamReassembler:
                 f"{self.info.chunk_count} missing"
             )
         frames = [self._chunks[i] for i in range(self.info.chunk_count)]
-        data = b"".join(frame.payload for frame in frames)  # sized by feed
+        cut = self.info.chunk_bytes
         if self.info.total_crc32 != _fold_crc32(
-            ((frame.payload, frame.crc32) for frame in frames),
-            self.info.chunk_bytes,
+            ((frame.payload, frame.crc32) for frame in frames), cut
         ):
             raise FrameError(
                 f"stream {self.stream_id} payload checksum mismatch"
             )
-        return data
+        # Every chunk is sized by feed, so a held payload of the total
+        # size that starts with each chunk at its offset is the payload.
+        if held is not None and len(held) == self.info.total_size and all(
+            held.startswith(frame.payload, seq * cut)
+            for seq, frame in enumerate(frames)
+        ):
+            return held
+        return b"".join(frame.payload for frame in frames)

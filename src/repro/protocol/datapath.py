@@ -18,7 +18,8 @@ Pieces:
 * :class:`DataPlaneEndpoint` — the receiving side: feed raw frame
   bytes off a host inbox, reassemble streams, hand completed payloads
   (each a :class:`~repro.vfs.FileBody` holding the chunk CRCs this side
-  verified) to an application callback or park them for
+  verified, around the bytes of a body this process already holds when
+  every chunk equals them) to an application callback or park them for
   :meth:`~DataPlaneEndpoint.take` / :meth:`~DataPlaneEndpoint.wait`;
 * :func:`body_sender` / :func:`send_stream` / :func:`send_body` — the
   sending side: a file body framed with the CRCs it holds, then one call
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import collections
 import typing
+import weakref
 import zlib
 from dataclasses import dataclass
 from itertools import count
@@ -110,6 +112,16 @@ CHUNK_RETRY_DELAY_S = 5.0
 #: How long a receiver waits for a streamed reply's frames before
 #: concluding the stream died with its sender.
 STREAM_WAIT_TIMEOUT_S = 600.0
+
+
+#: Every live body a stream carries, by ``(size, crc32)``: the one
+#: :func:`body_sender` framed last, or the one a receiver joined.  A
+#: receiver whose chunks all equal a held body's bytes wraps those bytes
+#: instead of joining a copy, so a file streamed on within one process
+#: is held once.  Weak: it keeps nothing alive.
+_HELD: weakref.WeakValueDictionary[tuple[int, int], FileBody] = (
+    weakref.WeakValueDictionary()
+)
 
 
 @dataclass(slots=True, frozen=True)
@@ -228,10 +240,18 @@ class DataPlaneEndpoint:
     def _finish(self, stream_id: int) -> None:
         reassembler = self._open.pop(stream_id)
         info = reassembler.info
+        key = (info.total_size, info.total_crc32)
+        held = _HELD.get(key)
+        held_data = None if held is None else held.data
+        # Verifies the whole-payload crc, then adopts the held bytes only
+        # if every chunk equals them: a forged CRC-32 match is joined.
+        data = reassembler.payload(held_data)
+        # A fresh body either way: this side's chunk CRCs, no digest.
         body = FileBody(
-            reassembler.payload(),  # verifies the whole-payload crc
-            chunk_bytes=info.chunk_bytes, chunk_crcs=reassembler.chunk_crcs,
+            data, chunk_bytes=info.chunk_bytes, chunk_crcs=reassembler.chunk_crcs,
         )
+        if data is not held_data:
+            _HELD[key] = body
         done = CompletedStream(reassembler.context, body, info.total_crc32)
         self._count("stream.completed")
         if self.on_complete is not None and self.on_complete(done.context, body):
@@ -286,11 +306,15 @@ def body_sender(
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> StreamSender:
     """Frame ``body`` with the chunk CRCs it holds: content its site has
-    already cut at ``chunk_bytes`` is not read again."""
-    return StreamSender(
+    already cut at ``chunk_bytes`` is not read again.  The body is held
+    for its receivers to adopt (:data:`_HELD`)."""
+    sender = StreamSender(
         stream_id, body.data, chunk_bytes, context,
         chunk_crcs=body.chunk_crcs(chunk_bytes),
     )
+    info = sender.open_info
+    _HELD[info.total_size, info.total_crc32] = body
+    return sender
 
 
 def send_stream(

@@ -117,22 +117,16 @@ class Vsite:
 
     def capacity(self, usite: str) -> VsiteCapacity:
         """What the NJS may say about this Vsite's load: what its batch
-        records show an outsider, and the published page."""
-        queued = running = busy_cpus = 0
-        for record in self.batch.all_records():
-            if record.state is BatchState.QUEUED:
-                queued += 1
-            elif record.state is BatchState.RUNNING:
-                running += 1
-                busy_cpus += record.spec.resources.cpus
+        records show an outsider, and the published page.  Counts live
+        jobs only, so a report costs O(queue), not O(history)."""
         return VsiteCapacity(
             usite=usite,
             vsite=self.name,
             sent_at=self.sim.now,
             total_cpus=self.machine.cpus,
-            free_cpus=max(0, self.machine.cpus - busy_cpus),
-            queued_jobs=queued,
-            running_jobs=running,
+            free_cpus=self.batch.free_cpus,
+            queued_jobs=self.batch.pending_count,
+            running_jobs=self.batch.running_count,
             backlog_cpu_s=self.batch.backlog_cpu_s(),
             speed_factor=self.machine.speed_factor,
             page=self.resource_page,

@@ -12,11 +12,14 @@ key.  Content the holder made itself needs no seed: a batch system keeps
 the one body it writes per product size, so every product of that size
 at that site shares one memo.  Nothing here rides a message: envelopes,
 peer messages and frames carry ``bytes`` and the receiving site builds
-its own body, so every site still reads each byte it accepts.  Serving
-the CRCs taken at receipt is also the stronger check (HDFS stores block
-checksums beside the data and serves those, for the same reason): one
-recomputed at send time blesses whatever the copy has become, the held
-one lets the next receiver catch it.
+its own body, so every site still reads each byte it accepts.  The
+``bytes`` a body wraps may be ones this process already holds (a
+:class:`~repro.protocol.datapath.DataPlaneEndpoint` adopts them after a
+byte compare), but its checks are its own.  Serving the CRCs taken at
+receipt is also the stronger check (HDFS stores block checksums beside
+the data and serves those, for the same reason): one recomputed at send
+time blesses whatever the copy has become, the held one lets the next
+receiver catch it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class FileBody:
     piece, the last one shorter (the frames it arrived in).
     """
 
-    __slots__ = ("_data", "_digest", "_chunk_bytes", "_chunk_crcs")
+    __slots__ = ("_data", "_digest", "_chunk_bytes", "_chunk_crcs", "__weakref__")
 
     def __init__(
         self,

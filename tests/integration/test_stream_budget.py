@@ -11,17 +11,24 @@ whole payload's.  On an NJS-NJS route every frame is a process of its
 own, started inside the call that makes it, whose seal and open, and
 whose crossing of the sender's firewall socket, ride ahead of the WAN
 hop: one delivery per remaining hop and the wake-up of the stream that
-waits for it, nothing else.
+waits for it, nothing else.  And what a stream costs in memory: a file
+streamed from site to site within one process is one ``bytes`` object.
 """
 
 import collections
+import gc
+import random
+import weakref
+import zlib
 
 import pytest
 
+from repro.api import GridSession
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
 from repro.net.https import DEFAULT_PER_RECORD_CPU_S
 from repro.net.stream import FrameType, decode_frame
+from repro.protocol import datapath
 from repro.protocol.datapath import DEFAULT_CHUNK_BYTES
 from repro.protocol.messages import Reply
 from repro.security.ssl import SSLSession
@@ -178,3 +185,45 @@ def test_a_peer_stream_costs_three_entries_per_frame(two_sites, monkeypatch):
         "peer hop delivered": delivered * frames,
         "peer-frame wakes the stream": frames,
     }
+
+
+def test_a_streamed_file_is_held_once(two_sites):
+    """A file uploaded to FZJ, handed to a sub-job at ZIB and fetched back
+    is one ``bytes`` object in this process: each receiver compares its
+    chunks with the body the sender framed and adopts its bytes, instead
+    of joining a copy (four copies without that).  Every site still wraps
+    them in a body of its own, and once the job is disposed no body of
+    it is held for adoption."""
+    grid, user = two_sites
+    session = GridSession(grid, user, "FZJ")
+    content = random.Random(15).randbytes(CHUNKS * DEFAULT_CHUNK_BYTES - 7)
+    user.workstation.fs.write("/home/clara/input.dat", content)
+    job = session.new_job("held-once", "FZJ-T3E")
+    imp = job.import_from_workstation("/home/clara/input.dat", "input.dat")
+    sub = job.sub_job("held-once-consume", vsite="ZIB-SP2", usite="ZIB")
+    sub.script_task("consume", "#!/bin/sh\nwc input.dat\n",
+                    simulated_runtime_s=60.0)
+    job.depends(imp, sub, files=["input.dat"])
+    handle = session.submit(job)
+    assert session.wait(handle).status == "successful"
+    fzj, zib = grid.usites["FZJ"].njs, grid.usites["ZIB"].njs
+    group_id = zib.forwarding.foreign_run(handle.job_id).job_id
+
+    sites = [fzj.fetch_uspace_file(handle.job_id, "input.dat"),
+             zib.fetch_uspace_file(group_id, "input.dat")]
+    fetched = session.fetch_file(handle, "input.dat")
+    assert fetched == content
+    held = [user.workstation.fs.body("/home/clara/input.dat").data,
+            *(body.data for body in sites), fetched]
+    assert len({id(data) for data in held}) == 1
+    assert sites[0] is not sites[1]  # each site's own body and checks
+
+    site_bodies = [weakref.ref(body) for body in sites]
+    del sites, held, fetched
+    session.dispose(handle)
+    zib.dispose(group_id)
+    gc.collect()
+    assert [ref() for ref in site_bodies] == [None, None]
+    workstation = user.workstation.fs.body("/home/clara/input.dat")
+    held = datapath._HELD.get((len(content), zlib.crc32(content)))
+    assert held is None or held is workstation

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import itertools
 import json
 import os
@@ -45,6 +46,7 @@ from repro import asn1
 from repro.net.sim_transport import Host
 from repro.protocol.messages import Reply, Request
 from repro.server import gateway
+from repro.simkernel import Simulator
 from repro.storage import backend
 
 REPO =os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -216,6 +218,43 @@ def test_the_digest_fails_a_reply_changed_in_one_byte(monkeypatch):
     assert changed
     (found,) = problems("smalljobs", counts)
     assert found.startswith("smalljobs: the digest of its messages and storage")
+
+
+def test_the_digest_fails_two_same_instant_entries_swapped(monkeypatch):
+    """The first two queue entries due at one instant leave the queue in
+    the other order: in ``replay`` those are two sessions' upload streams
+    resuming together, so their jobs consign in the other order and swap
+    identifiers.  Every message is still delivered at the same time with
+    the same size, and the run stays correct: all five counts equal the
+    last line's exactly, so a gate of counts alone passes, and the digest
+    fails.  (No two deliveries share an instant in any workload at this
+    seed, so a swapped tie is a reorder one step before delivery.)"""
+    swapped = []
+    step = Simulator.step
+
+    def swapping(sim):
+        queue = sim._queue
+        if not swapped and len(queue) > 1:
+            when, seq, first = heapq.heappop(queue)
+            if queue[0][0] == when:
+                _, tie, second = heapq.heappop(queue)
+                heapq.heappush(queue, (when, seq, second))
+                heapq.heappush(queue, (when, tie, first))
+                swapped.append(when)
+            else:
+                heapq.heappush(queue, (when, seq, first))
+        step(sim)
+
+    monkeypatch.setattr(Simulator, "step", swapping)
+    counts, rep = measure("replay")
+    assert rep.probe.failed == 0, rep.probe.failures
+    assert len(swapped) == 1
+    recorded = last_line("replay")
+    assert {metric: counts[metric] for metric in GATED} == {
+        metric: recorded[metric] for metric in GATED
+    }
+    (found,) = problems("replay", counts)
+    assert found.startswith("replay: the digest of its messages and storage")
 
 
 def _record(pr: int, commit: str) -> None:

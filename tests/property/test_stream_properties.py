@@ -149,6 +149,35 @@ def test_reassembler_folds_whole_payload_crc_in_any_feed_order(
     assert reassembler.payload() == data
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    data=payloads,
+    chunk=chunk_sizes,
+    held=st.one_of(
+        st.none(), payloads, st.just("same"), st.integers(0, 1 << 20)
+    ),
+)
+def test_reassembly_returns_the_sent_bytes_whatever_is_held(data, chunk, held):
+    """For any held body — none, any other bytes, the sent bytes in
+    another object, or those bytes with one byte changed — reassembly
+    returns exactly the bytes sent, and the held object itself only
+    when it equals them."""
+    if held == "same":
+        held = bytes(bytearray(data))
+    elif isinstance(held, int):
+        changed = bytearray(data or b"\0")
+        changed[held % len(changed)] ^= 1 + held % 255
+        held = bytes(changed)
+    sender = StreamSender(23, data, chunk, {})
+    open_frame, *data_frames = sender.frames()
+    reassembler = StreamReassembler(decode_frame(encode_frame(open_frame)))
+    for frame in data_frames:
+        reassembler.feed(decode_frame(encode_frame(frame)))
+    got = reassembler.payload(held)
+    assert got == data
+    assert (got is held) == (held == data)
+
+
 # ----------------------------------------------------------- consignment
 @settings(max_examples=120, deadline=None)
 @given(

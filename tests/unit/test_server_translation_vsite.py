@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.batch import machine
+from repro.batch import BatchJobSpec, machine
+from repro.batch.base import BatchJobRecord
+from repro.resources import ResourceSet
 from repro.server import IncarnationError, TranslationTable
 from repro.server.vsite import Vsite, default_translation_for
 from repro.simkernel import Simulator
@@ -85,3 +87,43 @@ def test_vsite_page_time_limit_tracks_queues():
 def test_vsite_repr():
     sim = Simulator()
     assert "Cray" in repr(Vsite(sim, machine("FZJ-T3E")))
+
+
+class _Untouchable(BatchJobRecord):
+    """A record that fails whoever reads any of its fields."""
+
+    __slots__ = ()
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a terminal record's {name} was read")
+
+
+def test_capacity_reads_live_jobs_only():
+    """After many finished jobs, the capacity report and the backlog a
+    broker places by read the queued and running jobs, and no finished
+    record: their cost tracks the queue, not the history."""
+    sim = Simulator()
+    vsite = Vsite(sim, machine("FZJ-T3E"))
+    batch, cpus = vsite.batch, vsite.machine.cpus
+
+    def submit(name, cpus, time_s):
+        resources = ResourceSet(cpus=cpus, time_s=time_s, memory_mb=64.0)
+        return batch.submit(BatchJobSpec(
+            name=name, owner="alice", queue="batch", resources=resources,
+            script=batch.dialect.render_script(name, "batch", resources, ["a.out"]),
+        ))
+
+    for n in range(50):
+        submit(f"done{n}", 8, 60.0)
+    sim.run()
+    finished = batch.all_records()
+    submit("running", cpus, 600.0)
+    submit("queued", cpus, 1200.0)
+    sim.run(until=sim.now + 100.0)
+    for record in finished:
+        assert record.state.is_terminal
+        record.__class__ = _Untouchable
+
+    report = vsite.capacity("FZJ")
+    assert (report.queued_jobs, report.running_jobs, report.free_cpus) == (1, 1, 0)
+    assert batch.backlog_cpu_s() == report.backlog_cpu_s == cpus * (1200.0 + 500.0)
