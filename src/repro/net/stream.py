@@ -396,6 +396,21 @@ class StreamReassembler:
         # A duplicate OPEN carries no new data.
         return self.complete
 
+    def edges(self, n: int) -> tuple[bytes, bytes]:
+        """The first and the last ``n`` bytes of the payload (all of it
+        when shorter), read from the chunks without joining them."""
+        pieces = [self._chunks[i].payload for i in range(self.info.chunk_count)]
+        head = tail = b""
+        for piece in pieces:
+            if len(head) >= n:
+                break
+            head += bytes(piece[: n - len(head)])
+        for piece in reversed(pieces):
+            if len(tail) >= n:
+                break
+            tail = bytes(piece[max(len(piece) - n + len(tail), 0):]) + tail
+        return head, tail
+
     def payload(self, held: bytes | None = None) -> bytes:
         """The reassembled bytes: ``held`` itself when every chunk equals
         it at the chunk's offset, else the one copy joined on this side.

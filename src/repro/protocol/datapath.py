@@ -35,6 +35,10 @@ Pieces:
   ``[size, crc32, stream_id]``.  :func:`ship` decides inline or streamed
   (:data:`INLINE_FILE_MAX`), :func:`claim` takes a message's streams.
 
+A file is held once per process, inline or streamed: the senders here
+offer the bodies they send and every receiver adopts equal bytes this
+process already holds, through the one registry of :mod:`repro.vfs.body`.
+
 Everything is deterministic: stream ids derive from the sender's name,
 retries from the simulated network's named RNG streams.
 """
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import collections
 import typing
-import weakref
 import zlib
 from dataclasses import dataclass
 from itertools import count
@@ -61,7 +64,7 @@ from repro.net.stream import (
 )
 from repro.observability import INERT_SPAN, MetricsRegistry, Span, telemetry_for
 from repro.simkernel import EXPIRED, Event, Simulator
-from repro.vfs.body import FileBody
+from repro.vfs.body import KEY_EDGE, FileBody, held, hold
 
 __all__ = [
     "CHUNK_RETRIES",
@@ -79,6 +82,7 @@ __all__ = [
     "channel_sender",
     "claim",
     "decode_item",
+    "encode_item",
     "fetch_bulk_payload",
     "item_of",
     "item_value",
@@ -112,16 +116,6 @@ CHUNK_RETRY_DELAY_S = 5.0
 #: How long a receiver waits for a streamed reply's frames before
 #: concluding the stream died with its sender.
 STREAM_WAIT_TIMEOUT_S = 600.0
-
-
-#: Every live body a stream carries, by ``(size, crc32)``: the one
-#: :func:`body_sender` framed last, or the one a receiver joined.  A
-#: receiver whose chunks all equal a held body's bytes wraps those bytes
-#: instead of joining a copy, so a file streamed on within one process
-#: is held once.  Weak: it keeps nothing alive.
-_HELD: weakref.WeakValueDictionary[tuple[int, int], FileBody] = (
-    weakref.WeakValueDictionary()
-)
 
 
 @dataclass(slots=True, frozen=True)
@@ -240,18 +234,16 @@ class DataPlaneEndpoint:
     def _finish(self, stream_id: int) -> None:
         reassembler = self._open.pop(stream_id)
         info = reassembler.info
-        key = (info.total_size, info.total_crc32)
-        held = _HELD.get(key)
-        held_data = None if held is None else held.data
-        # Verifies the whole-payload crc, then adopts the held bytes only
-        # if every chunk equals them: a forged CRC-32 match is joined.
-        data = reassembler.payload(held_data)
+        # Verifies the whole-payload crc, then returns the bytes held
+        # under the payload's key only if every chunk equals them: other
+        # bytes with the same size and edges, or a forged CRC-32, are joined.
+        data = reassembler.payload(
+            held((info.total_size, *reassembler.edges(KEY_EDGE)))
+        )
         # A fresh body either way: this side's chunk CRCs, no digest.
-        body = FileBody(
+        body = FileBody.received(
             data, chunk_bytes=info.chunk_bytes, chunk_crcs=reassembler.chunk_crcs,
         )
-        if data is not held_data:
-            _HELD[key] = body
         done = CompletedStream(reassembler.context, body, info.total_crc32)
         self._count("stream.completed")
         if self.on_complete is not None and self.on_complete(done.context, body):
@@ -307,13 +299,12 @@ def body_sender(
 ) -> StreamSender:
     """Frame ``body`` with the chunk CRCs it holds: content its site has
     already cut at ``chunk_bytes`` is not read again.  The body is held
-    for its receivers to adopt (:data:`_HELD`)."""
+    for its receivers to adopt (:func:`~repro.vfs.body.hold`)."""
     sender = StreamSender(
         stream_id, body.data, chunk_bytes, context,
         chunk_crcs=body.chunk_crcs(chunk_bytes),
     )
-    info = sender.open_info
-    _HELD[info.total_size, info.total_crc32] = body
+    hold(body)
     return sender
 
 
@@ -438,6 +429,11 @@ def item_of(
     raise error(f"a file is bytes or [size, crc32, stream_id], not {value!r:.80}")
 
 
+def encode_item(item: Item) -> bytes:
+    """A bulk reply's one item, encoded."""
+    return asn1.encode(item_value(item))
+
+
 def decode_item(data: bytes) -> Item:
     """A bulk reply's one item; any other input is a :class:`FrameError`."""
     return item_of(asn1.decode(data, FrameError), FrameError)
@@ -451,10 +447,12 @@ def ship(
 ) -> typing.Generator[Event, typing.Any, Manifest]:
     """The manifest of ``files`` (``yield from``): each file of at most
     :data:`INLINE_FILE_MAX` bytes inline, each larger one sent ahead by
-    ``stream(path, body)`` and named by the entry it returns."""
+    ``stream(path, body)`` and named by the entry it returns.  Either way
+    the body is held for its receivers to adopt."""
     manifest: Manifest = {}
     for path, body in sorted(files.items()):
         if len(body) <= INLINE_FILE_MAX:
+            hold(body)
             manifest[path] = body.data
         else:
             manifest[path] = yield from stream(path, body)
@@ -464,7 +462,9 @@ def ship(
 def claim(
     endpoint: DataPlaneEndpoint, manifest: Manifest
 ) -> dict[str, FileBody]:
-    """The files ``manifest`` names, taking each stream from ``endpoint``.
+    """The files ``manifest`` names, taking each stream from ``endpoint``;
+    an inline file is a fresh body around the bytes this process holds
+    when it holds them (:meth:`~repro.vfs.FileBody.received`).
 
     A stream that never (fully) arrived — its frames dropped while this
     side was down — is :class:`ServiceUnavailable`, so a client fails
@@ -474,7 +474,7 @@ def claim(
     files: dict[str, FileBody] = {}
     for path, item in manifest.items():
         if not isinstance(item, FileEntry):
-            files[path] = FileBody(item)
+            files[path] = FileBody.received(item)
             continue
         done = endpoint.take(item.stream_id)
         if done is None:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import types
 import typing
-from dataclasses import dataclass
 
 from repro import asn1
 from repro.ajo.errors import SerializationError
@@ -63,7 +62,7 @@ from repro.protocol.datapath import (
     StreamIdAllocator,
     body_sender,
     claim,
-    item_value,
+    encode_item,
     send_stream,
 )
 from repro.protocol.messages import Reply, Request, RequestKind
@@ -73,6 +72,7 @@ from repro.security.ca import CertificateStore
 from repro.security.errors import AuthenticationError, SecurityError
 from repro.security.uudb import UUDB
 from repro.server.errors import ConsignError, ServerError
+from repro.server.replycache import CachedReply, ReplyCache, inline_payload
 from repro.simkernel import Event, Simulator
 from repro.vfs.body import FileBody
 
@@ -104,21 +104,11 @@ _REFUSALS = (
     ServerError, SerializationError, ServiceUnavailable, BrokerError, FrameError
 )
 
-#: What a handler answers: the reply payload, and the sender of a stream
-#: to push ahead of the reply when the content travels on the data plane.
-_Answer = tuple[bytes, StreamSender | None]
-
-
-@dataclass(slots=True)
-class _CachedReply:
-    """What a retried request is answered from."""
-
-    reply: Reply
-    #: Sender of the bulk content pushed ahead of ``reply`` on the data
-    #: plane, kept so a retry re-pushes the stream (the client-side
-    #: reassembler deduplicates repeated chunks) without re-reading it.
-    push: StreamSender | None
-    expires_at: float = 0.0
+#: What a handler answers: the reply payload, and for a bulk answer the
+#: content it carries — the body whose ``inline_payload`` is the payload,
+#: or the sender of a stream to push ahead of the reply when the content
+#: travels on the data plane.
+_Answer = tuple[bytes, StreamSender | FileBody | None]
 
 
 class Gateway:
@@ -159,9 +149,8 @@ class Gateway:
         #: client host name -> authenticated https channel.
         self._channels: dict[str, HttpsChannel] = {}
         #: request id -> cached reply, making retried requests idempotent
-        #: (the async protocol resends after reply loss).  Insertion
-        #: order is expiry order.
-        self._reply_cache: dict[int, _CachedReply] = {}
+        #: (the async protocol resends after reply loss).
+        self._reply_cache = ReplyCache(sim, REPLY_RETENTION_S)
         #: Data-plane intake: consignment uploads stream here ahead of
         #: their control-plane request.  Survives crashes alongside the
         #: reply cache (the process restarts on the same host).
@@ -251,19 +240,17 @@ class Gateway:
             self.auth_failures += 1
             telemetry_for(self.sim).metrics.counter("gateway.auth_failures").inc()
             return
-        self._forget_expired()
         # A hit is a retried request (its reply was lost): resend, do
         # not redo.
-        cached = self._reply_cache.get(request.request_id)
+        cached = self._reply_cache.lookup(request.request_id)
         fresh = cached is None
         if cached is None:
-            reply, push = yield from self._process(channel, request)
-            cached = _CachedReply(reply, push)
+            reply, content = yield from self._process(channel, request)
+            cached = CachedReply(reply, content)
             self.requests_served += 1
-        # Every use re-inserts at the end, renewing the entry.
-        self._reply_cache.pop(request.request_id, None)
-        cached.expires_at = self.sim.now + REPLY_RETENTION_S
-        self._reply_cache[request.request_id] = cached
+        else:
+            reply = cached.reply
+        self._reply_cache.renew(request.request_id, cached)
 
         def ready_s(size: int) -> float:
             """A fresh answer crosses from the NJS piece by piece, each
@@ -290,19 +277,8 @@ class Gateway:
                     "gateway.push_aborts"
                 ).inc()
                 return
-        size = cached.reply.wire_size
-        channel.send(cached.reply, size, to_server=False, ready_s=ready_s(size))
-
-    def _forget_expired(self) -> None:
-        """Drop cached replies (and the content their pushes pin) that no
-        retry can ask for any more."""
-        cache = self._reply_cache
-        now = self.sim.now
-        while cache:
-            oldest = next(iter(cache))
-            if cache[oldest].expires_at > now:
-                break
-            del cache[oldest]
+        size = reply.wire_size
+        channel.send(reply, size, to_server=False, ready_s=ready_s(size))
 
     def _process(self, channel: HttpsChannel, request: Request):
         telemetry = telemetry_for(self.sim)
@@ -346,12 +322,12 @@ class Gateway:
             if isinstance(answer, types.GeneratorType):
                 # A subscription QUERY parks until the job completes.
                 answer = yield from answer
-            payload, push = answer
+            payload, content = answer
             reply = Reply(request_id=request.request_id, ok=True, payload=payload)
         except _REFUSALS as err:
-            reply, push = _refusal(request, err), None
+            reply, content = _refusal(request, err), None
         tracer.end_span(request_span, error=None if reply.ok else reply.error)
-        return reply, push
+        return reply, content
 
     def _cross(
         self, src: Host, dst: Host, size: int, delay_s: float = 0.0
@@ -469,18 +445,19 @@ class Gateway:
         return asn1.encode(self.njs.capacity().to_value()), None
 
     def _bulk(self, request: Request, content: FileBody) -> _Answer:
-        """Answer with content: inline if small, else a reference to a
+        """Answer with content: inline if small, with the body for the
+        reply cache to keep instead of the payload, else a reference to a
         stream, whose sender is returned for pushing ahead of the reply.
         The frames carry the chunk CRCs ``content`` holds, so a file this
         site received as a stream is served without being read again.
         """
         if len(content) <= INLINE_FILE_MAX:
-            return asn1.encode(item_value(content.data)), None
+            return inline_payload(content), content
         push = body_sender(
             self._stream_ids.next(), content,
             {"kind": "bulk-reply", "request": request.request_id},
         )
-        return asn1.encode(item_value(FileEntry.of(push))), push
+        return encode_item(FileEntry.of(push)), push
 
     def _authorize_job(self, job_id: str, user_dn: str) -> None:
         """Users may only touch their own jobs."""

@@ -42,7 +42,7 @@ from repro.server.njs.incarnation import (
 )
 from repro.server.njs.jobrun import JobRun
 from repro.server.njs.peerlink import CancelGroup, PeerLink
-from repro.server.njs.runtable import RunTable
+from repro.server.njs.runtable import Run, RunTable
 from repro.server.vsite import Vsite
 from repro.simkernel import Simulator
 from repro.storage.journal import JournalEntry
@@ -125,12 +125,22 @@ class Executor:
             self.resume(run)
         for vsite_name, local_id in run.batch_jobs.values():
             self._cancel_delivery(vsite_name, local_id)
-        # One CancelGroup per peer cancels every group it took in.
+        self.tell_forwarded(run)
+
+    def tell_forwarded(self, run: Run, *, dispose: bool = False) -> None:
+        """Send one :class:`CancelGroup` to each peer that took in a group
+        of ``run``'s job.  It cancels every such group, or with ``dispose``
+        disposes each one that has finished.  Fire-and-forget: like the
+        cancel and dispose it follows, it is best effort.  A site without
+        peers forwarded nothing, and does not read a restored job's AJO to
+        learn so."""
+        if not self._peers.routes:
+            return
         for usite in dict.fromkeys(sub.usite for sub in self._forwarded(run.root)):
             if usite in self._peers.routes:
-                # Fire-and-forget: cancellation is best-effort.
                 self._sim.process(self._peers.try_send(usite, CancelGroup(
-                    corr_id=self._peers.next_corr_id(), parent_job_id=run.job_id
+                    corr_id=self._peers.next_corr_id(), parent_job_id=run.job_id,
+                    dispose=dispose,
                 )))
 
     def _forwarded(self, group: AbstractJobObject):

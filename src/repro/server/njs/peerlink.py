@@ -123,10 +123,12 @@ class TransferAck:
 
 @dataclass(slots=True)
 class CancelGroup:
-    """Cancellation propagated to a peer holding a forwarded group."""
+    """Cancellation propagated to a peer holding a forwarded group, or
+    with ``dispose`` the parent job's disposal."""
 
     corr_id: int
     parent_job_id: str
+    dispose: bool = False
 
     @property
     def wire_payload(self) -> int:

@@ -291,7 +291,10 @@ class NetworkJobSupervisor:
             self.sim.process(self.forwarding.take_in(payload))
         elif isinstance(payload, CancelGroup):
             for run in self.forwarding.foreign_runs(payload.parent_job_id):
-                self.cancel(run.job_id)
+                if not payload.dispose:
+                    self.cancel(run.job_id)
+                elif isinstance(run, FinishedRun):  # a running one is left be
+                    self.dispose(run.job_id)
         elif isinstance(payload, GroupResult):
             self.forwarding.returned(payload)
         elif isinstance(payload, TransferAck):
@@ -424,7 +427,8 @@ class NetworkJobSupervisor:
         )
 
     def dispose(self, job_id: str) -> None:
-        """Release a terminal job: destroy its Uspaces, forget its state and trace.
+        """Release a terminal job: destroy its Uspaces, forget its state and
+        trace, and have each peer that took in a group of it dispose it.
 
         The NJS "create[s] a UNICORE job directory" per job (section 5.5);
         disposal is the matching cleanup once the user is done with the
@@ -436,6 +440,7 @@ class NetworkJobSupervisor:
                 f"job {job_id} is {run.status().value}; cancel it before "
                 "disposing"
             )
+        self._executor.tell_forwarded(run, dispose=True)
         self._executor.destroy_uspaces(job_id)
         self.runs.dispose(run)
         self.forwarding.release(job_id)

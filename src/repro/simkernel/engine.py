@@ -12,6 +12,12 @@ from repro.simkernel.process import Process
 
 __all__ = ["CallbackSlot", "Simulator"]
 
+#: asyncio's rule for dead timers (``BaseEventLoop._run_once``): once the
+#: heap holds more than this many entries and more than half of them are
+#: cancelled slots, it is rebuilt from the live ones.  The cancel that
+#: tips it does so, so a step pops only the head its caller could peek.
+COMPACT_FLOOR = 100
+
 
 class CallbackSlot:
     """A pre-bound callback sitting directly on the event heap.
@@ -23,19 +29,29 @@ class CallbackSlot:
     touching the event machinery.
     """
 
-    __slots__ = ("fn", "args", "cancelled")
+    __slots__ = ("fn", "args", "cancelled", "_sim")
 
-    def __init__(self, fn: typing.Callable[..., object], args: tuple) -> None:
+    def __init__(
+        self, fn: typing.Callable[..., object], args: tuple, sim: Simulator
+    ) -> None:
         self.fn = fn
         self.args = args
         self.cancelled = False
+        #: The simulator whose heap holds the slot; None once popped.
+        self._sim: Simulator | None = sim
 
     def cancel(self) -> None:
         """Drop the callback and what it held on to; the heap entry is
         skipped when its time comes, uncounted and without moving the
-        clock."""
+        clock, or dropped sooner when the heap is compacted."""
         self.cancelled = True
         self.args = ()
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._dead += 1
+            if sim._dead * 2 > len(sim._queue) > COMPACT_FLOOR:
+                sim._compact()
 
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
@@ -78,6 +94,8 @@ class Simulator:
         self._processed_count = 0
         self._callbacks_run = 0
         self._peak_heap = 0
+        #: Cancelled slots still on the heap.
+        self._dead = 0
 
     # -- clock -------------------------------------------------------------
     @property
@@ -107,9 +125,7 @@ class Simulator:
             "now": self._now,
             "events_processed": self._processed_count,
             "callbacks_run": self._callbacks_run,
-            "heap_size": sum(
-                not getattr(item, "cancelled", False) for _, _, item in self._queue
-            ),
+            "heap_size": len(self._queue) - self._dead,
             "peak_heap_size": self._peak_heap,
         }
 
@@ -166,7 +182,7 @@ class Simulator:
         for fire-and-forget work (message delivery, timers that are never
         waited on).
         """
-        slot = CallbackSlot(fn, args)
+        slot = CallbackSlot(fn, args, self)
         queue = self._queue
         heapq.heappush(queue, (self._now + delay, next(self._seq), slot))
         if len(queue) > self._peak_heap:
@@ -210,16 +226,33 @@ class Simulator:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
         return self._queue[0][0] if self._queue else float("inf")
 
+    def _compact(self) -> None:
+        """Rebuild the heap in place from its live entries.  ``(when,
+        seq)`` orders the entries totally, so what is popped, and when,
+        does not change; a cancel calls this, never a step, so the head a
+        caller of :meth:`step` peeked at is the entry it pops."""
+        queue = self._queue
+        queue[:] = [
+            entry for entry in queue
+            if type(entry[2]) is not CallbackSlot or not entry[2].cancelled
+        ]
+        heapq.heapify(queue)
+        self._dead = 0
+
     def step(self) -> None:
         """Process exactly one entry (advancing the clock to it); a
         cancelled slot is dropped and leaves the clock where it is."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise RuntimeError("step() on an empty event queue")
-        when, _, item = heapq.heappop(self._queue)
+        when, _, item = heapq.heappop(queue)
         if when < self._now:  # pragma: no cover - guarded by _schedule
             raise RuntimeError("event scheduled in the past")
         if type(item) is CallbackSlot:
-            if not item.cancelled:
+            if item.cancelled:
+                self._dead -= 1
+            else:
+                item._sim = None
                 self._now = when
                 self._processed_count += 1
                 self._callbacks_run += 1

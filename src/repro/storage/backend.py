@@ -161,8 +161,11 @@ class BlobStore:
         self._backend._count_write(0)
 
     def body(self, digest: str) -> FileBody:
-        """:meth:`get` as a body that knows the key it was read under."""
-        return FileBody(self.get(digest), digest=digest)
+        """:meth:`get` as a body that knows the key it was read under,
+        around the bytes this process already holds when it holds them
+        (:meth:`FileBody.received`): a restored file read again and again
+        is not a copy per read."""
+        return FileBody.received(self.get(digest), digest=digest)
 
     def put_files(
         self, files: typing.Mapping[str, FileBody | bytes]

@@ -12,25 +12,40 @@ key.  Content the holder made itself needs no seed: a batch system keeps
 the one body it writes per product size, so every product of that size
 at that site shares one memo.  Nothing here rides a message: envelopes,
 peer messages and frames carry ``bytes`` and the receiving site builds
-its own body, so every site still reads each byte it accepts.  The
-``bytes`` a body wraps may be ones this process already holds (a
-:class:`~repro.protocol.datapath.DataPlaneEndpoint` adopts them after a
-byte compare), but its checks are its own.  Serving the CRCs taken at
-receipt is also the stronger check (HDFS stores block checksums beside
-the data and serves those, for the same reason): one recomputed at send
-time blesses whatever the copy has become, the held one lets the next
-receiver catch it.
+its own body, so every site still reads each byte it accepts.  Serving
+the CRCs taken at receipt is also the stronger check (HDFS stores block
+checksums beside the data and serves those, for the same reason): one
+recomputed at send time blesses whatever the copy has become, the held
+one lets the next receiver catch it.
+
+A process holds each file's bytes once, however the file reached it.
+This module keeps the one weak registry of live bodies, keyed by size
+and the :data:`KEY_EDGE` bytes at each end of the content: a sender
+offers the body it sends (:func:`hold`), and a receiver — an inline
+manifest item, a reassembled stream, a blob read — wraps the bytes of
+the held body under its key when they equal what it was handed
+(:func:`adopt`, :meth:`FileBody.received`).  The key is free to take and
+the byte compare is the proof, so no checksum pass is added for it: a
+key shared by other bytes is not adopted, and costs memory, never
+content.  The bytes may be shared; the checks are each body's own.
 """
 
 from __future__ import annotations
 
 import hashlib
 import typing
+import weakref
 import zlib
 
 from repro.vfs.errors import VFSError
 
-__all__ = ["FileBody"]
+__all__ = ["KEY_EDGE", "FileBody", "HeldKey", "adopt", "held", "held_key", "hold"]
+
+#: Bytes at each end of the content that key a held body, beside its size.
+KEY_EDGE = 16
+
+#: ``(size, first KEY_EDGE bytes, last KEY_EDGE bytes)`` of some content.
+HeldKey = tuple[int, bytes, bytes]
 
 
 class FileBody:
@@ -72,6 +87,26 @@ class FileBody:
         fresh body around the bare bytes."""
         return content if isinstance(content, FileBody) else cls(content)
 
+    @classmethod
+    def received(
+        cls,
+        data: bytes,
+        *,
+        digest: str | None = None,
+        chunk_bytes: int = 0,
+        chunk_crcs: typing.Sequence[int] = (),
+    ) -> "FileBody":
+        """A fresh body, with the checks given, for bytes this process was
+        handed: around the held bytes equal to ``data`` (:func:`adopt`),
+        else around ``data``, held from now on if no live body holds its
+        key."""
+        body = cls(
+            adopt(data), digest=digest, chunk_bytes=chunk_bytes,
+            chunk_crcs=chunk_crcs,
+        )
+        _HELD.setdefault(held_key(data), body)
+        return body
+
     @property
     def data(self) -> bytes:
         return self._data
@@ -105,3 +140,35 @@ class FileBody:
         if isinstance(other, (bytes, bytearray, memoryview)):
             return self._data == other
         return NotImplemented
+
+
+#: Every live body a receiver may adopt the bytes of, by :func:`held_key`.
+#: Weak: it keeps nothing alive.
+_HELD: weakref.WeakValueDictionary[HeldKey, FileBody] = (
+    weakref.WeakValueDictionary()
+)
+
+
+def held_key(data: bytes) -> HeldKey:
+    """The registry key of ``data``: its size and its two edges."""
+    return len(data), data[:KEY_EDGE], data[-KEY_EDGE:]
+
+
+def held(key: HeldKey) -> bytes | None:
+    """The bytes of the live body held under ``key``, if any; they are
+    ``data`` only if a byte compare says so."""
+    body = _HELD.get(key)
+    return None if body is None else body.data
+
+
+def hold(body: FileBody) -> None:
+    """Offer ``body``'s bytes to the receivers that follow: a sender's
+    call, so it displaces any other body its key held."""
+    _HELD[held_key(body.data)] = body
+
+
+def adopt(data: bytes) -> bytes:
+    """The bytes of the live body held under ``data``'s key when they
+    equal ``data`` (a memcmp), else ``data`` itself."""
+    kept = held(held_key(data))
+    return kept if kept is not None and kept == data else data

@@ -10,10 +10,15 @@ session's trace alone, and the heap a disposed job leaves is bounded.
 
 import gc
 import tracemalloc
+import weakref
 
 from repro.api import GridSession
 from repro.grid import build_grid
 from repro.observability import INERT_SPAN, Span, telemetry_for
+from repro.protocol.datapath import INLINE_FILE_MAX
+from repro.server.njs.finished import FinishedRun
+from repro.server.njs.jobrun import JobRun
+from repro.server.njs.peerlink import CancelGroup
 
 SITES = {"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}
 WARM_UP = 20
@@ -99,3 +104,98 @@ def test_a_disposed_two_site_job_takes_its_forwarded_group_spans_along():
 
     left = _spans_since(before)
     assert [s.name for s in left if s.trace_id == handle.trace_id] == []
+
+
+def _spread_with_file(session, user, runtime_s=30.0):
+    """A job whose group at ZIB imports a workstation file; its handle."""
+    user.workstation.fs.write("/home/keeper/input.dat", bytes(range(256)) * 16)
+    job = session.new_job("spread-file", "FZJ-T3E")
+    imp = job.import_from_workstation("/home/keeper/input.dat", "input.dat")
+    sub = job.sub_job("remote", vsite="ZIB-SP2", usite="ZIB")
+    sub.script_task("work", "#!/bin/sh\nwc input.dat\n",
+                    simulated_runtime_s=runtime_s)
+    job.depends(imp, sub, files=["input.dat"])
+    return session.submit(job)
+
+
+def test_a_home_site_dispose_disposes_the_groups_it_forwarded():
+    """Disposing at the home site reaches the child: an hour later ZIB
+    holds no run of the job, and the group's Uspace file is let go."""
+    grid = build_grid(SITES, seed=41)
+    user = grid.add_user("Keeper", logins={site: "keeper" for site in SITES})
+    session = GridSession(grid, user, "FZJ")
+    handle = _spread_with_file(session, user)
+    assert session.wait(handle).status == "successful"
+    zib = grid.usites["ZIB"].njs
+    group_id = zib.forwarding.foreign_run(handle.job_id).job_id
+    assert isinstance(zib.runs[group_id], FinishedRun)
+    uspace_body = weakref.ref(zib.fetch_uspace_file(group_id, "input.dat"))
+
+    session.dispose(handle)
+    grid.sim.run(until=grid.sim.now + 3600.0)
+    gc.collect()
+    assert group_id not in zib.runs and len(zib.runs) == 0
+    assert zib.forwarding.foreign_runs(handle.job_id) == []
+    assert uspace_body() is None
+
+
+def test_a_dispose_leaves_a_running_forwarded_group_alone():
+    """A group still running when its parent's dispose arrives is not
+    disposed (nor cancelled): it runs to its end."""
+    grid = build_grid(SITES, seed=41)
+    user = grid.add_user("Keeper", logins={site: "keeper" for site in SITES})
+    session = GridSession(grid, user, "FZJ")
+    handle = _spread_with_file(session, user, runtime_s=600.0)
+    grid.sim.run(until=grid.sim.now + 300.0)
+    zib = grid.usites["ZIB"].njs
+    (running,) = zib.forwarding.foreign_runs(handle.job_id)
+    assert isinstance(running, JobRun)
+
+    zib.dispatch_peer_message(
+        CancelGroup(corr_id=0, parent_job_id=handle.job_id, dispose=True)
+    )
+    assert zib.runs[running.job_id] is running and not running.cancelled
+    assert session.wait(handle).status == "successful"
+    assert isinstance(zib.runs[running.job_id], FinishedRun)
+
+
+#: Fetches of one inline file under fresh request ids.
+FETCHES = 40
+#: Retained gateway heap per fetch: the cache entry, not the file.
+BYTES_PER_FETCH = 1024
+
+
+def test_a_cached_inline_reply_keeps_its_body_not_a_copy():
+    """Each fetch leaves a reply-cache entry for the retry window; one
+    that keeps the file's body adds an entry's worth of heap, one that
+    keeps the encoded reply adds the file (64 KiB)."""
+    grid = build_grid({"FZJ": SITES["FZJ"]}, seed=41)
+    user = grid.add_user("Keeper", logins={"FZJ": "keeper"})
+    session = GridSession(grid, user, "FZJ")
+    content = bytes(range(256)) * (INLINE_FILE_MAX // 256)
+    assert len(content) == INLINE_FILE_MAX
+    user.workstation.fs.write("/home/keeper/input.dat", content)
+    job = session.new_job("cached", "FZJ-T3E")
+    imp = job.import_from_workstation("/home/keeper/input.dat", "input.dat")
+    work = job.script_task("work", "#!/bin/sh\nwc input.dat\n",
+                           simulated_runtime_s=30.0)
+    job.depends(imp, work, files=["input.dat"])
+    handle = session.submit(job)
+    assert session.wait(handle).status == "successful"
+    gateway = grid.usites["FZJ"].gateway
+    tracemalloc.start(1)
+    try:
+        # Traced from here: the copy each fetch saves on the workstation
+        # replaces the one before, so a tracked copy replaces a tracked one.
+        assert session.fetch_file(handle, "input.dat") == content
+        cached = len(gateway._reply_cache)
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0]
+        for _ in range(FETCHES):
+            assert session.fetch_file(handle, "input.dat") == content
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - traced
+    finally:
+        tracemalloc.stop()
+    assert len(gateway._reply_cache) == cached + FETCHES  # all in the window
+    assert retained / FETCHES <= BYTES_PER_FETCH, f"{retained / FETCHES:.0f} B per fetch"

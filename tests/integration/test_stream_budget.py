@@ -19,7 +19,6 @@ import collections
 import gc
 import random
 import weakref
-import zlib
 
 import pytest
 
@@ -28,13 +27,13 @@ from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
 from repro.net.https import DEFAULT_PER_RECORD_CPU_S
 from repro.net.stream import FrameType, decode_frame
-from repro.protocol import datapath
 from repro.protocol.datapath import DEFAULT_CHUNK_BYTES
 from repro.protocol.messages import Reply
 from repro.security.ssl import SSLSession
 from repro.server.gateway import AUTH_CPU_S
 from repro.server.njs.peerlink import PeerFrame
 from repro.simkernel import CallbackSlot, Simulator
+from repro.vfs import body as vfs_body
 
 #: One MiB, cut into four chunks.
 CONTENT = bytes(range(256)) * (4 * DEFAULT_CHUNK_BYTES // 256)
@@ -225,5 +224,5 @@ def test_a_streamed_file_is_held_once(two_sites):
     gc.collect()
     assert [ref() for ref in site_bodies] == [None, None]
     workstation = user.workstation.fs.body("/home/clara/input.dat")
-    held = datapath._HELD.get((len(content), zlib.crc32(content)))
-    assert held is None or held is workstation
+    kept = vfs_body._HELD.get(vfs_body.held_key(content))
+    assert kept is None or kept is workstation

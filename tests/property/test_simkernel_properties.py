@@ -1,9 +1,11 @@
 """Property-based tests for simulation-kernel invariants."""
 
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import EXPIRED, Simulator, Store
+from repro.simkernel import EXPIRED, Simulator, Store, engine
 
 delays = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
                   max_size=40)
@@ -119,3 +121,67 @@ def test_a_deadline_resolves_its_event_exactly_once(pairs):
     # Happen, wake-up, and the limit unless it was cancelled first; the
     # waiter's start costs nothing.
     assert sim.processed_events == sum(2 + (d <= h) for h, d in pairs)
+
+
+#: One step of a schedule/cancel program: queue a slot due in ``delay``
+#: that, when it runs, cancels the slot at ``target`` (mod the slots made
+#: so far) or queues a timeout event; cancel the slot at ``target``; run
+#: the loop until ``target`` entries are processed (a dead slot popped is
+#: none); or run it until ``delay`` from now.
+program_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["slot", "cancel", "steps", "until"]),
+        st.floats(min_value=0.0, max_value=50.0),
+        st.integers(0, 1 << 16),
+        st.booleans(),
+    ),
+    max_size=150,
+)
+
+
+def _popped(ops):
+    """What the loop runs, and when, for one schedule/cancel program."""
+    sim = Simulator()
+    slots, seen = [], []
+
+    def fire(label, target, cancels):
+        seen.append((label, sim.now))
+        if cancels:
+            slots[target % len(slots)].cancel()
+        else:
+            sim.timeout(target % 7, value=label).callbacks.append(
+                lambda ev: seen.append((f"event {ev.value}", sim.now))
+            )
+
+    for index, (kind, delay, target, cancels) in enumerate(ops):
+        if kind == "slot":
+            slots.append(sim.schedule_callback(delay, fire, index, target, cancels))
+        elif kind == "cancel" and slots:
+            slots[target % len(slots)].cancel()
+        elif kind == "steps":
+            goal = sim.processed_events + target % 5
+            while sim.processed_events < goal and sim.peek() != float("inf"):
+                sim.step()
+        elif kind == "until":
+            sim.run(until=sim.now + delay)
+            seen.append(("until", sim.now))
+    sim.run()
+    return seen, sim.now, sim.processed_events, sim.profile()["heap_size"]
+
+
+@given(program_ops)
+@example([  # two dead slots before the limit, the live one after it
+    ("slot", 1.0, 0, False), ("slot", 2.0, 0, False), ("slot", 20.0, 0, False),
+    ("cancel", 0.0, 0, False), ("cancel", 0.0, 1, False),
+    ("until", 10.0, 0, False),
+])
+@settings(max_examples=150, deadline=None)
+def test_compaction_changes_nothing_the_loop_runs(ops):
+    """Any schedule/cancel program pops the same entries at the same
+    times whether the heap is compacted at every chance or never:
+    ``(when, seq)`` orders it totally, and only dead slots leave."""
+    with mock.patch.object(engine, "COMPACT_FLOOR", 0):
+        compacted = _popped(ops)
+    with mock.patch.object(engine, "COMPACT_FLOOR", float("inf")):
+        never = _popped(ops)
+    assert compacted == never

@@ -1,4 +1,5 @@
-"""Property-based tests: frame codec totality, manifest roundtrips."""
+"""Property-based tests: frame codec totality, manifest roundtrips, and
+adoption of held bytes (never other bytes than those received)."""
 
 import string
 import zlib
@@ -24,6 +25,7 @@ from repro.protocol.consignment import (
 )
 from repro import asn1
 from repro.protocol.datapath import FileEntry, decode_item, item_value
+from repro.vfs.body import KEY_EDGE, FileBody, adopt, held_key, hold
 
 payloads = st.binary(max_size=4096)
 relative_paths = st.text(
@@ -149,25 +151,32 @@ def test_reassembler_folds_whole_payload_crc_in_any_feed_order(
     assert reassembler.payload() == data
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    data=payloads,
-    chunk=chunk_sizes,
-    held=st.one_of(
-        st.none(), payloads, st.just("same"), st.integers(0, 1 << 20)
-    ),
+def _variant(data, held):
+    """``held`` drawn for ``data``: none, other bytes, the same bytes in
+    another object, or them with one byte changed (the registry key
+    stays the same when that byte is in the middle)."""
+    if held == "same":
+        return bytes(bytearray(data))
+    if isinstance(held, int):
+        changed = bytearray(data or b"\0")
+        changed[held % len(changed)] ^= 1 + held % 255
+        return bytes(changed)
+    return held
+
+
+held_variants = st.one_of(
+    st.none(), payloads, st.just("same"), st.integers(0, 1 << 20)
 )
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=payloads, chunk=chunk_sizes, held=held_variants)
 def test_reassembly_returns_the_sent_bytes_whatever_is_held(data, chunk, held):
     """For any held body — none, any other bytes, the sent bytes in
     another object, or those bytes with one byte changed — reassembly
     returns exactly the bytes sent, and the held object itself only
     when it equals them."""
-    if held == "same":
-        held = bytes(bytearray(data))
-    elif isinstance(held, int):
-        changed = bytearray(data or b"\0")
-        changed[held % len(changed)] ^= 1 + held % 255
-        held = bytes(changed)
+    held = _variant(data, held)
     sender = StreamSender(23, data, chunk, {})
     open_frame, *data_frames = sender.frames()
     reassembler = StreamReassembler(decode_frame(encode_frame(open_frame)))
@@ -176,6 +185,36 @@ def test_reassembly_returns_the_sent_bytes_whatever_is_held(data, chunk, held):
     got = reassembler.payload(held)
     assert got == data
     assert (got is held) == (held == data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=payloads, held=held_variants)
+def test_adopt_returns_the_bytes_it_was_given_whatever_is_held(data, held):
+    """``adopt`` returns bytes equal to its input, and the held object
+    only when the two are equal; a receiver's body wraps those bytes."""
+    held = _variant(data, held)
+    body = None if held is None else FileBody(held)
+    if body is not None:
+        hold(body)
+    got = adopt(data)
+    assert got == data
+    assert (body is not None and got is body.data) == (held == data)
+    received = FileBody.received(data)
+    assert received.data is got and received is not body
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=payloads, chunk=chunk_sizes)
+def test_a_streams_edges_are_its_payloads_registry_key(data, chunk):
+    """The key a reassembler reads off its first and last chunks is the
+    key of the payload they join to."""
+    sender = StreamSender(24, data, chunk, {})
+    open_frame, *data_frames = sender.frames()
+    reassembler = StreamReassembler(decode_frame(encode_frame(open_frame)))
+    for frame in data_frames:
+        reassembler.feed(decode_frame(encode_frame(frame)))
+    edges = reassembler.edges(KEY_EDGE)
+    assert (len(data), *edges) == held_key(data)
 
 
 # ----------------------------------------------------------- consignment

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simkernel import EXPIRED, Interrupt, ProcessDied, Simulator, TimeoutAt
+from repro.simkernel.engine import COMPACT_FLOOR
 
 
 def test_clock_starts_at_zero():
@@ -429,6 +430,60 @@ def test_a_dead_slot_does_not_move_the_clock():
     slot.cancel()
     sim.run()
     assert sim.now == 0.0 and sim.processed_events == 0
+
+
+def test_a_heap_of_mostly_cancelled_slots_is_rebuilt_from_the_live_ones():
+    sim = Simulator()
+    fired = []
+    slots = [sim.schedule_callback(float(t), fired.append, t) for t in range(1000)]
+    for t, slot in enumerate(slots):
+        if t % 10:
+            slot.cancel()
+    assert sim.profile()["heap_size"] == 100
+    assert len(sim._queue) <= 2 * 100
+    sim.run()
+    assert fired == list(range(0, 1000, 10)) and sim.now == 990.0
+    assert sim.processed_events == 100
+
+
+def test_the_heap_holds_at_most_twice_its_live_entries_or_the_floor():
+    """Each tick queues live work due in a second and a limit of 1,000 s
+    nobody needs any more (a wait that ended in time): without
+    compaction the dead limits pile up for 1,000 ticks."""
+    sim = Simulator()
+    for _ in range(3000):
+        sim.schedule_callback(1.0, lambda: None)
+        sim.deadline(sim.event(), 1000.0).cancel()
+        sim.step()
+        live = sim.profile()["heap_size"]
+        assert len(sim._queue) <= max(2 * live, COMPACT_FLOOR)
+    assert sim.profile()["peak_heap_size"] <= COMPACT_FLOOR + 2
+
+
+def test_a_timed_run_stops_before_the_live_entry_a_compaction_uncovers():
+    """150 dead slots at t=1 and one live one at t=20: running until 10
+    leaves the live one queued and the clock at 10."""
+    sim = Simulator()
+    fired = []
+    dead = [sim.schedule_callback(1.0, fired.append, "dead") for _ in range(150)]
+    sim.schedule_callback(20.0, fired.append, "live")
+    for slot in dead:
+        slot.cancel()
+    sim.run(until=10.0)
+    assert fired == [] and sim.now == 10.0
+    sim.run()
+    assert fired == ["live"] and sim.now == 20.0
+
+
+def test_a_slot_cancelled_after_it_ran_is_not_counted_dead():
+    sim = Simulator()
+    slot = sim.schedule_callback(1.0, lambda: None)
+    sim.run()
+    slot.cancel()
+    slot.cancel()
+    assert sim.profile()["heap_size"] == 0
+    sim.schedule_callback(1.0, lambda: None)
+    assert sim.profile()["heap_size"] == 1
 
 
 def test_callbacks_interleave_with_events_in_time_order():
