@@ -51,9 +51,10 @@ class JobMonitorController:
 
     def __init__(self, session: UnicoreSession) -> None:
         self.session = session
-        #: Last good status tree per job as ``(sim_time, view)``, for
-        #: stale-but-served display during gateway outages.
-        self._status_cache: dict[str, tuple[float, JobStatusView]] = {}
+        #: Last good status reply per job as ``(sim_time, payload)``, for
+        #: stale-but-served display during gateway outages: the bytes,
+        #: decoded again only when an outage re-serves them.
+        self._status_cache: dict[str, tuple[float, bytes]] = {}
         #: Delta-listing state: the server's index cursor and the
         #: merged rows (``job_id -> listing``) it is valid against.
         self._list_cursor: tuple[int, int] | None = None
@@ -130,11 +131,10 @@ class JobMonitorController:
             telemetry_for(self.session.client.sim).metrics.counter(
                 "client.stale_status_serves"
             ).inc()
-            cached_at, view = cached
-            return view.marked_stale(cached_at)
-        view = _view(payload)
-        self._status_cache[job_id] = (self.session.client.sim.now, view)
-        return view
+            cached_at, cached_payload = cached
+            return _view(cached_payload).marked_stale(cached_at)
+        self._status_cache[job_id] = (self.session.client.sim.now, payload)
+        return _view(payload)
 
     def wait_for_completion(self, job_id: str, max_polls: int = 10_000):
         """Block until the job reaches a terminal state.
@@ -158,11 +158,12 @@ class JobMonitorController:
                 "wait", target_job_id=job_id, subscribe=True, hold_s=hold
             )
             asked_at = client.sim.now
-            view = _view((yield from self._ask(
+            payload = yield from self._ask(
                 RequestKind.QUERY, encode_service(service),
                 response_timeout_s=hold + self.SUBSCRIBE_REPLY_GRACE_S,
-            )))
-            self._status_cache[job_id] = (client.sim.now, view)
+            )
+            self._status_cache[job_id] = (client.sim.now, payload)
+            view = _view(payload)
             if view.is_terminal:
                 return view
             if client.sim.now - asked_at < hold * 0.5:
@@ -232,7 +233,7 @@ class JobMonitorController:
 
     def dispose(self, job_id: str):
         """Release a finished job's Uspaces on the server; its cached
-        status tree goes with it, so no outage re-serves a disposed job.
+        status reply goes with it, so no outage re-serves a disposed job.
         Returns the job id the gateway acknowledged."""
         disposed = decode_ack((yield from self._ask(
             RequestKind.DISPOSE, job_id.encode()

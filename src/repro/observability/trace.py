@@ -10,7 +10,8 @@ __all__ = ["Trace"]
 
 
 class Trace:
-    """All spans of one trace, ordered causally (start time, then id).
+    """All spans of one trace, ordered causally (start time, then the
+    sequence number the span id was minted from).
 
     Spans whose parent is missing from the trace (e.g. the parent lived
     in another process that never recorded) are treated as roots, so a
@@ -19,7 +20,7 @@ class Trace:
 
     def __init__(self, trace_id: str, spans: typing.Sequence[Span]) -> None:
         self.trace_id = trace_id
-        self.spans = sorted(spans, key=lambda s: (s.start, s.span_id))
+        self.spans = sorted(spans, key=lambda s: (s.start, s.seq))
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -59,17 +60,17 @@ class Trace:
     # -- tree ----------------------------------------------------------------
     def tree(self) -> list[tuple[Span, list]]:
         """Nested ``(span, children)`` pairs for every root span."""
-        ids = {s.span_id for s in self.spans}
-        children: dict[str, list[Span]] = {}
+        seqs = {s.seq for s in self.spans}
+        children: dict[int, list[Span]] = {}
         roots: list[Span] = []
         for span in self.spans:
-            if span.parent_id and span.parent_id in ids:
-                children.setdefault(span.parent_id, []).append(span)
+            if isinstance(span.parent, int) and span.parent in seqs:
+                children.setdefault(span.parent, []).append(span)
             else:
                 roots.append(span)
 
         def build(span: Span) -> tuple[Span, list]:
-            return (span, [build(c) for c in children.get(span.span_id, [])])
+            return (span, [build(c) for c in children.get(span.seq, [])])
 
         return [build(r) for r in roots]
 

@@ -34,6 +34,7 @@ from repro.observability import telemetry_for
 from repro.security.errors import MappingError
 from repro.security.uudb import UUDB
 from repro.server.errors import IncarnationError
+from repro.server.njs.finished import forwarded_usites
 from repro.server.njs.forwarding import LOCAL_DISK_BANDWIDTH_BPS, Forwarding
 from repro.server.njs.incarnation import (
     RESULT_FILE_BYTES,
@@ -133,23 +134,19 @@ class Executor:
         disposes each one that has finished.  Fire-and-forget: like the
         cancel and dispose it follows, it is best effort.  A site without
         peers forwarded nothing, and does not read a restored job's AJO to
-        learn so."""
+        learn so; a finished job names its Usites itself."""
         if not self._peers.routes:
             return
-        for usite in dict.fromkeys(sub.usite for sub in self._forwarded(run.root)):
+        usites = (
+            forwarded_usites(run.root, self._usite_name)
+            if isinstance(run, JobRun) else run.forwarded_usites()
+        )
+        for usite in usites:
             if usite in self._peers.routes:
                 self._sim.process(self._peers.try_send(usite, CancelGroup(
                     corr_id=self._peers.next_corr_id(), parent_job_id=run.job_id,
                     dispose=dispose,
                 )))
-
-    def _forwarded(self, group: AbstractJobObject):
-        """The groups forwarded from ``group`` or a local group below it."""
-        for sub in group.sub_jobs():
-            if sub.usite in ("", self._usite_name):
-                yield from self._forwarded(sub)
-            else:
-                yield sub
 
     def _cancel_delivery(self, vsite_name: str, local_id: str) -> None:
         batch = self._vsites[vsite_name].batch

@@ -7,43 +7,118 @@ a :class:`FinishedRun` over it in the table in place of the live
 class from a scan of the outcome table.  One class serves every terminal
 job, whether it finished in this life of the NJS or an earlier one.
 
-A just-finished run is seeded with what the live run held (the AJO, the
-outcome tree and its index, the persisted encoding, the file bodies),
-so serving it reads and decodes nothing.  A restored one is lazy: the
-AJO is read and decoded on the first status tree, the outcome blob read
-on the first request for it and decoded only for a tree, and a file
-body fetched from the blob store each time a client asks for it.
+A finished job keeps rows, not object graphs.  Its status is a
+:class:`StatusSkeleton`: the task-detail status tree, which of its nodes
+are groups, and the Usites the job forwarded groups to.  Every status
+answer is cut from it, and a dispose tells the peers from it.  A
+just-finished run is given the skeleton, the persisted outcome encoding
+and the file bodies, so serving it reads and decodes nothing; a restored
+one builds its skeleton from the AJO and the outcome tree on the first
+status request and then drops both trees.  The AJO and the outcome tree
+(:attr:`FinishedRun.root`, :attr:`FinishedRun.outcomes`) are decoded on
+each read and kept by nobody.  The outcome blob is read on the first
+request for it, and a restored file body is fetched from the blob store
+each time a client asks for it.
 """
 
 from __future__ import annotations
+
+import typing
+from dataclasses import dataclass
 
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import Outcome
 from repro.ajo.serialize import decode_ajo, decode_outcome
 from repro.ajo.status import ActionStatus
-from repro.server.njs.jobrun import index_outcomes
+from repro.protocol.views import JobStatusView
+from repro.server.njs.jobrun import index_outcomes, status_view
 from repro.storage.backend import BlobStore
 from repro.storage.journal import JobJournal
 from repro.storage.outcomes import OutcomeRecord
 from repro.vfs.body import FileBody
 
-__all__ = ["FinishedRun"]
+__all__ = ["FinishedRun", "StatusSkeleton", "forwarded_usites"]
+
+
+def forwarded_usites(root: AbstractJobObject, usite_name: str) -> tuple[str, ...]:
+    """The Usites, in first-seen order, to which the site ``usite_name``
+    forwarded a group of ``root``: a group under a forwarded one is the
+    child site's to forward."""
+    usites: dict[str, None] = {}
+
+    def walk(group: AbstractJobObject) -> None:
+        for sub in group.sub_jobs():
+            if sub.usite in ("", usite_name):
+                walk(sub)
+            else:
+                usites.setdefault(sub.usite)
+
+    walk(root)
+    return tuple(usites)
+
+
+@dataclass(frozen=True, slots=True)
+class StatusSkeleton:
+    """What a finished job's status answers are cut from."""
+
+    #: The ``tasks``-detail tree, ``as_of`` unset.
+    tree: JobStatusView
+    #: The ids of the tree's group nodes; every other node is a task.
+    groups: tuple[str, ...]
+    #: The Usites the job forwarded groups to.
+    usites: tuple[str, ...]
+
+    @classmethod
+    def of(
+        cls, root: AbstractJobObject, outcomes: typing.Mapping[str, Outcome],
+        usite_name: str,
+    ) -> "StatusSkeleton":
+        return cls(
+            tree=status_view(root, outcomes, "tasks", 0.0),
+            groups=tuple(group.id for group in root.walk()
+                         if isinstance(group, AbstractJobObject)),
+            usites=forwarded_usites(root, usite_name),
+        )
+
+    def view(self, detail: str, as_of: float) -> JobStatusView:
+        """The tree at ``detail`` (``job``, ``groups`` or ``tasks``),
+        as :func:`~repro.server.njs.jobrun.status_view` renders it."""
+        groups = self.groups
+
+        def cut(node: JobStatusView) -> JobStatusView:
+            children: tuple[JobStatusView, ...] = ()
+            if detail == "tasks":
+                children = tuple(
+                    cut(child) if child.id in groups else child
+                    for child in node.children
+                )
+            elif detail == "groups":
+                children = tuple(
+                    cut(child) for child in node.children if child.id in groups
+                )
+            return JobStatusView(
+                node.id, node.name, node.status, node.color, children,
+                as_of=as_of,
+            )
+
+        return cut(self.tree)
 
 
 class FinishedRun:
     """A terminal job: its outcome record, and what serving it needs."""
 
     __slots__ = ("record", "job_id", "user_dn", "name", "submitted_at", "recovered",
-                 "_status", "_journal", "_blobs", "_root", "_outcomes", "_outcome_bytes", "_files")
+                 "_status", "_journal", "_blobs", "_usite_name", "_skeleton",
+                 "_outcome_bytes", "_files")
 
     def __init__(
         self,
         record: OutcomeRecord,
         journal: JobJournal,
         blobs: BlobStore,
+        usite_name: str,
         *,
-        root: AbstractJobObject | None = None,
-        outcomes: dict[str, Outcome] | None = None,
+        skeleton: StatusSkeleton | None = None,
         outcome_bytes: bytes | None = None,
         files: dict[str, FileBody] | None = None,
     ) -> None:
@@ -56,23 +131,40 @@ class FinishedRun:
         self._status = ActionStatus(record.status)
         self._journal = journal
         self._blobs = blobs
-        self._root = root
-        self._outcomes = outcomes
+        self._usite_name = usite_name
+        self._skeleton = skeleton
         self._outcome_bytes = outcome_bytes
         self._files = files
 
     @property
     def root(self) -> AbstractJobObject:
-        if self._root is None:
-            self._root = decode_ajo(self._journal.ajo_bytes(self.job_id))
-        return self._root
+        """The AJO the job was consigned as, read and decoded anew."""
+        return decode_ajo(self._journal.ajo_bytes(self.job_id))
 
     @property
     def outcomes(self) -> dict[str, Outcome]:
-        """Action id -> outcome, indexed from the outcome tree."""
-        if self._outcomes is None:
-            self._outcomes = index_outcomes(decode_outcome(self.encoded_outcome()), {})
-        return self._outcomes
+        """Action id -> outcome, indexed from a freshly decoded tree."""
+        return index_outcomes(decode_outcome(self.encoded_outcome()), {})
+
+    def skeleton(self) -> StatusSkeleton:
+        """The status skeleton, built from the decoded trees the first
+        time a restored run is asked."""
+        if self._skeleton is None:
+            self._skeleton = StatusSkeleton.of(
+                self.root, self.outcomes, self._usite_name
+            )
+        return self._skeleton
+
+    def status_view(self, detail: str, as_of: float) -> JobStatusView:
+        return self.skeleton().view(detail, as_of)
+
+    def forwarded_usites(self) -> tuple[str, ...]:
+        """The Usites the job forwarded groups to.  A restored run that
+        was never asked for its status decodes its AJO for them, and
+        builds no skeleton."""
+        if self._skeleton is not None:
+            return self._skeleton.usites
+        return forwarded_usites(self.root, self._usite_name)
 
     def encoded_outcome(self) -> bytes:
         """The persisted encoding, served verbatim: no decode, no re-encode."""

@@ -129,6 +129,9 @@ class JobRun:
         """Uniform job status for the JMC."""
         return self.root_outcome.rollup_status()
 
+    def status_view(self, detail: str, as_of: float) -> JobStatusView:
+        return status_view(self.root, self.outcomes, detail, as_of)
+
     def file(self, path: str) -> FileBody | None:
         """The first of the job's Uspaces holding ``path`` has its body."""
         for uspace in self.uspaces.values():

@@ -19,7 +19,7 @@ from repro.ajo.job import AbstractJobObject
 from repro.ajo.serialize import encode_ajo
 from repro.observability import telemetry_for
 from repro.protocol.views import JobListing, JobListingDelta
-from repro.server.njs.finished import FinishedRun
+from repro.server.njs.finished import FinishedRun, StatusSkeleton
 from repro.server.njs.jobrun import JobRun
 from repro.server.njs.runindex import RunIndex
 from repro.simkernel import Event, Simulator
@@ -111,6 +111,18 @@ class RunTable(typing.Mapping[str, Run]):
         resync and resume deltas."""
         self._index_hit()
         return self._index.delta(user_dn, since_seq, epoch)
+
+    def forwarded_from(self, parent_job_id: str) -> list[FinishedRun]:
+        """The finished runs that served groups of the parent site's job
+        ``parent_job_id``, found by their consign rows.  A restart binds
+        only the groups in flight, so this is how a parent reaches a
+        group that finished before; it reads the row of every finished
+        job, so only a parent with no bound group asks."""
+        return [
+            run for run in self._runs.values()
+            if isinstance(run, FinishedRun)
+            and self.journal.parent_job_id(run.job_id) == parent_job_id
+        ]
 
     def watch(self, job_id: str) -> Event | None:
         """An event woken once the job is finished (its outcome row
@@ -224,8 +236,9 @@ class RunTable(typing.Mapping[str, Run]):
         The outcome row is what marks the job finished, and it lands in
         one durable unit with the journal retiring the job: after this
         batch, even a cold-started successor can serve the job's
-        listing, outcome tree, and Uspace files.  The row, seeded with
-        what the run held, takes the run's place in the table.
+        listing, outcome tree, and Uspace files.  The row takes the
+        run's place in the table, with the run's status skeleton, outcome
+        encoding and file bodies: not its AJO or outcome tree.
         """
         files: dict[str, FileBody] = {}
         for uspace in run.uspaces.values():
@@ -244,8 +257,9 @@ class RunTable(typing.Mapping[str, Run]):
                 recovered=run.recovered,
             ), outcome_bytes, files)
         finished = FinishedRun(
-            record, self.journal, self._storage.blobs, root=run.root,
-            outcomes=run.outcomes, outcome_bytes=outcome_bytes, files=files,
+            record, self.journal, self._storage.blobs, self._usite_name,
+            skeleton=StatusSkeleton.of(run.root, run.outcomes, self._usite_name),
+            outcome_bytes=outcome_bytes, files=files,
         )
         self._runs[run.job_id] = finished
         for watcher in self._watchers.pop(run.job_id, ()):
@@ -301,7 +315,9 @@ class RunTable(typing.Mapping[str, Run]):
         finished = set(self.outcomes.job_ids())
         metrics = telemetry_for(self._sim).metrics
         for record in self.outcomes.records(self._job_seq):
-            self._enter(FinishedRun(record, self.journal, self._storage.blobs))
+            self._enter(FinishedRun(
+                record, self.journal, self._storage.blobs, self._usite_name
+            ))
             metrics.counter("njs.restored_runs").inc()
         self.journal.reload(finished, self._job_seq)
         return self.journal.incomplete()

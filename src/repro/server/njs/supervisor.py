@@ -36,7 +36,7 @@ from repro.server.errors import (
 from repro.server.njs.executor import Executor
 from repro.server.njs.finished import FinishedRun
 from repro.server.njs.forwarding import Forwarding
-from repro.server.njs.jobrun import JobRun, status_view
+from repro.server.njs.jobrun import JobRun
 from repro.server.njs.peerlink import (
     CancelGroup,
     ForwardGroup,
@@ -290,7 +290,10 @@ class NetworkJobSupervisor:
         elif isinstance(payload, ForwardGroup):
             self.sim.process(self.forwarding.take_in(payload))
         elif isinstance(payload, CancelGroup):
-            for run in self.forwarding.foreign_runs(payload.parent_job_id):
+            parent_job_id = payload.parent_job_id
+            # No bound group: one may have finished before a restart.
+            for run in (self.forwarding.foreign_runs(parent_job_id)
+                        or self.runs.forwarded_from(parent_job_id)):
                 if not payload.dispose:
                     self.cancel(run.job_id)
                 elif isinstance(run, FinishedRun):  # a running one is left be
@@ -406,8 +409,7 @@ class NetworkJobSupervisor:
 
     def query_status(self, job_id: str, detail: str = "tasks") -> JobStatusView:
         """The QueryService answer: the status tree at the chosen detail."""
-        run = self.get_run(job_id)
-        return status_view(run.root, run.outcomes, detail, self.sim.now)
+        return self.get_run(job_id).status_view(detail, self.sim.now)
 
     def retrieve_outcome(self, job_id: str) -> bytes:
         """The full outcome tree (stdout/stderr included), encoded."""

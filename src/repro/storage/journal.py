@@ -202,6 +202,12 @@ class JobJournal:
             raise StorageError(f"no journal row for job {job_id!r}")
         return self._blobs.get(entry.ajo_digest)
 
+    def parent_job_id(self, job_id: str) -> str | None:
+        """The parent site's job a forwarded group serves, from its entry
+        or, once it has finished, its consign row; None for any other job."""
+        entry = self._lookup(job_id)
+        return None if entry is None else entry.parent_job_id
+
     def workstation_files(self, entry: JournalEntry) -> dict[str, FileBody]:
         """The bodies of the files ``entry`` was consigned with."""
         return {

@@ -122,8 +122,13 @@ def test_pipeline_handoff_is_stored_once_and_restored_lazily(storage):
     assert _served(grid, user, reads) == before
 
     # -- disposal hands every body back ----------------------------------
+    # The pipeline's dispose reaches its group at ZIB, which finished
+    # before ZIB restarted, and disposes it there.
     for site, job_id, _ in reads:
-        GridSession(grid, user, site).dispose(job_id)
+        if site == "FZJ":
+            GridSession(grid, user, site).dispose(job_id)
+    grid.sim.run(until=grid.sim.now + 60.0)
+    assert forwarded_id not in grid.usites["ZIB"].njs.runs
     assert backend.blobs.digests() == []
     assert backend.dump()["blobs"] == {}
 

@@ -1,17 +1,25 @@
-"""A deterministic cost proxy for what a disposed job leaves behind.
+"""A deterministic cost proxy for what a finished job keeps and what a
+disposed one leaves behind.
 
 The NJS creates a job directory per job and disposal is its cleanup
-(section 5.5); the job's trace goes the same way.  A span has one holder
-at a time: while open, the code that will close it; once closed, only
-its trace.  ``NetworkJobSupervisor.dispose`` drops the trace, so after a
-job is disposed no span of it is reachable, the tracer holds the
-session's trace alone, and the heap a disposed job leaves is bounded.
+(section 5.5); the job's trace goes the same way.  A span is an object
+only while open, held by the code that will close it; once closed, its
+trace keeps a flat record of it.  ``NetworkJobSupervisor.dispose`` drops
+the trace, so after a job is disposed no span of it is reachable, the
+tracer holds the session's trace alone, and the heap a disposed job
+leaves is bounded.  Until then a finished job keeps rows, not object
+graphs: its status skeleton and outcome bytes at each site, its span
+records, the JMC's reply bytes.
 """
 
 import gc
 import tracemalloc
 import weakref
 
+import pytest
+
+from repro.ajo.job import AbstractJobObject
+from repro.ajo.outcome import AJOOutcome
 from repro.api import GridSession
 from repro.grid import build_grid
 from repro.observability import INERT_SPAN, Span, telemetry_for
@@ -33,8 +41,8 @@ def _session(sites):
     return grid, GridSession(grid, user, "FZJ")
 
 
-def _finished(session, name, remote=False):
-    """submit -> wait -> outcome; the job's handle."""
+def _kept(session, name, remote=False):
+    """submit -> wait; the job's handle."""
     job = session.new_job(name, "FZJ-T3E")
     job.script_task("work", "#!/bin/sh\nwork\n", simulated_runtime_s=30.0)
     if remote:
@@ -42,6 +50,12 @@ def _finished(session, name, remote=False):
         sub.script_task("work", "#!/bin/sh\nwork\n", simulated_runtime_s=30.0)
     handle = session.submit(job)
     assert session.wait(handle).status == "successful"
+    return handle
+
+
+def _finished(session, name, remote=False):
+    """submit -> wait -> outcome; the job's handle."""
+    handle = _kept(session, name, remote)
     session.outcome(handle)
     return handle
 
@@ -50,14 +64,14 @@ def _cycle(session, name):
     session.dispose(_finished(session, name))
 
 
-def _spans_since(before):
-    """Every reachable span made since ``before`` (a list of the spans
-    there were), the inert one aside."""
+def _objects_since(before, kinds):
+    """Every reachable object of ``kinds`` made since ``before`` (a list
+    of the ones there were), the inert span aside."""
     gc.collect()
-    old = {id(span) for span in before}
+    old = {id(obj) for obj in before}
     return [
         obj for obj in gc.get_objects()
-        if isinstance(obj, Span) and id(obj) not in old and obj is not INERT_SPAN
+        if isinstance(obj, kinds) and id(obj) not in old and obj is not INERT_SPAN
     ]
 
 
@@ -82,10 +96,43 @@ def test_a_disposed_job_leaves_no_span_and_a_bounded_heap():
         tracemalloc.stop()
 
     session_trace = session.session.trace_id
-    left = _spans_since(before)
+    left = _objects_since(before, Span)
     assert [span.trace_id for span in left if span.trace_id != session_trace] == []
     assert telemetry_for(grid.sim).tracer.traces() == [session_trace]
     assert retained / JOBS <= BYTES_PER_JOB, f"{retained / JOBS:.0f} B per job"
+
+
+#: Retained heap per finished, undisposed job: 11,900 B (one site) and
+#: 24,500 B (two sites) while a finished run kept its AJO and outcome
+#: tree, the tracer a ``Span`` per closed span, and the JMC a decoded tree.
+BYTES_PER_FINISHED = {False: 9_500, True: 19_000}
+
+
+@pytest.mark.parametrize("remote", [False, True], ids=["one-site", "two-site"])
+def test_a_finished_job_keeps_its_rows_not_its_objects(remote):
+    kinds = (AbstractJobObject, AJOOutcome, Span)
+    before = [obj for obj in gc.get_objects() if isinstance(obj, kinds)]
+    grid, session = _session(SITES if remote else {"FZJ": SITES["FZJ"]})
+    for i in range(WARM_UP):
+        _kept(session, f"warm{i}", remote)
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        traced = tracemalloc.get_traced_memory()[0]
+        handles = [_kept(session, f"job{i}", remote) for i in range(JOBS)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - traced
+    finally:
+        tracemalloc.stop()
+
+    left = _objects_since(before, kinds)
+    assert [type(obj).__name__ for obj in left] == []
+    # ... and every one of them still answers, from its rows.
+    tracer = telemetry_for(grid.sim).tracer
+    assert session.status(handles[-1]).status == "successful"
+    assert len(tracer.trace(handles[-1].trace_id)) > 0
+    per_job = retained / JOBS
+    assert per_job <= BYTES_PER_FINISHED[remote], f"{per_job:.0f} B per job"
 
 
 def test_a_disposed_two_site_job_takes_its_forwarded_group_spans_along():
@@ -102,7 +149,7 @@ def test_a_disposed_two_site_job_takes_its_forwarded_group_spans_along():
     assert machines == {"FZJ-T3E", "ZIB-SP2"}
     session.dispose(handle)
 
-    left = _spans_since(before)
+    left = _objects_since(before, Span)
     assert [s.name for s in left if s.trace_id == handle.trace_id] == []
 
 
@@ -136,6 +183,32 @@ def test_a_home_site_dispose_disposes_the_groups_it_forwarded():
     gc.collect()
     assert group_id not in zib.runs and len(zib.runs) == 0
     assert zib.forwarding.foreign_runs(handle.job_id) == []
+    assert uspace_body() is None
+
+
+def test_a_dispose_reaches_a_group_that_finished_before_its_site_restarted():
+    """A restart binds only the groups in flight, so the child finds a
+    group that finished before it by the parent job id in its consign
+    row: an hour after the home site's dispose ZIB holds no run of the
+    job, and the group's Uspace file is let go."""
+    grid = build_grid(SITES, seed=41)
+    user = grid.add_user("Keeper", logins={site: "keeper" for site in SITES})
+    session = GridSession(grid, user, "FZJ")
+    handle = _spread_with_file(session, user)
+    assert session.wait(handle).status == "successful"
+    zib_site = grid.usites["ZIB"]
+    zib = zib_site.njs
+    group_id = zib.forwarding.foreign_run(handle.job_id).job_id
+    uspace_body = weakref.ref(zib.fetch_uspace_file(group_id, "input.dat"))
+    zib_site.crash_site()
+    zib_site.restart_site()
+    assert isinstance(zib.runs[group_id], FinishedRun)
+    assert zib.forwarding.foreign_runs(handle.job_id) == []
+
+    session.dispose(handle)
+    grid.sim.run(until=grid.sim.now + 3600.0)
+    gc.collect()
+    assert group_id not in zib.runs and len(zib.runs) == 0
     assert uspace_body() is None
 
 

@@ -2,6 +2,7 @@
 the name registry every instrument enforces."""
 
 import ast
+import itertools
 import math
 
 import numpy as np
@@ -159,6 +160,44 @@ class TestTrace:
         trace = self._sample()
         names = [s.name for s in trace.spans]
         assert names == ["client.submit", "gateway.request", "batch.execute"]
+
+    def test_span_ids_past_99999_keep_causal_order(self):
+        """A child minted ``s100000`` at the instant of its parent
+        ``s99999`` sorts after it: spans order by the number their id was
+        minted from, which as text would put the child first."""
+        tracer = Tracer(ManualClock())
+        tid = tracer.new_trace("job")
+        tracer._span_seq = itertools.count(99_999)
+        parent = tracer.start_span("njs.job", tid)
+        child = tracer.start_span("njs.stage", tid, parent=parent)
+        tracer.end_span(child)
+        trace = tracer.trace(tid)  # one span closed, one still open
+        assert [s.span_id for s in trace.spans] == ["s99999", "s100000"]
+        assert trace.spans[1].parent_id == "s99999"
+        (top, kids), = trace.tree()
+        assert top is parent and [k.name for k, _ in kids] == ["njs.stage"]
+
+    def test_a_closed_span_is_a_record_that_reads_back_the_same(self):
+        """The trace's log keeps a closed span as a flat record; the
+        trace built from it matches the span as it was closed."""
+        clock = ManualClock()
+        tracer = Tracer(clock)
+        tid = tracer.new_trace("job")
+        root = tracer.start_span("client.submit", tid, tier="user", job="j")
+        child = tracer.start_span(
+            "gateway.request", tid, parent=root.span_id, tier="server", kind="q"
+        )
+        clock.now = 2.0
+        tracer.end_span(child.set(bytes=10), error="refused")
+        tracer.end_span(root)
+        built = tracer.trace(tid).spans
+        assert [s.to_dict() for s in built] == [root.to_dict(), child.to_dict()]
+        assert built[1].parent_id == root.span_id
+        assert built[1].attributes == {"kind": "q", "bytes": 10}
+        assert all(s is not t for s, t in zip(built, (root, child)))
+        # A span closed again (with an error, say) updates its record.
+        tracer.end_span(root, error="late")
+        assert tracer.trace(tid).spans[0].error == "late"
 
     def test_json_round_trip(self):
         import json
