@@ -72,7 +72,7 @@ from repro.ajo.outcome import (
     TaskOutcome,
     outcome_class_for,
 )
-from repro.ajo.dag import critical_path_length, ready_actions, topological_order
+from repro.ajo.dag import critical_path_length, topological_order
 from repro.ajo.serialize import (
     decode_ajo,
     decode_outcome,
@@ -120,6 +120,5 @@ __all__ = [
     "encode_outcome",
     "encode_service",
     "outcome_class_for",
-    "ready_actions",
     "topological_order",
 ]

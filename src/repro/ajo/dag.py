@@ -1,141 +1,139 @@
-"""DAG utilities over a job group's dependency edges.
+"""A job's plan: what its dependency graph says, derived once.
 
 The NJS "makes sure that the dependent parts of the UNICORE job are
-scheduled in the predefined sequence" (section 4.2).  These helpers give
-it (and the JPA's validation) the standard DAG operations: cycle-checked
-topological order, the ready set given completed predecessors, and the
-critical-path length used by experiment E7.
-
-They also state a group's file contract once, for the JPA, the arrival
-analysis and the NJS alike: :func:`workstation_imports` and
-:func:`promised_files`.
+scheduled in the predefined sequence" (section 4.2), and that "data sets
+created by the predecessor are available to the successor" (section
+5.7).  :class:`JobPlan` is those facts as one immutable value, built in
+one pass over the AJO.  A site's arrival analysis plans a job once per
+consign or replay, and the analyzer, the executor, forwarding and the
+status skeleton read that plan; the JPA plans a job for its own
+analysis.  A plan lives while its job runs and is never persisted.
 """
 
 from __future__ import annotations
 
 import typing
 from collections import deque
+from dataclasses import dataclass
 
 from repro.ajo.errors import DependencyCycleError
-from repro.ajo.job import AbstractJobObject
+from repro.ajo.job import AbstractJobObject, Dependency
 from repro.ajo.tasks import ExecuteTask, ExportTask, FileSpace, ImportTask, TransferTask
 
-__all__ = [
-    "topological_order",
-    "ready_actions",
-    "critical_path_length",
-    "predecessors_map",
-    "workstation_imports",
-    "promised_files",
-]
+__all__ = ["JobPlan", "topological_order", "critical_path_length"]
 
 
-def _edges(job: AbstractJobObject) -> list[tuple[str, str]]:
-    return [(d.predecessor_id, d.successor_id) for d in job.dependencies]
+@dataclass(frozen=True, slots=True, eq=False)
+class JobPlan:
+    """One job group's plan, as one site sees it."""
+
+    group: AbstractJobObject
+    #: The children in dependency order (Kahn's, ties in authoring order);
+    #: empty when :attr:`cycle` says why there is none.
+    order: tuple[str, ...]
+    cycle: str
+    #: child id -> the dependencies that end at it, as declared.
+    inbound: typing.Mapping[str, tuple[Dependency, ...]]
+    #: What the group owes its parent (a forwarded root: its return files).
+    owed: tuple[str, ...]
+    #: child id -> the Uspace files it must leave behind: those on its
+    #: outgoing edges; for an execute task also the source of each export
+    #: or transfer it directly precedes, and for a sink one :attr:`owed`.
+    promised: typing.Mapping[str, tuple[str, ...]]
+    #: The subtree's WORKSTATION import sources (section 5.6), group ids,
+    #: and Usites the planning site forwards a group to, in tree order.
+    imports: tuple[str, ...]
+    groups: tuple[str, ...]
+    usites: tuple[str, ...]
+    #: sub-group id -> its plan.
+    subs: typing.Mapping[str, "JobPlan"]
+
+    @classmethod
+    def of(
+        cls, job: AbstractJobObject, usite: str = "", owed: typing.Iterable[str] = ()
+    ) -> "JobPlan":
+        """Plan ``job`` at the site ``usite`` (any site for ``""``),
+        owing its parent ``owed``."""
+        return _plan(job, tuple(owed), usite, True)
+
+    def predecessors(self, child_id: str) -> set[str]:
+        return {dep.predecessor_id for dep in self.inbound[child_id]}
 
 
-def predecessors_map(job: AbstractJobObject) -> dict[str, set[str]]:
-    """child id → set of predecessor ids (direct children only)."""
-    preds: dict[str, set[str]] = {c.id: set() for c in job.children}
-    for pred, succ in _edges(job):
-        preds[succ].add(pred)
-    return preds
-
-
-def workstation_imports(group: AbstractJobObject) -> list[str]:
-    """Every WORKSTATION import source in ``group``'s subtree, in tree
-    order: the files that travel with the job (section 5.6)."""
-    return [
-        action.source_path
-        for action in group.walk()
-        if isinstance(action, ImportTask)
-        and action.source_space == FileSpace.WORKSTATION
-    ]
-
-
-def promised_files(
-    group: AbstractJobObject, owed: typing.Collection[str] = ()
-) -> dict[str, tuple[str, ...]]:
-    """child id → the Uspace files that child must leave behind, so that
-    "data sets created by the predecessor are available to the
-    successor" (section 5.7).
-
-    Every child owes the files on its outgoing edges.  An execute task
-    also owes the source of each export or transfer it directly
-    precedes, and a sink execute task owes ``owed``, what the group
-    itself owes its parent.  A sub-group's entry is what it owes
-    ``group``: run it with that entry as its own ``owed``.
-    """
-    files: dict[str, list[str]] = {c.id: [] for c in group.children}
+def _plan(
+    group: AbstractJobObject, owed: tuple[str, ...], usite: str, local: bool
+) -> JobPlan:
+    children = group.children
+    by_id = {child.id: child for child in children}
+    inbound: dict[str, list[Dependency]] = {cid: [] for cid in by_id}
+    # Distinct neighbours in first-declared order: an edge declared twice
+    # (once per file set, say) releases its successor once.
+    preds: dict[str, dict[str, None]] = {cid: {} for cid in by_id}
+    succs: dict[str, dict[str, None]] = {cid: {} for cid in by_id}
+    files: dict[str, list[str]] = {cid: [] for cid in by_id}
     for dep in group.dependencies:
+        inbound[dep.successor_id].append(dep)
+        preds[dep.successor_id][dep.predecessor_id] = None
+        succs[dep.predecessor_id][dep.successor_id] = None
         files[dep.predecessor_id].extend(dep.files)
-    for child in group.children:
-        if not isinstance(child, ExecuteTask):
-            continue
-        successors = {
-            d.successor_id for d in group.dependencies
-            if d.predecessor_id == child.id
-        }
-        files[child.id] += [
-            t.source_path
-            for t in group.tasks()
-            if isinstance(t, (ExportTask, TransferTask)) and t.id in successors
-        ]
-        if not successors:
-            files[child.id] += owed
-    return {cid: tuple(paths) for cid, paths in files.items()}
+    for child in children:
+        if isinstance(child, (ExportTask, TransferTask)):
+            for pred in preds[child.id]:
+                if isinstance(by_id[pred], ExecuteTask):
+                    files[pred].append(child.source_path)
+    for child in children:
+        if isinstance(child, ExecuteTask) and not succs[child.id]:
+            files[child.id].extend(owed)
+    promised = {cid: tuple(paths) for cid, paths in files.items()}
 
-
-def topological_order(job: AbstractJobObject) -> list[str]:
-    """Kahn's algorithm over the direct children; raises on cycles.
-
-    Ties (multiple ready actions) resolve in insertion order, so the
-    result is deterministic and matches the user's authoring order where
-    the dependencies permit.
-    """
-    preds = predecessors_map(job)
     indegree = {cid: len(p) for cid, p in preds.items()}
-    successors: dict[str, list[str]] = {cid: [] for cid in indegree}
-    seen: set[tuple[str, str]] = set()
-    for pred, succ in _edges(job):
-        # A user may declare the same edge twice (e.g. once per transferred
-        # file set).  Indegrees come from the deduplicated predecessor sets,
-        # so the successor lists must be deduplicated to match — otherwise a
-        # repeated edge decrements its successor more than once and releases
-        # it before its *other* predecessors have run.
-        if (pred, succ) in seen:
-            continue
-        seen.add((pred, succ))
-        successors[pred].append(succ)
-
     order: list[str] = []
-    queue = deque(cid for cid in indegree if indegree[cid] == 0)
+    queue = deque(cid for cid, d in indegree.items() if d == 0)
     while queue:
         cid = queue.popleft()
         order.append(cid)
-        for succ in successors[cid]:
+        for succ in succs[cid]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 queue.append(succ)
+    cycle = ""
     if len(order) != len(indegree):
         stuck = sorted(cid for cid, d in indegree.items() if d > 0)
-        raise DependencyCycleError(
-            f"job {job.id}: dependency cycle among {stuck}"
-        )
-    return order
+        cycle = f"job {group.id}: dependency cycle among {stuck}"
+        order = []
+
+    imports: list[str] = []
+    groups = [group.id]
+    usites: dict[str, None] = {}
+    subs: dict[str, JobPlan] = {}
+    for child in children:
+        if isinstance(child, ImportTask) and child.source_space == FileSpace.WORKSTATION:
+            imports.append(child.source_path)
+        elif isinstance(child, AbstractJobObject):
+            here = local and child.usite in ("", usite)
+            sub = subs[child.id] = _plan(child, promised[child.id], usite, here)
+            imports += sub.imports
+            groups += sub.groups
+            usites.update(dict.fromkeys(sub.usites, None))
+            if local and not here:
+                usites.setdefault(child.usite)
+    return JobPlan(
+        group=group, order=tuple(order), cycle=cycle,
+        inbound={cid: tuple(deps) for cid, deps in inbound.items()},
+        owed=owed, promised=promised, imports=tuple(imports),
+        groups=tuple(groups), usites=tuple(usites), subs=subs,
+    )
 
 
-def ready_actions(
-    job: AbstractJobObject, completed: typing.Collection[str]
-) -> list[str]:
-    """Children whose predecessors are all in ``completed`` and which are
-    not themselves completed — what the NJS may deliver next."""
-    done = set(completed)
-    return [
-        cid
-        for cid, preds in predecessors_map(job).items()
-        if cid not in done and preds <= done
-    ]
+def _acyclic(plan: JobPlan) -> JobPlan:
+    if plan.cycle:
+        raise DependencyCycleError(plan.cycle)
+    return plan
+
+
+def topological_order(job: AbstractJobObject) -> list[str]:
+    """The plan's order of ``job``'s direct children; raises on cycles."""
+    return list(_acyclic(JobPlan.of(job)).order)
 
 
 def critical_path_length(
@@ -147,11 +145,9 @@ def critical_path_length(
     ``weight`` maps a child id to its cost (default 1.0 per action).
     """
     w = weight or (lambda _cid: 1.0)
-    order = topological_order(job)
-    preds = predecessors_map(job)
+    plan = _acyclic(JobPlan.of(job))
     finish: dict[str, float] = {}
-    for cid in order:
-        start = max((finish[p] for p in preds[cid]), default=0.0)
+    for cid in plan.order:
+        start = max((finish[p] for p in plan.predecessors(cid)), default=0.0)
         finish[cid] = start + w(cid)
     return max(finish.values(), default=0.0)
-

@@ -42,6 +42,8 @@ class Outcome:
     #: Simulated timestamps (NaN until set).
     submitted_at: float = float("nan")
     completed_at: float = float("nan")
+    #: The group whose tally counts this outcome (see :class:`AJOOutcome`).
+    _parent: "AJOOutcome | None" = field(default=None, init=False, repr=False, compare=False)
 
     kind: typing.ClassVar[str] = "outcome"
 
@@ -52,9 +54,11 @@ class Outcome:
                 f"outcome of {self.action_id} already terminal "
                 f"({self.status.value}); cannot become {status.value}"
             )
+        before = _progress(self)
         self.status = status
         if reason:
             self.reason = reason
+        _retally(self._parent, before, _progress(self))
 
     def to_payload(self) -> dict[str, typing.Any]:
         return {
@@ -158,14 +162,32 @@ class ServiceOutcome(Outcome):
 
 @dataclass(slots=True)
 class AJOOutcome(Outcome):
-    """Aggregated outcome of a job group: children keyed by action id."""
+    """Aggregated outcome of a job group: children keyed by action id,
+    and a tally of their progress states that :meth:`add_child` and each
+    child's :meth:`~Outcome.mark` keep, so the roll-up is read, not
+    recomputed."""
 
     children: dict[str, Outcome] = field(default_factory=dict)
+    #: Progress state -> how many children are in it.
+    _tally: dict[ActionStatus, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     kind: typing.ClassVar[str] = "ajo"
 
     def add_child(self, outcome: Outcome) -> None:
+        """Add a child, or replace the one with its id (a forwarded
+        group's returned tree takes the place of its placeholder)."""
+        before = _progress(self)
+        old = self.children.get(outcome.action_id)
+        if old is not None:
+            old._parent = None
+            self._tally[_progress(old)] -= 1
         self.children[outcome.action_id] = outcome
+        outcome._parent = self
+        status = _progress(outcome)
+        self._tally[status] = self._tally.get(status, 0) + 1
+        _retally(self._parent, before, _progress(self))
 
     def child(self, action_id: str) -> Outcome:
         return self.children[action_id]
@@ -205,22 +227,14 @@ class AJOOutcome(Outcome):
         forwarded group in flight still reads PENDING: the parent site
         sees no remote progress until the group's result comes home.
         """
-        if self.status in (ActionStatus.FAILED, ActionStatus.KILLED):
+        if self.status in (ActionStatus.FAILED, ActionStatus.KILLED) or not self.children:
             return self.status
-        statuses = {_progress(c) for c in self.children.values()}
-        if not statuses:
-            return self.status
-        if any(not s.is_terminal for s in statuses):
-            if ActionStatus.RUNNING in statuses:
-                return ActionStatus.RUNNING
-            if ActionStatus.QUEUED in statuses:
-                return ActionStatus.QUEUED
-            return ActionStatus.PENDING
-        if ActionStatus.FAILED in statuses:
-            return ActionStatus.FAILED
-        if ActionStatus.KILLED in statuses:
-            return ActionStatus.KILLED
-        if statuses == {ActionStatus.NOT_ATTEMPTED}:
+        # The children's contributions are the kept tally: no walk.
+        count = self._tally.get
+        for status in _ROLLUP_ORDER:
+            if count(status):
+                return status
+        if count(ActionStatus.NOT_ATTEMPTED) and not count(ActionStatus.SUCCESSFUL):
             return ActionStatus.NOT_ATTEMPTED
         return ActionStatus.SUCCESSFUL
 
@@ -238,7 +252,7 @@ class AJOOutcome(Outcome):
         cls._apply_payload(out, payload)
         for cid, wrapped in payload["children"].items():
             child_cls = _OUTCOME_KINDS[wrapped["kind"]]
-            out.children[cid] = child_cls.from_payload(wrapped["data"])
+            out.add_child(child_cls.from_payload(wrapped["data"]))
         return out
 
 
@@ -251,6 +265,24 @@ def _progress(child: Outcome) -> ActionStatus:
         if not rolled.is_terminal:
             return rolled
     return child.status
+
+
+#: A group reads as the first of these any child is in.
+_ROLLUP_ORDER = (
+    ActionStatus.RUNNING, ActionStatus.QUEUED, ActionStatus.PENDING,
+    ActionStatus.FAILED, ActionStatus.KILLED,
+)
+
+
+def _retally(group: AJOOutcome | None, before: ActionStatus, after: ActionStatus) -> None:
+    """Move a child of ``group`` in the tally, from progress ``before`` to
+    ``after``, and up while that changes a group's own progress."""
+    while group is not None and before is not after:
+        was = _progress(group)
+        group._tally[before] -= 1
+        group._tally[after] = group._tally.get(after, 0) + 1
+        before, after = was, _progress(group)
+        group = group._parent
 
 
 _OUTCOME_KINDS: dict[str, type[Outcome]] = {

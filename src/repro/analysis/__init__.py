@@ -23,6 +23,7 @@ Passes (each its own module):
 
 from __future__ import annotations
 
+from repro.ajo.dag import JobPlan
 from repro.ajo.job import AbstractJobObject
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dataflow import dataflow_pass
@@ -61,11 +62,13 @@ def analyze_ajo(
     no environment, which still gives the structure and dataflow passes
     full strength.  ``require_user`` is False for forwarded sub-AJOs,
     whose identity arrives with the consignment rather than in the tree.
+    The report hands on the plan the passes read.
     """
     ctx = context if context is not None else AnalysisContext()
-    diags = structure_pass(job, require_user=require_user)
-    diags.extend(dataflow_pass(job, prestaged=ctx.prestaged))
+    plan = JobPlan.of(job, ctx.local_usite, ctx.owed)
+    diags = structure_pass(plan, require_user=require_user)
+    diags.extend(dataflow_pass(plan, prestaged=ctx.prestaged))
     diags.extend(feasibility_pass(job, ctx))
     return AnalysisReport(
-        job_id=job.id, job_name=job.name, diagnostics=tuple(diags)
+        job_id=job.id, job_name=job.name, diagnostics=tuple(diags), plan=plan
     )

@@ -56,6 +56,8 @@ class AnalysisContext:
     prestaged:
         Uspace paths guaranteed present before the root group starts
         (forward-staged files of a forwarded sub-AJO).
+    owed:
+        What a forwarded sub-AJO owes the parent site (its return files).
     """
 
     pages: typing.Mapping[str, "ResourcePage"] = field(default_factory=dict)
@@ -65,6 +67,7 @@ class AnalysisContext:
     known_usites: frozenset[str] | None = None
     require_vsites: bool = False
     prestaged: frozenset[str] = frozenset()
+    owed: tuple[str, ...] = ()
 
     @classmethod
     def for_session(cls, session: typing.Any) -> "AnalysisContext":
@@ -79,6 +82,7 @@ class AnalysisContext:
         cls,
         njs: typing.Any,
         prestaged: typing.Iterable[str] | None = None,
+        owed: typing.Iterable[str] = (),
     ) -> "AnalysisContext":
         """The NJS's server-side vantage point (pages, dialects, routes)."""
         vsites = njs.vsites
@@ -92,4 +96,5 @@ class AnalysisContext:
             known_usites=frozenset(njs.peers.routes),
             require_vsites=True,
             prestaged=frozenset(prestaged or ()),
+            owed=tuple(owed),
         )

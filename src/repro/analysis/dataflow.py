@@ -4,24 +4,22 @@ Abstract interpretation of each job group's DAG over the files its
 tasks produce and consume in the Uspace.  A file's producers are the
 intrinsic products (imports write their destination, compiles their
 object files, links their output) plus every file a child promises in
-:func:`~repro.ajo.dag.promised_files` — the one contract the NJS
+the job's :class:`~repro.ajo.dag.JobPlan` — the one value the NJS
 executor also incarnates and stages from, so the two agree by
 construction (``test_analyzer_and_runtime_agree_on_a_dependency_file``
-pins it).  A sub-group is analyzed with its promised entry as what it
-owes.  Anything the runtime would fail to find — or find only by
-racing — is reported here instead of as a batch-tier failure hours
-later.
+pins it).  A sub-group is analyzed with what it owes as its plan says.
+Anything the runtime would fail to find — or find only by racing — is
+reported here instead of as a batch-tier failure hours later.
 
-Ordering uses the transitive closure of the dependency DAG (built on
-:func:`~repro.ajo.dag.topological_order`): a producer counts only if it
-is *ordered before* the reader; two writers of the same path with no
-ordering between them are a write-write race.
+Ordering uses the transitive closure of the dependency DAG, over the
+plan's inbound edges: a producer counts only if it is *ordered before*
+the reader; two writers of the same path with no ordering between them
+are a write-write race.
 """
 
 from __future__ import annotations
 
-from repro.ajo.dag import predecessors_map, promised_files, topological_order
-from repro.ajo.errors import DependencyCycleError
+from repro.ajo.dag import JobPlan
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.tasks import (
     CompileTask,
@@ -52,31 +50,29 @@ CODE_UNPRODUCIBLE_PROMISE = "AJO206"
 
 
 def dataflow_pass(
-    job: AbstractJobObject, *, prestaged: frozenset[str] = frozenset()
+    plan: JobPlan, *, prestaged: frozenset[str] = frozenset()
 ) -> list[Diagnostic]:
-    """Dataflow diagnostics for the whole tree.
+    """Dataflow diagnostics for the whole planned tree.
 
     ``prestaged`` names Uspace paths guaranteed present before the root
     group starts (the forward-staged files of a forwarded sub-AJO).
     """
     diags: list[Diagnostic] = []
-    _analyze_group(job, (job.id,), prestaged, frozenset(), diags)
+    _analyze_group(plan, (plan.group.id,), prestaged, diags)
     return diags
 
 
-def _ancestor_closure(
-    group: AbstractJobObject, order: list[str]
-) -> dict[str, set[str]]:
-    """child id -> every id ordered strictly before it (transitive)."""
-    preds = predecessors_map(group)
-    closure: dict[str, set[str]] = {}
-    for cid in order:
-        reach: set[str] = set()
-        for p in preds[cid]:
-            reach.add(p)
-            reach |= closure[p]
-        closure[cid] = reach
-    return closure
+def _ancestors(plan: JobPlan, cid: str) -> set[str]:
+    """Every child ordered strictly before ``cid``, found when asked: a
+    chain of tasks that read no file costs nothing."""
+    reach: set[str] = set()
+    stack = [cid]
+    while stack:
+        for pred in plan.predecessors(stack.pop()):
+            if pred not in reach:
+                reach.add(pred)
+                stack.append(pred)
+    return reach
 
 
 def _execute_inputs(group: AbstractJobObject) -> list[tuple[str, str]]:
@@ -100,19 +96,16 @@ def _execute_inputs(group: AbstractJobObject) -> list[tuple[str, str]]:
 
 
 def _analyze_group(
-    group: AbstractJobObject,
+    plan: JobPlan,
     path: tuple[str, ...],
     prestaged: frozenset[str],
-    owed: frozenset[str],
     diags: list[Diagnostic],
 ) -> None:
-    deps = group.dependencies
-    try:
-        order = topological_order(group)
-    except DependencyCycleError:
-        order = []  # AJO104 already reported; ordering checks are moot.
-    closure = _ancestor_closure(group, order) if order else None
-    promised = promised_files(group, owed)
+    group = plan.group
+    owed = plan.owed
+    # No order for a cycle: AJO104 already reported; ordering checks are moot.
+    ordered = bool(plan.order)
+    promised = plan.promised
 
     # -- the producers: intrinsic products, then the promised files -----------
     producers: dict[str, set[str]] = {}
@@ -134,7 +127,7 @@ def _analyze_group(
 
     # -- everything the group consumes (for dead-import detection) ------------
     consumed: set[str] = set(owed)
-    for dep in deps:
+    for dep in group.dependencies:
         consumed.update(dep.files)
     for task in group.tasks():
         if isinstance(task, (ExportTask, TransferTask)):
@@ -161,7 +154,7 @@ def _analyze_group(
                     path + (task.id,),
                 )
             )
-        elif closure is not None and not (prods & closure[task.id]):
+        elif ordered and not (prods & _ancestors(plan, task.id)):
             diags.append(
                 Diagnostic(
                     CODE_READ_RACE,
@@ -174,13 +167,13 @@ def _analyze_group(
             )
 
     # -- AJO203: write-write conflicts between DAG-concurrent producers -------
-    if closure is not None:
+    if ordered:
         reported: set[tuple[str, str, str]] = set()
         for file_path in sorted(producers):
             writers = sorted(producers[file_path])
             for i, a in enumerate(writers):
                 for b in writers[i + 1:]:
-                    if a in closure.get(b, set()) or b in closure.get(a, set()):
+                    if a in _ancestors(plan, b) or b in _ancestors(plan, a):
                         continue
                     key = (file_path, a, b)
                     if key in reported:
@@ -225,7 +218,7 @@ def _analyze_group(
                     path + (task_id,),
                 )
             )
-        elif closure is not None and not (prods & closure[task_id]):
+        elif ordered and not (prods & _ancestors(plan, task_id)):
             diags.append(
                 Diagnostic(
                     CODE_UNSTAGED_INPUT,
@@ -237,7 +230,7 @@ def _analyze_group(
             )
 
     # -- AJO206: promises to the parent nothing here can keep ------------------
-    for f in sorted(owed):
+    for f in sorted(set(owed)):
         if not producers.get(f):
             diags.append(
                 Diagnostic(
@@ -250,9 +243,6 @@ def _analyze_group(
             )
 
     # -- recurse into sub-groups with their staged/owed file sets --------------
-    for sub in group.sub_jobs():
-        sub_prestaged = frozenset(
-            f for d in deps if d.successor_id == sub.id for f in d.files
-        )
-        sub_owed = frozenset(promised[sub.id])
-        _analyze_group(sub, path + (sub.id,), sub_prestaged, sub_owed, diags)
+    for sub_id, sub in plan.subs.items():
+        sub_prestaged = frozenset(f for d in plan.inbound[sub_id] for f in d.files)
+        _analyze_group(sub, path + (sub_id,), sub_prestaged, diags)

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import enum
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.ajo.dag import JobPlan
 from repro.ajo.errors import ValidationError
 
 __all__ = ["Severity", "Diagnostic", "AnalysisReport", "AnalysisError"]
@@ -72,6 +73,8 @@ class AnalysisReport:
     job_id: str
     job_name: str
     diagnostics: tuple[Diagnostic, ...]
+    #: The plan the passes read (unset on a report built by hand).
+    plan: JobPlan | None = field(default=None, repr=False, compare=False)
 
     @property
     def errors(self) -> tuple[Diagnostic, ...]:

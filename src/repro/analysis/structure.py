@@ -8,9 +8,7 @@ Usite.
 
 from __future__ import annotations
 
-from repro.ajo.dag import topological_order
-from repro.ajo.errors import DependencyCycleError
-from repro.ajo.job import AbstractJobObject
+from repro.ajo.dag import JobPlan
 from repro.ajo.tasks import TransferTask
 from repro.analysis.diagnostics import Diagnostic, Severity
 
@@ -33,13 +31,14 @@ CODE_EMPTY_GROUP = "AJO106"
 
 
 def structure_pass(
-    job: AbstractJobObject, *, require_user: bool = True
+    plan: JobPlan, *, require_user: bool = True
 ) -> list[Diagnostic]:
     """Structural diagnostics for the whole tree, in deterministic order.
 
     ``require_user`` is False for sub-AJOs forwarded between NJSs, which
     inherit the user identity from the root consignment.
     """
+    job = plan.group
     diags: list[Diagnostic] = []
     root_path = (job.id,)
 
@@ -67,13 +66,14 @@ def structure_pass(
             )
         seen_ids.add(action.id)
 
-    _group_checks(job, root_path, diags)
+    _group_checks(plan, root_path, diags)
     return diags
 
 
 def _group_checks(
-    group: AbstractJobObject, path: tuple[str, ...], diags: list[Diagnostic]
+    plan: JobPlan, path: tuple[str, ...], diags: list[Diagnostic]
 ) -> None:
+    group = plan.group
     if group.tasks() and not group.vsite:
         diags.append(
             Diagnostic(
@@ -84,10 +84,8 @@ def _group_checks(
                 path,
             )
         )
-    try:
-        topological_order(group)
-    except DependencyCycleError as err:
-        diags.append(Diagnostic(CODE_CYCLE, Severity.ERROR, str(err), path))
+    if plan.cycle:
+        diags.append(Diagnostic(CODE_CYCLE, Severity.ERROR, plan.cycle, path))
 
     for task in group.tasks():
         if isinstance(task, TransferTask) and task.destination_usite == group.usite:
@@ -111,5 +109,5 @@ def _group_checks(
             )
         )
 
-    for sub in group.sub_jobs():
-        _group_checks(sub, path + (sub.id,), diags)
+    for sub_id, sub in plan.subs.items():
+        _group_checks(sub, path + (sub_id,), diags)

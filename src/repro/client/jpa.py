@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.ajo.dag import workstation_imports
 from repro.ajo.job import AbstractJobObject, Dependency
 from repro.ajo.serialize import decode_ajo, encode_ajo
 from repro.ajo.tasks import (
@@ -268,7 +267,8 @@ class JobPreparationAgent:
             telemetry.metrics.counter("analysis.jobs_rejected").inc()
             raise AnalysisError(report)
         files: dict[str, FileBody] = {}
-        needed = workstation_imports(builder.ajo)
+        assert report.plan is not None
+        needed = list(report.plan.imports)
         if needed:
             ws = workstation
             if ws is None:

@@ -370,6 +370,7 @@ class Gateway:
             )
         run = self.njs.consign(
             ajo,
+            user_dn=request.user_dn,
             workstation_files=files,
             trace_id=request.trace_id,
             parent_span_id=span.span_id,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.ajo.dag import promised_files
+from repro.ajo.dag import JobPlan
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome, TaskOutcome
 from repro.ajo.status import ActionStatus
@@ -34,7 +34,6 @@ from repro.observability import telemetry_for
 from repro.security.errors import MappingError
 from repro.security.uudb import UUDB
 from repro.server.errors import IncarnationError
-from repro.server.njs.finished import forwarded_usites
 from repro.server.njs.forwarding import LOCAL_DISK_BANDWIDTH_BPS, Forwarding
 from repro.server.njs.incarnation import (
     RESULT_FILE_BYTES,
@@ -134,14 +133,10 @@ class Executor:
         disposes each one that has finished.  Fire-and-forget: like the
         cancel and dispose it follows, it is best effort.  A site without
         peers forwarded nothing, and does not read a restored job's AJO to
-        learn so; a finished job names its Usites itself."""
+        learn so."""
         if not self._peers.routes:
             return
-        usites = (
-            forwarded_usites(run.root, self._usite_name)
-            if isinstance(run, JobRun) else run.forwarded_usites()
-        )
-        for usite in usites:
+        for usite in run.forwarded_usites():
             if usite in self._peers.routes:
                 self._sim.process(self._peers.try_send(usite, CancelGroup(
                     corr_id=self._peers.next_corr_id(), parent_job_id=run.job_id,
@@ -181,7 +176,7 @@ class Executor:
     # ------------------------------------------------------- job processes
     def _run_job(self, run: JobRun, staged: dict[str, FileBody]):
         # A forwarded root owes its parent files, and has files from there.
-        yield from self._run_group(run, run.root, run.owed, staged)
+        yield from self._run_group(run, run.plan, staged)
         status = run.status()
         run.tracer.end_span(
             run.job_span.set(status=status.value),
@@ -189,13 +184,11 @@ class Executor:
         )
         run.done_event.wake(self._runs.finish(run))
 
-    def _run_group(
-        self, run: JobRun, group: AbstractJobObject,
-        owed: tuple[str, ...], staged: dict[str, FileBody],
-    ):
-        """Run ``group``, whose Uspace starts with ``staged`` and whose
-        sink tasks leave ``owed`` behind for its parent.  A group with no
-        tasks has no Uspace, and what is handed to it stays nowhere."""
+    def _run_group(self, run: JobRun, plan: JobPlan, staged: dict[str, FileBody]):
+        """Run ``plan``'s group, whose Uspace starts with ``staged`` and
+        whose sinks leave what it owes.  A group with no tasks has no
+        Uspace, and what is handed to it stays nowhere."""
+        group = plan.group
         if group.tasks() or group.id == run.root.id:
             # Arrival analysis refused a group whose tasks name no Vsite
             # of this site; a taskless root may name none.
@@ -206,31 +199,28 @@ class Executor:
                 for path, content in staged.items():
                     uspace.write(path, content)
 
-        promised = promised_files(group, owed)
         for child in group.children:
             self.spawn(
-                run, self._run_child(run, group, child, promised[child.id]),
-                f"child:{child.id}",
+                run, self._run_child(run, plan, child), f"child:{child.id}"
             )
         for child in group.children:
             yield run.events[child.id]
-        # Every child is terminal now, so the roll-up is the verdict.
+        # Every child is terminal now, so the kept roll-up is the verdict.
         verdict = typing.cast(AJOOutcome, run.outcomes[group.id]).rollup_status()
         run.finish_action(
             group.id, verdict if group.children else ActionStatus.SUCCESSFUL
         )
 
-    def _run_child(
-        self, run: JobRun, group: AbstractJobObject, child, promised: tuple[str, ...]
-    ):
-        """Sequence, stage and dispatch ``child``, which owes ``promised``."""
+    def _run_child(self, run: JobRun, plan: JobPlan, child):
+        """Sequence, stage and dispatch ``child`` of ``plan``'s group."""
+        group = plan.group
         # 0. Incarnate an execute task now, beside its predecessors: the
         # sequence the NJS keeps is one of delivery, not of translation.
         spec = None
         if isinstance(child, ExecuteTask):
-            spec = yield from self._incarnate(run, group, child, promised)
+            spec = yield from self._incarnate(run, group, child, plan.promised[child.id])
         # 1. Wait for predecessors (the "predefined sequence").
-        deps = [d for d in group.dependencies if d.successor_id == child.id]
+        deps = plan.inbound[child.id]
         failed_pred = None
         for dep in deps:
             status = yield run.events[dep.predecessor_id]
@@ -289,9 +279,9 @@ class Executor:
 
         # 3. Dispatch by action type.
         if forwarded:
-            yield from self._forwarding.forward(run, group, child, staged)
+            yield from self._forwarding.forward(run, plan, child, staged)
         elif not is_task:
-            yield from self._run_group(run, child, promised, staged)
+            yield from self._run_group(run, plan.subs[child.id], staged)
         elif isinstance(child, ExecuteTask):
             yield from self._run_execute(run, group, child, spec)
         elif isinstance(child, (ImportTask, ExportTask)):

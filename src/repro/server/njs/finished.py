@@ -8,13 +8,12 @@ class from a scan of the outcome table.  One class serves every terminal
 job, whether it finished in this life of the NJS or an earlier one.
 
 A finished job keeps rows, not object graphs.  Its status is a
-:class:`StatusSkeleton`: the task-detail status tree, which of its nodes
-are groups, and the Usites the job forwarded groups to.  Every status
-answer is cut from it, and a dispose tells the peers from it.  A
-just-finished run is given the skeleton, the persisted outcome encoding
-and the file bodies, so serving it reads and decodes nothing; a restored
-one builds its skeleton from the AJO and the outcome tree on the first
-status request and then drops both trees.  The AJO and the outcome tree
+:class:`StatusSkeleton`: the task-detail status tree, and the group ids
+and forwarded Usites of the job's :class:`~repro.ajo.dag.JobPlan`.  Every
+status answer is cut from it, and a dispose tells the peers from it.  A
+just-finished run is given the skeleton, cut with its run's plan, the
+persisted outcome encoding and the file bodies, and keeps no plan; a
+restored one plans its decoded AJO on the first status request.  The AJO and the outcome tree
 (:attr:`FinishedRun.root`, :attr:`FinishedRun.outcomes`) are decoded on
 each read and kept by nobody.  The outcome blob is read on the first
 request for it, and a restored file body is fetched from the blob store
@@ -26,6 +25,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass
 
+from repro.ajo.dag import JobPlan
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import Outcome
 from repro.ajo.serialize import decode_ajo, decode_outcome
@@ -37,24 +37,7 @@ from repro.storage.journal import JobJournal
 from repro.storage.outcomes import OutcomeRecord
 from repro.vfs.body import FileBody
 
-__all__ = ["FinishedRun", "StatusSkeleton", "forwarded_usites"]
-
-
-def forwarded_usites(root: AbstractJobObject, usite_name: str) -> tuple[str, ...]:
-    """The Usites, in first-seen order, to which the site ``usite_name``
-    forwarded a group of ``root``: a group under a forwarded one is the
-    child site's to forward."""
-    usites: dict[str, None] = {}
-
-    def walk(group: AbstractJobObject) -> None:
-        for sub in group.sub_jobs():
-            if sub.usite in ("", usite_name):
-                walk(sub)
-            else:
-                usites.setdefault(sub.usite)
-
-    walk(root)
-    return tuple(usites)
+__all__ = ["FinishedRun", "StatusSkeleton"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,14 +53,12 @@ class StatusSkeleton:
 
     @classmethod
     def of(
-        cls, root: AbstractJobObject, outcomes: typing.Mapping[str, Outcome],
-        usite_name: str,
+        cls, plan: JobPlan, outcomes: typing.Mapping[str, Outcome]
     ) -> "StatusSkeleton":
         return cls(
-            tree=status_view(root, outcomes, "tasks", 0.0),
-            groups=tuple(group.id for group in root.walk()
-                         if isinstance(group, AbstractJobObject)),
-            usites=forwarded_usites(root, usite_name),
+            tree=status_view(plan.group, outcomes, "tasks", 0.0),
+            groups=plan.groups,
+            usites=plan.usites,
         )
 
     def view(self, detail: str, as_of: float) -> JobStatusView:
@@ -150,9 +131,8 @@ class FinishedRun:
         """The status skeleton, built from the decoded trees the first
         time a restored run is asked."""
         if self._skeleton is None:
-            self._skeleton = StatusSkeleton.of(
-                self.root, self.outcomes, self._usite_name
-            )
+            plan = JobPlan.of(self.root, self._usite_name)
+            self._skeleton = StatusSkeleton.of(plan, self.outcomes)
         return self._skeleton
 
     def status_view(self, detail: str, as_of: float) -> JobStatusView:
@@ -164,7 +144,7 @@ class FinishedRun:
         builds no skeleton."""
         if self._skeleton is not None:
             return self._skeleton.usites
-        return forwarded_usites(self.root, self._usite_name)
+        return JobPlan.of(self.root, self._usite_name).usites
 
     def encoded_outcome(self) -> bytes:
         """The persisted encoding, served verbatim: no decode, no re-encode."""

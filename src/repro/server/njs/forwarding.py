@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 import typing
 
-from repro.ajo.dag import promised_files, workstation_imports
+from repro.ajo.dag import JobPlan
 from repro.ajo.errors import UnsafePathError
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome
@@ -150,13 +150,14 @@ class Forwarding:
         ))
 
     # ------------------------------------------------------------- outbound
-    def forward(self, run: JobRun, group, sub: AbstractJobObject, staged: Files):
-        """Run ``sub`` at its own Usite and merge the result into ``run``."""
+    def forward(self, run: JobRun, plan: JobPlan, sub: AbstractJobObject, staged: Files):
+        """Run ``sub``, a child of ``plan``'s group, at its own Usite and
+        merge the result into ``run``."""
         self.forwarded_groups += 1
         self._count("njs.forwarded_groups")
         forward_span = run.span("njs.forward", usite=sub.usite, group=sub.name)
         # Ship the workstation files the subtree imports.
-        needed_ws = set(workstation_imports(sub))
+        needed_ws = set(plan.subs[sub.id].imports)
         ws_files = {p: c for p, c in run.workstation_files.items() if p in needed_ws}
         ws_files.update(staged)
         corr_id, reply_ev = self._peers.expect("group-result")
@@ -169,8 +170,8 @@ class Forwarding:
                 user_dn=run.user_dn,
                 ajo_bytes=encode_ajo(sub),
                 files=files,
-                # What the group owes ``group``: its promised files.
-                return_files=promised_files(group)[sub.id],
+                # What the group owes its parent group: its promised files.
+                return_files=plan.promised[sub.id],
                 trace_id=run.trace_id,
                 parent_span_id=forward_span.span_id,
             ))
@@ -202,26 +203,18 @@ class Forwarding:
         except (ServiceUnavailable, FrameError) as err:
             run.finish_action(sub.id, ActionStatus.FAILED, reason=str(err))
             return
+        # The group's returned tree takes the place of its outcome; the
+        # terminal events the sequencing waits on stay.
         sub_outcome = typing.cast(AJOOutcome, decode_outcome(result.outcome_bytes))
-        self._merge_outcome(run, group, sub, sub_outcome)
+        sub_outcome.action_id = sub.id
+        typing.cast(AJOOutcome, run.outcomes[plan.group.id]).add_child(sub_outcome)
+        index_outcomes(sub_outcome, run.outcomes)
         if returned:
             run.remote_files[sub.id] = returned
         status = sub_outcome.rollup_status()
         if not status.is_terminal:
             status = ActionStatus.FAILED
         run.finish_action(sub.id, status)
-
-    @staticmethod
-    def _merge_outcome(
-        run: JobRun, parent_group, sub: AbstractJobObject, sub_outcome: AJOOutcome
-    ) -> None:
-        """Splice a remote group's outcome tree into the job's tree."""
-        sub_outcome.action_id = sub.id
-        parent_outcome = typing.cast(AJOOutcome, run.outcomes[parent_group.id])
-        parent_outcome.children[sub.id] = sub_outcome
-        # Only the outcome objects are replaced; run.events keeps the
-        # terminal events the sequencing waits on.
-        index_outcomes(sub_outcome, run.outcomes)
 
     def transfer(self, run: JobRun, group, task: TransferTask):
         """Send one Uspace file to a peer Usite (a TransferTask)."""
@@ -312,19 +305,13 @@ class Forwarding:
             return
         yield from self.report_home(run, forward_meta)
 
-    def bind(
-        self, run: JobRun, parent_job_id: str, forward_meta: ForwardMeta
-    ) -> Files:
+    def bind(self, run: JobRun, parent_job_id: str) -> Files:
         """Bind a just-admitted (or just-replayed) forwarded ``run`` to the
         parent job it serves, and return what its root Uspace starts
         with: the staging the group was consigned with, then what
         transfers of the parent job left here before the group existed.
         The NJS does this before it supervises the run."""
-        _, _, return_files = forward_meta
         self._foreign_jobs.setdefault(parent_job_id, []).append(run.job_id)
-        # The parent expects these files back: the group's sink tasks
-        # must produce them.
-        run.owed = tuple(return_files)
         return {**run.workstation_files, **self._early_files.pop(parent_job_id, {})}
 
     def report_home(self, run: JobRun, forward_meta: ForwardMeta):

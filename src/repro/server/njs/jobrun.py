@@ -5,6 +5,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
+from repro.ajo.dag import JobPlan
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome, Outcome, new_outcome
 from repro.ajo.serialize import encode_outcome
@@ -27,6 +28,8 @@ class JobRun:
 
     Attributes
     ----------
+    plan:
+        The arrival analysis's :class:`~repro.ajo.dag.JobPlan` of the job.
     outcomes:
         Flat index ``action_id -> Outcome``; the same objects are linked
         into the nested :class:`AJOOutcome` tree at ``root_outcome``.
@@ -44,6 +47,7 @@ class JobRun:
 
     job_id: str
     root: AbstractJobObject
+    plan: JobPlan
     user_dn: str
     submitted_at: float
     #: Where this run's spans are recorded.
@@ -58,9 +62,6 @@ class JobRun:
     #: Dependency files produced by forwarded (remote) groups, keyed by
     #: the producing group's action id.
     remote_files: dict[str, dict[str, FileBody]] = field(default_factory=dict)
-    #: Files the root group owes the parent NJS that forwarded it (its
-    #: ``return_files``); the root's sink tasks materialize them.
-    owed: tuple[str, ...] = ()
     cancelled: bool = False
     #: Trace context propagated from the consigning client (may be "").
     trace_id: str = ""
@@ -84,20 +85,21 @@ class JobRun:
         cls,
         sim: Simulator,
         job_id: str,
-        root: AbstractJobObject,
+        plan: JobPlan,
         user_dn: str,
         workstation_files: dict[str, FileBody] | None = None,
     ) -> "JobRun":
         run = cls(
             job_id=job_id,
-            root=root,
+            root=plan.group,
+            plan=plan,
             user_dn=user_dn,
             submitted_at=sim.now,
             workstation_files=dict(workstation_files or {}),
             done_event=sim.event(name=f"job-done:{job_id}"),
             tracer=telemetry_for(sim).tracer,
         )
-        run._build_outcomes(sim, root)
+        run._build_outcomes(sim, run.root)
         return run
 
     def _build_outcomes(self, sim: Simulator, group: AbstractJobObject) -> None:
@@ -128,6 +130,9 @@ class JobRun:
     def status(self) -> ActionStatus:
         """Uniform job status for the JMC."""
         return self.root_outcome.rollup_status()
+
+    def forwarded_usites(self) -> tuple[str, ...]:
+        return self.plan.usites
 
     def status_view(self, detail: str, as_of: float) -> JobStatusView:
         return status_view(self.root, self.outcomes, detail, as_of)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.ajo.job import AbstractJobObject
+from repro.ajo.dag import JobPlan
 from repro.ajo.serialize import encode_ajo
 from repro.observability import telemetry_for
 from repro.protocol.views import JobListing, JobListingDelta
@@ -174,7 +174,7 @@ class RunTable(typing.Mapping[str, Run]):
 
     def admit(
         self,
-        ajo: AbstractJobObject,
+        plan: JobPlan,
         user_dn: str,
         workstation_files: dict[str, FileBody],
         trace_id: str,
@@ -184,16 +184,17 @@ class RunTable(typing.Mapping[str, Run]):
         parent_job_id: str | None = None,
         forward_meta: ForwardMeta | None = None,
     ) -> JobRun:
-        """Take a job in (see :meth:`NetworkJobSupervisor.consign` for
-        the arguments).  One durable unit: the job-id cursor advance and
-        the journal's consign row land together or not at all; a replay
-        (``job_id`` given) already has its row."""
+        """Take in a job its arrival analysis planned (see
+        :meth:`NetworkJobSupervisor.consign` for the arguments).  One
+        durable unit: the job-id cursor advance and the journal's consign
+        row land together or not at all; a replay (``job_id`` given)
+        already has its row."""
         with self._storage.batch():
             replay = job_id is not None
             if job_id is None:
                 job_id = self._next_job_id()
             run = JobRun.create(
-                self._sim, job_id, ajo, user_dn,
+                self._sim, job_id, plan, user_dn,
                 workstation_files=workstation_files,
             )
             run.trace_id = trace_id
@@ -203,7 +204,7 @@ class RunTable(typing.Mapping[str, Run]):
             if not replay:
                 self.journal.record_consign(
                     job_id,
-                    encode_ajo(ajo) if ajo_bytes is None else ajo_bytes,
+                    encode_ajo(run.root) if ajo_bytes is None else ajo_bytes,
                     user_dn,
                     workstation_files=workstation_files,
                     trace_id=trace_id,
@@ -258,7 +259,7 @@ class RunTable(typing.Mapping[str, Run]):
             ), outcome_bytes, files)
         finished = FinishedRun(
             record, self.journal, self._storage.blobs, self._usite_name,
-            skeleton=StatusSkeleton.of(run.root, run.outcomes, self._usite_name),
+            skeleton=StatusSkeleton.of(run.plan, run.outcomes),
             outcome_bytes=outcome_bytes, files=files,
         )
         self._runs[run.job_id] = finished

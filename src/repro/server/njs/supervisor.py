@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.ajo.dag import JobPlan
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.serialize import decode_ajo
 from repro.analysis import AnalysisContext, analyze_ajo
@@ -190,10 +191,11 @@ class NetworkJobSupervisor:
                         f"{self.usite_name}: user {dn!r} already has "
                         f"{active} live jobs (cap {self.max_active_per_user})"
                     )
-            self._analyze_arrival(
+            plan = self._analyze_arrival(
                 ajo,
                 is_forward=parent_job_id is not None,
                 workstation_files=files,
+                owed=() if forward_meta is None else forward_meta[2],
                 parent_span=consign_span,
             )
             self._check_mappings(ajo, dn)
@@ -202,7 +204,7 @@ class NetworkJobSupervisor:
             raise
 
         run = self.runs.admit(
-            ajo, dn, files, trace_id,
+            plan, dn, files, trace_id,
             job_id=job_id, ajo_bytes=ajo_bytes,
             parent_job_id=parent_job_id, forward_meta=forward_meta,
         )
@@ -217,7 +219,7 @@ class NetworkJobSupervisor:
         if parent_job_id is not None and forward_meta is not None:
             # Supervision starts at once, creating the root Uspace: a
             # forwarded group is bound to its parent job first.
-            staged = self.forwarding.bind(run, parent_job_id, forward_meta)
+            staged = self.forwarding.bind(run, parent_job_id)
         self._executor.supervise(run, staged)
         return run
 
@@ -227,20 +229,22 @@ class NetworkJobSupervisor:
         *,
         is_forward: bool,
         workstation_files: dict[str, FileBody],
+        owed: typing.Iterable[str],
         parent_span: Span,
-    ) -> None:
+    ) -> JobPlan:
         """Re-run the static analyzer on an arriving AJO (never trust the
         client): errors reject the consignment with the primary diagnostic
         code carried over the wire; warnings only count in the metrics.
 
         Forwarded groups (``is_forward``) arrive with their staged
         dependency files, which the analyzer treats as prestaged Uspace
-        content, and without a user DN of their own.
+        content, and without a user DN of their own; they owe ``owed``.
         """
         telemetry = telemetry_for(self.sim)
         context = AnalysisContext.for_njs(
             self,
             prestaged=workstation_files if is_forward else None,
+            owed=owed,
         )
         analyze_span = telemetry.tracer.start_span(
             "njs.analyze", parent_span.trace_id, parent=parent_span,
@@ -259,6 +263,8 @@ class NetworkJobSupervisor:
             telemetry.tracer.end_span(analyze_span, error=err)
             raise err
         telemetry.tracer.end_span(analyze_span)
+        assert report.plan is not None
+        return report.plan
 
     def _check_mappings(self, group: AbstractJobObject, dn: str) -> None:
         """The one arrival check the analyzer cannot make: the UUDB maps

@@ -19,7 +19,8 @@ from repro.ajo import (
     UserTask,
     encode_ajo,
 )
-from repro.analysis import AnalysisError, analyze_ajo
+from repro.ajo.dag import JobPlan
+from repro.analysis import AnalysisError, analyze_ajo, dataflow_pass
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
 from repro.observability import telemetry_for
@@ -206,9 +207,19 @@ PRODUCED = {
 
 @pytest.mark.parametrize("producer", sorted(PRODUCED))
 @pytest.mark.parametrize("consumer", ["execute", "export", "transfer"])
-def test_analyzer_and_runtime_agree_on_a_dependency_file(producer, consumer):
+def test_analyzer_and_runtime_agree_on_a_dependency_file(producer, consumer, monkeypatch):
     """Every producer of a file-annotated edge, to every consumer kind:
-    the dataflow pass accepts the job, and the consumer gets the bytes."""
+    the dataflow pass accepts the job, and the consumer gets the bytes.
+    A forwarded producer is planned at its site with the file it owes
+    the parent, the plan its run runs by, and that plan is clean too."""
+    plans = []
+    build = JobPlan.of.__func__
+
+    def kept(cls, job, usite="", owed=()):
+        plans.append(plan := build(cls, job, usite, owed))
+        return plan
+
+    monkeypatch.setattr(JobPlan, "of", classmethod(kept))
     grid = build_grid({"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}, seed=14)
     user = grid.add_user("Lint", logins={"FZJ": "lint", "ZIB": "lint_b"})
     jpa = JobPreparationAgent(grid.connect_user(user, "FZJ"))
@@ -249,6 +260,10 @@ def test_analyzer_and_runtime_agree_on_a_dependency_file(producer, consumer):
 
     job_id, final = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
     assert final.status == "successful"
+    if producer.startswith("forwarded"):
+        [remote] = [plan for plan in plans if plan.group.id == source.ajo.id]
+        assert remote.owed == ("out.dat",)
+        assert dataflow_pass(remote) == []
     if consumer == "execute":
         uspaces = grid.usites["FZJ"].vsites["FZJ-T3E"].uspaces
         read = uspaces.get(f"{job_id}.{job.ajo.id}").body("out.dat")

@@ -112,13 +112,14 @@ def test_hold_terminal_job_rejected(site):
 
 
 def test_a_long_chain_cancelled_at_its_head_ends_killed(site):
-    """Killing the head ends each of 400 successors not attempted, one
+    """Killing the head ends each of 2,999 successors not attempted, one
     ``done`` waking the next inside a single step; the cascade runs flat,
-    where a wake that recursed overflows the stack."""
+    where a wake that recursed overflows the stack, and each end costs
+    the same whatever the chain's length (``test_plan_budget.py``)."""
     grid, session = site
     jpa = JobPreparationAgent(session)
     jmc = JobMonitorController(session)
-    job, tasks = _chain_job(jpa, n=400)
+    job, tasks = _chain_job(jpa, n=3000)
 
     def scenario(sim):
         job_id = yield from jpa.submit(job)

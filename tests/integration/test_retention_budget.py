@@ -272,3 +272,25 @@ def test_a_cached_inline_reply_keeps_its_body_not_a_copy():
         tracemalloc.stop()
     assert len(gateway._reply_cache) == cached + FETCHES  # all in the window
     assert retained / FETCHES <= BYTES_PER_FETCH, f"{retained / FETCHES:.0f} B per fetch"
+
+
+def test_a_sites_jobs_keep_one_owner_string_per_user():
+    """The gateway hands the NJS the DN it authenticated, so every run,
+    outcome record and listing of a user shares that one string, not a
+    copy decoded from each job's AJO."""
+    grid = build_grid({"FZJ": SITES["FZJ"]}, seed=41)
+    sessions = [
+        GridSession(grid, grid.add_user(f"Owner {i}", logins={"FZJ": f"own{i}"}), "FZJ")
+        for i in range(3)
+    ]
+    handles = []
+    for i in range(30):
+        session = sessions[i % 3]
+        job = session.new_job(f"own{i}", "FZJ-T3E")
+        job.script_task("work", "#!/bin/sh\nwork\n", simulated_runtime_s=30.0)
+        handles.append((session, session.submit(job)))
+    for session, handle in handles:
+        assert session.wait(handle).status == "successful"
+    runs = grid.usites["FZJ"].njs.runs.values()
+    assert len(runs) == 30
+    assert len({id(run.user_dn) for run in runs}) <= 3

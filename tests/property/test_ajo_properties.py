@@ -13,9 +13,9 @@ from repro.ajo import (
     critical_path_length,
     decode_ajo,
     encode_ajo,
-    ready_actions,
     topological_order,
 )
+from repro.ajo.dag import JobPlan
 from repro.resources import ResourceRequest
 
 names = st.text(string.ascii_letters + string.digits + " _-", min_size=1,
@@ -94,12 +94,18 @@ def test_topological_order_respects_every_edge(job):
 
 @given(job_trees())
 @settings(max_examples=100, deadline=None)
-def test_ready_actions_simulation_completes_everything(job):
-    """Repeatedly completing the ready set visits every child exactly once."""
+def test_plan_inbound_simulation_completes_everything(job):
+    """Repeatedly completing the children whose inbound dependencies all
+    ended visits every child exactly once."""
+    plan = JobPlan.of(job)
     completed: list[str] = []
     seen = set()
     for _ in range(len(job.children) + 1):
-        ready = ready_actions(job, completed)
+        done = set(completed)
+        ready = [
+            c.id for c in job.children
+            if c.id not in done and plan.predecessors(c.id) <= done
+        ]
         if not ready:
             break
         for cid in ready:

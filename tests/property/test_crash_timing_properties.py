@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ajo.actions import reset_action_ids
-from repro.ajo.dag import workstation_imports
+from repro.ajo.dag import JobPlan
 from repro.api import GridSession
 from repro.grid import build_grid
 from repro.observability import telemetry_for
@@ -142,7 +142,9 @@ class _Scenario:
             self.sim.schedule_callback(RETRY_S, self._consign, index)
             return
         builder = self.builders[index]
-        files = self.workstation.stage_for_ajo(workstation_imports(builder.ajo))
+        files = self.workstation.stage_for_ajo(
+            list(JobPlan.of(builder.ajo).imports)
+        )
         run = self.njs.consign(builder.ajo, workstation_files=files)
         self.job_ids[index] = run.job_id
 

@@ -10,10 +10,9 @@ from repro.ajo import (
     UserTask,
     ValidationError,
     critical_path_length,
-    ready_actions,
     topological_order,
 )
-from repro.ajo.dag import predecessors_map
+from repro.ajo.dag import JobPlan
 from repro.ajo.tasks import ImportTask, TransferTask
 from repro.analysis import Severity, structure_pass
 
@@ -172,13 +171,15 @@ def test_cycle_detected():
         topological_order(job)
 
 
-def test_ready_actions_progression():
+def test_plan_order_and_inbound_release_the_diamond_in_sequence():
     job, (a, b, c, d) = make_diamond()
-    assert ready_actions(job, completed=[]) == [a.id]
-    assert set(ready_actions(job, completed=[a.id])) == {b.id, c.id}
-    assert ready_actions(job, completed=[a.id, b.id]) == [c.id]
-    assert ready_actions(job, completed=[a.id, b.id, c.id]) == [d.id]
-    assert ready_actions(job, completed=[a.id, b.id, c.id, d.id]) == []
+    plan = JobPlan.of(job)
+    assert plan.order == (a.id, b.id, c.id, d.id)
+    assert plan.cycle == ""
+    done: set[str] = set()
+    for cid in plan.order:
+        assert plan.predecessors(cid) <= done
+        done.add(cid)
 
 
 def test_critical_path_unit_weights():
@@ -192,11 +193,51 @@ def test_critical_path_custom_weights():
     assert critical_path_length(job, weight=weights.__getitem__) == 12.0
 
 
-def test_predecessors_map():
+def test_plan_inbound_dependencies():
     job, (a, b, c, d) = make_diamond()
-    preds = predecessors_map(job)
-    assert preds[a.id] == set()
-    assert preds[d.id] == {b.id, c.id}
+    plan = JobPlan.of(job)
+    assert plan.inbound[a.id] == ()
+    assert [dep.predecessor_id for dep in plan.inbound[d.id]] == [b.id, c.id]
+    assert plan.predecessors(d.id) == {b.id, c.id}
+
+
+def test_plan_promises_edge_files_then_copy_sources_then_what_the_group_owes():
+    """Each child's promised files, in the order the executor incarnates
+    them: edge files as declared, then the source of each export or
+    transfer the task precedes (in authoring order), then, for a sink
+    execute task, what the group owes its parent."""
+    job = AbstractJobObject("j", vsite="V", user_dn="CN=u")
+    make = job.add(make_task("make"))
+    sink = job.add(make_task("sink"))
+    out = job.add(TransferTask("out", source_path="t.dat", destination_path="t",
+                               destination_usite="ZIB"))
+    imp = job.add(ImportTask("in", source_path="/x", destination_path="x"))
+    sub = job.add(AbstractJobObject("sub", vsite="V"))
+    job.add_dependency(make, sink, files=["b.dat", "a.dat"])
+    job.add_dependency(make, out)
+    job.add_dependency(make, sub, files=["s.dat"])
+    job.add_dependency(imp, sink)
+    job.add_dependency(sub, sink, files=["r.dat"])
+    plan = JobPlan.of(job, owed=["owed.dat"])
+    assert plan.promised == {
+        make.id: ("b.dat", "a.dat", "s.dat", "t.dat"),
+        sink.id: ("owed.dat",),
+        out.id: (),
+        imp.id: (),
+        sub.id: ("r.dat",),
+    }
+    assert plan.subs[sub.id].owed == ("r.dat",)
+    assert plan.groups == (job.id, sub.id)
+
+
+def test_plan_names_the_usites_a_site_forwards_to():
+    job = AbstractJobObject("j", vsite="V", usite="FZJ")
+    local = job.add(AbstractJobObject("local", vsite="V", usite="FZJ"))
+    local.add(AbstractJobObject("deep", vsite="W", usite="ZIB"))
+    far = job.add(AbstractJobObject("far", vsite="W", usite="RUS"))
+    far.add(AbstractJobObject("beyond", vsite="X", usite="LRZ"))
+    job.add(AbstractJobObject("again", vsite="W", usite="ZIB"))
+    assert JobPlan.of(job, "FZJ").usites == ("ZIB", "RUS")
 
 
 def test_empty_job_trivial_dag():
@@ -210,7 +251,7 @@ def structure_errors(job, require_user=True):
     """``(code, message)`` of the structure pass's error diagnostics."""
     return [
         (d.code, d.message)
-        for d in structure_pass(job, require_user=require_user)
+        for d in structure_pass(JobPlan.of(job), require_user=require_user)
         if d.severity is Severity.ERROR
     ]
 

@@ -14,6 +14,7 @@ from repro.ajo import (
     TransferTask,
     UserTask,
 )
+from repro.ajo.dag import JobPlan
 from repro.ajo.errors import ValidationError
 from repro.analysis import (
     AnalysisContext,
@@ -66,11 +67,11 @@ def find(diags, code):
 def test_ajo101_missing_user_dn():
     job = make_job(user_dn="")
     job.add(UserTask(name="t", executable="/bin/true"))
-    diag = find(structure_pass(job), "AJO101")
+    diag = find(structure_pass(JobPlan.of(job)), "AJO101")
     assert diag.severity is Severity.ERROR
     assert "user DN" in diag.message
     # Forwarded sub-AJOs inherit the user from the consignment.
-    assert "AJO101" not in codes(structure_pass(job, require_user=False))
+    assert "AJO101" not in codes(structure_pass(JobPlan.of(job), require_user=False))
 
 
 def test_ajo102_duplicate_action_id():
@@ -79,7 +80,7 @@ def test_ajo102_duplicate_action_id():
     sub = make_job(name="inner", user_dn="")
     sub.add(UserTask(name="b", executable="/bin/b", action_id="dup000001"))
     job.add(sub)
-    diag = find(structure_pass(job), "AJO102")
+    diag = find(structure_pass(JobPlan.of(job)), "AJO102")
     assert diag.severity is Severity.ERROR
     assert diag.action_id == "dup000001"
 
@@ -87,7 +88,7 @@ def test_ajo102_duplicate_action_id():
 def test_ajo103_group_with_tasks_but_no_vsite():
     job = make_job(vsite="")
     job.add(UserTask(name="t", executable="/bin/true"))
-    diag = find(structure_pass(job), "AJO103")
+    diag = find(structure_pass(JobPlan.of(job)), "AJO103")
     assert diag.severity is Severity.ERROR
     assert "Vsite" in diag.message
 
@@ -100,7 +101,7 @@ def test_ajo104_dependency_cycle():
     job.add(b)
     job.add_dependency(a, b)
     job.add_dependency(b, a)
-    diag = find(structure_pass(job), "AJO104")
+    diag = find(structure_pass(JobPlan.of(job)), "AJO104")
     assert diag.severity is Severity.ERROR
 
 
@@ -114,7 +115,7 @@ def test_ajo105_transfer_to_own_usite():
             destination_usite="FZJ",
         )
     )
-    diag = find(structure_pass(job), "AJO105")
+    diag = find(structure_pass(JobPlan.of(job)), "AJO105")
     assert diag.severity is Severity.ERROR
     assert "own Usite" in diag.message
 
@@ -122,7 +123,7 @@ def test_ajo105_transfer_to_own_usite():
 def test_ajo106_empty_group_is_a_note():
     job = make_job()
     job.add(make_job(name="empty", user_dn=""))
-    diag = find(structure_pass(job), "AJO106")
+    diag = find(structure_pass(JobPlan.of(job)), "AJO106")
     assert diag.severity is Severity.NOTE
     # Notes never block consignment.
     assert analyze_ajo(job).ok
@@ -137,7 +138,7 @@ def test_ajo201_export_of_never_produced_file():
     job.add(
         ExportTask(name="out", source_path="ghost.dat", destination_path="/x/g")
     )
-    diag = find(dataflow_pass(job), "AJO201")
+    diag = find(dataflow_pass(JobPlan.of(job)), "AJO201")
     assert diag.severity is Severity.ERROR
     assert "ghost.dat" in diag.message
 
@@ -147,9 +148,9 @@ def test_ajo201_suppressed_when_prestaged():
     job.add(
         ExportTask(name="out", source_path="staged.dat", destination_path="/x/s")
     )
-    assert "AJO201" in codes(dataflow_pass(job))
+    assert "AJO201" in codes(dataflow_pass(JobPlan.of(job)))
     assert "AJO201" not in codes(
-        dataflow_pass(job, prestaged=frozenset({"staged.dat"}))
+        dataflow_pass(JobPlan.of(job), prestaged=frozenset({"staged.dat"}))
     )
 
 
@@ -164,7 +165,7 @@ def test_ajo202_read_races_unordered_producer():
     # a produces f.dat (edge to b carries it), but the export has no
     # ordering with a: the read races the write.
     job.add_dependency(a, b, files=["f.dat"])
-    diag = find(dataflow_pass(job), "AJO202")
+    diag = find(dataflow_pass(JobPlan.of(job)), "AJO202")
     assert diag.severity is Severity.ERROR
     assert diag.action_id == exp.id
 
@@ -173,7 +174,7 @@ def test_ajo203_concurrent_writers_of_same_path():
     job = make_job()
     job.add(ImportTask(name="i1", source_path="/in/a", destination_path="f.dat"))
     job.add(ImportTask(name="i2", source_path="/in/b", destination_path="f.dat"))
-    diag = find(dataflow_pass(job), "AJO203")
+    diag = find(dataflow_pass(JobPlan.of(job)), "AJO203")
     assert diag.severity is Severity.ERROR
     assert "write-write" in diag.message
 
@@ -185,26 +186,26 @@ def test_ajo203_silent_when_writers_are_ordered():
     job.add(i1)
     job.add(i2)
     job.add_dependency(i1, i2)
-    assert "AJO203" not in codes(dataflow_pass(job))
+    assert "AJO203" not in codes(dataflow_pass(JobPlan.of(job)))
 
 
 def test_ajo204_dead_import():
     job = make_job()
     job.add(ImportTask(name="i", source_path="/in/a", destination_path="unused.dat"))
-    diag = find(dataflow_pass(job), "AJO204")
+    diag = find(dataflow_pass(JobPlan.of(job)), "AJO204")
     assert diag.severity is Severity.WARNING
 
 
 def test_ajo205_execute_input_never_staged():
     job = make_job()
     job.add(UserTask(name="run", executable="prog.exe"))
-    diag = find(dataflow_pass(job), "AJO205")
+    diag = find(dataflow_pass(JobPlan.of(job)), "AJO205")
     assert diag.severity is Severity.WARNING
     assert "prog.exe" in diag.message
     # Site-installed absolute paths are not Uspace reads.
     clean = make_job()
     clean.add(UserTask(name="run", executable="/usr/bin/prog"))
-    assert "AJO205" not in codes(dataflow_pass(clean))
+    assert "AJO205" not in codes(dataflow_pass(JobPlan.of(clean)))
 
 
 def test_ajo206_subgroup_cannot_keep_its_promise():
@@ -215,7 +216,7 @@ def test_ajo206_subgroup_cannot_keep_its_promise():
     consumer = UserTask(name="use", executable="/bin/use")
     job.add(consumer)
     job.add_dependency(sub, consumer, files=["result.dat"])
-    diag = find(dataflow_pass(job), "AJO206")
+    diag = find(dataflow_pass(JobPlan.of(job)), "AJO206")
     assert diag.severity is Severity.WARNING
     assert "result.dat" in diag.message
 
@@ -233,7 +234,7 @@ def test_clean_pipeline_has_no_dataflow_findings():
     job.add_dependency(compile_, link)
     job.add_dependency(link, run)
     job.add_dependency(run, exp, files=["res.dat"])
-    assert dataflow_pass(job) == []
+    assert dataflow_pass(JobPlan.of(job)) == []
 
 
 # -------------------------------------------------------------- feasibility

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.ajo import ValidationError
-from repro.ajo.dag import workstation_imports
+from repro.ajo.dag import JobPlan
 from repro.errors import ConsignError
 from repro.grid import build_grid
 
@@ -48,7 +48,7 @@ def test_workstation_files_needed_recurses_into_subjobs(session_pair):
     job.import_from_workstation("/home/b/top.dat", "top.dat")
     sub = job.sub_job("remote", vsite="ZIB-SP2", usite="ZIB")
     sub.import_from_workstation("/home/b/deep.dat", "deep.dat")
-    assert sorted(workstation_imports(job.ajo)) == [
+    assert sorted(JobPlan.of(job.ajo).imports) == [
         "/home/b/deep.dat", "/home/b/top.dat"
     ]
 
@@ -68,7 +68,7 @@ def test_the_agent_keeps_no_builder_alive(session_pair):
     gc.collect()
     assert dropped[0]() is None
     assert all(
-        workstation_imports(jpa.new_job(f"new{i}", vsite="FZJ-T3E").ajo) == []
+        JobPlan.of(jpa.new_job(f"new{i}", vsite="FZJ-T3E").ajo).imports == ()
         for i in range(200)
     )
 
