@@ -73,13 +73,13 @@ def _measure_transfer(size: int, chunk_bytes: int) -> dict:
     def scenario(sim):
         yield from _warm(njs_a)
         base_bytes = grid.network.total_bytes_sent()
-        corr, reply_ev = njs_a.peers.expect("e5-ack")
+        reply_ev = njs_a.peers.expect(("U1@A", "t1"), "e5-ack")
         t0 = sim.now
         yield from njs_a.peers.stream(
             "B", content,
             {
-                "kind": "uspace-file", "job": "U1@A", "path": "big.dat",
-                "reply": "A", "corr": corr,
+                "kind": "uspace-file", "job": "U1@A", "task": "t1",
+                "path": "big.dat", "reply": "A",
             },
             chunk_bytes=chunk_bytes,
         )
@@ -115,7 +115,7 @@ def _control_delay(chunk_bytes: int, stream_bytes: int, busy: bool) -> float:
             )
             # Probe mid-transfer, once the stream is in full flight.
             yield sim.timeout(2.0)
-        probe = TransferAck(corr_id=999_999, ok=True)
+        probe = TransferAck(("U1@A", "probe"), ok=True)
         t0 = sim.now
         yield from njs_a.peers.send("B", probe)
         result["t"] = sim.now - t0

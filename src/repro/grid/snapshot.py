@@ -40,9 +40,10 @@ __all__ = ["GridSnapshot", "SNAPSHOT_VERSION"]
 #: ``"logs"`` section (the journal is a table of live rows); 4 moved the
 #: AJO and outcome encodings from the journal and outcome rows to the
 #: blobs; 5 is one :mod:`repro.asn1` value instead of JSON text, so blob
-#: bodies and workstation files are stored raw.
+#: bodies and workstation files are stored raw; 6 drops the correlation
+#: ticket from a forwarded group's consign row (``forward_meta``).
 #: Other versions are refused.
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 #: What each field of an encoded snapshot must hold.
 _FIELD_TYPES: dict[str, type | tuple[type, ...]] = {

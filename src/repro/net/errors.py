@@ -44,9 +44,9 @@ class ConnectionLost(NetworkError):
 class ConnectionRefused(ConnectionLost):
     """The peer endpoint is not accepting connections.
 
-    Raised by the asyncio backend when the TCP connect itself fails; the
-    simkernel backend has no listening step, so there it only appears
-    via fault injection.
+    Raised by the asyncio backend when the TCP connect itself fails, and
+    by a crashed NJS for every peer message that reaches it, on either
+    backend (it fails the sender's hop as a loss does).
     """
 
     code = "net.connection_refused"

@@ -13,7 +13,8 @@ all: its sender learns how long the bytes take and folds that into its
 next step.  Each message is lost with the link's loss probability,
 drawn from a deterministic per-link stream; a lost message fails the
 sender's delivery event at the time the receiver would have noticed
-(one timeout interval), so protocols can react.
+(one timeout interval), so protocols can react; a message its server
+refuses on arrival (:class:`ConnectionRefused`) fails it at once.
 
 :class:`Network` is also the transport interface: servers and protocol
 clients are written against its ``send`` / ``relay`` / ``host`` /
@@ -28,7 +29,7 @@ import typing
 from dataclasses import dataclass
 from itertools import count
 
-from repro.net.errors import ConnectionLost, HostUnreachable, NetworkError
+from repro.net.errors import ConnectionLost, ConnectionRefused, HostUnreachable, NetworkError
 from repro.simkernel import Event, SimQueue, Simulator, TimeoutAt
 from repro.simkernel.rng import derive_rng
 
@@ -158,7 +159,8 @@ class Link:
         """Schedule delivery; returns the sender's delivery event.
 
         The event succeeds at delivery time, or fails with
-        :class:`ConnectionLost` after a timeout if the message is lost.
+        :class:`ConnectionLost` after a timeout if the message is lost,
+        or at delivery time if the receiver refuses it.
         Either way the message is ONE queue entry, placed now: the time
         the sender spends preparing it (``delay_s``) only moves its slot.
         """
@@ -173,10 +175,16 @@ class Link:
                 ),
             )
         # Delivery is the event's first callback, so the receiver has
-        # the message before any waiting sender resumes.
+        # the message (or has refused it) before any waiting sender resumes.
         ev = TimeoutAt(self.sim, arrival, value=message, name=name)
+
+        def hand_over(ev: Event) -> None:
+            try:
+                deliver(message)
+            except ConnectionRefused as err:
+                ev.overturn(err)
         assert ev.callbacks is not None
-        ev.callbacks.append(lambda _ev: deliver(message))
+        ev.callbacks.append(hand_over)
         return ev
 
 

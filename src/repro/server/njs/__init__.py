@@ -15,11 +15,12 @@ has started.  It wires together parts that each own their state alone:
 
 - ``RunTable`` (:mod:`~repro.server.njs.runtable`): the runs (a
   :mod:`~repro.server.njs.jobrun` under supervision, then the job's
-  outcome row as a :mod:`~repro.server.njs.finished` run), their index,
-  completion watchers, the journal, the outcome store, the job-id cursor;
+  outcome row as a :mod:`~repro.server.njs.finished` run), their indexes
+  (listings; the runs serving each parent job), completion watchers, the
+  journal, the outcome store, the job-id cursor;
 - ``PeerLink`` (:mod:`~repro.server.njs.peerlink`): the NJS-NJS message
-  types, peer routes, SSL sessions, correlation ids and
-  pending replies, stream ids, hop retry;
+  types, peer routes, SSL sessions, pending replies by name, stream ids,
+  hop retry;
 - ``Executor`` (:mod:`~repro.server.njs.executor`): DAG sequencing,
   Uspaces, incarnation (:mod:`~repro.server.njs.incarnation`, the JTS
   role) and batch delivery — the job control, each delivered task

@@ -138,10 +138,9 @@ class Executor:
             return
         for usite in run.forwarded_usites():
             if usite in self._peers.routes:
-                self._sim.process(self._peers.try_send(usite, CancelGroup(
-                    corr_id=self._peers.next_corr_id(), parent_job_id=run.job_id,
-                    dispose=dispose,
-                )))
+                self._sim.process(self._peers.try_send(
+                    usite, CancelGroup(run.job_id, dispose=dispose)
+                ))
 
     def _cancel_delivery(self, vsite_name: str, local_id: str) -> None:
         batch = self._vsites[vsite_name].batch

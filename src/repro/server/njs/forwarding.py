@@ -6,6 +6,8 @@ parent job, and :meth:`Forwarding.transfer` sends one Uspace file to a
 peer ("NJS - NJS communication via the gateway").  Inbound,
 :meth:`Forwarding.take_in` consigns such a group here and reports home
 when it is done, and :meth:`Forwarding.returned` takes a group's result.
+A group that comes again (its parent site replayed the job) is answered
+by the run already serving it (``RunTable.serving``), never run twice.
 
 A group and its result carry their files as one manifest
 (:mod:`repro.protocol.datapath`): small files inline, large ones as the
@@ -13,9 +15,8 @@ entries of streams sent ahead on the same FIFO route.  The data-plane
 endpoint stores a Uspace-to-Uspace transfer on arrival and parks every
 other stream until the message that names it claims it.
 
-The part owns what only exists because jobs cross sites: which local run
-serves which parent job, and the one stash for files that arrive before
-their Uspace does.
+The part owns what only exists because jobs cross sites: the one stash
+for files that arrive before their Uspace does.
 """
 
 from __future__ import annotations
@@ -34,16 +35,17 @@ from repro.faults.errors import ServiceUnavailable
 from repro.net.errors import ConnectionLost, FrameError
 from repro.observability import telemetry_for
 from repro.protocol.consignment import validate_manifest_paths
-from repro.protocol.datapath import DataPlaneEndpoint, FileEntry, claim, ship
+from repro.protocol.datapath import DataPlaneEndpoint, FileEntry, Manifest, claim, ship
 from repro.server.njs.finished import FinishedRun
 from repro.server.njs.jobrun import JobRun, index_outcomes
 from repro.server.njs.peerlink import (
     ForwardGroup,
     GroupResult,
     PeerLink,
+    ReplyKey,
     TransferAck,
 )
-from repro.server.njs.runtable import Run
+from repro.server.njs.runtable import Run, RunTable
 from repro.simkernel import Simulator
 from repro.storage.journal import ForwardMeta
 from repro.vfs.body import FileBody
@@ -67,7 +69,7 @@ class Forwarding:
         sim: Simulator,
         usite_name: str,
         peers: PeerLink,
-        runs: typing.Mapping[str, Run],
+        runs: RunTable,
         consign: typing.Callable[..., JobRun],
     ) -> None:
         self._sim = sim
@@ -77,11 +79,8 @@ class Forwarding:
         #: The NJS's own front door: a forwarded group is consigned like
         #: any other job.
         self._consign = consign
-        #: Forwarded groups' local job ids by the *parent's* job id, in
-        #: binding order, for transfers and cancellation arriving from
-        #: the parent site: one parent job may send several groups here.
-        self._foreign_jobs: dict[str, list[str]] = {}
-        #: Files for a job group that arrived before its Uspace existed.
+        #: Files a transfer of a parent job brought before its group, by
+        #: parent job id, for :meth:`staging`.
         self._early_files: dict[str, Files] = {}
         #: Data-plane receiving endpoint: peer streams reassemble here;
         #: transfers are stored, the rest parked for their message
@@ -98,36 +97,6 @@ class Forwarding:
         telemetry_for(self._sim).metrics.counter(name).inc(amount)
 
     # ------------------------------------------------------ who holds what
-    def foreign_runs(self, parent_job_id: str) -> list[Run]:
-        """The local runs serving groups of the parent site's job, in
-        the order they were bound."""
-        return [
-            run for job_id in self._foreign_jobs.get(parent_job_id, ())
-            if (run := self._runs.get(job_id)) is not None
-        ]
-
-    def foreign_run(self, parent_job_id: str) -> Run | None:
-        """The latest-bound local run serving a group of the parent
-        site's job: where a transfer of that job lands."""
-        runs = self.foreign_runs(parent_job_id)
-        return runs[-1] if runs else None
-
-    def release(self, job_id: str) -> None:
-        """Job ``job_id`` was disposed: it serves no parent job any more."""
-        for parent, jobs in list(self._foreign_jobs.items()):
-            if job_id in jobs:
-                jobs.remove(job_id)
-                if not jobs:
-                    del self._foreign_jobs[parent]
-
-    def stash(self, parent_job_id: str, files: Files) -> None:
-        """Keep files a transfer of the parent site's job brought here
-        before the group they are for: under the parent job id every
-        ForwardGroup of that job carries, where :meth:`bind` claims them
-        for the group."""
-        if files:
-            self._early_files.setdefault(parent_job_id, {}).update(files)
-
     def stashes(self) -> dict[str, dict]:
         """A copy of everything held for an owner that has not arrived:
         ``early`` files by parent job id (:meth:`stash`)."""
@@ -135,7 +104,6 @@ class Forwarding:
 
     def reset(self) -> None:
         """The process died: every stash and in-flight stream with it."""
-        self._foreign_jobs.clear()
         self._early_files.clear()
         self.datapath.clear()
 
@@ -160,13 +128,14 @@ class Forwarding:
         needed_ws = set(plan.subs[sub.id].imports)
         ws_files = {p: c for p, c in run.workstation_files.items() if p in needed_ws}
         ws_files.update(staged)
-        corr_id, reply_ev = self._peers.expect("group-result")
+        key = (run.job_id, sub.id)
+        reply_ev = self._peers.expect(key, "group-result")
         try:
             files = yield from self._ship(sub.usite, ws_files, "forward-stage")
             yield from self._peers.send(sub.usite, ForwardGroup(
-                corr_id=corr_id,
                 reply_usite=self._usite_name,
                 parent_job_id=run.job_id,
+                group_id=sub.id,
                 user_dn=run.user_dn,
                 ajo_bytes=encode_ajo(sub),
                 files=files,
@@ -176,7 +145,7 @@ class Forwarding:
                 parent_span_id=forward_span.span_id,
             ))
         except ConnectionLost as err:
-            self._peers.abandon(corr_id)
+            self._peers.abandon(key)
             run.tracer.end_span(forward_span, error=err)
             run.finish_action(
                 sub.id, ActionStatus.FAILED,
@@ -234,16 +203,18 @@ class Forwarding:
             )
             return
         content = uspace.body(task.source_path)
-        corr_id, reply_ev = self._peers.expect("transfer-ack")
+        key = (run.job_id, task.id)
+        reply_ev = self._peers.expect(key, "transfer-ack")
         # The file travels on the data plane: chunked frames whose
         # context tells the peer where the bytes belong.  The receiver
-        # acks the whole transfer once it is reassembled and stored.
+        # acks the whole transfer, by job and task, once it is
+        # reassembled and stored.
         context = {
             "kind": "uspace-file",
             "job": run.job_id,
+            "task": task.id,
             "path": task.destination_path,
             "reply": self._usite_name,
-            "corr": corr_id,
         }
         started = self._sim.now
         transfer_span = run.span(
@@ -255,7 +226,7 @@ class Forwarding:
                 task.destination_usite, content, context
             )
         except ConnectionLost as err:
-            self._peers.abandon(corr_id)
+            self._peers.abandon(key)
             run.tracer.end_span(transfer_span, error=err)
             run.finish_action(
                 task.id, ActionStatus.FAILED,
@@ -279,10 +250,20 @@ class Forwarding:
 
     # -------------------------------------------------------------- inbound
     def take_in(self, message: ForwardGroup):
-        """Consign a group a peer forwarded, and report home when done."""
-        forward_meta = (
-            message.corr_id, message.reply_usite, tuple(message.return_files)
-        )
+        """Consign a group a peer forwarded, and report home when done.
+        A group already served here is answered by its run, at once if
+        it has finished, else by its own report; the copy's streams go."""
+        key = (message.parent_job_id, message.group_id)
+        forward_meta = (message.reply_usite, tuple(message.return_files))
+        served = next((  # a finished run decodes its AJO for its root
+            run for run in self._runs.serving(message.parent_job_id)
+            if run.root.id == message.group_id
+        ), None)
+        if served is not None:
+            self._drop(message.files)
+            if isinstance(served, FinishedRun):
+                yield from self.report_home(served, key, forward_meta)
+            return
         try:
             # Large staging files streamed ahead of the group on the same
             # FIFO route: they are reassembled here already.
@@ -299,27 +280,26 @@ class Forwarding:
                 ajo_bytes=message.ajo_bytes,
             )
         except Exception as err:  # noqa: BLE001 - reported back to the peer
-            yield from self._peers.try_send(message.reply_usite, GroupResult(
-                corr_id=message.corr_id, ok=False, error=str(err)
-            ))
+            yield from self._peers.try_send(
+                message.reply_usite, GroupResult(key, ok=False, error=str(err))
+            )
             return
-        yield from self.report_home(run, forward_meta)
+        yield from self.report_home(run, key, forward_meta)
 
-    def bind(self, run: JobRun, parent_job_id: str) -> Files:
-        """Bind a just-admitted (or just-replayed) forwarded ``run`` to the
-        parent job it serves, and return what its root Uspace starts
-        with: the staging the group was consigned with, then what
-        transfers of the parent job left here before the group existed.
-        The NJS does this before it supervises the run."""
-        self._foreign_jobs.setdefault(parent_job_id, []).append(run.job_id)
+    def staging(self, run: JobRun, parent_job_id: str) -> Files:
+        """What a just-admitted forwarded ``run``'s root Uspace starts
+        with: its staging, then what transfers of the parent job left
+        here before the group existed."""
         return {**run.workstation_files, **self._early_files.pop(parent_job_id, {})}
 
-    def report_home(self, run: JobRun, forward_meta: ForwardMeta):
-        """Await the bound ``run``, then send the finished group's
-        outcome, as it was persisted, and the files the parent asked for
-        (a process body)."""
-        corr_id, reply_usite, return_files = forward_meta
-        finished: FinishedRun = yield run.done_event
+    def report_home(self, run: Run, key: ReplyKey, forward_meta: ForwardMeta):
+        """Await ``run`` unless it has finished, then send the group's
+        outcome, as it was persisted, and the files the parent asked
+        for, as the result named ``key`` (a process body)."""
+        reply_usite, return_files = forward_meta
+        finished: FinishedRun = (
+            run if isinstance(run, FinishedRun) else (yield run.done_event)
+        )
         produced: Files = {}
         for path in return_files:
             body = finished.file(path)
@@ -328,23 +308,27 @@ class Forwarding:
         try:
             files = yield from self._ship(reply_usite, produced, "group-return")
             yield from self._peers.send(reply_usite, GroupResult(
-                corr_id=corr_id, ok=True,
+                key, ok=True,
                 outcome_bytes=finished.encoded_outcome(), files=files,
             ))
         except ConnectionLost:
-            pass  # the parent NJS will surface the missing result
+            pass  # the parent NJS asks again when it replays the job
 
     def returned(self, result: GroupResult) -> None:
         """A forwarded group's result came home: hand it to the forward
-        that awaits it.  Nobody does once that forward was given up or a
-        restart forgot it; then the result is dropped with the streams
-        it names, which would otherwise stay parked for ever."""
+        that awaits it.  Nobody does once that forward was given up, a
+        restart forgot it or a copy answered it; then the result is
+        dropped with the streams it names, lest they stay parked."""
         if self._peers.resolve(result):
             return
-        for item in result.files.values():
+        self._drop(result.files)
+        self._count("njs.dropped_peer_messages")
+
+    def _drop(self, files: Manifest) -> None:
+        """Release the parked streams a dropped message names."""
+        for item in files.values():
             if isinstance(item, FileEntry):
                 self.datapath.take(item.stream_id)
-        self._count("njs.dropped_peer_messages")
 
     # ------------------------------------------------------ data-plane intake
     def _on_stream_complete(self, context: dict, data: FileBody) -> bool:
@@ -355,15 +339,15 @@ class Forwarding:
             return False
         self._sim.process(
             self._complete_transfer(context, str(context.get("path", "")), data),
-            name=f"transfer-in:{context.get('corr', 0)}",
+            name=f"transfer-in:{context.get('task', '')}",
         )
         return True
 
     def _complete_transfer(self, context: dict, path: str, data: FileBody):
         """Store one streamed transfer and acknowledge it."""
-        corr_id = int(context.get("corr", 0))
         reply_usite = str(context.get("reply", ""))
         parent_job_id = str(context.get("job", ""))
+        key = (parent_job_id, str(context.get("task", "")))
         try:
             # Strict policy: this path is written into a Uspace, so
             # absolute paths are refused along with traversal segments.
@@ -373,19 +357,18 @@ class Forwarding:
         except UnsafePathError as err:
             self._count("njs.rejected_paths")
             yield from self._peers.try_send(
-                reply_usite, TransferAck(corr_id=corr_id, ok=False, error=str(err))
+                reply_usite, TransferAck(key, ok=False, error=str(err))
             )
             return
-        run = self.foreign_run(parent_job_id)
+        # The latest group of the parent job here is where it lands.
+        runs = self._runs.serving(parent_job_id)
+        run = runs[-1] if runs else None
         uspaces = list(run.uspaces.values()) if isinstance(run, JobRun) else []
         if uspaces:
             uspaces[0].write(path, data)
-        else:
-            # Group not consigned here (yet): stash for its arrival.
-            self.stash(parent_job_id, {path: data})
+        else:  # the group is not here yet: its staging takes the file
+            self._early_files.setdefault(parent_job_id, {})[path] = data
         yield self._sim.timeout(len(data) / LOCAL_DISK_BANDWIDTH_BPS)
         # If this is lost the sender's retries are exhausted too; it
         # reports the failure.
-        yield from self._peers.try_send(
-            reply_usite, TransferAck(corr_id=corr_id, ok=True)
-        )
+        yield from self._peers.try_send(reply_usite, TransferAck(key, ok=True))

@@ -1,12 +1,14 @@
-"""The NJS-NJS link: peer messages, https routes, correlation, streams.
+"""The NJS-NJS link: peer messages, https routes, replies, streams.
 
 Section 5.6: NJS-to-NJS traffic travels "via the gateway" — NJS → own
 gateway → peer gateway → peer NJS.  :class:`PeerLink` is the one place
-that knows a route, an SSL session, a correlation id or a stream id; the
-rest of the NJS says *what* goes to *which* Usite (:meth:`PeerLink.send`,
+that knows a route, an SSL session or a stream id; the rest of the NJS
+says *what* goes to *which* Usite (:meth:`PeerLink.send`,
 :meth:`PeerLink.stream`) and which reply it waits for
 (:meth:`PeerLink.expect`).  Only NJSs ride it: the federation broker is
 a client of the sites and reaches them through their gateways' verbs.
+A reply is named by what both ends hold in every life (:data:`ReplyKey`),
+so one that comes home after a restart reaches the replayed wait.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import types
 import typing
 from dataclasses import dataclass, field
-from itertools import count
 
 from repro.net.errors import ConnectionLost
 from repro.net.https import DEFAULT_PER_RECORD_CPU_S, HANDSHAKE_MESSAGE_BYTES
@@ -46,6 +47,10 @@ PEER_RETRY_DELAY_S = 5.0
 
 Route = typing.Sequence[tuple[str, str]]
 
+#: A reply's name: ``(parent job id, group id)`` for a group's result,
+#: ``(job id, task id)`` for a transfer's ack (action ids survive the codec).
+ReplyKey = tuple[str, str]
+
 
 def _inline_bytes(files: Manifest) -> int:
     """What a manifest adds to its message: the inline files' bytes (a
@@ -57,11 +62,12 @@ def _inline_bytes(files: Manifest) -> int:
 @dataclass(slots=True)
 class ForwardGroup:
     """A job group consigned to a peer NJS (section 4.3: servers exchange
-    '(parts of) UNICORE jobs')."""
+    '(parts of) UNICORE jobs'): the group ``group_id`` of the parent
+    site's job ``parent_job_id``, encoded in ``ajo_bytes``."""
 
-    corr_id: int
     reply_usite: str
     parent_job_id: str
+    group_id: str
     user_dn: str
     ajo_bytes: bytes
     #: Workstation + staged dependency files the group needs.
@@ -81,7 +87,7 @@ class ForwardGroup:
 class GroupResult:
     """Completion report for a forwarded group."""
 
-    corr_id: int
+    key: ReplyKey
     ok: bool
     outcome_bytes: bytes = b""
     #: The files the parent asked back.
@@ -112,7 +118,7 @@ class PeerFrame:
 
 @dataclass(slots=True)
 class TransferAck:
-    corr_id: int
+    key: ReplyKey
     ok: bool
     error: str = ""
 
@@ -126,7 +132,6 @@ class CancelGroup:
     """Cancellation propagated to a peer holding a forwarded group, or
     with ``dispose`` the parent job's disposal."""
 
-    corr_id: int
     parent_job_id: str
     dispose: bool = False
 
@@ -154,9 +159,8 @@ class PeerLink:
         )
         #: Peers the SSL handshake has been paid for in this life.
         self._sessions: set[str] = set()
-        self._corr_seq = count(1)
-        #: corr_id -> the event its reply resolves.
-        self._pending: dict[int, Event] = {}
+        #: Reply key -> the event its reply resolves.
+        self._pending: dict[ReplyKey, Event] = {}
         self._stream_ids = StreamIdAllocator(f"njs:{usite_name}")
 
     # ------------------------------------------------------------ wiring
@@ -164,30 +168,27 @@ class PeerLink:
         """Register the https route (host hops) to a peer Usite's NJS."""
         self._routes[usite] = tuple(route)
 
-    # ------------------------------------------------------- correlation
-    def next_corr_id(self) -> int:
-        return next(self._corr_seq)
-
-    def expect(self, what: str) -> tuple[int, Event]:
-        """A fresh correlation id and the event the reply carrying it
-        will succeed (with the reply message as its value)."""
-        corr_id = self.next_corr_id()
-        event = self._sim.event(name=f"{what}:{corr_id}")
-        self._pending[corr_id] = event
-        return corr_id, event
+    # ------------------------------------------------------------- replies
+    def expect(self, key: ReplyKey, what: str) -> Event:
+        """The event the reply named ``key`` will succeed (with the reply
+        message as its value)."""
+        event = self._sim.event(name=f"{what}:{key[0]}/{key[1]}")
+        self._pending[key] = event
+        return event
 
     def resolve(self, reply: "GroupResult | TransferAck") -> bool:
         """Hand a reply to whoever expects it and say whether anybody
-        did; nobody does after a crash or an :meth:`abandon`."""
-        waiter = self._pending.pop(reply.corr_id, None)
+        did; nobody does after a crash or an :meth:`abandon`, or once an
+        earlier reply of the same name was taken."""
+        waiter = self._pending.pop(reply.key, None)
         if waiter is None or waiter.triggered:  # triggered: just expired
             return False
         waiter.wake(reply)
         return True
 
-    def abandon(self, corr_id: int) -> None:
+    def abandon(self, key: ReplyKey) -> None:
         """Stop expecting a reply (its request was lost for good)."""
-        self._pending.pop(corr_id, None)
+        self._pending.pop(key, None)
 
     def reset(self) -> None:
         """The process died: nobody waits for a reply any more, and the
@@ -199,7 +200,7 @@ class PeerLink:
     def send(self, usite: str, message: typing.Any):
         """Send ``message`` via the https route to ``usite``'s NJS.
 
-        Lost messages are resent up to :data:`PEER_RETRIES` times per
+        Lost or refused messages are resent up to :data:`PEER_RETRIES` times per
         hop; after that :class:`ConnectionLost` propagates to the
         caller, which fails the affected action.
         """

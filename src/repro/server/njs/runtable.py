@@ -52,6 +52,9 @@ class RunTable(typing.Mapping[str, Run]):
         #: unfinished on :meth:`lose_memory`, so nobody sleeps through a
         #: lost run.
         self._watchers: dict[str, list[Event]] = {}
+        #: Parent job id -> the forwarded groups serving it here, by job
+        #: id in consignment order; None until a restored table is asked.
+        self._serving: dict[str, list[str]] | None = {}
         self._meta = storage.table(f"{usite_name}.meta")  # the job-id cursor
         #: Write-ahead journal over backend storage: survives a crash,
         #: drives the replay.
@@ -112,17 +115,18 @@ class RunTable(typing.Mapping[str, Run]):
         self._index_hit()
         return self._index.delta(user_dn, since_seq, epoch)
 
-    def forwarded_from(self, parent_job_id: str) -> list[FinishedRun]:
-        """The finished runs that served groups of the parent site's job
-        ``parent_job_id``, found by their consign rows.  A restart binds
-        only the groups in flight, so this is how a parent reaches a
-        group that finished before; it reads the row of every finished
-        job, so only a parent with no bound group asks."""
-        return [
-            run for run in self._runs.values()
-            if isinstance(run, FinishedRun)
-            and self.journal.parent_job_id(run.job_id) == parent_job_id
-        ]
+    def serving(self, parent_job_id: str) -> list[Run]:
+        """The runs serving groups of the parent site's job
+        ``parent_job_id``, live or finished, in consignment order.  Kept
+        at admit and dispose; a restored table reads the consign rows
+        for it once, when first asked."""
+        if self._serving is None:
+            self._serving = {}
+            for job_id in sorted(self._runs, key=self._job_seq):
+                parent = self.journal.parent_job_id(job_id)
+                if parent is not None:
+                    self._serving.setdefault(parent, []).append(job_id)
+        return [self._runs[job_id] for job_id in self._serving.get(parent_job_id, ())]
 
     def watch(self, job_id: str) -> Event | None:
         """An event woken once the job is finished (its outcome row
@@ -201,6 +205,8 @@ class RunTable(typing.Mapping[str, Run]):
             run.recovered = replay
             run.on_change = self._note_change
             self._enter(run)
+            if parent_job_id is not None and self._serving is not None:
+                self._serving.setdefault(parent_job_id, []).append(job_id)
             if not replay:
                 self.journal.record_consign(
                     job_id,
@@ -269,12 +275,17 @@ class RunTable(typing.Mapping[str, Run]):
         return finished
 
     def dispose(self, run: FinishedRun) -> None:
-        """Forget a finished job everywhere: table, index, storage."""
+        """Forget a finished job everywhere: table, indexes, storage."""
         del self._runs[run.job_id]
         self._index.remove(run.job_id, run.user_dn)
         with self._storage.batch():
-            self.journal.forget(run.job_id)
+            entry = self.journal.forget(run.job_id)
             self.outcomes.forget(run.record)
+        if self._serving is not None and entry is not None and entry.parent_job_id:
+            jobs = self._serving[entry.parent_job_id]
+            jobs.remove(run.job_id)
+            if not jobs:
+                del self._serving[entry.parent_job_id]
 
     # ------------------------------------------------------- crash / recovery
     def lose_memory(self) -> None:
@@ -314,6 +325,7 @@ class RunTable(typing.Mapping[str, Run]):
         skips the rows of finished ones by key.
         """
         finished = set(self.outcomes.job_ids())
+        self._serving = None
         metrics = telemetry_for(self._sim).metrics
         for record in self.outcomes.records(self._job_seq):
             self._enter(FinishedRun(

@@ -24,6 +24,7 @@ from repro.ajo.serialize import decode_ajo
 from repro.analysis import AnalysisContext, analyze_ajo
 from repro.broker.errors import BrokerQuotaError
 from repro.faults.errors import ServiceUnavailable
+from repro.net.errors import ConnectionRefused
 from repro.net.sim_transport import Host, Network
 from repro.observability import Span, telemetry_for
 from repro.protocol.views import CapacityView, JobListingDelta, JobStatusView
@@ -195,7 +196,7 @@ class NetworkJobSupervisor:
                 ajo,
                 is_forward=parent_job_id is not None,
                 workstation_files=files,
-                owed=() if forward_meta is None else forward_meta[2],
+                owed=() if forward_meta is None else forward_meta[1],
                 parent_span=consign_span,
             )
             self._check_mappings(ajo, dn)
@@ -218,8 +219,8 @@ class NetworkJobSupervisor:
         staged: dict[str, FileBody] = {}
         if parent_job_id is not None and forward_meta is not None:
             # Supervision starts at once, creating the root Uspace: a
-            # forwarded group is bound to its parent job first.
-            staged = self.forwarding.bind(run, parent_job_id)
+            # forwarded group takes what its parent job left here first.
+            staged = self.forwarding.staging(run, parent_job_id)
         self._executor.supervise(run, staged)
         return run
 
@@ -280,26 +281,18 @@ class NetworkJobSupervisor:
             self._check_mappings(sub, dn)
 
     # ------------------------------------------------------------ peer traffic
-    def dispatch_peer_message(self, payload: object) -> bool:
-        """Handle one NJS-to-NJS message; returns True if it was ours."""
-        if self.crashed and isinstance(
-            payload, (ForwardGroup, GroupResult, TransferAck, CancelGroup,
-                      PeerFrame)
-        ):
-            # A dead process reads nothing: the message is simply lost
-            # (senders retry or fail their action, as with a lost frame).
-            telemetry_for(self.sim).metrics.counter(
-                "njs.dropped_peer_messages"
-            ).inc()
-        elif isinstance(payload, PeerFrame):
+    def dispatch_peer_message(self, payload: object) -> None:
+        """Handle one NJS-to-NJS message.  A crashed NJS refuses it,
+        which fails the sender's hop as a loss does: the hop's retries
+        deliver it after a short outage, or fail its action once."""
+        if self.crashed:
+            raise ConnectionRefused(f"NJS at {self.usite_name} is down")
+        if isinstance(payload, PeerFrame):
             self.forwarding.datapath.feed(payload.raw)
         elif isinstance(payload, ForwardGroup):
             self.sim.process(self.forwarding.take_in(payload))
         elif isinstance(payload, CancelGroup):
-            parent_job_id = payload.parent_job_id
-            # No bound group: one may have finished before a restart.
-            for run in (self.forwarding.foreign_runs(parent_job_id)
-                        or self.runs.forwarded_from(parent_job_id)):
+            for run in self.runs.serving(payload.parent_job_id):
                 if not payload.dispose:
                     self.cancel(run.job_id)
                 elif isinstance(run, FinishedRun):  # a running one is left be
@@ -308,9 +301,6 @@ class NetworkJobSupervisor:
             self.forwarding.returned(payload)
         elif isinstance(payload, TransferAck):
             self.peers.resolve(payload)
-        else:
-            return False
-        return True
 
     # ------------------------------------------------------- crash / recovery
     def crash(self) -> None:
@@ -382,7 +372,7 @@ class NetworkJobSupervisor:
         if entry.forward_meta is not None and entry.parent_job_id is not None:
             # A forwarded group must still report to its parent site.
             self._executor.spawn(run, self.forwarding.report_home(
-                run, entry.forward_meta
+                run, (entry.parent_job_id, run.root.id), entry.forward_meta
             ), f"replay-forward:{run.job_id}")
 
     # ---------------------------------------------------------------- services
@@ -451,7 +441,6 @@ class NetworkJobSupervisor:
         self._executor.tell_forwarded(run, dispose=True)
         self._executor.destroy_uspaces(job_id)
         self.runs.dispose(run)
-        self.forwarding.release(job_id)
         telemetry_for(self.sim).tracer.forget(job_id)
 
     # A finished job is past control: hold refuses, resume and cancel

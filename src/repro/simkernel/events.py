@@ -195,6 +195,11 @@ class Event:
         self.sim._schedule(self)
         return self
 
+    def overturn(self, exception: BaseException) -> None:
+        """Fail a succeeded event from one of its callbacks: the ones
+        after it (its waiters) see ``exception`` instead of the value."""
+        self._ok, self._value = False, exception
+
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another event (chaining)."""
         if event._ok:

@@ -53,8 +53,8 @@ from repro.vfs.body import FileBody
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.observability.metrics import MetricsRegistry
 
-#: ``(corr_id, reply_usite, return_files)`` carried by forwarded groups.
-ForwardMeta = tuple[str, str, tuple[str, ...]]
+#: ``(reply_usite, return_files)`` carried by forwarded groups.
+ForwardMeta = tuple[str, tuple[str, ...]]
 
 __all__ = ["JournalEntry", "JobJournal"]
 
@@ -72,8 +72,8 @@ class JournalEntry:
     trace_id: str = ""
     #: Set for forwarded groups (this NJS is the *child* site).
     parent_job_id: str | None = None
-    #: ``(corr_id, reply_usite, return_files)`` for forwarded groups, so
-    #: a replayed group can still send its GroupResult home.
+    #: ``(reply_usite, return_files)`` for forwarded groups, so a
+    #: replayed group can still send its GroupResult home.
     forward_meta: ForwardMeta | None = None
     #: Batch jobs delivered so far, by this life of the NJS or an earlier
     #: one: ``action_id -> (vsite, local_id)``.  Replay cancels the
@@ -116,8 +116,7 @@ class JobJournal:
                 trace_id=row["trace_id"],
                 parent_job_id=row["parent_job_id"],
                 forward_meta=(
-                    None if meta is None
-                    else (meta[0], meta[1], tuple(meta[2]))
+                    None if meta is None else (meta[0], tuple(meta[1]))
                 ),
             )
         return entry
@@ -174,17 +173,18 @@ class JobJournal:
                 self._table.delete(f"{job_id}/{action_id}")
             del self._entries[job_id]
 
-    def forget(self, job_id: str) -> None:
+    def forget(self, job_id: str) -> JournalEntry | None:
         """Drop a disposed job's rows and release the AJO and file bodies
-        its consignment named, unread."""
+        its consignment named, unread; returns the entry they held."""
         entry = self._lookup(job_id)
         if entry is None:
-            return
+            return None
         with self.storage.batch():
             self.finish(job_id)
             self._table.delete(job_id)
             self._blobs.release(entry.ajo_digest)
             self._blobs.release_files(entry.workstation_files)
+        return entry
 
     # -- reads ---------------------------------------------------------------
     def _lookup(self, job_id: str) -> JournalEntry | None:

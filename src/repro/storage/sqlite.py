@@ -30,8 +30,9 @@ __all__ = ["SQLiteBackend", "FORMAT_VERSION"]
 #: disk) kept file bodies inside its rows as text; 2 kept the NJS journal
 #: as an append-only ``logs`` relation; 3 kept the AJO and outcome
 #: encodings inside the journal and outcome rows; 4 encoded the ``kv``
-#: values as JSON text, byte strings included.
-FORMAT_VERSION = 5
+#: values as JSON text, byte strings included; 5 kept a correlation
+#: ticket in a forwarded group's consign row.
+FORMAT_VERSION = 6
 
 _SCHEMA = """
 CREATE TABLE kv (

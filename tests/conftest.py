@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +15,8 @@ def src_files() -> list[tuple[str, str, ast.Module]]:
     paths = sorted((root / "src" / "repro").rglob("*.py"))
     sources = [(p.relative_to(root).as_posix(), p.read_text(encoding="utf-8")) for p in paths]
     return [(rel, source, ast.parse(source, filename=rel)) for rel, source in sources]
+
+
+#: CI's "Crash points" step (``--hypothesis-profile crash-points``) draws
+#: 400 crash points in ``tests/property/test_crash_timing_properties.py``.
+settings.register_profile("crash-points", max_examples=400)

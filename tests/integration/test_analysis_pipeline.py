@@ -270,5 +270,5 @@ def test_analyzer_and_runtime_agree_on_a_dependency_file(producer, consumer, mon
     elif consumer == "export":
         read = grid.usites["FZJ"].xspace.fs.body("/out/out.dat")
     else:
-        read = grid.usites["ZIB"].njs.forwarding.foreign_run(job_id).file("out.dat")
+        read = grid.usites["ZIB"].njs.runs.serving(job_id)[-1].file("out.dat")
     assert read == PRODUCED[producer]

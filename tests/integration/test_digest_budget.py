@@ -67,7 +67,7 @@ def test_a_file_is_hashed_once_per_site_that_accepts_it(monkeypatch, size):
     # digest).
     fzj, zib = grid.usites["FZJ"].njs, grid.usites["ZIB"].njs
     digest = hashlib.sha256(content).hexdigest()
-    group_id = zib.forwarding.foreign_run(handle.job_id).job_id
+    group_id = zib.runs.serving(handle.job_id)[-1].job_id
     for njs, job_id in ((fzj, handle.job_id), (zib, group_id)):
         assert njs.journal.entry(job_id) is None  # finished
         assert njs.runs[job_id].record.files["payload.dat"] == digest

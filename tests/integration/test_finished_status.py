@@ -111,7 +111,7 @@ def test_a_finished_job_answers_every_detail_level(storage, remote):
     runs = [(grid.usites["FZJ"].njs, job_id)]
     if remote:
         zib = grid.usites["ZIB"].njs
-        runs.append((zib, zib.forwarding.foreign_run(job_id).job_id))
+        runs.append((zib, zib.runs.serving(job_id)[-1].job_id))
 
     just_finished = _answers(grid, runs)
     for detail in DETAILS:

@@ -202,10 +202,9 @@ def test_disposing_a_forwarded_group_releases_its_parent_binding(duo):
     grid, user, _ = duo
     _, handle = _finished_two_site_job(grid, user)
     zib = grid.usites["ZIB"].njs
-    group = zib.forwarding.foreign_run(handle.job_id)
-    assert group is not None
+    (group,) = zib.runs.serving(handle.job_id)
     zib.dispose(group.job_id)
-    assert zib.forwarding.foreign_run(handle.job_id) is None
+    assert zib.runs.serving(handle.job_id) == []
 
 
 def test_transfer_to_unknown_usite_fails_task_only(duo):
@@ -259,16 +258,16 @@ def test_a_file_task_gets_the_file_a_sub_group_hands_it(duo, consumer, sub_usite
 
     job_id, final = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
     assert final.status == "successful"
-    zib = grid.usites["ZIB"].njs.forwarding
+    zib = grid.usites["ZIB"].njs.runs
     if sub_usite == "FZJ":
         uspaces = grid.usites["FZJ"].vsites["FZJ-T3E"].uspaces
         produced = uspaces.get(f"{job_id}.{sub.ajo.id}").body("out.dat")
     else:
-        produced = zib.foreign_run(job_id).file("out.dat")
+        produced = zib.serving(job_id)[-1].file("out.dat")
     if consumer == "export":
         delivered = grid.usites["FZJ"].xspace.fs.body("/out/out.dat")
     else:
-        delivered = zib.foreign_run(job_id).file("out.dat")
+        delivered = zib.serving(job_id)[-1].file("out.dat")
     assert len(produced) > 0
     assert delivered == produced
 

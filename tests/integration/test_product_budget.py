@@ -120,7 +120,7 @@ def test_a_product_that_crosses_a_site_is_still_read_by_the_receiver(monkeypatch
         assert session.wait(handle).status == "successful"
 
         sent = fzj.fetch_uspace_file(handle.job_id, "hand.off")
-        group_id = zib.forwarding.foreign_run(handle.job_id).job_id
+        group_id = zib.runs.serving(handle.job_id)[-1].job_id
         received.append(zib.fetch_uspace_file(group_id, "hand.off"))
         assert received[-1] is not sent and received[-1] == sent
         # FZJ reads its product the first time only (one hash, one cut

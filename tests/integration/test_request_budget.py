@@ -228,7 +228,7 @@ def test_no_live_run_outlives_its_job(metered):
     grid, session = metered.grid, metered.session
     handle = session.submit(_two_site_job(session, "collected"))
     assert session.wait(handle).status == "successful"
-    group = grid.usites["ZIB"].njs.forwarding.foreign_run(handle.job_id)
+    group = grid.usites["ZIB"].njs.runs.serving(handle.job_id)[-1]
     finished = {handle.job_id, group.job_id}
     gc.collect()
     live = [

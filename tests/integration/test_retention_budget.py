@@ -174,7 +174,7 @@ def test_a_home_site_dispose_disposes_the_groups_it_forwarded():
     handle = _spread_with_file(session, user)
     assert session.wait(handle).status == "successful"
     zib = grid.usites["ZIB"].njs
-    group_id = zib.forwarding.foreign_run(handle.job_id).job_id
+    group_id = zib.runs.serving(handle.job_id)[-1].job_id
     assert isinstance(zib.runs[group_id], FinishedRun)
     uspace_body = weakref.ref(zib.fetch_uspace_file(group_id, "input.dat"))
 
@@ -182,15 +182,15 @@ def test_a_home_site_dispose_disposes_the_groups_it_forwarded():
     grid.sim.run(until=grid.sim.now + 3600.0)
     gc.collect()
     assert group_id not in zib.runs and len(zib.runs) == 0
-    assert zib.forwarding.foreign_runs(handle.job_id) == []
+    assert zib.runs.serving(handle.job_id) == []
     assert uspace_body() is None
 
 
 def test_a_dispose_reaches_a_group_that_finished_before_its_site_restarted():
-    """A restart binds only the groups in flight, so the child finds a
-    group that finished before it by the parent job id in its consign
-    row: an hour after the home site's dispose ZIB holds no run of the
-    job, and the group's Uspace file is let go."""
+    """After a restart the child finds a group that finished before it
+    by the parent job id in its consign row: an hour after the home
+    site's dispose ZIB holds no run of the job, and the group's Uspace
+    file is let go."""
     grid = build_grid(SITES, seed=41)
     user = grid.add_user("Keeper", logins={site: "keeper" for site in SITES})
     session = GridSession(grid, user, "FZJ")
@@ -198,12 +198,11 @@ def test_a_dispose_reaches_a_group_that_finished_before_its_site_restarted():
     assert session.wait(handle).status == "successful"
     zib_site = grid.usites["ZIB"]
     zib = zib_site.njs
-    group_id = zib.forwarding.foreign_run(handle.job_id).job_id
+    group_id = zib.runs.serving(handle.job_id)[-1].job_id
     uspace_body = weakref.ref(zib.fetch_uspace_file(group_id, "input.dat"))
     zib_site.crash_site()
     zib_site.restart_site()
     assert isinstance(zib.runs[group_id], FinishedRun)
-    assert zib.forwarding.foreign_runs(handle.job_id) == []
 
     session.dispose(handle)
     grid.sim.run(until=grid.sim.now + 3600.0)
@@ -221,11 +220,11 @@ def test_a_dispose_leaves_a_running_forwarded_group_alone():
     handle = _spread_with_file(session, user, runtime_s=600.0)
     grid.sim.run(until=grid.sim.now + 300.0)
     zib = grid.usites["ZIB"].njs
-    (running,) = zib.forwarding.foreign_runs(handle.job_id)
+    (running,) = zib.runs.serving(handle.job_id)
     assert isinstance(running, JobRun)
 
     zib.dispatch_peer_message(
-        CancelGroup(corr_id=0, parent_job_id=handle.job_id, dispose=True)
+        CancelGroup(parent_job_id=handle.job_id, dispose=True)
     )
     assert zib.runs[running.job_id] is running and not running.cancelled
     assert session.wait(handle).status == "successful"

@@ -154,5 +154,5 @@ def test_a_pipeline_hand_off_streams_when_its_predecessor_ends(duo):
     assert made.attributes["machine"] == "FZJ-T3E"
     assert trace.first("njs.forward").start == pytest.approx(made.end, abs=EPS)
     zib = grid.usites["ZIB"].njs
-    [group_run] = zib.forwarding.foreign_runs(handle.job_id)
+    [group_run] = zib.runs.serving(handle.job_id)
     assert len(group_run.file("result.dat")) == RESULT_FILE_BYTES

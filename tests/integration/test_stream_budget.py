@@ -206,7 +206,7 @@ def test_a_streamed_file_is_held_once(two_sites):
     handle = session.submit(job)
     assert session.wait(handle).status == "successful"
     fzj, zib = grid.usites["FZJ"].njs, grid.usites["ZIB"].njs
-    group_id = zib.forwarding.foreign_run(handle.job_id).job_id
+    group_id = zib.runs.serving(handle.job_id)[-1].job_id
 
     sites = [fzj.fetch_uspace_file(handle.job_id, "input.dat"),
              zib.fetch_uspace_file(group_id, "input.dat")]

@@ -137,7 +137,7 @@ def _run_transfer_job(two_sites, drop_wan: bool):
     # the early-file stash under the parent job id; the group claimed it
     # on arrival, and nothing is left behind at quiescence.
     zib = grid.usites["ZIB"].njs
-    assert len(zib.forwarding.foreign_run(job_id).file("big.dat")) == 1 << 20
+    assert len(zib.runs.serving(job_id)[-1].file("big.dat")) == 1 << 20
     assert zib.forwarding.stashes()["early"] == {}
     return telemetry_for(grid.sim).metrics
 
@@ -203,20 +203,20 @@ def test_forwarded_group_stages_and_returns_large_files(two_sites):
 def test_group_return_stream_nobody_expects_is_dropped(two_sites):
     """Result files stream home ahead of their GroupResult and stay parked
     until it claims them.  A result nobody awaits — its forward was given
-    up on, or a restart forgot it — is dropped with the streams it names,
-    so they are not pinned for ever."""
+    up on, an earlier copy answered it, or a restart forgot it — is
+    dropped with the streams it names, so they are not pinned for ever."""
     grid, user, session = two_sites
     fzj, zib = grid.usites["FZJ"].njs, grid.usites["ZIB"].njs
     metrics = telemetry_for(grid.sim).metrics
     data = bytes(range(256)) * 16
 
-    def result_home(corr_id):
+    def result_home(key):
         def scenario(sim):
             entry = yield from zib.peers.stream(
                 "FZJ", data, {"kind": "group-return", "path": "render.out"}
             )
             yield from zib.peers.send("FZJ", GroupResult(
-                corr_id=corr_id, ok=True, files={"render.out": entry}
+                key, ok=True, files={"render.out": entry}
             ))
             yield sim.timeout(1.0)  # let the FZJ inbox drain
             return entry
@@ -224,23 +224,25 @@ def test_group_return_stream_nobody_expects_is_dropped(two_sites):
         entry = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
         return entry, metrics.counter_value("njs.dropped_peer_messages")
 
-    corr_id, reply = fzj.peers.expect("group-result")
-    entry, dropped = result_home(corr_id)
+    key = ("U1@FZJ", "ajo000007")
+    reply = fzj.peers.expect(key, "group-result")
+    entry, dropped = result_home(key)
     assert dropped == 0 and reply.value.files == {"render.out": entry}
     # The awaited result's claim takes the parked stream.
     assert claim(fzj.forwarding.datapath, reply.value.files) == {
         "render.out": data
     }
-    # Nobody ever asked for this one.
-    entry, dropped = result_home(corr_id + 1000)
-    assert dropped == 1
-    assert fzj.forwarding.datapath.take(entry.stream_id) is None
+    # A second copy of it, and one nobody ever asked for.
+    for n, unasked in enumerate([key, ("U1@FZJ", "ajo000008")], start=1):
+        entry, dropped = result_home(unasked)
+        assert dropped == n
+        assert fzj.forwarding.datapath.take(entry.stream_id) is None
     # The restart forgot who was waiting.
-    corr_id, _reply = fzj.peers.expect("group-result")
+    fzj.peers.expect(key, "group-result")
     fzj.crash()
     fzj.restart()
-    entry, dropped = result_home(corr_id)
-    assert dropped == 2
+    entry, dropped = result_home(key)
+    assert dropped == 3
     assert fzj.forwarding.datapath.take(entry.stream_id) is None
 
 
@@ -254,7 +256,7 @@ def test_forwarded_staging_with_a_traversal_path_is_refused(two_sites, streamed)
     group = AbstractJobObject("evil", vsite="FZJ-T3E", usite="FZJ")
     group.add(ExecuteScriptTask("t", script="#!/bin/sh\nx\n"))
     data = b"\x5a" * (INLINE_FILE_MAX + 1)
-    corr_id, reply = zib.peers.expect("group-result")
+    reply = zib.peers.expect(("U1@ZIB", group.id), "group-result")
     runs = len(fzj.runs)
 
     def scenario(sim):
@@ -264,7 +266,7 @@ def test_forwarded_staging_with_a_traversal_path_is_refused(two_sites, streamed)
                 "FZJ", data, {"kind": "forward-stage", "path": "../evil"}
             )
         yield from zib.peers.send("FZJ", ForwardGroup(
-            corr_id=corr_id, reply_usite="ZIB", parent_job_id="U1@ZIB",
+            reply_usite="ZIB", parent_job_id="U1@ZIB", group_id=group.id,
             user_dn=session.user_dn, ajo_bytes=encode_ajo(group),
             files={"../evil": item},
         ))

@@ -122,7 +122,7 @@ def _consign_row() -> bytes:
     return asn1.encode({
         "ajo": "cd" * 32, "user_dn": "CN=u", "trace_id": "t1",
         "workstation_files": {"/home/u/in": "ab" * 32},
-        "parent_job_id": "U7@ZIB", "forward_meta": ["c1", "ZIB", ["out"]],
+        "parent_job_id": "U7@ZIB", "forward_meta": ["ZIB", ["out"]],
     })
 
 
