@@ -46,7 +46,8 @@ class ConnectionRefused(ConnectionLost):
 
     Raised by the asyncio backend when the TCP connect itself fails, and
     by a crashed NJS for every peer message that reaches it, on either
-    backend (it fails the sender's hop as a loss does).
+    backend (it fails the sender's hop as a loss does); an NJS that is up
+    raises it for a DATA frame of a stream it does not hold.
     """
 
     code = "net.connection_refused"

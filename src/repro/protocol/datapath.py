@@ -53,7 +53,7 @@ from itertools import count
 
 from repro import asn1
 from repro.faults.errors import ServiceUnavailable
-from repro.net.errors import ConnectionLost, FrameError
+from repro.net.errors import ConnectionLost, ConnectionRefused, FrameError
 from repro.net.https import DirectChannel, HttpsChannel
 from repro.net.stream import (
     FrameType,
@@ -206,8 +206,13 @@ class DataPlaneEndpoint:
             self.metrics.counter(name).inc(amount)
 
     # -- intake --------------------------------------------------------------
-    def feed(self, raw: bytes | bytearray | memoryview) -> bool:
-        """Absorb one inbound frame; returns False for non-frame bytes."""
+    def feed(
+        self, raw: bytes | bytearray | memoryview, *, refuse_unknown: bool = False
+    ) -> bool:
+        """Absorb one inbound frame; returns False for non-frame bytes.
+        A DATA frame of a stream this endpoint does not hold is dropped as
+        a late duplicate, or with ``refuse_unknown`` refused
+        (:class:`ConnectionRefused`): its sender starts the stream again."""
         try:
             # bytes() is the identity on bytes and snapshots a mutable
             # buffer, so the payload views kept until reassembly are stable.
@@ -222,9 +227,14 @@ class DataPlaneEndpoint:
                     self._open[frame.stream_id] = reassembler
                     if reassembler.complete:  # zero-chunk stream
                         self._finish(frame.stream_id)
-            else:  # DATA; for an unknown or finished stream, a late duplicate
+            else:  # DATA
                 reassembler = self._open.get(frame.stream_id)
-                if reassembler is not None and reassembler.feed(frame):
+                if reassembler is None:
+                    if refuse_unknown:
+                        raise ConnectionRefused(
+                            f"stream {frame.stream_id} is not open here"
+                        )
+                elif reassembler.feed(frame):
                     self._finish(frame.stream_id)
         except FrameError:
             self._open.pop(frame.stream_id, None)
@@ -325,11 +335,14 @@ def send_stream(
     flight, so sealing one overlaps the transmission of the one before.
     A lost frame is retransmitted alone after :data:`CHUNK_RETRY_DELAY_S`
     — the resume point is the lost chunk, never byte zero
-    (``stream.resumes`` counts the retransmissions).  Raises
-    :class:`~repro.net.errors.ConnectionLost` only once a single frame
-    exhausts :data:`CHUNK_RETRIES`; every delivery is defused, so one
-    left in flight then fails unobserved.  The ``stream.send`` span
-    joins ``parent_span``'s trace.
+    (``stream.resumes`` counts the retransmissions).  A refused DATA
+    frame means the receiver lost the stream (an NJS restarted): the
+    stream starts again from its OPEN frame.  Losses and refusals draw
+    on one budget: :class:`~repro.net.errors.ConnectionLost` is raised
+    once a frame's losses and the stream's refusals before it reach
+    :data:`CHUNK_RETRIES`; every delivery is defused, so one left in
+    flight then fails unobserved.  The ``stream.send`` span joins
+    ``parent_span``'s trace.
     """
     telemetry = telemetry_for(sim)
     metrics, tracer = telemetry.metrics, telemetry.tracer
@@ -339,7 +352,7 @@ def send_stream(
         bytes=info.total_size, chunks=info.chunk_count,
         kind=info.context.get("kind", ""),
     )
-    resumes = 0
+    resumes = spent = 0
 
     def transmit(raw: bytes) -> Event:
         metrics.counter("stream.wire_bytes").inc(len(raw))
@@ -347,33 +360,41 @@ def send_stream(
 
     def acknowledged(
         ftype: int, raw: bytes, delivery: Event
-    ) -> typing.Generator[Event, typing.Any, None]:
-        """Wait for one frame's delivery, resending it alone on loss."""
-        nonlocal resumes
-        for attempt in range(1 + CHUNK_RETRIES):
+    ) -> typing.Generator[Event, typing.Any, bool]:
+        """Wait for one frame's delivery, resending it alone on loss;
+        False once the receiver refused it as a DATA frame."""
+        nonlocal resumes, spent
+        for attempt in range(spent, 1 + CHUNK_RETRIES):
             try:
                 yield delivery
                 break
-            except ConnectionLost:
+            except ConnectionLost as err:
                 resumes += 1
                 metrics.counter("stream.resumes").inc()
                 if attempt >= CHUNK_RETRIES:
                     raise
                 yield sim.timeout(CHUNK_RETRY_DELAY_S)
+                if ftype == FrameType.DATA and isinstance(err, ConnectionRefused):
+                    spent = attempt + 1
+                    return False
                 delivery = transmit(raw)
         metrics.counter(
             "stream.chunks" if ftype == FrameType.DATA else "stream.opens"
         ).inc()
+        return True
 
     in_flight: collections.deque[tuple[int, bytes, Event]] = collections.deque()
+    frames = sender.frames()
     try:
-        for frame in sender.frames():
-            raw = encode_frame(frame)
-            in_flight.append((frame.ftype, raw, transmit(raw)))
-            if frame.ftype == FrameType.OPEN or len(in_flight) == STREAM_WINDOW:
-                yield from acknowledged(*in_flight.popleft())
-        while in_flight:
-            yield from acknowledged(*in_flight.popleft())
+        while (frame := next(frames, None)) is not None or in_flight:
+            if frame is not None:
+                raw = encode_frame(frame)
+                in_flight.append((frame.ftype, raw, transmit(raw)))
+                if frame.ftype != FrameType.OPEN and len(in_flight) < STREAM_WINDOW:
+                    continue
+            if not (yield from acknowledged(*in_flight.popleft())):
+                in_flight.clear()  # the receiver lost the stream: again
+                frames = sender.frames()
     except BaseException as err:
         tracer.end_span(span.set(resumes=resumes), error=err)
         raise

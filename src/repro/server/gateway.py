@@ -37,7 +37,7 @@ import typing
 
 from repro import asn1
 from repro.ajo.errors import SerializationError
-from repro.ajo.serialize import decode_ajo, decode_service
+from repro.ajo.serialize import decode_service
 from repro.ajo.services import (
     AbstractService,
     ControlService,
@@ -71,9 +71,10 @@ from repro.security.applet import SignedApplet
 from repro.security.ca import CertificateStore
 from repro.security.errors import AuthenticationError, SecurityError
 from repro.security.uudb import UUDB
-from repro.server.errors import ConsignError, ServerError
+from repro.server.errors import ServerError
 from repro.server.replycache import CachedReply, ReplyCache, inline_payload
 from repro.simkernel import Event, Simulator
+from repro.storage.journal import Arrival
 from repro.vfs.body import FileBody
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -361,21 +362,12 @@ class Gateway:
     # -- the verbs, one handler each (see ``self.handlers``) ------------------
     def _consign(self, request: Request, span) -> _Answer:
         consignment = decode_consignment_envelope(request.payload)
-        files = claim(self.datapath, consignment.files)
-        ajo = decode_ajo(consignment.ajo_bytes)
-        if ajo.user_dn and ajo.user_dn != request.user_dn:
-            raise ConsignError(
-                f"AJO names user {ajo.user_dn!r} but the request was "
-                f"authenticated as {request.user_dn!r}"
-            )
-        run = self.njs.consign(
-            ajo,
-            user_dn=request.user_dn,
-            workstation_files=files,
-            trace_id=request.trace_id,
-            parent_span_id=span.span_id,
-            ajo_bytes=consignment.ajo_bytes,
-        )
+        run = self.njs.consign(Arrival(
+            consignment.ajo_bytes,
+            request.user_dn,
+            claim(self.datapath, consignment.files),
+            request.trace_id,
+        ), parent_span_id=span.span_id)
         return asn1.encode(run.job_id), None
 
     def _query(self, request: Request, *_):

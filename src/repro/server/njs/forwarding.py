@@ -4,8 +4,9 @@ Outbound, :meth:`Forwarding.forward` hands a job group destined for
 another Usite to that site's NJS and splices what comes back into the
 parent job, and :meth:`Forwarding.transfer` sends one Uspace file to a
 peer ("NJS - NJS communication via the gateway").  Inbound,
-:meth:`Forwarding.take_in` consigns such a group here and reports home
-when it is done, and :meth:`Forwarding.returned` takes a group's result.
+:meth:`Forwarding.take_in` consigns such a group here (the consign starts
+its :meth:`Forwarding.report_home`), and :meth:`Forwarding.returned`
+takes a group's result.
 A group that comes again (its parent site replayed the job) is answered
 by the run already serving it (``RunTable.serving``), never run twice.
 
@@ -28,7 +29,7 @@ from repro.ajo.dag import JobPlan
 from repro.ajo.errors import UnsafePathError
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome
-from repro.ajo.serialize import decode_ajo, decode_outcome, encode_ajo
+from repro.ajo.serialize import decode_outcome, encode_ajo
 from repro.ajo.status import ActionStatus
 from repro.ajo.tasks import TransferTask
 from repro.faults.errors import ServiceUnavailable
@@ -42,12 +43,11 @@ from repro.server.njs.peerlink import (
     ForwardGroup,
     GroupResult,
     PeerLink,
-    ReplyKey,
     TransferAck,
 )
-from repro.server.njs.runtable import Run, RunTable
+from repro.server.njs.runtable import RunTable
 from repro.simkernel import Simulator
-from repro.storage.journal import ForwardMeta
+from repro.storage.journal import Arrival, Parent
 from repro.vfs.body import FileBody
 
 __all__ = ["Forwarding", "LOCAL_DISK_BANDWIDTH_BPS"]
@@ -99,7 +99,7 @@ class Forwarding:
     # ------------------------------------------------------ who holds what
     def stashes(self) -> dict[str, dict]:
         """A copy of everything held for an owner that has not arrived:
-        ``early`` files by parent job id (:meth:`stash`)."""
+        ``early`` files by parent job id."""
         return copy.deepcopy({"early": self._early_files})
 
     def reset(self) -> None:
@@ -133,14 +133,12 @@ class Forwarding:
         try:
             files = yield from self._ship(sub.usite, ws_files, "forward-stage")
             yield from self._peers.send(sub.usite, ForwardGroup(
-                reply_usite=self._usite_name,
-                parent_job_id=run.job_id,
+                # What the group owes its parent group: its promised files.
+                parent=Parent(run.job_id, self._usite_name, plan.promised[sub.id]),
                 group_id=sub.id,
                 user_dn=run.user_dn,
                 ajo_bytes=encode_ajo(sub),
                 files=files,
-                # What the group owes its parent group: its promised files.
-                return_files=plan.promised[sub.id],
                 trace_id=run.trace_id,
                 parent_span_id=forward_span.span_id,
             ))
@@ -250,65 +248,62 @@ class Forwarding:
 
     # -------------------------------------------------------------- inbound
     def take_in(self, message: ForwardGroup):
-        """Consign a group a peer forwarded, and report home when done.
-        A group already served here is answered by its run, at once if
-        it has finished, else by its own report; the copy's streams go."""
-        key = (message.parent_job_id, message.group_id)
-        forward_meta = (message.reply_usite, tuple(message.return_files))
+        """Consign a group a peer forwarded (the consign starts its report
+        home).  A group already served here is answered by its run, at
+        once if it has finished, else by its own report; the copy's
+        streams go."""
+        parent = message.parent
         served = next((  # a finished run decodes its AJO for its root
-            run for run in self._runs.serving(message.parent_job_id)
+            run for run in self._runs.serving(parent.job_id)
             if run.root.id == message.group_id
         ), None)
         if served is not None:
             self._drop(message.files)
             if isinstance(served, FinishedRun):
-                yield from self.report_home(served, key, forward_meta)
+                yield from self.answer(served, parent, message.group_id)
             return
         try:
             # Large staging files streamed ahead of the group on the same
             # FIFO route: they are reassembled here already.
             staged = claim(self.datapath, message.files)
             validate_manifest_paths(staged, what="forwarded staging")
-            run = self._consign(
-                decode_ajo(message.ajo_bytes),
-                user_dn=message.user_dn,
-                workstation_files=staged,
-                parent_job_id=message.parent_job_id,
-                trace_id=message.trace_id,
+            self._consign(
+                Arrival(
+                    message.ajo_bytes, message.user_dn, staged,
+                    message.trace_id, parent,
+                ),
                 parent_span_id=message.parent_span_id,
-                forward_meta=forward_meta,
-                ajo_bytes=message.ajo_bytes,
             )
         except Exception as err:  # noqa: BLE001 - reported back to the peer
-            yield from self._peers.try_send(
-                message.reply_usite, GroupResult(key, ok=False, error=str(err))
-            )
-            return
-        yield from self.report_home(run, key, forward_meta)
+            yield from self._peers.try_send(parent.usite, GroupResult(
+                (parent.job_id, message.group_id), ok=False, error=str(err)
+            ))
 
-    def staging(self, run: JobRun, parent_job_id: str) -> Files:
+    def staging(self, run: JobRun, parent: Parent) -> Files:
         """What a just-admitted forwarded ``run``'s root Uspace starts
         with: its staging, then what transfers of the parent job left
         here before the group existed."""
-        return {**run.workstation_files, **self._early_files.pop(parent_job_id, {})}
+        return {**run.workstation_files, **self._early_files.pop(parent.job_id, {})}
 
-    def report_home(self, run: Run, key: ReplyKey, forward_meta: ForwardMeta):
-        """Await ``run`` unless it has finished, then send the group's
-        outcome, as it was persisted, and the files the parent asked
-        for, as the result named ``key`` (a process body)."""
-        reply_usite, return_files = forward_meta
-        finished: FinishedRun = (
-            run if isinstance(run, FinishedRun) else (yield run.done_event)
-        )
+    def report_home(self, run: JobRun, parent: Parent, group_id: str):
+        """Await ``run``, the group ``group_id`` of ``parent``'s job, and
+        :meth:`answer` for it (a process body the consign starts)."""
+        finished = yield run.done_event
+        yield from self.answer(finished, parent, group_id)
+
+    def answer(self, finished: FinishedRun, parent: Parent, group_id: str):
+        """Send a finished group's outcome, as it was persisted, and the
+        files its parent is owed, as the result named ``(parent job id,
+        group_id)``."""
         produced: Files = {}
-        for path in return_files:
+        for path in parent.owed:
             body = finished.file(path)
             if body is not None:
                 produced[path] = body
         try:
-            files = yield from self._ship(reply_usite, produced, "group-return")
-            yield from self._peers.send(reply_usite, GroupResult(
-                key, ok=True,
+            files = yield from self._ship(parent.usite, produced, "group-return")
+            yield from self._peers.send(parent.usite, GroupResult(
+                (parent.job_id, group_id), ok=True,
                 outcome_bytes=finished.encoded_outcome(), files=files,
             ))
         except ConnectionLost:

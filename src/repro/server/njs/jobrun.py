@@ -87,7 +87,7 @@ class JobRun:
         job_id: str,
         plan: JobPlan,
         user_dn: str,
-        workstation_files: dict[str, FileBody] | None = None,
+        workstation_files: typing.Mapping[str, FileBody] | None = None,
     ) -> "JobRun":
         run = cls(
             job_id=job_id,

@@ -29,6 +29,7 @@ from repro.protocol.datapath import (
 )
 from repro.security.ssl import HANDSHAKE_ROUND_TRIPS, SSLSession
 from repro.simkernel import Event, Simulator
+from repro.storage.journal import Parent
 from repro.vfs.body import FileBody
 
 __all__ = [
@@ -62,18 +63,15 @@ def _inline_bytes(files: Manifest) -> int:
 @dataclass(slots=True)
 class ForwardGroup:
     """A job group consigned to a peer NJS (section 4.3: servers exchange
-    '(parts of) UNICORE jobs'): the group ``group_id`` of the parent
-    site's job ``parent_job_id``, encoded in ``ajo_bytes``."""
+    '(parts of) UNICORE jobs'): the group ``group_id`` of the job
+    ``parent`` names, encoded in ``ajo_bytes``."""
 
-    reply_usite: str
-    parent_job_id: str
+    parent: Parent
     group_id: str
     user_dn: str
     ajo_bytes: bytes
     #: Workstation + staged dependency files the group needs.
     files: Manifest = field(default_factory=dict)
-    #: Files the parent needs back when the group completes.
-    return_files: tuple[str, ...] = ()
     #: Trace context so the peer NJS extends the same per-job trace.
     trace_id: str = ""
     parent_span_id: str = ""

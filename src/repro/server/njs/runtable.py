@@ -16,7 +16,6 @@ from __future__ import annotations
 import typing
 
 from repro.ajo.dag import JobPlan
-from repro.ajo.serialize import encode_ajo
 from repro.observability import telemetry_for
 from repro.protocol.views import JobListing, JobListingDelta
 from repro.server.njs.finished import FinishedRun, StatusSkeleton
@@ -24,7 +23,7 @@ from repro.server.njs.jobrun import JobRun
 from repro.server.njs.runindex import RunIndex
 from repro.simkernel import Event, Simulator
 from repro.storage.backend import StorageBackend
-from repro.storage.journal import ForwardMeta, JobJournal, JournalEntry
+from repro.storage.journal import Arrival, JobJournal, JournalEntry
 from repro.storage.outcomes import OutcomeRecord, OutcomeStore
 from repro.vfs.body import FileBody
 
@@ -115,18 +114,18 @@ class RunTable(typing.Mapping[str, Run]):
         self._index_hit()
         return self._index.delta(user_dn, since_seq, epoch)
 
-    def serving(self, parent_job_id: str) -> list[Run]:
+    def serving(self, parent_job: str) -> list[Run]:
         """The runs serving groups of the parent site's job
-        ``parent_job_id``, live or finished, in consignment order.  Kept
-        at admit and dispose; a restored table reads the consign rows
-        for it once, when first asked."""
+        ``parent_job``, live or finished, in consignment order.  Kept at
+        admit and dispose; a restored table reads the consign rows for
+        it once, when first asked."""
         if self._serving is None:
             self._serving = {}
             for job_id in sorted(self._runs, key=self._job_seq):
-                parent = self.journal.parent_job_id(job_id)
-                if parent is not None:
-                    self._serving.setdefault(parent, []).append(job_id)
-        return [self._runs[job_id] for job_id in self._serving.get(parent_job_id, ())]
+                entry = self.journal.lookup(job_id)
+                if entry is not None and entry.parent is not None:
+                    self._serving.setdefault(entry.parent.job_id, []).append(job_id)
+        return [self._runs[job_id] for job_id in self._serving.get(parent_job, ())]
 
     def watch(self, job_id: str) -> Event | None:
         """An event woken once the job is finished (its outcome row
@@ -177,46 +176,29 @@ class RunTable(typing.Mapping[str, Run]):
         self._note(run)
 
     def admit(
-        self,
-        plan: JobPlan,
-        user_dn: str,
-        workstation_files: dict[str, FileBody],
-        trace_id: str,
-        *,
-        job_id: str | None = None,
-        ajo_bytes: bytes | None = None,
-        parent_job_id: str | None = None,
-        forward_meta: ForwardMeta | None = None,
+        self, plan: JobPlan, arrival: Arrival, job_id: str | None = None
     ) -> JobRun:
         """Take in a job its arrival analysis planned (see
-        :meth:`NetworkJobSupervisor.consign` for the arguments).  One
-        durable unit: the job-id cursor advance and the journal's consign
-        row land together or not at all; a replay (``job_id`` given)
-        already has its row."""
+        :meth:`NetworkJobSupervisor.consign`).  One durable unit: the
+        job-id cursor advance and the journal's consign row land together
+        or not at all; a replay (``job_id`` given) already has its row."""
         with self._storage.batch():
             replay = job_id is not None
             if job_id is None:
                 job_id = self._next_job_id()
             run = JobRun.create(
-                self._sim, job_id, plan, user_dn,
-                workstation_files=workstation_files,
+                self._sim, job_id, plan, arrival.user_dn,
+                workstation_files=arrival.files,
             )
-            run.trace_id = trace_id
+            run.trace_id = arrival.trace_id
             run.recovered = replay
             run.on_change = self._note_change
             self._enter(run)
-            if parent_job_id is not None and self._serving is not None:
-                self._serving.setdefault(parent_job_id, []).append(job_id)
+            parent = arrival.parent
+            if parent is not None and self._serving is not None:
+                self._serving.setdefault(parent.job_id, []).append(job_id)
             if not replay:
-                self.journal.record_consign(
-                    job_id,
-                    encode_ajo(run.root) if ajo_bytes is None else ajo_bytes,
-                    user_dn,
-                    workstation_files=workstation_files,
-                    trace_id=trace_id,
-                    parent_job_id=parent_job_id,
-                    forward_meta=forward_meta,
-                )
+                self.journal.record_consign(job_id, arrival)
         return run
 
     def _note_change(self, run: JobRun) -> None:
@@ -281,11 +263,11 @@ class RunTable(typing.Mapping[str, Run]):
         with self._storage.batch():
             entry = self.journal.forget(run.job_id)
             self.outcomes.forget(run.record)
-        if self._serving is not None and entry is not None and entry.parent_job_id:
-            jobs = self._serving[entry.parent_job_id]
+        if self._serving is not None and entry is not None and entry.parent:
+            jobs = self._serving[entry.parent.job_id]
             jobs.remove(run.job_id)
             if not jobs:
-                del self._serving[entry.parent_job_id]
+                del self._serving[entry.parent.job_id]
 
     # ------------------------------------------------------- crash / recovery
     def lose_memory(self) -> None:

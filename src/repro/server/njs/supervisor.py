@@ -51,7 +51,7 @@ from repro.server.njs.runtable import Run, RunTable
 from repro.server.vsite import Vsite
 from repro.simkernel import Event, Simulator
 from repro.storage.backend import StorageBackend
-from repro.storage.journal import ForwardMeta, JournalEntry
+from repro.storage.journal import Arrival, JournalEntry
 from repro.vfs.body import FileBody
 from repro.vfs.spaces import Xspace
 
@@ -130,60 +130,52 @@ class NetworkJobSupervisor:
     # ------------------------------------------------------------ consign
     def consign(
         self,
-        ajo: AbstractJobObject,
-        user_dn: str | None = None,
-        workstation_files: typing.Mapping[str, FileBody | bytes] | None = None,
-        parent_job_id: str | None = None,
-        trace_id: str = "",
+        arrival: Arrival,
+        *,
         parent_span_id: str = "",
-        forward_meta: ForwardMeta | None = None,
         job_id: str | None = None,
-        ajo_bytes: bytes | None = None,
     ) -> JobRun:
-        """Accept a job (or a forwarded job group); starts supervision.
+        """Accept a job, or a group a peer forwarded, and start its
+        supervision; a forwarded group reports home once it is done.
+
+        The gateway, a peer and a replay of the journal all hand in an
+        :class:`Arrival`: its DN is the identity the sender authenticated,
+        and an AJO that names another user is refused.  The file bodies
+        keep the checks their holder took (a streamed upload's chunk
+        CRCs); journal, Uspace and outcome store all see those objects.
 
         Raises :class:`ConsignError` on validation, mapping, or resource
         failures — the gateway reports these to the client synchronously.
 
-        ``ajo_bytes`` is the encoded form ``ajo`` was decoded from; a
-        caller that received the job over the wire passes it, and the
-        journal keeps those bytes instead of encoding the tree again.
-
-        ``workstation_files`` given as bodies keep the checks their
-        holder took (a streamed upload's chunk CRCs); bare bytes become
-        this site's own bodies here, and from here on journal, Uspace and
-        outcome store all see the one object.
-
         ``job_id`` is only passed by journal replay: the recovered run
         keeps its original identifier so clients polling through the
-        outage keep seeing their job.  ``forward_meta`` rides into the
-        journal so a replayed *forwarded* group can still report home.
+        outage keep seeing their job.
         """
         if self.crashed:
             raise ServiceUnavailable(
                 f"NJS at {self.usite_name} is down; consign refused"
             )
-        files = {
-            path: FileBody.of(content)
-            for path, content in (workstation_files or {}).items()
-        }
+        ajo = decode_ajo(arrival.ajo_bytes)
+        dn, parent = arrival.user_dn, arrival.parent
+        if ajo.user_dn and ajo.user_dn != dn:
+            raise ConsignError(
+                f"AJO names user {ajo.user_dn!r} but the request was "
+                f"authenticated as {dn!r}"
+            )
         telemetry = telemetry_for(self.sim)
         consign_span = telemetry.tracer.start_span(
             "njs.consign",
-            trace_id,
+            arrival.trace_id,
             parent=parent_span_id,
             tier="server",
             usite=self.usite_name,
             job=ajo.name,
         )
         try:
-            dn = user_dn or ajo.user_dn
-            if not dn:
-                raise ConsignError("consignment carries no user identity")
             if (
                 self.max_active_per_user is not None
                 and job_id is None
-                and parent_job_id is None
+                and parent is None
             ):
                 active = self.runs.active_count(dn)
                 if active >= self.max_active_per_user:
@@ -192,66 +184,55 @@ class NetworkJobSupervisor:
                         f"{self.usite_name}: user {dn!r} already has "
                         f"{active} live jobs (cap {self.max_active_per_user})"
                     )
-            plan = self._analyze_arrival(
-                ajo,
-                is_forward=parent_job_id is not None,
-                workstation_files=files,
-                owed=() if forward_meta is None else forward_meta[1],
-                parent_span=consign_span,
-            )
+            plan = self._analyze_arrival(ajo, arrival, consign_span)
             self._check_mappings(ajo, dn)
         except (ConsignError, BrokerQuotaError) as err:
             telemetry.tracer.end_span(consign_span, error=err)
             raise
 
-        run = self.runs.admit(
-            plan, dn, files, trace_id,
-            job_id=job_id, ajo_bytes=ajo_bytes,
-            parent_job_id=parent_job_id, forward_meta=forward_meta,
-        )
+        run = self.runs.admit(plan, arrival, job_id)
         # The job span outlives the consign acknowledgement: it closes
         # once supervision finishes.
         run.job_span = telemetry.tracer.start_span(
-            "njs.job", trace_id, parent=consign_span, tier="server",
+            "njs.job", arrival.trace_id, parent=consign_span, tier="server",
             job_id=run.job_id,
         )
         telemetry.tracer.end_span(consign_span.set(job_id=run.job_id))
-        staged: dict[str, FileBody] = {}
-        if parent_job_id is not None and forward_meta is not None:
-            # Supervision starts at once, creating the root Uspace: a
-            # forwarded group takes what its parent job left here first.
-            staged = self.forwarding.staging(run, parent_job_id)
-        self._executor.supervise(run, staged)
+        # Supervision starts at once, creating the root Uspace: a
+        # forwarded group takes what its parent job left here first.
+        self._executor.supervise(
+            run, {} if parent is None else self.forwarding.staging(run, parent)
+        )
+        if parent is not None:
+            self._executor.spawn(
+                run, self.forwarding.report_home(run, parent, ajo.id),
+                f"report-home:{run.job_id}",
+            )
         return run
 
     def _analyze_arrival(
-        self,
-        ajo: AbstractJobObject,
-        *,
-        is_forward: bool,
-        workstation_files: dict[str, FileBody],
-        owed: typing.Iterable[str],
-        parent_span: Span,
+        self, ajo: AbstractJobObject, arrival: Arrival, parent_span: Span
     ) -> JobPlan:
         """Re-run the static analyzer on an arriving AJO (never trust the
         client): errors reject the consignment with the primary diagnostic
         code carried over the wire; warnings only count in the metrics.
 
-        Forwarded groups (``is_forward``) arrive with their staged
-        dependency files, which the analyzer treats as prestaged Uspace
-        content, and without a user DN of their own; they owe ``owed``.
+        Forwarded groups arrive with their staged dependency files, which
+        the analyzer treats as prestaged Uspace content, and without a
+        user DN of their own; they owe their parent's ``owed`` files.
         """
         telemetry = telemetry_for(self.sim)
+        parent = arrival.parent
         context = AnalysisContext.for_njs(
             self,
-            prestaged=workstation_files if is_forward else None,
-            owed=owed,
+            prestaged=None if parent is None else arrival.files,
+            owed=() if parent is None else parent.owed,
         )
         analyze_span = telemetry.tracer.start_span(
             "njs.analyze", parent_span.trace_id, parent=parent_span,
             tier="server", usite=self.usite_name, job=ajo.name,
         )
-        report = analyze_ajo(ajo, context, require_user=not is_forward)
+        report = analyze_ajo(ajo, context, require_user=parent is None)
         telemetry.metrics.counter("analysis.errors").inc(len(report.errors))
         telemetry.metrics.counter("analysis.warnings").inc(len(report.warnings))
         analyze_span.set(errors=len(report.errors), warnings=len(report.warnings))
@@ -284,11 +265,13 @@ class NetworkJobSupervisor:
     def dispatch_peer_message(self, payload: object) -> None:
         """Handle one NJS-to-NJS message.  A crashed NJS refuses it,
         which fails the sender's hop as a loss does: the hop's retries
-        deliver it after a short outage, or fail its action once."""
+        deliver it after a short outage, or fail its action once.  So is
+        a DATA frame of a stream this NJS does not hold (its OPEN died
+        with a crash): the sender starts that stream again."""
         if self.crashed:
             raise ConnectionRefused(f"NJS at {self.usite_name} is down")
         if isinstance(payload, PeerFrame):
-            self.forwarding.datapath.feed(payload.raw)
+            self.forwarding.datapath.feed(payload.raw, refuse_unknown=True)
         elif isinstance(payload, ForwardGroup):
             self.sim.process(self.forwarding.take_in(payload))
         elif isinstance(payload, CancelGroup):
@@ -343,17 +326,9 @@ class NetworkJobSupervisor:
         self._executor.clear_leftovers(entry)
         error: Exception | None = None
         try:
-            # The one place recovery reads blobs: a replayed job is
-            # decoded from its AJO and re-imports what it was consigned with.
-            run = self.consign(
-                decode_ajo(self.journal.ajo_bytes(entry.job_id)),
-                user_dn=entry.user_dn,
-                workstation_files=self.journal.workstation_files(entry),
-                parent_job_id=entry.parent_job_id,
-                trace_id=entry.trace_id,
-                forward_meta=entry.forward_meta,
-                job_id=entry.job_id,
-            )
+            # The one place recovery reads blobs: a replayed job arrives
+            # again as it was consigned.
+            self.consign(self.journal.arrival(entry), job_id=entry.job_id)
         except Exception as err:  # noqa: BLE001 - a replay must not kill restart
             telemetry.metrics.counter("njs.replay_failures").inc()
             error = err
@@ -366,14 +341,8 @@ class NetworkJobSupervisor:
             ),
             error=error,
         )
-        if error is not None:
-            return
-        self.replays += 1
-        if entry.forward_meta is not None and entry.parent_job_id is not None:
-            # A forwarded group must still report to its parent site.
-            self._executor.spawn(run, self.forwarding.report_home(
-                run, (entry.parent_job_id, run.root.id), entry.forward_meta
-            ), f"replay-forward:{run.job_id}")
+        if error is None:
+            self.replays += 1
 
     # ---------------------------------------------------------------- services
     def _check_up(self) -> None:

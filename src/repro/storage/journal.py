@@ -35,9 +35,13 @@ Rows are metadata only.  The consigned AJO and the files a consignment
 carries (workstation imports, a forwarded group's staging) go to the
 backend's blob store as raw bytes; the row keeps the AJO's digest and
 the files' ``{path: digest}`` manifest.  A reload reads no byte string:
-:meth:`JobJournal.ajo_bytes` and :meth:`JobJournal.workstation_files` fetch
-them when a replay or a status query needs them, and
-:meth:`JobJournal.forget` releases them unread.
+:meth:`JobJournal.ajo_bytes` and :meth:`JobJournal.arrival` fetch them
+when a status query or a replay needs them, and :meth:`JobJournal.forget`
+releases them unread.
+
+What a consign row records is an :class:`Arrival`, the one value a job
+enters the NJS as, whether a user's gateway, a peer NJS or a replay of
+this journal hands it in.
 """
 
 from __future__ import annotations
@@ -53,10 +57,31 @@ from repro.vfs.body import FileBody
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.observability.metrics import MetricsRegistry
 
-#: ``(reply_usite, return_files)`` carried by forwarded groups.
-ForwardMeta = tuple[str, tuple[str, ...]]
+__all__ = ["Arrival", "JournalEntry", "JobJournal", "Parent"]
 
-__all__ = ["JournalEntry", "JobJournal"]
+
+@dataclass(frozen=True, slots=True)
+class Parent:
+    """The job a forwarded group serves: the parent site's job
+    ``job_id``, the Usite ``usite`` that sent it and awaits its result,
+    and the files ``owed`` back with that result."""
+
+    job_id: str
+    usite: str
+    owed: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class Arrival:
+    """A job as it enters an NJS: the AJO's encoding, the DN the sender
+    authenticated, the files it brought, its trace, and for a forwarded
+    group the job it serves."""
+
+    ajo_bytes: bytes
+    user_dn: str
+    files: typing.Mapping[str, FileBody] = field(default_factory=dict)
+    trace_id: str = ""
+    parent: Parent | None = None
 
 
 @dataclass(slots=True)
@@ -70,11 +95,9 @@ class JournalEntry:
     #: ``path -> blob digest`` of the files consigned with the job.
     workstation_files: dict[str, str] = field(default_factory=dict)
     trace_id: str = ""
-    #: Set for forwarded groups (this NJS is the *child* site).
-    parent_job_id: str | None = None
-    #: ``(reply_usite, return_files)`` for forwarded groups, so a
+    #: Set for forwarded groups (this NJS is the *child* site), so a
     #: replayed group can still send its GroupResult home.
-    forward_meta: ForwardMeta | None = None
+    parent: Parent | None = None
     #: Batch jobs delivered so far, by this life of the NJS or an earlier
     #: one: ``action_id -> (vsite, local_id)``.  Replay cancels the
     #: survivors before resubmitting.
@@ -107,50 +130,42 @@ class JobJournal:
     def _entry(self, job_id: str, row: typing.Any) -> JournalEntry:
         """The entry consign row ``row`` holds, or a StorageError."""
         with self._table.shaped(job_id):
-            meta = row["forward_meta"]
+            parent_job_id, meta = row["parent_job_id"], row["forward_meta"]
             entry = JournalEntry(
                 job_id=job_id,
                 ajo_digest=row["ajo"],
                 user_dn=row["user_dn"],
                 workstation_files=dict(row["workstation_files"]),
                 trace_id=row["trace_id"],
-                parent_job_id=row["parent_job_id"],
-                forward_meta=(
-                    None if meta is None else (meta[0], tuple(meta[1]))
+                parent=(
+                    None if meta is None
+                    else Parent(parent_job_id, meta[0], tuple(meta[1]))
                 ),
             )
         return entry
 
     # -- writes (called on the supervision hot path) ------------------------
-    def record_consign(
-        self,
-        job_id: str,
-        ajo_bytes: bytes,
-        user_dn: str,
-        workstation_files: typing.Mapping[str, FileBody | bytes] | None = None,
-        trace_id: str = "",
-        parent_job_id: str | None = None,
-        forward_meta: ForwardMeta | None = None,
-    ) -> JournalEntry:
+    def record_consign(self, job_id: str, arrival: Arrival) -> JournalEntry:
+        """Record the job ``job_id`` arrived as ``arrival``."""
+        parent = arrival.parent
         # Bodies and the row naming them are one durable unit.
         with self.storage.batch():
             entry = JournalEntry(
                 job_id=job_id,
-                ajo_digest=self._blobs.put(ajo_bytes),
-                user_dn=user_dn,
-                workstation_files=self._blobs.put_files(workstation_files or {}),
-                trace_id=trace_id,
-                parent_job_id=parent_job_id,
-                forward_meta=forward_meta,
+                ajo_digest=self._blobs.put(arrival.ajo_bytes),
+                user_dn=arrival.user_dn,
+                workstation_files=self._blobs.put_files(arrival.files),
+                trace_id=arrival.trace_id,
+                parent=parent,
             )
             self._put(job_id, {
                 "ajo": entry.ajo_digest,
-                "user_dn": user_dn,
+                "user_dn": arrival.user_dn,
                 "workstation_files": entry.workstation_files,
-                "trace_id": trace_id,
-                "parent_job_id": parent_job_id,
+                "trace_id": arrival.trace_id,
+                "parent_job_id": None if parent is None else parent.job_id,
                 "forward_meta": (
-                    None if forward_meta is None else list(forward_meta)
+                    None if parent is None else [parent.usite, list(parent.owed)]
                 ),
             })
         self._entries[job_id] = entry
@@ -176,7 +191,7 @@ class JobJournal:
     def forget(self, job_id: str) -> JournalEntry | None:
         """Drop a disposed job's rows and release the AJO and file bodies
         its consignment named, unread; returns the entry they held."""
-        entry = self._lookup(job_id)
+        entry = self.lookup(job_id)
         if entry is None:
             return None
         with self.storage.batch():
@@ -187,8 +202,9 @@ class JobJournal:
         return entry
 
     # -- reads ---------------------------------------------------------------
-    def _lookup(self, job_id: str) -> JournalEntry | None:
-        """The entry in memory, else the one its consign row holds."""
+    def lookup(self, job_id: str) -> JournalEntry | None:
+        """The entry in memory, else the one its consign row holds (a
+        finished job's: row only, no blob read)."""
         entry = self._entries.get(job_id)
         if entry is None and (row := self._table.get(job_id)) is not None:
             entry = self._entry(job_id, row)
@@ -197,23 +213,24 @@ class JobJournal:
     def ajo_bytes(self, job_id: str) -> bytes:
         """The AJO a job was consigned as, read from the blob store (and
         first its consign row, once the job is no longer in flight)."""
-        entry = self._lookup(job_id)
+        entry = self.lookup(job_id)
         if entry is None:
             raise StorageError(f"no journal row for job {job_id!r}")
         return self._blobs.get(entry.ajo_digest)
 
-    def parent_job_id(self, job_id: str) -> str | None:
-        """The parent site's job a forwarded group serves, from its entry
-        or, once it has finished, its consign row; None for any other job."""
-        entry = self._lookup(job_id)
-        return None if entry is None else entry.parent_job_id
-
-    def workstation_files(self, entry: JournalEntry) -> dict[str, FileBody]:
-        """The bodies of the files ``entry`` was consigned with."""
-        return {
-            path: self._blobs.body(digest)
-            for path, digest in entry.workstation_files.items()
-        }
+    def arrival(self, entry: JournalEntry) -> Arrival:
+        """What ``entry``'s job arrived as, its AJO and file bodies read
+        from the blob store."""
+        return Arrival(
+            self._blobs.get(entry.ajo_digest),
+            entry.user_dn,
+            {
+                path: self._blobs.body(digest)
+                for path, digest in entry.workstation_files.items()
+            },
+            entry.trace_id,
+            entry.parent,
+        )
 
     # -- recovery ------------------------------------------------------------
     def reload(

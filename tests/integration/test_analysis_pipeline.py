@@ -27,6 +27,7 @@ from repro.observability import telemetry_for
 from repro.resources import ResourceRequest
 from repro.server.errors import ConsignError
 from repro.server.njs.incarnation import RESULT_FILE_BYTES
+from repro.storage.journal import Arrival
 
 
 @pytest.fixture()
@@ -71,7 +72,7 @@ def test_njs_rejects_unlinted_arrival_before_incarnation(site):
     # Bypass the JPA entirely: a hand-rolled consignment with a staging
     # defect must be caught on arrival, before any incarnation.
     with pytest.raises(ConsignError) as exc_info:
-        njs.consign(ghost_export_job())
+        njs.consign(Arrival(encode_ajo(ghost_export_job()), "CN=Lint,O=,C=DE"))
     assert exc_info.value.code == "AJO201"
     assert njs.job_count == 0
     assert grid.usites["FZJ"].vsites["FZJ-T3E"].batch.all_records() == []
@@ -126,7 +127,7 @@ def test_njs_rejects_infeasible_request_with_resource_code(site, build, code):
     grid, user, session = site
     njs = grid.usites["FZJ"].njs
     with pytest.raises(ConsignError) as exc_info:
-        njs.consign(build("CN=Lint,O=,C=DE"))
+        njs.consign(Arrival(encode_ajo(build("CN=Lint,O=,C=DE")), "CN=Lint,O=,C=DE"))
     assert exc_info.value.code == code
     assert njs.job_count == 0
 
@@ -156,7 +157,7 @@ def test_repro_lint_reports_the_same_diagnostics(site, tmp_path, capsys):
     njs = grid.usites["FZJ"].njs
     job = ghost_export_job()
     with pytest.raises(ConsignError) as exc_info:
-        njs.consign(job)
+        njs.consign(Arrival(encode_ajo(job), job.user_dn))
     server_code = exc_info.value.code
 
     path = tmp_path / "job.ajo"

@@ -3,7 +3,9 @@
 A crashed NJS refuses every peer message, which fails the sender's hop
 as a lost message does: the hop's retries (``PEER_RETRIES`` x
 ``PEER_RETRY_DELAY_S``, 30 s) deliver it after a short outage, and a
-long one fails the sending action once.  A forwarded group is named
+long one fails the sending action once.  A restarted NJS also refuses
+the DATA frames of a stream it lost, and the sender starts that stream
+again from its OPEN frame, on the same budget.  A forwarded group is named
 ``(parent job id, group id)`` at both ends, so a parent NJS that
 restarts and replays its job gets the group's result from the run that
 already serves it at the child: the group is consigned and delivered
@@ -18,6 +20,8 @@ from repro.ajo.serialize import decode_outcome
 from repro.api import GridSession
 from repro.api.aio import AsyncGridSession
 from repro.grid import build_grid
+from repro.net.stream import FrameType, decode_frame
+from repro.server.njs.peerlink import PeerFrame
 
 SITES = {"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}
 LOGINS = {"FZJ": "outage", "ZIB": "outage_b"}
@@ -65,6 +69,58 @@ def test_a_group_sent_to_a_down_child_arrives_or_fails_once(outage_s, status):
     handle = session.submit(job)
     grid.sim.run(until=HORIZON_S)
 
+    assert fzj.runs[handle.job_id].status().value == status
+    assert finishes == {handle.job_id: 1}
+    assert len(zib.runs) == (1 if status == "successful" else 0)
+    if status == "failed":
+        group = decode_outcome(fzj.retrieve_outcome(handle.job_id)).child(sub.ajo.id)
+        assert "lost in transit after retries" in group.reason
+
+
+def _crash_after_the_stream_opens(grid, njs, after_s, outage_s):
+    """Crash ``njs`` ``after_s`` after the first peer stream opens at
+    it, and restart it ``outage_s`` later."""
+    dispatch = njs.dispatch_peer_message
+    opened: list[float] = []
+
+    def watching(payload):
+        if (
+            not opened and isinstance(payload, PeerFrame)
+            and decode_frame(payload.raw).ftype == FrameType.OPEN
+        ):
+            opened.append(grid.sim.now)
+            grid.sim.schedule_callback(after_s, njs.crash)
+            grid.sim.schedule_callback(after_s + outage_s, njs.restart)
+        return dispatch(payload)
+
+    njs.dispatch_peer_message = watching
+    return opened
+
+
+@pytest.mark.parametrize("outage_s, status", [(10.0, "successful"), (60.0, "failed")])
+@pytest.mark.parametrize("after_s", [0.5, 2.0, 4.0])
+def test_a_child_restarted_mid_stream_takes_the_group_or_fails_it_once(
+    after_s, outage_s, status
+):
+    """The child NJS crashes while a 4 MiB import streams to it ahead of
+    the group, and forgets the stream.  It refuses the stream's next
+    DATA frame, so the parent starts the stream again from its OPEN
+    frame: within the retry budget the group arrives whole and is
+    consigned once; past it the group fails once, as lost in transit."""
+    grid, session = _two_sites()
+    fzj, zib = grid.usites["FZJ"].njs, grid.usites["ZIB"].njs
+    finishes = _finishes(fzj)
+    session.user.workstation.fs.write("/home/outage/in.dat", b"\x5a" * (4 << 20))
+    job = session.new_job("staged", vsite="FZJ-T3E")
+    sub = job.sub_job("remote", vsite="ZIB-SP2", usite="ZIB")
+    imp = sub.import_from_workstation("/home/outage/in.dat", "in.dat")
+    work = sub.script_task("there", "#!/bin/sh\nwc in.dat\n", simulated_runtime_s=30.0)
+    sub.depends(imp, work, files=["in.dat"])
+    opened = _crash_after_the_stream_opens(grid, zib, after_s, outage_s)
+    handle = session.submit(job)
+    grid.sim.run(until=HORIZON_S)
+
+    assert opened and zib.crashes == 1
     assert fzj.runs[handle.job_id].status().value == status
     assert finishes == {handle.job_id: 1}
     assert len(zib.runs) == (1 if status == "successful" else 0)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import GridSession
 from repro.grid import build_grid
-from repro.server.njs import forwarding, supervisor
+from repro.server.njs import supervisor
 
 IN_FLIGHT = 3
 USER_DN = "CN=Historian, O=Test, C=DE"
@@ -56,8 +56,9 @@ class _ReadMeter:
 
 
 def _count_decodes(monkeypatch):
-    """Counts ``decode_ajo`` at the places the NJS calls it from: replay,
-    taking in a forwarded group, and a restored job asked for its tree."""
+    """Counts ``decode_ajo`` at the places the NJS calls it from: consign,
+    for every arrival (a replay's too), and a restored job asked for its
+    tree."""
     calls = []
     decode = supervisor.decode_ajo
 
@@ -66,7 +67,6 @@ def _count_decodes(monkeypatch):
         return decode(data)
 
     monkeypatch.setattr(supervisor, "decode_ajo", counting)
-    monkeypatch.setattr(forwarding, "decode_ajo", counting)
     monkeypatch.setattr("repro.server.njs.finished.decode_ajo", counting)
     return calls
 

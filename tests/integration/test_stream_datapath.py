@@ -32,6 +32,7 @@ from repro.protocol.datapath import (
 )
 from repro.protocol.retry import RetryPolicy
 from repro.server.njs.peerlink import ForwardGroup, GroupResult, PeerFrame
+from repro.storage.journal import Parent
 
 
 @pytest.fixture()
@@ -246,14 +247,19 @@ def test_group_return_stream_nobody_expects_is_dropped(two_sites):
     assert fzj.forwarding.datapath.take(entry.stream_id) is None
 
 
-@pytest.mark.parametrize("streamed", [False, True], ids=["inline", "streamed"])
-def test_forwarded_staging_with_a_traversal_path_is_refused(two_sites, streamed):
-    """A staging file named ``../…`` refuses its whole group with the
-    path error, whether it rode inside the ForwardGroup or streamed ahead
-    of it; the refused group leaves no stream behind."""
+@pytest.mark.parametrize("forgery", ["inline", "streamed", "another-user"])
+def test_a_forged_forwarded_group_is_refused(two_sites, forgery):
+    """A group is refused whole, and leaves no run and no stream behind,
+    when a staging file is named ``../…`` (inside the ForwardGroup or
+    streamed ahead of it) or its AJO names another user than the one
+    the message carries: a peer's group passes the gateway's rule."""
     grid, user, session = two_sites
     fzj, zib = grid.usites["FZJ"].njs, grid.usites["ZIB"].njs
-    group = AbstractJobObject("evil", vsite="FZJ-T3E", usite="FZJ")
+    another = forgery == "another-user"
+    group = AbstractJobObject(
+        "evil", vsite="FZJ-T3E", usite="FZJ",
+        user_dn="CN=Somebody Else" if another else "",
+    )
     group.add(ExecuteScriptTask("t", script="#!/bin/sh\nx\n"))
     data = b"\x5a" * (INLINE_FILE_MAX + 1)
     reply = zib.peers.expect(("U1@ZIB", group.id), "group-result")
@@ -261,23 +267,26 @@ def test_forwarded_staging_with_a_traversal_path_is_refused(two_sites, streamed)
 
     def scenario(sim):
         item = data
-        if streamed:
+        if forgery == "streamed":
             item = yield from zib.peers.stream(
                 "FZJ", data, {"kind": "forward-stage", "path": "../evil"}
             )
         yield from zib.peers.send("FZJ", ForwardGroup(
-            reply_usite="ZIB", parent_job_id="U1@ZIB", group_id=group.id,
+            parent=Parent("U1@ZIB", "ZIB"), group_id=group.id,
             user_dn=session.user_dn, ajo_bytes=encode_ajo(group),
-            files={"../evil": item},
+            files={} if another else {"../evil": item},
         ))
         return (yield reply), item
 
     result, item = grid.sim.run(until=grid.sim.process(scenario(grid.sim)))
+    assert not result.ok and len(fzj.runs) == runs
+    if another:
+        assert result.error.startswith("AJO names user 'CN=Somebody Else'")
+        return
     with pytest.raises(UnsafePathError) as refused:
         validate_manifest_paths(["../evil"], what="forwarded staging")
-    assert not result.ok and result.error == str(refused.value)
-    assert len(fzj.runs) == runs
-    if streamed:
+    assert result.error == str(refused.value)
+    if forgery == "streamed":
         assert fzj.forwarding.datapath.take(item.stream_id) is None
 
 

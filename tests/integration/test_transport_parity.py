@@ -26,6 +26,7 @@ from repro.grid.build import build_grid
 from repro.observability import telemetry_for
 from repro.protocol import encode_consignment
 from repro.protocol.messages import Request, RequestKind
+from repro.storage.journal import Arrival
 
 SITES = {"FZJ": ["FZJ-T3E"], "RUS": ["RUS-T3E"]}
 SEED = 11
@@ -315,7 +316,8 @@ def _sound_job(user_dn, name="sound"):
 def _their_job(grid):
     """A live job of another user, consigned at the server."""
     grid.usites["FZJ"].uudb.add_user(_THEIR_DN, "else")
-    return _njs(grid).consign(_sound_job(_THEIR_DN, "theirs")).job_id
+    job = encode_ajo(_sound_job(_THEIR_DN, "theirs"))
+    return _njs(grid).consign(Arrival(job, _THEIR_DN)).job_id
 
 
 async def _consign_unmapped(grid, user, session):

@@ -33,9 +33,11 @@ from hypothesis import strategies as st
 
 from repro.ajo.actions import reset_action_ids
 from repro.ajo.dag import JobPlan
+from repro.ajo.serialize import encode_ajo
 from repro.api import GridSession
 from repro.grid import build_grid
 from repro.resources import ResourceRequest
+from repro.storage.journal import Arrival
 
 SITES = {"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}
 OUTAGE_S = 60.0
@@ -151,7 +153,8 @@ class _Scenario:
         files = self.workstation.stage_for_ajo(
             list(JobPlan.of(builder.ajo).imports)
         )
-        run = self.njs.consign(builder.ajo, workstation_files=files)
+        ajo = builder.ajo
+        run = self.njs.consign(Arrival(encode_ajo(ajo), ajo.user_dn, files))
         self.job_ids[index] = run.job_id
 
     def _dispose_first(self):

@@ -23,6 +23,8 @@ from repro.storage import (
     StorageSpec,
     resolve_storage,
 )
+from repro.storage.journal import Arrival, Parent
+from repro.vfs.body import FileBody
 
 BACKENDS = [MemoryBackend, SQLiteBackend]
 
@@ -279,9 +281,9 @@ def _journal_with_traffic(backend):
     """U1 in flight with one delivery; U2 delivered, then finished."""
     journal = JobJournal(backend, name="njs.journal")
     outcomes = OutcomeStore(backend, "njs.outcomes")
-    journal.record_consign("U1", b"ajo-1", "CN=a", trace_id="t1")
+    journal.record_consign("U1", Arrival(b"ajo-1", "CN=a", trace_id="t1"))
     journal.record_delivery("U1", "task", "VS", "B001")
-    journal.record_consign("U2", b"ajo-2", "CN=b", workstation_files={"f": b"x"})
+    journal.record_consign("U2", Arrival(b"ajo-2", "CN=b", {"f": FileBody(b"x")}))
     journal.record_delivery("U2", "task", "VS", "B002")
     with backend.batch():
         journal.finish("U2")
@@ -338,7 +340,7 @@ def test_journal_reload_keeps_consignment_order_past_the_id_padding(backend_cls)
     journal = JobJournal(backend, name="njs.journal")
     ids = [f"U{seq:05d}@FZJ" for seq in (99998, 99999, 100000, 100001)]
     for job_id in ids:
-        journal.record_consign(job_id, b"ajo", "CN=a")
+        journal.record_consign(job_id, Arrival(b"ajo", "CN=a"))
     assert backend.table("njs.journal").keys() != ids  # text order differs
     reborn = JobJournal(backend, name="njs.journal")
     reborn.reload(set(), _seq)
@@ -364,7 +366,8 @@ def test_journal_keeps_file_bodies_in_the_blob_store(backend_cls):
     backend = backend_cls()
     journal = JobJournal(backend, name="njs.journal")
     files = {"/home/a/in.dat": b"\x01" * 1000, "/home/a/copy.dat": b"\x01" * 1000}
-    entry = journal.record_consign("U1", b"ajo", "CN=a", workstation_files=files)
+    bodies = {path: FileBody(data) for path, data in files.items()}
+    entry = journal.record_consign("U1", Arrival(b"ajo", "CN=a", bodies))
     digest = hashlib.sha256(b"\x01" * 1000).hexdigest()
     assert entry.workstation_files == {path: digest for path in files}
     assert backend.blobs.digests() == sorted([digest, entry.ajo_digest])
@@ -375,14 +378,14 @@ def test_journal_keeps_file_bodies_in_the_blob_store(backend_cls):
     reborn.reload(set(), _seq)
     assert reborn.entry("U1").workstation_files == entry.workstation_files
     assert backend.bytes_read - read_before < 400
-    assert reborn.workstation_files(reborn.entry("U1")) == files
+    assert reborn.arrival(reborn.entry("U1")).files == files
     reborn.forget("U1")
     assert backend.blobs.digests() == []
 
 
 def test_consign_row_names_its_ajo_by_digest():
     backend = MemoryBackend()
-    JobJournal(backend, name="j").record_consign("U1", b"ajo-1", "CN=a")
+    JobJournal(backend, name="j").record_consign("U1", Arrival(b"ajo-1", "CN=a"))
     digest = hashlib.sha256(b"ajo-1").hexdigest()
     assert backend.table("j").items() == [("U1", {
         "ajo": digest,
@@ -390,6 +393,25 @@ def test_consign_row_names_its_ajo_by_digest():
         "parent_job_id": None, "forward_meta": None,
     })]
     assert backend.blobs.digests() == [digest]
+    # A forwarded group's parent is one value in memory, and the same two
+    # row fields on disk; a reload gives the value back.
+    parent = Parent("U7@ZIB", "ZIB", ("out",))
+    for backend_cls in BACKENDS:
+        backend = backend_cls()
+        JobJournal(backend, name="j").record_consign(
+            "U1", Arrival(b"ajo-1", "CN=a", parent=parent)
+        )
+        assert backend.table("j").items() == [("U1", {
+            "ajo": digest,
+            "user_dn": "CN=a", "workstation_files": {}, "trace_id": "",
+            "parent_job_id": "U7@ZIB", "forward_meta": ["ZIB", ["out"]],
+        })]
+        reborn = JobJournal(backend, name="j")
+        reborn.reload(set(), _seq)
+        assert reborn.entry("U1").parent == parent
+        assert reborn.arrival(reborn.entry("U1")) == Arrival(
+            b"ajo-1", "CN=a", parent=parent
+        )
 
 
 # -- outcome store -----------------------------------------------------------
