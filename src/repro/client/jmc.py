@@ -34,11 +34,6 @@ from repro.vfs.spaces import Workstation
 __all__ = ["JobMonitorController"]
 
 
-def _view(payload: bytes) -> JobStatusView:
-    """The status tree a QUERY reply carries."""
-    return JobStatusView.from_value(asn1.decode(payload, SerializationError))
-
-
 class JobMonitorController:
     """The JMC applet: monitor, control, and harvest job results."""
 
@@ -51,10 +46,10 @@ class JobMonitorController:
 
     def __init__(self, session: UnicoreSession) -> None:
         self.session = session
-        #: Last good status reply per job as ``(sim_time, payload)``, for
-        #: stale-but-served display during gateway outages: the bytes,
-        #: decoded again only when an outage re-serves them.
-        self._status_cache: dict[str, tuple[float, bytes]] = {}
+        #: Last good status reply per job as ``(sim_time, payload, view)``,
+        #: for stale-but-served display during gateway outages.  The view
+        #: is the payload's, so a reply with the same bytes is not decoded.
+        self._status_cache: dict[str, tuple[float, bytes, JobStatusView]] = {}
         #: Delta-listing state: the server's index cursor and the
         #: merged rows (``job_id -> listing``) it is valid against.
         self._list_cursor: tuple[int, int] | None = None
@@ -131,10 +126,9 @@ class JobMonitorController:
             telemetry_for(self.session.client.sim).metrics.counter(
                 "client.stale_status_serves"
             ).inc()
-            cached_at, cached_payload = cached
-            return _view(cached_payload).marked_stale(cached_at)
-        self._status_cache[job_id] = (self.session.client.sim.now, payload)
-        return _view(payload)
+            cached_at, _, view = cached
+            return view.marked_stale(cached_at)
+        return self._viewed(job_id, payload)
 
     def wait_for_completion(self, job_id: str, max_polls: int = 10_000):
         """Block until the job reaches a terminal state.
@@ -162,8 +156,7 @@ class JobMonitorController:
                 RequestKind.QUERY, encode_service(service),
                 response_timeout_s=hold + self.SUBSCRIBE_REPLY_GRACE_S,
             )
-            self._status_cache[job_id] = (client.sim.now, payload)
-            view = _view(payload)
+            view = self._viewed(job_id, payload)
             if view.is_terminal:
                 return view
             if client.sim.now - asked_at < hold * 0.5:
@@ -172,6 +165,17 @@ class JobMonitorController:
                 # Fall back to the poll cadence so renewals don't spin.
                 yield client.sim.timeout(client.poll_interval_s)
         raise WaitTimeout(job_id, max_polls)
+
+    def _viewed(self, job_id: str, payload: bytes) -> JobStatusView:
+        """The status tree a QUERY reply carries, cached with its bytes:
+        a reply equal to the cached one's bytes is not decoded again."""
+        cached = self._status_cache.get(job_id)
+        if cached and cached[1] == payload:
+            view = cached[2]
+        else:
+            view = JobStatusView.from_value(asn1.decode(payload, SerializationError))
+        self._status_cache[job_id] = (self.session.client.sim.now, payload, view)
+        return view
 
     def outcome(self, job_id: str):
         """Fetch the full Outcome tree (stdout/stderr included)."""

@@ -244,10 +244,16 @@ class AioTransport(Network):
             sender=wm.sender, recipient=wm.recipient, payload=wm.payload,
             size_bytes=wm.size_bytes, msg_id=wm.msg_id, channel=wm.channel,
         )
+        refused: ConnectionRefused | None = None
         if wm.deliver:
-            self.host(wm.recipient)._deliver(message)
+            try:
+                self.host(wm.recipient)._deliver(message)
+            except ConnectionRefused as err:  # fails the send, as in-process
+                refused = err
         entry = self._pending.pop(wm.msg_id, None)
-        if entry is not None:
+        if entry is not None and refused is not None:
+            entry[0].fail(refused)
+        elif entry is not None:
             entry[0].succeed(message)
         self._notify()
 

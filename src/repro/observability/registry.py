@@ -65,9 +65,9 @@ COUNTERS: frozenset[str] = frozenset({
     # gateway
     "gateway.auth_failures",
     "gateway.crashes",
-    "gateway.dropped_frames",
     "gateway.dropped_requests",
     "gateway.push_aborts",
+    "gateway.refused_frames",
     "gateway.requests",
     "gateway.restarts",
     "gateway.subscribe_holds",

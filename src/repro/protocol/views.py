@@ -4,7 +4,8 @@
 :meth:`~repro.server.njs.supervisor.NetworkJobSupervisor.list_jobs_delta`
 and :meth:`~repro.server.njs.supervisor.NetworkJobSupervisor.capacity`
 build these frozen dataclasses; the gateway encodes them at the protocol
-edge (and only there) and the JMC (or the federation broker, for a
+edge (a status tree the run encodes, and keeps until its next change:
+``status_reply``) and the JMC (or the federation broker, for a
 capacity report) decodes the reply straight back into the same type.
 
 On the wire a view is one :mod:`repro.asn1` SEQUENCE of its fields in

@@ -19,7 +19,7 @@ from repro.security.errors import (
     SignatureInvalid,
     UntrustedIssuer,
 )
-from repro.security.rsa import RSAKeyPair
+from repro.security.rsa import RSAKeyPair, RSAPublicKey
 from repro.security.x509 import Certificate, CertificateRole, DistinguishedName, Validity
 
 __all__ = ["CertificateAuthority", "CertificateStore"]
@@ -142,11 +142,14 @@ class CertificateStore:
 
     Gateways and browsers each hold one.  Validation checks, in order:
     issuer is trusted, signature verifies, validity window contains *now*,
-    and the certificate is not on the issuer's CRL.
+    and the certificate is not on the issuer's CRL.  A signature is
+    verified once: the store keeps each ``(issuer key, tbs, signature)``
+    that verified, and every other check runs on every validation.
     """
 
     def __init__(self, trusted: list[CertificateAuthority] | None = None) -> None:
         self._cas: dict[str, CertificateAuthority] = {}
+        self._verified: set[tuple[RSAPublicKey, bytes, int]] = set()
         for ca in trusted or []:
             self.add_trusted_ca(ca)
 
@@ -165,15 +168,19 @@ class CertificateStore:
             raise UntrustedIssuer(
                 f"issuer {issuer!r} is not among trusted CAs {self.trusted_issuers}"
             )
-        try:
-            certificate.verify_signature(ca.root_certificate.public_key)
-        except SignatureInvalid as err:
-            # A certificate naming a trusted issuer but not signed by it is
-            # a forgery attempt, not a mere signature hiccup.
-            raise UntrustedIssuer(
-                f"certificate claims issuer {issuer!r} but its signature "
-                f"does not verify: {err}"
-            ) from err
+        key = ca.root_certificate.public_key
+        signed = (key, certificate.tbs_bytes(), certificate.signature)
+        if signed not in self._verified:
+            try:
+                certificate.verify_signature(key)
+            except SignatureInvalid as err:
+                # A certificate naming a trusted issuer but not signed by
+                # it is a forgery attempt, not a mere signature hiccup.
+                raise UntrustedIssuer(
+                    f"certificate claims issuer {issuer!r} but its signature "
+                    f"does not verify: {err}"
+                ) from err
+            self._verified.add(signed)
         certificate.check_validity(now)
         if ca.is_revoked(certificate):
             raise CertificateRevoked(

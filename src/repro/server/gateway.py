@@ -48,7 +48,7 @@ from repro.ajo.services import (
 from repro.broker.errors import BrokerError
 from repro.errors import ReproError
 from repro.faults.errors import ServiceUnavailable
-from repro.net.errors import ConnectionLost, FrameError
+from repro.net.errors import ConnectionLost, ConnectionRefused, FrameError
 from repro.net.https import HttpsChannel
 from repro.net.sim_transport import Host, Message, Network
 from repro.net.stream import StreamSender
@@ -163,7 +163,8 @@ class Gateway:
         self.requests_served = 0
         self.auth_failures = 0
         #: True while crashed: inbound requests are silently dropped (the
-        #: client's retry/breaker machinery deals with the dead air).
+        #: client's retry/breaker machinery deals with the dead air), and
+        #: data-plane frames refused, so their stream sends them again.
         self.down = False
 
         host.serve(self._receive)
@@ -211,9 +212,10 @@ class Gateway:
             # Data-plane frame from a client channel.
             if self.down:
                 telemetry_for(self.sim).metrics.counter(
-                    "gateway.dropped_frames"
+                    "gateway.refused_frames"
                 ).inc()
-            elif self.datapath.feed(payload):
+                raise ConnectionRefused(f"gateway at {self.usite_name} is down")
+            if self.datapath.feed(payload):
                 # The frame goes on to the NJS as it arrives, so the
                 # request it rides ahead of waits behind one frame at most.
                 self._cross(self.host, self.njs.host, len(payload))
@@ -377,7 +379,7 @@ class Gateway:
         the job reaches a terminal state (or ``hold_s`` elapses) — one
         interaction replaces a poll train.  The park rides the NJS's
         completion watcher; an NJS crash fires the watcher early, and the
-        post-wake ``query_status`` then surfaces ``ServiceUnavailable``
+        post-wake ``status_reply`` then surfaces ``ServiceUnavailable``
         through the normal refusal path for the client to retry.
         """
         service = _service(request, QueryService)
@@ -392,9 +394,7 @@ class Gateway:
                 deadline = self.sim.deadline(watch, hold)
                 yield watch
                 deadline.cancel()
-        view = self.njs.query_status(service.target_job_id, detail=service.detail)
-        # Serialization happens here, at the protocol edge, only.
-        return asn1.encode(view.to_value()), None
+        return self.njs.status_reply(service.target_job_id, service.detail), None
 
     def _list(self, request: Request, *_) -> _Answer:
         """The listing delta since the client's cursor; a full listing

@@ -25,6 +25,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass
 
+from repro import asn1
 from repro.ajo.dag import JobPlan
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import Outcome
@@ -137,6 +138,9 @@ class FinishedRun:
 
     def status_view(self, detail: str, as_of: float) -> JobStatusView:
         return self.skeleton().view(detail, as_of)
+
+    def status_reply(self, detail: str) -> bytes:
+        return asn1.encode(self.status_view(detail, 0.0).to_value())
 
     def forwarded_usites(self) -> tuple[str, ...]:
         """The Usites the job forwarded groups to.  A restored run that

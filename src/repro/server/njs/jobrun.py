@@ -5,6 +5,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
+from repro import asn1
 from repro.ajo.dag import JobPlan
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome, Outcome, new_outcome
@@ -79,6 +80,8 @@ class JobRun:
     #: Supervisor hook fired after any action status change, so the run
     #: index tracks the rollup without scans.
     on_change: typing.Callable[["JobRun"], None] | None = None
+    #: ``detail -> encoded status reply``, cleared by :meth:`notify_change`.
+    replies: dict[str, bytes] = field(default_factory=dict)
 
     @classmethod
     def create(
@@ -137,6 +140,15 @@ class JobRun:
     def status_view(self, detail: str, as_of: float) -> JobStatusView:
         return status_view(self.root, self.outcomes, detail, as_of)
 
+    def status_reply(self, detail: str) -> bytes:
+        """The QUERY reply at ``detail``, encoded once per status change
+        (``as_of`` does not cross the wire)."""
+        reply = self.replies.get(detail)
+        if reply is None:
+            view = self.status_view(detail, 0.0)
+            reply = self.replies[detail] = asn1.encode(view.to_value())
+        return reply
+
     def file(self, path: str) -> FileBody | None:
         """The first of the job's Uspaces holding ``path`` has its body."""
         for uspace in self.uspaces.values():
@@ -164,6 +176,7 @@ class JobRun:
 
     def notify_change(self) -> None:
         """Tell the supervisor an action's status (possibly) changed."""
+        self.replies.clear()
         if self.on_change is not None:
             self.on_change(self)
 

@@ -376,6 +376,10 @@ class NetworkJobSupervisor:
         """The QueryService answer: the status tree at the chosen detail."""
         return self.get_run(job_id).status_view(detail, self.sim.now)
 
+    def status_reply(self, job_id: str, detail: str) -> bytes:
+        """:meth:`query_status` encoded, as the gateway sends it."""
+        return self.get_run(job_id).status_reply(detail)
+
     def retrieve_outcome(self, job_id: str) -> bytes:
         """The full outcome tree (stdout/stderr included), encoded."""
         return self.get_run(job_id).encoded_outcome()

@@ -23,6 +23,8 @@ import types
 import pytest
 
 import repro.server.gateway as gateway_module
+import repro.server.njs.jobrun as jobrun_module
+from repro import asn1
 from repro.ajo import encode_ajo
 from repro.api import GridSession
 from repro.grid import build_grid
@@ -133,11 +135,78 @@ def test_one_status_request_stays_inside_the_request_budget(metered):
     assert metered.started and all(
         name.startswith(("api:", "gw-req:")) for name in metered.started
     ), metered.started
-    # Authentication validated the user's certificate in full and
-    # encoded nothing: the bytes it verifies were fixed with the
-    # certificate.
+    # Authentication checked the user's certificate — trust, window,
+    # revocation, DN and mapping; its signature was verified once, at
+    # the handshake — and encoded nothing: the bytes it verified were
+    # fixed with the certificate.
     assert meter.tbs_encodes == encoded
     assert meter.tbs_encodes == len(metered.certificates)
+
+
+def test_polls_of_an_unchanged_job_render_encode_and_decode_once(
+    metered, monkeypatch,
+):
+    """The NJS keeps a run's encoded status reply until the run's next
+    status change, and the JMC keeps the view beside the bytes it came
+    from: 50 polls of a job that does not change render its tree, encode
+    it and decode it once, and the first poll after a task ends does
+    each once more."""
+    grid, session = metered.grid, metered.session
+    counts = {"render": 0, "encode": 0, "decode": 0}
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        jobrun_module, "status_view", counted("render", jobrun_module.status_view)
+    )
+    monkeypatch.setattr(asn1, "encode", counted("encode", asn1.encode))
+    monkeypatch.setattr(asn1, "decode", counted("decode", asn1.decode))
+    job = session.new_job("polled", "FZJ-T3E")
+    first = job.script_task("first", "#!/bin/sh\na\n", simulated_runtime_s=100.0)
+    second = job.script_task("second", "#!/bin/sh\nb\n", simulated_runtime_s=100.0)
+    job.depends(first, second)
+    handle = session.submit(job)
+    grid.sim.run(until=grid.sim.now + 10.0)
+    counts.update(render=0, encode=0, decode=0)
+    views = {session.status(handle, allow_stale=False) for _ in range(50)}
+    # One poll's reply is the only repro.asn1 value a poll makes or reads.
+    assert counts == {"render": 1, "encode": 1, "decode": 1}
+    assert [(view.status, view.children[0].status) for view in views] == [
+        ("queued", "queued")
+    ]
+
+    grid.sim.run(until=grid.sim.now + 100.0)  # the first task ends
+    counts.update(render=0, encode=0, decode=0)
+    for _ in range(2):
+        view = session.status(handle, allow_stale=False)
+    assert (view.children[0].status, view.children[1].status) == (
+        "successful", "queued"
+    )
+    assert counts == {"render": 1, "encode": 1, "decode": 1}
+
+
+def test_a_channel_verifies_its_user_certificate_once(monkeypatch):
+    """The gateway's store keeps the signatures it verified: the
+    handshake and the 50 requests on its channel verify the user's
+    certificate's signature once, not once per request."""
+    verified = []
+    verify_signature = Certificate.verify_signature
+
+    def counted(self, issuer_key):
+        verified.append(str(self.subject))
+        return verify_signature(self, issuer_key)
+
+    monkeypatch.setattr(Certificate, "verify_signature", counted)
+    grid = build_grid({"FZJ": ["FZJ-T3E"]}, seed=16)
+    user = grid.add_user("Asker", logins={"FZJ": "asker"})
+    session = GridSession(grid, user, "FZJ")
+    for _ in range(50):
+        assert session.list_jobs() == []
+    assert verified.count(user.browser.user_dn) == 1
 
 
 def test_one_list_request_touches_json_only_for_its_service_envelope(metered):

@@ -227,3 +227,52 @@ def test_store_rejects_expired(ca):
 def test_store_lists_trusted_issuers(ca):
     store = CertificateStore(trusted=[ca])
     assert str(ca.dn) in store.trusted_issuers
+
+
+# --------------------------------------------- a signature verified once
+def test_the_store_verifies_a_signature_once(ca, monkeypatch):
+    cert, _ = ca.issue(DistinguishedName(cn="Often Seen"), role=CertificateRole.USER)
+    verified = []
+    verify_signature = Certificate.verify_signature
+
+    def counted(self, issuer_key):
+        verified.append(self.serial)
+        return verify_signature(self, issuer_key)
+
+    monkeypatch.setattr(Certificate, "verify_signature", counted)
+    store = CertificateStore(trusted=[ca])
+    for now in range(50):
+        store.validate(cert, now=float(now))
+    assert verified == [cert.serial]
+
+
+@pytest.mark.parametrize("after_acceptance, refusal", [
+    ("signature tampered", UntrustedIssuer),
+    ("window expired", CertificateExpired),
+    ("serial revoked", CertificateRevoked),
+    ("CA replaced with a new key", UntrustedIssuer),
+])
+def test_a_kept_signature_still_refuses(ca, after_acceptance, refusal):
+    """Once a genuine certificate was accepted, the store still refuses
+    its forged signature, its expiry, its revocation, and a CA of the
+    same DN that is now trusted under another key."""
+    cert, _ = ca.issue(
+        DistinguishedName(cn=f"Accepted {after_acceptance}"),
+        role=CertificateRole.USER, lifetime=100.0,
+    )
+    store = CertificateStore(trusted=[ca])
+    store.validate(cert, now=1.0)
+    now = 1.0
+    if after_acceptance == "signature tampered":
+        cert = cert.with_signature(cert.signature + 1)
+    elif after_acceptance == "window expired":
+        now = 101.0
+    elif after_acceptance == "serial revoked":
+        ca.revoke(cert)
+    else:  # the same DN, another key
+        store.add_trusted_ca(CertificateAuthority(
+            name=ca.dn.cn, organization=ca.dn.o, country=ca.dn.c,
+            key_bits=384, seed=78,
+        ))
+    with pytest.raises(refusal):
+        store.validate(cert, now=now)
