@@ -5,8 +5,8 @@ scheduled in the predefined sequence" (section 4.2), and that "data sets
 created by the predecessor are available to the successor" (section
 5.7).  :class:`JobPlan` is those facts as one immutable value, built in
 one pass over the AJO.  A site's arrival analysis plans a job once per
-consign or replay, and the analyzer, the executor, forwarding and the
-status skeleton read that plan; the JPA plans a job for its own
+consign or replay, and the analyzer, the executor and forwarding read
+that plan; the JPA plans a job for its own
 analysis.  A plan lives while its job runs and is never persisted.
 """
 

@@ -105,7 +105,7 @@ class QueryService(AbstractService):
     DETAIL_JOB = "job"
     DETAIL_GROUPS = "groups"
     DETAIL_TASKS = "tasks"
-    _DETAILS = (DETAIL_JOB, DETAIL_GROUPS, DETAIL_TASKS)
+    DETAILS = (DETAIL_JOB, DETAIL_GROUPS, DETAIL_TASKS)
 
     def __init__(
         self,
@@ -119,7 +119,7 @@ class QueryService(AbstractService):
         super().__init__(name, action_id=action_id)
         if not target_job_id:
             raise ValidationError("QueryService requires a target job id")
-        if detail not in self._DETAILS:
+        if detail not in self.DETAILS:
             raise ValidationError(f"unknown detail level {detail!r}")
         if hold_s < 0:
             raise ValidationError("QueryService hold_s must be >= 0")

@@ -198,6 +198,8 @@ class DataPlaneEndpoint:
         self.metrics = metrics
         self.on_complete = on_complete
         self._open: dict[int, StreamReassembler] = {}
+        #: Open stream id -> when a frame of it last arrived.
+        self._heard: dict[int, float] = {}
         self._done: dict[int, CompletedStream] = {}
         self._waiters: dict[int, Event] = {}
 
@@ -212,7 +214,9 @@ class DataPlaneEndpoint:
         """Absorb one inbound frame; returns False for non-frame bytes.
         A DATA frame of a stream this endpoint does not hold is dropped as
         a late duplicate, or with ``refuse_unknown`` refused
-        (:class:`ConnectionRefused`): its sender starts the stream again."""
+        (:class:`ConnectionRefused`): its sender starts the stream again.
+        An OPEN frame first forgets each incomplete stream no frame has
+        reached for :data:`STREAM_WAIT_TIMEOUT_S`: its sender gave up."""
         try:
             # bytes() is the identity on bytes and snapshots a mutable
             # buffer, so the payload views kept until reassembly are stable.
@@ -222,9 +226,13 @@ class DataPlaneEndpoint:
             return False
         try:
             if frame.ftype == FrameType.OPEN:
+                for stream_id, heard in list(self._heard.items()):
+                    if self.sim.now - heard >= STREAM_WAIT_TIMEOUT_S:
+                        del self._open[stream_id], self._heard[stream_id]
                 if frame.stream_id not in self._open:
                     reassembler = StreamReassembler(frame)
                     self._open[frame.stream_id] = reassembler
+                    self._heard[frame.stream_id] = self.sim.now
                     if reassembler.complete:  # zero-chunk stream
                         self._finish(frame.stream_id)
             else:  # DATA
@@ -234,15 +242,19 @@ class DataPlaneEndpoint:
                         raise ConnectionRefused(
                             f"stream {frame.stream_id} is not open here"
                         )
-                elif reassembler.feed(frame):
-                    self._finish(frame.stream_id)
+                else:
+                    self._heard[frame.stream_id] = self.sim.now
+                    if reassembler.feed(frame):
+                        self._finish(frame.stream_id)
         except FrameError:
             self._open.pop(frame.stream_id, None)
+            self._heard.pop(frame.stream_id, None)
             self._count("stream.bad_frames")
         return True
 
     def _finish(self, stream_id: int) -> None:
         reassembler = self._open.pop(stream_id)
+        del self._heard[stream_id]
         info = reassembler.info
         # Verifies the whole-payload crc, then returns the bytes held
         # under the payload's key only if every chunk equals them: other
@@ -299,6 +311,7 @@ class DataPlaneEndpoint:
     def clear(self) -> None:
         """Drop all reassembly state (a crashed process reads nothing)."""
         self._open.clear()
+        self._heard.clear()
         self._done.clear()
         self._waiters.clear()
 

@@ -1,6 +1,6 @@
 """Typed read-model views crossing the query/list/capacity protocol edge.
 
-:meth:`NetworkJobSupervisor.query_status`,
+:func:`~repro.server.njs.jobrun.status_view`,
 :meth:`~repro.server.njs.supervisor.NetworkJobSupervisor.list_jobs_delta`
 and :meth:`~repro.server.njs.supervisor.NetworkJobSupervisor.capacity`
 build these frozen dataclasses; the gateway encodes them at the protocol

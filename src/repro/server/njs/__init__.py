@@ -15,7 +15,8 @@ has started.  It wires together parts that each own their state alone:
 
 - ``RunTable`` (:mod:`~repro.server.njs.runtable`): the runs (a
   :mod:`~repro.server.njs.jobrun` under supervision, then the job's
-  outcome row as a :mod:`~repro.server.njs.finished` run), their indexes
+  outcome row as a :mod:`~repro.server.njs.finished` run; either answers
+  a status query with the reply bytes it keeps), their indexes
   (listings; the runs serving each parent job), completion watchers, the
   journal, the outcome store, the job-id cursor;
 - ``PeerLink`` (:mod:`~repro.server.njs.peerlink`): the NJS-NJS message

@@ -1,4 +1,5 @@
-"""Per-job runtime state inside an NJS, for a job under supervision."""
+"""Per-job runtime state inside an NJS, for a job under supervision, and
+the one status renderer every run's kept replies come from."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from repro.ajo.dag import JobPlan
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.outcome import AJOOutcome, Outcome, new_outcome
 from repro.ajo.serialize import encode_outcome
+from repro.ajo.services import QueryService
 from repro.ajo.status import ActionStatus
 from repro.observability import telemetry_for
 from repro.observability.span import INERT_SPAN, Span
@@ -19,7 +21,7 @@ from repro.simkernel import Event, Simulator
 from repro.vfs.body import FileBody
 from repro.vfs.spaces import Uspace
 
-__all__ = ["JobRun", "index_outcomes", "status_view"]
+__all__ = ["JobRun", "index_outcomes", "status_replies", "status_view"]
 
 
 @dataclass(slots=True)
@@ -137,15 +139,11 @@ class JobRun:
     def forwarded_usites(self) -> tuple[str, ...]:
         return self.plan.usites
 
-    def status_view(self, detail: str, as_of: float) -> JobStatusView:
-        return status_view(self.root, self.outcomes, detail, as_of)
-
     def status_reply(self, detail: str) -> bytes:
-        """The QUERY reply at ``detail``, encoded once per status change
-        (``as_of`` does not cross the wire)."""
+        """The QUERY reply at ``detail``, encoded once per status change."""
         reply = self.replies.get(detail)
         if reply is None:
-            view = self.status_view(detail, 0.0)
+            view = status_view(self.root, self.outcomes, detail)
             reply = self.replies[detail] = asn1.encode(view.to_value())
         return reply
 
@@ -194,8 +192,7 @@ def index_outcomes(
 
 
 def status_view(
-    root: AbstractJobObject, outcomes: typing.Mapping[str, Outcome],
-    detail: str, as_of: float,
+    root: AbstractJobObject, outcomes: typing.Mapping[str, Outcome], detail: str
 ) -> JobStatusView:
     """A job's status tree at the chosen detail (the QueryService answer)."""
 
@@ -222,7 +219,16 @@ def status_view(
             status=rollup.value,
             color=rollup.display_color,
             children=tuple(children),
-            as_of=as_of,
         )
 
     return render(root)
+
+
+def status_replies(
+    root: AbstractJobObject, outcomes: typing.Mapping[str, Outcome]
+) -> dict[str, bytes]:
+    """The QUERY reply at every detail, encoded: what a finished job keeps."""
+    return {
+        detail: asn1.encode(status_view(root, outcomes, detail).to_value())
+        for detail in QueryService.DETAILS
+    }

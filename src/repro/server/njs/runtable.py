@@ -18,8 +18,8 @@ import typing
 from repro.ajo.dag import JobPlan
 from repro.observability import telemetry_for
 from repro.protocol.views import JobListing, JobListingDelta
-from repro.server.njs.finished import FinishedRun, StatusSkeleton
-from repro.server.njs.jobrun import JobRun
+from repro.server.njs.finished import FinishedRun
+from repro.server.njs.jobrun import JobRun, status_replies
 from repro.server.njs.runindex import RunIndex
 from repro.simkernel import Event, Simulator
 from repro.storage.backend import StorageBackend
@@ -226,8 +226,9 @@ class RunTable(typing.Mapping[str, Run]):
         one durable unit with the journal retiring the job: after this
         batch, even a cold-started successor can serve the job's
         listing, outcome tree, and Uspace files.  The row takes the
-        run's place in the table, with the run's status skeleton, outcome
-        encoding and file bodies: not its AJO or outcome tree.
+        run's place in the table, with the run's status replies, the
+        Usites it forwarded groups to, its outcome encoding and file
+        bodies: not its AJO or outcome tree.
         """
         files: dict[str, FileBody] = {}
         for uspace in run.uspaces.values():
@@ -247,7 +248,8 @@ class RunTable(typing.Mapping[str, Run]):
             ), outcome_bytes, files)
         finished = FinishedRun(
             record, self.journal, self._storage.blobs, self._usite_name,
-            skeleton=StatusSkeleton.of(run.plan, run.outcomes),
+            replies=status_replies(run.root, run.outcomes),
+            usites=run.plan.usites,
             outcome_bytes=outcome_bytes, files=files,
         )
         self._runs[run.job_id] = finished

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import typing
 
+from repro import asn1
 from repro.ajo.dag import JobPlan
+from repro.ajo.errors import SerializationError
 from repro.ajo.job import AbstractJobObject
 from repro.ajo.serialize import decode_ajo
 from repro.analysis import AnalysisContext, analyze_ajo
@@ -373,11 +375,13 @@ class NetworkJobSupervisor:
         return self.runs.listings_delta(user_dn, since_seq, epoch)
 
     def query_status(self, job_id: str, detail: str = "tasks") -> JobStatusView:
-        """The QueryService answer: the status tree at the chosen detail."""
-        return self.get_run(job_id).status_view(detail, self.sim.now)
+        """The QueryService answer: the status tree at the chosen detail,
+        decoded from the reply the gateway sends."""
+        reply = self.status_reply(job_id, detail)
+        return JobStatusView.from_value(asn1.decode(reply, SerializationError))
 
     def status_reply(self, job_id: str, detail: str) -> bytes:
-        """:meth:`query_status` encoded, as the gateway sends it."""
+        """The encoded QueryService answer, kept by the run."""
         return self.get_run(job_id).status_reply(detail)
 
     def retrieve_outcome(self, job_id: str) -> bytes:

@@ -1,8 +1,8 @@
 """A finished job's status at every detail level, just finished and restored.
 
-A finished run answers status queries from its status skeleton
+A finished run answers status queries from the three replies it keeps
 (``repro.server.njs.finished``), not from its AJO and outcome tree.  Each
-cut of the skeleton must be the tree those two render
+reply must be the tree those two render
 (:func:`~repro.server.njs.jobrun.status_view`): for a job that finished
 in this life of its site and for one a cold restart brought back, at
 one site and at two, over either storage backend.  The JMC's cache of a
@@ -97,9 +97,7 @@ def _answers(grid, runs):
         assert isinstance(run, FinishedRun)
         root, outcomes = run.root, run.outcomes
         for detail in DETAILS:
-            assert answers[njs.usite_name, detail] == status_view(
-                root, outcomes, detail, grid.sim.now
-            )
+            assert answers[njs.usite_name, detail] == status_view(root, outcomes, detail)
     return answers
 
 
@@ -132,7 +130,7 @@ def test_a_finished_job_answers_every_detail_level(storage, remote):
         for njs, run_id in runs
         for key, detail in (((njs.usite_name, d), d) for d in DETAILS)
     }
-    # A restored run built its skeleton and let the decoded trees go.
+    # A restored run rendered its replies and let the decoded trees go.
     gc.collect()
     known = {id(obj) for obj in kept}
     assert [obj for obj in gc.get_objects()

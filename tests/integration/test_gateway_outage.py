@@ -17,17 +17,19 @@ from repro.api.aio import AsyncGridSession
 from repro.grid import build_grid
 from repro.net.errors import ConnectionRefused
 from repro.net.stream import FrameType, decode_frame
+from repro.protocol.datapath import STREAM_WAIT_TIMEOUT_S
 
 
 def _crash_after_the_upload_opens(grid, gateway, after_s, outage_s):
     """Crash ``gateway`` ``after_s`` after the first stream opens at it,
-    and restart it ``outage_s`` later."""
+    and restart it ``outage_s`` later; the list the stream's id goes to."""
     feed = gateway.datapath.feed
-    opened: list[float] = []
+    opened: list[int] = []
 
     def watching(raw, **kwargs):
-        if not opened and decode_frame(bytes(raw)).ftype == FrameType.OPEN:
-            opened.append(grid.sim.now)
+        frame = decode_frame(bytes(raw))
+        if not opened and frame.ftype == FrameType.OPEN:
+            opened.append(frame.stream_id)
             grid.sim.schedule_callback(after_s, gateway.crash)
             grid.sim.schedule_callback(after_s + outage_s, gateway.restart)
         return feed(raw, **kwargs)
@@ -52,7 +54,8 @@ def test_an_upload_across_a_gateway_outage_arrives_or_fails_the_submit(
 ):
     """The FZJ gateway crashes 0.5 s or 2 s into a 4 MiB upload: after
     10 s down the job is consigned once and succeeds; after 60 s the
-    submit raises the refusal and the NJS holds no run."""
+    submit raises the refusal and the NJS holds no run, and the gateway
+    drops the abandoned stream when an upload opens 600 s later."""
     grid = build_grid({"FZJ": ["FZJ-T3E"]}, seed=29)
     user = grid.add_user("Uploader", logins={"FZJ": "up"})
     session = GridSession(grid, user, "FZJ")
@@ -68,6 +71,12 @@ def test_an_upload_across_a_gateway_outage_arrives_or_fails_the_submit(
             session.submit(job, workstation=user.workstation)
     assert opened
     assert len(njs.runs) == (1 if outage_s < 60.0 else 0)
+    if outage_s >= 60.0:
+        grid.sim.run(until=grid.sim.now + STREAM_WAIT_TIMEOUT_S)
+        again = _upload_job(session, user, session.new_job("again", vsite="FZJ-T3E"))
+        handle = session.submit(again, workstation=user.workstation)
+        assert session.wait(handle).status == "successful"
+        assert not gateway.datapath.pending(opened[0])
 
 
 def test_a_down_gateway_refuses_a_frame_alike_on_the_socket_transport():

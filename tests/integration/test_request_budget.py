@@ -30,6 +30,7 @@ from repro.api import GridSession
 from repro.grid import build_grid
 from repro.security.x509 import Certificate
 from repro.server.njs import JobRun
+from repro.server.njs.finished import FinishedRun
 from repro.simkernel import Simulator
 
 
@@ -143,15 +144,9 @@ def test_one_status_request_stays_inside_the_request_budget(metered):
     assert meter.tbs_encodes == len(metered.certificates)
 
 
-def test_polls_of_an_unchanged_job_render_encode_and_decode_once(
-    metered, monkeypatch,
-):
-    """The NJS keeps a run's encoded status reply until the run's next
-    status change, and the JMC keeps the view beside the bytes it came
-    from: 50 polls of a job that does not change render its tree, encode
-    it and decode it once, and the first poll after a task ends does
-    each once more."""
-    grid, session = metered.grid, metered.session
+def _count_status_work(monkeypatch):
+    """``{"render", "encode", "decode"} -> calls`` of the status tree
+    renderer, ``asn1.encode`` and ``asn1.decode`` from here on."""
     counts = {"render": 0, "encode": 0, "decode": 0}
 
     def counted(name, call):
@@ -165,6 +160,19 @@ def test_polls_of_an_unchanged_job_render_encode_and_decode_once(
     )
     monkeypatch.setattr(asn1, "encode", counted("encode", asn1.encode))
     monkeypatch.setattr(asn1, "decode", counted("decode", asn1.decode))
+    return counts
+
+
+def test_polls_of_an_unchanged_job_render_encode_and_decode_once(
+    metered, monkeypatch,
+):
+    """The NJS keeps a run's encoded status reply until the run's next
+    status change, and the JMC keeps the view beside the bytes it came
+    from: 50 polls of a job that does not change render its tree, encode
+    it and decode it once, and the first poll after a task ends does
+    each once more."""
+    grid, session = metered.grid, metered.session
+    counts = _count_status_work(monkeypatch)
     job = session.new_job("polled", "FZJ-T3E")
     first = job.script_task("first", "#!/bin/sh\na\n", simulated_runtime_s=100.0)
     second = job.script_task("second", "#!/bin/sh\nb\n", simulated_runtime_s=100.0)
@@ -187,6 +195,20 @@ def test_polls_of_an_unchanged_job_render_encode_and_decode_once(
         "successful", "queued"
     )
     assert counts == {"render": 1, "encode": 1, "decode": 1}
+
+
+def test_polls_of_a_finished_job_render_and_encode_nothing(metered, monkeypatch):
+    """A finished run keeps the replies rendered as its job finished:
+    50 polls of a just-finished job render and encode nothing at the
+    NJS, and the JMC decodes the one reply once."""
+    grid, session = metered.grid, metered.session
+    handle = session.submit(_small_job(session, "finished"))
+    grid.sim.run(until=grid.sim.now + 100.0)  # unwatched by the JMC
+    assert isinstance(grid.usites["FZJ"].njs.runs[handle.job_id], FinishedRun)
+    counts = _count_status_work(monkeypatch)
+    views = {session.status(handle, allow_stale=False) for _ in range(50)}
+    assert counts == {"render": 0, "encode": 0, "decode": 1}
+    assert [view.status for view in views] == ["successful"]
 
 
 def test_a_channel_verifies_its_user_certificate_once(monkeypatch):

@@ -15,6 +15,7 @@ import types
 
 import pytest
 
+from repro import asn1
 from repro.api import GridSession
 from repro.grid import build_grid
 from repro.server.njs import supervisor
@@ -175,3 +176,19 @@ def test_restored_job_reads_its_ajo_once_when_asked(storage, monkeypatch):
     assert handle.job_id not in njs.outcomes
     assert len(njs.outcomes) == 4 and len(njs.journal) == IN_FLIGHT
     assert handle.job_id not in {row.job_id for row in session.list_jobs()}
+
+
+@pytest.mark.parametrize("storage", ["memory", "sqlite"])
+def test_polls_of_a_restored_job_encode_its_replies_once(storage, monkeypatch):
+    """A restored run renders its replies at every detail on the first
+    status request and keeps them: 50 polls encode those three at most."""
+    run = _cold_restart(storage, 5, monkeypatch)
+    for handle in run.live:  # nothing else at the site encodes meanwhile
+        assert run.session.wait(handle).status == "successful"
+    encodes = []
+    encode = asn1.encode
+    monkeypatch.setattr(asn1, "encode", lambda value: encodes.append(1) or encode(value))
+    for _ in range(50):
+        view = run.session.status(run.done[2], allow_stale=False)
+        assert (view.name, view.status) == ("hist2", "successful")
+    assert len(encodes) <= 3

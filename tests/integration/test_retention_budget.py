@@ -8,7 +8,7 @@ trace keeps a flat record of it.  ``NetworkJobSupervisor.dispose`` drops
 the trace, so after a job is disposed no span of it is reachable, the
 tracer holds the session's trace alone, and the heap a disposed job
 leaves is bounded.  Until then a finished job keeps rows, not object
-graphs: its status skeleton and outcome bytes at each site, its span
+graphs: its status replies and outcome bytes at each site, its span
 records, the JMC's reply bytes.
 """
 
@@ -102,10 +102,12 @@ def test_a_disposed_job_leaves_no_span_and_a_bounded_heap():
     assert retained / JOBS <= BYTES_PER_JOB, f"{retained / JOBS:.0f} B per job"
 
 
-#: Retained heap per finished, undisposed job: 11,900 B (one site) and
-#: 24,500 B (two sites) while a finished run kept its AJO and outcome
-#: tree, the tracer a ``Span`` per closed span, and the JMC a decoded tree.
-BYTES_PER_FINISHED = {False: 9_500, True: 19_000}
+#: Retained heap per finished, undisposed job: 9,066 B (one site) and
+#: 17,915 B (two sites) measured; 9,168 B and 18,371 B while a finished
+#: run kept a tree of status views, and 11,900 B and 24,500 B while it
+#: kept its AJO and outcome tree, the tracer a ``Span`` per closed span,
+#: and the JMC a decoded tree.
+BYTES_PER_FINISHED = {False: 9_400, True: 18_500}
 
 
 @pytest.mark.parametrize("remote", [False, True], ids=["one-site", "two-site"])

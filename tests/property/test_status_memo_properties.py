@@ -8,13 +8,14 @@ job, let simulated time pass, crash an NJS and restart it — and after
 every step:
 
 * for every run at both sites, live or finished, and every detail, the
-  reply the NJS serves equals a fresh encoding of the view it would
-  render now;
+  reply the run serves equals a fresh encoding of the tree its AJO and
+  outcome tree render now (a finished run's both decoded from storage);
 * polling every submitted job through the session gives the view of the
   reply bytes the gateway sent for that poll.
 
-Removing the clear in ``JobRun.notify_change`` fails the first, and a JMC
-that keeps its view by job id alone fails the second.
+Removing the clear in ``JobRun.notify_change`` fails the first, and so
+does a finished run given replies rendered before its job's last status
+change; a JMC that keeps its view by job id alone fails the second.
 """
 
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from repro import asn1
 from repro.api import GridSession
 from repro.errors import ReproError
 from repro.grid import build_grid
+from repro.server.njs.jobrun import status_view
 
 SITES = {"FZJ": ["FZJ-T3E"], "ZIB": ["ZIB-SP2"]}
 DETAILS = ("job", "groups", "tasks")
@@ -93,11 +95,11 @@ def test_a_kept_status_reply_and_view_are_never_stale(program):
     for step in program:
         _step(grid, session, handles, step)
         for usite in grid.usites.values():
-            njs = usite.njs
-            for job_id in list(njs.runs):
+            for run in usite.njs.runs.values():
+                root, outcomes = run.root, run.outcomes
                 for detail in DETAILS:
-                    fresh = asn1.encode(njs.query_status(job_id, detail).to_value())
-                    assert njs.status_reply(job_id, detail) == fresh, (step, job_id, detail)
+                    fresh = asn1.encode(status_view(root, outcomes, detail).to_value())
+                    assert run.status_reply(detail) == fresh, (step, run.job_id, detail)
         for handle in handles:
             view = session.status(handle, allow_stale=False)
             assert asn1.encode(view.to_value()) == served[handle.job_id, "tasks"], step
