@@ -40,6 +40,15 @@ verified (``chunk_crcs=``; :class:`repro.vfs.FileBody` is what carries
 them between the two), so the bytes are not read again and a copy that
 went bad at rest fails the next receiver's check instead of being
 blessed by a fresh CRC.
+
+Nothing else reads or copies a chunk inside the process.
+:func:`encode_frame` returns a :class:`WireFrame`, the header beside the
+payload object the sender cut (``len()`` is the joined frame's, so every
+wire count stands); :func:`decode_frame` CRC-checks that payload where it
+lies and hands back the same object.  Only a socket joins a frame, once,
+at its boundary.  :meth:`StreamReassembler.payload` proves a chunk that
+*is* the held content's own view at its seq by identity, and compares
+bytes only for the rest.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ __all__ = [
     "OpenInfo",
     "StreamReassembler",
     "StreamSender",
+    "WireFrame",
     "chunk_payload",
     "crc32_combine",
     "decode_frame",
@@ -139,9 +149,30 @@ def _zero_operator(length: int) -> tuple[int, ...]:
     return operator
 
 
+@functools.lru_cache(maxsize=32)
+def _zero_tables(length: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`_zero_operator` as four 256-entry tables, one per byte of
+    the register, so applying it is four lookups.  Each entry is the one
+    below it (its lowest set bit cleared) and one column: about a
+    millisecond per length, beside the operator's few."""
+    operator = _zero_operator(length)
+    tables = []
+    for base in range(0, 32, 8):
+        table = [0] * 256
+        for byte in range(1, 256):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] ^ operator[base + low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
     """CRC-32 of ``a + b`` from ``crc32(a)``, ``crc32(b)`` and ``len(b)``."""
-    return _gf2_times(_zero_operator(len2), crc1) ^ crc2
+    t0, t1, t2, t3 = _zero_tables(len2)
+    return (
+        t0[crc1 & 0xFF] ^ t1[crc1 >> 8 & 0xFF] ^ t2[crc1 >> 16 & 0xFF]
+        ^ t3[crc1 >> 24 & 0xFF] ^ crc2
+    )
 
 
 def _fold_crc32(
@@ -180,15 +211,49 @@ class Frame:
             object.__setattr__(self, "crc32", zlib.crc32(self.payload))
 
 
-def encode_frame(frame: Frame) -> bytes:
-    """Serialize a frame: 24-byte header + raw payload."""
+@dataclass(slots=True, frozen=True)
+class WireFrame:
+    """One encoded frame as its two pieces: the 24-byte header and the
+    payload object the frame was built with, not joined.
+
+    Measures like the contiguous frame (``len()`` is its wire size), and
+    ``bytes()`` joins it, which a socket does at its boundary.  The
+    payload is immutable: ``bytes``, or a contiguous byte view over
+    ``bytes`` (:func:`encode_frame` snapshots anything else).
+    """
+
+    header: bytes
+    payload: bytes | memoryview
+
+    def __len__(self) -> int:
+        return len(self.header) + len(self.payload)
+
+    def __bytes__(self) -> bytes:
+        return self.header + self.payload
+
+
+def _stable(payload: bytes | bytearray | memoryview) -> bytes | memoryview:
+    """``payload`` itself when nothing can change it under a frame —
+    ``bytes``, or a contiguous byte view over ``bytes`` — else a snapshot.
+    A read-only view of a ``bytearray`` is still snapshotted."""
+    if type(payload) is bytes or (
+        isinstance(payload, memoryview) and type(payload.obj) is bytes
+        and payload.c_contiguous and payload.itemsize == 1
+    ):
+        return payload
+    return bytes(payload)
+
+
+def encode_frame(frame: Frame) -> WireFrame:
+    """Serialize a frame: its 24-byte header beside its payload, uncopied."""
     if frame.ftype not in FrameType.ALL:
         raise FrameError(f"unknown frame type {frame.ftype!r}")
     if not 0 <= frame.stream_id <= _U64_MAX:
         raise FrameError(f"stream id {frame.stream_id} out of u64 range")
     if not 0 <= frame.seq <= _U32_MAX:
         raise FrameError(f"sequence number {frame.seq} out of u32 range")
-    if len(frame.payload) > _U32_MAX:
+    payload = _stable(frame.payload)
+    if len(payload) > _U32_MAX:
         raise FrameError("frame payload exceeds u32 length")
     header = _HEADER.pack(
         FRAME_MAGIC,
@@ -196,20 +261,28 @@ def encode_frame(frame: Frame) -> bytes:
         frame.ftype,
         frame.stream_id,
         frame.seq,
-        len(frame.payload),
+        len(payload),
         frame.crc32,
     )
-    return header + frame.payload
+    return WireFrame(header, payload)
 
 
-def decode_frame(raw: bytes | memoryview) -> Frame:
+def decode_frame(raw: WireFrame | bytes | bytearray | memoryview) -> Frame:
     """Parse a frame; raises :class:`FrameError` on any malformation.
 
-    The payload comes back as a view into ``raw`` (no copy), with the
-    CRC just verified alongside it.
+    A :class:`WireFrame`'s payload comes back as the very object it
+    carries; contiguous bytes (what a socket delivers) as a view into
+    them, a mutable buffer snapshotted first.  Either way nothing is
+    copied, and the CRC is verified over the payload where it lies.
     """
-    r = ByteReader(memoryview(raw), FrameError)
+    if isinstance(raw, WireFrame):
+        header, payload = memoryview(raw.header), raw.payload
+    else:
+        view = memoryview(_stable(raw))
+        header, payload = view[:FRAME_HEADER_BYTES], view[FRAME_HEADER_BYTES:]
+    r = ByteReader(header, FrameError)
     magic, version, ftype, stream_id, seq, length, crc = r.unpack(_HEADER)
+    r.end()
     if magic != FRAME_MAGIC:
         raise FrameError(f"bad frame magic {magic!r}")
     if version != FRAME_VERSION:
@@ -219,8 +292,10 @@ def decode_frame(raw: bytes | memoryview) -> Frame:
         )
     if ftype not in FrameType.ALL:
         raise FrameError(f"unknown frame type {ftype}")
-    payload = r.take(length)
-    r.end()
+    if len(payload) != length:
+        raise FrameError(
+            f"frame payload is {len(payload)} bytes, its header says {length}"
+        )
     if zlib.crc32(payload) != crc:
         raise FrameError(f"frame checksum mismatch on stream {stream_id} seq {seq}")
     return Frame(
@@ -284,9 +359,14 @@ class StreamSender:
         self, stream_id: int, data: bytes | memoryview, chunk_bytes: int,
         context: dict[str, typing.Any] | None = None,
         *, chunk_crcs: typing.Sequence[int] | None = None,
+        chunks: typing.Sequence[memoryview] | None = None,
     ) -> None:
         self.stream_id = stream_id
-        self.chunks = chunk_payload(data, chunk_bytes)
+        #: The views the DATA frames carry: the caller's, when it already
+        #: holds ``data`` cut at ``chunk_bytes``.
+        self.chunks = (
+            chunk_payload(data, chunk_bytes) if chunks is None else chunks
+        )
         if chunk_crcs is None:
             # The one pass over a payload nobody has cut before.
             chunk_crcs = [zlib.crc32(chunk) for chunk in self.chunks]
@@ -411,15 +491,21 @@ class StreamReassembler:
             tail = bytes(piece[max(len(piece) - n + len(tail), 0):]) + tail
         return head, tail
 
-    def payload(self, held: bytes | None = None) -> bytes:
+    def payload(
+        self, held: bytes | None = None, own: typing.Sequence[object] = ()
+    ) -> bytes:
         """The reassembled bytes: ``held`` itself when every chunk equals
         it at the chunk's offset, else the one copy joined on this side.
 
         Verifies the whole-payload checksum first, by folding the chunk
-        CRCs :func:`decode_frame` already verified.  The compare is
-        ``bytes.startswith`` at each offset, a memcmp that copies
-        nothing; a ``held`` that matches only the checksums is not
-        returned.
+        CRCs :func:`decode_frame` already verified.  ``own`` is ``held``
+        cut at ``info.chunk_bytes``, one view per chunk, as the body that
+        holds it handed them out: a chunk that *is* ``own[seq]`` is that
+        memory at that offset, so it equals ``held`` there without a byte
+        compare.  Any other chunk is compared (:func:`_equal_at`), so a
+        chunk from a socket, from other bytes or moved to another seq is
+        proven by its content; a ``held`` that matches only the checksums
+        is not returned.
         """
         if not self.complete:
             missing = self.next_expected
@@ -436,10 +522,19 @@ class StreamReassembler:
                 f"stream {self.stream_id} payload checksum mismatch"
             )
         # Every chunk is sized by feed, so a held payload of the total
-        # size that starts with each chunk at its offset is the payload.
-        if held is not None and len(held) == self.info.total_size and all(
-            held.startswith(frame.payload, seq * cut)
-            for seq, frame in enumerate(frames)
-        ):
-            return held
+        # size that equals each chunk at its offset is the payload.
+        if held is not None and len(held) == self.info.total_size:
+            if len(own) != len(frames):
+                own = (None,) * len(frames)
+            if all(
+                frame.payload is mine or _equal_at(held, frame.payload, seq * cut)
+                for seq, (frame, mine) in enumerate(zip(frames, own))
+            ):
+                return held
         return b"".join(frame.payload for frame in frames)
+
+
+def _equal_at(held: bytes, chunk: bytes | memoryview, offset: int) -> bool:
+    """Does ``held`` carry ``chunk`` at ``offset``?  A memcmp that copies
+    nothing (``bytes.startswith``)."""
+    return held.startswith(chunk, offset)

@@ -7,10 +7,11 @@ This module is the codec between the two worlds: a
 payload) becomes one length-prefixed frame whose body is a run of
 :mod:`repro.asn1` values.  The payload — a control-plane
 :class:`~repro.protocol.messages.Request`/``Reply``, a data-plane
-``bytes`` stream frame, or one of the small handshake tuples — rides as
+stream frame, or one of the small handshake tuples — rides as
 one form marker and that form's fields, so every payload type the
 protocol sends comes back as itself (a tuple as a list: only
-``deliver=False`` handshake tuples cross a socket).
+``deliver=False`` handshake tuples cross a socket; a
+:class:`~repro.net.stream.WireFrame` as its joined ``bytes``).
 
 Frame layout (network byte order)::
 
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 from repro import asn1
 from repro.bytereader import ByteReader
 from repro.net.errors import FrameDecodeError
+from repro.net.stream import WireFrame
 from repro.protocol.messages import Reply, Request
 
 __all__ = [
@@ -112,6 +114,10 @@ def _form(payload: object) -> tuple[object, ...]:
             _REPLY, payload.request_id, payload.ok, payload.payload,
             payload.error, payload.error_code,
         )
+    if isinstance(payload, WireFrame):
+        # A stream frame crosses in-process as header + payload; a socket
+        # carries it contiguous, joined here once.
+        return (_PLAIN, bytes(payload))
     return (_PLAIN, payload)
 
 

@@ -15,16 +15,16 @@ Pieces:
 
 * :class:`StreamIdAllocator` — deterministic 64-bit stream ids, unique
   across senders (origin hash in the high bits, a counter below);
-* :class:`DataPlaneEndpoint` — the receiving side: feed raw frame
-  bytes off a host inbox, reassemble streams, hand completed payloads
-  (each a :class:`~repro.vfs.FileBody` holding the chunk CRCs this side
-  verified, around the bytes of a body this process already holds when
-  every chunk equals them) to an application callback or park them for
-  :meth:`~DataPlaneEndpoint.take` / :meth:`~DataPlaneEndpoint.wait`;
+* :class:`DataPlaneEndpoint` — the receiving side: feed frames off a
+  host inbox, reassemble streams, hand completed payloads (each a
+  :class:`~repro.vfs.FileBody` holding the chunk CRCs this side verified,
+  around the bytes of a body this process already holds when every chunk
+  is its own view or equals them) to an application callback or park them
+  for :meth:`~DataPlaneEndpoint.take` / :meth:`~DataPlaneEndpoint.wait`;
 * :func:`body_sender` / :func:`send_stream` / :func:`send_body` — the
-  sending side: a file body framed with the CRCs it holds, then one call
-  of the caller's "send one encoded frame" per frame
-  (:func:`channel_sender` for client↔gateway channels), per-chunk
+  sending side: a file body framed as its own chunk views with the CRCs
+  it holds, then one call of the caller's "send one encoded frame" per
+  frame (:func:`channel_sender` for client↔gateway channels), per-chunk
   retransmission;
 * the manifest (section 5.6: a file travels with the message that needs
   it).  Every message that carries files — a consignment, a forwarded
@@ -59,12 +59,13 @@ from repro.net.stream import (
     FrameType,
     StreamReassembler,
     StreamSender,
+    WireFrame,
     decode_frame,
     encode_frame,
 )
 from repro.observability import INERT_SPAN, MetricsRegistry, Span, telemetry_for
 from repro.simkernel import EXPIRED, Event, Simulator
-from repro.vfs.body import KEY_EDGE, FileBody, held, hold
+from repro.vfs.body import KEY_EDGE, FileBody, held_body, hold
 
 __all__ = [
     "CHUNK_RETRIES",
@@ -209,7 +210,7 @@ class DataPlaneEndpoint:
 
     # -- intake --------------------------------------------------------------
     def feed(
-        self, raw: bytes | bytearray | memoryview, *, refuse_unknown: bool = False
+        self, raw: WireFrame | bytes | bytearray | memoryview, *, refuse_unknown: bool = False
     ) -> bool:
         """Absorb one inbound frame; returns False for non-frame bytes.
         A DATA frame of a stream this endpoint does not hold is dropped as
@@ -218,9 +219,9 @@ class DataPlaneEndpoint:
         An OPEN frame first forgets each incomplete stream no frame has
         reached for :data:`STREAM_WAIT_TIMEOUT_S`: its sender gave up."""
         try:
-            # bytes() is the identity on bytes and snapshots a mutable
-            # buffer, so the payload views kept until reassembly are stable.
-            frame = decode_frame(bytes(raw))
+            # Payloads come back uncopied and immutable (a mutable buffer
+            # is snapshotted), so the views kept until reassembly are stable.
+            frame = decode_frame(raw)
         except FrameError:
             self._count("stream.bad_frames")
             return False
@@ -256,12 +257,12 @@ class DataPlaneEndpoint:
         reassembler = self._open.pop(stream_id)
         del self._heard[stream_id]
         info = reassembler.info
-        # Verifies the whole-payload crc, then returns the bytes held
-        # under the payload's key only if every chunk equals them: other
-        # bytes with the same size and edges, or a forged CRC-32, are joined.
-        data = reassembler.payload(
-            held((info.total_size, *reassembler.edges(KEY_EDGE)))
-        )
+        # Verifies the whole-payload crc, then returns the held body's
+        # bytes only if each chunk is its own view at that seq or equals
+        # them there: same size and edges, or a forged CRC-32, is joined.
+        kept = held_body((info.total_size, *reassembler.edges(KEY_EDGE)))
+        data = reassembler.payload() if kept is None else reassembler.payload(
+            kept.data, kept.own_chunks(info.chunk_bytes))
         # A fresh body either way: this side's chunk CRCs, no digest.
         body = FileBody.received(
             data, chunk_bytes=info.chunk_bytes, chunk_crcs=reassembler.chunk_crcs,
@@ -320,12 +321,13 @@ def body_sender(
     stream_id: int, body: FileBody, context: dict[str, typing.Any],
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> StreamSender:
-    """Frame ``body`` with the chunk CRCs it holds: content its site has
-    already cut at ``chunk_bytes`` is not read again.  The body is held
-    for its receivers to adopt (:func:`~repro.vfs.body.hold`)."""
+    """Frame ``body`` as its own chunk views, with the chunk CRCs it holds:
+    content its site has already cut at ``chunk_bytes`` is not read again.
+    The body is held for its receivers to adopt (:func:`~repro.vfs.body.hold`),
+    which prove a chunk that is one of those views by identity."""
     sender = StreamSender(
         stream_id, body.data, chunk_bytes, context,
-        chunk_crcs=body.chunk_crcs(chunk_bytes),
+        chunk_crcs=body.chunk_crcs(chunk_bytes), chunks=body.chunks(chunk_bytes),
     )
     hold(body)
     return sender
@@ -334,7 +336,7 @@ def body_sender(
 def send_stream(
     sim: Simulator,
     sender: StreamSender,
-    send_frame: typing.Callable[[bytes], Event],
+    send_frame: typing.Callable[[WireFrame], Event],
     *,
     parent_span: Span = INERT_SPAN,
 ) -> typing.Generator[Event, typing.Any, None]:
@@ -367,12 +369,12 @@ def send_stream(
     )
     resumes = spent = 0
 
-    def transmit(raw: bytes) -> Event:
+    def transmit(raw: WireFrame) -> Event:
         metrics.counter("stream.wire_bytes").inc(len(raw))
         return send_frame(raw).defuse()
 
     def acknowledged(
-        ftype: int, raw: bytes, delivery: Event
+        ftype: int, raw: WireFrame, delivery: Event
     ) -> typing.Generator[Event, typing.Any, bool]:
         """Wait for one frame's delivery, resending it alone on loss;
         False once the receiver refused it as a DATA frame."""
@@ -396,7 +398,7 @@ def send_stream(
         ).inc()
         return True
 
-    in_flight: collections.deque[tuple[int, bytes, Event]] = collections.deque()
+    in_flight: collections.deque[tuple[int, WireFrame, Event]] = collections.deque()
     frames = sender.frames()
     try:
         while (frame := next(frames, None)) is not None or in_flight:
@@ -416,10 +418,10 @@ def send_stream(
 
 def channel_sender(
     channel: HttpsChannel | DirectChannel, to_server: bool = True
-) -> typing.Callable[[bytes], Event]:
+) -> typing.Callable[[WireFrame], Event]:
     """The ``send_frame`` of an https channel: one send per frame."""
 
-    def send_frame(raw: bytes) -> Event:
+    def send_frame(raw: WireFrame) -> Event:
         return channel.send(raw, len(raw), to_server=to_server)
 
     return send_frame
@@ -430,7 +432,7 @@ def send_body(
     stream_id: int,
     body: FileBody,
     context: dict[str, typing.Any],
-    send_frame: typing.Callable[[bytes], Event],
+    send_frame: typing.Callable[[WireFrame], Event],
     *,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     parent_span: Span = INERT_SPAN,

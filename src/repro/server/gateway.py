@@ -51,7 +51,7 @@ from repro.faults.errors import ServiceUnavailable
 from repro.net.errors import ConnectionLost, ConnectionRefused, FrameError
 from repro.net.https import HttpsChannel
 from repro.net.sim_transport import Host, Message, Network
-from repro.net.stream import StreamSender
+from repro.net.stream import StreamSender, WireFrame
 from repro.observability import telemetry_for
 from repro.protocol.client import RESPONSE_TIMEOUT_S
 from repro.protocol.consignment import decode_consignment_envelope
@@ -208,8 +208,9 @@ class Gateway:
     # -- request handling --------------------------------------------------------
     def _receive(self, message: Message) -> None:
         payload = message.payload
-        if isinstance(payload, (bytes, bytearray, memoryview)):
-            # Data-plane frame from a client channel.
+        if isinstance(payload, (WireFrame, bytes, bytearray, memoryview)):
+            # Data-plane frame from a client channel (contiguous when it
+            # came off a socket).
             if self.down:
                 telemetry_for(self.sim).metrics.counter(
                     "gateway.refused_frames"
@@ -265,7 +266,7 @@ class Gateway:
             # Push the bulk stream first — the FIFO channel keeps the
             # frames ahead of the reply, and the client deduplicates a
             # re-push.
-            def send_frame(raw: bytes) -> Event:
+            def send_frame(raw: WireFrame) -> Event:
                 return channel.send(
                     raw, len(raw), to_server=False, ready_s=ready_s(len(raw))
                 )

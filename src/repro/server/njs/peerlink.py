@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from repro.net.errors import ConnectionLost
 from repro.net.https import DEFAULT_PER_RECORD_CPU_S, HANDSHAKE_MESSAGE_BYTES
 from repro.net.sim_transport import Network
+from repro.net.stream import WireFrame
 from repro.protocol.datapath import (
     DEFAULT_CHUNK_BYTES,
     FileEntry,
@@ -107,7 +108,7 @@ class PeerFrame:
     lost chunk resumes alone.
     """
 
-    raw: bytes
+    raw: WireFrame
 
     @property
     def wire_payload(self) -> int:
@@ -231,7 +232,7 @@ class PeerLink:
         what makes WAN-drop faults survivable for multi-megabyte
         transfers.
         """
-        def send_frame(raw: bytes) -> Event:
+        def send_frame(raw: WireFrame) -> Event:
             # retries=0: a loss surfaces in send_stream (per-chunk
             # resume) instead of being hidden inside the hop machinery.
             return self._sim.process(

@@ -25,9 +25,10 @@ offers the body it sends (:func:`hold`), and a receiver — an inline
 manifest item, a reassembled stream, a blob read — wraps the bytes of
 the held body under its key when they equal what it was handed
 (:func:`adopt`, :meth:`FileBody.received`).  The key is free to take and
-the byte compare is the proof, so no checksum pass is added for it: a
-key shared by other bytes is not adopted, and costs memory, never
-content.  The bytes may be shared; the checks are each body's own.
+the byte compare is the proof — or, for a streamed chunk that is the
+held body's own view at its seq, identity — so no checksum pass is added
+for it: a key shared by other bytes is not adopted, and costs memory,
+never content.  The bytes may be shared; the checks are each body's own.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ import zlib
 
 from repro.vfs.errors import VFSError
 
-__all__ = ["KEY_EDGE", "FileBody", "HeldKey", "adopt", "held", "held_key", "hold"]
+__all__ = [
+    "KEY_EDGE", "FileBody", "HeldKey", "adopt", "held", "held_body", "held_key",
+    "hold",
+]
 
 #: Bytes at each end of the content that key a held body, beside its size.
 KEY_EDGE = 16
@@ -49,16 +53,22 @@ HeldKey = tuple[int, bytes, bytes]
 
 
 class FileBody:
-    """Immutable content plus a memo of its digest and chunk CRCs, each
-    computed on first request and kept.  Compares and measures like the
-    ``bytes`` it wraps: the memo is derived, not part of the value.
+    """Immutable content plus a memo of its digest and, for one split,
+    its chunk CRCs and chunk views, each computed on first request and
+    kept.  Compares and measures like the ``bytes`` it wraps: the memo is
+    derived, not part of the value.  The views are what a stream of the
+    body carries, so a receiver in this process knows a chunk for this
+    body's bytes at its offset by identity (:meth:`own_chunks`).
 
     ``digest`` seeds the sha256 hex digest (the key ``data`` was read
     under); ``chunk_crcs`` the CRC-32 of every ``chunk_bytes``-sized
     piece, the last one shorter (the frames it arrived in).
     """
 
-    __slots__ = ("_data", "_digest", "_chunk_bytes", "_chunk_crcs", "__weakref__")
+    __slots__ = (
+        "_data", "_digest", "_chunk_bytes", "_chunk_crcs", "_chunks",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -73,6 +83,8 @@ class FileBody:
         #: The split ``_chunk_crcs`` were cut at; 0 while none are held.
         self._chunk_bytes = max(chunk_bytes, 0)
         self._chunk_crcs = tuple(chunk_crcs)
+        #: The pieces of that split as views, once they are cut.
+        self._chunks: tuple[memoryview, ...] = ()
         if len(self._chunk_crcs) != (
             self._chunk_bytes and -(-len(self._data) // self._chunk_bytes)
         ):
@@ -123,13 +135,30 @@ class FileBody:
         if chunk_bytes <= 0:
             raise VFSError(f"chunk size must be positive, got {chunk_bytes}")
         if chunk_bytes != self._chunk_bytes:
-            view = memoryview(self._data)
-            self._chunk_crcs = tuple(
-                zlib.crc32(view[i:i + chunk_bytes])
-                for i in range(0, len(view), chunk_bytes)
-            )
+            self._chunks = self._cut(chunk_bytes)
+            self._chunk_crcs = tuple(zlib.crc32(chunk) for chunk in self._chunks)
             self._chunk_bytes = chunk_bytes
         return self._chunk_crcs
+
+    def chunks(self, chunk_bytes: int) -> tuple[memoryview, ...]:
+        """Each ``chunk_bytes``-sized piece as a view, in payload order:
+        cut once per split and kept beside :meth:`chunk_crcs` of it, so
+        every call at the held split returns the same view objects."""
+        crcs = self.chunk_crcs(chunk_bytes)  # one memo, one split
+        if len(self._chunks) != len(crcs):  # seeded CRCs: cut the views now
+            self._chunks = self._cut(chunk_bytes)
+        return self._chunks
+
+    def _cut(self, chunk_bytes: int) -> tuple[memoryview, ...]:
+        view = memoryview(self._data)
+        return tuple(view[i:i + chunk_bytes] for i in range(0, len(view), chunk_bytes))
+
+    def own_chunks(self, chunk_bytes: int) -> tuple[memoryview, ...]:
+        """The views this body holds for ``chunk_bytes`` (the ones
+        :meth:`chunks` hands out), or () when it holds none for that
+        split: what a receiver proves a chunk is this body's by, cutting
+        and reading nothing."""
+        return self._chunks if chunk_bytes == self._chunk_bytes else ()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -154,10 +183,16 @@ def held_key(data: bytes) -> HeldKey:
     return len(data), data[:KEY_EDGE], data[-KEY_EDGE:]
 
 
+def held_body(key: HeldKey) -> FileBody | None:
+    """The live body held under ``key``, if any; its bytes are some
+    content of that key only if a compare says so."""
+    return _HELD.get(key)
+
+
 def held(key: HeldKey) -> bytes | None:
     """The bytes of the live body held under ``key``, if any; they are
     ``data`` only if a byte compare says so."""
-    body = _HELD.get(key)
+    body = held_body(key)
     return None if body is None else body.data
 
 

@@ -12,13 +12,16 @@ own, started inside the call that makes it, whose seal and open, and
 whose crossing of the sender's firewall socket, ride ahead of the WAN
 hop: one delivery per remaining hop and the wake-up of the stream that
 waits for it, nothing else.  And what a stream costs in memory: a file
-streamed from site to site within one process is one ``bytes`` object.
+streamed from site to site within one process is one ``bytes`` object,
+and pushing one to a client copies and compares none of its chunks.
 """
 
 import collections
 import gc
 import random
+import tracemalloc
 import weakref
+import zlib
 
 import pytest
 
@@ -26,7 +29,8 @@ from repro.api import GridSession
 from repro.client import JobMonitorController, JobPreparationAgent
 from repro.grid import build_grid
 from repro.net.https import DEFAULT_PER_RECORD_CPU_S
-from repro.net.stream import FrameType, decode_frame
+from repro.net import stream as net_stream
+from repro.net.stream import FrameType, WireFrame, decode_frame
 from repro.protocol.datapath import DEFAULT_CHUNK_BYTES
 from repro.protocol.messages import Reply
 from repro.security.ssl import SSLSession
@@ -226,3 +230,64 @@ def test_a_streamed_file_is_held_once(two_sites):
     workstation = user.workstation.fs.body("/home/clara/input.dat")
     kept = vfs_body._HELD.get(vfs_body.held_key(content))
     assert kept is None or kept is workstation
+
+
+def test_a_pushed_file_is_neither_copied_nor_compared(two_sites, monkeypatch):
+    """A 4 MiB file pushed from the gateway to the client crosses as its
+    frames' headers beside the sending body's own chunk views, and the
+    client proves each chunk by identity: the push and the reassembly
+    allocate less than one chunk between them and compare no byte against
+    the held body.  (A frame joined to its header is a chunk-sized copy,
+    and the receiver keeps every one until the stream completes: 4 MiB.)
+    Every frame's CRC is still taken."""
+    grid, user = two_sites
+    session = GridSession(grid, user, "FZJ")
+    content = random.Random(16).randbytes(16 * DEFAULT_CHUNK_BYTES)
+    user.workstation.fs.write("/home/clara/input.dat", content)
+    job = session.new_job("pushed", "FZJ-T3E")
+    imp = job.import_from_workstation("/home/clara/input.dat", "input.dat")
+    work = job.script_task("t", "#!/bin/sh\nwc input.dat\n")
+    job.depends(imp, work, files=["input.dat"])
+    handle = session.submit(job)
+    assert session.wait(handle).status == "successful"
+    body = grid.usites["FZJ"].njs.fetch_uspace_file(handle.job_id, "input.dat")
+
+    pushed = []  # what the gateway hands the client's channel
+    channel = session.session.channel
+    send = type(channel).send
+
+    def logged(self, payload, size_bytes, to_server=True, deliver=True, ready_s=0.0):
+        if not to_server and isinstance(payload, WireFrame):
+            pushed.append(payload)
+        return send(self, payload, size_bytes, to_server, deliver, ready_s)
+
+    compares = []
+    equal_at = net_stream._equal_at
+
+    def counted(held, chunk, offset):
+        compares.append(offset)
+        return equal_at(held, chunk, offset)
+
+    checked = []  # bytes handed to CRC-32
+    crc32 = zlib.crc32
+
+    def metered(chunk, value=0):
+        checked.append(len(chunk))
+        return crc32(chunk, value)
+
+    monkeypatch.setattr(type(channel), "send", logged)
+    monkeypatch.setattr(net_stream, "_equal_at", counted)
+    monkeypatch.setattr(zlib, "crc32", metered)
+    tracemalloc.start()
+    try:
+        fetched = session.fetch_file(handle, "input.dat")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fetched is body.data
+    data = [raw for raw in pushed if decode_frame(raw).ftype == FrameType.DATA]
+    assert len(data) == 16
+    assert all(raw.payload.obj is body.data for raw in data)
+    assert compares == []
+    assert sum(checked) >= len(content)  # the receiver's pass, whole
+    assert peak < DEFAULT_CHUNK_BYTES

@@ -21,7 +21,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.grid import build_grid
 from repro.net.errors import ConnectionLost
-from repro.net.stream import FrameType, decode_frame
+from repro.net.stream import FrameType, WireFrame, decode_frame
 from repro.observability import telemetry_for
 from repro.protocol.consignment import validate_manifest_paths
 from repro.protocol.datapath import (
@@ -305,7 +305,7 @@ def _log_frames(grid, src, dst):
 
     def logged(s, d, payload, size_bytes, **kwargs):
         raw = payload.raw if isinstance(payload, PeerFrame) else payload
-        if (s, d) == (src, dst) and isinstance(raw, bytes):
+        if (s, d) == (src, dst) and isinstance(raw, (bytes, WireFrame)):
             sent.append((grid.sim.now, decode_frame(raw)))
         return send(s, d, payload, size_bytes, **kwargs)
 

@@ -207,7 +207,7 @@ BINARY_DECODERS = {
     ),
     "stream.frame": (
         stream.decode_frame,
-        stream.encode_frame(stream.Frame(stream_id=9, seq=2, payload=b"chunk")),
+        bytes(stream.encode_frame(stream.Frame(stream_id=9, seq=2, payload=b"chunk"))),
     ),
     "stream.open": (
         stream.OpenInfo.decode,
@@ -285,6 +285,49 @@ def test_byte_mutated_encodings_decode_or_are_refused(name, edits):
         else:
             data.insert(at, byte)
     _value_or_registered_error(name, bytes(data))
+
+
+_WIRE = stream.encode_frame(
+    stream.Frame(stream_id=9, seq=2, payload=memoryview(b"a chunk of bytes")[2:9])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 1 << 20),
+            st.sampled_from(["set", "drop", "insert"]),
+            st.integers(0, 255),
+        ),
+        max_size=4,
+    ),
+    resize=st.integers(-7, 3),
+)
+def test_a_wire_frame_with_a_mutated_header_or_payload_length_is_refused(
+    edits, resize
+):
+    """A frame in two pieces is read as strictly as a joined one: with its
+    header's bytes changed it decodes or raises a :class:`FrameError`,
+    never another exception, and with a payload of another length than
+    its header names it always raises one."""
+    header = bytearray(_WIRE.header)
+    for at, how, byte in edits:
+        at %= len(header) or 1
+        if how == "set" and header:
+            header[at] = byte
+        elif how == "drop" and header:
+            del header[at]
+        else:
+            header.insert(at, byte)
+    payload = bytes(_WIRE.payload)[:len(_WIRE.payload) + resize] + b"+" * resize
+    try:
+        frame = stream.decode_frame(stream.WireFrame(bytes(header), payload))
+    except FrameError as err:
+        assert ERROR_CODES.get(err.code) is FrameError
+    else:
+        assert resize == 0 and len(header) == len(_WIRE.header)
+        assert frame.payload is payload
 
 
 #: What each manifest decoder raises on bytes it would not have written:

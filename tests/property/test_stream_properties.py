@@ -50,12 +50,36 @@ def test_frame_encode_decode_roundtrip(stream_id, seq, ftype, payload):
 @given(payload=payloads, flip=st.integers(0, 1 << 20))
 def test_frame_decode_is_total_on_corruption(payload, flip):
     """Any single-byte corruption either decodes or raises FrameError."""
-    raw = bytearray(encode_frame(Frame(stream_id=1, seq=0, payload=payload)))
+    raw = bytearray(bytes(encode_frame(Frame(stream_id=1, seq=0, payload=payload))))
     raw[flip % len(raw)] ^= 1 + (flip % 255)
     try:
         decode_frame(bytes(raw))
     except FrameError:
         pass  # rejection is the expected outcome for most flips
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=payloads, start=st.integers(0, 4096), stop=st.integers(0, 4096),
+    mutable=st.booleans(),
+)
+def test_a_wire_frame_is_the_joined_frame_in_two_pieces(data, start, stop, mutable):
+    """Over bytes the payload object crosses as it is; over a mutable
+    buffer it is snapshotted.  Either way the two pieces measure and
+    decode like the joined frame, and a later write to the buffer is
+    not seen."""
+    buffer = bytearray(data) if mutable else data
+    payload = memoryview(buffer)[start:stop]
+    frame = Frame(stream_id=5, seq=1, payload=payload)
+    wire = encode_frame(frame)
+    assert (wire.payload is payload) is not mutable
+    if mutable and len(buffer):
+        buffer[:] = bytes(len(buffer))
+    decoded = decode_frame(wire)
+    assert decoded.payload is wire.payload
+    assert len(wire) == len(bytes(wire))
+    assert decoded == decode_frame(bytes(wire))
+    assert bytes(decoded.payload) == data[start:stop]
 
 
 @settings(max_examples=120, deadline=None)

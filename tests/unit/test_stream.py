@@ -17,10 +17,12 @@ from repro.net.stream import (
     OpenInfo,
     StreamReassembler,
     StreamSender,
+    WireFrame,
     chunk_payload,
     decode_frame,
     encode_frame,
 )
+from repro.net import stream
 from repro.net.errors import ConnectionLost
 from repro.net.sim_transport import Network
 from repro.observability import MetricsRegistry
@@ -33,16 +35,18 @@ from repro.protocol.datapath import (
     DataPlaneEndpoint,
     FileEntry,
     StreamIdAllocator,
+    body_sender,
     decode_item,
     item_value,
 )
 from repro.simkernel import Simulator
+from repro.vfs import FileBody
 
 
 # ---------------------------------------------------------------- frames
 def test_frame_roundtrip_data():
     frame = Frame(stream_id=7, seq=3, payload=b"\x00\x01binary\xff")
-    raw = encode_frame(frame)
+    raw = bytes(encode_frame(frame))
     assert len(raw) == FRAME_HEADER_BYTES + len(frame.payload)
     assert raw[2] == FRAME_VERSION
     assert decode_frame(raw) == frame
@@ -50,12 +54,12 @@ def test_frame_roundtrip_data():
 
 def test_frame_payload_is_raw_not_base64():
     payload = bytes(range(256))
-    raw = encode_frame(Frame(stream_id=1, seq=0, payload=payload))
+    raw = bytes(encode_frame(Frame(stream_id=1, seq=0, payload=payload)))
     assert payload in raw  # carried verbatim: no base64 inflation
 
 
 def test_frame_rejects_truncation_and_corruption():
-    raw = encode_frame(Frame(stream_id=1, seq=0, payload=b"hello"))
+    raw = bytes(encode_frame(Frame(stream_id=1, seq=0, payload=b"hello")))
     with pytest.raises(FrameError):
         decode_frame(raw[: FRAME_HEADER_BYTES - 1])
     with pytest.raises(FrameError):
@@ -68,7 +72,7 @@ def test_frame_rejects_truncation_and_corruption():
 
 
 def test_frame_rejects_unknown_version_and_type():
-    raw = bytearray(encode_frame(Frame(stream_id=1, seq=0, payload=b"x")))
+    raw = bytearray(bytes(encode_frame(Frame(stream_id=1, seq=0, payload=b"x"))))
     bad_version = bytes(raw[:2]) + bytes([99]) + bytes(raw[3:])
     with pytest.raises(FrameError):
         decode_frame(bad_version)
@@ -86,6 +90,48 @@ def test_frame_range_validation_on_encode():
         encode_frame(Frame(stream_id=1, seq=-1))
     with pytest.raises(FrameError):
         encode_frame(Frame(stream_id=1, seq=0, ftype=42))
+
+
+def test_a_frame_crosses_as_its_header_beside_the_senders_payload():
+    """``encode_frame`` copies no payload that nothing can change (bytes,
+    a view of bytes): the wire frame carries that object, measures what
+    the joined frame measures, and decodes to that very object."""
+    data = bytes(range(256)) * 4
+    for payload in (data, memoryview(data)[100:700]):
+        frame = Frame(stream_id=3, seq=1, payload=payload)
+        wire = encode_frame(frame)
+        assert wire.payload is payload
+        assert len(wire) == len(bytes(wire)) == FRAME_HEADER_BYTES + len(payload)
+        assert bytes(wire) == wire.header + bytes(payload)
+        assert decode_frame(wire).payload is payload
+        assert decode_frame(bytes(wire)) == decode_frame(wire) == frame
+
+
+def test_a_payload_over_a_mutable_buffer_decodes_as_it_was_at_encode():
+    """A view of a ``bytearray`` — read-only or not — is snapshotted by
+    ``encode_frame``: writing to the buffer afterwards changes nothing on
+    the wire, so the frame still decodes (its CRC holds) to the old bytes."""
+    for view in (lambda b: b, memoryview, lambda b: memoryview(b).toreadonly()):
+        buffer = bytearray(b"chunk of a file")
+        frame = Frame(stream_id=4, seq=0, payload=view(buffer))
+        wire = encode_frame(frame)
+        buffer[:5] = b"XXXXX"
+        assert bytes(decode_frame(wire).payload) == b"chunk of a file"
+    contiguous = bytearray(bytes(encode_frame(Frame(stream_id=4, seq=0, payload=b"abc"))))
+    decoded = decode_frame(contiguous)
+    contiguous[-1:] = b"z"
+    assert bytes(decoded.payload) == b"abc"
+
+
+def test_a_wire_frame_whose_payload_is_not_its_headers_length_is_refused():
+    wire = encode_frame(Frame(stream_id=1, seq=0, payload=b"hello"))
+    for payload in (b"hell", b"hello!", memoryview(b"hello")[1:]):
+        with pytest.raises(FrameError, match="its header says 5"):
+            decode_frame(WireFrame(wire.header, payload))
+    with pytest.raises(FrameError):
+        decode_frame(WireFrame(wire.header[:-1], wire.payload))
+    with pytest.raises(FrameError):
+        decode_frame(WireFrame(wire.header + b"\x00", wire.payload))
 
 
 def test_open_info_roundtrip():
@@ -166,7 +212,7 @@ def test_wire_bytes_are_what_they_were_before_the_single_pass_sender():
     frames' bytes did not move)."""
 
     def wire_hash(sender):
-        wire = b"".join(encode_frame(frame) for frame in sender.frames())
+        wire = b"".join(bytes(encode_frame(frame)) for frame in sender.frames())
         return hashlib.sha256(wire).hexdigest()
 
     data = random.Random(14).randbytes(700_001)  # ten full chunks + a tail
@@ -302,6 +348,61 @@ def test_a_stream_that_never_completes_is_given_up_at_the_timeout():
     assert endpoint.take(5).data == b"q" * 3000
 
 
+def _counting_compares(monkeypatch):
+    """Count the byte compares a reassembly makes against a held body."""
+    compares = []
+    equal_at = stream._equal_at
+
+    def counted(held, chunk, offset):
+        compares.append(offset)
+        return equal_at(held, chunk, offset)
+
+    monkeypatch.setattr(stream, "_equal_at", counted)
+    return compares
+
+
+def test_the_held_bodys_own_views_are_adopted_without_a_compare(monkeypatch):
+    """Frames of a body framed in this process are its own chunk views:
+    the receiver returns the body's bytes and compares none of them.  The
+    same frames joined (as a socket delivers them) are each compared, and
+    adopted all the same."""
+    compares = _counting_compares(monkeypatch)
+    body = FileBody(random.Random(3).randbytes(4 * 1024 - 9))
+    sender = body_sender(21, body, {}, 1024)
+    for wired in (False, True):
+        endpoint = DataPlaneEndpoint(Simulator())
+        for frame in sender.frames():
+            raw = encode_frame(frame)
+            assert endpoint.feed(bytes(raw) if wired else raw)
+        assert endpoint.take(21).data is body.data
+        assert compares == ([0, 1024, 2048, 3072] if wired else [])
+
+
+def test_own_views_sent_in_another_order_are_not_adopted():
+    """A stream framed from the held body's own views, but with two middle
+    chunks swapped, keeps the held key (size and both edges) and carries
+    an OPEN frame whose CRC is that of the swapped payload: every check on
+    the wire passes.  Each chunk *is* one of the body's views, only not
+    the one at its seq, so the receiver compares it, finds it differs, and
+    joins the swapped bytes instead of returning the body's."""
+    cut = 1024
+    body = FileBody(random.Random(4).randbytes(4 * cut))
+    body_sender(22, body, {}, cut)  # held, its views cut at this split
+    views, crcs = body.chunks(cut), body.chunk_crcs(cut)
+    order = [0, 2, 1, 3]
+    swapped = b"".join(views[i] for i in order)
+    assert swapped != body.data
+    endpoint = DataPlaneEndpoint(Simulator())
+    endpoint.feed(encode_frame(StreamSender(22, swapped, cut, {}).open_frame()))
+    for seq, i in enumerate(order):
+        endpoint.feed(encode_frame(
+            Frame(stream_id=22, seq=seq, payload=views[i], crc32=crcs[i])
+        ))
+    done = endpoint.take(22)
+    assert done.data == swapped
+    assert done.data is not body.data
+
+
 def test_endpoint_ignores_non_frame_bytes():
     sim = Simulator()
     endpoint = DataPlaneEndpoint(sim)
@@ -313,7 +414,7 @@ def test_endpoint_rejects_flipped_byte_and_retransmission_repairs_it():
     endpoint = DataPlaneEndpoint(Simulator(), metrics=metrics)
     data = bytes(range(256)) * 16
     raws = [encode_frame(f) for f in StreamSender(4, data, 1024, {}).frames()]
-    damaged = bytearray(raws[2])
+    damaged = bytearray(bytes(raws[2]))
     damaged[FRAME_HEADER_BYTES + 100] ^= 0x01
     with pytest.raises(FrameError):
         decode_frame(bytes(damaged))
